@@ -14,7 +14,8 @@ with a CPL session, and then runs the paper's three definitions:
   with its non-human homologues (via NA-Links).
 
 It also shows the optimizer at work: the three-generator Loci22 comprehension
-is shipped to the relational driver as a single SQL query.
+is shipped to the relational driver as a single SQL query, on its own and when
+the DOE query uses it as the source of its loop over Entrez.
 
 Run with::
 
@@ -78,7 +79,11 @@ def main() -> None:
     print("Scan requests issued:", session.engine.last_eval_statistics.scan_requests)
 
     print("\n== The DOE query: loci with their non-human homologues ==")
-    answer = session.run(DOE_QUERY)
+    doe = session.query(DOE_QUERY)
+    answer = doe.value
+    print("Optimized plan:", doe.optimized.pretty())
+    print("Scan requests issued:", session.engine.last_eval_statistics.scan_requests,
+          "(1 to GDB, then 2 per locus to GenBank)")
     rows = sorted(answer, key=lambda row: row.project("locus").project("locus-symbol"))
     for row in rows[:8]:
         locus = row.project("locus")

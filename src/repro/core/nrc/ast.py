@@ -27,6 +27,7 @@ rewrite engine can detect fixpoints.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -607,13 +608,26 @@ class Cached(Expr):
 
     Introduced by the caching rule set around inner subqueries that do not
     depend on the outer loop variable.  ``key`` identifies the cache entry.
+    Left out, it is derived from the subquery's content (a digest of its
+    :func:`~repro.core.nrc.compile.term_fingerprint`, under
+    :data:`CONTENT_PREFIX`), so optimising one query twice gives one term, one
+    compiled form and one plan-feedback entry.  Such an entry belongs to the
+    run that computed it, because its value depends on that run's bindings;
+    a key the caller chose names an entry every run of the engine shares.
     """
 
     __slots__ = ("expr", "key")
 
+    #: What every content-derived key starts with.
+    CONTENT_PREFIX = "%cache:"
+
     def __init__(self, expr: Expr, key: Optional[str] = None):
         self.expr = expr
-        self.key = key or fresh_var("cache")
+        if key is None:
+            from .compile import term_fingerprint  # compile imports this module
+            digest = hashlib.sha1(repr(term_fingerprint(expr)).encode())
+            key = self.CONTENT_PREFIX + digest.hexdigest()[:20]
+        self.key = key
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.expr,)

@@ -80,6 +80,9 @@ class _Printer:
         return (f"U{open_b}{self.render(expr.body)} | \\{expr.var} <- "
                 f"{self.render(expr.source)}{close_b}")
 
+    def _render_parallelext(self, expr) -> str:
+        return f"par[{expr.max_workers}]-{self._render_ext(expr)}"
+
     def _render_fold(self, expr: "A.Fold") -> str:
         return (f"fold({self.render(expr.func)}, {self.render(expr.init)}, "
                 f"{self.render(expr.source)})")

@@ -24,7 +24,18 @@ generalise classical relational-algebra optimizations to nested collections:
 Alongside these the rule set contains the monad laws and standard beta/let/if
 simplifications needed to reach a normal form (the paper: "the monad rewrite
 rules are initially applied until a normal form is reached; this is guaranteed
-to terminate ... because the rewrite rules are strongly normalizing").
+to terminate ... because the rewrite rules are strongly normalizing").  One of
+them is what keeps R1 closed under composition:
+
+* **filtered-source promotion**: a loop over a guarded source runs under the
+  guard, so a consumer fuses *through* a filtered producer instead of
+  stalling at it::
+
+      U{e | \\x <- if p then s else {}}  -->  if p then U{e | \\x <- s} else {}
+
+  Without it a view such as ``Loci22`` normalises differently when it is used
+  inside another comprehension than when it is run on its own, and every
+  later rule set that recognises the flat generator/filter/head block misses.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ __all__ = [
     "rule_case_of_variant",
     "rule_ext_empty_source",
     "rule_ext_empty_body",
+    "rule_ext_filtered_source",
     "rule_ext_singleton_source",
     "rule_ext_union_source",
     "rule_dead_branch_union",
@@ -285,6 +297,26 @@ rule_ext_empty_body = Rule(
 )
 
 
+def _ext_filtered_source(expr: A.Expr) -> Optional[A.Expr]:
+    if not isinstance(expr, A.Ext):
+        return None
+    source = expr.source
+    if not isinstance(source, A.IfThenElse) or not isinstance(source.else_branch, A.Empty):
+        return None
+    # The guard sits outside the binder on both sides, so nothing can be
+    # captured and no side condition on the loop variable is needed.
+    return A.IfThenElse(source.cond,
+                        A.Ext(expr.var, expr.body, source.then_branch, expr.kind),
+                        A.Empty(expr.kind))
+
+
+rule_ext_filtered_source = Rule(
+    "ext-filtered-source",
+    _ext_filtered_source,
+    "a loop over a guarded source is the guarded loop over the unguarded source",
+)
+
+
 def _ext_singleton_source(expr: A.Expr) -> Optional[A.Expr]:
     if not isinstance(expr, A.Ext):
         return None
@@ -376,6 +408,7 @@ MONADIC_RULES = (
     rule_if_constant,
     rule_ext_empty_source,
     rule_ext_empty_body,
+    rule_ext_filtered_source,
     rule_ext_singleton_source,
     rule_dead_branch_union,
     rule_fold_empty_source,
@@ -398,7 +431,7 @@ def monadic_rule_set(include_horizontal: bool = True,
     """
     rules = [rule_beta_reduction, rule_let_inline, rule_case_of_variant,
              rule_if_constant, rule_ext_empty_source, rule_ext_empty_body,
-             rule_ext_singleton_source, rule_dead_branch_union,
+             rule_ext_filtered_source, rule_ext_singleton_source, rule_dead_branch_union,
              rule_fold_empty_source, rule_fold_singleton_source]
     if include_projection_reduction:
         rules.insert(3, rule_projection_reduction)

@@ -12,6 +12,13 @@ of requests at a time, say five."
 * :class:`ParallelExt` is that primitive: an ``Ext`` whose body is evaluated
   for several source elements at once, bounded by ``max_workers`` (batching
   also bounds unconsumed replies, the second concern the paper raises).
+* "Say five" is a property of the *server*, not of one loop: nested parallel
+  loops and concurrent sessions reach the same server, so the bound that
+  protects it is the per-driver in-flight gate of
+  :meth:`~repro.kleisli.engine.KleisliEngine.driver_executor`, as wide as the
+  driver's declared ``max_concurrent_requests``.  ``max_workers`` only sizes
+  one loop's fan-out (up to that declaration, when there is one); requests
+  past the server's cap queue at the gate instead of being rejected.
 * :func:`make_parallel_rule_set` recognises loops whose body issues a request
   to a *remote* driver with arguments depending on the loop variable and
   rewrites them into :class:`ParallelExt`.

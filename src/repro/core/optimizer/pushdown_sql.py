@@ -12,6 +12,21 @@ Two rules implement it:
   table scans of one SQL driver, conjunctive comparison filters, a record or
   single-variable head) is recognised, the block collapses into one
   ``Scan({"query": "select ..."})``.
+
+  *Residual head.*  When the block is only the top of the comprehension — the
+  DOE query uses ``Loci22`` as the source of a loop over Entrez — its maximal
+  prefix of table-scan generators and their renderable filters still becomes
+  one query, and what it encloses becomes a loop over that query's rows::
+
+      U{ U{ if p(x,y) then e(x.a, y.b) | \\y <- T2 } | \\x <- T1 }
+          -->  U{ e(r.c0, r.c1) | \\r <- Scan("select t0.a c0, t1.b c1 ... where p") }
+
+  Only the columns ``e`` reads are selected, under positional aliases (two
+  tables may share a column name); filters SQL cannot express stay in front
+  of ``e``.  The rule gives up when ``e`` uses a generator variable whole.
+  It is for **sets only**: projecting the join onto the used columns makes
+  rows coincide, and the driver returns a set of rows, which is harmless
+  under a set union and would lose multiplicities of a bag or a list.
 * **sql-select-pushdown** — otherwise, per-generator constant comparisons move
   into the scan's ``where`` list and the columns actually used move into its
   ``columns`` list, so at least selections and projections run on the server.
@@ -27,6 +42,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..nrc import ast as A
 from ..nrc.rewrite import Rule, RuleSet
+from ..nrc.rules_monadic import rule_projection_reduction
 
 __all__ = ["make_sql_pushdown_rule_set", "generate_sql"]
 
@@ -40,7 +56,7 @@ def make_sql_pushdown_rule_set(capabilities: Mapping[str, FrozenSet[str]]) -> Ru
         return "sql" in capabilities.get(driver, frozenset())
 
     def join_pushdown(expr: A.Expr) -> Optional[A.Expr]:
-        return _try_full_pushdown(expr, sql_capable)
+        return _try_join_pushdown(expr, sql_capable)
 
     def select_pushdown(expr: A.Expr) -> Optional[A.Expr]:
         return _try_per_scan_pushdown(expr, sql_capable)
@@ -58,69 +74,93 @@ def make_sql_pushdown_rule_set(capabilities: Mapping[str, FrozenSet[str]]) -> Ru
 # Decomposition of a normalised comprehension block
 # ---------------------------------------------------------------------------
 
-def _decompose(expr: A.Expr):
-    """Split a normalised comprehension into (generators, filters, head).
+def _is_plain_table_scan(source: A.Expr, sql_capable) -> bool:
+    """A whole-table scan of an SQL driver that nothing was pushed into yet."""
+    return (isinstance(source, A.Scan) and not source.args
+            and sql_capable(source.driver) and "table" in source.request
+            and not {"query", "where", "columns"} & source.request.keys())
 
-    Returns ``None`` when the expression does not have the canonical
-    Ext / If / Singleton shape produced by desugaring + monadic normalisation.
+
+def _split_block(expr: A.Expr, sql_capable):
+    """Split a normalised set comprehension at the end of its pushable prefix.
+
+    The prefix is the maximal run of set generators over plain table scans of
+    one SQL driver, together with the filters between and directly below
+    them.  Returns ``(driver, tables, conditions, deferred, rest)``: the
+    renderable filters as SQL text, the others (in order) as NRC conditions,
+    and the expression the prefix encloses.  Each filter is rendered against
+    the generators bound *above* it, and the prefix ends at a generator that
+    re-binds a name an earlier deferred filter uses: that filter will run
+    below every generator of the prefix and must still mean the outer name.
     """
-    generators: List[Tuple[str, A.Expr]] = []
-    filters: List[A.Expr] = []
-    current = expr
-    while True:
-        if isinstance(current, A.Ext) and current.kind == "set":
-            generators.append((current.var, current.source))
-            current = current.body
-            continue
-        if (isinstance(current, A.IfThenElse) and isinstance(current.else_branch, A.Empty)):
-            filters.append(current.cond)
-            current = current.then_branch
-            continue
-        if isinstance(current, A.Singleton) and current.kind == "set":
-            return generators, filters, current.expr
-        return None
-
-
-def _try_full_pushdown(expr: A.Expr, sql_capable) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Ext) or expr.kind != "set":
-        return None
-    decomposed = _decompose(expr)
-    if decomposed is None:
-        return None
-    generators, filters, head = decomposed
-    if len(generators) < 1:
-        return None
-
     driver: Optional[str] = None
     tables: Dict[str, Tuple[str, str]] = {}  # var -> (table, alias)
-    for index, (var, source) in enumerate(generators):
-        if not isinstance(source, A.Scan) or source.args:
-            return None
-        if "table" not in source.request or "query" in source.request:
-            return None
-        if source.request.get("where") or source.request.get("columns"):
-            return None
-        if not sql_capable(source.driver):
-            return None
-        if driver is None:
-            driver = source.driver
-        elif driver != source.driver:
-            return None
-        tables[var] = (str(source.request["table"]), f"t{index}")
-
     conditions: List[str] = []
-    for condition in filters:
-        rendered = _render_condition(condition, tables)
-        if rendered is None:
-            return None
-        conditions.append(rendered)
+    deferred: List[A.Expr] = []
+    current = expr
+    while True:
+        if (isinstance(current, A.Ext) and current.kind == "set"
+                and current.var not in tables
+                and _is_plain_table_scan(current.source, sql_capable)
+                and driver in (None, current.source.driver)
+                and not any(current.var in A.free_variables(f) for f in deferred)):
+            driver = current.source.driver
+            tables[current.var] = (str(current.source.request["table"]), f"t{len(tables)}")
+            current = current.body
+        elif isinstance(current, A.IfThenElse) and isinstance(current.else_branch, A.Empty):
+            rendered = _render_condition(current.cond, tables)
+            if rendered is None:
+                deferred.append(current.cond)
+            else:
+                conditions.append(rendered)
+            current = current.then_branch
+        else:
+            return driver, tables, conditions, deferred, current
 
-    select_list = _render_head(head, tables)
-    if select_list is None:
+
+#: ``[c = row.c0, ...].c --> row.c0`` over a whole subterm (R4, reused).
+_REDUCE_PROJECTIONS = RuleSet("project-reduce", [rule_projection_reduction])
+
+
+def _try_join_pushdown(expr: A.Expr, sql_capable) -> Optional[A.Expr]:
+    if not isinstance(expr, A.Ext) or expr.kind != "set":
+        return None
+    driver, tables, conditions, deferred, rest = _split_block(expr, sql_capable)
+    if not tables:
         return None
 
-    sql = generate_sql(select_list, tables, conditions)
-    return A.Scan(driver, {"query": sql}, kind="set")
+    # The whole block is SQL: no loop is left at all.
+    if not deferred and isinstance(rest, A.Singleton) and rest.kind == "set":
+        select_list = _render_head(rest.expr, tables)
+        if select_list is not None:
+            return A.Scan(driver, {"query": generate_sql(select_list, tables, conditions)},
+                          kind="set")
+
+    # Residual head: ship the join, loop over its rows.  One generator is no
+    # join, and the per-scan rule already pushes its selections and columns.
+    if len(tables) < 2:
+        return None
+    for condition in reversed(deferred):
+        rest = A.IfThenElse(condition, rest, A.Empty("set"))
+    row = A.fresh_var("row")
+    select_items: List[str] = []
+    for var, (_, alias) in tables.items():
+        if var not in A.free_variables(rest):
+            continue
+        columns = _used_columns(rest, var)
+        if columns is None:
+            return None  # the row is used whole: it cannot be cut down to columns
+        fields = {}
+        for column in sorted(columns):
+            # Positional aliases: two tables may share a column name.
+            fields[column] = A.Project(A.Var(row), f"c{len(select_items)}")
+            select_items.append(f"{alias}.{column} c{len(select_items)}")
+        rest = A.substitute(rest, var, A.RecordExpr(fields))
+    if not select_items:
+        return None
+    sql = generate_sql(", ".join(select_items), tables, conditions)
+    return A.Ext(row, _REDUCE_PROJECTIONS.apply(rest),
+                 A.Scan(driver, {"query": sql}, kind="set"), "set")
 
 
 def generate_sql(select_list: str, tables: Mapping[str, Tuple[str, str]],
@@ -196,11 +236,7 @@ def _try_per_scan_pushdown(expr: A.Expr, sql_capable) -> Optional[A.Expr]:
     if not isinstance(expr, A.Ext) or expr.kind != "set":
         return None
     source = expr.source
-    if not isinstance(source, A.Scan) or source.args or not sql_capable(source.driver):
-        return None
-    if "table" not in source.request or "query" in source.request:
-        return None
-    if "where" in source.request or "columns" in source.request:
+    if not _is_plain_table_scan(source, sql_capable):
         return None
 
     var = expr.var

@@ -101,7 +101,8 @@ class QueryPlanner:
     ``batches_natively`` an optional callable saying whether a driver's
     ``execute_batch`` is one wire round-trip (what makes raising
     ``remote_max_chunk`` pay — without it a bigger batch is the same number
-    of round-trips).
+    of round-trips); ``concurrency_of`` one giving the number of requests a
+    driver's server declared it handles at once (``None``: undeclared).
     """
 
     #: Largest block the blocked-join chooser will buffer on the outer side.
@@ -130,12 +131,15 @@ class QueryPlanner:
     def __init__(self, statistics, feedback: Optional[PlanFeedback] = None,
                  default_block_size: int = 256,
                  parallel_max_workers: int = 5,
-                 batches_natively: Optional[Callable[[str], bool]] = None):
+                 batches_natively: Optional[Callable[[str], bool]] = None,
+                 concurrency_of: Optional[
+                     Callable[[str], Optional[int]]] = None):
         self.statistics = statistics
         self.feedback = feedback
         self.default_block_size = default_block_size
         self.parallel_max_workers = parallel_max_workers
         self.batches_natively = batches_natively or (lambda driver: False)
+        self.concurrency_of = concurrency_of or (lambda driver: None)
         self.cardinality = CardinalityEstimator(statistics)
         self.cost = CostModel(statistics, feedback)
         #: How many plans were chosen, and how many left the defaults.
@@ -255,12 +259,19 @@ class QueryPlanner:
 
         ``0`` vetoes the rewrite (a source known to hold fewer than
         :data:`MIN_PARALLEL_SOURCE` elements cannot benefit from request
-        overlap); ``None`` keeps the rule set's configured worker count.
+        overlap).  A loop is never fanned out wider than the narrowest
+        declared cap of the remote servers its body calls: the workers past
+        it would only queue at the engine's per-driver gate.  ``None`` keeps
+        the rule set's configured worker count.
         """
         rows = self._exact_rows(expr.source)
         if rows is not None and rows < self.MIN_PARALLEL_SOURCE:
             return 0
-        return None
+        caps = [self.concurrency_of(driver)
+                for driver, _ in collect_scans(expr.body)
+                if self.statistics.is_remote(driver)]
+        caps = [cap for cap in caps if cap is not None]
+        return min(caps + [self.parallel_max_workers]) if caps else None
 
     # -- the per-query run-time plan -----------------------------------------
 

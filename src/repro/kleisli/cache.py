@@ -5,15 +5,25 @@ result of a subquery on disk."  The cache used by the evaluator's ``Cached``
 node is a plain mapping; this module provides one that holds small results in
 memory and spills large ones to disk (pickled), plus hit/miss accounting for
 the benchmarks.
+
+One cache serves every run of an engine, with two lifetimes.  A key the
+caching rule derived from a subquery's content says *which* subquery, not
+which bindings and source state it ran under, so its entry is private to one
+run (:meth:`SubqueryCache.for_run`) and dropped after it.  A key the caller
+named is shared by all runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import tempfile
 import threading
-from typing import Dict, Iterator, MutableMapping, Optional
+import weakref
+from typing import Dict, Iterator, List, MutableMapping, Optional
+
+from ..core.nrc.ast import Cached
 
 __all__ = ["SubqueryCache"]
 
@@ -36,6 +46,8 @@ class SubqueryCache(MutableMapping):
         self.hits = 0
         self.misses = 0
         self.spills = 0
+        self._runs = itertools.count(1)
+        self._dead: List[List[str]] = []
 
     # -- MutableMapping interface -------------------------------------------------
 
@@ -91,6 +103,21 @@ class SubqueryCache(MutableMapping):
     def __len__(self) -> int:
         return len(self._memory) + len(self._spilled)
 
+    def for_run(self) -> "_RunView":
+        """One run's window on the cache (see the module docstring)."""
+        # A finalizer can run inside any allocation, one made under ``_lock``
+        # included, so it only hands the dead run's keys over; they are
+        # dropped here, when the next run starts.
+        while self._dead:
+            for key in self._dead.pop():
+                try:
+                    del self[key]
+                except KeyError:    # cleared in the meantime
+                    pass
+        view = _RunView(self, f"@{next(self._runs)}")
+        weakref.finalize(view, self._dead.append, view.owned)
+        return view
+
     def clear(self) -> None:
         with self._lock:
             self._memory.clear()
@@ -98,3 +125,35 @@ class SubqueryCache(MutableMapping):
                 if os.path.exists(path):
                     os.unlink(path)
             self._spilled.clear()
+
+
+class _RunView:
+    """The three operations a ``Cached`` node uses, scoped to one run.
+
+    Content-derived keys are filed under the run's own suffix, and the
+    entries go after the view does (it lives on the run's ``EvalContext``).
+    """
+
+    __slots__ = ("_cache", "_suffix", "owned", "__weakref__")
+
+    def __init__(self, cache: SubqueryCache, suffix: str):
+        self._cache = cache
+        self._suffix = suffix
+        self.owned: List[str] = []
+
+    def _entry(self, key: str) -> str:
+        if key.startswith(Cached.CONTENT_PREFIX):
+            return key + self._suffix
+        return key
+
+    def __contains__(self, key: str) -> bool:
+        return self._entry(key) in self._cache
+
+    def __getitem__(self, key: str) -> object:
+        return self._cache[self._entry(key)]
+
+    def __setitem__(self, key: str, value: object) -> None:
+        entry = self._entry(key)
+        if entry is not key:
+            self.owned.append(entry)
+        self._cache[entry] = value

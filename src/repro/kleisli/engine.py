@@ -28,6 +28,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import (
+    DeadlineExceededError,
     DriverNotRegisteredError,
     MemoryBudgetExceededError,
     QueryCancelledError,
@@ -146,6 +147,45 @@ class _CompileCache:
             self._entries.clear()
 
 
+class _DriverGate:
+    """At most ``cap`` requests of one driver in flight, engine-wide.
+
+    The cap is the server's (the paper: "the server S may only be able to
+    handle a limited number of requests at a time, say five"), so it bounds
+    the *sum* over every parallel loop and session sharing the engine, not
+    each loop.  A request that finds the server full waits its turn instead
+    of being rejected; the wait wakes every :data:`POLL_SECONDS` to notice
+    that its run was cancelled or ran out of time.
+    """
+
+    POLL_SECONDS = 0.02
+
+    __slots__ = ("cap", "in_flight", "_slots")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.in_flight = 0
+        self._slots = threading.Condition()
+
+    def enter(self, driver_name: str, context: Optional[EvalContext],
+              clock: Callable[[], float]) -> None:
+        token = None if context is None else context.cancellation
+        deadline = None if context is None else context.deadline
+        with self._slots:
+            while self.in_flight >= self.cap:
+                if token is not None:
+                    token.raise_if_cancelled()
+                if deadline is not None and clock() > deadline:
+                    raise DeadlineExceededError(driver_name)
+                self._slots.wait(self.POLL_SECONDS)
+            self.in_flight += 1
+
+    def leave(self) -> None:
+        with self._slots:
+            self.in_flight -= 1
+            self._slots.notify()
+
+
 class KleisliEngine:
     """Driver registry, optimizer and evaluator in one object."""
 
@@ -155,6 +195,10 @@ class KleisliEngine:
                  plan_store: Optional[PlanStore] = None,
                  memory_pool_limit: Optional[int] = None):
         self.drivers: Dict[str, Driver] = {}
+        #: One in-flight gate per driver that declared a concurrency cap
+        #: (``driver.remote.max_concurrent_requests``).  A driver with no
+        #: declaration has no entry and dispatches exactly as before.
+        self.driver_gates: Dict[str, _DriverGate] = {}
         self.driver_functions: Dict[str, Tuple[Driver, DriverFunction]] = {}
         self.statistics_registry = SourceStatisticsRegistry()
         self.cache = SubqueryCache()
@@ -171,7 +215,9 @@ class KleisliEngine:
             self.statistics_registry, self.plan_feedback,
             default_block_size=self.optimizer_config.join_block_size,
             parallel_max_workers=self.optimizer_config.parallel_max_workers,
-            batches_natively=self._driver_batches_natively)
+            batches_natively=self._driver_batches_natively,
+            concurrency_of=lambda name: getattr(
+                self.driver_gates.get(name), "cap", None))
         self.last_plan: Optional[PhysicalPlan] = None
         self.optimizer = self._build_optimizer()
         #: The pipelined-execution planner: same rule sets, but with the
@@ -284,9 +330,17 @@ class KleisliEngine:
         """Register a driver; its CPL functions and statistics become available.
 
         ``latency`` (seconds) marks the driver as remote in the statistics
-        registry, which is what the parallelism rules key on.
+        registry, which is what the parallelism rules key on.  A driver that
+        declares its server's concurrency cap gets an in-flight gate of that
+        width at the dispatch choke point.
         """
         self.drivers[driver.name] = driver
+        cap = getattr(getattr(driver, "remote", None),
+                      "max_concurrent_requests", None)
+        if cap is not None:
+            self.driver_gates[driver.name] = _DriverGate(cap)
+        else:
+            self.driver_gates.pop(driver.name, None)
         driver.open()
         for function in driver.cpl_functions():
             self.driver_functions[function.name] = (driver, function)
@@ -306,6 +360,7 @@ class KleisliEngine:
         if driver is None:
             raise DriverNotRegisteredError(name)
         driver.close()
+        self.driver_gates.pop(name, None)
         self.driver_functions = {
             fname: (drv, fn) for fname, (drv, fn) in self.driver_functions.items()
             if drv.name != name
@@ -471,9 +526,26 @@ class KleisliEngine:
         checked *before* the resilience layer, so cancellation beats retry
         loops and degradation alike — no driver round-trip is wasted on a
         query nobody is waiting for.
+
+        A driver with a declared concurrency cap is dispatched holding one
+        slot of its :class:`_DriverGate` (waiting for one if the server is
+        full), released however the request ends.  The slot spans the whole
+        resilient dispatch, retries and their backoff included, so a
+        retrying request never lets the total exceed the cap.
         """
         if context is not None and context.cancellation is not None:
             context.cancellation.raise_if_cancelled()
+        gate = self.driver_gates.get(driver_name)
+        if gate is None:
+            return self._dispatch(driver_name, request, context)
+        gate.enter(driver_name, context, self.resilience.clock)
+        try:
+            return self._dispatch(driver_name, request, context)
+        finally:
+            gate.leave()
+
+    def _dispatch(self, driver_name: str, request: Mapping[str, object],
+                  context: Optional[EvalContext]):
         trace = None if context is None else context.trace
         if trace is None:
             return self.resilience.execute(driver_name, request,
@@ -540,6 +612,11 @@ class KleisliEngine:
         all — a whole-batch cap rejection retries per request).  The
         re-dispatched requests are real per-request round-trips, so their
         EMA samples follow the per-request rule above.
+
+        A native batch is one wire message and holds one slot of the
+        driver's gate (see :meth:`driver_executor`); the slot is returned
+        before a failed batch is re-dispatched, so the per-request retries
+        queue for slots like any other request.
         """
         if context is not None and context.cancellation is not None:
             context.cancellation.raise_if_cancelled()
@@ -554,8 +631,17 @@ class KleisliEngine:
                 else trace.begin(driver_name, "driver-batch",
                                  requests=len(requests)))
         started = time.perf_counter()
+        gate = self.driver_gates.get(driver_name)
         try:
-            results = list(driver.execute_batch(requests))
+            if gate is None:
+                results = list(driver.execute_batch(requests))
+            else:
+                gate.enter(driver_name, context, self.resilience.clock)
+                try:
+                    started = time.perf_counter()   # queueing is not latency
+                    results = list(driver.execute_batch(requests))
+                finally:
+                    gate.leave()
         except Exception:
             if span is not None:
                 trace.end(span, status="error")
@@ -678,7 +764,7 @@ class KleisliEngine:
         statistics = EvalStatistics()
         self.last_eval_statistics = statistics
         self._thread_statistics.value = statistics
-        context = EvalContext(statistics=statistics, cache=self.cache)
+        context = EvalContext(statistics=statistics, cache=self.cache.for_run())
         policy = (on_source_failure if on_source_failure is not None
                   else self.on_source_failure)
         if policy not in ("fail", "degrade"):

@@ -1,0 +1,259 @@
+"""The per-driver in-flight gate: concurrency is bounded per *server*.
+
+"The server S may only be able to handle a limited number of requests at a
+time, say five."  A ``ParallelExt`` bounds one loop; nested loops and
+concurrent sessions multiply that bound, and a :class:`RemoteSource` *raises*
+past its cap.  The engine therefore holds one gate per driver that declared
+``remote.max_concurrent_requests``, at the dispatch choke point: requests past
+the cap wait, and a waiter notices its run's cancellation or deadline.  A
+driver with no declaration has no gate and dispatches exactly as before.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from repro.core.errors import (
+    DeadlineExceededError,
+    DriverError,
+    QueryCancelledError,
+    RemoteSourceError,
+    SQLExecutionError,
+)
+from repro.core.nrc import ast as A
+from repro.core.nrc import builder as B
+from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer.parallel import ParallelExt
+from repro.core.values import CSet
+from repro.kleisli import engine as engine_module
+from repro.kleisli.drivers import RelationalDriver
+from repro.kleisli.drivers.base import Driver
+from repro.kleisli.engine import KleisliEngine
+from repro.kleisli.governance import CancellationToken
+from repro.kleisli.session import Session
+from repro.net.remote import RemoteSource
+from repro.relational import Database
+
+CAP = 5
+WAIT = 10.0  # every join/wait below is bounded; reaching it is a failure
+
+
+class CappedDriver(Driver):
+    """``{"key": n}`` -> ``{n}`` through a :class:`RemoteSource` with a cap."""
+
+    def __init__(self, name="S", cap=CAP, latency=0.002, handler=None):
+        super().__init__(name)
+        self.remote = RemoteSource(name, handler or (lambda key: CSet([key])),
+                                   latency=latency, max_concurrent_requests=cap)
+
+    def _execute(self, request):
+        return self.remote.call(request["key"])
+
+
+def _scan(key):
+    return A.Scan("S", {}, args={"key": key}, kind="set")
+
+
+def _nested_fan_out(outer=6, inner=6):
+    """5 x 5 workers over one capped server: 25 wide without a server bound."""
+    body = ParallelExt("y", _scan(B.prim("add", B.prim("mul", B.var("x"), B.const(100)),
+                                         B.var("y"))),
+                       A.Const(CSet(range(inner))), "set", max_workers=5)
+    return ParallelExt("x", body, A.Const(CSet(range(outer))), "set", max_workers=5)
+
+
+def _run_threads(targets):
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(WAIT)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestServerCap:
+    def test_two_sessions_of_nested_parallel_loops_stay_under_the_cap(self):
+        engine = KleisliEngine()
+        driver = engine.register_driver(CappedDriver())
+        sessions = [Session(engine=engine), Session(engine=engine)]
+        expected = CSet(x * 100 + y for x in range(6) for y in range(6))
+        outcomes = []
+
+        def run(session):
+            try:
+                outcomes.append(session.engine.execute(_nested_fan_out(), optimize=False))
+            except Exception as error:  # noqa: BLE001 - reported below
+                outcomes.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads([lambda s=s: run(s) for s in sessions] * 2)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert outcomes == [expected] * 4, outcomes  # no RemoteSourceError
+        assert len(driver.remote.log) == 4 * 36  # no request lost or retried
+        assert 1 < driver.remote.log.max_concurrency() <= CAP
+        assert engine.driver_gates["S"].in_flight == 0
+
+    def test_without_the_gate_the_same_plan_overruns_the_server(self):
+        """The premise: the source rejects what the loops alone let through."""
+        engine = KleisliEngine()
+        engine.register_driver(CappedDriver(latency=0.01))
+        del engine.driver_gates["S"]
+        with pytest.raises(RemoteSourceError):
+            engine.execute(_nested_fan_out(), optimize=False)
+
+    @pytest.mark.parametrize("cap,configured,workers", [
+        (3, 5, 3),    # a narrow server narrows the loop
+        (12, 5, 5),   # a wide one does not widen it past the configuration
+        (12, 2, 2),
+    ])
+    def test_planner_keeps_the_fan_out_within_cap_and_configuration(
+            self, cap, configured, workers):
+        engine = KleisliEngine(OptimizerConfig(parallel_max_workers=configured))
+        engine.register_driver(CappedDriver(cap=cap))
+        loop = B.ext("x", _scan(B.var("x")), A.Const(CSet(range(40))))
+        assert engine.compile(loop).max_workers == workers
+        engine.unregister_driver("S")
+        assert engine.driver_gates == {}
+
+
+class _Blocked:
+    """An engine whose one-slot server is held by a request parked in the
+    handler, so that whoever comes next waits at the gate."""
+
+    def __init__(self):
+        self.release = threading.Event()
+        self.entered = threading.Event()
+        self.engine = KleisliEngine()
+
+        def handler(key):
+            if key == "hold":
+                self.entered.set()
+                assert self.release.wait(WAIT)
+            if key == "fail":
+                raise DriverError("the server said no")
+            return CSet([key])
+
+        self.driver = self.engine.register_driver(
+            CappedDriver(cap=1, latency=0.0, handler=handler))
+        self.gate = self.engine.driver_gates["S"]
+        self.holder = threading.Thread(
+            target=self.engine.execute, args=(_scan(B.const("hold")),),
+            kwargs={"optimize": False})
+
+    def __enter__(self):
+        self.holder.start()
+        assert self.entered.wait(WAIT)
+        assert self.gate.in_flight == 1
+        return self
+
+    def __exit__(self, *exc_info):
+        self.release.set()
+        self.holder.join(WAIT)
+        assert not self.holder.is_alive()
+        # Quiescence: whatever happened to the waiters, every slot is back.
+        assert self.gate.in_flight == 0
+        assert self.engine.execute(_scan(B.const("after")), optimize=False) == CSet(["after"])
+        assert self.gate.in_flight == 0
+
+
+class TestWaitingAtTheGate:
+    def test_cancel_while_waiting_raises_and_holds_no_slot(self):
+        with _Blocked() as blocked:
+            token = CancellationToken()
+            errors = []
+
+            def waiter():
+                try:
+                    blocked.engine.execute(_scan(B.const("late")), optimize=False,
+                                           cancellation=token)
+                except QueryCancelledError as error:
+                    errors.append(error)
+
+            thread = threading.Thread(target=waiter)
+            thread.start()
+            thread.join(0.1)
+            assert thread.is_alive(), "the waiter should be queued behind the held slot"
+            token.cancel("test: cancelled in the queue")
+            thread.join(WAIT)
+            assert not thread.is_alive() and len(errors) == 1
+            assert blocked.gate.in_flight == 1  # only the holder
+            assert len(blocked.driver.remote.log) == 0  # the waiter never reached the server
+
+    def test_deadline_while_waiting_is_terminal(self):
+        with _Blocked() as blocked:
+            with pytest.raises(DeadlineExceededError):
+                blocked.engine.execute(_scan(B.const("late")), optimize=False, deadline=0.05)
+            assert blocked.gate.in_flight == 1
+
+    def test_waiter_proceeds_when_the_slot_frees(self):
+        with _Blocked() as blocked:
+            results = []
+            thread = threading.Thread(target=lambda: results.append(
+                blocked.engine.execute(_scan(B.const("next")), optimize=False)))
+            thread.start()
+            thread.join(0.1)
+            assert thread.is_alive()
+            blocked.release.set()
+            thread.join(WAIT)
+            assert results == [CSet(["next"])]
+
+    def test_failing_request_releases_its_slot_to_the_waiters(self):
+        blocked = _Blocked()
+        with pytest.raises(DriverError):
+            blocked.engine.execute(_scan(B.const("fail")), optimize=False)
+        assert blocked.gate.in_flight == 0
+        with blocked:
+            pass
+
+
+class TestBatchedDispatch:
+    def _engine(self):
+        database = Database("GDB")
+        table = database.create_table_from_spec("t", {"a": "int"})
+        table.insert_many({"a": value} for value in range(3))
+        engine = KleisliEngine()
+        driver = engine.register_driver(RelationalDriver.with_latency(
+            "GDB", database, latency=0.0, max_concurrent_requests=1))
+        return engine, driver
+
+    def test_a_native_batch_holds_one_slot(self):
+        engine, driver = self._engine()
+        results = engine.driver_executor_batch("GDB", [{"table": "t"}, {"table": "t"}])
+        assert [len(result) for result in results] == [3, 3]
+        assert len(driver.remote.log) == 1
+        assert engine.driver_gates["GDB"].in_flight == 0
+
+    def test_a_failed_batch_returns_its_slot_before_the_per_request_retry(self):
+        """With one slot, a retry that ran while the batch still held it
+        would wait for itself."""
+        engine, _ = self._engine()
+        with pytest.raises(SQLExecutionError):
+            engine.driver_executor_batch("GDB", [{"table": "t"}, {"table": "missing"}])
+        assert engine.driver_gates["GDB"].in_flight == 0
+        assert len(engine.driver_executor("GDB", {"table": "t"})) == 3
+
+
+class TestNoDeclaredCap:
+    def test_an_undeclared_driver_has_no_gate_and_never_touches_one(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the gate is not on an uncapped driver's path")
+
+        monkeypatch.setattr(engine_module._DriverGate, "enter", forbidden)
+        monkeypatch.setattr(engine_module._DriverGate, "leave", forbidden)
+
+        class Plain(Driver):
+            def _execute(self, request):
+                return CSet([request["key"]])
+
+        engine = KleisliEngine()
+        engine.register_driver(Plain("S"))
+        assert engine.driver_gates == {}
+        loop = B.ext("x", _scan(B.var("x")), A.Const(CSet(range(4))))
+        assert engine.execute(loop) == CSet(range(4))
+        assert list(engine.stream(loop)) == [0, 1, 2, 3]
+        assert engine.driver_executor_batch("S", [{"key": 1}]) == [CSet([1])]

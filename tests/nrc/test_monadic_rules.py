@@ -13,6 +13,7 @@ from repro.core.nrc.rewrite import RewriteStats
 from repro.core.nrc.rules_monadic import (
     monadic_rule_set,
     rule_case_of_variant,
+    rule_ext_filtered_source,
     rule_ext_singleton_source,
     rule_filter_promotion,
     rule_horizontal_fusion,
@@ -145,6 +146,51 @@ class TestSupportingRules:
                      B.singleton(B.const(41)))
         assert rule_ext_singleton_source.apply(expr) == \
             B.singleton(B.prim("add", B.const(41), B.const(1)))
+
+    @pytest.mark.parametrize("kind,collection", [("set", CSet), ("bag", CBag), ("list", CList)])
+    def test_loop_over_a_guarded_source_runs_under_the_guard(self, kind, collection):
+        # U{ {x + 1} | \x <- if p then S else {} }  -->  if p then U{...| \x <- S} else {}
+        guarded = A.IfThenElse(B.var("p"), B.var("S"), A.Empty(kind))
+        expr = B.ext("x", B.singleton(B.prim("add", B.var("x"), B.const(1)), kind),
+                     guarded, kind)
+        promoted = rule_ext_filtered_source.apply(expr)
+        assert isinstance(promoted, A.IfThenElse) and promoted.cond == B.var("p")
+        assert isinstance(promoted.then_branch, A.Ext)
+        assert promoted.then_branch.source == B.var("S")
+        assert promoted.else_branch == A.Empty(kind)
+        for flag in (True, False):
+            data = {"S": collection([1, 2, 2]), "p": flag}
+            assert evaluate(expr, data) == evaluate(promoted, data)
+
+    def test_guard_naming_the_loop_variable_is_not_captured(self):
+        # The guard's x is the OUTER x; it stays outside the binder on both sides.
+        guarded = A.IfThenElse(B.prim("gt", B.var("x"), B.const(0)), B.var("S"), A.Empty("set"))
+        expr = B.ext("x", B.singleton(B.var("x")), guarded)
+        promoted = rule_ext_filtered_source.apply(expr)
+        for outer in (1, -1):
+            data = {"S": CSet([5, 6]), "x": outer}
+            assert evaluate(expr, data) == evaluate(promoted, data)
+
+    def test_consumer_fuses_through_a_filtered_producer(self):
+        """Closure under composition: a view with a filter, consumed by
+        another comprehension, normalises to the same flat block as the
+        hand-inlined query — no loop over a conditional source survives."""
+        view = B.ext("y", A.IfThenElse(B.prim("gt", B.var("y"), B.const(1)),
+                                       B.singleton(B.record(v=B.var("y"))), A.Empty("set")),
+                     B.var("S"))
+        inner = B.ext("z", B.singleton(B.prim("add", B.project(B.var("w"), "v"), B.var("z"))),
+                      B.var("T"))
+        consumer = B.ext("w", inner, view)
+        normal = monadic_rule_set().apply(consumer)
+
+        def loops_over_conditional(node):
+            if isinstance(node, A.Ext) and isinstance(node.source, (A.IfThenElse, A.Ext)):
+                return True
+            return any(loops_over_conditional(child) for child in node.children())
+
+        assert not loops_over_conditional(normal)
+        data = {"S": CSet([1, 2, 3]), "T": CSet([10, 20])}
+        assert evaluate(consumer, data) == evaluate(normal, data) == CSet([12, 22, 13, 23])
 
     def test_case_of_variant_resolves_statically(self):
         expr = B.case_of(B.variant("giim", B.const(5)),

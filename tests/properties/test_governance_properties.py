@@ -150,7 +150,11 @@ def test_cancellation_never_leaks_cursors_or_yields_partials(
         # sequence (cooperative checkpoints may let buffered chunk
         # elements flush, but never reorder or fabricate elements).
         assert got == expected[:len(got)]
-        assert len(got) < len(expected) or chunked is None
+        # Truncated, except when the cancel landed right after the last
+        # distinct element of the set-kind shape: that stage is then still
+        # draining suppressed repeats and notices the cancel.
+        assert (len(got) < len(expected) or chunked is None
+                or (label == "dedup" and cancel_at == len(expected)))
         assert engine.governor.snapshot()["cancellations"] == 1
 
 
