@@ -643,40 +643,48 @@ class Cached(Expr):
 # Free variables and capture-avoiding substitution
 # ---------------------------------------------------------------------------
 
-def free_variables(expr: Expr) -> frozenset:
-    """Return the free variable names of ``expr``."""
+def free_variables(expr: Expr, memo: Optional[Dict[int, frozenset]] = None) -> frozenset:
+    """Return the free variable names of ``expr``.
+
+    With ``memo``, the set of every subterm is also filed there under
+    ``id(subterm)``: one bottom-up walk answers every later "what does this
+    subterm mention" (the caching stage asks it of each loop-body subterm).
+    """
     if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, Lam):
-        return free_variables(expr.body) - {expr.param}
-    if isinstance(expr, Ext):
-        return (free_variables(expr.body) - {expr.var}) | free_variables(expr.source)
-    if isinstance(expr, Let):
-        return free_variables(expr.value) | (free_variables(expr.body) - {expr.var})
-    if isinstance(expr, Join):
+        free = frozenset((expr.name,))
+    elif isinstance(expr, Lam):
+        free = free_variables(expr.body, memo) - {expr.param}
+    elif isinstance(expr, Ext):
+        free = ((free_variables(expr.body, memo) - {expr.var})
+                | free_variables(expr.source, memo))
+    elif isinstance(expr, Let):
+        free = (free_variables(expr.value, memo)
+                | (free_variables(expr.body, memo) - {expr.var}))
+    elif isinstance(expr, Join):
         bound = {expr.outer_var, expr.inner_var}
-        free = free_variables(expr.outer)
-        free |= free_variables(expr.inner) - {expr.outer_var}
-        free |= free_variables(expr.body) - bound
+        free = free_variables(expr.outer, memo)
+        free |= free_variables(expr.inner, memo) - {expr.outer_var}
+        free |= free_variables(expr.body, memo) - bound
         if expr.condition is not None:
-            free |= free_variables(expr.condition) - bound
+            free |= free_variables(expr.condition, memo) - bound
         if expr.outer_key is not None:
-            free |= free_variables(expr.outer_key) - {expr.outer_var}
+            free |= free_variables(expr.outer_key, memo) - {expr.outer_var}
         if expr.inner_key is not None:
-            free |= free_variables(expr.inner_key) - {expr.inner_var}
-        return free
-    if isinstance(expr, Case):
-        free = free_variables(expr.subject)
+            free |= free_variables(expr.inner_key, memo) - {expr.inner_var}
+    elif isinstance(expr, Case):
+        free = free_variables(expr.subject, memo)
         for branch in expr.branches:
-            free |= free_variables(branch.body) - {branch.var}
+            free |= free_variables(branch.body, memo) - {branch.var}
         if expr.default is not None:
             var, body = expr.default
-            free |= free_variables(body) - {var}
-        return free
-    result: frozenset = frozenset()
-    for child in expr.children():
-        result |= free_variables(child)
-    return result
+            free |= free_variables(body, memo) - {var}
+    else:
+        free = frozenset()
+        for child in expr.children():
+            free |= free_variables(child, memo)
+    if memo is not None:
+        memo[id(expr)] = free
+    return free
 
 
 def substitute(expr: Expr, name: str, replacement: Expr) -> Expr:

@@ -1052,6 +1052,10 @@ def _build_join_index(inner, inner_key_fn, frame, key_slot, context):
     materialization point: under a spill manager the index is the
     disk-backed :class:`~repro.kleisli.spill.SpilledIndex`; under a budget
     alone each indexed row is charged (quantum-batched).
+
+    A dict finds a key by identity before it asks ``==``, so a row whose key
+    differs from itself (NaN) is left out: the nested loop this join replaces
+    pairs it with nothing, a shared NaN object included.
     """
     key_frame = _extended(frame, None)
     spill = context.spill
@@ -1059,22 +1063,28 @@ def _build_join_index(inner, inner_key_fn, frame, key_slot, context):
         spilled = spill.index()
         for inner_item in inner:
             key_frame[key_slot] = inner_item
-            spilled.add(inner_key_fn(key_frame, context), inner_item)
+            key = inner_key_fn(key_frame, context)
+            if key == key:
+                spilled.add(key, inner_item)
         return key_frame, spilled
     index: Dict[object, list] = {}
     budget = context.memory_budget
     if budget is None:
         for inner_item in inner:
             key_frame[key_slot] = inner_item
-            index.setdefault(inner_key_fn(key_frame, context), []).append(inner_item)
+            key = inner_key_fn(key_frame, context)
+            if key == key:
+                index.setdefault(key, []).append(inner_item)
         return key_frame, index
     count = 0
     for inner_item in inner:
         key_frame[key_slot] = inner_item
-        index.setdefault(inner_key_fn(key_frame, context), []).append(inner_item)
-        count += 1
-        if count % 256 == 0:
-            budget.charge_elements(256)
+        key = inner_key_fn(key_frame, context)
+        if key == key:
+            index.setdefault(key, []).append(inner_item)
+            count += 1
+            if count % 256 == 0:
+                budget.charge_elements(256)
     if count % 256:
         budget.charge_elements(count % 256)
     return key_frame, index

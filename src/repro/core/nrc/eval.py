@@ -664,7 +664,8 @@ class Evaluator:
         index: Dict[object, List[object]] = {}
         for inner_item in inner:
             key = self._eval(expr.inner_key, env.child(expr.inner_var, inner_item))
-            index.setdefault(key, []).append(inner_item)
+            if key == key:  # a NaN key equals nothing (compile._build_join_index)
+                index.setdefault(key, []).append(inner_item)
         elements: List[object] = []
         for outer_item in outer:
             key = self._eval(expr.outer_key, env.child(expr.outer_var, outer_item))

@@ -13,7 +13,9 @@ Primitives are plain Python callables over CPL values.  They are grouped into:
 * string operations (including ``^`` concatenation from the paper's examples),
 * collection operations derived from structural recursion (aggregates,
   ``flatten``, ``distinct``, conversions between set/bag/list, sorting),
-* membership and emptiness tests.
+* membership and emptiness tests,
+* ``index`` / ``probe``, the on-the-fly index the optimizer's caching stage
+  puts under a correlated subquery (:mod:`repro.core.optimizer.caching`).
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import operator as _operator
 from typing import Callable, Dict, Iterable, List
 
 from ..errors import EvaluationError
+from ..records import RecordDirectory
 from ..values import CBag, CList, CSet, Record, UNIT_VALUE, Variant, iter_collection, make_collection
 
 __all__ = ["PRIMITIVES", "register_primitive", "lookup_primitive",
            "lookup_primitive_raw", "fused_primitive_with_const",
-           "primitive_names"]
+           "primitive_names", "KeyIndex"]
 
 PRIMITIVES: Dict[str, Callable] = {}
 
@@ -391,11 +394,17 @@ def _min(collection):
 
 @register_primitive("isempty", arity=1)
 def _isempty(collection):
+    if isinstance(collection, KeyIndex):
+        return collection.rows == 0
     return len(list(iter_collection(collection))) == 0
 
 
 @register_primitive("member", arity=2)
 def _member(value, collection):
+    if isinstance(collection, CSet):
+        # ``eq`` is ``==``, which no value that differs from itself (NaN)
+        # satisfies; a hashed lookup would find it by identity.
+        return value == value and value in collection
     return any(element == value for element in iter_collection(collection))
 
 
@@ -498,6 +507,62 @@ def _take(collection, n):
 @register_primitive("fail", arity=1)
 def _fail(message):
     raise EvaluationError(str(message))
+
+
+# ---------------------------------------------------------------------------
+# The on-the-fly index (Section 4: "indices are built on-the-fly")
+# ---------------------------------------------------------------------------
+
+class KeyIndex:
+    """Rows grouped under a key, each group in the order the rows arrived.
+
+    Built by ``index``, read by ``probe``.  A key equal to another by ``eq``
+    (Python ``==``: ``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``) shares
+    its group; a key that differs from itself (NaN) is in no group, since no
+    ``eq`` on it holds.  ``rows`` counts every row offered, keyed or not.
+    """
+
+    __slots__ = ("groups", "rows")
+
+    def __init__(self, groups: Dict[object, CList], rows: int):
+        self.groups = groups
+        self.rows = rows
+
+    def __reduce__(self):
+        # The subquery cache spills what it can pickle, and a spilled entry
+        # is read back whole on every access: once per probe.  An index is
+        # derived data, accounted for by the loop that built its rows.
+        raise TypeError("a KeyIndex stays in memory")
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return f"<index: {self.rows} rows under {len(self.groups)} keys>"
+
+
+_KEYED_ROW = RecordDirectory.for_labels(("key", "row"))
+_NO_ROWS = CList()
+
+
+@register_primitive("index", arity=1)
+def _index(keyed_rows):
+    """Group ``[key = k, row = r]`` records by ``k``."""
+    groups: Dict[object, list] = {}
+    rows = 0
+    for pair in iter_collection(keyed_rows):
+        if not isinstance(pair, Record) or pair.directory is not _KEYED_ROW:
+            raise EvaluationError("index expects [key = ..., row = ...] records")
+        key, row = pair.values
+        rows += 1
+        if key == key:
+            groups.setdefault(key, []).append(row)
+    return KeyIndex({key: CList(group) for key, group in groups.items()}, rows)
+
+
+@register_primitive("probe", arity=2)
+def _probe(index, key):
+    """The rows of ``index`` whose key equals ``key``, as a list."""
+    if not isinstance(index, KeyIndex):
+        raise EvaluationError(f"probe expects an index, got {type(index).__name__}")
+    return index.groups.get(key, _NO_ROWS) if key == key else _NO_ROWS
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,42 @@ class _Printer:
                 f"else {self.render(expr.else_branch)}")
 
     def _render_primcall(self, expr: "A.PrimCall") -> str:
+        if expr.name == "index" and len(expr.args) == 1:
+            keyed = self._keyed_rows(expr.args[0])
+            if keyed is not None:
+                return keyed
         args = ", ".join(self.render(arg) for arg in expr.args)
         return f"{expr.name}({args})"
 
+    def _keyed_rows(self, rows: "A.Expr"):
+        """``index(S by \\y => key where f, ..)`` for the caching stage's
+        ``index(U[| if f then .. [|[key = key, row = y]|] .. | \\y <- S |])``."""
+        if type(rows) is not A.Ext:
+            return None
+        filters = []
+        body = rows.body
+        while isinstance(body, A.IfThenElse) and isinstance(body.else_branch, A.Empty):
+            filters.append(self.render(body.cond))
+            body = body.then_branch
+        if not (isinstance(body, A.Singleton) and isinstance(body.expr, A.RecordExpr)
+                and list(body.expr.fields) == ["key", "row"]
+                and body.expr.fields["row"] == A.Var(rows.var)):
+            return None
+        where = f" where {', '.join(filters)}" if filters else ""
+        return (f"index({self.render(rows.source)} by \\{rows.var} => "
+                f"{self.render(body.expr.fields['key'])}{where})")
+
     def _render_let(self, expr: "A.Let") -> str:
+        # The caching stage's guarded probe, ``let i = INDEX in if isempty(i)
+        # then {} else probe(i, key)``, reads as what it computes.
+        body = expr.body
+        if (isinstance(body, A.IfThenElse) and isinstance(body.then_branch, A.Empty)
+                and body.cond == A.PrimCall("isempty", [A.Var(expr.var)])
+                and isinstance(body.else_branch, A.PrimCall)
+                and body.else_branch.name == "probe" and len(body.else_branch.args) == 2
+                and body.else_branch.args[0] == A.Var(expr.var)):
+            return (f"probe({self.render(expr.value)}, "
+                    f"{self.render(body.else_branch.args[1])})")
         return f"let {expr.var} = {self.render(expr.value)} in {self.render(expr.body)}"
 
     def _render_deref(self, expr: "A.Deref") -> str:

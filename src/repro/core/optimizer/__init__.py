@@ -10,8 +10,11 @@ Stages (Section 4), in the order the pipeline applies them:
    drivers that speak SQL; projections and variant selections migrate into
    path expressions for the ASN.1 driver.
 4. **Local joins** — remaining cross-source nested loops become blocked or
-   indexed blocked nested-loop joins, guided by statistics.
-5. **Caching** — outer-independent inner subqueries are wrapped in ``Cached``.
+   indexed blocked nested-loop joins, guided by statistics; an n-way join
+   forms at its two outermost generators.
+5. **Caching** — inside a loop, subqueries that do not depend on it are
+   wrapped in ``Cached``, and a correlated loop over one that does not
+   probes an index built once.
 6. **Parallelism** — inner loops that issue remote requests become bounded
    parallel loops.
 """

@@ -1,138 +1,246 @@
-"""Caching of inner subqueries.
+"""Decorrelation of local subqueries: hoist what does not depend on the
+loop, index what is probed by it.
 
 "As the system is fully compositional, the inner relation in a join can
 sometimes be a subquery.  To avoid recomputation, we have therefore introduced
 an operator to cache the result of a subquery ... Rules to recognize when the
 result of an inner subquery can be cached check that the subquery doesn't
-depend on the outer relation."
+depend on the outer relation."  And, of joins that must run locally: "the
+indexed blocked-nested-loop join where indices are built on-the-fly".
 
-The rule looks for loop sources (``Ext`` sources and ``Join`` inners) that
+Both promises are kept by one walk over the term that knows, at every node,
+which binders are in scope (``Ext``/``Join`` loop variables, ``Lam``
+parameters, ``Let`` and ``Case`` variables) and whether the node can be
+evaluated more than once (it sits in a loop body, a join condition or body, or
+a function body).  Inside such a position, and nowhere else:
 
-* do not mention **any** loop variable bound around them (independence check —
-  dependence on any enclosing binder, not just the immediately enclosing one,
-  would freeze the first value and silently change results),
-* are not already cached, not trivially cheap, and
-* actually cost something to recompute — they contain a :class:`Scan` (a
-  driver round-trip) or a join,
+**Hoist** (``hoist-loop-invariant``).  Every *maximal* subterm that mentions
+no binder in scope and contains a loop (``Ext``, ``Join``, ``Scan`` or
+``Fold``) is wrapped in :class:`~repro.core.nrc.ast.Cached` — wherever it
+sits: a generator source, an argument of ``member`` or ``count``, a record
+field.  The semi-join ``{l.sym | \\l <- LOCI, member(l.id, {r.locus | \\r <-
+REFS, r.cls = 2})}`` computes its inner set once, not once per locus.
 
-and wraps them in :class:`~repro.core.nrc.ast.Cached`.
+**Index** (``index-correlated-loop``).  A loop of any kind
 
-Because the independence check needs to know every binder in scope, this rule
-set does not use the generic node-at-a-time traversal (a rule firing at an
-inner node cannot see the binders above it); it overrides the rule-set pass
-with a single scope-tracking walk from the root.
+    U{ if f1 then .. if eq(ky, kx) then rest else {} .. else {} | \\y <- S }
+
+where ``S`` mentions no binder in scope, ``ky`` and every filter ``f`` in
+front of the equality mention no binder but ``y``, and ``kx`` does not mention
+``y``, iterates only the rows whose key matches:
+
+    U{ rest | \\y <- let i = Cached(index(U[| if f1 then .. [|[key = ky, row = y]|] .. | \\y <- S |]))
+                   in if isempty(i) then {} else probe(i, kx) }
+
+The ``index`` primitive groups the rows under their keys with every group in
+source order, and ``probe`` hands back one group, so element order and bag
+multiplicities are those of the loop over ``S``.  The filters in front of the
+equality run while the index is built; what follows the equality (``rest``:
+more filters, the head) runs per matching row as before.  The index is an
+ordinary ``Cached`` subquery, keyed by its content: two loops over the same
+``S`` with the same filters and key (the ``count`` and the ``max`` of one
+correlated aggregate) build and share one index.  No AST node is involved,
+and the build is an ordinary list ``Ext``: it counts its iterations, checks
+cancellation at its loop head and charges the memory budget for its rows like
+any other loop, under every lowering and in the interpreter.
+
+Independence.  "Mentions no binder in scope" is dependence on *any* enclosing
+binder, not just the nearest loop's — a term that mentions a ``Let`` variable
+whose value depends on a loop would otherwise freeze its first value.  Free
+top-level names (bound tables) are not binders: they have one value per run,
+which is the lifetime of a content-keyed cache entry.
+
+Error parity.  ``Cached`` is lazy, so a hoisted subquery or an index is
+evaluated when the original plan would first have reached it and never if
+it would not have (an empty outer loop, a guarding filter that is false); a
+subquery that raises is not stored and raises again.  The index evaluates
+``ky`` for exactly the rows the loop would have evaluated it for — the ones
+the filters in front of the equality let through, which is why a filter that
+mentions an enclosing binder in that position blocks the rewrite instead of
+being moved behind the probe.  ``kx`` is evaluated once per probe where the
+loop evaluated it once per row: the ``isempty`` guard keeps it unevaluated
+when no row reaches the equality.  When several expressions of one loop
+would raise, which of them is reported first may differ, as it already does
+between the nested loop and the indexed ``Join``.
+
+The pass is linear in the size of the term: one sweep marks the subterms
+that contain a loop (the walk enters no other), and the free-variable sets of
+all subterms are computed bottom-up in one more
+(:func:`~repro.core.nrc.ast.free_variables` with a memo), the first time a
+loop is met inside a loop — for most queries, never.  Because the independence
+check needs every binder in scope, the rule set overrides the generic
+node-at-a-time pass with this one scope-tracking walk; both rules sit behind
+the ``caching`` switch of
+:class:`~repro.core.optimizer.pipeline.OptimizerConfig`.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..nrc import ast as A
 from ..nrc.rewrite import RewriteStats, Rule, RuleSet
 
-__all__ = ["make_caching_rule_set", "is_expensive"]
+__all__ = ["make_caching_rule_set"]
 
-_RULE_NAME = "cache-inner-subquery"
+_HOIST = "hoist-loop-invariant"
+_INDEX = "index-correlated-loop"
+
+_LOOPS = (A.Ext, A.Join, A.Scan, A.Fold)
+
+#: ``(binders in scope, can be evaluated more than once)`` of a position.
+_Position = Tuple[frozenset, bool]
 
 
-def is_expensive(expr: A.Expr) -> bool:
-    """Does evaluating ``expr`` involve a driver round-trip or a join?"""
-    if isinstance(expr, (A.Scan, A.Join)):
-        return True
-    return any(is_expensive(child) for child in expr.children())
+def _mark_loops(expr: A.Expr, found: Set[int]) -> bool:
+    """Collect the ``id`` of every subterm of ``expr`` that contains a loop."""
+    has_loop = isinstance(expr, _LOOPS)
+    for child in expr.children():
+        if _mark_loops(child, found):
+            has_loop = True
+    if has_loop:
+        found.add(id(expr))
+    return has_loop
 
 
-def _cacheable(expr: A.Expr, scope: frozenset) -> bool:
-    return (not isinstance(expr, (A.Cached, A.Var, A.Const))
-            and not (A.free_variables(expr) & scope)
-            and is_expensive(expr))
+def _child_positions(node: A.Expr, scope: frozenset, in_loop: bool) -> Sequence[_Position]:
+    """The position of each child of ``node``, in ``children()`` order."""
+    if isinstance(node, A.Ext):
+        return ((scope | {node.var}, True), (scope, in_loop))
+    if isinstance(node, A.Lam):
+        # A function body may be invoked many times (mapped over a
+        # collection, folded), so it counts as a loop body.
+        return ((scope | {node.param}, True),)
+    if isinstance(node, A.Let):
+        return ((scope, in_loop), (scope | {node.var}, in_loop))
+    if isinstance(node, A.Case):
+        positions = [(scope, in_loop)]
+        positions.extend((scope | {branch.var}, in_loop) for branch in node.branches)
+        if node.default is not None:
+            positions.append((scope | {node.default[0]}, in_loop))
+        return positions
+    if isinstance(node, A.Join):
+        pair = scope | {node.outer_var, node.inner_var}
+        # A blocked join re-evaluates its inner side once per outer block,
+        # even at the top level; the other methods evaluate it once.
+        rescanned = in_loop or (node.method == "blocked" and node.block_size > 1)
+        positions = [(scope, in_loop), (scope | {node.outer_var}, rescanned), (pair, True)]
+        if node.condition is not None:
+            positions.append((pair, True))
+        if node.outer_key is not None:
+            positions.append((scope | {node.outer_var}, True))
+        if node.inner_key is not None:
+            positions.append((scope | {node.inner_var}, True))
+        return positions
+    if isinstance(node, A.Cached):
+        return ((scope, False),)    # evaluated once per run, wherever it sits
+    return ((scope, in_loop),) * len(node.children())
+
+
+def _keyed_rows(var: str, filters: List[A.Expr], key: A.Expr, source: A.Expr) -> A.Expr:
+    """``U[| if f.. then [|[key = key, row = var]|] else [||] | \\var <- source |]``."""
+    body: A.Expr = A.Singleton(A.RecordExpr({"key": key, "row": A.Var(var)}), "list")
+    for condition in reversed(filters):
+        body = A.IfThenElse(condition, body, A.Empty("list"))
+    return A.Ext(var, body, source, "list")
 
 
 class _ScopedCachingRuleSet(RuleSet):
     """A rule set whose single pass tracks the binders in scope.
 
     The generic traversal applies rules node by node without knowing which
-    loop variables are bound around the node, which is exactly the information
+    variables are bound around the node, which is exactly the information
     the independence check needs; overriding ``_one_pass`` keeps the engine
     interface (and the stats/explain machinery) while making the walk sound.
     """
 
     def _one_pass(self, expr: A.Expr, stats: RewriteStats) -> Tuple[A.Expr, bool]:
-        changed = False
+        loops: Set[int] = set()
+        _mark_loops(expr, loops)
+        free: Dict[int, frozenset] = {}
+        fired = False
 
-        def note() -> None:
-            nonlocal changed
-            changed = True
-            stats.note(_RULE_NAME)
+        def note(rule: str) -> None:
+            nonlocal fired
+            fired = True
+            stats.note(rule)
+
+        def free_in(node: A.Expr) -> frozenset:
+            if not free:    # first asked for: most queries never nest a loop
+                A.free_variables(expr, free)
+            return free[id(node)]
 
         def walk(node: A.Expr, scope: frozenset, in_loop: bool) -> A.Expr:
-            if isinstance(node, A.Ext):
-                source = node.source
-                # Caching only pays when the source can be evaluated more than
-                # once, i.e. when this loop itself sits inside another loop.
-                if in_loop and _cacheable(source, scope):
-                    note()
-                    source = A.Cached(source)
-                else:
-                    source = walk(source, scope, in_loop)
-                body = walk(node.body, scope | {node.var}, True)
-                return A.Ext(node.var, body, source, node.kind)
-            if isinstance(node, A.Join):
-                return _walk_join(node, scope, in_loop)
-            if isinstance(node, A.Lam):
-                # A function body may be invoked many times (e.g. mapped over a
-                # collection), so anything inside it counts as "in a loop".
-                return A.Lam(node.param, walk(node.body, scope | {node.param}, True))
-            if isinstance(node, A.Let):
-                return A.Let(node.var, walk(node.value, scope, in_loop),
-                             walk(node.body, scope | {node.var}, in_loop))
-            if isinstance(node, A.Case):
-                branches = [A.CaseBranch(branch.tag, branch.var,
-                                         walk(branch.body, scope | {branch.var}, in_loop))
-                            for branch in node.branches]
-                default = node.default
-                if default is not None:
-                    default = (default[0], walk(default[1], scope | {default[0]}, in_loop))
-                return A.Case(walk(node.subject, scope, in_loop), branches, default)
+            if id(node) not in loops:
+                return node     # no loop in here: nothing to hoist, nothing to index
+            if in_loop:
+                if (not free_in(node) & scope
+                        and not isinstance(node, (A.Cached, A.Lam))):
+                    note(_HOIST)
+                    return A.Cached(walk(node, scope, False))
+                if type(node) is A.Ext:
+                    probed = index_loop(node, scope)
+                    if probed is not None:
+                        note(_INDEX)
+                        return probed
             children = node.children()
-            if not children:
-                return node
-            new_children = [walk(child, scope, in_loop) for child in children]
+            positions = _child_positions(node, scope, in_loop)
+            new_children = [walk(child, *position)
+                            for child, position in zip(children, positions)]
             if all(new is old for new, old in zip(new_children, children)):
                 return node
             return node.rebuild(new_children)
 
-        def _walk_join(node: A.Join, scope: frozenset, in_loop: bool) -> A.Expr:
-            binders = {node.outer_var, node.inner_var}
-            inner = node.inner
-            # A blocked join re-evaluates its inner once per outer block even at
-            # the top level, so caching applies regardless of ``in_loop`` — but
-            # the inner must not depend on either join variable nor on any
-            # enclosing loop variable.
-            if _cacheable(inner, scope | binders):
-                note()
-                inner = A.Cached(inner)
+        def index_loop(loop: A.Ext, scope: frozenset) -> Optional[A.Expr]:
+            var = loop.var
+            if free_in(loop.source) & scope:
+                return None
+            outer = scope - {var}   # what a subterm of the body can see beyond ``var``
+            filters: List[A.Expr] = []
+            current = loop.body
+            while isinstance(current, A.IfThenElse) and isinstance(current.else_branch, A.Empty):
+                condition = current.cond
+                keys = _key_pair(condition, var, outer)
+                if keys is not None:
+                    break
+                if free_in(condition) & outer:
+                    return None     # must run where it is: before the equality
+                filters.append(condition)
+                current = current.then_branch
             else:
-                inner = walk(inner, scope | {node.outer_var}, True)
-            outer = walk(node.outer, scope, in_loop)
-            condition = None if node.condition is None else walk(node.condition,
-                                                                 scope | binders, True)
-            body = walk(node.body, scope | binders, True)
-            outer_key = None if node.outer_key is None else walk(node.outer_key,
-                                                                 scope | {node.outer_var}, True)
-            inner_key = None if node.inner_key is None else walk(node.inner_key,
-                                                                 scope | {node.inner_var}, True)
-            return A.Join(node.method, node.outer_var, outer, node.inner_var, inner,
-                          condition, body, outer_key, inner_key, node.kind, node.block_size)
+                return None
+            inner_key, probe_key = keys
+            inside = scope | {var}
+            rows = _keyed_rows(var, [walk(condition, inside, True) for condition in filters],
+                               walk(inner_key, inside, True), walk(loop.source, scope, False))
+            index = A.fresh_var("index")
+            source = A.Let(index, A.Cached(A.PrimCall("index", [rows])), A.IfThenElse(
+                A.PrimCall("isempty", [A.Var(index)]), A.Empty(loop.kind),
+                A.PrimCall("probe", [A.Var(index), walk(probe_key, scope, True)])))
+            return A.Ext(var, walk(current.then_branch, inside, True), source, loop.kind)
 
-        result = walk(expr, frozenset(), False)
-        return result, changed
+        def _key_pair(condition: A.Expr, var: str, outer: frozenset):
+            """``(key over var alone, key without var)`` of an equality, if it has them."""
+            if not (isinstance(condition, A.PrimCall) and condition.name == "eq"
+                    and len(condition.args) == 2):
+                return None
+            for mine, other in (condition.args, reversed(condition.args)):
+                mine_free = free_in(mine)
+                if var in mine_free and not mine_free & outer and var not in free_in(other):
+                    return mine, other
+            return None
+
+        return walk(expr, frozenset(), False), fired
 
 
 def make_caching_rule_set() -> RuleSet:
     """Build the subquery caching rule set (scope-aware; see module docstring)."""
-    # The Rule object documents the rewrite for explain output; the subclass's
-    # scope-tracking pass is what actually applies it.
-    rule = Rule(_RULE_NAME, lambda expr: None,
-                "cache inner subqueries that do not depend on any enclosing loop variable")
-    return _ScopedCachingRuleSet("caching", [rule], direction="top-down", max_iterations=3)
+    # The Rule objects document the rewrites for explain output; the
+    # subclass's scope-tracking pass is what actually applies them.
+    rules = [
+        Rule(_HOIST, lambda expr: None,
+             "cache a loop-body subquery that mentions no enclosing binder"),
+        Rule(_INDEX, lambda expr: None,
+             "probe an index built once instead of scanning a loop-invariant inner relation"),
+    ]
+    return _ScopedCachingRuleSet("caching", rules, direction="top-down", max_iterations=3)

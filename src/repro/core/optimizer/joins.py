@@ -10,12 +10,22 @@ under what conditions to apply which join operator."
 
 The rule matches the canonical two-generator nested loop
 
-    U{ ... U{ if cond then {head} else {} | \\y <- inner } ... | \\x <- outer }
+    U{ ... U{ if cond then body else {} | \\y <- inner } ... | \\x <- outer }
 
 where ``inner`` does not depend on ``x``.  If one conjunct of ``cond`` is an
 equality whose sides depend on ``x`` only and ``y`` only, the indexed join is
 chosen (the equality becomes the hash key); otherwise the blocked nested-loop
 join is used.  Statistics gate the rewrite: tiny inners are left alone.
+
+``body`` is whatever set expression the filter chain under ``y`` ends in: the
+singleton ``{head}`` of a two-generator comprehension, or the loop over a
+third generator.  The rule set runs top-down, so an n-way join forms at its
+two *outermost* generators and keeps the remaining loops as the join body,
+evaluated per matched pair; the caching stage
+(:mod:`repro.core.optimizer.caching`) then turns each of those loops that
+has an equality of its own into a probe of an index built once per run.  The
+plan is a left-deep chain: one join on top, one probe per further generator,
+and no index is ever rebuilt inside a loop.
 """
 
 from __future__ import annotations
@@ -81,12 +91,9 @@ def make_join_rule_set(cardinality_of: Optional[Callable[[A.Expr], int]] = None,
             return None  # correlated inner loops stay nested (caching handles them)
         if estimate(inner_ext.source) < minimum_inner_size:
             return None
-        conditions, head = _collect_conditions(inner_ext.body)
-        if head is None:
-            return None
+        conditions, body = _collect_conditions(inner_ext.body)
         key_pair, residual = _split_equality(conditions, expr.var, inner_ext.var)
         residual_condition = _conjunction(residual)
-        body = A.Singleton(head, expr.kind)
         # Re-apply any filters that sat between the two generators (they only
         # involve the outer variable, so they become part of the condition).
         if prefix_filters:
@@ -119,16 +126,15 @@ def _find_inner_loop(body: A.Expr) -> Tuple[Optional[A.Ext], List[A.Expr]]:
     return None, filters
 
 
-def _collect_conditions(body: A.Expr) -> Tuple[List[A.Expr], Optional[A.Expr]]:
-    """Collect the filter chain and final singleton head under the inner generator."""
+def _collect_conditions(body: A.Expr) -> Tuple[List[A.Expr], A.Expr]:
+    """Split the inner generator's body into its filter chain and what the
+    chain ends in (a set expression: the generator is a set loop)."""
     conditions: List[A.Expr] = []
     current = body
     while isinstance(current, A.IfThenElse) and isinstance(current.else_branch, A.Empty):
         conditions.append(current.cond)
         current = current.then_branch
-    if isinstance(current, A.Singleton) and current.kind == "set":
-        return conditions, current.expr
-    return conditions, None
+    return conditions, current
 
 
 def _split_equality(conditions: List[A.Expr], outer_var: str, inner_var: str):

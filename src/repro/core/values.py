@@ -82,7 +82,7 @@ class CSet:
     for every set-kind pipeline.
     """
 
-    __slots__ = ("_elements", "_hash")
+    __slots__ = ("_elements", "_hash", "_lookup")
     kind = "set"
 
     def __init__(self, elements: Iterable[object] = ()):
@@ -91,6 +91,9 @@ class CSet:
             unique.setdefault(element, None)
         self._elements: Tuple[object, ...] = tuple(unique.keys())
         self._hash: Optional[int] = None
+        #: Hashed view of the elements, built by the first membership test:
+        #: most sets (a 12 000-row bound table) are only ever iterated.
+        self._lookup: Optional[frozenset] = None
 
     def __iter__(self) -> Iterator[object]:
         return iter(self._elements)
@@ -99,7 +102,13 @@ class CSet:
         return len(self._elements)
 
     def __contains__(self, item: object) -> bool:
-        return item in self._elements if len(self._elements) < 16 else item in set(self._elements)
+        lookup = self._lookup
+        if lookup is None:
+            lookup = self._lookup = frozenset(self._elements)
+        try:
+            return item in lookup
+        except TypeError:   # an unhashable probe: compare one by one
+            return item in self._elements
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CSet):
@@ -422,6 +431,8 @@ def _merge_element_types(element_types: List[T.Type]) -> T.Type:
     merged = element_types[0]
     subst: T.Substitution = {}
     for ty in element_types[1:]:
+        if ty == merged:
+            continue    # a homogeneous table: nothing to learn from this row
         try:
             subst = T.unify(merged, ty, subst)
             merged = T.apply_substitution(merged, subst)

@@ -15,6 +15,7 @@ from repro.core.values import (
     Variant,
     from_python,
     infer_type,
+    _merge_element_types,
     iter_collection,
     make_collection,
     to_python,
@@ -65,6 +66,27 @@ class TestCollections:
             make_collection("tuple", [1])
         with pytest.raises(EvaluationError):
             iter_collection(42)
+
+
+class TestSetMembership:
+    def test_lookup_is_built_by_the_first_test_and_kept(self):
+        rows = CSet(Record({"id": i}) for i in range(100))
+        assert rows._lookup is None  # iterating or binding a table costs nothing
+        assert Record({"id": 7}) in rows and Record({"id": 100}) not in rows
+        lookup = rows._lookup
+        assert len(lookup) == 100
+        assert Record({"id": 8}) in rows
+        assert rows._lookup is lookup
+
+    def test_small_and_large_sets_agree_with_equality(self):
+        for size in (3, 40):
+            numbers = CSet(range(size))
+            assert 1.0 in numbers and True in numbers  # 1 == 1.0 == True
+            assert "1" not in numbers and size not in numbers
+            assert CSet([2, 1]) in CSet([CSet([1, 2]), CSet([3])])
+
+    def test_unhashable_probe_falls_back_to_comparison(self):
+        assert [1] not in CSet(range(20))
 
 
 class TestVariantAndRef:
@@ -147,6 +169,44 @@ class TestInferType:
         assert isinstance(ty, T.SetType)
         assert isinstance(ty.element, T.VariantType)
         assert set(ty.element.cases) >= {"uncontrolled", "controlled"}
+
+    def test_merge_skips_equal_types_and_infers_what_unifying_each_would(self):
+        """A 12 000-row table has one row type 12 000 times; only the rows
+        that differ are unified.  The merged type is the one-by-one one."""
+        def one_by_one(types):
+            merged, subst = types[0], {}
+            for ty in types[1:]:
+                subst = T.unify(merged, ty, subst)
+                merged = T.apply_substitution(merged, subst)
+            return T.apply_substitution(merged, subst)
+
+        row = T.RecordType({"a": T.INT, "b": T.STRING})
+        open_row = T.RecordType({"a": T.INT}, row=T.fresh_row_var())
+        variable = T.fresh_type_var()
+        tagged = [T.VariantType({tag: T.INT}, row=T.fresh_row_var()) for tag in "pqp"]
+        cases = [
+            [row] * 50,
+            [row, T.RecordType({"b": T.STRING, "a": T.INT}), row],
+            [open_row, row, open_row, row],
+            [row, open_row, row],
+            [variable, row, row, variable],
+            [T.SetType(open_row), T.SetType(row), T.SetType(open_row)],
+            tagged + tagged,
+            [T.INT, T.INT, T.INT],
+        ]
+        for types in cases:
+            # (as text: unifying open variants mints a fresh row variable)
+            assert str(_merge_element_types(list(types))) == str(one_by_one(types)), types
+        # Irreconcilable rows still fall back to a fresh variable.
+        assert isinstance(_merge_element_types([row, row, T.INT]), T.TypeVar)
+
+    def test_heterogeneous_and_homogeneous_tables_infer_as_before(self):
+        homogeneous = CSet(Record({"id": i, "sym": f"D{i}"}) for i in range(300))
+        assert infer_type(homogeneous) == T.SetType(
+            T.RecordType({"id": T.INT, "sym": T.STRING}))
+        mixed = infer_type(CList([Variant("a", 1), Variant("a", 2), Variant("b", "x")]))
+        assert set(mixed.element.cases) == {"a", "b"} and mixed.element.row is not None
+        assert isinstance(infer_type(CList([1, 1, "x"])).element, T.TypeVar)
 
     def test_empty_collection_gets_type_variable(self):
         ty = infer_type(CSet())

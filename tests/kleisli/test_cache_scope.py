@@ -12,7 +12,7 @@ import os
 
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
-from repro.core.values import CSet
+from repro.core.values import CSet, Record
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
 
@@ -83,6 +83,26 @@ def test_a_large_content_keyed_entry_spills_and_its_file_goes_with_the_run():
     _start_another_run(engine)
     assert len(engine.cache) == 0
     assert os.listdir(engine.cache._directory) == []
+
+
+def test_an_index_entry_stays_in_memory_and_goes_with_the_run():
+    """A spilled entry is read back whole on every access, and an index is
+    accessed once per probe: it is never written out, however large."""
+    engine = KleisliEngine()
+    engine.cache.spill_threshold_bytes = 64
+    rows = CSet(Record({"k": i % 5, "v": i}) for i in range(200))
+    query = B.ext("x", B.singleton(B.prim("count", B.ext(
+        "y", A.IfThenElse(B.eq(B.project(B.var("y"), "k"), B.var("x")),
+                          B.singleton(B.project(B.var("y"), "v")), A.Empty("set")),
+        B.var("ROWS")))), A.Const(CSet(range(5))))
+    assert "probe(cached(index(ROWS by" in engine.compile(query).pretty()
+    assert engine.execute(query, {"ROWS": rows}) == CSet([40])
+    statistics = engine.last_eval_statistics
+    assert (statistics.cache_misses, statistics.cache_hits) == (1, 4)
+    assert engine.cache.spills == 0 and os.listdir(engine.cache._directory) == []
+    assert len(engine.cache) == 1
+    _start_another_run(engine)
+    assert len(engine.cache) == 0
 
 
 def test_a_named_entry_outlives_its_run():

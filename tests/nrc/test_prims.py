@@ -118,6 +118,58 @@ class TestCollectionPrimitives:
             prim("variant_tag", 42)
 
 
+class TestIndexAndProbe:
+    def _pairs(self, *pairs):
+        return CList(Record({"key": key, "row": row}) for key, row in pairs)
+
+    def test_groups_keep_source_order_and_duplicates(self):
+        index = prim("index", self._pairs((1, "a"), (2, "b"), (1, "c"), (1, "a")))
+        assert prim("probe", index, 1) == CList(["a", "c", "a"])
+        assert prim("probe", index, 2) == CList(["b"])
+        assert prim("probe", index, 3) == CList()
+        assert not prim("isempty", index)
+
+    def test_keys_equal_under_eq_share_a_group(self):
+        index = prim("index", self._pairs((1, "int"), (1.0, "float"), (True, "bool"),
+                                          (0.0, "zero"), (-0.0, "minus zero")))
+        assert prim("probe", index, 1) == CList(["int", "float", "bool"])
+        assert prim("probe", index, -0.0) == CList(["zero", "minus zero"])
+        assert prim("probe", index, Record({"k": 1})) == CList()
+
+    def test_a_key_unequal_to_itself_is_in_no_group(self):
+        nan = float("nan")
+        index = prim("index", self._pairs((nan, "x"), (nan, "y")))
+        assert prim("probe", index, nan) == CList()
+        assert not prim("isempty", index)  # the rows were there to compare
+
+    def test_empty_index_and_type_errors(self):
+        assert prim("isempty", prim("index", CList()))
+        with pytest.raises(EvaluationError):
+            prim("index", CList([1]))
+        with pytest.raises(EvaluationError):
+            prim("probe", CList(), 1)
+
+    def test_an_index_never_goes_through_pickle(self):
+        import pickle
+
+        with pytest.raises(TypeError):
+            pickle.dumps(prim("index", self._pairs((1, "a"))))
+
+
+class TestMember:
+    def test_member_of_a_set_is_hashed_and_means_eq(self):
+        rows = CSet(range(200))
+        assert prim("member", 150, rows) and prim("member", 150.0, rows)
+        assert not prim("member", 200, rows) and not prim("member", "150", rows)
+        assert rows._lookup is not None
+
+    def test_nan_is_a_member_of_nothing(self):
+        nan = float("nan")
+        for collection in (CSet([nan, 1.0]), CBag([nan]), CList([nan])):
+            assert not prim("member", nan, collection)
+        assert prim("member", 1.0, CSet([nan, 1.0]))
+
+
 class TestRegistry:
     def test_unknown_primitive(self):
         with pytest.raises(EvaluationError):

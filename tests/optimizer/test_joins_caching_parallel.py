@@ -6,10 +6,10 @@ from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.eval import EvalContext, Evaluator, evaluate
 from repro.core.nrc.rewrite import RewriteStats
-from repro.core.optimizer.caching import is_expensive, make_caching_rule_set
+from repro.core.optimizer.caching import make_caching_rule_set
 from repro.core.optimizer.joins import make_join_rule_set
 from repro.core.optimizer.parallel import ParallelExt, make_parallel_rule_set
-from repro.core.values import CSet, Record
+from repro.core.values import CBag, CSet, Record
 
 
 def nested_loop_join_expr():
@@ -59,6 +59,23 @@ class TestJoinRuleSet:
                                        minimum_inner_size=8).apply(nested_loop_join_expr())
         assert not isinstance(rewritten, A.Join)
 
+    def test_three_generators_join_at_the_outermost_pair(self):
+        """The third generator stays a loop, as the body of the one join."""
+        innermost = B.ext("c", B.if_then_else(
+            B.eq(B.project(B.var("c"), "ref"), B.project(B.var("i"), "ref")),
+            B.singleton(B.project(B.var("c"), "data")), B.empty()), B.var("THIRD"))
+        middle = B.ext("i", B.if_then_else(
+            B.eq(B.project(B.var("o"), "id"), B.project(B.var("i"), "ref")),
+            innermost, B.empty()), B.var("INNER"))
+        expr = B.ext("o", middle, B.var("OUTER"))
+        rewritten = make_join_rule_set(minimum_inner_size=0).apply(expr)
+        assert isinstance(rewritten, A.Join) and rewritten.method == "indexed"
+        assert (rewritten.outer, rewritten.inner) == (B.var("OUTER"), B.var("INNER"))
+        assert rewritten.body == innermost and rewritten.condition is None
+        data = dict(join_data(), THIRD=join_data()["INNER"])
+        assert evaluate(expr, data) == evaluate(rewritten, data)
+        assert len(evaluate(rewritten, data)) == 30
+
     def test_indexed_join_runs_faster_statistics(self):
         """The indexed join touches far fewer pairs than the nested loop."""
         expr = nested_loop_join_expr()
@@ -73,6 +90,12 @@ class TestJoinRuleSet:
         assert plain_context.statistics.ext_iterations == 50 + 50 * 50
 
 
+def _subterms(expr):
+    yield expr
+    for child in expr.children():
+        yield from _subterms(child)
+
+
 def _env(data):
     from repro.core.nrc.eval import Environment
 
@@ -84,10 +107,18 @@ class TestCachingRuleSet:
         inner = B.ext("y", B.singleton(B.var("y")), A.Scan("SRC", {"table": "t"}))
         return B.ext("x", inner, B.var("OUTER"))
 
-    def test_independent_scan_source_is_cached(self):
+    def test_independent_inner_loop_is_cached_whole(self):
+        # Neither the scan nor the loop over it mentions ``x``: the maximal
+        # independent subterm is the inner loop, and it is wrapped once.
         rewritten = make_caching_rule_set().apply(self._loop_with_inner_scan())
-        inner_source = rewritten.body.source
-        assert isinstance(inner_source, A.Cached)
+        assert isinstance(rewritten.body, A.Cached)
+        assert "cached" not in rewritten.body.expr.pretty()
+
+    def test_independent_source_of_a_dependent_loop_is_cached(self):
+        inner = B.ext("y", B.singleton(B.record(x=B.var("x"), y=B.var("y"))),
+                      A.Scan("SRC", {"table": "t"}))
+        rewritten = make_caching_rule_set().apply(B.ext("x", inner, B.var("OUTER")))
+        assert isinstance(rewritten.body.source, A.Cached)
 
     def test_dependent_source_is_not_cached(self):
         scan = A.Scan("SRC", {"table": "t"}, {"key": B.project(B.var("x"), "id")})
@@ -99,16 +130,65 @@ class TestCachingRuleSet:
     def test_source_depending_on_intermediate_binder_is_not_cached(self):
         """Regression: dependence on *any* enclosing loop variable blocks caching."""
         scan = A.Scan("SRC", {"table": "t"}, {"key": B.project(B.var("m"), "id")})
-        innermost = B.ext("y", B.singleton(B.var("y")), scan)
+        innermost = B.ext("y", B.singleton(B.record(x=B.var("x"), y=B.var("y"))), scan)
         middle = B.ext("m", innermost, B.var("MIDDLE"))
         expr = B.ext("x", middle, B.var("OUTER"))
         rewritten = make_caching_rule_set().apply(expr)
         assert "cached" not in rewritten.pretty()
 
-    def test_cheap_sources_are_not_cached(self):
-        inner = B.ext("y", B.singleton(B.var("y")), B.var("SMALL"))
+    def test_loop_over_an_intermediate_binder_is_cached_around_it(self):
+        """... while a subquery that binds the variable it depends on is
+        independent as a whole, and is cached as a whole."""
+        scan = A.Scan("SRC", {"table": "t"}, {"key": B.project(B.var("m"), "id")})
+        middle = B.ext("m", B.ext("y", B.singleton(B.var("y")), scan), B.var("MIDDLE"))
+        rewritten = make_caching_rule_set().apply(B.ext("x", middle, B.var("OUTER")))
+        assert rewritten.pretty().count("cached") == 1
+        assert isinstance(rewritten.body, A.Cached)
+
+    def test_loop_free_subterms_are_not_cached(self):
+        # A bound collection is a value already; so is arithmetic on names.
+        head = B.record(x=B.var("x"), y=B.var("y"), n=B.prim("add", B.var("N"), B.const(1)))
+        inner = B.ext("y", B.singleton(head), B.var("SMALL"))
         expr = B.ext("x", inner, B.var("OUTER"))
         assert make_caching_rule_set().apply(expr) == expr
+
+    def _correlated(self, *conditions, kind="bag"):
+        body = B.singleton(B.project(B.var("y"), "v"), kind)
+        for condition in reversed(conditions):
+            body = A.IfThenElse(condition, body, A.Empty(kind))
+        return B.ext("x", B.singleton(B.record(x=B.var("x"), ys=B.ext(
+            "y", body, B.var("S"), kind)), kind), B.var("OUTER"), kind)
+
+    def test_correlated_loop_probes_an_index_built_under_the_row_filters(self):
+        key = B.eq(B.project(B.var("x"), "k"), B.project(B.var("y"), "k"))
+        before = B.prim("gt", B.project(B.var("y"), "v"), B.const(1))
+        after = B.prim("lt", B.project(B.var("y"), "v"), B.project(B.var("x"), "k"))
+        stats = RewriteStats()
+        rewritten = make_caching_rule_set().apply(self._correlated(before, key, after), stats)
+        assert stats.firings == {"index-correlated-loop": 1}
+        probed = rewritten.body.expr.fields["ys"]
+        assert probed.pretty() == (
+            "U{|if lt(y.v, x.k) then {|y.v|} else {||} | \\y <- "
+            "probe(cached(index(S by \\y => y.k where gt(y.v, 1))), x.k)|}")
+        # Underneath: nodes that were there before, and three primitives.
+        source = probed.source
+        assert isinstance(source, A.Let) and isinstance(source.value, A.Cached)
+        names = {node.name for node in _subterms(source) if isinstance(node, A.PrimCall)}
+        assert {"index", "isempty", "probe"} <= names
+        data = {"OUTER": CBag([Record({"k": k}) for k in (1, 2, 3, 3)]),
+                "S": CBag([Record({"k": i % 4, "v": i % 3}) for i in range(12)])}
+        assert evaluate(rewritten, data) == evaluate(self._correlated(before, key, after), data)
+
+    def test_loop_without_a_usable_equality_is_not_indexed(self):
+        both = B.eq(B.project(B.var("y"), "k"), B.project(B.var("y"), "v"))
+        mixed = B.eq(B.prim("add", B.project(B.var("y"), "k"), B.project(B.var("x"), "k")),
+                     B.const(3))
+        ordered = B.prim("lt", B.project(B.var("y"), "k"), B.project(B.var("x"), "k"))
+        key = B.eq(B.project(B.var("x"), "k"), B.project(B.var("y"), "k"))
+        for conditions in ((both,), (mixed,), (ordered,), (ordered, key), ()):
+            stats = RewriteStats()
+            make_caching_rule_set().apply(self._correlated(*conditions), stats)
+            assert stats.fired("index-correlated-loop") == 0
 
     def test_cached_scan_is_fetched_once(self):
         calls = []
@@ -122,11 +202,6 @@ class TestCachingRuleSet:
         context = EvalContext(driver_executor=executor)
         Evaluator(context).evaluate(rewritten, _env({"OUTER": CSet(range(5))}))
         assert len(calls) == 1
-
-    def test_is_expensive_detects_scans_and_joins(self):
-        assert is_expensive(A.Scan("S", {}))
-        assert not is_expensive(B.var("x"))
-        assert is_expensive(B.ext("x", B.singleton(B.var("x")), A.Scan("S", {})))
 
     def test_top_level_source_is_not_cached(self):
         # The outermost loop's source is evaluated exactly once; caching it

@@ -5,24 +5,46 @@ SQL join, the DOE query is that join feeding a parallel Entrez fan-out — and a
 rule-order change that un-pushes the join or re-serialises the fan-out moves
 no test value, only these two counters.  They are pinned here, under the
 default optimizer, over the example's own definitions and dataset seed.
+
+Likewise for joins that stay local (second half): the end-to-end benchmark's
+``local_relational`` queries and its two correlated ad-hoc templates run as a
+join on top and probes of indexes built once, never as a scan of the inner
+relation per outer row; the workloads no rule of this kind applies to keep the
+plan they had.
 """
 
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
 from repro.bio.chromosome22 import build_chromosome22
+from repro.core.cpl.desugar import desugar_expression
+from repro.core.cpl.parser import parse_expression
 from repro.core.nrc import ast as A
 from repro.core.nrc.compile import term_fingerprint
+from repro.core.nrc.rewrite import RewriteStats
+from repro.core.optimizer import OptimizerConfig
 from repro.core.optimizer.parallel import ParallelExt
 from repro.kleisli.drivers import EntrezDriver, RelationalDriver
+from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.session import Session
 
-_EXAMPLE = pathlib.Path(__file__).resolve().parents[2] / "examples" / "doe_query_chr22.py"
-_spec = importlib.util.spec_from_file_location("doe_query_chr22", _EXAMPLE)
-example = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(example)
+_ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+example = _load("doe_query_chr22", _ROOT / "examples" / "doe_query_chr22.py")
+#: The benchmark's generator: its query texts and tables are the pins' inputs.
+workloads = _load("e2e_workloads", _ROOT / "benchmarks" / "e2e" / "workloads.py")
 
 #: Loci on chromosome 22 with a GenBank reference, at the example's seed.
 LOCI = 37
@@ -32,12 +54,15 @@ CAP = 16
 
 
 @pytest.fixture(scope="module")
-def doe_session():
+def doe_data():
     # The GDB side is the example's; the GenBank side is kept small (the
     # pins count requests, not homologues).
-    data = build_chromosome22(locus_count=120, homologues_per_entry=1,
+    return build_chromosome22(locus_count=120, homologues_per_entry=1,
                               sequence_length=60, publication_count=5, seed=22)
-    session = Session()
+
+
+def _doe_session(data, **session_options):
+    session = Session(**session_options)
     session.register_driver(RelationalDriver.with_latency(
         "GDB", data.gdb, latency=0.0005, max_concurrent_requests=CAP))
     session.register_driver(EntrezDriver.with_latency(
@@ -47,11 +72,20 @@ def doe_session():
     return session
 
 
-def _scans(expr, driver):
-    found = [expr] if isinstance(expr, A.Scan) and expr.driver == driver else []
+@pytest.fixture(scope="module")
+def doe_session(doe_data):
+    return _doe_session(doe_data)
+
+
+def _nodes(expr, node_type):
+    found = [expr] if isinstance(expr, node_type) else []
     for child in expr.children():
-        found.extend(_scans(child, driver))
+        found.extend(_nodes(child, node_type))
     return found
+
+
+def _scans(expr, driver):
+    return [scan for scan in _nodes(expr, A.Scan) if scan.driver == driver]
 
 
 PINS = [
@@ -101,13 +135,7 @@ def test_reoptimising_a_query_finds_its_compiled_form(doe_session):
     second = doe_session.query(text)
     second_statistics = doe_session.engine.last_eval_statistics
 
-    def cached_nodes(expr):
-        found = [expr] if isinstance(expr, A.Cached) else []
-        for child in expr.children():
-            found.extend(cached_nodes(child))
-        return found
-
-    assert cached_nodes(first.optimized), "the pin needs a plan with a Cached node"
+    assert _nodes(first.optimized, A.Cached), "the pin needs a plan with a Cached node"
     assert first.optimized is not second.optimized
     assert term_fingerprint(first.optimized) == term_fingerprint(second.optimized)
     assert second_statistics.compile_cache_hits == 1
@@ -122,3 +150,129 @@ def test_doe_reoptimisation_hits_the_compile_cache(doe_session):
     doe_session.query(example.DOE_QUERY)
     statistics = doe_session.engine.last_eval_statistics
     assert (statistics.compile_cache_hits, statistics.compile_cache_misses) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Local joins: a join on top, probes below, nothing rebuilt inside a loop
+# ---------------------------------------------------------------------------
+
+def _session_for(workload):
+    session = Session()
+    for driver, _ in workload.drivers(True):
+        session.register_driver(driver)
+    for name, (data, list_as) in workload.bindings.items():
+        session.bind(name, data, list_as=list_as)
+    for definition in workload.defines:
+        session.run(definition)
+    return session
+
+
+@pytest.fixture(scope="module")
+def relational_session():
+    return _session_for(workloads.build("local_relational", seed=22))
+
+
+@pytest.fixture(scope="module")
+def adhoc_session():
+    return _session_for(workloads.build("adhoc_cold", seed=22, seconds=0.1))
+
+
+def _run(session, text):
+    result = session.query(text)
+    statistics = session.engine.last_eval_statistics
+    assert result.value == session.query(text, optimize=False).value
+    return result.optimized, statistics
+
+
+#: 200 loci, 200 references, 100 bands, 160 observations in 40 groups
+#: (``workloads.RELATIONAL_ROWS`` ...): each inner relation is read once.
+LOCAL_PINS = [
+    # label, query, ext_iterations, cache misses (= subqueries computed)
+    # One index on CYTO (100), probed by the 34 matching pairs.
+    ("3-way join", workloads.JOIN_QUERY, 100 + 34, 1),
+    # One index on OBS (160) serves count and max: 160 rows, two probes
+    # each, four observations per group.
+    ("correlated aggregate", workloads.AGGREGATE_QUERY, 160 + 160 + 160 * 2 * 4, 1),
+    # The set of class-2 loci is computed once (200), then 200 memberships.
+    ("semi-join", workloads.SEMIJOIN_QUERY, 200 + 200, 1),
+]
+
+
+@pytest.mark.parametrize("label,text,iterations,misses", LOCAL_PINS,
+                         ids=[pin[0] for pin in LOCAL_PINS])
+def test_local_relational_reads_each_inner_relation_once(
+        relational_session, label, text, iterations, misses):
+    plan, statistics = _run(relational_session, text)
+    assert (statistics.scan_requests, statistics.ext_iterations) == (0, iterations)
+    assert statistics.cache_misses == misses
+
+
+def test_three_way_join_is_a_join_over_a_probe(relational_session):
+    plan, statistics = _run(relational_session, workloads.JOIN_QUERY)
+    assert isinstance(plan, A.Join) and plan.method == "indexed"
+    assert (plan.outer, plan.inner) == (A.Var("LOCI"), A.Var("REFS"))
+    # The third generator is the join's body: a loop over one probed group.
+    assert isinstance(plan.body, A.Ext) and len(_nodes(plan, A.Join)) == 1
+    rendered = plan.pretty()
+    assert "probe(cached(index(CYTO by \\" in rendered and ".locus)), " in rendered
+    assert statistics.joins_indexed == 1
+
+
+def test_count_and_max_share_one_index(relational_session):
+    plan, statistics = _run(relational_session, workloads.AGGREGATE_QUERY)
+    indexes = [node for node in _nodes(plan, A.Cached)
+               if isinstance(node.expr, A.PrimCall) and node.expr.name == "index"]
+    assert len(indexes) == 2 and indexes[0].key == indexes[1].key
+    assert indexes[0].key.startswith(A.Cached.CONTENT_PREFIX)
+    # Built by whichever probe comes first, found by the other 319.
+    assert (statistics.cache_misses, statistics.cache_hits) == (1, 2 * 160 - 1)
+
+
+def _adhoc_text(workload, marker):
+    return next(text for op in workload.warmup + workload.ops
+                for _, text in op.parts if marker in text)
+
+
+@pytest.mark.parametrize("marker,rule", [
+    ("near = {", "index-correlated-loop"),
+    ("member(g.id, {", "hoist-loop-invariant"),
+], ids=["correlated near", "member"])
+def test_adhoc_correlated_templates_never_rescan(adhoc_session, marker, rule):
+    text = _adhoc_text(workloads.build("adhoc_cold", seed=22, seconds=0.1), marker)
+    plan, statistics = _run(adhoc_session, text)
+    assert adhoc_session.engine.last_rewrite_stats.fired(rule) == 1
+    assert statistics.cache_misses == 1
+    # The outer loop, one pass over the 64-row inner relation, and the
+    # matching rows of each probe: far from 64 x 64.
+    assert statistics.scan_requests == 0
+    assert 2 * workloads.ADHOC_ROWS <= statistics.ext_iterations < 6 * workloads.ADHOC_ROWS
+
+
+def _without_local_stages():
+    return KleisliEngine(optimizer_config=OptimizerConfig(local_joins=False, caching=False))
+
+
+def _assert_left_alone(session, bare, text):
+    """No local-join, hoist or index rule fires on ``text``, for ``execute``
+    or for ``stream``: ``bare``, a session with the join and caching stages
+    off, optimizes it to the same term."""
+    term = session._expand(desugar_expression(parse_expression(text)))
+    for full, plain in ((session.engine.optimizer, bare.engine.optimizer),
+                        (session.engine.stream_optimizer, bare.engine.stream_optimizer)):
+        stats = RewriteStats()
+        plan = full.optimize(term, stats)
+        assert [stats.fired(rule) for rule in
+                ("local-join", "hoist-loop-invariant", "index-correlated-loop")] == [0, 0, 0]
+        assert term_fingerprint(plan) == term_fingerprint(plain.optimize(term))
+
+
+@pytest.mark.parametrize("name", ["union_dedup", "wide_stream"])
+def test_cursor_workload_plans_are_left_alone(name):
+    workload = workloads.build(name, seed=22)
+    (_, text), = workload.ops[0].parts
+    _assert_left_alone(_session_for(workload), Session(engine=_without_local_stages()), text)
+
+
+def test_doe_plan_is_left_alone(doe_session, doe_data):
+    bare = _doe_session(doe_data, engine=_without_local_stages())
+    _assert_left_alone(doe_session, bare, example.DOE_QUERY)
