@@ -134,7 +134,16 @@ class Record:
 
     @classmethod
     def from_directory(cls, directory: RecordDirectory, values: Sequence[object]) -> "Record":
-        """Build a record directly on an existing directory (fast path for drivers)."""
+        """Build a record directly on an existing directory (fast path for drivers).
+
+        The two boundaries where rows enter and leave the system resolve
+        the directory once per run of same-shape rows and build each record
+        on it through the constructor's ``_directory``/``_values`` form,
+        the width being settled for the whole run:
+        ``core.values.lift_elements`` on the way in (``Session.bind``, the
+        relational and Entrez drivers) and the ``rows`` block decoder of
+        ``server.wire`` on the way out.
+        """
         values = tuple(values)
         if len(values) != len(directory):
             raise EvaluationError(

@@ -21,7 +21,9 @@ the CPL type of a value — used when registering data sources and in tests.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import types as T
 from .errors import EvaluationError
@@ -37,6 +39,7 @@ __all__ = [
     "UNIT_VALUE",
     "Unit",
     "from_python",
+    "lift_elements",
     "to_python",
     "infer_type",
     "empty_like",
@@ -366,13 +369,55 @@ def from_python(data: object, list_as: str = "list") -> object:
     if isinstance(data, (set, frozenset)):
         return CSet(from_python(element, list_as) for element in data)
     if isinstance(data, (list, tuple)):
-        converted = (from_python(element, list_as) for element in data)
-        return make_collection(list_as, converted)
+        return make_collection(list_as, lift_elements(data, list_as))
     if data is None:
         return UNIT_VALUE
     if isinstance(data, (bool, int, float, str, bytes)):
         return data
     raise EvaluationError(f"cannot convert {type(data).__name__} into a CPL value")
+
+
+#: Exact types :func:`from_python` passes through and :func:`infer_type`
+#: gives a constant type: a record of these needs no per-field work.
+_FLAT_FIELD_TYPES = frozenset((bool, int, float, str, bytes))
+
+
+def lift_elements(elements: Iterable[object], list_as: str = "list") -> Iterator[object]:
+    """:func:`from_python` of each element, shape-once over runs of rows.
+
+    Rows from a relational source are plain ``dict``s with one key tuple, so
+    the per-shape work — checking the keys, interning the directory, sorting
+    the labels — is done once per run of such dicts; a row whose values are
+    all exact scalars then becomes a :class:`Record` built directly on the
+    shared directory.  Every other element (``None`` or nested data among
+    the values, a ``dict`` subclass or other ``Mapping``, non-string keys, a
+    non-dict) takes the per-value path, so the result is element for element
+    what ``from_python`` returns.  Lazy: drivers hand the iterator to a
+    ``TokenStream``.
+    """
+    keys = in_label_order = directory = None
+    for element in elements:
+        if type(element) is dict:
+            element_keys = tuple(element)
+            if element_keys != keys:
+                keys, directory = element_keys, None
+                if {str}.issuperset(map(type, keys)):
+                    directory = RecordDirectory.for_labels(keys)
+                    in_label_order = _values_getter(directory.labels)
+            if directory is not None:
+                values = in_label_order(element)
+                if _FLAT_FIELD_TYPES.issuperset(map(type, values)):
+                    yield Record(_directory=directory, _values=values)
+                    continue
+        yield from_python(element, list_as)
+
+
+def _values_getter(labels: Tuple[str, ...]) -> Callable[[dict], Tuple[object, ...]]:
+    """``dict -> tuple`` of its values at ``labels`` (``itemgetter`` returns
+    a bare value, not a 1-tuple, for one label, and refuses none)."""
+    if len(labels) > 1:
+        return itemgetter(*labels)
+    return lambda row: tuple(row[label] for label in labels)
 
 
 def to_python(value: object) -> object:
@@ -416,7 +461,7 @@ def infer_type(value: object) -> T.Type:
     if isinstance(value, Ref):
         return T.RefType(T.fresh_type_var())
     if isinstance(value, (CSet, CBag, CList)):
-        element_types = [infer_type(element) for element in value]
+        element_types = _distinct_element_types(value)
         if element_types:
             element = _merge_element_types(element_types)
         else:
@@ -424,6 +469,28 @@ def infer_type(value: object) -> T.Type:
         constructor = {"set": T.SetType, "bag": T.BagType, "list": T.ListType}[value.kind]
         return constructor(element)
     raise EvaluationError(f"cannot infer a CPL type for {type(value).__name__}")
+
+
+def _distinct_element_types(elements: Iterable[object]) -> List[T.Type]:
+    """The elements' types in order, a flat row shape typed once.
+
+    A record whose fields are all exact scalars has a type fixed by its
+    shape — the directory plus the tuple of field types — with no type
+    variable in it, and merging that type a second time learns nothing: the
+    repeats are dropped, so a homogeneous table costs one ``RecordType``.
+    ``[a = 1]`` and ``[a = "x"]`` share a directory but not a shape.
+    """
+    types: List[T.Type] = []
+    flat_shapes = set()
+    for element in elements:
+        if type(element) is Record:
+            shape = (element.directory, *map(type, element.values))
+            if shape in flat_shapes:
+                continue
+            if _FLAT_FIELD_TYPES.issuperset(shape[1:]):
+                flat_shapes.add(shape)
+        types.append(infer_type(element))
+    return types
 
 
 def _merge_element_types(element_types: List[T.Type]) -> T.Type:

@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional
 
 from ...asn1.entrez import EntrezServer
 from ...core.errors import DriverError
-from ...core.values import CSet, Record, from_python
+from ...core.values import CSet, from_python, lift_elements
 from ...net.remote import RemoteSource
 from ..tokens import TokenStream
 from .base import Driver, DriverFunction
@@ -66,8 +66,7 @@ class EntrezDriver(Driver):
             if uid is None:
                 raise DriverError("links request needs a 'links' or 'uid' value")
             link_rows = self._call("links", db, int(uid))
-            return CSet(Record({key: from_python(value) for key, value in row.items()})
-                        for row in link_rows)
+            return CSet(lift_elements(link_rows))
         if "fetch" in request:
             value = self._call("fetch", db, int(request["fetch"]),
                                request.get("path") or None)

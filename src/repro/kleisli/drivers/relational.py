@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional
 
 from ...core.errors import DriverError
-from ...core.values import CSet, Record, from_python
+from ...core.values import CSet, lift_elements
 from ...net.remote import RemoteSource
 from ...relational.database import Database
 from ..tokens import TokenStream
@@ -99,8 +99,7 @@ class RelationalDriver(Driver):
                 for rows in self.remote.call_batch(statements)]
 
     def _rows_to_result(self, rows: List[Dict[str, object]]):
-        records = (Record({key: from_python(value) for key, value in row.items()})
-                   for row in rows)
+        records = lift_elements(rows)
         if self.lazy:
             return TokenStream(records, kind="set")
         return CSet(records)

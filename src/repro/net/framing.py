@@ -18,8 +18,9 @@ Guarantees:
 * :func:`recv_message` returns ``None`` on a clean EOF *between* frames
   (the peer hung up) and raises
   :class:`~repro.core.errors.WireProtocolError` on a truncated frame, an
-  oversized length prefix, or undecodable payload — a half-written frame is
-  never silently passed off as a message.
+  oversized length prefix, or undecodable payload (JSON nested too deep for
+  the parser included) — a half-written frame is never silently passed off
+  as a message.
 * Frames larger than :data:`MAX_FRAME_BYTES` are refused on both send and
   receive, so one runaway result cannot wedge a connection (or balloon the
   peer's memory) — stream large results cursor-wise instead.
@@ -93,7 +94,8 @@ def recv_message(sock: socket.socket) -> Optional[dict]:
         raise WireProtocolError("connection closed between header and payload")
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
+    except (UnicodeDecodeError, ValueError, RecursionError) as error:
+        # RecursionError: JSON nested deeper than the parser's stack allows.
         raise WireProtocolError(f"undecodable frame payload: {error}")
     if not isinstance(message, dict):
         raise WireProtocolError(

@@ -22,7 +22,8 @@ hello     handshake: server name, protocol version, supported ops
 run       run a CPL *program* (defines allowed); returns the last value
 query     run one CPL *expression*; returns its value
 open      start a streamed query; returns a cursor id (holds a query slot)
-fetch     pull up to ``n`` elements from a cursor (``done`` marks exhaustion)
+fetch     pull up to ``n`` elements from a cursor as one encoded list
+          (``values``); ``done`` marks exhaustion
 close     release a cursor early
 view      dispatch a CGI-style view path + form via the view gateway
 stats     service counters + ``engine.health()`` snapshot
@@ -32,7 +33,14 @@ bye       clean goodbye; the server closes the connection
 CPL values cross the wire in the tagged, lossless, order-preserving JSON
 encoding of :mod:`repro.server.wire` — ``decode_value(encode_value(v)) == v``,
 which is what lets the harness assert bit-identical parity between served
-results and single-user execution.
+results and single-user execution.  Inside any collection a run of records
+that share a directory is one ``{"%": "rows", "labels": [...], "v": [[...],
+...]}`` block: the labels cross once, each row is a plain list.  A ``fetch``
+batch is itself one encoded CPL list (``values`` is ``{"%": "list", ...}``,
+not a JSON array of separately encoded rows), so cursors and
+``run``/``query``/``view`` replies share that path.  This is protocol
+version **2** (``hello`` reports it); version 1 encoded every record as its
+own ``record`` object and is not spoken any more.
 
 Session lifecycle
 =================

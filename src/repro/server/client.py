@@ -19,6 +19,7 @@ from ..core.errors import (
     ServerOverloadedError,
     WireProtocolError,
 )
+from ..core.values import CList
 from ..net.framing import recv_message, send_message
 from .wire import decode_value
 
@@ -134,10 +135,16 @@ class KleisliClient:
             profile))["cursor"]
 
     def fetch(self, cursor: str, batch: int = 16) -> dict:
-        """One fetch batch: ``{"values": [...], "done": bool}`` (decoded)."""
+        """One fetch batch: ``{"values": [...], "done": bool}`` (decoded).
+
+        The batch crosses the wire as one encoded CPL list, so same-shape
+        rows arrive as one ``rows`` block and share a directory.
+        """
         reply = self.request({"op": "fetch", "cursor": cursor, "n": batch})
-        reply["values"] = [decode_value(payload)
-                           for payload in reply["values"]]
+        values = decode_value(reply.get("values"))
+        if not isinstance(values, CList):
+            raise WireProtocolError("fetch reply carries no encoded list")
+        reply["values"] = list(values)
         return reply
 
     def cancel(self, cursor: str) -> bool:
@@ -171,11 +178,9 @@ class KleisliClient:
         done = False
         try:
             while not done:
-                reply = self.request({"op": "fetch", "cursor": cursor,
-                                      "n": batch})
+                reply = self.fetch(cursor, batch)
                 done = reply["done"]
-                for payload in reply["values"]:
-                    yield decode_value(payload)
+                yield from reply["values"]
         finally:
             if not done and not self._closed:
                 try:

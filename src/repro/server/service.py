@@ -20,6 +20,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import (
@@ -28,6 +29,7 @@ from ..core.errors import (
     ServerOverloadedError,
     WireProtocolError,
 )
+from ..core.values import CList
 from ..kleisli.engine import KleisliEngine
 from ..kleisli.governance import CancellationToken
 from ..kleisli.session import Session
@@ -38,7 +40,7 @@ from .wire import encode_value, encode_warnings
 
 __all__ = ["KleisliServer", "ServerStats", "PROTOCOL_VERSION"]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Most elements one ``fetch`` reply may carry (keeps frames bounded).
 MAX_FETCH_BATCH = 1024
@@ -690,18 +692,14 @@ class KleisliServer:
         if cursor is None:
             raise QueryServiceError(f"unknown cursor {cursor_id!r}")
         count = message.get("n", 32)
-        if not isinstance(count, int) or count < 1:
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise WireProtocolError("fetch requires a positive integer 'n'")
         count = min(count, MAX_FETCH_BATCH)
-        values: List[object] = []
-        done = False
         try:
-            for _ in range(count):
-                try:
-                    values.append(encode_value(next(cursor.stream)))
-                except StopIteration:
-                    done = True
-                    break
+            rows = list(islice(cursor.stream, count))
+            # One encoded list per batch: a run of same-shape rows ships
+            # its labels once (the ``rows`` block of :mod:`.wire`).
+            values = encode_value(CList(rows))
         except Exception:
             # A mid-stream failure ends the cursor: its EvalScope has
             # already released the run's cursors; drop the partial batch
@@ -709,6 +707,7 @@ class KleisliServer:
             state.cursors.pop(cursor_id, None)
             cursor.close()
             raise
+        done = len(rows) < count
         if done:
             state.cursors.pop(cursor_id, None)
             cursor.retire()

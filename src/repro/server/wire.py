@@ -9,15 +9,43 @@ wire and the same query's single-user ``execute`` value.
 
 Scalars travel as themselves; structured values as a tagged object
 ``{"%": <tag>, ...}`` (the ``%`` key cannot collide with record labels,
-which are plain strings in the ``v`` sub-object).  ``bytes`` are latin-1
-strings under their own tag, since JSON has no byte type.
+which are plain strings in the ``v`` sub-object or the ``labels`` list).
+``bytes`` are latin-1 strings under their own tag, since JSON has no byte
+type.
+
+Records inside a collection travel shape-once.  Section 4 of the paper
+represents a record as a shared *directory* plus a value array so that a
+homogeneous collection pays the per-shape work once
+(:mod:`repro.core.records`); the ``rows`` block is that representation on the
+wire.  Among the elements of any encoded set, bag or list, a maximal run of
+records whose ``directory`` is the same object becomes one element ::
+
+    {"%": "rows", "labels": [l1, ..., lk], "v": [[f1, ..., fk], ...]}
+
+— the labels once, each row a plain list in label order.  A field whose exact
+type is ``bool``/``int``/``float``/``str``/``None`` is the list item itself;
+any other field (a nested collection, a variant, ``bytes``) is encoded as a
+value of its own.  The decoder interns the directory once per block
+(permuting the rows once if the labels arrive unsorted) and builds each
+record straight onto it.  Non-record elements and a change of directory end
+a run and elements keep their order, so a mixed collection is a sequence of
+blocks and plain elements.  A record that is *not* a collection element — a
+query's scalar result, a record field, a variant's payload — still travels
+as ``{"%": "record", "v": {label: field}}``.
+
+Structured values may nest at most :data:`MAX_DEPTH` deep, in both
+directions: the codec recurses, and a peer must get a typed
+:class:`~repro.core.errors.WireProtocolError`, not a ``RecursionError``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from itertools import chain
+from operator import itemgetter
+from typing import Dict, Iterable, List
 
 from ..core.errors import WireProtocolError
+from ..core.records import RecordDirectory
 from ..core.values import (
     CBag,
     CList,
@@ -28,31 +56,84 @@ from ..core.values import (
     Variant,
 )
 
-__all__ = ["encode_value", "decode_value", "encode_warnings"]
+__all__ = ["MAX_DEPTH", "encode_value", "decode_value", "encode_warnings"]
+
+#: Most structured values (collection, record, variant) one inside another.
+#: A level costs up to three JSON levels and three Python frames, so this
+#: keeps both codec directions and ``json`` itself well inside the
+#: interpreter's recursion limit.
+MAX_DEPTH = 100
 
 _COLLECTION_TAGS = {CSet: "set", CBag: "bag", CList: "list"}
 _COLLECTION_TYPES = {"set": CSet, "bag": CBag, "list": CList}
 
+#: Exact types that are their own wire form — in a ``rows`` block, and
+#: whatever ``json.loads`` produces for them.
+_PLAIN = frozenset((bool, int, float, str, type(None)))
+
 
 def encode_value(value: object) -> object:
     """Lower one CPL value into JSON-serializable data."""
+    return _encode(value, 0)
+
+
+def _check_depth(depth: int) -> None:
+    if depth >= MAX_DEPTH:
+        raise WireProtocolError(
+            f"value nests more than {MAX_DEPTH} structured levels deep")
+
+
+def _encode(value: object, depth: int) -> object:
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    _check_depth(depth)
     if isinstance(value, Record):
         return {"%": "record",
-                "v": {label: encode_value(field)
+                "v": {label: _encode(field, depth + 1)
                       for label, field in value.items()}}
     for cls, tag in _COLLECTION_TAGS.items():
         if isinstance(value, cls):
-            return {"%": tag, "v": [encode_value(element) for element in value]}
+            return {"%": tag, "v": _encode_elements(value, depth + 1)}
     if isinstance(value, Variant):
-        return {"%": "variant", "tag": value.tag, "v": encode_value(value.value)}
+        return {"%": "variant", "tag": value.tag,
+                "v": _encode(value.value, depth + 1)}
     if isinstance(value, Unit):
         return {"%": "unit"}
     if isinstance(value, bytes):
         return {"%": "bytes", "v": value.decode("latin-1")}
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
     raise WireProtocolError(
         f"cannot encode {type(value).__name__} for the wire")
+
+
+def _encode_elements(elements: Iterable[object], depth: int) -> List[object]:
+    """A collection's elements, each run of same-directory records as one
+    ``rows`` block."""
+    encoded: List[object] = []
+    blocks: List[List[object]] = []
+    directory = None
+    for element in elements:
+        if type(element) is Record:
+            if element.directory is not directory:
+                _check_depth(depth)
+                directory = element.directory
+                rows: List[object] = []
+                blocks.append(rows)
+                encoded.append({"%": "rows", "labels": list(directory.labels),
+                                "v": rows})
+            rows.append(element.values)
+        else:
+            directory = None
+            encoded.append(_encode(element, depth))
+    for rows in blocks:
+        # One pass over the whole block settles whether any field needs
+        # encoding; a flat relational run never enters the per-field loop.
+        if _PLAIN.issuperset(map(type, chain.from_iterable(rows))):
+            rows[:] = map(list, rows)
+        else:
+            rows[:] = [[field if type(field) in _PLAIN
+                        else _encode(field, depth + 1) for field in values]
+                       for values in rows]
+    return encoded
 
 
 def encode_warnings(statistics: object) -> List[Dict[str, object]]:
@@ -71,22 +152,31 @@ def encode_warnings(statistics: object) -> List[Dict[str, object]]:
 
 def decode_value(payload: object) -> object:
     """Rebuild a CPL value from its wire encoding."""
+    return _decode(payload, 0)
+
+
+def _decode(payload: object, depth: int) -> object:
+    if payload is None or isinstance(payload, (bool, int, float, str)):
+        return payload
     if isinstance(payload, dict):
+        _check_depth(depth)
         tag = payload.get("%")
         if tag == "record":
             fields = payload.get("v")
             if not isinstance(fields, dict):
                 raise WireProtocolError("malformed record payload")
-            return Record({label: decode_value(field)
+            return Record({label: _decode(field, depth + 1)
                            for label, field in fields.items()})
-        if tag in _COLLECTION_TYPES:
+        if isinstance(tag, str) and tag in _COLLECTION_TYPES:
             elements = payload.get("v")
             if not isinstance(elements, list):
                 raise WireProtocolError(f"malformed {tag} payload")
-            return _COLLECTION_TYPES[tag](decode_value(element)
-                                          for element in elements)
+            return _COLLECTION_TYPES[tag](_decode_elements(elements, depth + 1))
         if tag == "variant":
-            return Variant(payload.get("tag", ""), decode_value(payload.get("v")))
+            variant_tag = payload.get("tag")
+            if not isinstance(variant_tag, str):
+                raise WireProtocolError("variant tag must be a string")
+            return Variant(variant_tag, _decode(payload.get("v"), depth + 1))
         if tag == "unit":
             return UNIT_VALUE
         if tag == "bytes":
@@ -94,8 +184,47 @@ def decode_value(payload: object) -> object:
             if not isinstance(raw, str):
                 raise WireProtocolError("malformed bytes payload")
             return raw.encode("latin-1")
+        if tag == "rows":
+            raise WireProtocolError(
+                "a rows block is only valid as a collection element")
         raise WireProtocolError(f"unknown wire tag {tag!r}")
-    if payload is None or isinstance(payload, (bool, int, float, str)):
-        return payload
     raise WireProtocolError(
         f"cannot decode {type(payload).__name__} from the wire")
+
+
+def _decode_elements(elements: List[object], depth: int) -> List[object]:
+    decoded: List[object] = []
+    for element in elements:
+        if type(element) is dict and element.get("%") == "rows":
+            decoded += _decode_rows(element, depth)
+        else:
+            decoded.append(_decode(element, depth))
+    return decoded
+
+
+def _decode_rows(block: dict, depth: int) -> List[Record]:
+    """The records of one ``rows`` block, all on one interned directory."""
+    _check_depth(depth)
+    labels, rows = block.get("labels"), block.get("v")
+    if (type(labels) is not list
+            or not all(type(label) is str for label in labels)
+            or len(set(labels)) != len(labels)):
+        raise WireProtocolError(
+            "rows block needs 'labels': a list of distinct strings")
+    if (type(rows) is not list
+            or not {list}.issuperset(map(type, rows))
+            or not {len(labels)}.issuperset(map(len, rows))):
+        raise WireProtocolError(
+            f"rows block needs 'v': a list of {len(labels)}-item lists")
+    directory = RecordDirectory.for_labels(labels)
+    if tuple(labels) != directory.labels:
+        # Labels in the sender's order: one permutation serves every row.
+        in_directory_order = itemgetter(*map(labels.index, directory.labels))
+        rows = list(map(in_directory_order, rows))
+    if _PLAIN.issuperset(map(type, chain.from_iterable(rows))):
+        values = map(tuple, rows)
+    else:
+        values = (tuple(field if type(field) in _PLAIN
+                        else _decode(field, depth + 1) for field in row)
+                  for row in rows)
+    return [Record(_directory=directory, _values=row) for row in values]

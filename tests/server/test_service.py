@@ -26,6 +26,7 @@ from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.session import Session
 from repro.net.framing import encode_frame, recv_message, send_message
 from repro.server import KleisliClient, KleisliServer
+from repro.server.service import MAX_FETCH_BATCH
 from repro.server.wire import decode_value, encode_value
 from repro.views.parameters import ViewParameter
 from repro.views.registry import ViewRegistry
@@ -123,7 +124,7 @@ class TestFraming:
 class TestProtocolBasics:
     def test_hello_reports_protocol_and_ops(self, client):
         reply = client.hello()
-        assert reply["protocol"] == 1
+        assert reply["protocol"] == 2
         assert {"run", "query", "open", "fetch", "close", "bye"} <= set(reply["ops"])
 
     def test_unknown_op_is_a_typed_protocol_error(self, client):
@@ -211,6 +212,52 @@ class TestCursors:
             with pytest.raises(RemoteQueryError) as info:
                 client.request({"op": "fetch", "cursor": cursor, "n": 1})
             assert info.value.error_type == "QueryServiceError"
+
+    def test_a_boolean_batch_size_is_rejected_and_the_cursor_survives(self):
+        server, _ = _cursor_server()
+        with server, KleisliClient(server.address) as client:
+            cursor = client.open('{x | \\x <- Faulty(3)}')
+            for bad in (True, False, 0, -1, 1.5, "2", None):
+                with pytest.raises(RemoteQueryError) as info:
+                    client.request({"op": "fetch", "cursor": cursor,
+                                    "n": bad})
+                assert info.value.error_type == "WireProtocolError"
+            assert client.fetch(cursor, batch=10) == {
+                "ok": True, "values": [0, 1, 2], "done": True,
+                "warnings": []}
+
+    def test_a_batch_is_clamped_to_the_fetch_cap(self):
+        server, _ = _cursor_server()
+        with server, KleisliClient(server.address) as client:
+            cursor = client.open(f'{{x | \\x <- Faulty({MAX_FETCH_BATCH + 5})}}')
+            first = client.fetch(cursor, batch=10**9)
+            assert first["values"] == list(range(MAX_FETCH_BATCH))
+            assert first["done"] is False
+            rest = client.fetch(cursor, batch=10**9)
+            assert rest["values"] == list(range(MAX_FETCH_BATCH,
+                                                MAX_FETCH_BATCH + 5))
+            assert rest["done"] is True
+
+    def test_a_midstream_failure_drops_the_batch_and_closes_the_cursor(self):
+        engine = KleisliEngine()
+        driver = engine.register_driver(FaultInjectingDriver(
+            total=1000, midstream_fail_on={1}, midstream_after=5))
+        with KleisliServer(engine) as server, \
+                KleisliClient(server.address) as client:
+            cursor = client.open('{x | \\x <- Faulty(50)}')
+            assert client.fetch(cursor, batch=2)["values"] == [0, 1]
+            # The next batch would hold 2, 3, 4 and then the fault: none of
+            # it is delivered, the error is, and the cursor is gone.
+            with pytest.raises(RemoteQueryError) as info:
+                client.fetch(cursor, batch=10)
+            assert info.value.error_type == "DriverError"
+            with pytest.raises(RemoteQueryError) as info:
+                client.fetch(cursor, batch=10)
+            assert info.value.error_type == "QueryServiceError"
+            assert driver.open_cursors == 0
+            stats = server.stats.snapshot()
+            assert stats["cursors_opened"] == stats["cursors_closed"] == 1
+            assert client.query('1 + 1') == 2
 
     def test_abandoning_the_client_generator_closes_the_cursor(self):
         server, driver = _cursor_server()

@@ -1,0 +1,360 @@
+"""The value codec's ``rows`` block and its limits.
+
+Three contracts:
+
+* **Round trip** — for generated CPL values (records of several directories
+  interleaved with scalars, zero-field records, nested collections, variants
+  and ``bytes`` as fields, ``True``/``1``/``1.0``, ``-0.0``, NaN, big ints, a
+  label named ``%``) ``decode_value(encode_value(v))`` is ``v`` with the same
+  field types and element order, directly and through a real frame;
+* **Malformed blocks** — every way a ``rows`` block can be wrong raises
+  :class:`WireProtocolError`, and so does anything nested past the codec's
+  depth limit (never a ``RecursionError``);
+* **Served parity** — a set, a bag and a list cursor fetched at batch sizes
+  1, 7 and 256 deliver exactly ``execute``'s elements, and a cursor with
+  exactly ``n`` rows left reports ``done`` on the next, empty fetch.
+"""
+
+import json
+import socket
+import struct
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.errors import WireProtocolError
+from repro.core.records import RecordDirectory
+from repro.core.values import CBag, CList, CSet, Record, UNIT_VALUE, Variant
+from repro.kleisli.engine import KleisliEngine
+from repro.kleisli.session import Session
+from repro.net.framing import encode_frame, recv_message
+from repro.server import KleisliClient, KleisliServer
+from repro.server.wire import MAX_DEPTH, decode_value, encode_value
+
+
+def exact(value):
+    """A form equal exactly when two CPL values are the same value: scalar
+    types told apart (``True`` is not ``1`` is not ``1.0``), floats by
+    ``repr`` (NaN equals NaN, ``-0.0`` is not ``0.0``), every collection in
+    its iteration order (a set's first-occurrence order included)."""
+    kind = type(value)
+    if kind is Record:
+        return ("record", value.directory.labels,
+                tuple(exact(field) for field in value.values))
+    if kind in (CSet, CBag, CList):
+        return (kind.__name__, tuple(exact(element) for element in value))
+    if kind is Variant:
+        return ("variant", exact(value.tag), exact(value.value))
+    if kind is float:
+        return ("float", repr(value))
+    return (kind.__name__, value)
+
+
+def through_a_frame(encoded):
+    frame = encode_frame({"value": encoded})
+    return json.loads(frame[4:].decode("utf-8"))["value"]
+
+
+# ---------------------------------------------------------------------------
+# round trip
+# ---------------------------------------------------------------------------
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.sampled_from([0, 1, 1.0, 0.0, -0.0, float("nan"), float("inf")]),
+    st.floats(),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.just(UNIT_VALUE),
+)
+
+#: Few label sets, so that neighbouring records often share a directory and
+#: often do not; ``()`` is the zero-field record.
+LABEL_SETS = [(), ("a",), ("a", "b"), ("b", "a", "%"), ("id", "acc", "len")]
+
+
+def records(fields):
+    return st.sampled_from(LABEL_SETS).flatmap(
+        lambda labels: st.tuples(*[fields] * len(labels)).map(
+            lambda values: Record(dict(zip(labels, values)))))
+
+
+def collections(elements):
+    element_lists = st.lists(elements, max_size=8)
+    return st.one_of(element_lists.map(CList), element_lists.map(CBag),
+                     element_lists.map(CSet))
+
+
+values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        records(children),
+        # Mostly records, so runs form, split and resume around scalars.
+        collections(st.one_of(records(children), records(scalars), children)),
+        st.builds(Variant, st.text(max_size=4), children),
+    ),
+    max_leaves=30,
+)
+
+
+@given(value=values)
+@settings(max_examples=300, deadline=None)
+def test_round_trip_is_exact_directly_and_through_a_frame(value):
+    encoded = encode_value(value)
+    for payload in (encoded, through_a_frame(encoded)):
+        decoded = decode_value(payload)
+        assert exact(decoded) == exact(value)
+
+
+@given(rows=st.lists(records(scalars), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_a_run_is_one_block_per_directory_change(rows):
+    elements = encode_value(CList(rows))["v"]
+    runs = []
+    for row in rows:
+        if not runs or runs[-1][0] is not row.directory:
+            runs.append((row.directory, []))
+        runs[-1][1].append(row)
+    assert [(block["%"], tuple(block["labels"]), len(block["v"]))
+            for block in elements] == \
+        [("rows", directory.labels, len(run)) for directory, run in runs]
+
+
+def test_flat_fields_travel_as_themselves_and_others_encoded():
+    rows = CList([Record({"id": 1, "ok": True, "gc": 0.5, "acc": "W1",
+                          "none": None}),
+                  Record({"id": 2, "ok": False, "gc": -0.0, "acc": "W2",
+                          "none": None})])
+    block, = encode_value(rows)["v"]
+    assert block == {"%": "rows",
+                     "labels": ["acc", "gc", "id", "none", "ok"],
+                     "v": [["W1", 0.5, 1, None, True],
+                           ["W2", -0.0, 2, None, False]]}
+    nested = CList([Record({"k": CSet([1]), "raw": b"\xff", "id": 7})])
+    block, = encode_value(nested)["v"]
+    assert block["v"] == [[7, {"%": "set", "v": [1]},
+                           {"%": "bytes", "v": "\xff"}]]
+    assert exact(decode_value(encode_value(nested))) == exact(nested)
+
+
+def test_a_lone_record_still_travels_as_a_record():
+    record = Record({"a": 1, "inner": Record({"b": 2})})
+    assert encode_value(record) == {
+        "%": "record",
+        "v": {"a": 1, "inner": {"%": "record", "v": {"b": 2}}}}
+    assert encode_value(Variant("t", Record({"a": 1})))["v"]["%"] == "record"
+
+
+def test_decoded_rows_of_a_block_share_the_interned_directory():
+    rows = decode_value(encode_value(
+        CList([Record({"a": i, "b": str(i)}) for i in range(5)])))
+    directory = RecordDirectory.for_labels(("a", "b"))
+    assert all(row.directory is directory for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# malformed blocks, depth, variant tags
+# ---------------------------------------------------------------------------
+
+def block(labels, rows):
+    return {"%": "list", "v": [{"%": "rows", "labels": labels, "v": rows}]}
+
+
+MALFORMED = {
+    "labels not a list": block("ab", [[1, 2]]),
+    "labels missing": {"%": "list", "v": [{"%": "rows", "v": []}]},
+    "labels an object": block({"a": 0}, [[1]]),
+    "duplicate labels": block(["a", "a"], [[1, 2]]),
+    "non-string label": block(["a", 1], [[1, 2]]),
+    "unhashable label": block(["a", []], [[1, 2]]),
+    "rows not a list": block(["a"], {"0": [1]}),
+    "rows missing": {"%": "list", "v": [{"%": "rows", "labels": ["a"]}]},
+    "short row": block(["a", "b"], [[1, 2], [1]]),
+    "long row": block(["a", "b"], [[1, 2, 3]]),
+    "row an object": block(["a"], [{"a": 1}]),
+    "row a string of the right width": block(["a", "b"], ["xy"]),
+    "row a number": block(["a"], [1]),
+    "bare list as a field": block(["a"], [[[1, 2]]]),
+    "unknown tag in a field": block(["a"], [[{"%": "frobnicate"}]]),
+    "block outside a collection": {"%": "rows", "labels": ["a"], "v": [[1]]},
+    "block as a record field": {"%": "record", "v": {
+        "f": {"%": "rows", "labels": ["a"], "v": [[1]]}}},
+    "block as a variant payload": {"%": "variant", "tag": "t", "v": {
+        "%": "rows", "labels": ["a"], "v": [[1]]}},
+    "unhashable tag": {"%": ["list"], "v": []},
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_block_is_a_typed_error(payload):
+    with pytest.raises(WireProtocolError):
+        decode_value(payload)
+
+
+def test_unsorted_labels_are_accepted_and_permuted():
+    decoded = decode_value(block(["b", "c", "a"], [[1, 2, 3], [4, 5, 6]]))
+    assert exact(decoded) == exact(CList([Record({"a": 3, "b": 1, "c": 2}),
+                                          Record({"a": 6, "b": 4, "c": 5})]))
+    nested = decode_value(block(["z", "a"], [[{"%": "set", "v": [1]}, True]]))
+    assert exact(nested) == exact(CList([Record({"a": True,
+                                                 "z": CSet([1])})]))
+
+
+def test_zero_row_one_row_and_zero_field_blocks_decode():
+    assert decode_value(block(["a"], [])) == CList()
+    assert exact(decode_value(block(["a"], [[1.0]]))) == \
+        exact(CList([Record({"a": 1.0})]))
+    assert decode_value(block([], [[], []])) == CList([Record(), Record()])
+
+
+def nest(levels, innermost, wrap):
+    value = innermost
+    for _ in range(levels):
+        value = wrap(value)
+    return value
+
+
+class TestDepthLimit:
+    def test_encoding_5000_nested_lists_is_a_typed_error(self):
+        with pytest.raises(WireProtocolError, match="nests"):
+            encode_value(nest(5000, CList(), lambda inner: CList([inner])))
+
+    def test_decoding_5000_nested_lists_is_a_typed_error(self):
+        payload = nest(5000, {"%": "list", "v": []},
+                       lambda inner: {"%": "list", "v": [inner]})
+        with pytest.raises(WireProtocolError, match="nests"):
+            decode_value(payload)
+
+    @pytest.mark.parametrize("wrap, levels", [
+        (lambda inner: CList([inner]), 1),
+        (lambda inner: Record({"f": inner}), 1),
+        (lambda inner: Variant("t", inner), 1),
+        # A list, then the block its record travels in.
+        (lambda inner: CList([Record({"f": inner, "n": 1})]), 2),
+    ], ids=["list", "record", "variant", "rows-block"])
+    def test_exactly_the_limit_round_trips_one_more_is_refused(self, wrap,
+                                                               levels):
+        fits = nest(MAX_DEPTH // levels, 1, wrap)
+        decoded = decode_value(through_a_frame(encode_value(fits)))
+        assert exact(decoded) == exact(fits)
+        with pytest.raises(WireProtocolError, match="nests"):
+            encode_value(nest(MAX_DEPTH // levels + 1, 1, wrap))
+
+    def test_the_decoder_counts_a_block_as_a_level(self):
+        def lists_around(levels, innermost):
+            return nest(levels, innermost,
+                        lambda inner: {"%": "list", "v": [inner]})
+        rows = {"%": "rows", "labels": ["a"], "v": [[1]]}
+        assert decode_value(lists_around(MAX_DEPTH, 1)) is not None
+        assert decode_value(lists_around(MAX_DEPTH - 1, rows)) is not None
+        for payload in (lists_around(MAX_DEPTH + 1, 1),
+                        lists_around(MAX_DEPTH, rows)):
+            with pytest.raises(WireProtocolError, match="nests"):
+                decode_value(payload)
+
+    def test_a_frame_nested_200000_deep_is_a_typed_error(self):
+        payload = b'{"v":' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+        left, right = socket.socketpair()
+        # 400 kB outgrow the socket buffer: send while the test receives.
+        sender = threading.Thread(
+            target=left.sendall,
+            args=(struct.pack(">I", len(payload)) + payload,), daemon=True)
+        sender.start()
+        try:
+            with pytest.raises(WireProtocolError, match="undecodable"):
+                recv_message(right)
+        finally:
+            sender.join(timeout=5.0)
+            left.close()
+            right.close()
+        assert not sender.is_alive()
+
+
+def test_a_variant_tag_must_be_a_string():
+    for tag in (123, None, ["t"], True):
+        with pytest.raises(WireProtocolError, match="variant tag"):
+            decode_value({"%": "variant", "tag": tag, "v": 1})
+    with pytest.raises(WireProtocolError, match="variant tag"):
+        decode_value({"%": "variant", "v": 1})
+
+
+# ---------------------------------------------------------------------------
+# served vs execute
+# ---------------------------------------------------------------------------
+
+#: 14 rows: two shapes (a nested set and a variant among the fields of the
+#: second), so a batch holds more than one block; 14 = 2 x 7 leaves "exactly
+#: n rows left" for the batch size 7.
+TABLE = ([{"id": i, "acc": f"W{i}", "gc": i / 8, "ok": i % 2 == 0}
+          for i in range(9)]
+         + [{"id": i, "tags": {f"t{i}", "x"}, "raw": b"\x00\xff"}
+            for i in range(9, 14)])
+
+CURSOR_QUERIES = {
+    "set": r"{r | \r <- T}",
+    "bag": r"{| r | \r <- T |}",
+    "list": r"[| r | \r <- T |]",
+}
+
+
+def _bind_table(session):
+    session.bind("T", TABLE, list_as="list")
+    session.bind("V", Variant("hit", Record({"id": 1})))
+
+
+@pytest.fixture(scope="module")
+def table_server():
+    with KleisliServer(session_setup=_bind_table) as server:
+        yield server
+
+
+@pytest.fixture(scope="module")
+def reference():
+    session = Session(engine=KleisliEngine())
+    _bind_table(session)
+    return session
+
+
+@pytest.mark.parametrize("kind", CURSOR_QUERIES)
+@pytest.mark.parametrize("batch", [1, 7, 256])
+def test_a_served_cursor_is_bit_identical_to_execute(table_server, reference,
+                                                     kind, batch):
+    query = CURSOR_QUERIES[kind]
+    expected = reference.query(query).value
+    assert len(expected) == len(TABLE)
+    with KleisliClient(table_server.address) as client:
+        cursor = client.open(query)
+        fetched, replies = [], []
+        while True:
+            reply = client.fetch(cursor, batch)
+            assert type(reply["values"]) is list
+            fetched.extend(reply["values"])
+            replies.append((len(reply["values"]), reply["done"]))
+            if reply["done"]:
+                break
+        assert exact(CList(fetched)) == exact(CList(expected))
+        full, rest = divmod(len(TABLE), batch)
+        # A cursor with exactly ``batch`` rows left is not done yet: ``done``
+        # arrives with the next fetch, which is empty (rest == 0).
+        assert replies == [(batch, False)] * full + [(rest, True)]
+        assert exact(list(client.stream(query, batch=batch))) == \
+            exact(list(expected))
+        served = client.query(query)
+        assert exact(served) == exact(expected)
+
+
+def test_query_replies_take_the_same_path(table_server, reference):
+    with KleisliClient(table_server.address) as client:
+        for query in (r"{[id = r.id, n = r.id + 1] | \r <- T, r.id < 9}",
+                      "V", "[a = 1, b = {[c = 2], [c = 3]}]"):
+            assert exact(client.query(query)) == \
+                exact(reference.query(query).value)
+        reply = client.request({
+            "op": "query",
+            "source": r"[| [id = r.id] | \r <- T, r.id < 3 |]"})
+        assert reply["value"] == {"%": "list", "v": [
+            {"%": "rows", "labels": ["id"], "v": [[0], [1], [2]]}]}
