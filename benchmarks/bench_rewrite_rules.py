@@ -6,9 +6,9 @@ columns in intermediate data.  The benchmark measures evaluation time and the
 evaluator's intermediate-data statistics for each query with the optimization
 on and off, over Publication sets of increasing size.
 
-Ablation: each case uses ``monadic_rule_set(include_*=False)`` as the baseline,
-so the effect of every individual rule is isolated (the ``--no-nrc`` design
-question from DESIGN.md: fusion is applied on NRC, the baseline skips it).
+Ablation: each case's baseline is the term as desugared, before the rule set
+runs (the ``--no-nrc`` design question from DESIGN.md: fusion is applied on
+NRC, the baseline skips it).
 """
 
 import time

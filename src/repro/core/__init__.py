@@ -19,13 +19,13 @@ from .errors import (
     EvaluationError,
     DriverError,
 )
-from .records import Record, RecordDirectory, ProjectionCursor
+from .records import Record, RecordDirectory
 from .values import CSet, CBag, CList, Variant, Ref, Unit, UNIT_VALUE, from_python, to_python
 
 __all__ = [
     "types",
     "ReproError", "CPLSyntaxError", "CPLTypeError", "EvaluationError", "DriverError",
-    "Record", "RecordDirectory", "ProjectionCursor",
+    "Record", "RecordDirectory",
     "CSet", "CBag", "CList", "Variant", "Ref", "Unit", "UNIT_VALUE",
     "from_python", "to_python",
 ]

@@ -9,9 +9,7 @@ principal types instead of errors.
 
 The checker works on the surface AST (before desugaring), because that is
 where patterns and comprehensions — the constructs whose typing rules are
-interesting — still exist.  The optimizer also consults inferred types, e.g.
-the homogeneous-projection fast path only applies when the collection's
-element type is a record type.
+interesting — still exist.
 """
 
 from __future__ import annotations

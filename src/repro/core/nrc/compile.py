@@ -158,6 +158,18 @@ streaming rules above:
   keep falling through to eager sections (``stream_fallbacks``), exactly as
   in the per-element backend.
 
+* **Record heads** — a fused stage whose body is a record constructor
+  (``[acc = a.acc, len = a.len + 1]``) runs as the ``vrows`` op, Section 4's
+  homogeneous projection (:func:`_record_plan`): per chunk, one C-level pass
+  finds the rows' directory, whose projected slots are resolved once per
+  activation, and the fields fill column-wise into value tuples on the
+  head's static directory.  A set-kind stage or union chain whose operands
+  all end in a head on one directory keys its seen-set on those tuples and
+  builds a ``Record`` for first occurrences only (any other operand mix
+  keeps the ``Record``-keyed set).  *Fallback*: a chunk that is not all
+  records of one directory carrying every projected label takes the
+  per-item form — values, typed errors and ``ext_iterations`` unchanged.
+
 An ``Ext`` whose body is a ``Scan`` depending on the loop variable
 additionally batches its driver fetches: one
 ``EvalContext.driver_executor_batch`` call (``Driver.execute_batch``) per
@@ -341,11 +353,13 @@ the pre-observability code paths (differential-pinned by the test suite).
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 import time
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 from ..errors import EvaluationError, UnboundVariableError
-from ..records import Record, RecordDirectory
+from ..records import Record, RecordDirectory, distinct_records
 from ..values import (
     CBag,
     CList,
@@ -2341,16 +2355,23 @@ def _dedup_set_chunks(chunk_fn: _ChunkFn) -> _ChunkFn:
     chain operands under one shared seen-filter.
     """
 
+    # A stage with a row form (value tuples of record heads on one static
+    # directory) dedups before construct: only survivors become Records.
+    directory, source_fn = getattr(chunk_fn, "rows", (None, chunk_fn))
+
     def chunks(frame, context):
         seen = _make_seen_set(context)
         add = seen.add
-        for chunk in chunk_fn(frame, context):
-            out = []
-            append = out.append
-            for element in chunk:
-                if element not in seen:
-                    add(element)
-                    append(element)
+        for chunk in source_fn(frame, context):
+            if directory is not None:
+                out = distinct_records(directory, chunk, seen)
+            else:
+                out = []
+                append = out.append
+                for element in chunk:
+                    if element not in seen:
+                        add(element)
+                        append(element)
             if out:
                 yield out
 
@@ -2372,11 +2393,18 @@ def _chunk_union(expr: A.Union, scope, state):
         left_fn = getattr(left_fn, "undeduped", left_fn)
         right_fn = getattr(right_fn, "undeduped", right_fn)
 
-    def chunks(frame, context):
+    def chunks(frame, context, left_fn=left_fn, right_fn=right_fn):
         yield from left_fn(frame, context)
         yield from right_fn(frame, context)
 
     if kind == "set":
+        left_rows = getattr(left_fn, "rows", None)
+        right_rows = getattr(right_fn, "rows", None)
+        if left_rows and right_rows and left_rows[0] is right_rows[0]:
+            # Every operand ends in a record head on one directory: the
+            # chain has a row form too, and the seen-set keys on its tuples.
+            chunks.rows = (left_rows[0], functools.partial(
+                chunks, left_fn=left_rows[1], right_fn=right_rows[1]))
         return _dedup_set_chunks(chunks)
     return chunks
 
@@ -2654,7 +2682,94 @@ def _item_plan(expr: A.Expr, scope: _Scope, state: _CompileState,
             return project
 
         return ("call", build_project)
+    if node_type is A.RecordExpr:
+        return _record_plan(expr, scope, state, slot)
     return None
+
+
+_ROW_DIRECTORY = operator.attrgetter("directory")
+_ROW_VALUES = operator.attrgetter("values")
+
+
+def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
+                 slot: int) -> Optional[tuple]:
+    """The item-plan of a record head: ``("record", build, head_ops)``.
+
+    ``build`` realizes the per-item form like any ``"call"`` plan.  A stage
+    whose whole body is the head ends in ``head_ops`` instead (see "Record
+    heads" in the module docstring): ``vrows`` realizes ``rows(chunk)``, the
+    chunk's value tuples on the head's directory, and ``records`` builds on
+    them.  Fields projecting the loop variable are gathered by one
+    ``itemgetter`` per source slot; the others run their item-plan beside
+    them; a chunk the gather cannot take — and the typed error at its
+    offending row — goes to the per-item form.
+    """
+    directory = RecordDirectory.for_labels(expr.fields)
+    fields: List[Tuple[int, tuple]] = []  # (output slot, item-plan), in source order
+    gathered: Dict[int, str] = {}  # output slot -> label projected off the loop variable
+    for label, value in expr.fields.items():
+        plan = _item_plan(value, scope, state, slot)
+        if plan is None:
+            return None
+        fields.append((directory.slots[label], plan))
+        if type(value) is A.Project and _item_plan(value.expr, scope, state, slot) == ("item",):
+            gathered[directory.slots[label]] = value.label
+    width = len(directory)
+
+    def build(frame, context):
+        slot_fns = [(out, _realize(plan, frame, context)) for out, plan in fields]
+
+        def record(item):
+            values = [None] * width
+            for out, fn in slot_fns:
+                values[out] = fn(item)
+            return Record(None, directory, tuple(values))
+
+        return record
+
+    computed = [(out, plan) for out, plan in fields if out not in gathered]
+    if computed != sorted(computed, key=operator.itemgetter(0)):
+        # Columns fill in slot order; computed fields in another source order
+        # could report another of two errors than the per-item form does.
+        return ("call", build)
+
+    def slot_getters(source) -> Optional[dict]:
+        if type(source) is not RecordDirectory or any(
+                label not in source.slots for label in gathered.values()):
+            return None
+        return {out: operator.itemgetter(source.slots[label])
+                for out, label in gathered.items()}
+
+    def build_rows(frame, context):
+        record = build(frame, context)
+        columns = {out: _realize(plan, frame, context) for out, plan in computed}
+        getters: Dict[object, Optional[dict]] = {}  # by source directory
+
+        def rows(chunk):
+            getter = values = None
+            if gathered:
+                try:
+                    shapes = set(map(_ROW_DIRECTORY, chunk))
+                except AttributeError:  # a row that is not a record
+                    shapes = ()
+                if len(shapes) == 1:
+                    source, = shapes
+                    if source not in getters:
+                        getters[source] = slot_getters(source)
+                    getter = getters[source]
+                if getter is None:
+                    return [record(item).values for item in chunk]
+                values = list(map(_ROW_VALUES, chunk))
+            if not width:
+                return [()] * len(chunk)
+            return list(zip(*[map(getter[out], values) if out in gathered
+                              else map(columns[out], chunk)
+                              for out in range(width)]))
+
+        return rows
+
+    return ("record", build, (("vrows", build_rows), (
+        "records", directory, functools.partial(Record, None, directory))))
 
 
 def _realize(plan: tuple, frame: list, context: EvalContext):
@@ -2666,8 +2781,6 @@ def _realize(plan: tuple, frame: list, context: EvalContext):
         value = plan[1]
         return lambda item: value
     return plan[1](frame, context)
-
-
 
 
 @register_chunk_compiler(A.Ext)
@@ -2684,7 +2797,7 @@ def _chunk_ext(expr: A.Ext, scope, state):
     deduping through a seen-set that persists across chunks.
     """
     slot = len(scope)
-    stages = []  # outermost-first: (op, dedup_after)
+    stages = []  # outermost-first: each stage's ops, in order
     node = expr
     top = True
     while type(node) is A.Ext:  # exact type: ParallelExt has its own lowering
@@ -2694,11 +2807,13 @@ def _chunk_ext(expr: A.Ext, scope, state):
             plan = _item_plan(body.expr, body_scope, state, slot)
             if plan == ("item",):
                 # Identity map: no transformation, only loop accounting.
-                op = ("count",)
-            elif plan is not None:
-                op = ("vmap", plan)
+                stage = [("count",)]
+            elif plan is None:
+                stage = [("map", _compile(body.expr, body_scope, state))]
+            elif plan[0] == "record":
+                stage = [("count",), *plan[2]]
             else:
-                op = ("map", _compile(body.expr, body_scope, state))
+                stage = [("vmap", plan)]
         else:
             filter_shape = _filter_shape(body)
             if filter_shape is None:
@@ -2706,14 +2821,18 @@ def _chunk_ext(expr: A.Ext, scope, state):
             emit_when, value_expr = filter_shape
             cond_plan = _item_plan(body.cond, body_scope, state, slot)
             value_plan = _item_plan(value_expr, body_scope, state, slot)
-            if cond_plan is not None and value_plan is not None:
-                op = ("vfilter", cond_plan, value_plan, emit_when)
+            if cond_plan is None or value_plan is None:
+                stage = [("filter", _compile(body.cond, body_scope, state),
+                          _compile(value_expr, body_scope, state), emit_when)]
+            elif value_plan[0] == "record":
+                stage = [("vfilter", cond_plan, ("item",), emit_when), *value_plan[2]]
             else:
-                op = ("filter", _compile(body.cond, body_scope, state),
-                      _compile(value_expr, body_scope, state), emit_when)
+                stage = [("vfilter", cond_plan, value_plan, emit_when)]
         # The top stage's set dedup is the wrapper below; an absorbed inner
         # stage's dedup becomes an op between it and the enclosing stage.
-        stages.append((op, node.kind == "set" and not top))
+        if node.kind == "set" and not top:
+            stage.append(("dedup",))
+        stages.append(stage)
         top = False
         node = node.source
 
@@ -2723,14 +2842,9 @@ def _chunk_ext(expr: A.Ext, scope, state):
         return _chunk_ext_generic(expr, scope, state)
 
     source_fn = _compile_chunk(node, scope, state)
-    op_list: List[tuple] = []
-    for op, dedup_after in reversed(stages):  # innermost first
-        op_list.append(op)
-        if dedup_after:
-            op_list.append(("dedup",))
-    ops = tuple(op_list)
+    ops = tuple(op for stage in reversed(stages) for op in stage)  # innermost first
 
-    def chunks(frame, context):
+    def chunks(frame, context, ops=ops):
         stats = context.statistics
         loop_frame = _extended(frame, None)
         require_bool = _require_bool  # closure-local for the hot comprehensions
@@ -2742,6 +2856,8 @@ def _chunk_ext(expr: A.Ext, scope, state):
             tag = op[0]
             if tag == "vmap":
                 realized.append((tag, _realize(op[1], frame, context)))
+            elif tag == "vrows":
+                realized.append((tag, op[1](frame, context)))
             elif tag == "vfilter":
                 realized.append((tag, _realize(op[1], frame, context),
                                  _realize(op[2], frame, context), op[3]))
@@ -2766,6 +2882,10 @@ def _chunk_ext(expr: A.Ext, scope, state):
                                if require_bool(cond_fn(item)) is emit_when]
                 elif tag == "count":
                     stats.ext_iterations += len(out)
+                elif tag == "vrows":  # a head's value tuples, chunk-wise
+                    out = op[1](out)
+                elif tag == "records":
+                    out = list(map(op[2], out))
                 elif tag == "map":
                     value_fn = op[1]
                     stats.ext_iterations += len(out)
@@ -2801,6 +2921,9 @@ def _chunk_ext(expr: A.Ext, scope, state):
                 yield out
 
     if expr.kind == "set":
+        if ops[-1][0] == "records":
+            # The row form stops short of building records: the dedup does it.
+            chunks.rows = (ops[-1][1], functools.partial(chunks, ops=ops[:-1]))
         return _dedup_set_chunks(chunks)
     return chunks
 

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import EvaluationError, UnboundVariableError
-from ..records import ProjectionCursor, Record
+from ..records import Record
 from ..values import (
     CBag,
     CList,

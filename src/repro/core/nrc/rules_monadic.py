@@ -36,6 +36,15 @@ them is what keeps R1 closed under composition:
   Without it a view such as ``Loci22`` normalises differently when it is used
   inside another comprehension than when it is run on its own, and every
   later rule set that recognises the flat generator/filter/head block misses.
+
+* **literal union**: CPL has no infix union; a query flattens a literal of
+  collections, ``{x | \\s <- {A, B, C}, \\x <- s}``.  Distributing the loop over
+  exactly that source shape (``ext-union-source``), the left unit and the
+  right unit ``U{{x} | \\x <- s}  -->  s`` normalise it to ``A U (B U C)``,
+  which streams under one seen-set instead of materialising three operands.
+
+:data:`MONADIC_RULES` is the one rule order; :func:`monadic_rule_set` builds
+from it.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from typing import Optional
 
 from . import ast as A
 from .rewrite import Rule, RuleSet
+from .structural import proven_collection_kind
 
 __all__ = [
     "rule_vertical_fusion",
@@ -58,6 +68,7 @@ __all__ = [
     "rule_ext_empty_body",
     "rule_ext_filtered_source",
     "rule_ext_singleton_source",
+    "rule_ext_singleton_body",
     "rule_ext_union_source",
     "rule_dead_branch_union",
     "rule_fold_empty_source",
@@ -334,11 +345,49 @@ rule_ext_singleton_source = Rule(
 )
 
 
+def _ext_singleton_body(expr: A.Expr) -> Optional[A.Expr]:
+    if not isinstance(expr, A.Ext):
+        return None
+    body = expr.body
+    if not (isinstance(body, A.Singleton) and body.kind == expr.kind
+            and isinstance(body.expr, A.Var) and body.expr.name == expr.var):
+        return None
+    # The right unit law: U{ {x} | \x <- s } --> s.  Looping over a source of
+    # another kind converts it, so s must be proven to be of the loop's kind.
+    if proven_collection_kind(expr.source) != expr.kind:
+        return None
+    return expr.source
+
+
+rule_ext_singleton_body = Rule(
+    "ext-singleton-body",
+    _ext_singleton_body,
+    "monad right-unit law: a loop that rebuilds its source is its source",
+)
+
+
+def _is_literal_of_collections(source: A.Expr) -> bool:
+    """``{A, B, ...}`` as desugared: a union of empties and of singletons
+    whose element is itself a proven collection."""
+    if isinstance(source, A.Union):
+        return (_is_literal_of_collections(source.left)
+                and _is_literal_of_collections(source.right))
+    if isinstance(source, A.Singleton):
+        return proven_collection_kind(source.expr) is not None
+    return isinstance(source, A.Empty)
+
+
 def _ext_union_source(expr: A.Expr) -> Optional[A.Expr]:
     if not isinstance(expr, A.Ext):
         return None
     source = expr.source
-    if not isinstance(source, A.Union) or source.kind != expr.kind:
+    if not isinstance(source, A.Union) or proven_collection_kind(source) != expr.kind:
+        return None
+    # Only a literal of collections: each copy of the body then meets a
+    # singleton and reduces by the left unit, so nothing is duplicated at run
+    # time.  A loop over literal scalars keeps its one (batched, parallel)
+    # loop, and a body is never copied over a general union.
+    if not _is_literal_of_collections(source):
         return None
     left = A.Ext(expr.var, expr.body, source.left, expr.kind)
     right = A.Ext(expr.var, expr.body, source.right, expr.kind)
@@ -348,7 +397,7 @@ def _ext_union_source(expr: A.Expr) -> Optional[A.Expr]:
 rule_ext_union_source = Rule(
     "ext-union-source",
     _ext_union_source,
-    "distribute a loop over a union of sources",
+    "distribute a loop over a literal union of collections",
 )
 
 
@@ -400,6 +449,7 @@ rule_fold_singleton_source = Rule(
 )
 
 
+#: The rule order of the monadic normaliser — the only copy.
 MONADIC_RULES = (
     rule_beta_reduction,
     rule_let_inline,
@@ -410,6 +460,8 @@ MONADIC_RULES = (
     rule_ext_empty_body,
     rule_ext_filtered_source,
     rule_ext_singleton_source,
+    rule_ext_singleton_body,
+    rule_ext_union_source,
     rule_dead_branch_union,
     rule_fold_empty_source,
     rule_fold_singleton_source,
@@ -419,26 +471,7 @@ MONADIC_RULES = (
 )
 
 
-def monadic_rule_set(include_horizontal: bool = True,
-                     include_vertical: bool = True,
-                     include_filter_promotion: bool = True,
-                     include_projection_reduction: bool = True,
-                     max_iterations: int = 25) -> RuleSet:
-    """Build the standard monadic rule set.
-
-    The ``include_*`` switches exist for the ablation benchmarks: they let a
-    benchmark measure the effect of turning an individual optimization off.
-    """
-    rules = [rule_beta_reduction, rule_let_inline, rule_case_of_variant,
-             rule_if_constant, rule_ext_empty_source, rule_ext_empty_body,
-             rule_ext_filtered_source, rule_ext_singleton_source, rule_dead_branch_union,
-             rule_fold_empty_source, rule_fold_singleton_source]
-    if include_projection_reduction:
-        rules.insert(3, rule_projection_reduction)
-    if include_vertical:
-        rules.append(rule_vertical_fusion)
-    if include_filter_promotion:
-        rules.append(rule_filter_promotion)
-    if include_horizontal:
-        rules.append(rule_horizontal_fusion)
-    return RuleSet("monadic", rules, direction="bottom-up", max_iterations=max_iterations)
+def monadic_rule_set(max_iterations: int = 25) -> RuleSet:
+    """Build the standard monadic rule set from :data:`MONADIC_RULES`."""
+    return RuleSet("monadic", MONADIC_RULES, direction="bottom-up",
+                   max_iterations=max_iterations)

@@ -26,7 +26,6 @@ from .pushdown_path import make_path_pushdown_rule_set
 from .joins import make_join_rule_set
 from .caching import make_caching_rule_set
 from .parallel import ParallelExt, make_parallel_rule_set
-from .projections import count_projection_sites, homogeneous_projection
 
 __all__ = [
     "OptimizerPipeline", "OptimizerConfig",
@@ -34,5 +33,4 @@ __all__ = [
     "make_sql_pushdown_rule_set", "make_path_pushdown_rule_set",
     "make_join_rule_set", "make_caching_rule_set",
     "ParallelExt", "make_parallel_rule_set",
-    "count_projection_sites", "homogeneous_projection",
 ]

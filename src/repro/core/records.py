@@ -11,9 +11,19 @@ solution, due to Remy, represents a record as a pair of
 All records with the same field set share one directory, so a projection is a
 directory lookup (to get the slot) followed by an array index.  When a
 collection is *homogeneous* (all records share a directory — always true of
-data coming from a relational source) the directory lookup can be done once
-for the whole collection and the slot reused; the paper reports a greater than
-two-fold speed-up from this fast path.
+data coming from a relational source) "we can compute the offset only for the
+first record and this offset can be reused for the remaining records"; the
+paper reports a greater than two-fold speed-up.  The system settles a run of
+same-shape rows once at each of three boundaries:
+
+* **bind** — ``core.values.lift_elements`` resolves the directory once per run
+  of rows entering through ``Session.bind`` and the relational and Entrez
+  drivers;
+* **engine head** — the chunk lowering (``core.nrc.compile._record_plan``)
+  resolves a record head's source slots once per source directory and dedups a
+  set of heads on their value tuples (:func:`distinct_records`) before any
+  ``Record`` exists;
+* **wire** — ``server.wire`` ships a run's labels once, as a ``rows`` block.
 
 This module provides:
 
@@ -24,28 +34,22 @@ This module provides:
 ``Record``
     The immutable record value used throughout the evaluator.
 
-``ProjectionCursor``
-    The homogeneity fast path: resolves a field to a slot against the first
-    record it sees and reuses the slot while the directory stays the same.
-
-``plain_project`` / ``cursor_project``
-    The two projection strategies benchmarked in experiment E1.
+``distinct_records``
+    Dedup-before-construct for records on one known directory.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import EvaluationError
 
 __all__ = [
     "RecordDirectory",
     "Record",
-    "ProjectionCursor",
-    "plain_project",
-    "cursor_project",
     "directory_for",
+    "distinct_records",
 ]
 
 
@@ -134,15 +138,11 @@ class Record:
 
     @classmethod
     def from_directory(cls, directory: RecordDirectory, values: Sequence[object]) -> "Record":
-        """Build a record directly on an existing directory (fast path for drivers).
+        """Build a record on an existing directory, checking the width.
 
-        The two boundaries where rows enter and leave the system resolve
-        the directory once per run of same-shape rows and build each record
-        on it through the constructor's ``_directory``/``_values`` form,
-        the width being settled for the whole run:
-        ``core.values.lift_elements`` on the way in (``Session.bind``, the
-        relational and Entrez drivers) and the ``rows`` block decoder of
-        ``server.wire`` on the way out.
+        The three shape-once boundaries (module docstring) settle the width
+        for a whole run and use the constructor's ``_directory``/``_values``
+        form directly.
         """
         values = tuple(values)
         if len(values) != len(directory):
@@ -217,45 +217,20 @@ class Record:
         return f"[{inner}]"
 
 
-class ProjectionCursor:
-    """The homogeneity fast path for record projection.
+def distinct_records(directory: RecordDirectory, rows: Iterable[Tuple[object, ...]],
+                     seen) -> List[Record]:
+    """The records of ``rows`` (value tuples on ``directory``) new to ``seen``.
 
-    A cursor is created per (mapped collection, field) pair.  The first record
-    it sees pays the directory lookup; subsequent records that share the same
-    directory reuse the cached slot and skip the lookup entirely.  If a record
-    with a *different* directory shows up (a heterogeneous collection), the
-    cursor transparently falls back to the plain lookup, so correctness never
-    depends on the homogeneity hint.
+    The seen-set key of a record on a known directory is its value tuple:
+    ``Record.__eq__`` on one directory *is* ``values == values``, so the key
+    groups exactly what a set of the records would, hashed and compared in C,
+    and a ``Record`` is built for first occurrences only.  ``seen`` is any of
+    the ``in``/``add`` seen-sets and must hold keys of this one directory.
     """
-
-    __slots__ = ("label", "_directory", "_slot", "hits", "misses")
-
-    def __init__(self, label: str):
-        self.label = label
-        self._directory: Optional[RecordDirectory] = None
-        self._slot: Optional[int] = None
-        self.hits = 0
-        self.misses = 0
-
-    def project(self, record: Record) -> object:
-        directory = record.directory
-        if directory is self._directory:
-            self.hits += 1
-            return record.values[self._slot]
-        self.misses += 1
-        self._directory = directory
-        self._slot = directory.slot_of(self.label)
-        return record.values[self._slot]
-
-    __call__ = project
-
-
-def plain_project(records: Iterable[Record], label: str) -> List[object]:
-    """Project ``label`` from every record using plain Remy projection."""
-    return [record.values[record.directory.slot_of(label)] for record in records]
-
-
-def cursor_project(records: Iterable[Record], label: str) -> List[object]:
-    """Project ``label`` using the homogeneity-aware cursor (experiment E1)."""
-    cursor = ProjectionCursor(label)
-    return [cursor.project(record) for record in records]
+    out = []
+    add = seen.add
+    for values in rows:
+        if values not in seen:
+            add(values)
+            out.append(Record(None, directory, values))
+    return out

@@ -296,7 +296,8 @@ class KleisliServer:
         self.address = listener.getsockname()
         self._listener = listener
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="kleisli-server-accept", daemon=True)
+            target=self._accept_loop, args=(listener,),
+            name="kleisli-server-accept", daemon=True)
         self._accept_thread.start()
         if self.max_query_runtime is not None:
             self._watchdog_stop.clear()
@@ -383,10 +384,12 @@ class KleisliServer:
 
     # -- accept / serve loops ------------------------------------------------
 
-    def _accept_loop(self) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
+        # Its own reference: stop() clears ``self._listener`` while this
+        # thread may be between accepts; the closed socket then ends it.
         while not self._closing.is_set():
             try:
-                conn, _ = self._listener.accept()
+                conn, _ = listener.accept()
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.bio.chromosome22 import build_chromosome22
 from repro.bio.publications import build_publications
 from repro.core.values import CList, CSet, Record, Variant
 from repro.kleisli.drivers import AceDriver, BlastDriver, EntrezDriver, RelationalDriver
 from repro.kleisli.session import Session
+
+# Tier-1 is green or red by the code, not by what a local ``.hypothesis/``
+# directory has seen: every property suite under tests/ (the wire, ingest and
+# decorrelation round trips among them) draws the same examples on every run
+# and replays nothing.  Known failures are pinned as explicit examples.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,18 @@
-"""Tests for Remy records: directories, projection, and the homogeneity cursor."""
+"""Tests for Remy records: directories, projection, and the homogeneous
+projection as the engine runs it (a record head in the chunk lowering)."""
 
 import pytest
 
 from repro.core.errors import EvaluationError
+from repro.core.nrc import builder as B
 from repro.core.records import (
-    ProjectionCursor,
     Record,
     RecordDirectory,
-    cursor_project,
     directory_for,
-    plain_project,
+    distinct_records,
 )
+from repro.core.values import CList
+from repro.kleisli.engine import KleisliEngine
 
 
 class TestRecordDirectory:
@@ -71,30 +73,59 @@ class TestRecord:
         assert len(records) == 2
 
 
-class TestProjectionCursor:
+def _project(rows, *labels):
+    """``[| [l = r.l, ...] | \\r <- rows |]`` through the chunked lowering."""
+    head = B.record(**{label: B.project(B.var("r"), label) for label in labels})
+    expr = B.ext("r", B.singleton(head, "list"), B.var("T"), kind="list")
+    return list(KleisliEngine().stream(expr, {"T": CList(rows)},
+                                       optimize=False, chunked=True))
+
+
+class TestHomogeneousProjection:
     def _homogeneous(self, count=100):
         return [Record({"locus": f"D22S{i}", "chromosome": "22", "length": i})
                 for i in range(count)]
 
-    def test_cursor_matches_plain_projection(self):
+    def test_head_matches_plain_projection(self):
         records = self._homogeneous()
-        assert cursor_project(records, "locus") == plain_project(records, "locus")
+        projected = _project(records, "locus", "length")
+        assert projected == [Record({"locus": r.project("locus"),
+                                     "length": r.project("length")})
+                             for r in records]
+        assert {id(r.directory) for r in projected} == {
+            id(directory_for(["locus", "length"]))}
 
-    def test_cursor_hits_after_first_record(self):
-        records = self._homogeneous(50)
-        cursor = ProjectionCursor("length")
-        values = [cursor.project(record) for record in records]
-        assert values == list(range(50))
-        assert cursor.misses == 1
-        assert cursor.hits == 49
+    def test_single_field_head_builds_one_slot_records(self):
+        assert _project(self._homogeneous(50), "length") == [
+            Record({"length": i}) for i in range(50)]
 
-    def test_cursor_falls_back_on_heterogeneous_input(self):
+    def test_head_falls_back_on_heterogeneous_input(self):
         mixed = [Record({"a": 1, "b": 2}), Record({"a": 3}), Record({"a": 4, "b": 5})]
-        cursor = ProjectionCursor("a")
-        assert [cursor.project(record) for record in mixed] == [1, 3, 4]
-        assert cursor.misses >= 2  # directory changed along the way
+        assert _project(mixed, "a") == [Record({"a": 1}), Record({"a": 3}),
+                                        Record({"a": 4})]
 
-    def test_cursor_error_on_missing_field(self):
-        cursor = ProjectionCursor("missing")
-        with pytest.raises(EvaluationError):
-            cursor.project(Record({"a": 1}))
+    def test_head_error_on_missing_field(self):
+        with pytest.raises(EvaluationError) as raised:
+            _project(self._homogeneous(8), "locus", "missing")
+        with pytest.raises(EvaluationError) as plain:
+            self._homogeneous(1)[0].project("missing")
+        assert str(raised.value) == str(plain.value)
+
+
+class TestDistinctRecords:
+    def test_keeps_first_occurrences_across_calls(self):
+        directory = directory_for(["a", "b"])
+        seen = set()
+        first = distinct_records(directory, [(1, "x"), (2, "y"), (1, "x")], seen)
+        assert first == [Record({"a": 1, "b": "x"}), Record({"a": 2, "b": "y"})]
+        assert all(record.directory is directory for record in first)
+        assert distinct_records(directory, [(2, "y"), (3, "z")], seen) == [
+            Record({"a": 3, "b": "z"})]
+        assert seen == {(1, "x"), (2, "y"), (3, "z")}
+
+    def test_key_groups_what_a_set_of_the_records_groups(self):
+        directory = directory_for(["v"])
+        nan = float("nan")
+        rows = [(1,), (1.0,), (True,), (nan,), (nan,), (float("nan"),)]
+        records = [Record.from_directory(directory, row) for row in rows]
+        assert distinct_records(directory, rows, set()) == list(dict.fromkeys(records))

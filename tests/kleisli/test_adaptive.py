@@ -2,6 +2,7 @@
 automatically adjust the level of concurrency based on the capability of
 servers and on resource availability are being developed")."""
 
+import itertools
 import threading
 import time
 
@@ -34,10 +35,14 @@ class TestAdaptiveSchedulerPolicy:
             AdaptiveScheduler(degradation_threshold=0.9)
 
     def test_ramps_up_against_a_capable_server(self):
-        server = RemoteSource("fast", lambda x: x * 2, latency=0.01,
-                              max_concurrent_requests=32)
-        scheduler = AdaptiveScheduler(max_workers=6, initial_workers=1)
-        results = scheduler.map(server.call, list(range(36)))
+        # A capable server answers a batch of any width in the same 10 ms.
+        # ``map`` reads the clock once before and once after a batch, so a
+        # clock that steps 10 ms per reading *is* that server — no sleeps, and
+        # no dependence on how the box schedules the worker threads.
+        readings = itertools.count()
+        scheduler = AdaptiveScheduler(max_workers=6, initial_workers=1,
+                                      clock=lambda: next(readings) * 0.01)
+        results = scheduler.map(lambda x: x * 2, list(range(36)))
         assert results == [x * 2 for x in range(36)]
         assert max(scheduler.level_history) == 6
         # The ramp is monotone while throughput keeps improving.

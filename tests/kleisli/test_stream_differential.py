@@ -9,6 +9,12 @@ elements (``EvalStatistics.elements_fetched``) once drained.
 Set-kind shapes hold with *duplicate-producing* data too: set stages dedup
 as they go, and ``CSet`` iterates in first-occurrence order, so the streamed
 sequence equals iterating the eagerly built set.
+
+Record heads (``[acc = a.acc, ...]``) are their own family of inputs: the
+chunk lowering gathers their fields column-wise per source directory and a set
+of them dedups on value tuples before any ``Record`` exists, so every shape
+that can reach that kernel — and every one that must fall out of it — runs on
+all paths above and, governed, under a budget and a spilled seen-set.
 """
 
 import pytest
@@ -17,7 +23,9 @@ from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.optimizer.joins import make_join_rule_set
 from repro.core.optimizer.parallel import ParallelExt
-from repro.core.values import CList, CSet, Record, iter_collection
+from repro.core.errors import EvaluationError
+from repro.core.nrc.compile import ChunkPolicy
+from repro.core.values import CBag, CList, CSet, Record, Ref, iter_collection
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import ExecutionMode, KleisliEngine
 
@@ -57,6 +65,79 @@ def _scan(base=0, count=5):
     else:
         request["base"] = base
     return A.Scan("ranges", request, args=args, kind="list")
+
+
+def _head(var="a", *labels, **computed):
+    fields = {label: B.project(B.var(var), label) for label in labels}
+    fields.update(computed)
+    return B.record(**fields)
+
+
+def _heads_over(table, kind, *labels, var="a", **computed):
+    return B.ext(var, B.singleton(_head(var, *labels, **computed), kind),
+                 B.var(table), kind=kind)
+
+
+class _Store:
+    """Resolves every reference to one record."""
+
+    def resolve(self, ref):
+        return Record({"acc": f"ref{ref.identifier}", "org": "worm", "n": 0})
+
+
+def _record_head_shapes():
+    """Record heads: what the row kernel takes, and what must fall out of it."""
+    organisms = ["human", "mouse", "rat"]
+    # 3000 rows, 1500 distinct heads: enough to push a spilled seen-set to disk.
+    table = CList([Record({"acc": f"U{i % 1500}", "org": organisms[i % 3],
+                           "src": "TA", "n": i}) for i in range(3000)])
+    other = CList([Record({"acc": f"U{i % 40}", "org": organisms[i % 3],
+                           "n": i}) for i in range(0, 120, 2)])
+    narrow = CList([Record({"acc": f"U{i % 7}", "org": "rat"}) for i in range(30)])
+    mixed = CList([narrow[i] if i % 3 else other[i] for i in range(30)])
+    with_refs = CList([other[0], Ref("Seq", 1, _Store()), other[1],
+                       Ref("Seq", 1, _Store())])
+    nan = float("nan")
+    odd = CList([Record({"v": value, "w": 0}) for value in
+                 (1, 1.0, True, nan, nan, float("nan"), 0, False, -0.0)])
+    tables = {"T": table, "O": other, "N": narrow, "M": mixed, "R": with_refs,
+              "ODD": odd}
+    plus_one = B.prim("add", B.project(B.var("a"), "n"), B.const(1))
+    shapes = [
+        ("heads: homogeneous table, 50% duplicates",
+         _heads_over("T", "set", "acc", "org")),
+        ("heads: two directories interleaved in one chunk",
+         _heads_over("M", "set", "acc", "org")),
+        ("heads: a reference among the rows", _heads_over("R", "set", "acc", "org")),
+        ("heads: one field", _heads_over("T", "set", "org")),
+        ("heads: no fields", _heads_over("O", "set")),
+        ("heads: computed beside projected",
+         _heads_over("O", "list", "acc", "org", len=plus_one, tag=B.const("x"))),
+        ("heads: the row itself as a field", _heads_over("N", "set", "acc", row=B.var("a"))),
+        ("heads: 1, 1.0, True and shared vs distinct NaN", _heads_over("ODD", "set", "v")),
+        ("heads: bag keeps duplicates", _heads_over("T", "bag", "acc", "org")),
+        ("heads: list keeps duplicates", _heads_over("M", "list", "acc")),
+        ("heads: filtered", B.ext("a", B.if_then_else(
+            B.prim("gt", B.project(B.var("a"), "n"), B.const(50)),
+            B.singleton(_head("a", "acc", "org")), B.empty()), B.var("O"))),
+        ("heads: inner set of heads feeding an outer stage",
+         B.ext("h", B.singleton(B.project(B.var("h"), "org")),
+               _heads_over("O", "set", "acc", "org"))),
+        ("heads: union chain on one directory (one tuple-keyed seen-set)",
+         A.Union(_heads_over("T", "set", "acc", "org"),
+                 A.Union(_heads_over("O", "set", "acc", "org", var="b"),
+                         _heads_over("M", "set", "acc", "org", var="c"), "set"),
+                 "set")),
+        ("heads: union chain with an operand that is not a head",
+         A.Union(_heads_over("O", "set", "acc", "org"),
+                 A.Union(B.ext("b", B.singleton(B.var("b")), B.var("N")),
+                         _heads_over("M", "set", "acc", "org", var="c"), "set"),
+                 "set")),
+        ("heads: union chain over two directories",
+         A.Union(_heads_over("O", "set", "acc", "org"),
+                 _heads_over("O", "set", "acc", var="b"), "set")),
+    ]
+    return [(label, expr, tables) for label, expr in shapes]
 
 
 def _shapes():
@@ -249,7 +330,7 @@ def _shapes():
         {},
     ))
 
-    return shapes
+    return shapes + _record_head_shapes()
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
@@ -312,6 +393,106 @@ def test_chunked_stream_matches_per_element_stream(label, expr, bindings):
     element_stats = engine2.last_eval_statistics
     assert chunked == element, label
     assert chunked_stats.elements_fetched == element_stats.elements_fetched, label
+
+
+#: The streamed paths a record head must agree on with the per-element
+#: lowering, the seen-set's three backends among them.
+HEAD_PATHS = [
+    ("chunked", {"chunked": True}),
+    ("chunks of one", {"chunked": True, "chunk_policy": ChunkPolicy(max_chunk=1)}),
+    ("budgeted", {"chunked": True, "memory_budget": 1 << 26, "spill": False}),
+    ("spilled", {"chunked": True, "spill": True}),
+    ("spilled per element", {"chunked": False, "spill": True}),
+]
+
+
+def _exact(value):
+    """Tells apart what ``==`` does not: a record's directory and the classes
+    of its field values (``1``, ``1.0`` and ``True`` are equal)."""
+    if type(value) is Record:
+        return (value.directory.labels, len(value.values),
+                tuple(map(type, value.values)))
+    return type(value)
+
+
+@pytest.mark.parametrize("path,options", HEAD_PATHS, ids=[p for p, _ in HEAD_PATHS])
+@pytest.mark.parametrize("label,expr,bindings", _record_head_shapes(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_record_heads_agree_with_the_per_element_lowering(label, expr, bindings,
+                                                          path, options):
+    """Values, order, ``elements_fetched`` and ``ext_iterations``: the row
+    kernel, its fallbacks and the tuple-keyed seen-set are invisible."""
+    reference = _engine()
+    expected = list(reference.stream(expr, bindings, optimize=False, chunked=False))
+    expected_stats = reference.last_eval_statistics
+    engine = _engine()
+    got = list(engine.stream(expr, bindings, optimize=False, **options))
+    stats = engine.last_eval_statistics
+    assert got == expected
+    assert [_exact(value) for value in got] == [_exact(value) for value in expected]
+    assert stats.elements_fetched == expected_stats.elements_fetched
+    assert stats.ext_iterations == expected_stats.ext_iterations
+    assert stats.stream_fallbacks == stats.scalar_stages == 0
+    if path.startswith("spilled") and "homogeneous" in label:
+        assert engine.governor.snapshot()["spills"] > 0
+
+
+RAISING_HEADS = [
+    ("a label the rows do not have", _heads_over("O", "set", "acc", "missing"),
+     "record has no field 'missing' (fields: acc, n, org)"),
+    ("a label one directory of two does not have", _heads_over("M", "set", "n"),
+     "record has no field 'n' (fields: acc, org)"),
+    ("a row that is not a record", _heads_over("X", "set", "acc", "org"),
+     "cannot project field 'acc' from int"),
+]
+
+
+@pytest.mark.parametrize("label,expr,message", RAISING_HEADS,
+                         ids=[label for label, _, _ in RAISING_HEADS])
+def test_record_head_errors_are_the_same_on_every_path(label, expr, message):
+    bindings = dict(_record_head_shapes()[0][2])
+    bindings["X"] = CList([bindings["O"][0], bindings["O"][1], 7, bindings["O"][2]])
+    runs = [lambda e, m=mode: e.execute(expr, bindings, optimize=False, mode=m)
+            for mode in MODES]
+    runs += [lambda e, o=options: list(e.stream(expr, bindings, optimize=False, **o))
+             for _, options in [("per-element", {"chunked": False})] + HEAD_PATHS]
+    for run in runs:
+        with pytest.raises(EvaluationError) as raised:
+            run(_engine())
+        assert type(raised.value) is EvaluationError
+        assert str(raised.value) == message
+
+
+def test_record_head_stream_closed_early_reads_no_further():
+    """One chunk of heads, then ``close()``: the ramp's first chunk is one
+    row, and nothing past what was pulled has been mapped."""
+    label, expr, bindings = _record_head_shapes()[0]
+    engine = _engine()
+    stream = engine.stream(expr, bindings, optimize=False, chunked=True)
+    first = [next(stream), next(stream), next(stream)]
+    stream.close()
+    assert first == [Record({"acc": f"U{i}", "org": ["human", "mouse", "rat"][i]})
+                     for i in range(3)]
+    assert engine.last_eval_statistics.ext_iterations == 3  # chunks of 1 and 2
+
+
+def test_ungoverned_heads_dedup_in_a_plain_set(monkeypatch):
+    """The zero-governance contract: no budget, no spill, no token — the
+    tuple-keyed seen-set is a builtin ``set``."""
+    from repro.core.nrc import compile as lowering
+    made = []
+    original = lowering._make_seen_set
+
+    def recording(context):
+        made.append(original(context))
+        return made[-1]
+
+    monkeypatch.setattr(lowering, "_make_seen_set", recording)
+    (expr, bindings), = [(expr, bindings) for label, expr, bindings
+                         in _record_head_shapes() if "one tuple-keyed" in label]
+    values = list(_engine().stream(expr, bindings, optimize=False, chunked=True))
+    assert [type(seen) for seen in made] == [set]
+    assert made[0] == {record.values for record in values}
 
 
 def test_chunked_pipelines_without_scalar_stages_on_optimizer_shapes():

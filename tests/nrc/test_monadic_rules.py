@@ -5,16 +5,25 @@ preservation (optimized and unoptimized terms evaluate to the same value).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.cpl.desugar import desugar_expression
+from repro.core.cpl.parser import parse_expression
+from repro.core.errors import EvaluationError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc import rules_monadic
 from repro.core.nrc.eval import evaluate
-from repro.core.nrc.rewrite import RewriteStats
+from repro.core.nrc.rewrite import RewriteStats, RuleSet
 from repro.core.nrc.rules_monadic import (
+    MONADIC_RULES,
     monadic_rule_set,
     rule_case_of_variant,
     rule_ext_filtered_source,
+    rule_ext_singleton_body,
     rule_ext_singleton_source,
+    rule_ext_union_source,
     rule_filter_promotion,
     rule_horizontal_fusion,
     rule_projection_reduction,
@@ -211,8 +220,16 @@ class TestSupportingRules:
         assert stats.fired("R1-vertical-fusion") >= 1
         assert evaluate(outer, {"DB": db}) == evaluate(optimized, {"DB": db})
 
-    def test_ablation_switches_disable_rules(self):
-        rule_set = monadic_rule_set(include_vertical=False)
+    def test_every_exported_rule_is_in_the_one_rule_order(self):
+        exported = [getattr(rules_monadic, name) for name in rules_monadic.__all__
+                    if name.startswith("rule_")]
+        assert exported and set(exported) == set(MONADIC_RULES)
+        assert len(set(MONADIC_RULES)) == len(MONADIC_RULES)
+        assert monadic_rule_set().rules == MONADIC_RULES
+
+    def test_a_rule_left_out_of_the_order_does_not_fire(self):
+        rule_set = RuleSet("no-R1", [rule for rule in MONADIC_RULES
+                                     if rule is not rule_vertical_fusion])
         inner = B.ext("y", B.singleton(B.var("y")), B.var("S"))
         outer = B.ext("x", B.singleton(B.var("x")), inner)
         stats = RewriteStats()
@@ -233,3 +250,152 @@ class TestSupportingRules:
         opt_context = EvalContext()
         Evaluator(opt_context).evaluate(optimized)
         assert opt_context.statistics.ext_iterations < unopt_context.statistics.ext_iterations
+
+
+def _head(var):
+    return B.record(acc=B.project(B.var(var), "acc"), org=B.project(B.var(var), "org"))
+
+
+class TestLiteralUnion:
+    """``{x | \\s <- {A, B, C}, \\x <- s}`` — how CPL spells an n-ary union."""
+
+    QUERY = ('{x | \\s <- {{[acc = a.acc, org = a.org] | \\a <- TA},'
+             ' {[acc = b.acc, org = b.org] | \\b <- TB},'
+             ' {[acc = c.acc, org = c.org] | \\c <- TC}}, \\x <- s}')
+
+    def test_reaches_a_union_chain_at_a_fixpoint(self):
+        stats = RewriteStats()
+        raw = desugar_expression(parse_expression(self.QUERY))
+        normal = monadic_rule_set().apply(raw, stats)
+        assert isinstance(normal, A.Union) and isinstance(normal.right, A.Union)
+        operands = [normal.left, normal.right.left, normal.right.right]
+        for operand, table in zip(operands, ("TA", "TB", "TC")):
+            assert isinstance(operand, A.Ext) and operand.source == B.var(table)
+            assert operand.body == B.singleton(_head(operand.var))
+        assert stats.fired("ext-union-source") == 2
+        assert stats.fired("ext-singleton-body") == 3
+        assert monadic_rule_set().apply(normal) == normal
+        rows = lambda *accs: CSet([Record({"acc": acc, "org": "h", "n": i})
+                                   for i, acc in enumerate(accs)])
+        data = {"TA": rows("a", "b", "a"), "TB": rows("b", "c"), "TC": rows("d", "a")}
+        assert list(evaluate(normal, data)) == list(evaluate(raw, data))
+        assert len(evaluate(normal, data)) == 4
+
+    def test_right_unit_needs_a_source_proven_to_be_of_the_loop_kind(self):
+        rebuild = lambda source, kind: B.ext("x", B.singleton(B.var("x"), kind), source, kind)
+        proven = B.ext("y", B.singleton(B.prim("add", B.var("y"), B.const(1))), B.var("S"))
+        assert rule_ext_singleton_body.apply(rebuild(proven, "set")) == proven
+        # A bound variable's class is not known statically...
+        assert rule_ext_singleton_body.apply(rebuild(B.var("S"), "set")) is None
+        # ...and a loop over another kind converts it: {x | \x <- [|1, 1|]} is {1}.
+        a_list = B.union(B.singleton(B.const(1), "list"), B.singleton(B.const(1), "list"), "list")
+        assert rule_ext_singleton_body.apply(rebuild(a_list, "set")) is None
+        assert rule_ext_singleton_body.apply(rebuild(a_list, "list")) == a_list
+        # The body must rebuild the element itself, in the loop's kind.
+        other = B.ext("x", B.singleton(B.var("z")), proven)
+        assert rule_ext_singleton_body.apply(other) is None
+
+    def test_loop_over_literal_scalars_keeps_its_one_loop(self):
+        literal = B.union(B.singleton(B.const("M1")),
+                          B.union(B.singleton(B.const("M2")), B.singleton(B.const("M3"))))
+        scan = A.Scan("GenBank", {"db": "na"}, args={"select": B.var("a")}, kind="set")
+        loop = B.ext("a", scan, literal)
+        assert rule_ext_union_source.apply(loop) is None
+        assert monadic_rule_set().apply(loop) == loop
+
+    def test_body_is_not_copied_over_a_general_union(self):
+        view = lambda table: B.ext("y", B.singleton(B.var("y")), B.var(table))
+        loop = B.ext("x", B.singleton(B.prim("add", B.var("x"), B.const(1))),
+                     B.union(view("S"), view("T")))
+        assert rule_ext_union_source.apply(loop) is None
+        # One operand that is not a collection literal is enough.
+        mixed = B.ext("s", B.var("s"), B.union(B.singleton(view("S")), B.var("REST")))
+        assert rule_ext_union_source.apply(mixed) is None
+
+    def test_a_literal_of_another_kind_is_not_distributed(self):
+        # {{|1|}, {|1|}} has one element: a bag loop over it runs once, not twice.
+        one = B.singleton(B.singleton(B.const(1), "bag"))
+        loop = B.ext("s", B.var("s"), B.union(one, one), "bag")
+        assert rule_ext_union_source.apply(loop) is None
+        assert evaluate(monadic_rule_set().apply(loop), {}) == evaluate(loop, {}) == CBag([1])
+
+
+KINDS = ("set", "bag", "list")
+_TABLES = {"set": CSet([0, 1, 2, 1]), "bag": CBag([0, 1, 2, 1]), "list": CList([0, 1, 2, 1])}
+
+
+def _element(var, pick):
+    """An integer expression over ``var``; pick 2 raises where ``var`` is 0."""
+    if pick == 0:
+        return B.var(var)
+    if pick == 1:
+        return B.prim("mod", B.var(var), B.const(2))
+    return B.prim("div", B.const(6), B.var(var))
+
+
+@st.composite
+def _collections(draw, kind, depth=2):
+    """A well-typed term for a kind-``kind`` collection of integers."""
+    shape = draw(st.integers(0, 5 if depth else 2))
+    if shape == 0:
+        return B.var("T_" + kind)          # class not provable
+    if shape == 1:
+        return A.Empty(kind)
+    if shape == 2:
+        return B.singleton(B.const(draw(st.integers(0, 2))), kind)
+    if shape == 3:
+        return B.union(draw(_collections(kind, depth - 1)),
+                       draw(_collections(kind, depth - 1)), kind)
+    if shape == 4:
+        return A.IfThenElse(B.const(draw(st.booleans())),
+                            draw(_collections(kind, depth - 1)), A.Empty(kind))
+    source = draw(_collections(draw(st.sampled_from(KINDS)), depth - 1))
+    var = draw(st.sampled_from(("x", "y")))
+    return B.ext(var, B.singleton(_element(var, draw(st.integers(0, 2))), kind), source, kind)
+
+
+@st.composite
+def _literals(draw, kind, depth=2):
+    """A ``{A, B, ...}`` literal — now and then with an operand that is not."""
+    shape = draw(st.integers(0, 9))
+    if depth and shape >= 5:
+        return B.union(draw(_literals(kind, depth - 1)), draw(_literals(kind, depth - 1)), kind)
+    if shape == 0:
+        return A.Empty(kind)
+    if shape == 1:
+        return B.var("NESTED_" + kind)
+    return B.singleton(draw(_collections(draw(st.sampled_from(KINDS)))), kind)
+
+
+@st.composite
+def _subjects(draw):
+    kind = draw(st.sampled_from(KINDS))
+    if draw(st.booleans()):
+        source = draw(_collections(draw(st.sampled_from(KINDS))))
+        return B.ext("x", B.singleton(B.var("x"), kind), source, kind)
+    body = B.ext("x", B.singleton(_element("x", draw(st.integers(0, 2))), kind),
+                 B.var("s"), kind)
+    return B.ext("s", body, draw(_literals(draw(st.sampled_from(KINDS)))), kind)
+
+
+def _outcome(expr, data):
+    try:
+        value = evaluate(expr, data)
+        return (type(value), list(value))
+    except EvaluationError:
+        return "raises"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subjects())
+def test_unit_and_literal_union_rules_preserve_value_and_raises(expr):
+    """The right unit and the literal-union distribution, alone and with the
+    left unit that finishes the job, against the interpreter on the term as
+    written: the same class, elements and order, and a raise iff it raises."""
+    data = {"T_" + kind: table for kind, table in _TABLES.items()}
+    data.update({"NESTED_" + kind: type(table)([CList([2, 0]), CList([1])])
+                 for kind, table in _TABLES.items()})
+    new_rules = (rule_ext_singleton_body, rule_ext_union_source)
+    for rules in (new_rules, new_rules + (rule_ext_singleton_source,)):
+        rewritten = RuleSet("subject", rules).apply(expr)
+        assert _outcome(rewritten, data) == _outcome(expr, data), rewritten.pretty()

