@@ -85,7 +85,7 @@ def _shaping_chain(count=ROWS):
 
 def _drain(engine, expr, **kwargs):
     started = time.perf_counter()
-    count = sum(1 for _ in engine.stream(expr, optimize=False, chunked=True,
+    count = sum(1 for _ in engine.stream(expr, optimize=False,
                                          **kwargs))
     return count, time.perf_counter() - started
 

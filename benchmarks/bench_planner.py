@@ -53,8 +53,7 @@ def _fixed_config(**overrides):
 
 def _drain_stream(engine, expr, bindings=None):
     started = time.perf_counter()
-    count = sum(1 for _ in engine.stream(expr, bindings, optimize=False,
-                                         chunked=True))
+    count = sum(1 for _ in engine.stream(expr, bindings, optimize=False))
     return count, time.perf_counter() - started
 
 

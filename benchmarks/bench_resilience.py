@@ -79,7 +79,7 @@ def _shaping_chain(driver="rows", count=ROWS):
 
 def _drain(engine, expr):
     started = time.perf_counter()
-    count = sum(1 for _ in engine.stream(expr, optimize=False, chunked=True))
+    count = sum(1 for _ in engine.stream(expr, optimize=False))
     return count, time.perf_counter() - started
 
 
@@ -163,8 +163,7 @@ def _run_queries(engine, expr):
     started = time.perf_counter()
     total = 0
     for _ in range(QUERIES):
-        total += sum(1 for _ in engine.stream(expr, optimize=False,
-                                              chunked=True))
+        total += sum(1 for _ in engine.stream(expr, optimize=False))
     return total, time.perf_counter() - started
 
 

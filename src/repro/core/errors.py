@@ -78,6 +78,12 @@ class NRCError(ReproError):
     """Raised for malformed NRC terms or illegal rewrite-engine configuration."""
 
 
+class TermTooDeepError(NRCError):
+    """A term nests more deeply than the optimizer, the compiler or
+    :func:`~repro.core.nrc.compile.term_fingerprint` can walk (they recurse
+    over the tree) — the typed form of Python's ``RecursionError``."""
+
+
 class EvaluationError(ReproError):
     """Raised when evaluation of a well-formed NRC term fails at run time."""
 
@@ -183,7 +189,7 @@ class QueryGovernanceError(ReproError):
 class QueryCancelledError(QueryGovernanceError):
     """The query's :class:`~repro.kleisli.governance.CancellationToken` was
     cancelled; raised at the next cooperative checkpoint (chunk boundary,
-    per-element pull, eager loop head, pre-driver-dispatch).
+    eager loop head, pre-driver-dispatch).
 
     The raising checkpoint always sits inside the run's
     :class:`~repro.core.nrc.eval.EvalScope`, so propagation releases every

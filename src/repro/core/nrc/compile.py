@@ -51,10 +51,10 @@ often the handoff happened at run time.  Both execution modes share the same
 statistics), so compiled and interpreted fragments interoperate freely —
 including closures crossing the boundary in either direction.
 
-Eager vs streaming vs chunked lowering
---------------------------------------
+Eager vs chunked lowering
+-------------------------
 
-The module offers **three lowering targets** over the same node registry
+The module offers **two lowering targets** over the same node registry
 discipline:
 
 * :func:`compile_term` — the eager backend: every closure returns a fully
@@ -62,42 +62,46 @@ discipline:
   is the fastest way to produce a *whole* result, and the only correct way
   to produce a value that outlives the evaluation (results are plain
   collections, never half-consumed cursors).
-* :func:`compile_stream` — the pull-based backend: nodes with a registered
-  stream compiler (see :func:`register_stream_compiler`) become generator
-  pipeline stages that yield elements as they are produced.  It minimizes
+* :func:`compile_chunked` — the pull-based, morsel-at-a-time backend: nodes
+  with a registered chunk compiler (see :func:`register_chunk_compiler`)
+  become generator pipeline stages that exchange *lists* of at most K
+  elements, and adjacent map/filter stages fuse into tight per-chunk loops.
+  This is what ``KleisliEngine.stream`` uses in compiled mode: it minimizes
   time-to-first-result and peak intermediate memory by overlapping remote
   I/O with downstream consumption (Section 4's "laziness in strategic
-  places").
-* :func:`compile_chunked` — the morsel-at-a-time backend: stages exchange
-  *lists* of at most K elements instead of single elements, and adjacent
-  map/filter stages fuse into tight per-chunk loops.  This is what
-  ``KleisliEngine.stream`` uses by default in compiled mode: it keeps the
-  per-element backend's asymptotics (laziness, bounded buffering, scope-
-  managed cursors) while removing the per-element generator-frame overhead
-  that dominates local in-memory pipelines.  See "Chunked semantics" below.
+  places") — laziness, bounded buffering, scope-managed cursors — without
+  a generator frame per element on local in-memory pipelines.
 
 Selection is per *call site* (``execute`` vs ``stream``), then per *node*
 within a streamed pipeline: ``Ext`` chains, filters, ``Let``/``IfThenElse``,
 ``Scan`` and the probe side of ``Join`` stream natively (set-kind stages
 dedup as they go); everything whose semantics require the whole value —
 ``Fold``, the build side of joins, scalar operators — drops to the eager
-closure for that subtree and the pipeline yields from its materialized
-result.  Those eager sections are reported in
-``CompiledStream.eager_nodes`` and counted by
-``EvalStatistics.stream_fallbacks``.  ``Cached`` is a special case: it is a
-*deliberate* materialization point (the subquery cache stores whole
-collections), so the pipeline yields from the cached value without
-reporting a fallback.
+closure for that subtree and the pipeline chunks its materialized result.
+Those eager sections are reported in ``CompiledChunkedStream.eager_nodes``
+and counted by ``EvalStatistics.stream_fallbacks`` (**the fallback
+surface**: a node type without a chunk compiler is correct, just not
+streamed).  ``Cached`` is a special case: it is a *deliberate*
+materialization point (the subquery cache stores whole collections), so the
+pipeline chunks the cached value without reporting a fallback.
 
 Streaming semantics
 -------------------
 
-Three rules keep a streamed run element-for-element identical to the eager
+These rules keep a streamed run element-for-element identical to the eager
 value, at O(1)-per-element cost:
 
+* **Parity** — a drained run yields exactly the element sequence of
+  ``execute``'s result and agrees on ``EvalStatistics.elements_fetched``.
+  Chunk sizes are value-invisible: dedup-as-you-go carries its seen-set
+  *across* chunk boundaries, and fused map/filter stages preserve per-stage
+  ``ext_iterations`` accounting.  Partial-progress counters on a *failing*
+  run may differ from the interpreter's (a chunk stage processes its chunk
+  through one stage before the next), just as the eager backend's already
+  do.
 * **Set dedup-as-you-go** — ``CSet`` iterates in first-occurrence insertion
   order, so a set-kind stage that suppresses repeats incrementally
-  (:func:`_dedup_set_stream`) yields exactly the eager set's element
+  (:func:`_dedup_set_chunks`) yields exactly the eager set's element
   sequence at O(distinct) memory.
 * **The kind proof** — ``Union`` streams as a chained pipeline (left
   operand's elements, then the right's, under one shared set seen-filter)
@@ -108,56 +112,24 @@ value, at O(1)-per-element cost:
   a ``Scan`` whose driver controls the result class, a ``Cached`` value, a
   proven kind *mismatch*) fall back to the eager ``union_like`` section so
   they keep raising exactly where ``execute`` raises.
-* **Per-element join probing** — the probe (outer) side of both join
-  methods streams; the build side must materialize.  An indexed join probes
-  its hash index per outer element; a blocked join yields per outer *block*,
-  except ``block_size == 1`` (what the optimizer emits under the streaming
-  hint, see ``OptimizerConfig.streaming``), where the inner side is
-  materialized once and probed per outer element.
-
-Eager sections remain exactly where the whole value is semantically
-required: ``Fold`` (the accumulator consumes every element), the build side
-of joins (the hash index / rescan source), unproven ``Union`` operands (the
-run-time class check needs the values), ``Cached`` (a deliberate
-materialization point), and scalar operators reached through a collection
-position.
-
-Chunked semantics
------------------
-
-The chunked lowering (:func:`compile_chunked`, registry
-:func:`register_chunk_compiler`) obeys three rules of its own on top of the
-streaming rules above:
-
-* **Parity** — a drained chunked run yields exactly the element sequence of
-  ``execute``'s result (and of the per-element stream), and agrees on
-  ``EvalStatistics.elements_fetched``.  Chunk sizes are value-invisible:
-  dedup-as-you-go carries its seen-set *across* chunk boundaries, the typed
-  union's shared seen-filter and the join probes have chunk-wise forms, and
-  fused map/filter stages preserve per-stage ``ext_iterations`` accounting.
-  Partial-progress counters on a *failing* run may differ from the
-  per-element stream's (a chunk stage processes its chunk through one stage
-  before the next), just as the eager backend's already do.
+* **Join probing** — the probe (outer) side of both join methods streams;
+  the build side must materialize.  An indexed join probes its hash index
+  per outer element; a blocked join re-evaluates its inner side once per
+  ``block_size`` outer elements (counted across chunk boundaries), except
+  ``block_size == 1`` (what the optimizer emits under the streaming hint,
+  see ``OptimizerConfig.streaming``), where the inner side is materialized
+  once and probed per outer element.
 * **The ramp** — chunk sizes start at 1 and double per chunk up to the
   :class:`ChunkPolicy` maximum (read from ``EvalContext.chunk_policy`` at
   run time, so compiled pipelines stay cacheable by term fingerprint).
-  The first chunk therefore costs one source element: time-to-first-result
-  matches the per-element stream, while steady-state throughput gets full-
-  size chunks.  Remote drivers (``ChunkPolicy.sizes_for``) keep a smaller
-  maximum so a chunk never buffers more than a bounded slice of a slow
-  cursor; abandoning a pipeline mid-chunk still releases every cursor —
-  including those behind buffered-but-unconsumed chunk elements — through
-  the same :class:`~repro.core.nrc.eval.EvalScope` as the per-element
-  stream.
-* **The fallback surface** — node types without a chunk compiler run at
-  per-element granularity inside the chunked pipeline (the existing stream
-  lowering, re-chunked for downstream stages): correct, just not
-  vectorized.  Those stages are named in
-  ``CompiledChunkedStream.scalar_stages`` and counted at run time by
-  ``EvalStatistics.scalar_stages``; nodes with no stream lowering either
-  keep falling through to eager sections (``stream_fallbacks``), exactly as
-  in the per-element backend.
-
+  The first chunk therefore costs one source element — the first result of
+  a remote-scan comprehension arrives after O(1) source elements — while
+  steady-state throughput gets full-size chunks; a maximum of 1 is the
+  element-at-a-time stream.  Remote drivers (``ChunkPolicy.sizes_for``)
+  keep a smaller maximum so a chunk never buffers more than a bounded slice
+  of a slow cursor; abandoning a pipeline mid-chunk still releases every
+  cursor — including those behind buffered-but-unconsumed chunk elements —
+  through the run's :class:`~repro.core.nrc.eval.EvalScope`.
 * **Record heads** — a fused stage whose body is a record constructor
   (``[acc = a.acc, len = a.len + 1]``) runs as the ``vrows`` op, Section 4's
   homogeneous projection (:func:`_record_plan`): per chunk, one C-level pass
@@ -169,6 +141,13 @@ streaming rules above:
   keeps the ``Record``-keyed set).  *Fallback*: a chunk that is not all
   records of one directory carrying every projected label takes the
   per-item form — values, typed errors and ``ext_iterations`` unchanged.
+
+Eager sections remain exactly where the whole value is semantically
+required: ``Fold`` (the accumulator consumes every element), the build side
+of joins (the hash index / rescan source), unproven ``Union`` operands (the
+run-time class check needs the values), ``Cached`` (a deliberate
+materialization point), and scalar operators reached through a collection
+position.
 
 An ``Ext`` whose body is a ``Scan`` depending on the loop variable
 additionally batches its driver fetches: one
@@ -230,10 +209,10 @@ Failure semantics
 -----------------
 
 Compiled code contains **no fault handling**: every scan site — the eager
-closure, the per-element stream, and the chunked batch fetch — routes
+closure, the chunked scan and the chunked batch fetch — routes
 through ``EvalContext.driver_executor`` / ``driver_executor_batch``, and
 the resilience layer (:mod:`repro.kleisli.resilience`) lives behind that
-one choke point, so the three lowerings inherit identical failure
+one choke point, so both lowerings inherit identical failure
 behavior without any lowering-specific code:
 
 * **Pre-open faults** (the request itself fails): retried per the
@@ -278,8 +257,7 @@ zero-statistics and PR 8's zero-knowledge contracts).
 
 * **Checkpoint placement** (``EvalContext.cancellation``): cancellation is
   *cooperative* — the token is checked at every natural scheduling point and
-  never interrupts mid-value.  The checkpoints are: the per-element pump of
-  ``CompiledStream`` (one check per yielded element), the chunk boundaries
+  never interrupts mid-value.  The checkpoints are: the chunk boundaries
   of ``CompiledChunkedStream``'s pump (one check per chunk), the loop heads
   of the eager ``Ext``/``Fold`` closures (and their interpreter twins), and
   pre-driver-dispatch in ``KleisliEngine.driver_executor`` /
@@ -307,7 +285,7 @@ zero-statistics and PR 8's zero-knowledge contracts).
   bounded-memory by construction, so they do not charge the budget.
 * **Parity rules**: spilled execution is bit-for-bit the in-memory
   execution — same values, same order, same ``elements_fetched`` — across
-  all three lowerings (the spill backends preserve append order and exact
+  both lowerings (the spill backends preserve append order and exact
   dedup under hash collisions), and governance never changes *what* a
   query computes, only whether it is allowed to finish and where its
   intermediates live.
@@ -325,7 +303,7 @@ the pre-observability code paths (differential-pinned by the test suite).
 
 * **Span sources** (``EvalContext.trace``): ``driver_executor`` opens one
   ``driver`` span per remote request and ``driver_executor_batch`` one
-  ``driver-batch`` span per native batch — the spans all three lowerings
+  ``driver-batch`` span per native batch — the spans both lowerings
   share, since every remote round trip funnels through those two methods.
   ``EvalContext.evaluation_scope`` brackets the run in a ``scope`` span
   (closed on success *and* on the fault path), and the resilience layer
@@ -338,8 +316,8 @@ the pre-observability code paths (differential-pinned by the test suite).
   sink — when one exists — sees the identical call stream.  Forcing the
   tee routes the pump through its probe-timed branch, which is
   value-identical to the fast branch by the probe-neutrality pin.  The
-  eager and per-element lowerings have no chunk boundaries; their
-  per-stage story is the per-driver fold of their trace spans.
+  eager lowering has no chunk boundaries; its per-stage story is the
+  per-driver fold of its trace spans.
 * **Cardinality**: EXPLAIN ANALYZE reports the physical plan's estimate
   next to the actual row count; on the eager path (which builds no
   physical plan) the estimate is recomputed observation-only from the
@@ -358,7 +336,7 @@ import operator
 import time
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
-from ..errors import EvaluationError, UnboundVariableError
+from ..errors import EvaluationError, TermTooDeepError, UnboundVariableError
 from ..records import Record, RecordDirectory, distinct_records
 from ..values import (
     CBag,
@@ -396,11 +374,10 @@ from .prims import (
 from .structural import proven_collection_kind
 
 __all__ = [
-    "ExecutionMode", "CompiledQuery", "CompiledClosure", "CompiledStream",
-    "CompiledChunkedStream", "ChunkPolicy", "compile_term", "compile_stream",
-    "compile_chunked", "register_compiler", "register_stream_compiler",
-    "register_chunk_compiler", "supported_node_types",
-    "streamable_node_types", "chunkable_node_types", "term_fingerprint",
+    "ExecutionMode", "CompiledQuery", "CompiledClosure",
+    "CompiledChunkedStream", "ChunkPolicy", "compile_term",
+    "compile_chunked", "register_compiler", "register_chunk_compiler",
+    "supported_node_types", "chunkable_node_types", "term_fingerprint",
 ]
 
 _COLLECTIONS = (CSet, CBag, CList)
@@ -488,18 +465,15 @@ class _CompileState:
 
     ``fallbacks`` names subtrees delegated to the tree-walking interpreter
     (no eager compiler); ``eager`` names subtrees of a *streaming* lowering
-    that had no pull-based form and were lowered eagerly instead; ``scalar``
-    names subtrees of a *chunked* lowering that had no chunk-wise form and
-    run at per-element granularity inside the chunked pipeline.
+    that had no chunk-wise form and were lowered eagerly instead.
     """
 
-    __slots__ = ("n_free", "fallbacks", "eager", "scalar")
+    __slots__ = ("n_free", "fallbacks", "eager")
 
     def __init__(self, n_free: int):
         self.n_free = n_free
         self.fallbacks: List[str] = []
         self.eager: List[str] = []
-        self.scalar: List[str] = []
 
 
 _Scope = Tuple[str, ...]
@@ -781,8 +755,8 @@ def _filter_shape(body: A.Expr) -> Optional[Tuple[bool, A.Expr]]:
 
     Returns ``(emit_when, value_expr)`` for ``if c then Singleton(e) else
     Empty`` and its mirror, else ``None``.  Shared by the eager body emitter
-    and the streaming body compiler so the two lowerings can never diverge
-    on which bodies qualify.
+    and the chunked ``Ext``/``Join`` compilers so the two lowerings can
+    never diverge on which bodies qualify.
     """
     if type(body) is not A.IfThenElse:
         return None
@@ -1283,52 +1257,29 @@ def compile_term(term: A.Expr) -> CompiledQuery:
     :class:`~repro.core.nrc.eval.Environment` and an
     :class:`~repro.core.nrc.eval.EvalContext` to evaluate.
     """
-    return CompiledQuery(term)
+    try:
+        return CompiledQuery(term)
+    except RecursionError:
+        raise TermTooDeepError("term nests too deeply to compile") from None
 
 
 # ---------------------------------------------------------------------------
-# Streaming (pull-based) lowering
+# Chunked (morsel-at-a-time) streaming lowering
 # ---------------------------------------------------------------------------
 #
 # The second lowering target: instead of a closure returning a materialized
-# collection, each node becomes a *generator pipeline* stage yielding
-# elements as they are produced.  ``Ext``-of-``Ext`` chains, filters,
-# the probe side of hash joins, ``Union`` under a kind proof and
-# ``ParallelExt`` (registered in repro.core.optimizer.parallel) all pull
-# from their source incrementally, so the first result of a remote-scan
-# comprehension arrives after O(1) source elements.  Set-kind loop/join/
-# union stages dedup as they go (see _dedup_set_stream), matching the eager
-# CSet element-for-element.  Nodes with no pull-based form (Fold, PrimCall,
-# arbitrary bodies, Union operands whose collection kind cannot be
-# statically proven) are lowered *eagerly* inside the pipeline; those
-# sections are named in ``CompiledStream.eager_nodes`` and counted at run
-# time by ``EvalStatistics.stream_fallbacks``, mirroring the eager
-# backend's interpreter fallback.
-
-_StreamFn = Callable[[list, EvalContext], object]
-_STREAM_COMPILERS: Dict[Type[A.Expr], Callable[[A.Expr, _Scope, _CompileState], _StreamFn]] = {}
-
-
-def register_stream_compiler(node_type: Type[A.Expr]):
-    """Register a pull-based (generator) lowering for an AST node type.
-
-    Same exact-type dispatch contract as :func:`register_compiler`.  The
-    registered function compiles ``expr`` to a *generator function*
-    ``stream(frame, context)`` whose iterator yields the element sequence of
-    the node's collection value; no work (including driver requests) may
-    happen before the first ``next()``.
-    """
-
-    def decorator(function):
-        _STREAM_COMPILERS[node_type] = function
-        return function
-
-    return decorator
-
-
-def streamable_node_types() -> Tuple[str, ...]:
-    """Names of node types with a native pull-based lowering."""
-    return tuple(sorted(cls.__name__ for cls in _STREAM_COMPILERS))
+# collection, each node becomes a generator pipeline stage, and stages
+# exchange *lists* of at most K elements, so the per-element cost of a stage
+# is one tight-loop iteration rather than a generator-frame suspend/resume.
+# Adjacent Ext stages with map/filter bodies fuse into ONE chunk stage that
+# runs each stage as a tight loop over the chunk; set-kind dedup, the typed
+# union's shared seen-filter and the join probes have chunk-wise forms that
+# preserve exact element-sequence parity with execute (see the module
+# docstring's "Streaming semantics").  Chunk sizes ramp from 1 (the first
+# chunk is the first element, so the first result of a remote-scan
+# comprehension arrives after O(1) source elements) doubling up to the
+# ChunkPolicy maximum, read from the EvalContext at run time; a policy whose
+# maximum is 1 is the element-at-a-time stream.
 
 
 def _iterate_streamed(value: object, context: EvalContext):
@@ -1365,150 +1316,6 @@ def _unregistering_iter(value: object, scope):
     """
     yield from iter(value)
     scope.unregister(value)
-
-
-def _compile_stream(expr: A.Expr, scope: _Scope, state: _CompileState) -> _StreamFn:
-    compiler = _STREAM_COMPILERS.get(type(expr))
-    if compiler is None:
-        return _stream_via_eager(expr, scope, state)
-    return compiler(expr, scope, state)
-
-
-def _stream_via_eager(expr: A.Expr, scope: _Scope, state: _CompileState) -> _StreamFn:
-    """Evaluate a non-streamable subtree eagerly, then yield its elements."""
-    state.eager.append(type(expr).__name__)
-    fn = _compile(expr, scope, state)
-
-    def stream(frame, context):
-        context.statistics.stream_fallbacks += 1
-        yield from _iterate_streamed(fn(frame, context), context)
-
-    return stream
-
-
-def _stream_leaf(expr: A.Expr, scope: _Scope, state: _CompileState) -> _StreamFn:
-    """A leaf in source position: evaluate (cheap), iterate lazily.
-
-    Unlike :func:`_stream_via_eager` this is not a fallback — a bound
-    collection or constant has no cheaper pull-based form — so it is not
-    counted in ``eager_nodes``/``stream_fallbacks``.
-    """
-    fn = _compile(expr, scope, state)
-
-    def stream(frame, context):
-        yield from _iterate_streamed(fn(frame, context), context)
-
-    return stream
-
-
-register_stream_compiler(A.Var)(_stream_leaf)
-register_stream_compiler(A.Const)(_stream_leaf)
-
-
-@register_stream_compiler(A.Empty)
-def _stream_empty(expr: A.Empty, scope, state):
-    def stream(frame, context):
-        return
-        yield  # pragma: no cover - makes this a generator function
-
-    return stream
-
-
-@register_stream_compiler(A.Singleton)
-def _stream_singleton(expr: A.Singleton, scope, state):
-    value_fn = _compile(expr.expr, scope, state)
-
-    def stream(frame, context):
-        yield value_fn(frame, context)
-
-    return stream
-
-
-@register_stream_compiler(A.Union)
-def _stream_union(expr: A.Union, scope, state):
-    """The typed streaming union: chain the operand streams under a kind proof.
-
-    ``union_like`` both deduplicates (sets) and type-checks the two
-    operands' collection classes (all kinds).  When the static kind proof
-    (:func:`~repro.core.nrc.structural.proven_collection_kind`) guarantees
-    both operands produce this union's collection class, the run-time check
-    is redundant and the union pipelines: the left operand's elements, then
-    the right's — for sets under one seen-filter carried across both
-    operands, which matches ``left.union(right)``'s first-occurrence order
-    exactly (bag/list union is concatenation, so chaining is the semantics).
-
-    Without a proof for either operand (a bound ``Var``, a ``Scan``, a
-    ``Cached`` value — or a *provable mismatch*), the union stays an eager
-    ``union_like`` section: chaining would silently accept terms ``execute``
-    rejects.
-    """
-    kind = expr.kind
-    if (proven_collection_kind(expr.left) != kind
-            or proven_collection_kind(expr.right) != kind):
-        return _stream_via_eager(expr, scope, state)
-    left_fn = _compile_stream(expr.left, scope, state)
-    right_fn = _compile_stream(expr.right, scope, state)
-    if kind == "set":
-        # The union's own seen-filter below provides all the dedup the
-        # chain needs, so operands that dedup on their own (set-kind
-        # Ext/Join/ParallelExt, nested unions) are unwrapped to their raw
-        # stages — an N-level union chain then carries exactly one seen-set
-        # instead of N+1 (operands without the wrapper stream as-is).
-        left_fn = getattr(left_fn, "undeduped", left_fn)
-        right_fn = getattr(right_fn, "undeduped", right_fn)
-
-    def stream(frame, context):
-        yield from left_fn(frame, context)
-        yield from right_fn(frame, context)
-
-    if kind == "set":
-        return _dedup_set_stream(stream)
-    return stream
-
-
-@register_stream_compiler(A.IfThenElse)
-def _stream_if(expr: A.IfThenElse, scope, state):
-    cond_fn = _compile(expr.cond, scope, state)
-    then_fn = _compile_stream(expr.then_branch, scope, state)
-    else_fn = _compile_stream(expr.else_branch, scope, state)
-
-    def stream(frame, context):
-        if _require_bool(cond_fn(frame, context)):
-            yield from then_fn(frame, context)
-        else:
-            yield from else_fn(frame, context)
-
-    return stream
-
-
-@register_stream_compiler(A.Let)
-def _stream_let(expr: A.Let, scope, state):
-    value_fn = _compile(expr.value, scope, state)
-    body_fn = _compile_stream(expr.body, scope + (expr.var,), state)
-
-    def stream(frame, context):
-        yield from body_fn(_extended(frame, value_fn(frame, context)), context)
-
-    return stream
-
-
-@register_stream_compiler(A.Scan)
-def _stream_scan(expr: A.Scan, scope, state):
-    run = _compile_scan(expr, scope, state)
-
-    def stream(frame, context):
-        # The request fires on first next(); a lazy cursor is registered with
-        # the evaluation scope inside the eager scan closure (scan_stream).
-        yield from _iterate_streamed(run(frame, context), context)
-
-    return stream
-
-
-# A Cached node is a deliberate materialization point: the subquery cache
-# stores whole collections (cache_payload), so the pipeline evaluates it
-# eagerly (hitting the cache) and yields from the cached value — exactly
-# the leaf treatment, and likewise not counted as a fallback.
-register_stream_compiler(A.Cached)(_stream_leaf)
 
 
 class _BudgetedSeenSet:
@@ -1563,378 +1370,6 @@ def _make_seen_set(context: EvalContext):
     return set()
 
 
-def _dedup_set_stream(stream_fn: _StreamFn) -> _StreamFn:
-    """Dedup-as-you-go for set-kind pipelines.
-
-    ``CSet`` iterates in first-occurrence insertion order, so suppressing
-    repeats incrementally yields *exactly* the element sequence of the
-    eagerly built set — laziness preserved, at O(distinct elements) memory
-    (no worse than the eager result itself).
-
-    The wrapper remembers the raw stage (``undeduped``) so an enclosing
-    set-kind union can chain operand streams under ONE shared seen-filter:
-    filtering the raw concatenation yields the same first-occurrence
-    sequence as filtering pre-deduped operands, at one hash probe and one
-    live seen-set per element instead of one per pipeline layer.
-    """
-
-    def stream(frame, context):
-        seen = _make_seen_set(context)
-        for element in stream_fn(frame, context):
-            if element not in seen:
-                seen.add(element)
-                yield element
-
-    stream.undeduped = stream_fn
-    return stream
-
-
-def _compile_stream_body(body: A.Expr, scope: _Scope, state: _CompileState):
-    """Compile a loop body for streaming: ``('value', fn)``, ``('filter',
-    (cond_fn, value_fn, emit_when))`` or ``('stream', stream_fn)``.
-
-    Mirrors :func:`_compile_body_emitter`'s specializations so the common
-    ``Singleton``/filter bodies cost one closure call per element instead of
-    a nested generator.
-    """
-    if type(body) is A.Singleton:
-        return ("value", _compile(body.expr, scope, state))
-    filter_shape = _filter_shape(body)
-    if filter_shape is not None:
-        emit_when, value_expr = filter_shape
-        cond_fn = _compile(body.cond, scope, state)
-        value_fn = _compile(value_expr, scope, state)
-        return ("filter", (cond_fn, value_fn, emit_when))
-    return ("stream", _compile_stream(body, scope, state))
-
-
-@register_stream_compiler(A.Ext)
-def _stream_ext(expr: A.Ext, scope, state):
-    source_fn = _compile_stream(expr.source, scope, state)
-    mode, body = _compile_stream_body(expr.body, scope + (expr.var,), state)
-    slot = len(scope)
-
-    if mode == "value":
-        value_fn = body
-
-        def stream_fn(frame, context):
-            stats = context.statistics
-            loop_frame = _extended(frame, None)
-            for item in source_fn(frame, context):
-                stats.ext_iterations += 1
-                loop_frame[slot] = item
-                yield value_fn(loop_frame, context)
-
-    elif mode == "filter":
-        cond_fn, value_fn, emit_when = body
-
-        def stream_fn(frame, context):
-            stats = context.statistics
-            loop_frame = _extended(frame, None)
-            for item in source_fn(frame, context):
-                stats.ext_iterations += 1
-                loop_frame[slot] = item
-                if _require_bool(cond_fn(loop_frame, context)) is emit_when:
-                    yield value_fn(loop_frame, context)
-
-    else:
-        body_fn = body
-
-        def stream_fn(frame, context):
-            stats = context.statistics
-            # The loop frame is safely reused across iterations: the body's
-            # element stream for item N is exhausted before item N+1 is
-            # pulled, and escaping closures snapshot the frame at creation.
-            loop_frame = _extended(frame, None)
-            for item in source_fn(frame, context):
-                stats.ext_iterations += 1
-                loop_frame[slot] = item
-                yield from body_fn(loop_frame, context)
-
-    if expr.kind == "set":
-        return _dedup_set_stream(stream_fn)
-    return stream_fn
-
-
-def _stream_join_emit(mode, body, pair_frame, context):
-    """Yield the body elements for one matched pair (streaming join helper)."""
-    if mode == "value":
-        yield body(pair_frame, context)
-    elif mode == "filter":
-        cond_fn, value_fn, emit_when = body
-        if _require_bool(cond_fn(pair_frame, context)) is emit_when:
-            yield value_fn(pair_frame, context)
-    else:
-        yield from body(pair_frame, context)
-
-
-@register_stream_compiler(A.Join)
-def _stream_join(expr: A.Join, scope, state):
-    """Stream the probe (outer) side of a join; the build side materializes.
-
-    The asymmetry is inherent: an indexed join's hash index (and a blocked
-    join's per-block inner rescan) needs the whole inner collection, but the
-    outer side can be consumed element-by-element (indexed) or block-by-block
-    (blocked), so results flow before the outer source is exhausted.
-    """
-    outer_fn = _compile_stream(expr.outer, scope, state)
-    inner_fn = _compile(expr.inner, scope, state)
-    pair_scope = scope + (expr.outer_var, expr.inner_var)
-    mode, body = _compile_stream_body(expr.body, pair_scope, state)
-    cond_fn = None
-    if expr.condition is not None:
-        cond_fn = _compile(expr.condition, pair_scope, state)
-    outer_slot = len(scope)
-    inner_slot = outer_slot + 1
-
-    if expr.method == "indexed":
-        if expr.outer_key is None or expr.inner_key is None:
-            def broken(frame, context):
-                raise EvaluationError(
-                    "indexed join requires outer and inner key expressions")
-                yield  # pragma: no cover
-            return broken
-        outer_key_fn = _compile(expr.outer_key, scope + (expr.outer_var,), state)
-        inner_key_fn = _compile(expr.inner_key, scope + (expr.inner_var,), state)
-
-        def stream_indexed(frame, context):
-            context.statistics.joins_indexed += 1
-            outer = outer_fn(frame, context)
-            # Build side: materialized into a hash index before probing.
-            inner = _build_source(inner_fn(frame, context), context)
-            key_frame, index = _build_join_index(
-                inner, inner_key_fn, frame, outer_slot, context)
-            pair_frame = _extended(_extended(frame, None), None)
-            for outer_item in outer:
-                key_frame[outer_slot] = outer_item
-                matches = index.get(outer_key_fn(key_frame, context))
-                if not matches:
-                    continue
-                pair_frame[outer_slot] = outer_item
-                for inner_item in matches:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    yield from _stream_join_emit(mode, body, pair_frame, context)
-
-        if expr.kind == "set":
-            return _dedup_set_stream(stream_indexed)
-        return stream_indexed
-
-    block_size = max(1, expr.block_size)
-
-    if block_size == 1:
-        def stream_unit_blocked(frame, context):
-            # Per-element probe (what the optimizer emits under the
-            # streaming hint): pull one outer element, materialize the inner
-            # side ONCE on first need, and yield that element's matches
-            # immediately — the blocked join's time-to-first-result becomes
-            # one outer element plus the build side, like the indexed join.
-            context.statistics.joins_blocked += 1
-            pair_frame = _extended(_extended(frame, None), None)
-            inner = None
-            for outer_item in outer_fn(frame, context):
-                if inner is None:
-                    inner = _materialise_build_side(
-                        inner_fn(frame, context), context)
-                pair_frame[outer_slot] = outer_item
-                for inner_item in inner:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    yield from _stream_join_emit(mode, body, pair_frame, context)
-
-        if expr.kind == "set":
-            return _dedup_set_stream(stream_unit_blocked)
-        return stream_unit_blocked
-
-    def stream_blocked(frame, context):
-        context.statistics.joins_blocked += 1
-        pair_frame = _extended(_extended(frame, None), None)
-        outer = iter(outer_fn(frame, context))
-        while True:
-            block = []
-            for outer_item in outer:
-                block.append(outer_item)
-                if len(block) >= block_size:
-                    break
-            if not block:
-                return
-            # The inner side is re-evaluated once per outer block, exactly
-            # like the eager lowering (a driver stream can be consumed
-            # once); outer-major emission keeps the sequence block-size-
-            # independent.
-            inner = _materialise_build_side(inner_fn(frame, context), context)
-            for outer_item in block:
-                pair_frame[outer_slot] = outer_item
-                for inner_item in inner:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    yield from _stream_join_emit(mode, body, pair_frame, context)
-
-    if expr.kind == "set":
-        return _dedup_set_stream(stream_blocked)
-    return stream_blocked
-
-
-class CompiledStream:
-    """An NRC term lowered to a pull-based generator pipeline.
-
-    Calling it returns an *iterator* over the elements of the term's
-    collection value (a non-collection value is yielded as a single
-    element, matching ``KleisliEngine.stream``).  The whole run happens
-    inside a fresh :class:`~repro.core.nrc.eval.EvalScope` on the supplied
-    context: every cursor the pipeline opens — source scans *and* body-level
-    scans — is released when the iterator is exhausted or closed early.
-
-    ``eager_nodes`` names node types that had no pull-based lowering and ran
-    eagerly inside the pipeline; ``fallback_nodes`` names node types (inside
-    those eager sections) delegated all the way back to the interpreter.
-    """
-
-    __slots__ = ("expr", "free_names", "fallback_nodes", "eager_nodes", "_fn")
-
-    def __init__(self, expr: A.Expr):
-        self.expr = expr
-        self.free_names: Tuple[str, ...] = tuple(sorted(free_variables(expr)))
-        state = _CompileState(n_free=len(self.free_names))
-        self._fn = self._lower_toplevel(expr, self.free_names, state)
-        self.fallback_nodes: Tuple[str, ...] = tuple(sorted(set(state.fallbacks)))
-        self.eager_nodes: Tuple[str, ...] = tuple(sorted(set(state.eager)))
-
-    @classmethod
-    def _lower_toplevel(cls, expr: A.Expr, scope: _Scope, state: _CompileState) -> _StreamFn:
-        """Top-level lowering: tolerates a non-collection result.
-
-        A scalar query streams as a single element (matching the engine's
-        historical ``stream`` contract), unlike source/body positions where
-        a scalar is an error.  The tolerance follows the *transparent spine*
-        — ``Let`` bodies, ``IfThenElse`` branches, and value leaves — so
-        ``Let(x, Ext(...))`` still streams its comprehension while
-        ``Let(x, x + 2)`` yields one element instead of raising.
-        """
-        node_type = type(expr)
-        if node_type is A.Let:
-            value_fn = _compile(expr.value, scope, state)
-            body_fn = cls._lower_toplevel(expr.body, scope + (expr.var,), state)
-
-            def stream_let(frame, context):
-                yield from body_fn(_extended(frame, value_fn(frame, context)),
-                                   context)
-
-            return stream_let
-        if node_type is A.IfThenElse:
-            cond_fn = _compile(expr.cond, scope, state)
-            then_fn = cls._lower_toplevel(expr.then_branch, scope, state)
-            else_fn = cls._lower_toplevel(expr.else_branch, scope, state)
-
-            def stream_if(frame, context):
-                if _require_bool(cond_fn(frame, context)):
-                    yield from then_fn(frame, context)
-                else:
-                    yield from else_fn(frame, context)
-
-            return stream_if
-        if node_type in (A.Var, A.Const, A.Cached):
-            # Value leaves (and Cached, a materialization point): evaluate,
-            # then stream elements — or the value itself when it is scalar.
-            return cls._tolerant_stream(_compile(expr, scope, state),
-                                        count_fallback=False)
-        if node_type in _STREAM_COMPILERS:
-            # Collection-producing nodes (Ext, Scan, Join, Union, ...): a
-            # scalar cannot legally appear here, so stream directly.
-            return _compile_stream(expr, scope, state)
-        state.eager.append(node_type.__name__)
-        return cls._tolerant_stream(_compile(expr, scope, state),
-                                    count_fallback=True)
-
-    @staticmethod
-    def _tolerant_stream(fn: _CompiledFn, count_fallback: bool) -> _StreamFn:
-        """Yield a value's elements if it is a CPL collection, else the value.
-
-        Deliberately as strict as ``iter_collection``: a plain Python
-        iterable (tuple, dict, generator) bound to a variable is *one*
-        value, exactly as ``execute`` and the interpreted stream treat it —
-        not an element sequence to explode.
-        """
-
-        def stream(frame, context):
-            if count_fallback:
-                context.statistics.stream_fallbacks += 1
-            value = fn(frame, context)
-            if isinstance(value, _COLLECTIONS):
-                yield from value
-            else:
-                yield value
-
-        return stream
-
-    @property
-    def fully_compiled(self) -> bool:
-        """No interpreter fallback anywhere in the pipeline."""
-        return not self.fallback_nodes
-
-    @property
-    def fully_streamed(self) -> bool:
-        """Every node lowered pull-based (no eager sections)."""
-        return not self.eager_nodes
-
-    def __call__(self, env: Optional[Environment] = None,
-                 context: Optional[EvalContext] = None):
-        context = context if context is not None else EvalContext()
-        return self._pump(_build_frame(self.free_names, env), context)
-
-    def _pump(self, frame, context):
-        # The scope spans the whole iteration: activated on first next(),
-        # closed (releasing every registered cursor) when the pipeline is
-        # exhausted, abandoned (GeneratorExit) or fails.
-        with context.evaluation_scope():
-            token = context.cancellation
-            if token is None:
-                yield from self._fn(frame, context)
-                return
-            # Governed pump: one cooperative checkpoint per element pull,
-            # raised inside the scope so cancellation releases every cursor.
-            for element in self._fn(frame, context):
-                token.raise_if_cancelled()
-                yield element
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        detail = "fully streamed" if self.fully_streamed else \
-            "eager: " + ", ".join(self.eager_nodes)
-        return f"<CompiledStream ({detail})>"
-
-
-def compile_stream(term: A.Expr) -> CompiledStream:
-    """Lower an (optimized) NRC term into a pull-based generator pipeline.
-
-    Returns a :class:`CompiledStream`; call it with an
-    :class:`~repro.core.nrc.eval.Environment` and an
-    :class:`~repro.core.nrc.eval.EvalContext` to get the element iterator.
-    """
-    return CompiledStream(term)
-
-
-# ---------------------------------------------------------------------------
-# Chunked (morsel-at-a-time) lowering
-# ---------------------------------------------------------------------------
-#
-# The third lowering target: stages exchange *lists* of at most K elements
-# instead of single elements, so the per-element cost of a pipeline stage is
-# one tight-loop iteration rather than a generator-frame suspend/resume.
-# Adjacent Ext stages with map/filter bodies fuse into ONE chunk stage that
-# runs each stage as a tight loop over the chunk; set-kind dedup, the typed
-# union's shared seen-filter and both join probes have chunk-wise forms that
-# preserve exact element-sequence parity with execute (see the module
-# docstring's "Chunked semantics").  Chunk sizes ramp from 1 (first chunk =
-# first element: TTFR parity with the per-element stream) doubling up to the
-# ChunkPolicy maximum, read from the EvalContext at run time.
-
-
 class ChunkPolicy:
     """Chunk-size policy for the chunked lowering (a run-time parameter).
 
@@ -1946,14 +1381,15 @@ class ChunkPolicy:
     :class:`~repro.kleisli.statistics.SourceStatisticsRegistry` — keep the
     smaller ``remote_max_chunk`` so one chunk never buffers more than a
     bounded slice of a slow cursor; local sources ramp to ``max_chunk``.
+    ``ChunkPolicy(max_chunk=1)`` is the element-at-a-time stream: one
+    cancellation checkpoint and one transient budget unit per element.
 
     ``parallel_chunk`` selects the granularity of a streamed
     ``ParallelExt``'s prefetcher: 1 (the default) keeps one in-flight task
-    per source *element* — the right shape for overlapping remote latency,
-    and exactly the per-element backend's bounding behavior — while a larger
-    value submits one task per ``parallel_chunk`` source elements
-    (``AdaptiveScheduler.prefetch``'s chunk-granular mode), amortizing task
-    overhead when the body is cheap.
+    per source *element* — the right shape for overlapping remote latency —
+    while a larger value submits one task per ``parallel_chunk`` source
+    elements (``AdaptiveScheduler.prefetch``'s chunk-granular mode),
+    amortizing task overhead when the body is cheap.
     """
 
     DEFAULT_MAX_CHUNK = 1024
@@ -2004,37 +1440,6 @@ DEFAULT_CHUNK_POLICY = ChunkPolicy()
 def _active_policy(context: EvalContext) -> ChunkPolicy:
     policy = getattr(context, "chunk_policy", None)
     return DEFAULT_CHUNK_POLICY if policy is None else policy
-
-
-def _ramped_chunks(iterator, initial: int, maximum: int,
-                   adaptive: bool = False):
-    """Group an element iterator into ramping chunks: 1, 2, 4, ... maximum.
-
-    Pulls exactly ``size`` elements before yielding a chunk — no lookahead
-    beyond the chunk boundary, so a consumer that stops early never caused
-    more source consumption than the chunk it is reading (the same bounding
-    the per-element stream gives, at chunk granularity).  With ``adaptive``
-    (the planner's cost-adaptive ramp) the doubling stops when the marginal
-    per-chunk cost stops improving — see :class:`_ChunkRamp`.
-    """
-    if adaptive:
-        yield from _ChunkRamp(initial, maximum, adaptive=True) \
-            .emit_pulled(iterator)
-        return
-    size = max(1, initial)
-    maximum = max(size, maximum)
-    chunk: list = []
-    append = chunk.append
-    for item in iterator:
-        append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-            append = chunk.append
-            if size < maximum:
-                size = min(maximum, size * 2)
-    if chunk:
-        yield chunk
 
 
 class _ChunkRamp:
@@ -2160,39 +1565,14 @@ class _ChunkRamp:
             self.size = min(self.maximum, self.size * 2)
 
 
-def _sliced_chunks(elements, initial: int, maximum: int,
-                   adaptive: bool = False):
-    """Ramped chunks of an indexable sequence, cut by slicing.
-
-    The fast path for *materialized* sources: a chunk is one C-level slice
-    of the backing tuple/list, so chunking a local collection costs no
-    per-element Python work at all (contrast :func:`_ramped_chunks`, which
-    must pull cursor elements one by one).
-    """
-    if adaptive:
-        yield from _ChunkRamp(initial, maximum, adaptive=True) \
-            .emit_sliced(elements)
-        return
-    size = max(1, initial)
-    maximum = max(size, maximum)
-    total = len(elements)
-    start = 0
-    while start < total:
-        end = start + size
-        yield list(elements[start:end])
-        start = end
-        if size < maximum:
-            size = min(maximum, size * 2)
-
-
 def _chunk_elements(value: object, context: EvalContext,
                     initial: int, maximum: int, adaptive: bool = False):
     """Ramped chunks of an evaluated value: sliced when materialized,
     pulled element-wise when lazy (cursors stay scope-registered)."""
+    ramp = _ChunkRamp(initial, maximum, adaptive)
     if isinstance(value, _COLLECTIONS):
-        return _sliced_chunks(value._elements, initial, maximum, adaptive)
-    return _ramped_chunks(_iterate_streamed(value, context), initial, maximum,
-                          adaptive)
+        return ramp.emit_sliced(value._elements)
+    return ramp.emit_pulled(_iterate_streamed(value, context))
 
 
 _ChunkFn = Callable[[list, EvalContext], object]
@@ -2202,8 +1582,8 @@ _CHUNK_COMPILERS: Dict[Type[A.Expr], Callable[[A.Expr, _Scope, _CompileState], _
 def register_chunk_compiler(node_type: Type[A.Expr]):
     """Register a chunk-wise lowering for an AST node type.
 
-    Same exact-type dispatch contract as :func:`register_stream_compiler`.
-    The registered function compiles ``expr`` to a generator function
+    Same exact-type dispatch contract as :func:`register_compiler`.  The
+    registered function compiles ``expr`` to a generator function
     ``chunks(frame, context)`` whose iterator yields non-empty **lists** of
     elements; the concatenation of the lists must equal the node's element
     sequence, and no work (including driver requests) may happen before the
@@ -2225,7 +1605,7 @@ def chunkable_node_types() -> Tuple[str, ...]:
 def _compile_chunk(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
     compiler = _CHUNK_COMPILERS.get(type(expr))
     if compiler is None:
-        return _chunk_via_stream(expr, scope, state)
+        return _chunk_via_eager(expr, scope, state)
     return compiler(expr, scope, state)
 
 
@@ -2242,7 +1622,7 @@ def _scan_drivers(expr: A.Expr) -> Tuple[str, ...]:
 def _subtree_sizes(policy: ChunkPolicy, drivers: Tuple[str, ...]) -> Tuple[int, int]:
     """The most conservative ramp bounds over a subtree's scan drivers.
 
-    A re-chunk point (scalar stage, eager section) sits downstream of
+    A re-chunk point (an eager section, a parallel loop) sits downstream of
     whatever cursors its subtree opens; pulling a chunk pulls through them.
     Taking the minimum maximum over every driver the subtree can scan keeps
     the remote buffering bound ("one chunk never buffers more than a
@@ -2257,33 +1637,10 @@ def _subtree_sizes(policy: ChunkPolicy, drivers: Tuple[str, ...]) -> Tuple[int, 
     return initial, maximum
 
 
-def _chunk_via_stream(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
-    """Run a node with no chunk lowering at per-element granularity.
-
-    The existing stream lowering produces the elements; they are re-chunked
-    for the downstream (chunk-consuming) stages.  Correct for any node the
-    per-element backend handles, just not vectorized — surfaced via
-    ``CompiledChunkedStream.scalar_stages`` / ``EvalStatistics.scalar_stages``.
-    """
-    state.scalar.append(type(expr).__name__)
-    stream_fn = _compile_stream(expr, scope, state)
-    drivers = _scan_drivers(expr)
-
-    def chunks(frame, context):
-        context.statistics.scalar_stages += 1
-        policy = _active_policy(context)
-        initial, maximum = _subtree_sizes(policy, drivers)
-        yield from _ramped_chunks(stream_fn(frame, context), initial, maximum,
-                                  policy.adaptive_ramp)
-
-    return chunks
-
-
 def _chunk_via_eager(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
     """Evaluate a non-streamable subtree eagerly, then yield its chunks.
 
-    The chunked counterpart of :func:`_stream_via_eager`: same accounting
-    (``eager_nodes`` / ``stream_fallbacks``), same error behavior — the
+    Named in ``eager_nodes`` and counted by ``stream_fallbacks``.  The
     whole value is produced before the first chunk, so a term ``execute``
     rejects raises here exactly where it raises there.  The eager value can
     still be a lazy cursor (an eagerly compiled ``Scan``), so the ramp uses
@@ -2306,7 +1663,9 @@ def _chunk_via_eager(expr: A.Expr, scope: _Scope, state: _CompileState) -> _Chun
 def _chunk_leaf(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
     """A leaf in source position: evaluate (cheap), chunk lazily.
 
-    Like :func:`_stream_leaf`, not a fallback — not counted anywhere.
+    Unlike :func:`_chunk_via_eager` this is not a fallback — a bound
+    collection or constant has no cheaper pull-based form — so it is not
+    counted in ``eager_nodes``/``stream_fallbacks``.
     """
     fn = _compile(expr, scope, state)
 
@@ -2321,8 +1680,10 @@ def _chunk_leaf(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
 
 register_chunk_compiler(A.Var)(_chunk_leaf)
 register_chunk_compiler(A.Const)(_chunk_leaf)
-# Cached: a deliberate materialization point, chunked like a leaf (see the
-# per-element lowering's treatment).
+# A Cached node is a deliberate materialization point: the subquery cache
+# stores whole collections (cache_payload), so the pipeline evaluates it
+# eagerly (hitting the cache) and chunks the cached value — exactly the leaf
+# treatment, and likewise not counted as a fallback.
 register_chunk_compiler(A.Cached)(_chunk_leaf)
 
 
@@ -2348,11 +1709,17 @@ def _chunk_singleton(expr: A.Singleton, scope, state):
 def _dedup_set_chunks(chunk_fn: _ChunkFn) -> _ChunkFn:
     """Chunk-wise dedup-as-you-go for set-kind pipelines.
 
-    The seen-set is carried *across* chunk boundaries, so the concatenated
-    output equals :func:`_dedup_set_stream`'s element sequence exactly —
-    chunk sizes stay value-invisible.  Like the per-element wrapper, the raw
-    stage is remembered (``undeduped``) so an enclosing set-kind union can
-    chain operands under one shared seen-filter.
+    ``CSet`` iterates in first-occurrence insertion order, so suppressing
+    repeats incrementally yields *exactly* the element sequence of the
+    eagerly built set — laziness preserved, at O(distinct elements) memory
+    (no worse than the eager result itself).  The seen-set is carried
+    *across* chunk boundaries, so chunk sizes stay value-invisible.
+
+    The wrapper remembers the raw stage (``undeduped``) so an enclosing
+    set-kind union can chain operand streams under ONE shared seen-filter:
+    filtering the raw concatenation yields the same first-occurrence
+    sequence as filtering pre-deduped operands, at one hash probe and one
+    live seen-set per element instead of one per pipeline layer.
     """
 
     # A stage with a row form (value tuples of record heads on one static
@@ -2381,7 +1748,22 @@ def _dedup_set_chunks(chunk_fn: _ChunkFn) -> _ChunkFn:
 
 @register_chunk_compiler(A.Union)
 def _chunk_union(expr: A.Union, scope, state):
-    """The typed streaming union at chunk granularity (same kind proof)."""
+    """The typed streaming union: chain the operand streams under a kind proof.
+
+    ``union_like`` both deduplicates (sets) and type-checks the two
+    operands' collection classes (all kinds).  When the static kind proof
+    (:func:`~repro.core.nrc.structural.proven_collection_kind`) guarantees
+    both operands produce this union's collection class, the run-time check
+    is redundant and the union pipelines: the left operand's chunks, then
+    the right's — for sets under one seen-filter carried across both
+    operands, which matches ``left.union(right)``'s first-occurrence order
+    exactly (bag/list union is concatenation, so chaining is the semantics).
+
+    Without a proof for either operand (a bound ``Var``, a ``Scan``, a
+    ``Cached`` value — or a *provable mismatch*), the union stays an eager
+    ``union_like`` section: chaining would silently accept terms ``execute``
+    rejects.
+    """
     kind = expr.kind
     if (proven_collection_kind(expr.left) != kind
             or proven_collection_kind(expr.right) != kind):
@@ -2389,7 +1771,11 @@ def _chunk_union(expr: A.Union, scope, state):
     left_fn = _compile_chunk(expr.left, scope, state)
     right_fn = _compile_chunk(expr.right, scope, state)
     if kind == "set":
-        # One seen-set for the whole union chain (see _stream_union).
+        # The union's own seen-filter below provides all the dedup the
+        # chain needs, so operands that dedup on their own (set-kind
+        # Ext/Join/ParallelExt, nested unions) are unwrapped to their raw
+        # stages — an N-level union chain then carries exactly one seen-set
+        # instead of N+1 (operands without the wrapper stream as-is).
         left_fn = getattr(left_fn, "undeduped", left_fn)
         right_fn = getattr(right_fn, "undeduped", right_fn)
 
@@ -2488,11 +1874,11 @@ def _execute_scan_batch(driver: str, requests: List[dict],
 def _chunk_ext_scan_batch(expr: A.Ext, scope: _Scope, state: _CompileState) -> _ChunkFn:
     """``Ext`` whose body is a ``Scan``: batch the chunk's driver fetches.
 
-    The per-element stream issues one request per source element; here a
-    whole batch of requests is built first and dispatched in one
-    ``execute_batch`` call, then each result's elements are yielded in
-    request order — the same element sequence and the same drained-run
-    statistics, at one driver round-trip per batch.
+    Instead of one request per source element, a whole batch of requests
+    is built first and dispatched in one ``execute_batch`` call, then each
+    result's elements are yielded in request order — the same element
+    sequence and the same drained-run statistics, at one driver round-trip
+    per batch.
 
     The batch size is bounded by the *scan driver's* policy maximum (not
     just the source's chunk size): a remote scan driver keeps small batches,
@@ -2932,8 +2318,9 @@ def _chunk_ext_generic(expr: A.Ext, scope: _Scope, state: _CompileState) -> _Chu
     """Chunked ``Ext`` with an arbitrary (collection-producing) body.
 
     The body's own chunk stream passes through: its chunks become output
-    chunks, consumed fully per source element before the next is bound (the
-    loop-frame reuse argument of the per-element lowering applies verbatim).
+    chunks.  The loop frame is safely reused across iterations: the body's
+    chunk stream for item N is exhausted before item N+1 is bound, and
+    escaping closures snapshot the frame at creation.
     """
     source_fn = _compile_chunk(expr.source, scope, state)
     body_fn = _compile_chunk(expr.body, scope + (expr.var,), state)
@@ -2955,22 +2342,35 @@ def _chunk_ext_generic(expr: A.Ext, scope: _Scope, state: _CompileState) -> _Chu
 
 @register_chunk_compiler(A.Join)
 def _chunk_join(expr: A.Join, scope, state):
-    """Chunk-wise join probing: per outer *chunk*, build side unchanged.
+    """Chunk-wise join probing: per outer *chunk*, build side materialized.
 
-    The indexed join builds its hash index before the first outer pull and
-    probes it per outer element within each chunk; a block-size-1 blocked
-    join materializes the inner once on first need — both exactly the
-    per-element lowering's build policy, emitting one output chunk per
-    probed outer chunk.  Blocked joins with a larger block size keep the
-    per-element lowering (their inner-rescan-per-block protocol is already
-    block-granular; the optimizer's streaming plans emit block size 1).
+    The asymmetry is inherent: an indexed join's hash index (and a blocked
+    join's inner rescan) needs the whole inner collection, but the outer
+    side is consumed chunk by chunk, so results flow before the outer source
+    is exhausted — one output chunk per probed outer chunk.  The indexed
+    join builds its index before the first outer pull.  A blocked join
+    evaluates its inner side on first need and again at every
+    ``block_size``-th outer element — blocks are counted across chunk
+    boundaries, so the inner side runs ``ceil(outer / block_size)`` times
+    exactly as in the eager closure — except ``block_size == 1`` (what the
+    optimizer emits under the streaming hint), where it is materialized
+    ONCE and probed per outer element, like the eager closure and the
+    interpreter.  A body that is neither ``Singleton`` nor a filter is a
+    chunk pipeline of its own, drained into the output chunk per matched
+    pair.
     """
-    if expr.method != "indexed" and max(1, expr.block_size) != 1:
-        return _chunk_via_stream(expr, scope, state)
     outer_fn = _compile_chunk(expr.outer, scope, state)
     inner_fn = _compile(expr.inner, scope, state)
     pair_scope = scope + (expr.outer_var, expr.inner_var)
-    mode, body = _compile_stream_body(expr.body, pair_scope, state)
+    if type(expr.body) is A.Singleton or _filter_shape(expr.body) is not None:
+        emit = _compile_body_emitter(expr.body, pair_scope, state)
+    else:
+        body_fn = _compile_chunk(expr.body, pair_scope, state)
+
+        def emit(frame, context, out):
+            for chunk in body_fn(frame, context):
+                out.extend(chunk)
+
     cond_fn = None
     if expr.condition is not None:
         cond_fn = _compile(expr.condition, pair_scope, state)
@@ -2989,8 +2389,6 @@ def _chunk_join(expr: A.Join, scope, state):
 
         def chunks_indexed(frame, context):
             context.statistics.joins_indexed += 1
-            # Build side first, like stream_indexed: the index exists before
-            # the first outer element is pulled.
             inner = _build_source(inner_fn(frame, context), context)
             key_frame, index = _build_join_index(
                 inner, inner_key_fn, frame, outer_slot, context)
@@ -3008,7 +2406,7 @@ def _chunk_join(expr: A.Join, scope, state):
                         if cond_fn is not None and \
                                 not require_join_condition(cond_fn(pair_frame, context)):
                             continue
-                        out.extend(_stream_join_emit(mode, body, pair_frame, context))
+                        emit(pair_frame, context, out)
                 if out:
                     yield out
 
@@ -3016,49 +2414,55 @@ def _chunk_join(expr: A.Join, scope, state):
             return _dedup_set_chunks(chunks_indexed)
         return chunks_indexed
 
-    def chunks_unit_blocked(frame, context):
+    block_size = max(1, expr.block_size)
+
+    def chunks_blocked(frame, context):
         context.statistics.joins_blocked += 1
         pair_frame = _extended(_extended(frame, None), None)
         inner = None
+        probed = 0  # outer elements so far: blocks span chunk boundaries
         for chunk in outer_fn(frame, context):
             out: list = []
             for outer_item in chunk:
-                if inner is None:
+                if inner is None or (block_size > 1
+                                     and probed % block_size == 0):
                     inner = _materialise_build_side(
                         inner_fn(frame, context), context)
+                probed += 1
                 pair_frame[outer_slot] = outer_item
                 for inner_item in inner:
                     pair_frame[inner_slot] = inner_item
                     if cond_fn is not None and \
                             not require_join_condition(cond_fn(pair_frame, context)):
                         continue
-                    out.extend(_stream_join_emit(mode, body, pair_frame, context))
+                    emit(pair_frame, context, out)
             if out:
                 yield out
 
     if expr.kind == "set":
-        return _dedup_set_chunks(chunks_unit_blocked)
-    return chunks_unit_blocked
+        return _dedup_set_chunks(chunks_blocked)
+    return chunks_blocked
 
 
 class CompiledChunkedStream:
     """An NRC term lowered to a chunk-at-a-time generator pipeline.
 
     Calling it returns an *iterator over elements* (chunks are an internal
-    exchange format; the engine's ``stream`` contract is element-wise) —
-    use :meth:`chunks` to observe the chunk boundaries.  Like
-    :class:`CompiledStream`, the whole run happens inside a fresh
-    :class:`~repro.core.nrc.eval.EvalScope` on the supplied context, so
-    exhaustion, abandonment or failure releases every cursor — including
-    those behind buffered-but-unconsumed chunk elements.
+    exchange format; the engine's ``stream`` contract is element-wise; a
+    non-collection value is yielded as a single element) — use
+    :meth:`chunks` to observe the chunk boundaries.  The whole run happens
+    inside a fresh :class:`~repro.core.nrc.eval.EvalScope` on the supplied
+    context: every cursor the pipeline opens — source scans *and*
+    body-level scans — is released when the iterator is exhausted, closed
+    early or fails, including those behind buffered-but-unconsumed chunk
+    elements.
 
-    ``scalar_stages`` names node types with no chunk-wise lowering that run
-    at per-element granularity inside the pipeline; ``eager_nodes`` and
-    ``fallback_nodes`` keep their :class:`CompiledStream` meanings.
+    ``eager_nodes`` names node types that had no chunk-wise lowering and ran
+    eagerly inside the pipeline; ``fallback_nodes`` names node types (inside
+    those eager sections) delegated all the way back to the interpreter.
     """
 
-    __slots__ = ("expr", "free_names", "fallback_nodes", "eager_nodes",
-                 "scalar_stages", "_fn")
+    __slots__ = ("expr", "free_names", "fallback_nodes", "eager_nodes", "_fn")
 
     def __init__(self, expr: A.Expr):
         self.expr = expr
@@ -3067,13 +2471,19 @@ class CompiledChunkedStream:
         self._fn = self._lower_toplevel(expr, self.free_names, state)
         self.fallback_nodes: Tuple[str, ...] = tuple(sorted(set(state.fallbacks)))
         self.eager_nodes: Tuple[str, ...] = tuple(sorted(set(state.eager)))
-        self.scalar_stages: Tuple[str, ...] = tuple(sorted(set(state.scalar)))
 
     @classmethod
     def _lower_toplevel(cls, expr: A.Expr, scope: _Scope,
                         state: _CompileState) -> _ChunkFn:
-        """Top-level lowering: the same transparent spine and scalar
-        tolerance as :meth:`CompiledStream._lower_toplevel`."""
+        """Top-level lowering: tolerates a non-collection result.
+
+        A scalar query streams as a single element (matching the engine's
+        historical ``stream`` contract), unlike source/body positions where
+        a scalar is an error.  The tolerance follows the *transparent spine*
+        — ``Let`` bodies, ``IfThenElse`` branches, and value leaves — so
+        ``Let(x, Ext(...))`` still streams its comprehension while
+        ``Let(x, x + 2)`` yields one element instead of raising.
+        """
         node_type = type(expr)
         if node_type is A.Let:
             value_fn = _compile(expr.value, scope, state)
@@ -3097,14 +2507,14 @@ class CompiledChunkedStream:
 
             return chunk_if
         if node_type in (A.Var, A.Const, A.Cached):
+            # Value leaves (and Cached, a materialization point): evaluate,
+            # then chunk elements — or the value itself when it is scalar.
             return cls._tolerant_chunks(_compile(expr, scope, state),
                                         count_fallback=False)
         if node_type in _CHUNK_COMPILERS:
+            # Collection-producing nodes (Ext, Scan, Join, Union, ...): a
+            # scalar cannot legally appear here, so chunk directly.
             return _compile_chunk(expr, scope, state)
-        if node_type in _STREAM_COMPILERS:
-            # A collection producer with a pull-based form but no chunk-wise
-            # one: run it per-element, re-chunked (a scalar stage).
-            return _chunk_via_stream(expr, scope, state)
         state.eager.append(node_type.__name__)
         return cls._tolerant_chunks(_compile(expr, scope, state),
                                     count_fallback=True)
@@ -3112,8 +2522,13 @@ class CompiledChunkedStream:
     @staticmethod
     def _tolerant_chunks(fn: _CompiledFn, count_fallback: bool) -> _ChunkFn:
         """Chunk a value's elements if it is a CPL collection, else yield the
-        value as a one-element chunk (same strictness as
-        :meth:`CompiledStream._tolerant_stream`)."""
+        value as a one-element chunk.
+
+        Deliberately as strict as ``iter_collection``: a plain Python
+        iterable (tuple, dict, generator) bound to a variable is *one*
+        value, exactly as ``execute`` and the interpreted stream treat it —
+        not an element sequence to explode.
+        """
 
         def chunks(frame, context):
             if count_fallback:
@@ -3122,8 +2537,8 @@ class CompiledChunkedStream:
             if isinstance(value, _COLLECTIONS):
                 policy = _active_policy(context)
                 initial, maximum = policy.sizes_for()
-                yield from _sliced_chunks(value._elements, initial, maximum,
-                                          policy.adaptive_ramp)
+                yield from _chunk_elements(value, context, initial, maximum,
+                                           policy.adaptive_ramp)
             else:
                 yield [value]
 
@@ -3135,14 +2550,9 @@ class CompiledChunkedStream:
         return not self.fallback_nodes
 
     @property
-    def fully_streamed(self) -> bool:
-        """Every node lowered pull-based (no eager sections)."""
-        return not self.eager_nodes
-
-    @property
     def fully_chunked(self) -> bool:
-        """Every node lowered chunk-wise (no eager or per-element sections)."""
-        return not self.eager_nodes and not self.scalar_stages
+        """Every node lowered chunk-wise (no eager sections)."""
+        return not self.eager_nodes
 
     def __call__(self, env: Optional[Environment] = None,
                  context: Optional[EvalContext] = None):
@@ -3166,10 +2576,10 @@ class CompiledChunkedStream:
                 yield chunk
 
     def _pump(self, frame, context):
-        # The scope spans the whole iteration, exactly like CompiledStream:
-        # activated on first next(), closed when the pipeline is exhausted,
-        # abandoned (GeneratorExit) or fails — releasing cursors even when
-        # chunk elements were buffered but never consumed.
+        # The scope spans the whole iteration: activated on first next(),
+        # closed when the pipeline is exhausted, abandoned (GeneratorExit)
+        # or fails — releasing cursors even when chunk elements were
+        # buffered but never consumed.
         probe = context.plan_probe
         token = context.cancellation
         budget = context.memory_budget
@@ -3224,15 +2634,8 @@ class CompiledChunkedStream:
             probe.complete(total)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        if self.fully_chunked:
-            detail = "fully chunked"
-        else:
-            parts = []
-            if self.scalar_stages:
-                parts.append("scalar: " + ", ".join(self.scalar_stages))
-            if self.eager_nodes:
-                parts.append("eager: " + ", ".join(self.eager_nodes))
-            detail = "; ".join(parts) or "fully chunked"
+        detail = "fully chunked" if self.fully_chunked else \
+            "eager: " + ", ".join(self.eager_nodes)
         return f"<CompiledChunkedStream ({detail})>"
 
 
@@ -3244,7 +2647,10 @@ def compile_chunked(term: A.Expr) -> CompiledChunkedStream:
     :class:`~repro.core.nrc.eval.EvalContext` (whose ``chunk_policy``
     governs the chunk-size ramp) to get the element iterator.
     """
-    return CompiledChunkedStream(term)
+    try:
+        return CompiledChunkedStream(term)
+    except RecursionError:
+        raise TermTooDeepError("term nests too deeply to compile") from None
 
 
 # ---------------------------------------------------------------------------
@@ -3276,7 +2682,7 @@ def _freeze_request_value(value: object) -> object:
     return _const_token(value)
 
 
-def term_fingerprint(expr: A.Expr, _scope: _Scope = ()) -> Tuple:
+def term_fingerprint(expr: A.Expr) -> Tuple:
     """A hashable identity of a term suitable for caching compiled queries.
 
     Differs from structural equality in exactly the ways a compile cache
@@ -3289,11 +2695,19 @@ def term_fingerprint(expr: A.Expr, _scope: _Scope = ()) -> Tuple:
       names the desugarer mints share one compiled query.  Free names stay
       literal (they select top-level frame slots by name).
     """
+    try:
+        return _fingerprint(expr, ())
+    except RecursionError:
+        raise TermTooDeepError(
+            "term nests too deeply to fingerprint") from None
+
+
+def _fingerprint(expr: A.Expr, _scope: _Scope) -> Tuple:
     node_type = type(expr)
     name = node_type.__name__
 
     def sub(child: A.Expr, scope: _Scope = _scope) -> Tuple:
-        return term_fingerprint(child, scope)
+        return _fingerprint(child, scope)
 
     if node_type is A.Const:
         return (name, _const_token(expr.value))

@@ -155,12 +155,11 @@ class EvalStatistics:
         self.execution_mode = "interpreted"
         #: Run-time count of fallback evaluations (compiled mode only).
         self.compiled_fallbacks = 0
-        #: Run-time count of pipeline sections that had no streaming lowering
-        #: and were evaluated eagerly inside a streaming run (streamed mode).
+        #: Run-time count of pipeline sections that had no chunk lowering
+        #: and were evaluated eagerly inside a streaming run (compile-time
+        #: names in ``CompiledChunkedStream.eager_nodes``).
         self.stream_fallbacks = 0
-        #: Run-time count of chunked-pipeline sections that had no chunk
-        #: lowering and ran at per-element granularity instead (chunked mode;
-        #: compile-time names in ``CompiledChunkedStream.scalar_stages``).
+        #: Always 0: benchmarks/e2e/tracing.py sums it; ROADMAP direction 3(b) removes it.
         self.scalar_stages = 0
         #: Engine compile-cache (LRU) accounting for this query's lowering.
         self.compile_cache_hits = 0
@@ -354,7 +353,7 @@ class EvalContext:
         self.scope: Optional[EvalScope] = None
         #: The run's :class:`~repro.kleisli.governance.CancellationToken`, or
         #: ``None``.  Lowerings check it at their natural scheduling points
-        #: (chunk boundaries, per-element pulls, eager loop heads) and the
+        #: (chunk boundaries, eager loop heads) and the
         #: engine checks it pre-driver-dispatch; a cancelled token raises a
         #: typed :class:`~repro.core.errors.QueryCancelledError` from inside
         #: the active scope, so every cursor is released on the way out.

@@ -53,7 +53,7 @@ def make_join_rule_set(cardinality_of: Optional[Callable[[A.Expr], int]] = None,
 
     ``streaming`` is the pipelined-execution hint: blocked joins are emitted
     with a block size of 1, so the streamed lowering materializes the inner
-    side once and probes (and yields) per outer *element* instead of per
+    side once and probes per outer *element* instead of re-evaluating it per
     block — the indexed join already probes per element, so under the hint
     every join shape keeps time-to-first-result at one outer element plus
     the build side.  Eager execution is indifferent to the choice (the

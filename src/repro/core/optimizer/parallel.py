@@ -26,6 +26,7 @@ of requests at a time, say five."
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, List, Optional
 
 from ..nrc import ast as A
@@ -176,34 +177,40 @@ def _compile_parallel_ext(expr: ParallelExt, scope, state):
     return run
 
 
-@C.register_stream_compiler(ParallelExt)
-def _stream_parallel_ext(expr: ParallelExt, scope, state):
-    """Pull-based ParallelExt: a bounded prefetcher over the source stream.
+@C.register_chunk_compiler(ParallelExt)
+def _chunk_parallel_ext(expr: ParallelExt, scope, state):
+    """Streamed ParallelExt: a bounded prefetcher over the source's chunks.
 
-    A sliding window of at most ``max_workers`` body evaluations is in
-    flight while downstream consumes earlier results (order preserved), so
-    remote latency overlaps consumption end-to-end — not just within one
-    batch as in the eager lowering.  The source itself is pulled lazily,
-    only one window ahead of the consumer, which bounds unconsumed replies
-    exactly as the paper requires.
+    A sliding window of at most ``max_workers`` tasks is in flight while
+    downstream consumes earlier results (order preserved), so remote
+    latency overlaps consumption end-to-end — not just within one batch as
+    in the eager lowering.  A task covers ``ChunkPolicy.parallel_chunk``
+    source elements: 1 (the default) is one body evaluation per task, the
+    right shape for overlapping *remote* latency, and the replies are
+    re-chunked for the downstream stages; a larger value amortizes task and
+    ordering overhead when the body is cheap (windows counted in chunks,
+    the window controller sampling per-chunk latency) and each task's
+    results travel on as one chunk.
+
+    The source is pulled lazily: one window ahead of the consumer, plus the
+    rest of the source's current ramp chunk — the same
+    no-lookahead-past-the-chunk rule every other chunk stage follows —
+    which bounds unconsumed replies as the paper requires.
     """
-    source_fn = C._compile_stream(expr.source, scope, state)
+    source_fn = C._compile_chunk(expr.source, scope, state)
     body_fn = C._compile(expr.body, scope + (expr.var,), state)
-    return _parallel_element_lowering(expr, source_fn, body_fn)
-
-
-def _parallel_element_lowering(expr: ParallelExt, source_fn, body_fn):
-    """The element-granular prefetch stage, from already-compiled pieces.
-
-    Factored out so the chunked lowering can reuse ONE compiled body (and
-    this exact prefetch discipline) instead of recompiling the body under a
-    second registrant.
-    """
+    # A ParallelExt typically exists BECAUSE its body scans a remote driver:
+    # the re-chunk of its output must respect that driver's buffering bound
+    # (one chunk never accumulates more than remote_max_chunk completed
+    # remote replies), like every other re-chunk point.
+    scan_driver_names = C._scan_drivers(expr)
     kind = expr.kind
     max_workers = expr.max_workers
     adaptive = expr.adaptive
 
-    def stream(frame, context):
+    def chunks(frame, context):
+        policy = C._active_policy(context)
+        parallel_chunk = policy.parallel_chunk
         scheduler = _make_scheduler(max_workers, adaptive,
                                     _plan_window(context))
         scope_obj = context.scope
@@ -214,17 +221,39 @@ def _parallel_element_lowering(expr: ParallelExt, source_fn, body_fn):
             scope_obj.register(scheduler)
         stats = context.statistics
 
-        def run_body(item):
-            # One frame copy per in-flight element: concurrent bodies never
-            # share mutable slots.
-            item_frame = list(frame)
-            item_frame.append(item)
-            return list(iter_collection(materialise(body_fn(item_frame, context))))
+        def run_task(items):
+            out = []
+            for item in items:
+                # One frame copy per in-flight element: concurrent bodies
+                # never share mutable slots.
+                item_frame = list(frame)
+                item_frame.append(item)
+                out.extend(iter_collection(materialise(body_fn(item_frame,
+                                                               context))))
+            return len(items), out
+
+        def tasks():
+            # Re-cut whatever the source's own chunking produced into
+            # fixed parallel_chunk task payloads.
+            for chunk in source_fn(frame, context):
+                for start in range(0, len(chunk), parallel_chunk):
+                    yield chunk[start:start + parallel_chunk]
+
+        def replies():
+            for consumed, out in scheduler.prefetch(run_task, tasks(),
+                                                    chunked=True):
+                stats.ext_iterations += consumed
+                if out:
+                    yield out
 
         try:
-            for chunk in scheduler.prefetch(run_body, source_fn(frame, context)):
-                stats.ext_iterations += 1
-                yield from chunk
+            if parallel_chunk == 1:
+                initial, maximum = C._subtree_sizes(policy, scan_driver_names)
+                yield from C._ChunkRamp(
+                    initial, maximum, policy.adaptive_ramp).emit_pulled(
+                        itertools.chain.from_iterable(replies()))
+            else:
+                yield from replies()
         finally:
             # Always close on section exit: a ParallelExt in the body of an
             # outer loop runs once per outer element — deferring the close
@@ -238,88 +267,6 @@ def _parallel_element_lowering(expr: ParallelExt, source_fn, body_fn):
     if kind == "set":
         # Set semantics: suppress repeats incrementally (first-occurrence
         # order), matching the eagerly built CSet element-for-element.
-        return C._dedup_set_stream(stream)
-    return stream
-
-
-@C.register_chunk_compiler(ParallelExt)
-def _chunk_parallel_ext(expr: ParallelExt, scope, state):
-    """Chunked ParallelExt: prefetch granularity follows the ChunkPolicy.
-
-    With ``parallel_chunk == 1`` (the default) the prefetcher stays
-    element-granular — one in-flight body evaluation per source element,
-    exactly the per-element lowering's bounding behavior, which is the
-    right shape for overlapping *remote* latency — and the results are
-    re-chunked for the downstream (chunk-consuming) stages.  A larger
-    ``parallel_chunk`` switches to the scheduler's chunk-granular prefetch:
-    one task per ``parallel_chunk`` source elements, windows counted in
-    chunks, the window controller sampling per-chunk latency — amortizing
-    task and ordering overhead when the body is cheap.
-    """
-    body_fn = C._compile(expr.body, scope + (expr.var,), state)
-    # The source is compiled under BOTH registries (the policy picks a path
-    # at run time), but the body — the expensive half — is compiled once
-    # and shared by the element and chunk-granular paths.
-    element_fn = _parallel_element_lowering(
-        expr, C._compile_stream(expr.source, scope, state), body_fn)
-    # The outer set-dedup wrapper below provides all dedup the chunked form
-    # needs; use the raw element stage so one seen-set serves the pipeline.
-    element_raw = getattr(element_fn, "undeduped", element_fn)
-    source_chunk_fn = C._compile_chunk(expr.source, scope, state)
-    # A ParallelExt typically exists BECAUSE its body scans a remote driver:
-    # the re-chunk of its output must respect that driver's buffering bound
-    # (one chunk never accumulates more than remote_max_chunk completed
-    # remote replies), like every other re-chunk point.
-    scan_driver_names = C._scan_drivers(expr)
-    kind = expr.kind
-    max_workers = expr.max_workers
-    adaptive = expr.adaptive
-
-    def chunks(frame, context):
-        policy = C._active_policy(context)
-        parallel_chunk = policy.parallel_chunk
-        if parallel_chunk <= 1:
-            initial, maximum = C._subtree_sizes(policy, scan_driver_names)
-            yield from C._ramped_chunks(element_raw(frame, context),
-                                        initial, maximum,
-                                        policy.adaptive_ramp)
-            return
-        scheduler = _make_scheduler(max_workers, adaptive,
-                                    _plan_window(context))
-        scope_obj = context.scope
-        if scope_obj is not None:
-            scope_obj.register(scheduler)
-        stats = context.statistics
-
-        def run_chunk(chunk):
-            out = []
-            for item in chunk:
-                item_frame = list(frame)
-                item_frame.append(item)
-                out.extend(iter_collection(materialise(body_fn(item_frame,
-                                                               context))))
-            return len(chunk), out
-
-        def rechunked_source():
-            # Re-cut whatever the source's own chunking produced into
-            # fixed parallel_chunk task payloads.
-            for chunk in source_chunk_fn(frame, context):
-                for start in range(0, len(chunk), parallel_chunk):
-                    yield chunk[start:start + parallel_chunk]
-
-        try:
-            for consumed, out in scheduler.prefetch(run_chunk,
-                                                    rechunked_source(),
-                                                    chunked=True):
-                stats.ext_iterations += consumed
-                if out:
-                    yield out
-        finally:
-            scheduler.close()
-            if scope_obj is not None:
-                scope_obj.unregister(scheduler)
-
-    if kind == "set":
         return C._dedup_set_chunks(chunks)
     return chunks
 

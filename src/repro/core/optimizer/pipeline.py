@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
+from ..errors import TermTooDeepError
 from ..nrc import ast as A
 from ..nrc.compile import CompiledQuery, compile_term
 from ..nrc.rewrite import RewriteEngine, RewriteStats, RuleSet
@@ -129,7 +130,11 @@ class OptimizerPipeline:
     def optimize(self, expr: A.Expr,
                  stats: Optional[RewriteStats] = None) -> A.Expr:
         """Apply every configured stage to ``expr``."""
-        return self.engine.rewrite(expr, stats)
+        try:
+            return self.engine.rewrite(expr, stats)
+        except RecursionError:
+            raise TermTooDeepError(
+                "term nests too deeply to optimize") from None
 
     def prepare(self, expr: A.Expr, stats: Optional[RewriteStats] = None,
                 lower: Optional[Callable[[A.Expr], CompiledQuery]] = None,

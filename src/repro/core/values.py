@@ -79,7 +79,7 @@ class CSet:
     Iteration order is deterministic for a given construction order, which
     keeps query results stable across runs — important for tests and for the
     printer.  The first-occurrence order is **load-bearing**: the streaming
-    backend's set-kind dedup-as-you-go (``compile._dedup_set_stream``) yields
+    backend's set-kind dedup-as-you-go (``compile._dedup_set_chunks``) yields
     elements in production order and relies on the eagerly built set
     iterating identically; changing this order breaks stream/execute parity
     for every set-kind pipeline.

@@ -38,10 +38,8 @@ from ..core.nrc.compile import (
     ChunkPolicy,
     CompiledChunkedStream,
     CompiledQuery,
-    CompiledStream,
     ExecutionMode,
     compile_chunked,
-    compile_stream,
     compile_term,
     term_fingerprint,
 )
@@ -91,12 +89,12 @@ class _CompileCache:
     """A fingerprint-keyed LRU of lowered queries, shared by both targets.
 
     Keys are ``(target, term_fingerprint(expr))`` where ``target`` is
-    ``"eager"`` (:class:`CompiledQuery`) or ``"stream"``
-    (:class:`CompiledStream`) or ``"chunked"`` (:class:`CompiledChunkedStream`),
-    so the lowerings of one term coexist without conflation.  A hit moves
-    the entry to the most-recently-used position; insertion past ``limit``
-    evicts only the least recently used entry — not the whole cache, as the
-    pre-LRU memo did.
+    ``"eager"`` (:class:`CompiledQuery`) or ``"chunked"``
+    (:class:`CompiledChunkedStream`), so the two lowerings of one term
+    coexist without conflation.  A hit moves the entry to the
+    most-recently-used position; insertion past ``limit`` evicts only the
+    least recently used entry — not the whole cache, as the pre-LRU memo
+    did.
 
     All operations hold a lock: scheduler worker threads compile through
     the one engine (a ``ParallelExt`` body's subqueries, cross-session
@@ -191,7 +189,6 @@ class KleisliEngine:
 
     def __init__(self, optimizer_config: Optional[OptimizerConfig] = None,
                  execution_mode: object = ExecutionMode.COMPILED,
-                 stream_chunking: bool = True,
                  plan_store: Optional[PlanStore] = None,
                  memory_pool_limit: Optional[int] = None):
         self.drivers: Dict[str, Driver] = {}
@@ -226,10 +223,6 @@ class KleisliEngine:
         #: this; ``execute`` keeps the eager plan.
         self.stream_optimizer = self._build_optimizer(streaming=True)
         self.execution_mode = ExecutionMode.coerce(execution_mode)
-        #: Whether compiled-mode ``stream`` uses the chunked (morsel-at-a-
-        #: time) lowering by default; per-call override via
-        #: ``stream(..., chunked=...)``.
-        self.stream_chunking = stream_chunking
         #: The driver resilience layer (retries, breakers, deadlines,
         #: mid-stream recovery).  Default-off: a driver with no configured
         #: policy dispatches exactly as before, so zero-fault runs are
@@ -921,27 +914,23 @@ class KleisliEngine:
         """
         return self._lowered("eager", expr, compile_term, statistics)
 
-    def compiled_stream(self, expr: A.Expr,
-                        statistics: Optional[EvalStatistics] = None) -> CompiledStream:
-        """Return (and LRU-cache) the pull-based streaming lowering of ``expr``.
-
-        Shares the LRU (and the fingerprint keying) with
-        :meth:`compiled_query` under a distinct target tag, so the eager and
-        streaming forms of one term coexist and age out independently.
-        """
-        return self._lowered("stream", expr, compile_stream, statistics)
-
     def compiled_chunked(self, expr: A.Expr,
                          statistics: Optional[EvalStatistics] = None,
                          fingerprint: Optional[Tuple] = None) -> CompiledChunkedStream:
         """Return (and LRU-cache) the chunked (morsel-at-a-time) lowering.
 
-        Third target tag in the shared LRU.  Chunk sizes are *not* baked in
-        — they are read from ``EvalContext.chunk_policy`` at run time — so
-        one cached pipeline serves every policy (and every plan).
+        Shares the LRU (and the fingerprint keying) with
+        :meth:`compiled_query` under a distinct target tag, so the eager and
+        streaming forms of one term coexist and age out independently.
+        Chunk sizes are *not* baked in — they are read from
+        ``EvalContext.chunk_policy`` at run time — so one cached pipeline
+        serves every policy (and every plan).
         """
         return self._lowered("chunked", expr, compile_chunked, statistics,
                              fingerprint)
+
+    # benchmarks/e2e/tracing.py patches this name; ROADMAP direction 3(b) removes it.
+    compiled_stream = compiled_chunked
 
     def execute(self, expr: A.Expr, bindings: Optional[Dict[str, object]] = None,
                 optimize: bool = True, mode: Optional[object] = None,
@@ -1109,7 +1098,6 @@ class KleisliEngine:
 
     def stream(self, expr: A.Expr, bindings: Optional[Dict[str, object]] = None,
                optimize: bool = True, mode: Optional[object] = None,
-               chunked: Optional[bool] = None,
                chunk_policy: Optional[ChunkPolicy] = None,
                deadline: Optional[float] = None,
                on_source_failure: Optional[str] = None,
@@ -1119,20 +1107,16 @@ class KleisliEngine:
                profile: bool = False) -> Iterator[object]:
         """Pipelined evaluation: yield elements as the pipeline produces them.
 
-        In compiled mode the (optimized) term is lowered by default to a
-        *chunked* pipeline (:meth:`compiled_chunked`): stages exchange
-        ramping chunks — the first chunk is one element, so time-to-first-
-        result matches the per-element backend — and fused per-chunk loops
-        replace per-element generator frames on the hot path.  ``chunked``
-        overrides the engine's ``stream_chunking`` default per call
-        (``False`` forces the per-element generator pipeline of
-        :meth:`compiled_stream`); ``chunk_policy`` overrides the chunk-size
-        policy, which otherwise comes from :meth:`chunk_policy` (remote
-        sources keep small chunks, local sources ramp to the full maximum).
-        Sections with no streaming lowering run eagerly inside the pipeline
-        (``EvalStatistics.stream_fallbacks``); sections with a streaming but
-        no chunk-wise lowering run per-element inside a chunked run
-        (``EvalStatistics.scalar_stages``).  This is the "laziness in
+        In compiled mode the (optimized) term is lowered to a *chunked*
+        pipeline (:meth:`compiled_chunked`): stages exchange ramping chunks
+        — the first chunk is one element, so the first result arrives after
+        O(1) source elements — and fused per-chunk loops run the hot path.
+        ``chunk_policy`` overrides the chunk-size policy, which otherwise
+        comes from :meth:`chunk_policy` (remote sources keep small chunks,
+        local sources ramp to the full maximum);
+        ``ChunkPolicy(max_chunk=1)`` streams element at a time.  Sections
+        with no chunk-wise lowering run eagerly inside the pipeline
+        (``EvalStatistics.stream_fallbacks``).  This is the "laziness in
         strategic places" of Section 4, used to get initial output to the
         user quickly.
 
@@ -1173,9 +1157,6 @@ class KleisliEngine:
         if trace is not None:
             context.trace = trace
             collector = StageCollector()
-        if chunked is None:
-            chunked = self.stream_chunking
-        fingerprint = None
         if mode is ExecutionMode.COMPILED:
             # The per-query physical plan: chunk knobs, prefetch hints.  An
             # uninformed planner returns the historical defaults, so this
@@ -1185,15 +1166,6 @@ class KleisliEngine:
             fingerprint = term_fingerprint(expr) \
                 if self.optimizer_config.planning else None
             context.physical_plan = self.plan_for(expr, fingerprint)
-        spill_manager = None
-        if governed:
-            # The plan gate rides the plan the run was going to compute
-            # anyway; the interpreter has no plan, so auto-spill never
-            # triggers there (force with ``spill=True`` if needed).
-            spill_manager = self._resolve_spill(
-                spill, budget, getattr(context, "physical_plan", None))
-            context.spill = spill_manager
-        if mode is ExecutionMode.COMPILED and chunked:
             if chunk_policy is not None:
                 context.chunk_policy = chunk_policy
             else:
@@ -1222,7 +1194,16 @@ class KleisliEngine:
                 context.plan_probe = ProbeTee(context.plan_probe, *sinks)
             inner = self._stream_chunked(expr, bindings, context, fingerprint)
         else:
-            inner = self._stream(expr, bindings, mode, context)
+            inner = self._stream_interpreted(
+                expr, Environment(dict(bindings or {})), context)
+        spill_manager = None
+        if governed:
+            # The plan gate rides the plan the run was going to compute
+            # anyway; the interpreter has no plan, so auto-spill never
+            # triggers there (force with ``spill=True`` if needed).
+            spill_manager = self._resolve_spill(
+                spill, budget, getattr(context, "physical_plan", None))
+            context.spill = spill_manager
         if trace is not None:
             inner = self._observed_stream(inner, context, trace, collector)
         if not governed:
@@ -1300,18 +1281,6 @@ class KleisliEngine:
         context.statistics.execution_mode = (
             "compiled" if query.fully_compiled else "compiled+fallback")
         yield from query(environment, context)
-
-    def _stream(self, expr: A.Expr, bindings: Optional[Dict[str, object]],
-                mode: ExecutionMode, context: EvalContext) -> Iterator[object]:
-        environment = Environment(dict(bindings or {}))
-        if mode is ExecutionMode.COMPILED:
-            stream_query = self.compiled_stream(expr, context.statistics)
-            context.statistics.execution_mode = (
-                "compiled" if stream_query.fully_compiled
-                else "compiled+fallback")
-            yield from stream_query(environment, context)
-            return
-        yield from self._stream_interpreted(expr, environment, context)
 
     def _stream_interpreted(self, expr: A.Expr, environment: Environment,
                             context: EvalContext) -> Iterator[object]:

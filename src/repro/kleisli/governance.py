@@ -9,7 +9,7 @@ through its layers to stop that:
 ``CancellationToken``
     Cooperative cancellation.  The engine plants the token on
     ``EvalContext.cancellation`` and every lowering checks it at its natural
-    scheduling points (chunk boundaries, per-element pulls, eager loop heads,
+    scheduling points (chunk boundaries, eager loop heads,
     pre-driver-dispatch).  Cancellation raises a typed
     :class:`~repro.core.errors.QueryCancelledError` from *inside* the run's
     ``EvalScope``, so every cursor the run opened is released on the way out.

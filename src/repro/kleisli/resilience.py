@@ -6,9 +6,9 @@ server "may only be able to handle a limited number of requests at a time".
 Before this module a single transient fault anywhere — a cap rejection, a
 dropped cursor three elements into a scan — aborted the whole query.  This
 layer sits at the ONE choke point every backend shares
-(``KleisliEngine.driver_executor`` / ``driver_executor_batch``), so the
-eager, per-element and chunked lowerings all inherit it without any change
-to compiled code:
+(``KleisliEngine.driver_executor`` / ``driver_executor_batch``), so both
+lowerings (eager and chunked) inherit it without any change to compiled
+code:
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff
   (deterministic injectable jitter, clock and sleeper, so tests never

@@ -309,7 +309,7 @@ class Session:
                profile: bool = False) -> Iterator[object]:
         """Run a query with pipelined (lazy) result delivery.
 
-        In compiled mode the optimized term is lowered to a pull-based
+        In compiled mode the optimized term is lowered to a chunked
         generator pipeline, so *any* query shape — nested comprehensions,
         filters, parallel remote loops, join probes — yields elements as
         they are produced; time-to-first-result does not wait for sources

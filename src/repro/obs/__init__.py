@@ -19,8 +19,8 @@ takes the exact pre-observability code paths — every hook site is
 overhead of an *attached* hub is CI-gated at ≤5% by
 ``benchmarks/bench_observability.py``.
 
-All three lowerings (eager closures, per-element streams, chunked streams)
-inherit the instrumentation from the same choke points — driver dispatch,
+Both lowerings (eager closures, chunked streams) inherit the
+instrumentation from the same choke points — driver dispatch,
 ``EvalScope`` open/close, the plan probe, resilience retries and breaker
 transitions, governance spills/cancellations, server admission/drain — so
 no compiled artifact changes when observability is switched on.

@@ -8,10 +8,10 @@ faults, compiled fallbacks, spills, cancellation).
 
 Profiles are *observation only*.  ``engine.stream(..., profile=True)``
 collects one by teeing the run's plan probe (chunked lowering) and trace
-(driver-request spans, covering the eager and per-element lowerings, whose
-compiled artifacts have no chunk boundaries to report) — the values the
-query produces are bit-identical to an unprofiled run, which the
-acceptance tests pin across all three lowerings.
+(driver-request spans, covering the eager lowering, whose compiled
+artifacts have no chunk boundaries to report) — the values the query
+produces are bit-identical to an unprofiled run, which the acceptance
+tests pin across both lowerings.
 
 The :class:`SlowQueryLog` is a bounded ring of completed profiles above a
 latency threshold — the operator's first stop for "what was slow last
@@ -93,10 +93,10 @@ class ProbeTee:
 def aggregate_driver_spans(trace_dict: Dict[str, object]) -> Dict[str, Dict[str, float]]:
     """Fold a trace's driver-request spans into per-driver request/time totals.
 
-    This is what gives the eager and per-element lowerings their per-stage
-    timings: their compiled artifacts report no chunks, but every remote
-    round trip still flows through ``driver_executor``, which opens one
-    ``driver`` span per request.
+    This is what gives the eager lowering its per-stage timings: its
+    compiled artifacts report no chunks, but every remote round trip still
+    flows through ``driver_executor``, which opens one ``driver`` span per
+    request.
     """
     totals: Dict[str, Dict[str, float]] = {}
 
@@ -120,7 +120,7 @@ def aggregate_driver_spans(trace_dict: Dict[str, object]) -> Dict[str, Dict[str,
 # Statistics counters worth calling out when non-zero, in render order.
 _ANNOTATION_KEYS = (
     "retries", "recovered_faults", "compiled_fallbacks", "stream_fallbacks",
-    "scalar_stages", "warnings",
+    "warnings",
 )
 _BOOK_KEYS = ("spills", "bytes_spilled", "rows_spilled", "spill_fallbacks",
               "cancellations", "budget_rejections")

@@ -3,10 +3,10 @@
 A :class:`QueryTrace` is one tree of :class:`Span` objects describing a
 single engine run.  Spans are opened/closed at the engine's existing choke
 points (``driver_executor``, ``EvalScope`` open/close, resilience retries,
-…), which is what lets all three lowerings — eager closures, per-element
-streams, chunked streams — inherit tracing with zero compiled-code
-changes: the compiled artifacts never see a span, they only call the same
-context hooks they always called.
+…), which is what lets both lowerings — eager closures and chunked
+streams — inherit tracing with zero compiled-code changes: the compiled
+artifacts never see a span, they only call the same context hooks they
+always called.
 
 Design constraints:
 

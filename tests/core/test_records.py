@@ -78,7 +78,7 @@ def _project(rows, *labels):
     head = B.record(**{label: B.project(B.var("r"), label) for label in labels})
     expr = B.ext("r", B.singleton(head, "list"), B.var("T"), kind="list")
     return list(KleisliEngine().stream(expr, {"T": CList(rows)},
-                                       optimize=False, chunked=True))
+                                       optimize=False))
 
 
 class TestHomogeneousProjection:

@@ -3,8 +3,8 @@
 Element-sequence parity with ``execute`` is pinned by the differential
 harness (``test_stream_differential``); this suite covers the chunk-specific
 machinery — the :class:`~repro.core.nrc.compile.ChunkPolicy` ramp, the
-remote-source chunk cap, per-element scalar stages for nodes with no chunk
-lowering, and the ``Driver.execute_batch`` batched-fetch extension point.
+remote-source chunk cap, eager sections for nodes with no chunk lowering,
+and the ``Driver.execute_batch`` batched-fetch extension point.
 """
 
 import pytest
@@ -111,52 +111,53 @@ class TestRampingChunks:
         engine = _engine()
         expr = B.ext("x", B.singleton(B.var("x"), "list"), _scan(count=20),
                      kind="list")
-        small = list(engine.stream(expr, optimize=False, chunked=True,
+        small = list(engine.stream(expr, optimize=False,
                                    chunk_policy=ChunkPolicy(max_chunk=2)))
         hits_before = engine._compiled_queries.hits
-        large = list(engine.stream(expr, optimize=False, chunked=True,
+        large = list(engine.stream(expr, optimize=False,
                                    chunk_policy=ChunkPolicy(max_chunk=512)))
         assert small == large == list(range(20))
         assert engine._compiled_queries.hits == hits_before + 1
 
-    def test_chunked_false_forces_the_per_element_backend(self):
+    def test_max_chunk_one_is_the_element_at_a_time_stream(self):
+        """Chunks of one run through the one streaming lowering: every
+        chunk holds a single element and nothing else enters the LRU."""
         engine = _engine()
         expr = B.ext("x", B.singleton(B.var("x"), "list"), _scan(count=3),
                      kind="list")
-        assert list(engine.stream(expr, optimize=False, chunked=False)) == \
-            [0, 1, 2]
-        # The per-element lowering was cached under its own target tag.
-        targets = {key[0] for key in engine._compiled_queries._entries}
-        assert "stream" in targets and "chunked" not in targets
+        policy = ChunkPolicy(max_chunk=1)
+        assert list(engine.stream(expr, optimize=False,
+                                  chunk_policy=policy)) == [0, 1, 2]
+        assert {key[0] for key in engine._compiled_queries._entries} == {"chunked"}
+        context = EvalContext(driver_executor=engine.driver_executor)
+        context.chunk_policy = policy
+        chunks = engine.compiled_chunked(expr).chunks(Environment(), context)
+        assert list(chunks) == [[0], [1], [2]]
 
 
-class TestScalarStages:
+class TestEagerSections:
     def test_fold_still_streams_as_an_eager_section(self):
-        """A node with neither a chunk nor a stream lowering keeps the eager
-        section semantics inside a chunked run."""
+        """A node without a chunk lowering keeps the eager section
+        semantics inside a chunked run."""
         engine = _engine()
         plus = B.lam("a", B.lam("b", B.prim("add", B.var("a"), B.var("b"))))
         fold = B.fold(plus, B.const(0), A.Const(CList([1, 2, 3])))
-        streamed = list(engine.stream(fold, optimize=False, chunked=True))
+        streamed = list(engine.stream(fold, optimize=False))
         assert streamed == [6]
         assert engine.last_eval_statistics.stream_fallbacks >= 1
 
-    def test_scalar_stage_counter_reports(self):
-        """Drive _chunk_via_stream directly through a registered-stream-only
-        node: the blocked join with block size > 1 keeps the per-element
-        lowering inside a chunked run and counts a scalar stage."""
+    def test_blocked_join_with_a_larger_block_is_chunk_native(self):
+        """A blocked join with block size > 1 has a chunk form of its own:
+        no eager section, nothing counted as a fallback."""
         engine = KleisliEngine()
         expr = A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
                       None, B.singleton(B.var("o"), "list"), None, None,
                       "list", 4)
         bindings = {"OUTER": CList([1, 2, 3]), "INNER": CList([10])}
-        query = engine.compiled_chunked(expr)
-        assert "Join" in query.scalar_stages
-        assert not query.fully_chunked
-        streamed = list(engine.stream(expr, bindings, optimize=False,
-                                      chunked=True))
+        assert engine.compiled_chunked(expr).fully_chunked
+        streamed = list(engine.stream(expr, bindings, optimize=False))
         assert streamed == [1, 2, 3]
-        assert engine.last_eval_statistics.scalar_stages >= 1
+        assert engine.last_eval_statistics.stream_fallbacks == 0
 
 
 class TestBatchedBodyScans:
@@ -168,7 +169,7 @@ class TestBatchedBodyScans:
         expr = B.ext("x",
                      _scan(count=2, base=B.var("x")),
                      A.Const(CList(range(7))), kind="list")
-        chunked = list(engine.stream(expr, optimize=False, chunked=True))
+        chunked = list(engine.stream(expr, optimize=False))
         chunked_stats = engine.last_eval_statistics
         # Ramp 1, 2, 4 over 7 source elements -> one batch per chunk.
         assert driver.batch_calls == [1, 2, 4]
@@ -191,7 +192,7 @@ class TestBatchedBodyScans:
                      A.Const(CList(range(30))), kind="list")
         policy = ChunkPolicy(max_chunk=1024, remote_max_chunk=4,
                              is_remote=lambda name: name == "ranges")
-        chunked = list(engine.stream(expr, optimize=False, chunked=True,
+        chunked = list(engine.stream(expr, optimize=False,
                                      chunk_policy=policy))
         assert chunked == list(range(30))
         assert max(driver.batch_calls) <= 4, driver.batch_calls
@@ -320,14 +321,14 @@ class TestSetKindChunks:
         engine = KleisliEngine()
         expr = B.ext("x", B.singleton(B.prim("mod", B.var("x"), B.const(3))),
                      A.Const(CSet(range(11))))
-        streamed = list(engine.stream(expr, optimize=False, chunked=True,
+        streamed = list(engine.stream(expr, optimize=False,
                                       chunk_policy=ChunkPolicy(max_chunk=2)))
         executed = list(iter_collection(engine.execute(expr, optimize=False)))
         assert streamed == executed == [0, 1, 2]
 
     def test_nested_set_unions_carry_one_seen_set(self):
-        """The chunked typed union unwraps operand dedup stages like the
-        per-element one: nested set unions still match eager order."""
+        """The chunked typed union unwraps operand dedup stages: nested set
+        unions still match eager order."""
         engine = KleisliEngine()
         expr = A.Union(
             A.Union(
@@ -339,7 +340,7 @@ class TestSetKindChunks:
             B.ext("x", B.singleton(B.prim("mod", B.var("x"), B.const(5))),
                   A.Const(CSet(range(9)))),
             "set")
-        streamed = list(engine.stream(expr, optimize=False, chunked=True,
+        streamed = list(engine.stream(expr, optimize=False,
                                       chunk_policy=ChunkPolicy(max_chunk=2)))
         executed = list(iter_collection(engine.execute(expr, optimize=False)))
         assert streamed == executed
@@ -412,3 +413,54 @@ class TestReviewRegressions:
         # the continuing ramp reaches the 8-element result size and stays.
         assert len(sizes) <= 30, sizes
         assert sizes[-1] == 8, sizes
+
+
+class TestOneStreamingLowering:
+    """The chunk registry is the only streaming registry, and the element-
+    at-a-time stream is a policy of it, not a second code path."""
+
+    def test_every_collection_producer_with_an_eager_compiler_is_chunkable(self):
+        from repro.core.nrc.compile import chunkable_node_types, supported_node_types
+        import repro.core.optimizer.parallel  # noqa: F401 - registers ParallelExt
+
+        producers = {"Ext", "Join", "Union", "Scan", "Let", "IfThenElse",
+                     "Singleton", "Empty", "Cached", "ParallelExt"}
+        assert producers <= set(supported_node_types())
+        assert producers <= set(chunkable_node_types())
+
+    def test_an_unregistered_node_type_is_named_and_counted(self, monkeypatch):
+        """Dispatch is by exact type: an ``Ext`` subclass nobody registered
+        runs as an eager section (here all the way back in the interpreter),
+        named at compile time and counted at run time — never silently."""
+        from repro.core.nrc.eval import Evaluator
+
+        class Mystery(A.Ext):
+            pass
+
+        monkeypatch.setitem(Evaluator._DISPATCH, Mystery,
+                            Evaluator._DISPATCH[A.Ext])
+        source = Mystery("y", B.singleton(B.var("y"), "list"), _scan(count=3),
+                         kind="list")
+        expr = B.ext("x", B.singleton(B.prim("mul", B.var("x"), B.const(2)), "list"),
+                     source, kind="list")
+        engine = _engine()
+        query = engine.compiled_chunked(expr)
+        assert query.eager_nodes == ("Mystery",)
+        assert query.fallback_nodes == ("Mystery",)
+        assert list(engine.stream(expr, optimize=False)) == [0, 2, 4]
+        stats = engine.last_eval_statistics
+        assert stats.stream_fallbacks == 1 and stats.compiled_fallbacks == 1
+        assert stats.execution_mode == "compiled+fallback"
+
+    def test_the_switches_and_the_second_lowering_are_gone(self):
+        import inspect
+
+        from repro.core.nrc import compile as lowering
+
+        assert "chunked" not in inspect.signature(KleisliEngine.stream).parameters
+        assert "stream_chunking" not in \
+            inspect.signature(KleisliEngine.__init__).parameters
+        for name in ("CompiledStream", "compile_stream", "register_stream_compiler",
+                     "streamable_node_types"):
+            assert name not in lowering.__all__
+            assert not hasattr(lowering, name)

@@ -47,22 +47,27 @@ class TestLRUEviction:
 
 class TestSharedCacheAcrossLoweringTargets:
     def test_eager_and_stream_lowerings_coexist(self):
+        """Two target tags, nothing else: the name the e2e tracer still
+        patches, ``compiled_stream``, is ``compiled_chunked`` itself."""
+        assert KleisliEngine.compiled_stream is KleisliEngine.compiled_chunked
         engine = KleisliEngine()
         term = B.ext("x", B.singleton(B.var("x"), "list"), B.var("XS"),
                      kind="list")
         eager = engine.compiled_query(term)
-        streamed = engine.compiled_stream(term)
+        streamed = engine.compiled_chunked(term)
         assert eager is not streamed
         assert engine.compiled_query(term) is eager
-        assert engine.compiled_stream(term) is streamed
+        assert engine.compiled_chunked(term) is streamed
         assert len(engine._compiled_queries) == 2  # one per target
+        assert {key[0] for key in engine._compiled_queries._entries} == \
+            {"eager", "chunked"}
 
     def test_stream_lowering_is_memoized_across_calls(self):
         engine = KleisliEngine()
         term = B.ext("x", B.singleton(B.var("x"), "list"), B.var("XS"),
                      kind="list")
-        first = engine.compiled_stream(term)
-        assert engine.compiled_stream(term) is first
+        first = engine.compiled_chunked(term)
+        assert engine.compiled_chunked(term) is first
 
 
 class TestStatisticsCounters:
@@ -145,7 +150,7 @@ class TestThreadSafety:
         lock = threading.Lock()
 
         def worker():
-            query = engine.compiled_stream(term)
+            query = engine.compiled_chunked(term)
             with lock:
                 seen.append(query)
 

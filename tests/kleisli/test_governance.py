@@ -4,8 +4,8 @@ What PR 9's tentpole guarantees, pinned:
 
 * **Cooperative cancellation** — a cancelled token raises a *typed*
   :class:`~repro.core.errors.QueryCancelledError` at every checkpoint class
-  (eager loop heads, per-element pulls, chunk boundaries,
-  pre-driver-dispatch), in all three lowerings and the interpreter, and the
+  (eager loop heads, chunk boundaries — of the ramp and of chunks of one —
+  pre-driver-dispatch), in both lowerings and the interpreter, and the
   run's ``EvalScope`` releases every cursor on the way out.
 * **Hierarchical memory budgets** — charges walk query → session → engine
   pool with rollback on rejection; an over-budget run raises a typed
@@ -23,6 +23,7 @@ import pytest
 from repro.core.errors import MemoryBudgetExceededError, QueryCancelledError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import ChunkPolicy
 from repro.core.nrc.eval import EvalScope
 from repro.core.values import CBag, CList, iter_collection
 from repro.kleisli.drivers.base import Driver
@@ -34,6 +35,10 @@ from repro.kleisli.governance import (
     QueryGovernor,
 )
 from repro.kleisli.session import Session
+
+
+#: The default ramp, and chunks of one (a checkpoint per element).
+CHUNK_POLICIES = [None, ChunkPolicy(max_chunk=1)]
 
 
 class RangeDriver(Driver):
@@ -217,14 +222,15 @@ def test_precancelled_execute_raises_before_any_dispatch(mode):
     assert engine.governor.snapshot()["cancellations"] == 1
 
 
-@pytest.mark.parametrize("chunked", [True, False])
+@pytest.mark.parametrize("chunk_policy", CHUNK_POLICIES,
+                         ids=["ramped", "chunks of one"])
 @pytest.mark.parametrize("mode", [ExecutionMode.COMPILED,
                                   ExecutionMode.INTERPRET])
-def test_stream_cancel_mid_drain_releases_cursors(mode, chunked):
+def test_stream_cancel_mid_drain_releases_cursors(mode, chunk_policy):
     engine = _engine()
     token = CancellationToken()
     stream = engine.stream(_comprehension(count=200), mode=mode,
-                           chunked=chunked, cancellation=token)
+                           chunk_policy=chunk_policy, cancellation=token)
     got = []
     with pytest.raises(QueryCancelledError):
         for value in stream:
@@ -321,13 +327,14 @@ def test_budget_settles_when_stream_abandoned_mid_drain():
 
 # -- zero-governance contract -------------------------------------------------
 
-@pytest.mark.parametrize("chunked", [True, False])
-def test_ungoverned_runs_keep_books_at_zero(chunked):
+@pytest.mark.parametrize("chunk_policy", CHUNK_POLICIES,
+                         ids=["ramped", "chunks of one"])
+def test_ungoverned_runs_keep_books_at_zero(chunk_policy):
     engine = _engine()
     expr = _comprehension(count=50)
     eager = list(iter_collection(engine.execute(expr)))
     eager_fetched = engine.last_eval_statistics.elements_fetched
-    streamed = list(engine.stream(expr, chunked=chunked))
+    streamed = list(engine.stream(expr, chunk_policy=chunk_policy))
     assert streamed == eager
     assert engine.last_eval_statistics.elements_fetched == eager_fetched
     books = engine.governor.snapshot()

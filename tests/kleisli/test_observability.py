@@ -4,7 +4,7 @@ The PR 10 acceptance criteria, as tests:
 
 * **Federated EXPLAIN ANALYZE** — a profiled query over a fault-injecting
   driver shows per-stage timings, actual vs. planner-estimated rows, and
-  retry/spill annotations, in all three lowerings, while producing values
+  retry/spill annotations, in both lowerings, while producing values
   bit-identical to the unprofiled run.
 * **Zero-recorder contract** — no hub + ``profile=False`` leaves every
   observability field ``None`` and reproduces the unobserved run exactly
@@ -22,6 +22,7 @@ from fault_drivers import FaultInjectingDriver
 from repro.core.errors import QueryCancelledError, TransientDriverError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import ChunkPolicy
 from repro.core.nrc.eval import EvalScope
 from repro.core.values import iter_collection
 from repro.kleisli.drivers.base import Driver
@@ -85,14 +86,14 @@ def _federated_engine():
 def _run(engine, expr, lowering, **kwargs):
     if lowering == "eager":
         return sorted(iter_collection(engine.execute(expr, **kwargs)))
-    chunked = lowering == "chunked"
-    return sorted(engine.stream(expr, chunked=chunked, **kwargs))
+    policy = None if lowering == "chunked" else ChunkPolicy(max_chunk=1)
+    return sorted(engine.stream(expr, chunk_policy=policy, **kwargs))
 
 
-LOWERINGS = ["eager", "per-element", "chunked"]
+LOWERINGS = ["eager", "chunks of one", "chunked"]
 
 
-# -- EXPLAIN ANALYZE across the three lowerings -------------------------------
+# -- EXPLAIN ANALYZE across both lowerings ------------------------------------
 
 @pytest.mark.parametrize("lowering", LOWERINGS)
 def test_profiled_federated_run_is_bit_identical_and_annotated(lowering):
@@ -119,7 +120,7 @@ def test_profiled_federated_run_is_bit_identical_and_annotated(lowering):
 
 def test_chunked_profile_reports_per_stage_timings():
     engine = _plain_engine()
-    list(engine.stream(_doubling(), chunked=True, profile=True))
+    list(engine.stream(_doubling(), profile=True))
     profile = engine.last_profile
     stage = profile.stages["pipeline"]
     assert stage["rows"] == 50 and stage["chunks"] >= 1
@@ -204,7 +205,7 @@ def test_attached_hub_changes_observations_never_results(lowering):
 def test_hub_counts_retries_and_failures():
     engine = _federated_engine()
     hub = engine.attach_observability(Observability())
-    list(engine.stream(_doubling(driver="Faulty"), chunked=True))
+    list(engine.stream(_doubling(driver="Faulty")))
     assert hub.retries.value == 1
     assert hub.driver_failures.value == 1
     assert hub.request_latency.count >= 2  # the failed try + the retry
@@ -236,7 +237,7 @@ def test_zero_samples_reproduce_the_nominal_constant_bit_for_bit():
     assert isinstance(estimator, RowWidthEstimator)
     assert estimator.row_bytes() == NOMINAL_ROW_BYTES
     # stays pinned across unspilled runs: nothing feeds the estimator
-    list(engine.stream(_doubling(), chunked=True))
+    list(engine.stream(_doubling()))
     engine.execute(_doubling())
     assert estimator.snapshot()["sampled_rows"] == 0
     assert estimator.row_bytes() == NOMINAL_ROW_BYTES

@@ -3,7 +3,7 @@
 The acceptance contract this file pins:
 
 * transient faults (pre-open AND mid-stream) recover to **bit-identical**
-  results — value and ``elements_fetched`` — across all three lowerings,
+  results — value and ``elements_fetched`` — across both lowerings,
   with zero cursor leaks;
 * terminal faults are never retried; retry budgets are bounded;
 * the circuit breaker trips after consecutive failures, fails fast while
@@ -81,16 +81,16 @@ def _drain(engine, term, lowering, **kwargs):
     if lowering == "eager":
         value = engine.execute(term, optimize=False, **kwargs)
         values = list(value)
-    elif lowering == "stream":
-        values = list(engine.stream(term, optimize=False, chunked=False,
+    elif lowering == "chunks of one":
+        values = list(engine.stream(term, optimize=False,
+                                    chunk_policy=ChunkPolicy(max_chunk=1),
                                     **kwargs))
     else:
-        values = list(engine.stream(term, optimize=False, chunked=True,
-                                    **kwargs))
+        values = list(engine.stream(term, optimize=False, **kwargs))
     return values, engine.last_eval_statistics.elements_fetched
 
 
-LOWERINGS = ["eager", "stream", "chunked"]
+LOWERINGS = ["eager", "chunks of one", "chunked"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ contract this file pins:
 * each backend is **bit-for-bit equivalent** to the in-memory structure it
   replaces (same values, same order, exact dedup under hash collisions);
 * a spilled engine run matches the ungoverned run in **values and
-  ``elements_fetched``** across all three lowerings (eager, per-element,
-  chunked) — degradation is invisible except in the governance books;
+  ``elements_fetched``** across both lowerings (eager; chunked, ramped
+  and in chunks of one) — degradation is invisible except in the
+  governance books;
 * the plan gate picks in-memory vs. spill **up front** from the PR 5 cost
   model's row estimate, and an over-budget query that would die with
   ``spill=False`` completes under ``spill=True``;
@@ -22,6 +23,7 @@ import pytest
 from repro.core.errors import MemoryBudgetExceededError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import ChunkPolicy
 from repro.core.nrc.eval import EvalScope
 from repro.core.planner.plan import PhysicalPlan
 from repro.core.values import iter_collection
@@ -316,8 +318,8 @@ def test_spilled_run_matches_in_memory_across_all_lowerings(shape):
     spill_engine = _engine()
     for drain, kwargs in [
         (_drain_eager, {}),
-        (_drain, {"chunked": False}),
-        (_drain, {"chunked": True}),
+        (_drain, {"chunk_policy": ChunkPolicy(max_chunk=1)}),
+        (_drain, {}),
     ]:
         plain_values, plain_fetched = drain(baseline_engine, expr, **kwargs)
         spill_values, spill_fetched = drain(spill_engine, expr,
@@ -333,19 +335,21 @@ def test_spilled_run_matches_in_memory_across_all_lowerings(shape):
 
 def test_over_budget_dedup_completes_under_spill():
     """The headline degradation: a budget that rejects the in-memory run is
-    enough once the seen-set lives on disk.  Per-element lowering: the
-    seen-set is the run's only materialization point (the chunked pump's
-    transient chunk buffers charge the budget by design, spill or not)."""
+    enough once the seen-set lives on disk.  Chunks of one: the seen-set
+    is the run's only growing materialization point (the chunked pump's
+    transient chunk buffers charge the budget by design, spill or not —
+    here one row at a time)."""
     expr = _dedup_expr()
     budget = 64 * NOMINAL_ROW_BYTES
+    one = ChunkPolicy(max_chunk=1)
     strict = _engine()
     with pytest.raises(MemoryBudgetExceededError):
-        list(strict.stream(expr, optimize=False, chunked=False,
+        list(strict.stream(expr, optimize=False, chunk_policy=one,
                            memory_budget=budget, spill=False))
     degraded = _engine()
-    values = list(degraded.stream(expr, optimize=False, chunked=False,
+    values = list(degraded.stream(expr, optimize=False, chunk_policy=one,
                                   memory_budget=budget, spill=True))
-    plain = list(_engine().stream(expr, optimize=False, chunked=False))
+    plain = list(_engine().stream(expr, optimize=False, chunk_policy=one))
     assert values == plain
     books = degraded.governor.snapshot()
     assert books["spills"] > 0 and books["budget_rejections"] == 0

@@ -137,6 +137,20 @@ def _record_head_shapes():
          A.Union(_heads_over("O", "set", "acc", "org"),
                  _heads_over("O", "set", "acc", var="b"), "set")),
     ]
+    # A join whose body is a whole set-kind comprehension ending in a head
+    # (fields off its own row and off the matched outer row): the body is a
+    # chunk pipeline of its own, drained per matched pair.
+    pair_body = _heads_over("N", "set", "acc", var="p",
+                            org=B.project(B.var("o"), "org"))
+    same_acc = (B.project(B.var("o"), "acc"), B.project(B.var("i"), "acc"))
+    shapes += [
+        ("heads: join body, indexed",
+         A.Join("indexed", "o", B.var("O"), "i", B.var("N"), None, pair_body,
+                *same_acc, "set", 1)),
+        ("heads: join body, unit-blocked",
+         A.Join("blocked", "o", B.var("O"), "i", B.var("N"), B.eq(*same_acc),
+                pair_body, None, None, "set", 1)),
+    ]
     return [(label, expr, tables) for label, expr in shapes]
 
 
@@ -358,12 +372,12 @@ def test_stream_matches_execute(mode, label, expr, bindings):
                          _shapes(), ids=lambda v: v if isinstance(v, str) else "")
 def test_chunked_stream_matches_execute(mode, label, expr, bindings):
     """The chunked lowering against ``execute`` in BOTH execution modes:
-    exact element sequence, and (against compiled execute, the matching
-    backend) exact ``elements_fetched`` once drained — chunk sizes must be
-    value- and accounting-invisible."""
+    exact element sequence and exact ``elements_fetched``, ``ext_iterations``
+    and ``scan_requests`` once drained — chunk sizes must be value- and
+    accounting-invisible."""
     engine = _engine()
     chunked = list(engine.stream(expr, bindings, optimize=False,
-                                 mode="compiled", chunked=True))
+                                 mode="compiled"))
     chunked_stats = engine.last_eval_statistics
 
     engine2 = _engine()
@@ -375,34 +389,40 @@ def test_chunked_stream_matches_execute(mode, label, expr, bindings):
         executed = [result]
 
     assert chunked == executed, label
-    assert chunked_stats.elements_fetched == execute_stats.elements_fetched, label
+    for counter in ("elements_fetched", "ext_iterations", "scan_requests"):
+        assert getattr(chunked_stats, counter) == getattr(execute_stats, counter), \
+            (label, counter)
 
 
 @pytest.mark.parametrize("label,expr,bindings",
                          _shapes(), ids=lambda v: v if isinstance(v, str) else "")
-def test_chunked_stream_matches_per_element_stream(label, expr, bindings):
-    """Chunked and per-element compiled streams: one element sequence and
-    one drained-run accounting."""
+def test_ramped_stream_matches_chunks_of_one(label, expr, bindings):
+    """The default ramp and the element-at-a-time policy: one element
+    sequence and one drained-run accounting."""
     engine = _engine()
-    chunked = list(engine.stream(expr, bindings, optimize=False,
-                                 mode="compiled", chunked=True))
-    chunked_stats = engine.last_eval_statistics
+    ramped = list(engine.stream(expr, bindings, optimize=False,
+                                mode="compiled"))
+    ramped_stats = engine.last_eval_statistics
     engine2 = _engine()
     element = list(engine2.stream(expr, bindings, optimize=False,
-                                  mode="compiled", chunked=False))
+                                  mode="compiled",
+                                  chunk_policy=ChunkPolicy(max_chunk=1)))
     element_stats = engine2.last_eval_statistics
-    assert chunked == element, label
-    assert chunked_stats.elements_fetched == element_stats.elements_fetched, label
+    assert ramped == element, label
+    for counter in ("elements_fetched", "ext_iterations", "scan_requests"):
+        assert getattr(ramped_stats, counter) == getattr(element_stats, counter), \
+            (label, counter)
 
 
-#: The streamed paths a record head must agree on with the per-element
-#: lowering, the seen-set's three backends among them.
+#: The streamed paths a record head must agree on with the interpreter,
+#: the seen-set's three backends among them.
 HEAD_PATHS = [
-    ("chunked", {"chunked": True}),
-    ("chunks of one", {"chunked": True, "chunk_policy": ChunkPolicy(max_chunk=1)}),
-    ("budgeted", {"chunked": True, "memory_budget": 1 << 26, "spill": False}),
-    ("spilled", {"chunked": True, "spill": True}),
-    ("spilled per element", {"chunked": False, "spill": True}),
+    ("chunked", {}),
+    ("chunks of one", {"chunk_policy": ChunkPolicy(max_chunk=1)}),
+    ("budgeted", {"memory_budget": 1 << 26, "spill": False}),
+    ("spilled", {"spill": True}),
+    ("spilled chunks of one", {"chunk_policy": ChunkPolicy(max_chunk=1),
+                               "spill": True}),
 ]
 
 
@@ -418,12 +438,13 @@ def _exact(value):
 @pytest.mark.parametrize("path,options", HEAD_PATHS, ids=[p for p, _ in HEAD_PATHS])
 @pytest.mark.parametrize("label,expr,bindings", _record_head_shapes(),
                          ids=lambda v: v if isinstance(v, str) else "")
-def test_record_heads_agree_with_the_per_element_lowering(label, expr, bindings,
-                                                          path, options):
+def test_record_heads_agree_with_the_interpreter(label, expr, bindings,
+                                                 path, options):
     """Values, order, ``elements_fetched`` and ``ext_iterations``: the row
     kernel, its fallbacks and the tuple-keyed seen-set are invisible."""
     reference = _engine()
-    expected = list(reference.stream(expr, bindings, optimize=False, chunked=False))
+    expected = list(iter_collection(reference.execute(
+        expr, bindings, optimize=False, mode="interpret")))
     expected_stats = reference.last_eval_statistics
     engine = _engine()
     got = list(engine.stream(expr, bindings, optimize=False, **options))
@@ -432,9 +453,20 @@ def test_record_heads_agree_with_the_per_element_lowering(label, expr, bindings,
     assert [_exact(value) for value in got] == [_exact(value) for value in expected]
     assert stats.elements_fetched == expected_stats.elements_fetched
     assert stats.ext_iterations == expected_stats.ext_iterations
-    assert stats.stream_fallbacks == stats.scalar_stages == 0
+    assert stats.stream_fallbacks == 0
     if path.startswith("spilled") and "homogeneous" in label:
         assert engine.governor.snapshot()["spills"] > 0
+
+
+def test_a_head_inside_a_join_body_is_chunk_native():
+    """No eager section, and one body loop per matched pair: 12 outer rows
+    find 51 partners, each mapping the 30 rows of ``N`` once."""
+    for label, expr, bindings in _record_head_shapes():
+        if "join body" in label:
+            engine = _engine()
+            assert engine.compiled_chunked(expr).fully_chunked, label
+            list(engine.stream(expr, bindings, optimize=False))
+            assert engine.last_eval_statistics.ext_iterations == 51 * 30, label
 
 
 RAISING_HEADS = [
@@ -455,7 +487,7 @@ def test_record_head_errors_are_the_same_on_every_path(label, expr, message):
     runs = [lambda e, m=mode: e.execute(expr, bindings, optimize=False, mode=m)
             for mode in MODES]
     runs += [lambda e, o=options: list(e.stream(expr, bindings, optimize=False, **o))
-             for _, options in [("per-element", {"chunked": False})] + HEAD_PATHS]
+             for _, options in HEAD_PATHS]
     for run in runs:
         with pytest.raises(EvaluationError) as raised:
             run(_engine())
@@ -468,7 +500,7 @@ def test_record_head_stream_closed_early_reads_no_further():
     row, and nothing past what was pulled has been mapped."""
     label, expr, bindings = _record_head_shapes()[0]
     engine = _engine()
-    stream = engine.stream(expr, bindings, optimize=False, chunked=True)
+    stream = engine.stream(expr, bindings, optimize=False)
     first = [next(stream), next(stream), next(stream)]
     stream.close()
     assert first == [Record({"acc": f"U{i}", "org": ["human", "mouse", "rat"][i]})
@@ -490,15 +522,14 @@ def test_ungoverned_heads_dedup_in_a_plain_set(monkeypatch):
     monkeypatch.setattr(lowering, "_make_seen_set", recording)
     (expr, bindings), = [(expr, bindings) for label, expr, bindings
                          in _record_head_shapes() if "one tuple-keyed" in label]
-    values = list(_engine().stream(expr, bindings, optimize=False, chunked=True))
+    values = list(_engine().stream(expr, bindings, optimize=False))
     assert [type(seen) for seen in made] == [set]
     assert made[0] == {record.values for record in values}
 
 
-def test_chunked_pipelines_without_scalar_stages_on_optimizer_shapes():
+def test_chunked_pipelines_without_eager_sections_on_optimizer_shapes():
     """Every optimizer-producible pipelined shape has a native chunk-wise
-    lowering: no eager sections (stream_fallbacks) and no per-element
-    sections (scalar_stages) inside a chunked run."""
+    lowering: no eager sections (stream_fallbacks) inside a chunked run."""
     records = CList([Record({"id": i, "tag": f"r{i}"}) for i in range(6)])
     refs = CList([Record({"ref": i % 3, "weight": i * 10}) for i in range(9)])
     condition = B.eq(B.project(B.var("o"), "id"), B.project(B.var("i"), "ref"))
@@ -513,6 +544,9 @@ def test_chunked_pipelines_without_scalar_stages_on_optimizer_shapes():
         A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
                condition, B.singleton(B.project(B.var("o"), "tag"), "list"),
                None, None, "list", 1),
+        A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
+               condition, B.singleton(B.project(B.var("o"), "tag"), "list"),
+               None, None, "list", 4),
         ParallelExt("x", B.singleton(B.prim("mul", B.var("x"), B.const(2)), "list"),
                     _scan(count=7), kind="list", max_workers=3),
     ]
@@ -520,11 +554,10 @@ def test_chunked_pipelines_without_scalar_stages_on_optimizer_shapes():
     for expr in shapes:
         engine = _engine()
         query = engine.compiled_chunked(expr)
-        assert query.fully_chunked, (query.scalar_stages, query.eager_nodes)
-        list(engine.stream(expr, bindings, optimize=False, chunked=True))
+        assert query.fully_chunked, query.eager_nodes
+        list(engine.stream(expr, bindings, optimize=False))
         stats = engine.last_eval_statistics
         assert stats.stream_fallbacks == 0, stats.as_dict()
-        assert stats.scalar_stages == 0, stats.as_dict()
 
 
 @pytest.mark.parametrize("label,expr,bindings",
@@ -683,7 +716,7 @@ def test_eager_sections_are_surfaced_in_statistics():
     assert sorted(streamed) == [1, 2, 3]
     stats = engine.last_eval_statistics
     assert stats.stream_fallbacks >= 1
-    query = engine.compiled_stream(expr)
+    query = engine.compiled_chunked(expr)
     assert "Union" in query.eager_nodes
     assert query.fully_compiled  # eager section != interpreter fallback
 
@@ -698,8 +731,8 @@ def test_typed_union_pipelines_without_fallback():
         B.ext("x", B.singleton(B.prim("add", B.var("x"), B.const(50)), "list"),
               _scan(count=5), kind="list"),
         "list")
-    query = engine.compiled_stream(expr)
-    assert query.fully_streamed, query.eager_nodes
+    query = engine.compiled_chunked(expr)
+    assert query.fully_chunked, query.eager_nodes
     stream = engine.stream(expr, optimize=False, mode="compiled")
     assert next(stream) == 0
     stats = engine.last_eval_statistics
@@ -715,8 +748,8 @@ def test_unproven_union_still_reports_an_eager_section():
     expr = A.Union(
         B.ext("x", B.singleton(B.var("x"), "list"), _scan(count=3), kind="list"),
         B.var("XS"), "list")
-    query = engine.compiled_stream(expr)
-    assert not query.fully_streamed
+    query = engine.compiled_chunked(expr)
+    assert not query.fully_chunked
     assert "Union" in query.eager_nodes
     streamed = list(engine.stream(expr, {"XS": CList([7])},
                                   optimize=False, mode="compiled"))

@@ -219,14 +219,14 @@ class TestBodyCursorRelease:
         """The scope must track only *live* cursors: a drained body-level
         cursor unregisters itself, so a long stream does not accumulate one
         retained (buffer-holding) cursor per outer element (regression)."""
-        from repro.core.nrc.compile import compile_stream
+        from repro.core.nrc.compile import compile_chunked
         from repro.core.nrc.eval import EvalContext, Environment, Evaluator
 
         engine = KleisliEngine()
         engine.register_driver(BiDriver(outer_total=40, inner_total=5))
         context = EvalContext(driver_executor=engine.driver_executor)
         if mode is ExecutionMode.COMPILED:
-            iterator = compile_stream(_nested_scan_comprehension())(None, context)
+            iterator = compile_chunked(_nested_scan_comprehension())(None, context)
         else:
             expr = _nested_scan_comprehension()
 
@@ -299,18 +299,76 @@ class TestCompiledPipelining:
 
     def test_parallel_ext_prefetches_boundedly(self):
         """A streamed ParallelExt keeps at most max_workers requests in
-        flight: the source is consumed only one window ahead."""
-        engine = KleisliEngine()
-        driver = engine.register_driver(CursorDriver(total=100))
+        flight: the source is consumed only one window ahead, plus the rest
+        of the ramp chunk the window's last element sits in (chunks [0],
+        [1, 2], [3..6] feed a window of 4) — the no-lookahead-past-the-chunk
+        rule of test_chunked_stream_does_not_outrun_the_ramp."""
+        from repro.core.nrc.compile import ChunkPolicy
+
         expr = ParallelExt("x", B.singleton(B.prim("mul", B.var("x"), B.const(2))),
                            A.Scan("cursors", {"table": "t"}),
                            kind="set", max_workers=4)
-        stream = engine.stream(expr, optimize=False, mode=ExecutionMode.COMPILED)
-        assert next(stream) == 0
-        assert driver.produced <= 4 + 2, \
-            f"prefetch ran {driver.produced} elements ahead of the consumer"
+        for policy, ahead in [(None, 4 + 3), (ChunkPolicy(max_chunk=1), 4 + 2)]:
+            engine = KleisliEngine()
+            driver = engine.register_driver(CursorDriver(total=100))
+            stream = engine.stream(expr, optimize=False, chunk_policy=policy,
+                                   mode=ExecutionMode.COMPILED)
+            assert next(stream) == 0
+            assert driver.produced <= ahead, \
+                f"prefetch ran {driver.produced} elements ahead of the consumer"
+            stream.close()
+            assert driver.open_cursors == 0
+
+
+class TestBlockedJoinStreams:
+    """A blocked join with block size > 1 streams its outer side and
+    re-evaluates its inner side once per block — blocks counted across the
+    ramp's chunk boundaries — exactly as often as ``execute`` does."""
+
+    @staticmethod
+    def _join():
+        pair = B.record(o=B.var("o"), i=B.var("i"))
+        return A.Join("blocked", "o", A.Scan("bi", {"table": "outer"}, kind="list"),
+                      "i", A.Scan("bi", {"table": "inner"}, kind="list"),
+                      B.prim("lt", B.var("i"), B.var("o")),
+                      B.singleton(pair, "list"), None, None, "list", 3)
+
+    def test_ten_outer_rows_in_blocks_of_three_scan_the_inner_four_times(self):
+        from repro.core.nrc.compile import ChunkPolicy
+        from repro.core.values import iter_collection
+
+        runs = []
+        for mode in MODES:
+            engine = KleisliEngine()
+            engine.register_driver(BiDriver(outer_total=10, inner_total=4))
+            value = engine.execute(self._join(), optimize=False, mode=mode)
+            runs.append((list(iter_collection(value)), engine))
+        for policy in (None, ChunkPolicy(max_chunk=1)):
+            engine = KleisliEngine()
+            engine.register_driver(BiDriver(outer_total=10, inner_total=4))
+            assert engine.compiled_chunked(self._join()).fully_chunked
+            runs.append((list(engine.stream(self._join(), optimize=False,
+                                            chunk_policy=policy)), engine))
+        expected = [{"o": o, "i": i} for o in range(10) for i in range(4) if i < o]
+        for values, engine in runs:
+            assert [record.to_dict() for record in values] == expected
+            stats = engine.last_eval_statistics
+            assert stats.scan_requests == 1 + 4  # ceil(10 / 3) inner scans
+            assert stats.elements_fetched == 10 + 4 * 4
+            assert engine.drivers["bi"].open_cursors == {"outer": 0, "inner": 0}
+
+    def test_early_close_releases_both_cursors(self):
+        from repro.core.nrc.eval import EvalScope
+
+        engine = KleisliEngine()
+        driver = engine.register_driver(BiDriver(outer_total=10, inner_total=4))
+        stream = engine.stream(self._join(), optimize=False)
+        assert next(stream).to_dict() == {"o": 1, "i": 0}
+        assert driver.open_cursors["outer"] == 1
+        assert driver.produced["outer"] <= 3, "pulled past the first block"
         stream.close()
-        assert driver.open_cursors == 0
+        assert driver.open_cursors == {"outer": 0, "inner": 0}
+        assert EvalScope.live_count() == 0
 
 
 class TestChunkedEarlyClose:
@@ -324,7 +382,7 @@ class TestChunkedEarlyClose:
         engine = KleisliEngine()
         driver = engine.register_driver(CursorDriver(total=100))
         stream = engine.stream(_scan_comprehension(), optimize=False,
-                               mode="compiled", chunked=True)
+                               mode="compiled")
         # Consume 2 elements: the ramp has pulled chunks [0] and [1, 2], so
         # element 2 is buffered in the current chunk but not yet consumed.
         assert next(stream) == 0
@@ -343,7 +401,7 @@ class TestChunkedEarlyClose:
         engine = KleisliEngine()
         driver = engine.register_driver(BiDriver(outer_total=50, inner_total=50))
         stream = engine.stream(_nested_scan_comprehension(), optimize=False,
-                               mode="compiled", chunked=True)
+                               mode="compiled")
         for _ in range(3):
             next(stream)
         assert driver.open_cursors["inner"] == 1
@@ -357,7 +415,7 @@ class TestChunkedEarlyClose:
         engine = KleisliEngine()
         driver = engine.register_driver(CursorDriver(total=100))
         stream = engine.stream(_scan_comprehension(), optimize=False,
-                               mode="compiled", chunked=True)
+                               mode="compiled")
         for _ in range(3):
             next(stream)
         stream.close()
@@ -375,8 +433,7 @@ class TestChunkedEarlyClose:
                            B.singleton(B.var("x")),
                            B.singleton(B.project(B.var("x"), "boom"))),
             A.Scan("cursors", {"table": "t"}))
-        stream = engine.stream(expr, optimize=False, mode="compiled",
-                               chunked=True)
+        stream = engine.stream(expr, optimize=False, mode="compiled")
         with pytest.raises(EvaluationError):
             for _ in range(10):
                 next(stream)

@@ -7,7 +7,7 @@ from repro.core.nrc import builder as B
 from repro.core.nrc import compile as C
 from repro.core.nrc.compile import CompiledQuery, ExecutionMode, compile_term
 from repro.core.nrc.eval import EvalContext, Environment, Evaluator
-from repro.core.errors import EvaluationError
+from repro.core.errors import EvaluationError, NRCError, TermTooDeepError
 from repro.core.optimizer.parallel import ParallelExt
 from repro.core.values import CBag, CList, CSet, Record, from_python
 from repro.kleisli.engine import KleisliEngine
@@ -94,6 +94,38 @@ class TestFallback:
             B.lam("x", B.prim("add", B.var("x"), B.const(1))))
         query = compile_term(B.apply(B.var("f"), B.const(41)))
         assert query(Environment({"f": interpreted_closure})) == 42
+
+
+class TestOverDeepTerms:
+    """A term nested past what the recursive walks can take is a typed
+    error on every entry point, never a bare ``RecursionError``."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        term = B.singleton(B.const(0))
+        for i in range(3000):
+            term = A.Union(B.singleton(B.const(i)), term, "set")
+        return term
+
+    @pytest.mark.parametrize("run", [
+        lambda term: C.term_fingerprint(term),
+        lambda term: C.compile_term(term),
+        lambda term: C.compile_chunked(term),
+        lambda term: KleisliEngine().execute(term),
+        lambda term: KleisliEngine().execute(term, optimize=False),
+        lambda term: list(KleisliEngine().stream(term)),
+        lambda term: list(KleisliEngine().stream(term, optimize=False)),
+    ], ids=["term_fingerprint", "compile_term", "compile_chunked", "execute",
+            "execute unoptimized", "stream", "stream unoptimized"])
+    def test_typed_error(self, deep, run):
+        with pytest.raises(TermTooDeepError, match="nests too deeply"):
+            run(deep)
+
+    def test_the_engine_survives_and_runs_the_next_query(self, deep):
+        engine = KleisliEngine()
+        with pytest.raises(NRCError):
+            engine.execute(deep)
+        assert engine.execute(B.singleton(B.const(1))) == CSet([1])
 
 
 class TestParallelExtCompiled:

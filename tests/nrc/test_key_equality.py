@@ -3,7 +3,7 @@
 A hash index finds a key by *identity* before it asks ``==``, so rows whose key
 is one shared NaN object used to join each other under the indexed ``Join``
 where the nested loop it replaces pairs them with nothing.  Pinned here,
-identically for the nested loop, the indexed ``Join`` in all three lowerings,
+identically for the nested loop, the indexed ``Join`` in both lowerings,
 the caching stage's ``probe`` and the interpreter on the unoptimized term:
 
 * NaN equals nothing, not even itself (shared object or not);
@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import ChunkPolicy
 from repro.core.optimizer.caching import make_caching_rule_set
 from repro.core.optimizer.joins import make_join_rule_set
 from repro.core.values import CBag, CSet, Record, make_collection
@@ -79,8 +80,9 @@ def test_every_path_pairs_the_same_rows(label, keys, expected):
                 "indexed join, interpreted": engine.execute(joined, bindings, optimize=False,
                                                             mode="interpret"),
                 "indexed join, chunked": CSet(engine.stream(joined, bindings, optimize=False)),
-                "indexed join, per element": CSet(engine.stream(joined, bindings, optimize=False,
-                                                                chunked=False)),
+                "indexed join, chunks of one": CSet(engine.stream(
+                    joined, bindings, optimize=False,
+                    chunk_policy=ChunkPolicy(max_chunk=1))),
                 "indexed join, spilled": engine.execute(joined, bindings, optimize=False,
                                                         spill=True),
             })

@@ -39,6 +39,7 @@ from hypothesis import strategies as st
 from repro.core.errors import EvaluationError, QueryCancelledError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import ChunkPolicy
 from repro.core.nrc.eval import EvalScope
 from repro.core.nrc.rewrite import RewriteStats
 from repro.core.optimizer.caching import make_caching_rule_set
@@ -153,9 +154,10 @@ def _check(expr, bindings, kind, note=""):
         "caching alone, interpreted": lambda: ENGINE.execute(cached, bindings, optimize=False,
                                                              mode="interpret"),
         "chunked stream": lambda: make_collection(
-            kind, ENGINE.stream(expr, bindings, chunked=True)),
-        "per-element stream": lambda: make_collection(
-            kind, ENGINE.stream(expr, bindings, chunked=False)),
+            kind, ENGINE.stream(expr, bindings)),
+        "stream in chunks of one": lambda: make_collection(
+            kind, ENGINE.stream(expr, bindings,
+                                chunk_policy=ChunkPolicy(max_chunk=1))),
     }
     for label, run in subjects.items():
         status, payload = _outcome(run)

@@ -11,8 +11,9 @@ points rather than the hand-picked offsets of the example tests:
   :class:`~repro.core.errors.QueryCancelledError`; it never returns a
   truncated result silently.
 * **Prefix property** — whatever a cancelled stream yielded before the
-  typed error is a *prefix* of the ungoverned element sequence, in all
-  three lowerings (eager, per-element, chunked) and both execution modes.
+  typed error is a *prefix* of the ungoverned element sequence, in both
+  lowerings (eager; chunked, ramped and in chunks of one) and both
+  execution modes.
 * **Books balance** — each cancelled run counts exactly one cancellation.
 """
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.errors import QueryCancelledError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import ChunkPolicy
 from repro.core.nrc.eval import EvalScope
 from repro.core.values import iter_collection
 from repro.kleisli.drivers.base import Driver
@@ -68,12 +70,14 @@ def _shapes():
 
 SHAPES = _shapes()
 
+#: (label, mode, ``stream`` options — ``None`` runs ``execute``).
 LOWERINGS = [
     ("eager-compiled", ExecutionMode.COMPILED, None),
     ("eager-interpreted", ExecutionMode.INTERPRET, None),
-    ("per-element", ExecutionMode.COMPILED, False),
-    ("chunked", ExecutionMode.COMPILED, True),
-    ("interpreted-stream", ExecutionMode.INTERPRET, False),
+    ("chunks-of-one", ExecutionMode.COMPILED,
+     {"chunk_policy": ChunkPolicy(max_chunk=1)}),
+    ("chunked", ExecutionMode.COMPILED, {}),
+    ("interpreted-stream", ExecutionMode.INTERPRET, {}),
 ]
 
 
@@ -87,12 +91,12 @@ _BASELINES = {}
 
 
 def _baseline(shape_index):
-    """The ungoverned element sequence (per-element stream is the
-    reference order for every lowering)."""
+    """The ungoverned element sequence (the interpreter's, the oracle, is
+    the reference order for every lowering)."""
     if shape_index not in _BASELINES:
         engine = _engine()
-        _BASELINES[shape_index] = list(
-            engine.stream(SHAPES[shape_index][1], chunked=False))
+        _BASELINES[shape_index] = list(iter_collection(
+            engine.execute(SHAPES[shape_index][1], mode="interpret")))
     return _BASELINES[shape_index]
 
 
@@ -105,14 +109,14 @@ def _baseline(shape_index):
 def test_cancellation_never_leaks_cursors_or_yields_partials(
         shape_index, lowering, cancel_at):
     label, expr = SHAPES[shape_index]
-    _, mode, chunked = LOWERINGS[lowering]
+    _, mode, streamed = LOWERINGS[lowering]
     expected = _baseline(shape_index)
     engine = _engine()
     token = CancellationToken()
     got = []
     error = None
 
-    if chunked is None:
+    if streamed is None:
         # Eager: cancellation before the run (offset 0) or not at all —
         # there is no mid-drain for execute(); offset > 0 degenerates to
         # a completed run, pinning cancel-after-completion is a no-op.
@@ -124,8 +128,8 @@ def test_cancellation_never_leaks_cursors_or_yields_partials(
         except QueryCancelledError as caught:
             error = caught
     else:
-        stream = engine.stream(expr, mode=mode, chunked=chunked,
-                               cancellation=token)
+        stream = engine.stream(expr, mode=mode, cancellation=token,
+                               **streamed)
         if cancel_at == 0:
             token.cancel("property: before first pull")
         try:
@@ -153,7 +157,7 @@ def test_cancellation_never_leaks_cursors_or_yields_partials(
         # Truncated, except when the cancel landed right after the last
         # distinct element of the set-kind shape: that stage is then still
         # draining suppressed repeats and notices the cancel.
-        assert (len(got) < len(expected) or chunked is None
+        assert (len(got) < len(expected) or streamed is None
                 or (label == "dedup" and cancel_at == len(expected)))
         assert engine.governor.snapshot()["cancellations"] == 1
 
@@ -167,16 +171,16 @@ def test_ungoverned_token_free_runs_are_unaffected(shape_index, lowering):
     """Zero-governance pin, property-shaped: a live (never cancelled) token
     changes nothing — values match the ungoverned baseline exactly."""
     label, expr = SHAPES[shape_index]
-    _, mode, chunked = LOWERINGS[lowering]
+    _, mode, streamed = LOWERINGS[lowering]
     expected = _baseline(shape_index)
     engine = _engine()
     token = CancellationToken()
-    if chunked is None:
+    if streamed is None:
         got = list(iter_collection(
             engine.execute(expr, mode=mode, cancellation=token)))
     else:
-        got = list(engine.stream(expr, mode=mode, chunked=chunked,
-                                 cancellation=token))
+        got = list(engine.stream(expr, mode=mode, cancellation=token,
+                                 **streamed))
     assert got == expected
     assert EvalScope.live_count() == 0
     books = engine.governor.snapshot()

@@ -123,7 +123,7 @@ class TestRemyProjectionProperty:
         head = B.record(a=B.project(B.var("r"), "a"))
         expr = B.ext("r", B.singleton(head, "list"), B.var("T"), kind="list")
         projected = list(KleisliEngine().stream(expr, {"T": CList(records)},
-                                                optimize=False, chunked=True))
+                                                optimize=False))
         assert projected == [Record({"a": r.project("a")}) for r in records]
 
 

@@ -3,8 +3,8 @@
 The contract the whole PR rests on, stated as a property: **for any fault
 schedule that eventually lets every request through, a run under the
 resilience layer is bit-identical to the fault-free run** — same values,
-same order, same ``elements_fetched`` accounting — across all three
-lowerings (eager, per-element streamed, chunked streamed).  Faults may be
+same order, same ``elements_fetched`` accounting — across both lowerings
+(eager; chunked, streamed in chunks of one and ramped).  Faults may be
 dead sources (pre-open), mid-stream cursor deaths at arbitrary depths, or
 any mix; recovery must also never leak a driver cursor.
 
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro.core.errors import TransientDriverError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import ChunkPolicy
 from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.resilience import RetryPolicy
 
@@ -41,7 +42,7 @@ if _KLEISLI_TESTS not in sys.path:
 
 from fault_drivers import FaultInjectingDriver  # noqa: E402
 
-LOWERINGS = ["eager", "stream", "chunked"]
+LOWERINGS = ["eager", "chunks of one", "chunked"]
 
 # A schedule: disjoint pre-open / mid-stream fault ordinals plus a death
 # depth (>= 1, so every recovery makes progress) for each mid-stream one.
@@ -70,8 +71,8 @@ def _run(engine, term, lowering):
     if lowering == "eager":
         values = list(engine.execute(term, optimize=False))
     else:
-        values = list(engine.stream(term, optimize=False,
-                                    chunked=(lowering == "chunked")))
+        policy = None if lowering == "chunked" else ChunkPolicy(max_chunk=1)
+        values = list(engine.stream(term, optimize=False, chunk_policy=policy))
     return values, engine.last_eval_statistics.elements_fetched
 
 
