@@ -46,7 +46,7 @@ def _join_expr(method):
     if method == "blocked":
         return A.Join("blocked", expr.outer_var, expr.outer, expr.inner_var, expr.inner,
                       B.eq(B.project(B.var("o"), "id"), B.project(B.var("i"), "ref")),
-                      expr.body, None, None, expr.kind, 256)
+                      expr.body, None, None, expr.kind)
     return expr
 
 

@@ -1,7 +1,7 @@
 """E11 — cost-based planner vs fixed physical knobs.
 
-The planner subsystem replaces three kinds of hand-set constants with
-per-query cost-model choices; this benchmark measures each against the
+The planner subsystem replaces hand-set constants with per-query
+cost-model choices; this benchmark measures each against the
 fixed-knob ablation (``OptimizerConfig(planning=False)`` — exactly the
 pre-planner engine) on the workload it targets:
 
@@ -11,16 +11,13 @@ pre-planner engine) on the workload it targets:
 * **fake_remote** — a scan-batched loop against a slow driver whose native
   ``execute_batch`` is one wire round-trip: the planner raises
   ``remote_max_chunk`` so round-trip count stops dominating (the fixed cap
-  of 32 pays ~8x the round-trips);
-* **skewed** — a blocked join with a large registered outer and a small,
-  expensive-to-rescan inner: the planner's cost-gated block size amortizes
-  the inner rescans the fixed 256-block pays eight times over.
+  of 32 pays ~8x the round-trips).
 
 ``BENCH_planner.json`` records every section (planned/fixed times, the
 chosen plans, speedups).  CI gates on ``BENCH_PLANNER_FACTOR`` (planned
 must stay >= that fraction of fixed-knob throughput on EVERY section — the
-planner never loses) and ``BENCH_PLANNER_WIN`` (the fake-remote and skewed
-sections must beat fixed knobs by at least that factor).
+planner never loses) and ``BENCH_PLANNER_WIN`` (the fake-remote section
+must beat fixed knobs by at least that factor).
 """
 
 import os
@@ -29,7 +26,7 @@ import time
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.optimizer import OptimizerConfig
-from repro.core.values import CList, iter_collection
+from repro.core.values import CList
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
 
@@ -37,7 +34,7 @@ from conftest import report, update_summary
 
 #: The planner must never lose: planned >= FACTOR x fixed on every section.
 PLANNER_FACTOR = float(os.environ.get("BENCH_PLANNER_FACTOR", "0.9"))
-#: And must win where it claims to: fake-remote and skewed sections.
+#: And must win where it claims to: the fake-remote section.
 PLANNER_WIN = float(os.environ.get("BENCH_PLANNER_WIN", "1.2"))
 
 REPS = 3
@@ -250,141 +247,3 @@ def test_fake_remote_section():
 
     assert speedup >= PLANNER_WIN, summary
 
-
-# ---------------------------------------------------------------------------
-# Section 3: skewed-cardinality blocked join (rescan amortization)
-# ---------------------------------------------------------------------------
-
-OUTER_ROWS = 2048
-INNER_ROWS = 48
-INNER_PULL_LATENCY = 0.0005
-
-
-class OuterDriver(Driver):
-    def __init__(self, name="outerdrv"):
-        super().__init__(name)
-
-    def collection_names(self):
-        return ["o"]
-
-    def cardinality(self, collection):
-        return OUTER_ROWS if collection == "o" else None
-
-    def _execute(self, request):
-        def cursor():
-            for i in range(OUTER_ROWS):
-                yield i
-
-        return cursor()
-
-
-class SlowInnerDriver(Driver):
-    """A small inner side whose every element costs a pull latency —
-    exactly the source a blocked join's per-block rescans hammer."""
-
-    def __init__(self, name="innerdrv"):
-        super().__init__(name)
-        self.rescans = 0
-
-    def collection_names(self):
-        return ["i"]
-
-    def cardinality(self, collection):
-        return INNER_ROWS if collection == "i" else None
-
-    def _execute(self, request):
-        self.rescans += 1
-
-        def cursor():
-            for i in range(INNER_ROWS):
-                time.sleep(INNER_PULL_LATENCY)
-                yield i
-
-        return cursor()
-
-
-def _nested_join_loop():
-    condition = B.prim("lt", B.prim("mod", B.var("o"), B.const(97)),
-                       B.prim("mod", B.var("i"), B.const(13)))
-    head = B.prim("add", B.prim("mul", B.var("o"), B.const(100)), B.var("i"))
-    return B.ext(
-        "o",
-        B.ext("i", B.if_then_else(condition, B.singleton(head), B.empty()),
-              A.Scan("innerdrv", {"table": "i"}, kind="set")),
-        A.Scan("outerdrv", {"table": "o"}, kind="set"))
-
-
-def _join_engine(planning):
-    # The subquery cache would hide the inner rescans this section studies
-    # (both engines would pay them once); disable it so the block-size knob
-    # is the only variable.
-    config = OptimizerConfig(caching=False) if planning \
-        else _fixed_config(caching=False)
-    engine = KleisliEngine(config)
-    engine.register_driver(OuterDriver())
-    inner = engine.register_driver(SlowInnerDriver(),
-                                   latency=INNER_PULL_LATENCY)
-    return engine, inner
-
-
-def test_skewed_section():
-    nested = _nested_join_loop()
-
-    planned_engine, _ = _join_engine(planning=True)
-    fixed_engine, _ = _join_engine(planning=False)
-    planned_join = planned_engine.compile(nested)
-    fixed_join = fixed_engine.compile(nested)
-    assert isinstance(planned_join, A.Join) and planned_join.method == "blocked"
-    assert isinstance(fixed_join, A.Join) and fixed_join.method == "blocked"
-    # The acceptance claim: a different knob, chosen from the cardinalities.
-    assert fixed_join.block_size == 256
-    assert planned_join.block_size > 256
-
-    def run(engine_factory, expr):
-        times = []
-        rescans = None
-        count = None
-        for _ in range(REPS):
-            engine, inner = engine_factory()
-            started = time.perf_counter()
-            result = engine.execute(expr, optimize=False)
-            elapsed = time.perf_counter() - started
-            this_count = len(list(iter_collection(result)))
-            count = this_count if count is None else count
-            assert this_count == count
-            times.append(elapsed)
-            rescans = inner.rescans
-        return count, min(times), rescans
-
-    planned_count, planned_time, planned_rescans = run(
-        lambda: _join_engine(planning=True), planned_join)
-    fixed_count, fixed_time, fixed_rescans = run(
-        lambda: _join_engine(planning=False), fixed_join)
-    assert planned_count == fixed_count > 0
-    assert planned_rescans < fixed_rescans
-
-    speedup = fixed_time / planned_time
-    summary = {
-        "outer_rows": OUTER_ROWS,
-        "inner_rows": INNER_ROWS,
-        "inner_pull_latency_s": INNER_PULL_LATENCY,
-        "result_rows": planned_count,
-        "planned_block_size": planned_join.block_size,
-        "fixed_block_size": fixed_join.block_size,
-        "planned_inner_rescans": planned_rescans,
-        "fixed_inner_rescans": fixed_rescans,
-        "planned_s": planned_time,
-        "fixed_s": fixed_time,
-        "planned_vs_fixed_speedup": speedup,
-    }
-    report(f"E11c: skewed blocked join, outer {OUTER_ROWS} x inner "
-           f"{INNER_ROWS} at {INNER_PULL_LATENCY * 1000:.1f} ms/pull",
-           [["fixed knobs (block 256)", f"{fixed_time * 1000:.0f} ms",
-             f"{fixed_rescans} inner rescans"],
-            [f"planned (block {planned_join.block_size})",
-             f"{planned_time * 1000:.0f} ms",
-             f"{planned_rescans} rescans, {speedup:.2f}x fixed"]],
-           ["engine", "total", "notes"])
-    _update("skewed", summary)
-
-    assert speedup >= PLANNER_WIN, summary

@@ -21,10 +21,8 @@ Two shapes that used to break the pipeline are benchmarked against the pure
   typed streaming union (kind proof, see ``compile._chunk_union``) keeps
   its TTFR at one source element where the eager section used to drain both
   operands first;
-* a **blocked-join probe** — a blocked join with block size 1 (what the
-  optimizer emits under the streaming hint) materializes its inner side
-  once and yields per outer element; a larger block yields as early and
-  re-evaluates the inner side once per ``block_size`` outer elements.
+* a **blocked-join probe** — a blocked join materializes its inner side
+  once and yields per outer element.
 
 A ``BENCH_streaming.json`` summary is written next to this file for the
 experiment log; CI uploads it as a workflow artifact and gates on the
@@ -52,7 +50,7 @@ LATENCY = 0.0015
 MIN_SPEEDUP = float(os.environ.get("BENCH_STREAMING_MIN_SPEEDUP", "3.0"))
 #: Allowed relative difference in full-drain time between the two backends.
 PARITY_TOLERANCE = float(os.environ.get("BENCH_STREAMING_PARITY", "0.10"))
-#: TTFR regression gates: a streamed union chain / unit-block join probe must
+#: TTFR regression gates: a streamed union chain / blocked-join probe must
 #: reach its first result within this factor of the pure-Ext chain's TTFR
 #: (the acceptance bar is 5x; CI can widen it for shared-runner jitter).
 UNION_TTFR_FACTOR = float(os.environ.get("BENCH_STREAMING_UNION_FACTOR", "5.0"))
@@ -109,7 +107,7 @@ def _union_chain():
     return A.Union(operand(1000), operand(5000), "list")
 
 
-def _blocked_join_probe(block_size):
+def _blocked_join_probe():
     """A blocked join probing the remote scan against a small local inner."""
     inner = CList(range(0, 8))
     condition = B.eq(B.prim("mod", B.var("o"), B.const(8)), B.var("i"))
@@ -118,7 +116,7 @@ def _blocked_join_probe(block_size):
                   "i", A.Const(inner), condition,
                   B.singleton(B.prim("add", B.prim("mul", B.var("o"), B.const(10)),
                                      B.var("i")), "list"),
-                  None, None, "list", block_size)
+                  None, None, "list")
 
 
 def _engine():
@@ -278,15 +276,12 @@ def test_union_chain_ttfr():
 
 
 def test_blocked_join_probe_ttfr():
-    """The per-element join probe: a block-size-1 blocked join (what the
-    optimizer emits under the streaming hint) reaches its first result
-    within JOIN_TTFR_FACTOR of the pure Ext chain; the default block size
-    (reported, not gated) streams its outer side the same way."""
+    """The per-element join probe: a blocked join reaches its first result
+    within JOIN_TTFR_FACTOR of the pure Ext chain."""
     chain_expr = _chain()
-    probe_expr = _blocked_join_probe(1)
-    block_expr = _blocked_join_probe(256)
+    probe_expr = _blocked_join_probe()
 
-    chain_first = probe_first = block_first = float("inf")
+    chain_first = probe_first = float("inf")
     stats = None
     for _ in range(REPS):
         _, first_at = _stream_first(_engine(), chain_expr)
@@ -298,38 +293,28 @@ def test_blocked_join_probe_ttfr():
         probe_first = min(probe_first, first_at)
         stats = engine.last_eval_statistics
 
-        _, first_at = _stream_first(_engine(), block_expr)
-        block_first = min(block_first, first_at)
-
     assert stats.stream_fallbacks == 0, stats.as_dict()
     assert stats.peak_intermediate == 0, stats.as_dict()
 
-    # Differential guard: blocked-join emission is outer-major at every
-    # block size, so block 1 and block 256 produce the SAME element
-    # sequence as each other and as eager execution — the plan's block size
-    # is value-invisible (only fetch counts and TTFR differ).
+    # Differential guard: the streamed probe emits outer-major, the element
+    # sequence of eager execution.
     probe_all = list(_engine().stream(probe_expr, optimize=False, mode="compiled"))
-    block_all = list(_engine().stream(block_expr, optimize=False, mode="compiled"))
     eager_all = list(iter_collection(
         _engine().execute(probe_expr, optimize=False, mode="compiled")))
-    assert probe_all == block_all == eager_all
+    assert probe_all == eager_all
 
     ratio = probe_first / chain_first
     summary = {
         "outer_elements": ELEMENTS,
         "chain_ttfr_s": chain_first,
-        "unit_block_ttfr_s": probe_first,
-        "default_block_ttfr_s": block_first,
-        "unit_block_vs_chain_ttfr_factor": ratio,
-        "unit_vs_default_block_speedup": block_first / probe_first,
+        "join_probe_ttfr_s": probe_first,
+        "join_probe_vs_chain_ttfr_factor": ratio,
         "stream_fallbacks": stats.stream_fallbacks,
     }
-    report("E10c: per-element join probe vs per-block",
+    report("E10c: per-element join probe",
            [["pure Ext chain", f"{chain_first * 1000:.1f} ms", ""],
-            ["blocked join, block 1", f"{probe_first * 1000:.1f} ms",
-             f"{ratio:.1f}x the chain's TTFR"],
-            ["blocked join, block 256", f"{block_first * 1000:.1f} ms",
-             f"{block_first / probe_first:.1f}x the unit block's TTFR"]],
+            ["blocked join", f"{probe_first * 1000:.1f} ms",
+             f"{ratio:.1f}x the chain's TTFR"]],
            ["shape", "first result", "notes"])
     _update_summary("blocked_join_probe", summary)
 

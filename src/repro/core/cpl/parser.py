@@ -60,13 +60,19 @@ _COLLECTION_BRACKETS = {
 def parse(text: str) -> S.Program:
     """Parse a CPL program (a sequence of statements)."""
     parser = Parser(tokenize(text))
-    return parser.parse_program()
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise parser._error("expression nests too deeply to parse") from None
 
 
 def parse_expression(text: str) -> S.SExpr:
     """Parse a single CPL expression."""
     parser = Parser(tokenize(text))
-    expr = parser.parse_expr(allow_bar=True)
+    try:
+        expr = parser.parse_expr(allow_bar=True)
+    except RecursionError:
+        raise parser._error("expression nests too deeply to parse") from None
     parser.expect_eof()
     return expr
 

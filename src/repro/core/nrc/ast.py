@@ -549,12 +549,12 @@ class Join(Expr):
     """
 
     __slots__ = ("method", "outer_var", "outer", "inner_var", "inner",
-                 "condition", "body", "outer_key", "inner_key", "kind", "block_size")
+                 "condition", "body", "outer_key", "inner_key", "kind")
 
     def __init__(self, method: str, outer_var: str, outer: Expr, inner_var: str,
                  inner: Expr, condition: Optional[Expr], body: Expr,
                  outer_key: Optional[Expr] = None, inner_key: Optional[Expr] = None,
-                 kind: str = "set", block_size: int = 256):
+                 kind: str = "set"):
         if method not in ("blocked", "indexed"):
             raise NRCError(f"unknown join method {method!r}")
         self.method = method
@@ -567,7 +567,6 @@ class Join(Expr):
         self.outer_key = outer_key
         self.inner_key = inner_key
         self.kind = kind
-        self.block_size = block_size
 
     def children(self) -> Tuple[Expr, ...]:
         result: List[Expr] = [self.outer, self.inner, self.body]
@@ -596,7 +595,7 @@ class Join(Expr):
             inner_key = children[index]
             index += 1
         return Join(self.method, self.outer_var, outer, self.inner_var, inner,
-                    condition, body, outer_key, inner_key, self.kind, self.block_size)
+                    condition, body, outer_key, inner_key, self.kind)
 
     def _key(self) -> Tuple:
         return (self.method, self.outer_var, self.outer, self.inner_var, self.inner,

@@ -114,11 +114,8 @@ value, at O(1)-per-element cost:
   they keep raising exactly where ``execute`` raises.
 * **Join probing** — the probe (outer) side of both join methods streams;
   the build side must materialize.  An indexed join probes its hash index
-  per outer element; a blocked join re-evaluates its inner side once per
-  ``block_size`` outer elements (counted across chunk boundaries), except
-  ``block_size == 1`` (what the optimizer emits under the streaming hint,
-  see ``OptimizerConfig.streaming``), where the inner side is materialized
-  once and probed per outer element.
+  per outer element; a blocked join materializes its inner side once, on
+  first need, and probes it per outer element.
 * **The ramp** — chunk sizes start at 1 and double per chunk up to the
   :class:`ChunkPolicy` maximum (read from ``EvalContext.chunk_policy`` at
   run time, so compiled pipelines stay cacheable by term fingerprint).
@@ -1124,54 +1121,24 @@ def _compile_join(expr: A.Join, scope, state):
 
         return run_indexed
 
-    block_size = max(1, expr.block_size)
-
-    if block_size == 1:
-        def run_unit_blocked(frame, context):
-            # Per-element probe: the inner side is materialized ONCE and
-            # probed per outer element (like the indexed join), instead of
-            # re-evaluated per one-element block — same policy as the
-            # interpreter and the streamed lowering.
-            outer = materialise_source(outer_fn(frame, context))
-            context.statistics.joins_blocked += 1
-            elements: list = []
-            pair_frame = _extended(_extended(frame, None), None)
-            inner = None
-            for outer_item in outer:
-                if inner is None:
-                    inner = _materialise_build_side(
-                        inner_fn(frame, context), context)
-                pair_frame[outer_slot] = outer_item
-                for inner_item in inner:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    emit(pair_frame, context, elements)
-            return make_collection(kind, elements)
-
-        return run_unit_blocked
-
     def run_blocked(frame, context):
+        # The inner side is materialized ONCE, on first need (an empty outer
+        # never evaluates it), and probed per outer element — same policy as
+        # the interpreter and the chunked lowering.
         outer = materialise_source(outer_fn(frame, context))
         context.statistics.joins_blocked += 1
         elements: list = []
         pair_frame = _extended(_extended(frame, None), None)
-        for start in range(0, len(outer), block_size):
-            block = outer[start:start + block_size]
-            # The inner side is re-evaluated once per outer block, exactly
-            # like the interpreter (a driver stream can be consumed once);
-            # emission is outer-major so the block size never shows in the
-            # element sequence (see the interpreter's _blocked_join).
-            inner = _materialise_build_side(inner_fn(frame, context), context)
-            for outer_item in block:
-                pair_frame[outer_slot] = outer_item
-                for inner_item in inner:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    emit(pair_frame, context, elements)
+        inner = _materialise_build_side(
+            inner_fn(frame, context), context) if outer else ()
+        for outer_item in outer:
+            pair_frame[outer_slot] = outer_item
+            for inner_item in inner:
+                pair_frame[inner_slot] = inner_item
+                if cond_fn is not None and \
+                        not require_join_condition(cond_fn(pair_frame, context)):
+                    continue
+                emit(pair_frame, context, elements)
         return make_collection(kind, elements)
 
     return run_blocked
@@ -2345,19 +2312,15 @@ def _chunk_join(expr: A.Join, scope, state):
     """Chunk-wise join probing: per outer *chunk*, build side materialized.
 
     The asymmetry is inherent: an indexed join's hash index (and a blocked
-    join's inner rescan) needs the whole inner collection, but the outer
+    join's inner scan) needs the whole inner collection, but the outer
     side is consumed chunk by chunk, so results flow before the outer source
     is exhausted — one output chunk per probed outer chunk.  The indexed
     join builds its index before the first outer pull.  A blocked join
-    evaluates its inner side on first need and again at every
-    ``block_size``-th outer element — blocks are counted across chunk
-    boundaries, so the inner side runs ``ceil(outer / block_size)`` times
-    exactly as in the eager closure — except ``block_size == 1`` (what the
-    optimizer emits under the streaming hint), where it is materialized
-    ONCE and probed per outer element, like the eager closure and the
-    interpreter.  A body that is neither ``Singleton`` nor a filter is a
-    chunk pipeline of its own, drained into the output chunk per matched
-    pair.
+    materializes its inner side ONCE, on first need (an empty outer never
+    evaluates it), and probes it per outer element, like the eager closure
+    and the interpreter.  A body that is neither ``Singleton`` nor a filter
+    is a chunk pipeline of its own, drained into the output chunk per
+    matched pair.
     """
     outer_fn = _compile_chunk(expr.outer, scope, state)
     inner_fn = _compile(expr.inner, scope, state)
@@ -2414,21 +2377,16 @@ def _chunk_join(expr: A.Join, scope, state):
             return _dedup_set_chunks(chunks_indexed)
         return chunks_indexed
 
-    block_size = max(1, expr.block_size)
-
     def chunks_blocked(frame, context):
         context.statistics.joins_blocked += 1
         pair_frame = _extended(_extended(frame, None), None)
         inner = None
-        probed = 0  # outer elements so far: blocks span chunk boundaries
         for chunk in outer_fn(frame, context):
             out: list = []
             for outer_item in chunk:
-                if inner is None or (block_size > 1
-                                     and probed % block_size == 0):
+                if inner is None:
                     inner = _materialise_build_side(
                         inner_fn(frame, context), context)
-                probed += 1
                 pair_frame[outer_slot] = outer_item
                 for inner_item in inner:
                     pair_frame[inner_slot] = inner_item
@@ -2689,7 +2647,7 @@ def term_fingerprint(expr: A.Expr) -> Tuple:
     needs:
 
     * **stricter** where closures bake detail in — literal *types*
-      (``True`` vs ``1``), ``Cached.key``, ``Join.block_size``;
+      (``True`` vs ``1``), ``Cached.key``;
     * **looser** where compiled code is interchangeable — bound variables
       are de-Bruijn-indexed, so terms that differ only in the fresh binder
       names the desugarer mints share one compiled query.  Free names stay
@@ -2772,7 +2730,7 @@ def _fingerprint(expr: A.Expr, _scope: _Scope) -> Tuple:
         return (name, expr.key, sub(expr.expr))
     if node_type is A.Join:
         pair_scope = _scope + (expr.outer_var, expr.inner_var)
-        return (name, expr.method, expr.kind, expr.block_size,
+        return (name, expr.method, expr.kind,
                 sub(expr.outer), sub(expr.inner),
                 None if expr.condition is None else sub(expr.condition, pair_scope),
                 sub(expr.body, pair_scope),

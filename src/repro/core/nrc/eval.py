@@ -23,7 +23,7 @@ import threading
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..errors import EvaluationError, UnboundVariableError
+from ..errors import EvaluationError, TermTooDeepError, UnboundVariableError
 from ..records import Record
 from ..values import (
     CBag,
@@ -421,7 +421,11 @@ class Evaluator:
 
     def evaluate(self, expr: A.Expr, env: Optional[Environment] = None) -> object:
         env = env or Environment()
-        return self._eval(expr, env)
+        try:
+            return self._eval(expr, env)
+        except RecursionError:
+            raise TermTooDeepError(
+                "term nests too deeply to interpret") from None
 
     # -- dispatch --------------------------------------------------------------
 
@@ -612,36 +616,20 @@ class Evaluator:
         return materialise_source(value)
 
     def _blocked_join(self, expr: A.Join, outer: List[object], env: Environment) -> List[object]:
-        """Blocked nested-loop join: scan the inner once per outer *block*.
-
-        ``block_size == 1`` is the per-element probe: the inner side is
-        materialised once and probed per outer element (like the indexed
-        join), instead of re-evaluated per block — the same special case as
-        both compiled lowerings, so the three backends agree on how many
-        times the inner side is fetched.
-
-        Emission is outer-major at every block size (for each outer element
-        in order, all its inner matches), like the indexed join — so the
-        block size affects only fetch counts, never the element sequence,
-        and the optimizer may pick different block sizes for ``execute``
-        and ``stream`` plans without the two diverging observably.
+        """Blocked nested-loop join: the inner side is materialised once, on
+        first need (an empty outer never evaluates it), and probed per outer
+        element — like the indexed join and both compiled lowerings, so the
+        three backends agree on how many times the inner side is fetched.
+        Emission is outer-major: for each outer element in order, all its
+        inner matches.
         """
         elements: List[object] = []
-        block_size = max(1, expr.block_size)
-        if block_size == 1:
-            inner: Optional[List[object]] = None
-            for outer_item in outer:
-                if inner is None:
-                    inner = self._materialise_source(self._eval(expr.inner, env))
-                for inner_item in inner:
-                    self._emit_join_pair(expr, outer_item, inner_item, env, elements)
+        if not outer:
             return elements
-        for start in range(0, len(outer), block_size):
-            block = outer[start:start + block_size]
-            inner = self._materialise_source(self._eval(expr.inner, env))
-            for outer_item in block:
-                for inner_item in inner:
-                    self._emit_join_pair(expr, outer_item, inner_item, env, elements)
+        inner = self._materialise_source(self._eval(expr.inner, env))
+        for outer_item in outer:
+            for inner_item in inner:
+                self._emit_join_pair(expr, outer_item, inner_item, env, elements)
         return elements
 
     def _emit_join_pair(self, expr: A.Join, outer_item: object, inner_item: object,

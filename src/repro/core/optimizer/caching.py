@@ -121,10 +121,7 @@ def _child_positions(node: A.Expr, scope: frozenset, in_loop: bool) -> Sequence[
         return positions
     if isinstance(node, A.Join):
         pair = scope | {node.outer_var, node.inner_var}
-        # A blocked join re-evaluates its inner side once per outer block,
-        # even at the top level; the other methods evaluate it once.
-        rescanned = in_loop or (node.method == "blocked" and node.block_size > 1)
-        positions = [(scope, in_loop), (scope | {node.outer_var}, rescanned), (pair, True)]
+        positions = [(scope, in_loop), (scope | {node.outer_var}, in_loop), (pair, True)]
         if node.condition is not None:
             positions.append((pair, True))
         if node.outer_key is not None:

@@ -39,42 +39,13 @@ __all__ = ["make_join_rule_set"]
 
 
 def make_join_rule_set(cardinality_of: Optional[Callable[[A.Expr], int]] = None,
-                       minimum_inner_size: int = 8,
-                       block_size: int = 256,
-                       streaming: bool = False,
-                       block_size_for: Optional[
-                           Callable[[A.Expr, A.Expr], Optional[int]]] = None
-                       ) -> RuleSet:
+                       minimum_inner_size: int = 8) -> RuleSet:
     """Build the join rule set.
 
     ``cardinality_of`` maps a source expression to an estimated size (the
     engine wires this to the statically registered statistics); when it is
     missing every candidate is rewritten.
-
-    ``streaming`` is the pipelined-execution hint: blocked joins are emitted
-    with a block size of 1, so the streamed lowering materializes the inner
-    side once and probes per outer *element* instead of re-evaluating it per
-    block — the indexed join already probes per element, so under the hint
-    every join shape keeps time-to-first-result at one outer element plus
-    the build side.  Eager execution is indifferent to the choice (the
-    per-element probe evaluates the inner side once, never more than the
-    per-block rescan does).
-
-    ``block_size_for`` makes the blocked block size *cost-gated* instead of
-    constant: called with the (outer, inner) source expressions, it returns
-    a block size chosen from registered cardinalities and latencies (the
-    planner's :meth:`~repro.core.planner.plan.QueryPlanner.join_block_size`)
-    or ``None`` to keep ``block_size``.  The ``streaming`` hint *overrides*
-    it — a pipelined plan needs per-element probing whatever the cost model
-    says about rescans, so streamed joins stay at block 1.
     """
-    blocked_block_size = 1 if streaming else block_size
-
-    def choose_block(outer: A.Expr, inner: A.Expr) -> int:
-        if streaming or block_size_for is None:
-            return blocked_block_size
-        chosen = block_size_for(outer, inner)
-        return blocked_block_size if chosen is None else max(1, chosen)
 
     def estimate(source: A.Expr) -> int:
         if cardinality_of is None:
@@ -103,11 +74,9 @@ def make_join_rule_set(cardinality_of: Optional[Callable[[A.Expr], int]] = None,
         if key_pair is not None:
             outer_key, inner_key = key_pair
             return A.Join("indexed", expr.var, expr.source, inner_ext.var, inner_ext.source,
-                          residual_condition, body, outer_key, inner_key, expr.kind,
-                          block_size)
+                          residual_condition, body, outer_key, inner_key, expr.kind)
         return A.Join("blocked", expr.var, expr.source, inner_ext.var, inner_ext.source,
-                      residual_condition, body, None, None, expr.kind,
-                      choose_block(expr.source, inner_ext.source))
+                      residual_condition, body, None, None, expr.kind)
 
     rule = Rule("local-join", introduce_join,
                 "replace an uncorrelated nested loop with a blocked or indexed join operator")

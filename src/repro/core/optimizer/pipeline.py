@@ -11,7 +11,7 @@ so the ablation benchmarks can turn individual optimizations off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ..errors import TermTooDeepError
@@ -43,14 +43,9 @@ class OptimizerConfig:
     #: Use the self-adjusting scheduler ([43]) instead of a fixed worker count.
     adaptive_concurrency: bool = False
     join_minimum_inner_size: int = 8
-    join_block_size: int = 256
-    #: Plan for pipelined (``stream``) execution: blocked joins are emitted
-    #: with block size 1 so the streamed probe side yields per outer element
-    #: (see :func:`~repro.core.optimizer.joins.make_join_rule_set`).
-    streaming: bool = False
     #: Consult the cost-based planner (when one is wired) for physical
-    #: knobs — join block sizes, parallel introduction, chunk policy.  Off,
-    #: every knob is the fixed historical constant (the ablation baseline).
+    #: knobs — parallel introduction, chunk policy.  Off, every knob is the
+    #: fixed historical constant (the ablation baseline).
     #: Note the planner is *conservative by construction*: with zero
     #: registered/observed statistics it reproduces the constants exactly,
     #: so this switch only matters for informed workloads.
@@ -61,10 +56,6 @@ class OptimizerConfig:
         """A configuration with every optimization off (the unoptimized baseline)."""
         return cls(monadic=False, sql_pushdown=False, path_pushdown=False,
                    local_joins=False, caching=False, parallelism=False)
-
-    def for_streaming(self) -> "OptimizerConfig":
-        """A copy of this configuration with the streaming hint set."""
-        return replace(self, streaming=True)
 
 
 class OptimizerPipeline:
@@ -84,9 +75,8 @@ class OptimizerPipeline:
         self.is_remote_driver = is_remote_driver or (lambda driver: False)
         self.config = config or OptimizerConfig()
         self.extra_rule_sets = tuple(extra_rule_sets)
-        #: The cost-based planner whose compile-time hooks gate the join
-        #: block size and the parallel introduction (duck-typed: anything
-        #: with ``join_block_size(outer, inner)`` and
+        #: The cost-based planner whose compile-time hook gates the
+        #: parallel introduction (duck-typed: anything with
         #: ``parallel_workers(expr)``).  ``None`` keeps every knob constant.
         self.planner = planner if self.config.planning else None
         self.engine = self._build_engine()
@@ -105,12 +95,7 @@ class OptimizerPipeline:
         planner = self.planner
         if config.local_joins:
             rule_sets.append(make_join_rule_set(
-                self.cardinality_of,
-                config.join_minimum_inner_size,
-                config.join_block_size,
-                streaming=config.streaming,
-                block_size_for=None if planner is None
-                else planner.join_block_size))
+                self.cardinality_of, config.join_minimum_inner_size))
         if config.caching:
             rule_sets.append(make_caching_rule_set())
         if config.parallelism:

@@ -70,16 +70,6 @@ class CostModel:
         return batches * latency + rows * self.PER_ITEM_CPU \
             + batches * self.CHUNK_DISPATCH
 
-    def blocked_join_cost(self, outer: float, inner: float, block: int,
-                          inner_pull_cost: float) -> float:
-        """Cost of a blocked nested-loop join at ``block``: the inner side
-        is re-fetched once per outer block (``inner_pull_cost`` per inner
-        element — driver latency for remote/lazy inners, CPU otherwise)
-        on top of the block-size-independent condition evaluations."""
-        blocks = math.ceil(max(outer, 1.0) / max(1, block))
-        return blocks * inner * inner_pull_cost \
-            + outer * inner * self.PER_ITEM_CPU
-
     def parallel_chunk_for(self, unit_cost: Optional[float]) -> int:
         """Task granularity for a ParallelExt body of ``unit_cost`` seconds
         per element: enough elements per task to amortize TASK_OVERHEAD,

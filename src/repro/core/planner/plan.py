@@ -2,14 +2,13 @@
 
 "The optimizer chooses among physical strategies using knowledge about the
 sources."  Before this module every physical knob of the reproduction — the
-blocked-join block size, the chunk ramp bounds, the ParallelExt prefetch
-granularity — was a hand-set constant.  :class:`QueryPlanner` replaces the
-constants with per-query choices:
+chunk ramp bounds, the ParallelExt prefetch granularity — was a hand-set
+constant.  :class:`QueryPlanner` replaces the constants with per-query
+choices:
 
-* **compile-time knobs** (join block size, whether/ how wide to introduce
-  ``ParallelExt``) are wired into the optimizer rule sets as cost-gate
-  callbacks (``make_join_rule_set(block_size_for=...)``,
-  ``make_parallel_rule_set(workers_for=...)``);
+* the one **compile-time knob** (whether/ how wide to introduce
+  ``ParallelExt``) is wired into the optimizer rule set as a cost-gate
+  callback (``make_parallel_rule_set(workers_for=...)``);
 * **run-time knobs** (the :class:`~repro.core.nrc.compile.ChunkPolicy` ramp
   bounds, ``parallel_chunk`` granularity, the prefetch window hint, the
   cost-adaptive ramp switch) travel on a :class:`PhysicalPlan` the engine
@@ -41,13 +40,10 @@ class PhysicalPlan:
     """One query's physical knobs (immutable; defaults == the constants
     every run used before the planner existed)."""
 
-    join_block_size: int = 256
     initial_chunk: int = 1
     max_chunk: int = ChunkPolicy.DEFAULT_MAX_CHUNK
     remote_max_chunk: int = ChunkPolicy.REMOTE_MAX_CHUNK
     parallel_chunk: int = 1
-    #: ``None`` leaves the parallel rule set's configured worker count.
-    parallel_workers: Optional[int] = None
     #: Initial prefetch window for adaptive schedulers (``None`` = probe
     #: up from one worker, the uninformed default).
     prefetch_window: Optional[int] = None
@@ -58,9 +54,9 @@ class PhysicalPlan:
     estimated_rows: Optional[float] = None
 
     @classmethod
-    def default(cls, join_block_size: int = 256) -> "PhysicalPlan":
+    def default(cls) -> "PhysicalPlan":
         """The uninformed plan: today's constants, exactly."""
-        return cls(join_block_size=join_block_size)
+        return cls()
 
     @property
     def is_default(self) -> bool:
@@ -80,12 +76,10 @@ class PhysicalPlan:
         """A plain-dict view for benchmarks and the experiment log."""
         return {
             "source": self.source,
-            "join_block_size": self.join_block_size,
             "initial_chunk": self.initial_chunk,
             "max_chunk": self.max_chunk,
             "remote_max_chunk": self.remote_max_chunk,
             "parallel_chunk": self.parallel_chunk,
-            "parallel_workers": self.parallel_workers,
             "prefetch_window": self.prefetch_window,
             "adaptive_ramp": self.adaptive_ramp,
             "estimated_rows": self.estimated_rows,
@@ -105,38 +99,26 @@ class QueryPlanner:
     driver's server declared it handles at once (``None``: undeclared).
     """
 
-    #: Largest block the blocked-join chooser will buffer on the outer side.
-    MAX_JOIN_BLOCK = 4096
-    #: Outer cardinality below which the join block is left at the default
-    #: (rescans are already few; re-planning would churn plans for nothing).
-    JOIN_REPLAN_FLOOR = 2048
-    #: Modeled seconds of rescan cost a bigger block must save to justify
-    #: deviating from the default — a cheap-to-rescan inner (a local
-    #: constant, a fast cursor) never clears it, however large the outer.
-    JOIN_REPLAN_SAVING = 0.05
     #: Largest local chunk the planner will ramp to.
     MAX_LOCAL_CHUNK = 4096
     #: Candidate remote batch caps (bounded: one batch must never buffer an
     #: unbounded slice of a slow source, however good the latency math).
     REMOTE_CHUNK_CANDIDATES = (32, 64, 128, 256)
-    #: Candidate-walk tie-breaker shared by the block-size and remote-cap
-    #: choosers: take the SMALLEST candidate whose modeled cost is within
-    #: this factor of the cheapest — savings justify buffering, buffering
-    #: alone justifies nothing.
+    #: Candidate-walk tie-breaker of the remote-cap chooser: take the
+    #: SMALLEST candidate whose modeled cost is within this factor of the
+    #: cheapest — savings justify buffering, buffering alone justifies nothing.
     REPLAN_SLACK = 1.05
     #: Sources with fewer estimated elements than this gain nothing from a
     #: parallel loop (the pool costs more than the overlap).
     MIN_PARALLEL_SOURCE = 2
 
     def __init__(self, statistics, feedback: Optional[PlanFeedback] = None,
-                 default_block_size: int = 256,
                  parallel_max_workers: int = 5,
                  batches_natively: Optional[Callable[[str], bool]] = None,
                  concurrency_of: Optional[
                      Callable[[str], Optional[int]]] = None):
         self.statistics = statistics
         self.feedback = feedback
-        self.default_block_size = default_block_size
         self.parallel_max_workers = parallel_max_workers
         self.batches_natively = batches_natively or (lambda driver: False)
         self.concurrency_of = concurrency_of or (lambda driver: None)
@@ -181,55 +163,6 @@ class QueryPlanner:
         return None
 
     # -- compile-time hooks (wired into the optimizer rule sets) -------------
-
-    def join_block_size(self, outer: A.Expr, inner: A.Expr) -> Optional[int]:
-        """Cost-gated blocked-join block size; ``None`` keeps the default.
-
-        Only fires with *trusted* cardinalities on BOTH sides — a
-        registered/literal outer past the re-plan floor, and an inner
-        whose rescan cost the model can actually price (registered rows,
-        or a registered/observed driver latency).  An uninformed side can
-        never flip a compile-time knob; guessing the inner at the registry
-        default would let pure ignorance change the emitted plan.
-
-        Among bounded power-of-two candidates the chooser takes the
-        SMALLEST block whose modeled cost sits within
-        :data:`REPLAN_SLACK` of the cheapest — rescan savings justify
-        outer-side buffering, buffering alone justifies nothing — and
-        deviates only when the saving over the default block is *material*
-        (:data:`JOIN_REPLAN_SAVING`): a huge outer over a cheap-to-rescan
-        inner keeps the default, because the model says there is nothing
-        worth saving.
-        """
-        outer_rows = self._exact_rows(outer)
-        if outer_rows is None or outer_rows < self.JOIN_REPLAN_FLOOR:
-            return None
-        inner_rows = self._exact_rows(inner)
-        inner_latent = any(self.statistics.has_latency(driver)
-                           for driver, _collection in collect_scans(inner))
-        if inner_rows is None and not inner_latent:
-            return None  # nothing trustworthy about the inner's rescan cost
-        if inner_rows is None:
-            inner_rows = self.cardinality.estimate(inner)
-        inner_pull = self.cost.PER_ITEM_CPU
-        for driver, _collection in collect_scans(inner):
-            inner_pull = max(inner_pull, self.cost.driver_latency(driver))
-        costs = {}
-        block = self.default_block_size
-        costs[block] = self.cost.blocked_join_cost(outer_rows, inner_rows,
-                                                   block, inner_pull)
-        while block < self.MAX_JOIN_BLOCK:
-            block *= 2
-            costs[block] = self.cost.blocked_join_cost(
-                outer_rows, inner_rows, block, inner_pull)
-        floor = min(costs.values())
-        best = min(size for size, cost in costs.items()
-                   if cost <= floor * self.REPLAN_SLACK)
-        if best == self.default_block_size \
-                or costs[self.default_block_size] - costs[best] \
-                < self.JOIN_REPLAN_SAVING:
-            return None
-        return best
 
     def _batched_scan_requests(self, expr: A.Expr, drivers) -> float:
         """Estimated requests the batched-scan stages will issue.
@@ -292,7 +225,7 @@ class QueryPlanner:
         scans = collect_scans(expr)
         if observation is None and not self._has_source_statistics(scans):
             self.plans_default += 1
-            return PhysicalPlan.default(self.default_block_size)
+            return PhysicalPlan.default()
 
         rows = (observation.cardinality if observation is not None
                 and observation.cardinality > 0
@@ -362,18 +295,11 @@ class QueryPlanner:
         if latency >= self.cost.REMOTE_PARALLEL_LATENCY:
             prefetch_window = self.parallel_max_workers
 
-        # join_block_size stays the default here deliberately: block sizes
-        # are a COMPILE-time knob, applied through the optimizer hook
-        # (:meth:`join_block_size`) and baked into the Join node — a
-        # run-time plan reporting a different number would describe a knob
-        # execution never reads.
         return PhysicalPlan(
-            join_block_size=self.default_block_size,
             initial_chunk=1,
             max_chunk=max_chunk,
             remote_max_chunk=remote_max_chunk,
             parallel_chunk=parallel_chunk,
-            parallel_workers=None,
             prefetch_window=prefetch_window,
             adaptive_ramp=True,
             source="feedback" if observation is not None else "statistics",

@@ -203,25 +203,18 @@ class KleisliEngine:
         #: The run-time feedback ledger: per-stage per-chunk costs and true
         #: cardinalities of drained chunked runs, keyed by term fingerprint.
         self.plan_feedback = PlanFeedback()
-        #: The cost-based planner.  Its compile-time hooks gate the join
-        #: block size and parallel introduction inside both optimizers;
-        #: :meth:`plan_for` asks it for the run-time knobs per query.  With
-        #: zero statistics and no feedback it reproduces the historical
-        #: constants exactly.
+        #: The cost-based planner.  Its compile-time hook gates parallel
+        #: introduction inside the optimizer; :meth:`plan_for` asks it for
+        #: the run-time knobs per query.  With zero statistics and no
+        #: feedback it reproduces the historical constants exactly.
         self.planner = QueryPlanner(
             self.statistics_registry, self.plan_feedback,
-            default_block_size=self.optimizer_config.join_block_size,
             parallel_max_workers=self.optimizer_config.parallel_max_workers,
             batches_natively=self._driver_batches_natively,
             concurrency_of=lambda name: getattr(
                 self.driver_gates.get(name), "cap", None))
         self.last_plan: Optional[PhysicalPlan] = None
         self.optimizer = self._build_optimizer()
-        #: The pipelined-execution planner: same rule sets, but with the
-        #: streaming hint set (blocked joins get block size 1 so the
-        #: streamed probe side yields per outer element).  ``stream`` uses
-        #: this; ``execute`` keeps the eager plan.
-        self.stream_optimizer = self._build_optimizer(streaming=True)
         self.execution_mode = ExecutionMode.coerce(execution_mode)
         #: The driver resilience layer (retries, breakers, deadlines,
         #: mid-stream recovery).  Default-off: a driver with no configured
@@ -345,7 +338,7 @@ class KleisliEngine:
             self.statistics_registry.register_latency(driver.name, latency)
         elif getattr(driver, "remote", None) is not None:
             self.statistics_registry.register_latency(driver.name, driver.remote.latency)
-        self._rebuild_optimizers()
+        self.optimizer = self._build_optimizer()
         return driver
 
     def unregister_driver(self, name: str) -> None:
@@ -358,7 +351,7 @@ class KleisliEngine:
             fname: (drv, fn) for fname, (drv, fn) in self.driver_functions.items()
             if drv.name != name
         }
-        self._rebuild_optimizers()
+        self.optimizer = self._build_optimizer()
 
     def driver(self, name: str) -> Driver:
         try:
@@ -381,7 +374,7 @@ class KleisliEngine:
 
     # -- optimizer wiring ---------------------------------------------------------------
 
-    def _build_optimizer(self, streaming: bool = False) -> OptimizerPipeline:
+    def _build_optimizer(self) -> OptimizerPipeline:
         registry = {
             fname: ScanSpec(driver.name, function.request_template,
                             function.argument_key, function.argument_is_record,
@@ -389,22 +382,14 @@ class KleisliEngine:
             for fname, (driver, function) in self.driver_functions.items()
         }
         capabilities = {name: driver.capabilities for name, driver in self.drivers.items()}
-        config = self.optimizer_config
-        if streaming:
-            config = config.for_streaming()
         return OptimizerPipeline(
             function_registry=registry,
             capabilities=capabilities,
             cardinality_of=self._estimate_cardinality,
             is_remote_driver=self.statistics_registry.is_remote,
-            config=config,
+            config=self.optimizer_config,
             planner=self.planner,
         )
-
-    def _rebuild_optimizers(self) -> None:
-        """Re-derive both planners after driver registration changed."""
-        self.optimizer = self._build_optimizer()
-        self.stream_optimizer = self._build_optimizer(streaming=True)
 
     def _estimate_cardinality(self, source: A.Expr) -> int:
         """Estimate the size of a generator source for the join rule set."""
@@ -433,18 +418,8 @@ class KleisliEngine:
         self.last_rewrite_stats = stats
         return optimized
 
-    def compile_for_stream(self, expr: A.Expr, collect_stats: bool = True) -> A.Expr:
-        """Optimize for pipelined execution: the streaming-hinted planner.
-
-        Same rule sets as :meth:`compile`, but blocked joins are emitted with
-        block size 1 so the streamed lowering probes — and yields — per outer
-        element (``stream`` routes through this; result values are identical
-        either way).
-        """
-        stats = RewriteStats() if collect_stats else None
-        optimized = self.stream_optimizer.optimize(expr, stats)
-        self.last_rewrite_stats = stats
-        return optimized
+    # benchmarks/e2e/tracing.py patches this name; ROADMAP direction 3(b) removes it.
+    compile_for_stream = compile
 
     def configure_resilience(self, driver_name: str,
                              retry: Optional[RetryPolicy] = None,
@@ -732,7 +707,7 @@ class KleisliEngine:
         if self.optimizer_config.planning:
             plan = self.planner.plan_for(expr, fingerprint)
         else:
-            plan = PhysicalPlan.default(self.optimizer_config.join_block_size)
+            plan = PhysicalPlan.default()
         self.last_plan = plan
         return plan
 
@@ -904,8 +879,8 @@ class KleisliEngine:
 
         The cache key is :func:`~repro.core.nrc.compile.term_fingerprint`, not
         structural equality: equality is too loose for a compile cache (it
-        conflates ``Const(True)``/``Const(1)`` and ignores ``Cached.key`` /
-        ``Join.block_size``, all of which compiled closures bake in) and too
+        conflates ``Const(True)``/``Const(1)`` and ignores ``Cached.key``,
+        both of which compiled closures bake in) and too
         strict across runs (each parse of the same query mints fresh binder
         names; the fingerprint de-Bruijn-indexes them away, so the common
         session pattern — the same query executed repeatedly — compiles
@@ -1142,7 +1117,7 @@ class KleisliEngine:
         """
         mode = self._resolve_mode(mode)
         if optimize:
-            expr = self.compile_for_stream(expr)
+            expr = self.compile(expr)
         budget, owned = self._resolve_budget(memory_budget)
         governed = (cancellation is not None or budget is not None
                     or spill is True)
@@ -1295,10 +1270,10 @@ class KleisliEngine:
         with context.evaluation_scope():
             if type(expr) is A.Ext:
                 evaluator = Evaluator(context)
-                source = evaluator._eval(expr.source, environment)
+                source = evaluator.evaluate(expr.source, environment)
 
                 def evaluate_body(item):
-                    return evaluator._eval(expr.body, environment.child(expr.var, item))
+                    return evaluator.evaluate(expr.body, environment.child(expr.var, item))
 
                 iterator = iterate_source(source)
                 # Set semantics: suppress repeats incrementally (CSet order

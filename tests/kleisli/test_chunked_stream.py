@@ -147,12 +147,12 @@ class TestEagerSections:
         assert engine.last_eval_statistics.stream_fallbacks >= 1
 
     def test_blocked_join_with_a_larger_block_is_chunk_native(self):
-        """A blocked join with block size > 1 has a chunk form of its own:
-        no eager section, nothing counted as a fallback."""
+        """A blocked join has a chunk form of its own: no eager section,
+        nothing counted as a fallback."""
         engine = KleisliEngine()
         expr = A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
                       None, B.singleton(B.var("o"), "list"), None, None,
-                      "list", 4)
+                      "list")
         bindings = {"OUTER": CList([1, 2, 3]), "INNER": CList([10])}
         assert engine.compiled_chunked(expr).fully_chunked
         streamed = list(engine.stream(expr, bindings, optimize=False))

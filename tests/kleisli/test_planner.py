@@ -16,7 +16,6 @@ from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.compile import ChunkPolicy, _ChunkRamp, term_fingerprint
 from repro.core.optimizer import OptimizerConfig
-from repro.core.optimizer.joins import make_join_rule_set
 from repro.core.optimizer.parallel import ParallelExt, make_parallel_rule_set
 from repro.core.planner import (
     CardinalityEstimator,
@@ -175,8 +174,7 @@ class TestPlannerDefaults:
         engine.register_driver(RangeDriver())
         plan = engine.plan_for(_chain())
         assert plan.is_default
-        assert plan == PhysicalPlan.default(
-            engine.optimizer_config.join_block_size)
+        assert plan == PhysicalPlan.default()
         policy = plan.chunk_policy()
         assert (policy.initial_chunk, policy.max_chunk,
                 policy.remote_max_chunk, policy.parallel_chunk,
@@ -188,7 +186,6 @@ class TestPlannerDefaults:
         engine = KleisliEngine()
         engine.register_driver(RangeDriver())
         planner = engine.planner
-        assert planner.join_block_size(_scan(), _scan(table="u")) is None
         loop = B.ext("x", _scan(), A.Const(CList(range(10))), kind="list")
         assert planner.parallel_workers(loop) is None
 
@@ -245,53 +242,6 @@ class TestPlannerWithStatistics:
         engine.statistics_registry.register_cardinality("ranges", "t", 50_000)
         big = engine.plan_for(_chain("ranges", count=50_000))
         assert big.max_chunk == QueryPlanner.MAX_LOCAL_CHUNK  # raised
-
-    def test_join_block_size_is_cost_gated(self):
-        registry = SourceStatisticsRegistry()
-        registry.register_cardinality("outer", "t", 4096)
-        registry.register_latency("inner", 0.0005)
-        planner = QueryPlanner(registry)
-        outer = A.Scan("outer", {"table": "t"}, kind="set")
-        inner = A.Scan("inner", {"table": "t"}, kind="set")
-        chosen = planner.join_block_size(outer, inner)
-        assert chosen is not None and chosen > 256
-        # Below the re-plan floor, or unregistered, the default stands.
-        registry.register_cardinality("outer", "small", 500)
-        small = A.Scan("outer", {"table": "small"}, kind="set")
-        assert planner.join_block_size(small, inner) is None
-        unknown = A.Scan("nobody", {"table": "t"}, kind="set")
-        assert planner.join_block_size(unknown, inner) is None
-
-    def test_streaming_hint_overrides_the_cost_gate(self):
-        """A streamed plan needs per-element probing whatever the cost
-        model prefers: block size 1 under the hint, planner or not."""
-        registry = SourceStatisticsRegistry()
-        registry.register_cardinality("outer", "t", 4096)
-        planner = QueryPlanner(registry)
-        condition = B.prim("lt", B.prim("mod", B.var("o"), B.const(7)),
-                           B.prim("mod", B.var("i"), B.const(5)))
-        nested = B.ext(
-            "o", B.ext("i", B.if_then_else(condition,
-                                           B.singleton(B.var("i")),
-                                           B.empty()),
-                       A.Scan("inner", {"table": "t"}, kind="set")),
-            A.Scan("outer", {"table": "t"}, kind="set"))
-        registry.register_cardinality("inner", "t", 64)
-        # A cheap-to-rescan inner (no latency known) never clears the
-        # material-saving gate: the default block stands even off-hint.
-        cheap = make_join_rule_set(
-            cardinality_of=lambda source: 4096,
-            block_size_for=planner.join_block_size).apply(nested)
-        assert isinstance(cheap, A.Join) and cheap.block_size == 256
-        registry.register_latency("inner", 0.01)  # now rescans cost real time
-        hinted = make_join_rule_set(
-            cardinality_of=lambda source: 4096, streaming=True,
-            block_size_for=planner.join_block_size).apply(nested)
-        assert isinstance(hinted, A.Join) and hinted.block_size == 1
-        eager = make_join_rule_set(
-            cardinality_of=lambda source: 4096,
-            block_size_for=planner.join_block_size).apply(nested)
-        assert isinstance(eager, A.Join) and eager.block_size > 256
 
     def test_parallel_introduction_is_cost_gated(self):
         """A source known to hold one element cannot benefit from request
@@ -488,5 +438,5 @@ class TestEstimator:
         join = A.Join("indexed", "o", A.Const(CList(range(100))),
                       "i", A.Const(CList(range(50))), None,
                       B.singleton(B.var("o"), "list"),
-                      B.var("o"), B.var("i"), "list", 256)
+                      B.var("o"), B.var("i"), "list")
         assert estimator.estimate(join) == pytest.approx(100.0)

@@ -51,8 +51,7 @@ def test_planned_matches_fixed_knobs_with_zero_statistics(label, expr, bindings)
 
     # Bit-for-bit: with nothing registered and nothing observed, the chosen
     # plan IS the default knob set, not merely an equivalent one.
-    assert planned_engine.last_plan == PhysicalPlan.default(
-        planned_engine.optimizer_config.join_block_size), label
+    assert planned_engine.last_plan == PhysicalPlan.default(), label
     assert planned_engine.last_plan.is_default, label
 
     fixed_engine = _fixed_engine()

@@ -102,7 +102,7 @@ class TestSpilledList:
             model.append(("row", i))
         assert list(spilled) == model
         assert len(spilled) == 100
-        # Multi-pass: a build side is replayed once per outer block.
+        # Multi-pass: a build side is replayed once per outer element.
         assert list(spilled) == model
         assert manager.books["spills"] == 1
         assert manager.books["bytes_spilled"] > 0
@@ -295,7 +295,7 @@ def _blocked_join_expr():
     condition = B.prim("lt", B.var("i"), B.var("o"))
     return A.Join("blocked", "o", _scan(3), "i", _scan(COUNT, base=0),
                   condition, B.singleton(B.var("i"), "list"),
-                  kind="list", block_size=2)
+                  kind="list")
 
 
 def _drain(engine, expr, **kwargs):
@@ -331,6 +331,44 @@ def test_spilled_run_matches_in_memory_across_all_lowerings(shape):
     assert books["spills"] > 0
     assert books["bytes_spilled"] > 0
     assert baseline_engine.governor.snapshot()["spills"] == 0
+
+
+def _nested_blocked_join_expr():
+    """A blocked join inside a loop: its outer side depends on the loop
+    variable, its (lazy, spillable) inner side on nothing."""
+    outer = A.Scan("ranges", {"table": "t", "count": 3},
+                   args={"base": B.var("x")}, kind="list")
+    join = A.Join("blocked", "o", outer, "i", _scan(COUNT),
+                  B.prim("lt", B.var("i"), B.var("o")),
+                  B.singleton(B.prim("add", B.var("o"), B.var("i")), "list"),
+                  kind="list")
+    return B.ext("x", join, _scan(3), kind="list")
+
+
+def test_nested_blocked_join_fetches_its_invariant_inner_once_per_run():
+    """Optimized, the loop-invariant inner is fetched once per run — not per
+    evaluation of the join — and a budgeted or spilled run is bit-for-bit
+    the in-memory run on every lowering."""
+    expr = _nested_blocked_join_expr()
+    runs = []
+    for governance in ({}, {"memory_budget": 1 << 24}, {"spill": True}):
+        for streamed in (None, {"chunk_policy": ChunkPolicy(max_chunk=1)}, {}):
+            engine = _engine()
+            if streamed is None:
+                values = list(iter_collection(engine.execute(expr, **governance)))
+            else:
+                values = list(engine.stream(expr, **governance, **streamed))
+            stats = engine.last_eval_statistics
+            runs.append((values, stats.scan_requests, stats.elements_fetched))
+            assert EvalScope.live_count() == 0
+    values, requests, fetched = runs[0]
+    assert values == [o + i for x in range(3) for o in range(x, x + 3)
+                      for i in range(o)]
+    # The loop's source, the join's outer side per loop element, the inner once.
+    assert requests == 1 + 3 + 1
+    # ... and their elements, plus the loop's own three iterations.
+    assert fetched == (3 + 3 * 3 + COUNT) + 3
+    assert all(run == runs[0] for run in runs)
 
 
 def test_over_budget_dedup_completes_under_spill():

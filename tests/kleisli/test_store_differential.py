@@ -83,8 +83,7 @@ def test_every_store_condition_plans_bit_for_bit_default(label, expr, bindings,
         assert values == baseline, tag
         assert stats.elements_fetched == baseline_stats.elements_fetched, tag
         assert engine.last_plan == baseline_plan, tag
-        assert engine.last_plan == PhysicalPlan.default(
-            engine.optimizer_config.join_block_size), tag
+        assert engine.last_plan == PhysicalPlan.default(), tag
         assert engine.last_plan.is_default, tag
         store.close()
 

@@ -146,10 +146,10 @@ def _record_head_shapes():
     shapes += [
         ("heads: join body, indexed",
          A.Join("indexed", "o", B.var("O"), "i", B.var("N"), None, pair_body,
-                *same_acc, "set", 1)),
-        ("heads: join body, unit-blocked",
+                *same_acc, "set")),
+        ("heads: join body, blocked",
          A.Join("blocked", "o", B.var("O"), "i", B.var("N"), B.eq(*same_acc),
-                pair_body, None, None, "set", 1)),
+                pair_body, None, None, "set")),
     ]
     return [(label, expr, tables) for label, expr in shapes]
 
@@ -239,16 +239,17 @@ def _shapes():
                    {"OUTER": records, "INNER": refs}))
 
     blocked = A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
-                     condition, B.singleton(head), None, None,
-                     "set", 4)
-    shapes.append(("blocked join (streamed per outer block)", blocked,
+                     condition, B.singleton(head), None, None, "set")
+    shapes.append(("blocked join (streamed probe side)", blocked,
                    {"OUTER": records, "INNER": refs}))
 
-    unit_blocked = A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
-                          condition, B.singleton(head), None, None,
-                          "set", 1)
-    shapes.append(("blocked join with block size 1 (per-element probe)",
-                   unit_blocked, {"OUTER": records, "INNER": refs}))
+    # List kind: no dedup hides the emission order (outer-major).
+    ordered = A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
+                     B.prim("lt", B.project(B.var("o"), "id"),
+                            B.project(B.var("i"), "ref")),
+                     B.singleton(head, "list"), None, None, "list")
+    shapes.append(("blocked join, list kind (outer-major order)",
+                   ordered, {"OUTER": records, "INNER": refs}))
 
     shapes.append((
         "typed union of two scan chains (streams both operands)",
@@ -543,10 +544,7 @@ def test_chunked_pipelines_without_eager_sections_on_optimizer_shapes():
             "list"),
         A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
                condition, B.singleton(B.project(B.var("o"), "tag"), "list"),
-               None, None, "list", 1),
-        A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
-               condition, B.singleton(B.project(B.var("o"), "tag"), "list"),
-               None, None, "list", 4),
+               None, None, "list"),
         ParallelExt("x", B.singleton(B.prim("mul", B.var("x"), B.const(2)), "list"),
                     _scan(count=7), kind="list", max_workers=3),
     ]
@@ -789,10 +787,10 @@ class TestJoinConditionPolicy:
         if method == "indexed":
             return A.Join("indexed", "o", B.var("OUTER"), "i", B.var("INNER"),
                           condition, B.singleton(B.var("o"), "list"),
-                          B.var("o"), B.var("i"), "list", 4)
+                          B.var("o"), B.var("i"), "list")
         return A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
                       condition, B.singleton(B.var("o"), "list"),
-                      None, None, "list", 4)
+                      None, None, "list")
 
     BINDINGS = {"OUTER": CList([1, 2]), "INNER": CList([1, 3])}
 
@@ -816,15 +814,15 @@ class TestJoinConditionPolicy:
         expr = A.Join(expr.method, expr.outer_var, expr.outer, expr.inner_var,
                       expr.inner, B.eq(B.var("o"), B.var("i")),
                       expr.body, expr.outer_key, expr.inner_key,
-                      expr.kind, expr.block_size)
+                      expr.kind)
         assert list(engine.stream(expr, self.BINDINGS,
                                   optimize=False, mode=mode)) == [1]
 
 
 def test_unit_block_join_probes_per_outer_element():
-    """A block-size-1 blocked join yields each outer element's matches
-    before the next outer element is pulled, and fetches the inner side
-    exactly once (like the indexed join's build side)."""
+    """A blocked join yields each outer element's matches before the next
+    outer element is pulled, and fetches the inner side exactly once (like
+    the indexed join's build side)."""
 
     class CountingDriver(Driver):
         def __init__(self):
@@ -845,19 +843,18 @@ def test_unit_block_join_probes_per_outer_element():
                   A.Scan("counting", {"table": "t"}, kind="list"),
                   "i", B.var("INNER"),
                   B.eq(B.prim("mod", B.var("o"), B.const(2)), B.var("i")),
-                  B.singleton(B.var("o"), "list"), None, None, "list", 1)
+                  B.singleton(B.var("o"), "list"), None, None, "list")
     stream = engine.stream(expr, {"INNER": CList([0, 1])},
                            optimize=False, mode="compiled")
     assert next(stream) == 0
     assert driver.produced <= 2, \
-        f"unit-block join drained {driver.produced} outer elements eagerly"
+        f"blocked join drained {driver.produced} outer elements eagerly"
     stream.close()
 
 
 def test_engine_stream_plans_unit_block_joins():
-    """engine.stream optimizes with the streaming hint: the same query plans
-    a block-256 blocked join for execute and a block-1 join for stream, and
-    both produce the same value."""
+    """engine.stream optimizes exactly as engine.execute does: one query,
+    one blocked-join plan, one value."""
     engine = _engine()
     condition = B.prim("lt", B.project(B.var("o"), "id"),
                        B.project(B.var("i"), "ref"))
@@ -875,12 +872,9 @@ def test_engine_stream_plans_unit_block_joins():
                 return found
         return None
 
-    eager_join = find_join(engine.compile(expr))
-    stream_join = find_join(engine.compile_for_stream(expr))
-    assert eager_join is not None and stream_join is not None
-    assert eager_join.method == stream_join.method == "blocked"
-    assert eager_join.block_size == 256
-    assert stream_join.block_size == 1
+    plan = engine.compile(expr)
+    assert find_join(plan).method == "blocked"
+    assert plan == engine.compile_for_stream(expr)
 
     bindings = {
         "OUTER": CSet([Record({"id": i, "name": f"n{i}"}) for i in range(12)]),
@@ -891,13 +885,102 @@ def test_engine_stream_plans_unit_block_joins():
     assert streamed == executed
 
 
+class TestOneJoinPlan:
+    """``execute`` and ``stream`` optimize one query to one term: there is
+    no block size to differ in, and no second optimizer to differ through."""
+
+    class TablesDriver(Driver):
+        """``outer`` (600 rows) and ``inner`` (20) behind lazy cursors,
+        counting the requests it serves."""
+
+        ROWS = {"outer": 600, "inner": 20}
+
+        def __init__(self):
+            super().__init__("tables")
+            self.requests = []
+
+        def _execute(self, request):
+            self.requests.append(request["table"])
+            return iter(range(self.ROWS[request["table"]]))
+
+    @staticmethod
+    def _inequality_join():
+        inner = B.ext("i", B.if_then_else(
+            B.prim("lt", B.var("o"), B.var("i")),
+            B.singleton(B.record(o=B.var("o"), i=B.var("i"))), B.empty()),
+            A.Scan("tables", {"table": "inner"}, kind="set"))
+        return B.ext("o", inner, A.Scan("tables", {"table": "outer"}, kind="set"))
+
+    @pytest.mark.parametrize("caching", [True, False])
+    def test_execute_and_stream_issue_the_same_two_requests(self, caching):
+        from repro.core.nrc.compile import term_fingerprint
+        from repro.core.optimizer import OptimizerConfig
+
+        engine = KleisliEngine(optimizer_config=OptimizerConfig(caching=caching))
+        driver = engine.register_driver(self.TablesDriver())
+        query = self._inequality_join()
+        plan = engine.compile(query)
+        assert isinstance(plan, A.Join) and plan.method == "blocked"
+        assert plan == engine.compile_for_stream(query)
+        assert term_fingerprint(plan) == \
+            term_fingerprint(engine.compile_for_stream(query))
+
+        executed = engine.execute(query)
+        assert sorted(driver.requests) == ["inner", "outer"]
+        del driver.requests[:]
+        streamed = CSet(engine.stream(query))
+        assert sorted(driver.requests) == ["inner", "outer"]
+        assert streamed == executed
+        assert len(executed) == sum(range(20))
+
+    def test_an_empty_outer_never_evaluates_the_inner(self):
+        join = A.Join("blocked", "o", B.var("OUTER"), "i",
+                      A.Scan("tables", {"table": "inner"}, kind="list"),
+                      None, B.singleton(B.var("o"), "list"), None, None, "list")
+        runs = [lambda engine, **options: engine.execute(join, **options),
+                lambda engine, **options: list(engine.stream(join, **options))]
+        for mode in MODES:
+            for run in runs:
+                engine = KleisliEngine()
+                driver = engine.register_driver(self.TablesDriver())
+                run(engine, bindings={"OUTER": CList([])}, optimize=False, mode=mode)
+                assert driver.requests == [], mode
+
+    def test_the_knobs_are_gone(self):
+        import dataclasses
+        import inspect
+
+        from repro.core.optimizer import OptimizerConfig
+        from repro.core.planner.plan import PhysicalPlan
+
+        assert "block_size" not in A.Join.__slots__
+        fields = {field.name for field in dataclasses.fields(OptimizerConfig)}
+        assert not fields & {"streaming", "join_block_size"}
+        assert list(inspect.signature(make_join_rule_set).parameters) == \
+            ["cardinality_of", "minimum_inner_size"]
+        assert not PhysicalPlan.default().describe().keys() & \
+            {"join_block_size", "parallel_workers"}
+        assert not hasattr(KleisliEngine(), "stream_optimizer")
+
+    def test_registering_a_driver_builds_one_optimizer_pipeline(self, monkeypatch):
+        from repro.core.optimizer import OptimizerPipeline
+
+        builds = []
+        build = OptimizerPipeline._build_engine
+        monkeypatch.setattr(OptimizerPipeline, "_build_engine",
+                            lambda self: builds.append(1) or build(self))
+        engine = KleisliEngine()
+        del builds[:]
+        for name in ("a", "b", "c"):
+            engine.register_driver(RangeDriver(name))
+        assert len(builds) == 3
+
+
 def test_optimized_stream_matches_optimized_execute_when_set_order_is_visible():
-    """stream() plans block-1 blocked joins while execute() plans block 256;
-    blocked-join emission is outer-major at EVERY block size, so the two
-    plans must return the same value even when the set-kind join's
-    first-occurrence order becomes value-visible downstream (a list
-    comprehension over the join result) — regression for the one shape
-    where block-size-dependent ordering would have diverged."""
+    """Blocked-join emission is outer-major in the eager closure and in the
+    chunked lowering alike, so stream() and execute() must return the same
+    value even when the set-kind join's first-occurrence order becomes
+    value-visible downstream (a list comprehension over the join result)."""
     engine = _engine()
     condition = B.prim("lt", B.project(B.var("o"), "id"),
                        B.project(B.var("i"), "ref"))
@@ -916,30 +999,6 @@ def test_optimized_stream_matches_optimized_execute_when_set_order_is_visible():
     executed = list(iter_collection(
         engine.execute(expr, bindings, optimize=True, mode="compiled")))
     assert streamed == executed
-
-
-def test_blocked_join_element_sequence_is_block_size_independent():
-    """Outer-major emission: for each outer element in order, all its inner
-    matches — at every block size, in every backend."""
-    engine = _engine()
-    bindings = {"OUTER": CList([1, 2, 3]), "INNER": CList([10, 20])}
-
-    def join(block_size):
-        return A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
-                      None, B.singleton(B.record(o=B.var("o"), i=B.var("i")),
-                                        "list"),
-                      None, None, "list", block_size)
-
-    sequences = []
-    for block_size in (1, 2, 256):
-        for mode in MODES:
-            sequences.append(list(iter_collection(
-                engine.execute(join(block_size), bindings,
-                               optimize=False, mode=mode))))
-            sequences.append(list(engine.stream(join(block_size), bindings,
-                                                optimize=False, mode=mode)))
-    expected = [Record({"o": o, "i": i}) for o in [1, 2, 3] for i in [10, 20]]
-    assert all(sequence == expected for sequence in sequences), sequences
 
 
 def test_failed_requests_do_not_pollute_the_latency_ema():

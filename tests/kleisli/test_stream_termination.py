@@ -321,9 +321,9 @@ class TestCompiledPipelining:
 
 
 class TestBlockedJoinStreams:
-    """A blocked join with block size > 1 streams its outer side and
-    re-evaluates its inner side once per block — blocks counted across the
-    ramp's chunk boundaries — exactly as often as ``execute`` does."""
+    """A blocked join streams its outer side and fetches its inner side
+    once, on first need, however the ramp cuts the outer into chunks —
+    exactly as ``execute`` does."""
 
     @staticmethod
     def _join():
@@ -331,9 +331,9 @@ class TestBlockedJoinStreams:
         return A.Join("blocked", "o", A.Scan("bi", {"table": "outer"}, kind="list"),
                       "i", A.Scan("bi", {"table": "inner"}, kind="list"),
                       B.prim("lt", B.var("i"), B.var("o")),
-                      B.singleton(pair, "list"), None, None, "list", 3)
+                      B.singleton(pair, "list"), None, None, "list")
 
-    def test_ten_outer_rows_in_blocks_of_three_scan_the_inner_four_times(self):
+    def test_ten_outer_rows_scan_the_inner_once(self):
         from repro.core.nrc.compile import ChunkPolicy
         from repro.core.values import iter_collection
 
@@ -353,8 +353,8 @@ class TestBlockedJoinStreams:
         for values, engine in runs:
             assert [record.to_dict() for record in values] == expected
             stats = engine.last_eval_statistics
-            assert stats.scan_requests == 1 + 4  # ceil(10 / 3) inner scans
-            assert stats.elements_fetched == 10 + 4 * 4
+            assert stats.scan_requests == 2  # the outer, the inner once
+            assert stats.elements_fetched == 10 + 4
             assert engine.drivers["bi"].open_cursors == {"outer": 0, "inner": 0}
 
     def test_early_close_releases_both_cursors(self):
@@ -365,7 +365,7 @@ class TestBlockedJoinStreams:
         stream = engine.stream(self._join(), optimize=False)
         assert next(stream).to_dict() == {"o": 1, "i": 0}
         assert driver.open_cursors["outer"] == 1
-        assert driver.produced["outer"] <= 3, "pulled past the first block"
+        assert driver.produced["outer"] <= 3, "pulled past the ramp's second chunk"
         stream.close()
         assert driver.open_cursors == {"outer": 0, "inner": 0}
         assert EvalScope.live_count() == 0
@@ -564,7 +564,7 @@ class TestExceptionMidStream:
                       A.Scan("cursors", {"table": "t"}, kind="list"),
                       "i", B.var("INNER"),
                       B.const(1),  # truthy non-boolean: raises on first pair
-                      B.singleton(B.var("o"), "list"), None, None, "list", 1)
+                      B.singleton(B.var("o"), "list"), None, None, "list")
         with pytest.raises(EvaluationError, match="join condition"):
             list(engine.stream(expr, {"INNER": CList([1])},
                                optimize=False, mode=mode))

@@ -115,11 +115,35 @@ class TestOverDeepTerms:
         lambda term: KleisliEngine().execute(term, optimize=False),
         lambda term: list(KleisliEngine().stream(term)),
         lambda term: list(KleisliEngine().stream(term, optimize=False)),
+        lambda term: KleisliEngine().execute(term, optimize=False, mode="interpret"),
+        lambda term: list(KleisliEngine().stream(term, optimize=False,
+                                                 mode="interpret")),
+        # The interpreter's pipelined path evaluates a top-level loop's
+        # source and body itself.
+        lambda term: list(KleisliEngine().stream(
+            B.ext("x", B.singleton(B.var("x")), term), optimize=False,
+            mode="interpret")),
+        lambda term: list(KleisliEngine().stream(
+            B.ext("x", term, B.singleton(B.const(1))), optimize=False,
+            mode="interpret")),
     ], ids=["term_fingerprint", "compile_term", "compile_chunked", "execute",
-            "execute unoptimized", "stream", "stream unoptimized"])
+            "execute unoptimized", "stream", "stream unoptimized",
+            "execute interpreted", "stream interpreted",
+            "stream interpreted, loop source",
+            "stream interpreted, loop body"])
     def test_typed_error(self, deep, run):
         with pytest.raises(TermTooDeepError, match="nests too deeply"):
             run(deep)
+
+    def test_over_nested_text_is_a_syntax_error(self):
+        from repro.core.cpl.parser import parse, parse_expression
+        from repro.core.errors import CPLSyntaxError
+
+        text = "{" * 100 + "1" + "}" * 100
+        for run in (parse_expression, parse,
+                    lambda source: Session().query(source)):
+            with pytest.raises(CPLSyntaxError, match="nests too deeply"):
+                run(text)
 
     def test_the_engine_survives_and_runs_the_next_query(self, deep):
         engine = KleisliEngine()
@@ -235,28 +259,6 @@ class TestEngineModes:
         interpreted = engine.execute(second, {"X": CSet([2])}, optimize=False,
                                      mode="interpret")
         assert interpreted == CSet([2])
-
-    def test_equal_joins_with_different_block_sizes_do_not_share_a_query(self):
-        """Join.__eq__ ignores block_size, but the compiled blocked join bakes
-        it in — list-kind results depend on the blocking factor, so the memo
-        must keep the two apart."""
-        engine = KleisliEngine()
-        outer = CList([Record({"id": 0}), Record({"id": 1})])
-        inner = CList([Record({"v": 0}), Record({"v": 1})])
-        body = B.singleton(B.record(o=B.project(B.var("o"), "id"),
-                                    v=B.project(B.var("i"), "v")), "list")
-
-        def join(block_size):
-            return A.Join("blocked", "o", A.Const(outer), "i", A.Const(inner),
-                          None, body, None, None, "list", block_size)
-
-        assert join(1) == join(4)  # the structural-equality trap
-        bindings = {}
-        for block_size in (1, 4):
-            compiled = engine.execute(join(block_size), bindings, optimize=False)
-            interpreted = engine.execute(join(block_size), bindings,
-                                         optimize=False, mode="interpret")
-            assert compiled == interpreted, f"block_size={block_size}"
 
     def test_memo_distinguishes_literal_types(self):
         """Python's True == 1 == 1.0 makes Const(True)/Const(1) structurally

@@ -272,5 +272,5 @@ class TestDifferentialCorners:
         assert_modes_agree(joined, bindings)
         blocked = A.Join("blocked", joined.outer_var, joined.outer,
                          joined.inner_var, joined.inner, condition, joined.body,
-                         None, None, joined.kind, 16)
+                         None, None, joined.kind)
         assert_modes_agree(blocked, bindings)

@@ -170,8 +170,7 @@ class TestJoins:
         join = A.Join("blocked", "o", B.const(outer), "i", B.const(inner),
                       B.eq(B.project(B.var("o"), "id"), B.project(B.var("i"), "ref")),
                       B.singleton(B.record(name=B.project(B.var("o"), "name"),
-                                           data=B.project(B.var("i"), "data"))),
-                      block_size=2)
+                                           data=B.project(B.var("i"), "data"))))
         assert evaluate(join) == self._expected(outer, inner)
 
     def test_indexed_join_matches_nested_loop_semantics(self):

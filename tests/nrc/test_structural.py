@@ -357,7 +357,7 @@ class TestKindProof:
             (B.singleton(B.const(1), "list"), "list"),
             (B.ext("x", B.singleton(B.var("x")), B.var("S")), "set"),
             (A.Join("blocked", "o", B.var("O"), "i", B.var("I"), None,
-                    B.singleton(B.var("o"), "list"), None, None, "list", 4),
+                    B.singleton(B.var("o"), "list"), None, None, "list"),
              "list"),
         ]
         for expr, expected in cases:

@@ -86,7 +86,7 @@ class TestQueryProfile:
     def _profile(self, **overrides):
         kwargs = dict(
             mode="compiled",
-            plan={"source": "statistics", "join_block_size": 256,
+            plan={"source": "statistics", "max_chunk": 256,
                   "estimated_rows": 50.0},
             estimated_rows=40.0,
             actual_rows=50.0,

@@ -238,7 +238,20 @@ class TestCachingRuleSet:
                       condition=None, body=B.singleton(B.var("i")))
         expr = B.ext("outer_rec", join, A.Scan("GDB", {"table": "locus"}))
         rewritten = make_caching_rule_set().apply(expr)
-        assert "cached(scan[GenBank]" in rewritten.pretty()
+        # The join mentions no binder of the loop around it: it is hoisted
+        # whole, and its inner — evaluated once per evaluation of the join,
+        # like every other child — needs no Cached of its own.
+        assert "cached(blocked-join(" in rewritten.pretty()
+        assert "cached(scan[GenBank]" not in rewritten.pretty()
+        calls = []
+
+        def executor(driver, request):
+            calls.append(driver)
+            return CSet([1, 2, 3])
+
+        context = EvalContext(driver_executor=executor)
+        Evaluator(context).evaluate(rewritten, _env({"CYTO": CSet(range(4))}))
+        assert calls.count("GenBank") == 1
 
     def test_dependent_pushdown_query_keeps_its_answer(self, integrated_session):
         """End-to-end regression: optimized and unoptimized answers agree for a
@@ -304,29 +317,10 @@ class TestParallelRuleSet:
 
 
 class TestStreamingJoinHint:
-    """The pipelined-execution hint: blocked joins get block size 1 so the
-    streamed probe side yields per outer element (indexed joins already
-    probe per element and are unaffected)."""
-
-    def test_streaming_hint_emits_unit_block_blocked_joins(self):
-        condition = B.prim("lt", B.project(B.var("o"), "id"),
-                           B.project(B.var("i"), "ref"))
-        inner = B.ext("i", B.if_then_else(condition, B.singleton(B.const(1)),
-                                          B.empty()), B.var("INNER"))
-        expr = B.ext("o", inner, B.var("OUTER"))
-        plain = make_join_rule_set(minimum_inner_size=0).apply(expr)
-        hinted = make_join_rule_set(minimum_inner_size=0,
-                                    streaming=True).apply(expr)
-        assert isinstance(plain, A.Join) and plain.method == "blocked"
-        assert isinstance(hinted, A.Join) and hinted.method == "blocked"
-        assert plain.block_size == 256
-        assert hinted.block_size == 1
-
-    def test_streaming_hint_keeps_the_indexed_method(self):
-        hinted = make_join_rule_set(minimum_inner_size=0,
-                                    streaming=True).apply(nested_loop_join_expr())
-        assert isinstance(hinted, A.Join)
-        assert hinted.method == "indexed"
+    """There is no pipelined-execution hint: the one blocked join the rule
+    set emits materialises its inner side once and probes it per outer
+    element, so ``execute`` and ``stream`` share it (the rule set's method
+    choice is pinned by ``TestJoinRuleSet``)."""
 
     def test_streaming_hint_preserves_semantics(self):
         condition = B.prim("lt", B.project(B.var("o"), "id"),
@@ -336,15 +330,15 @@ class TestStreamingJoinHint:
         inner = B.ext("i", B.if_then_else(condition, B.singleton(head),
                                           B.empty()), B.var("INNER"))
         expr = B.ext("o", inner, B.var("OUTER"))
-        hinted = make_join_rule_set(minimum_inner_size=0,
-                                    streaming=True).apply(expr)
+        joined = make_join_rule_set(minimum_inner_size=0).apply(expr)
+        assert isinstance(joined, A.Join) and joined.method == "blocked"
         data = join_data()
-        assert evaluate(expr, data) == evaluate(hinted, data)
+        assert evaluate(expr, data) == evaluate(joined, data)
 
     def test_unit_block_join_fetches_the_inner_side_once(self):
-        """Block size 1 is the per-element probe: the inner side is
-        materialised once (like the indexed build side), not re-evaluated
-        per one-element block — in all three backends."""
+        """The blocked join is a per-element probe: the inner side is
+        materialised once (like the indexed build side) however many outer
+        rows there are — in all three backends."""
         from repro.core.values import CList
         from repro.kleisli.drivers.base import Driver
         from repro.kleisli.engine import KleisliEngine
@@ -361,7 +355,7 @@ class TestStreamingJoinHint:
                           A.Scan("inner", {"table": "t"}, kind="list"),
                           B.prim("lt", B.var("o"), B.var("i")),
                           B.singleton(B.var("o"), "list"),
-                          None, None, "list", 1)
+                          None, None, "list")
 
         outer = CList(range(10))
         for mode in ("interpret", "compiled"):

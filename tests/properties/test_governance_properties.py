@@ -55,8 +55,9 @@ def _scan(count=COUNT, base=0):
 
 def _shapes():
     """(label, expr) pairs spanning the lowerings' stage kinds: a mapping
-    stage, a set-kind dedup stage, and a nested body scan (the shape whose
-    body opens a *second* cursor per outer element — the leak-prone one)."""
+    stage, a set-kind dedup stage, a nested body scan (the shape whose
+    body opens a *second* cursor per outer element — the leak-prone one)
+    and a blocked join nested in a loop."""
     mapped = B.ext("x", B.singleton(B.prim("mul", B.var("x"), B.const(3)),
                                     "list"), _scan(), kind="list")
     dedup = B.ext("x", B.singleton(B.prim("mod", B.var("x"), B.const(7)),
@@ -65,7 +66,17 @@ def _shapes():
                                                 B.var("y")), "list"),
                         _scan(count=3, base=100), kind="list")
     nested = B.ext("x", nested_body, _scan(count=12), kind="list")
-    return [("mapped", mapped), ("dedup", dedup), ("nested", nested)]
+    # A blocked join inside a loop: a third cursor family, the join's
+    # loop-invariant inner side, fetched once on first need.
+    join = A.Join("blocked", "o",
+                  A.Scan("ranges", {"table": "t", "count": 3},
+                         args={"base": B.var("x")}, kind="list"),
+                  "i", _scan(count=5), B.prim("lt", B.var("i"), B.var("o")),
+                  B.singleton(B.prim("add", B.var("o"), B.var("i")), "list"),
+                  kind="list")
+    nested_join = B.ext("x", join, _scan(count=4), kind="list")
+    return [("mapped", mapped), ("dedup", dedup), ("nested", nested),
+            ("nested join", nested_join)]
 
 
 SHAPES = _shapes()

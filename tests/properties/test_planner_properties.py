@@ -119,10 +119,9 @@ def test_stacked_filters_keep_shrinking(expr):
 def test_chooser_degrades_to_default_knobs_with_zero_statistics(expr):
     """With an empty registry and no feedback, every plan is exactly the
     historical default knob set — the planner only ever adds knowledge."""
-    planner = QueryPlanner(SourceStatisticsRegistry(),
-                           default_block_size=256, parallel_max_workers=5)
+    planner = QueryPlanner(SourceStatisticsRegistry(), parallel_max_workers=5)
     plan = planner.plan_for(expr)
-    assert plan == PhysicalPlan.default(256)
+    assert plan == PhysicalPlan.default()
     assert plan.is_default
     # The compile-time hooks stay silent too — except for a *literal* source
     # whose length proves the loop too tiny to overlap: a literal's length

@@ -148,6 +148,12 @@ class TestProtocolBasics:
             CSet(["perforin"])
         assert client._closed is False
 
+    def test_over_nested_text_is_a_typed_error_and_the_session_goes_on(self, client):
+        with pytest.raises(RemoteQueryError, match="nests too deeply") as info:
+            client.query("{" * 100 + "1" + "}" * 100)
+        assert info.value.error_type == "CPLSyntaxError"
+        assert client.query("{1}") == CSet([1])
+
 
 # ---------------------------------------------------------------------------
 # parity with a local session
