@@ -34,11 +34,23 @@ Notes on the two ambiguities the grammar has, and how they are resolved:
   functions appear only in ``define``).
 * In qualifier position the parser first tries ``pattern <- expr`` and
   backtracks to a boolean filter when no ``<-`` follows.
+
+Both are decided by *speculation*: run :meth:`Parser.parse_pattern`, look at
+the next token, rewind.  A pattern reads a field it cannot take as a
+sub-pattern with ``parse_expr``, so a speculation may contain a whole real
+parse — thrown away and repeated at every level of nesting, doubling per
+level.  ``parse_pattern`` therefore remembers, for the life of one
+:class:`Parser`, what it found at each token position (the pattern and its
+end, or the :class:`CPLSyntaxError`); every later attempt there, speculative
+or real, is a lookup.  The key includes whether ``_angle_depth`` is non-zero:
+in a variant payload ``>`` closes the variant instead of comparing, and every
+change of the depth is undone on the way out, error or not, so it depends on
+where the parser is and never on what it tried before.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import CPLSyntaxError
 from . import ast as S
@@ -87,6 +99,8 @@ class Parser:
         # the variant rather than acting as the greater-than operator.  A
         # parenthesised payload restores normal operator parsing.
         self._angle_depth = 0
+        #: (position, in a variant payload?) -> (pattern, end) | (error, None)
+        self._patterns: Dict[Tuple[int, bool], Tuple[object, Optional[int]]] = {}
 
     # -- token plumbing ------------------------------------------------------
 
@@ -193,11 +207,10 @@ class Parser:
         """
         saved = self.position
         try:
-            try:
-                self.parse_pattern()
-            except CPLSyntaxError:
-                return False
+            self.parse_pattern()
             return self._check_symbol("=>")
+        except CPLSyntaxError:
+            return False
         finally:
             self.position = saved
 
@@ -209,24 +222,13 @@ class Parser:
             self._expect("SYMBOL", "=>")
             body = self.parse_expr(allow_bar=False)
             clauses.append(S.LambdaClause(pattern, body))
-            if allow_bar and self._check_symbol("|") and self._lookahead_is_clause():
-                self._advance()
-                continue
+            # After '|', another ``pattern => ...`` clause (multi-clause define)?
+            if allow_bar and self._accept_symbol("|"):
+                if self._is_lambda_start():
+                    continue
+                self.position -= 1
             break
         return S.SLambda(clauses).at(token.line, token.column)
-
-    def _lookahead_is_clause(self) -> bool:
-        """After '|', does a `pattern => ...` clause follow (multi-clause define)?"""
-        saved = self.position
-        try:
-            self._advance()  # skip '|'
-            try:
-                self.parse_pattern()
-            except CPLSyntaxError:
-                return False
-            return self._check_symbol("=>")
-        finally:
-            self.position = saved
 
     def _parse_or(self, allow_bar: bool) -> S.SExpr:
         left = self._parse_and(allow_bar)
@@ -330,8 +332,10 @@ class Parser:
                 return S.SLit(None).at(token.line, token.column)
             saved_depth = self._angle_depth
             self._angle_depth = 0
-            expr = self.parse_expr(allow_bar=True)
-            self._angle_depth = saved_depth
+            try:
+                expr = self.parse_expr(allow_bar=True)
+            finally:
+                self._angle_depth = saved_depth
             self._expect("SYMBOL", ")")
             return expr
 
@@ -419,6 +423,22 @@ class Parser:
     # -- patterns -----------------------------------------------------------------
 
     def parse_pattern(self) -> S.Pattern:
+        """Parse a pattern here — once; see the module docstring."""
+        key = (self.position, self._angle_depth > 0)
+        outcome = self._patterns.get(key)
+        if outcome is None:
+            try:
+                outcome = (self._parse_pattern(), self.position)
+            except CPLSyntaxError as error:
+                outcome = (error, None)
+            self._patterns[key] = outcome
+        result, end = outcome
+        if end is None:
+            raise result.with_traceback(None)
+        self.position = end
+        return result
+
+    def _parse_pattern(self) -> S.Pattern:
         token = self._peek()
 
         if self._accept_symbol("\\"):
@@ -460,46 +480,34 @@ class Parser:
                     break
                 label = self._expect("IDENT").value
                 self._expect("SYMBOL", "=")
-                fields[label] = self._parse_field_pattern()
+                fields[label] = self._parse_sub_pattern((",", "]"), in_variant=False)
                 if not self._accept_symbol(","):
                     break
         self._expect("SYMBOL", "]")
         return S.PRecord(fields, open=open_record).at(token.line, token.column)
-
-    def _parse_field_pattern(self) -> S.Pattern:
-        """A field value inside a record pattern: a sub-pattern or an equality expression."""
-        saved = self.position
-        try:
-            pattern = self.parse_pattern()
-            if self._check_symbol(",") or self._check_symbol("]"):
-                return pattern
-        except CPLSyntaxError:
-            pass
-        self.position = saved
-        expr = self.parse_expr(allow_bar=False)
-        return S.PExpr(expr)
 
     def _parse_variant_pattern(self) -> S.Pattern:
         token = self._expect("SYMBOL", "<")
         tag = self._expect("IDENT").value
         pattern: Optional[S.Pattern] = None
         if self._accept_symbol("="):
-            pattern = self._parse_variant_payload_pattern()
+            pattern = self._parse_sub_pattern((">",), in_variant=True)
         self._expect("SYMBOL", ">")
         return S.PVariant(tag, pattern).at(token.line, token.column)
 
-    def _parse_variant_payload_pattern(self) -> S.Pattern:
+    def _parse_sub_pattern(self, closers: Tuple[str, ...], in_variant: bool) -> S.Pattern:
+        """A record field or variant payload inside a pattern: a sub-pattern
+        when one of ``closers`` follows it, else an equality expression."""
         saved = self.position
         try:
             pattern = self.parse_pattern()
-            if self._check_symbol(">"):
+            if any(map(self._check_symbol, closers)):
                 return pattern
         except CPLSyntaxError:
             pass
         self.position = saved
-        self._angle_depth += 1
+        self._angle_depth += in_variant
         try:
-            expr = self.parse_expr(allow_bar=False)
+            return S.PExpr(self.parse_expr(allow_bar=False))
         finally:
-            self._angle_depth -= 1
-        return S.PExpr(expr)
+            self._angle_depth -= in_variant

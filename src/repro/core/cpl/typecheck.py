@@ -10,6 +10,16 @@ principal types instead of errors.
 The checker works on the surface AST (before desugaring), because that is
 where patterns and comprehensions — the constructs whose typing rules are
 interesting — still exist.
+
+**Invariant: a substitution never outlives one inference.**  The environment
+a :class:`TypeChecker` keeps between calls holds *closed* schemes only:
+``define`` and ``bind_value_type`` quantify every free variable of the
+(already resolved) type they bind, and the types of bound tables are ground.
+Nothing stored can mention a variable an earlier inference solved, so each
+``infer`` / ``define`` runs in a fresh :class:`_Inference` with an empty
+substitution and drops it on return: typing a query costs what that query
+costs, however many the session typed before it, and two threads inferring
+on one checker share nothing they write to.
 """
 
 from __future__ import annotations
@@ -74,64 +84,67 @@ class TypeEnvironment:
         return TypeEnvironment(bindings or {}, parent=self)
 
 
-def _primitive_signature(name: str) -> Optional[T.Type]:
-    """Ad-hoc typings for the primitives CPL programs call by name."""
-    a = T.fresh_type_var()
-    number = T.fresh_type_var()
-    signatures: Dict[str, T.Type] = {
-        "count": T.FunctionType(T.SetType(a), T.INT),
-        "sum": T.FunctionType(T.SetType(number), T.FLOAT),
-        "avg": T.FunctionType(T.SetType(number), T.FLOAT),
-        "max": T.FunctionType(T.SetType(a), a),
-        "min": T.FunctionType(T.SetType(a), a),
-        "isempty": T.FunctionType(T.SetType(a), T.BOOL),
-        "distinct": T.FunctionType(T.SetType(a), T.SetType(a)),
-        "flatten": T.FunctionType(T.SetType(T.SetType(a)), T.SetType(a)),
+def _generalise(ty: T.Type) -> TypeScheme:
+    """Close ``ty`` (already resolved) over every variable free in it."""
+    return TypeScheme(tuple(T.free_type_vars(ty)), ty)
+
+
+_A = T.TypeVar("a")
+#: Ad-hoc typings for the primitives CPL programs call by name, as closed
+#: schemes: a lookup instantiates the one it names.
+_PRIMITIVE_SIGNATURES: Dict[str, TypeScheme] = {
+    name: _generalise(signature) for name, signature in {
+        "count": T.FunctionType(T.SetType(_A), T.INT),
+        "sum": T.FunctionType(T.SetType(_A), T.FLOAT),
+        "avg": T.FunctionType(T.SetType(_A), T.FLOAT),
+        "max": T.FunctionType(T.SetType(_A), _A),
+        "min": T.FunctionType(T.SetType(_A), _A),
+        "isempty": T.FunctionType(T.SetType(_A), T.BOOL),
+        "distinct": T.FunctionType(T.SetType(_A), T.SetType(_A)),
+        "flatten": T.FunctionType(T.SetType(T.SetType(_A)), T.SetType(_A)),
         "string_length": T.FunctionType(T.STRING, T.INT),
         "string_upper": T.FunctionType(T.STRING, T.STRING),
         "string_lower": T.FunctionType(T.STRING, T.STRING),
         "string_of_int": T.FunctionType(T.INT, T.STRING),
         "int_of_string": T.FunctionType(T.STRING, T.INT),
-    }
-    return signatures.get(name)
+    }.items()
+}
 
 
 class TypeChecker:
-    """Infers CPL types for surface expressions."""
+    """Infers CPL types for surface expressions; keeps the environment only."""
 
     def __init__(self, environment: Optional[TypeEnvironment] = None):
         self.environment = environment or TypeEnvironment()
-        self.substitution: T.Substitution = {}
-
-    # -- public API -----------------------------------------------------------
 
     def infer(self, expr: S.SExpr, environment: Optional[TypeEnvironment] = None) -> T.Type:
         """Infer and return the type of ``expr``."""
-        env = environment or self.environment
-        ty = self._infer(expr, env)
-        return T.apply_substitution(ty, self.substitution)
+        inference = _Inference()
+        ty = inference._infer(expr, environment or self.environment)
+        return T.apply_substitution(ty, inference.subst)
 
     def define(self, name: str, expr: S.SExpr) -> T.Type:
         """Infer the type of a ``define`` body and bind the (generalised) scheme."""
         ty = self.infer(expr)
-        scheme = self._generalise(ty)
-        self.environment.bind(name, scheme)
+        self.environment.bind(name, _generalise(ty))
         return ty
 
     def bind_value_type(self, name: str, ty: T.Type) -> None:
         """Declare the type of an externally supplied value (e.g. a data source)."""
-        self.environment.bind(name, self._generalise(ty))
+        self.environment.bind(name, _generalise(ty))
 
-    def _generalise(self, ty: T.Type) -> TypeScheme:
-        ty = T.apply_substitution(ty, self.substitution)
-        variables = tuple(T.free_type_vars(ty))
-        return TypeScheme(variables, ty)
+
+class _Inference:
+    """One run of the inference algorithm: the substitution and its rules."""
+
+    def __init__(self) -> None:
+        self.subst: T.Substitution = {}
 
     # -- unification helper -----------------------------------------------------
 
     def _unify(self, left: T.Type, right: T.Type, context: str) -> None:
         try:
-            self.substitution = T.unify(left, right, self.substitution)
+            self.subst = T.unify(left, right, self.subst)
         except CPLTypeError as error:
             raise CPLTypeError(f"{context}: {error}")
 
@@ -180,12 +193,9 @@ class TypeChecker:
         raise CPLTypeError(f"unknown literal {value!r}")
 
     def _infer_var(self, expr: S.SVar, env: TypeEnvironment) -> T.Type:
-        scheme = env.lookup(expr.name)
+        scheme = env.lookup(expr.name) or _PRIMITIVE_SIGNATURES.get(expr.name)
         if scheme is not None:
             return scheme.instantiate()
-        signature = _primitive_signature(expr.name)
-        if signature is not None:
-            return signature
         if expr.name in PRIMITIVES:
             # An untyped primitive: give it a fresh function type.
             return T.FunctionType(T.fresh_type_var(), T.fresh_type_var())
@@ -218,11 +228,11 @@ class TypeChecker:
         return self._collection_type(expr.kind, head_type)
 
     def _unify_generator_source(self, source_type: T.Type, element: T.Type) -> None:
-        source_type = T.apply_substitution(source_type, self.substitution)
+        source_type = T.apply_substitution(source_type, self.subst)
         # A generator may draw from a set, bag or list; try each in turn.
         for constructor in (T.SetType, T.BagType, T.ListType):
             try:
-                self.substitution = T.unify(source_type, constructor(element), self.substitution)
+                self.subst = T.unify(source_type, constructor(element), self.subst)
                 return
             except CPLTypeError:
                 continue
@@ -264,7 +274,7 @@ class TypeChecker:
         expected = T.FunctionType(accumulator_type, T.FunctionType(element, accumulator_type))
         self._unify(combiner_type, expected,
                     "fold combiner must have type acc -> element -> acc")
-        return T.apply_substitution(accumulator_type, self.substitution)
+        return T.apply_substitution(accumulator_type, self.subst)
 
     def _infer_lambda(self, expr: S.SLambda, env: TypeEnvironment) -> T.Type:
         argument = T.fresh_type_var()

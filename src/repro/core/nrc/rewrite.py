@@ -8,9 +8,11 @@ many iterations of a rule set should be applied in what order."*
 
 This module implements exactly that machinery:
 
-* :class:`Rule` — a named function ``Expr -> Expr | None`` (``None`` = no match),
+* :class:`Rule` — a named function ``Expr -> Expr | None`` (``None`` = no match)
+  and, optionally, the node types it can match at the root,
 * :class:`RuleSet` — an ordered group of rules plus a traversal direction and
-  an iteration bound,
+  an iteration bound; a node is offered the rules whose declaration admits
+  its type (resolved once per type),
 * :class:`RewriteEngine` — applies a sequence of rule sets and records which
   rules fired (:class:`RewriteStats`), which the optimizer's ``explain`` output
   and the tests rely on.
@@ -31,15 +33,26 @@ class Rule:
 
     ``function`` takes an expression and returns either a replacement
     expression or ``None`` when the rule does not apply at that node.
+
+    ``node_types`` (a class or tuple of classes, as for ``isinstance``;
+    subclasses count) declares the only root nodes the rule can match.  It is
+    the rule's root-type guard, stated once: ``function`` is only handed such
+    a node and does not test for it again.  The declaration is an index, not
+    a switch — a :class:`RuleSet` uses it to skip calls whose answer is known
+    to be ``None``, never to turn a rule off.  A rule that declares nothing
+    is tried at every node of every pass: what an undeclared rule costs.
     """
 
     def __init__(self, name: str, function: Callable[[A.Expr], Optional[A.Expr]],
-                 description: str = ""):
+                 description: str = "", node_types=None):
         self.name = name
         self.function = function
         self.description = description
+        self.node_types = node_types
 
     def apply(self, expr: A.Expr) -> Optional[A.Expr]:
+        if self.node_types is not None and not isinstance(expr, self.node_types):
+            return None
         return self.function(expr)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -91,10 +104,21 @@ class RuleSet:
         self.rules: Tuple[Rule, ...] = tuple(rules)
         self.direction = direction
         self.max_iterations = max_iterations
+        self._rules_by_type: Dict[type, Tuple[Rule, ...]] = {}
 
     def add_rule(self, rule: Rule) -> None:
         """Append a rule (the extensibility hook the paper emphasises)."""
         self.rules = self.rules + (rule,)
+        self._rules_by_type = {}
+
+    def _rules_for(self, node_type: type) -> Tuple[Rule, ...]:
+        """The rules, in order, whose declaration admits ``node_type``."""
+        rules = self._rules_by_type.get(node_type)
+        if rules is None:
+            rules = self._rules_by_type[node_type] = tuple(
+                rule for rule in self.rules
+                if rule.node_types is None or issubclass(node_type, rule.node_types))
+        return rules
 
     def apply(self, expr: A.Expr, stats: Optional[RewriteStats] = None) -> A.Expr:
         """Apply this rule set to ``expr`` until fixpoint or the iteration bound."""
@@ -125,8 +149,8 @@ class RuleSet:
         progressing = True
         while progressing and firings < self.MAX_FIRINGS_PER_NODE:
             progressing = False
-            for rule in self.rules:
-                replacement = rule.apply(current)
+            for rule in self._rules_for(type(current)):
+                replacement = rule.function(current)
                 if replacement is not None and replacement != current:
                     stats.note(rule.name)
                     current = replacement

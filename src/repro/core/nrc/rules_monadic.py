@@ -82,9 +82,7 @@ __all__ = [
 # R1: vertical loop fusion
 # ---------------------------------------------------------------------------
 
-def _vertical_fusion(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Ext):
-        return None
+def _vertical_fusion(expr: A.Ext) -> Optional[A.Expr]:
     inner = expr.source
     if not isinstance(inner, A.Ext) or inner.kind != expr.kind:
         return None
@@ -104,6 +102,7 @@ rule_vertical_fusion = Rule(
     "R1-vertical-fusion",
     _vertical_fusion,
     "combine a producer comprehension and its consumer, removing the intermediate collection",
+    node_types=A.Ext,
 )
 
 
@@ -111,8 +110,8 @@ rule_vertical_fusion = Rule(
 # R2: horizontal loop fusion (sets and bags only)
 # ---------------------------------------------------------------------------
 
-def _horizontal_fusion(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Union) or expr.kind == "list":
+def _horizontal_fusion(expr: A.Union) -> Optional[A.Expr]:
+    if expr.kind == "list":
         return None
     left, right = expr.left, expr.right
     if not (isinstance(left, A.Ext) and isinstance(right, A.Ext)):
@@ -135,6 +134,7 @@ rule_horizontal_fusion = Rule(
     "R2-horizontal-fusion",
     _horizontal_fusion,
     "combine two independent loops over the same set/bag into a single traversal",
+    node_types=A.Union,
 )
 
 
@@ -142,9 +142,7 @@ rule_horizontal_fusion = Rule(
 # R3: filter promotion
 # ---------------------------------------------------------------------------
 
-def _filter_promotion(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Ext):
-        return None
+def _filter_promotion(expr: A.Ext) -> Optional[A.Expr]:
     body = expr.body
     if not isinstance(body, A.IfThenElse):
         return None
@@ -159,6 +157,7 @@ rule_filter_promotion = Rule(
     "R3-filter-promotion",
     _filter_promotion,
     "hoist a loop-invariant filter out of the loop",
+    node_types=A.Ext,
 )
 
 
@@ -166,21 +165,18 @@ rule_filter_promotion = Rule(
 # R4: projection reduction
 # ---------------------------------------------------------------------------
 
-def _projection_reduction(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Project):
-        return None
+def _projection_reduction(expr: A.Project) -> Optional[A.Expr]:
     subject = expr.expr
     if not isinstance(subject, A.RecordExpr):
         return None
-    if expr.label not in subject.fields:
-        return None
-    return subject.fields[expr.label]
+    return subject.fields.get(expr.label)
 
 
 rule_projection_reduction = Rule(
     "R4-projection-reduction",
     _projection_reduction,
     "reduce [l = e, ...].l to e, pruning unused columns in intermediate data",
+    node_types=A.Project,
 )
 
 
@@ -188,9 +184,7 @@ rule_projection_reduction = Rule(
 # Monad laws and supporting simplifications
 # ---------------------------------------------------------------------------
 
-def _beta_reduction(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Apply):
-        return None
+def _beta_reduction(expr: A.Apply) -> Optional[A.Expr]:
     func = expr.func
     if not isinstance(func, A.Lam):
         return None
@@ -201,6 +195,7 @@ rule_beta_reduction = Rule(
     "beta-reduction",
     _beta_reduction,
     "(\\x => e)(a) --> e[a/x]; inlines CPL function definitions before optimization",
+    node_types=A.Apply,
 )
 
 
@@ -224,9 +219,7 @@ def _is_cheap(expr: A.Expr) -> bool:
     return False
 
 
-def _let_inline(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Let):
-        return None
+def _let_inline(expr: A.Let) -> Optional[A.Expr]:
     occurrences = _count_occurrences(expr.body, expr.var)
     if occurrences == 0:
         return expr.body
@@ -239,12 +232,11 @@ rule_let_inline = Rule(
     "let-inline",
     _let_inline,
     "inline let-bound values that are cheap or used at most once",
+    node_types=A.Let,
 )
 
 
-def _if_constant(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.IfThenElse):
-        return None
+def _if_constant(expr: A.IfThenElse) -> Optional[A.Expr]:
     cond = expr.cond
     if isinstance(cond, A.Const) and isinstance(cond.value, bool):
         return expr.then_branch if cond.value else expr.else_branch
@@ -257,12 +249,11 @@ rule_if_constant = Rule(
     "if-constant",
     _if_constant,
     "simplify conditionals with constant or irrelevant conditions",
+    node_types=A.IfThenElse,
 )
 
 
-def _case_of_variant(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Case):
-        return None
+def _case_of_variant(expr: A.Case) -> Optional[A.Expr]:
     subject = expr.subject
     if not isinstance(subject, A.VariantExpr):
         return None
@@ -279,11 +270,12 @@ rule_case_of_variant = Rule(
     "case-of-variant",
     _case_of_variant,
     "resolve case analysis over a syntactic variant constructor",
+    node_types=A.Case,
 )
 
 
-def _ext_empty_source(expr: A.Expr) -> Optional[A.Expr]:
-    if isinstance(expr, A.Ext) and isinstance(expr.source, A.Empty):
+def _ext_empty_source(expr: A.Ext) -> Optional[A.Expr]:
+    if isinstance(expr.source, A.Empty):
         return A.Empty(expr.kind)
     return None
 
@@ -292,11 +284,12 @@ rule_ext_empty_source = Rule(
     "ext-empty-source",
     _ext_empty_source,
     "a loop over the empty collection is the empty collection",
+    node_types=A.Ext,
 )
 
 
-def _ext_empty_body(expr: A.Expr) -> Optional[A.Expr]:
-    if isinstance(expr, A.Ext) and isinstance(expr.body, A.Empty) and expr.body.kind == expr.kind:
+def _ext_empty_body(expr: A.Ext) -> Optional[A.Expr]:
+    if isinstance(expr.body, A.Empty) and expr.body.kind == expr.kind:
         return A.Empty(expr.kind)
     return None
 
@@ -305,12 +298,11 @@ rule_ext_empty_body = Rule(
     "ext-empty-body",
     _ext_empty_body,
     "a loop whose body is always empty produces the empty collection",
+    node_types=A.Ext,
 )
 
 
-def _ext_filtered_source(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Ext):
-        return None
+def _ext_filtered_source(expr: A.Ext) -> Optional[A.Expr]:
     source = expr.source
     if not isinstance(source, A.IfThenElse) or not isinstance(source.else_branch, A.Empty):
         return None
@@ -325,12 +317,11 @@ rule_ext_filtered_source = Rule(
     "ext-filtered-source",
     _ext_filtered_source,
     "a loop over a guarded source is the guarded loop over the unguarded source",
+    node_types=A.Ext,
 )
 
 
-def _ext_singleton_source(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Ext):
-        return None
+def _ext_singleton_source(expr: A.Ext) -> Optional[A.Expr]:
     source = expr.source
     if not isinstance(source, A.Singleton) or source.kind != expr.kind:
         return None
@@ -342,12 +333,11 @@ rule_ext_singleton_source = Rule(
     "ext-singleton-source",
     _ext_singleton_source,
     "monad left-unit law: a loop over a singleton is a substitution",
+    node_types=A.Ext,
 )
 
 
-def _ext_singleton_body(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Ext):
-        return None
+def _ext_singleton_body(expr: A.Ext) -> Optional[A.Expr]:
     body = expr.body
     if not (isinstance(body, A.Singleton) and body.kind == expr.kind
             and isinstance(body.expr, A.Var) and body.expr.name == expr.var):
@@ -363,6 +353,7 @@ rule_ext_singleton_body = Rule(
     "ext-singleton-body",
     _ext_singleton_body,
     "monad right-unit law: a loop that rebuilds its source is its source",
+    node_types=A.Ext,
 )
 
 
@@ -377,9 +368,7 @@ def _is_literal_of_collections(source: A.Expr) -> bool:
     return isinstance(source, A.Empty)
 
 
-def _ext_union_source(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Ext):
-        return None
+def _ext_union_source(expr: A.Ext) -> Optional[A.Expr]:
     source = expr.source
     if not isinstance(source, A.Union) or proven_collection_kind(source) != expr.kind:
         return None
@@ -398,12 +387,11 @@ rule_ext_union_source = Rule(
     "ext-union-source",
     _ext_union_source,
     "distribute a loop over a literal union of collections",
+    node_types=A.Ext,
 )
 
 
-def _dead_branch_union(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Union):
-        return None
+def _dead_branch_union(expr: A.Union) -> Optional[A.Expr]:
     if isinstance(expr.left, A.Empty):
         return expr.right
     if isinstance(expr.right, A.Empty):
@@ -415,6 +403,7 @@ rule_dead_branch_union = Rule(
     "union-empty",
     _dead_branch_union,
     "drop empty operands of a union",
+    node_types=A.Union,
 )
 
 
@@ -422,8 +411,8 @@ rule_dead_branch_union = Rule(
 # Structural recursion laws (fold over the collection constructors)
 # ---------------------------------------------------------------------------
 
-def _fold_empty_source(expr: A.Expr) -> Optional[A.Expr]:
-    if isinstance(expr, A.Fold) and isinstance(expr.source, A.Empty):
+def _fold_empty_source(expr: A.Fold) -> Optional[A.Expr]:
+    if isinstance(expr.source, A.Empty):
         return expr.init
     return None
 
@@ -432,11 +421,12 @@ rule_fold_empty_source = Rule(
     "fold-empty-source",
     _fold_empty_source,
     "a fold over the empty collection is its initial value",
+    node_types=A.Fold,
 )
 
 
-def _fold_singleton_source(expr: A.Expr) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Fold) or not isinstance(expr.source, A.Singleton):
+def _fold_singleton_source(expr: A.Fold) -> Optional[A.Expr]:
+    if not isinstance(expr.source, A.Singleton):
         return None
     # fold(f, i, {a}) --> f(i)(a); sound for every collection kind.
     return A.Apply(A.Apply(expr.func, expr.init), expr.source.expr)
@@ -446,6 +436,7 @@ rule_fold_singleton_source = Rule(
     "fold-singleton-source",
     _fold_singleton_source,
     "a fold over a singleton is one application of the combiner",
+    node_types=A.Fold,
 )
 
 

@@ -42,9 +42,7 @@ class ScanSpec:
 def make_introduction_rule_set(registry: Mapping[str, ScanSpec]) -> RuleSet:
     """Build the introduction rule set for the given function registry."""
 
-    def introduce(expr: A.Expr) -> Optional[A.Expr]:
-        if not isinstance(expr, A.Apply):
-            return None
+    def introduce(expr: A.Apply) -> Optional[A.Expr]:
         func = expr.func
         if not isinstance(func, A.Var) or func.name not in registry:
             return None
@@ -69,5 +67,6 @@ def make_introduction_rule_set(registry: Mapping[str, ScanSpec]) -> RuleSet:
         return A.Scan(spec.driver, request, args, spec.result_kind)
 
     rule = Rule("driver-introduction", introduce,
-                "replace applications of registered driver functions with Scan nodes")
+                "replace applications of registered driver functions with Scan nodes",
+                node_types=A.Apply)
     return RuleSet("introduction", [rule], direction="bottom-up", max_iterations=5)

@@ -52,8 +52,8 @@ def make_join_rule_set(cardinality_of: Optional[Callable[[A.Expr], int]] = None,
             return minimum_inner_size
         return cardinality_of(source)
 
-    def introduce_join(expr: A.Expr) -> Optional[A.Expr]:
-        if not isinstance(expr, A.Ext) or expr.kind != "set":
+    def introduce_join(expr: A.Ext) -> Optional[A.Expr]:
+        if expr.kind != "set":
             return None
         inner_ext, prefix_filters = _find_inner_loop(expr.body)
         if inner_ext is None:
@@ -79,7 +79,8 @@ def make_join_rule_set(cardinality_of: Optional[Callable[[A.Expr], int]] = None,
                       residual_condition, body, None, None, expr.kind)
 
     rule = Rule("local-join", introduce_join,
-                "replace an uncorrelated nested loop with a blocked or indexed join operator")
+                "replace an uncorrelated nested loop with a blocked or indexed join operator",
+                node_types=A.Ext)
     return RuleSet("joins", [rule], direction="top-down", max_iterations=3)
 
 

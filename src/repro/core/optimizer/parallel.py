@@ -306,7 +306,8 @@ def make_parallel_rule_set(is_remote_driver: Callable[[str], bool],
         return ParallelExt(expr.var, expr.body, expr.source, expr.kind, workers, adaptive)
 
     rule = Rule("parallel-remote-loop", parallelise,
-                "issue remote requests of an inner loop concurrently, bounded by the server cap")
+                "issue remote requests of an inner loop concurrently, bounded by the server cap",
+                node_types=A.Ext)
     return RuleSet("parallel", [rule], direction="top-down", max_iterations=2)
 
 

@@ -32,8 +32,8 @@ def make_path_pushdown_rule_set(capabilities: Mapping[str, FrozenSet[str]]) -> R
     def path_capable(driver: str) -> bool:
         return "path" in capabilities.get(driver, frozenset())
 
-    def push_path(expr: A.Expr) -> Optional[A.Expr]:
-        if not isinstance(expr, A.Ext) or expr.kind != "set":
+    def push_path(expr: A.Ext) -> Optional[A.Expr]:
+        if expr.kind != "set":
             return None
         source = expr.source
         if not isinstance(source, A.Scan) or not path_capable(source.driver):
@@ -50,7 +50,8 @@ def make_path_pushdown_rule_set(capabilities: Mapping[str, FrozenSet[str]]) -> R
         return source.with_request(request)
 
     rule = Rule("asn1-path-pushdown", push_path,
-                "migrate projections / variant selections into the driver's path expression")
+                "migrate projections / variant selections into the driver's path expression",
+                node_types=A.Ext)
     return RuleSet("path-pushdown", [rule], direction="top-down", max_iterations=3)
 
 

@@ -63,9 +63,11 @@ def make_sql_pushdown_rule_set(capabilities: Mapping[str, FrozenSet[str]]) -> Ru
 
     rules = [
         Rule("sql-join-pushdown", join_pushdown,
-             "collapse a conjunctive comprehension over one SQL driver into a single query"),
+             "collapse a conjunctive comprehension over one SQL driver into a single query",
+             node_types=A.Ext),
         Rule("sql-select-pushdown", select_pushdown,
-             "move per-table selections and projections into the driver request"),
+             "move per-table selections and projections into the driver request",
+             node_types=A.Ext),
     ]
     return RuleSet("sql-pushdown", rules, direction="top-down", max_iterations=4)
 
@@ -122,8 +124,8 @@ def _split_block(expr: A.Expr, sql_capable):
 _REDUCE_PROJECTIONS = RuleSet("project-reduce", [rule_projection_reduction])
 
 
-def _try_join_pushdown(expr: A.Expr, sql_capable) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Ext) or expr.kind != "set":
+def _try_join_pushdown(expr: A.Ext, sql_capable) -> Optional[A.Expr]:
+    if expr.kind != "set":
         return None
     driver, tables, conditions, deferred, rest = _split_block(expr, sql_capable)
     if not tables:
@@ -232,8 +234,8 @@ def _render_literal(value: object) -> Optional[str]:
 # Per-scan (partial) pushdown
 # ---------------------------------------------------------------------------
 
-def _try_per_scan_pushdown(expr: A.Expr, sql_capable) -> Optional[A.Expr]:
-    if not isinstance(expr, A.Ext) or expr.kind != "set":
+def _try_per_scan_pushdown(expr: A.Ext, sql_capable) -> Optional[A.Expr]:
+    if expr.kind != "set":
         return None
     source = expr.source
     if not _is_plain_table_scan(source, sql_capable):

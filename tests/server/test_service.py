@@ -9,6 +9,7 @@ concurrency soak lives in ``test_concurrency.py``.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -152,6 +153,24 @@ class TestProtocolBasics:
         with pytest.raises(RemoteQueryError, match="nests too deeply") as info:
             client.query("{" * 100 + "1" + "}" * 100)
         assert info.value.error_type == "CPLSyntaxError"
+        assert client.query("{1}") == CSet([1])
+
+    @pytest.mark.parametrize("wrapper", ["[a = f({})]", "<t = f({})>", "{{[a = f({})]}}"])
+    def test_thirty_nested_speculations_answer_at_once(self, client, wrapper):
+        # Under 350 characters that pinned the serving thread for hours: each
+        # level's "is this a lambda?" speculation re-parsed all those below.
+        client.run("define f == \\x => x")
+        text = "1"
+        for _ in range(30):
+            text = wrapper.format(text)
+        started = time.monotonic()
+        value = client.query(text)
+        assert time.monotonic() - started < 2.0
+        for _ in range(30):
+            if isinstance(value, CSet):
+                (value,) = value
+            value = value["a"] if isinstance(value, Record) else value.value
+        assert value == 1
         assert client.query("{1}") == CSet([1])
 
 
