@@ -5,7 +5,7 @@ measures what that buys over node-by-node interpretation on the two
 interpreter-bound workloads from the earlier experiments:
 
 * **local joins** (E6's data): the un-rewritten nested-loop comprehension and
-  the indexed blocked nested-loop ``Join`` the rule set introduces;
+  the loop over a probe of an on-the-fly index the optimizer makes of it;
 * **rewrite-heavy queries** (E2's data): the producer/consumer query raw and
   after monadic fusion.
 
@@ -25,12 +25,11 @@ import time
 from repro.bio.publications import build_publications
 from repro.core.cpl.desugar import desugar_expression
 from repro.core.cpl.parser import parse_expression
-from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.compile import compile_term
 from repro.core.nrc.eval import EvalContext, Environment, Evaluator
 from repro.core.nrc.rules_monadic import monadic_rule_set
-from repro.core.optimizer.joins import make_join_rule_set
+from repro.core.optimizer.caching import make_caching_rule_set
 from repro.core.values import CSet, Record
 
 from conftest import report, update_summary
@@ -75,8 +74,8 @@ def _join_workloads(outer_size, inner_size):
     nested = B.ext("o", B.ext("i", B.if_then_else(condition, B.singleton(head),
                                                   B.empty()), B.var("INNER")),
                    B.var("OUTER"))
-    indexed = make_join_rule_set(minimum_inner_size=0).apply(nested)
-    assert isinstance(indexed, A.Join)
+    indexed = make_caching_rule_set().apply(nested)
+    assert "probe(cached(index(INNER by" in indexed.pretty()
     return bindings, nested, indexed
 
 

@@ -21,8 +21,8 @@ Two shapes that used to break the pipeline are benchmarked against the pure
   typed streaming union (kind proof, see ``compile._chunk_union``) keeps
   its TTFR at one source element where the eager section used to drain both
   operands first;
-* a **blocked-join probe** — a blocked join materializes its inner side
-  once and yields per outer element.
+* a **blocked-join probe** — a nested loop over a hoisted inner side, which
+  is materialized once; results flow per outer element.
 
 A ``BENCH_streaming.json`` summary is written next to this file for the
 experiment log; CI uploads it as a workflow artifact and gates on the
@@ -108,15 +108,14 @@ def _union_chain():
 
 
 def _blocked_join_probe():
-    """A blocked join probing the remote scan against a small local inner."""
-    inner = CList(range(0, 8))
+    """A blocked join probing the remote scan against a small local inner:
+    the nested loop, its inner side hoisted (``Cached``)."""
+    inner = A.Cached(A.Const(CList(range(0, 8))))
     condition = B.eq(B.prim("mod", B.var("o"), B.const(8)), B.var("i"))
-    return A.Join("blocked", "o",
-                  A.Scan("remote", {"table": "t"}, kind="list"),
-                  "i", A.Const(inner), condition,
-                  B.singleton(B.prim("add", B.prim("mul", B.var("o"), B.const(10)),
-                                     B.var("i")), "list"),
-                  None, None, "list")
+    head = B.prim("add", B.prim("mul", B.var("o"), B.const(10)), B.var("i"))
+    return B.ext("o", B.ext("i", B.if_then_else(
+        condition, B.singleton(head, "list"), B.empty("list")), inner, "list"),
+        A.Scan("remote", {"table": "t"}, kind="list"), "list")
 
 
 def _engine():

@@ -27,7 +27,6 @@ from .ast import (
     Let,
     Deref,
     Scan,
-    Join,
     Cached,
     fresh_var,
     free_variables,
@@ -40,7 +39,7 @@ from .rewrite import Rule, RuleSet, RewriteEngine, RewriteStats
 __all__ = [
     "Expr", "Const", "Var", "Lam", "Apply", "RecordExpr", "Project",
     "VariantExpr", "Case", "Empty", "Singleton", "Union", "Ext", "Fold",
-    "IfThenElse", "PrimCall", "Let", "Deref", "Scan", "Join", "Cached",
+    "IfThenElse", "PrimCall", "Let", "Deref", "Scan", "Cached",
     "fresh_var", "free_variables", "substitute",
     "Evaluator", "Environment",
     "CompiledQuery", "ExecutionMode", "compile_term",

@@ -14,9 +14,6 @@ them:
   Entrez index lookup, an ACE class scan ...).  Pushdown optimizations work by
   rewriting comprehensions *around* a ``Scan`` into a richer request *inside*
   it.
-* :class:`Join` — the "non-monadic" local join operators of Section 4
-  (blocked nested-loop and indexed blocked nested-loop), introduced by the
-  join rule set.
 * :class:`Cached` — marks a subexpression whose value should be computed once
   and reused (the inner-subquery cache).
 * :class:`Deref` — dereferencing for sources with object identity.
@@ -36,8 +33,10 @@ from ..errors import NRCError
 __all__ = [
     "Expr", "Const", "Var", "Lam", "Apply", "RecordExpr", "Project",
     "VariantExpr", "Case", "CaseBranch", "Empty", "Singleton", "Union", "Ext",
-    "Fold", "IfThenElse", "PrimCall", "Let", "Deref", "Scan", "Join", "Cached",
+    "Fold", "IfThenElse", "PrimCall", "Let", "Deref", "Scan", "Cached",
     "fresh_var", "free_variables", "substitute", "node_count",
+    "filter_chain", "filtered", "keyed_rows", "keyed_rows_parts",
+    "guarded_probe", "guarded_probe_parts",
 ]
 
 _var_counter = itertools.count(1)
@@ -535,73 +534,6 @@ def _freeze(value: object) -> object:
     return value
 
 
-class Join(Expr):
-    """A local join operator introduced by the join rule set (Section 4).
-
-    ``method`` is ``"blocked"`` (blocked nested-loop join) or ``"indexed"``
-    (indexed blocked nested-loop join with an index built on the fly).  The
-    join pairs every element ``outer_var`` of ``outer`` with every element
-    ``inner_var`` of ``inner`` satisfying ``condition`` and evaluates ``body``
-    for the pair, unioning the results.
-
-    ``outer_key`` / ``inner_key`` are the equi-join key expressions the indexed
-    method hashes on; they are ``None`` for the blocked method.
-    """
-
-    __slots__ = ("method", "outer_var", "outer", "inner_var", "inner",
-                 "condition", "body", "outer_key", "inner_key", "kind")
-
-    def __init__(self, method: str, outer_var: str, outer: Expr, inner_var: str,
-                 inner: Expr, condition: Optional[Expr], body: Expr,
-                 outer_key: Optional[Expr] = None, inner_key: Optional[Expr] = None,
-                 kind: str = "set"):
-        if method not in ("blocked", "indexed"):
-            raise NRCError(f"unknown join method {method!r}")
-        self.method = method
-        self.outer_var = outer_var
-        self.outer = outer
-        self.inner_var = inner_var
-        self.inner = inner
-        self.condition = condition
-        self.body = body
-        self.outer_key = outer_key
-        self.inner_key = inner_key
-        self.kind = kind
-
-    def children(self) -> Tuple[Expr, ...]:
-        result: List[Expr] = [self.outer, self.inner, self.body]
-        if self.condition is not None:
-            result.append(self.condition)
-        if self.outer_key is not None:
-            result.append(self.outer_key)
-        if self.inner_key is not None:
-            result.append(self.inner_key)
-        return tuple(result)
-
-    def rebuild(self, children: Sequence[Expr]) -> Expr:
-        children = list(children)
-        outer, inner, body = children[0], children[1], children[2]
-        index = 3
-        condition = None
-        if self.condition is not None:
-            condition = children[index]
-            index += 1
-        outer_key = None
-        if self.outer_key is not None:
-            outer_key = children[index]
-            index += 1
-        inner_key = None
-        if self.inner_key is not None:
-            inner_key = children[index]
-            index += 1
-        return Join(self.method, self.outer_var, outer, self.inner_var, inner,
-                    condition, body, outer_key, inner_key, self.kind)
-
-    def _key(self) -> Tuple:
-        return (self.method, self.outer_var, self.outer, self.inner_var, self.inner,
-                self.condition, self.body, self.outer_key, self.inner_key, self.kind)
-
-
 class Cached(Expr):
     """Evaluate ``expr`` once and reuse the value on subsequent evaluations.
 
@@ -639,6 +571,70 @@ class Cached(Expr):
 
 
 # ---------------------------------------------------------------------------
+# Filter chains, and the keyed rows an on-the-fly index is built from
+# ---------------------------------------------------------------------------
+
+def filter_chain(body: Expr) -> Tuple[List[Expr], Expr]:
+    """``if c1 then .. if cn then rest else {} .. else {}`` as ``([c1 .. cn], rest)``."""
+    conditions: List[Expr] = []
+    while isinstance(body, IfThenElse) and isinstance(body.else_branch, Empty):
+        conditions.append(body.cond)
+        body = body.then_branch
+    return conditions, body
+
+
+def filtered(conditions: Sequence[Expr], rest: Expr, kind: str) -> Expr:
+    """``rest`` behind the filter chain ``conditions`` (:func:`filter_chain`'s inverse)."""
+    for condition in reversed(conditions):
+        rest = IfThenElse(condition, rest, Empty(kind))
+    return rest
+
+
+def keyed_rows(var: str, filters: Sequence[Expr], key: Expr, source: Expr) -> Expr:
+    """``U[| if f.. then [|[key = key, row = var]|] else [||] | \\var <- source |]``:
+    the argument the decorrelation stage gives the ``index`` primitive."""
+    pair = Singleton(RecordExpr({"key": key, "row": Var(var)}), "list")
+    return Ext(var, filtered(filters, pair, "list"), source, "list")
+
+
+def keyed_rows_parts(rows: Expr) -> Optional[Tuple[str, Expr, List[Expr], Expr]]:
+    """``(var, source, filters, key)`` of a :func:`keyed_rows` term, else ``None``
+    (the compiled ``index`` builds straight from the parts; the printer renders them)."""
+    if type(rows) is not Ext or rows.kind != "list":
+        return None
+    filters, body = filter_chain(rows.body)
+    if not (type(body) is Singleton and type(body.expr) is RecordExpr
+            and list(body.expr.fields) == ["key", "row"]
+            and body.expr.fields["row"] == Var(rows.var)):
+        return None
+    return rows.var, rows.source, filters, body.expr.fields["key"]
+
+
+def guarded_probe(index: Expr, key: Expr, kind: str) -> Expr:
+    """``let i = index in if isempty(i) then {} else probe(i, key)``: the source
+    the decorrelation stage gives a probed loop (``key`` unevaluated when no row
+    was indexed, as in the loop it replaces)."""
+    var = fresh_var("index")
+    return Let(var, index, IfThenElse(PrimCall("isempty", [Var(var)]), Empty(kind),
+                                      PrimCall("probe", [Var(var), key])))
+
+
+def guarded_probe_parts(expr: Expr) -> Optional[Tuple[Expr, Expr, Expr]]:
+    """``(index, key, empty)`` of a :func:`guarded_probe` term, else ``None``
+    (the compiled loop probes straight from the parts; the printer renders them)."""
+    if type(expr) is not Let or type(expr.body) is not IfThenElse:
+        return None
+    guard, empty, probe = expr.body.cond, expr.body.then_branch, expr.body.else_branch
+    index = Var(expr.var)
+    if not (type(empty) is Empty and guard == PrimCall("isempty", [index])
+            and type(probe) is PrimCall and probe.name == "probe"
+            and len(probe.args) == 2 and probe.args[0] == index
+            and expr.var not in free_variables(probe.args[1])):
+        return None
+    return expr.value, probe.args[1], empty
+
+
+# ---------------------------------------------------------------------------
 # Free variables and capture-avoiding substitution
 # ---------------------------------------------------------------------------
 
@@ -659,17 +655,6 @@ def free_variables(expr: Expr, memo: Optional[Dict[int, frozenset]] = None) -> f
     elif isinstance(expr, Let):
         free = (free_variables(expr.value, memo)
                 | (free_variables(expr.body, memo) - {expr.var}))
-    elif isinstance(expr, Join):
-        bound = {expr.outer_var, expr.inner_var}
-        free = free_variables(expr.outer, memo)
-        free |= free_variables(expr.inner, memo) - {expr.outer_var}
-        free |= free_variables(expr.body, memo) - bound
-        if expr.condition is not None:
-            free |= free_variables(expr.condition, memo) - bound
-        if expr.outer_key is not None:
-            free |= free_variables(expr.outer_key, memo) - {expr.outer_var}
-        if expr.inner_key is not None:
-            free |= free_variables(expr.inner_key, memo) - {expr.inner_var}
     elif isinstance(expr, Case):
         free = free_variables(expr.subject, memo)
         for branch in expr.branches:
@@ -722,14 +707,6 @@ def substitute(expr: Expr, name: str, replacement: Expr) -> Expr:
                 dbody = substitute(dbody, name, replacement)
             new_default = (dvar, dbody)
         return Case(new_subject, new_branches, new_default)
-    if isinstance(expr, Join):
-        new_outer = substitute(expr.outer, name, replacement)
-        # inner may reference outer_var; treat binder scoping conservatively.
-        if name in (expr.outer_var, expr.inner_var):
-            return expr.rebuild([new_outer] + list(expr.children()[1:]))
-        children = [substitute(child, name, replacement) for child in expr.children()]
-        children[0] = new_outer
-        return expr.rebuild(children)
     children = expr.children()
     if not children:
         return expr

@@ -74,9 +74,9 @@ discipline:
 
 Selection is per *call site* (``execute`` vs ``stream``), then per *node*
 within a streamed pipeline: ``Ext`` chains, filters, ``Let``/``IfThenElse``,
-``Scan`` and the probe side of ``Join`` stream natively (set-kind stages
+``Scan`` and the outer loop of a local join stream natively (set-kind stages
 dedup as they go); everything whose semantics require the whole value —
-``Fold``, the build side of joins, scalar operators — drops to the eager
+``Fold``, the ``index`` a join probes, scalar operators — drops to the eager
 closure for that subtree and the pipeline chunks its materialized result.
 Those eager sections are reported in ``CompiledChunkedStream.eager_nodes``
 and counted by ``EvalStatistics.stream_fallbacks`` (**the fallback
@@ -112,10 +112,9 @@ value, at O(1)-per-element cost:
   a ``Scan`` whose driver controls the result class, a ``Cached`` value, a
   proven kind *mismatch*) fall back to the eager ``union_like`` section so
   they keep raising exactly where ``execute`` raises.
-* **Join probing** — the probe (outer) side of both join methods streams;
-  the build side must materialize.  An indexed join probes its hash index
-  per outer element; a blocked join materializes its inner side once, on
-  first need, and probes it per outer element.
+* **Join probing** — a local join is a loop (:mod:`repro.core.optimizer.caching`):
+  the outer side streams and each element probes ``Cached(index(..))`` or scans
+  a ``Cached`` inner subquery, computed on first need: never for an empty outer.
 * **The ramp** — chunk sizes start at 1 and double per chunk up to the
   :class:`ChunkPolicy` maximum (read from ``EvalContext.chunk_policy`` at
   run time, so compiled pipelines stay cacheable by term fingerprint).
@@ -141,8 +140,8 @@ value, at O(1)-per-element cost:
 
 Eager sections remain exactly where the whole value is semantically
 required: ``Fold`` (the accumulator consumes every element), the build side
-of joins (the hash index / rescan source), unproven ``Union`` operands (the
-run-time class check needs the values), ``Cached`` (a deliberate
+of a local join (the ``index`` its loop probes), unproven ``Union`` operands
+(the run-time class check needs the values), ``Cached`` (a deliberate
 materialization point), and scalar operators reached through a collection
 position.
 
@@ -265,21 +264,22 @@ zero-statistics and PR 8's zero-knowledge contracts).
   partial value without the typed error.
 * **Memory accounting** (``EvalContext.memory_budget``): the known unbounded
   materialization points charge the budget in nominal row units — the eager
-  ``Ext`` element buffer, the join build sides (the hash index of an indexed
-  join, the materialized inner of a blocked join), set-kind dedup seen-sets
-  (via :func:`_make_seen_set`), and the chunked pump's transient chunk
-  buffers (charged per chunk, released after the chunk is consumed).  An
+  ``Ext`` element buffer, the build sides of local joins (the rows an
+  ``index`` groups, the rows a ``Cached`` node drains from a lazy subquery),
+  set-kind dedup seen-sets (via :func:`_make_seen_set`), and the chunked
+  pump's transient chunk buffers (charged per chunk, released after).  An
   over-budget charge raises the typed
   :class:`~repro.core.errors.MemoryBudgetExceededError`.
 * **Spill triggers** (``EvalContext.spill``): the engine attaches a
   :class:`~repro.kleisli.spill.SpillManager` *up front*, plan-gated by the
   PR 5 cost model (estimated rows × nominal row bytes vs. the budget) — not
   reactively mid-run — and the two biggest offenders degrade to
-  disk-backed structures: join build sides become hash-partitioned spill
-  runs (:class:`~repro.kleisli.spill.SpilledList` /
-  :class:`~repro.kleisli.spill.SpilledIndex`) and dedup seen-sets become
-  :class:`~repro.kleisli.spill.GovernedSeenSet`.  Spilled structures are
-  bounded-memory by construction, so they do not charge the budget.
+  disk-backed structures: the build sides become spill runs (a lazy
+  subquery behind a generator-source ``Cached``: a
+  :class:`~repro.kleisli.spill.SpilledList`; an ``index``: a
+  hash-partitioned :class:`~repro.kleisli.spill.SpilledIndex`) and dedup
+  seen-sets become :class:`~repro.kleisli.spill.GovernedSeenSet`.  Spilled
+  structures are bounded-memory by construction, so they do not charge the budget.
 * **Parity rules**: spilled execution is bit-for-bit the in-memory
   execution — same values, same order, same ``elements_fetched`` — across
   both lowerings (the spill backends preserve append order and exact
@@ -356,14 +356,13 @@ from .eval import (
     EvalContext,
     Evaluator,
     _CountingStream,
-    cache_payload,
+    is_lazy_stream,
     iterate_source,
     materialise,
-    materialise_source,
-    require_join_condition,
     scan_stream,
 )
 from .prims import (
+    build_index,
     fused_primitive_with_const,
     lookup_primitive,
     lookup_primitive_raw,
@@ -752,8 +751,7 @@ def _filter_shape(body: A.Expr) -> Optional[Tuple[bool, A.Expr]]:
 
     Returns ``(emit_when, value_expr)`` for ``if c then Singleton(e) else
     Empty`` and its mirror, else ``None``.  Shared by the eager body emitter
-    and the chunked ``Ext``/``Join`` compilers so the two lowerings can
-    never diverge on which bodies qualify.
+    and the chunked ``Ext`` compiler so the two lowerings can never diverge.
     """
     if type(body) is not A.IfThenElse:
         return None
@@ -812,7 +810,7 @@ def _compile_body_emitter(body: A.Expr, scope: _Scope, state: _CompileState):
 
 @register_compiler(A.Ext)
 def _compile_ext(expr: A.Ext, scope, state):
-    source_fn = _compile(expr.source, scope, state)
+    source_fn = _compile_source(expr.source, scope, state)
     emit = _compile_body_emitter(expr.body, scope + (expr.var,), state)
     kind = expr.kind
     slot = len(scope)
@@ -913,6 +911,9 @@ def _compile_prim(expr: A.PrimCall, scope, state):
         # reached, so defer the lookup (and its error) to run time.
         function = None
     name = expr.name
+    keyed = A.keyed_rows_parts(expr.args[0]) if name == "index" and len(expr.args) == 1 else None
+    if keyed is not None:
+        return _compile_index(*keyed, scope, state)
     arg_fns = tuple(_compile(arg, scope, state) for arg in expr.args)
 
     if function is not None and len(arg_fns) == 1:
@@ -991,172 +992,111 @@ def _compile_scan(expr: A.Scan, scope, state):
     return run
 
 
-def _build_source(value, context):
-    """The indexed join's build input (governed materialization point).
+def _compile_index(var: str, source: A.Expr, filters: List[A.Expr], key: A.Expr,
+                   scope: _Scope, state: _CompileState) -> _CompiledFn:
+    """``index(U[| if f.. then [|[key = k, row = y]|] | \\y <- S |])``, the
+    indexed join's build side, without a ``[key, row]`` record per row.
 
-    Under a spill manager a lazy build side stays a one-pass iterator — the
-    governed index built from it is the bounded structure, so materializing
-    first would defeat the spill.  Otherwise the existing behavior:
-    materialize (the zero-governance path, bit-for-bit as before).
+    The one primitive that sees the :class:`EvalContext`: it runs the list
+    ``Ext`` it stands for (``ext_iterations`` per source row, a cancellation
+    checkpoint at the loop head, the budget charged for the rows kept)
+    straight into :func:`~repro.core.nrc.prims.build_index`, its source as a
+    stream; under a spill manager the groups are on disk and not charged.
     """
-    if context.spill is not None and not isinstance(value, _COLLECTIONS):
-        return iterate_source(value)
-    return materialise_source(value)
+    source_fn = _compile_source(source, scope, state)
+    body_scope = scope + (var,)
+    filter_fns = tuple(_compile(condition, body_scope, state) for condition in filters)
+    key_fn = _compile(key, body_scope, state)
+    slot = len(scope)
+
+    def run(frame, context):
+        token = context.cancellation
+        loop_frame = _extended(frame, None)
+        iterations = 0
+
+        def pairs():
+            nonlocal iterations
+            for item in iterate_source(source_fn(frame, context)):
+                if token is not None:
+                    token.raise_if_cancelled()
+                iterations += 1
+                loop_frame[slot] = item
+                for filter_fn in filter_fns:
+                    if not _require_bool(filter_fn(loop_frame, context)):
+                        break
+                else:
+                    yield key_fn(loop_frame, context), item
+
+        try:
+            index = build_index(pairs(), context.memory_budget,
+                                None if context.spill is None else context.spill.index())
+        finally:
+            context.statistics.ext_iterations += iterations
+        context.statistics.note_intermediate(index.rows)
+        return index
+
+    return run
 
 
-def _materialise_build_side(value, context):
-    """Materialize a blocked join's build (inner) side under governance.
+def _compile_source(expr: A.Expr, scope: _Scope, state: _CompileState) -> _CompiledFn:
+    """Compile a generator source.  A ``Cached`` one is a join's build side; a
+    guarded probe (:func:`~repro.core.nrc.ast.guarded_probe`), evaluated once
+    per outer row of an indexed join, is one closure over the two primitives —
+    no frame for the ``let``, same evaluation order."""
+    if type(expr) is A.Cached:
+        return _compile_cached(expr, scope, state, build_side=True)
+    probed = A.guarded_probe_parts(expr)
+    if probed is None:
+        return _compile(expr, scope, state)
+    index_fn, key_fn, empty_fn = (_compile(part, scope, state) for part in probed)
+    is_empty = lookup_primitive_raw("isempty", 1)
+    probe = lookup_primitive_raw("probe", 2)
 
-    The inner side of a blocked join is iterated multiple times (once per
-    outer element or block), so it must be a multi-pass sequence.  Under a
-    spill manager a lazy inner becomes a disk-backed
-    :class:`~repro.kleisli.spill.SpilledList` (bounded memory, exact order);
-    under a budget alone the materialized size is charged; ungoverned — or
-    when the value is already a collection (no new memory) — this is exactly
-    ``materialise_source``.
-    """
-    spill = context.spill
-    if spill is not None and not isinstance(value, _COLLECTIONS):
-        spilled = spill.spilled_list()
-        for item in iterate_source(value):
-            spilled.append(item)
-        return spilled
-    result = materialise_source(value)
-    budget = context.memory_budget
-    if budget is not None and not isinstance(value, _COLLECTIONS):
-        budget.charge_elements(len(result))
-    return result
+    def run(frame, context):
+        index = index_fn(frame, context)
+        if is_empty(index):
+            return empty_fn(frame, context)
+        return probe(index, key_fn(frame, context))
 
-
-def _build_join_index(inner, inner_key_fn, frame, key_slot, context):
-    """Build the hash index of an indexed join's inner (build) side.
-
-    Shared by the eager and streaming join lowerings so the index layout
-    and key evaluation cannot diverge; the key frame reuses one slot across
-    inner elements exactly like a loop frame.  This is a governed
-    materialization point: under a spill manager the index is the
-    disk-backed :class:`~repro.kleisli.spill.SpilledIndex`; under a budget
-    alone each indexed row is charged (quantum-batched).
-
-    A dict finds a key by identity before it asks ``==``, so a row whose key
-    differs from itself (NaN) is left out: the nested loop this join replaces
-    pairs it with nothing, a shared NaN object included.
-    """
-    key_frame = _extended(frame, None)
-    spill = context.spill
-    if spill is not None:
-        spilled = spill.index()
-        for inner_item in inner:
-            key_frame[key_slot] = inner_item
-            key = inner_key_fn(key_frame, context)
-            if key == key:
-                spilled.add(key, inner_item)
-        return key_frame, spilled
-    index: Dict[object, list] = {}
-    budget = context.memory_budget
-    if budget is None:
-        for inner_item in inner:
-            key_frame[key_slot] = inner_item
-            key = inner_key_fn(key_frame, context)
-            if key == key:
-                index.setdefault(key, []).append(inner_item)
-        return key_frame, index
-    count = 0
-    for inner_item in inner:
-        key_frame[key_slot] = inner_item
-        key = inner_key_fn(key_frame, context)
-        if key == key:
-            index.setdefault(key, []).append(inner_item)
-            count += 1
-            if count % 256 == 0:
-                budget.charge_elements(256)
-    if count % 256:
-        budget.charge_elements(count % 256)
-    return key_frame, index
-
-
-@register_compiler(A.Join)
-def _compile_join(expr: A.Join, scope, state):
-    outer_fn = _compile(expr.outer, scope, state)
-    inner_fn = _compile(expr.inner, scope, state)
-    pair_scope = scope + (expr.outer_var, expr.inner_var)
-    emit = _compile_body_emitter(expr.body, pair_scope, state)
-    cond_fn = None
-    if expr.condition is not None:
-        cond_fn = _compile(expr.condition, pair_scope, state)
-    kind = expr.kind
-    outer_slot = len(scope)
-    inner_slot = outer_slot + 1
-
-    if expr.method == "indexed":
-        if expr.outer_key is None or expr.inner_key is None:
-            def broken(frame, context):
-                raise EvaluationError(
-                    "indexed join requires outer and inner key expressions")
-            return broken
-        outer_key_fn = _compile(expr.outer_key, scope + (expr.outer_var,), state)
-        inner_key_fn = _compile(expr.inner_key, scope + (expr.inner_var,), state)
-
-        def run_indexed(frame, context):
-            outer = materialise_source(outer_fn(frame, context))
-            context.statistics.joins_indexed += 1
-            inner = _build_source(inner_fn(frame, context), context)
-            key_frame, index = _build_join_index(
-                inner, inner_key_fn, frame, outer_slot, context)
-            elements: list = []
-            pair_frame = _extended(_extended(frame, None), None)
-            for outer_item in outer:
-                key_frame[outer_slot] = outer_item
-                matches = index.get(outer_key_fn(key_frame, context))
-                if not matches:
-                    continue
-                pair_frame[outer_slot] = outer_item
-                for inner_item in matches:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    emit(pair_frame, context, elements)
-            return make_collection(kind, elements)
-
-        return run_indexed
-
-    def run_blocked(frame, context):
-        # The inner side is materialized ONCE, on first need (an empty outer
-        # never evaluates it), and probed per outer element — same policy as
-        # the interpreter and the chunked lowering.
-        outer = materialise_source(outer_fn(frame, context))
-        context.statistics.joins_blocked += 1
-        elements: list = []
-        pair_frame = _extended(_extended(frame, None), None)
-        inner = _materialise_build_side(
-            inner_fn(frame, context), context) if outer else ()
-        for outer_item in outer:
-            pair_frame[outer_slot] = outer_item
-            for inner_item in inner:
-                pair_frame[inner_slot] = inner_item
-                if cond_fn is not None and \
-                        not require_join_condition(cond_fn(pair_frame, context)):
-                    continue
-                emit(pair_frame, context, elements)
-        return make_collection(kind, elements)
-
-    return run_blocked
+    return run
 
 
 @register_compiler(A.Cached)
-def _compile_cached(expr: A.Cached, scope, state):
+def _compile_cached(expr: A.Cached, scope, state, build_side: bool = False):
+    """``Cached``: computed on the first miss; a lazy stream is drained into a
+    list charged to the budget (ungoverned, this is ``cache_payload``).
+
+    A ``build_side`` node is a generator source (the blocked join's inner
+    side): it is only iterated, so under a spill manager its rows go to a
+    :class:`~repro.kleisli.spill.SpilledList` instead.  The spill files are
+    the run's, so only an entry private to the run (a content-derived key) may
+    hold them, and a reader of that entry that needs a collection (``count``,
+    ``member``) turns them back into one.
+    """
     inner_fn = _compile(expr.expr, scope, state)
     key = expr.key
+    spillable = build_side and key.startswith(A.Cached.CONTENT_PREFIX)
 
     def run(frame, context):
         cache = context.cache
         stats = context.statistics
         if key in cache:
             stats.cache_hits += 1
-            return cache[key]
-        stats.cache_misses += 1
-        value = cache_payload(inner_fn(frame, context))
+            value = cache[key]
+            if build_side or context.spill is None or not is_lazy_stream(value):
+                return value    # (else: spilled rows, wanted as a collection)
+        else:
+            stats.cache_misses += 1
+            value = inner_fn(frame, context)
+        if is_lazy_stream(value):
+            if spillable and context.spill is not None:
+                rows = context.spill.spilled_list()
+                rows.extend(iterate_source(value))
+            else:
+                rows = materialise(value)
+                if context.memory_budget is not None:
+                    context.memory_budget.charge_elements(len(rows))
+            value = rows
         cache[key] = value
         return value
 
@@ -1239,10 +1179,10 @@ def compile_term(term: A.Expr) -> CompiledQuery:
 # exchange *lists* of at most K elements, so the per-element cost of a stage
 # is one tight-loop iteration rather than a generator-frame suspend/resume.
 # Adjacent Ext stages with map/filter bodies fuse into ONE chunk stage that
-# runs each stage as a tight loop over the chunk; set-kind dedup, the typed
-# union's shared seen-filter and the join probes have chunk-wise forms that
-# preserve exact element-sequence parity with execute (see the module
-# docstring's "Streaming semantics").  Chunk sizes ramp from 1 (the first
+# runs each stage as a tight loop over the chunk; set-kind dedup and the typed
+# union's shared seen-filter have chunk-wise forms that preserve exact
+# element-sequence parity with execute (see the module docstring's
+# "Streaming semantics").  Chunk sizes ramp from 1 (the first
 # chunk is the first element, so the first result of a remote-scan
 # comprehension arrives after O(1) source elements) doubling up to the
 # ChunkPolicy maximum, read from the EvalContext at run time; a policy whose
@@ -1572,6 +1512,9 @@ def chunkable_node_types() -> Tuple[str, ...]:
 def _compile_chunk(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
     compiler = _CHUNK_COMPILERS.get(type(expr))
     if compiler is None:
+        if type(expr) is A.PrimCall and expr.name == "probe":
+            # The group an index already holds: a leaf, nothing eager to it.
+            return _chunk_leaf(expr, scope, state)
         return _chunk_via_eager(expr, scope, state)
     return compiler(expr, scope, state)
 
@@ -1634,7 +1577,7 @@ def _chunk_leaf(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
     collection or constant has no cheaper pull-based form — so it is not
     counted in ``eager_nodes``/``stream_fallbacks``.
     """
-    fn = _compile(expr, scope, state)
+    fn = _compile_source(expr, scope, state)
 
     def chunks(frame, context):
         policy = _active_policy(context)
@@ -1648,9 +1591,10 @@ def _chunk_leaf(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
 register_chunk_compiler(A.Var)(_chunk_leaf)
 register_chunk_compiler(A.Const)(_chunk_leaf)
 # A Cached node is a deliberate materialization point: the subquery cache
-# stores whole collections (cache_payload), so the pipeline evaluates it
-# eagerly (hitting the cache) and chunks the cached value — exactly the leaf
-# treatment, and likewise not counted as a fallback.
+# stores whole collections, so the pipeline evaluates it eagerly (hitting the
+# cache) and chunks the cached value — exactly the leaf treatment, and
+# likewise not counted as a fallback.  The pipeline only iterates it, so it
+# is a build side (_compile_source).
 register_chunk_compiler(A.Cached)(_chunk_leaf)
 
 
@@ -1740,7 +1684,7 @@ def _chunk_union(expr: A.Union, scope, state):
     if kind == "set":
         # The union's own seen-filter below provides all the dedup the
         # chain needs, so operands that dedup on their own (set-kind
-        # Ext/Join/ParallelExt, nested unions) are unwrapped to their raw
+        # Ext/ParallelExt, nested unions) are unwrapped to their raw
         # stages — an N-level union chain then carries exactly one seen-set
         # instead of N+1 (operands without the wrapper stream as-is).
         left_fn = getattr(left_fn, "undeduped", left_fn)
@@ -2307,101 +2251,6 @@ def _chunk_ext_generic(expr: A.Ext, scope: _Scope, state: _CompileState) -> _Chu
     return chunks
 
 
-@register_chunk_compiler(A.Join)
-def _chunk_join(expr: A.Join, scope, state):
-    """Chunk-wise join probing: per outer *chunk*, build side materialized.
-
-    The asymmetry is inherent: an indexed join's hash index (and a blocked
-    join's inner scan) needs the whole inner collection, but the outer
-    side is consumed chunk by chunk, so results flow before the outer source
-    is exhausted — one output chunk per probed outer chunk.  The indexed
-    join builds its index before the first outer pull.  A blocked join
-    materializes its inner side ONCE, on first need (an empty outer never
-    evaluates it), and probes it per outer element, like the eager closure
-    and the interpreter.  A body that is neither ``Singleton`` nor a filter
-    is a chunk pipeline of its own, drained into the output chunk per
-    matched pair.
-    """
-    outer_fn = _compile_chunk(expr.outer, scope, state)
-    inner_fn = _compile(expr.inner, scope, state)
-    pair_scope = scope + (expr.outer_var, expr.inner_var)
-    if type(expr.body) is A.Singleton or _filter_shape(expr.body) is not None:
-        emit = _compile_body_emitter(expr.body, pair_scope, state)
-    else:
-        body_fn = _compile_chunk(expr.body, pair_scope, state)
-
-        def emit(frame, context, out):
-            for chunk in body_fn(frame, context):
-                out.extend(chunk)
-
-    cond_fn = None
-    if expr.condition is not None:
-        cond_fn = _compile(expr.condition, pair_scope, state)
-    outer_slot = len(scope)
-    inner_slot = outer_slot + 1
-
-    if expr.method == "indexed":
-        if expr.outer_key is None or expr.inner_key is None:
-            def broken(frame, context):
-                raise EvaluationError(
-                    "indexed join requires outer and inner key expressions")
-                yield  # pragma: no cover
-            return broken
-        outer_key_fn = _compile(expr.outer_key, scope + (expr.outer_var,), state)
-        inner_key_fn = _compile(expr.inner_key, scope + (expr.inner_var,), state)
-
-        def chunks_indexed(frame, context):
-            context.statistics.joins_indexed += 1
-            inner = _build_source(inner_fn(frame, context), context)
-            key_frame, index = _build_join_index(
-                inner, inner_key_fn, frame, outer_slot, context)
-            pair_frame = _extended(_extended(frame, None), None)
-            for chunk in outer_fn(frame, context):
-                out: list = []
-                for outer_item in chunk:
-                    key_frame[outer_slot] = outer_item
-                    matches = index.get(outer_key_fn(key_frame, context))
-                    if not matches:
-                        continue
-                    pair_frame[outer_slot] = outer_item
-                    for inner_item in matches:
-                        pair_frame[inner_slot] = inner_item
-                        if cond_fn is not None and \
-                                not require_join_condition(cond_fn(pair_frame, context)):
-                            continue
-                        emit(pair_frame, context, out)
-                if out:
-                    yield out
-
-        if expr.kind == "set":
-            return _dedup_set_chunks(chunks_indexed)
-        return chunks_indexed
-
-    def chunks_blocked(frame, context):
-        context.statistics.joins_blocked += 1
-        pair_frame = _extended(_extended(frame, None), None)
-        inner = None
-        for chunk in outer_fn(frame, context):
-            out: list = []
-            for outer_item in chunk:
-                if inner is None:
-                    inner = _materialise_build_side(
-                        inner_fn(frame, context), context)
-                pair_frame[outer_slot] = outer_item
-                for inner_item in inner:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    emit(pair_frame, context, out)
-            if out:
-                yield out
-
-    if expr.kind == "set":
-        return _dedup_set_chunks(chunks_blocked)
-    return chunks_blocked
-
-
 class CompiledChunkedStream:
     """An NRC term lowered to a chunk-at-a-time generator pipeline.
 
@@ -2470,7 +2319,7 @@ class CompiledChunkedStream:
             return cls._tolerant_chunks(_compile(expr, scope, state),
                                         count_fallback=False)
         if node_type in _CHUNK_COMPILERS:
-            # Collection-producing nodes (Ext, Scan, Join, Union, ...): a
+            # Collection-producing nodes (Ext, Scan, Union, ...): a
             # scalar cannot legally appear here, so chunk directly.
             return _compile_chunk(expr, scope, state)
         state.eager.append(node_type.__name__)
@@ -2728,16 +2577,6 @@ def _fingerprint(expr: A.Expr, _scope: _Scope) -> Tuple:
                 tuple((key, sub(arg)) for key, arg in expr.args.items()))
     if node_type is A.Cached:
         return (name, expr.key, sub(expr.expr))
-    if node_type is A.Join:
-        pair_scope = _scope + (expr.outer_var, expr.inner_var)
-        return (name, expr.method, expr.kind,
-                sub(expr.outer), sub(expr.inner),
-                None if expr.condition is None else sub(expr.condition, pair_scope),
-                sub(expr.body, pair_scope),
-                None if expr.outer_key is None
-                else sub(expr.outer_key, _scope + (expr.outer_var,)),
-                None if expr.inner_key is None
-                else sub(expr.inner_key, _scope + (expr.inner_var,)))
     # Unknown node type (no native compiler): structural equality is too
     # loose to key a compile cache (it conflates True/1 and may ignore
     # baked-in attributes), so key on object identity — always sound, at the

@@ -13,7 +13,7 @@ Evaluation needs three pieces of ambient context, bundled in
   (the Kleisli engine supplies this; stand-alone evaluation of driver-free
   terms needs none),
 * ``cache`` — storage for :class:`~repro.core.nrc.ast.Cached` nodes,
-* ``statistics`` — counters (elements fetched, join strategies used) that the
+* ``statistics`` — counters (elements fetched, loop iterations) that the
   benchmarks report.
 """
 
@@ -44,25 +44,9 @@ from .prims import lookup_primitive
 __all__ = [
     "Environment", "Closure", "EvalContext", "EvalScope", "EvalStatistics",
     "Evaluator", "evaluate", "iterate_source", "materialise",
-    "materialise_source", "cache_payload", "close_source", "scan_stream",
-    "require_join_condition",
+    "is_lazy_stream", "cache_payload", "close_source", "scan_stream",
 ]
 
-
-def require_join_condition(keep: object) -> bool:
-    """The join-condition boolean policy, shared by every backend.
-
-    One policy for both join methods in all three backends (tree-walking
-    interpreter, eager closures, streamed pipelines): a non-boolean condition
-    value is an evaluation error.  Blocked joins always behaved this way;
-    indexed joins used to filter by truthiness, so which strictness a query
-    got depended on the optimizer's join-method choice (ROADMAP item, fixed
-    here).  Keeping the check in one shared site is what makes a coordinated
-    policy change possible at all.
-    """
-    if not isinstance(keep, bool):
-        raise EvaluationError("join condition must be boolean")
-    return keep
 
 #: Sentinel distinguishing "no binding" from a binding whose value is ``None``.
 _MISSING = object()
@@ -144,8 +128,6 @@ class EvalStatistics:
         self.scan_elements = 0
         self.ext_iterations = 0
         self.fold_iterations = 0
-        self.joins_blocked = 0
-        self.joins_indexed = 0
         self.cache_hits = 0
         self.cache_misses = 0
         self.peak_intermediate = 0
@@ -600,66 +582,6 @@ class Evaluator:
         # Lazy token stream: count as it is consumed.
         return scan_stream(result, self.context)
 
-    def _eval_join(self, expr: A.Join, env: Environment) -> object:
-        outer = self._materialise_source(self._eval(expr.outer, env))
-        stats = self.context.statistics
-        elements: List[object] = []
-        if expr.method == "indexed":
-            stats.joins_indexed += 1
-            elements = self._indexed_join(expr, outer, env)
-        else:
-            stats.joins_blocked += 1
-            elements = self._blocked_join(expr, outer, env)
-        return make_collection(expr.kind, elements)
-
-    def _materialise_source(self, value: object) -> List[object]:
-        return materialise_source(value)
-
-    def _blocked_join(self, expr: A.Join, outer: List[object], env: Environment) -> List[object]:
-        """Blocked nested-loop join: the inner side is materialised once, on
-        first need (an empty outer never evaluates it), and probed per outer
-        element — like the indexed join and both compiled lowerings, so the
-        three backends agree on how many times the inner side is fetched.
-        Emission is outer-major: for each outer element in order, all its
-        inner matches.
-        """
-        elements: List[object] = []
-        if not outer:
-            return elements
-        inner = self._materialise_source(self._eval(expr.inner, env))
-        for outer_item in outer:
-            for inner_item in inner:
-                self._emit_join_pair(expr, outer_item, inner_item, env, elements)
-        return elements
-
-    def _emit_join_pair(self, expr: A.Join, outer_item: object, inner_item: object,
-                        env: Environment, elements: List[object]) -> None:
-        """Condition-check and evaluate the join body for one matched pair."""
-        pair_env = env.extended({expr.outer_var: outer_item,
-                                 expr.inner_var: inner_item})
-        if expr.condition is not None:
-            if not require_join_condition(self._eval(expr.condition, pair_env)):
-                return
-        body_value = self._eval(expr.body, pair_env)
-        elements.extend(iter_collection(self._materialise(body_value)))
-
-    def _indexed_join(self, expr: A.Join, outer: List[object], env: Environment) -> List[object]:
-        """Indexed blocked nested-loop join: build a hash index on the inner key on the fly."""
-        if expr.outer_key is None or expr.inner_key is None:
-            raise EvaluationError("indexed join requires outer and inner key expressions")
-        inner = self._materialise_source(self._eval(expr.inner, env))
-        index: Dict[object, List[object]] = {}
-        for inner_item in inner:
-            key = self._eval(expr.inner_key, env.child(expr.inner_var, inner_item))
-            if key == key:  # a NaN key equals nothing (compile._build_join_index)
-                index.setdefault(key, []).append(inner_item)
-        elements: List[object] = []
-        for outer_item in outer:
-            key = self._eval(expr.outer_key, env.child(expr.outer_var, outer_item))
-            for inner_item in index.get(key, ()):
-                self._emit_join_pair(expr, outer_item, inner_item, env, elements)
-        return elements
-
     def _eval_cached(self, expr: A.Cached, env: Environment) -> object:
         cache = self.context.cache
         stats = self.context.statistics
@@ -693,7 +615,6 @@ Evaluator._DISPATCH = {
     A.Let: Evaluator._eval_let,
     A.Deref: Evaluator._eval_deref,
     A.Scan: Evaluator._eval_scan,
-    A.Join: Evaluator._eval_join,
     A.Cached: Evaluator._eval_cached,
 }
 
@@ -728,16 +649,21 @@ def materialise(value: object) -> object:
     )
 
 
+def is_lazy_stream(value: object) -> bool:
+    """Whether ``value`` is a stream to drain (a driver cursor, a generator)
+    and not a value in its own right: a collection, a record, a scalar."""
+    return (not isinstance(value, (bool, int, float, str, Record, CSet, CBag, CList))
+            and hasattr(value, "__iter__"))
+
+
 def cache_payload(value: object) -> object:
     """What a ``Cached`` node stores: streams forced, everything else as-is.
 
     Shared by both execution modes — compiled and interpreted runs write into
-    the same subquery cache, so what they store must be decided in one place.
+    the same subquery cache, so what they store must be decided in one place
+    (the compiled ``Cached`` adds governance to the forcing and nothing else).
     """
-    if (not isinstance(value, (bool, int, float, str))
-            and hasattr(value, "__iter__") and not isinstance(value, Record)):
-        return materialise(value)
-    return value
+    return materialise(value) if is_lazy_stream(value) else value
 
 
 def close_source(iterator: object, source: object) -> None:
@@ -754,17 +680,6 @@ def close_source(iterator: object, source: object) -> None:
         close = getattr(source, "close", None)
         if close is not None:
             close()
-
-
-def materialise_source(value: object) -> List[object]:
-    """Drain a join input (collection or stream) into a list."""
-    if isinstance(value, (CSet, CBag, CList)):
-        return list(value)
-    if hasattr(value, "__iter__"):
-        return list(value)
-    raise EvaluationError(
-        f"join input must be a collection, got {type(value).__name__}"
-    )
 
 
 def scan_stream(result: object, context: "EvalContext") -> "_CountingStream":

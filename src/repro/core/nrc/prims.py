@@ -30,7 +30,7 @@ from ..values import CBag, CList, CSet, Record, UNIT_VALUE, Variant, iter_collec
 
 __all__ = ["PRIMITIVES", "register_primitive", "lookup_primitive",
            "lookup_primitive_raw", "fused_primitive_with_const",
-           "primitive_names", "KeyIndex"]
+           "primitive_names", "KeyIndex", "build_index"]
 
 PRIMITIVES: Dict[str, Callable] = {}
 
@@ -520,41 +520,65 @@ class KeyIndex:
     (Python ``==``: ``1``, ``1.0`` and ``True``; ``0.0`` and ``-0.0``) shares
     its group; a key that differs from itself (NaN) is in no group, since no
     ``eq`` on it holds.  ``rows`` counts every row offered, keyed or not.
+    ``groups`` answers ``get(key)``: a dict of lists, or under a spill manager
+    the compiled ``index``'s :class:`~repro.kleisli.spill.SpilledIndex`.
     """
 
     __slots__ = ("groups", "rows")
 
-    def __init__(self, groups: Dict[object, CList], rows: int):
+    def __init__(self, groups, rows: int):
         self.groups = groups
         self.rows = rows
 
     def __reduce__(self):
         # The subquery cache spills what it can pickle, and a spilled entry
         # is read back whole on every access: once per probe.  An index is
-        # derived data, accounted for by the loop that built its rows.
-        raise TypeError("a KeyIndex stays in memory")
+        # derived data, accounted for (and spilled) by the loop that built it.
+        raise TypeError("a KeyIndex is never pickled")
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<index: {self.rows} rows under {len(self.groups)} keys>"
+        return f"<index: {self.rows} rows>"
 
 
 _KEYED_ROW = RecordDirectory.for_labels(("key", "row"))
 _NO_ROWS = CList()
 
 
-@register_primitive("index", arity=1)
-def _index(keyed_rows):
-    """Group ``[key = k, row = r]`` records by ``k``."""
+def build_index(pairs, budget=None, spilled=None) -> KeyIndex:
+    """Group ``(key, row)`` pairs by key: the one index builder.  The compiled
+    ``index`` passes the run's memory budget (charged in quanta for the rows
+    kept in memory) or its spill store (the groups live there instead)."""
     groups: Dict[object, list] = {}
-    rows = 0
+    rows = kept = 0
+    for key, row in pairs:
+        rows += 1
+        if key != key:      # a dict finds a key by identity before it asks ==
+            continue
+        if spilled is not None:
+            spilled.add(key, row)
+            continue
+        kept += 1
+        groups.setdefault(key, []).append(row)
+        if budget is not None and kept % 256 == 0:
+            budget.charge_elements(256)
+    if spilled is not None:
+        return KeyIndex(spilled, rows)
+    if budget is not None and kept % 256:
+        budget.charge_elements(kept % 256)
+    return KeyIndex({key: CList(group) for key, group in groups.items()}, rows)
+
+
+def _keyed_pairs(keyed_rows):
     for pair in iter_collection(keyed_rows):
         if not isinstance(pair, Record) or pair.directory is not _KEYED_ROW:
             raise EvaluationError("index expects [key = ..., row = ...] records")
-        key, row = pair.values
-        rows += 1
-        if key == key:
-            groups.setdefault(key, []).append(row)
-    return KeyIndex({key: CList(group) for key, group in groups.items()}, rows)
+        yield pair.values
+
+
+@register_primitive("index", arity=1)
+def _index(keyed_rows):
+    """Group ``[key = k, row = r]`` records by ``k``."""
+    return build_index(_keyed_pairs(keyed_rows))
 
 
 @register_primitive("probe", arity=2)
@@ -562,7 +586,10 @@ def _probe(index, key):
     """The rows of ``index`` whose key equals ``key``, as a list."""
     if not isinstance(index, KeyIndex):
         raise EvaluationError(f"probe expects an index, got {type(index).__name__}")
-    return index.groups.get(key, _NO_ROWS) if key == key else _NO_ROWS
+    rows = index.groups.get(key) if key == key else None
+    if rows is None:
+        return _NO_ROWS
+    return rows if type(rows) is CList else CList(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -102,32 +102,19 @@ class _Printer:
     def _keyed_rows(self, rows: "A.Expr"):
         """``index(S by \\y => key where f, ..)`` for the caching stage's
         ``index(U[| if f then .. [|[key = key, row = y]|] .. | \\y <- S |])``."""
-        if type(rows) is not A.Ext:
+        parts = A.keyed_rows_parts(rows)
+        if parts is None:
             return None
-        filters = []
-        body = rows.body
-        while isinstance(body, A.IfThenElse) and isinstance(body.else_branch, A.Empty):
-            filters.append(self.render(body.cond))
-            body = body.then_branch
-        if not (isinstance(body, A.Singleton) and isinstance(body.expr, A.RecordExpr)
-                and list(body.expr.fields) == ["key", "row"]
-                and body.expr.fields["row"] == A.Var(rows.var)):
-            return None
-        where = f" where {', '.join(filters)}" if filters else ""
-        return (f"index({self.render(rows.source)} by \\{rows.var} => "
-                f"{self.render(body.expr.fields['key'])}{where})")
+        var, source, filters, key = parts
+        where = f" where {', '.join(map(self.render, filters))}" if filters else ""
+        return f"index({self.render(source)} by \\{var} => {self.render(key)}{where})"
 
     def _render_let(self, expr: "A.Let") -> str:
         # The caching stage's guarded probe, ``let i = INDEX in if isempty(i)
         # then {} else probe(i, key)``, reads as what it computes.
-        body = expr.body
-        if (isinstance(body, A.IfThenElse) and isinstance(body.then_branch, A.Empty)
-                and body.cond == A.PrimCall("isempty", [A.Var(expr.var)])
-                and isinstance(body.else_branch, A.PrimCall)
-                and body.else_branch.name == "probe" and len(body.else_branch.args) == 2
-                and body.else_branch.args[0] == A.Var(expr.var)):
-            return (f"probe({self.render(expr.value)}, "
-                    f"{self.render(body.else_branch.args[1])})")
+        probed = A.guarded_probe_parts(expr)
+        if probed is not None:
+            return f"probe({self.render(probed[0])}, {self.render(probed[1])})"
         return f"let {expr.var} = {self.render(expr.value)} in {self.render(expr.body)}"
 
     def _render_deref(self, expr: "A.Deref") -> str:
@@ -139,12 +126,6 @@ class _Printer:
         if expr.args:
             args = "; " + ", ".join(f"{key}={self.render(value)}" for key, value in expr.args.items())
         return f"scan[{expr.driver}]({request}{args})"
-
-    def _render_join(self, expr: "A.Join") -> str:
-        condition = "true" if expr.condition is None else self.render(expr.condition)
-        return (f"{expr.method}-join(\\{expr.outer_var} <- {self.render(expr.outer)}, "
-                f"\\{expr.inner_var} <- {self.render(expr.inner)} on {condition}) "
-                f"=> {self.render(expr.body)}")
 
     def _render_cached(self, expr: "A.Cached") -> str:
         return f"cached({self.render(expr.expr)})"

@@ -258,7 +258,7 @@ def unnest(collection: object, group_label: str) -> CSet:
 # The proof is purely structural:
 #
 # * constructors and loop operators (``Empty``, ``Singleton``, ``Ext`` and
-#   registered subclasses, ``Join``) build their result with
+#   registered subclasses) build their result with
 #   ``make_collection(kind, ...)``, so their declared kind IS the run-time
 #   class;
 # * the transparent spine (``Let`` bodies, ``IfThenElse`` with agreeing
@@ -312,7 +312,6 @@ def proven_collection_kind(expr: A.Expr) -> Optional[str]:
 @register_kind_prover(A.Empty)
 @register_kind_prover(A.Singleton)
 @register_kind_prover(A.Ext)
-@register_kind_prover(A.Join)
 def _prove_declared_kind(expr) -> Optional[str]:
     return expr.kind
 

@@ -9,12 +9,11 @@ Stages (Section 4), in the order the pipeline applies them:
 3. **Pushdown** — selections, projections and joins migrate into SQL for
    drivers that speak SQL; projections and variant selections migrate into
    path expressions for the ASN.1 driver.
-4. **Local joins** — remaining cross-source nested loops become blocked or
-   indexed blocked nested-loop joins, guided by statistics; an n-way join
-   forms at its two outermost generators.
+4. **Local joins** — in a remaining cross-source nested loop, the equality
+   that can key an index moves in front of the filters that hide it.
 5. **Caching** — inside a loop, subqueries that do not depend on it are
-   wrapped in ``Cached``, and a correlated loop over one that does not
-   probes an index built once.
+   wrapped in ``Cached`` (the blocked join's inner side), and a correlated
+   loop over one that does not probes an index built once (the indexed join).
 6. **Parallelism** — inner loops that issue remote requests become bounded
    parallel loops.
 """

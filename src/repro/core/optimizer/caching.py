@@ -9,14 +9,14 @@ depend on the outer relation."  And, of joins that must run locally: "the
 indexed blocked-nested-loop join where indices are built on-the-fly".
 
 Both promises are kept by one walk over the term that knows, at every node,
-which binders are in scope (``Ext``/``Join`` loop variables, ``Lam``
-parameters, ``Let`` and ``Case`` variables) and whether the node can be
-evaluated more than once (it sits in a loop body, a join condition or body, or
-a function body).  Inside such a position, and nowhere else:
+which binders are in scope (``Ext`` loop variables, ``Lam`` parameters,
+``Let`` and ``Case`` variables) and whether the node can be evaluated more
+than once (it sits in a loop body or a function body).  Inside such a
+position, and nowhere else:
 
 **Hoist** (``hoist-loop-invariant``).  Every *maximal* subterm that mentions
-no binder in scope and contains a loop (``Ext``, ``Join``, ``Scan`` or
-``Fold``) is wrapped in :class:`~repro.core.nrc.ast.Cached` — wherever it
+no binder in scope and contains a loop (``Ext``, ``Scan`` or ``Fold``) is
+wrapped in :class:`~repro.core.nrc.ast.Cached` — wherever it
 sits: a generator source, an argument of ``member`` or ``count``, a record
 field.  The semi-join ``{l.sym | \\l <- LOCI, member(l.id, {r.locus | \\r <-
 REFS, r.cls = 2})}`` computes its inner set once, not once per locus.
@@ -39,10 +39,23 @@ equality run while the index is built; what follows the equality (``rest``:
 more filters, the head) runs per matching row as before.  The index is an
 ordinary ``Cached`` subquery, keyed by its content: two loops over the same
 ``S`` with the same filters and key (the ``count`` and the ``max`` of one
-correlated aggregate) build and share one index.  No AST node is involved,
-and the build is an ordinary list ``Ext``: it counts its iterations, checks
-cancellation at its loop head and charges the memory budget for its rows like
-any other loop, under every lowering and in the interpreter.
+correlated aggregate) build and share one index.  The loop's source is
+:func:`~repro.core.nrc.ast.guarded_probe`, which a compiled loop evaluates as
+one closure per outer row.  No AST node is involved:
+in the interpreter the build is an ordinary list ``Ext`` under the ``index``
+primitive, and the compiled lowering of ``index`` runs the same loop — same
+iteration count, cancellation checkpoint and budget charge — straight into
+the index without a ``[key, row]`` record per row, on disk when the run has a
+spill manager (:func:`~repro.core.nrc.compile._compile_index`).
+
+Local joins.  These two rewrites are the paper's two join operators.  The
+indexed join of ``\\x <- R, \\y <- S, ky = kx`` is the probe above; the
+blocked join of ``\\x <- R, \\y <- SUBQUERY, x.a < y.b`` is the hoist: the
+inner side is computed once, on first need (never for an empty outer), and a
+compiled ``Cached`` in generator-source position is the governed build side
+(charged to the memory budget, spilled under a spill manager).  The walk
+takes the first equality it meets for the key; putting the right one first
+is the join stage's one rule (:mod:`repro.core.optimizer.joins`).
 
 Independence.  "Mentions no binder in scope" is dependence on *any* enclosing
 binder, not just the nearest loop's — a term that mentions a ``Let`` variable
@@ -60,8 +73,9 @@ mentions an enclosing binder in that position blocks the rewrite instead of
 being moved behind the probe.  ``kx`` is evaluated once per probe where the
 loop evaluated it once per row: the ``isempty`` guard keeps it unevaluated
 when no row reaches the equality.  When several expressions of one loop
-would raise, which of them is reported first may differ, as it already does
-between the nested loop and the indexed ``Join``.
+would raise, which of them is reported first may differ.  Neither rewrite
+moves a filter across the equality; the join stage's reorder does, and
+documents what that can change.
 
 The pass is linear in the size of the term: one sweep marks the subterms
 that contain a loop (the walk enters no other), and the free-variable sets of
@@ -86,7 +100,7 @@ __all__ = ["make_caching_rule_set"]
 _HOIST = "hoist-loop-invariant"
 _INDEX = "index-correlated-loop"
 
-_LOOPS = (A.Ext, A.Join, A.Scan, A.Fold)
+_LOOPS = (A.Ext, A.Scan, A.Fold)
 
 #: ``(binders in scope, can be evaluated more than once)`` of a position.
 _Position = Tuple[frozenset, bool]
@@ -119,27 +133,9 @@ def _child_positions(node: A.Expr, scope: frozenset, in_loop: bool) -> Sequence[
         if node.default is not None:
             positions.append((scope | {node.default[0]}, in_loop))
         return positions
-    if isinstance(node, A.Join):
-        pair = scope | {node.outer_var, node.inner_var}
-        positions = [(scope, in_loop), (scope | {node.outer_var}, in_loop), (pair, True)]
-        if node.condition is not None:
-            positions.append((pair, True))
-        if node.outer_key is not None:
-            positions.append((scope | {node.outer_var}, True))
-        if node.inner_key is not None:
-            positions.append((scope | {node.inner_var}, True))
-        return positions
     if isinstance(node, A.Cached):
         return ((scope, False),)    # evaluated once per run, wherever it sits
     return ((scope, in_loop),) * len(node.children())
-
-
-def _keyed_rows(var: str, filters: List[A.Expr], key: A.Expr, source: A.Expr) -> A.Expr:
-    """``U[| if f.. then [|[key = key, row = var]|] else [||] | \\var <- source |]``."""
-    body: A.Expr = A.Singleton(A.RecordExpr({"key": key, "row": A.Var(var)}), "list")
-    for condition in reversed(filters):
-        body = A.IfThenElse(condition, body, A.Empty("list"))
-    return A.Ext(var, body, source, "list")
 
 
 class _ScopedCachingRuleSet(RuleSet):
@@ -208,12 +204,10 @@ class _ScopedCachingRuleSet(RuleSet):
                 return None
             inner_key, probe_key = keys
             inside = scope | {var}
-            rows = _keyed_rows(var, [walk(condition, inside, True) for condition in filters],
+            rows = A.keyed_rows(var, [walk(condition, inside, True) for condition in filters],
                                walk(inner_key, inside, True), walk(loop.source, scope, False))
-            index = A.fresh_var("index")
-            source = A.Let(index, A.Cached(A.PrimCall("index", [rows])), A.IfThenElse(
-                A.PrimCall("isempty", [A.Var(index)]), A.Empty(loop.kind),
-                A.PrimCall("probe", [A.Var(index), walk(probe_key, scope, True)])))
+            source = A.guarded_probe(A.Cached(A.PrimCall("index", [rows])),
+                                     walk(probe_key, scope, True), loop.kind)
             return A.Ext(var, walk(current.then_branch, inside, True), source, loop.kind)
 
         def _key_pair(condition: A.Expr, var: str, outer: frozenset):

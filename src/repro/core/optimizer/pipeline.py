@@ -36,13 +36,16 @@ class OptimizerConfig:
     monadic: bool = True
     sql_pushdown: bool = True
     path_pushdown: bool = True
+    #: Key recognition only (:mod:`.joins`).  The join plans themselves — the
+    #: probe, the hoisted inner side — are built by the ``caching`` stage:
+    #: with that off a local join runs as the nested loop it was written as,
+    #: its inner source evaluated once per outer row.
     local_joins: bool = True
     caching: bool = True
     parallelism: bool = True
     parallel_max_workers: int = 5
     #: Use the self-adjusting scheduler ([43]) instead of a fixed worker count.
     adaptive_concurrency: bool = False
-    join_minimum_inner_size: int = 8
     #: Consult the cost-based planner (when one is wired) for physical
     #: knobs — parallel introduction, chunk policy.  Off, every knob is the
     #: fixed historical constant (the ablation baseline).
@@ -64,14 +67,12 @@ class OptimizerPipeline:
     def __init__(self,
                  function_registry: Optional[Mapping[str, ScanSpec]] = None,
                  capabilities: Optional[Mapping[str, FrozenSet[str]]] = None,
-                 cardinality_of: Optional[Callable[[A.Expr], int]] = None,
                  is_remote_driver: Optional[Callable[[str], bool]] = None,
                  config: Optional[OptimizerConfig] = None,
                  extra_rule_sets: Tuple[RuleSet, ...] = (),
                  planner=None):
         self.function_registry = dict(function_registry or {})
         self.capabilities = dict(capabilities or {})
-        self.cardinality_of = cardinality_of
         self.is_remote_driver = is_remote_driver or (lambda driver: False)
         self.config = config or OptimizerConfig()
         self.extra_rule_sets = tuple(extra_rule_sets)
@@ -94,8 +95,7 @@ class OptimizerPipeline:
             rule_sets.append(make_path_pushdown_rule_set(self.capabilities))
         planner = self.planner
         if config.local_joins:
-            rule_sets.append(make_join_rule_set(
-                self.cardinality_of, config.join_minimum_inner_size))
+            rule_sets.append(make_join_rule_set())
         if config.caching:
             rule_sets.append(make_caching_rule_set())
         if config.parallelism:
@@ -127,8 +127,9 @@ class OptimizerPipeline:
         """The full compile-time path: rewrite, then lower to closures.
 
         The closure compiler runs strictly *after* every rewrite stage, so it
-        sees the Scan/Join/Cached/ParallelExt nodes the rule sets introduced
-        and lowers them natively instead of the surface forms.  ``lower``
+        sees the Scan/Cached/ParallelExt nodes and the ``index``/``probe``
+        calls the rule sets introduced and lowers them natively instead of
+        the surface forms.  ``lower``
         lets a caller substitute a memoizing lowering step (the Kleisli
         engine passes its fingerprint-keyed cache); the default compiles
         fresh.

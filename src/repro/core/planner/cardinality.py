@@ -10,11 +10,11 @@ planner can reason about whole pipelines, not just their leaves:
   body (a filter shape ``if cond then {e} else {}`` contributes its
   selectivity, a plain singleton contributes one);
 * a ``Union`` adds its operands (an upper bound for set kind);
-* a ``Join`` applies an equality selectivity (indexed method — on average
-  one match per probe) or a residual-condition selectivity (blocked method).
+* a loop over a ``probe`` of an on-the-fly index (the indexed join) takes the
+  probe as a scalar call: one match per outer row, the equality selectivity.
 
 Estimates are deliberately coarse — the planner needs *orders of magnitude*
-(pick a chunk size, bound a join block), not exact counts — but they obey
+(pick a chunk size, gate a spill), not exact counts — but they obey
 one invariant the property tests pin: adding a filter can only shrink an
 estimate (selectivities are at most 1), so plan choices degrade
 monotonically with selectivity rather than oscillating.
@@ -75,9 +75,6 @@ class CardinalityEstimator:
     #: else {}``) when nothing better is known.  Must be <= 1.0: the
     #: monotonicity property (filtering never grows an estimate) rests on it.
     FILTER_SELECTIVITY = 0.5
-    #: Fraction of the cross product assumed to survive a blocked join's
-    #: residual (non-equality) condition.
-    CONDITION_SELECTIVITY = 0.25
 
     def __init__(self, statistics):
         self.statistics = statistics
@@ -123,19 +120,6 @@ class CardinalityEstimator:
                        self.estimate(expr.else_branch))
         if isinstance(expr, A.Ext):  # includes ParallelExt
             return self.estimate(expr.source) * self.estimate(expr.body)
-        if node_type is A.Join:
-            outer = self.estimate(expr.outer)
-            inner = self.estimate(expr.inner)
-            per_pair = self.estimate(expr.body)
-            if expr.method == "indexed":
-                # Equality selectivity ~ 1/|inner|: on average one inner
-                # match per probed outer element.
-                matches = outer
-            else:
-                matches = outer * inner
-            if expr.condition is not None:
-                matches *= self.CONDITION_SELECTIVITY
-            return matches * per_pair
         if node_type is A.Fold:
             return 1.0
         if node_type in (A.PrimCall, A.Project, A.RecordExpr, A.VariantExpr,

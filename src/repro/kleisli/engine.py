@@ -9,8 +9,8 @@ remote and local data sources."  The engine is that middle layer:
   :meth:`driver_executor`, the callback every :class:`~repro.core.nrc.ast.Scan`
   node evaluates through;
 * the **optimizer pipeline** (rebuilt whenever registration changes);
-* the **cost-based planner** — per-query physical knobs (join block size,
-  chunk ramp bounds, prefetch granularity) chosen from registered/observed
+* the **cost-based planner** — per-query physical knobs (chunk ramp
+  bounds, prefetch granularity) chosen from registered/observed
   source statistics and the run-time feedback ledger, instead of constants
   (:meth:`KleisliEngine.plan_for`; zero knowledge reproduces the historical
   defaults exactly);
@@ -59,7 +59,6 @@ from ..core.planner import (
     PlanFeedback,
     PlanStore,
     QueryPlanner,
-    scan_collection,
 )
 from ..core.values import CBag, CList, CSet, iter_collection
 from ..obs import Observability
@@ -385,29 +384,10 @@ class KleisliEngine:
         return OptimizerPipeline(
             function_registry=registry,
             capabilities=capabilities,
-            cardinality_of=self._estimate_cardinality,
             is_remote_driver=self.statistics_registry.is_remote,
             config=self.optimizer_config,
             planner=self.planner,
         )
-
-    def _estimate_cardinality(self, source: A.Expr) -> int:
-        """Estimate the size of a generator source for the join rule set."""
-        if isinstance(source, A.Cached):
-            return self._estimate_cardinality(source.expr)
-        if isinstance(source, A.Scan):
-            # One collection-key probing order for the whole system: the
-            # planner's estimator uses the same helper, so the join rule
-            # and the plan chooser can never disagree about which
-            # cardinality a scan reads.
-            collection = scan_collection(source.request)
-            return self.statistics_registry.cardinality(source.driver, collection)
-        if isinstance(source, A.Const):
-            try:
-                return len(list(iter_collection(source.value)))
-            except Exception:
-                return SourceStatisticsRegistry.DEFAULT_CARDINALITY
-        return SourceStatisticsRegistry.DEFAULT_CARDINALITY
 
     # -- compilation and execution ----------------------------------------------------------
 

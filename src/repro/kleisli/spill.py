@@ -65,31 +65,38 @@ SPILL_FRAME_MAX = 64 * 1024 * 1024
 _HEADER_BYTES = 8  # the codec's ">II" length + CRC32 prefix
 
 
-def _read_frames(handle) -> Iterator[bytes]:
-    """Replay every framed payload in ``handle`` from the start.
+def _read_frame(handle) -> Optional[bytes]:
+    """The framed payload at ``handle``'s position, ``None`` at end of file.
 
-    The caller owns positioning (flush + seek happen here); corruption in a
-    spill file is a hard error — unlike the plan store, these are our own
-    single-process temp files, and skipping a damaged run would silently
-    drop result rows.
+    Corruption in a spill file is a hard error — unlike the plan store,
+    these are our own single-process temp files, and skipping a damaged run
+    would silently drop result rows.
     """
+    header = handle.read(_HEADER_BYTES)
+    if not header:
+        return None
+    if len(header) < _HEADER_BYTES:
+        raise EvaluationError("spill file truncated mid-header")
+    length = int.from_bytes(header[:4], "big")
+    payload = handle.read(length)
+    if len(payload) < length:
+        raise EvaluationError("spill file truncated mid-payload")
+    verified, _ = unframe_payload(header + payload, 0,
+                                  max_bytes=SPILL_FRAME_MAX)
+    if verified is None:
+        raise EvaluationError("spill file failed CRC verification")
+    return verified
+
+
+def _read_frames(handle) -> Iterator[bytes]:
+    """Replay every framed payload in ``handle`` from the start, in one go:
+    the caller owns the handle's position until the replay is drained."""
     handle.flush()
     handle.seek(0)
-    while True:
-        header = handle.read(_HEADER_BYTES)
-        if not header:
-            break
-        if len(header) < _HEADER_BYTES:
-            raise EvaluationError("spill file truncated mid-header")
-        length = int.from_bytes(header[:4], "big")
-        payload = handle.read(length)
-        if len(payload) < length:
-            raise EvaluationError("spill file truncated mid-payload")
-        verified, _ = unframe_payload(header + payload, 0,
-                                      max_bytes=SPILL_FRAME_MAX)
-        if verified is None:
-            raise EvaluationError("spill file failed CRC verification")
-        yield verified
+    payload = _read_frame(handle)
+    while payload is not None:
+        yield payload
+        payload = _read_frame(handle)
 
 
 class _SpillBacked:
@@ -98,6 +105,11 @@ class _SpillBacked:
     def __init__(self, manager: "SpillManager"):
         self._manager = manager
         self._touched_disk = False
+        # A backend is built by one thread, but one stored under a ``Cached``
+        # key is then read by every reader of that key — two loop levels of a
+        # self-join, the workers of a parallel loop: reads that move a file
+        # position or swap a partition cache hold this.
+        self._lock = threading.Lock()
 
     def _open_file(self):
         handle = tempfile.TemporaryFile(
@@ -167,11 +179,18 @@ class SpilledList(_SpillBacked):
         return self._length > 0
 
     def __iter__(self) -> Iterator[Any]:
-        disk_frames = _read_frames(self._handle) if self._handle is not None \
-            else iter(())
+        # Re-entrant: each pass keeps its own offset into the file, so a pass
+        # begun (or finished) in the middle of another leaves it where it was.
+        position = 0
         for kind, run in self._runs:
             if kind == "disk":
-                yield from pickle.loads(next(disk_frames))
+                with self._lock:
+                    self._handle.seek(position)
+                    payload = _read_frame(self._handle)
+                    position = self._handle.tell()
+                if payload is None:
+                    raise EvaluationError("spill file ends before its last run")
+                yield from pickle.loads(payload)
             else:
                 yield from run
         yield from self._buffer
@@ -328,17 +347,18 @@ class SpilledIndex(_SpillBacked):
         return (rows or []) + residue
 
     def _partition_index(self, partition: int) -> Dict[Any, List[Any]]:
-        if self._cached_partition == partition:
-            return self._cached_index
-        handle = self._handles[partition]
-        index: Dict[Any, List[Any]] = {}
-        if handle is not None:
-            for payload in _read_frames(handle):
-                key, row = pickle.loads(payload)
-                index.setdefault(key, []).append(row)
-        self._cached_partition = partition
-        self._cached_index = index
-        return index
+        with self._lock:    # check, load and swap as one step
+            if self._cached_partition == partition:
+                return self._cached_index
+            handle = self._handles[partition]
+            index: Dict[Any, List[Any]] = {}
+            if handle is not None:
+                for payload in _read_frames(handle):
+                    key, row = pickle.loads(payload)
+                    index.setdefault(key, []).append(row)
+            self._cached_partition = partition
+            self._cached_index = index
+            return index
 
 
 class SpillManager:

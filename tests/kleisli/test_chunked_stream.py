@@ -146,18 +146,30 @@ class TestEagerSections:
         assert streamed == [6]
         assert engine.last_eval_statistics.stream_fallbacks >= 1
 
-    def test_blocked_join_with_a_larger_block_is_chunk_native(self):
-        """A blocked join has a chunk form of its own: no eager section,
-        nothing counted as a fallback."""
-        engine = KleisliEngine()
-        expr = A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
-                      None, B.singleton(B.var("o"), "list"), None, None,
-                      "list")
+    def test_both_local_join_plans_are_chunk_native(self):
+        """The blocked join (a loop over a hoisted inner side) and the
+        indexed join (a loop over a probe) are chunk stages like any other
+        loop: no eager section, nothing counted as a fallback."""
+        from repro.core.optimizer.caching import make_caching_rule_set
+
+        def loop(conditions, inner):
+            body = B.singleton(B.var("o"), "list")
+            for condition in conditions:
+                body = B.if_then_else(condition, body, B.empty("list"))
+            return B.ext("o", B.ext("i", body, inner, "list"), B.var("OUTER"), "list")
+
+        blocked = loop([], A.Cached(B.ext("s", B.singleton(B.var("s"), "list"),
+                                          B.var("INNER"), "list")))
+        indexed = make_caching_rule_set().apply(
+            loop([B.eq(B.var("i"), B.prim("mul", B.var("o"), B.const(10)))], B.var("INNER")))
+        assert "probe(cached(index(" in indexed.pretty()
         bindings = {"OUTER": CList([1, 2, 3]), "INNER": CList([10])}
-        assert engine.compiled_chunked(expr).fully_chunked
-        streamed = list(engine.stream(expr, bindings, optimize=False))
-        assert streamed == [1, 2, 3]
-        assert engine.last_eval_statistics.stream_fallbacks == 0
+        for expr, expected in ((blocked, [1, 2, 3]), (indexed, [1])):
+            engine = KleisliEngine()
+            assert engine.compiled_chunked(expr).fully_chunked
+            streamed = list(engine.stream(expr, bindings, optimize=False))
+            assert streamed == expected
+            assert engine.last_eval_statistics.stream_fallbacks == 0
 
 
 class TestBatchedBodyScans:
@@ -423,10 +435,11 @@ class TestOneStreamingLowering:
         from repro.core.nrc.compile import chunkable_node_types, supported_node_types
         import repro.core.optimizer.parallel  # noqa: F401 - registers ParallelExt
 
-        producers = {"Ext", "Join", "Union", "Scan", "Let", "IfThenElse",
+        producers = {"Ext", "Union", "Scan", "Let", "IfThenElse",
                      "Singleton", "Empty", "Cached", "ParallelExt"}
         assert producers <= set(supported_node_types())
         assert producers <= set(chunkable_node_types())
+        assert "Join" not in supported_node_types() + chunkable_node_types()
 
     def test_an_unregistered_node_type_is_named_and_counted(self, monkeypatch):
         """Dispatch is by exact type: an ``Ext`` subclass nobody registered

@@ -435,8 +435,10 @@ class TestEstimator:
     def test_indexed_join_estimates_one_match_per_probe(self):
         registry = SourceStatisticsRegistry()
         estimator = CardinalityEstimator(registry)
-        join = A.Join("indexed", "o", A.Const(CList(range(100))),
-                      "i", A.Const(CList(range(50))), None,
-                      B.singleton(B.var("o"), "list"),
-                      B.var("o"), B.var("i"), "list")
+        from repro.core.optimizer.caching import make_caching_rule_set
+
+        join = make_caching_rule_set().apply(B.ext("o", B.ext("i", B.if_then_else(
+            B.eq(B.var("i"), B.var("o")), B.singleton(B.var("o"), "list"), B.empty("list")),
+            A.Const(CList(range(50))), "list"), A.Const(CList(range(100))), "list"))
+        assert "probe(cached(index(" in join.pretty()
         assert estimator.estimate(join) == pytest.approx(100.0)

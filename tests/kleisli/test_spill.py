@@ -25,6 +25,7 @@ from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.compile import ChunkPolicy
 from repro.core.nrc.eval import EvalScope
+from repro.core.optimizer.caching import make_caching_rule_set
 from repro.core.planner.plan import PhysicalPlan
 from repro.core.values import iter_collection
 from repro.kleisli.drivers.base import Driver
@@ -106,6 +107,21 @@ class TestSpilledList:
         assert list(spilled) == model
         assert manager.books["spills"] == 1
         assert manager.books["bytes_spilled"] > 0
+        manager.close()
+
+    def test_overlapping_passes_do_not_move_each_other(self):
+        """A build side under a ``Cached`` key is read by every reader of the
+        key: a whole pass in the middle of another leaves it where it was."""
+        manager = SpillManager(memory_elements=4)
+        spilled = manager.spilled_list()
+        spilled.extend(range(30))
+        outer = iter(spilled)
+        seen = [next(outer) for _ in range(6)]
+        assert list(spilled) == list(range(30))
+        other = iter(spilled)
+        assert [next(other) for _ in range(10)] == list(range(10))
+        assert seen + list(outer) == list(range(30))
+        assert list(other) == list(range(10, 30))
         manager.close()
 
     def test_small_list_never_touches_disk(self):
@@ -280,22 +296,27 @@ def _dedup_expr():
                  _scan(COUNT), kind="set")
 
 
+def _join_loop(outer, inner, condition, head):
+    """``U[| U[| if condition then [|head|] | \\i <- inner |] | \\o <- outer |]``."""
+    return B.ext("o", B.ext("i", B.if_then_else(
+        condition, B.singleton(head, "list"), B.empty("list")), inner, "list"), outer, "list")
+
+
 def _indexed_join_expr():
-    """Indexed join whose build side is a lazy 1500-row scan."""
+    """Indexed join whose build side is a lazy 1500-row scan: the loop over
+    a probe of ``cached(index(scan by i))`` the optimizer makes of it."""
     condition = B.eq(B.prim("mod", B.var("o"), B.const(COUNT)), B.var("i"))
-    return A.Join("indexed", "o", _scan(40), "i", _scan(COUNT),
-                  condition, B.singleton(B.prim("add", B.var("o"),
-                                                B.var("i")), "list"),
-                  outer_key=B.prim("mod", B.var("o"), B.const(COUNT)),
-                  inner_key=B.var("i"), kind="list")
+    plan = make_caching_rule_set().apply(_join_loop(
+        _scan(40), _scan(COUNT), condition, B.prim("add", B.var("o"), B.var("i"))))
+    assert "probe(cached(index(scan[ranges]" in plan.pretty()
+    return plan
 
 
 def _blocked_join_expr():
-    """Blocked join: the lazy inner side is materialized for multi-pass."""
-    condition = B.prim("lt", B.var("i"), B.var("o"))
-    return A.Join("blocked", "o", _scan(3), "i", _scan(COUNT, base=0),
-                  condition, B.singleton(B.var("i"), "list"),
-                  kind="list")
+    """Blocked join: the lazy inner side, hoisted, is materialized once for
+    a pass per outer row."""
+    return _join_loop(_scan(3), A.Cached(_scan(COUNT, base=0)),
+                      B.prim("lt", B.var("i"), B.var("o")), B.var("i"))
 
 
 def _drain(engine, expr, **kwargs):
@@ -310,17 +331,20 @@ def _drain_eager(engine, expr, **kwargs):
     return values, engine.last_eval_statistics.elements_fetched
 
 
+LOWERINGS = [
+    (_drain_eager, {}),
+    (_drain, {"chunk_policy": ChunkPolicy(max_chunk=1)}),
+    (_drain, {}),
+]
+
+
 @pytest.mark.parametrize("shape", [_dedup_expr, _indexed_join_expr,
                                    _blocked_join_expr])
 def test_spilled_run_matches_in_memory_across_all_lowerings(shape):
     expr = shape()
     baseline_engine = _engine()
     spill_engine = _engine()
-    for drain, kwargs in [
-        (_drain_eager, {}),
-        (_drain, {"chunk_policy": ChunkPolicy(max_chunk=1)}),
-        (_drain, {}),
-    ]:
+    for drain, kwargs in LOWERINGS:
         plain_values, plain_fetched = drain(baseline_engine, expr, **kwargs)
         spill_values, spill_fetched = drain(spill_engine, expr,
                                             spill=True, **kwargs)
@@ -338,10 +362,8 @@ def _nested_blocked_join_expr():
     variable, its (lazy, spillable) inner side on nothing."""
     outer = A.Scan("ranges", {"table": "t", "count": 3},
                    args={"base": B.var("x")}, kind="list")
-    join = A.Join("blocked", "o", outer, "i", _scan(COUNT),
-                  B.prim("lt", B.var("i"), B.var("o")),
-                  B.singleton(B.prim("add", B.var("o"), B.var("i")), "list"),
-                  kind="list")
+    join = _join_loop(outer, _scan(COUNT), B.prim("lt", B.var("i"), B.var("o")),
+                      B.prim("add", B.var("o"), B.var("i")))
     return B.ext("x", join, _scan(3), kind="list")
 
 
@@ -366,8 +388,9 @@ def test_nested_blocked_join_fetches_its_invariant_inner_once_per_run():
                       for i in range(o)]
     # The loop's source, the join's outer side per loop element, the inner once.
     assert requests == 1 + 3 + 1
-    # ... and their elements, plus the loop's own three iterations.
-    assert fetched == (3 + 3 * 3 + COUNT) + 3
+    # ... and their elements, plus the three loops' own iterations: 3, then 3
+    # outer rows each, then the hoisted inner rows once per outer row.
+    assert fetched == (3 + 3 * 3 + COUNT) + 3 + 3 * 3 + 3 * 3 * COUNT
     assert all(run == runs[0] for run in runs)
 
 

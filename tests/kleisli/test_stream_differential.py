@@ -1,7 +1,7 @@
 """Differential streaming harness: ``stream`` must agree with ``execute``.
 
 For every query shape the streaming backend pipelines — nested ``Ext``
-chains, filtered comprehensions, unions, ``ParallelExt``, both join methods —
+chains, filtered comprehensions, unions, ``ParallelExt``, both local join plans —
 and in both execution modes, ``engine.stream`` must yield exactly the element
 sequence of ``engine.execute``'s result, and consume exactly as many source
 elements (``EvalStatistics.elements_fetched``) once drained.
@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.optimizer.caching import make_caching_rule_set
 from repro.core.optimizer.joins import make_join_rule_set
 from repro.core.optimizer.parallel import ParallelExt
 from repro.core.errors import EvaluationError
@@ -53,6 +54,22 @@ def _engine():
     engine = KleisliEngine()
     engine.register_driver(RangeDriver())
     return engine
+
+
+def _join_loop(outer, inner, conditions, body, kind="set", inner_kind=None):
+    """``U{ U{ if c.. then body | \\i <- inner } | \\o <- outer }``: the loop a
+    local join is written as (the blocked plan, when ``inner`` is a value)."""
+    for condition in reversed(conditions):
+        body = B.if_then_else(condition, body, B.empty(inner_kind or kind))
+    return B.ext("o", B.ext("i", body, inner, inner_kind or kind), outer, kind)
+
+
+def _probe_plan(loop):
+    """``loop`` as the optimizer's two local stages plan it: the key first,
+    then a probe of an index built once (the indexed plan)."""
+    plan = make_caching_rule_set().apply(make_join_rule_set().apply(loop))
+    assert "probe(cached(index(" in plan.pretty()
+    return plan
 
 
 def _scan(base=0, count=5):
@@ -145,11 +162,9 @@ def _record_head_shapes():
     same_acc = (B.project(B.var("o"), "acc"), B.project(B.var("i"), "acc"))
     shapes += [
         ("heads: join body, indexed",
-         A.Join("indexed", "o", B.var("O"), "i", B.var("N"), None, pair_body,
-                *same_acc, "set")),
+         _probe_plan(_join_loop(B.var("O"), B.var("N"), [B.eq(*same_acc)], pair_body))),
         ("heads: join body, blocked",
-         A.Join("blocked", "o", B.var("O"), "i", B.var("N"), B.eq(*same_acc),
-                pair_body, None, None, "set")),
+         _join_loop(B.var("O"), B.var("N"), [B.eq(*same_acc)], pair_body)),
     ]
     return [(label, expr, tables) for label, expr in shapes]
 
@@ -229,25 +244,18 @@ def _shapes():
     condition = B.eq(B.project(B.var("o"), "id"), B.project(B.var("i"), "ref"))
     head = B.record(tag=B.project(B.var("o"), "tag"),
                     weight=B.project(B.var("i"), "weight"))
-    nested_join = B.ext(
-        "o", B.ext("i", B.if_then_else(condition, B.singleton(head),
-                                       B.empty()), B.var("INNER")),
-        B.var("OUTER"))
-    indexed = make_join_rule_set(minimum_inner_size=0).apply(nested_join)
-    assert isinstance(indexed, A.Join) and indexed.method == "indexed"
-    shapes.append(("indexed join (streamed probe side)", indexed,
+    blocked = _join_loop(B.var("OUTER"), B.var("INNER"), [condition],
+                         B.singleton(head))
+    shapes.append(("indexed join (streamed probe side)", _probe_plan(blocked),
                    {"OUTER": records, "INNER": refs}))
-
-    blocked = A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
-                     condition, B.singleton(head), None, None, "set")
     shapes.append(("blocked join (streamed probe side)", blocked,
                    {"OUTER": records, "INNER": refs}))
 
     # List kind: no dedup hides the emission order (outer-major).
-    ordered = A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
-                     B.prim("lt", B.project(B.var("o"), "id"),
-                            B.project(B.var("i"), "ref")),
-                     B.singleton(head, "list"), None, None, "list")
+    ordered = _join_loop(B.var("OUTER"), B.var("INNER"),
+                         [B.prim("lt", B.project(B.var("o"), "id"),
+                                 B.project(B.var("i"), "ref"))],
+                         B.singleton(head, "list"), "list")
     shapes.append(("blocked join, list kind (outer-major order)",
                    ordered, {"OUTER": records, "INNER": refs}))
 
@@ -460,14 +468,19 @@ def test_record_heads_agree_with_the_interpreter(label, expr, bindings,
 
 
 def test_a_head_inside_a_join_body_is_chunk_native():
-    """No eager section, and one body loop per matched pair: 12 outer rows
-    find 51 partners, each mapping the 30 rows of ``N`` once."""
+    """No eager section, and one body loop per matched pair: 12 of the 60
+    outer rows find 51 partners, each mapping the 30 rows of ``N`` once —
+    after 30 rows indexed and 51 probed, or 30 scanned per outer row."""
+    join_loops = {"heads: join body, indexed": 60 + 30 + 51,
+                  "heads: join body, blocked": 60 + 60 * 30}
     for label, expr, bindings in _record_head_shapes():
         if "join body" in label:
             engine = _engine()
             assert engine.compiled_chunked(expr).fully_chunked, label
             list(engine.stream(expr, bindings, optimize=False))
-            assert engine.last_eval_statistics.ext_iterations == 51 * 30, label
+            assert engine.last_eval_statistics.ext_iterations == \
+                join_loops.pop(label) + 51 * 30, label
+    assert not join_loops
 
 
 RAISING_HEADS = [
@@ -542,9 +555,10 @@ def test_chunked_pipelines_without_eager_sections_on_optimizer_shapes():
             B.ext("x", B.singleton(B.prim("add", B.var("x"), B.const(50)), "list"),
                   _scan(count=3), kind="list"),
             "list"),
-        A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
-               condition, B.singleton(B.project(B.var("o"), "tag"), "list"),
-               None, None, "list"),
+        _join_loop(B.var("OUTER"), B.var("INNER"), [condition],
+                   B.singleton(B.project(B.var("o"), "tag"), "list"), "list"),
+        _probe_plan(_join_loop(B.var("OUTER"), B.var("INNER"), [condition],
+                               B.singleton(B.project(B.var("o"), "tag"), "list"), "list")),
         ParallelExt("x", B.singleton(B.prim("mul", B.var("x"), B.const(2)), "list"),
                     _scan(count=7), kind="list", max_workers=3),
     ]
@@ -776,21 +790,18 @@ def test_union_with_provenly_mismatched_operands_raises_in_stream_too(mode):
 
 class TestJoinConditionPolicy:
     """The pinned join-condition behavior (ROADMAP): a non-boolean condition
-    value raises for BOTH join methods in all three backends — interpreter,
-    eager closures, and the streamed lowering.  (Indexed joins used to
-    filter by truthiness, so a query's strictness depended on the
-    optimizer's join-method choice.)"""
+    value raises for BOTH join plans in all three backends — interpreter,
+    eager closures, and the streamed lowering.  A join's residual condition
+    is an ordinary filter of the loop, so there is one policy to have."""
 
     @staticmethod
-    def _join(method):
-        condition = B.const(1)  # truthy, but not a boolean
+    def _join(method, condition):
         if method == "indexed":
-            return A.Join("indexed", "o", B.var("OUTER"), "i", B.var("INNER"),
-                          condition, B.singleton(B.var("o"), "list"),
-                          B.var("o"), B.var("i"), "list")
-        return A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
-                      condition, B.singleton(B.var("o"), "list"),
-                      None, None, "list")
+            return _probe_plan(_join_loop(
+                B.var("OUTER"), B.var("INNER"), [B.eq(B.var("o"), B.var("i")), condition],
+                B.singleton(B.var("o"), "list"), "list"))
+        return _join_loop(B.var("OUTER"), B.var("INNER"), [condition],
+                          B.singleton(B.var("o"), "list"), "list")
 
     BINDINGS = {"OUTER": CList([1, 2]), "INNER": CList([1, 3])}
 
@@ -800,29 +811,24 @@ class TestJoinConditionPolicy:
         from repro.core.errors import EvaluationError
 
         engine = _engine()
-        expr = self._join(method)
-        with pytest.raises(EvaluationError, match="join condition must be boolean"):
+        expr = self._join(method, B.const(1))   # truthy, but not a boolean
+        with pytest.raises(EvaluationError, match="condition must be a boolean"):
             engine.execute(expr, self.BINDINGS, optimize=False, mode=mode)
-        with pytest.raises(EvaluationError, match="join condition must be boolean"):
+        with pytest.raises(EvaluationError, match="condition must be a boolean"):
             list(engine.stream(expr, self.BINDINGS, optimize=False, mode=mode))
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     @pytest.mark.parametrize("method", ["blocked", "indexed"])
     def test_boolean_conditions_still_filter(self, mode, method):
         engine = _engine()
-        expr = self._join(method)
-        expr = A.Join(expr.method, expr.outer_var, expr.outer, expr.inner_var,
-                      expr.inner, B.eq(B.var("o"), B.var("i")),
-                      expr.body, expr.outer_key, expr.inner_key,
-                      expr.kind)
+        expr = self._join(method, B.eq(B.var("o"), B.var("i")))
         assert list(engine.stream(expr, self.BINDINGS,
                                   optimize=False, mode=mode)) == [1]
 
 
 def test_unit_block_join_probes_per_outer_element():
     """A blocked join yields each outer element's matches before the next
-    outer element is pulled, and fetches the inner side exactly once (like
-    the indexed join's build side)."""
+    outer element is pulled."""
 
     class CountingDriver(Driver):
         def __init__(self):
@@ -839,11 +845,9 @@ def test_unit_block_join_probes_per_outer_element():
 
     engine = KleisliEngine()
     driver = engine.register_driver(CountingDriver())
-    expr = A.Join("blocked", "o",
-                  A.Scan("counting", {"table": "t"}, kind="list"),
-                  "i", B.var("INNER"),
-                  B.eq(B.prim("mod", B.var("o"), B.const(2)), B.var("i")),
-                  B.singleton(B.var("o"), "list"), None, None, "list")
+    expr = _join_loop(A.Scan("counting", {"table": "t"}, kind="list"), B.var("INNER"),
+                      [B.eq(B.prim("mod", B.var("o"), B.const(2)), B.var("i"))],
+                      B.singleton(B.var("o"), "list"), "list")
     stream = engine.stream(expr, {"INNER": CList([0, 1])},
                            optimize=False, mode="compiled")
     assert next(stream) == 0
@@ -854,7 +858,7 @@ def test_unit_block_join_probes_per_outer_element():
 
 def test_engine_stream_plans_unit_block_joins():
     """engine.stream optimizes exactly as engine.execute does: one query,
-    one blocked-join plan, one value."""
+    one blocked plan (the nested loop itself), one value."""
     engine = _engine()
     condition = B.prim("lt", B.project(B.var("o"), "id"),
                        B.project(B.var("i"), "ref"))
@@ -863,17 +867,9 @@ def test_engine_stream_plans_unit_block_joins():
                   B.var("INNER"))
     expr = B.ext("o", inner, B.var("OUTER"))
 
-    def find_join(term):
-        if isinstance(term, A.Join):
-            return term
-        for child in term.children():
-            found = find_join(child)
-            if found is not None:
-                return found
-        return None
-
     plan = engine.compile(expr)
-    assert find_join(plan).method == "blocked"
+    # No key, and an inner side that is a value already: the loop as written.
+    assert plan == expr
     assert plan == engine.compile_for_stream(expr)
 
     bindings = {
@@ -912,7 +908,7 @@ class TestOneJoinPlan:
         return B.ext("o", inner, A.Scan("tables", {"table": "outer"}, kind="set"))
 
     @pytest.mark.parametrize("caching", [True, False])
-    def test_execute_and_stream_issue_the_same_two_requests(self, caching):
+    def test_execute_and_stream_issue_the_same_requests(self, caching):
         from repro.core.nrc.compile import term_fingerprint
         from repro.core.optimizer import OptimizerConfig
 
@@ -920,23 +916,31 @@ class TestOneJoinPlan:
         driver = engine.register_driver(self.TablesDriver())
         query = self._inequality_join()
         plan = engine.compile(query)
-        assert isinstance(plan, A.Join) and plan.method == "blocked"
+        # The blocked plan: the loop as written, its inner scan hoisted when
+        # the caching stage runs.
+        inner = A.Scan("tables", {"table": "inner"}, kind="set")
+        assert plan.body.source == (A.Cached(inner) if caching else inner)
         assert plan == engine.compile_for_stream(query)
         assert term_fingerprint(plan) == \
             term_fingerprint(engine.compile_for_stream(query))
 
+        # Two requests.  The hoist belongs to the caching stage (the join
+        # stage only picks the key): with it off the plan is the loop as
+        # written and the inner scan is requested once per outer row.  Both
+        # paths alike, which is the pin.
+        requests = ["inner"] * (1 if caching else 600) + ["outer"]
         executed = engine.execute(query)
-        assert sorted(driver.requests) == ["inner", "outer"]
+        assert sorted(driver.requests) == requests
         del driver.requests[:]
         streamed = CSet(engine.stream(query))
-        assert sorted(driver.requests) == ["inner", "outer"]
+        assert sorted(driver.requests) == requests
         assert streamed == executed
         assert len(executed) == sum(range(20))
 
     def test_an_empty_outer_never_evaluates_the_inner(self):
-        join = A.Join("blocked", "o", B.var("OUTER"), "i",
-                      A.Scan("tables", {"table": "inner"}, kind="list"),
-                      None, B.singleton(B.var("o"), "list"), None, None, "list")
+        join = _join_loop(
+            B.var("OUTER"), A.Cached(A.Scan("tables", {"table": "inner"}, kind="list")),
+            [], B.singleton(B.var("o"), "list"), "list")
         runs = [lambda engine, **options: engine.execute(join, **options),
                 lambda engine, **options: list(engine.stream(join, **options))]
         for mode in MODES:
@@ -950,14 +954,15 @@ class TestOneJoinPlan:
         import dataclasses
         import inspect
 
-        from repro.core.optimizer import OptimizerConfig
+        from repro.core.optimizer import OptimizerConfig, OptimizerPipeline
         from repro.core.planner.plan import PhysicalPlan
 
-        assert "block_size" not in A.Join.__slots__
+        assert not hasattr(A, "Join")
         fields = {field.name for field in dataclasses.fields(OptimizerConfig)}
-        assert not fields & {"streaming", "join_block_size"}
-        assert list(inspect.signature(make_join_rule_set).parameters) == \
-            ["cardinality_of", "minimum_inner_size"]
+        assert "streaming" not in fields
+        assert not [name for name in fields if name.startswith("join_")]
+        assert list(inspect.signature(make_join_rule_set).parameters) == []
+        assert "cardinality_of" not in inspect.signature(OptimizerPipeline).parameters
         assert not PhysicalPlan.default().describe().keys() & \
             {"join_block_size", "parallel_workers"}
         assert not hasattr(KleisliEngine(), "stream_optimizer")

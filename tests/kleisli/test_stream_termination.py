@@ -328,10 +328,10 @@ class TestBlockedJoinStreams:
     @staticmethod
     def _join():
         pair = B.record(o=B.var("o"), i=B.var("i"))
-        return A.Join("blocked", "o", A.Scan("bi", {"table": "outer"}, kind="list"),
-                      "i", A.Scan("bi", {"table": "inner"}, kind="list"),
-                      B.prim("lt", B.var("i"), B.var("o")),
-                      B.singleton(pair, "list"), None, None, "list")
+        return B.ext("o", B.ext("i", B.if_then_else(
+            B.prim("lt", B.var("i"), B.var("o")), B.singleton(pair, "list"), B.empty("list")),
+            A.Cached(A.Scan("bi", {"table": "inner"}, kind="list")), "list"),
+            A.Scan("bi", {"table": "outer"}, kind="list"), "list")
 
     def test_ten_outer_rows_scan_the_inner_once(self):
         from repro.core.nrc.compile import ChunkPolicy
@@ -354,7 +354,8 @@ class TestBlockedJoinStreams:
             assert [record.to_dict() for record in values] == expected
             stats = engine.last_eval_statistics
             assert stats.scan_requests == 2  # the outer, the inner once
-            assert stats.elements_fetched == 10 + 4
+            # Both scans, the outer loop, and the inner rows once per outer row.
+            assert stats.elements_fetched == 10 + 4 + 10 + 10 * 4
             assert engine.drivers["bi"].open_cursors == {"outer": 0, "inner": 0}
 
     def test_early_close_releases_both_cursors(self):
@@ -560,12 +561,11 @@ class TestExceptionMidStream:
 
         engine = KleisliEngine()
         driver = engine.register_driver(CursorDriver(total=100))
-        expr = A.Join("blocked", "o",
-                      A.Scan("cursors", {"table": "t"}, kind="list"),
-                      "i", B.var("INNER"),
-                      B.const(1),  # truthy non-boolean: raises on first pair
-                      B.singleton(B.var("o"), "list"), None, None, "list")
-        with pytest.raises(EvaluationError, match="join condition"):
+        expr = B.ext("o", B.ext("i", B.if_then_else(
+            B.const(1),  # truthy non-boolean: raises on first pair
+            B.singleton(B.var("o"), "list"), B.empty("list")), B.var("INNER"), "list"),
+            A.Scan("cursors", {"table": "t"}, kind="list"), "list")
+        with pytest.raises(EvaluationError, match="condition must be a boolean"):
             list(engine.stream(expr, {"INNER": CList([1])},
                                optimize=False, mode=mode))
         assert driver.open_cursors == 0

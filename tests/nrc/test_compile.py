@@ -20,8 +20,9 @@ class TestCompileBasics:
         for name in ["Const", "Var", "Lam", "Apply", "RecordExpr", "Project",
                      "VariantExpr", "Case", "Empty", "Singleton", "Union",
                      "Ext", "Fold", "IfThenElse", "PrimCall", "Let", "Deref",
-                     "Scan", "Join", "Cached", "ParallelExt"]:
+                     "Scan", "Cached", "ParallelExt"]:
             assert name in supported
+        assert "Join" not in supported
 
     def test_simple_arithmetic(self):
         term = B.prim("add", B.const(40), B.const(2))

@@ -255,22 +255,54 @@ class TestDifferentialCorners:
                               B.prim("no_such_primitive", B.const(1)))
         assert_modes_agree(term, {})
 
-    def test_join_nodes_agree(self):
-        from repro.core.optimizer.joins import make_join_rule_set
+    def test_join_plans_agree(self):
+        from repro.core.optimizer.caching import make_caching_rule_set
         from repro.core.values import CSet, Record
 
         outer = CSet([Record({"id": i, "s": f"o{i}"}) for i in range(40)])
         inner = CSet([Record({"ref": i % 13, "v": i}) for i in range(40)])
         condition = B.eq(B.project(B.var("o"), "id"), B.project(B.var("i"), "ref"))
         head = B.record(s=B.project(B.var("o"), "s"), v=B.project(B.var("i"), "v"))
-        nested = B.ext("o", B.ext("i", B.if_then_else(
-            condition, B.singleton(head), B.empty()), B.var("INNER")), B.var("OUTER"))
-        joined = make_join_rule_set(minimum_inner_size=0).apply(nested)
-        assert isinstance(joined, A.Join)
+
+        def loop(inner_source):
+            return B.ext("o", B.ext("i", B.if_then_else(
+                condition, B.singleton(head), B.empty()), inner_source), B.var("OUTER"))
+
+        nested = loop(B.var("INNER"))
+        indexed = make_caching_rule_set().apply(nested)
+        assert "probe(cached(index(INNER by" in indexed.pretty()
         bindings = {"OUTER": outer, "INNER": inner}
         assert_modes_agree(nested, bindings)
-        assert_modes_agree(joined, bindings)
-        blocked = A.Join("blocked", joined.outer_var, joined.outer,
-                         joined.inner_var, joined.inner, condition, joined.body,
-                         None, None, joined.kind)
+        assert_modes_agree(indexed, bindings)
+        blocked = loop(A.Cached(B.ext("s", B.singleton(B.var("s")), B.var("INNER"))))
         assert_modes_agree(blocked, bindings)
+
+    def test_guarded_probe_as_a_loop_source_is_the_let_it_stands_for(self):
+        """The compiled loop probes from the parts of ``guarded_probe``: the
+        key stays unevaluated behind an empty index, a key that raises raises,
+        a probe of something that is no index is the primitive's error, and a
+        ``let`` that only looks like the guard (its key mentions the index) is
+        compiled as the ``let`` it is."""
+        from repro.core.values import CList, Record
+
+        rows = CList([Record({"k": i % 3, "v": i}) for i in range(7)])
+        keyed = A.keyed_rows("y", [], B.project(B.var("y"), "k"), B.var("ROWS"))
+        index = A.Cached(B.prim("index", keyed))
+        bad_key = B.prim("div", B.const(1), B.const(0))
+
+        def loop(source):
+            return B.ext("x", B.ext("y", B.singleton(B.project(B.var("y"), "v"), "list"),
+                                    source, "list"), B.var("KEYS"), "list")
+
+        for keys in (CList([0, 2, 5]), CList()):
+            for table in (rows, CList()):
+                bindings = {"ROWS": table, "KEYS": keys}
+                assert_modes_agree(loop(A.guarded_probe(index, B.var("x"), "list")), bindings)
+                assert_modes_agree(loop(A.guarded_probe(index, bad_key, "list")), bindings)
+        bindings = {"ROWS": rows, "KEYS": CList([1])}
+        assert_modes_agree(loop(A.guarded_probe(B.var("ROWS"), B.var("x"), "list")), bindings)
+        lookalike = A.Let("i", index, A.IfThenElse(
+            B.prim("isempty", B.var("i")), A.Empty("list"),
+            B.prim("probe", B.var("i"), B.prim("count", B.var("i")))))
+        assert A.guarded_probe_parts(lookalike) is None
+        assert_modes_agree(loop(lookalike), bindings)

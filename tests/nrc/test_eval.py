@@ -6,6 +6,7 @@ from repro.core.errors import EvaluationError, UnboundVariableError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.eval import Environment, EvalContext, EvalStatistics, Evaluator, evaluate
+from repro.core.optimizer.caching import make_caching_rule_set
 from repro.core.values import CBag, CList, CSet, Record, Ref, UNIT_VALUE, Variant
 
 
@@ -165,38 +166,30 @@ class TestJoins:
             if o.project("id") == i.project("ref")
         ])
 
+    def _loop(self, outer, inner):
+        head = B.record(name=B.project(B.var("o"), "name"), data=B.project(B.var("i"), "data"))
+        return B.ext("o", B.ext("i", B.if_then_else(
+            B.eq(B.project(B.var("i"), "ref"), B.project(B.var("o"), "id")),
+            B.singleton(head), B.empty()), inner), B.const(outer))
+
     def test_blocked_join_matches_nested_loop_semantics(self):
-        outer, inner = self._inputs()
-        join = A.Join("blocked", "o", B.const(outer), "i", B.const(inner),
-                      B.eq(B.project(B.var("o"), "id"), B.project(B.var("i"), "ref")),
-                      B.singleton(B.record(name=B.project(B.var("o"), "name"),
-                                           data=B.project(B.var("i"), "data"))))
-        assert evaluate(join) == self._expected(outer, inner)
-
-    def test_indexed_join_matches_nested_loop_semantics(self):
-        outer, inner = self._inputs()
-        join = A.Join("indexed", "o", B.const(outer), "i", B.const(inner),
-                      None,
-                      B.singleton(B.record(name=B.project(B.var("o"), "name"),
-                                           data=B.project(B.var("i"), "data"))),
-                      outer_key=B.project(B.var("o"), "id"),
-                      inner_key=B.project(B.var("i"), "ref"))
-        assert evaluate(join) == self._expected(outer, inner)
-
-    def test_indexed_join_requires_keys(self):
-        join = A.Join("indexed", "o", B.const(CSet()), "i", B.const(CSet()),
-                      None, B.singleton(B.const(1)))
-        with pytest.raises(EvaluationError):
-            evaluate(join)
-
-    def test_join_statistics(self):
+        """The blocked join: the loop over an inner side computed once."""
         outer, inner = self._inputs()
         context = EvalContext()
-        join = A.Join("blocked", "o", B.const(outer), "i", B.const(inner),
-                      None, B.singleton(B.const(1)))
-        Evaluator(context).evaluate(join)
-        assert context.statistics.joins_blocked == 1
-        assert context.statistics.joins_indexed == 0
+        join = self._loop(outer, A.Cached(B.ext("s", B.singleton(B.var("s")), B.const(inner))))
+        assert Evaluator(context).evaluate(join) == self._expected(outer, inner)
+        assert (context.statistics.cache_misses, context.statistics.cache_hits) == (1, 4)
+
+    def test_indexed_join_matches_nested_loop_semantics(self):
+        """The indexed join: the loop over a probe of an index built once."""
+        outer, inner = self._inputs()
+        context = EvalContext()
+        join = make_caching_rule_set().apply(self._loop(outer, B.const(inner)))
+        assert "probe(cached(index(" in join.pretty()
+        assert Evaluator(context).evaluate(join) == self._expected(outer, inner)
+        # 5 outer rows, 6 rows indexed once, 4 matched pairs.
+        assert context.statistics.ext_iterations == 5 + 6 + 4
+        assert (context.statistics.cache_misses, context.statistics.cache_hits) == (1, 4)
 
 
 class TestEnvironmentChain:

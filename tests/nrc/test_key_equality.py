@@ -1,10 +1,10 @@
 """Join-key equality is ``eq`` — Python ``==`` — on every path (ROADMAP 5c).
 
 A hash index finds a key by *identity* before it asks ``==``, so rows whose key
-is one shared NaN object used to join each other under the indexed ``Join``
-where the nested loop it replaces pairs them with nothing.  Pinned here,
-identically for the nested loop, the indexed ``Join`` in both lowerings,
-the caching stage's ``probe`` and the interpreter on the unoptimized term:
+is one shared NaN object used to join each other under an index where the
+nested loop it replaces pairs them with nothing.  Pinned here, identically
+for the nested loop as written and for the caching stage's ``probe`` — under
+the interpreter and every compiled lowering, the spilled index included:
 
 * NaN equals nothing, not even itself (shared object or not);
 * ``-0.0`` and ``0.0`` are one key; so are ``True``/``1`` and ``1``/``1.0``.
@@ -48,13 +48,12 @@ CASES = [
 
 
 def _paths(kind):
-    """The self-join as written, as an indexed ``Join``, and as a probe."""
+    """The self-join as written and as a probe."""
     nested = _self_join(kind)
-    joined = make_join_rule_set(minimum_inner_size=0).apply(_self_join("set"))
     probed = make_caching_rule_set().apply(nested)
-    assert isinstance(joined, A.Join) and joined.method == "indexed"
-    assert "probe(" in probed.pretty()
-    return nested, joined, probed
+    assert make_join_rule_set().apply(nested) == nested     # the key is already first
+    assert "probe(cached(index(" in probed.pretty()
+    return nested, probed
 
 
 @pytest.mark.parametrize("label,keys,expected", CASES, ids=[case[0] for case in CASES])
@@ -63,7 +62,7 @@ def test_every_path_pairs_the_same_rows(label, keys, expected):
     for kind in ("set", "bag"):
         table = make_collection(kind, [Record({"k": key, "v": position})
                                        for position, key in enumerate(keys)])
-        nested, joined, probed = _paths(kind)
+        nested, probed = _paths(kind)
         bindings = {"T": table}
         results = {
             "nested loop, interpreted": engine.execute(nested, bindings, optimize=False,
@@ -72,20 +71,12 @@ def test_every_path_pairs_the_same_rows(label, keys, expected):
             "probe, compiled": engine.execute(probed, bindings, optimize=False),
             "probe, interpreted": engine.execute(probed, bindings, optimize=False,
                                                  mode="interpret"),
+            "probe, chunked": list(engine.stream(probed, bindings, optimize=False)),
+            "probe, chunks of one": list(engine.stream(
+                probed, bindings, optimize=False, chunk_policy=ChunkPolicy(max_chunk=1))),
+            "probe, spilled": engine.execute(probed, bindings, optimize=False, spill=True),
             "default optimizer": engine.execute(nested, bindings),
         }
-        if kind == "set":
-            results.update({
-                "indexed join, compiled": engine.execute(joined, bindings, optimize=False),
-                "indexed join, interpreted": engine.execute(joined, bindings, optimize=False,
-                                                            mode="interpret"),
-                "indexed join, chunked": CSet(engine.stream(joined, bindings, optimize=False)),
-                "indexed join, chunks of one": CSet(engine.stream(
-                    joined, bindings, optimize=False,
-                    chunk_policy=ChunkPolicy(max_chunk=1))),
-                "indexed join, spilled": engine.execute(joined, bindings, optimize=False,
-                                                        spill=True),
-            })
         for path, value in results.items():
             assert _pairs(value) == expected, (kind, path)
 

@@ -356,9 +356,9 @@ class TestKindProof:
             (A.Empty("bag"), "bag"),
             (B.singleton(B.const(1), "list"), "list"),
             (B.ext("x", B.singleton(B.var("x")), B.var("S")), "set"),
-            (A.Join("blocked", "o", B.var("O"), "i", B.var("I"), None,
-                    B.singleton(B.var("o"), "list"), None, None, "list"),
-             "list"),
+            # A local join is the loop it is written as.
+            (B.ext("o", B.ext("i", B.singleton(B.var("o"), "list"), B.var("I"), "list"),
+                   B.var("O"), "list"), "list"),
         ]
         for expr, expected in cases:
             assert proven_collection_kind(expr) == expected, expr

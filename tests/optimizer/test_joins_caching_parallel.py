@@ -26,41 +26,74 @@ def join_data(outer_size=20, inner_size=30):
     return {"OUTER": outer, "INNER": inner}
 
 
-class TestJoinRuleSet:
-    def test_equality_condition_yields_indexed_join(self):
-        rewritten = make_join_rule_set(minimum_inner_size=0).apply(nested_loop_join_expr())
-        assert isinstance(rewritten, A.Join)
-        assert rewritten.method == "indexed"
-        assert rewritten.outer_key is not None
+def local_join_plan(expr):
+    """The two stages that plan a local join, in pipeline order: the join
+    stage puts the key first, the decorrelation stage probes or hoists."""
+    return make_caching_rule_set().apply(make_join_rule_set().apply(expr))
 
-    def test_non_equality_condition_yields_blocked_join(self):
+
+def _probes(expr):
+    return [node for node in _subterms(expr)
+            if isinstance(node, A.PrimCall) and node.name == "probe"]
+
+
+class TestJoinRuleSet:
+    def test_equality_condition_yields_a_probe(self):
+        expr = nested_loop_join_expr()
+        assert make_join_rule_set().apply(expr) == expr     # the key is already first
+        plan = local_join_plan(expr)
+        probe, = _probes(plan)
+        assert probe.args[1] == B.project(B.var("o"), "id")
+        assert plan.source == B.var("OUTER")
+
+    def test_non_equality_condition_loops_over_a_hoisted_inner(self):
         condition = B.prim("lt", B.project(B.var("o"), "id"), B.project(B.var("i"), "ref"))
+        subquery = B.ext("s", B.singleton(B.var("s")), B.var("INNER"))
         inner = B.ext("i", B.if_then_else(condition, B.singleton(B.const(1)), B.empty()),
-                      B.var("INNER"))
+                      subquery)
         expr = B.ext("o", inner, B.var("OUTER"))
-        rewritten = make_join_rule_set(minimum_inner_size=0).apply(expr)
-        assert isinstance(rewritten, A.Join)
-        assert rewritten.method == "blocked"
+        assert make_join_rule_set().apply(expr) == expr
+        plan = local_join_plan(expr)
+        assert not _probes(plan)
+        assert plan.body.source == A.Cached(subquery)
+
+    def test_key_moves_in_front_of_a_filter_on_the_outer_row(self):
+        key = B.eq(B.project(B.var("o"), "id"), B.project(B.var("i"), "ref"))
+        own = B.prim("lt", B.project(B.var("i"), "ref"), B.const(5))
+        mixed = B.prim("lt", B.project(B.var("i"), "ref"), B.project(B.var("o"), "id"))
+        last = B.prim("lt", B.const(0), B.project(B.var("o"), "id"))
+
+        def loop(*conditions):
+            body = B.singleton(B.project(B.var("i"), "data"))
+            for condition in reversed(conditions):
+                body = B.if_then_else(condition, body, B.empty())
+            return B.ext("o", B.ext("i", body, B.var("INNER")), B.var("OUTER"))
+
+        stats = RewriteStats()
+        moved = make_join_rule_set().apply(loop(own, mixed, key, last), stats)
+        assert moved == loop(own, key, mixed, last)
+        assert stats.firings == {"local-join": 1}
+        # A filter on the inner row alone runs while the index is built:
+        # nothing to move, and the decorrelation stage keys the loop as it is.
+        assert make_join_rule_set().apply(loop(own, key, mixed)) == loop(own, key, mixed)
+        assert len(_probes(local_join_plan(loop(own, key, mixed)))) == 1
+        data = join_data()
+        assert evaluate(loop(own, mixed, key, last), data) == \
+            evaluate(local_join_plan(loop(own, mixed, key, last)), data)
 
     def test_join_rewrite_preserves_semantics(self):
         expr = nested_loop_join_expr()
-        rewritten = make_join_rule_set(minimum_inner_size=0).apply(expr)
         data = join_data()
-        assert evaluate(expr, data) == evaluate(rewritten, data)
+        assert evaluate(expr, data) == evaluate(local_join_plan(expr), data)
 
     def test_correlated_inner_loop_is_not_rewritten(self):
         # The inner source depends on the outer variable: not a local join.
         inner = B.ext("i", B.singleton(B.var("i")), B.project(B.var("o"), "children"))
         expr = B.ext("o", inner, B.var("OUTER"))
-        assert make_join_rule_set(minimum_inner_size=0).apply(expr) == expr
+        assert local_join_plan(expr) == expr
 
-    def test_small_inner_is_left_alone_by_statistics(self):
-        rewritten = make_join_rule_set(cardinality_of=lambda source: 2,
-                                       minimum_inner_size=8).apply(nested_loop_join_expr())
-        assert not isinstance(rewritten, A.Join)
-
-    def test_three_generators_join_at_the_outermost_pair(self):
-        """The third generator stays a loop, as the body of the one join."""
+    def test_three_generators_probe_once_per_inner_generator(self):
+        """A left-deep chain: each inner generator is a probe of its own index."""
         innermost = B.ext("c", B.if_then_else(
             B.eq(B.project(B.var("c"), "ref"), B.project(B.var("i"), "ref")),
             B.singleton(B.project(B.var("c"), "data")), B.empty()), B.var("THIRD"))
@@ -68,25 +101,24 @@ class TestJoinRuleSet:
             B.eq(B.project(B.var("o"), "id"), B.project(B.var("i"), "ref")),
             innermost, B.empty()), B.var("INNER"))
         expr = B.ext("o", middle, B.var("OUTER"))
-        rewritten = make_join_rule_set(minimum_inner_size=0).apply(expr)
-        assert isinstance(rewritten, A.Join) and rewritten.method == "indexed"
-        assert (rewritten.outer, rewritten.inner) == (B.var("OUTER"), B.var("INNER"))
-        assert rewritten.body == innermost and rewritten.condition is None
+        plan = local_join_plan(expr)
+        # (a loop's body is walked before its source: innermost probe first)
+        assert [probe.args[1] for probe in _probes(plan)] == [
+            B.project(B.var("i"), "ref"), B.project(B.var("o"), "id")]
         data = dict(join_data(), THIRD=join_data()["INNER"])
-        assert evaluate(expr, data) == evaluate(rewritten, data)
-        assert len(evaluate(rewritten, data)) == 30
+        assert evaluate(expr, data) == evaluate(plan, data)
+        assert len(evaluate(plan, data)) == 30
 
-    def test_indexed_join_runs_faster_statistics(self):
-        """The indexed join touches far fewer pairs than the nested loop."""
+    def test_probe_plan_touches_far_fewer_rows_than_the_nested_loop(self):
         expr = nested_loop_join_expr()
-        rewritten = make_join_rule_set(minimum_inner_size=0).apply(expr)
         data = join_data(outer_size=50, inner_size=50)
 
         plain_context = EvalContext()
         Evaluator(plain_context).evaluate(expr, _env(data))
         join_context = EvalContext()
-        Evaluator(join_context).evaluate(rewritten, _env(data))
-        assert join_context.statistics.joins_indexed == 1
+        Evaluator(join_context).evaluate(local_join_plan(expr), _env(data))
+        # Outer rows + rows indexed once + matched pairs (ids 0-9, five each).
+        assert join_context.statistics.ext_iterations == 50 + 50 + 50
         assert plain_context.statistics.ext_iterations == 50 + 50 * 50
 
 
@@ -220,28 +252,28 @@ class TestCachingRuleSet:
         assert "cached" not in make_caching_rule_set().apply(expr).pretty()
 
     def test_join_inner_depending_on_enclosing_loop_is_not_cached(self):
-        """Regression for the mapsearch bug: a Join nested in an outer loop
+        """Regression for the mapsearch bug: a join nested in an outer loop
         whose inner scan depends on the outer loop variable must not be cached
         (caching froze the first accession's GenBank result for every locus)."""
         dependent_scan = A.Scan("GenBank", {"db": "na"},
                                 {"select": B.project(B.var("outer_rec"), "genbank_ref")})
-        join = A.Join("blocked", "o", B.var("CYTO"), "i", dependent_scan,
-                      condition=B.eq(B.project(B.var("o"), "id"), B.const(1)),
-                      body=B.singleton(B.var("i")))
+        join = B.ext("o", B.if_then_else(
+            B.eq(B.project(B.var("o"), "id"), B.const(1)),
+            B.ext("i", B.singleton(B.var("i")), dependent_scan), B.empty()), B.var("CYTO"))
         expr = B.ext("outer_rec", join, A.Scan("GDB", {"table": "object_genbank_eref"}))
         rewritten = make_caching_rule_set().apply(expr)
         assert "cached(scan[GenBank]" not in rewritten.pretty()
 
     def test_join_inner_independent_of_all_loops_is_cached(self):
         independent_scan = A.Scan("GenBank", {"db": "na", "select": "fixed"})
-        join = A.Join("blocked", "o", B.var("CYTO"), "i", independent_scan,
-                      condition=None, body=B.singleton(B.var("i")))
-        expr = B.ext("outer_rec", join, A.Scan("GDB", {"table": "locus"}))
+        inner = B.ext("i", B.singleton(B.var("i")), independent_scan)
+        expr = B.ext("outer_rec", B.ext("o", inner, B.var("CYTO")),
+                     A.Scan("GDB", {"table": "locus"}))
         rewritten = make_caching_rule_set().apply(expr)
         # The join mentions no binder of the loop around it: it is hoisted
-        # whole, and its inner — evaluated once per evaluation of the join,
-        # like every other child — needs no Cached of its own.
-        assert "cached(blocked-join(" in rewritten.pretty()
+        # whole; inside it the inner loop is the build side, hoisted whole
+        # in turn, so the scan needs no Cached of its own.
+        assert rewritten.body == A.Cached(B.ext("o", A.Cached(inner), B.var("CYTO")))
         assert "cached(scan[GenBank]" not in rewritten.pretty()
         calls = []
 
@@ -316,29 +348,27 @@ class TestParallelRuleSet:
         assert server.request_count == 12
 
 
-class TestStreamingJoinHint:
-    """There is no pipelined-execution hint: the one blocked join the rule
-    set emits materialises its inner side once and probes it per outer
-    element, so ``execute`` and ``stream`` share it (the rule set's method
-    choice is pinned by ``TestJoinRuleSet``)."""
+class TestBlockedJoinPlan:
+    """A join without a key is the loop it was written as over an inner side
+    computed once: ``execute`` and ``stream`` share the one plan."""
 
-    def test_streaming_hint_preserves_semantics(self):
+    def test_hoisted_inner_preserves_semantics(self):
         condition = B.prim("lt", B.project(B.var("o"), "id"),
                            B.project(B.var("i"), "ref"))
         head = B.record(n=B.project(B.var("o"), "name"),
                         d=B.project(B.var("i"), "data"))
+        subquery = B.ext("s", B.singleton(B.var("s")), B.var("INNER"))
         inner = B.ext("i", B.if_then_else(condition, B.singleton(head),
-                                          B.empty()), B.var("INNER"))
+                                          B.empty()), subquery)
         expr = B.ext("o", inner, B.var("OUTER"))
-        joined = make_join_rule_set(minimum_inner_size=0).apply(expr)
-        assert isinstance(joined, A.Join) and joined.method == "blocked"
+        plan = local_join_plan(expr)
+        assert isinstance(plan.body.source, A.Cached)
         data = join_data()
-        assert evaluate(expr, data) == evaluate(joined, data)
+        assert evaluate(expr, data) == evaluate(plan, data)
 
-    def test_unit_block_join_fetches_the_inner_side_once(self):
-        """The blocked join is a per-element probe: the inner side is
-        materialised once (like the indexed build side) however many outer
-        rows there are — in all three backends."""
+    def test_hoisted_inner_side_is_fetched_once(self):
+        """The inner side is materialised once however many outer rows there
+        are — in all three backends."""
         from repro.core.values import CList
         from repro.kleisli.drivers.base import Driver
         from repro.kleisli.engine import KleisliEngine
@@ -350,23 +380,23 @@ class TestStreamingJoinHint:
             def _execute(self, request):
                 return CList(range(5))
 
-        def unit_join():
-            return A.Join("blocked", "o", B.var("OUTER"), "i",
-                          A.Scan("inner", {"table": "t"}, kind="list"),
-                          B.prim("lt", B.var("o"), B.var("i")),
-                          B.singleton(B.var("o"), "list"),
-                          None, None, "list")
+        def blocked_join():
+            inner = A.Cached(A.Scan("inner", {"table": "t"}, kind="list"))
+            return B.ext("o", B.ext("i", B.if_then_else(
+                B.prim("lt", B.var("o"), B.var("i")),
+                B.singleton(B.var("o"), "list"), B.empty("list")), inner, "list"),
+                B.var("OUTER"), "list")
 
         outer = CList(range(10))
         for mode in ("interpret", "compiled"):
             engine = KleisliEngine()
             engine.register_driver(InnerDriver())
-            engine.execute(unit_join(), {"OUTER": outer},
+            engine.execute(blocked_join(), {"OUTER": outer},
                            optimize=False, mode=mode)
             assert engine.last_eval_statistics.scan_requests == 1, mode
             engine = KleisliEngine()
             engine.register_driver(InnerDriver())
-            list(engine.stream(unit_join(), {"OUTER": outer},
+            list(engine.stream(blocked_join(), {"OUTER": outer},
                                optimize=False, mode=mode))
             assert engine.last_eval_statistics.scan_requests == 1, \
                 f"stream/{mode}"

@@ -7,8 +7,8 @@ no test value, only these two counters.  They are pinned here, under the
 default optimizer, over the example's own definitions and dataset seed.
 
 Likewise for joins that stay local (second half): the end-to-end benchmark's
-``local_relational`` queries and its two correlated ad-hoc templates run as a
-join on top and probes of indexes built once, never as a scan of the inner
+``local_relational`` queries and its two correlated ad-hoc templates run as
+loops over probes of indexes built once, never as a scan of the inner
 relation per outer row; the workloads no rule of this kind applies to keep the
 plan they had.
 """
@@ -189,8 +189,10 @@ def _run(session, text):
 #: (``workloads.RELATIONAL_ROWS`` ...): each inner relation is read once.
 LOCAL_PINS = [
     # label, query, ext_iterations, cache misses (= subqueries computed)
-    # One index on CYTO (100), probed by the 34 matching pairs.
-    ("3-way join", workloads.JOIN_QUERY, 100 + 34, 1),
+    # The loop over LOCI (200); one index on REFS (200), probed by the 67
+    # loci on chromosome 22, one reference each; one index on CYTO (100),
+    # probed by the 34 class-1 pairs.
+    ("3-way join", workloads.JOIN_QUERY, 200 + 200 + 67 + 100 + 34, 2),
     # One index on OBS (160) serves count and max: 160 rows, two probes
     # each, four observations per group.
     ("correlated aggregate", workloads.AGGREGATE_QUERY, 160 + 160 + 160 * 2 * 4, 1),
@@ -208,15 +210,20 @@ def test_local_relational_reads_each_inner_relation_once(
     assert statistics.cache_misses == misses
 
 
-def test_three_way_join_is_a_join_over_a_probe(relational_session):
+def test_three_way_join_is_a_loop_over_two_probes(relational_session):
     plan, statistics = _run(relational_session, workloads.JOIN_QUERY)
-    assert isinstance(plan, A.Join) and plan.method == "indexed"
-    assert (plan.outer, plan.inner) == (A.Var("LOCI"), A.Var("REFS"))
-    # The third generator is the join's body: a loop over one probed group.
-    assert isinstance(plan.body, A.Ext) and len(_nodes(plan, A.Join)) == 1
+    # The outer generator is the loop as written; each further generator is
+    # a loop over one probed group, inside the filters that precede it.
+    assert type(plan) is A.Ext and plan.source == A.Var("LOCI")
     rendered = plan.pretty()
-    assert "probe(cached(index(CYTO by \\" in rendered and ".locus)), " in rendered
-    assert statistics.joins_indexed == 1
+    for table in ("REFS", "CYTO"):
+        assert f"probe(cached(index({table} by \\" in rendered
+    assert rendered.count(".locus)), ") == 2
+    probes = [node for node in _nodes(plan, A.PrimCall) if node.name == "probe"]
+    assert len(probes) == 2
+    fired = relational_session.engine.last_rewrite_stats.fired
+    assert (fired("local-join"), fired("index-correlated-loop")) == (0, 2)
+    assert (statistics.cache_misses, statistics.cache_hits) == (2, 67 - 1 + 34 - 1)
 
 
 def test_count_and_max_share_one_index(relational_session):

@@ -63,6 +63,9 @@ def _cpl_terms():
         locus_count=40, homologues_per_entry=1, sequence_length=60,
         publication_count=5, seed=22))
     cases = [("join", relational, workloads.JOIN_QUERY),
+             # The key stands behind a filter on both rows: the join stage's rule.
+             ("join behind a mixed filter", relational,
+              r'{[a = l.id, b = r.acc] | \l <- LOCI, \r <- REFS, r.cls < l.id, r.locus = l.id}'),
              ("aggregate", relational, workloads.AGGREGATE_QUERY),
              ("semi-join", relational, workloads.SEMIJOIN_QUERY),
              ("union_dedup", union, workloads.UNION_QUERY),

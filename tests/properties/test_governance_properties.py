@@ -68,12 +68,12 @@ def _shapes():
     nested = B.ext("x", nested_body, _scan(count=12), kind="list")
     # A blocked join inside a loop: a third cursor family, the join's
     # loop-invariant inner side, fetched once on first need.
-    join = A.Join("blocked", "o",
-                  A.Scan("ranges", {"table": "t", "count": 3},
-                         args={"base": B.var("x")}, kind="list"),
-                  "i", _scan(count=5), B.prim("lt", B.var("i"), B.var("o")),
-                  B.singleton(B.prim("add", B.var("o"), B.var("i")), "list"),
-                  kind="list")
+    join = B.ext("o", B.ext("i", B.if_then_else(
+        B.prim("lt", B.var("i"), B.var("o")),
+        B.singleton(B.prim("add", B.var("o"), B.var("i")), "list"), B.empty("list")),
+        A.Cached(_scan(count=5)), kind="list"),
+        A.Scan("ranges", {"table": "t", "count": 3},
+               args={"base": B.var("x")}, kind="list"), kind="list")
     nested_join = B.ext("x", join, _scan(count=4), kind="list")
     return [("mapped", mapped), ("dedup", dedup), ("nested", nested),
             ("nested join", nested_join)]
