@@ -6,8 +6,9 @@ overlap, too high overwhelms the server; *"techniques to automatically adjust
 the level of concurrency based on the capability of servers and on resource
 availability are being developed"* [43].
 
-This benchmark compares fixed worker counts against the
-:class:`~repro.kleisli.scheduler.AdaptiveScheduler` on two simulated servers:
+This benchmark compares a :class:`~repro.kleisli.scheduler.Scheduler` window
+pinned at fixed worker counts against the same scheduler with the window free
+to move (``adaptive=True``) on two simulated servers:
 
 * a *capable* server (high concurrency cap) — the adaptive scheduler should
   ramp up and approach the best fixed setting;
@@ -16,13 +17,12 @@ This benchmark compares fixed worker counts against the
   every request.
 """
 
-import os
 import time
 
 import pytest
 
 from repro.core.errors import RemoteSourceError
-from repro.kleisli.scheduler import AdaptiveScheduler, BoundedScheduler
+from repro.kleisli.scheduler import Scheduler
 from repro.net.remote import RemoteSource
 
 from conftest import report
@@ -40,13 +40,16 @@ def _run(scheduler, cap: int):
     server = _server(cap)
     started = time.perf_counter()
     try:
-        scheduler.map(server.call, list(range(REQUESTS)))
+        # A task is a list of work units: one request each.
+        for _ in scheduler.prefetch(lambda task: server.call(task[0]),
+                                    ([request] for request in range(REQUESTS))):
+            pass
         failed = False
     except RemoteSourceError:
         failed = True
     finally:
-        # Pools are persistent per scheduler now; release the workers so one
-        # section's idle threads cannot add noise to the next timed section.
+        # Release the workers so one section's idle threads cannot add noise
+        # to the next timed section.
         scheduler.close()
     elapsed = time.perf_counter() - started
     return elapsed, server, failed
@@ -60,9 +63,9 @@ def _run(scheduler, cap: int):
 def test_adaptive_against_capable_server(benchmark, mode):
     def once():
         if mode == "adaptive":
-            scheduler = AdaptiveScheduler(max_workers=8)
+            scheduler = Scheduler(max_workers=8, adaptive=True)
         else:
-            scheduler = BoundedScheduler(max_workers=int(mode.split("-")[1]))
+            scheduler = Scheduler(max_workers=int(mode.split("-")[1]))
         return _run(scheduler, cap=16)
 
     benchmark(once)
@@ -76,17 +79,16 @@ def test_e8c_capable_server_report():
     rows = []
     timings = {}
     for label, scheduler in [
-        ("fixed 1 worker", BoundedScheduler(max_workers=1)),
-        ("fixed 5 workers", BoundedScheduler(max_workers=5)),
-        ("fixed 8 workers", BoundedScheduler(max_workers=8)),
-        ("adaptive (cap 8)", AdaptiveScheduler(max_workers=8)),
+        ("fixed 1 worker", Scheduler(max_workers=1)),
+        ("fixed 5 workers", Scheduler(max_workers=5)),
+        ("fixed 8 workers", Scheduler(max_workers=8)),
+        ("adaptive (cap 8)", Scheduler(max_workers=8, adaptive=True)),
     ]:
         elapsed, server, failed = _run(scheduler, cap=16)
         assert not failed
         timings[label] = elapsed
-        level = getattr(scheduler, "level_history", None)
         rows.append([label, f"{elapsed * 1000:.0f} ms", server.log.max_concurrency(),
-                     (level[-1] if level else "-")])
+                     scheduler.level])
     report(f"E8c: {REQUESTS} requests to a capable server ({LATENCY * 1000:.0f} ms latency, cap 16)",
            rows, ["scheduler", "total time", "peak in-flight", "final level"])
     # The adaptive scheduler beats the sequential baseline clearly and lands
@@ -100,9 +102,10 @@ def test_e8c_fragile_server_report():
     rows = []
     outcomes = {}
     for label, factory in [
-        ("fixed 8 workers", lambda: BoundedScheduler(max_workers=8)),
-        ("fixed 3 workers", lambda: BoundedScheduler(max_workers=3)),
-        ("adaptive (start 8)", lambda: AdaptiveScheduler(max_workers=10, initial_workers=8)),
+        ("fixed 8 workers", lambda: Scheduler(max_workers=8)),
+        ("fixed 3 workers", lambda: Scheduler(max_workers=3)),
+        ("adaptive (start 8)", lambda: Scheduler(max_workers=10, adaptive=True,
+                                                 initial_workers=8)),
     ]:
         elapsed, server, failed = _run(factory(), cap=cap)
         outcomes[label] = failed
@@ -118,60 +121,13 @@ def test_e8c_fragile_server_report():
     assert outcomes["adaptive (start 8)"] is False
 
 
-def test_e8d_executor_reuse_report():
-    """Pool churn: schedulers now keep one lazily-created executor.
-
-    Earlier versions built a fresh ThreadPoolExecutor per ``map`` call
-    (bounded) or per *batch* (adaptive); on short latency-free batches the
-    thread create/join dominated.  Constructing a fresh scheduler per call
-    reproduces the old per-call cost; reusing one scheduler shows the
-    saving.
-    """
-    calls, items = 40, 8
-
-    def work(x):
-        return x * x
-
-    started = time.perf_counter()
-    for _ in range(calls):
-        scheduler = BoundedScheduler(max_workers=4)
-        try:
-            scheduler.map(work, range(items))
-        finally:
-            scheduler.close()
-    churn = time.perf_counter() - started
-
-    started = time.perf_counter()
-    with BoundedScheduler(max_workers=4) as scheduler:
-        for _ in range(calls):
-            scheduler.map(work, range(items))
-    reuse = time.perf_counter() - started
-
-    started = time.perf_counter()
-    with AdaptiveScheduler(max_workers=4) as adaptive:
-        adaptive.map(work, list(range(calls * items)))
-    adaptive_reuse = time.perf_counter() - started
-
-    report(f"E8d: {calls} map calls of {items} items (no server latency)",
-           [["fresh scheduler per call (old cost)", f"{churn * 1000:.1f} ms"],
-            ["one scheduler, pooled executor", f"{reuse * 1000:.1f} ms",],
-            [f"adaptive, {adaptive.batches} batches on one pool",
-             f"{adaptive_reuse * 1000:.1f} ms"]],
-           ["configuration", "total time"])
-    # Reuse must at least not lose to per-call pool construction; the margin
-    # (locally ~3x in reuse's favor) absorbs shared-runner wall-clock noise
-    # rather than asserting a bare `<` that can flip within jitter.
-    max_ratio = float(os.environ.get("BENCH_REUSE_MAX_RATIO", "1.25"))
-    assert reuse < churn * max_ratio, (reuse, churn)
-
-
 def test_e8c_adaptive_settles_at_the_server_capability():
-    scheduler = AdaptiveScheduler(max_workers=10, initial_workers=8)
+    scheduler = Scheduler(max_workers=10, adaptive=True, initial_workers=8)
     _, server, failed = _run(scheduler, cap=3)
     assert not failed
     report("E8c: adaptive level trajectory against a cap-3 server",
            [[", ".join(str(level) for level in scheduler.level_history)]],
-           ["levels used per batch"])
+           ["levels the window moved to"])
     assert scheduler.overload_events >= 1
     assert scheduler.level_history[-1] <= 3
     assert server.log.max_concurrency() <= 3

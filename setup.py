@@ -3,7 +3,7 @@
 The environment this reproduction is developed in has no network access and no
 ``wheel`` package, so PEP 517 editable installs cannot build.  This setup.py
 lets ``pip install -e . --no-use-pep517 --no-build-isolation`` (setuptools
-``develop`` mode) work offline.  Package metadata lives in ``pyproject.toml``.
+``develop`` mode) work offline.  This file is the only package metadata.
 """
 
 from setuptools import find_packages, setup

@@ -1295,7 +1295,7 @@ class ChunkPolicy:
     ``ParallelExt``'s prefetcher: 1 (the default) keeps one in-flight task
     per source *element* — the right shape for overlapping remote latency —
     while a larger value submits one task per ``parallel_chunk`` source
-    elements (``AdaptiveScheduler.prefetch``'s chunk-granular mode),
+    elements (a scheduler task is a list of work units either way),
     amortizing task overhead when the body is cheap.
     """
 

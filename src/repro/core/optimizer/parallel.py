@@ -10,8 +10,8 @@ must be careful ... the server S may only be able to handle a limited number
 of requests at a time, say five."
 
 * :class:`ParallelExt` is that primitive: an ``Ext`` whose body is evaluated
-  for several source elements at once, bounded by ``max_workers`` (batching
-  also bounds unconsumed replies, the second concern the paper raises).
+  for several source elements at once, bounded by ``max_workers`` (the
+  window also bounds unconsumed replies, the second concern the paper raises).
 * "Say five" is a property of the *server*, not of one loop: nested parallel
   loops and concurrent sessions reach the same server, so the bound that
   protects it is the per-driver in-flight gate of
@@ -27,7 +27,8 @@ of requests at a time, say five."
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional
+from contextlib import closing
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..nrc import ast as A
 from ..nrc.eval import Environment, Evaluator
@@ -43,10 +44,10 @@ __all__ = ["ParallelExt", "make_parallel_rule_set"]
 class ParallelExt(A.Ext):
     """An ``Ext`` evaluated with bounded parallelism over the source elements.
 
-    With ``adaptive`` set, the level of concurrency is not fixed at
-    ``max_workers`` but adjusted to the server's observed capability by an
-    :class:`~repro.kleisli.scheduler.AdaptiveScheduler` (the paper's [43]
-    extension); ``max_workers`` then acts as the upper bound of the probe.
+    A :class:`~repro.kleisli.scheduler.Scheduler` window of ``max_workers``
+    body evaluations is in flight.  With ``adaptive`` set the window may
+    move: it follows the server's observed capability (the paper's [43]
+    extension) and ``max_workers`` is the upper bound of the probe.
     """
 
     __slots__ = ("max_workers", "adaptive")
@@ -77,64 +78,100 @@ class ParallelExt(A.Ext):
 register_kind_prover(ParallelExt)(lambda expr: expr.kind)
 
 
-def _make_scheduler(max_workers: int, adaptive: bool,
-                    initial_window: Optional[int] = None):
-    from ...kleisli.scheduler import AdaptiveScheduler, BoundedScheduler  # avoids a cycle
+def _replies(expr: ParallelExt, tasks: Iterable[list], run_body, context
+             ) -> Iterator[list]:
+    """The one reply loop behind every lowering of :class:`ParallelExt`.
 
-    if adaptive:
-        scheduler = AdaptiveScheduler(max_workers=max_workers)
-        if initial_window is not None:
-            # The planner's prefetch-window hint: start the adaptive window
-            # at the plan's level (a known-slow server's bandwidth-delay
-            # product) instead of probing up from one worker.
-            scheduler.apply_plan_hint(initial_window)
-        return scheduler
-    return BoundedScheduler(max_workers=max_workers)
-
-
-def _plan_window(context) -> Optional[int]:
-    """The prefetch-window hint of the run's physical plan, if any."""
-    plan = getattr(context, "physical_plan", None)
-    return None if plan is None else plan.prefetch_window
-
-
-def _run_parallel_loop(items: List[object], run_body, kind: str,
-                       max_workers: int, adaptive: bool, statistics):
-    """Shared ParallelExt execution: scheduler selection, fan-out, statistics.
-
-    Both execution modes route through here (the interpreter dispatch and the
-    compiled closure differ only in ``run_body``), so scheduler or accounting
-    changes cannot diverge the modes.
+    ``tasks`` yields lists of source elements (the eager lowerings hand
+    one-element lists, the chunk lowering ``ChunkPolicy.parallel_chunk``
+    elements); each task's result elements come back as one list, in task
+    order, through a :class:`~repro.kleisli.scheduler.Scheduler` window.
+    Scheduler construction, the plan hint, ``ext_iterations``, the
+    cancellation checkpoint (one per reply: a body that never reaches a
+    driver has no other) and the pool's release live here and nowhere else.
+    Close the generator to release the pool — both callers do.
     """
-    scheduler = _make_scheduler(max_workers, adaptive)
+    stats = context.statistics
+    token = context.cancellation
 
-    def run_one(item):
-        return list(iter_collection(materialise(run_body(item))))
+    def run_task(items):
+        out: List[object] = []
+        for item in items:
+            out.extend(iter_collection(materialise(run_body(item))))
+        return len(items), out
 
+    tasks = iter(tasks)
+    head = list(itertools.islice(tasks, 2))
+    scheduler = scope = None
+    if len(head) < 2:
+        # A loop over zero or one task has nothing to overlap: no scheduler,
+        # no pool (a nested parallel loop runs one of these per outer row).
+        outcomes = map(run_task, head)
+    else:
+        from ...kleisli.scheduler import Scheduler  # avoids a cycle
+
+        scheduler = Scheduler(expr.max_workers, adaptive=expr.adaptive)
+        plan = getattr(context, "physical_plan", None)
+        if plan is not None and plan.prefetch_window is not None:
+            # The planner's prefetch-window hint: start a moving window at
+            # the plan's level (a known-slow server's bandwidth-delay
+            # product) instead of probing up from one worker.
+            scheduler.apply_plan_hint(plan.prefetch_window)
+        scope = context.scope
+        if scope is not None:
+            # Backstop: if this generator is abandoned without close()
+            # reaching its finally (e.g. dropped without GC running), the
+            # pipeline's evaluation scope still joins the worker pool.
+            scope.register(scheduler)
+        outcomes = scheduler.prefetch(run_task, itertools.chain(head, tasks))
     try:
-        results = scheduler.map(run_one, items)
+        for consumed, out in outcomes:
+            if token is not None:
+                token.raise_if_cancelled()
+            stats.ext_iterations += consumed
+            yield out
     finally:
-        # The scheduler's worker pool persists across batches within this
-        # loop; release it (joining its threads) when the loop completes.
-        scheduler.close()
+        if scheduler is not None:
+            # Always close on loop exit: a ParallelExt in the body of an
+            # outer loop runs once per outer element — deferring the close
+            # to stream end would accumulate one live pool per iteration.
+            # Unregistering keeps the scope from pinning one dead scheduler
+            # per iteration for the life of the stream.
+            scheduler.close()
+            if scope is not None:
+                scope.unregister(scheduler)
+
+
+def _run_parallel_loop(expr: ParallelExt, source, run_body, context):
+    """Eager ParallelExt (the interpreter arm and the compiled closure
+    differ only in ``run_body``): gather every reply into the result.
+
+    The reply buffer is a materialization point like the eager ``Ext``'s:
+    quantum-batched budget charges, the remainder at the end.
+    """
+    budget = context.memory_budget
     elements: List[object] = []
-    for chunk in results:
-        elements.extend(chunk)
-    statistics.ext_iterations += len(items)
-    statistics.note_intermediate(len(elements))
-    return make_collection(kind, elements)
+    charged = 0
+    tasks = [[item] for item in iter_source(source)]
+    with closing(_replies(expr, tasks, run_body, context)) as replies:
+        for out in replies:
+            elements.extend(out)
+            if budget is not None and len(elements) - charged >= 256:
+                budget.charge_elements(len(elements) - charged)
+                charged = len(elements)
+    if budget is not None and len(elements) > charged:
+        budget.charge_elements(len(elements) - charged)
+    context.statistics.note_intermediate(len(elements))
+    return make_collection(expr.kind, elements)
 
 
 def _evaluate_parallel_ext(evaluator: Evaluator, expr: ParallelExt, env: Environment):
-    """Evaluate the body for batches of source elements concurrently."""
-    source = evaluator._eval(expr.source, env)
-    items = list(iter_source(source))
-
+    """Evaluate the body for a window of source elements concurrently."""
     def run_body(item):
         return evaluator._eval(expr.body, env.child(expr.var, item))
 
-    return _run_parallel_loop(items, run_body, expr.kind, expr.max_workers,
-                              expr.adaptive, evaluator.context.statistics)
+    return _run_parallel_loop(expr, evaluator._eval(expr.source, env),
+                              run_body, evaluator.context)
 
 
 # Register the node with the evaluator's dispatch table.
@@ -145,52 +182,50 @@ Evaluator._DISPATCH[ParallelExt] = _evaluate_parallel_ext
 #
 # The compiler dispatches on exact node type, so without this registration a
 # ParallelExt would fall back to the interpreter (correct but slower).  The
-# compiled form keeps the scheduler semantics: bounded (or adaptive) workers,
+# compiled forms keep the scheduler semantics: a pinned (or moving) window,
 # one frame copy per in-flight element so concurrent bodies never share
 # mutable slots.
 
 from ..nrc import compile as C  # noqa: E402  (needs ParallelExt defined above)
 
 
+def _framed_body(body_fn, frame, context):
+    def run_body(item):
+        # One frame copy per in-flight element: concurrent bodies never
+        # share mutable slots.
+        item_frame = list(frame)
+        item_frame.append(item)
+        return body_fn(item_frame, context)
+
+    return run_body
+
+
 @C.register_compiler(ParallelExt)
 def _compile_parallel_ext(expr: ParallelExt, scope, state):
     source_fn = C._compile(expr.source, scope, state)
     body_fn = C._compile(expr.body, scope + (expr.var,), state)
-    kind = expr.kind
-    max_workers = expr.max_workers
-    adaptive = expr.adaptive
 
     def run(frame, context):
-        source = source_fn(frame, context)
-        items = list(iter_source(source))
-
-        def run_body(item):
-            # One frame copy per in-flight element: concurrent bodies never
-            # share mutable slots.
-            item_frame = list(frame)
-            item_frame.append(item)
-            return body_fn(item_frame, context)
-
-        return _run_parallel_loop(items, run_body, kind, max_workers,
-                                  adaptive, context.statistics)
+        return _run_parallel_loop(expr, source_fn(frame, context),
+                                  _framed_body(body_fn, frame, context),
+                                  context)
 
     return run
 
 
 @C.register_chunk_compiler(ParallelExt)
 def _chunk_parallel_ext(expr: ParallelExt, scope, state):
-    """Streamed ParallelExt: a bounded prefetcher over the source's chunks.
+    """Streamed ParallelExt: the reply loop over the source's chunks.
 
-    A sliding window of at most ``max_workers`` tasks is in flight while
-    downstream consumes earlier results (order preserved), so remote
-    latency overlaps consumption end-to-end — not just within one batch as
-    in the eager lowering.  A task covers ``ChunkPolicy.parallel_chunk``
-    source elements: 1 (the default) is one body evaluation per task, the
-    right shape for overlapping *remote* latency, and the replies are
-    re-chunked for the downstream stages; a larger value amortizes task and
-    ordering overhead when the body is cheap (windows counted in chunks,
-    the window controller sampling per-chunk latency) and each task's
-    results travel on as one chunk.
+    Downstream consumes earlier replies while the window's tasks are in
+    flight (order preserved), so remote latency overlaps consumption
+    end-to-end.  A task covers ``ChunkPolicy.parallel_chunk`` source
+    elements: 1 (the default) is one body evaluation per task, the right
+    shape for overlapping *remote* latency, and the replies are re-chunked
+    for the downstream stages; a larger value amortizes task and ordering
+    overhead when the body is cheap (the window counted in chunks, a moving
+    window sampling per-chunk latency) and each task's results travel on as
+    one chunk.
 
     The source is pulled lazily: one window ahead of the consumer, plus the
     rest of the source's current ramp chunk — the same
@@ -204,33 +239,10 @@ def _chunk_parallel_ext(expr: ParallelExt, scope, state):
     # (one chunk never accumulates more than remote_max_chunk completed
     # remote replies), like every other re-chunk point.
     scan_driver_names = C._scan_drivers(expr)
-    kind = expr.kind
-    max_workers = expr.max_workers
-    adaptive = expr.adaptive
 
     def chunks(frame, context):
         policy = C._active_policy(context)
         parallel_chunk = policy.parallel_chunk
-        scheduler = _make_scheduler(max_workers, adaptive,
-                                    _plan_window(context))
-        scope_obj = context.scope
-        if scope_obj is not None:
-            # Backstop: if this generator is abandoned without close()
-            # reaching its finally (e.g. dropped without GC running), the
-            # pipeline's evaluation scope still joins the worker pool.
-            scope_obj.register(scheduler)
-        stats = context.statistics
-
-        def run_task(items):
-            out = []
-            for item in items:
-                # One frame copy per in-flight element: concurrent bodies
-                # never share mutable slots.
-                item_frame = list(frame)
-                item_frame.append(item)
-                out.extend(iter_collection(materialise(body_fn(item_frame,
-                                                               context))))
-            return len(items), out
 
         def tasks():
             # Re-cut whatever the source's own chunking produced into
@@ -239,32 +251,18 @@ def _chunk_parallel_ext(expr: ParallelExt, scope, state):
                 for start in range(0, len(chunk), parallel_chunk):
                     yield chunk[start:start + parallel_chunk]
 
-        def replies():
-            for consumed, out in scheduler.prefetch(run_task, tasks(),
-                                                    chunked=True):
-                stats.ext_iterations += consumed
-                if out:
-                    yield out
-
-        try:
+        with closing(_replies(expr, tasks(),
+                              _framed_body(body_fn, frame, context),
+                              context)) as replies:
             if parallel_chunk == 1:
                 initial, maximum = C._subtree_sizes(policy, scan_driver_names)
                 yield from C._ChunkRamp(
                     initial, maximum, policy.adaptive_ramp).emit_pulled(
-                        itertools.chain.from_iterable(replies()))
+                        itertools.chain.from_iterable(replies))
             else:
-                yield from replies()
-        finally:
-            # Always close on section exit: a ParallelExt in the body of an
-            # outer loop runs once per outer element — deferring the close
-            # to stream end would accumulate one live pool per iteration.
-            # Unregistering keeps the scope from pinning one dead scheduler
-            # per iteration for the life of the stream.
-            scheduler.close()
-            if scope_obj is not None:
-                scope_obj.unregister(scheduler)
+                yield from filter(None, replies)  # an empty reply is no chunk
 
-    if kind == "set":
+    if expr.kind == "set":
         # Set semantics: suppress repeats incrementally (first-occurrence
         # order), matching the eagerly built CSet element-for-element.
         return C._dedup_set_chunks(chunks)

@@ -44,7 +44,8 @@ class OptimizerConfig:
     caching: bool = True
     parallelism: bool = True
     parallel_max_workers: int = 5
-    #: Use the self-adjusting scheduler ([43]) instead of a fixed worker count.
+    #: Let the scheduler's window move ([43]) instead of pinning it at the
+    #: worker count.
     adaptive_concurrency: bool = False
     #: Consult the cost-based planner (when one is wired) for physical
     #: knobs — parallel introduction, chunk policy.  Off, every knob is the

@@ -7,7 +7,8 @@
   between drivers and the evaluator.
 * :mod:`repro.kleisli.drivers` — the data drivers (relational/Sybase, ASN.1/Entrez,
   ACE, flat files, BLAST-style application programs).
-* :mod:`repro.kleisli.scheduler` — bounded concurrency for remote requests.
+* :mod:`repro.kleisli.scheduler` — the one scheduler for remote requests: a
+  bounded, order-preserving window, pinned or (adaptively) moving.
 * :mod:`repro.kleisli.cache` — the inner-subquery result cache.
 * :mod:`repro.kleisli.statistics` — statically registered statistics about
   remote sources (the paper found on-the-fly statistics impractical).

@@ -1,23 +1,25 @@
-"""Bounded and adaptive concurrency for remote requests.
+"""One scheduler for remote requests: a bounded, order-preserving window.
 
 Section 4, "Laziness, Latency, and Concurrency": the system issues several
-requests to a remote server at once, but must respect the server's capacity
-("say five") and not let unconsumed replies pile up.  :class:`BoundedScheduler`
-is that mechanism: a worker pool whose size never exceeds the per-server cap,
-used by the parallel-loop operator the optimizer introduces around remote
-inner loops.
+requests to a remote server at once, but *"the server S may only be able to
+handle a limited number of requests at a time, say five"*, and unconsumed
+replies must not pile up.  :class:`Scheduler` is that one mechanism: a
+sliding window of at most ``level`` tasks is in flight while the consumer
+processes earlier replies, results come back in submission order, and the
+source of tasks is pulled no further than one window ahead.  It serves
+every lowering of the parallel-loop operator the optimizer introduces
+around remote inner loops.
 
 The paper closes the section with its reference [43]: *"techniques to
 automatically adjust the level of concurrency based on the capability of
-servers and on resource availability are being developed."*
-:class:`AdaptiveScheduler` implements that extension: it probes the server
-with an additive-increase / multiplicative-decrease policy, ramping the number
-of in-flight requests up while responses stay fast and backing off when the
-server rejects requests or its per-request latency degrades.  One policy —
-:class:`_WindowController` — serves both call styles: ``map`` feeds it a
-throughput sample per *batch*, ``prefetch`` a throughput *and mean per-item
-latency* sample per completed window of results, so the batch and the
-sliding-window paths cannot drift apart.
+servers and on resource availability are being developed."*  That is the
+same mechanism with a window that may move: an ``adaptive`` scheduler hands
+the level to a :class:`_WindowController`, which probes the server with an
+additive-increase / multiplicative-decrease policy — ramping up while
+replies stay fast, backing off (and retrying) when the server rejects
+requests or its per-request latency degrades.  A *pinned* scheduler keeps
+the level at ``max_workers``: it reads no clock, keeps no samples and
+retries nothing.
 """
 
 from __future__ import annotations
@@ -25,25 +27,24 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import wait as _wait_futures
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Type, TypeVar
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
 from ..core.errors import RemoteSourceError
 
-__all__ = ["BoundedScheduler", "AdaptiveScheduler"]
+__all__ = ["Scheduler"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def _drain_futures(futures: Iterable) -> None:
+def _drain_futures(futures: Iterable[Future]) -> None:
     """Settle abandoned in-flight futures (early-close cleanup).
 
     Cancels what has not started; awaits what has (a running request cannot
     be cancelled, and its reply must not arrive with the pool still owed
-    work after the consumer is gone).  Shared by every ``prefetch``
-    implementation so the drain policy cannot diverge.
+    work after the consumer is gone).
     """
     for future in futures:
         future.cancel()
@@ -54,144 +55,13 @@ def _drain_futures(futures: Iterable) -> None:
                 pass
 
 
-class _ExecutorMixin:
-    """One lazily-created worker pool per scheduler, shared across calls.
-
-    Earlier versions constructed a fresh ``ThreadPoolExecutor`` per ``map``
-    call (bounded) or per *batch* (adaptive) — thread creation and joining
-    dominated short batches.  The pool is created on first use, reused by
-    every subsequent ``map``/``prefetch``, and shut down by :meth:`close`
-    (or the context-manager protocol, or the finalizer as a backstop).
-    """
-
-    _pool: Optional[ThreadPoolExecutor] = None
-
-    def _executor(self) -> ThreadPoolExecutor:
-        pool = self._pool
-        if pool is None:
-            with self._lock:
-                pool = self._pool
-                if pool is None:
-                    pool = ThreadPoolExecutor(max_workers=self.max_workers)
-                    self._pool = pool
-        return pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (joins its threads); safe to call twice."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC backstop
-        pool = self.__dict__.get("_pool")
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    def prefetch(self, function: Callable[[T], R], items: Iterable[T],
-                 window: Optional[int] = None,
-                 chunked: bool = False) -> Iterator[R]:
-        """Apply ``function`` with a bounded sliding window, yielding in order.
-
-        The pipelined counterpart of ``map``: a window of at most
-        ``max_workers`` requests is in flight while the consumer processes
-        earlier replies, so remote latency overlaps consumption end-to-end
-        instead of only within one batch.  Each yielded result frees a slot
-        and the next item is issued immediately — and because ``items`` is
-        pulled lazily, the source itself is only consumed ``window`` elements
-        ahead of the consumer (bounding unconsumed replies, the paper's
-        resource-control concern).
-
-        With ``chunked`` set, each item is a *chunk* (a list of work units)
-        and one task — one window slot — covers the whole chunk: the window
-        is counted in chunks.  For the bounded scheduler the flag only
-        changes the granularity of what a slot holds (items are opaque
-        either way); the adaptive scheduler additionally feeds its window
-        controller per-chunk samples, see
-        :meth:`AdaptiveScheduler.prefetch`.
-
-        Abandoning the iterator (``close()``) stops issuing new requests;
-        already in-flight ones are drained so the pool is left quiescent.
-        """
-        window = self.max_workers if window is None else max(1, min(window, self.max_workers))
-        iterator = iter(items)
-        in_flight: deque = deque()
-        pool = None
-        try:
-            while True:
-                while len(in_flight) < window:
-                    try:
-                        item = next(iterator)
-                    except StopIteration:
-                        break
-                    with self._lock:
-                        self.tasks_submitted += 1
-                    if window == 1:
-                        # Degenerate window: no concurrency, no pool needed.
-                        yield function(item)
-                        continue
-                    if pool is None:
-                        pool = self._executor()
-                    in_flight.append(pool.submit(function, item))
-                if not in_flight:
-                    return
-                yield in_flight.popleft().result()
-        finally:
-            _drain_futures(in_flight)
-
-
-class BoundedScheduler(_ExecutorMixin):
-    """Runs callables over a collection with at most ``max_workers`` in flight."""
-
-    def __init__(self, max_workers: int = 5):
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self.max_workers = max_workers
-        self.tasks_submitted = 0
-        self.batches = 0
-        self._lock = threading.Lock()
-
-    def map(self, function: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``function`` to every item, preserving order, never exceeding the cap.
-
-        Items are processed in batches of ``max_workers`` so that a slow
-        consumer never has more than one batch of unconsumed replies — the
-        resource-control concern the paper raises about unbounded threads.
-        """
-        items = list(items)
-        if not items:
-            return []
-        with self._lock:
-            self.tasks_submitted += len(items)
-        results: List[R] = []
-        if self.max_workers == 1 or len(items) == 1:
-            with self._lock:
-                self.batches += 1
-            return [function(item) for item in items]
-        pool = self._executor()
-        for start in range(0, len(items), self.max_workers):
-            batch = items[start:start + self.max_workers]
-            with self._lock:
-                self.batches += 1
-            results.extend(pool.map(function, batch))
-        return results
-
-
 class _WindowController:
-    """The shared concurrency-window policy: AIMD plus throughput/latency sampling.
+    """The moving window's policy: AIMD plus throughput/latency sampling.
 
-    One implementation serves both granularities of :class:`AdaptiveScheduler`:
-    ``map`` feeds it one sample per *batch* (throughput only — its
-    historical thresholds), ``prefetch`` one sample per completed *window*
-    of results (throughput and mean per-item latency, both derived from
-    timing inside the worker so consumer-side waiting never pollutes
-    either).  Decisions:
+    An adaptive :class:`Scheduler` feeds it one sample per completed
+    *window* of results — throughput and mean per-task latency, both
+    derived from timing inside the worker so consumer-side waiting never
+    pollutes either.  Decisions:
 
     * a server **rejection** halves the level and pins a ceiling at the
       rejected level, which is never offered again;
@@ -247,7 +117,7 @@ class _WindowController:
 
     def on_sample(self, level: int, throughput: float,
                   latency: Optional[float] = None) -> None:
-        """Feed one completed batch/window sample; adjusts ``level``."""
+        """Feed one completed window sample; adjusts ``level``."""
         if latency is not None and latency < self.LATENCY_FLOOR:
             # Too fast to measure: ramp freely, and leave the baselines
             # UNTOUCHED — recording a noise-era throughput (~level/µs, e.g.
@@ -318,35 +188,34 @@ class _WindowController:
         return min(ceiling, level + 1)
 
 
-class AdaptiveScheduler(_ExecutorMixin):
-    """Adjusts the level of concurrency to the capability of the server.
+class Scheduler:
+    """Runs tasks with at most ``level`` in flight, yielding replies in order.
 
-    The policy is additive increase / multiplicative decrease over batches:
+    Pinned (the default), ``level`` is ``max_workers`` for the scheduler's
+    life and an error from a task — a server rejection included — reaches
+    the caller as it is.  With ``adaptive`` set, ``level`` starts at
+    ``initial_workers`` and follows a :class:`_WindowController` between 1
+    and ``max_workers``; a task the server rejected (a
+    :class:`~repro.core.errors.RemoteSourceError`, what a
+    :class:`~repro.net.remote.RemoteSource` raises past its cap) is re-issued
+    at the reduced level, up to ``max_retries`` times, before its error
+    propagates.
 
-    * run a batch of at most ``level`` requests concurrently;
-    * if the server rejected any of them (an ``overload_errors`` exception —
-      by default :class:`~repro.core.errors.RemoteSourceError`, what a
-      :class:`~repro.net.remote.RemoteSource` raises past its cap), halve the
-      level and retry the rejected requests;
-    * otherwise compare the batch's throughput (requests completed per second)
-      with the best seen so far: while adding workers keeps improving it, add
-      one more (up to ``max_workers``); when it collapses by more than
-      ``degradation_threshold`` the server is saturating, so remove one; on a
-      plateau hold the level, probing one step up every few batches so a slow
-      first batch cannot pin the level at 1 forever.
-
-    ``prefetch`` runs the *same* policy (one :class:`_WindowController` per
-    scheduler serves both call styles) at window granularity, with per-item
-    latency as an extra degradation signal; see :meth:`prefetch`.
-
-    ``level_history`` records the level used for every batch and
+    ``level_history`` records every level the window moved to and
     ``overload_events`` counts rejections, which the tests and the adaptive
-    concurrency benchmark assert on.
+    concurrency benchmark assert on; both stay empty / zero when pinned.
+
+    The worker pool is created by the first submission and joined by
+    :meth:`close` (or the context-manager protocol); a window of one runs
+    on the caller's thread and never builds a pool.  One consumer thread
+    drives a scheduler (every activation of a parallel loop builds its own);
+    only the pool hand-over in :meth:`close` is locked, because an
+    evaluation scope may close it from another thread.
     """
 
-    def __init__(self, max_workers: int = 5, initial_workers: int = 1,
-                 degradation_threshold: float = 1.5, max_retries: int = 3,
-                 overload_errors: Tuple[Type[BaseException], ...] = (RemoteSourceError,),
+    def __init__(self, max_workers: int = 5, adaptive: bool = False,
+                 initial_workers: int = 1, degradation_threshold: float = 1.5,
+                 max_retries: int = 3,
                  clock: Optional[Callable[[], float]] = None):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -355,37 +224,30 @@ class AdaptiveScheduler(_ExecutorMixin):
         if degradation_threshold <= 1.0:
             raise ValueError("degradation_threshold must be greater than 1.0")
         #: The time source behind every `_WindowController` sample.  Tests
-        #: inject a counter-based fake so batch/window latency samples — and
+        #: inject a counter-based fake so window latency samples — and
         #: therefore the controller's ramp/hold/shrink decisions — are exact
         #: and deterministic instead of riding the wall clock's jitter
         #: (which made sleep-calibrated assertions flake under load).
         self._clock = time.perf_counter if clock is None else clock
         self.max_workers = max_workers
-        self.degradation_threshold = degradation_threshold
         self.max_retries = max_retries
-        self.overload_errors = overload_errors
         self.tasks_submitted = 0
-        self.batches = 0
         self.retries = 0
         self.overload_events = 0
         self.level_history: List[int] = []
-        #: The single policy instance behind BOTH map and prefetch: a
-        #: rejection ceiling learned in one call style binds the other.
-        self._controller = _WindowController(max_workers, initial_workers,
-                                             degradation_threshold)
+        self._controller = _WindowController(
+            max_workers, initial_workers, degradation_threshold) if adaptive else None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
 
     @property
     def level(self) -> int:
-        """The current concurrency level (owned by the window controller)."""
-        return self._controller.level
-
-    @level.setter
-    def level(self, value: int) -> None:
-        self._controller.level = value
+        """The current window: the controller's level, or the pinned cap."""
+        controller = self._controller
+        return self.max_workers if controller is None else controller.level
 
     def apply_plan_hint(self, level: int) -> None:
-        """Start the window at a planner-suggested level.
+        """Start a moving window at a planner-suggested level.
 
         The cost-based planner knows (from registered/observed latency)
         that a source is slow before the first request goes out; probing up
@@ -393,150 +255,113 @@ class AdaptiveScheduler(_ExecutorMixin):
         that.  The hint only sets the *starting* level — clamped to
         ``[1, max_workers]`` and any learned rejection ceiling — and every
         later sample/rejection adapts it exactly as before, so a wrong plan
-        costs at most the adjustment the probe would have paid anyway.
+        costs at most the adjustment the probe would have paid anyway.  A
+        pinned window has no starting level to suggest: the hint is ignored.
         """
+        controller = self._controller
+        if controller is None:
+            return
         target = max(1, min(int(level), self.max_workers))
-        ceiling = self._controller.rejection_ceiling
-        if ceiling is not None:
-            target = min(target, ceiling)
-        self._controller.level = target
+        if controller.rejection_ceiling is not None:
+            target = min(target, controller.rejection_ceiling)
+        controller.level = target
         self.level_history.append(target)
 
-    @property
-    def _rejection_ceiling(self) -> Optional[int]:
-        return self._controller.rejection_ceiling
-
-    def map(self, function: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``function`` to every item, preserving order, adapting the level.
-
-        Requests rejected by the server are retried (at the reduced level) up
-        to ``max_retries`` times each; a request that keeps being rejected
-        re-raises its last error.
-        """
-        items = list(items)
-        if not items:
-            return []
+    def close(self) -> None:
+        """Shut down the worker pool (joins its threads); safe to call twice."""
         with self._lock:
-            self.tasks_submitted += len(items)
-        results: dict = {}
-        pending: List[Tuple[int, T]] = list(enumerate(items))
-        attempts: dict = {}
-        while pending:
-            level = self.level
-            batch, pending = pending[:level], pending[level:]
-            self.batches += 1
-            self.level_history.append(level)
-            started = self._clock()
-            failed = self._run_batch(function, batch, results, attempts, level)
-            elapsed = self._clock() - started
-            if failed:
-                self.overload_events += 1
-                self.retries += len(failed)
-                self._controller.on_rejection(level)
-                pending = failed + pending
-                continue
-            # One sample per batch.  The batch wall clock IS the per-item
-            # latency under full concurrency (every item in the batch ran
-            # at once), so it is passed as the latency sample too — which
-            # routes sub-millisecond local batches into the controller's
-            # noise guard instead of letting them poison the throughput
-            # baseline a later prefetch on the same scheduler compares
-            # against.  Thresholds are map's historical policy; the deltas
-            # (noise guard, latency corroboration, decay-on-degradation)
-            # are the controller's documented refinements.
-            self._controller.on_sample(level, len(batch) / max(elapsed, 1e-9),
-                                       latency=elapsed)
-        return [results[index] for index in range(len(items))]
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
-    def _run_batch(self, function, batch, results, attempts, level):
-        """Run one batch; fill ``results``; return the rejected (index, item) pairs."""
-        failed = []
+    def __enter__(self):
+        return self
 
-        def run_one(entry):
-            index, item = entry
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _submit(self, run: Callable[[T], R], task: T) -> Future:
+        if self.max_workers == 1:
+            # A window of one has nothing to overlap: run on the caller's
+            # thread (the dispatch loop awaits this future next), no pool.
+            future: Future = Future()
             try:
-                results[index] = function(item)
-                return None
-            except self.overload_errors as error:
-                attempts[index] = attempts.get(index, 0) + 1
-                if attempts[index] > self.max_retries:
-                    raise
-                return (index, item, error)
+                future.set_result(run(task))
+            except Exception as error:
+                future.set_exception(error)
+            return future
+        with self._lock:
+            pool = self._pool
+            if pool is None:
+                pool = self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_workers)
+        return pool.submit(run, task)
 
-        if level == 1 or len(batch) == 1:
-            outcomes = [run_one(entry) for entry in batch]
-        else:
-            # The persistent pool is sized max_workers; submitting only
-            # ``len(batch) <= level`` tasks keeps at most ``level`` in flight.
-            outcomes = list(self._executor().map(run_one, batch))
-        for outcome in outcomes:
-            if outcome is not None:
-                failed.append((outcome[0], outcome[1]))
-        return failed
+    def prefetch(self, function: Callable[[Sequence[T]], R],
+                 tasks: Iterable[Sequence[T]]) -> Iterator[R]:
+        """Apply ``function`` to every task through the window, yielding in order.
 
-    def prefetch(self, function: Callable[[T], R], items: Iterable[T],
-                 window: Optional[int] = None,
-                 chunked: bool = False) -> Iterator[R]:
-        """Sliding-window prefetch whose window follows the adaptive level.
+        A task is a list of work units (one source element, or a chunk of
+        them) and holds one window slot.  At most ``level`` tasks are in
+        flight while the consumer processes earlier replies, so remote
+        latency overlaps consumption end-to-end.  Each yielded reply frees
+        a slot and the next task is issued immediately — and because
+        ``tasks`` is pulled lazily, the source itself is only consumed one
+        window ahead of the consumer (bounding unconsumed replies, the
+        paper's resource-control concern).
 
-        The window is governed by the same :class:`_WindowController` as
-        ``map``'s batches: every completed window of ``level`` results
-        contributes one sample — throughput over the window, plus the mean
-        per-item latency measured *inside* the worker (so a slow consumer
-        never reads as a slow server) — and the controller ramps, holds, or
-        shrinks the window accordingly.  A server rejection halves the
-        window and pins the rejection ceiling (multiplicative decrease);
-        rejected items are re-issued up to ``max_retries`` times, preserving
-        result order.
-
-        The **chunk-granular mode** (``chunked=True``, used by the chunked
-        ``ParallelExt`` lowering): each item is a chunk (list) of work
-        units, one task covers the chunk, and the window is counted in
-        *chunks*.  The controller then samples per-chunk latency — a chunk
+        A moving window is sampled once per ``level`` completed replies:
+        the mean per-task latency measured *inside* the worker (so a slow
+        consumer never reads as a slow server) and the throughput it
+        implies in work units per second — task sizes are weighed in, so
+        decisions stay comparable across task granularities, and a chunk
         amortizes enough work to sit above the sub-millisecond noise floor
-        where individual local items would not — and throughput in work
-        units per second (chunk sizes are weighed in), so its decisions
-        stay comparable across granularities.  A rejected chunk is retried
-        whole, preserving order.
+        where individual local items would not.  A server rejection halves
+        the window and pins the rejection ceiling; the rejected task is
+        re-issued whole, preserving result order.
+
+        Abandoning the iterator (``close()``) stops issuing new requests;
+        already in-flight ones are drained so the pool is left quiescent.
         """
-        iterator = iter(items)
-        in_flight: deque = deque()  # entries: [item, future, attempts, level]
-        window_completed = 0
-        window_latency = 0.0
-        window_units = 0
+        controller = self._controller
+        if controller is None:
+            run = function
+        else:
+            clock = self._clock
 
-        def timed(item):
-            started = self._clock()
-            value = function(item)
-            return value, self._clock() - started
+            def run(task):
+                started = clock()
+                value = function(task)
+                return value, clock() - started
 
-        def submit(item, attempts):
-            # The submission level rides along so a whole burst rejected at
-            # one level counts as ONE rejection event, like map's per-batch
-            # policy — reacting once per failed future would compound the
-            # halving and pin the rejection ceiling at 1.
-            return [item, self._executor().submit(timed, item), attempts,
-                    self.level]
-
+        iterator = iter(tasks)
+        # Entries: (task, future, attempts, level at submission).  The level
+        # rides along so a whole burst rejected at one level counts as ONE
+        # rejection event — reacting once per failed future would compound
+        # the halving and pin the rejection ceiling at 1.
+        in_flight: deque = deque()
+        completed = units = 0
+        latency = 0.0
         try:
             while True:
-                cap = self.level if window is None else max(1, min(window, self.level))
-                while len(in_flight) < cap:
+                level = self.level
+                while len(in_flight) < level:
                     try:
-                        item = next(iterator)
+                        task = next(iterator)
                     except StopIteration:
                         break
-                    with self._lock:
-                        self.tasks_submitted += 1
-                    in_flight.append(submit(item, 0))
+                    self.tasks_submitted += 1
+                    in_flight.append((task, self._submit(run, task), 0, level))
                 if not in_flight:
                     return
-                item, future, attempts, submitted_at = in_flight.popleft()
+                task, future, attempts, submitted_at = in_flight.popleft()
+                if controller is None:
+                    yield future.result()
+                    continue
                 try:
-                    result, latency = future.result()
-                except self.overload_errors:
-                    attempts += 1
-                    if attempts > self.max_retries:
+                    result, elapsed = future.result()
+                except RemoteSourceError:
+                    if attempts >= self.max_retries:
                         raise
                     self.retries += 1
                     if self.level >= submitted_at:
@@ -544,53 +369,41 @@ class AdaptiveScheduler(_ExecutorMixin):
                         # level; later failures from the same burst skip the
                         # decrease (the level is already below theirs).
                         self.overload_events += 1
-                        self._controller.on_rejection(submitted_at)
+                        controller.on_rejection(submitted_at)
                         self.level_history.append(self.level)
                     # A rejection restarts the sample window at the new level.
-                    window_completed = 0
-                    window_latency = 0.0
-                    window_units = 0
+                    completed = units = 0
+                    latency = 0.0
                     # Let the burst that overloaded the server settle before
                     # re-issuing, or the retry lands on the same congestion
                     # (their results/errors stay stored in the futures and
                     # are handled in order as they are popped).
                     _wait_futures([entry[1] for entry in in_flight])
-                    in_flight.appendleft(submit(item, attempts))
+                    in_flight.appendleft((task, self._submit(run, task),
+                                          attempts + 1, self.level))
                     continue
-                window_completed += 1
-                window_latency += latency
-                window_units += len(item) if chunked else 1
-                if window_completed >= cap:
-                    # Sample only when the window actually exercised the
-                    # current level (cap == level; an explicit ``window``
-                    # argument below it caps real concurrency, so a
-                    # level/latency estimate would fabricate improvements
-                    # and ramp the shared level on zero evidence — such
-                    # capped runs leave the level to rejections alone).
-                    if cap == self.level:
-                        before = self.level
-                        mean_latency = window_latency / window_completed
-                        # Little's-law throughput estimate: ``level``
-                        # requests in flight, each taking ``mean_latency``
-                        # (measured inside the worker), complete at
-                        # level/latency per second — derived purely from
-                        # worker-side timing, so a consumer that pauses
-                        # between next() calls can never read as a server
-                        # throughput collapse (a wall-clock window would).
-                        # In chunked mode a "request" is a chunk, so the
-                        # estimate is weighted by mean units per chunk to
-                        # stay in work units per second.
-                        mean_units = window_units / window_completed
-                        self._controller.on_sample(
-                            before,
-                            throughput=before * mean_units
-                            / max(mean_latency, 1e-9),
-                            latency=mean_latency)
-                        if self.level != before:
-                            self.level_history.append(self.level)
-                    window_completed = 0
-                    window_latency = 0.0
-                    window_units = 0
+                completed += 1
+                latency += elapsed
+                units += len(task)
+                if completed >= level:
+                    mean_latency = latency / completed
+                    # Little's-law throughput estimate: ``level`` tasks in
+                    # flight, each taking ``mean_latency`` (measured inside
+                    # the worker), complete at level/latency per second —
+                    # derived purely from worker-side timing, so a consumer
+                    # that pauses between next() calls can never read as a
+                    # server throughput collapse (a wall-clock window
+                    # would).  Weighted by mean units per task to stay in
+                    # work units per second.
+                    controller.on_sample(
+                        level,
+                        throughput=level * (units / completed)
+                        / max(mean_latency, 1e-9),
+                        latency=mean_latency)
+                    if self.level != level:
+                        self.level_history.append(self.level)
+                    completed = units = 0
+                    latency = 0.0
                 yield result
         finally:
             _drain_futures(entry[1] for entry in in_flight)

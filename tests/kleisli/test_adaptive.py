@@ -2,7 +2,6 @@
 automatically adjust the level of concurrency based on the capability of
 servers and on resource availability are being developed")."""
 
-import itertools
 import threading
 import time
 
@@ -14,46 +13,57 @@ from repro.core.nrc import builder as B
 from repro.core.nrc.eval import EvalContext, Environment, Evaluator
 from repro.core.optimizer.parallel import ParallelExt, make_parallel_rule_set
 from repro.core.values import CSet
-from repro.kleisli.scheduler import AdaptiveScheduler, BoundedScheduler
+from repro.kleisli.scheduler import Scheduler
 from repro.net.remote import RemoteSource
+
+from test_scheduler_prefetch import ThreadLocalClock, each, units
+
+
+def drain(scheduler, function, items):
+    """Run a per-item ``function`` over ``items`` as one-unit tasks (a task
+    is a list of work units); the replies, in order.  Joins the pool."""
+    with scheduler:
+        return list(scheduler.prefetch(each(function), units(items)))
 
 
 class TestAdaptiveSchedulerPolicy:
     def test_empty_input(self):
-        assert AdaptiveScheduler().map(lambda x: x, []) == []
+        assert drain(Scheduler(adaptive=True), lambda x: x, []) == []
 
     def test_results_preserve_order(self):
-        scheduler = AdaptiveScheduler(max_workers=4)
-        assert scheduler.map(lambda x: x * x, list(range(25))) == [x * x for x in range(25)]
+        scheduler = Scheduler(max_workers=4, adaptive=True)
+        assert drain(scheduler, lambda x: x * x, range(25)) == [x * x for x in range(25)]
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            AdaptiveScheduler(max_workers=0)
+            Scheduler(max_workers=0, adaptive=True)
         with pytest.raises(ValueError):
-            AdaptiveScheduler(max_workers=2, initial_workers=5)
+            Scheduler(max_workers=2, adaptive=True, initial_workers=5)
         with pytest.raises(ValueError):
-            AdaptiveScheduler(degradation_threshold=0.9)
+            Scheduler(adaptive=True, degradation_threshold=0.9)
 
     def test_ramps_up_against_a_capable_server(self):
-        # A capable server answers a batch of any width in the same 10 ms.
-        # ``map`` reads the clock once before and once after a batch, so a
-        # clock that steps 10 ms per reading *is* that server — no sleeps, and
-        # no dependence on how the box schedules the worker threads.
-        readings = itertools.count()
-        scheduler = AdaptiveScheduler(max_workers=6, initial_workers=1,
-                                      clock=lambda: next(readings) * 0.01)
-        results = scheduler.map(lambda x: x * 2, list(range(36)))
-        assert results == [x * 2 for x in range(36)]
-        assert max(scheduler.level_history) == 6
+        # A capable server answers every request in the same 10 ms however
+        # many are in flight.  Each worker's own timeline steps 10 ms per
+        # request, so the samples *are* that server — no sleeps, and no
+        # dependence on how the box schedules the worker threads.
+        clock = ThreadLocalClock()
+
+        def capable(x):
+            clock.advance(0.01)
+            return x * 2
+
+        scheduler = Scheduler(max_workers=6, adaptive=True, initial_workers=1,
+                              clock=clock)
+        assert drain(scheduler, capable, range(36)) == [x * 2 for x in range(36)]
         # The ramp is monotone while throughput keeps improving.
-        assert scheduler.level_history[:3] == [1, 2, 3]
+        assert scheduler.level_history == [2, 3, 4, 5, 6]
 
     def test_backs_off_when_the_server_rejects_requests(self):
         server = RemoteSource("capped", lambda x: x + 1, latency=0.004,
                               max_concurrent_requests=3)
-        scheduler = AdaptiveScheduler(max_workers=10, initial_workers=8)
-        results = scheduler.map(server.call, list(range(40)))
-        assert results == [x + 1 for x in range(40)]
+        scheduler = Scheduler(max_workers=10, adaptive=True, initial_workers=8)
+        assert drain(scheduler, server.call, range(40)) == [x + 1 for x in range(40)]
         assert scheduler.overload_events >= 1
         assert scheduler.retries >= 1
         # Every request eventually succeeded and the server's own log confirms
@@ -64,28 +74,29 @@ class TestAdaptiveSchedulerPolicy:
     def test_rejection_ceiling_prevents_re_probing_a_rejected_level(self):
         server = RemoteSource("capped", lambda x: x, latency=0.002,
                               max_concurrent_requests=2)
-        scheduler = AdaptiveScheduler(max_workers=8, initial_workers=6)
-        scheduler.map(server.call, list(range(40)))
-        rejected_at = scheduler.level_history[0]
-        settled = scheduler.level_history[scheduler.level_history.index(
-            max(1, rejected_at // 2)) + 1:]
-        assert all(level < rejected_at for level in settled)
+        rejected_at = 6
+        scheduler = Scheduler(max_workers=8, adaptive=True,
+                              initial_workers=rejected_at)
+        drain(scheduler, server.call, range(40))
+        assert scheduler.level_history[0] == rejected_at // 2
+        assert all(level < rejected_at for level in scheduler.level_history)
 
     def test_persistent_rejection_raises_after_max_retries(self):
         def always_busy(_):
             raise RemoteSourceError("server busy")
 
-        scheduler = AdaptiveScheduler(max_workers=4, initial_workers=2, max_retries=2)
+        scheduler = Scheduler(max_workers=4, adaptive=True, initial_workers=2,
+                              max_retries=2)
         with pytest.raises(RemoteSourceError):
-            scheduler.map(always_busy, list(range(6)))
+            drain(scheduler, always_busy, range(6))
 
     def test_non_overload_errors_propagate_immediately(self):
         def broken(_):
             raise ValueError("not an overload")
 
-        scheduler = AdaptiveScheduler(max_workers=3)
+        scheduler = Scheduler(max_workers=3, adaptive=True)
         with pytest.raises(ValueError):
-            scheduler.map(broken, [1, 2, 3])
+            drain(scheduler, broken, [1, 2, 3])
         assert scheduler.retries == 0
 
     def test_degrading_server_caps_the_level(self):
@@ -103,13 +114,12 @@ class TestAdaptiveSchedulerPolicy:
                 in_flight[0] -= 1
             return x
 
-        scheduler = AdaptiveScheduler(max_workers=12, initial_workers=1,
-                                      degradation_threshold=1.3)
-        results = scheduler.map(degrading, list(range(48)))
-        assert results == list(range(48))
+        scheduler = Scheduler(max_workers=12, adaptive=True, initial_workers=1,
+                              degradation_threshold=1.3)
+        assert drain(scheduler, degrading, range(48)) == list(range(48))
         assert max(scheduler.level_history) < 12
 
-    def test_plateau_probing_escapes_a_slow_first_batch(self):
+    def test_plateau_probing_escapes_a_slow_first_window(self):
         # First call is artificially slow (cold cache); the scheduler must not
         # stay pinned at one worker forever.
         calls = []
@@ -122,31 +132,30 @@ class TestAdaptiveSchedulerPolicy:
                 time.sleep(0.005)
             return x
 
-        scheduler = AdaptiveScheduler(max_workers=4, initial_workers=1)
-        scheduler.map(handler, list(range(30)))
+        scheduler = Scheduler(max_workers=4, adaptive=True, initial_workers=1)
+        drain(scheduler, handler, range(30))
         assert max(scheduler.level_history) >= 2
 
     def test_statistics_counters(self):
-        scheduler = AdaptiveScheduler(max_workers=3)
-        scheduler.map(lambda x: x, list(range(10)))
+        scheduler = Scheduler(max_workers=3, adaptive=True)
+        drain(scheduler, lambda x: x, range(10))
         assert scheduler.tasks_submitted == 10
-        assert scheduler.batches == len(scheduler.level_history)
-        assert sum(1 for _ in scheduler.level_history) >= 10 // 3
+        assert scheduler.retries == scheduler.overload_events == 0
 
 
-class TestBoundedVersusAdaptive:
-    def test_bounded_scheduler_never_exceeds_cap(self):
+class TestPinnedVersusAdaptive:
+    def test_pinned_scheduler_never_exceeds_cap(self):
         server = RemoteSource("s", lambda x: x, latency=0.003, max_concurrent_requests=5)
-        BoundedScheduler(max_workers=5).map(server.call, list(range(25)))
+        drain(Scheduler(max_workers=5), server.call, range(25))
         assert server.log.max_concurrency() <= 5
 
-    def test_adaptive_matches_bounded_results(self):
-        items = list(range(40))
+    def test_adaptive_matches_pinned_results(self):
         server = RemoteSource("s", lambda x: x % 7, latency=0.002,
                               max_concurrent_requests=16)
-        bounded = BoundedScheduler(max_workers=4).map(server.call, items)
-        adaptive = AdaptiveScheduler(max_workers=4).map(server.call, items)
-        assert bounded == adaptive
+        pinned = drain(Scheduler(max_workers=4), server.call, range(40))
+        adaptive = drain(Scheduler(max_workers=4, adaptive=True),
+                         server.call, range(40))
+        assert pinned == adaptive
 
 
 class TestAdaptiveParallelExt:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.values import CSet
 from repro.kleisli.cache import SubqueryCache
-from repro.kleisli.scheduler import BoundedScheduler
+from repro.kleisli.scheduler import Scheduler
 from repro.kleisli.statistics import SourceStatisticsRegistry
 from repro.kleisli.tokens import TokenStream
 from repro.net.remote import RemoteCallLog, RemoteSource
@@ -43,10 +43,11 @@ class TestTokenStream:
         assert stream.materialised_count() == 2
 
 
-class TestBoundedScheduler:
+class TestPinnedScheduler:
     def test_results_preserve_order(self):
-        scheduler = BoundedScheduler(max_workers=4)
-        assert scheduler.map(lambda x: x * x, list(range(20))) == [x * x for x in range(20)]
+        with Scheduler(max_workers=4) as scheduler:
+            assert list(scheduler.prefetch(lambda x: x * x, range(20))) == \
+                [x * x for x in range(20)]
 
     def test_never_exceeds_worker_cap(self):
         active = []
@@ -62,18 +63,21 @@ class TestBoundedScheduler:
                 active.remove(x)
             return x
 
-        scheduler = BoundedScheduler(max_workers=3)
-        scheduler.map(task, list(range(12)))
+        with Scheduler(max_workers=3) as scheduler:
+            list(scheduler.prefetch(task, range(12)))
         assert max(peak) <= 3
 
     def test_single_worker_runs_sequentially(self):
-        scheduler = BoundedScheduler(max_workers=1)
-        assert scheduler.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-        assert scheduler.batches == 1
+        caller = threading.get_ident()
+        scheduler = Scheduler(max_workers=1)
+        assert list(scheduler.prefetch(
+            lambda x: (x + 1, threading.get_ident()), [1, 2, 3])) == \
+            [(2, caller), (3, caller), (4, caller)]
+        assert scheduler.tasks_submitted == 3
 
     def test_rejects_invalid_worker_count(self):
         with pytest.raises(ValueError):
-            BoundedScheduler(max_workers=0)
+            Scheduler(max_workers=0)
 
 
 class TestSubqueryCache:

@@ -17,6 +17,7 @@ What PR 9's tentpole guarantees, pinned:
 """
 
 import threading
+import time
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.compile import ChunkPolicy
 from repro.core.nrc.eval import EvalScope
+from repro.core.optimizer.parallel import ParallelExt
 from repro.core.values import CBag, CList, iter_collection
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import ExecutionMode, KleisliEngine
@@ -254,6 +256,33 @@ def test_driver_side_cancellation_stops_eager_run(cancel_after=4):
     assert EvalScope.live_count() == 0
 
 
+@pytest.mark.parametrize("mode", [ExecutionMode.COMPILED,
+                                  ExecutionMode.INTERPRET])
+def test_body_side_cancellation_stops_eager_parallel_loop(mode):
+    """A parallel loop whose body never reaches a driver has no checkpoint
+    but its own: one per reply, so a cancel lands within a window or two."""
+    engine = _engine()
+    token = CancellationToken()
+    baseline = threading.active_count()
+    calls = []
+
+    def slow(x):
+        calls.append(x)
+        if len(calls) == 10:
+            token.cancel("body-side cancel")
+        time.sleep(0.002)
+        return x
+
+    loop = ParallelExt("x", B.singleton(B.apply(B.var("slow"), B.var("x")),
+                                        "list"), B.var("R"), "list")
+    with pytest.raises(QueryCancelledError):
+        engine.execute(loop, {"R": CList(range(400)), "slow": slow},
+                       optimize=False, mode=mode, cancellation=token)
+    assert 10 <= len(calls) < 40
+    assert threading.active_count() == baseline
+    assert EvalScope.live_count() == 0
+
+
 def test_cancelled_stream_closed_early_still_counts(capsys):
     engine = _engine()
     token = CancellationToken()
@@ -283,6 +312,27 @@ def test_over_budget_execute_raises_typed_and_counts():
         engine.execute(_comprehension(count=1000), memory_budget=1024,
                        spill=False)
     assert engine.governor.snapshot()["budget_rejections"] == 1
+    assert EvalScope.live_count() == 0
+
+
+@pytest.mark.parametrize("mode", [ExecutionMode.COMPILED,
+                                  ExecutionMode.INTERPRET])
+def test_over_budget_eager_parallel_loop_raises_typed(mode):
+    """The eager parallel loop's reply buffer is charged like ``Ext``'s."""
+    engine = _engine()
+    baseline = threading.active_count()
+    bindings = {"R": CList(range(5000))}
+    for node in (A.Ext, ParallelExt):
+        loop = node("x", B.singleton(B.var("x"), "list"), B.var("R"), "list")
+        with pytest.raises(MemoryBudgetExceededError):
+            engine.execute(loop, bindings, optimize=False, mode=mode,
+                           memory_budget=10 * NOMINAL_ROW_BYTES, spill=False)
+        assert list(iter_collection(engine.execute(
+            loop, bindings, optimize=False, mode=mode,
+            memory_budget=5000 * NOMINAL_ROW_BYTES, spill=False))) == \
+            list(range(5000))
+    assert engine.governor.snapshot()["budget_rejections"] == 2
+    assert threading.active_count() == baseline
     assert EvalScope.live_count() == 0
 
 

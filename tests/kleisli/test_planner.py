@@ -27,7 +27,7 @@ from repro.core.planner import (
 from repro.core.values import CList
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
-from repro.kleisli.scheduler import AdaptiveScheduler
+from repro.kleisli.scheduler import Scheduler
 from repro.kleisli.statistics import SourceStatisticsRegistry
 
 
@@ -402,14 +402,20 @@ class TestAdaptiveRamp:
 
 class TestSchedulerPlanHint:
     def test_hint_sets_the_starting_level_clamped_to_the_cap(self):
-        scheduler = AdaptiveScheduler(max_workers=5)
+        scheduler = Scheduler(max_workers=5, adaptive=True)
         scheduler.apply_plan_hint(12)
         assert scheduler.level == 5
         scheduler.apply_plan_hint(0)
         assert scheduler.level == 1
 
+    def test_a_pinned_window_ignores_the_hint(self):
+        scheduler = Scheduler(max_workers=5)
+        scheduler.apply_plan_hint(2)
+        assert scheduler.level == 5
+        assert scheduler.level_history == []
+
     def test_hint_respects_a_learned_rejection_ceiling(self):
-        scheduler = AdaptiveScheduler(max_workers=8)
+        scheduler = Scheduler(max_workers=8, adaptive=True)
         scheduler._controller.on_rejection(6)
         scheduler.apply_plan_hint(8)
         assert scheduler.level <= 5  # never past the rejected level

@@ -1,13 +1,14 @@
-"""Scheduler pool reuse and the sliding-window prefetcher.
+"""The scheduler's one dispatch: a sliding window, pinned or moving.
 
-Two behaviors added for the streaming backend:
-
-* one lazily-created executor per scheduler (``map`` used to build a fresh
-  ``ThreadPoolExecutor`` per call — per *batch* for the adaptive scheduler),
+* the worker pool is created by the first submission of a ``prefetch`` and
   released by ``close()``/the context-manager protocol;
-* ``prefetch``: the pipelined counterpart of ``map`` — a bounded window of
-  in-flight requests refilled as the consumer drains results, preserving
-  order and never running more than one window ahead of the consumer.
+* ``prefetch``: a bounded window of in-flight tasks refilled as the
+  consumer drains replies, preserving order and never running more than one
+  window ahead of the consumer — pinned at ``max_workers``, or (``adaptive``)
+  moved by the window controller.
+
+A task is a list of work units; ``units`` / ``each`` wrap plain items and
+per-item functions as one-unit tasks.
 """
 
 import threading
@@ -16,8 +17,18 @@ import time
 import pytest
 
 from repro.core.errors import RemoteSourceError
-from repro.kleisli.scheduler import AdaptiveScheduler, BoundedScheduler
+from repro.kleisli.scheduler import Scheduler
 from repro.net.remote import RemoteSource
+
+
+def units(items):
+    """``items`` as one-unit tasks."""
+    return ([item] for item in items)
+
+
+def each(function):
+    """A per-item function as a task function over one-unit tasks."""
+    return lambda task: function(task[0])
 
 
 class ThreadLocalClock:
@@ -26,7 +37,7 @@ class ThreadLocalClock:
     :meth:`advance` calls.  A worker's measured latency is then exactly the
     simulated service time — independent of scheduler jitter, GIL handoffs,
     and wall time — so window-controller assertions stop being flaky.
-    (``AdaptiveScheduler(clock=...)`` injects it.)"""
+    (``Scheduler(clock=...)`` injects it.)"""
 
     def __init__(self):
         self._local = threading.local()
@@ -38,63 +49,67 @@ class ThreadLocalClock:
         self._local.now = self() + seconds
 
 
-class TestExecutorReuse:
-    def test_map_reuses_one_pool_across_calls(self):
-        scheduler = BoundedScheduler(max_workers=4)
+class TestPoolLifetime:
+    def test_the_first_submission_creates_the_pool_and_close_releases_it(self):
+        scheduler = Scheduler(max_workers=4)
         try:
-            scheduler.map(lambda x: x + 1, range(8))
+            iterator = scheduler.prefetch(lambda x: x + 1, range(8))
+            assert scheduler._pool is None, "a pool before any submission"
+            assert next(iterator) == 1
             pool = scheduler._pool
             assert pool is not None
-            scheduler.map(lambda x: x + 1, range(8))
-            assert scheduler._pool is pool, "map rebuilt the executor"
+            assert list(iterator) == list(range(2, 9))
+            assert scheduler._pool is pool, "prefetch rebuilt the executor"
         finally:
             scheduler.close()
+        assert scheduler._pool is None
 
     def test_close_joins_worker_threads(self):
         baseline = threading.active_count()
-        scheduler = BoundedScheduler(max_workers=4)
-        scheduler.map(lambda x: x, range(8))
+        scheduler = Scheduler(max_workers=4)
+        list(scheduler.prefetch(lambda x: x, range(8)))
         assert threading.active_count() > baseline
         scheduler.close()
         assert threading.active_count() == baseline
 
     def test_context_manager_closes(self):
         baseline = threading.active_count()
-        with BoundedScheduler(max_workers=3) as scheduler:
-            scheduler.map(lambda x: x, range(6))
+        with Scheduler(max_workers=3) as scheduler:
+            list(scheduler.prefetch(lambda x: x, range(6)))
         assert threading.active_count() == baseline
 
-    def test_adaptive_map_reuses_pool_across_batches(self):
-        scheduler = AdaptiveScheduler(max_workers=4, initial_workers=2)
+    def test_adaptive_keeps_one_pool_across_windows(self):
+        scheduler = Scheduler(max_workers=4, adaptive=True, initial_workers=2)
         try:
-            scheduler.map(lambda x: x, range(20))
-            assert scheduler.batches > 1
+            iterator = scheduler.prefetch(each(lambda x: x), units(range(20)))
+            next(iterator)
             pool = scheduler._pool
-            scheduler.map(lambda x: x, range(20))
+            assert list(iterator) == list(range(1, 20))
+            assert len(scheduler.level_history) >= 1, "the window never moved"
             assert scheduler._pool is pool
         finally:
             scheduler.close()
 
-    def test_close_is_idempotent_and_map_recovers(self):
-        scheduler = BoundedScheduler(max_workers=2)
-        scheduler.map(lambda x: x, range(4))
+    def test_close_is_idempotent_and_prefetch_recovers(self):
+        scheduler = Scheduler(max_workers=2)
+        list(scheduler.prefetch(lambda x: x, range(4)))
         scheduler.close()
         scheduler.close()
-        # A closed scheduler lazily re-creates its pool on next use.
-        assert scheduler.map(lambda x: x * 2, range(3)) == [0, 2, 4]
+        # A closed scheduler creates a pool again on its next submission.
+        assert list(scheduler.prefetch(lambda x: x * 2, range(3))) == [0, 2, 4]
         scheduler.close()
 
 
-class TestBoundedPrefetch:
+class TestPinnedPrefetch:
     def test_preserves_order(self):
-        with BoundedScheduler(max_workers=4) as scheduler:
+        with Scheduler(max_workers=4) as scheduler:
             results = list(scheduler.prefetch(lambda x: x * x, range(20)))
         assert results == [x * x for x in range(20)]
 
     def test_never_exceeds_the_window_in_flight(self):
         server = RemoteSource("S", lambda x: x, latency=0.002,
                               max_concurrent_requests=100)
-        with BoundedScheduler(max_workers=3) as scheduler:
+        with Scheduler(max_workers=3) as scheduler:
             list(scheduler.prefetch(server.call, range(30)))
         assert server.log.max_concurrency() <= 3
 
@@ -106,7 +121,7 @@ class TestBoundedPrefetch:
                 pulled.append(i)
                 yield i
 
-        with BoundedScheduler(max_workers=3) as scheduler:
+        with Scheduler(max_workers=3) as scheduler:
             iterator = scheduler.prefetch(lambda x: x, source())
             assert next(iterator) == 0
             # At most one window ahead of the consumer (plus the one yielded).
@@ -116,7 +131,7 @@ class TestBoundedPrefetch:
 
     def test_early_close_leaves_no_threads(self):
         baseline = threading.active_count()
-        scheduler = BoundedScheduler(max_workers=4)
+        scheduler = Scheduler(max_workers=4)
         iterator = scheduler.prefetch(lambda x: x, range(50))
         next(iterator)
         iterator.close()
@@ -124,7 +139,7 @@ class TestBoundedPrefetch:
         assert threading.active_count() == baseline
 
     def test_window_of_one_is_sequential(self):
-        with BoundedScheduler(max_workers=1) as scheduler:
+        with Scheduler(max_workers=1) as scheduler:
             assert list(scheduler.prefetch(lambda x: x + 1, range(5))) == [1, 2, 3, 4, 5]
             assert scheduler._pool is None, "window 1 should not build a pool"
 
@@ -139,25 +154,59 @@ class TestBoundedPrefetch:
             return x
 
         started = time.perf_counter()
-        with BoundedScheduler(max_workers=5) as scheduler:
+        with Scheduler(max_workers=5) as scheduler:
             for _ in scheduler.prefetch(slow, range(requests)):
                 pass
         overlapped = time.perf_counter() - started
         assert overlapped < requests * latency * 0.6, \
             f"no overlap: {overlapped:.3f}s vs sequential {requests * latency:.3f}s"
 
+    def test_reads_no_clock_and_keeps_no_samples(self):
+        """A pinned window never consults the time source: one that raises
+        changes nothing, and the level never moves."""
+        def broken_clock():
+            raise AssertionError("a pinned scheduler read the clock")
+
+        with Scheduler(max_workers=3, clock=broken_clock) as scheduler:
+            assert list(scheduler.prefetch(lambda x: x * 2, range(12))) == \
+                [x * 2 for x in range(12)]
+        assert scheduler.level == 3
+        assert scheduler.level_history == []
+
+    def test_an_overload_error_reaches_the_caller_unretried(self):
+        calls = []
+
+        def reject_the_third(x):
+            calls.append(x)
+            if x == 2:
+                raise RemoteSourceError("S", "overloaded")
+            return x
+
+        with Scheduler(max_workers=2) as scheduler:
+            iterator = scheduler.prefetch(reject_the_third, range(6))
+            assert [next(iterator), next(iterator)] == [0, 1]
+            with pytest.raises(RemoteSourceError):
+                next(iterator)
+        assert calls.count(2) == 1
+        assert scheduler.retries == 0
+        assert scheduler.overload_events == 0
+
 
 class TestAdaptivePrefetch:
     def test_preserves_order_and_completes(self):
-        with AdaptiveScheduler(max_workers=4, initial_workers=2) as scheduler:
-            results = list(scheduler.prefetch(lambda x: x * 3, range(25)))
+        with Scheduler(max_workers=4, adaptive=True,
+                       initial_workers=2) as scheduler:
+            results = list(scheduler.prefetch(each(lambda x: x * 3),
+                                              units(range(25))))
         assert results == [x * 3 for x in range(25)]
 
     def test_backs_off_on_overload_and_retries(self):
         server = RemoteSource("S", lambda x: x, latency=0.002,
                               max_concurrent_requests=2)
-        with AdaptiveScheduler(max_workers=8, initial_workers=8) as scheduler:
-            results = list(scheduler.prefetch(server.call, range(30)))
+        with Scheduler(max_workers=8, adaptive=True,
+                       initial_workers=8) as scheduler:
+            results = list(scheduler.prefetch(each(server.call),
+                                              units(range(30))))
         assert results == list(range(30))
         assert scheduler.overload_events >= 1
         assert scheduler.level <= 2
@@ -166,40 +215,43 @@ class TestAdaptivePrefetch:
         """All failures from a window submitted at one level count as ONE
         rejection — per-future halving would compound the decrease and pin
         the rejection ceiling at 1 for the rest of the stream (regression).
-        The scheduler must recover to the server's actual capacity, like
-        map's per-batch policy does."""
+        The scheduler must recover to the server's actual capacity."""
         cap = 4
         server = RemoteSource("S", lambda x: x, latency=0.002,
                               max_concurrent_requests=cap)
-        with AdaptiveScheduler(max_workers=8, initial_workers=8) as scheduler:
-            results = list(scheduler.prefetch(server.call, range(60)))
+        with Scheduler(max_workers=8, adaptive=True,
+                       initial_workers=8) as scheduler:
+            results = list(scheduler.prefetch(each(server.call),
+                                              units(range(60))))
         assert results == list(range(60))
         assert scheduler.overload_events >= 1
-        assert scheduler._rejection_ceiling >= cap - 1, \
-            f"ceiling collapsed to {scheduler._rejection_ceiling} (compounded)"
+        assert scheduler._controller.rejection_ceiling >= cap - 1, \
+            f"ceiling collapsed to {scheduler._controller.rejection_ceiling} (compounded)"
         assert scheduler.level >= cap - 1, \
             f"level never recovered: {scheduler.level}"
 
     def test_ramps_up_on_success(self):
-        with AdaptiveScheduler(max_workers=6, initial_workers=1) as scheduler:
-            list(scheduler.prefetch(lambda x: x, range(40)))
+        with Scheduler(max_workers=6, adaptive=True,
+                       initial_workers=1) as scheduler:
+            list(scheduler.prefetch(each(lambda x: x), units(range(40))))
             assert scheduler.level > 1, "level never ramped despite successes"
 
     def test_gives_up_after_max_retries(self):
         def always_reject(x):
             raise RemoteSourceError("S", "overloaded")
 
-        with AdaptiveScheduler(max_workers=2, max_retries=1) as scheduler:
+        with Scheduler(max_workers=2, adaptive=True,
+                       max_retries=1) as scheduler:
             with pytest.raises(RemoteSourceError):
-                list(scheduler.prefetch(always_reject, range(4)))
+                list(scheduler.prefetch(always_reject, units(range(4))))
+        assert scheduler.retries == 1
 
 
 class TestLatencyAwareWindow:
-    """The window controller shared by map and prefetch: throughput AND
-    per-item latency drive the prefetch window (map keeps its historical
-    throughput-only batch policy through the same implementation)."""
+    """The window controller: throughput AND per-item latency drive a
+    moving prefetch window."""
 
-    def test_throughput_policy_keeps_maps_thresholds(self):
+    def test_throughput_policy_thresholds(self):
         from repro.kleisli.scheduler import _WindowController
 
         controller = _WindowController(8, 1, 1.5)
@@ -280,21 +332,6 @@ class TestLatencyAwareWindow:
         assert controller.level >= level_before - 1, \
             f"healthy real-latency windows collapsed the level to {controller.level}"
 
-    def test_rejection_ceiling_binds_across_call_styles(self):
-        """One controller per scheduler: a ceiling learned during prefetch
-        keeps map from re-probing the rejected level (and vice versa)."""
-        server = RemoteSource("S", lambda x: x, latency=0.002,
-                              max_concurrent_requests=2)
-        with AdaptiveScheduler(max_workers=8, initial_workers=8) as scheduler:
-            assert list(scheduler.prefetch(server.call, range(12))) == list(range(12))
-            ceiling = scheduler._rejection_ceiling
-            assert ceiling is not None and ceiling < 8
-            before = len(scheduler.level_history)
-            assert scheduler.map(server.call, list(range(12))) == list(range(12))
-            assert all(level <= ceiling
-                       for level in scheduler.level_history[before:]), \
-                "map re-probed a level prefetch learned was rejected"
-
     def test_queueing_server_caps_the_prefetch_window(self):
         """End-to-end: a server whose per-request latency grows linearly
         with concurrency (throughput flat) must keep the window far below
@@ -302,68 +339,25 @@ class TestLatencyAwareWindow:
         clock makes the latency-vs-level relation exact instead of
         sleep-jitter-approximate."""
         clock = ThreadLocalClock()
-        scheduler = AdaptiveScheduler(max_workers=12, initial_workers=1,
-                                      degradation_threshold=1.3, clock=clock)
+        scheduler = Scheduler(max_workers=12, adaptive=True, initial_workers=1,
+                              degradation_threshold=1.3, clock=clock)
 
         def queueing(x):
             clock.advance(0.004 * scheduler.level)
             return x
 
         with scheduler:
-            results = list(scheduler.prefetch(queueing, range(50)))
+            results = list(scheduler.prefetch(each(queueing),
+                                              units(range(50))))
         assert results == list(range(50))
         assert max(scheduler.level_history, default=1) < 12, \
             f"window ramped to {max(scheduler.level_history)} despite queueing"
         assert scheduler.level <= 6
 
-    def test_fast_map_batches_do_not_poison_a_later_prefetch(self):
-        """map passes its batch wall clock as the latency sample, so sub-ms
-        local batches hit the noise guard instead of recording a ~1e5/s
-        baseline that a later prefetch's healthy ~2ms windows would read
-        as a collapse and serialize against (regression)."""
-        clock = ThreadLocalClock()
-        with AdaptiveScheduler(max_workers=6, initial_workers=2,
-                               clock=clock) as scheduler:
-            scheduler.map(lambda x: x, list(range(30)))   # zero fake time
-            assert scheduler._controller.best_throughput is None, \
-                "sub-ms map batch recorded as the throughput baseline"
-
-            def remote(x):
-                clock.advance(0.002)
-                return x
-
-            results = list(scheduler.prefetch(remote, range(36)))
-        assert results == list(range(36))
-        # The poisoned-baseline failure mode drives the window all the way
-        # to 1 and keeps it there; with exact 2ms worker latencies a healthy
-        # run ramps deterministically.
-        assert scheduler.level > 1, \
-            f"healthy prefetch serialized at level {scheduler.level}"
-
-    def test_externally_capped_window_does_not_inflate_the_level(self):
-        """prefetch(window=2) caps real concurrency below the level, so its
-        samples carry no evidence about higher levels — they must be
-        discarded, not fed to the controller as level/latency 'improvements'
-        that ramp the shared level to max on a server never actually probed
-        (regression)."""
-        clock = ThreadLocalClock()
-
-        def remote(x):
-            clock.advance(0.002)
-            return x
-
-        with AdaptiveScheduler(max_workers=16, initial_workers=3,
-                               clock=clock) as scheduler:
-            results = list(scheduler.prefetch(remote, range(40), window=2))
-        assert results == list(range(40))
-        assert scheduler.level == 3, \
-            f"capped prefetch moved the level to {scheduler.level}"
-
-
 class TestChunkGranularPrefetch:
-    """prefetch(chunked=True): items are chunks (lists), one task — one
-    window slot — per chunk, and the adaptive controller samples per-chunk
-    latency (a chunk amortizes enough work to clear the noise floor)."""
+    """A task may hold a chunk of work units: one task — one window slot —
+    per chunk, and a moving window samples per-chunk latency (a chunk
+    amortizes enough work to clear the noise floor)."""
 
     @staticmethod
     def _chunks(total, size):
@@ -371,10 +365,9 @@ class TestChunkGranularPrefetch:
                 for start in range(0, total, size)]
 
     def test_preserves_chunk_order_and_contents(self):
-        with BoundedScheduler(max_workers=4) as scheduler:
+        with Scheduler(max_workers=4) as scheduler:
             results = list(scheduler.prefetch(
-                lambda chunk: [x * x for x in chunk],
-                self._chunks(50, 7), chunked=True))
+                lambda chunk: [x * x for x in chunk], self._chunks(50, 7)))
         assert [x for chunk in results for x in chunk] == \
             [x * x for x in range(50)]
 
@@ -388,9 +381,8 @@ class TestChunkGranularPrefetch:
                 pulled.append(chunk)
                 yield chunk
 
-        with BoundedScheduler(max_workers=3) as scheduler:
-            iterator = scheduler.prefetch(
-                lambda chunk: chunk, chunk_source(), chunked=True)
+        with Scheduler(max_workers=3) as scheduler:
+            iterator = scheduler.prefetch(lambda chunk: chunk, chunk_source())
             next(iterator)
             # window (3) + the one being yielded + at most one refill
             assert len(pulled) <= 5, f"pulled {len(pulled)} chunks ahead"
@@ -401,14 +393,14 @@ class TestChunkGranularPrefetch:
         real samples: the level moves off its initial value (ramp), which
         per-item sub-millisecond latencies would not do reliably."""
         clock = ThreadLocalClock()
-        scheduler = AdaptiveScheduler(max_workers=4, initial_workers=1,
-                                      clock=clock)
+        scheduler = Scheduler(max_workers=4, adaptive=True, initial_workers=1,
+                              clock=clock)
         try:
             def slow_chunk(chunk):
                 clock.advance(0.003)
                 return chunk
-            results = list(scheduler.prefetch(
-                slow_chunk, self._chunks(120, 6), chunked=True))
+            results = list(scheduler.prefetch(slow_chunk,
+                                              self._chunks(120, 6)))
             assert [x for chunk in results for x in chunk] == list(range(120))
             assert scheduler.level > 1, scheduler.level_history
         finally:
@@ -424,10 +416,9 @@ class TestChunkGranularPrefetch:
                 raise RemoteSourceError("chunk rejected")
             return chunk
 
-        scheduler = AdaptiveScheduler(max_workers=3, initial_workers=3)
+        scheduler = Scheduler(max_workers=3, adaptive=True, initial_workers=3)
         try:
-            results = list(scheduler.prefetch(
-                flaky, self._chunks(30, 6), chunked=True))
+            results = list(scheduler.prefetch(flaky, self._chunks(30, 6)))
         finally:
             scheduler.close()
         assert [x for chunk in results for x in chunk] == list(range(30))

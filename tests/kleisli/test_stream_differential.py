@@ -376,6 +376,33 @@ def test_stream_matches_execute(mode, label, expr, bindings):
     assert stream_stats.elements_fetched == execute_stats.elements_fetched, label
 
 
+def _moving_window(expr):
+    """``expr`` with every parallel loop's window free to move."""
+    expr = expr.rebuild([_moving_window(child) for child in expr.children()])
+    if type(expr) is ParallelExt:
+        return ParallelExt(expr.var, expr.body, expr.source, expr.kind,
+                           expr.max_workers, adaptive=True)
+    return expr
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("label,expr,bindings",
+                         [shape for shape in _shapes() if "parallel" in shape[0]],
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_pinned_and_moving_windows_agree(mode, label, expr, bindings):
+    outcomes = []
+    for term in (expr, _moving_window(expr)):
+        engine = _engine()
+        value = list(iter_collection(
+            engine.execute(term, bindings, optimize=False, mode=mode)))
+        fetched = engine.last_eval_statistics.elements_fetched
+        streamed = list(engine.stream(term, bindings, optimize=False, mode=mode))
+        assert engine.last_eval_statistics.elements_fetched == fetched
+        outcomes.append((value, fetched, streamed))
+    assert _moving_window(expr) != expr
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 @pytest.mark.parametrize("label,expr,bindings",
                          _shapes(), ids=lambda v: v if isinstance(v, str) else "")

@@ -5,7 +5,7 @@ a consumer that stops early (closes the iterator) must not
 
 * leave the driver's cursor open (the driver generator's ``finally`` must
   run), nor
-* leak ``BoundedScheduler`` workers from a ``ParallelExt`` body, nor
+* leak ``Scheduler`` workers from a ``ParallelExt`` body, nor
 * eagerly drain the source behind the consumer's back —
 
 in **both** execution modes.

@@ -123,6 +123,28 @@ def test_doe_fan_out_runs_over_the_pushed_down_rows(doe_session):
     assert doe_session.engine.driver_gates["GenBank"].in_flight == 0
 
 
+@pytest.mark.parametrize("mode", ["interpret", "compiled"])
+def test_doe_query_agrees_under_a_pinned_and_a_moving_window(doe_session, doe_data, mode):
+    """``adaptive_concurrency`` lets the window move; it changes no value and
+    no fetch, on ``execute`` or ``stream``."""
+    moving = _doe_session(doe_data, engine=KleisliEngine(
+        optimizer_config=OptimizerConfig(adaptive_concurrency=True)))
+    plans = [session.query(example.DOE_QUERY).optimized
+             for session in (doe_session, moving)]
+    assert [plan.adaptive for plan in plans] == [False, True]
+    outcomes = []
+    for session in (doe_session, moving):
+        value = session.query(example.DOE_QUERY, mode=mode).value
+        fetched = session.engine.last_eval_statistics.elements_fetched
+        streamed = list(session.stream(example.DOE_QUERY, mode=mode))
+        assert session.engine.last_eval_statistics.elements_fetched == fetched
+        assert all(gate.in_flight == 0
+                   for gate in session.engine.driver_gates.values())
+        outcomes.append((value, fetched, streamed))
+    assert outcomes[0] == outcomes[1]
+    assert len(outcomes[0][2]) == LOCI
+
+
 def test_reoptimising_a_query_finds_its_compiled_form(doe_session):
     """Optimising one CPL text twice gives one term fingerprint (``Cached``
     nodes included), so the second run hits the compile LRU."""
