@@ -41,11 +41,11 @@ sub-pattern with ``parse_expr``, so a speculation may contain a whole real
 parse — thrown away and repeated at every level of nesting, doubling per
 level.  ``parse_pattern`` therefore remembers, for the life of one
 :class:`Parser`, what it found at each token position (the pattern and its
-end, or the :class:`CPLSyntaxError`); every later attempt there, speculative
-or real, is a lookup.  The key includes whether ``_angle_depth`` is non-zero:
-in a variant payload ``>`` closes the variant instead of comparing, and every
-change of the depth is undone on the way out, error or not, so it depends on
-where the parser is and never on what it tried before.
+end, or what the :class:`CPLSyntaxError` said); every later attempt there,
+speculative or real, is a lookup.  The key includes whether ``_angle_depth``
+is non-zero: in a variant payload ``>`` closes the variant instead of
+comparing, and every change of the depth is undone on the way out, error or
+not, so it depends on where the parser is and never on what it tried before.
 """
 
 from __future__ import annotations
@@ -99,7 +99,8 @@ class Parser:
         # the variant rather than acting as the greater-than operator.  A
         # parenthesised payload restores normal operator parsing.
         self._angle_depth = 0
-        #: (position, in a variant payload?) -> (pattern, end) | (error, None)
+        #: (position, in a variant payload?) -> (pattern, end)
+        #: | ((message, line, column), None)
         self._patterns: Dict[Tuple[int, bool], Tuple[object, Optional[int]]] = {}
 
     # -- token plumbing ------------------------------------------------------
@@ -430,11 +431,16 @@ class Parser:
             try:
                 outcome = (self._parse_pattern(), self.position)
             except CPLSyntaxError as error:
-                outcome = (error, None)
+                # What the error says, not the error: a kept exception keeps
+                # its traceback, whose frames hold this parser — a cycle
+                # that pins the locals of every caller up the stack (a
+                # session's bound tables, a finished pipeline) until the
+                # cyclic collector happens to run.
+                outcome = ((error.message, error.line, error.column), None)
             self._patterns[key] = outcome
         result, end = outcome
         if end is None:
-            raise result.with_traceback(None)
+            raise CPLSyntaxError(*result)
         self.position = end
         return result
 

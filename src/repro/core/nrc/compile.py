@@ -251,6 +251,22 @@ run with no cancellation token, no memory budget and no spill manager takes
 exactly the pre-governance code paths (differential-pinned, like PR 5's
 zero-statistics and PR 8's zero-knowledge contracts).
 
+* **One lifecycle** (``KleisliEngine.execute`` / ``stream``, the engine's
+  ``_QueryRun``): the hooks below are installed in one place and taken down
+  in one place.  *Opening*, after the arguments are checked and on the term
+  that is evaluated (the optimized one, on both entry points): the run's own
+  budget child, the spill decision, the trace, the context.  *Settling*, one
+  idempotent ``finish`` in a fixed order: the profile (it copies the spill
+  books off the still-open manager, so it must precede the step that deletes
+  them), the outcome count (budget rejection, or cancellation — the typed
+  error, or any unfinished ending of a run whose token was cancelled), the
+  spill settlement (row-width sample, hub metrics, engine ledger, files
+  deleted), the budget child closed.  The endings that reach it: ``execute``
+  returning or raising; a stream drained, failed, closed early, closed
+  before its first ``next`` (the one wrapper is handed out already started,
+  because a generator that never ran has no ``finally``), or dropped and
+  collected.  A run with nothing to settle opens no run at all: ``stream``
+  returns this module's ``_pump`` generator itself.
 * **Checkpoint placement** (``EvalContext.cancellation``): cancellation is
   *cooperative* — the token is checked at every natural scheduling point and
   never interrupts mid-value.  The checkpoints are: the chunk boundaries
@@ -272,8 +288,9 @@ zero-statistics and PR 8's zero-knowledge contracts).
   :class:`~repro.core.errors.MemoryBudgetExceededError`.
 * **Spill triggers** (``EvalContext.spill``): the engine attaches a
   :class:`~repro.kleisli.spill.SpillManager` *up front*, plan-gated by the
-  PR 5 cost model (estimated rows × nominal row bytes vs. the budget) — not
-  reactively mid-run — and the two biggest offenders degrade to
+  PR 5 cost model (estimated rows of the optimized term × sampled row bytes
+  vs. the budget; the estimate EXPLAIN ANALYZE prints is that same number)
+  — not reactively mid-run — and the two biggest offenders degrade to
   disk-backed structures: the build sides become spill runs (a lazy
   subquery behind a generator-source ``Cached``: a
   :class:`~repro.kleisli.spill.SpilledList`; an ``index``: a

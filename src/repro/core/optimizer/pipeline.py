@@ -123,20 +123,17 @@ class OptimizerPipeline:
                 "term nests too deeply to optimize") from None
 
     def prepare(self, expr: A.Expr, stats: Optional[RewriteStats] = None,
-                lower: Optional[Callable[[A.Expr], CompiledQuery]] = None,
                 ) -> Tuple[A.Expr, CompiledQuery]:
         """The full compile-time path: rewrite, then lower to closures.
 
         The closure compiler runs strictly *after* every rewrite stage, so it
         sees the Scan/Cached/ParallelExt nodes and the ``index``/``probe``
         calls the rule sets introduced and lowers them natively instead of
-        the surface forms.  ``lower``
-        lets a caller substitute a memoizing lowering step (the Kleisli
-        engine passes its fingerprint-keyed cache); the default compiles
-        fresh.
+        the surface forms.  (The Kleisli engine does the same two steps
+        itself, the second through its fingerprint-keyed cache.)
         """
         optimized = self.optimize(expr, stats)
-        return optimized, (lower or compile_term)(optimized)
+        return optimized, compile_term(optimized)
 
     def explain(self, expr: A.Expr):
         """Optimize and also return per-stage before/after traces."""

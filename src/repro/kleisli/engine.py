@@ -183,6 +183,157 @@ class _DriverGate:
             self._slots.notify()
 
 
+class _QueryRun:
+    """One run that has something to settle: opened in one place (the
+    constructor), settled in one place (:meth:`finish`), which every ending
+    of ``execute`` and — through :meth:`stream`, the one wrapper a streamed
+    run's pipeline gets — of ``stream`` reaches exactly once."""
+
+    __slots__ = ("engine", "context", "collector", "estimated_rows",
+                 "started", "finished")
+
+    def __init__(self, engine: "KleisliEngine", expr: A.Expr,
+                 plan: Optional[PhysicalPlan], deadline: Optional[float],
+                 policy: str, cancellation: Optional[CancellationToken],
+                 memory_budget, spill: Optional[bool], profile: bool):
+        """Open the run on ``expr``, the term that is evaluated (already
+        optimized): its own budget child; the plan (``stream``'s physical
+        plan, else — when something will read it — the planner's for this
+        term); the spill decision; the trace (hub-recorded, profile-only, or
+        none); the context.  Nothing that can raise follows the trace."""
+        self.engine = engine
+        self.finished = False
+        #: The stream's per-stage sink (``stream`` installs it with the tee).
+        self.collector: Optional[StageCollector] = None
+        budget = engine._resolve_budget(memory_budget)
+        hub = engine.observability
+        if (plan is None and engine.optimizer_config.planning
+                and (hub is not None or profile
+                     or (spill is None and budget is not None))):
+            plan = engine.planner.plan_for(expr)
+        #: One term, one estimate (``None``: the planner knows nothing): the
+        #: number that gates auto-spill is the one EXPLAIN ANALYZE prints.
+        self.estimated_rows = None if plan is None else plan.estimated_rows
+        spill_manager = engine._resolve_spill(spill, budget, plan)
+        if hub is not None:
+            trace: Optional[QueryTrace] = hub.start_trace("query")
+        else:
+            trace = QueryTrace("query") if profile else None
+        self.context = engine._make_context(deadline, policy, cancellation,
+                                            budget, spill_manager)
+        self.context.trace = trace
+        self.started = 0.0 if trace is None else time.perf_counter()
+
+    def stream(self, inner: Iterator[object]) -> Iterator[object]:
+        """``inner`` behind this run's settlement.
+
+        A generator that was never started runs no ``finally``, so the
+        wrapper is handed out *started*: it is advanced here to a first,
+        valueless ``yield``, and from then on ``close()`` — the consumer's,
+        or the collector's on a dropped stream — raises ``GeneratorExit``
+        inside the ``try`` whether or not an element was ever asked for.
+        """
+        wrapper = self._settled(inner)
+        next(wrapper)
+        return wrapper
+
+    def _settled(self, inner: Iterator[object]) -> Iterator[object]:
+        rows = None if self.context.trace is None else 0.0
+        try:
+            yield None      # where stream() parks it; never seen by a consumer
+            if rows is None:
+                yield from inner
+            else:
+                for element in inner:
+                    rows += 1
+                    yield element
+        except BaseException as error:
+            try:
+                # The counting loop does not hand ``close()`` on as ``yield
+                # from`` does, and an unstarted wrapper never reached either:
+                # the pipeline's scope closes before the run is settled.
+                inner.close()
+            finally:
+                self.finish(error, rows)
+            raise
+        self.finish(None, rows)
+
+    def finish(self, error: Optional[BaseException] = None,
+               actual_rows: Optional[float] = None) -> None:
+        """Settle the run; idempotent.  ``error`` is what ended it (``None``:
+        it completed; ``GeneratorExit``: its consumer let go).
+
+        The order is the point.  The **profile** first: it copies the spill
+        books off the still-open manager, which the settlement two steps
+        down deletes.  Then the **outcome** for the governance ledger (and
+        the hub's counters): a typed budget rejection, else a cancellation
+        — the typed error, or any unfinished ending of a run whose token
+        was cancelled (the server's ``cancel`` op tears a cursor down
+        without draining into the error).  Then the **spill settlement**:
+        the books feed the row-width model (each spilled frame knows its
+        bytes *and* rows), the hub's spill metrics and the engine ledger,
+        and the files are deleted.  Last the **budget**: the run's child
+        closes and whatever it still holds flows back to its ancestors.
+        """
+        if self.finished:
+            return
+        self.finished = True
+        engine, context = self.engine, self.context
+        hub = engine.observability
+        spill_manager, trace = context.spill, context.trace
+        try:
+            if trace is not None:
+                trace.finish("ok" if error is None else "error")
+                trace_dict = trace.as_dict()
+                plan = context.physical_plan
+                collector = self.collector
+                profile = QueryProfile(
+                    mode=context.statistics.execution_mode or "unknown",
+                    plan=None if plan is None else plan.describe(),
+                    estimated_rows=self.estimated_rows,
+                    actual_rows=actual_rows,
+                    elapsed=time.perf_counter() - self.started,
+                    stages={} if collector is None else collector.stages(),
+                    drivers=aggregate_driver_spans(trace_dict),
+                    statistics=context.statistics.as_dict(),
+                    books=({} if spill_manager is None
+                           else dict(spill_manager.books)),
+                    trace=trace_dict,
+                    status=("ok" if error is None
+                            else "closed" if isinstance(error, GeneratorExit)
+                            else type(error).__name__))
+                engine.last_profile = profile
+                engine._thread_profiles.value = profile
+                if hub is not None:
+                    hub.slow_queries.record(profile)
+            token = context.cancellation
+            outcome = None
+            if isinstance(error, MemoryBudgetExceededError):
+                outcome = "budget_rejections"
+            elif isinstance(error, QueryCancelledError) or (
+                    error is not None and token is not None
+                    and token.cancelled):
+                outcome = "cancellations"
+            if outcome is not None:
+                engine.governor.count(outcome)
+                if hub is not None:
+                    hub.note_governance(outcome)
+        finally:
+            # What the run holds goes back even if the bookkeeping above
+            # fails: pool capacity and disk outlive no run.
+            if spill_manager is not None:
+                books = spill_manager.books
+                rows = books.get("rows_spilled", 0)
+                if rows:
+                    engine.row_width.observe(books.get("bytes_spilled", 0), rows)
+                if hub is not None:
+                    hub.record_spill_books(books)
+                engine.governor.merge(books)
+                spill_manager.close()
+            if context.memory_budget is not None:
+                context.memory_budget.close()
+
+
 class KleisliEngine:
     """Driver registry, optimizer and evaluator in one object."""
 
@@ -446,15 +597,6 @@ class KleisliEngine:
         self.observability = hub
         return hub
 
-    def _begin_trace(self, profile: bool) -> Optional[QueryTrace]:
-        """The run's trace: hub-recorded, profile-only, or ``None`` (off)."""
-        hub = self.observability
-        if hub is not None:
-            return hub.start_trace("query")
-        if profile:
-            return QueryTrace("query")
-        return None
-
     def thread_profile(self) -> Optional[QueryProfile]:
         """The profile of the last observed run *started on this thread*."""
         return getattr(self._thread_profiles, "value", None)
@@ -691,8 +833,21 @@ class KleisliEngine:
         self.last_plan = plan
         return plan
 
-    def _make_context(self, deadline: Optional[float] = None,
-                      on_source_failure: Optional[str] = None,
+    def _failure_policy(self, on_source_failure: Optional[str]) -> str:
+        """The run's source-failure policy: the caller's, else the engine's.
+
+        The one place the value is checked — first thing on both entry
+        points, before a trace, a budget or a context exists, so a bad
+        value leaves nothing to settle.
+        """
+        policy = (on_source_failure if on_source_failure is not None
+                  else self.on_source_failure)
+        if policy not in ("fail", "degrade"):
+            raise ValueError(
+                f"on_source_failure must be 'fail' or 'degrade', got {policy!r}")
+        return policy
+
+    def _make_context(self, deadline: Optional[float], policy: str,
                       cancellation: Optional[CancellationToken] = None,
                       memory_budget: Optional[MemoryBudget] = None,
                       spill_manager: Optional[SpillManager] = None
@@ -701,23 +856,19 @@ class KleisliEngine:
 
         ``deadline`` is a *relative* budget in seconds, converted to an
         absolute deadline on the resilience layer's clock here, when the
-        run starts.  The Scan callbacks are bound as closures over this
+        run starts; ``policy`` comes checked from :meth:`_failure_policy`.
+        The Scan callbacks are bound as closures over this
         context so the resilience layer sees the run's deadline and
         failure policy at every dispatch — while the engine methods keep
         their context-free signatures for direct callers.  ``cancellation``,
-        ``memory_budget`` and ``spill_manager`` (already resolved by
-        :meth:`_governed_run`) land on the context's governance hooks; all
+        ``memory_budget`` and ``spill_manager`` (already resolved by the
+        run's :class:`_QueryRun`) land on the context's governance hooks; all
         ``None`` reproduces the pre-governance context exactly.
         """
         statistics = EvalStatistics()
         self.last_eval_statistics = statistics
         self._thread_statistics.value = statistics
         context = EvalContext(statistics=statistics, cache=self.cache.for_run())
-        policy = (on_source_failure if on_source_failure is not None
-                  else self.on_source_failure)
-        if policy not in ("fail", "degrade"):
-            raise ValueError(
-                f"on_source_failure must be 'fail' or 'degrade', got {policy!r}")
         context.on_source_failure = policy
         if deadline is not None:
             context.deadline = self.resilience.clock() + deadline
@@ -733,16 +884,15 @@ class KleisliEngine:
 
     # -- governance resolution ---------------------------------------------------
 
-    def _resolve_budget(self, memory_budget
-                        ) -> Tuple[Optional[MemoryBudget], bool]:
-        """Normalise a caller's budget argument to a :class:`MemoryBudget`.
+    def _resolve_budget(self, memory_budget) -> Optional[MemoryBudget]:
+        """Normalise a caller's budget argument to the run's own budget.
 
-        Returns ``(budget, owned)``.  An ``int`` mints a per-query budget
-        parented into the engine pool; a ready-made :class:`MemoryBudget`
-        (e.g. a session-scoped quota) becomes the *parent* of a fresh
-        per-run child, so concurrent runs share the quota and each run's
-        usage flows back when its child closes.  Both are ``owned`` — the
-        run finalizer closes the child, never the caller's budget.
+        An ``int`` mints a per-query budget parented into the engine pool;
+        a ready-made :class:`MemoryBudget` (e.g. a session-scoped quota)
+        becomes the *parent* of a fresh per-run child, so concurrent runs
+        share the quota and each run's usage flows back when its child
+        closes.  Either way the result is the run's to close — never the
+        caller's budget.
         ``None`` normally stays ``None`` (zero governance) — except on a
         pool-capped engine, where every run charges the pool through an
         unbounded owned budget, or one unbudgeted query could dodge the cap
@@ -751,13 +901,11 @@ class KleisliEngine:
         pool = self.governor.pool
         if memory_budget is None:
             if pool is None:
-                return None, False
-            return MemoryBudget(None, label="query", parent=pool), True
+                return None
+            return MemoryBudget(None, label="query", parent=pool)
         if isinstance(memory_budget, MemoryBudget):
-            return MemoryBudget(None, label="query",
-                                parent=memory_budget), True
-        limit = int(memory_budget)
-        return MemoryBudget(limit, label="query", parent=pool), True
+            return MemoryBudget(None, label="query", parent=memory_budget)
+        return MemoryBudget(int(memory_budget), label="query", parent=pool)
 
     def _resolve_spill(self, spill: Optional[bool],
                        budget: Optional[MemoryBudget],
@@ -791,33 +939,6 @@ class KleisliEngine:
         if cap is not None and plan.estimated_rows * self.row_width.row_bytes() > cap:
             return SpillManager()
         return None
-
-    def _finish_governed(self, budget: Optional[MemoryBudget], owned: bool,
-                         spill_manager: Optional[SpillManager]) -> None:
-        """The run finalizer: settle the books, free pool capacity and disk.
-
-        Spill books also feed the row-width model (each spilled frame knows
-        its bytes *and* rows) and, with a hub attached, the spill metrics.
-        """
-        if spill_manager is not None:
-            books = spill_manager.books
-            rows = books.get("rows_spilled", 0)
-            if rows:
-                self.row_width.observe(books.get("bytes_spilled", 0), rows)
-            hub = self.observability
-            if hub is not None:
-                hub.record_spill_books(books)
-            self.governor.merge(books)
-            spill_manager.close()
-        if owned and budget is not None:
-            budget.close()
-
-    def _count_governance(self, key: str) -> None:
-        """One governance outcome: engine ledger plus hub counter (if any)."""
-        self.governor.count(key)
-        hub = self.observability
-        if hub is not None:
-            hub.note_governance(key)
 
     def thread_eval_statistics(self) -> Optional[EvalStatistics]:
         """The statistics of the last run *started on this thread*.
@@ -903,8 +1024,7 @@ class KleisliEngine:
         whole run's driver work; ``on_source_failure`` overrides the
         engine's failure policy (``"fail"`` | ``"degrade"``) for this call.
 
-        Governance (all optional; omitting all of them reproduces the
-        ungoverned run bit-for-bit): ``cancellation`` is a
+        Governance (all optional): ``cancellation`` is a
         :class:`~repro.kleisli.governance.CancellationToken` checked at every
         evaluation checkpoint and before every driver dispatch;
         ``memory_budget`` caps the run's materialization (an ``int`` of
@@ -915,139 +1035,67 @@ class KleisliEngine:
         disk-backed execution, ``False`` forbids it (over-budget then raises
         :class:`~repro.core.errors.MemoryBudgetExceededError`).  Spill
         applies to the compiled lowerings; the interpreter honours token and
-        budget only.
-
-        ``profile=True`` attaches an EXPLAIN ANALYZE recorder to this run:
+        budget only.  ``profile=True`` attaches an EXPLAIN ANALYZE recorder:
         the returned value is bit-identical (observation only), and the
         :class:`~repro.obs.profile.QueryProfile` lands on ``last_profile``
-        / :meth:`thread_profile`.  With a hub attached every run is
-        profiled for the slow-query log anyway; with neither, this path is
-        byte-for-byte the pre-observability one.
+        / :meth:`thread_profile`; with a hub attached every run is profiled
+        for the slow-query log anyway.
+
+        **The lifecycle** (the same on :meth:`stream`): the arguments are
+        checked and the term is optimized; on that term the run is *opened*
+        (budget child, spill decision, trace, context); and whether the
+        evaluation returns or raises it is *settled* by the run's one
+        ``finish`` — profile, outcome count, spill settlement, budget, in
+        that order (:class:`_QueryRun`).  With no token, no budget (and no
+        engine pool), ``spill`` not ``True``, no hub and ``profile=False``
+        there is nothing to open or settle: a bare context and the
+        evaluation, with no planner call, no trace and no books — the
+        zero-governance and zero-recorder contracts, bit-for-bit.
         """
+        policy = self._failure_policy(on_source_failure)
         mode = self._resolve_mode(mode)
-        budget, owned = self._resolve_budget(memory_budget)
-        trace = self._begin_trace(profile)
-        if cancellation is None and budget is None and spill is not True:
-            context = self._make_context(deadline, on_source_failure)
-            if trace is None:
-                return self._execute(expr, bindings, optimize, mode, context)
-            return self._execute_observed(expr, bindings, optimize, mode,
-                                          context, trace)
-        gate_plan = None
-        if spill is None and budget is not None and self.optimizer_config.planning:
-            gate_plan = self.planner.plan_for(expr)
-        spill_manager = self._resolve_spill(spill, budget, gate_plan)
-        context = self._make_context(deadline, on_source_failure,
-                                     cancellation, budget, spill_manager)
+        if optimize:
+            expr = self.compile(expr)
+        context, run = self._open_run(expr, None, deadline, policy,
+                                      cancellation, memory_budget, spill,
+                                      profile)
         try:
-            if trace is None:
-                return self._execute(expr, bindings, optimize, mode, context)
-            return self._execute_observed(expr, bindings, optimize, mode,
-                                          context, trace)
-        except QueryCancelledError:
-            self._count_governance("cancellations")
+            result = self._execute(expr, bindings, mode, context)
+        except BaseException as error:
+            if run is not None:
+                run.finish(error)
             raise
-        except MemoryBudgetExceededError:
-            self._count_governance("budget_rejections")
-            raise
-        finally:
-            self._finish_governed(budget, owned, spill_manager)
+        if run is not None:
+            run.finish(None, float(len(result))
+                       if isinstance(result, (CSet, CBag, CList)) else None)
+        return result
 
-    def _execute_observed(self, expr: A.Expr,
-                          bindings: Optional[Dict[str, object]],
-                          optimize: bool, mode: ExecutionMode,
-                          context: EvalContext, trace: QueryTrace):
-        """Eager evaluation under a trace; finalizes the profile either way.
-
-        Eager runs carry no physical plan, so the profile's estimated
-        cardinality comes straight from the planner's estimator —
-        observation only, never written back to the context.
-        """
-        context.trace = trace
-        estimate = None
-        if self.optimizer_config.planning:
-            try:
-                estimate = self.planner.cardinality.estimate(expr)
-            except Exception:  # pragma: no cover - estimator is total today
-                estimate = None
-        started = time.perf_counter()
-        status = "ok"
-        result = None
-        try:
-            result = self._execute(expr, bindings, optimize, mode, context)
-            return result
-        except BaseException as exc:
-            status = type(exc).__name__
-            raise
-        finally:
-            actual = (float(len(result))
-                      if isinstance(result, (CSet, CBag, CList)) else None)
-            self._finalize_observed(context, trace,
-                                    time.perf_counter() - started, status,
-                                    actual, None, estimated_hint=estimate)
-
-    def _finalize_observed(self, context: EvalContext, trace: QueryTrace,
-                           elapsed: float, status: str,
-                           actual_rows: Optional[float],
-                           collector: Optional[StageCollector],
-                           estimated_hint: Optional[float] = None
-                           ) -> QueryProfile:
-        """Close the run's trace and assemble its EXPLAIN ANALYZE profile.
-
-        Runs *before* governance settlement (the spill books are read off
-        the still-open manager), publishes the profile on ``last_profile``
-        and the thread-local mirror, and — with a hub attached — offers it
-        to the slow-query log.
-        """
-        trace.finish("ok" if status == "ok" else "error")
-        plan = context.physical_plan
-        spill_manager = context.spill
-        books = dict(spill_manager.books) if spill_manager is not None else {}
-        trace_dict = trace.as_dict()
-        estimated = None if plan is None else plan.estimated_rows
-        if estimated is None:
-            estimated = estimated_hint
-        if collector is not None and collector.cardinality is not None:
-            actual_rows = (collector.cardinality
-                           if actual_rows is None else actual_rows)
-        profile = QueryProfile(
-            mode=context.statistics.execution_mode or "unknown",
-            plan=None if plan is None else plan.describe(),
-            estimated_rows=estimated,
-            actual_rows=actual_rows,
-            elapsed=elapsed,
-            stages=collector.stages() if collector is not None else {},
-            drivers=aggregate_driver_spans(trace_dict),
-            statistics=context.statistics.as_dict(),
-            books=books,
-            trace=trace_dict,
-            status="ok" if status == "ok" else status)
-        self.last_profile = profile
-        self._thread_profiles.value = profile
-        hub = self.observability
-        if hub is not None:
-            hub.slow_queries.record(profile)
-        return profile
+    def _open_run(self, expr: A.Expr, plan: Optional[PhysicalPlan],
+                  deadline: Optional[float], policy: str,
+                  cancellation: Optional[CancellationToken], memory_budget,
+                  spill: Optional[bool], profile: bool
+                  ) -> Tuple[EvalContext, Optional["_QueryRun"]]:
+        """A run's context, and its :class:`_QueryRun` when it has anything
+        to settle — ``None`` is the bare run of the zero contracts."""
+        if (cancellation is None and memory_budget is None
+                and self.governor.pool is None and spill is not True
+                and self.observability is None and not profile):
+            return self._make_context(deadline, policy), None
+        run = _QueryRun(self, expr, plan, deadline, policy, cancellation,
+                        memory_budget, spill, profile)
+        return run.context, run
 
     def _execute(self, expr: A.Expr, bindings: Optional[Dict[str, object]],
-                 optimize: bool, mode: ExecutionMode, context: EvalContext):
-        """The mode dispatch ``execute`` has always performed, context in hand."""
+                 mode: ExecutionMode, context: EvalContext):
+        """The mode dispatch ``execute`` has always performed, context in
+        hand, on the term as given (closure-lowering runs strictly
+        post-rewrite, through this engine's LRU)."""
         environment = Environment(dict(bindings or {}))
         if mode is ExecutionMode.COMPILED:
-            lower = lambda term: self.compiled_query(term, context.statistics)
-            if optimize:
-                stats = RewriteStats()
-                # The pipeline owns the ordering: closure-lowering runs
-                # strictly post-rewrite, through this engine's LRU.
-                expr, query = self.optimizer.prepare(expr, stats, lower=lower)
-                self.last_rewrite_stats = stats
-            else:
-                query = lower(expr)
+            query = self.compiled_query(expr, context.statistics)
             context.statistics.execution_mode = (
                 "compiled" if query.fully_compiled else "compiled+fallback")
             return query(environment, context)
-        if optimize:
-            expr = self.compile(expr)
         context.statistics.execution_mode = "interpreted"
         return Evaluator(context).evaluate(expr, environment)
 
@@ -1081,161 +1129,79 @@ class KleisliEngine:
         stream holds no driver resources, even behind buffered-but-
         unconsumed chunk elements.  Both execution modes stream.
 
-        ``cancellation``, ``memory_budget`` and ``spill`` govern the run as
-        in :meth:`execute`; a governed stream additionally settles its books
-        (budget closed, spill files deleted, governance ledger updated) when
-        the iterator is exhausted, raises, or is closed early.  Omitting all
-        three returns the raw pipeline generator exactly as before.
-
-        ``profile=True`` records an EXPLAIN ANALYZE profile of this run
-        (per-stage timings via a tee on the plan probe, driver round-trips
-        via trace spans, actual vs. estimated rows), finalized when the
-        stream is drained, raises, or is closed early; the yielded elements
-        are bit-identical to an unprofiled run.  With neither a hub nor
-        ``profile``, the raw pipeline comes back exactly as before (the
-        zero-recorder contract).
+        The keywords mean what they mean on :meth:`execute`, and the
+        lifecycle is the same one.  Checking, optimizing, planning, opening
+        the run and lowering all happen here, at the call (a bad argument
+        raises at the call site, and ``last_eval_statistics`` /
+        ``last_plan`` refer to *this* run as soon as ``stream()`` returns);
+        evaluation starts on the first ``next``.  A lazily delivered answer
+        has more endings than an eager one — drained, failed, closed after
+        k elements, closed before the first ``next``, dropped and garbage
+        collected — and every one of them reaches the run's one ``finish``
+        (profile published, outcome counted, spill files deleted, budget
+        returned).  The bare run (see :meth:`execute`) has nothing to
+        settle: what comes back is the pipeline generator itself.
         """
+        policy = self._failure_policy(on_source_failure)
         mode = self._resolve_mode(mode)
         if optimize:
             expr = self.compile(expr)
-        budget, owned = self._resolve_budget(memory_budget)
-        governed = (cancellation is not None or budget is not None
-                    or spill is True)
-        # Resolution, planning and context creation run eagerly (a bad mode
-        # raises at the call site, and last_eval_statistics / last_plan
-        # refer to *this* run as soon as stream() returns); evaluation
-        # starts on the first next().
-        context = self._make_context(deadline, on_source_failure,
-                                     cancellation, budget)
-        trace = self._begin_trace(profile)
-        collector = None
-        if trace is not None:
-            context.trace = trace
-            collector = StageCollector()
+        plan = fingerprint = None
         if mode is ExecutionMode.COMPILED:
             # The per-query physical plan: chunk knobs, prefetch hints.  An
             # uninformed planner returns the historical defaults, so this
             # changes nothing until statistics or feedback exist.  One
-            # fingerprint walk serves both the planner and the feedback
-            # probe below (they share the compile cache's keying).
+            # fingerprint walk serves the planner, the feedback probe and
+            # the compile cache (they share its keying).
             fingerprint = term_fingerprint(expr) \
                 if self.optimizer_config.planning else None
-            context.physical_plan = self.plan_for(expr, fingerprint)
-            if chunk_policy is not None:
-                context.chunk_policy = chunk_policy
+            plan = self.plan_for(expr, fingerprint)
+        context, run = self._open_run(expr, plan, deadline, policy,
+                                      cancellation, memory_budget, spill,
+                                      profile)
+        try:
+            environment = Environment(dict(bindings or {}))
+            if plan is None:
+                inner = self._stream_interpreted(expr, environment, context)
             else:
-                context.chunk_policy = context.physical_plan.chunk_policy(
-                    is_remote=self.statistics_registry.is_remote)
-                if self.optimizer_config.planning:
-                    # Close the loop: a drained run feeds the ledger the
-                    # next compilation of this (or a similarly-shaped) term
-                    # re-plans from — keyed exactly like the compile cache.
-                    # Runs under an EXPLICIT policy override record
-                    # nothing: their per-chunk costs reflect the caller's
-                    # forced knobs, and folding them in would contaminate
-                    # the observations future planned runs are chosen from.
-                    context.plan_probe = self.plan_feedback.probe(fingerprint)
-            if collector is not None:
-                # The profile tee: the real feedback probe (if any) keeps
-                # seeing exactly the calls it always saw; the collector —
-                # and, with a hub, the chunk-size histogram — ride along.
-                # Forcing a probe here is what routes the pump through its
-                # probe-timed branch, so per-stage timings exist even for
-                # runs that record no feedback.
-                sinks = [collector]
-                hub = self.observability
-                if hub is not None:
-                    sinks.append(hub.chunk_sink())
-                context.plan_probe = ProbeTee(context.plan_probe, *sinks)
-            inner = self._stream_chunked(expr, bindings, context, fingerprint)
-        else:
-            inner = self._stream_interpreted(
-                expr, Environment(dict(bindings or {})), context)
-        spill_manager = None
-        if governed:
-            # The plan gate rides the plan the run was going to compute
-            # anyway; the interpreter has no plan, so auto-spill never
-            # triggers there (force with ``spill=True`` if needed).
-            spill_manager = self._resolve_spill(
-                spill, budget, getattr(context, "physical_plan", None))
-            context.spill = spill_manager
-        if trace is not None:
-            inner = self._observed_stream(inner, context, trace, collector)
-        if not governed:
-            return inner
-        return self._governed_stream(inner, budget, owned, spill_manager,
-                                     cancellation)
-
-    def _observed_stream(self, inner: Iterator[object], context: EvalContext,
-                         trace: QueryTrace,
-                         collector: Optional[StageCollector]
-                         ) -> Iterator[object]:
-        """Count the run's yielded rows and finalize its profile at the end.
-
-        The ``finally`` fires on exhaustion, error, *and* early ``close()``
-        — the same discipline as the governed wrapper it nests inside, so
-        the profile's spill books are read before settlement deletes them.
-        """
-        rows = 0
-        status = "ok"
-        started = time.perf_counter()
-        try:
-            for element in inner:
-                rows += 1
-                yield element
-        except GeneratorExit:
-            status = "closed"
+                context.physical_plan = plan
+                if chunk_policy is not None:
+                    context.chunk_policy = chunk_policy
+                else:
+                    context.chunk_policy = plan.chunk_policy(
+                        is_remote=self.statistics_registry.is_remote)
+                    if self.optimizer_config.planning:
+                        # Close the loop: a drained run feeds the ledger the
+                        # next compilation of this (or a similarly-shaped) term
+                        # re-plans from — keyed exactly like the compile cache.
+                        # Runs under an EXPLICIT policy override record
+                        # nothing: their per-chunk costs reflect the caller's
+                        # forced knobs, and folding them in would contaminate
+                        # the observations future planned runs are chosen from.
+                        context.plan_probe = self.plan_feedback.probe(fingerprint)
+                if context.trace is not None:
+                    # The profile tee: the real feedback probe (if any) keeps
+                    # seeing exactly the calls it always saw; the collector —
+                    # and, with a hub, the chunk-size histogram — ride along.
+                    # Forcing a probe here is what routes the pump through its
+                    # probe-timed branch, so per-stage timings exist even for
+                    # runs that record no feedback.
+                    run.collector = StageCollector()
+                    sinks = [run.collector]
+                    hub = self.observability
+                    if hub is not None:
+                        sinks.append(hub.chunk_sink())
+                    context.plan_probe = ProbeTee(context.plan_probe, *sinks)
+                query = self.compiled_chunked(expr, context.statistics,
+                                              fingerprint)
+                context.statistics.execution_mode = (
+                    "compiled" if query.fully_compiled else "compiled+fallback")
+                inner = query(environment, context)
+        except BaseException as error:
+            if run is not None:
+                run.finish(error)
             raise
-        except BaseException as exc:
-            status = type(exc).__name__
-            raise
-        finally:
-            self._finalize_observed(context, trace,
-                                    time.perf_counter() - started, status,
-                                    float(rows), collector)
-
-    def _governed_stream(self, inner: Iterator[object],
-                         budget: Optional[MemoryBudget], owned: bool,
-                         spill_manager: Optional[SpillManager],
-                         cancellation: Optional[CancellationToken] = None
-                         ) -> Iterator[object]:
-        """Wrap a governed run's pipeline with its settlement finalizer.
-
-        The ``finally`` fires on exhaustion, error, *and* early ``close()``
-        — whichever way the consumer lets go, pool capacity returns and
-        spill files are deleted.  Typed governance errors are counted in the
-        engine ledger on their way out; a stream closed early *after* its
-        token was cancelled (the server's ``cancel`` op tears down without
-        draining into the error) counts as a cancellation too.
-        """
-        settled = False
-        try:
-            yield from inner
-        except QueryCancelledError:
-            settled = True
-            self._count_governance("cancellations")
-            raise
-        except MemoryBudgetExceededError:
-            settled = True
-            self._count_governance("budget_rejections")
-            raise
-        else:
-            settled = True
-        finally:
-            if (not settled and cancellation is not None
-                    and cancellation.cancelled):
-                self._count_governance("cancellations")
-            self._finish_governed(budget, owned, spill_manager)
-
-    def _stream_chunked(self, expr: A.Expr,
-                        bindings: Optional[Dict[str, object]],
-                        context: EvalContext,
-                        fingerprint: Optional[Tuple] = None) -> Iterator[object]:
-        environment = Environment(dict(bindings or {}))
-        query = self.compiled_chunked(expr, context.statistics, fingerprint)
-        context.statistics.execution_mode = (
-            "compiled" if query.fully_compiled else "compiled+fallback")
-        yield from query(environment, context)
+        return inner if run is None else run.stream(inner)
 
     def _stream_interpreted(self, expr: A.Expr, environment: Environment,
                             context: EvalContext) -> Iterator[object]:

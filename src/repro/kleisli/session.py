@@ -225,7 +225,9 @@ class Session:
         ``memory_budget`` and ``spill`` govern each statement's run as in
         :meth:`~repro.kleisli.engine.KleisliEngine.execute`; the session
         quota (:meth:`set_memory_limit`) applies when no per-call budget is
-        given.
+        given.  A statement is governed and profiled on its *optimized* term,
+        so the auto-spill decision and ``last_profile.estimated_rows`` are
+        those of :meth:`query` and :meth:`stream` for the same text.
         """
         program = parse(source)
         result = None

@@ -2,9 +2,11 @@
 and nesting that used to double the work per level now parses at once."""
 
 import ast
+import gc
 import pathlib
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,26 @@ class TestNestedSpeculation:
             seen.append((str(info.value), info.value.line, info.value.column))
         assert seen[0] == seen[1] == _outcome(_Unmemoised, "[a = (1 +)]")[1:]
         assert len(parser._patterns) >= 1
+
+    def test_a_memoised_error_pins_no_caller(self):
+        # A filter qualifier is a failed pattern speculation.  Kept as an
+        # exception, its traceback held the parser that held it, and through
+        # the frames every caller's locals — a server's whole session —
+        # until the cyclic collector ran: memory by accident of GC timing.
+        class Held:
+            pass
+
+        def caller():
+            held = Held()
+            parse_expression("{x | \\x <- S, x.n > 1}")
+            return weakref.ref(held)
+
+        gc.collect()
+        gc.disable()
+        try:
+            assert caller()() is None
+        finally:
+            gc.enable()
 
     def test_the_key_tells_a_variant_payload_from_the_open(self):
         # ``[a = x > 1]`` read as a pattern at one position: a comparison in

@@ -16,6 +16,7 @@ What PR 9's tentpole guarantees, pinned:
   ``elements_fetched``, all governance books zero.
 """
 
+import gc
 import threading
 import time
 
@@ -37,6 +38,7 @@ from repro.kleisli.governance import (
     QueryGovernor,
 )
 from repro.kleisli.session import Session
+from repro.obs import Observability
 
 
 #: The default ramp, and chunks of one (a checkpoint per element).
@@ -294,6 +296,63 @@ def test_cancelled_stream_closed_early_still_counts(capsys):
     assert EvalScope.live_count() == 0
 
 
+@pytest.mark.parametrize("dropped", [False, True],
+                         ids=["closed", "dropped and collected"])
+@pytest.mark.parametrize("mode", [ExecutionMode.COMPILED,
+                                  ExecutionMode.INTERPRET])
+def test_a_stream_that_never_started_still_ends(mode, dropped):
+    """A generator that never ran has no ``finally``; the run settles anyway:
+    one cancellation booked, the trace finished, the budget child closed
+    (the spill manager too: ``test_run_lifecycle.py``)."""
+    engine = KleisliEngine(memory_pool_limit=1 << 20)
+    engine.register_driver(RangeDriver())
+    hub = engine.attach_observability(Observability())
+    token = CancellationToken()
+    stream = engine.stream(_comprehension(count=100), mode=mode,
+                           cancellation=token, memory_budget=1 << 16,
+                           spill=True)
+    token.cancel("client went away before the first fetch")
+    if dropped:
+        del stream
+        gc.collect()
+    else:
+        stream.close()
+    assert engine.governor.snapshot()["cancellations"] == 1
+    tracer = hub.tracer.snapshot()
+    assert tracer["started"] == tracer["finished"] == 1
+    assert engine.governor.pool.used == 0
+    assert engine.last_profile.status == "closed"
+    assert engine.last_profile.actual_rows == 0.0
+    assert EvalScope.live_count() == 0
+
+
+def test_an_unstarted_stream_closed_without_a_cancel_counts_nothing():
+    engine = _engine()
+    stream = engine.stream(_comprehension(count=100),
+                           cancellation=CancellationToken(),
+                           memory_budget=1 << 16)
+    stream.close()
+    stream.close()                        # settled once; twice is a no-op
+    assert all(count == 0 for count in engine.governor.snapshot().values())
+
+
+@pytest.mark.parametrize("entry", ["execute", "stream"])
+def test_a_bad_failure_policy_is_refused_before_anything_is_allocated(entry):
+    engine = KleisliEngine(memory_pool_limit=1 << 20)
+    engine.register_driver(RangeDriver())
+    hub = engine.attach_observability(Observability())
+    before = engine.last_eval_statistics
+    with pytest.raises(ValueError, match="on_source_failure"):
+        getattr(engine, entry)(_comprehension(), on_source_failure="bogus",
+                               cancellation=CancellationToken(),
+                               memory_budget=1 << 16, profile=True)
+    tracer = hub.tracer.snapshot()
+    assert tracer["started"] == tracer["finished"] == 0
+    assert engine.governor.pool.used == 0
+    assert engine.last_eval_statistics is before   # no context was made
+    assert engine.last_profile is None
+
+
 def test_cancel_after_completion_counts_nothing(capsys):
     engine = _engine()
     token = CancellationToken()
@@ -394,7 +453,9 @@ def test_ungoverned_runs_keep_books_at_zero(chunk_policy):
 
 def test_ungoverned_context_has_no_hooks():
     engine = _engine()
-    context = engine._make_context()
+    context, run = engine._open_run(_comprehension(), None, None, "fail",
+                                    None, None, None, False)
+    assert run is None                    # nothing to settle
     assert context.cancellation is None
     assert context.memory_budget is None
     assert context.spill is None

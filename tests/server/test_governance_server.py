@@ -16,6 +16,7 @@ from conftest import wait_until
 from repro.core.errors import RemoteQueryError, ServerOverloadedError
 from repro.core.nrc.eval import EvalScope
 from repro.kleisli.engine import KleisliEngine
+from repro.obs import Observability
 from repro.server import KleisliClient, KleisliServer
 
 N = 400
@@ -127,6 +128,70 @@ class TestWatchdog:
                 books = server.engine.governor.snapshot()
                 assert books["watchdog_kills"] == 0
                 assert books["cancellations"] == 0
+
+
+# ---------------------------------------------------------------------------
+# a cursor nobody ever fetched from still ends
+# ---------------------------------------------------------------------------
+
+class TestUnfetchedCursor:
+    """The run behind a cursor starts on its first ``fetch``; a cursor that is
+    cancelled, closed, dropped or killed before that must settle all the same
+    (it used to answer ``cancelled: true`` and book nothing)."""
+
+    @pytest.fixture()
+    def governed(self):
+        engine = KleisliEngine(memory_pool_limit=1 << 22)
+        hub = engine.attach_observability(Observability())
+        with KleisliServer(engine, session_setup=_setup,
+                           max_concurrent_queries=4, max_query_runtime=0.1,
+                           watchdog_interval=0.01) as srv:
+            yield srv, hub
+
+    @staticmethod
+    def _balanced(server, hub, cancellations):
+        def settled():
+            tracer = hub.tracer.snapshot()
+            return (tracer["started"] == tracer["finished"] > 0
+                    and server.stats.cursors_opened
+                    == server.stats.cursors_closed
+                    # the slot goes back once the reply is on the wire
+                    and server._inflight == 0)
+        assert wait_until(settled)
+        books = server.engine.governor.snapshot()
+        assert books["cancellations"] == cancellations
+        assert server.engine.governor.pool.used == 0
+        assert EvalScope.live_count() == 0
+
+    def test_open_then_cancel(self, governed):
+        server, hub = governed
+        with KleisliClient(server.address) as client:
+            assert client.cancel(client.open(QUERY)) is True
+            self._balanced(server, hub, cancellations=1)
+
+    def test_open_then_close(self, governed):
+        server, hub = governed
+        with KleisliClient(server.address) as client:
+            assert client.close_cursor(client.open(QUERY)) is True
+            self._balanced(server, hub, cancellations=0)
+
+    def test_dropped_connection(self, governed):
+        server, hub = governed
+        client = KleisliClient(server.address)
+        client.open(QUERY)
+        client.kill()
+        self._balanced(server, hub, cancellations=0)
+
+    def test_watchdog_kill(self, governed):
+        server, hub = governed
+        with KleisliClient(server.address) as client:
+            cursor = client.open(QUERY)
+            assert wait_until(lambda: server.engine.governor.snapshot()
+                              ["watchdog_kills"] == 1)
+            # Letting go of a killed cursor is the cancellation the
+            # watchdog asked for, fetched from or not.
+            assert client.close_cursor(cursor) is True
+            self._balanced(server, hub, cancellations=1)
 
 
 # ---------------------------------------------------------------------------
