@@ -15,7 +15,9 @@ with a CPL session, and then runs the paper's three definitions:
 
 It also shows the optimizer at work: the three-generator Loci22 comprehension
 is shipped to the relational driver as a single SQL query, on its own and when
-the DOE query uses it as the source of its loop over Entrez.
+the DOE query uses it as the source of its loop over Entrez; and, once the
+two servers sit behind a slow link, that loop issued as many requests at a
+time as the narrower of them declared it can take.
 
 Run with::
 
@@ -54,6 +56,15 @@ define loci-in-band == \\band =>
 '''
 
 
+def _session(gdb, genbank) -> Session:
+    session = Session()
+    session.register_driver(gdb)
+    session.register_driver(genbank)
+    for definition in (LOCI22, ASN_IDS, BAND_VIEW):
+        session.run(definition)
+    return session
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--loci", type=int, default=120,
@@ -65,12 +76,8 @@ def main() -> None:
     print(f"Building the chromosome-22 scenario ({arguments.loci} loci)...")
     data = build_chromosome22(locus_count=arguments.loci)
 
-    session = Session()
-    session.register_driver(RelationalDriver("GDB", data.gdb))
-    session.register_driver(EntrezDriver("GenBank", data.genbank))
-    session.run(LOCI22)
-    session.run(ASN_IDS)
-    session.run(BAND_VIEW)
+    session = _session(RelationalDriver("GDB", data.gdb),
+                       EntrezDriver("GenBank", data.genbank))
 
     print("\n== Loci22: known DNA sequences on chromosome 22 (from GDB) ==")
     loci22 = session.query("Loci22")
@@ -92,6 +99,19 @@ def main() -> None:
         print(f"  {locus.project('locus-symbol'):>10}  {locus.project('genbank-ref')}: "
               f"{len(homologs)} homologs  {organisms}")
     print(f"  ... {len(rows)} loci in total")
+
+    print("\n== The same query over remote servers: a loop as wide as they say ==")
+    remote = _session(
+        RelationalDriver.with_latency("GDB", data.gdb, latency=0.002,
+                                      max_concurrent_requests=16),
+        EntrezDriver.with_latency("GenBank", data.genbank, latency=0.002,
+                                  max_concurrent_requests=8))
+    plan = remote.query(DOE_QUERY)
+    assert plan.value == answer
+    caps = {name: gate.cap for name, gate in remote.engine.driver_gates.items()}
+    print(f"Declared caps: {caps}; the plan: {plan.optimized.pretty()[:60]} ...")
+    print("Most requests GenBank saw at once:",
+          remote.engine.drivers["GenBank"].remote.log.max_concurrency())
 
     band = arguments.band
     band_rows = session.run(f'loci-in-band("{band}")')

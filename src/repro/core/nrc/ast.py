@@ -24,7 +24,6 @@ rewrite engine can detect fixpoints.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -555,6 +554,8 @@ class Cached(Expr):
     def __init__(self, expr: Expr, key: Optional[str] = None):
         self.expr = expr
         if key is None:
+            import hashlib  # here, not at the top: OpenSSL is 3.5 MB of resident memory
+
             from .compile import term_fingerprint  # compile imports this module
             digest = hashlib.sha1(repr(term_fingerprint(expr)).encode())
             key = self.CONTENT_PREFIX + digest.hexdigest()[:20]

@@ -17,8 +17,10 @@ of requests at a time, say five."
   protects it is the per-driver in-flight gate of
   :meth:`~repro.kleisli.engine.KleisliEngine.driver_executor`, as wide as the
   driver's declared ``max_concurrent_requests``.  ``max_workers`` only sizes
-  one loop's fan-out (up to that declaration, when there is one); requests
-  past the server's cap queue at the gate instead of being rejected.
+  one loop's fan-out: the narrowest cap the servers in its body declared,
+  and five (``OptimizerConfig.parallel_max_workers``) for a server that
+  declared nothing; requests past the server's cap queue at the gate
+  instead of being rejected.
 * :func:`make_parallel_rule_set` recognises loops whose body issues a request
   to a *remote* driver with arguments depending on the loop variable and
   rewrites them into :class:`ParallelExt`.
@@ -306,13 +308,37 @@ def make_parallel_rule_set(is_remote_driver: Callable[[str], bool],
     rule = Rule("parallel-remote-loop", parallelise,
                 "issue remote requests of an inner loop concurrently, bounded by the server cap",
                 node_types=A.Ext)
-    return RuleSet("parallel", [rule], direction="top-down", max_iterations=2)
+    return _RemoteLoopRuleSet(is_remote_driver, [rule])
+
+
+class _RemoteLoopRuleSet(RuleSet):
+    """Top-down, and no pass at all over a term that scans nothing remote
+    (most terms: every query over bound tables only).  Remoteness is asked
+    per pass, not when the set is built — a latency may be registered, or
+    observed, after that."""
+
+    def __init__(self, is_remote_driver: Callable[[str], bool], rules):
+        super().__init__("parallel", rules, direction="top-down", max_iterations=2)
+        self.is_remote_driver = is_remote_driver
+
+    def _one_pass(self, expr, stats):
+        if next(_remote_scans(expr, self.is_remote_driver), None) is None:
+            return expr, False
+        return super()._one_pass(expr, stats)
+
+
+def _remote_scans(expr: A.Expr, is_remote_driver: Callable[[str], bool]) -> Iterator[A.Scan]:
+    """Every Scan of a remote driver in ``expr``."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, A.Scan) and is_remote_driver(node.driver):
+            yield node
+        stack.extend(node.children())
 
 
 def _body_calls_remote(body: A.Expr, var: str, is_remote_driver: Callable[[str], bool]) -> bool:
     """Does ``body`` contain a Scan of a remote driver whose request depends on ``var``?"""
-    if isinstance(body, A.Scan) and is_remote_driver(body.driver):
-        for arg in body.args.values():
-            if var in A.free_variables(arg):
-                return True
-    return any(_body_calls_remote(child, var, is_remote_driver) for child in body.children())
+    return any(var in A.free_variables(arg)
+               for scan in _remote_scans(body, is_remote_driver)
+               for arg in scan.args.values())

@@ -43,6 +43,8 @@ class OptimizerConfig:
     local_joins: bool = True
     caching: bool = True
     parallelism: bool = True
+    #: The paper's "say five": the width of a loop over a remote server that
+    #: declared no ``max_concurrent_requests``.  A declared cap is the width.
     parallel_max_workers: int = 5
     #: Let the scheduler's window move ([43]) instead of pinning it at the
     #: worker count.

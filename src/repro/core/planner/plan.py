@@ -187,24 +187,37 @@ class QueryPlanner:
         walk(expr)
         return requests
 
+    def _server_window(self, scans) -> Optional[int]:
+        """How many requests the remote servers among ``scans`` take at once.
+
+        The bound on a remote loop is its servers' (see
+        :mod:`repro.core.optimizer.parallel`): the narrowest cap they
+        declared, ``parallel_max_workers`` — the paper's "say five" —
+        standing in for one that declared nothing.  ``None`` when none of
+        them declared one.
+        """
+        caps = [self.concurrency_of(driver) for driver, _ in scans
+                if self.statistics.is_remote(driver)]
+        if all(cap is None for cap in caps):
+            return None
+        return min(self.parallel_max_workers if cap is None else cap
+                   for cap in caps)
+
     def parallel_workers(self, expr: A.Expr) -> Optional[int]:
         """Cost gate for introducing ``ParallelExt`` around ``expr``.
 
         ``0`` vetoes the rewrite (a source known to hold fewer than
         :data:`MIN_PARALLEL_SOURCE` elements cannot benefit from request
-        overlap).  A loop is never fanned out wider than the narrowest
-        declared cap of the remote servers its body calls: the workers past
-        it would only queue at the engine's per-driver gate.  ``None`` keeps
-        the rule set's configured worker count.
+        overlap).  Otherwise the loop is as wide as the servers its body
+        calls say they are (:meth:`_server_window`): narrower leaves a
+        declared server idle, wider only queues at the engine's per-driver
+        gate.  ``None`` — no server in the body declared a cap — keeps the
+        rule set's configured worker count.
         """
         rows = self._exact_rows(expr.source)
         if rows is not None and rows < self.MIN_PARALLEL_SOURCE:
             return 0
-        caps = [self.concurrency_of(driver)
-                for driver, _ in collect_scans(expr.body)
-                if self.statistics.is_remote(driver)]
-        caps = [cap for cap in caps if cap is not None]
-        return min(caps + [self.parallel_max_workers]) if caps else None
+        return self._server_window(collect_scans(expr.body))
 
     # -- the per-query run-time plan -----------------------------------------
 
@@ -289,11 +302,13 @@ class QueryPlanner:
             parallel_chunk = self.cost.parallel_chunk_for(unit_cost)
 
         # Prefetch window hint: with a known-slow source, start the adaptive
-        # window at the server cap instead of probing up from one — the
+        # window at the server cap — by the rule that sizes a pinned loop,
+        # over the query's servers — instead of probing up from one: the
         # bandwidth-delay product at these latencies always exceeds the cap.
         prefetch_window = None
         if latency >= self.cost.REMOTE_PARALLEL_LATENCY:
-            prefetch_window = self.parallel_max_workers
+            prefetch_window = (self._server_window(scans)
+                               or self.parallel_max_workers)
 
         return PhysicalPlan(
             initial_chunk=1,

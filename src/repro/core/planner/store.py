@@ -52,7 +52,6 @@ and therefore plans exactly as a storeless engine does.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -252,6 +251,8 @@ def fingerprint_algorithm_version() -> str:
     """
     global _FINGERPRINT_VERSION
     if _FINGERPRINT_VERSION is None:
+        import hashlib  # here, not at the top: OpenSSL is 3.5 MB of resident memory
+
         from ..nrc import ast as A
         from ..nrc import builder as B
         from ..nrc.compile import term_fingerprint

@@ -23,6 +23,7 @@ from repro.core.errors import (
 )
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import term_fingerprint
 from repro.core.optimizer import OptimizerConfig
 from repro.core.optimizer.parallel import ParallelExt
 from repro.core.values import CSet
@@ -51,16 +52,24 @@ class CappedDriver(Driver):
         return self.remote.call(request["key"])
 
 
-def _scan(key):
-    return A.Scan("S", {}, args={"key": key}, kind="set")
+class UndeclaredDriver(Driver):
+    """The same requests over a server that says nothing about itself."""
+
+    def _execute(self, request):
+        return CSet([request["key"]])
 
 
-def _nested_fan_out(outer=6, inner=6):
-    """5 x 5 workers over one capped server: 25 wide without a server bound."""
+def _scan(key, driver="S"):
+    return A.Scan(driver, {}, args={"key": key}, kind="set")
+
+
+def _nested_fan_out(outer=6, inner=6, width=5):
+    """``width`` x ``width`` workers over one capped server: 25 wide at the
+    default, 36 (every key at once) at 16, without a server bound."""
     body = ParallelExt("y", _scan(B.prim("add", B.prim("mul", B.var("x"), B.const(100)),
                                          B.var("y"))),
-                       A.Const(CSet(range(inner))), "set", max_workers=5)
-    return ParallelExt("x", body, A.Const(CSet(range(outer))), "set", max_workers=5)
+                       A.Const(CSet(range(inner))), "set", max_workers=width)
+    return ParallelExt("x", body, A.Const(CSet(range(outer))), "set", max_workers=width)
 
 
 def _run_threads(targets):
@@ -73,16 +82,20 @@ def _run_threads(targets):
 
 
 class TestServerCap:
-    def test_two_sessions_of_nested_parallel_loops_stay_under_the_cap(self):
+    # Loops as wide as the server (what the planner plans): 4 runs of up to
+    # 16 x 16 workers, 144 requests, over 16 slots.
+    @pytest.mark.parametrize("cap", [CAP, 16])
+    def test_two_sessions_of_nested_parallel_loops_stay_under_the_cap(self, cap):
         engine = KleisliEngine()
-        driver = engine.register_driver(CappedDriver())
+        driver = engine.register_driver(CappedDriver(cap=cap))
         sessions = [Session(engine=engine), Session(engine=engine)]
         expected = CSet(x * 100 + y for x in range(6) for y in range(6))
+        fan_out = _nested_fan_out(width=cap)
         outcomes = []
 
         def run(session):
             try:
-                outcomes.append(session.engine.execute(_nested_fan_out(), optimize=False))
+                outcomes.append(session.engine.execute(fan_out, optimize=False))
             except Exception as error:  # noqa: BLE001 - reported below
                 outcomes.append(error)
 
@@ -95,7 +108,7 @@ class TestServerCap:
 
         assert outcomes == [expected] * 4, outcomes  # no RemoteSourceError
         assert len(driver.remote.log) == 4 * 36  # no request lost or retried
-        assert 1 < driver.remote.log.max_concurrency() <= CAP
+        assert 1 < driver.remote.log.max_concurrency() <= cap
         assert engine.driver_gates["S"].in_flight == 0
 
     def test_without_the_gate_the_same_plan_overruns_the_server(self):
@@ -108,8 +121,8 @@ class TestServerCap:
 
     @pytest.mark.parametrize("cap,configured,workers", [
         (3, 5, 3),    # a narrow server narrows the loop
-        (12, 5, 5),   # a wide one does not widen it past the configuration
-        (12, 2, 2),
+        (12, 5, 12),  # a wide one widens it: the configuration is only the
+        (12, 2, 12),  # width for a server that declares nothing
     ])
     def test_planner_keeps_the_fan_out_within_cap_and_configuration(
             self, cap, configured, workers):
@@ -119,6 +132,62 @@ class TestServerCap:
         assert engine.compile(loop).max_workers == workers
         engine.unregister_driver("S")
         assert engine.driver_gates == {}
+
+
+class TestLoopWidth:
+    """A remote loop is as wide as the servers its body calls say they are;
+    ``parallel_max_workers`` speaks for a server that says nothing."""
+
+    @staticmethod
+    def _loop(*drivers):
+        body = _scan(B.var("x"), drivers[0])
+        for driver in drivers[1:]:
+            body = B.union(body, _scan(B.var("x"), driver), "set")
+        return B.ext("x", body, A.Const(CSet(range(40))))
+
+    @pytest.mark.parametrize("called,workers", [
+        (["quiet"], 4),            # nothing declared: the configured width
+        (["S3", "S16"], 3),        # the narrowest server in the body
+        (["S16", "S3"], 3),
+        (["S16"], 16),
+        (["S16", "quiet"], 4),     # the configuration stands in for "quiet"
+    ])
+    def test_the_narrowest_server_in_the_body_sizes_the_loop(self, called, workers):
+        engine = KleisliEngine(OptimizerConfig(parallel_max_workers=4))
+        engine.register_driver(CappedDriver("S3", cap=3))
+        engine.register_driver(CappedDriver("S16", cap=16))
+        engine.register_driver(UndeclaredDriver("quiet"), latency=0.002)
+        plan = engine.compile(self._loop(*called))
+        assert isinstance(plan, ParallelExt) and plan.max_workers == workers
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_a_moving_window_starts_where_the_pinned_one_stands(self, adaptive):
+        """The hint a moving window starts from and the width a pinned one
+        keeps are one number, for a declared and for an undeclared server."""
+        engine = KleisliEngine(OptimizerConfig(adaptive_concurrency=adaptive))
+        engine.register_driver(CappedDriver(cap=12, latency=0.01))
+        engine.register_driver(UndeclaredDriver("quiet"), latency=0.01)
+        for driver, workers in [("S", 12), ("quiet", 5)]:
+            plan = engine.compile(self._loop(driver))
+            assert (plan.adaptive, plan.max_workers) == (adaptive, workers)
+            assert engine.plan_for(plan).prefetch_window == workers
+
+    def test_another_cap_is_another_plan_and_another_compiled_form(self):
+        """The width is baked into the term: re-registering the driver with
+        another cap misses the compile LRU once, and only once."""
+        engine = KleisliEngine()
+        lowered = engine._compiled_queries
+        seen = []
+        for cap in (4, 16, 16):
+            engine.register_driver(CappedDriver(cap=cap))
+            plan = engine.compile(self._loop("S"))
+            misses = lowered.misses
+            assert engine.execute(plan, optimize=False) == CSet(range(40))
+            seen.append((plan.max_workers, lowered.misses - misses,
+                         term_fingerprint(plan)))
+        assert [(width, missed) for width, missed, _ in seen] == \
+            [(4, 1), (16, 1), (16, 0)]
+        assert seen[0][2] != seen[1][2] == seen[2][2]
 
 
 class _Blocked:

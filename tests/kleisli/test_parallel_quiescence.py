@@ -6,9 +6,11 @@ on both entry points, with a pinned and a moving window, in both execution
 modes, flat and nested (``par-U{par-U{...}}``, whose inner loops run on the
 outer loop's workers), must leave the process as it found it: no worker
 thread, no request held at the server's gate, no open evaluation scope.
-While it runs, the server never sees more than its declared ``N`` requests
-at once, and what a run drains is the sequential ``Ext``'s values from the
-sequential ``Ext``'s fetches.
+While it runs, the server never sees more than its declared cap of requests
+at once — under loops wider than a narrow server, and under loops as wide as
+a wide one (the width the planner gives them), nested — and what a run drains
+is the sequential ``Ext``'s values from the sequential ``Ext``'s fetches, at
+every width and in every lowering.
 """
 
 import threading
@@ -26,7 +28,9 @@ from repro.kleisli.engine import ExecutionMode, KleisliEngine
 from repro.kleisli.governance import CancellationToken
 from repro.relational import Database
 
-N = 3        # the server's cap; every loop below is 5 wide
+#: (the server's cap, the width of every loop): loops wider than a narrow
+#: server, and loops as wide as a wide one — nested, 16 x 16 workers.
+WIDTHS = [(3, 5), (16, 16)]
 KTH = 7      # the request that raises, or cancels the token
 #: group -> keys; a one-key and a no-key group make inner loops of one and zero
 GROUPS = {"a": 6, "b": 1, "c": 0, "d": 5, "e": 4, "f": 3}
@@ -36,7 +40,7 @@ class Boom(Exception):
     pass
 
 
-def _fixture(hook=None):
+def _fixture(hook=None, cap=3):
     """An engine over one gated server; ``hook(ordinal)`` runs inside the
     server's handler on every request."""
     database = Database("S")
@@ -46,7 +50,7 @@ def _fixture(hook=None):
                       for group, count in GROUPS.items()
                       for i in range(count) for j in range(2))
     driver = RelationalDriver.with_latency("S", database, latency=0.002,
-                                           max_concurrent_requests=N)
+                                           max_concurrent_requests=cap)
     served = []
     lock = threading.Lock()
 
@@ -115,13 +119,15 @@ ENDINGS = ["execute", "stream drained", "stream closed after one",
            "body raises", "token cancelled"]
 
 
+@pytest.mark.parametrize("cap,width", WIDTHS,
+                         ids=[f"cap{c}-{w}wide" for c, w in WIDTHS])
 @pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
 @pytest.mark.parametrize("mode", [ExecutionMode.INTERPRET,
                                   ExecutionMode.COMPILED])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["pinned", "adaptive"])
 @pytest.mark.parametrize("ending", ENDINGS)
 def test_every_ending_leaves_the_process_quiescent(ending, adaptive, mode,
-                                                   nested):
+                                                   nested, cap, width):
     expected, expected_fetched = _sequential(nested, mode)
     threads = threading.active_count()
     scopes = EvalScope.live_count()
@@ -134,14 +140,14 @@ def test_every_ending_leaves_the_process_quiescent(ending, adaptive, mode,
             token.cancel("mid-loop")
 
     def loop(var, body, source, kind):
-        return ParallelExt(var, body, source, kind, max_workers=5,
+        return ParallelExt(var, body, source, kind, max_workers=width,
                            adaptive=adaptive)
 
     runs = {"execute": [_execute], "stream drained": [_drain],
             "stream closed after one": [_close_after_one]}.get(
                 ending, [_execute, _drain])
     for run in runs:
-        engine, driver = _fixture(hook)
+        engine, driver = _fixture(hook, cap)
         expr = _query(loop, nested)
         if ending == "token cancelled":
             token = CancellationToken()
@@ -161,6 +167,28 @@ def test_every_ending_leaves_the_process_quiescent(ending, adaptive, mode,
         assert threading.active_count() == threads
         assert all(gate.in_flight == 0
                    for gate in engine.driver_gates.values())
-        assert engine.driver_gates["S"].cap == N
+        assert engine.driver_gates["S"].cap == cap
         assert EvalScope.live_count() == scopes
-        assert 1 <= driver.remote.log.max_concurrency() <= N
+        assert 1 <= driver.remote.log.max_concurrency() <= cap
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["flat", "nested"])
+@pytest.mark.parametrize("width", [1, 5, 16])
+def test_the_lowerings_agree_at_every_width(width, nested):
+    """The width moves no value and no request: the interpreter, the eager
+    closure and the chunked stream read what the sequential loop reads."""
+    expected, expected_fetched = _sequential(nested, ExecutionMode.COMPILED)
+    outcomes = []
+    for run, mode in [(_execute, ExecutionMode.INTERPRET),
+                      (_execute, ExecutionMode.COMPILED),
+                      (_drain, ExecutionMode.COMPILED)]:
+        engine, _ = _fixture(cap=16)
+        expr = _query(lambda *loop: ParallelExt(*loop, max_workers=width),
+                      nested)
+        values = run(engine, expr, mode, None)
+        statistics = engine.last_eval_statistics
+        outcomes.append((values, statistics.elements_fetched,
+                         statistics.scan_requests))
+    keys = sum(GROUPS.values())
+    requests = keys + len(GROUPS) if nested else keys
+    assert outcomes == [(expected, expected_fetched, requests)] * 3

@@ -12,7 +12,6 @@ per-item functions as one-unit tasks.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -144,22 +143,34 @@ class TestPinnedPrefetch:
             assert scheduler._pool is None, "window 1 should not build a pool"
 
     def test_overlaps_latency_with_consumption(self):
-        """With a window of W, total wall clock for N latency-bound requests
-        approaches N*latency/W even when the consumer does work per element."""
-        latency = 0.01
-        requests = 20
+        """A window of W keeps W requests in flight while the consumer works
+        through the replies before them: never more, exactly W as long as W
+        are left, and the source pulled no further than one window ahead."""
+        level, requests = 5, 20
+        # Passed only by ``level`` tasks in flight at once, a window at a time.
+        rendezvous = threading.Barrier(level, timeout=10.0)
+        lock = threading.Lock()
+        running, peaks, pulled = set(), [], []
 
-        def slow(x):
-            time.sleep(latency)
+        def source():
+            for i in range(requests):
+                pulled.append(i)
+                yield i
+
+        def held(x):
+            with lock:
+                running.add(x)
+                peaks.append(len(running))
+            rendezvous.wait()
+            with lock:
+                running.discard(x)
             return x
 
-        started = time.perf_counter()
-        with Scheduler(max_workers=5) as scheduler:
-            for _ in scheduler.prefetch(slow, range(requests)):
-                pass
-        overlapped = time.perf_counter() - started
-        assert overlapped < requests * latency * 0.6, \
-            f"no overlap: {overlapped:.3f}s vs sequential {requests * latency:.3f}s"
+        with Scheduler(max_workers=level) as scheduler:
+            for consumed, reply in enumerate(scheduler.prefetch(held, source())):
+                assert reply == consumed
+                assert len(pulled) <= consumed + 1 + level
+        assert max(peaks) == level and len(peaks) == requests
 
     def test_reads_no_clock_and_keeps_no_samples(self):
         """A pinned window never consults the time source: one that raises

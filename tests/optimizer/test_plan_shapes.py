@@ -16,6 +16,7 @@ plan they had.
 import importlib.util
 import pathlib
 import sys
+import threading
 
 import pytest
 
@@ -115,12 +116,51 @@ def test_requests_and_iterations_are_pinned(doe_session, label, text, requests, 
 
 def test_doe_fan_out_runs_over_the_pushed_down_rows(doe_session):
     """The parallel loop sits on the 37-row join result, not on per-pair
-    filter scraps, at the configured width (the servers take more)."""
+    filter scraps, as wide as its servers declared (not the width configured
+    for a server that declares nothing)."""
     plan = doe_session.query(example.DOE_QUERY).optimized
     assert isinstance(plan, ParallelExt)
     assert isinstance(plan.source, A.Scan) and "query" in plan.source.request
-    assert plan.max_workers == doe_session.engine.optimizer_config.parallel_max_workers < CAP
+    assert plan.max_workers == CAP > doe_session.engine.optimizer_config.parallel_max_workers
     assert doe_session.engine.driver_gates["GenBank"].in_flight == 0
+
+
+def test_two_sessions_of_the_doe_query_stay_under_the_cap_and_leave_nothing(doe_data):
+    """As wide as its servers, twice over: the gate (not the loop) bounds what
+    either server sees, a run's threads stop at its outer window (the 37 inner
+    loops are one request each and build no pool), and nothing outlives it."""
+    first = _doe_session(doe_data)
+    engine = first.engine
+    second = Session(engine=engine)
+    for definition in (example.LOCI22, example.ASN_IDS, example.BAND_VIEW):
+        second.run(definition)
+    idle = threading.active_count()
+    genbank = engine.drivers["GenBank"].remote
+    served, threads_seen = genbank.handler, []
+
+    def watched(*args, **kwargs):
+        threads_seen.append(threading.active_count())
+        return served(*args, **kwargs)
+
+    genbank.handler = watched
+    expected = first.query(example.DOE_QUERY).value
+    assert max(threads_seen) - idle <= CAP  # the workers; this thread is in ``idle``
+    del threads_seen[:]
+    outcomes = []
+    runs = [threading.Thread(
+        target=lambda session=session: outcomes.append(session.query(example.DOE_QUERY).value))
+        for session in (first, second)]
+    for run in runs:
+        run.start()
+    for run in runs:
+        run.join(30.0)
+    assert not any(run.is_alive() for run in runs)
+    assert outcomes == [expected, expected]
+    assert max(threads_seen) - idle <= 2 * (CAP + 1)
+    for name in ("GDB", "GenBank"):
+        assert engine.drivers[name].remote.log.max_concurrency() <= CAP
+        assert engine.driver_gates[name].in_flight == 0
+    assert threading.active_count() == idle
 
 
 @pytest.mark.parametrize("mode", ["interpret", "compiled"])
