@@ -1,133 +1,180 @@
-"""E8c — adaptive concurrency ([43]): adjust the level to the server's capability.
+"""E8c — adaptive concurrency ([43]): a window that moves only when the server says no.
 
 Paper claim (Section 4, closing paragraph): a fixed level of concurrency must
-be chosen against an unknown server capacity — too low wastes the latency
-overlap, too high overwhelms the server; *"techniques to automatically adjust
-the level of concurrency based on the capability of servers and on resource
-availability are being developed"* [43].
+be chosen against the server's capacity — too high overwhelms it; *"techniques
+to automatically adjust the level of concurrency based on the capability of
+servers and on resource availability are being developed"* [43].
 
-This benchmark compares a :class:`~repro.kleisli.scheduler.Scheduler` window
-pinned at fixed worker counts against the same scheduler with the window free
-to move (``adaptive=True``) on two simulated servers:
+A server that declares its cap is taken at its word (the loop is pinned at
+the cap, the engine's per-driver gate holds every request under it), so the
+question only arises for a server that declares nothing.  This benchmark
+runs the engine's own plan for a remote loop — 40 requests at 10 ms — over
+such a server, in three arms, alternating, ``RUNS`` times each:
 
-* a *capable* server (high concurrency cap) — the adaptive scheduler should
-  ramp up and approach the best fixed setting;
-* a *fragile* server (cap of 3) — fixed settings above the cap are rejected,
-  while the adaptive scheduler backs off, settles at the cap, and completes
-  every request.
+* **pinned 5** — the paper's "say five", fixed;
+* **pinned 5 + retry** — the same, with ``RetryPolicy(max_attempts=5)`` on
+  the driver, the resilience layer's answer to a rejection;
+* **moving** — what the optimizer plans for an undeclared server: a window
+  of five that narrows to what the server admitted on each rejection.
+
+Against a cap-3 server the pinned window fails, retries complete it slowly,
+and the moving window completes it near the cap's own pace.  Against a
+capable (cap-16) server nothing is rejected and the moving window must cost
+nothing over the pinned one.  Each row reports the median wall time (and
+its quartiles), failed runs, and per run the median narrowings
+(``overload_events``), retries (the scheduler's re-issues plus the
+resilience layer's) and requests the server served.
 """
 
+import statistics
 import time
+from dataclasses import dataclass
+from typing import List
 
 import pytest
 
 from repro.core.errors import RemoteSourceError
-from repro.kleisli.scheduler import Scheduler
+from repro.core.nrc import ast as A
+from repro.core.nrc import builder as B
+from repro.core.optimizer.parallel import ParallelExt
+from repro.core.values import CSet
+from repro.kleisli import scheduler as scheduler_module
+from repro.kleisli.drivers.base import Driver
+from repro.kleisli.engine import KleisliEngine
+from repro.kleisli.resilience import RetryPolicy
 from repro.net.remote import RemoteSource
 
-from conftest import report
+from conftest import report, update_summary
 
 LATENCY = 0.01
 REQUESTS = 40
+RUNS = 10
+WIDTH = 5  # OptimizerConfig.parallel_max_workers: the paper's "say five"
+ARMS = ("pinned 5", "pinned 5 + retry", "moving")
 
 
-def _server(cap: int) -> RemoteSource:
-    return RemoteSource("GenBank", lambda x: x, latency=LATENCY,
-                        max_concurrent_requests=cap)
+class UndeclaredServerDriver(Driver):
+    """``{"key": n}`` -> ``{n}`` through a server with a cap it never
+    declares: no ``remote`` attribute, so the engine builds no gate."""
+
+    def __init__(self, cap: int):
+        super().__init__("GenBank")
+        self.server = RemoteSource("GenBank", lambda key: key, latency=LATENCY,
+                                   max_concurrent_requests=cap)
+
+    def _execute(self, request):
+        return CSet([self.server.call(request["key"])])
 
 
-def _run(scheduler, cap: int):
-    server = _server(cap)
+@dataclass
+class Outcome:
+    elapsed: float
+    failed: bool
+    overload_events: int
+    retries: int
+    served: int
+
+
+@pytest.fixture
+def schedulers(monkeypatch):
+    """Every scheduler a run builds (a parallel loop builds its own)."""
+    made: List[scheduler_module.Scheduler] = []
+
+    class Recording(scheduler_module.Scheduler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(scheduler_module, "Scheduler", Recording)
+    return made
+
+
+def _run_once(cap: int, arm: str, schedulers: list) -> Outcome:
+    engine = KleisliEngine()
+    driver = engine.register_driver(UndeclaredServerDriver(cap), latency=LATENCY)
+    if arm == "pinned 5 + retry":
+        engine.configure_resilience("GenBank", retry=RetryPolicy(max_attempts=5))
+    loop = B.ext("x", A.Scan("GenBank", {}, args={"key": B.var("x")}, kind="set"),
+                 A.Const(CSet(range(REQUESTS))))
+    plan = engine.compile(loop)
+    # What the optimizer plans for a server that declared nothing.
+    assert isinstance(plan, ParallelExt)
+    assert (plan.adaptive, plan.max_workers) == (True, WIDTH)
+    if arm != "moving":
+        plan = ParallelExt(plan.var, plan.body, plan.source, plan.kind,
+                           plan.max_workers, adaptive=False)
+    del schedulers[:]
     started = time.perf_counter()
     try:
-        # A task is a list of work units: one request each.
-        for _ in scheduler.prefetch(lambda task: server.call(task[0]),
-                                    ([request] for request in range(REQUESTS))):
-            pass
-        failed = False
+        failed = engine.execute(plan, optimize=False) != CSet(range(REQUESTS))
     except RemoteSourceError:
         failed = True
-    finally:
-        # Release the workers so one section's idle threads cannot add noise
-        # to the next timed section.
-        scheduler.close()
     elapsed = time.perf_counter() - started
-    return elapsed, server, failed
+    return Outcome(
+        elapsed, failed,
+        overload_events=sum(s.overload_events for s in schedulers),
+        retries=engine.last_eval_statistics.retries
+        + sum(s.retries for s in schedulers),
+        served=driver.server.request_count)
 
 
-# --------------------------------------------------------------------------
-# pytest-benchmark timings
-# --------------------------------------------------------------------------
-
-@pytest.mark.parametrize("mode", ["fixed-1", "fixed-5", "adaptive"])
-def test_adaptive_against_capable_server(benchmark, mode):
-    def once():
-        if mode == "adaptive":
-            scheduler = Scheduler(max_workers=8, adaptive=True)
-        else:
-            scheduler = Scheduler(max_workers=int(mode.split("-")[1]))
-        return _run(scheduler, cap=16)
-
-    benchmark(once)
+def _alternating(cap: int, arms, schedulers) -> dict:
+    outcomes = {arm: [] for arm in arms}
+    for _ in range(RUNS):
+        for arm in arms:
+            outcomes[arm].append(_run_once(cap, arm, schedulers))
+    return outcomes
 
 
-# --------------------------------------------------------------------------
-# Paper-style comparison tables
-# --------------------------------------------------------------------------
-
-def test_e8c_capable_server_report():
-    rows = []
-    timings = {}
-    for label, scheduler in [
-        ("fixed 1 worker", Scheduler(max_workers=1)),
-        ("fixed 5 workers", Scheduler(max_workers=5)),
-        ("fixed 8 workers", Scheduler(max_workers=8)),
-        ("adaptive (cap 8)", Scheduler(max_workers=8, adaptive=True)),
-    ]:
-        elapsed, server, failed = _run(scheduler, cap=16)
-        assert not failed
-        timings[label] = elapsed
-        rows.append([label, f"{elapsed * 1000:.0f} ms", server.log.max_concurrency(),
-                     scheduler.level])
-    report(f"E8c: {REQUESTS} requests to a capable server ({LATENCY * 1000:.0f} ms latency, cap 16)",
-           rows, ["scheduler", "total time", "peak in-flight", "final level"])
-    # The adaptive scheduler beats the sequential baseline clearly and lands
-    # within a small factor of the best fixed setting.
-    assert timings["adaptive (cap 8)"] < timings["fixed 1 worker"] / 1.5
-    assert timings["adaptive (cap 8)"] < timings["fixed 5 workers"] * 3
+def _median_ms(runs) -> float:
+    return statistics.median(run.elapsed for run in runs) * 1000
 
 
-def test_e8c_fragile_server_report():
-    cap = 3
-    rows = []
-    outcomes = {}
-    for label, factory in [
-        ("fixed 8 workers", lambda: Scheduler(max_workers=8)),
-        ("fixed 3 workers", lambda: Scheduler(max_workers=3)),
-        ("adaptive (start 8)", lambda: Scheduler(max_workers=10, adaptive=True,
-                                                 initial_workers=8)),
-    ]:
-        elapsed, server, failed = _run(factory(), cap=cap)
-        outcomes[label] = failed
-        rows.append([label,
-                     "rejected" if failed else f"{elapsed * 1000:.0f} ms",
-                     server.log.max_concurrency(),
-                     len(server.log)])
-    report(f"E8c: {REQUESTS} requests to a fragile server (cap {cap})",
-           rows, ["scheduler", "outcome", "peak in-flight", "requests served"])
-    # A fixed level above the cap overwhelms the server; the adaptive scheduler
-    # backs off and completes the workload.
-    assert outcomes["fixed 8 workers"] is True
-    assert outcomes["adaptive (start 8)"] is False
+def _report(cap: int, outcomes: dict) -> dict:
+    rows, summary = [], {}
+    for arm, runs in outcomes.items():
+        q1, median, q3 = statistics.quantiles(
+            [run.elapsed * 1000 for run in runs], n=4)
+        failures = sum(run.failed for run in runs)
+        row = {
+            "median_ms": round(_median_ms(runs), 1),
+            "iqr_ms": [round(q1, 1), round(q3, 1)],
+            "failed_runs": failures,
+            "overload_events": statistics.median(r.overload_events for r in runs),
+            "retries": statistics.median(r.retries for r in runs),
+            "served": statistics.median(r.served for r in runs),
+        }
+        summary[arm] = row
+        rows.append([arm, f"{row['median_ms']:.1f} ms",
+                     f"{row['iqr_ms'][0]:.1f}-{row['iqr_ms'][1]:.1f}",
+                     f"{failures}/{RUNS}", row["overload_events"],
+                     row["retries"], row["served"]])
+    report(f"E8c: {REQUESTS} requests at {LATENCY * 1000:.0f} ms to an undeclared "
+           f"cap-{cap} server, {RUNS} alternating runs",
+           rows, ["window", "median", "quartiles", "failed", "narrowings",
+                  "retries", "served"])
+    update_summary("BENCH_adaptive_concurrency.json", f"cap_{cap}", summary)
+    return summary
 
 
-def test_e8c_adaptive_settles_at_the_server_capability():
-    scheduler = Scheduler(max_workers=10, adaptive=True, initial_workers=8)
-    _, server, failed = _run(scheduler, cap=3)
-    assert not failed
-    report("E8c: adaptive level trajectory against a cap-3 server",
-           [[", ".join(str(level) for level in scheduler.level_history)]],
-           ["levels the window moved to"])
-    assert scheduler.overload_events >= 1
-    assert scheduler.level_history[-1] <= 3
-    assert server.log.max_concurrency() <= 3
+def test_e8c_fragile_server(schedulers):
+    """Cap 3: pinned 5 is rejected, retries finish it slowly, the moving
+    window narrows once and finishes it at the cap's pace."""
+    outcomes = _alternating(3, ARMS, schedulers)
+    _report(3, outcomes)
+    moving = outcomes["moving"]
+    assert not any(run.failed for run in moving)
+    assert all(run.served == REQUESTS for run in moving)
+    assert all(run.overload_events >= 1 for run in moving)
+    assert any(run.failed for run in outcomes["pinned 5"])
+    assert _median_ms(moving) < _median_ms(outcomes["pinned 5 + retry"])
+
+
+def test_e8c_capable_server(schedulers):
+    """Cap 16: nothing is rejected, and the moving window costs nothing."""
+    outcomes = _alternating(16, ("pinned 5", "moving"), schedulers)
+    _report(16, outcomes)
+    for runs in outcomes.values():
+        assert not any(run.failed for run in runs)
+        assert all(run.overload_events == run.retries == 0 for run in runs)
+    assert _median_ms(outcomes["moving"]) <= 1.1 * _median_ms(outcomes["pinned 5"])

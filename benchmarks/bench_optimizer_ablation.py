@@ -102,17 +102,3 @@ def test_e9_ablation_report(dataset):
     # the SQL pushdown (the biggest single win on this query) costs measurably.
     assert timings["full optimizer"] < timings["everything off"]
     assert timings["full optimizer"] <= timings["no SQL pushdown"]
-
-
-def test_e9_adaptive_concurrency_configuration(dataset):
-    """The adaptive-concurrency switch (the one scheduler's window may move
-    instead of staying pinned) composes with the rest of the pipeline and
-    does not change the answer."""
-    reference, pinned, _ = _run_once(dataset, OptimizerConfig())
-    adaptive_value, moving, _ = _run_once(
-        dataset, OptimizerConfig(adaptive_concurrency=True))
-    assert adaptive_value == reference
-    report("E9: adaptive concurrency switch over the same query",
-           [["pinned window", f"{pinned * 1000:.0f} ms"],
-            ["moving window (adaptive)", f"{moving * 1000:.0f} ms"]],
-           ["configuration", "time"])

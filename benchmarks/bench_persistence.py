@@ -119,8 +119,9 @@ def test_warm_start_first_query(tmp_path):
         cold_time = min(cold_time, elapsed)
 
     # The win is structural, not just timed: the warm engine's first plan
-    # prefetches (restored knowledge), the cold one pays serial latency.
-    assert warm_plan.prefetch_window is not None
+    # is chosen from restored statistics (the driver is known remote, so
+    # its loop runs in parallel), the cold one pays serial latency.
+    assert warm_plan.source == "statistics"
 
     speedup = cold_time / warm_time
     summary = {

@@ -17,10 +17,14 @@ of requests at a time, say five."
   protects it is the per-driver in-flight gate of
   :meth:`~repro.kleisli.engine.KleisliEngine.driver_executor`, as wide as the
   driver's declared ``max_concurrent_requests``.  ``max_workers`` only sizes
-  one loop's fan-out: the narrowest cap the servers in its body declared,
-  and five (``OptimizerConfig.parallel_max_workers``) for a server that
-  declared nothing; requests past the server's cap queue at the gate
+  one loop's fan-out; requests past the server's cap queue at the gate
   instead of being rejected.
+* A loop is *fixed* or *moving*, decided from declarations alone.  Fixed —
+  every remote server its body calls declared a cap — it is pinned at the
+  narrowest of them.  Moving — some server declared nothing — it starts at
+  five (``OptimizerConfig.parallel_max_workers``) and narrows to what the
+  server admitted each time one rejects it (the paper's [43]; see
+  :mod:`repro.kleisli.scheduler`).
 * :func:`make_parallel_rule_set` recognises loops whose body issues a request
   to a *remote* driver with arguments depending on the loop variable and
   rewrites them into :class:`ParallelExt`.
@@ -47,9 +51,12 @@ class ParallelExt(A.Ext):
     """An ``Ext`` evaluated with bounded parallelism over the source elements.
 
     A :class:`~repro.kleisli.scheduler.Scheduler` window of ``max_workers``
-    body evaluations is in flight.  With ``adaptive`` set the window may
-    move: it follows the server's observed capability (the paper's [43]
-    extension) and ``max_workers`` is the upper bound of the probe.
+    body evaluations is in flight.  ``adaptive`` is the moving bit the
+    parallel rule derives from declarations: clear when every remote server
+    the body calls declared a cap (the window stays at ``max_workers``, the
+    narrowest cap), set when one declared nothing (the window starts at
+    ``max_workers`` and narrows to what the server admitted on each
+    rejection, re-issuing the rejected request).
     """
 
     __slots__ = ("max_workers", "adaptive")
@@ -88,9 +95,9 @@ def _replies(expr: ParallelExt, tasks: Iterable[list], run_body, context
     one-element lists, the chunk lowering ``ChunkPolicy.parallel_chunk``
     elements); each task's result elements come back as one list, in task
     order, through a :class:`~repro.kleisli.scheduler.Scheduler` window.
-    Scheduler construction, the plan hint, ``ext_iterations``, the
-    cancellation checkpoint (one per reply: a body that never reaches a
-    driver has no other) and the pool's release live here and nowhere else.
+    Scheduler construction, ``ext_iterations``, the cancellation
+    checkpoint (one per reply: a body that never reaches a driver has no
+    other) and the pool's release live here and nowhere else.
     Close the generator to release the pool — both callers do.
     """
     stats = context.statistics
@@ -113,12 +120,6 @@ def _replies(expr: ParallelExt, tasks: Iterable[list], run_body, context
         from ...kleisli.scheduler import Scheduler  # avoids a cycle
 
         scheduler = Scheduler(expr.max_workers, adaptive=expr.adaptive)
-        plan = getattr(context, "physical_plan", None)
-        if plan is not None and plan.prefetch_window is not None:
-            # The planner's prefetch-window hint: start a moving window at
-            # the plan's level (a known-slow server's bandwidth-delay
-            # product) instead of probing up from one worker.
-            scheduler.apply_plan_hint(plan.prefetch_window)
         scope = context.scope
         if scope is not None:
             # Backstop: if this generator is abandoned without close()
@@ -225,9 +226,8 @@ def _chunk_parallel_ext(expr: ParallelExt, scope, state):
     elements: 1 (the default) is one body evaluation per task, the right
     shape for overlapping *remote* latency, and the replies are re-chunked
     for the downstream stages; a larger value amortizes task and ordering
-    overhead when the body is cheap (the window counted in chunks, a moving
-    window sampling per-chunk latency) and each task's results travel on as
-    one chunk.
+    overhead when the body is cheap (the window counted in chunks) and each
+    task's results travel on as one chunk.
 
     The source is pulled lazily: one window ahead of the consumer, plus the
     rest of the source's current ramp chunk — the same
@@ -272,14 +272,18 @@ def _chunk_parallel_ext(expr: ParallelExt, scope, state):
 
 
 def make_parallel_rule_set(is_remote_driver: Callable[[str], bool],
-                           max_workers: int = 5, adaptive: bool = False,
+                           max_workers: int = 5,
+                           concurrency_of: Optional[
+                               Callable[[str], Optional[int]]] = None,
                            workers_for: Optional[
                                Callable[[A.Expr], Optional[int]]] = None
                            ) -> RuleSet:
     """Build the rule set that parallelises remote inner loops.
 
-    ``adaptive`` selects the self-adjusting scheduler instead of the fixed
-    worker count (see :class:`ParallelExt`).
+    ``concurrency_of`` gives the number of requests a driver's server
+    declared it handles at once (``None``: undeclared; without the callback
+    no server declared anything).  A loop whose body calls an undeclared
+    remote server gets a moving window (see :class:`ParallelExt`).
 
     ``workers_for`` makes the introduction *cost-gated* instead of purely
     pattern-gated: called with the candidate ``Ext``, it returns ``0`` to
@@ -290,6 +294,8 @@ def make_parallel_rule_set(is_remote_driver: Callable[[str], bool],
     intended callback, and returns ``None`` whenever it has no statistics,
     so the uninformed behaviour is unchanged.
     """
+
+    declared = concurrency_of or (lambda driver: None)
 
     def parallelise(expr: A.Expr) -> Optional[A.Expr]:
         if type(expr) is not A.Ext or expr.kind not in ("set", "bag", "list"):
@@ -303,7 +309,10 @@ def make_parallel_rule_set(is_remote_driver: Callable[[str], bool],
                 if chosen < 1:
                     return None  # cost gate: overlap cannot pay here
                 workers = chosen
-        return ParallelExt(expr.var, expr.body, expr.source, expr.kind, workers, adaptive)
+        moving = any(declared(scan.driver) is None
+                     for scan in _remote_scans(expr.body, is_remote_driver))
+        return ParallelExt(expr.var, expr.body, expr.source, expr.kind,
+                           workers, moving)
 
     rule = Rule("parallel-remote-loop", parallelise,
                 "issue remote requests of an inner loop concurrently, bounded by the server cap",

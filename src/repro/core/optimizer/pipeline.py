@@ -46,9 +46,6 @@ class OptimizerConfig:
     #: The paper's "say five": the width of a loop over a remote server that
     #: declared no ``max_concurrent_requests``.  A declared cap is the width.
     parallel_max_workers: int = 5
-    #: Let the scheduler's window move ([43]) instead of pinning it at the
-    #: worker count.
-    adaptive_concurrency: bool = False
     #: Consult the cost-based planner (when one is wired) for physical
     #: knobs — parallel introduction, chunk policy.  Off, every knob is the
     #: fixed historical constant (the ablation baseline).
@@ -83,6 +80,11 @@ class OptimizerPipeline:
         #: parallel introduction (duck-typed: anything with
         #: ``parallel_workers(expr)``).  ``None`` keeps every knob constant.
         self.planner = planner if self.config.planning else None
+        #: What each server declared it handles at once (the planner's
+        #: ``concurrency_of``): a declaration, not a cost choice, so it
+        #: decides whether a parallel loop is fixed or moving even with
+        #: ``planning`` off.
+        self.concurrency_of = getattr(planner, "concurrency_of", None)
         self.engine = self._build_engine()
 
     def _build_engine(self) -> RewriteEngine:
@@ -105,7 +107,7 @@ class OptimizerPipeline:
             rule_sets.append(make_parallel_rule_set(
                 self.is_remote_driver,
                 config.parallel_max_workers,
-                config.adaptive_concurrency,
+                concurrency_of=self.concurrency_of,
                 workers_for=None if planner is None
                 else planner.parallel_workers))
         rule_sets.extend(self.extra_rule_sets)

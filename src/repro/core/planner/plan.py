@@ -10,9 +10,9 @@ choices:
   ``ParallelExt``) is wired into the optimizer rule set as a cost-gate
   callback (``make_parallel_rule_set(workers_for=...)``);
 * **run-time knobs** (the :class:`~repro.core.nrc.compile.ChunkPolicy` ramp
-  bounds, ``parallel_chunk`` granularity, the prefetch window hint, the
-  cost-adaptive ramp switch) travel on a :class:`PhysicalPlan` the engine
-  attaches to the evaluation context per streamed run.
+  bounds, ``parallel_chunk`` granularity, the cost-adaptive ramp switch)
+  travel on a :class:`PhysicalPlan` the engine attaches to the evaluation
+  context per streamed run.
 
 The contract the differential tests pin: with **zero statistics** (nothing
 registered, nothing observed, no feedback) every choice reproduces the
@@ -44,9 +44,6 @@ class PhysicalPlan:
     max_chunk: int = ChunkPolicy.DEFAULT_MAX_CHUNK
     remote_max_chunk: int = ChunkPolicy.REMOTE_MAX_CHUNK
     parallel_chunk: int = 1
-    #: Initial prefetch window for adaptive schedulers (``None`` = probe
-    #: up from one worker, the uninformed default).
-    prefetch_window: Optional[int] = None
     #: Whether the chunk ramp adapts to observed per-chunk cost.
     adaptive_ramp: bool = False
     #: Where the knobs came from: ``default`` | ``statistics`` | ``feedback``.
@@ -80,7 +77,6 @@ class PhysicalPlan:
             "max_chunk": self.max_chunk,
             "remote_max_chunk": self.remote_max_chunk,
             "parallel_chunk": self.parallel_chunk,
-            "prefetch_window": self.prefetch_window,
             "adaptive_ramp": self.adaptive_ramp,
             "estimated_rows": self.estimated_rows,
         }
@@ -192,16 +188,15 @@ class QueryPlanner:
 
         The bound on a remote loop is its servers' (see
         :mod:`repro.core.optimizer.parallel`): the narrowest cap they
-        declared, ``parallel_max_workers`` — the paper's "say five" —
-        standing in for one that declared nothing.  ``None`` when none of
-        them declared one.
+        declared.  ``None`` when one of them declared nothing: that loop's
+        window moves, starting from ``parallel_max_workers`` — the paper's
+        "say five".
         """
         caps = [self.concurrency_of(driver) for driver, _ in scans
                 if self.statistics.is_remote(driver)]
-        if all(cap is None for cap in caps):
+        if not caps or None in caps:
             return None
-        return min(self.parallel_max_workers if cap is None else cap
-                   for cap in caps)
+        return min(caps)
 
     def parallel_workers(self, expr: A.Expr) -> Optional[int]:
         """Cost gate for introducing ``ParallelExt`` around ``expr``.
@@ -211,7 +206,7 @@ class QueryPlanner:
         overlap).  Otherwise the loop is as wide as the servers its body
         calls say they are (:meth:`_server_window`): narrower leaves a
         declared server idle, wider only queues at the engine's per-driver
-        gate.  ``None`` — no server in the body declared a cap — keeps the
+        gate.  ``None`` — a server in the body declared no cap — keeps the
         rule set's configured worker count.
         """
         rows = self._exact_rows(expr.source)
@@ -301,21 +296,11 @@ class QueryPlanner:
         if latency < self.cost.REMOTE_PARALLEL_LATENCY:
             parallel_chunk = self.cost.parallel_chunk_for(unit_cost)
 
-        # Prefetch window hint: with a known-slow source, start the adaptive
-        # window at the server cap — by the rule that sizes a pinned loop,
-        # over the query's servers — instead of probing up from one: the
-        # bandwidth-delay product at these latencies always exceeds the cap.
-        prefetch_window = None
-        if latency >= self.cost.REMOTE_PARALLEL_LATENCY:
-            prefetch_window = (self._server_window(scans)
-                               or self.parallel_max_workers)
-
         return PhysicalPlan(
             initial_chunk=1,
             max_chunk=max_chunk,
             remote_max_chunk=remote_max_chunk,
             parallel_chunk=parallel_chunk,
-            prefetch_window=prefetch_window,
             adaptive_ramp=True,
             source="feedback" if observation is not None else "statistics",
             estimated_rows=rows,

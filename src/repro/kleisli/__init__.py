@@ -8,7 +8,8 @@
 * :mod:`repro.kleisli.drivers` — the data drivers (relational/Sybase, ASN.1/Entrez,
   ACE, flat files, BLAST-style application programs).
 * :mod:`repro.kleisli.scheduler` — the one scheduler for remote requests: a
-  bounded, order-preserving window, pinned or (adaptively) moving.
+  bounded, order-preserving window, pinned at a declared server cap or
+  narrowed by an undeclared server's rejections.
 * :mod:`repro.kleisli.cache` — the inner-subquery result cache.
 * :mod:`repro.kleisli.statistics` — statically registered statistics about
   remote sources (the paper found on-the-fly statistics impractical).

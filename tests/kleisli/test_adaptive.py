@@ -1,9 +1,13 @@
 """Tests for adaptive concurrency (the paper's [43]: "techniques to
 automatically adjust the level of concurrency based on the capability of
-servers and on resource availability are being developed")."""
+servers and on resource availability are being developed").
+
+A window over a server that declared nothing moves only when the server
+says no: it narrows to what the server admitted of the rejected window and
+never widens again.
+"""
 
 import threading
-import time
 
 import pytest
 
@@ -13,10 +17,41 @@ from repro.core.nrc import builder as B
 from repro.core.nrc.eval import EvalContext, Environment, Evaluator
 from repro.core.optimizer.parallel import ParallelExt, make_parallel_rule_set
 from repro.core.values import CSet
-from repro.kleisli.scheduler import Scheduler
+from repro.kleisli.drivers.base import Driver
+from repro.kleisli.engine import KleisliEngine
+from repro.kleisli.scheduler import MAX_RETRIES, Scheduler
 from repro.net.remote import RemoteSource
 
-from test_scheduler_prefetch import ThreadLocalClock, each, units
+from test_scheduler_prefetch import each, units
+
+WAIT = 10.0  # a held request waits at most this long; reaching it fails
+
+
+class FirstBurstServer:
+    """A ``cap``-wide :class:`RemoteSource` that answers nothing until the
+    first ``burst`` requests have all arrived — admitted or rejected — so a
+    window of ``burst`` meets exactly ``burst - cap`` rejections, whatever
+    the order the worker threads start in.  Later requests are answered at
+    once."""
+
+    def __init__(self, cap, burst):
+        self.rejections = 0
+        self._burst_rejected = burst - cap
+        self._lock = threading.Lock()
+        self._arrived = threading.Event()
+        self.remote = RemoteSource("capped", lambda x: x + 1, latency=1.0,
+                                   max_concurrent_requests=cap,
+                                   sleeper=lambda _: self._arrived.wait(WAIT))
+
+    def call(self, x):
+        try:
+            return self.remote.call(x)
+        except RemoteSourceError:
+            with self._lock:
+                self.rejections += 1
+                if self.rejections >= self._burst_rejected:
+                    self._arrived.set()
+            raise
 
 
 def drain(scheduler, function, items):
@@ -37,32 +72,11 @@ class TestAdaptiveSchedulerPolicy:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             Scheduler(max_workers=0, adaptive=True)
-        with pytest.raises(ValueError):
-            Scheduler(max_workers=2, adaptive=True, initial_workers=5)
-        with pytest.raises(ValueError):
-            Scheduler(adaptive=True, degradation_threshold=0.9)
-
-    def test_ramps_up_against_a_capable_server(self):
-        # A capable server answers every request in the same 10 ms however
-        # many are in flight.  Each worker's own timeline steps 10 ms per
-        # request, so the samples *are* that server — no sleeps, and no
-        # dependence on how the box schedules the worker threads.
-        clock = ThreadLocalClock()
-
-        def capable(x):
-            clock.advance(0.01)
-            return x * 2
-
-        scheduler = Scheduler(max_workers=6, adaptive=True, initial_workers=1,
-                              clock=clock)
-        assert drain(scheduler, capable, range(36)) == [x * 2 for x in range(36)]
-        # The ramp is monotone while throughput keeps improving.
-        assert scheduler.level_history == [2, 3, 4, 5, 6]
 
     def test_backs_off_when_the_server_rejects_requests(self):
         server = RemoteSource("capped", lambda x: x + 1, latency=0.004,
                               max_concurrent_requests=3)
-        scheduler = Scheduler(max_workers=10, adaptive=True, initial_workers=8)
+        scheduler = Scheduler(max_workers=8, adaptive=True)
         assert drain(scheduler, server.call, range(40)) == [x + 1 for x in range(40)]
         assert scheduler.overload_events >= 1
         assert scheduler.retries >= 1
@@ -72,23 +86,21 @@ class TestAdaptiveSchedulerPolicy:
         assert scheduler.level_history[-1] <= 3
 
     def test_rejection_ceiling_prevents_re_probing_a_rejected_level(self):
-        server = RemoteSource("capped", lambda x: x, latency=0.002,
-                              max_concurrent_requests=2)
-        rejected_at = 6
-        scheduler = Scheduler(max_workers=8, adaptive=True,
-                              initial_workers=rejected_at)
+        server = FirstBurstServer(cap=2, burst=6)
+        scheduler = Scheduler(max_workers=6, adaptive=True)
         drain(scheduler, server.call, range(40))
-        assert scheduler.level_history[0] == rejected_at // 2
-        assert all(level < rejected_at for level in scheduler.level_history)
+        assert scheduler.level_history == [2]
+        assert scheduler.level == 2
 
     def test_persistent_rejection_raises_after_max_retries(self):
         def always_busy(_):
             raise RemoteSourceError("server busy")
 
-        scheduler = Scheduler(max_workers=4, adaptive=True, initial_workers=2,
-                              max_retries=2)
+        scheduler = Scheduler(max_workers=4, adaptive=True)
         with pytest.raises(RemoteSourceError):
             drain(scheduler, always_busy, range(6))
+        assert scheduler.retries == MAX_RETRIES
+        assert scheduler.level_history == [1]
 
     def test_non_overload_errors_propagate_immediately(self):
         def broken(_):
@@ -99,48 +111,52 @@ class TestAdaptiveSchedulerPolicy:
             drain(scheduler, broken, [1, 2, 3])
         assert scheduler.retries == 0
 
-    def test_degrading_server_caps_the_level(self):
-        """A server whose latency grows with load should stop the ramp well
-        below the pool maximum."""
-        lock = threading.Lock()
-        in_flight = [0]
-
-        def degrading(x):
-            with lock:
-                in_flight[0] += 1
-                load = in_flight[0]
-            time.sleep(0.004 * load)
-            with lock:
-                in_flight[0] -= 1
-            return x
-
-        scheduler = Scheduler(max_workers=12, adaptive=True, initial_workers=1,
-                              degradation_threshold=1.3)
-        assert drain(scheduler, degrading, range(48)) == list(range(48))
-        assert max(scheduler.level_history) < 12
-
-    def test_plateau_probing_escapes_a_slow_first_window(self):
-        # First call is artificially slow (cold cache); the scheduler must not
-        # stay pinned at one worker forever.
-        calls = []
-
-        def handler(x):
-            if not calls:
-                calls.append(x)
-                time.sleep(0.05)
-            else:
-                time.sleep(0.005)
-            return x
-
-        scheduler = Scheduler(max_workers=4, adaptive=True, initial_workers=1)
-        drain(scheduler, handler, range(30))
-        assert max(scheduler.level_history) >= 2
-
     def test_statistics_counters(self):
         scheduler = Scheduler(max_workers=3, adaptive=True)
         drain(scheduler, lambda x: x, range(10))
         assert scheduler.tasks_submitted == 10
         assert scheduler.retries == scheduler.overload_events == 0
+
+
+class TestRejectionOnlyWindow:
+    """The moving window's one rule, on a server that declared nothing."""
+
+    @pytest.mark.parametrize("window", [5, 8])
+    def test_narrows_to_what_the_server_admitted_in_one_step(self, window):
+        server = FirstBurstServer(cap=3, burst=window)
+        scheduler = Scheduler(max_workers=window, adaptive=True)
+        assert drain(scheduler, server.call, range(40)) == \
+            [x + 1 for x in range(40)]
+        assert scheduler.level_history == [3]
+        assert scheduler.overload_events == 1
+        assert scheduler.retries == server.rejections == window - 3
+
+    def test_a_ceiling_is_never_re_probed(self):
+        """Once narrowed, the window never offers the server more: a long
+        stream after the one rejection meets no other."""
+        server = FirstBurstServer(cap=3, burst=8)
+        scheduler = Scheduler(max_workers=8, adaptive=True)
+        assert drain(scheduler, server.call, range(200)) == \
+            [x + 1 for x in range(200)]
+        assert scheduler.level_history == [3] and scheduler.level == 3
+        assert server.rejections == 5
+        assert server.remote.requests_admitted == 200
+        assert server.remote.log.max_concurrency() <= 3
+
+    def test_a_rejection_past_the_retries_reaches_the_caller(self):
+        attempts = []
+
+        def reject_seven(x):
+            if x == 7:
+                attempts.append(x)
+                raise RemoteSourceError("S", "overloaded")
+            return x
+
+        scheduler = Scheduler(max_workers=4, adaptive=True)
+        with pytest.raises(RemoteSourceError):
+            drain(scheduler, reject_seven, range(12))
+        assert len(attempts) == 1 + MAX_RETRIES
+        assert scheduler.retries == MAX_RETRIES
 
 
 class TestPinnedVersusAdaptive:
@@ -160,12 +176,16 @@ class TestPinnedVersusAdaptive:
 
 class TestAdaptiveParallelExt:
     def _remote_loop(self, adaptive):
+        """The loop the rule builds when REMOTE declared nothing (moving) or
+        declared a cap of 8 (fixed)."""
         scan = A.Scan("REMOTE", {"db": "na"}, {"select": B.project(B.var("x"), "acc")})
         body = B.singleton(B.record(acc=B.project(B.var("x"), "acc"),
                                     hits=B.prim("count", scan)))
         expr = B.ext("x", body, B.var("OUTER"))
+        declared = None if adaptive else 8
         rule_set = make_parallel_rule_set(lambda driver: driver == "REMOTE",
-                                          max_workers=4, adaptive=adaptive)
+                                          max_workers=4,
+                                          concurrency_of=lambda _: declared)
         return rule_set.apply(expr)
 
     def test_rule_set_propagates_the_adaptive_flag(self):
@@ -196,3 +216,49 @@ class TestAdaptiveParallelExt:
         adaptive_value, server = self._run(self._remote_loop(adaptive=True), rows)
         assert fixed_value == adaptive_value
         assert server.request_count == 20
+
+
+class _UndeclaredServerDriver(Driver):
+    """``{"key": n}`` -> ``{n}`` through a server with a cap it never
+    declares: no ``remote`` attribute, so the engine builds no gate and the
+    optimizer plans a moving window."""
+
+    def __init__(self, server):
+        super().__init__("quiet")
+        self.server = server
+
+    def _execute(self, request):
+        return CSet([self.server.call(request["key"]) - 1])
+
+
+class TestUndeclaredServerInTheEngine:
+    KEYS = 40
+
+    def _engine(self, window):
+        engine = KleisliEngine()
+        server = FirstBurstServer(cap=3, burst=window)
+        engine.register_driver(_UndeclaredServerDriver(server), latency=0.01)
+        return engine, server
+
+    def _loop(self):
+        scan = A.Scan("quiet", {}, args={"key": B.var("x")}, kind="set")
+        return B.ext("x", scan, A.Const(CSet(range(self.KEYS))))
+
+    def test_the_planned_loop_moves_and_completes(self):
+        engine, server = self._engine(window=5)
+        plan = engine.compile(self._loop())
+        assert isinstance(plan, ParallelExt)
+        assert (plan.adaptive, plan.max_workers) == (True, 5)
+        assert engine.execute(plan, optimize=False) == CSet(range(self.KEYS))
+        assert engine.driver_gates == {}
+        assert server.rejections == 2
+        assert server.remote.requests_admitted == self.KEYS
+
+    def test_the_same_loop_pinned_fails(self):
+        """The premise: a pinned window of five overruns the cap-3 server."""
+        engine, _ = self._engine(window=5)
+        plan = engine.compile(self._loop())
+        pinned = ParallelExt(plan.var, plan.body, plan.source, plan.kind,
+                             plan.max_workers, adaptive=False)
+        with pytest.raises(RemoteSourceError):
+            engine.execute(pinned, optimize=False)

@@ -32,6 +32,7 @@ from repro.kleisli.drivers import RelationalDriver
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.governance import CancellationToken
+from repro.kleisli.resilience import RetryPolicy
 from repro.kleisli.session import Session
 from repro.net.remote import RemoteSource
 from repro.relational import Database
@@ -160,17 +161,56 @@ class TestLoopWidth:
         plan = engine.compile(self._loop(*called))
         assert isinstance(plan, ParallelExt) and plan.max_workers == workers
 
-    @pytest.mark.parametrize("adaptive", [False, True])
-    def test_a_moving_window_starts_where_the_pinned_one_stands(self, adaptive):
-        """The hint a moving window starts from and the width a pinned one
-        keeps are one number, for a declared and for an undeclared server."""
-        engine = KleisliEngine(OptimizerConfig(adaptive_concurrency=adaptive))
-        engine.register_driver(CappedDriver(cap=12, latency=0.01))
-        engine.register_driver(UndeclaredDriver("quiet"), latency=0.01)
-        for driver, workers in [("S", 12), ("quiet", 5)]:
-            plan = engine.compile(self._loop(driver))
-            assert (plan.adaptive, plan.max_workers) == (adaptive, workers)
-            assert engine.plan_for(plan).prefetch_window == workers
+    @pytest.mark.parametrize("planning", [True, False],
+                             ids=["planning", "no-planning"])
+    @pytest.mark.parametrize("called,moving", [
+        (["S16"], False),          # every server declared: fixed
+        (["S3", "S16"], False),
+        (["quiet"], True),         # nothing declared: the window moves
+        (["S16", "quiet"], True),  # one undeclared server is enough
+    ])
+    def test_declarations_decide_fixed_or_moving(self, called, moving,
+                                                 planning):
+        """Fixed or moving is a fact about the servers, not a cost choice:
+        the same with the planner consulted or not."""
+        engine = KleisliEngine(OptimizerConfig(planning=planning))
+        engine.register_driver(CappedDriver("S3", cap=3))
+        engine.register_driver(CappedDriver("S16", cap=16))
+        engine.register_driver(UndeclaredDriver("quiet"), latency=0.002)
+        plan = engine.compile(self._loop(*called))
+        assert isinstance(plan, ParallelExt) and plan.adaptive is moving
+
+    def test_a_fixed_loop_surfaces_a_server_fault_unretried(self):
+        """A loop over declared servers is pinned: an injected fault reaches
+        the caller, the scheduler re-issues nothing, and the only retries
+        are the ones a configured :class:`RetryPolicy` books."""
+        outcomes = []
+        for policy in (None, RetryPolicy(max_attempts=4, backoff_base=0.0)):
+            engine = KleisliEngine()
+            driver = engine.register_driver(CappedDriver(cap=4))
+            driver.remote.failure_rate = 0.25  # every 4th admitted request
+            if policy is not None:
+                engine.configure_resilience("S", retry=policy)
+            plan = engine.compile(self._loop("S"))
+            assert (plan.adaptive, plan.max_workers) == (False, 4)
+            try:
+                value = engine.execute(plan, optimize=False)
+            except RemoteSourceError:
+                value = None
+            books = engine.health()["resilience"].get("S", {})
+            outcomes.append((value, driver.remote.faults_injected,
+                             driver.remote.requests_admitted,
+                             books.get("retries", 0)))
+            assert all(gate.in_flight == 0
+                       for gate in engine.driver_gates.values())
+        (bare, bare_faults, bare_admitted, bare_retries), \
+            (retried, faults, admitted, retries) = outcomes
+        assert bare is None and bare_faults >= 1 and bare_retries == 0
+        # The fourth request fails; at most three were admitted before it and
+        # three more while the replies ahead of it were consumed — none twice.
+        assert bare_admitted <= 3 + 1 + 3
+        assert retried == CSet(range(40))
+        assert retries == faults and admitted == 40 + faults
 
     def test_another_cap_is_another_plan_and_another_compiled_form(self):
         """The width is baked into the term: re-registering the driver with

@@ -27,7 +27,6 @@ from repro.core.planner import (
 from repro.core.values import CList
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
-from repro.kleisli.scheduler import Scheduler
 from repro.kleisli.statistics import SourceStatisticsRegistry
 
 
@@ -209,9 +208,6 @@ class TestPlannerWithStatistics:
         # The slow driver batches in one round-trip: the cap rises past the
         # bounded default so round-trip count stops dominating.
         assert plan.remote_max_chunk > ChunkPolicy.REMOTE_MAX_CHUNK
-        # And the known-slow source gets a prefetch window hint at the cap.
-        assert plan.prefetch_window == \
-            engine.optimizer_config.parallel_max_workers
         # The estimate is load-bearing: a fetch whose round-trips already
         # bottom out at a small batch keeps the small (buffering-friendly)
         # cap instead of jumping to the largest candidate.
@@ -393,32 +389,6 @@ class TestAdaptiveRamp:
         assert engine.plan_for(expr).adaptive_ramp
         assert list(engine.stream(expr, optimize=False)) == \
             [2 * i for i in range(64)]
-
-
-# ---------------------------------------------------------------------------
-# Scheduler plan hints
-# ---------------------------------------------------------------------------
-
-
-class TestSchedulerPlanHint:
-    def test_hint_sets_the_starting_level_clamped_to_the_cap(self):
-        scheduler = Scheduler(max_workers=5, adaptive=True)
-        scheduler.apply_plan_hint(12)
-        assert scheduler.level == 5
-        scheduler.apply_plan_hint(0)
-        assert scheduler.level == 1
-
-    def test_a_pinned_window_ignores_the_hint(self):
-        scheduler = Scheduler(max_workers=5)
-        scheduler.apply_plan_hint(2)
-        assert scheduler.level == 5
-        assert scheduler.level_history == []
-
-    def test_hint_respects_a_learned_rejection_ceiling(self):
-        scheduler = Scheduler(max_workers=8, adaptive=True)
-        scheduler._controller.on_rejection(6)
-        scheduler.apply_plan_hint(8)
-        assert scheduler.level <= 5  # never past the rejected level
 
 
 # ---------------------------------------------------------------------------

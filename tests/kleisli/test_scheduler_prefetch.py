@@ -5,7 +5,7 @@
 * ``prefetch``: a bounded window of in-flight tasks refilled as the
   consumer drains replies, preserving order and never running more than one
   window ahead of the consumer — pinned at ``max_workers``, or (``adaptive``)
-  moved by the window controller.
+  narrowed by the server's rejections.
 
 A task is a list of work units; ``units`` / ``each`` wrap plain items and
 per-item functions as one-unit tasks.
@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro.core.errors import RemoteSourceError
-from repro.kleisli.scheduler import Scheduler
+from repro.kleisli.scheduler import MAX_RETRIES, Scheduler
 from repro.net.remote import RemoteSource
 
 
@@ -28,24 +28,6 @@ def units(items):
 def each(function):
     """A per-item function as a task function over one-unit tasks."""
     return lambda task: function(task[0])
-
-
-class ThreadLocalClock:
-    """A counter-based ``perf_counter`` stand-in for deterministic timing
-    tests: each thread has its own timeline, advanced only by its *own*
-    :meth:`advance` calls.  A worker's measured latency is then exactly the
-    simulated service time — independent of scheduler jitter, GIL handoffs,
-    and wall time — so window-controller assertions stop being flaky.
-    (``Scheduler(clock=...)`` injects it.)"""
-
-    def __init__(self):
-        self._local = threading.local()
-
-    def __call__(self):
-        return getattr(self._local, "now", 0.0)
-
-    def advance(self, seconds):
-        self._local.now = self() + seconds
 
 
 class TestPoolLifetime:
@@ -78,9 +60,18 @@ class TestPoolLifetime:
         assert threading.active_count() == baseline
 
     def test_adaptive_keeps_one_pool_across_windows(self):
-        scheduler = Scheduler(max_workers=4, adaptive=True, initial_workers=2)
+        rejected = []
+
+        def reject_five_once(x):
+            if x == 5 and not rejected:
+                rejected.append(x)
+                raise RemoteSourceError("S", "overloaded")
+            return x
+
+        scheduler = Scheduler(max_workers=4, adaptive=True)
         try:
-            iterator = scheduler.prefetch(each(lambda x: x), units(range(20)))
+            iterator = scheduler.prefetch(each(reject_five_once),
+                                          units(range(20)))
             next(iterator)
             pool = scheduler._pool
             assert list(iterator) == list(range(1, 20))
@@ -172,17 +163,33 @@ class TestPinnedPrefetch:
                 assert len(pulled) <= consumed + 1 + level
         assert max(peaks) == level and len(peaks) == requests
 
-    def test_reads_no_clock_and_keeps_no_samples(self):
-        """A pinned window never consults the time source: one that raises
-        changes nothing, and the level never moves."""
-        def broken_clock():
-            raise AssertionError("a pinned scheduler read the clock")
+    @pytest.mark.parametrize("adaptive", [False, True],
+                             ids=["pinned", "moving"])
+    def test_reads_no_clock_and_keeps_no_samples(self, adaptive, monkeypatch):
+        """Neither window consults a time source: clocks that raise change
+        nothing, and the level moves only on a rejection — never for a
+        pinned window, once (to what was admitted) for a moving one."""
+        import time
 
-        with Scheduler(max_workers=3, clock=broken_clock) as scheduler:
-            assert list(scheduler.prefetch(lambda x: x * 2, range(12))) == \
+        def broken_clock():
+            raise AssertionError("the scheduler read the clock")
+
+        for name in ("perf_counter", "monotonic", "time"):
+            monkeypatch.setattr(time, name, broken_clock)
+        rejected = []
+
+        def reject_four_once(x):
+            if x == 4 and adaptive and not rejected:
+                rejected.append(x)
+                raise RemoteSourceError("S", "overloaded")
+            return x * 2
+
+        with Scheduler(max_workers=3, adaptive=adaptive) as scheduler:
+            assert list(scheduler.prefetch(reject_four_once, range(12))) == \
                 [x * 2 for x in range(12)]
-        assert scheduler.level == 3
-        assert scheduler.level_history == []
+        monkeypatch.undo()
+        assert scheduler.level_history == ([2] if adaptive else [])
+        assert scheduler.level == (2 if adaptive else 3)
 
     def test_an_overload_error_reaches_the_caller_unretried(self):
         calls = []
@@ -205,8 +212,7 @@ class TestPinnedPrefetch:
 
 class TestAdaptivePrefetch:
     def test_preserves_order_and_completes(self):
-        with Scheduler(max_workers=4, adaptive=True,
-                       initial_workers=2) as scheduler:
+        with Scheduler(max_workers=4, adaptive=True) as scheduler:
             results = list(scheduler.prefetch(each(lambda x: x * 3),
                                               units(range(25))))
         assert results == [x * 3 for x in range(25)]
@@ -214,8 +220,7 @@ class TestAdaptivePrefetch:
     def test_backs_off_on_overload_and_retries(self):
         server = RemoteSource("S", lambda x: x, latency=0.002,
                               max_concurrent_requests=2)
-        with Scheduler(max_workers=8, adaptive=True,
-                       initial_workers=8) as scheduler:
+        with Scheduler(max_workers=8, adaptive=True) as scheduler:
             results = list(scheduler.prefetch(each(server.call),
                                               units(range(30))))
         assert results == list(range(30))
@@ -224,151 +229,32 @@ class TestAdaptivePrefetch:
 
     def test_one_burst_is_one_rejection_event(self):
         """All failures from a window submitted at one level count as ONE
-        rejection — per-future halving would compound the decrease and pin
-        the rejection ceiling at 1 for the rest of the stream (regression).
-        The scheduler must recover to the server's actual capacity."""
+        narrowing — one per failed future would compound the decrease and
+        pin the window at 1 for the rest of the stream (regression)."""
         cap = 4
         server = RemoteSource("S", lambda x: x, latency=0.002,
                               max_concurrent_requests=cap)
-        with Scheduler(max_workers=8, adaptive=True,
-                       initial_workers=8) as scheduler:
+        with Scheduler(max_workers=8, adaptive=True) as scheduler:
             results = list(scheduler.prefetch(each(server.call),
                                               units(range(60))))
         assert results == list(range(60))
         assert scheduler.overload_events >= 1
-        assert scheduler._controller.rejection_ceiling >= cap - 1, \
-            f"ceiling collapsed to {scheduler._controller.rejection_ceiling} (compounded)"
         assert scheduler.level >= cap - 1, \
-            f"level never recovered: {scheduler.level}"
-
-    def test_ramps_up_on_success(self):
-        with Scheduler(max_workers=6, adaptive=True,
-                       initial_workers=1) as scheduler:
-            list(scheduler.prefetch(each(lambda x: x), units(range(40))))
-            assert scheduler.level > 1, "level never ramped despite successes"
+            f"the window collapsed to {scheduler.level} (compounded)"
 
     def test_gives_up_after_max_retries(self):
         def always_reject(x):
             raise RemoteSourceError("S", "overloaded")
 
-        with Scheduler(max_workers=2, adaptive=True,
-                       max_retries=1) as scheduler:
+        with Scheduler(max_workers=2, adaptive=True) as scheduler:
             with pytest.raises(RemoteSourceError):
                 list(scheduler.prefetch(always_reject, units(range(4))))
-        assert scheduler.retries == 1
+        assert scheduler.retries == MAX_RETRIES
 
-
-class TestLatencyAwareWindow:
-    """The window controller: throughput AND per-item latency drive a
-    moving prefetch window."""
-
-    def test_throughput_policy_thresholds(self):
-        from repro.kleisli.scheduler import _WindowController
-
-        controller = _WindowController(8, 1, 1.5)
-        controller.on_sample(1, 100.0)      # baseline established → raise
-        assert controller.level == 2
-        controller.on_sample(2, 150.0)      # genuine improvement → raise
-        assert controller.level == 3
-        controller.on_sample(3, 50.0)       # collapse → back off one
-        assert controller.level == 2
-        # The best decays on a collapse (150 → 100): sustained low
-        # throughput keeps walking the level down …
-        controller.on_sample(2, 50.0)       # 50 < 100/1.5 → still degraded
-        assert controller.level == 1
-        # … but a recovery soon registers as improvement against the
-        # decayed best (66.7) instead of being dwarfed by the stale 150.
-        controller.on_sample(1, 80.0)
-        assert controller.level == 2
-        # Plateau holds, probing up periodically.
-        for _ in range(controller.PROBE_INTERVAL - 1):
-            controller.on_sample(2, 80.0)
-            assert controller.level == 2
-        controller.on_sample(2, 80.0)       # plateau probe
-        assert controller.level == 3
-
-    def test_sustained_degradation_keeps_backing_off(self):
-        """A server that permanently degrades (no rejections) must pull the
-        level down and keep it there — decaying the remembered best must
-        not read sustained degradation as a fresh healthy baseline and
-        ramp back up (regression)."""
-        from repro.kleisli.scheduler import _WindowController
-
-        controller = _WindowController(8, 3, 1.5)
-        controller.on_sample(3, 100.0)      # baseline → 4
-        controller.on_sample(4, 160.0)      # improvement → 5
-        for _ in range(8):
-            controller.on_sample(controller.level, 40.0)
-        assert controller.level <= 3, \
-            f"level ramped to {controller.level} under sustained degradation"
-
-    def test_latency_degradation_shrinks_without_throughput_collapse(self):
-        from repro.kleisli.scheduler import _WindowController
-
-        controller = _WindowController(8, 2, 1.5)
-        controller.on_sample(2, 100.0, latency=0.010)   # baseline → 3
-        assert controller.level == 3
-        # Throughput flat, but every request now takes 2x as long: the
-        # extra requests are queueing at the server — shrink.
-        controller.on_sample(3, 101.0, latency=0.022)
-        assert controller.level == 2
-
-    def test_sub_millisecond_samples_only_ramp(self):
-        """Timer noise on instant functions must never shrink the window;
-        with nothing to overlap, decreases come from rejections only."""
-        from repro.kleisli.scheduler import _WindowController
-
-        controller = _WindowController(6, 1, 1.5)
-        controller.on_sample(1, 1e6, latency=1e-5)
-        for throughput in [1e6, 1e3, 5e5, 2e2, 1e6, 1e4, 1e6, 1e5]:
-            controller.on_sample(controller.level, throughput, latency=1e-5)
-        assert controller.level == 6
-
-    def test_noise_era_samples_do_not_poison_the_baseline(self):
-        """Sub-millisecond windows (e.g. items served from a local cache)
-        must not set best_throughput: when later items reach the real
-        ~2ms server, its healthy windows would read as a collapse against
-        the ~1e6/s noise baseline and serialize the stream (regression)."""
-        from repro.kleisli.scheduler import _WindowController
-
-        controller = _WindowController(8, 2, 1.5)
-        for _ in range(6):                      # cache era: ~10us per item
-            controller.on_sample(controller.level, 1e6, latency=1e-5)
-        assert controller.level == 8
-        assert controller.best_throughput is None, \
-            "noise-era sample recorded as the throughput baseline"
-        level_before = controller.level
-        for _ in range(6):                      # real server: 2ms per item
-            controller.on_sample(controller.level, 2500.0, latency=0.002)
-        assert controller.level >= level_before - 1, \
-            f"healthy real-latency windows collapsed the level to {controller.level}"
-
-    def test_queueing_server_caps_the_prefetch_window(self):
-        """End-to-end: a server whose per-request latency grows linearly
-        with concurrency (throughput flat) must keep the window far below
-        the pool maximum — the signal per-item AIMD never saw.  The fake
-        clock makes the latency-vs-level relation exact instead of
-        sleep-jitter-approximate."""
-        clock = ThreadLocalClock()
-        scheduler = Scheduler(max_workers=12, adaptive=True, initial_workers=1,
-                              degradation_threshold=1.3, clock=clock)
-
-        def queueing(x):
-            clock.advance(0.004 * scheduler.level)
-            return x
-
-        with scheduler:
-            results = list(scheduler.prefetch(each(queueing),
-                                              units(range(50))))
-        assert results == list(range(50))
-        assert max(scheduler.level_history, default=1) < 12, \
-            f"window ramped to {max(scheduler.level_history)} despite queueing"
-        assert scheduler.level <= 6
 
 class TestChunkGranularPrefetch:
     """A task may hold a chunk of work units: one task — one window slot —
-    per chunk, and a moving window samples per-chunk latency (a chunk
-    amortizes enough work to clear the noise floor)."""
+    per chunk."""
 
     @staticmethod
     def _chunks(total, size):
@@ -399,24 +285,6 @@ class TestChunkGranularPrefetch:
             assert len(pulled) <= 5, f"pulled {len(pulled)} chunks ahead"
             iterator.close()
 
-    def test_adaptive_controller_samples_per_chunk_latency(self):
-        """Chunks slow enough to clear the controller's noise floor feed it
-        real samples: the level moves off its initial value (ramp), which
-        per-item sub-millisecond latencies would not do reliably."""
-        clock = ThreadLocalClock()
-        scheduler = Scheduler(max_workers=4, adaptive=True, initial_workers=1,
-                              clock=clock)
-        try:
-            def slow_chunk(chunk):
-                clock.advance(0.003)
-                return chunk
-            results = list(scheduler.prefetch(slow_chunk,
-                                              self._chunks(120, 6)))
-            assert [x for chunk in results for x in chunk] == list(range(120))
-            assert scheduler.level > 1, scheduler.level_history
-        finally:
-            scheduler.close()
-
     def test_rejected_chunks_are_retried_whole_in_order(self):
         attempts = {}
 
@@ -427,7 +295,7 @@ class TestChunkGranularPrefetch:
                 raise RemoteSourceError("chunk rejected")
             return chunk
 
-        scheduler = Scheduler(max_workers=3, adaptive=True, initial_workers=3)
+        scheduler = Scheduler(max_workers=3, adaptive=True)
         try:
             results = list(scheduler.prefetch(flaky, self._chunks(30, 6)))
         finally:
