@@ -21,7 +21,8 @@ The query syntax for :meth:`EntrezDivision.select`::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from ..core import types as T
 from ..core.errors import ASN1Error
@@ -173,7 +174,8 @@ class EntrezServer:
     def __init__(self, name: str = "NCBI"):
         self.name = name
         self.divisions: Dict[str, EntrezDivision] = {}
-        self.request_log: List[Dict[str, object]] = []
+        #: The most recent requests (a bounded window, not a history).
+        self.request_log: Deque[Dict[str, object]] = deque(maxlen=256)
 
     def create_division(self, name: str, entry_type: T.Type) -> EntrezDivision:
         division = EntrezDivision(name, entry_type)

@@ -50,6 +50,11 @@ def parse_value_with_path(text: str, ty: T.Type, path: PathExpression) -> object
     return value
 
 
+#: ASN.1's names for the REALs no numeral writes (the printer writes them).
+_SPECIAL_REALS = {"PLUS-INFINITY": "inf", "MINUS-INFINITY": "-inf",
+                  "NOT-A-NUMBER": "nan"}
+
+
 class _Cursor:
     """A position in the input text with primitive scanning operations."""
 
@@ -116,20 +121,31 @@ class _Cursor:
             parts.append(char)
             self.pos += 1
 
-    def read_number(self) -> object:
+    def read_number(self, real: Optional[bool]) -> object:
+        """An INTEGER (``real`` false: an integer literal, as an ``int``) or a
+        REAL (``real`` true: a float or integer literal or one of the three
+        special values, as a ``float``); ``None`` reads either, by its form."""
         self.skip_whitespace()
         start = self.pos
+        if not self.at_end() and self.text[self.pos].isalpha():
+            name = self.read_name()
+            if real is not False and name in _SPECIAL_REALS:
+                return float(_SPECIAL_REALS[name])
+            raise ASN1ParseError(f"expected a number at position {start}, found {name!r}")
         if not self.at_end() and self.text[self.pos] in "+-":
             self.pos += 1
         while self.pos < len(self.text) and (self.text[self.pos].isdigit()
                                              or self.text[self.pos] in ".eE+-"):
             self.pos += 1
         literal = self.text[start:self.pos]
-        if not literal:
-            raise ASN1ParseError(f"expected a number at position {start}")
-        if any(ch in literal for ch in ".eE"):
-            return float(literal)
-        return int(literal)
+        if real is None:
+            real = any(ch in literal for ch in ".eE")
+        try:
+            return float(literal) if real else int(literal)
+        except ValueError:
+            raise ASN1ParseError(
+                f"malformed {'REAL' if real else 'INTEGER'} {literal!r} "
+                f"at position {start}") from None
 
     def skip_value(self) -> None:
         """Skip a complete value without building it (the pruning fast path)."""
@@ -186,7 +202,7 @@ def _parse_scalar(cursor: _Cursor, ty: T.Type) -> object:
     if isinstance(ty, T.StringType):
         return cursor.read_string()
     if isinstance(ty, (T.IntType, T.FloatType)):
-        return cursor.read_number()
+        return cursor.read_number(isinstance(ty, T.FloatType))
     if isinstance(ty, T.BoolType):
         name = cursor.read_name()
         if name not in ("TRUE", "FALSE"):
@@ -201,7 +217,7 @@ def _parse_scalar(cursor: _Cursor, ty: T.Type) -> object:
         # Untyped hole: best-effort scalar parse.
         if char == '"':
             return cursor.read_string()
-        return cursor.read_number()
+        return cursor.read_number(None)
     raise ASN1ParseError(f"cannot parse a value of type {ty}")
 
 

@@ -16,12 +16,17 @@ Applying a projection step to a collection maps it over the elements; applying
 a variant step to a collection keeps only the elements carrying that tag and
 extracts their payloads.  Applied to a single variant, a variant step either
 extracts the payload or raises :class:`PathApplicationError`.
+
+Paths and their steps are immutable, so :func:`parse_path` parses each text
+once and hands every caller the same :class:`PathExpression`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Sequence
 
+from ..core._fields import refuse_assignment
 from ..core.errors import PathApplicationError, PathSyntaxError
 from ..core.values import CBag, CList, CSet, Record, Variant, make_collection
 
@@ -30,6 +35,9 @@ __all__ = ["PathStep", "ProjectStep", "VariantStep", "PathExpression", "parse_pa
 
 class PathStep:
     """Base class for path steps."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = refuse_assignment
 
     def apply(self, value: object) -> object:
         raise NotImplementedError
@@ -41,7 +49,7 @@ class ProjectStep(PathStep):
     __slots__ = ("label",)
 
     def __init__(self, label: str):
-        self.label = label
+        object.__setattr__(self, "label", label)
 
     def apply(self, value: object) -> object:
         if isinstance(value, (CSet, CBag, CList)):
@@ -70,7 +78,7 @@ class VariantStep(PathStep):
     __slots__ = ("tag",)
 
     def __init__(self, tag: str):
-        self.tag = tag
+        object.__setattr__(self, "tag", tag)
 
     def apply(self, value: object) -> object:
         if isinstance(value, (CSet, CBag, CList)):
@@ -100,9 +108,12 @@ class VariantStep(PathStep):
 class PathExpression:
     """A parsed path: a root type name plus a sequence of steps."""
 
+    __slots__ = ("root", "steps")
+    __setattr__ = __delattr__ = refuse_assignment
+
     def __init__(self, root: str, steps: Sequence[PathStep]):
-        self.root = root
-        self.steps: Tuple[PathStep, ...] = tuple(steps)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "steps", tuple(steps))
 
     def apply(self, value: object) -> object:
         """Apply every step in order to ``value``."""
@@ -126,8 +137,13 @@ class PathExpression:
         return PathExpression(self.root, self.steps + (step,))
 
 
+@lru_cache(maxsize=256)
 def parse_path(text: str) -> PathExpression:
-    """Parse ``Root.step1.step2..tag`` into a :class:`PathExpression`."""
+    """Parse ``Root.step1.step2..tag`` into a :class:`PathExpression`.
+
+    Memoised: the result is immutable, and a driver sends the same few path
+    texts with every request.
+    """
     text = text.strip()
     if not text:
         raise PathSyntaxError("empty path expression")

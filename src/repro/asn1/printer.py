@@ -5,7 +5,9 @@ The concrete syntax mirrors ASN.1 value notation as NCBI prints it:
 * SEQUENCE (record): ``{ field value, field value }``
 * SET OF / SEQUENCE OF: ``{ value, value }``
 * CHOICE (variant): ``tag value`` (or just ``tag`` for a NULL payload)
-* strings in double quotes, INTEGER / REAL literals, TRUE / FALSE, NULL.
+* strings in double quotes, INTEGER / REAL literals, TRUE / FALSE, NULL;
+  a non-finite REAL as ``PLUS-INFINITY``, ``MINUS-INFINITY`` or
+  ``NOT-A-NUMBER``.
 
 The grammar is type-directed on the way back in (see
 :mod:`repro.asn1.parser`), exactly because ``{ ... }`` is used both for
@@ -14,6 +16,7 @@ constructed types and collections — as in real ASN.1 print form.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 from ..core.values import CBag, CList, CSet, Record, Unit, Variant
@@ -36,6 +39,9 @@ def _print_flat(value: object) -> str:
         return "TRUE" if value else "FALSE"
     if isinstance(value, Unit):
         return "NULL"
+    if isinstance(value, float) and not math.isfinite(value):
+        return ("NOT-A-NUMBER" if math.isnan(value)
+                else "PLUS-INFINITY" if value > 0 else "MINUS-INFINITY")
     if isinstance(value, (int, float)):
         return repr(value)
     if isinstance(value, Record):

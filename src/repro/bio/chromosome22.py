@@ -14,31 +14,32 @@ same wiring:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, List
 
-from ..ace.database import AceDatabase
 from ..asn1.entrez import EntrezServer
+from ..core._fields import Fields
 from ..core.values import CSet
-from ..formats.fasta import FastaRecord
 from ..relational import Database
 from .gdb import build_gdb, accession_for_locus
 from .genbank import build_genbank
 from .publications import build_publications
 from .sequences import SequenceGenerator
 
+if TYPE_CHECKING:
+    from ..ace.database import AceDatabase
+    from ..formats.fasta import FastaRecord
+
 __all__ = ["Chromosome22Dataset", "build_chromosome22"]
 
 
-@dataclass
-class Chromosome22Dataset:
+class Chromosome22Dataset(Fields):
     """Everything the Center-for-Chromosome-22 examples need, in one object."""
 
     gdb: Database
     genbank: EntrezServer
     acedb: AceDatabase
     publications: CSet
-    fasta_library: List[FastaRecord] = field(default_factory=list)
+    fasta_library: List[FastaRecord] = []
 
     def chromosome22_locus_ids(self) -> List[int]:
         """Locus ids of chromosome-22 loci that carry a GenBank reference."""
@@ -77,6 +78,7 @@ def build_chromosome22(locus_count: int = 120, chromosome22_fraction: float = 0.
 
 def _build_acedb(gdb: Database, generator: SequenceGenerator) -> AceDatabase:
     """An ACE database of clones and contigs referencing GDB loci by symbol."""
+    from ..ace.database import AceDatabase
     from ..ace.model import AceObject, AceObjectRef
 
     acedb = AceDatabase("chr22-ace")
@@ -103,6 +105,8 @@ def _build_acedb(gdb: Database, generator: SequenceGenerator) -> AceDatabase:
 
 
 def _build_fasta_library(genbank: EntrezServer) -> List[FastaRecord]:
+    from ..formats.fasta import FastaRecord
+
     division = genbank.division("na")
     records: List[FastaRecord] = []
     for uid in sorted(division.entries):

@@ -14,8 +14,7 @@ programming language (e.g. perl)"*.  This module provides those printers:
 
 from __future__ import annotations
 
-import html as _html
-from typing import Iterable, List
+from typing import Callable, Iterable, List
 
 from ..records import Record
 from ..values import CBag, CList, CSet, Ref, Unit, Variant, to_python
@@ -132,39 +131,42 @@ def render_html(value: object, title: str = "CPL query result") -> str:
     tables, which is how the prototype displayed nested relations through
     Mosaic-era browsers.
     """
-    body = _html_value(value)
+    from html import escape
+
+    body = _html_value(value, escape)
     return (
         "<html><head><title>%s</title></head><body>\n<h1>%s</h1>\n%s\n</body></html>"
-        % (_html.escape(title), _html.escape(title), body)
+        % (escape(title), escape(title), body)
     )
 
 
-def _html_value(value: object) -> str:
+def _html_value(value: object, escape: Callable[[str], str]) -> str:
     if isinstance(value, (CSet, CBag, CList)):
         rows = list(value)
         if rows and all(isinstance(row, Record) for row in rows):
-            return _html_table(rows)
-        items = "".join(f"<li>{_html_value(element)}</li>" for element in rows)
+            return _html_table(rows, escape)
+        items = "".join(f"<li>{_html_value(element, escape)}</li>" for element in rows)
         return f"<ul>{items}</ul>"
     if isinstance(value, Record):
-        return _html_table([value])
+        return _html_table([value], escape)
     if isinstance(value, Variant):
-        return f"<i>{_html.escape(value.tag)}</i>: {_html_value(value.value)}"
+        return f"<i>{escape(value.tag)}</i>: {_html_value(value.value, escape)}"
     if isinstance(value, Unit):
         return "&mdash;"
-    return _html.escape(str(value))
+    return escape(str(value))
 
 
-def _html_table(rows: Iterable[Record]) -> str:
+def _html_table(rows: Iterable[Record], escape: Callable[[str], str]) -> str:
     rows = list(rows)
     header: List[str] = []
     for row in rows:
         for label in row.labels:
             if label not in header:
                 header.append(label)
-    head = "".join(f"<th>{_html.escape(label)}</th>" for label in header)
+    head = "".join(f"<th>{escape(label)}</th>" for label in header)
     body_rows = []
     for row in rows:
-        cells = "".join(f"<td>{_html_value(row.get(label, ''))}</td>" for label in header)
+        cells = "".join(f"<td>{_html_value(row.get(label, ''), escape)}</td>"
+                        for label in header)
         body_rows.append(f"<tr>{cells}</tr>")
     return f"<table border=1><tr>{head}</tr>{''.join(body_rows)}</table>"

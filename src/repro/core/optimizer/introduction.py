@@ -19,21 +19,20 @@ still evaluate, they just are not optimizable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from .._fields import Fields
 from ..nrc import ast as A
 from ..nrc.rewrite import Rule, RuleSet
 
 __all__ = ["ScanSpec", "make_introduction_rule_set"]
 
 
-@dataclass
-class ScanSpec:
+class ScanSpec(Fields):
     """Compile-time description of one driver function."""
 
     driver: str
-    request_template: Dict[str, object] = field(default_factory=dict)
+    request_template: Dict[str, object] = {}
     argument_key: Optional[str] = None
     argument_is_record: bool = False
     result_kind: str = "set"

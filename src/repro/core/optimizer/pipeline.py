@@ -11,9 +11,9 @@ so the ablation benchmarks can turn individual optimizations off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Callable, FrozenSet, Mapping, Optional, Tuple
 
+from .._fields import Fields
 from ..errors import TermTooDeepError
 from ..nrc import ast as A
 from ..nrc.compile import CompiledQuery, compile_term
@@ -29,8 +29,7 @@ from .pushdown_sql import make_sql_pushdown_rule_set
 __all__ = ["OptimizerConfig", "OptimizerPipeline"]
 
 
-@dataclass
-class OptimizerConfig:
+class OptimizerConfig(Fields):
     """Per-stage switches (all on by default, as in the paper's system)."""
 
     monadic: bool = True

@@ -22,9 +22,9 @@ never changes the uninformed baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from .._fields import Fields
 from ..nrc import ast as A
 from ..nrc.compile import ChunkPolicy, term_fingerprint
 from ..values import iter_collection
@@ -35,8 +35,7 @@ from .feedback import PlanFeedback, PlanObservation
 __all__ = ["PhysicalPlan", "QueryPlanner"]
 
 
-@dataclass(frozen=True)
-class PhysicalPlan:
+class PhysicalPlan(Fields, frozen=True):
     """One query's physical knobs (immutable; defaults == the constants
     every run used before the planner existed)."""
 

@@ -57,7 +57,6 @@ import os
 import struct
 import threading
 import time
-import uuid
 import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -380,7 +379,7 @@ class PlanStore:
         self.durability = durability
         self.state_provider: Optional[Callable[[], Tuple[list, dict]]] = None
         self._journal_name = (f"{_JOURNAL_PREFIX}{os.getpid()}-"
-                              f"{uuid.uuid4().hex[:8]}{_JOURNAL_SUFFIX}")
+                              f"{os.urandom(4).hex()}{_JOURNAL_SUFFIX}")
         self._file = None
         self._journal_bytes = 0
         self._writer_failures = 0
@@ -852,7 +851,7 @@ class PlanStore:
             "observed_latency": dict(
                 statistics.get("observed_latency") or {})}
         tmp_path = (f"{self.snapshot_path}.tmp-{os.getpid()}-"
-                    f"{uuid.uuid4().hex[:6]}")
+                    f"{os.urandom(3).hex()}")
         try:
             frame = encode_record(record)
         except PlanStoreError:

@@ -4,7 +4,9 @@
 result of a subquery on disk."  The cache used by the evaluator's ``Cached``
 node is a plain mapping; this module provides one that holds small results in
 memory and spills large ones to disk (pickled), plus hit/miss accounting for
-the benchmarks.
+the benchmarks.  Nothing touches the disk until a value first spills: that
+creates the cache's directory, which :meth:`SubqueryCache.clear` removes, and
+so does collecting the cache.
 
 One cache serves every run of an engine, with two lifetimes.  A key the
 caching rule derived from a subquery's content says *which* subquery, not
@@ -17,8 +19,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import pickle
-import tempfile
 import threading
 import weakref
 from typing import Dict, Iterator, List, MutableMapping, Optional
@@ -41,7 +41,13 @@ class SubqueryCache(MutableMapping):
         self.spill_threshold_bytes = spill_threshold_bytes
         self._memory: Dict[str, object] = {}
         self._spilled: Dict[str, str] = {}
-        self._directory = directory or tempfile.mkdtemp(prefix="kleisli-cache-")
+        #: Where spilled values go: the caller's ``directory``, or one made at
+        #: the first spill (``None`` until then) and removed by ``_removal``.
+        self._directory = directory
+        self._removal: Optional[weakref.finalize] = None
+        #: Spill files are numbered, not named by the key's hash: two keys
+        #: whose hashes collide must not share a file.
+        self._files = itertools.count(1)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -52,6 +58,8 @@ class SubqueryCache(MutableMapping):
     # -- MutableMapping interface -------------------------------------------------
 
     def __setitem__(self, key: str, value: object) -> None:
+        import pickle
+
         with self._lock:
             try:
                 payload = pickle.dumps(value)
@@ -60,7 +68,7 @@ class SubqueryCache(MutableMapping):
                 self._memory[key] = value
                 return
             if len(payload) > self.spill_threshold_bytes:
-                path = os.path.join(self._directory, f"{abs(hash(key))}.pkl")
+                path = self._spilled.get(key) or self._spill_path()
                 with open(path, "wb") as handle:
                     handle.write(payload)
                 self._spilled[key] = path
@@ -69,12 +77,24 @@ class SubqueryCache(MutableMapping):
             else:
                 self._memory[key] = value
 
+    def _spill_path(self) -> str:
+        if self._directory is None:
+            import shutil
+            import tempfile
+
+            self._directory = tempfile.mkdtemp(prefix="kleisli-cache-")
+            self._removal = weakref.finalize(self, shutil.rmtree, self._directory,
+                                             True)   # ignore_errors
+        return os.path.join(self._directory, f"{next(self._files)}.pkl")
+
     def __getitem__(self, key: str) -> object:
         with self._lock:
             if key in self._memory:
                 self.hits += 1
                 return self._memory[key]
             if key in self._spilled:
+                import pickle
+
                 self.hits += 1
                 with open(self._spilled[key], "rb") as handle:
                     return pickle.load(handle)
@@ -125,6 +145,9 @@ class SubqueryCache(MutableMapping):
                 if os.path.exists(path):
                     os.unlink(path)
             self._spilled.clear()
+            if self._removal is not None:
+                self._removal()
+                self._directory = self._removal = None
 
 
 class _RunView:

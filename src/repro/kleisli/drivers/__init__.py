@@ -12,16 +12,33 @@ driver here wraps one substrate:
 * :class:`AceDriver` — class scans and object fetches with object identity.
 * :class:`FlatFileDriver` — FASTA / EMBL / GCG / tabular files.
 * :class:`BlastDriver` — the sequence-analysis "application program".
+
+The first two are what the paper's federated queries run on and are imported
+with the package.  ``AceDriver``, ``FlatFileDriver`` and ``BlastDriver`` (and
+the ACE, flat-file and sequence-analysis substrates behind them) load on
+first use: ``from repro.kleisli.drivers import AceDriver`` imports
+:mod:`.ace` then, and a program that never names them never pays for them.
 """
 
 from .base import Driver, DriverFunction
 from .relational import RelationalDriver
 from .entrez import EntrezDriver
-from .ace import AceDriver
-from .flatfile import FlatFileDriver
-from .blast import BlastDriver
 
 __all__ = [
     "Driver", "DriverFunction",
     "RelationalDriver", "EntrezDriver", "AceDriver", "FlatFileDriver", "BlastDriver",
 ]
+
+#: The drivers that load on first use, by the module that defines each.
+_ON_FIRST_USE = {"AceDriver": "ace", "FlatFileDriver": "flatfile",
+                 "BlastDriver": "blast"}
+
+
+def __getattr__(name: str):
+    if name not in _ON_FIRST_USE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    driver = getattr(import_module(f".{_ON_FIRST_USE[name]}", __name__), name)
+    globals()[name] = driver
+    return driver

@@ -25,7 +25,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..core.errors import (
     DeadlineExceededError,
@@ -74,8 +76,10 @@ from .governance import (
     QueryGovernor,
 )
 from .resilience import CircuitBreaker, CircuitBreakerPolicy, ResilienceLayer, RetryPolicy
-from .spill import SpillManager
 from .statistics import SourceStatisticsRegistry
+
+if TYPE_CHECKING:
+    from .spill import SpillManager
 
 __all__ = ["KleisliEngine", "ExecutionMode"]
 
@@ -924,21 +928,21 @@ class KleisliEngine:
         No estimate, or estimate under budget, means in-memory with the
         budget as a backstop.
         """
-        if spill is False:
+        if spill is None:
+            cap: Optional[int] = None
+            estimated = plan is not None and plan.estimated_rows is not None
+            node = budget if estimated else None
+            while node is not None:
+                if node.limit is not None and (cap is None or node.limit < cap):
+                    cap = node.limit
+                node = node.parent
+            spill = (cap is not None
+                     and plan.estimated_rows * self.row_width.row_bytes() > cap)
+        if not spill:
             return None
-        if spill is True:
-            return SpillManager()
-        if budget is None or plan is None or plan.estimated_rows is None:
-            return None
-        cap: Optional[int] = None
-        node = budget
-        while node is not None:
-            if node.limit is not None and (cap is None or node.limit < cap):
-                cap = node.limit
-            node = node.parent
-        if cap is not None and plan.estimated_rows * self.row_width.row_bytes() > cap:
-            return SpillManager()
-        return None
+        from .spill import SpillManager
+
+        return SpillManager()
 
     def thread_eval_statistics(self) -> Optional[EvalStatistics]:
         """The statistics of the last run *started on this thread*.

@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..core._fields import Fields
 from ..core.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -59,8 +59,7 @@ __all__ = ["RetryPolicy", "CircuitBreakerPolicy", "CircuitBreaker",
            "ResilienceLayer", "RecoveringStream"]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(Fields, frozen=True):
     """Per-driver retry knobs (immutable, like :class:`PhysicalPlan`).
 
     ``jitter`` (when given) maps ``(attempt, delay) -> delay`` and MUST be
@@ -95,8 +94,7 @@ class RetryPolicy:
         return max(0.0, delay)
 
 
-@dataclass(frozen=True)
-class CircuitBreakerPolicy:
+class CircuitBreakerPolicy(Fields, frozen=True):
     """Knobs for one driver's :class:`CircuitBreaker`."""
 
     #: Consecutive failures that trip a closed breaker open.

@@ -10,15 +10,17 @@ laziness and bounded-concurrency optimizations of Section 4 matter.  Here a
   :class:`~repro.core.errors.RemoteSourceError`, exactly the failure mode the
   paper warns about ("the server S may only be able to handle a limited number
   of requests at a time, say five"),
-* a call log with timestamps, which the concurrency benchmark uses to verify
-  that requests really overlapped and never exceeded the cap.
+* a call log — how many requests, the first start, the last finish and the
+  most in flight at once — which the concurrency benchmark uses to verify
+  that requests really overlapped and never exceeded the cap.  It is a few
+  numbers, not a record per request: a long run makes tens of thousands.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..core.errors import RemoteSourceError
 
@@ -26,40 +28,41 @@ __all__ = ["RemoteCallLog", "RemoteSource"]
 
 
 class RemoteCallLog:
-    """Start/end timestamps of every request made against a remote source."""
+    """What the requests made against a remote source add up to."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.calls: List[Dict[str, float]] = []
+        self._count = 0
+        self._first_started: Optional[float] = None
+        self._last_finished: Optional[float] = None
+        self._peak = 0
+
+    def admitted(self, in_flight: int) -> None:
+        """A request was admitted with ``in_flight`` requests (itself
+        included) now in flight; called under the source's admission lock."""
+        if in_flight > self._peak:
+            self._peak = in_flight
 
     def record(self, started: float, finished: float) -> None:
         with self._lock:
-            self.calls.append({"started": started, "finished": finished})
+            self._count += 1
+            if self._first_started is None or started < self._first_started:
+                self._first_started = started
+            if self._last_finished is None or finished > self._last_finished:
+                self._last_finished = finished
 
     def __len__(self) -> int:
-        return len(self.calls)
+        return self._count
 
     def max_concurrency(self) -> int:
         """The maximum number of requests that were in flight at the same instant."""
-        events = []
-        for call in self.calls:
-            events.append((call["started"], 1))
-            events.append((call["finished"], -1))
-        events.sort()
-        level = 0
-        peak = 0
-        for _, delta in events:
-            level += delta
-            peak = max(peak, level)
-        return peak
+        return self._peak
 
     def wall_clock(self) -> float:
         """Total elapsed time from the first request start to the last finish."""
-        if not self.calls:
+        if self._first_started is None:
             return 0.0
-        started = min(call["started"] for call in self.calls)
-        finished = max(call["finished"] for call in self.calls)
-        return finished - started
+        return self._last_finished - self._first_started
 
 
 class RemoteSource:
@@ -129,6 +132,7 @@ class RemoteSource:
                 raise RemoteSourceError(
                     f"server {self.name!r} dropped the {what} "
                     f"(injected fault, request #{ordinal})")
+            self.log.admitted(self._in_flight)
 
     def call(self, *args, **kwargs) -> object:
         """Issue one request: admission check, latency, then the wrapped handler."""

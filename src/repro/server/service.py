@@ -21,7 +21,7 @@ import socket
 import threading
 import time
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import (
     QueryServiceError,
@@ -34,9 +34,11 @@ from ..kleisli.engine import KleisliEngine
 from ..kleisli.governance import CancellationToken
 from ..kleisli.session import Session
 from ..net.framing import MAX_FRAME_BYTES, encode_frame, recv_message, send_message
-from ..views.gateway import ViewGateway
-from ..views.registry import ViewRegistry
 from .wire import encode_value, encode_warnings
+
+if TYPE_CHECKING:
+    from ..views.gateway import ViewGateway
+    from ..views.registry import ViewRegistry
 
 __all__ = ["KleisliServer", "ServerStats", "PROTOCOL_VERSION"]
 
@@ -460,8 +462,10 @@ class KleisliServer:
         self.stats.increment("sessions_opened")
         session = Session(engine=self.engine,
                           memory_limit=self.session_memory_limit)
-        gateway = ViewGateway(session, self.view_registry) \
-            if self.view_registry is not None else None
+        gateway = None
+        if self.view_registry is not None:
+            from ..views.gateway import ViewGateway
+            gateway = ViewGateway(session, self.view_registry)
         state = _Connection(session, gateway)
         with self._lock:
             self._states.add(state)

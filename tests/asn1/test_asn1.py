@@ -1,6 +1,10 @@
 """Tests for the ASN.1 substrate: schemas, value text, paths, pruning parse, Entrez."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.asn1 import (
     EntrezServer,
@@ -14,6 +18,8 @@ from repro.core import types as T
 from repro.core.errors import ASN1Error, ASN1ParseError, PathApplicationError, PathSyntaxError
 from repro.core.values import CList, CSet, Record, Variant
 from repro.asn1.values import conforms, validate_value
+from repro.kleisli.drivers import EntrezDriver
+from repro.kleisli.session import Session
 
 SPEC = """
 Seq-entry ::= SEQUENCE {
@@ -99,6 +105,59 @@ class TestValueTextRoundtrip:
             parse_value('{ accession "x" } trailing', seq_entry_type)
 
 
+class TestNumerals:
+    """INTEGER and REAL are read exactly: an ``int`` and a ``float``, any
+    other text a typed error with its position, never a bare ``ValueError``."""
+
+    INTEGER = T.RecordType({"n": T.INT})
+    REAL = T.RecordType({"n": T.FLOAT})
+
+    @pytest.mark.parametrize("literal", ["1.2.3", "--5", "1e", "+", "12-3", "1.5",
+                                         "PLUS-INFINITY", "x", "\u00b2"])
+    def test_malformed_integers_are_typed_errors(self, literal):
+        with pytest.raises(ASN1ParseError, match="position 4"):
+            parse_value("{ n %s }" % literal, self.INTEGER)
+
+    @pytest.mark.parametrize("literal", ["1.2.3", "--5", "1e", "+", "12-3", "INFINITY",
+                                         "\u00b2"])
+    def test_malformed_reals_are_typed_errors(self, literal):
+        with pytest.raises(ASN1ParseError, match="position 4"):
+            parse_value("{ n %s }" % literal, self.REAL)
+
+    def test_each_type_reads_its_own_kind(self):
+        assert type(parse_value("{ n -12 }", self.INTEGER)["n"]) is int
+        for literal, expected in (("5", 5.0), ("-1.5", -1.5), ("2e3", 2000.0)):
+            value = parse_value("{ n %s }" % literal, self.REAL)["n"]
+            assert type(value) is float and value == expected
+
+    def test_non_finite_reals_print_as_asn1_names(self):
+        assert print_value(float("inf")) == "PLUS-INFINITY"
+        assert print_value(float("-inf")) == "MINUS-INFINITY"
+        assert print_value(float("nan")) == "NOT-A-NUMBER"
+        value = parse_value("{ n MINUS-INFINITY }", self.REAL)["n"]
+        assert value == float("-inf")
+
+    @given(st.integers() | st.floats(allow_nan=True, allow_infinity=True))
+    def test_print_parse_round_trip(self, number):
+        ty = self.REAL if isinstance(number, float) else self.INTEGER
+        for field_type in (ty, T.RecordType({})):      # typed, and an untyped hole
+            value = parse_value(print_value(Record({"n": number})), field_type)["n"]
+            assert type(value) is type(number)
+            assert math.isnan(value) if math.isnan(number) else value == number
+
+    def test_a_malformed_entry_reaches_a_session_as_a_typed_error(self, seq_entry_type,
+                                                                  sample_entry):
+        server = EntrezServer("NCBI")
+        division = server.create_division("na", seq_entry_type)
+        uid = division.add_entry(sample_entry, {"accession": ["M81409"]})
+        division.entries[uid].text = division.entries[uid].text.replace(
+            "length 1234", "length 12-34")
+        session = Session()
+        session.register_driver(EntrezDriver("GenBank", server))
+        with pytest.raises(ASN1ParseError, match="INTEGER '12-34' at position"):
+            session.query('GenBank([db = "na", select = "accession M81409"])')
+
+
 class TestPathLanguage:
     def test_parse_paper_path(self):
         path = parse_path("Seq-entry.seq.id..giim")
@@ -121,6 +180,15 @@ class TestPathLanguage:
     def test_missing_field_raises(self, sample_entry):
         with pytest.raises(PathApplicationError):
             parse_path("E.nosuch").apply(sample_entry)
+
+    def test_paths_are_immutable_and_parsed_once(self):
+        path = parse_path("Seq-entry.seq.id..giim")
+        assert parse_path("Seq-entry.seq.id..giim") is path
+        with pytest.raises(AttributeError):
+            path.root = "Other"
+        with pytest.raises(AttributeError):
+            path.steps[0].label = "other"
+        assert not hasattr(path, "__dict__")
 
     def test_syntax_errors(self):
         with pytest.raises(PathSyntaxError):
@@ -196,5 +264,8 @@ class TestEntrez:
             server.query("protein", "accession X")
 
     def test_request_log_records_traffic(self, server):
+        for _ in range(300):
+            server.query_uids("na", "keyword perforin")
         server.query("na", "accession M81409")
         assert server.request_log[-1]["select"] == "accession M81409"
+        assert len(server.request_log) == server.request_log.maxlen == 256

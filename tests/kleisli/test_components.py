@@ -1,5 +1,8 @@
 """Tests for Kleisli components: token streams, scheduler, cache, statistics registry."""
 
+import gc
+import itertools
+import os
 import threading
 import time
 
@@ -10,7 +13,7 @@ from repro.kleisli.cache import SubqueryCache
 from repro.kleisli.scheduler import Scheduler
 from repro.kleisli.statistics import SourceStatisticsRegistry
 from repro.kleisli.tokens import TokenStream
-from repro.net.remote import RemoteCallLog, RemoteSource
+from repro.net.remote import RemoteSource
 from repro.core.errors import RemoteSourceError
 
 
@@ -114,6 +117,48 @@ class TestSubqueryCache:
         cache.clear()
         assert len(cache) == 0
 
+    def test_no_directory_until_the_first_spill(self, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        from repro.kleisli.engine import KleisliEngine
+
+        engine = KleisliEngine()
+        engine.cache["small"] = CSet([1, 2])
+        assert engine.cache["small"] == CSet([1, 2])
+        assert engine.cache._directory is None and os.listdir(tmp_path) == []
+
+    def test_clear_removes_the_spill_directory(self):
+        cache = SubqueryCache(spill_threshold_bytes=16)
+        cache["big"] = list(range(1000))
+        directory = cache._directory
+        assert os.listdir(directory) != []
+        cache.clear()
+        assert not os.path.exists(directory) and cache._directory is None
+        cache["again"] = list(range(1000))   # a later spill makes a new one
+        assert cache["again"] == list(range(1000))
+        cache.clear()
+
+    def test_collecting_the_cache_removes_the_spill_directory(self):
+        cache = SubqueryCache(spill_threshold_bytes=16)
+        cache["big"] = list(range(1000))
+        directory = cache._directory
+        del cache
+        gc.collect()
+        assert not os.path.exists(directory)
+
+    def test_keys_with_colliding_hashes_keep_their_own_values(self):
+        # hash(-1) == hash(-2), and 7 and -7 hash to opposite numbers.
+        cache = SubqueryCache(spill_threshold_bytes=16)
+        keys = [-1, -2, 7, -7]
+        for key in keys:
+            cache[key] = [key] * 100
+        assert cache.spills == 4
+        assert [cache[key] for key in keys] == [[key] * 100 for key in keys]
+        del cache[-1]
+        assert cache[-2] == [-2] * 100
+        cache.clear()
+
 
 class TestStatisticsRegistry:
     def test_cardinality_lookup_with_default(self):
@@ -162,12 +207,21 @@ class TestRemoteSource:
         assert errors  # at least one request was rejected over the cap
 
     def test_max_concurrency_measurement(self):
-        log = RemoteCallLog()
-        log.record(0.0, 1.0)
-        log.record(0.5, 1.5)
-        log.record(2.0, 3.0)
-        assert log.max_concurrency() == 2
-        assert log.wall_clock() == 3.0
+        # Two requests meet at a barrier (so both are in flight at once), then
+        # a third runs alone; the clock ticks once per reading.
+        both = threading.Barrier(2, timeout=10)
+        ticks = itertools.count()
+        source = RemoteSource("S", lambda wait: wait and both.wait(), latency=0.0,
+                              clock=lambda: next(ticks))
+        pair = [threading.Thread(target=source.call, args=(True,)) for _ in range(2)]
+        for thread in pair:
+            thread.start()
+        for thread in pair:
+            thread.join()
+        source.call(False)
+        assert source.log.max_concurrency() == 2
+        assert len(source.log) == source.request_count == 3
+        assert source.log.wall_clock() == 5    # ticks 0 .. 5
 
 
 class TestObservedLatency:

@@ -628,8 +628,7 @@ class TestRemoteSourceFaultModes:
                               clock=clock, sleeper=clock.sleep)
         assert source.call("x") == "x"
         assert clock.now == pytest.approx(5.0)
-        assert source.log.calls[0]["finished"] \
-            - source.log.calls[0]["started"] == pytest.approx(5.0)
+        assert source.log.wall_clock() == pytest.approx(5.0)
 
     def test_batch_fault_fails_whole_batch_once(self):
         source = RemoteSource("s", lambda payload: payload, latency=0.0,

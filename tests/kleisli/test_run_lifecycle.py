@@ -31,6 +31,7 @@ from repro.core.nrc.eval import EvalScope
 from repro.core.planner import PhysicalPlan
 from repro.core.values import Record, iter_collection
 from repro.kleisli import engine as engine_module
+from repro.kleisli import spill as spill_module
 from repro.kleisli.drivers import RelationalDriver
 from repro.kleisli.drivers.base import Driver, DriverFunction
 from repro.kleisli.engine import ExecutionMode, KleisliEngine
@@ -93,12 +94,12 @@ def spill_managers(monkeypatch):
     """Every spill manager the engine builds, spilling after 8 rows."""
     built = []
 
-    class Tracked(engine_module.SpillManager):
+    class Tracked(spill_module.SpillManager):
         def __init__(self):
             super().__init__(memory_elements=8)
             built.append(self)
 
-    monkeypatch.setattr(engine_module, "SpillManager", Tracked)
+    monkeypatch.setattr(spill_module, "SpillManager", Tracked)
     return built
 
 

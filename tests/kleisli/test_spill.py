@@ -263,12 +263,9 @@ class TestPlanGate:
         query = MemoryBudget(None, label="query", parent=pool)
         tight = MemoryBudget(100 * NOMINAL_ROW_BYTES, label="query",
                              parent=pool)
-        # Build plans through the dataclass directly (frozen).
-        import dataclasses
-        big = dataclasses.replace(PhysicalPlan.default(),
-                                  estimated_rows=1_000_000.0)
-        small = dataclasses.replace(PhysicalPlan.default(),
-                                    estimated_rows=10.0)
+        # Build plans through the (frozen) class directly.
+        big = PhysicalPlan(estimated_rows=1_000_000.0)
+        small = PhysicalPlan(estimated_rows=10.0)
         unknown = PhysicalPlan.default()
         assert engine._resolve_spill(None, tight, big) is not None
         assert engine._resolve_spill(None, tight, small) is None

@@ -125,6 +125,22 @@ def test_doe_fan_out_runs_over_the_pushed_down_rows(doe_session):
     assert doe_session.engine.driver_gates["GenBank"].in_flight == 0
 
 
+def test_the_doe_query_parses_its_path_once(doe_data):
+    """Every ASN-IDs request sends the same path text; the Entrez server
+    parses it at the first and reuses the parsed path for the other 36."""
+    from repro.asn1.path import parse_path
+
+    session = Session()
+    session.register_driver(RelationalDriver("GDB", doe_data.gdb))
+    session.register_driver(EntrezDriver("GenBank", doe_data.genbank))
+    for definition in (example.LOCI22, example.ASN_IDS, example.BAND_VIEW):
+        session.run(definition)
+    parse_path.cache_clear()
+    session.query(example.DOE_QUERY)
+    info = parse_path.cache_info()
+    assert (info.misses, info.hits) == (1, LOCI - 1)
+
+
 def test_two_sessions_of_the_doe_query_stay_under_the_cap_and_leave_nothing(doe_data):
     """As wide as its servers, twice over: the gate (not the loop) bounds what
     either server sees, a run's threads stop at its outer window (the 37 inner

@@ -32,7 +32,7 @@ from conftest import wait_until
 
 from repro.core.nrc.eval import EvalScope
 from repro.core.values import iter_collection
-from repro.kleisli import engine as engine_module
+from repro.kleisli import spill as spill_module
 from repro.kleisli.drivers import RelationalDriver
 from repro.kleisli.engine import KleisliEngine
 from repro.obs import Observability
@@ -57,7 +57,7 @@ OPTIONS = [{}, {"memory_budget": 1 << 20},
 
 
 class ServedSessions(RuleBasedStateMachine):
-    _spill_manager = engine_module.SpillManager
+    _spill_manager = spill_module.SpillManager
 
     def __init__(self):
         super().__init__()
@@ -69,7 +69,7 @@ class ServedSessions(RuleBasedStateMachine):
                 super().__init__(memory_elements=8)
                 managers.append(self)
 
-        engine_module.SpillManager = Tracked
+        spill_module.SpillManager = Tracked
         database = Database("S")
         database.create_table_from_spec("t", {"v": "int"}).insert_many(
             {"v": i} for i in range(ROWS))
@@ -217,7 +217,7 @@ class ServedSessions(RuleBasedStateMachine):
                        for session in self.gone)
         finally:
             self.server.stop()
-            engine_module.SpillManager = self._spill_manager
+            spill_module.SpillManager = self._spill_manager
 
 
 ServedSessions.TestCase.settings = settings(
