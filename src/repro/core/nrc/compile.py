@@ -121,7 +121,7 @@ value, at O(1)-per-element cost:
   The first chunk therefore costs one source element — the first result of
   a remote-scan comprehension arrives after O(1) source elements — while
   steady-state throughput gets full-size chunks; a maximum of 1 is the
-  element-at-a-time stream.  Remote drivers (``ChunkPolicy.sizes_for``)
+  element-at-a-time stream.  Remote drivers (``ChunkPolicy.max_chunk_for``)
   keep a smaller maximum so a chunk never buffers more than a bounded slice
   of a slow cursor; abandoning a pipeline mid-chunk still releases every
   cursor — including those behind buffered-but-unconsumed chunk elements —
@@ -154,39 +154,30 @@ instead of one request per element.
 Cost-based planning
 -------------------
 
-The chunk knobs are not constants any more: ``KleisliEngine.stream`` asks
-its :class:`~repro.core.planner.plan.QueryPlanner` for a per-query
-:class:`~repro.core.planner.plan.PhysicalPlan` whose **inputs** are the
-statistics registry (registered/observed cardinalities and driver
-latencies) and the :class:`~repro.core.planner.feedback.PlanFeedback`
-ledger of earlier runs.  The plan's knobs reach this module two ways:
+``KleisliEngine.stream`` asks its
+:class:`~repro.core.planner.plan.QueryPlanner` for a per-query
+:class:`~repro.core.planner.plan.PhysicalPlan`: the two ramp maxima,
+``max_chunk`` and ``remote_max_chunk``, chosen from what the sources say —
+registered or observed cardinalities and driver latencies in the
+statistics registry, a driver's declared batch economics, and the
+cardinality of earlier drained runs in the
+:class:`~repro.core.planner.feedback.PlanFeedback` ledger.  The plan's
+:meth:`~repro.core.planner.plan.PhysicalPlan.chunk_policy` becomes
+``EvalContext.chunk_policy`` — a *run-time* parameter, so the compile-cache
+key stays the bare term fingerprint and one cached pipeline serves every
+plan.  The ramp itself is one geometric path (:class:`_ChunkRamp`): a chunk
+is as big as its source declares or its rows say, and no clock sizes it.
+A streamed ``ParallelExt`` submits one scheduler task per source element.
 
-* its :meth:`~repro.core.planner.plan.PhysicalPlan.chunk_policy` becomes
-  ``EvalContext.chunk_policy`` (ramp bounds, ``parallel_chunk``,
-  ``adaptive_ramp``) — still a *run-time* parameter, so the compile-cache
-  key stays the bare term fingerprint and one cached pipeline serves every
-  plan;
-* ``ChunkPolicy.adaptive_ramp`` switches the ramp from blind geometric
-  doubling to a **cost-adaptive** ramp (:class:`_ChunkRamp`): each chunk's
-  production cost is measured, and doubling stops as soon as the marginal
-  per-element cost stops improving (a latency-bound source plateaus
-  immediately and keeps small chunks; a CPU-bound local stage keeps
-  doubling while amortisation still pays).  Sub-millisecond chunks carry
-  no measurable signal and ramp exactly like the non-adaptive policy, so
-  uninformed plans are bit-for-bit today's behaviour.
-
-**Feedback keys**: when the engine attaches a
+**Feedback**: when the engine attaches a
 :class:`~repro.core.planner.feedback.PlanProbe` to the context
-(``EvalContext.plan_probe``), the chunked pump records each chunk's
-production cost under stage ``"pipeline"`` and batched scans record theirs
-under ``"scan:<driver>"``; a pipeline that drains normally commits its true
-output cardinality.  The probe is keyed by the same
+(``EvalContext.plan_probe``), a pipeline that drains normally commits its
+true output cardinality.  The probe is keyed by the same
 :func:`term_fingerprint` as the engine's compile cache, with a
-constant-blind shape index for structurally-similar queries.
-**Re-planning triggers** on the next ``stream`` of the same (or
-similarly-shaped) term: the planner reads the ledger before choosing
-knobs, so observed numbers replace estimates without recompiling — the
-pipeline is policy-agnostic by construction.
+constant-blind shape index for structurally-similar queries, and the next
+``stream`` of the same (or similarly-shaped) term is planned from it
+without recompiling.  Recording a cardinality reads no clock: per-chunk
+timing exists only for a profile (see "Observability semantics").
 
 Thread-safety
 -------------
@@ -324,14 +315,15 @@ the pre-observability code paths (differential-pinned by the test suite).
   records each retry as a zero-duration ``retry`` event.  Spans per query
   are bounded: past the budget a shared dropped-span sentinel keeps
   begin/end pairing balanced without growing the tree.
-* **Per-stage timings**: the chunked lowering already times every chunk
-  when a plan probe is attached (the PR 7 feedback loop); profiling simply
-  tees that probe (:class:`~repro.obs.profile.ProbeTee`) so the feedback
-  sink — when one exists — sees the identical call stream.  Forcing the
-  tee routes the pump through its probe-timed branch, which is
-  value-identical to the fast branch by the probe-neutrality pin.  The
-  eager lowering has no chunk boundaries; its per-stage story is the
-  per-driver fold of its trace spans.
+* **Per-stage timings**: a profiled or hub-observed run's probe is a
+  :class:`~repro.obs.profile.ProbeTee`, the one probe with a
+  ``note_chunk``: the pump times each chunk's production under
+  ``"pipeline"`` and a batched scan each batch under ``"scan:<driver>"``,
+  for the profile's stage table and the hub's chunk-size histogram, while
+  the feedback probe inside the tee still takes only the cardinality.  A
+  run with neither reads no clock per chunk.  The eager lowering has no
+  chunk boundaries; its per-stage story is the per-driver fold of its
+  trace spans.
 * **Cardinality**: EXPLAIN ANALYZE reports the physical plan's estimate
   next to the actual row count; on the eager path (which builds no
   physical plan) the estimate is recomputed observation-only from the
@@ -1297,64 +1289,47 @@ def _make_seen_set(context: EvalContext):
 class ChunkPolicy:
     """Chunk-size policy for the chunked lowering (a run-time parameter).
 
-    ``sizes_for(driver)`` returns the ``(initial, maximum)`` ramp bounds for
-    a source: chunks start at ``initial`` (1 by default, protecting
-    time-to-first-result) and double per chunk up to ``maximum``.  Remote
-    drivers — decided by the ``is_remote`` callable, which
+    Chunks start at one element (the first result of a pipeline costs one
+    source element) and double per chunk up to ``max_chunk_for(driver)``.
+    Remote drivers — decided by the ``is_remote`` callable, which
     ``KleisliEngine.stream`` wires to its
-    :class:`~repro.kleisli.statistics.SourceStatisticsRegistry` — keep the
-    smaller ``remote_max_chunk`` so one chunk never buffers more than a
+    :class:`~repro.kleisli.statistics.SourceStatisticsRegistry` — stop at
+    the smaller ``remote_max_chunk`` so one chunk never buffers more than a
     bounded slice of a slow cursor; local sources ramp to ``max_chunk``.
     ``ChunkPolicy(max_chunk=1)`` is the element-at-a-time stream: one
     cancellation checkpoint and one transient budget unit per element.
 
-    ``parallel_chunk`` selects the granularity of a streamed
-    ``ParallelExt``'s prefetcher: 1 (the default) keeps one in-flight task
-    per source *element* — the right shape for overlapping remote latency —
-    while a larger value submits one task per ``parallel_chunk`` source
-    elements (a scheduler task is a list of work units either way),
-    amortizing task overhead when the body is cheap.
+    A chunk is as big as its source declares or its rows say; no clock
+    sizes one.  A lazy cursor that is slow per element but declares no
+    latency is a local source and ramps to ``max_chunk`` like any other;
+    declaring its latency makes it remote, and that is how its buffering is
+    bounded — just as only a declared cap pins a parallel loop's width.
     """
 
     DEFAULT_MAX_CHUNK = 1024
     REMOTE_MAX_CHUNK = 32
 
-    __slots__ = ("max_chunk", "remote_max_chunk", "initial_chunk",
-                 "parallel_chunk", "is_remote", "adaptive_ramp")
+    __slots__ = ("max_chunk", "remote_max_chunk", "is_remote")
 
     def __init__(self, max_chunk: int = DEFAULT_MAX_CHUNK,
                  remote_max_chunk: int = REMOTE_MAX_CHUNK,
-                 initial_chunk: int = 1, parallel_chunk: int = 1,
-                 is_remote: Optional[Callable[[str], bool]] = None,
-                 adaptive_ramp: bool = False):
+                 is_remote: Optional[Callable[[str], bool]] = None):
         for name, value in (("max_chunk", max_chunk),
-                            ("remote_max_chunk", remote_max_chunk),
-                            ("initial_chunk", initial_chunk),
-                            ("parallel_chunk", parallel_chunk)):
+                            ("remote_max_chunk", remote_max_chunk)):
             if not isinstance(value, int) or isinstance(value, bool) \
                     or value < 1:
                 raise ValueError(
                     f"{name} must be a positive integer, got {value!r}")
-        if initial_chunk > max_chunk:
-            raise ValueError(
-                f"initial_chunk ({initial_chunk}) must not exceed "
-                f"max_chunk ({max_chunk}): the ramp only ever grows")
         self.max_chunk = max_chunk
         self.remote_max_chunk = remote_max_chunk
-        self.initial_chunk = initial_chunk
-        self.parallel_chunk = parallel_chunk
         self.is_remote = is_remote
-        #: With the planner's cost-adaptive ramp, chunk sizes stop doubling
-        #: when the marginal per-chunk cost stops improving (see _ChunkRamp).
-        self.adaptive_ramp = adaptive_ramp
 
-    def sizes_for(self, driver: Optional[str] = None) -> Tuple[int, int]:
-        """The ``(initial, maximum)`` chunk-size ramp bounds for a source."""
-        maximum = self.max_chunk
+    def max_chunk_for(self, driver: Optional[str] = None) -> int:
+        """The size the chunk ramp over a source stops growing at."""
         if driver is not None and self.is_remote is not None \
                 and self.is_remote(driver):
-            maximum = self.remote_max_chunk
-        return self.initial_chunk, max(self.initial_chunk, maximum)
+            return self.remote_max_chunk
+        return self.max_chunk
 
 
 #: The policy used when a context carries none (local ramp to 1024).
@@ -1366,48 +1341,47 @@ def _active_policy(context: EvalContext) -> ChunkPolicy:
     return DEFAULT_CHUNK_POLICY if policy is None else policy
 
 
+def _chunk_timer(context: EvalContext):
+    """The run's per-chunk timing sink ``note_chunk(stage, rows, seconds)``,
+    or ``None``.  Only a profile times chunks (the engine's
+    :class:`~repro.obs.profile.ProbeTee`); the planner's feedback probe
+    takes a drained run's cardinality and nothing per chunk."""
+    return getattr(context.plan_probe, "note_chunk", None)
+
+
+def _timed_chunks(chunks, note):
+    """``chunks``, each one's *production* timed into ``note`` under the
+    ``"pipeline"`` stage: the stretch from resuming the pipeline to the
+    chunk being ready, so the consumer's time between pulls is excluded."""
+    while True:
+        began = time.perf_counter()
+        try:
+            chunk = next(chunks)
+        except StopIteration:
+            return
+        note("pipeline", len(chunk), time.perf_counter() - began)
+        yield chunk
+
+
 class _ChunkRamp:
-    """A chunk-size ramp shared across several emission sites.
+    """The one chunk-size path: 1, 2, 4, ... up to ``maximum``, then flat.
 
-    The batched-scan stage emits one result's elements after another; a
-    ramp that restarted at 1 for every result would re-pay tiny-chunk
-    dispatch overhead per result.  This object carries the size across
-    them: it still starts at ``initial`` (protecting the pipeline's very
-    first chunk — TTFR) and doubles per emitted chunk to ``maximum``.
-
-    With ``adaptive`` set (``ChunkPolicy.adaptive_ramp``, chosen by the
-    planner) each chunk's *production* cost is measured — the time from
-    resuming the producer to the chunk being ready, which excludes the
-    consumer's own work between pulls.  Doubling amortizes per-chunk
-    dispatch overhead; once a doubling fails to cut the per-element cost
-    (``RAMP_IMPROVEMENT``), growing further only adds buffering and
-    latency, so the ramp freezes at the current size.  Chunks cheaper than
-    ``RAMP_COST_FLOOR`` carry no signal above timer noise and ramp exactly
-    like the non-adaptive policy — with nothing measurable to amortize, a
-    bigger chunk costs nothing — so an adaptive ramp over a fast local
-    source is behaviourally identical to the geometric one.
+    One object can serve several emission sites: the batched-scan stage
+    emits one result's elements after another, and a ramp that restarted
+    at 1 for every result would re-pay tiny-chunk dispatch overhead per
+    result.  The size carries across them: it starts at one element
+    (protecting the pipeline's very first chunk — TTFR) and doubles per
+    emitted chunk to ``maximum``, the source's :class:`ChunkPolicy` bound.
     """
 
-    #: A doubling must cut per-element production cost to below this
-    #: fraction of the previous chunk's, or the ramp freezes.
-    RAMP_IMPROVEMENT = 0.9
-    #: Per-chunk production cost (seconds) below which there is no signal.
-    RAMP_COST_FLOOR = 0.001
+    __slots__ = ("size", "maximum")
 
-    __slots__ = ("size", "maximum", "adaptive", "_unit_cost", "_frozen")
-
-    def __init__(self, initial: int, maximum: int, adaptive: bool = False):
-        self.size = max(1, initial)
-        self.maximum = max(self.size, maximum)
-        self.adaptive = adaptive
-        self._unit_cost: Optional[float] = None
-        self._frozen = False
+    def __init__(self, maximum: int):
+        self.size = 1
+        self.maximum = max(1, maximum)
 
     def emit_sliced(self, elements):
         """Ramped chunks of an indexable sequence, by C-level slicing."""
-        if self.adaptive:
-            yield from self._emit_timed(iter(elements), sliced=elements)
-            return
         start = 0
         total = len(elements)
         while start < total:
@@ -1417,9 +1391,6 @@ class _ChunkRamp:
 
     def emit_pulled(self, iterator):
         """Ramped chunks of a lazy cursor (no lookahead past the chunk)."""
-        if self.adaptive:
-            yield from self._emit_timed(iterator)
-            return
         chunk: list = []
         append = chunk.append
         for item in iterator:
@@ -1431,69 +1402,16 @@ class _ChunkRamp:
                 self._grow()
         if chunk:
             yield chunk
-
-    def _emit_timed(self, iterator, sliced=None):
-        """The adaptive paths: per-chunk production timing feeds the ramp.
-
-        ``sliced`` keeps the C-level slice cut for materialized sources
-        (timing a slice is near-free, and near-free chunks keep doubling,
-        so the fast path's behaviour is preserved).
-        """
-        if sliced is not None:
-            start = 0
-            total = len(sliced)
-            while start < total:
-                began = time.perf_counter()
-                chunk = list(sliced[start:start + self.size])
-                start += self.size
-                self._note(len(chunk), time.perf_counter() - began)
-                yield chunk
-                self._grow()
-            return
-        chunk: list = []
-        append = chunk.append
-        began = time.perf_counter()
-        for item in iterator:
-            append(item)
-            if len(chunk) >= self.size:
-                self._note(len(chunk), time.perf_counter() - began)
-                yield chunk
-                chunk = []
-                append = chunk.append
-                self._grow()
-                began = time.perf_counter()
-        if chunk:
-            yield chunk
-
-    def _note(self, produced: int, elapsed: float) -> None:
-        """Feed one chunk's production cost into the ramp decision."""
-        if self._frozen or produced <= 0:
-            return
-        if elapsed < self.RAMP_COST_FLOOR:
-            # Too cheap to measure: keep doubling (matches the blind ramp),
-            # and leave the baseline untouched — a noise-era unit cost would
-            # misread the first real chunk as a catastrophic regression.
-            self._unit_cost = None
-            return
-        unit = elapsed / produced
-        if self._unit_cost is not None \
-                and unit > self._unit_cost * self.RAMP_IMPROVEMENT:
-            # The last doubling did not improve marginal per-element cost:
-            # the source is latency- or work-bound per element, and larger
-            # chunks only buy buffering.  Stop here.
-            self._frozen = True
-        self._unit_cost = unit
 
     def _grow(self):
-        if not self._frozen and self.size < self.maximum:
+        if self.size < self.maximum:
             self.size = min(self.maximum, self.size * 2)
 
 
-def _chunk_elements(value: object, context: EvalContext,
-                    initial: int, maximum: int, adaptive: bool = False):
+def _chunk_elements(value: object, context: EvalContext, maximum: int):
     """Ramped chunks of an evaluated value: sliced when materialized,
     pulled element-wise when lazy (cursors stay scope-registered)."""
-    ramp = _ChunkRamp(initial, maximum, adaptive)
+    ramp = _ChunkRamp(maximum)
     if isinstance(value, _COLLECTIONS):
         return ramp.emit_sliced(value._elements)
     return ramp.emit_pulled(_iterate_streamed(value, context))
@@ -1546,22 +1464,18 @@ def _scan_drivers(expr: A.Expr) -> Tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _subtree_sizes(policy: ChunkPolicy, drivers: Tuple[str, ...]) -> Tuple[int, int]:
-    """The most conservative ramp bounds over a subtree's scan drivers.
+def _subtree_max_chunk(policy: ChunkPolicy, drivers: Tuple[str, ...]) -> int:
+    """The most conservative ramp bound over a subtree's scan drivers.
 
     A re-chunk point (an eager section, a parallel loop) sits downstream of
     whatever cursors its subtree opens; pulling a chunk pulls through them.
     Taking the minimum maximum over every driver the subtree can scan keeps
     the remote buffering bound ("one chunk never buffers more than a
     bounded slice of a slow cursor") intact across those points — a
-    driver-free subtree gets the local sizes.
+    driver-free subtree gets the local bound.
     """
-    initial, maximum = policy.sizes_for()
-    for driver in drivers:
-        driver_initial, driver_maximum = policy.sizes_for(driver)
-        initial = min(initial, driver_initial)
-        maximum = min(maximum, driver_maximum)
-    return initial, maximum
+    return min([policy.max_chunk_for()]
+               + [policy.max_chunk_for(driver) for driver in drivers])
 
 
 def _chunk_via_eager(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
@@ -1579,10 +1493,8 @@ def _chunk_via_eager(expr: A.Expr, scope: _Scope, state: _CompileState) -> _Chun
 
     def chunks(frame, context):
         context.statistics.stream_fallbacks += 1
-        policy = _active_policy(context)
-        initial, maximum = _subtree_sizes(policy, drivers)
-        yield from _chunk_elements(fn(frame, context), context,
-                                   initial, maximum, policy.adaptive_ramp)
+        maximum = _subtree_max_chunk(_active_policy(context), drivers)
+        yield from _chunk_elements(fn(frame, context), context, maximum)
 
     return chunks
 
@@ -1597,10 +1509,8 @@ def _chunk_leaf(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
     fn = _compile_source(expr, scope, state)
 
     def chunks(frame, context):
-        policy = _active_policy(context)
-        initial, maximum = policy.sizes_for()
         yield from _chunk_elements(fn(frame, context), context,
-                                   initial, maximum, policy.adaptive_ramp)
+                                   _active_policy(context).max_chunk_for())
 
     return chunks
 
@@ -1758,10 +1668,8 @@ def _chunk_scan(expr: A.Scan, scope, state):
         # The request fires on first next(); lazy cursors are registered
         # with the evaluation scope inside the eager scan closure.  Remote
         # drivers get the policy's smaller maximum chunk.
-        policy = _active_policy(context)
-        initial, maximum = policy.sizes_for(driver)
-        yield from _chunk_elements(run(frame, context), context,
-                                   initial, maximum, policy.adaptive_ramp)
+        maximum = _active_policy(context).max_chunk_for(driver)
+        yield from _chunk_elements(run(frame, context), context, maximum)
 
     return chunks
 
@@ -1826,14 +1734,13 @@ def _chunk_ext_scan_batch(expr: A.Ext, scope: _Scope, state: _CompileState) -> _
     def chunks(frame, context):
         stats = context.statistics
         loop_frame = _extended(frame, None)
-        policy = _active_policy(context)
-        initial, maximum = policy.sizes_for(driver)
-        probe = context.plan_probe
+        maximum = _active_policy(context).max_chunk_for(driver)
+        note = _chunk_timer(context)
         stage = "scan:" + driver
         # ONE ramp for the whole stage: it starts at 1 for the first chunk
         # (TTFR) and keeps its reached size across results, instead of
         # re-paying the tiny-chunk dispatch overhead per scan result.
-        ramp = _ChunkRamp(initial, maximum, policy.adaptive_ramp)
+        ramp = _ChunkRamp(maximum)
         for chunk in source_fn(frame, context):
             stats.ext_iterations += len(chunk)
             for start in range(0, len(chunk), maximum):
@@ -1844,13 +1751,12 @@ def _chunk_ext_scan_batch(expr: A.Ext, scope: _Scope, state: _CompileState) -> _
                     for key, fn in arg_fns:
                         request[key] = fn(loop_frame, context)
                     requests.append(request)
-                if probe is None:
+                if note is None:
                     results = _execute_scan_batch(driver, requests, context)
                 else:
                     began = time.perf_counter()
                     results = _execute_scan_batch(driver, requests, context)
-                    probe.note_chunk(stage, len(requests),
-                                     time.perf_counter() - began)
+                    note(stage, len(requests), time.perf_counter() - began)
                 for result in results:
                     if isinstance(result, _COLLECTIONS):
                         yield from ramp.emit_sliced(result._elements)
@@ -2359,10 +2265,8 @@ class CompiledChunkedStream:
                 context.statistics.stream_fallbacks += 1
             value = fn(frame, context)
             if isinstance(value, _COLLECTIONS):
-                policy = _active_policy(context)
-                initial, maximum = policy.sizes_for()
-                yield from _chunk_elements(value, context, initial, maximum,
-                                           policy.adaptive_ramp)
+                yield from _chunk_elements(
+                    value, context, _active_policy(context).max_chunk_for())
             else:
                 yield [value]
 
@@ -2412,38 +2316,18 @@ class CompiledChunkedStream:
                 for chunk in self._fn(frame, context):
                     yield from chunk
                 return
-            if probe is None:
-                # Governed pump: a cancellation checkpoint at every chunk
-                # boundary, and the chunk buffer charged transiently (the
-                # chunk is in memory from production until consumed).
-                for chunk in self._fn(frame, context):
-                    if token is not None:
-                        token.raise_if_cancelled()
-                    if budget is None:
-                        yield from chunk
-                    else:
-                        budget.charge_elements(len(chunk))
-                        try:
-                            yield from chunk
-                        finally:
-                            budget.release_elements(len(chunk))
-                return
-            # Feedback probing: time each chunk's *production* (the stretch
-            # from resuming the pipeline to the chunk being ready — consumer
-            # time between pulls is excluded) under the "pipeline" stage,
-            # and commit the true output cardinality only when the run
-            # drains normally, so an abandoned stream never records a
-            # partial count as the query's cardinality.
-            iterator = self._fn(frame, context)
+            # Observed pump: a cancellation checkpoint at every chunk
+            # boundary, the chunk buffer charged transiently (the chunk is
+            # in memory from production until consumed), and the true
+            # output cardinality committed only when the run drains
+            # normally, so an abandoned stream never records a partial
+            # count as the query's cardinality.
+            chunks = self._fn(frame, context)
+            note = _chunk_timer(context)
+            if note is not None:
+                chunks = _timed_chunks(chunks, note)
             total = 0
-            while True:
-                began = time.perf_counter()
-                try:
-                    chunk = next(iterator)
-                except StopIteration:
-                    break
-                probe.note_chunk("pipeline", len(chunk),
-                                 time.perf_counter() - began)
+            for chunk in chunks:
                 if token is not None:
                     token.raise_if_cancelled()
                 total += len(chunk)
@@ -2455,7 +2339,8 @@ class CompiledChunkedStream:
                         yield from chunk
                     finally:
                         budget.release_elements(len(chunk))
-            probe.complete(total)
+            if probe is not None:
+                probe.complete(total)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         detail = "fully chunked" if self.fully_chunked else \

@@ -311,9 +311,11 @@ class EvalContext:
         #: Lowerings with scheduler knobs (ParallelExt prefetch) read their
         #: hints from it; like ``chunk_policy`` it is a run-time parameter.
         self.physical_plan = None
-        #: The :class:`~repro.core.planner.feedback.PlanProbe` collecting
-        #: per-stage per-chunk costs for the feedback ledger, or ``None``
-        #: (no recording).  Set by ``KleisliEngine.stream`` per chunked run.
+        #: The run's probe, or ``None`` (no recording): the
+        #: :class:`~repro.core.planner.feedback.PlanProbe` taking a drained
+        #: run's cardinality for the feedback ledger, or — on a profiled or
+        #: hub-observed run — a :class:`~repro.obs.profile.ProbeTee` that
+        #: also takes per-chunk timings.  Set by ``KleisliEngine.stream``.
         self.plan_probe = None
         #: Absolute deadline for the whole run (on the resilience layer's
         #: clock), or ``None`` for no budget.  The resilience layer checks it

@@ -91,10 +91,10 @@ def _replies(expr: ParallelExt, tasks: Iterable[list], run_body, context
              ) -> Iterator[list]:
     """The one reply loop behind every lowering of :class:`ParallelExt`.
 
-    ``tasks`` yields lists of source elements (the eager lowerings hand
-    one-element lists, the chunk lowering ``ChunkPolicy.parallel_chunk``
-    elements); each task's result elements come back as one list, in task
-    order, through a :class:`~repro.kleisli.scheduler.Scheduler` window.
+    ``tasks`` yields lists of source elements (every lowering hands
+    one-element lists); each task's result elements come back as one list,
+    in task order, through a :class:`~repro.kleisli.scheduler.Scheduler`
+    window.
     Scheduler construction, ``ext_iterations``, the cancellation
     checkpoint (one per reply: a body that never reaches a driver has no
     other) and the pool's release live here and nowhere else.
@@ -222,12 +222,9 @@ def _chunk_parallel_ext(expr: ParallelExt, scope, state):
 
     Downstream consumes earlier replies while the window's tasks are in
     flight (order preserved), so remote latency overlaps consumption
-    end-to-end.  A task covers ``ChunkPolicy.parallel_chunk`` source
-    elements: 1 (the default) is one body evaluation per task, the right
-    shape for overlapping *remote* latency, and the replies are re-chunked
-    for the downstream stages; a larger value amortizes task and ordering
-    overhead when the body is cheap (the window counted in chunks) and each
-    task's results travel on as one chunk.
+    end-to-end.  A task is one source element — one body evaluation, the
+    shape that overlaps *remote* latency — and the replies are re-chunked
+    for the downstream stages.
 
     The source is pulled lazily: one window ahead of the consumer, plus the
     rest of the source's current ramp chunk — the same
@@ -243,26 +240,15 @@ def _chunk_parallel_ext(expr: ParallelExt, scope, state):
     scan_driver_names = C._scan_drivers(expr)
 
     def chunks(frame, context):
-        policy = C._active_policy(context)
-        parallel_chunk = policy.parallel_chunk
-
-        def tasks():
-            # Re-cut whatever the source's own chunking produced into
-            # fixed parallel_chunk task payloads.
-            for chunk in source_fn(frame, context):
-                for start in range(0, len(chunk), parallel_chunk):
-                    yield chunk[start:start + parallel_chunk]
-
-        with closing(_replies(expr, tasks(),
+        tasks = ([item] for chunk in source_fn(frame, context)
+                 for item in chunk)
+        maximum = C._subtree_max_chunk(C._active_policy(context),
+                                       scan_driver_names)
+        with closing(_replies(expr, tasks,
                               _framed_body(body_fn, frame, context),
                               context)) as replies:
-            if parallel_chunk == 1:
-                initial, maximum = C._subtree_sizes(policy, scan_driver_names)
-                yield from C._ChunkRamp(
-                    initial, maximum, policy.adaptive_ramp).emit_pulled(
-                        itertools.chain.from_iterable(replies))
-            else:
-                yield from filter(None, replies)  # an empty reply is no chunk
+            yield from C._ChunkRamp(maximum).emit_pulled(
+                itertools.chain.from_iterable(replies))
 
     if expr.kind == "set":
         # Set semantics: suppress repeats incrementally (first-occurrence

@@ -7,10 +7,10 @@ three lowering targets:
 * :mod:`~repro.core.planner.cardinality` — structural row-count estimates
   over optimized NRC terms, seeded by the statistics registry;
 * :mod:`~repro.core.planner.cost` — the cost model (estimated rows x
-  per-driver latency x observed per-item costs);
-* :mod:`~repro.core.planner.feedback` — the run-time feedback ledger
-  (per-stage per-chunk costs and true cardinalities, keyed by term
-  fingerprint, with a constant-blind similarity index);
+  per-driver latency);
+* :mod:`~repro.core.planner.feedback` — the run-time feedback ledger (the
+  true cardinalities of drained runs, keyed by term fingerprint, with a
+  constant-blind similarity index);
 * :mod:`~repro.core.planner.plan` — :class:`PhysicalPlan` (the per-query
   knob set) and :class:`QueryPlanner` (the chooser the engine and the
   optimizer rule sets consult);

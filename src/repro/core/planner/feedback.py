@@ -1,15 +1,16 @@
-"""Run-time feedback for the planner: observed cardinalities and stage costs.
+"""Run-time feedback for the planner: the cardinality of earlier runs.
 
 "We have found it problematic to obtain such statistics on the fly from
 remote sites" — but a query the system has *already run* is its own best
-statistic.  The chunked runtime probes each drained pipeline (per-chunk
-production cost per stage, true output cardinality) and folds the numbers
-into this ledger, keyed by the same
+statistic.  The chunked runtime probes each pipeline and, when it drains,
+folds its true output cardinality into this ledger, keyed by the same
 :func:`~repro.core.nrc.compile.term_fingerprint` the engine's compile cache
-uses — so the next compilation of the same query re-plans from observed
-numbers, and a *structurally similar* query (same shape, different literals:
-the parametrised-query pattern) inherits them through a constant-blind
-secondary index (:func:`shape_fingerprint`).
+uses — so the next run of the same query is planned from the observed row
+count, and a *structurally similar* query (same shape, different literals:
+the parametrised-query pattern) inherits it through a constant-blind
+secondary index (:func:`shape_fingerprint`).  An entry is what the planner
+reads and nothing more: a cardinality, a run count and an age.  No clock is
+read per chunk to keep it.
 
 Thread-safety mirrors the engine's ``_CompileCache``: scheduler worker
 threads stream subqueries through the one engine, so every ledger operation
@@ -42,34 +43,12 @@ def shape_fingerprint(fingerprint: Tuple) -> Tuple:
     return tuple(shape_fingerprint(part) for part in fingerprint)
 
 
-class _StageRecord:
-    """Accumulated per-stage numbers (EMA across runs)."""
-
-    __slots__ = ("rows", "seconds", "chunks")
-
-    def __init__(self, rows: float, seconds: float, chunks: float):
-        self.rows = rows
-        self.seconds = seconds
-        self.chunks = chunks
-
-    def fold(self, rows: float, seconds: float, chunks: float,
-             weight: float) -> None:
-        keep = 1.0 - weight
-        self.rows = self.rows * keep + rows * weight
-        self.seconds = self.seconds * keep + seconds * weight
-        self.chunks = self.chunks * keep + chunks * weight
-
-
 class PlanObservation:
-    """What the ledger knows about one (shape of) query.
+    """What the ledger knows about one (shape of) query: the output row
+    count of its *drained* runs (an EMA), how many runs it has seen, and
+    when it last changed."""
 
-    ``cardinality`` is the observed output row count of a *drained* run;
-    ``unit_cost(stage)`` the observed per-element production cost of a
-    stage (``"pipeline"`` is the whole-pipeline stage the chunked pump
-    probes; batched scans report under ``"scan:<driver>"``).
-    """
-
-    __slots__ = ("cardinality", "runs", "updated", "_stages")
+    __slots__ = ("cardinality", "runs", "updated")
 
     def __init__(self) -> None:
         self.cardinality = 0.0
@@ -79,111 +58,58 @@ class PlanObservation:
         # clock the plan store's decay runs on.  Kept through
         # snapshot/restore so compaction never resets an entry's age.
         self.updated = 0.0
-        self._stages: Dict[str, _StageRecord] = {}
-
-    def unit_cost(self, stage: str = "pipeline") -> Optional[float]:
-        record = self._stages.get(stage)
-        if record is None or record.rows <= 0.0:
-            return None
-        return record.seconds / record.rows
-
-    def stage_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._stages))
 
     def _snapshot(self) -> "PlanObservation":
-        """A consistent read-only copy (taken under the ledger lock).
-
-        The ledger mutates observations in place under its lock; handing a
-        reader the live object would let a concurrent ``record`` tear its
-        view (seconds from one run, rows from another — a skewed unit
-        cost).  Lookups therefore return snapshots.
-        """
+        """A consistent read-only copy (taken under the ledger lock): the
+        ledger mutates observations in place, so lookups hand out copies."""
         copy = PlanObservation()
         copy.cardinality = self.cardinality
         copy.runs = self.runs
         copy.updated = self.updated
-        copy._stages = {name: _StageRecord(record.rows, record.seconds,
-                                           record.chunks)
-                        for name, record in self._stages.items()}
         return copy
 
     def _to_state(self) -> Dict:
-        """A plain-data export (floats/ints/strings only) for persistence."""
-        return {"cardinality": self.cardinality,
-                "runs": self.runs,
-                "stages": {name: [record.rows, record.seconds, record.chunks]
-                           for name, record in self._stages.items()}}
+        """A plain-data export (numbers only) for persistence."""
+        return {"cardinality": self.cardinality, "runs": self.runs}
 
     @classmethod
     def _from_state(cls, state: Dict, updated: float) -> "PlanObservation":
+        # Only these two keys are read: an older ledger's per-stage
+        # "stages" map is left behind, so it still restores.
         observation = cls()
         observation.cardinality = float(state["cardinality"])
         observation.runs = int(state["runs"])
         observation.updated = updated
-        observation._stages = {
-            name: _StageRecord(float(numbers[0]), float(numbers[1]),
-                               float(numbers[2]))
-            for name, numbers in state["stages"].items()}
         return observation
 
-    def _fold(self, stages: Dict[str, Tuple[float, float, float]],
-              cardinality: float, weight: float) -> None:
+    def _fold(self, cardinality: float, weight: float) -> None:
         if self.runs == 0:
             self.cardinality = cardinality
         else:
             self.cardinality = (self.cardinality * (1.0 - weight)
                                 + cardinality * weight)
         self.runs += 1
-        for name, (rows, seconds, chunks) in stages.items():
-            record = self._stages.get(name)
-            if record is None:
-                self._stages[name] = _StageRecord(rows, seconds, chunks)
-            else:
-                record.fold(rows, seconds, chunks, weight)
 
 
 class PlanProbe:
-    """Per-run accumulator the chunked runtime reports into.
+    """One run's feedback probe, owned by its pipeline.
 
-    ``note_chunk`` is called once per produced chunk per probed stage;
-    ``complete`` — only when the pipeline drained normally — folds the run
-    into the ledger (an abandoned or failing run never records a partial
-    "cardinality").  Probes are single-run objects owned by one pipeline,
-    but ``note_chunk`` may be reached from scheduler worker threads (a
-    batched scan inside a ParallelExt body), so accumulation locks.
+    ``complete`` is called only when the pipeline drained normally, and
+    folds the run's output cardinality into the ledger: an abandoned or
+    failing run never records a partial count.  It is the probe's one
+    method — the planner reads nothing per chunk, so the pump reads no
+    clock for it.
     """
 
-    __slots__ = ("_feedback", "_fingerprint", "_stages", "_lock", "_done")
+    __slots__ = ("_feedback", "_fingerprint")
 
     def __init__(self, feedback: "PlanFeedback", fingerprint: Tuple):
         self._feedback = feedback
         self._fingerprint = fingerprint
-        self._stages: Dict[str, list] = {}
-        self._lock = threading.Lock()
-        self._done = False
 
-    def note_chunk(self, stage: str, rows: int, seconds: float) -> None:
-        with self._lock:
-            record = self._stages.get(stage)
-            if record is None:
-                self._stages[stage] = [float(rows), seconds, 1.0]
-            else:
-                record[0] += rows
-                record[1] += seconds
-                record[2] += 1.0
-
-    def complete(self, cardinality: Optional[int] = None) -> None:
-        """Fold a *drained* run into the ledger (idempotent)."""
-        with self._lock:
-            if self._done:
-                return
-            self._done = True
-            stages = {name: tuple(record)
-                      for name, record in self._stages.items()}
-        if cardinality is None:
-            pipeline = stages.get("pipeline")
-            cardinality = int(pipeline[0]) if pipeline else 0
-        self._feedback.record(self._fingerprint, stages, float(cardinality))
+    def complete(self, cardinality: int) -> None:
+        """Fold a *drained* run's output cardinality into the ledger."""
+        self._feedback.record(self._fingerprint, float(cardinality))
 
 
 class PlanFeedback:
@@ -212,12 +138,11 @@ class PlanFeedback:
         self._lock = threading.Lock()
 
     def probe(self, fingerprint: Tuple) -> PlanProbe:
-        """A fresh per-run accumulator for a pipeline keyed ``fingerprint``."""
+        """A fresh per-run probe for a pipeline keyed ``fingerprint``."""
         return PlanProbe(self, fingerprint)
 
-    def record(self, fingerprint: Tuple,
-               stages: Dict[str, Tuple[float, float, float]],
-               cardinality: float) -> None:
+    def record(self, fingerprint: Tuple, cardinality: float) -> None:
+        """Fold one drained run's output cardinality into the ledger."""
         shape = shape_fingerprint(fingerprint)
         state = None
         updated = self.clock()
@@ -228,14 +153,10 @@ class PlanFeedback:
                 observation = PlanObservation()
                 self._entries[fingerprint] = observation
             self._entries.move_to_end(fingerprint)
-            observation._fold(stages, cardinality, self.EMA_WEIGHT)
+            observation._fold(cardinality, self.EMA_WEIGHT)
             observation.updated = updated
             self._shapes[shape] = fingerprint
-            while len(self._entries) > self.limit:
-                evicted, _ = self._entries.popitem(last=False)
-                evicted_shape = shape_fingerprint(evicted)
-                if self._shapes.get(evicted_shape) == evicted:
-                    del self._shapes[evicted_shape]
+            self._evict_past_limit()
             hook = self.on_record
             if hook is not None:
                 state = observation._to_state()
@@ -246,11 +167,21 @@ class PlanFeedback:
                 # Persistence must never break the run that just finished.
                 pass
 
+    def _evict_past_limit(self) -> None:
+        """Drop the least recently used entries past ``limit`` (lock held)."""
+        while len(self._entries) > self.limit:
+            evicted, _ = self._entries.popitem(last=False)
+            evicted_shape = shape_fingerprint(evicted)
+            if self._shapes.get(evicted_shape) == evicted:
+                del self._shapes[evicted_shape]
+
     def lookup(self, fingerprint: Tuple) -> Optional[PlanObservation]:
-        """One planner lookup: the exact observation, else the most recent
-        structurally-similar one — counted as ONE lookup (and at most one
-        hit), unlike calling :meth:`observation` then :meth:`similar`,
-        which would double-count and skew the ledger's hit rate."""
+        """One planner lookup: a snapshot of the exact observation, else of
+        the most recent structurally-similar one (same
+        :func:`shape_fingerprint`; literals differ) — one lookup, at most
+        one hit.  A shape-index hit refreshes the backing entry's LRU
+        position, or a parametrised workload consulted only through the
+        index would age out under churn while actively planned."""
         with self._lock:
             self.lookups += 1
             key = fingerprint
@@ -260,37 +191,6 @@ class PlanFeedback:
                 observation = None if key is None else self._entries.get(key)
             if observation is None:
                 return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return observation._snapshot()
-
-    def observation(self, fingerprint: Tuple) -> Optional[PlanObservation]:
-        """A snapshot of the exact-fingerprint observation, if this query
-        ran before."""
-        with self._lock:
-            self.lookups += 1
-            observation = self._entries.get(fingerprint)
-            if observation is None:
-                return None
-            self._entries.move_to_end(fingerprint)
-            self.hits += 1
-            return observation._snapshot()
-
-    def similar(self, fingerprint: Tuple) -> Optional[PlanObservation]:
-        """A snapshot of the most recent observation of a structurally-
-        similar query (same :func:`shape_fingerprint`; literals differ)."""
-        shape = shape_fingerprint(fingerprint)
-        with self._lock:
-            self.lookups += 1
-            key = self._shapes.get(shape)
-            if key is None:
-                return None
-            observation = self._entries.get(key)
-            if observation is None:
-                return None
-            # A shape-index hit is a USE: refresh the backing entry's LRU
-            # position, or a parametrised workload consulted only through
-            # the index would age out under churn while actively planned.
             self._entries.move_to_end(key)
             self.hits += 1
             return observation._snapshot()
@@ -349,11 +249,7 @@ class PlanFeedback:
             for shape, fingerprint in restored_shapes.items():
                 if shape not in self._shapes:
                     self._shapes[shape] = fingerprint
-            while len(self._entries) > self.limit:
-                evicted, _ = self._entries.popitem(last=False)
-                evicted_shape = shape_fingerprint(evicted)
-                if self._shapes.get(evicted_shape) == evicted:
-                    del self._shapes[evicted_shape]
+            self._evict_past_limit()
             return count
 
     def __len__(self) -> int:

@@ -1,18 +1,19 @@
-"""The physical-plan chooser: per-query knobs from statistics and feedback.
+"""The physical-plan chooser: per-query knobs from what the sources say.
 
 "The optimizer chooses among physical strategies using knowledge about the
-sources."  Before this module every physical knob of the reproduction — the
-chunk ramp bounds, the ParallelExt prefetch granularity — was a hand-set
-constant.  :class:`QueryPlanner` replaces the constants with per-query
-choices:
+sources."  :class:`QueryPlanner` makes two kinds of choice:
 
 * the one **compile-time knob** (whether/ how wide to introduce
   ``ParallelExt``) is wired into the optimizer rule set as a cost-gate
-  callback (``make_parallel_rule_set(workers_for=...)``);
-* **run-time knobs** (the :class:`~repro.core.nrc.compile.ChunkPolicy` ramp
-  bounds, ``parallel_chunk`` granularity, the cost-adaptive ramp switch)
-  travel on a :class:`PhysicalPlan` the engine attaches to the evaluation
-  context per streamed run.
+  callback (``make_parallel_rule_set(workers_for=...)``): a loop is as wide
+  as the servers its body calls declare;
+* the **run-time knobs**, the two maxima of the
+  :class:`~repro.core.nrc.compile.ChunkPolicy` ramp (``max_chunk`` for
+  local sources, ``remote_max_chunk`` for remote ones), travel on a
+  :class:`PhysicalPlan` the engine attaches to the evaluation context per
+  streamed run.  They come from rows — registered cardinalities, or the
+  cardinality of an earlier drained run — and from declared latencies and
+  batch economics; no stopwatch sets either.
 
 The contract the differential tests pin: with **zero statistics** (nothing
 registered, nothing observed, no feedback) every choice reproduces the
@@ -39,12 +40,8 @@ class PhysicalPlan(Fields, frozen=True):
     """One query's physical knobs (immutable; defaults == the constants
     every run used before the planner existed)."""
 
-    initial_chunk: int = 1
     max_chunk: int = ChunkPolicy.DEFAULT_MAX_CHUNK
     remote_max_chunk: int = ChunkPolicy.REMOTE_MAX_CHUNK
-    parallel_chunk: int = 1
-    #: Whether the chunk ramp adapts to observed per-chunk cost.
-    adaptive_ramp: bool = False
     #: Where the knobs came from: ``default`` | ``statistics`` | ``feedback``.
     source: str = "default"
     estimated_rows: Optional[float] = None
@@ -63,20 +60,14 @@ class PhysicalPlan(Fields, frozen=True):
         """The plan's knobs as a run-time :class:`ChunkPolicy`."""
         return ChunkPolicy(max_chunk=self.max_chunk,
                            remote_max_chunk=self.remote_max_chunk,
-                           initial_chunk=self.initial_chunk,
-                           parallel_chunk=self.parallel_chunk,
-                           is_remote=is_remote,
-                           adaptive_ramp=self.adaptive_ramp)
+                           is_remote=is_remote)
 
     def describe(self) -> Dict[str, object]:
         """A plain-dict view for benchmarks and the experiment log."""
         return {
             "source": self.source,
-            "initial_chunk": self.initial_chunk,
             "max_chunk": self.max_chunk,
             "remote_max_chunk": self.remote_max_chunk,
-            "parallel_chunk": self.parallel_chunk,
-            "adaptive_ramp": self.adaptive_ramp,
             "estimated_rows": self.estimated_rows,
         }
 
@@ -118,7 +109,7 @@ class QueryPlanner:
         self.batches_natively = batches_natively or (lambda driver: False)
         self.concurrency_of = concurrency_of or (lambda driver: None)
         self.cardinality = CardinalityEstimator(statistics)
-        self.cost = CostModel(statistics, feedback)
+        self.cost = CostModel(statistics)
         #: How many plans were chosen, and how many left the defaults.
         self.plans_chosen = 0
         self.plans_default = 0
@@ -287,20 +278,9 @@ class QueryPlanner:
                 size for size, cost in costs.items()
                 if cost <= floor * self.REPLAN_SLACK)
 
-        # ParallelExt task granularity: latency-bound bodies keep
-        # element-granular prefetch (overlap is the point); a measured cheap
-        # body gets chunk-granular tasks sized to amortize task overhead.
-        parallel_chunk = 1
-        unit_cost = self.cost.unit_cost(observation)
-        if latency < self.cost.REMOTE_PARALLEL_LATENCY:
-            parallel_chunk = self.cost.parallel_chunk_for(unit_cost)
-
         return PhysicalPlan(
-            initial_chunk=1,
             max_chunk=max_chunk,
             remote_max_chunk=remote_max_chunk,
-            parallel_chunk=parallel_chunk,
-            adaptive_ramp=True,
             source="feedback" if observation is not None else "statistics",
             estimated_rows=rows,
         )

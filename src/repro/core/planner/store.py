@@ -294,27 +294,16 @@ class PlanStoreState:
 
 
 def _valid_observation_state(state: object) -> bool:
-    """Shape-check one persisted observation before it may enter a ledger."""
-    if not isinstance(state, dict):
-        return False
-    if not isinstance(state.get("cardinality"), (int, float)) \
-            or isinstance(state.get("cardinality"), bool):
+    """Shape-check one persisted observation before it may enter a ledger.
+
+    An observation is ``{cardinality, runs}``.  Other keys — an older
+    ledger's per-stage ``stages`` map — are ignored, so such a ledger still
+    restores its cardinalities.
+    """
+    if not isinstance(state, dict) or not _is_number(state.get("cardinality")):
         return False
     runs = state.get("runs")
-    if not isinstance(runs, int) or isinstance(runs, bool) or runs < 0:
-        return False
-    stages = state.get("stages")
-    if not isinstance(stages, dict):
-        return False
-    for name, numbers in stages.items():
-        if not isinstance(name, str):
-            return False
-        if not isinstance(numbers, (list, tuple)) or len(numbers) != 3:
-            return False
-        if not all(isinstance(part, (int, float)) and not isinstance(part, bool)
-                   for part in numbers):
-            return False
-    return True
+    return isinstance(runs, int) and not isinstance(runs, bool) and runs >= 0
 
 
 def _is_number(value: object) -> bool:

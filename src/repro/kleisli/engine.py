@@ -354,8 +354,8 @@ class KleisliEngine:
         self.statistics_registry = SourceStatisticsRegistry()
         self.cache = SubqueryCache()
         self.optimizer_config = optimizer_config or OptimizerConfig()
-        #: The run-time feedback ledger: per-stage per-chunk costs and true
-        #: cardinalities of drained chunked runs, keyed by term fingerprint.
+        #: The run-time feedback ledger: the true cardinalities of drained
+        #: chunked runs, keyed by term fingerprint.
         self.plan_feedback = PlanFeedback()
         #: The cost-based planner.  Its compile-time hook gates parallel
         #: introduction inside the optimizer; :meth:`plan_for` asks it for
@@ -375,6 +375,7 @@ class KleisliEngine:
         #: policy dispatches exactly as before, so zero-fault runs are
         #: bit-for-bit unchanged.  Configure via :meth:`configure_resilience`.
         self.resilience = ResilienceLayer()
+        self.resilience.gates = self.driver_gates
         self.resilience.on_breaker_event = self._note_breaker_event
         self.resilience.on_retry = self._note_retry_event
         #: The governance ledger (cancellations, spills, budget rejections,
@@ -553,7 +554,7 @@ class KleisliEngine:
         self.last_rewrite_stats = stats
         return optimized
 
-    # benchmarks/e2e/tracing.py patches this name; ROADMAP direction 3(b) removes it.
+    # benchmarks/e2e/tracing.py patches this name; ROADMAP direction 2(b) removes it.
     compile_for_stream = compile
 
     def configure_resilience(self, driver_name: str,
@@ -622,24 +623,14 @@ class KleisliEngine:
         query nobody is waiting for.
 
         A driver with a declared concurrency cap is dispatched holding one
-        slot of its :class:`_DriverGate` (waiting for one if the server is
-        full), released however the request ends.  The slot spans the whole
-        resilient dispatch, retries and their backoff included, so a
-        retrying request never lets the total exceed the cap.
+        slot of its :class:`_DriverGate` per round trip (waiting for one if
+        the server is full): the resilience layer, which shares
+        :attr:`driver_gates`, takes it around every raw attempt — the first,
+        each retry and each mid-stream re-issue — so none of them can exceed
+        the cap, and a retry's backoff sleep holds no slot.
         """
         if context is not None and context.cancellation is not None:
             context.cancellation.raise_if_cancelled()
-        gate = self.driver_gates.get(driver_name)
-        if gate is None:
-            return self._dispatch(driver_name, request, context)
-        gate.enter(driver_name, context, self.resilience.clock)
-        try:
-            return self._dispatch(driver_name, request, context)
-        finally:
-            gate.leave()
-
-    def _dispatch(self, driver_name: str, request: Mapping[str, object],
-                  context: Optional[EvalContext]):
         trace = None if context is None else context.trace
         if trace is None:
             return self.resilience.execute(driver_name, request,
@@ -1009,7 +1000,7 @@ class KleisliEngine:
         return self._lowered("chunked", expr, compile_chunked, statistics,
                              fingerprint)
 
-    # benchmarks/e2e/tracing.py patches this name; ROADMAP direction 3(b) removes it.
+    # benchmarks/e2e/tracing.py patches this name; ROADMAP direction 2(b) removes it.
     compiled_stream = compiled_chunked
 
     def execute(self, expr: A.Expr, bindings: Optional[Dict[str, object]] = None,
@@ -1175,21 +1166,19 @@ class KleisliEngine:
                     context.chunk_policy = plan.chunk_policy(
                         is_remote=self.statistics_registry.is_remote)
                     if self.optimizer_config.planning:
-                        # Close the loop: a drained run feeds the ledger the
-                        # next compilation of this (or a similarly-shaped) term
-                        # re-plans from — keyed exactly like the compile cache.
-                        # Runs under an EXPLICIT policy override record
-                        # nothing: their per-chunk costs reflect the caller's
-                        # forced knobs, and folding them in would contaminate
-                        # the observations future planned runs are chosen from.
+                        # Close the loop: a drained run's cardinality feeds
+                        # the ledger the next run of this (or a similarly-
+                        # shaped) term is planned from — keyed exactly like
+                        # the compile cache.  Runs under an EXPLICIT policy
+                        # override record nothing: the caller forced the
+                        # knobs, so the run says nothing about the plan.
                         context.plan_probe = self.plan_feedback.probe(fingerprint)
                 if context.trace is not None:
-                    # The profile tee: the real feedback probe (if any) keeps
-                    # seeing exactly the calls it always saw; the collector —
-                    # and, with a hub, the chunk-size histogram — ride along.
-                    # Forcing a probe here is what routes the pump through its
-                    # probe-timed branch, so per-stage timings exist even for
-                    # runs that record no feedback.
+                    # The profile tee: the feedback probe (if any) still
+                    # takes only the cardinality; the tee's per-chunk
+                    # timings go to the collector and, with a hub, the
+                    # chunk-size histogram.  Only a tee makes the pump read
+                    # a clock per chunk.
                     run.collector = StageCollector()
                     sinks = [run.collector]
                     hub = self.observability

@@ -53,7 +53,7 @@ from ..core.errors import (
     SourceDegradedWarning,
     is_retryable_fault,
 )
-from ..core.nrc.eval import _CountingStream
+from ..core.nrc.eval import EvalStatistics, _CountingStream
 
 __all__ = ["RetryPolicy", "CircuitBreakerPolicy", "CircuitBreaker",
            "ResilienceLayer", "RecoveringStream"]
@@ -252,6 +252,9 @@ class ResilienceLayer:
     ``on_retry(driver, attempt)`` (same shape) fires once per retry before
     its backoff; the engine points it at the observability hub's retry
     counter — ``None`` (the default) costs one attribute read per retry.
+    ``gates`` maps a driver to the in-flight gate of a server that declared
+    a concurrency cap (the engine hands in its own ``driver_gates``): every
+    raw attempt holds one of its slots, the backoff between attempts none.
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic,
@@ -260,6 +263,7 @@ class ResilienceLayer:
         self.sleeper = sleeper
         self.on_breaker_event: Optional[Callable[[str, str], None]] = None
         self.on_retry: Optional[Callable[[str, int], None]] = None
+        self.gates: Dict[str, object] = {}
         self._lock = threading.Lock()
         self._policies: Dict[str, RetryPolicy] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -339,16 +343,23 @@ class ResilienceLayer:
 
         ``raw(driver, request)`` is the engine's timed dispatch (driver
         lookup + execute + latency-EMA sample).  Unconfigured drivers pass
-        straight through — one dict probe of overhead.  Lazy results of
-        configured drivers are wrapped for mid-stream recovery; terminal
-        failures may degrade to an announced-empty result when the context
-        asks for it.
+        straight through — holding their gate's slot, if any, and nothing
+        else.  Lazy results of configured drivers are wrapped for mid-stream
+        recovery; terminal failures may degrade to an announced-empty result
+        when the context asks for it.
         """
         with self._lock:
             policy = self._policies.get(driver)
             breaker = self._breakers.get(driver)
         if policy is None and breaker is None:
-            return raw(driver, request)
+            gate = self.gates.get(driver)
+            if gate is None:
+                return raw(driver, request)
+            gate.enter(driver, context, self.clock)
+            try:
+                return raw(driver, request)
+            finally:
+                gate.leave()
         counters = self.counters(driver)
         counters.increment("requests")
         try:
@@ -369,41 +380,67 @@ class ResilienceLayer:
                  policy: Optional[RetryPolicy],
                  breaker: Optional[CircuitBreaker],
                  counters: _DriverCounters, context) -> object:
-        """The bounded attempt loop shared by first dispatch and re-issues."""
+        """The bounded attempt loop shared by first dispatch and re-issues.
+
+        Each attempt holds one slot of the driver's gate (when its server
+        declared a cap) from before the breaker's admission to the reply.
+        Waiting for the slot is not the request's time: no timeout runs and
+        no breaker outcome is booked while it waits, and the wait ends on
+        the run's cancellation or deadline.  The backoff before the next
+        attempt is served with the slot returned.
+        """
         max_attempts = policy.max_attempts if policy is not None else 1
         attempt = 0
         while True:
             attempt += 1
             self._check_deadline(driver, context)
-            if breaker is not None:
-                breaker.before_call()
-            started = self.clock()
+            gate = self.gates.get(driver)
+            if gate is not None:
+                gate.enter(driver, context, self.clock)
             try:
-                result = raw(driver, request)
-            except Exception as error:  # noqa: BLE001 - classified below
+                result, retry = self._attempt_once(
+                    driver, request, raw, policy, breaker, counters,
+                    last=attempt >= max_attempts)
+            finally:
+                if gate is not None:
+                    gate.leave()
+            if not retry:
+                return result
+            self._note_retry(driver, attempt, policy, counters, context)
+
+    def _attempt_once(self, driver: str, request, raw: Callable,
+                      policy: Optional[RetryPolicy],
+                      breaker: Optional[CircuitBreaker],
+                      counters: _DriverCounters, last: bool):
+        """One raw attempt: ``(result, False)``, or ``(None, True)`` for a
+        retryable failure that is not the ``last`` attempt; raises
+        otherwise."""
+        if breaker is not None:
+            breaker.before_call()
+        started = self.clock()
+        try:
+            result = raw(driver, request)
+        except Exception as error:  # noqa: BLE001 - classified below
+            if breaker is not None:
+                breaker.record_failure()
+            counters.increment("failures")
+            if last or not is_retryable_fault(error):
+                raise
+            return None, True
+        if policy is not None and policy.request_timeout is not None:
+            elapsed = self.clock() - started
+            if elapsed > policy.request_timeout:
+                _close_quietly(result)
                 if breaker is not None:
                     breaker.record_failure()
-                counters.increment("failures")
-                if not is_retryable_fault(error) or attempt >= max_attempts:
-                    raise
-                self._note_retry(driver, attempt, policy, counters, context)
-                continue
-            if policy is not None and policy.request_timeout is not None:
-                elapsed = self.clock() - started
-                if elapsed > policy.request_timeout:
-                    _close_quietly(result)
-                    if breaker is not None:
-                        breaker.record_failure()
-                    counters.increment("timeouts")
-                    if attempt >= max_attempts:
-                        raise DriverTimeoutError(driver, elapsed,
-                                                 policy.request_timeout)
-                    self._note_retry(driver, attempt, policy, counters,
-                                     context)
-                    continue
-            if breaker is not None:
-                breaker.record_success()
-            return result
+                counters.increment("timeouts")
+                if last:
+                    raise DriverTimeoutError(driver, elapsed,
+                                             policy.request_timeout)
+                return None, True
+        if breaker is not None:
+            breaker.record_success()
+        return result, False
 
     def _note_retry(self, driver: str, attempt: int,
                     policy: Optional[RetryPolicy],
@@ -479,18 +516,23 @@ class ResilienceLayer:
 class RecoveringStream:
     """Resume a lazy scan cursor across mid-stream faults, bit-identically.
 
-    Sits *below* the statistics-counting ``_CountingStream`` wrapper: the
-    re-issued cursor's already-seen prefix is consumed here and never
-    surfaces, so a drained recovered run reports exactly the fault-free
-    ``scan_elements`` — and yields exactly the fault-free element sequence
-    (sources are assumed deterministic across re-issues, which the engine's
-    drivers are; a re-issue that ends *before* the prefix is complete is a
-    terminal error, never a silent short stream).
+    What a configured driver's lazy result is wrapped in at dispatch: the
+    re-issue state (request, policy, breaker, the live cursor and how many
+    elements were delivered).  Every scan site consumes it through
+    ``scan_stream``, which asks it for :class:`_RecoveringCountingStream` —
+    scan accounting and recovery in one per-element frame, *below* which
+    the re-issued cursor's already-seen prefix is consumed, so a drained
+    recovered run reports exactly the fault-free ``scan_elements`` and
+    yields exactly the fault-free element sequence (sources are assumed
+    deterministic across re-issues, which the engine's drivers are; a
+    re-issue that ends *before* the prefix is complete is a terminal error,
+    never a silent short stream).
 
     A fault event consumes one recovery from a consecutive-failure budget of
-    ``policy.max_attempts - 1``; any successfully yielded element resets it,
-    so eventually-succeeding fault schedules always drain while a
-    permanently dead source still fails fast.
+    ``policy.max_attempts - 1``; a fresh element after a re-issue resets
+    it, so eventually-succeeding fault schedules always drain while a
+    permanently dead source still fails fast.  A re-issue is an attempt
+    like any other: it holds a slot of the driver's gate.
     """
 
     def __init__(self, layer: ResilienceLayer, driver: str, request,
@@ -509,73 +551,9 @@ class RecoveringStream:
         self._iterator = iter(first_result)
         self._yielded = 0
         self._consecutive_faults = 0
-        self._recovering = False
-        self._skip = 0
-        self._generator = None
-
-    def __iter__(self):
-        # Hand out ONE generator: downstream wrappers call iter() once and
-        # then resume it per element at C speed — the fault-free path pays
-        # a generator resumption, not a Python-level __next__ frame.
-        if self._generator is None:
-            self._generator = self._iterate()
-        return self._generator
-
-    def __next__(self):
-        return next(iter(self))
-
-    def _iterate(self):
-        while True:
-            iterator = self._iterator
-            try:
-                # Cold path: consume a re-issued cursor's already-delivered
-                # prefix (never surfaces, never counted), then draw the
-                # first fresh element so recovery bookkeeping runs once per
-                # issue instead of once per element.
-                while self._skip:
-                    next(iterator)
-                    self._skip -= 1
-                value = next(iterator)
-            except StopIteration:
-                if self._skip:
-                    # The replacement cursor ended before reaching the
-                    # already-delivered prefix: the source changed between
-                    # issues.  Silent truncation is never an option.
-                    raise DriverError(
-                        f"driver {self._driver!r} returned a shorter stream "
-                        f"on recovery re-issue (source changed mid-query)") \
-                        from None
-                return
-            except Exception as error:  # noqa: BLE001 - classified below
-                if not self._handle_fault(error):
-                    return  # degraded: announced end, not an exception
-                continue
-            if self._recovering:
-                self._recovering = False
-                self._counters.increment("recoveries")
-                if self._context is not None:
-                    self._context.statistics.recovered_faults += 1
-            self._consecutive_faults = 0
-            self._yielded += 1
-            yield value
-            # Hot loop: a bare for over the driver cursor with one local
-            # counter — position state syncs back only when the loop exits.
-            yielded = self._yielded
-            try:
-                try:
-                    for value in iterator:
-                        yielded += 1
-                        yield value
-                finally:
-                    self._yielded = yielded
-            except Exception as error:  # noqa: BLE001 - classified below
-                if not self._handle_fault(error):
-                    return
-                continue
-            return
 
     def _handle_fault(self, error: BaseException) -> bool:
-        """One mid-stream fault event: account, re-issue, arm the prefix skip.
+        """One mid-stream fault event: account, then re-issue.
 
         Returns ``True`` when a replacement cursor is in place, ``False``
         when the run degrades (the stream ends, announced by a warning).
@@ -594,7 +572,6 @@ class RecoveringStream:
                 raise error
             layer._note_retry(self._driver, self._consecutive_faults,
                               self._policy, self._counters, self._context)
-            self._recovering = True
             result = layer._attempt(self._driver, self._request, self._raw,
                                     self._policy, self._breaker,
                                     self._counters, self._context)
@@ -604,7 +581,6 @@ class RecoveringStream:
             raise
         self._source = result
         self._iterator = iter(result)
-        self._skip = self._yielded
         return True
 
     def _maybe_degrade_stream(self, error: BaseException) -> bool:
@@ -628,9 +604,13 @@ class RecoveringStream:
 
     def make_counting_stream(self, statistics) -> "_RecoveringCountingStream":
         """The hook ``scan_stream`` probes for: a merged counting+recovering
-        wrapper, so the happy path pays one frame per element instead of a
-        counting frame stacked on a recovery generator."""
+        wrapper, so the happy path pays one frame per element."""
         return _RecoveringCountingStream(self, statistics)
+
+    def __iter__(self):
+        # A direct caller of the engine's executors iterates the same
+        # wrapper, booking its elements to no run.
+        return _RecoveringCountingStream(self, EvalStatistics())
 
 
 class _RecoveringCountingStream(_CountingStream):
@@ -639,12 +619,11 @@ class _RecoveringCountingStream(_CountingStream):
     The happy path is exactly the plain :class:`_CountingStream` hot path
     plus a single integer increment (the delivered-prefix position the
     recovery re-issue needs); every fault branch lives in the cold
-    ``except`` path, where :class:`RecoveringStream`'s state machine
-    (``_handle_fault``: classify, account, re-issue, arm the prefix skip)
-    does the work.  The skipped prefix of a replacement cursor is consumed
-    here *without* touching ``scan_elements``, which is what keeps a
-    recovered run's ``elements_fetched`` bit-identical to a fault-free
-    run's.
+    ``except`` path: :class:`RecoveringStream`'s ``_handle_fault``
+    classifies, accounts and re-issues, and :meth:`_recover` — the one
+    recovery loop — consumes the replacement cursor's delivered prefix
+    *without* touching ``scan_elements``, which is what keeps a recovered
+    run's ``elements_fetched`` bit-identical to a fault-free run's.
     """
 
     def __init__(self, stream: "RecoveringStream", statistics):
@@ -678,15 +657,15 @@ class _RecoveringCountingStream(_CountingStream):
             if not stream._handle_fault(error):
                 self._drained()  # degraded: announced end of stream
                 raise StopIteration
-            iterator = stream._iterator
-            self._inner = iterator
+            iterator = self._inner = stream._iterator
+            skipped = False
             try:
-                for _ in range(stream._skip):
+                for _ in range(stream._yielded):
                     next(iterator)
-                stream._skip = 0
+                skipped = True
                 value = next(iterator)
             except StopIteration:
-                if stream._skip:
+                if not skipped:
                     # The replacement ended inside the already-delivered
                     # prefix: the source changed between issues.  Silent
                     # truncation is never an option.
@@ -699,11 +678,9 @@ class _RecoveringCountingStream(_CountingStream):
             except Exception as next_error:  # noqa: BLE001 - next cycle
                 error = next_error
                 continue
-            if stream._recovering:
-                stream._recovering = False
-                stream._counters.increment("recoveries")
-                if stream._context is not None:
-                    stream._context.statistics.recovered_faults += 1
+            stream._counters.increment("recoveries")
+            if stream._context is not None:
+                stream._context.statistics.recovered_faults += 1
             stream._consecutive_faults = 0
             return value
 

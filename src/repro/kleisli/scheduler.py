@@ -140,8 +140,8 @@ class Scheduler:
                  tasks: Iterable[T]) -> Iterator[R]:
         """Apply ``function`` to every task through the window, yielding in order.
 
-        A task is a list of work units (one source element, or a chunk of
-        them) and holds one window slot.  At most ``level`` tasks are in
+        A task is a list of work units (a parallel loop hands one source
+        element) and holds one window slot.  At most ``level`` tasks are in
         flight while the consumer processes earlier replies, so remote
         latency overlaps consumption end-to-end.  Each yielded reply frees
         a slot and the next task is issued immediately — and because

@@ -50,7 +50,7 @@ SPILL_BUCKETS = exponential_buckets(1024.0, 4.0, 12)      # 1KiB .. ~4GiB
 
 
 class _ChunkSizeSink:
-    """Plan-probe-shaped adapter feeding the chunk-size histogram."""
+    """Probe sink feeding the chunk-size histogram (through a ProbeTee)."""
 
     def __init__(self, histogram: Histogram) -> None:
         self._histogram = histogram

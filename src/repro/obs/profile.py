@@ -7,7 +7,7 @@ for everything that deviated from the happy path (retries, recovered
 faults, compiled fallbacks, spills, cancellation).
 
 Profiles are *observation only*.  ``engine.stream(..., profile=True)``
-collects one by teeing the run's plan probe (chunked lowering) and trace
+collects one through a timing probe (chunked lowering) and the trace
 (driver-request spans, covering the eager lowering, whose compiled
 artifacts have no chunk boundaries to report) — the values the query
 produces are bit-identical to an unprofiled run, which the acceptance
@@ -29,11 +29,10 @@ __all__ = ["StageCollector", "ProbeTee", "QueryProfile", "SlowQueryLog",
 
 
 class StageCollector:
-    """Plan-probe-shaped sink accumulating per-stage rows/seconds/chunks.
+    """Sink accumulating per-stage rows/seconds/chunks for a profile.
 
-    Quacks like :class:`repro.core.planner.feedback.PlanProbe` (``note_chunk``
-    / ``complete``) so the chunked lowering's existing probe calls feed the
-    profile with zero compiled-code changes.
+    Takes the chunked lowering's per-chunk timings (``note_chunk``) and the
+    drained run's cardinality (``complete``) through a :class:`ProbeTee`.
     """
 
     def __init__(self) -> None:
@@ -65,12 +64,13 @@ class StageCollector:
 
 
 class ProbeTee:
-    """Fan one probe stream out to several sinks (real feedback + profile).
+    """The probe of an observed run: per-chunk timings to the sinks, the
+    drained run's cardinality to the sinks and the feedback probe.
 
-    ``inner`` is the engine's real :class:`PlanProbe` (or ``None`` when the
-    run records no feedback); every sink sees the same calls.  This is how
-    ``profile=True`` observes the chunked pump without disturbing the
-    planner's feedback loop.
+    ``inner`` is the engine's :class:`~repro.core.planner.feedback.PlanProbe`
+    (or ``None`` when the run records no feedback), which takes the
+    cardinality only.  Its ``note_chunk`` is what makes the chunked pump
+    time its chunks at all, so an unobserved run reads no clock per chunk.
     """
 
     def __init__(self, inner, *sinks) -> None:
@@ -78,8 +78,6 @@ class ProbeTee:
         self._sinks = tuple(sinks)
 
     def note_chunk(self, stage: str, rows: int, seconds: float) -> None:
-        if self._inner is not None:
-            self._inner.note_chunk(stage, rows, seconds)
         for sink in self._sinks:
             sink.note_chunk(stage, rows, seconds)
 

@@ -60,21 +60,21 @@ def _scan(base=0, count=5):
 class TestChunkPolicy:
     def test_sizes_ramp_from_initial_to_max(self):
         policy = ChunkPolicy(max_chunk=128)
-        assert policy.sizes_for() == (1, 128)
-        assert policy.sizes_for("anything") == (1, 128)  # no is_remote wired
+        assert policy.max_chunk_for() == 128
+        assert policy.max_chunk_for("anything") == 128  # no is_remote wired
 
     def test_remote_drivers_keep_small_chunks(self):
         policy = ChunkPolicy(max_chunk=1024, remote_max_chunk=16,
                              is_remote=lambda name: name == "slow")
-        assert policy.sizes_for("slow") == (1, 16)
-        assert policy.sizes_for("fast") == (1, 1024)
+        assert policy.max_chunk_for("slow") == 16
+        assert policy.max_chunk_for("fast") == 1024
 
     def test_engine_policy_follows_the_statistics_registry(self):
         engine = _engine()
         engine.statistics_registry.register_latency("ranges", 0.08)
         policy = engine.chunk_policy()
-        assert policy.sizes_for("ranges")[1] == ChunkPolicy.REMOTE_MAX_CHUNK
-        assert policy.sizes_for("other")[1] == ChunkPolicy.DEFAULT_MAX_CHUNK
+        assert policy.max_chunk_for("ranges") == ChunkPolicy.REMOTE_MAX_CHUNK
+        assert policy.max_chunk_for("other") == ChunkPolicy.DEFAULT_MAX_CHUNK
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from repro.core.errors import (
     QueryCancelledError,
     RemoteSourceError,
     SQLExecutionError,
+    TransientDriverError,
 )
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
@@ -32,7 +33,7 @@ from repro.kleisli.drivers import RelationalDriver
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.governance import CancellationToken
-from repro.kleisli.resilience import RetryPolicy
+from repro.kleisli.resilience import CircuitBreakerPolicy, RetryPolicy
 from repro.kleisli.session import Session
 from repro.net.remote import RemoteSource
 from repro.relational import Database
@@ -230,11 +231,35 @@ class TestLoopWidth:
         assert seen[0][2] != seen[1][2] == seen[2][2]
 
 
+class FlakyCursorDriver(CappedDriver):
+    """Key ``"rows"``: a lazy cursor over six rows that dies after three on
+    its first issue (any other key answers like :class:`CappedDriver`)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.issues = 0
+
+    def _execute(self, request):
+        answer = self.remote.call(request["key"])
+        if request["key"] != "rows":
+            return answer
+        self.issues += 1
+        first = self.issues == 1
+
+        def cursor():
+            for i in range(6):
+                if first and i == 3:
+                    raise TransientDriverError("the cursor dropped")
+                yield i
+
+        return cursor()
+
+
 class _Blocked:
     """An engine whose one-slot server is held by a request parked in the
     handler, so that whoever comes next waits at the gate."""
 
-    def __init__(self):
+    def __init__(self, driver=CappedDriver):
         self.release = threading.Event()
         self.entered = threading.Event()
         self.engine = KleisliEngine()
@@ -248,7 +273,7 @@ class _Blocked:
             return CSet([key])
 
         self.driver = self.engine.register_driver(
-            CappedDriver(cap=1, latency=0.0, handler=handler))
+            driver(cap=1, latency=0.0, handler=handler))
         self.gate = self.engine.driver_gates["S"]
         self.holder = threading.Thread(
             target=self.engine.execute, args=(_scan(B.const("hold")),),
@@ -318,6 +343,97 @@ class TestWaitingAtTheGate:
         assert blocked.gate.in_flight == 0
         with blocked:
             pass
+
+
+class TestEveryAttemptAtTheGate:
+    """The first dispatch, each retry and each mid-stream re-issue hold one
+    slot for their round trip; the backoff between them holds none."""
+
+    def test_a_midstream_reissue_waits_for_the_slot(self):
+        blocked = _Blocked(FlakyCursorDriver)
+        engine, gate = blocked.engine, blocked.gate
+        engine.configure_resilience(
+            "S", retry=RetryPolicy(max_attempts=3, backoff_base=0.0))
+        stream = engine.stream(_scan(B.const("rows")), optimize=False)
+        delivered = [next(stream) for _ in range(3)]
+        assert gate.in_flight == 0  # the first issue returned its slot
+        rest = []
+        consumer = threading.Thread(target=lambda: rest.extend(stream))
+        with blocked:
+            consumer.start()
+            consumer.join(0.1)
+            assert consumer.is_alive(), "the re-issue should wait for the slot"
+            assert blocked.driver.issues == 1
+            blocked.release.set()
+            consumer.join(WAIT)
+            assert not consumer.is_alive()
+        assert delivered + rest == list(range(6))
+        assert blocked.driver.issues == 2
+        assert blocked.driver.remote.log.max_concurrency() == 1
+        assert gate.in_flight == 0
+        books = engine.health()["resilience"]["S"]
+        assert (books["midstream_faults"], books["recoveries"]) == (1, 1)
+
+    def test_a_backoff_holds_no_slot(self):
+        calls = []
+
+        def handler(key):
+            calls.append(key)
+            if len(calls) == 1:
+                raise TransientDriverError("try again")
+            return CSet([key])
+
+        engine = KleisliEngine()
+        engine.register_driver(CappedDriver(cap=1, latency=0.0, handler=handler))
+        gate = engine.driver_gates["S"]
+        held_while_sleeping = []
+        engine.resilience.sleeper = lambda delay: held_while_sleeping.append(
+            gate.in_flight)
+        engine.configure_resilience(
+            "S", retry=RetryPolicy(max_attempts=2, backoff_base=0.01))
+        assert engine.execute(_scan(B.const(7)), optimize=False) == CSet([7])
+        assert calls == [7, 7]
+        assert held_while_sleeping == [0]
+        assert gate.in_flight == 0
+
+    def test_waiting_for_the_slot_books_nothing_on_the_breaker(self):
+        """A request that ran out of time at the gate never reached the
+        server: no failure, no breaker outcome, no retry."""
+        with _Blocked() as blocked:
+            engine = blocked.engine
+            engine.configure_resilience(
+                "S", retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
+                breaker=CircuitBreakerPolicy(failure_threshold=1))
+            with pytest.raises(DeadlineExceededError):
+                engine.execute(_scan(B.const("late")), optimize=False,
+                               deadline=0.05)
+            books = engine.health()["resilience"]["S"]
+            assert (books["failures"], books["retries"]) == (0, 0)
+            assert books["breaker"]["state"] == "closed"
+            assert books["breaker"]["failures"] == 0
+
+    def test_waiting_for_the_slot_is_not_the_request_time(self):
+        with _Blocked() as blocked:
+            engine = blocked.engine
+            engine.configure_resilience(
+                "S", retry=RetryPolicy(max_attempts=1, request_timeout=0.05))
+            outcomes = []
+
+            def waiter():
+                try:
+                    outcomes.append(engine.execute(_scan(B.const("next")),
+                                                   optimize=False))
+                except Exception as error:  # noqa: BLE001 - reported below
+                    outcomes.append(error)
+
+            thread = threading.Thread(target=waiter)
+            thread.start()
+            thread.join(0.15)  # queued three timeouts' worth
+            assert thread.is_alive()
+            blocked.release.set()
+            thread.join(WAIT)
+            assert outcomes == [CSet(["next"])]
+            assert engine.health()["resilience"]["S"]["timeouts"] == 0
 
 
 class TestBatchedDispatch:

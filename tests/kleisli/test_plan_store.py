@@ -36,9 +36,7 @@ def _fp(n=0):
 
 
 def _obs(cardinality=10.0, runs=1):
-    return {"cardinality": cardinality, "runs": runs,
-            "stages": {"pipeline": [10.0, 0.5, 2.0],
-                       "scan:d": [4.0, 0.25, 2.0]}}
+    return {"cardinality": cardinality, "runs": runs}
 
 
 #: The suite's frozen "now": explicit record timestamps are offsets from
@@ -438,8 +436,7 @@ def test_engine_attach_load_health_and_warm_start(tmp_path):
     directory = tmp_path / "store"
     first = KleisliEngine(plan_store=_store(directory))
     fingerprint = _fp(7)
-    first.plan_feedback.record(fingerprint,
-                               {"pipeline": (20.0, 1.0, 4.0)}, 20.0)
+    first.plan_feedback.record(fingerprint, 20.0)
     first.statistics_registry.record_latency_sample("slow", 0.08)
     books = first.health()["persistence"]
     assert books["attached"] is True
@@ -474,7 +471,7 @@ def test_live_knowledge_outranks_restored_state(tmp_path):
     writer.close()
     # An engine that already learned its own numbers ...
     feedback = PlanFeedback()
-    feedback.record(_fp(0), {"pipeline": (5.0, 0.1, 1.0)}, 5.0)
+    feedback.record(_fp(0), 5.0)
     registry = SourceStatisticsRegistry()
     registry.register_cardinality("d", "t", 999)
     registry.record_latency_sample("d", 0.5)
@@ -491,14 +488,42 @@ def test_live_knowledge_outranks_restored_state(tmp_path):
 
 def test_snapshot_restore_roundtrip_preserves_updated_timestamps():
     feedback = PlanFeedback(clock=lambda: 123.0)
-    feedback.record(_fp(0), {"pipeline": (10.0, 0.5, 2.0)}, 10.0)
+    feedback.record(_fp(0), 10.0)
     exported = feedback.snapshot()
+    assert exported[0][1] == {"cardinality": 10.0, "runs": 1}
     assert exported[0][2] == 123.0
     fresh = PlanFeedback()
     assert fresh.restore(exported) == 1
     assert fresh.snapshot()[0][2] == 123.0           # age survives the hop
     observation = fresh.lookup(_fp(0))
-    assert observation.unit_cost() == pytest.approx(0.05)
+    assert (observation.cardinality, observation.runs) == (10.0, 1)
+
+
+def test_observations_are_shape_checked_on_two_fields(tmp_path):
+    """A persisted observation is ``{cardinality, runs}``: one written with
+    the older per-stage ``stages`` map still loads (its extra key ignored),
+    and a bad cardinality or run count is still skipped as corrupt."""
+    directory = tmp_path / "store"
+    old_state = {"cardinality": 20.0, "runs": 3,
+                 "stages": {"pipeline": [20.0, 0.5, 2.0],
+                            "scan:d": [4.0, 0.25, 2.0]}}
+    writer = _store(directory)
+    assert writer.append_feedback(_fp(0), old_state, ts=_NOW)
+    assert writer.append_feedback(_fp(1), {"cardinality": "20", "runs": 3},
+                                  ts=_NOW)
+    assert writer.append_feedback(_fp(2), {"cardinality": 20.0, "runs": -1},
+                                  ts=_NOW)
+    writer.close()
+
+    reader = _store(directory)
+    state = reader.load()
+    assert [(key, obs["cardinality"], obs["runs"])
+            for key, obs, _ts in state.feedback] == [(_fp(0), 20.0, 3)]
+    assert reader.books()["records_skipped_corrupt"] == 2
+    feedback = PlanFeedback()
+    assert feedback.restore(state.feedback) == 1
+    assert feedback.snapshot()[0][1] == {"cardinality": 20.0, "runs": 3}
+    reader.close()
 
 
 # -- dead-writer journal sweep ------------------------------------------------

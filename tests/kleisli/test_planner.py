@@ -1,9 +1,10 @@
-"""The cost-based adaptive planner: chooser, feedback loop, satellites.
+"""The cost-based planner: chooser, feedback loop, satellites.
 
 Covers the knob chooser's two contracts (zero knowledge => the historical
 defaults, bit-for-bit; knowledge => cost-model choices), the run-time
 feedback ledger (record on drained runs only, exact + similar-shape lookup,
-re-planning), the cost-adaptive chunk ramp, the ChunkPolicy validation
+re-planning), the one chunk ramp (no clock sizes a chunk, one task per
+element in a streamed parallel loop), the ChunkPolicy validation
 regression, and the statistics registry's concurrency guarantee.
 """
 
@@ -14,7 +15,8 @@ import pytest
 
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
-from repro.core.nrc.compile import ChunkPolicy, _ChunkRamp, term_fingerprint
+from repro.core.nrc.compile import ChunkPolicy, term_fingerprint
+from repro.core.nrc.eval import Environment, EvalContext
 from repro.core.optimizer import OptimizerConfig
 from repro.core.optimizer.parallel import ParallelExt, make_parallel_rule_set
 from repro.core.planner import (
@@ -75,19 +77,13 @@ def _chain(driver="ranges", count=8):
 
 
 class TestChunkPolicyValidation:
-    def test_initial_above_max_rejected(self):
-        with pytest.raises(ValueError, match="initial_chunk"):
-            ChunkPolicy(max_chunk=8, initial_chunk=16)
-
-    @pytest.mark.parametrize("knob", ["max_chunk", "remote_max_chunk",
-                                      "initial_chunk", "parallel_chunk"])
+    @pytest.mark.parametrize("knob", ["max_chunk", "remote_max_chunk"])
     @pytest.mark.parametrize("bad", [0, -1, -100])
     def test_zero_and_negative_sizes_rejected(self, knob, bad):
         with pytest.raises(ValueError, match=knob):
             ChunkPolicy(**{knob: bad})
 
-    @pytest.mark.parametrize("knob", ["max_chunk", "remote_max_chunk",
-                                      "initial_chunk", "parallel_chunk"])
+    @pytest.mark.parametrize("knob", ["max_chunk", "remote_max_chunk"])
     def test_non_integer_sizes_rejected(self, knob):
         with pytest.raises(ValueError, match=knob):
             ChunkPolicy(**{knob: 2.5})
@@ -96,9 +92,20 @@ class TestChunkPolicyValidation:
 
     def test_valid_policies_accepted(self):
         policy = ChunkPolicy(max_chunk=64, remote_max_chunk=8,
-                             initial_chunk=4, parallel_chunk=16)
-        assert policy.sizes_for() == (4, 64)
-        assert policy.adaptive_ramp is False
+                             is_remote=lambda driver: driver == "far")
+        assert policy.max_chunk_for() == 64
+        assert policy.max_chunk_for("far") == 8
+
+    @pytest.mark.parametrize("knob", ["initial_chunk", "parallel_chunk",
+                                      "adaptive_ramp"])
+    def test_the_removed_knobs_are_not_keywords(self, knob):
+        """A policy is two maxima and a remoteness test: the first chunk is
+        always one element, a parallel task always one source element, and
+        no stopwatch switch exists."""
+        with pytest.raises(TypeError):
+            ChunkPolicy(**{knob: 1})
+        with pytest.raises(TypeError):
+            PhysicalPlan(**{knob: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +182,8 @@ class TestPlannerDefaults:
         assert plan.is_default
         assert plan == PhysicalPlan.default()
         policy = plan.chunk_policy()
-        assert (policy.initial_chunk, policy.max_chunk,
-                policy.remote_max_chunk, policy.parallel_chunk,
-                policy.adaptive_ramp) == (1, ChunkPolicy.DEFAULT_MAX_CHUNK,
-                                          ChunkPolicy.REMOTE_MAX_CHUNK, 1,
-                                          False)
+        assert (policy.max_chunk, policy.remote_max_chunk) == \
+            (ChunkPolicy.DEFAULT_MAX_CHUNK, ChunkPolicy.REMOTE_MAX_CHUNK)
 
     def test_compile_time_hooks_stay_silent_without_statistics(self):
         engine = KleisliEngine()
@@ -204,7 +208,6 @@ class TestPlannerWithStatistics:
         plan = engine.plan_for(_chain("batcher", count=4096))
         assert not plan.is_default
         assert plan.source == "statistics"
-        assert plan.adaptive_ramp
         # The slow driver batches in one round-trip: the cap rises past the
         # bounded default so round-trip count stops dominating.
         assert plan.remote_max_chunk > ChunkPolicy.REMOTE_MAX_CHUNK
@@ -275,14 +278,13 @@ class TestFeedbackLoop:
         assert first_plan.is_default  # nothing known yet
 
         assert len(list(engine.stream(expr, optimize=False))) == 32
-        observation = engine.plan_feedback.observation(term_fingerprint(expr))
+        observation = engine.plan_feedback.lookup(term_fingerprint(expr))
         assert observation is not None
         assert observation.cardinality == 32
 
         replanned = engine.plan_for(expr)
         assert not replanned.is_default
         assert replanned.source == "feedback"
-        assert replanned.adaptive_ramp
         assert replanned.estimated_rows == 32  # the observed cardinality
         assert replanned.max_chunk == ChunkPolicy.DEFAULT_MAX_CHUNK
 
@@ -293,8 +295,7 @@ class TestFeedbackLoop:
         stream = engine.stream(expr, optimize=False)
         next(stream)
         stream.close()
-        assert engine.plan_feedback.observation(
-            term_fingerprint(expr)) is None
+        assert engine.plan_feedback.lookup(term_fingerprint(expr)) is None
 
     def test_override_policy_runs_do_not_feed_the_ledger(self):
         """A run under an explicit chunk-policy override reflects the
@@ -306,89 +307,183 @@ class TestFeedbackLoop:
         forced = list(engine.stream(expr, optimize=False,
                                     chunk_policy=ChunkPolicy(max_chunk=2)))
         assert len(forced) == 16
-        assert engine.plan_feedback.observation(
-            term_fingerprint(expr)) is None
+        assert engine.plan_feedback.lookup(term_fingerprint(expr)) is None
 
     def test_structurally_similar_query_inherits_the_observation(self):
         feedback = PlanFeedback()
         expr = _chain(count=16)
-        probe = feedback.probe(term_fingerprint(expr))
-        probe.note_chunk("pipeline", 16, 0.05)
-        probe.complete(16)
+        feedback.probe(term_fingerprint(expr)).complete(16)
 
         # Same shape, different literal: the multiplier constant changed.
         sibling = B.ext("x", B.singleton(B.prim("mul", B.var("x"),
                                                 B.const(9)), "list"),
                         _scan(count=16), kind="list")
-        assert feedback.observation(term_fingerprint(sibling)) is None
-        similar = feedback.similar(term_fingerprint(sibling))
+        assert [key for key, _state, _ts in feedback.snapshot()] == \
+            [term_fingerprint(expr)]
+        similar = feedback.lookup(term_fingerprint(sibling))
         assert similar is not None and similar.cardinality == 16
+        assert (feedback.lookups, feedback.hits) == (1, 1)
         assert shape_fingerprint(term_fingerprint(expr)) == \
             shape_fingerprint(term_fingerprint(sibling))
-
-    def test_parallel_chunk_is_auto_tuned_from_observed_unit_cost(self):
-        """A measured cheap body gets chunk-granular prefetch tasks sized
-        to amortize task overhead — the knob nothing auto-tuned before."""
-        registry = SourceStatisticsRegistry()
-        feedback = PlanFeedback()
-        planner = QueryPlanner(registry, feedback)
-        expr = _chain(count=2048)
-        probe = feedback.probe(term_fingerprint(expr))
-        probe.note_chunk("pipeline", 2048, 2048 * 2e-6)  # ~2us per element
-        probe.complete(2048)
-        plan = planner.plan_for(expr)
-        assert plan.source == "feedback"
-        assert plan.parallel_chunk > 1
-        # An expensive body keeps element-granular prefetch.
-        slow = _chain(count=100)
-        slow_probe = feedback.probe(term_fingerprint(slow))
-        slow_probe.note_chunk("pipeline", 100, 100 * 0.01)
-        slow_probe.complete(100)
-        assert planner.plan_for(slow).parallel_chunk == 1
 
     def test_ledger_is_lru_bounded(self):
         feedback = PlanFeedback(limit=4)
         for count in range(10):
-            probe = feedback.probe(term_fingerprint(_chain(count=count + 1)))
-            probe.note_chunk("pipeline", count + 1, 0.01)
-            probe.complete(count + 1)
+            feedback.probe(term_fingerprint(_chain(count=count + 1))).complete(
+                count + 1)
         assert len(feedback) == 4
 
 
 # ---------------------------------------------------------------------------
-# The cost-adaptive chunk ramp
+# One chunk path: a chunk is as big as its source says, no clock sizes it
 # ---------------------------------------------------------------------------
 
 
-class TestAdaptiveRamp:
-    def test_cheap_chunks_keep_doubling_like_the_blind_ramp(self):
-        ramp = _ChunkRamp(1, 64, adaptive=True)
-        sizes = [len(chunk) for chunk in ramp.emit_pulled(iter(range(200)))]
-        assert sizes[:7] == [1, 2, 4, 8, 16, 32, 64]
+class FanDriver(Driver):
+    """``{"key": k}`` -> 50 rows after a 2 ms wait: a remote server whose
+    body evaluations are few and slow while its output rows are many."""
 
-    def test_latency_bound_sources_stop_doubling(self):
-        """Per-element latency means doubling cannot improve marginal cost:
-        the ramp must freeze at a small chunk instead of buffering 1024
-        elements of a slow cursor."""
+    def __init__(self, name="fan", rows=50, wait=0.002):
+        super().__init__(name)
+        self.rows = rows
+        self.wait = wait
 
-        def slow():
-            for i in range(40):
-                time.sleep(0.003)
-                yield i
+    def _execute(self, request):
+        time.sleep(self.wait)
+        return CList([request["key"] * 1000 + i for i in range(self.rows)])
 
-        ramp = _ChunkRamp(1, 1024, adaptive=True)
-        sizes = [len(chunk) for chunk in ramp.emit_pulled(slow())]
-        assert sum(sizes) == 40
-        assert max(sizes) <= 8, sizes
 
-    def test_engine_stream_stays_value_correct_under_the_adaptive_ramp(self):
+def _remote_loop(count=64):
+    body = A.Scan("fan", {}, args={"key": B.var("x")}, kind="list")
+    return B.ext("x", body, A.Const(CList(range(count))), kind="list")
+
+
+def _tasks_per_run(monkeypatch):
+    """Record the length of every task a Scheduler window is handed."""
+    from repro.kleisli.scheduler import Scheduler
+
+    sizes = []
+    prefetch = Scheduler.prefetch
+
+    def recording(self, function, tasks):
+        def counted():
+            for task in tasks:
+                sizes.append(len(task))
+                yield task
+        return prefetch(self, function, counted())
+
+    monkeypatch.setattr(Scheduler, "prefetch", recording)
+    return sizes
+
+
+class CountingTime:
+    """A stand-in for the ``time`` module that counts clock reads."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def perf_counter(self):
+        self.reads += 1
+        return time.perf_counter()
+
+
+class TestOneChunkPath:
+    def test_a_repeat_remote_stream_keeps_one_element_per_task(self, monkeypatch):
+        """Feedback knows the loop's output rows, not its body evaluations:
+        whatever it recorded, a streamed parallel loop submits one task per
+        source element on every run, and returns the unplanned values."""
+        unplanned = KleisliEngine(OptimizerConfig(planning=False))
+        unplanned.register_driver(FanDriver(), latency=0.002)
+        expected = list(unplanned.stream(_remote_loop()))
+        assert len(expected) == 64 * 50
+
         engine = KleisliEngine()
-        engine.register_driver(RangeDriver(), latency=0.0)
+        engine.register_driver(FanDriver(), latency=0.002)
+        assert isinstance(engine.compile(_remote_loop()), ParallelExt)
+        sizes = _tasks_per_run(monkeypatch)
+        for run in range(3):
+            del sizes[:]
+            assert list(engine.stream(_remote_loop())) == expected
+            assert engine.last_plan.source == ("statistics" if run == 0
+                                               else "feedback")
+            assert sizes == [1] * 64, (run, sizes)
+
+    def test_an_unobserved_planned_stream_reads_no_clock(self, monkeypatch):
+        """A planned stream records its cardinality for the planner, which
+        needs no per-chunk time: with no profile and no hub the chunked
+        lowering never reads the clock.  A profile does, and still names
+        the pipeline and the batched-scan stage."""
+        from repro.core.nrc import compile as compile_module
+
+        engine = KleisliEngine()
+        engine.register_driver(RangeDriver(), latency=0.0)  # pinned local
         engine.statistics_registry.register_cardinality("ranges", "t", 64)
-        expr = _chain(count=64)
-        assert engine.plan_for(expr).adaptive_ramp
+        body = A.Scan("ranges", {"table": "t"}, args={"count": B.var("x")},
+                      kind="list")
+        expr = B.ext("x", body, A.Const(CList(range(1, 33))), kind="list")
+        expected = [i for n in range(1, 33) for i in range(n)]
+        clock = CountingTime()
+        monkeypatch.setattr(compile_module, "time", clock)
+
+        assert list(engine.stream(expr)) == expected
+        assert not engine.last_plan.is_default
+        assert clock.reads == 0
+        assert engine.plan_feedback.lookup(
+            term_fingerprint(engine.compile(expr))).cardinality == len(expected)
+
+        assert list(engine.stream(expr, profile=True)) == expected
+        assert clock.reads > 0
+        assert {"pipeline", "scan:ranges"} <= set(engine.last_profile.stages)
+
+    def test_a_slow_undeclared_cursor_ramps_like_any_local_source(self):
+        """What is given up: nothing times a cursor, so one that is slow per
+        element but declares no latency ramps to the local maximum; a
+        declared latency makes it remote and caps its chunks."""
+
+        class SlowCursor(RangeDriver):
+            def _execute(self, request):
+                for i in super()._execute(request):
+                    time.sleep(0.0002)
+                    yield i
+
+        expr = B.ext("x", B.singleton(B.var("x"), "list"), _scan(count=40),
+                     kind="list")
+        for latency, sizes in ((None, [1, 2, 4, 8, 16, 9]),
+                               (0.002, [1, 2, 4, 8, 8, 8, 8, 1])):
+            engine = KleisliEngine()
+            engine.register_driver(SlowCursor(), latency=latency)
+            query = engine.compiled_chunked(expr)
+            context = EvalContext(driver_executor=engine.driver_executor)
+            context.chunk_policy = ChunkPolicy(
+                remote_max_chunk=8,
+                is_remote=engine.statistics_registry.is_remote)
+            chunks = list(query.chunks(Environment(), context))
+            assert [len(chunk) for chunk in chunks] == sizes
+
+    def test_a_ledger_written_with_stage_costs_still_plans(self, tmp_path):
+        """An observation persisted with the old per-stage ``stages`` map
+        restores its cardinality, and the next run is planned from it."""
+        import os
+
+        from repro.core.planner import PlanStore
+
+        expr = _chain(count=16)
+        directory = os.fspath(tmp_path / "store")
+        writer = PlanStore(directory)
+        assert writer.append_feedback(term_fingerprint(expr), {
+            "cardinality": 16.0, "runs": 2,
+            "stages": {"pipeline": [16.0, 0.004, 5.0]}})
+        writer.close()
+
+        engine = KleisliEngine(plan_store=PlanStore(directory))
+        engine.register_driver(RangeDriver())
+        plan = engine.plan_for(expr)
+        assert (plan.source, plan.estimated_rows) == ("feedback", 16.0)
         assert list(engine.stream(expr, optimize=False)) == \
-            [2 * i for i in range(64)]
+            [2 * i for i in range(16)]
+        [(_key, state, _ts)] = engine.plan_feedback.snapshot()
+        assert state == {"cardinality": 16.0, "runs": 3}
+        engine.plan_store.close()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ Two regimes:
 * **zero statistics** — the planner must reproduce today's plans
   bit-for-bit (``last_plan.is_default`` pins it, not just value parity);
 * **statistics registered** (cardinalities + a remote-latency declaration)
-  — the plan *may* differ (adaptive ramp, different chunk bounds), but
+  — the plan *may* differ (different chunk maxima), but
   chunk knobs are value- and accounting-invisible by the chunked lowering's
   parity contract, so the comparison still holds exactly.
 """

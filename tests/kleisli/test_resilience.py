@@ -238,6 +238,44 @@ class TestMidstreamRecovery:
         stream.close()
         assert driver.open_cursors == 0
 
+    def test_a_fault_inside_the_skipped_prefix_cycles_again(self):
+        # The replacement dies at 2 while re-skipping the 4 delivered
+        # elements; the third issue skips them and drains.
+        engine, driver = _make_engine(midstream_fail_on={1, 2},
+                                      midstream_after={1: 4, 2: 2})
+        assert list(engine.stream(_scan_term(), optimize=False)) == \
+            list(range(8))
+        assert engine.last_eval_statistics.scan_elements == 8
+        books = engine.health()["resilience"]["Faulty"]
+        assert (books["midstream_faults"], books["recoveries"]) == (2, 1)
+        assert driver.requests_served == 3 and driver.open_cursors == 0
+
+    def test_a_reissue_ending_at_the_prefix_ends_the_stream(self):
+        class ExactDriver(FaultInjectingDriver):
+            def _execute(self, request):
+                if self.requests_served >= 1:  # the re-issue holds 3 rows
+                    request = dict(request, count=3)
+                return super()._execute(request)
+
+        engine = KleisliEngine()
+        engine.register_driver(ExactDriver(
+            midstream_fail_on={1}, midstream_after=3,
+            fault_type=TransientDriverError))
+        engine.configure_resilience("Faulty", FAST_RETRY)
+        assert list(engine.stream(_scan_term(), optimize=False)) == [0, 1, 2]
+        assert engine.last_eval_statistics.scan_elements == 3
+
+    def test_a_direct_caller_iterates_the_one_recovery_loop(self):
+        """A lazy result taken straight from the engine's executor, with no
+        scan site around it, recovers through the wrapper every scan site
+        uses."""
+        engine, driver = _make_engine(midstream_fail_on={1},
+                                      midstream_after=3)
+        result = engine.driver_executor("Faulty", {"table": "t", "count": 8})
+        assert list(result) == list(range(8))
+        assert driver.requests_served == 2 and driver.open_cursors == 0
+        assert engine.health()["resilience"]["Faulty"]["recoveries"] == 1
+
     def test_shrunken_source_on_reissue_is_a_loud_error(self):
         # The replacement cursor is SHORTER than the already-delivered
         # prefix: recovery must refuse to silently truncate.

@@ -38,14 +38,17 @@ class TestStageCollector:
 
 
 class TestProbeTee:
-    def test_inner_probe_sees_the_identical_call_stream(self):
+    def test_inner_probe_sees_only_the_cardinality(self):
+        """Per-chunk timings are the profile's; the feedback probe inside
+        the tee takes the drained run's cardinality and nothing else."""
         inner, sink = RecordingProbe(), StageCollector()
         tee = ProbeTee(inner, sink)
         tee.note_chunk("pipeline", 8, 0.125)
         tee.complete(8.0)
-        assert inner.chunks == [("pipeline", 8, 0.125)]
+        assert inner.chunks == []
         assert inner.completed == 8.0
         assert sink.cardinality == 8.0
+        assert sink.stages()["pipeline"]["rows"] == 8
 
     def test_none_inner_is_tolerated(self):
         sink = StageCollector()

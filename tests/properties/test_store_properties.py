@@ -64,12 +64,6 @@ observation_states = st.fixed_dictionaries({
     "cardinality": st.floats(min_value=0, max_value=1e12,
                              allow_nan=False, allow_infinity=False),
     "runs": st.integers(min_value=0, max_value=10_000),
-    "stages": st.dictionaries(
-        st.text(min_size=1, max_size=12),
-        st.lists(st.floats(min_value=0, max_value=1e9, allow_nan=False,
-                           allow_infinity=False),
-                 min_size=3, max_size=3),
-        max_size=4),
 })
 
 
