@@ -241,7 +241,7 @@ def _parse_record(cursor: _Cursor, ty: T.RecordType,
     if not cursor.accept("}"):
         while True:
             label = cursor.read_name()
-            field_type = ty.fields.get(label, T.fresh_type_var())
+            field_type = ty.fields.get(label) or T.fresh_type_var()
             if wanted_field is None:
                 fields[label] = _parse(cursor, field_type, None)
             elif label == wanted_field:
@@ -287,7 +287,7 @@ def _parse_variant_filtered(cursor: _Cursor, ty: T.VariantType, step: VariantSte
                             rest: Tuple[PathStep, ...]):
     """Parse a CHOICE element under a ``..tag`` step: keep matching tags, skip others."""
     tag = cursor.read_name()
-    case_type = ty.cases.get(tag, T.fresh_type_var())
+    case_type = ty.cases.get(tag) or T.fresh_type_var()
     if isinstance(case_type, T.UnitType):
         payload_needed = False
     else:
@@ -304,7 +304,7 @@ def _parse_variant_filtered(cursor: _Cursor, ty: T.VariantType, step: VariantSte
 def _parse_variant(cursor: _Cursor, ty: T.VariantType,
                    steps: Optional[Tuple[PathStep, ...]]) -> object:
     tag = cursor.read_name()
-    case_type = ty.cases.get(tag, T.fresh_type_var())
+    case_type = ty.cases.get(tag) or T.fresh_type_var()
     if isinstance(case_type, T.UnitType):
         payload: object = UNIT_VALUE
     elif cursor.peek() in ",}" or cursor.at_end():

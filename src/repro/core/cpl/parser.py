@@ -62,6 +62,11 @@ _COMPARISON_OPS = {"=": "=", "<>": "<>", "<": "<", "<=": "<=", ">": ">", ">=": "
 _ADDITIVE_OPS = {"+": "+", "-": "-", "^": "^"}
 _MULTIPLICATIVE_OPS = {"*": "*", "/": "/"}
 
+#: What :meth:`Parser._parse_pattern` can begin with: a literal, or one of these.
+_LITERAL_TOKENS = frozenset({"INT", "FLOAT", "STRING"})
+_PATTERN_OPENERS = frozenset([("SYMBOL", symbol) for symbol in "\\_[<("]
+                             + [("KEYWORD", "true"), ("KEYWORD", "false")])
+
 _COLLECTION_BRACKETS = {
     "{": ("}", "set"),
     "{|": ("|}", "bag"),
@@ -204,8 +209,12 @@ class Parser:
         A function is written ``pattern => body | pattern => body | ...`` —
         the paper's ``\\x => e`` form is simply the case where the pattern is a
         binding pattern.  Detection backtracks: try a pattern and look for the
-        ``=>`` arrow.
+        ``=>`` arrow — unless the first token cannot begin a pattern.
         """
+        token = self._peek()
+        if token.kind not in _LITERAL_TOKENS \
+                and (token.kind, token.value) not in _PATTERN_OPENERS:
+            return False
         saved = self.position
         try:
             self.parse_pattern()

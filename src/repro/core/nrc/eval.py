@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import EvaluationError, TermTooDeepError, UnboundVariableError
@@ -293,12 +294,11 @@ class EvalContext:
                  statistics: Optional[EvalStatistics] = None,
                  cache: Optional[Dict[str, object]] = None,
                  driver_executor_batch: Optional[Callable] = None):
-        self.driver_executor = driver_executor
-        #: Optional batched Scan callback: ``(driver, [request, ...]) ->
-        #: [result, ...]`` (the engine routes it to ``Driver.execute_batch``).
-        #: The chunked lowering uses it to satisfy a whole chunk's body scans
-        #: in one driver call; absent, scans fall back to per-request calls.
-        self.driver_executor_batch = driver_executor_batch
+        self._driver_executor = driver_executor
+        self._driver_executor_batch = driver_executor_batch
+        #: The engine whose ``driver_executor(driver, request, context)`` (and
+        #: batch twin) serves this run's scans, or ``None``: the two above do.
+        self.engine = None
         self.statistics = statistics or EvalStatistics()
         self.cache = cache if cache is not None else {}
         #: The :class:`~repro.core.nrc.compile.ChunkPolicy` governing chunk
@@ -358,6 +358,26 @@ class EvalContext:
         #: hook sites (driver dispatch, scope open/close, retries) open
         #: spans on it, all ``None``-guarded.
         self.trace = None
+
+    @property
+    def driver_executor(self) -> Optional[Callable]:
+        """``(driver, request) -> result``: how to satisfy a ``Scan``.  An
+        engine's callback is bound at each read, never stored bound: a
+        closure over the context, kept on it, would leave every run's context
+        (and the cache view it owns) to a cyclic collection."""
+        if self.engine is None:
+            return self._driver_executor
+        return partial(self.engine.driver_executor, context=self)
+
+    @property
+    def driver_executor_batch(self) -> Optional[Callable]:
+        """Optional batched Scan callback: ``(driver, [request, ...]) ->
+        [result, ...]`` (the engine routes it to ``Driver.execute_batch``).
+        The chunked lowering uses it to satisfy a whole chunk's body scans
+        in one driver call; absent, scans fall back to per-request calls."""
+        if self.engine is None:
+            return self._driver_executor_batch
+        return partial(self.engine.driver_executor_batch, context=self)
 
     @contextmanager
     def evaluation_scope(self):

@@ -368,7 +368,8 @@ class KleisliEngine:
             concurrency_of=lambda name: getattr(
                 self.driver_gates.get(name), "cap", None))
         self.last_plan: Optional[PhysicalPlan] = None
-        self.optimizer = self._build_optimizer()
+        self._optimizer_builds = 0
+        self._rebuild_optimizer()
         self.execution_mode = ExecutionMode.coerce(execution_mode)
         #: The driver resilience layer (retries, breakers, deadlines,
         #: mid-stream recovery).  Default-off: a driver with no configured
@@ -493,7 +494,7 @@ class KleisliEngine:
             self.statistics_registry.register_latency(driver.name, latency)
         elif getattr(driver, "remote", None) is not None:
             self.statistics_registry.register_latency(driver.name, driver.remote.latency)
-        self.optimizer = self._build_optimizer()
+        self._rebuild_optimizer()
         return driver
 
     def unregister_driver(self, name: str) -> None:
@@ -506,7 +507,7 @@ class KleisliEngine:
             fname: (drv, fn) for fname, (drv, fn) in self.driver_functions.items()
             if drv.name != name
         }
-        self.optimizer = self._build_optimizer()
+        self._rebuild_optimizer()
 
     def driver(self, name: str) -> Driver:
         try:
@@ -529,7 +530,14 @@ class KleisliEngine:
 
     # -- optimizer wiring ---------------------------------------------------------------
 
-    def _build_optimizer(self) -> OptimizerPipeline:
+    @property
+    def epoch(self) -> int:
+        """Changes whenever the optimizer may rewrite a term differently: at
+        every (un)registration and every statistics change its rule sets
+        read.  A session's prepared query forms are keyed on it."""
+        return self._optimizer_builds + self.statistics_registry.epoch
+
+    def _rebuild_optimizer(self) -> None:
         registry = {
             fname: ScanSpec(driver.name, function.request_template,
                             function.argument_key, function.argument_is_record,
@@ -537,13 +545,14 @@ class KleisliEngine:
             for fname, (driver, function) in self.driver_functions.items()
         }
         capabilities = {name: driver.capabilities for name, driver in self.drivers.items()}
-        return OptimizerPipeline(
+        self.optimizer = OptimizerPipeline(
             function_registry=registry,
             capabilities=capabilities,
             is_remote_driver=self.statistics_registry.is_remote,
             config=self.optimizer_config,
             planner=self.planner,
         )
+        self._optimizer_builds += 1     # after: a new epoch means a new optimizer
 
     # -- compilation and execution ----------------------------------------------------------
 
@@ -852,10 +861,10 @@ class KleisliEngine:
         ``deadline`` is a *relative* budget in seconds, converted to an
         absolute deadline on the resilience layer's clock here, when the
         run starts; ``policy`` comes checked from :meth:`_failure_policy`.
-        The Scan callbacks are bound as closures over this
-        context so the resilience layer sees the run's deadline and
-        failure policy at every dispatch — while the engine methods keep
-        their context-free signatures for direct callers.  ``cancellation``,
+        The context binds the Scan callbacks to itself at each dispatch (no
+        stored closure, so no cycle): the resilience layer sees the run's
+        deadline and failure policy, while the engine methods keep their
+        context-free signatures for direct callers.  ``cancellation``,
         ``memory_budget`` and ``spill_manager`` (already resolved by the
         run's :class:`_QueryRun`) land on the context's governance hooks; all
         ``None`` reproduces the pre-governance context exactly.
@@ -870,11 +879,7 @@ class KleisliEngine:
         context.cancellation = cancellation
         context.memory_budget = memory_budget
         context.spill = spill_manager
-        context.driver_executor = (
-            lambda name, request: self.driver_executor(name, request, context))
-        context.driver_executor_batch = (
-            lambda name, requests: self.driver_executor_batch(
-                name, requests, context))
+        context.engine = self
         return context
 
     # -- governance resolution ---------------------------------------------------

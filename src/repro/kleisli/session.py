@@ -5,6 +5,10 @@ parses CPL, type-checks it against the declared types of registered sources,
 desugars to NRC, hands the term to the Kleisli engine for optimization and
 evaluation, and formats results (CPL value syntax, HTML, tab-delimited).
 
+Optimizing at compile time pays only if compile time is not paid on every
+arrival: a session reuses a query text's *prepared form* until something it
+depends on changes (see :class:`Session`).
+
 Typical use::
 
     session = Session()
@@ -31,10 +35,13 @@ from ..core.nrc.eval import Environment
 from ..core.optimizer import OptimizerConfig
 from ..core.values import from_python
 from .drivers.base import Driver
-from .engine import ExecutionMode, KleisliEngine
+from .engine import ExecutionMode, KleisliEngine, _CompileCache
 from .governance import CancellationToken, MemoryBudget
 
 __all__ = ["Session", "QueryResult"]
+
+#: How many prepared query forms a session keeps (least recently used out).
+PREPARED_FORM_LIMIT = 64
 
 
 class _TrackedStream:
@@ -103,7 +110,23 @@ class QueryResult:
 
 
 class Session:
-    """A CPL session over a Kleisli engine."""
+    """A CPL session over a Kleisli engine.
+
+    :meth:`query` and :meth:`stream` parse, type-check, desugar, expand and
+    optimize a text once: its *prepared form* (inferred type, expanded NRC,
+    optimized term) is kept in a per-session LRU of
+    :data:`PREPARED_FORM_LIMIT` under ``(text, optimize, typecheck, session
+    epoch, engine epoch)``.  The session epoch moves on :meth:`bind`,
+    :meth:`define_type` and every ``define``; the engine's
+    (:attr:`KleisliEngine.epoch`) on a driver's (un)registration and on a
+    statistic the rule sets read — a cardinality, a declared latency,
+    availability, a restore, an observed latency crossing the remote
+    threshold, but not a routine latency sample.  Planning, the compile-LRU
+    lookup and the run happen on every send, so the plan follows feedback.
+    A reused form rewrites nothing: ``engine.last_rewrite_stats`` is the
+    last optimization's.  :meth:`run` still takes each statement afresh: a
+    program is not a query form.
+    """
 
     def __init__(self, engine: Optional[KleisliEngine] = None,
                  optimizer_config: Optional[OptimizerConfig] = None,
@@ -142,6 +165,10 @@ class Session:
         # Loci22 / ASN-IDs in the DOE query and push work to the drivers.
         self.definitions: Dict[str, A.Expr] = {}
         self.type_checker = TypeChecker()
+        # Bumped after the change it records, never before: a send that
+        # reads the new epoch must also see the new state.
+        self._epoch = 0
+        self._forms = _CompileCache(PREPARED_FORM_LIMIT)
         # Live streamed queries handed out by this session.  Guarded by a
         # lock: the query service closes a disconnecting client's session
         # from the serving thread while a stream wrapper may be
@@ -203,11 +230,13 @@ class Session:
                 cpl_type = None
         if cpl_type is not None:
             self.type_checker.bind_value_type(name, cpl_type)
+        self._epoch += 1
         return lifted
 
     def define_type(self, name: str, cpl_type: T.Type) -> None:
         """Declare the type of a name without binding a value (e.g. a driver function)."""
         self.type_checker.bind_value_type(name, cpl_type)
+        self._epoch += 1
 
     # -- running CPL ----------------------------------------------------------------
 
@@ -254,10 +283,7 @@ class Session:
         ``memory_budget`` and ``spill`` as in
         :meth:`~repro.kleisli.engine.KleisliEngine.execute`.
         """
-        expression = parse_expression(source)
-        inferred = self._infer(expression)
-        nrc = self._expand(desugar_expression(expression))
-        optimized = self.engine.compile(nrc) if optimize else nrc
+        inferred, nrc, optimized = self._prepare(source, optimize)
         value = self.engine.execute(
             optimized, self.values, optimize=False, mode=mode,
             deadline=deadline,
@@ -320,12 +346,10 @@ class Session:
         :attr:`last_eval_statistics` reports the run, including
         ``stream_fallbacks`` for sections that had to run eagerly).
         """
-        expression = parse_expression(source)
-        self._infer(expression)
-        nrc = self._expand(desugar_expression(expression))
+        optimized = self._prepare(source, optimize)[2]
         stream = _TrackedStream(
             self, self.engine.stream(
-                nrc, self.values, optimize=optimize, mode=mode,
+                optimized, self.values, optimize=False, mode=mode,
                 deadline=deadline,
                 on_source_failure=self._failure_policy(on_source_failure),
                 cancellation=cancellation,
@@ -394,8 +418,7 @@ class Session:
 
     def explain(self, source: str) -> Tuple[A.Expr, List[Tuple[str, str]]]:
         """Return the optimized NRC form of a query and per-stage rewrite traces."""
-        expression = parse_expression(source)
-        nrc = self._expand(desugar_expression(expression))
+        nrc = self._prepare(source, optimize=False)[1]
         optimized, _, traces = self.engine.optimizer.explain(nrc)
         return optimized, traces
 
@@ -415,6 +438,7 @@ class Session:
                     pass
             _, _, nrc = desugar_statement(statement)
             self.definitions[statement.name] = self._expand(nrc)
+            self._epoch += 1
             return None
         if self.typecheck and isinstance(statement, S.ExprStatement):
             self._infer(statement.expr)
@@ -437,6 +461,20 @@ class Session:
             for name in pending:
                 current = A.substitute(current, name, self.definitions[name])
         return current
+
+    def _prepare(self, source: str, optimize: bool
+                 ) -> Tuple[Optional[T.Type], A.Expr, A.Expr]:
+        """The front half of :meth:`query` and :meth:`stream`: the text's
+        prepared form, reused while its key holds (see the class docstring)."""
+        key = (source, optimize, self.typecheck, self._epoch, self.engine.epoch)
+        form = self._forms.get(key)
+        if form is None:
+            expression = parse_expression(source)
+            inferred = self._infer(expression)
+            nrc = self._expand(desugar_expression(expression))
+            form = (inferred, nrc, self.engine.compile(nrc) if optimize else nrc)
+            self._forms.put(key, form)
+        return form
 
     def _infer(self, expression: S.SExpr) -> Optional[T.Type]:
         if not self.typecheck:

@@ -60,10 +60,15 @@ class SourceStatisticsRegistry:
         # planner reads — an unguarded dict being resized under a concurrent
         # read can raise, and the EMA's read-modify-write would lose samples.
         self._lock = threading.Lock()
+        #: Bumped by every change the optimizer's rule sets can read — not by
+        #: an observed latency sample unless it crosses the remote threshold:
+        #: sessions key their prepared query forms on it.
+        self.epoch = 0
 
     def register_cardinality(self, driver: str, collection: str, rows: int) -> None:
         with self._lock:
             self._cardinalities[(driver, collection)] = rows
+            self.epoch += 1
 
     def cardinality(self, driver: str, collection: str = "") -> int:
         with self._lock:
@@ -81,6 +86,7 @@ class SourceStatisticsRegistry:
     def register_latency(self, driver: str, seconds: float) -> None:
         with self._lock:
             self._remote_latency[driver] = seconds
+            self.epoch += 1
 
     def latency(self, driver: str) -> float:
         """Best latency estimate: the registered value, else the observed EMA."""
@@ -111,12 +117,12 @@ class SourceStatisticsRegistry:
             return
         with self._lock:
             previous = self._observed_latency.get(driver)
-            if previous is None:
-                self._observed_latency[driver] = seconds
-            else:
-                weight = self.LATENCY_SAMPLE_WEIGHT
-                self._observed_latency[driver] = (
-                    previous * (1.0 - weight) + seconds * weight)
+            weight = 1.0 if previous is None else self.LATENCY_SAMPLE_WEIGHT
+            current = (previous or 0.0) * (1.0 - weight) + seconds * weight
+            self._observed_latency[driver] = current
+            threshold = self.REMOTE_LATENCY_THRESHOLD
+            if (current >= threshold) != ((previous or 0.0) >= threshold):
+                self.epoch += 1
 
     def observed_latency(self, driver: str) -> float:
         """The EMA of observed request round-trips (0.0 before any sample)."""
@@ -136,6 +142,7 @@ class SourceStatisticsRegistry:
                 self._unavailable.discard(driver)
             else:
                 self._unavailable.add(driver)
+            self.epoch += 1
 
     def is_available(self, driver: str) -> bool:
         """Is the driver's circuit closed (or breaker-less)?  Default True."""
@@ -170,6 +177,7 @@ class SourceStatisticsRegistry:
         cardinalities = state.get("cardinalities") or []
         observed = state.get("observed_latency") or {}
         with self._lock:
+            self.epoch += 1
             for entry in cardinalities:
                 try:
                     driver, collection, rows = entry

@@ -213,6 +213,23 @@ class TestPruningParse:
         value = parse_value_with_path(text, seq_entry_type, parse_path("Seq-entry.accession"))
         assert value == "M81409"
 
+    def test_a_declared_entry_mints_no_type_variable(self, seq_entry_type, sample_entry,
+                                                     monkeypatch):
+        """Only an undeclared label needs a placeholder type."""
+        text = print_value(sample_entry)
+        minted = []
+        fresh = T.fresh_type_var
+        monkeypatch.setattr(T, "fresh_type_var", lambda *a: minted.append(a) or fresh(*a))
+        assert parse_value(text, seq_entry_type) == sample_entry
+        for path_text in ("Seq-entry.seq.id..giim", "Seq-entry.keywd"):
+            path = parse_path(path_text)
+            assert parse_value_with_path(text, seq_entry_type, path) == path.apply(sample_entry)
+        assert minted == []
+        # An undeclared field still parses, under a placeholder.
+        assert parse_value("{ n 5, m 6 }", T.RecordType({"n": T.INT})) == \
+            Record({"n": 5, "m": 6})
+        assert len(minted) == 1
+
     def test_path_to_missing_field_raises(self, seq_entry_type, sample_entry):
         text = print_value(sample_entry)
         with pytest.raises(PathApplicationError):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import settings
 
@@ -51,6 +54,30 @@ def integrated_session(chr22_dataset):
     library = {record.identifier: record.sequence for record in chr22_dataset.fasta_library}
     session.register_driver(BlastDriver("BLAST", library))
     return session
+
+
+@pytest.fixture()
+def run_views(monkeypatch):
+    """Weak references to every run's subquery-cache view, taken with the
+    cyclic collector off: a view still alive once its run is over is one
+    that only a cyclic collection would free."""
+    from repro.kleisli.cache import SubqueryCache
+
+    views = []
+    for_run = SubqueryCache.for_run
+
+    def recording(self):
+        view = for_run(self)
+        views.append(weakref.ref(view))
+        return view
+
+    monkeypatch.setattr(SubqueryCache, "for_run", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        yield views
+    finally:
+        gc.enable()
 
 
 @pytest.fixture()

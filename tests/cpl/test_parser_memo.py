@@ -168,6 +168,41 @@ def test_the_parser_suite_inputs_parse_alike():
         assert _outcome(Parser, text, program) == _outcome(_Unmemoised, text, program), text
 
 
+class _Backtracking(Parser):
+    """Lambda detection without the first-token check: every expression
+    is tried as a pattern first."""
+
+    def _is_lambda_start(self):
+        saved = self.position
+        try:
+            self.parse_pattern()
+            return self._check_symbol("=>")
+        except CPLSyntaxError:
+            return False
+        finally:
+            self.position = saved
+
+
+def test_an_expression_no_pattern_can_start_makes_no_syntax_error(monkeypatch):
+    made = []
+    init = CPLSyntaxError.__init__
+
+    def counted(error, *args):
+        made.append(args)
+        init(error, *args)
+
+    monkeypatch.setattr(CPLSyntaxError, "__init__", counted)
+    assert parse_expression("x.a + 1") == S.SBinOp(
+        "+", S.SProject(S.SVar("x"), "a"), S.SLit(1))
+    assert made == []
+
+
+def test_the_first_token_check_changes_no_tree():
+    texts = _texts_of_the_parser_suite() + [(_text(seed), False) for seed in range(400)]
+    for text, program in texts:
+        assert _outcome(Parser, text, program) == _outcome(_Backtracking, text, program), text
+
+
 # -- the property ---------------------------------------------------------------
 #
 # Hypothesis picks seeds; a seeded ``random.Random`` makes the structural

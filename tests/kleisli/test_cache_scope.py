@@ -15,6 +15,7 @@ from repro.core.nrc import builder as B
 from repro.core.values import CSet, Record
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
+from repro.kleisli.session import Session
 
 
 class TableDriver(Driver):
@@ -103,6 +104,22 @@ def test_an_index_entry_stays_in_memory_and_goes_with_the_run():
     assert len(engine.cache) == 1
     _start_another_run(engine)
     assert len(engine.cache) == 0
+
+
+def test_a_run_context_is_not_cyclic_garbage(run_views):
+    """The view (and the values it owns) goes when its run does, not at the
+    next cyclic collection: on ``execute``, on a drained stream and on a
+    stream closed after one element."""
+    session = Session()
+    session.bind("OBS", [{"k": i % 4, "v": i} for i in range(40)], list_as="set")
+    text = "{[k = o.k, n = count({x.v | \\x <- OBS, x.k = o.k})] | \\o <- OBS}"
+    session.query(text)
+    list(session.stream(text))
+    stream = session.stream(text)
+    next(stream)
+    stream.close()
+    assert len(run_views) == 3
+    assert [view() for view in run_views] == [None] * 3
 
 
 def test_a_named_entry_outlives_its_run():

@@ -275,11 +275,14 @@ class TestEngineModes:
 
     def test_memo_hits_across_fresh_binder_names(self):
         """Re-desugaring the same query mints fresh variable names; the
-        alpha-invariant fingerprint must still share one compiled query."""
+        alpha-invariant fingerprint must still share one compiled query.
+        (Two sessions: one session reuses the text's prepared form.)"""
         session = Session()
-        session.bind("DB", [1, 2, 3], list_as="set")
+        other = Session(engine=session.engine)
+        for each in (session, other):
+            each.bind("DB", [1, 2, 3], list_as="set")
         first = session.query(r"{x + 1 | \x <- DB}")
-        second = session.query(r"{x + 1 | \x <- DB}")
+        second = other.query(r"{x + 1 | \x <- DB}")
         assert first.value == second.value
         assert first.optimized != second.optimized  # fresh binders differ
         assert len(session.engine._compiled_queries) == 1
