@@ -1,6 +1,6 @@
-"""E14 — the persistent plan ledger's warm-start win and write-through cost.
+"""E14 — the persistent statistics' warm-start win and the store's cost.
 
-Two claims the crash-safe persistence PR must hold numerically
+Two claims the crash-safe plan store must hold numerically
 (``BENCH_persistence.json`` records both):
 
 * **warm start** — an engine attached to a store a previous process
@@ -10,8 +10,8 @@ Two claims the crash-safe persistence PR must hold numerically
   round-trip per element.  The first-query speedup must be at least
   ``BENCH_PERSISTENCE_FACTOR`` (local bar 2.0 — measured ~4.7x at 60 ms
   latency x 24 lookups — relaxed via the env knob for shared runners);
-* **write-through overhead** — the journal append riding on every
-  recorded run must not tax the happy path: a local drain with the store
+* **store overhead** — an attached store writes only when the statistics
+  registry's epoch moves, never per run, so a local drain with the store
   attached is compared against a storeless drain, and an explicit
   ``flush()`` is timed.  This section reports (and sanity-checks the
   books of) the durability tax; the env-gated bar stays on the warm-start
@@ -44,8 +44,7 @@ def _update(section, data):
 
 
 def _store(path):
-    return PlanStore(os.fspath(path), stats_interval=10_000.0,
-                     compact_bytes=0)
+    return PlanStore(os.fspath(path), compact_bytes=0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +87,9 @@ def _first_query(engine):
 
 
 def test_warm_start_first_query(tmp_path):
-    # Learning process: two runs (the first observes the latency, the
-    # second records feedback under the promoted plan), then a durable
-    # flush — everything a real process would leave behind at exit.
+    # Learning process: two runs (the first observes the latency and
+    # journals the promotion, the second runs under the promoted plan),
+    # then a durable flush — everything a real process leaves behind.
     learner = KleisliEngine(plan_store=_store(tmp_path / "plans"))
     learner.register_driver(SlowLookupDriver())
     for _ in range(2):
@@ -144,7 +143,7 @@ def test_warm_start_first_query(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Section 2: write-through overhead on the happy path
+# Section 2: store overhead on the happy path
 # ---------------------------------------------------------------------------
 
 LOCAL_ROWS = 20_000
@@ -184,7 +183,7 @@ def _drain(engine, expr):
     return count, time.perf_counter() - started
 
 
-def test_write_through_overhead(tmp_path):
+def test_store_overhead(tmp_path):
     expr = _shaping_chain()
 
     bare = KleisliEngine()
@@ -205,8 +204,8 @@ def test_write_through_overhead(tmp_path):
     attached.flush_plan_store()
     flush_time = time.perf_counter() - started
 
-    # The durability books must balance: every recorded run appended,
-    # nothing failed, nothing was silently unpersistable.
+    # The durability books must balance: the flush appended, nothing
+    # failed, nothing was silently unpersistable.
     books = attached.health()["persistence"]
     assert books["records_appended"] >= 1
     assert books["append_failures"] == 0
@@ -224,10 +223,10 @@ def test_write_through_overhead(tmp_path):
         "records_appended": books["records_appended"],
         "journal_bytes": books["journal_bytes"],
     }
-    report(f"E14b: write-through overhead, {LOCAL_ROWS}-row local drain",
+    report(f"E14b: store overhead, {LOCAL_ROWS}-row local drain",
            [["storeless", f"{bare_time * 1000:.1f} ms", ""],
             ["store attached", f"{attached_time * 1000:.1f} ms",
              f"{overhead_pct:+.1f}% ({books['journal_bytes']} journal bytes)"],
             ["flush()", f"{flush_time * 1000:.2f} ms", "durable fsync"]],
            ["path", "time", "notes"])
-    _update("write_through_overhead", summary)
+    _update("store_overhead", summary)

@@ -540,10 +540,10 @@ class Cached(Expr):
     depend on the outer loop variable.  ``key`` identifies the cache entry.
     Left out, it is derived from the subquery's content (a digest of its
     :func:`~repro.core.nrc.compile.term_fingerprint`, under
-    :data:`CONTENT_PREFIX`), so optimising one query twice gives one term, one
-    compiled form and one plan-feedback entry.  Such an entry belongs to the
-    run that computed it, because its value depends on that run's bindings;
-    a key the caller chose names an entry every run of the engine shares.
+    :data:`CONTENT_PREFIX`), so optimising one query twice gives one term and
+    one compiled form.  Such an entry belongs to the run that computed it,
+    because its value depends on that run's bindings; a key the caller chose
+    names an entry every run of the engine shares.
     """
 
     __slots__ = ("expr", "key")

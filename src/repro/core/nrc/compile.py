@@ -156,28 +156,18 @@ Cost-based planning
 
 ``KleisliEngine.stream`` asks its
 :class:`~repro.core.planner.plan.QueryPlanner` for a per-query
-:class:`~repro.core.planner.plan.PhysicalPlan`: the two ramp maxima,
-``max_chunk`` and ``remote_max_chunk``, chosen from what the sources say —
-registered or observed cardinalities and driver latencies in the
-statistics registry, a driver's declared batch economics, and the
-cardinality of earlier drained runs in the
-:class:`~repro.core.planner.feedback.PlanFeedback` ledger.  The plan's
+:class:`~repro.core.planner.plan.PhysicalPlan`: the remote ramp maximum,
+``remote_max_chunk``, chosen from what the sources say — registered or
+observed cardinalities and driver latencies in the statistics registry,
+and a driver's declared batch economics.  The plan's
 :meth:`~repro.core.planner.plan.PhysicalPlan.chunk_policy` becomes
 ``EvalContext.chunk_policy`` — a *run-time* parameter, so the compile-cache
 key stays the bare term fingerprint and one cached pipeline serves every
 plan.  The ramp itself is one geometric path (:class:`_ChunkRamp`): a chunk
 is as big as its source declares or its rows say, and no clock sizes it.
 A streamed ``ParallelExt`` submits one scheduler task per source element.
-
-**Feedback**: when the engine attaches a
-:class:`~repro.core.planner.feedback.PlanProbe` to the context
-(``EvalContext.plan_probe``), a pipeline that drains normally commits its
-true output cardinality.  The probe is keyed by the same
-:func:`term_fingerprint` as the engine's compile cache, with a
-constant-blind shape index for structurally-similar queries, and the next
-``stream`` of the same (or similarly-shaped) term is planned from it
-without recompiling.  Recording a cardinality reads no clock: per-chunk
-timing exists only for a profile (see "Observability semantics").
+Nothing a run drained re-plans the next one; per-chunk timing exists only
+for a profile (see "Observability semantics").
 
 Thread-safety
 -------------
@@ -315,15 +305,13 @@ the pre-observability code paths (differential-pinned by the test suite).
   records each retry as a zero-duration ``retry`` event.  Spans per query
   are bounded: past the budget a shared dropped-span sentinel keeps
   begin/end pairing balanced without growing the tree.
-* **Per-stage timings**: a profiled or hub-observed run's probe is a
-  :class:`~repro.obs.profile.ProbeTee`, the one probe with a
-  ``note_chunk``: the pump times each chunk's production under
-  ``"pipeline"`` and a batched scan each batch under ``"scan:<driver>"``,
-  for the profile's stage table and the hub's chunk-size histogram, while
-  the feedback probe inside the tee still takes only the cardinality.  A
-  run with neither reads no clock per chunk.  The eager lowering has no
-  chunk boundaries; its per-stage story is the per-driver fold of its
-  trace spans.
+* **Per-stage timings** (``EvalContext.chunk_sink``): a profiled or
+  hub-observed stream carries a :class:`~repro.obs.profile.ProbeTee`: the
+  pump times each chunk's production under ``"pipeline"`` and a batched
+  scan each batch under ``"scan:<driver>"``, for the profile's stage table
+  and the hub's chunk-size histogram.  A run with neither reads no clock
+  per chunk.  The eager lowering has no chunk boundaries; its per-stage
+  story is the per-driver fold of its trace spans.
 * **Cardinality**: EXPLAIN ANALYZE reports the physical plan's estimate
   next to the actual row count; on the eager path (which builds no
   physical plan) the estimate is recomputed observation-only from the
@@ -1296,6 +1284,8 @@ class ChunkPolicy:
     :class:`~repro.kleisli.statistics.SourceStatisticsRegistry` — stop at
     the smaller ``remote_max_chunk`` so one chunk never buffers more than a
     bounded slice of a slow cursor; local sources ramp to ``max_chunk``.
+    A physical plan sets only ``remote_max_chunk``; ``max_chunk`` is the
+    caller's override (``KleisliEngine.stream(chunk_policy=...)``), and
     ``ChunkPolicy(max_chunk=1)`` is the element-at-a-time stream: one
     cancellation checkpoint and one transient budget unit per element.
 
@@ -1343,10 +1333,9 @@ def _active_policy(context: EvalContext) -> ChunkPolicy:
 
 def _chunk_timer(context: EvalContext):
     """The run's per-chunk timing sink ``note_chunk(stage, rows, seconds)``,
-    or ``None``.  Only a profile times chunks (the engine's
-    :class:`~repro.obs.profile.ProbeTee`); the planner's feedback probe
-    takes a drained run's cardinality and nothing per chunk."""
-    return getattr(context.plan_probe, "note_chunk", None)
+    or ``None``: only a profile times chunks."""
+    sink = context.chunk_sink
+    return None if sink is None else sink.note_chunk
 
 
 def _timed_chunks(chunks, note):
@@ -2308,29 +2297,24 @@ class CompiledChunkedStream:
         # closed when the pipeline is exhausted, abandoned (GeneratorExit)
         # or fails — releasing cursors even when chunk elements were
         # buffered but never consumed.
-        probe = context.plan_probe
+        note = _chunk_timer(context)
         token = context.cancellation
         budget = context.memory_budget
         with context.evaluation_scope():
-            if probe is None and token is None and budget is None:
+            if note is None and token is None and budget is None:
                 for chunk in self._fn(frame, context):
                     yield from chunk
                 return
             # Observed pump: a cancellation checkpoint at every chunk
             # boundary, the chunk buffer charged transiently (the chunk is
-            # in memory from production until consumed), and the true
-            # output cardinality committed only when the run drains
-            # normally, so an abandoned stream never records a partial
-            # count as the query's cardinality.
+            # in memory from production until consumed), and each chunk's
+            # production timed for a profile.
             chunks = self._fn(frame, context)
-            note = _chunk_timer(context)
             if note is not None:
                 chunks = _timed_chunks(chunks, note)
-            total = 0
             for chunk in chunks:
                 if token is not None:
                     token.raise_if_cancelled()
-                total += len(chunk)
                 if budget is None:
                     yield from chunk
                 else:
@@ -2339,8 +2323,6 @@ class CompiledChunkedStream:
                         yield from chunk
                     finally:
                         budget.release_elements(len(chunk))
-            if probe is not None:
-                probe.complete(total)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         detail = "fully chunked" if self.fully_chunked else \

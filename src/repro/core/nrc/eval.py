@@ -311,12 +311,12 @@ class EvalContext:
         #: Lowerings with scheduler knobs (ParallelExt prefetch) read their
         #: hints from it; like ``chunk_policy`` it is a run-time parameter.
         self.physical_plan = None
-        #: The run's probe, or ``None`` (no recording): the
-        #: :class:`~repro.core.planner.feedback.PlanProbe` taking a drained
-        #: run's cardinality for the feedback ledger, or — on a profiled or
-        #: hub-observed run — a :class:`~repro.obs.profile.ProbeTee` that
-        #: also takes per-chunk timings.  Set by ``KleisliEngine.stream``.
-        self.plan_probe = None
+        #: The run's per-chunk timing sink (``note_chunk(stage, rows,
+        #: seconds)``), or ``None``: on a profiled or hub-observed stream a
+        #: :class:`~repro.obs.profile.ProbeTee`, set by
+        #: ``KleisliEngine.stream``.  Only a sink makes the chunked pump read
+        #: a clock per chunk.
+        self.chunk_sink = None
         #: Absolute deadline for the whole run (on the resilience layer's
         #: clock), or ``None`` for no budget.  The resilience layer checks it
         #: before every driver attempt and before every backoff sleep; a

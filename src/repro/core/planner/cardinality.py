@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import List, Mapping, Tuple
 
+from ..errors import TermTooDeepError
 from ..nrc import ast as A
 from ..values import iter_collection
 
@@ -58,7 +59,10 @@ def collect_scans(expr: A.Expr) -> Tuple[Tuple[str, str], ...]:
         for child in node.children():
             walk(child)
 
-    walk(expr)
+    try:
+        walk(expr)
+    except RecursionError:
+        raise TermTooDeepError("term nests too deeply to plan") from None
     return tuple(pairs)
 
 

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["CostModel", "pow2ceil"]
-
-
-def pow2ceil(value: float) -> int:
-    """The smallest power of two >= ``value`` (and >= 1)."""
-    n = max(1, int(math.ceil(value)))
-    return 1 << (n - 1).bit_length()
+__all__ = ["CostModel"]
 
 
 class CostModel:

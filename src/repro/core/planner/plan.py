@@ -7,42 +7,41 @@ sources."  :class:`QueryPlanner` makes two kinds of choice:
   ``ParallelExt``) is wired into the optimizer rule set as a cost-gate
   callback (``make_parallel_rule_set(workers_for=...)``): a loop is as wide
   as the servers its body calls declare;
-* the **run-time knobs**, the two maxima of the
-  :class:`~repro.core.nrc.compile.ChunkPolicy` ramp (``max_chunk`` for
-  local sources, ``remote_max_chunk`` for remote ones), travel on a
-  :class:`PhysicalPlan` the engine attaches to the evaluation context per
-  streamed run.  They come from rows — registered cardinalities, or the
-  cardinality of an earlier drained run — and from declared latencies and
-  batch economics; no stopwatch sets either.
+* the one **run-time knob**, the remote maximum of the
+  :class:`~repro.core.nrc.compile.ChunkPolicy` ramp (``remote_max_chunk``),
+  travels on a :class:`PhysicalPlan` the engine attaches to the evaluation
+  context per streamed run.  It comes from registered or observed
+  statistics — cardinalities, latencies — and a driver's declared batch
+  economics.  Nothing a run drained re-plans the next one, and no stopwatch
+  sets it.
 
 The contract the differential tests pin: with **zero statistics** (nothing
-registered, nothing observed, no feedback) every choice reproduces the
-historical defaults bit-for-bit — the planner only ever *adds* knowledge,
-never changes the uninformed baseline.
+registered, nothing observed) every choice reproduces the historical
+defaults bit-for-bit — the planner only ever *adds* knowledge, never
+changes the uninformed baseline.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from .._fields import Fields
 from ..nrc import ast as A
-from ..nrc.compile import ChunkPolicy, term_fingerprint
+from ..nrc.compile import ChunkPolicy
 from ..values import iter_collection
 from .cardinality import CardinalityEstimator, collect_scans, scan_collection
-from .cost import CostModel, pow2ceil
-from .feedback import PlanFeedback, PlanObservation
+from .cost import CostModel
 
 __all__ = ["PhysicalPlan", "QueryPlanner"]
 
 
 class PhysicalPlan(Fields, frozen=True):
-    """One query's physical knobs (immutable; defaults == the constants
-    every run used before the planner existed)."""
+    """One query's physical knob — the remote batch cap — with where it came
+    from and the row estimate it rests on (immutable; the defaults are the
+    constants every run used before the planner existed)."""
 
-    max_chunk: int = ChunkPolicy.DEFAULT_MAX_CHUNK
     remote_max_chunk: int = ChunkPolicy.REMOTE_MAX_CHUNK
-    #: Where the knobs came from: ``default`` | ``statistics`` | ``feedback``.
+    #: Where the knobs came from: ``default`` | ``statistics``.
     source: str = "default"
     estimated_rows: Optional[float] = None
 
@@ -58,26 +57,23 @@ class PhysicalPlan(Fields, frozen=True):
     def chunk_policy(self, is_remote: Optional[Callable[[str], bool]] = None
                      ) -> ChunkPolicy:
         """The plan's knobs as a run-time :class:`ChunkPolicy`."""
-        return ChunkPolicy(max_chunk=self.max_chunk,
-                           remote_max_chunk=self.remote_max_chunk,
+        return ChunkPolicy(remote_max_chunk=self.remote_max_chunk,
                            is_remote=is_remote)
 
     def describe(self) -> Dict[str, object]:
         """A plain-dict view for benchmarks and the experiment log."""
         return {
             "source": self.source,
-            "max_chunk": self.max_chunk,
             "remote_max_chunk": self.remote_max_chunk,
             "estimated_rows": self.estimated_rows,
         }
 
 
 class QueryPlanner:
-    """Chooses a :class:`PhysicalPlan` per query from statistics + feedback.
+    """Chooses a :class:`PhysicalPlan` per query from source statistics.
 
     ``statistics`` is the engine's
     :class:`~repro.kleisli.statistics.SourceStatisticsRegistry`;
-    ``feedback`` the shared :class:`PlanFeedback` ledger;
     ``batches_natively`` an optional callable saying whether a driver's
     ``execute_batch`` is one wire round-trip (what makes raising
     ``remote_max_chunk`` pay — without it a bigger batch is the same number
@@ -85,8 +81,6 @@ class QueryPlanner:
     driver's server declared it handles at once (``None``: undeclared).
     """
 
-    #: Largest local chunk the planner will ramp to.
-    MAX_LOCAL_CHUNK = 4096
     #: Candidate remote batch caps (bounded: one batch must never buffer an
     #: unbounded slice of a slow source, however good the latency math).
     REMOTE_CHUNK_CANDIDATES = (32, 64, 128, 256)
@@ -98,28 +92,17 @@ class QueryPlanner:
     #: parallel loop (the pool costs more than the overlap).
     MIN_PARALLEL_SOURCE = 2
 
-    def __init__(self, statistics, feedback: Optional[PlanFeedback] = None,
-                 parallel_max_workers: int = 5,
+    def __init__(self, statistics,
                  batches_natively: Optional[Callable[[str], bool]] = None,
                  concurrency_of: Optional[
                      Callable[[str], Optional[int]]] = None):
         self.statistics = statistics
-        self.feedback = feedback
-        self.parallel_max_workers = parallel_max_workers
         self.batches_natively = batches_natively or (lambda driver: False)
         self.concurrency_of = concurrency_of or (lambda driver: None)
         self.cardinality = CardinalityEstimator(statistics)
         self.cost = CostModel(statistics)
-        #: How many plans were chosen, and how many left the defaults.
-        self.plans_chosen = 0
-        self.plans_default = 0
 
     # -- knowledge tests -----------------------------------------------------
-
-    def _lookup(self, fingerprint: Tuple) -> Optional[PlanObservation]:
-        if self.feedback is None:
-            return None
-        return self.feedback.lookup(fingerprint)
 
     def _has_source_statistics(self, scans) -> bool:
         for driver, collection in scans:
@@ -179,8 +162,8 @@ class QueryPlanner:
         The bound on a remote loop is its servers' (see
         :mod:`repro.core.optimizer.parallel`): the narrowest cap they
         declared.  ``None`` when one of them declared nothing: that loop's
-        window moves, starting from ``parallel_max_workers`` — the paper's
-        "say five".
+        window moves, starting from the optimizer's
+        ``parallel_max_workers`` — the paper's "say five".
         """
         caps = [self.concurrency_of(driver) for driver, _ in scans
                 if self.statistics.is_remote(driver)]
@@ -206,28 +189,19 @@ class QueryPlanner:
 
     # -- the per-query run-time plan -----------------------------------------
 
-    def plan_for(self, expr: A.Expr,
-                 fingerprint: Optional[Tuple] = None) -> PhysicalPlan:
-        """Choose run-time knobs for one (optimized) query.
+    def plan_for(self, expr: A.Expr) -> PhysicalPlan:
+        """Choose the run-time knob for one (optimized) query.
 
-        With no applicable knowledge the historical defaults come back
-        unchanged (``plan.is_default``); with knowledge, every deviation is
-        a cost-model choice — see the field-by-field notes inline.
-        ``fingerprint`` lets a caller that already fingerprinted the term
-        (the engine shares one with its feedback probe) skip the walk.
+        With no statistics about the sources it scans the historical
+        defaults come back unchanged (``plan.is_default``); otherwise the
+        row estimate is the structural one over the registry's numbers, and
+        the remote cap is a cost-model choice (see the notes inline).
         """
-        self.plans_chosen += 1
-        if fingerprint is None:
-            fingerprint = term_fingerprint(expr)
-        observation = self._lookup(fingerprint)
         scans = collect_scans(expr)
-        if observation is None and not self._has_source_statistics(scans):
-            self.plans_default += 1
+        if not self._has_source_statistics(scans):
             return PhysicalPlan.default()
 
-        rows = (observation.cardinality if observation is not None
-                and observation.cardinality > 0
-                else self.cardinality.estimate(expr))
+        rows = self.cardinality.estimate(expr)
         latency = 0.0
         batching_drivers = set()
         available = getattr(self.statistics, "is_available", None)
@@ -242,18 +216,6 @@ class QueryPlanner:
                     # elements behind the next rejection.
                     and (available is None or available(driver))):
                 batching_drivers.add(driver)
-
-        # Local ramp bound: raised past the old constant for known-huge
-        # pipelines (up to MAX_LOCAL_CHUNK), never *lowered* — ``rows`` is
-        # the OUTPUT estimate, but the bound governs every stage including
-        # the source scan, and a selective query's small output says
-        # nothing about how many source rows its scan must chunk through
-        # (a lowered cap would self-throttle exactly such queries through
-        # the feedback loop).  Small outputs simply never reach the cap.
-        max_chunk = ChunkPolicy.DEFAULT_MAX_CHUNK
-        if rows > 0:
-            max_chunk = max(max_chunk,
-                            min(self.MAX_LOCAL_CHUNK, pow2ceil(rows)))
 
         # Remote batch cap: when the slow driver ships a batch in ONE wire
         # round-trip, round-trip count dominates — take the SMALLEST
@@ -278,9 +240,5 @@ class QueryPlanner:
                 size for size, cost in costs.items()
                 if cost <= floor * self.REPLAN_SLACK)
 
-        return PhysicalPlan(
-            max_chunk=max_chunk,
-            remote_max_chunk=remote_max_chunk,
-            source="feedback" if observation is not None else "statistics",
-            estimated_rows=rows,
-        )
+        return PhysicalPlan(remote_max_chunk=remote_max_chunk,
+                            source="statistics", estimated_rows=rows)

@@ -1,11 +1,11 @@
-"""Crash-safe persistence for the planner's learned state.
+"""Crash-safe persistence for the statistics the planner plans from.
 
-PR 5's :class:`~repro.core.planner.feedback.PlanFeedback` ledger and the
-statistics registry's observed latency EMAs die with the process; this
-module is the durable warm start: an append-only, per-record-checksummed
-journal plus an atomic snapshot, stdlib only, built so that **no on-disk
-state can ever poison a plan** — a truncated tail, a bit-flipped record, a
-wrong-version snapshot, or a missing store each degrade to "skip what is
+The statistics registry's observed latency EMAs and registered
+cardinalities die with the process; this module is the durable warm start:
+an append-only, per-record-checksummed journal plus an atomic snapshot,
+stdlib only, built so that **no on-disk state can ever poison a plan** — a
+truncated tail, a bit-flipped record, a wrong-version snapshot, an
+implausible number, or a missing store each degrade to "skip what is
 unreadable, surface books, plan from what survives".
 
 Layout (one directory per store)::
@@ -23,36 +23,39 @@ disk::
     |  (big-endian)  |  (of payload)  |  (exactly `length` bytes)  |
     +----------------+----------------+----------------------------+
 
+A journal is a header record (``kind: header``, the schema version) and
+then ``kind: statistics`` records, each a whole registry snapshot:
+``cardinalities`` as ``[driver, collection, rows]`` triples and
+``observed_latency`` as a driver -> EMA map.  The snapshot is one record
+carrying the same ``statistics``.  Records of any other kind — the
+``feedback`` records of earlier builds among them — are skipped.
+
 The reader is paranoid by construction: it stops at the first frame whose
 header is short, whose length is implausible, whose payload is truncated,
 or whose CRC does not match — everything before the anomaly loads,
 everything after is skipped and *counted*, and nothing is ever invented
-(a record either round-trips its checksum or does not exist).  The loader
-never raises on bad data; I/O and decode problems become numbers in
-:meth:`PlanStore.books`.
+(a record either round-trips its checksum or does not exist).  A
+cardinality below zero or a non-finite or negative latency is skipped and
+counted like a torn frame.  The loader never raises on bad data; I/O and
+decode problems become numbers in :meth:`PlanStore.books`.
 
 Writers are single-writer-per-file: every process appends only to its own
 journal, so concurrent workers never interleave bytes.  Convergence across
 workers happens at load time (and compaction time): all journals plus the
-snapshot are merged entry-wise, newest timestamp wins per key.  Compaction
-(write-tmp -> fsync -> ``os.replace``) folds the live state into a fresh
-snapshot under a best-effort file lock and truncates only the *own*
-journal — sibling journals stay untouched until they age out.
+snapshot are merged entry-wise, newest timestamp wins per statistic.
+Compaction (write-tmp -> fsync -> ``os.replace``) folds the live state
+into a fresh snapshot under a best-effort file lock and truncates only the
+*own* journal — sibling journals stay untouched until they age out.
 
-Version guards: every journal header and snapshot carries the store schema
-version *and* a fingerprint-algorithm probe (a hash of
-:func:`~repro.core.nrc.compile.term_fingerprint` applied to a fixed term),
-so a store written by a build whose fingerprint encoding changed is
-skipped wholesale rather than serving keys that can no longer match.
-
-The zero-knowledge contract of PR 5 carries over bit-for-bit: an engine
-attached to a missing, empty, or arbitrarily corrupted store loads nothing
-and therefore plans exactly as a storeless engine does.
+The zero-knowledge contract carries over bit-for-bit: an engine attached to
+a missing, empty, or arbitrarily corrupted store loads nothing and
+therefore plans exactly as a storeless engine does.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import threading
@@ -64,12 +67,10 @@ from ..errors import PlanStoreError
 
 __all__ = [
     "PlanStore",
-    "PlanStoreState",
     "MAX_RECORD_BYTES",
     "SCHEMA_VERSION",
     "decode_record",
     "encode_record",
-    "fingerprint_algorithm_version",
     "frame_payload",
     "read_journal",
     "unframe_payload",
@@ -93,56 +94,6 @@ try:  # POSIX file locking guards compaction; degrade to O_EXCL elsewhere
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
-
-
-# ---------------------------------------------------------------------------
-# value codec: faithful JSON round-trip for fingerprint keys
-# ---------------------------------------------------------------------------
-#
-# Term fingerprints are nested tuples whose leaves are the hashable scalar
-# types literals use (str/int/float/bool/None, occasionally bytes) plus
-# frozensets minted by request freezing.  Plain JSON would flatten tuples
-# and frozensets into lists; the tagged encoding below keeps every shape
-# distinct so decode(encode(x)) == x *exactly* — a key that cannot be
-# encoded faithfully is refused (and simply not persisted) rather than
-# approximated, because an approximate key could serve another query's
-# observations.
-
-def _encode_value(value: object) -> object:
-    if isinstance(value, tuple):
-        return ["t"] + [_encode_value(item) for item in value]
-    if isinstance(value, frozenset):
-        encoded = [_encode_value(item) for item in value]
-        encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
-        return ["fs"] + encoded
-    if isinstance(value, bytes):
-        return ["y", value.hex()]
-    if isinstance(value, list):
-        return ["l"] + [_encode_value(item) for item in value]
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    raise PlanStoreError(
-        f"value of type {type(value).__name__} has no faithful journal "
-        f"encoding")
-
-
-def _decode_value(encoded: object) -> object:
-    if isinstance(encoded, list):
-        if not encoded or not isinstance(encoded[0], str):
-            raise ValueError("untagged list in journal value")
-        tag, items = encoded[0], encoded[1:]
-        if tag == "t":
-            return tuple(_decode_value(item) for item in items)
-        if tag == "fs":
-            return frozenset(_decode_value(item) for item in items)
-        if tag == "l":
-            return [_decode_value(item) for item in items]
-        if tag == "y":
-            if len(items) != 1 or not isinstance(items[0], str):
-                raise ValueError("malformed bytes tag")
-            return bytes.fromhex(items[0])
-        raise ValueError(f"unknown journal value tag {tag!r}")
-    return encoded
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +173,7 @@ def read_journal(data: bytes) -> Tuple[List[dict], int]:
     Returns ``(records, skipped_bytes)``.  Reading stops at the first
     anomaly: after a bad length or flipped bit the frame boundaries can no
     longer be trusted, and resynchronising heuristically could *invent*
-    records — skipping the tail can only lose observations, which the
+    records — skipping the tail can only lose statistics, which the
     planner tolerates by design.
     """
     records: List[dict] = []
@@ -236,78 +187,22 @@ def read_journal(data: bytes) -> Tuple[List[dict], int]:
     return records, len(data) - offset
 
 
-_FINGERPRINT_VERSION: Optional[str] = None
-
-
-def fingerprint_algorithm_version() -> str:
-    """A hash identifying the *current* fingerprint encoding.
-
-    Computed by fingerprinting a fixed probe term: if
-    :func:`~repro.core.nrc.compile.term_fingerprint` ever changes how it
-    encodes terms, this hash changes with it, and stores written by the
-    old encoding are skipped as wrong-version instead of serving keys
-    that can never match again.
-    """
-    global _FINGERPRINT_VERSION
-    if _FINGERPRINT_VERSION is None:
-        import hashlib  # here, not at the top: OpenSSL is 3.5 MB of resident memory
-
-        from ..nrc import ast as A
-        from ..nrc import builder as B
-        from ..nrc.compile import term_fingerprint
-
-        probe = B.ext(
-            "x",
-            B.singleton(B.prim("add", B.var("x"), B.const(1)), "list"),
-            A.Scan("probe", {"table": "t"}, kind="list"),
-            kind="list")
-        digest = hashlib.sha256(
-            repr(term_fingerprint(probe)).encode("utf-8")).hexdigest()
-        _FINGERPRINT_VERSION = digest[:12]
-    return _FINGERPRINT_VERSION
-
-
-# ---------------------------------------------------------------------------
-# loaded state
-# ---------------------------------------------------------------------------
-
-class PlanStoreState:
-    """What a load recovered: feedback entries + statistics, merged.
-
-    ``feedback`` is ``[(fingerprint, observation_state, timestamp)]``
-    ordered oldest-first (ready for
-    :meth:`~repro.core.planner.feedback.PlanFeedback.restore`);
-    ``statistics`` is the fill-gaps state for
-    :meth:`~repro.kleisli.statistics.SourceStatisticsRegistry.restore`.
-    """
-
-    __slots__ = ("feedback", "statistics")
-
-    def __init__(self, feedback: List[Tuple[Tuple, dict, float]],
-                 statistics: Dict[str, object]):
-        self.feedback = feedback
-        self.statistics = statistics
-
-    @property
-    def empty(self) -> bool:
-        return not self.feedback and not any(self.statistics.values())
-
-
-def _valid_observation_state(state: object) -> bool:
-    """Shape-check one persisted observation before it may enter a ledger.
-
-    An observation is ``{cardinality, runs}``.  Other keys — an older
-    ledger's per-stage ``stages`` map — are ignored, so such a ledger still
-    restores its cardinalities.
-    """
-    if not isinstance(state, dict) or not _is_number(state.get("cardinality")):
+def _finite(value: object) -> bool:
+    """A number a plan may use: ``json`` also reads ``Infinity``, ``NaN``
+    and integers past the float range."""
+    try:
+        return (isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:
         return False
-    runs = state.get("runs")
-    return isinstance(runs, int) and not isinstance(runs, bool) and runs >= 0
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _statistics_record(state: dict, ts: float) -> dict:
+    """A registry snapshot as the plain record the store writes."""
+    return {"ts": ts,
+            "cardinalities": [list(entry) for entry
+                              in state.get("cardinalities") or []],
+            "observed_latency": dict(state.get("observed_latency") or {})}
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +210,7 @@ def _is_number(value: object) -> bool:
 # ---------------------------------------------------------------------------
 
 class PlanStore:
-    """A crash-safe, versioned, multi-process store for planner state.
+    """A crash-safe, versioned, multi-process store for planner statistics.
 
     One instance is one process's handle: it appends to its own journal
     (single writer per file), loads by merging the snapshot plus *every*
@@ -324,36 +219,24 @@ class PlanStore:
     or unwritable storage — failures surface in :meth:`books`.
 
     ``state_provider`` (set by the engine at attach time) supplies the
-    full live state for compaction: a callable returning
-    ``(feedback_entries, statistics_state)`` in the
-    :meth:`~repro.core.planner.feedback.PlanFeedback.snapshot` /
+    live statistics for flushes and compaction: a callable returning the
     :meth:`~repro.kleisli.statistics.SourceStatisticsRegistry.snapshot`
-    shapes.
+    shape.
     """
 
-    #: Half-life (seconds) of a persisted observation's ``runs`` weight:
-    #: a day-old entry counts half as many runs, so fresh reality overtakes
-    #: stale history in a couple of recordings instead of dozens.
-    DECAY_HALF_LIFE = 24 * 3600.0
     #: Entries older than this are dropped at load (counted ``expired``).
     MAX_AGE = 7 * 24 * 3600.0
     #: Own-journal size that triggers an automatic compaction on append.
     COMPACT_BYTES = 256 * 1024
-    #: Seconds between piggybacked statistics appends (latency EMAs are
-    #: sampled per request — far too hot for write-through — so they ride
-    #: along with feedback appends at most this often, plus every flush).
-    STATS_INTERVAL = 30.0
     #: Consecutive append failures after which the writer disables itself
-    #: (a full disk must not turn every drained query into an I/O error).
+    #: (a full disk must not turn every statistics change into an I/O error).
     MAX_APPEND_FAILURES = 3
 
     def __init__(self, path: str, *,
                  clock: Callable[[], float] = time.time,
                  opener: Callable = open,
-                 half_life: float = DECAY_HALF_LIFE,
                  max_age: float = MAX_AGE,
                  compact_bytes: int = COMPACT_BYTES,
-                 stats_interval: float = STATS_INTERVAL,
                  durability: str = "flush"):
         if durability not in ("flush", "fsync"):
             raise PlanStoreError(
@@ -361,19 +244,16 @@ class PlanStore:
         self.path = os.fspath(path)
         self.clock = clock
         self.opener = opener
-        self.half_life = half_life
         self.max_age = max_age
         self.compact_bytes = compact_bytes
-        self.stats_interval = stats_interval
         self.durability = durability
-        self.state_provider: Optional[Callable[[], Tuple[list, dict]]] = None
+        self.state_provider: Optional[Callable[[], dict]] = None
         self._journal_name = (f"{_JOURNAL_PREFIX}{os.getpid()}-"
                               f"{os.urandom(4).hex()}{_JOURNAL_SUFFIX}")
         self._file = None
         self._journal_bytes = 0
         self._writer_failures = 0
         self._writer_disabled = False
-        self._last_stats_append = 0.0
         self._closed = False
         self._lock = threading.RLock()
         self._books: Dict[str, float] = {
@@ -447,43 +327,37 @@ class PlanStore:
 
     def _header_record(self) -> dict:
         return {"kind": "header", "version": SCHEMA_VERSION,
-                "fpv": fingerprint_algorithm_version(),
                 "pid": os.getpid(), "ts": self.clock()}
 
     @staticmethod
     def _version_ok(record: dict) -> bool:
-        return (record.get("version") == SCHEMA_VERSION
-                and record.get("fpv") == fingerprint_algorithm_version())
+        return record.get("version") == SCHEMA_VERSION
 
     # -- loading ---------------------------------------------------------------
 
-    def load(self) -> PlanStoreState:
+    def load(self) -> Dict[str, object]:
         """Merge the snapshot and every journal into one recovered state.
 
-        Never raises on bad storage: unreadable files, torn tails, flipped
-        bits, wrong versions, and malformed entries are skipped and
-        counted.  Entry merge is newest-timestamp-wins per fingerprint
-        (and per statistics key), then staleness decay halves old entries'
-        ``runs`` weight per :data:`DECAY_HALF_LIFE` and drops entries past
-        :data:`MAX_AGE` entirely.
+        Returns the statistics in the shape
+        :meth:`~repro.kleisli.statistics.SourceStatisticsRegistry.restore`
+        takes.  Never raises on bad storage: unreadable files, torn tails,
+        flipped bits, wrong versions, records of an unknown kind and
+        implausible entries are skipped and counted.  Merge is
+        newest-timestamp-wins per statistic; entries older than
+        :data:`MAX_AGE` drop.
         """
         now = self.clock()
-        feedback: Dict[Tuple, Tuple[float, dict]] = {}
         cardinalities: Dict[Tuple[str, str], Tuple[float, int]] = {}
         latencies: Dict[str, Tuple[float, float]] = {}
 
-        def merge_feedback(key: Tuple, state: dict, ts: float) -> None:
-            known = feedback.get(key)
-            if known is None or ts >= known[0]:
-                feedback[key] = (ts, state)
-
-        def merge_statistics(record: dict, ts: float) -> None:
+        def merge(record: dict, ts: float) -> None:
             for entry in record.get("cardinalities") or []:
                 if (isinstance(entry, (list, tuple)) and len(entry) == 3
                         and isinstance(entry[0], str)
                         and isinstance(entry[1], str)
                         and isinstance(entry[2], int)
-                        and not isinstance(entry[2], bool)):
+                        and not isinstance(entry[2], bool)
+                        and entry[2] >= 0):
                     key = (entry[0], entry[1])
                     known = cardinalities.get(key)
                     if known is None or ts >= known[0]:
@@ -493,64 +367,23 @@ class PlanStore:
             observed = record.get("observed_latency")
             if isinstance(observed, dict):
                 for driver, ema in observed.items():
-                    if isinstance(driver, str) and _is_number(ema) \
-                            and ema >= 0.0:
+                    if isinstance(driver, str) and _finite(ema) and ema >= 0.0:
                         known = latencies.get(driver)
                         if known is None or ts >= known[0]:
                             latencies[driver] = (ts, float(ema))
                     else:
                         self._count("records_skipped_corrupt")
 
-        def absorb(record: dict) -> None:
-            kind = record.get("kind")
-            ts = record.get("ts")
-            if not _is_number(ts):
-                self._count("records_skipped_corrupt")
-                return
-            ts = float(ts)
-            if kind == "feedback":
-                state = record.get("obs")
-                if not _valid_observation_state(state):
-                    self._count("records_skipped_corrupt")
-                    return
-                try:
-                    key = _decode_value(record.get("key"))
-                except (ValueError, TypeError):
-                    self._count("records_skipped_corrupt")
-                    return
-                merge_feedback(key, state, ts)
-            elif kind == "statistics":
-                merge_statistics(record, ts)
-            else:
-                self._count("records_skipped_corrupt")
-
-        # 1. the snapshot (if any, and only if its versions check out)
+        # 1. the snapshot (if any, and only if its version checks out)
         snapshot = self._read_snapshot()
         if snapshot is not None:
             self._snapshot_ts = float(snapshot["ts"]) \
-                if _is_number(snapshot.get("ts")) else None
-            for entry in snapshot.get("feedback") or []:
-                if not (isinstance(entry, (list, tuple)) and len(entry) == 3
-                        and _is_number(entry[2])):
-                    self._count("records_skipped_corrupt")
-                    continue
-                encoded_key, state, ts = entry
-                if not _valid_observation_state(state):
-                    self._count("records_skipped_corrupt")
-                    continue
-                try:
-                    key = _decode_value(encoded_key)
-                except (ValueError, TypeError):
-                    self._count("records_skipped_corrupt")
-                    continue
-                merge_feedback(key, state, float(ts))
-                self._count("records_loaded")
+                if _finite(snapshot.get("ts")) else None
             statistics = snapshot.get("statistics")
             if isinstance(statistics, dict):
                 stats_ts = statistics.get("ts")
-                merge_statistics(statistics,
-                                 float(stats_ts) if _is_number(stats_ts)
-                                 else (self._snapshot_ts or 0.0))
+                merge(statistics, float(stats_ts) if _finite(stats_ts)
+                      else (self._snapshot_ts or 0.0))
 
         # 2. every journal in the directory, own and siblings alike
         for path in self._journal_paths():
@@ -572,23 +405,14 @@ class PlanStore:
                 continue
             self._count("journals_merged")
             for record in records[1:]:
+                ts = record.get("ts")
+                if record.get("kind") != "statistics" or not _finite(ts):
+                    self._count("records_skipped_corrupt")
+                    continue
                 self._count("records_loaded")
-                absorb(record)
+                merge(record, float(ts))
 
-        # 3. staleness: expire past MAX_AGE, decay runs by half-life
-        entries: List[Tuple[float, Tuple, dict]] = []
-        for key, (ts, state) in feedback.items():
-            age = max(0.0, now - ts)
-            if age > self.max_age:
-                self._count("records_expired")
-                continue
-            if age > 0.0 and self.half_life > 0.0:
-                decayed = int(round(state["runs"] * 0.5 ** (age / self.half_life)))
-                state = dict(state)
-                state["runs"] = max(1, decayed)
-            entries.append((ts, key, state))
-        entries.sort(key=lambda item: item[0])
-
+        # 3. staleness: expire past MAX_AGE
         observed_latency: Dict[str, float] = {}
         survived_cardinalities: List[List[object]] = []
         for driver, (ts, ema) in sorted(latencies.items()):
@@ -601,15 +425,10 @@ class PlanStore:
                 self._count("records_expired")
                 continue
             survived_cardinalities.append([driver, collection, rows])
-
-        state = PlanStoreState(
-            feedback=[(key, obs, ts) for ts, key, obs in entries],
-            statistics={"cardinalities": survived_cardinalities,
-                        "observed_latency": observed_latency})
         self._count("entries_loaded",
-                    len(state.feedback) + len(observed_latency)
-                    + len(survived_cardinalities))
-        return state
+                    len(observed_latency) + len(survived_cardinalities))
+        return {"cardinalities": survived_cardinalities,
+                "observed_latency": observed_latency}
 
     def _read_snapshot(self) -> Optional[dict]:
         """The snapshot record, or ``None`` if absent/corrupt/wrong-version."""
@@ -633,57 +452,20 @@ class PlanStore:
 
     # -- appending -------------------------------------------------------------
 
-    def append_feedback(self, fingerprint: Tuple, state: dict,
-                        ts: Optional[float] = None) -> bool:
-        """Journal one folded observation (write-through from the ledger).
-
-        Returns whether the record reached the journal; an unpersistable
-        fingerprint or a failing disk degrades to ``False`` and a book
-        entry, never an exception — persistence must not break execution.
-        """
-        try:
-            key = _encode_value(fingerprint)
-        except PlanStoreError:
-            self._count("unpersistable")
-            return False
-        record = {"kind": "feedback", "ts": self.clock() if ts is None else ts,
-                  "key": key, "obs": state}
-        written = self._append(record)
-        if written:
-            self._maybe_piggyback_statistics()
-            self._maybe_compact()
-        return written
-
     def append_statistics(self, state: dict,
                           ts: Optional[float] = None) -> bool:
-        """Journal one statistics-registry snapshot (EMAs + cardinalities)."""
-        record = {"kind": "statistics",
-                  "ts": self.clock() if ts is None else ts,
-                  "cardinalities": [
-                      [driver, collection, rows]
-                      for driver, collection, rows
-                      in state.get("cardinalities") or []],
-                  "observed_latency": dict(state.get("observed_latency") or {})}
+        """Journal one statistics-registry snapshot (EMAs + cardinalities).
+
+        Returns whether the record reached the journal; a failing disk
+        degrades to ``False`` and a book entry, never an exception —
+        persistence must not break execution.
+        """
+        record = _statistics_record(state, self.clock() if ts is None else ts)
+        record["kind"] = "statistics"
         written = self._append(record)
         if written:
-            with self._lock:
-                self._last_stats_append = self.clock()
+            self._maybe_compact()
         return written
-
-    def _maybe_piggyback_statistics(self) -> None:
-        provider = self.state_provider
-        if provider is None:
-            return
-        with self._lock:
-            due = (self.clock() - self._last_stats_append
-                   >= self.stats_interval)
-        if not due:
-            return
-        try:
-            _feedback, statistics = provider()
-        except Exception:
-            return
-        self.append_statistics(statistics)
 
     def _append(self, record: dict) -> bool:
         """Append one framed record to the own journal; never raises.
@@ -769,7 +551,7 @@ class PlanStore:
         """
         if statistics is None and self.state_provider is not None:
             try:
-                _feedback, statistics = self.state_provider()
+                statistics = self.state_provider()
             except Exception:
                 statistics = None
         if statistics is not None:
@@ -803,7 +585,7 @@ class PlanStore:
         if provider is None:
             return False
         try:
-            feedback_entries, statistics = provider()
+            statistics = provider()
         except Exception:
             self._count("compactions_skipped")
             return False
@@ -815,30 +597,15 @@ class PlanStore:
                 self._books["compactions_skipped"] += 1
                 return False
             try:
-                return self._compact_locked(feedback_entries, statistics)
+                return self._compact_locked(statistics)
             finally:
                 self._release_dir_lock(lock_handle)
 
-    def _compact_locked(self, feedback_entries, statistics) -> bool:
+    def _compact_locked(self, statistics: dict) -> bool:
         now = self.clock()
-        encoded_feedback = []
-        for entry in feedback_entries:
-            key, state, ts = entry
-            try:
-                encoded_feedback.append(
-                    [_encode_value(key), state, ts if ts else now])
-            except PlanStoreError:
-                self._books["unpersistable"] += 1
         record = self._header_record()
         record["kind"] = "snapshot"
-        record["feedback"] = encoded_feedback
-        record["statistics"] = {
-            "ts": now,
-            "cardinalities": [
-                [driver, collection, rows] for driver, collection, rows
-                in statistics.get("cardinalities") or []],
-            "observed_latency": dict(
-                statistics.get("observed_latency") or {})}
+        record["statistics"] = _statistics_record(statistics, now)
         tmp_path = (f"{self.snapshot_path}.tmp-{os.getpid()}-"
                     f"{os.urandom(3).hex()}")
         try:
@@ -931,9 +698,10 @@ class PlanStore:
         Runs under the compaction dir lock, *after* the snapshot was
         written and the own journal reset — so the rescue appends land in a
         fresh journal.  Rescuing before unlinking means a crashed writer's
-        post-load observations survive the sweep; the timestamped
-        newest-wins merge makes re-appending already-known records
-        harmless.  Any read failure leaves the file for the age-out.
+        last statistics survive the sweep; the timestamped newest-wins
+        merge makes re-appending already-known records harmless.  Only
+        statistics records cross over.  Any read failure leaves the file
+        for the age-out.
         """
         try:
             with open(path, "rb") as handle:
@@ -947,7 +715,8 @@ class PlanStore:
             header = records[0]
             if header.get("kind") == "header" and self._version_ok(header):
                 for record in records[1:]:
-                    if self._append(record):
+                    if record.get("kind") == "statistics" \
+                            and self._append(record):
                         rescued += 1
         try:
             os.unlink(path)

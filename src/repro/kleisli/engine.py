@@ -9,9 +9,8 @@ remote and local data sources."  The engine is that middle layer:
   :meth:`driver_executor`, the callback every :class:`~repro.core.nrc.ast.Scan`
   node evaluates through;
 * the **optimizer pipeline** (rebuilt whenever registration changes);
-* the **cost-based planner** — per-query physical knobs (chunk ramp
-  bounds, prefetch granularity) chosen from registered/observed
-  source statistics and the run-time feedback ledger, instead of constants
+* the **cost-based planner** — the per-query remote batch cap chosen
+  from registered/observed source statistics instead of a constant
   (:meth:`KleisliEngine.plan_for`; zero knowledge reproduces the historical
   defaults exactly);
 * the **evaluator context** — subquery cache, execution statistics;
@@ -56,12 +55,7 @@ from ..core.nrc.eval import (
 )
 from ..core.nrc.rewrite import RewriteStats
 from ..core.optimizer import OptimizerConfig, OptimizerPipeline, ScanSpec
-from ..core.planner import (
-    PhysicalPlan,
-    PlanFeedback,
-    PlanStore,
-    QueryPlanner,
-)
+from ..core.planner import PhysicalPlan, PlanStore, QueryPlanner
 from ..core.values import CBag, CList, CSet, iter_collection
 from ..obs import Observability
 from ..obs.metrics import RowWidthEstimator
@@ -354,16 +348,12 @@ class KleisliEngine:
         self.statistics_registry = SourceStatisticsRegistry()
         self.cache = SubqueryCache()
         self.optimizer_config = optimizer_config or OptimizerConfig()
-        #: The run-time feedback ledger: the true cardinalities of drained
-        #: chunked runs, keyed by term fingerprint.
-        self.plan_feedback = PlanFeedback()
         #: The cost-based planner.  Its compile-time hook gates parallel
         #: introduction inside the optimizer; :meth:`plan_for` asks it for
-        #: the run-time knobs per query.  With zero statistics and no
-        #: feedback it reproduces the historical constants exactly.
+        #: the run-time knob per query.  With zero statistics it reproduces
+        #: the historical constants exactly.
         self.planner = QueryPlanner(
-            self.statistics_registry, self.plan_feedback,
-            parallel_max_workers=self.optimizer_config.parallel_max_workers,
+            self.statistics_registry,
             batches_natively=self._driver_batches_natively,
             concurrency_of=lambda name: getattr(
                 self.driver_gates.get(name), "cap", None))
@@ -414,10 +404,9 @@ class KleisliEngine:
         # warnings on the wire) reads thread_eval_statistics() instead.
         self._thread_statistics = threading.local()
         self._compiled_queries = _CompileCache(_COMPILED_CACHE_LIMIT)
-        #: The crash-safe persistence layer for the feedback ledger and the
-        #: statistics registry's learned state.  ``None`` (the default)
-        #: means no persistence at all — the engine behaves exactly as
-        #: before the store existed.
+        #: The crash-safe persistence layer for the statistics registry's
+        #: learned state.  ``None`` (the default) means no persistence at
+        #: all — the engine behaves exactly as before the store existed.
         self.plan_store: Optional[PlanStore] = None
         if plan_store is not None:
             self.attach_plan_store(plan_store)
@@ -425,39 +414,29 @@ class KleisliEngine:
     # -- plan-store wiring -----------------------------------------------------
 
     def attach_plan_store(self, store: PlanStore) -> None:
-        """Attach a persistence store: warm-start now, write-through after.
+        """Attach a persistence store: warm-start now, journal after.
 
-        Loads whatever the store recovered (feedback entries below any live
-        knowledge's recency, statistics as gap-fill), then hooks the ledger
-        so every fold is journaled write-through and the store can read
-        consistent state for compaction.  Loading never raises on corrupt
-        storage — the zero-knowledge contract: an engine attached to a
+        Fills the statistics registry's gaps from whatever the store
+        recovered (what this process already knows wins), then journals
+        the registry each time its ``epoch`` moves — a registered
+        statistic, an observed latency crossing the remote threshold — so
+        a process killed without a flush still leaves its promotions
+        behind.  Loading never raises on corrupt storage — the
+        zero-knowledge contract: an engine attached to a
         missing/empty/corrupt store plans exactly like a storeless one.
         """
+        registry = self.statistics_registry
         self.plan_store = store
-        store.state_provider = self._plan_store_state
-        state = store.load()
-        self.plan_feedback.restore(state.feedback)
-        self.statistics_registry.restore(state.statistics)
-        self.plan_feedback.on_record = self._persist_feedback
-
-    def _plan_store_state(self) -> Tuple[list, dict]:
-        """The store's consistent-state callback (compaction, flushes)."""
-        return (self.plan_feedback.snapshot(),
-                self.statistics_registry.snapshot())
-
-    def _persist_feedback(self, fingerprint: Tuple, state: Dict,
-                          updated: float) -> None:
-        store = self.plan_store
-        if store is not None:
-            store.append_feedback(fingerprint, state, updated)
+        store.state_provider = registry.snapshot
+        registry.restore(store.load())
+        registry.on_epoch = lambda: store.append_statistics(registry.snapshot())
 
     def flush_plan_store(self, compact: bool = False) -> None:
         """Durably flush (optionally compact) the attached store, if any.
 
         The shutdown/drain hook: the server calls this at the end of a
-        graceful stop, and periodic flushing piggybacks on the store's own
-        statistics interval.  A storeless engine no-ops.
+        graceful stop; between flushes the store is written each time the
+        statistics registry's ``epoch`` moves.  A storeless engine no-ops.
         """
         store = self.plan_store
         if store is None:
@@ -754,8 +733,8 @@ class KleisliEngine:
         This is what the query service's ``stats`` op reports, and what the
         multi-session soak tests assert consistency on: every counter here
         belongs to state that concurrent sessions share (the compile-cache
-        LRU, the subquery cache, the plan-feedback ledger, per-driver
-        request counts) or to process-wide resource accounting
+        LRU, the subquery cache, per-driver request counts) or to
+        process-wide resource accounting
         (:meth:`~repro.core.nrc.eval.EvalScope.live_count` — open pipelined
         runs; zero when every cursor has been released).  Per-session state
         (CPL definitions, type environments, ``EvalScope`` contents) never
@@ -773,12 +752,6 @@ class KleisliEngine:
             "subquery_cache": {
                 "hits": self.cache.hits, "misses": self.cache.misses,
                 "size": len(self.cache),
-            },
-            "plan_feedback": {
-                "entries": len(self.plan_feedback),
-                "recordings": self.plan_feedback.recordings,
-                "lookups": self.plan_feedback.lookups,
-                "hits": self.plan_feedback.hits,
             },
             "drivers": {name: driver.request_count
                         for name, driver in self.drivers.items()},
@@ -819,19 +792,16 @@ class KleisliEngine:
         """
         return ChunkPolicy(is_remote=self.statistics_registry.is_remote)
 
-    def plan_for(self, expr: A.Expr,
-                 fingerprint: Optional[Tuple] = None) -> PhysicalPlan:
+    def plan_for(self, expr: A.Expr) -> PhysicalPlan:
         """The cost-based physical plan for one (optimized) query.
 
-        Consults registered/observed source statistics and the feedback
-        ledger of earlier runs; with ``OptimizerConfig.planning`` off — or
-        nothing known — the historical default knobs come back unchanged.
-        The chosen plan is recorded on ``last_plan`` for inspection.
-        ``fingerprint`` (when the caller already computed the term's
-        fingerprint) skips the planner's own walk.
+        Consults registered/observed source statistics; with
+        ``OptimizerConfig.planning`` off — or nothing known — the historical
+        default knobs come back unchanged.  The chosen plan is recorded on
+        ``last_plan`` for inspection.
         """
         if self.optimizer_config.planning:
-            plan = self.planner.plan_for(expr, fingerprint)
+            plan = self.planner.plan_for(expr)
         else:
             plan = PhysicalPlan.default()
         self.last_plan = plan
@@ -953,17 +923,10 @@ class KleisliEngine:
         return self.execution_mode if mode is None else ExecutionMode.coerce(mode)
 
     def _lowered(self, target: str, expr: A.Expr, lower: Callable,
-                 statistics: Optional[EvalStatistics],
-                 fingerprint: Optional[Tuple] = None) -> object:
-        """LRU lookup-or-compile for one lowering target; updates counters.
-
-        ``fingerprint`` reuses a walk the caller already did (``stream``
-        fingerprints every planned run for the planner and feedback probe).
-        """
+                 statistics: Optional[EvalStatistics]) -> object:
+        """LRU lookup-or-compile for one lowering target; updates counters."""
         cache = self._compiled_queries
-        if fingerprint is None:
-            fingerprint = term_fingerprint(expr)
-        memo_key = (target, fingerprint)
+        memo_key = (target, term_fingerprint(expr))
         query = cache.get(memo_key)
         if query is None:
             query = lower(expr)
@@ -991,8 +954,8 @@ class KleisliEngine:
         return self._lowered("eager", expr, compile_term, statistics)
 
     def compiled_chunked(self, expr: A.Expr,
-                         statistics: Optional[EvalStatistics] = None,
-                         fingerprint: Optional[Tuple] = None) -> CompiledChunkedStream:
+                         statistics: Optional[EvalStatistics] = None
+                         ) -> CompiledChunkedStream:
         """Return (and LRU-cache) the chunked (morsel-at-a-time) lowering.
 
         Shares the LRU (and the fingerprint keying) with
@@ -1002,8 +965,7 @@ class KleisliEngine:
         ``EvalContext.chunk_policy`` at run time — so one cached pipeline
         serves every policy (and every plan).
         """
-        return self._lowered("chunked", expr, compile_chunked, statistics,
-                             fingerprint)
+        return self._lowered("chunked", expr, compile_chunked, statistics)
 
     # benchmarks/e2e/tracing.py patches this name; ROADMAP direction 2(b) removes it.
     compiled_stream = compiled_chunked
@@ -1146,16 +1108,12 @@ class KleisliEngine:
         mode = self._resolve_mode(mode)
         if optimize:
             expr = self.compile(expr)
-        plan = fingerprint = None
+        plan = None
         if mode is ExecutionMode.COMPILED:
-            # The per-query physical plan: chunk knobs, prefetch hints.  An
-            # uninformed planner returns the historical defaults, so this
-            # changes nothing until statistics or feedback exist.  One
-            # fingerprint walk serves the planner, the feedback probe and
-            # the compile cache (they share its keying).
-            fingerprint = term_fingerprint(expr) \
-                if self.optimizer_config.planning else None
-            plan = self.plan_for(expr, fingerprint)
+            # The per-query physical plan.  An uninformed planner returns
+            # the historical defaults, so this changes nothing until
+            # statistics exist.
+            plan = self.plan_for(expr)
         context, run = self._open_run(expr, plan, deadline, policy,
                                       cancellation, memory_budget, spill,
                                       profile)
@@ -1165,33 +1123,21 @@ class KleisliEngine:
                 inner = self._stream_interpreted(expr, environment, context)
             else:
                 context.physical_plan = plan
-                if chunk_policy is not None:
-                    context.chunk_policy = chunk_policy
-                else:
-                    context.chunk_policy = plan.chunk_policy(
+                if chunk_policy is None:
+                    chunk_policy = plan.chunk_policy(
                         is_remote=self.statistics_registry.is_remote)
-                    if self.optimizer_config.planning:
-                        # Close the loop: a drained run's cardinality feeds
-                        # the ledger the next run of this (or a similarly-
-                        # shaped) term is planned from — keyed exactly like
-                        # the compile cache.  Runs under an EXPLICIT policy
-                        # override record nothing: the caller forced the
-                        # knobs, so the run says nothing about the plan.
-                        context.plan_probe = self.plan_feedback.probe(fingerprint)
+                context.chunk_policy = chunk_policy
                 if context.trace is not None:
-                    # The profile tee: the feedback probe (if any) still
-                    # takes only the cardinality; the tee's per-chunk
-                    # timings go to the collector and, with a hub, the
-                    # chunk-size histogram.  Only a tee makes the pump read
-                    # a clock per chunk.
+                    # The profile's per-chunk timings go to the collector
+                    # and, with a hub, the chunk-size histogram.  Only this
+                    # sink makes the pump read a clock per chunk.
                     run.collector = StageCollector()
                     sinks = [run.collector]
                     hub = self.observability
                     if hub is not None:
                         sinks.append(hub.chunk_sink())
-                    context.plan_probe = ProbeTee(context.plan_probe, *sinks)
-                query = self.compiled_chunked(expr, context.statistics,
-                                              fingerprint)
+                    context.chunk_sink = ProbeTee(*sinks)
+                query = self.compiled_chunked(expr, context.statistics)
                 context.statistics.execution_mode = (
                     "compiled" if query.fully_compiled else "compiled+fallback")
                 inner = query(environment, context)

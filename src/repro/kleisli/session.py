@@ -122,7 +122,8 @@ class Session:
     statistic the rule sets read — a cardinality, a declared latency,
     availability, a restore, an observed latency crossing the remote
     threshold, but not a routine latency sample.  Planning, the compile-LRU
-    lookup and the run happen on every send, so the plan follows feedback.
+    lookup and the run happen on every send, so the plan follows the
+    statistics.
     A reused form rewrites nothing: ``engine.last_rewrite_stats`` is the
     last optimization's.  :meth:`run` still takes each statement afresh: a
     program is not a query form.

@@ -19,7 +19,7 @@ parallelism rules on later compilations without any configuration.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 __all__ = ["SourceStatisticsRegistry"]
 
@@ -64,11 +64,20 @@ class SourceStatisticsRegistry:
         #: an observed latency sample unless it crosses the remote threshold:
         #: sessions key their prepared query forms on it.
         self.epoch = 0
+        #: Called after each move of ``epoch``, outside the lock (an engine
+        #: with a plan store journals the registry from it).
+        self.on_epoch: Optional[Callable[[], None]] = None
+
+    def _moved(self) -> None:
+        hook = self.on_epoch
+        if hook is not None:
+            hook()
 
     def register_cardinality(self, driver: str, collection: str, rows: int) -> None:
         with self._lock:
             self._cardinalities[(driver, collection)] = rows
             self.epoch += 1
+        self._moved()
 
     def cardinality(self, driver: str, collection: str = "") -> int:
         with self._lock:
@@ -87,6 +96,7 @@ class SourceStatisticsRegistry:
         with self._lock:
             self._remote_latency[driver] = seconds
             self.epoch += 1
+        self._moved()
 
     def latency(self, driver: str) -> float:
         """Best latency estimate: the registered value, else the observed EMA."""
@@ -121,8 +131,11 @@ class SourceStatisticsRegistry:
             current = (previous or 0.0) * (1.0 - weight) + seconds * weight
             self._observed_latency[driver] = current
             threshold = self.REMOTE_LATENCY_THRESHOLD
-            if (current >= threshold) != ((previous or 0.0) >= threshold):
+            crossed = (current >= threshold) != ((previous or 0.0) >= threshold)
+            if crossed:
                 self.epoch += 1
+        if crossed:
+            self._moved()
 
     def observed_latency(self, driver: str) -> float:
         """The EMA of observed request round-trips (0.0 before any sample)."""
@@ -143,6 +156,7 @@ class SourceStatisticsRegistry:
             else:
                 self._unavailable.add(driver)
             self.epoch += 1
+        self._moved()
 
     def is_available(self, driver: str) -> bool:
         """Is the driver's circuit closed (or breaker-less)?  Default True."""
@@ -197,6 +211,7 @@ class SourceStatisticsRegistry:
                 if ema >= 0.0 and driver not in self._observed_latency:
                     self._observed_latency[driver] = ema
                     adopted += 1
+        self._moved()
         return adopted
 
     def is_remote(self, driver: str) -> bool:

@@ -21,7 +21,7 @@ overhead of an *attached* hub is CI-gated at ≤5% by
 
 Both lowerings (eager closures, chunked streams) inherit the
 instrumentation from the same choke points — driver dispatch,
-``EvalScope`` open/close, the plan probe, resilience retries and breaker
+``EvalScope`` open/close, the chunk sink, resilience retries and breaker
 transitions, governance spills/cancellations, server admission/drain — so
 no compiled artifact changes when observability is switched on.
 """
@@ -57,9 +57,6 @@ class _ChunkSizeSink:
 
     def note_chunk(self, stage: str, rows: int, seconds: float) -> None:
         self._histogram.observe(rows)
-
-    def complete(self, cardinality: Optional[float] = None) -> None:
-        pass
 
 
 class Observability:

@@ -31,14 +31,13 @@ __all__ = ["StageCollector", "ProbeTee", "QueryProfile", "SlowQueryLog",
 class StageCollector:
     """Sink accumulating per-stage rows/seconds/chunks for a profile.
 
-    Takes the chunked lowering's per-chunk timings (``note_chunk``) and the
-    drained run's cardinality (``complete``) through a :class:`ProbeTee`.
+    Takes the chunked lowering's per-chunk timings (``note_chunk``) through
+    a :class:`ProbeTee`.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stages: Dict[str, List[float]] = {}
-        self.cardinality: Optional[float] = None
 
     def note_chunk(self, stage: str, rows: int, seconds: float) -> None:
         with self._lock:
@@ -50,11 +49,6 @@ class StageCollector:
             cell[1] += seconds
             cell[2] += 1
 
-    def complete(self, cardinality: Optional[float] = None) -> None:
-        if cardinality is not None:
-            with self._lock:
-                self.cardinality = cardinality
-
     def stages(self) -> Dict[str, Dict[str, float]]:
         with self._lock:
             return {
@@ -64,28 +58,18 @@ class StageCollector:
 
 
 class ProbeTee:
-    """The probe of an observed run: per-chunk timings to the sinks, the
-    drained run's cardinality to the sinks and the feedback probe.
+    """The chunk sink of an observed run: per-chunk timings to every sink.
 
-    ``inner`` is the engine's :class:`~repro.core.planner.feedback.PlanProbe`
-    (or ``None`` when the run records no feedback), which takes the
-    cardinality only.  Its ``note_chunk`` is what makes the chunked pump
-    time its chunks at all, so an unobserved run reads no clock per chunk.
+    Its ``note_chunk`` is what makes the chunked pump time its chunks at
+    all, so an unobserved run reads no clock per chunk.
     """
 
-    def __init__(self, inner, *sinks) -> None:
-        self._inner = inner
-        self._sinks = tuple(sinks)
+    def __init__(self, *sinks) -> None:
+        self._sinks = sinks
 
     def note_chunk(self, stage: str, rows: int, seconds: float) -> None:
         for sink in self._sinks:
             sink.note_chunk(stage, rows, seconds)
-
-    def complete(self, cardinality: Optional[float] = None) -> None:
-        if self._inner is not None:
-            self._inner.complete(cardinality)
-        for sink in self._sinks:
-            sink.complete(cardinality)
 
 
 def aggregate_driver_spans(trace_dict: Dict[str, object]) -> Dict[str, Dict[str, float]]:

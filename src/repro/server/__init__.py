@@ -49,8 +49,8 @@ Each accepted connection gets its own serving thread and its own
 :class:`~repro.kleisli.session.Session` — so ``define``/``bind`` are
 per-client, exactly like separate CPL top levels.  What is *shared* through
 the engine, and therefore warm across all sessions, is everything PRs 2–5
-made concurrency-safe: the compile cache, the plan-feedback ledger, the
-per-driver statistics registry, and driver connections.  A disconnect —
+made concurrency-safe: the compile cache, the per-driver statistics
+registry the planner reads, and driver connections.  A disconnect —
 clean ``bye``, socket death, or mid-stream abandonment — triggers
 ``Session.close()``, which closes only *that* session's live streams; each
 run's cursors live in its own ``EvalScope``, so one client's exit can never

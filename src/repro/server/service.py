@@ -998,7 +998,7 @@ class KleisliServer:
         if isinstance(engine, dict):
             victims += [("engine." + key, engine, key)
                         for key in ("drivers", "resilience", "persistence",
-                                    "plan_feedback", "observability")]
+                                    "observability")]
         victims += [(key, reply, key) for key in ("engine", "server")]
         for label, container, key in victims:
             if key not in container or container[key] == {"truncated": True}:

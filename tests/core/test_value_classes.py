@@ -37,7 +37,7 @@ def test_fields_and_defaults_are_the_declared_ones():
         monadic=False, sql_pushdown=False, path_pushdown=False,
         local_joins=False, caching=False, parallelism=False)
     assert PhysicalPlan.default() == PhysicalPlan() and PhysicalPlan().is_default
-    assert PhysicalPlan().max_chunk == ChunkPolicy.DEFAULT_MAX_CHUNK
+    assert PhysicalPlan().remote_max_chunk == ChunkPolicy.REMOTE_MAX_CHUNK
     assert RetryPolicy().max_attempts == 3 and RetryPolicy().jitter is None
     assert CircuitBreakerPolicy().recovery_time == 30.0
     spec = ScanSpec("GDB", {"table": "locus"}, "table")

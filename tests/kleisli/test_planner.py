@@ -1,11 +1,10 @@
-"""The cost-based planner: chooser, feedback loop, satellites.
+"""The cost-based planner: chooser, satellites.
 
 Covers the knob chooser's two contracts (zero knowledge => the historical
-defaults, bit-for-bit; knowledge => cost-model choices), the run-time
-feedback ledger (record on drained runs only, exact + similar-shape lookup,
-re-planning), the one chunk ramp (no clock sizes a chunk, one task per
-element in a streamed parallel loop), the ChunkPolicy validation
-regression, and the statistics registry's concurrency guarantee.
+defaults, bit-for-bit; knowledge => cost-model choices), that nothing a run
+drained re-plans the next one, the one chunk ramp (no clock sizes a chunk,
+one task per element in a streamed parallel loop), the ChunkPolicy
+validation regression, and the statistics registry's concurrency guarantee.
 """
 
 import threading
@@ -15,16 +14,15 @@ import pytest
 
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
-from repro.core.nrc.compile import ChunkPolicy, term_fingerprint
+from repro.core.nrc.compile import ChunkPolicy, CompiledChunkedStream
 from repro.core.nrc.eval import Environment, EvalContext
 from repro.core.optimizer import OptimizerConfig
 from repro.core.optimizer.parallel import ParallelExt, make_parallel_rule_set
 from repro.core.planner import (
     CardinalityEstimator,
     PhysicalPlan,
-    PlanFeedback,
+    PlanStore,
     QueryPlanner,
-    shape_fingerprint,
 )
 from repro.core.values import CList
 from repro.kleisli.drivers.base import Driver
@@ -101,11 +99,18 @@ class TestChunkPolicyValidation:
     def test_the_removed_knobs_are_not_keywords(self, knob):
         """A policy is two maxima and a remoteness test: the first chunk is
         always one element, a parallel task always one source element, and
-        no stopwatch switch exists."""
+        no stopwatch switch exists.  A plan sets only the remote maximum
+        (the local one is the caller's ``ChunkPolicy(max_chunk=...)``), and
+        a store keeps statistics without decay or a write interval."""
         with pytest.raises(TypeError):
             ChunkPolicy(**{knob: 1})
         with pytest.raises(TypeError):
             PhysicalPlan(**{knob: 1})
+        with pytest.raises(TypeError):
+            PhysicalPlan(max_chunk=4096)
+        for removed in ("half_life", "stats_interval"):
+            with pytest.raises(TypeError):
+                PlanStore("never-created", **{removed: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +165,27 @@ class TestRegistryConcurrency:
             assert registry.observed_latency(name) == pytest.approx(0.01 * (i + 1))
             assert registry.has_cardinality(name, "t0")
             assert registry.has_latency(name + "-declared")
+
+    def test_the_epoch_hook_runs_outside_the_lock_on_each_move(self):
+        """The hook an engine journals from is called after each change the
+        rule sets can read, with the registry unlocked (it reads a
+        snapshot), and not for a routine latency sample."""
+        registry = SourceStatisticsRegistry()
+        moves = []
+
+        def hook():
+            assert registry._lock.acquire(blocking=False)
+            registry._lock.release()
+            moves.append(registry.epoch)
+
+        registry.on_epoch = hook
+        registry.register_cardinality("d", "t", 3)
+        registry.register_latency("e", 0.0)
+        registry.record_latency_sample("d", 0.002)    # routine: no move
+        registry.record_latency_sample("d", 0.9)      # crosses the threshold
+        registry.set_available("d", False)
+        registry.restore({"cardinalities": [["f", "t", 1]]})
+        assert moves == [1, 2, 3, 4, 5]
 
     def test_has_latency_includes_pinned_local_declarations(self):
         registry = SourceStatisticsRegistry()
@@ -227,21 +253,6 @@ class TestPlannerWithStatistics:
         assert not plan.is_default
         assert plan.remote_max_chunk == ChunkPolicy.REMOTE_MAX_CHUNK
 
-    def test_local_chunk_cap_is_raise_only(self):
-        """The output estimate RAISES the local chunk cap for known-huge
-        pipelines but never lowers it: the cap also governs the source
-        scan's chunking, and a selective query's small output says nothing
-        about the source it must chunk through."""
-        engine = KleisliEngine()
-        engine.register_driver(RangeDriver(), latency=0.0)  # pinned local
-        engine.statistics_registry.register_cardinality("ranges", "t", 100)
-        plan = engine.plan_for(_chain("ranges", count=100))
-        assert not plan.is_default
-        assert plan.max_chunk == ChunkPolicy.DEFAULT_MAX_CHUNK  # not lowered
-        engine.statistics_registry.register_cardinality("ranges", "t", 50_000)
-        big = engine.plan_for(_chain("ranges", count=50_000))
-        assert big.max_chunk == QueryPlanner.MAX_LOCAL_CHUNK  # raised
-
     def test_parallel_introduction_is_cost_gated(self):
         """A source known to hold one element cannot benefit from request
         overlap: the planner vetoes the rewrite; unknown sources keep the
@@ -265,73 +276,32 @@ class TestPlannerWithStatistics:
 
 
 # ---------------------------------------------------------------------------
-# The feedback loop: record on drain, re-plan next compilation
+# No run re-plans the next: a plan is what the sources declare
 # ---------------------------------------------------------------------------
 
 
-class TestFeedbackLoop:
-    def test_drained_chunked_run_records_and_replans(self):
+class TestNoRunReplans:
+    def test_no_run_replans_the_next(self):
+        """A drained run, an abandoned one and one under a forced policy
+        leave the next plan as it was: the defaults when nothing is known,
+        the statistics plan when something is."""
         engine = KleisliEngine()
         engine.register_driver(RangeDriver())
         expr = _chain(count=32)
-        first_plan = engine.plan_for(expr)
-        assert first_plan.is_default  # nothing known yet
-
-        assert len(list(engine.stream(expr, optimize=False))) == 32
-        observation = engine.plan_feedback.lookup(term_fingerprint(expr))
-        assert observation is not None
-        assert observation.cardinality == 32
-
-        replanned = engine.plan_for(expr)
-        assert not replanned.is_default
-        assert replanned.source == "feedback"
-        assert replanned.estimated_rows == 32  # the observed cardinality
-        assert replanned.max_chunk == ChunkPolicy.DEFAULT_MAX_CHUNK
-
-    def test_abandoned_run_records_nothing(self):
-        engine = KleisliEngine()
-        engine.register_driver(RangeDriver())
-        expr = _chain(count=64)
-        stream = engine.stream(expr, optimize=False)
-        next(stream)
-        stream.close()
-        assert engine.plan_feedback.lookup(term_fingerprint(expr)) is None
-
-    def test_override_policy_runs_do_not_feed_the_ledger(self):
-        """A run under an explicit chunk-policy override reflects the
-        caller's forced knobs, not the planner's — it must not contaminate
-        the observations future planned runs are chosen from."""
-        engine = KleisliEngine()
-        engine.register_driver(RangeDriver())
-        expr = _chain(count=16)
-        forced = list(engine.stream(expr, optimize=False,
-                                    chunk_policy=ChunkPolicy(max_chunk=2)))
-        assert len(forced) == 16
-        assert engine.plan_feedback.lookup(term_fingerprint(expr)) is None
-
-    def test_structurally_similar_query_inherits_the_observation(self):
-        feedback = PlanFeedback()
-        expr = _chain(count=16)
-        feedback.probe(term_fingerprint(expr)).complete(16)
-
-        # Same shape, different literal: the multiplier constant changed.
-        sibling = B.ext("x", B.singleton(B.prim("mul", B.var("x"),
-                                                B.const(9)), "list"),
-                        _scan(count=16), kind="list")
-        assert [key for key, _state, _ts in feedback.snapshot()] == \
-            [term_fingerprint(expr)]
-        similar = feedback.lookup(term_fingerprint(sibling))
-        assert similar is not None and similar.cardinality == 16
-        assert (feedback.lookups, feedback.hits) == (1, 1)
-        assert shape_fingerprint(term_fingerprint(expr)) == \
-            shape_fingerprint(term_fingerprint(sibling))
-
-    def test_ledger_is_lru_bounded(self):
-        feedback = PlanFeedback(limit=4)
-        for count in range(10):
-            feedback.probe(term_fingerprint(_chain(count=count + 1))).complete(
-                count + 1)
-        assert len(feedback) == 4
+        for known in (False, True):
+            if known:
+                engine.statistics_registry.register_cardinality(
+                    "ranges", "t", 32)
+            before = engine.plan_for(expr)
+            assert before.is_default is not known
+            assert len(list(engine.stream(expr, optimize=False))) == 32
+            stream = engine.stream(expr, optimize=False)
+            next(stream)
+            stream.close()
+            forced = engine.stream(expr, optimize=False,
+                                   chunk_policy=ChunkPolicy(max_chunk=2))
+            assert len(list(forced)) == 32
+            assert engine.plan_for(expr) == before
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +359,10 @@ class CountingTime:
 
 class TestOneChunkPath:
     def test_a_repeat_remote_stream_keeps_one_element_per_task(self, monkeypatch):
-        """Feedback knows the loop's output rows, not its body evaluations:
-        whatever it recorded, a streamed parallel loop submits one task per
-        source element on every run, and returns the unplanned values."""
+        """A plan knows the loop's rows, not its body evaluations: a
+        streamed parallel loop submits one task per source element on every
+        run, planned from the declared latency each time, and returns the
+        unplanned values."""
         unplanned = KleisliEngine(OptimizerConfig(planning=False))
         unplanned.register_driver(FanDriver(), latency=0.002)
         expected = list(unplanned.stream(_remote_loop()))
@@ -404,15 +375,13 @@ class TestOneChunkPath:
         for run in range(3):
             del sizes[:]
             assert list(engine.stream(_remote_loop())) == expected
-            assert engine.last_plan.source == ("statistics" if run == 0
-                                               else "feedback")
+            assert engine.last_plan.source == "statistics"
             assert sizes == [1] * 64, (run, sizes)
 
     def test_an_unobserved_planned_stream_reads_no_clock(self, monkeypatch):
-        """A planned stream records its cardinality for the planner, which
-        needs no per-chunk time: with no profile and no hub the chunked
-        lowering never reads the clock.  A profile does, and still names
-        the pipeline and the batched-scan stage."""
+        """A planned stream needs no per-chunk time: with no profile and no
+        hub the chunked lowering never reads the clock.  A profile does, and
+        still names the pipeline and the batched-scan stage."""
         from repro.core.nrc import compile as compile_module
 
         engine = KleisliEngine()
@@ -428,8 +397,6 @@ class TestOneChunkPath:
         assert list(engine.stream(expr)) == expected
         assert not engine.last_plan.is_default
         assert clock.reads == 0
-        assert engine.plan_feedback.lookup(
-            term_fingerprint(engine.compile(expr))).cardinality == len(expected)
 
         assert list(engine.stream(expr, profile=True)) == expected
         assert clock.reads > 0
@@ -460,30 +427,21 @@ class TestOneChunkPath:
             chunks = list(query.chunks(Environment(), context))
             assert [len(chunk) for chunk in chunks] == sizes
 
-    def test_a_ledger_written_with_stage_costs_still_plans(self, tmp_path):
-        """An observation persisted with the old per-stage ``stages`` map
-        restores its cardinality, and the next run is planned from it."""
-        import os
-
-        from repro.core.planner import PlanStore
-
-        expr = _chain(count=16)
-        directory = os.fspath(tmp_path / "store")
-        writer = PlanStore(directory)
-        assert writer.append_feedback(term_fingerprint(expr), {
-            "cardinality": 16.0, "runs": 2,
-            "stages": {"pipeline": [16.0, 0.004, 5.0]}})
-        writer.close()
-
-        engine = KleisliEngine(plan_store=PlanStore(directory))
+    def test_a_planned_bare_stream_takes_the_bare_pump(self):
+        """A planned stream with no profile, hub, budget or token carries no
+        chunk sink, so the pump takes its bare loop and counts nothing."""
+        engine = KleisliEngine()
         engine.register_driver(RangeDriver())
-        plan = engine.plan_for(expr)
-        assert (plan.source, plan.estimated_rows) == ("feedback", 16.0)
-        assert list(engine.stream(expr, optimize=False)) == \
-            [2 * i for i in range(16)]
-        [(_key, state, _ts)] = engine.plan_feedback.snapshot()
-        assert state == {"cardinality": 16.0, "runs": 3}
-        engine.plan_store.close()
+        engine.statistics_registry.register_cardinality("ranges", "t", 16)
+        stream = engine.stream(_chain(count=16), optimize=False)
+        assert not engine.last_plan.is_default
+        assert stream.gi_code is CompiledChunkedStream._pump.__code__
+        assert stream.gi_frame.f_locals["context"].chunk_sink is None
+        assert next(stream) == 0
+        pump = stream.gi_frame.f_locals
+        assert (pump["note"], pump["token"], pump["budget"]) == \
+            (None, None, None)
+        assert list(stream) == [2 * i for i in range(1, 16)]
 
 
 # ---------------------------------------------------------------------------

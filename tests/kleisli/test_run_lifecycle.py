@@ -298,9 +298,9 @@ class _CountingPlanner:
         self.estimates = 0
         self.cardinality = self
 
-    def plan_for(self, expr, fingerprint=None):
+    def plan_for(self, expr):
         self.plans += 1
-        return self.planner.plan_for(expr, fingerprint)
+        return self.planner.plan_for(expr)
 
     def estimate(self, expr):
         self.estimates += 1

@@ -27,8 +27,7 @@ def _engine(store=None):
 
 
 def _store(path):
-    return PlanStore(os.fspath(path), stats_interval=10_000.0,
-                     compact_bytes=0)
+    return PlanStore(os.fspath(path), compact_bytes=0)
 
 
 def _missing_store(tmp_path):
@@ -94,23 +93,26 @@ def test_corrupt_store_surfaces_books_but_loads_nothing(tmp_path):
     assert books["attached"] is True
     assert books["entries_loaded"] == 0
     assert books["records_skipped_corrupt"] >= 1
-    assert len(engine.plan_feedback) == 0
+    assert engine.statistics_registry.snapshot() == \
+        _engine().statistics_registry.snapshot()
     engine.plan_store.close()
 
 
 def test_warm_store_changes_plans_only_when_it_has_knowledge(tmp_path):
-    """The converse sanity check: a store with real observations DOES
-    re-plan (source == "feedback" on the warm engine's first run) —
-    otherwise the zero-knowledge pin above would be vacuous."""
+    """The converse sanity check: a store holding a statistic the first
+    process learned DOES re-plan (source == "statistics" on the warm
+    engine's first run) — otherwise the zero-knowledge pin above would be
+    vacuous."""
     directory = tmp_path / "warm"
-    for label, expr, bindings in _shapes()[:3]:
-        first = _engine(_store(directory))
-        list(first.stream(expr, bindings, optimize=False, mode="compiled"))
-        first.flush_plan_store()
-        first.plan_store.close()
+    label, expr, bindings = _shapes()[0]
+    first = _engine(_store(directory))
+    list(first.stream(expr, bindings, optimize=False, mode="compiled"))
+    assert first.last_plan.is_default
+    first.statistics_registry.record_latency_sample("ranges", 0.08)
+    first.flush_plan_store()
+    first.plan_store.close()
 
     warm = _engine(_store(directory))
-    label, expr, bindings = _shapes()[0]
     list(warm.stream(expr, bindings, optimize=False, mode="compiled"))
-    assert warm.last_plan.source == "feedback"
+    assert warm.last_plan.source == "statistics"
     warm.plan_store.close()

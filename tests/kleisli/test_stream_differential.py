@@ -994,18 +994,21 @@ class TestOneJoinPlan:
         assert not hasattr(KleisliEngine(), "stream_optimizer")
 
         # No stopwatch sizes a chunk: the first chunk is one element, a
-        # parallel task one source element, and the ledger keeps rows only.
+        # parallel task one source element, and a plan is what the sources
+        # declare — no run-time ledger re-plans anything.
+        from repro.core import planner
         from repro.core.nrc.compile import ChunkPolicy, _ChunkRamp
-        from repro.core.planner import CostModel, PlanObservation
+        from repro.core.planner import CostModel
 
         clocked = {"adaptive_ramp", "parallel_chunk", "initial_chunk"}
         assert not clocked & set(ChunkPolicy.__slots__)
         assert not clocked & set(inspect.signature(ChunkPolicy).parameters)
         assert set(PhysicalPlan.default().describe()) == \
-            {"source", "max_chunk", "remote_max_chunk", "estimated_rows"}
+            {"source", "remote_max_chunk", "estimated_rows"}
         assert "adaptive" not in _ChunkRamp.__slots__
-        assert not hasattr(PlanObservation(), "unit_cost")
         assert not hasattr(CostModel, "parallel_chunk_for")
+        assert not hasattr(planner, "PlanFeedback")
+        assert not hasattr(KleisliEngine(), "plan_feedback")
 
     def test_registering_a_driver_builds_one_optimizer_pipeline(self, monkeypatch):
         from repro.core.optimizer import OptimizerPipeline

@@ -11,51 +11,32 @@ from repro.obs.profile import (
 )
 
 
-class RecordingProbe:
-    def __init__(self) -> None:
-        self.chunks = []
-        self.completed = None
-
-    def note_chunk(self, stage, rows, seconds):
-        self.chunks.append((stage, rows, seconds))
-
-    def complete(self, cardinality=None):
-        self.completed = cardinality
-
-
 class TestStageCollector:
-    def test_accumulates_per_stage_and_cardinality(self):
+    def test_accumulates_per_stage(self):
         collector = StageCollector()
         collector.note_chunk("pipeline", 10, 0.5)
         collector.note_chunk("pipeline", 5, 0.25)
         collector.note_chunk("scan:GDB", 15, 1.0)
-        collector.complete(15.0)
         assert collector.stages() == {
             "pipeline": {"rows": 15, "seconds": 0.75, "chunks": 2},
             "scan:GDB": {"rows": 15, "seconds": 1.0, "chunks": 1},
         }
-        assert collector.cardinality == 15.0
 
 
 class TestProbeTee:
-    def test_inner_probe_sees_only_the_cardinality(self):
-        """Per-chunk timings are the profile's; the feedback probe inside
-        the tee takes the drained run's cardinality and nothing else."""
-        inner, sink = RecordingProbe(), StageCollector()
-        tee = ProbeTee(inner, sink)
+    def test_every_sink_sees_every_chunk(self):
+        """The tee is a fan-out of ``note_chunk`` and nothing else: a
+        drained run reports no cardinality to anyone."""
+        first, second = StageCollector(), StageCollector()
+        tee = ProbeTee(first, second)
         tee.note_chunk("pipeline", 8, 0.125)
-        tee.complete(8.0)
-        assert inner.chunks == []
-        assert inner.completed == 8.0
-        assert sink.cardinality == 8.0
-        assert sink.stages()["pipeline"]["rows"] == 8
-
-    def test_none_inner_is_tolerated(self):
-        sink = StageCollector()
-        tee = ProbeTee(None, sink)
-        tee.note_chunk("pipeline", 3, 0.0)
-        tee.complete()
-        assert sink.stages()["pipeline"]["rows"] == 3
+        tee.note_chunk("scan:GDB", 3, 0.0)
+        assert first.stages() == second.stages() == {
+            "pipeline": {"rows": 8, "seconds": 0.125, "chunks": 1},
+            "scan:GDB": {"rows": 3, "seconds": 0.0, "chunks": 1},
+        }
+        assert not hasattr(tee, "complete")
+        assert not hasattr(first, "complete")
 
 
 class TestDriverSpanFold:
@@ -89,7 +70,7 @@ class TestQueryProfile:
     def _profile(self, **overrides):
         kwargs = dict(
             mode="compiled",
-            plan={"source": "statistics", "max_chunk": 256,
+            plan={"source": "statistics", "remote_max_chunk": 256,
                   "estimated_rows": 50.0},
             estimated_rows=40.0,
             actual_rows=50.0,

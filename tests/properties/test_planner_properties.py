@@ -8,10 +8,9 @@ Three contracts the planner subsystem rests on:
 * **Totality** — the estimator returns a finite non-negative number for
   every expression shape it can meet (unknown nodes fall back to the
   registry default, they never raise);
-* **Graceful degradation** — with zero statistics and no feedback the
-  chooser returns exactly the historical default knobs, whatever the query
-  looks like (the bit-for-bit contract the differential harness pins at
-  the engine level).
+* **Graceful degradation** — with zero statistics the chooser returns
+  exactly the historical default knobs, whatever the query looks like (the
+  bit-for-bit contract the differential harness pins at the engine level).
 """
 
 import math
@@ -117,9 +116,9 @@ def test_stacked_filters_keep_shrinking(expr):
 @settings(max_examples=80, deadline=None)
 @given(expr=_collection_exprs())
 def test_chooser_degrades_to_default_knobs_with_zero_statistics(expr):
-    """With an empty registry and no feedback, every plan is exactly the
-    historical default knob set — the planner only ever adds knowledge."""
-    planner = QueryPlanner(SourceStatisticsRegistry(), parallel_max_workers=5)
+    """With an empty registry, every plan is exactly the historical default
+    knob set — the planner only ever adds knowledge."""
+    planner = QueryPlanner(SourceStatisticsRegistry())
     plan = planner.plan_for(expr)
     assert plan == PhysicalPlan.default()
     assert plan.is_default

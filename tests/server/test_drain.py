@@ -29,8 +29,7 @@ QUERY = "{x | \\x <- Faulty(40)}"
 
 def _server(tmp_path=None, drain_timeout=5.0, latency=None):
     engine = KleisliEngine(
-        plan_store=PlanStore(os.fspath(tmp_path / "plans"),
-                             stats_interval=10_000.0, compact_bytes=0)
+        plan_store=PlanStore(os.fspath(tmp_path / "plans"), compact_bytes=0)
         if tmp_path is not None else None)
     engine.register_driver(
         FaultInjectingDriver(total=1000, latency=latency))
@@ -159,11 +158,11 @@ def test_stop_flushes_plan_store_for_warm_restart(tmp_path):
     assert books["records_appended"] >= 1
     server.engine.plan_store.close()
 
-    # A fresh engine on the same store warm-starts from this server's runs.
-    warm = KleisliEngine(plan_store=PlanStore(
-        os.fspath(tmp_path / "plans"), stats_interval=10_000.0))
+    # A fresh engine on the same store warm-starts from this server's
+    # statistics.
+    warm = KleisliEngine(plan_store=PlanStore(os.fspath(tmp_path / "plans")))
     assert warm.health()["persistence"]["entries_loaded"] >= 1
-    assert len(warm.plan_feedback) >= 1
+    assert warm.statistics_registry.cardinality("Faulty", "t") == 1000
     warm.plan_store.close()
 
 

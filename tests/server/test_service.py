@@ -448,8 +448,9 @@ class TestStats:
         assert reply["server"]["queries"] >= 1
         assert reply["admission"]["policy"] == "queue"
         health = reply["engine"]
-        assert {"compile_cache", "subquery_cache", "plan_feedback",
+        assert {"compile_cache", "subquery_cache",
                 "drivers", "live_scopes"} <= set(health)
+        assert "plan_feedback" not in health
         assert health["compile_cache"]["misses"] >= 1
 
     def test_fault_recovery_is_visible_in_failures_counter(self):
