@@ -1,7 +1,8 @@
-"""E11 — cost-based planner vs fixed physical knobs.
+"""E11 — the planner vs fixed physical knobs.
 
 The planner replaces the hand-set remote batch cap with a per-query
-cost-model choice; this benchmark measures it against the fixed-knob
+choice — the smallest candidate cap that holds a slow source's requests;
+this benchmark measures it against the fixed-knob
 ablation (``OptimizerConfig(planning=False)`` — exactly the pre-planner
 engine) on the workload it targets:
 

@@ -46,6 +46,18 @@ speculative or real, is a lookup.  The key includes whether ``_angle_depth``
 is non-zero: in a variant payload ``>`` closes the variant instead of
 comparing, and every change of the depth is undone on the way out, error or
 not, so it depends on where the parser is and never on what it tried before.
+
+Every later walk over the tree — type checking, desugaring, expansion —
+recurses once per level, so the parser bounds the height of the tree it
+builds, where the tree first enters: past :data:`MAX_DEPTH` it raises
+:class:`CPLSyntaxError` at the token that went too deep.  ``_depth`` counts
+the levels open on the parser's own stack (an expression, a ``not`` or a
+unary minus); ``_high`` is the tallest level the tree reaches.  A loop that
+stacks nodes without recursing — a left-associative operator chain, a
+postfix chain, the qualifiers of a comprehension, the clauses of a
+function — measures its own operands (it starts ``_high`` at ``_depth``)
+and adds one level per step, so ``1 + 1 + ... + 1`` is as deep as it is
+long.  A failed speculation restores both counters with the position.
 """
 
 from __future__ import annotations
@@ -56,7 +68,12 @@ from ..errors import CPLSyntaxError
 from . import ast as S
 from .lexer import Token, tokenize
 
-__all__ = ["parse", "parse_expression", "Parser"]
+__all__ = ["MAX_DEPTH", "parse", "parse_expression", "Parser"]
+
+#: The tallest tree the parser builds: the type checker spends two frames
+#: of the interpreter's recursion limit (1000) per level, and the caller's
+#: stack needs the rest.
+MAX_DEPTH = 400
 
 _COMPARISON_OPS = {"=": "=", "<>": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ADDITIVE_OPS = {"+": "+", "-": "-", "^": "^"}
@@ -106,7 +123,12 @@ class Parser:
         self._angle_depth = 0
         #: (position, in a variant payload?) -> (pattern, end)
         #: | ((message, line, column), None)
-        self._patterns: Dict[Tuple[int, bool], Tuple[object, Optional[int]]] = {}
+        #: | ((message, line, column), None), plus the pattern's height.
+        self._patterns: Dict[Tuple[int, bool],
+                             Tuple[object, Optional[int], int]] = {}
+        #: Levels open on the parser's stack, and the tallest level reached.
+        self._depth = 0
+        self._high = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -166,6 +188,20 @@ class Parser:
         token = self._peek()
         return CPLSyntaxError(message, token.line, token.column)
 
+    def _rise(self, level: int) -> None:
+        """The tree reaches ``level`` here."""
+        if level > self._high:
+            if level > MAX_DEPTH:
+                raise self._error(
+                    f"expression nests more than {MAX_DEPTH} levels deep")
+            self._high = level
+
+    def _open(self) -> None:
+        """One more level of the tree is open on the parser's stack."""
+        self._depth += 1
+        if self._depth > self._high:
+            self._rise(self._depth)
+
     # -- program / statements --------------------------------------------------
 
     def parse_program(self) -> S.Program:
@@ -192,16 +228,20 @@ class Parser:
 
     def parse_expr(self, allow_bar: bool) -> S.SExpr:
         token = self._peek()
+        self._open()
         if self._is_lambda_start():
-            return self._parse_lambda(allow_bar)
-        if self._accept_keyword("if"):
+            expr = self._parse_lambda(allow_bar)
+        elif self._accept_keyword("if"):
             cond = self.parse_expr(allow_bar)
             self._expect("KEYWORD", "then")
             then_branch = self.parse_expr(allow_bar)
             self._expect("KEYWORD", "else")
             else_branch = self.parse_expr(allow_bar)
-            return S.SIf(cond, then_branch, else_branch).at(token.line, token.column)
-        return self._parse_or(allow_bar)
+            expr = S.SIf(cond, then_branch, else_branch).at(token.line, token.column)
+        else:
+            expr = self._parse_or(allow_bar)
+        self._depth -= 1
+        return expr
 
     def _is_lambda_start(self) -> bool:
         """Does a ``pattern => ...`` clause begin here?
@@ -215,18 +255,19 @@ class Parser:
         if token.kind not in _LITERAL_TOKENS \
                 and (token.kind, token.value) not in _PATTERN_OPENERS:
             return False
-        saved = self.position
+        saved = self.position, self._depth, self._high
         try:
             self.parse_pattern()
             return self._check_symbol("=>")
         except CPLSyntaxError:
             return False
         finally:
-            self.position = saved
+            self.position, self._depth, self._high = saved
 
     def _parse_lambda(self, allow_bar: bool) -> S.SExpr:
         token = self._peek()
         clauses: List[S.LambdaClause] = []
+        high, self._high = self._high, self._depth
         while True:
             pattern = self.parse_pattern()
             self._expect("SYMBOL", "=>")
@@ -235,28 +276,37 @@ class Parser:
             # After '|', another ``pattern => ...`` clause (multi-clause define)?
             if allow_bar and self._accept_symbol("|"):
                 if self._is_lambda_start():
+                    self._rise(self._high + 1)     # a clause falls through
                     continue
                 self.position -= 1
             break
+        self._high = max(high, self._high)
         return S.SLambda(clauses).at(token.line, token.column)
 
     def _parse_or(self, allow_bar: bool) -> S.SExpr:
+        high, self._high = self._high, self._depth
         left = self._parse_and(allow_bar)
         while self._accept_keyword("or"):
-            right = self._parse_and(allow_bar)
-            left = S.SBinOp("or", left, right)
+            left = S.SBinOp("or", left, self._parse_and(allow_bar))
+            self._rise(self._high + 1)
+        self._high = max(high, self._high)
         return left
 
     def _parse_and(self, allow_bar: bool) -> S.SExpr:
+        high, self._high = self._high, self._depth
         left = self._parse_not(allow_bar)
         while self._accept_keyword("and"):
-            right = self._parse_not(allow_bar)
-            left = S.SBinOp("and", left, right)
+            left = S.SBinOp("and", left, self._parse_not(allow_bar))
+            self._rise(self._high + 1)
+        self._high = max(high, self._high)
         return left
 
     def _parse_not(self, allow_bar: bool) -> S.SExpr:
         if self._accept_keyword("not"):
-            return S.SUnaryOp("not", self._parse_not(allow_bar))
+            self._open()
+            operand = self._parse_not(allow_bar)
+            self._depth -= 1
+            return S.SUnaryOp("not", operand)
         return self._parse_comparison(allow_bar)
 
     def _parse_comparison(self, allow_bar: bool) -> S.SExpr:
@@ -271,35 +321,41 @@ class Parser:
         return left
 
     def _parse_additive(self, allow_bar: bool) -> S.SExpr:
+        high, self._high = self._high, self._depth
         left = self._parse_multiplicative(allow_bar)
-        while True:
+        token = self._peek()
+        while token.kind == "SYMBOL" and token.value in _ADDITIVE_OPS:
+            self._advance()
+            left = S.SBinOp(token.value, left, self._parse_multiplicative(allow_bar))
+            self._rise(self._high + 1)
             token = self._peek()
-            if token.kind == "SYMBOL" and token.value in _ADDITIVE_OPS:
-                self._advance()
-                right = self._parse_multiplicative(allow_bar)
-                left = S.SBinOp(token.value, left, right)
-            else:
-                return left
+        self._high = max(high, self._high)
+        return left
 
     def _parse_multiplicative(self, allow_bar: bool) -> S.SExpr:
+        high, self._high = self._high, self._depth
         left = self._parse_unary(allow_bar)
-        while True:
+        token = self._peek()
+        while token.kind == "SYMBOL" and token.value in _MULTIPLICATIVE_OPS:
+            self._advance()
+            left = S.SBinOp(token.value, left, self._parse_unary(allow_bar))
+            self._rise(self._high + 1)
             token = self._peek()
-            if token.kind == "SYMBOL" and token.value in _MULTIPLICATIVE_OPS:
-                self._advance()
-                right = self._parse_unary(allow_bar)
-                left = S.SBinOp(token.value, left, right)
-            else:
-                return left
+        self._high = max(high, self._high)
+        return left
 
     def _parse_unary(self, allow_bar: bool) -> S.SExpr:
-        if self._accept_symbol("-"):
-            return S.SUnaryOp("-", self._parse_unary(allow_bar))
-        if self._accept_symbol("!"):
-            return S.SUnaryOp("!", self._parse_unary(allow_bar))
+        token = self._peek()
+        if token.kind == "SYMBOL" and token.value in ("-", "!"):
+            self._advance()
+            self._open()
+            operand = self._parse_unary(allow_bar)
+            self._depth -= 1
+            return S.SUnaryOp(token.value, operand)
         return self._parse_postfix(allow_bar)
 
     def _parse_postfix(self, allow_bar: bool) -> S.SExpr:
+        high, self._high = self._high, self._depth
         expr = self._parse_primary(allow_bar)
         while True:
             if self._check_symbol(".") and self._peek(1).kind == "IDENT":
@@ -316,7 +372,10 @@ class Parser:
                 self._expect("SYMBOL", ")")
                 expr = S.SApp(expr, args)
             else:
-                return expr
+                break
+            self._rise(self._high + 1)
+        self._high = max(high, self._high)
+        return expr
 
     def _parse_primary(self, allow_bar: bool) -> S.SExpr:
         token = self._peek()
@@ -391,29 +450,34 @@ class Parser:
         if self._accept_symbol(closer):
             return S.SCollection(kind, []).at(token.line, token.column)
 
+        high, self._high = self._high, self._depth
         head = self.parse_expr(allow_bar=False)
 
         if self._accept_symbol("|"):
             # ``{e |}`` (no qualifiers) is allowed and means the singleton {e}.
             qualifiers = [] if self._check_symbol(closer) else self._parse_qualifiers(closer)
             self._expect("SYMBOL", closer)
+            self._high = max(high, self._high)
             return S.SComprehension(kind, head, qualifiers).at(token.line, token.column)
 
         elements = [head]
         while self._accept_symbol(","):
             elements.append(self.parse_expr(allow_bar=False))
         self._expect("SYMBOL", closer)
+        self._high = max(high, self._high)
         return S.SCollection(kind, elements).at(token.line, token.column)
 
     def _parse_qualifiers(self, closer: str) -> List[S.Qualifier]:
+        # Each qualifier nests the rest of the comprehension inside it.
         qualifiers: List[S.Qualifier] = [self._parse_qualifier()]
         while self._accept_symbol(","):
             qualifiers.append(self._parse_qualifier())
+            self._rise(self._high + 1)
         return qualifiers
 
     def _parse_qualifier(self) -> S.Qualifier:
         token = self._peek()
-        saved = self.position
+        saved = self.position, self._depth, self._high
         try:
             pattern = self.parse_pattern()
             if self._accept_symbol("<-"):
@@ -421,7 +485,7 @@ class Parser:
                 return S.Generator(pattern, source).at(token.line, token.column)
         except CPLSyntaxError:
             pass
-        self.position = saved
+        self.position, self._depth, self._high = saved
         condition = self.parse_expr(allow_bar=False)
         if self._accept_symbol("<-"):
             # e.g. ``x <- p.authors`` with a bound variable, or a projection on
@@ -437,20 +501,24 @@ class Parser:
         key = (self.position, self._angle_depth > 0)
         outcome = self._patterns.get(key)
         if outcome is None:
+            depth, high = self._depth, self._high
+            self._high = depth
             try:
-                outcome = (self._parse_pattern(), self.position)
+                outcome = (self._parse_pattern(), self.position, self._high - depth)
             except CPLSyntaxError as error:
                 # What the error says, not the error: a kept exception keeps
                 # its traceback, whose frames hold this parser — a cycle
                 # that pins the locals of every caller up the stack (a
                 # session's bound tables, a finished pipeline) until the
                 # cyclic collector happens to run.
-                outcome = ((error.message, error.line, error.column), None)
+                outcome = ((error.message, error.line, error.column), None, 0)
+            self._depth, self._high = depth, high
             self._patterns[key] = outcome
-        result, end = outcome
+        result, end, height = outcome
         if end is None:
             raise CPLSyntaxError(*result)
         self.position = end
+        self._rise(self._depth + height)
         return result
 
     def _parse_pattern(self) -> S.Pattern:
@@ -513,14 +581,14 @@ class Parser:
     def _parse_sub_pattern(self, closers: Tuple[str, ...], in_variant: bool) -> S.Pattern:
         """A record field or variant payload inside a pattern: a sub-pattern
         when one of ``closers`` follows it, else an equality expression."""
-        saved = self.position
+        saved = self.position, self._high
         try:
             pattern = self.parse_pattern()
             if any(map(self._check_symbol, closers)):
                 return pattern
         except CPLSyntaxError:
             pass
-        self.position = saved
+        self.position, self._high = saved
         self._angle_depth += in_variant
         try:
             return S.PExpr(self.parse_expr(allow_bar=False))

@@ -12,8 +12,10 @@ sources."  :class:`QueryPlanner` makes two kinds of choice:
   travels on a :class:`PhysicalPlan` the engine attaches to the evaluation
   context per streamed run.  It comes from registered or observed
   statistics — cardinalities, latencies — and a driver's declared batch
-  economics.  Nothing a run drained re-plans the next one, and no stopwatch
-  sets it.
+  economics, by a closed form: a slow source that ships a batch in one
+  round trip gets the smallest candidate cap that holds all its requests.
+  There is no cost model to rank candidates, nothing a run drained
+  re-plans the next one, and no stopwatch sets it.
 
 The contract the differential tests pin: with **zero statistics** (nothing
 registered, nothing observed) every choice reproduces the historical
@@ -30,7 +32,6 @@ from ..nrc import ast as A
 from ..nrc.compile import ChunkPolicy
 from ..values import iter_collection
 from .cardinality import CardinalityEstimator, collect_scans, scan_collection
-from .cost import CostModel
 
 __all__ = ["PhysicalPlan", "QueryPlanner"]
 
@@ -84,10 +85,9 @@ class QueryPlanner:
     #: Candidate remote batch caps (bounded: one batch must never buffer an
     #: unbounded slice of a slow source, however good the latency math).
     REMOTE_CHUNK_CANDIDATES = (32, 64, 128, 256)
-    #: Candidate-walk tie-breaker of the remote-cap chooser: take the
-    #: SMALLEST candidate whose modeled cost is within this factor of the
-    #: cheapest — savings justify buffering, buffering alone justifies nothing.
-    REPLAN_SLACK = 1.05
+    #: Driver round-trip latency (seconds) from which round trips dominate
+    #: a batched scan, so the batch cap is sized to the requests.
+    BATCH_LATENCY_THRESHOLD = 0.005
     #: Sources with fewer estimated elements than this gain nothing from a
     #: parallel loop (the pool costs more than the overlap).
     MIN_PARALLEL_SOURCE = 2
@@ -100,7 +100,6 @@ class QueryPlanner:
         self.batches_natively = batches_natively or (lambda driver: False)
         self.concurrency_of = concurrency_of or (lambda driver: None)
         self.cardinality = CardinalityEstimator(statistics)
-        self.cost = CostModel(statistics)
 
     # -- knowledge tests -----------------------------------------------------
 
@@ -195,20 +194,17 @@ class QueryPlanner:
         With no statistics about the sources it scans the historical
         defaults come back unchanged (``plan.is_default``); otherwise the
         row estimate is the structural one over the registry's numbers, and
-        the remote cap is a cost-model choice (see the notes inline).
+        the remote cap is sized to the requests (see the notes inline).
         """
         scans = collect_scans(expr)
         if not self._has_source_statistics(scans):
             return PhysicalPlan.default()
 
         rows = self.cardinality.estimate(expr)
-        latency = 0.0
         batching_drivers = set()
         available = getattr(self.statistics, "is_available", None)
         for driver, _collection in scans:
-            driver_latency = self.cost.driver_latency(driver)
-            latency = max(latency, driver_latency)
-            if (driver_latency >= self.cost.BATCH_LATENCY_THRESHOLD
+            if (self.statistics.latency(driver) >= self.BATCH_LATENCY_THRESHOLD
                     and self.batches_natively(driver)
                     # A tripped breaker (registry availability) vetoes the
                     # batching-aggressive cap: routing bigger batches at a
@@ -219,10 +215,10 @@ class QueryPlanner:
 
         # Remote batch cap: when the slow driver ships a batch in ONE wire
         # round-trip, round-trip count dominates — take the SMALLEST
-        # candidate whose modeled fetch cost sits within REPLAN_SLACK of
-        # the cheapest (a fetch whose requests already fit a small batch
-        # keeps the small, buffering-friendly cap; a big one earns the big
-        # cap).  The request count is the batching stage's SOURCE estimate
+        # candidate that holds every request in one batch, else the largest
+        # (a fetch whose requests fit a small batch keeps the small,
+        # buffering-friendly cap; a big one earns the big cap).  The
+        # request count is the batching stage's SOURCE estimate
         # (_batched_scan_requests) — the output estimate would undersize
         # the cap for selective queries.  A default-looping driver keeps
         # the bounded default: bigger batches would be the same round-trips.
@@ -233,12 +229,10 @@ class QueryPlanner:
                 # No Ext-over-Scan batching site: the cap would govern only
                 # plain scan-cursor chunking, where batching never fires.
                 requests = rows
-            costs = {size: self.cost.batched_scan_cost(requests, size, latency)
-                     for size in self.REMOTE_CHUNK_CANDIDATES}
-            floor = min(costs.values())
-            remote_max_chunk = min(
-                size for size, cost in costs.items()
-                if cost <= floor * self.REPLAN_SLACK)
+            remote_max_chunk = next(
+                (size for size in self.REMOTE_CHUNK_CANDIDATES
+                 if size >= max(requests, 1.0)),
+                self.REMOTE_CHUNK_CANDIDATES[-1])
 
         return PhysicalPlan(remote_max_chunk=remote_max_chunk,
                             source="statistics", estimated_rows=rows)

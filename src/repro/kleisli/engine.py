@@ -414,36 +414,31 @@ class KleisliEngine:
     # -- plan-store wiring -----------------------------------------------------
 
     def attach_plan_store(self, store: PlanStore) -> None:
-        """Attach a persistence store: warm-start now, journal after.
+        """Attach a persistence store: warm-start now, write after.
 
         Fills the statistics registry's gaps from whatever the store
-        recovered (what this process already knows wins), then journals
-        the registry each time its ``epoch`` moves — a registered
-        statistic, an observed latency crossing the remote threshold — so
-        a process killed without a flush still leaves its promotions
-        behind.  Loading never raises on corrupt storage — the
+        recovered (what this process already knows wins), then merges the
+        registry into the store's snapshot each time its ``epoch`` moves —
+        a registered statistic, an observed latency crossing the remote
+        threshold — so a process killed without a flush still leaves its
+        promotions behind.  Loading never raises on corrupt storage — the
         zero-knowledge contract: an engine attached to a
         missing/empty/corrupt store plans exactly like a storeless one.
         """
         registry = self.statistics_registry
         self.plan_store = store
-        store.state_provider = registry.snapshot
         registry.restore(store.load())
-        registry.on_epoch = lambda: store.append_statistics(registry.snapshot())
+        registry.on_epoch = lambda: store.write(registry.snapshot())
 
-    def flush_plan_store(self, compact: bool = False) -> None:
-        """Durably flush (optionally compact) the attached store, if any.
+    def flush_plan_store(self) -> None:
+        """Write the registry to the attached store, if any.
 
         The shutdown/drain hook: the server calls this at the end of a
-        graceful stop; between flushes the store is written each time the
+        graceful stop.  Between flushes the store is written each time the
         statistics registry's ``epoch`` moves.  A storeless engine no-ops.
         """
-        store = self.plan_store
-        if store is None:
-            return
-        if compact:
-            store.compact()
-        store.flush()
+        if self.plan_store is not None:
+            self.plan_store.write(self.statistics_registry.snapshot())
 
     # -- driver registration ---------------------------------------------------------
 
@@ -500,7 +495,7 @@ class KleisliEngine:
         What makes raising the remote batch cap pay for the planner: a
         default-looping driver performs the same round-trips however the
         requests are batched, so only a native single-round-trip batch
-        changes the cost model.
+        earns a bigger cap.
         """
         driver = self.drivers.get(name)
         return (driver is not None

@@ -10,9 +10,13 @@ as a killed process's descriptors would.  Because the cut is by byte, not
 by record, the surviving file ends in a torn frame: exactly what a power
 cut mid-``write`` leaves on disk.
 
+With ``kill=True`` the crash raises :class:`Killed` instead of
+``OSError``: the process died, so nothing in it may clean up after the
+write (a ``BaseException``, which no ``except OSError`` catches).
+
 ``fail_writes_from`` instead makes whole write calls fail (with the bytes
 *not* written) from the Nth write onward — the full-disk model, which must
-degrade to a disabled writer, never an exception escaping into query
+degrade to a failed, counted write, never an exception escaping into query
 execution.
 """
 
@@ -21,7 +25,11 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-__all__ = ["FaultInjectingOpener"]
+__all__ = ["FaultInjectingOpener", "Killed"]
+
+
+class Killed(BaseException):
+    """The writing process died mid-write."""
 
 
 class FaultInjectingOpener:
@@ -42,9 +50,10 @@ class FaultInjectingOpener:
     """
 
     def __init__(self, crash_after_bytes: Optional[int] = None,
-                 fail_writes_from: Optional[int] = None):
+                 fail_writes_from: Optional[int] = None, kill: bool = False):
         self.crash_after_bytes = crash_after_bytes
         self.fail_writes_from = fail_writes_from
+        self.kill = kill
         self.bytes_written = 0
         self.writes = 0
         self.faults = 0
@@ -101,7 +110,8 @@ class _FaultyWriteHandle:
             self._handle.write(allowed)
             self._handle.flush()
         if len(allowed) < len(data):
-            raise OSError("injected: crash mid-write")
+            raise (Killed if self._opener.kill else OSError)(
+                "injected: crash mid-write")
         return len(allowed)
 
     def flush(self) -> None:

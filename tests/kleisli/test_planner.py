@@ -1,10 +1,11 @@
-"""The cost-based planner: chooser, satellites.
+"""The planner: chooser, satellites.
 
 Covers the knob chooser's two contracts (zero knowledge => the historical
-defaults, bit-for-bit; knowledge => cost-model choices), that nothing a run
-drained re-plans the next one, the one chunk ramp (no clock sizes a chunk,
-one task per element in a streamed parallel loop), the ChunkPolicy
-validation regression, and the statistics registry's concurrency guarantee.
+defaults, bit-for-bit; knowledge => choices from the statistics), that
+nothing a run drained re-plans the next one, the one chunk ramp (no clock
+sizes a chunk, one task per element in a streamed parallel loop), the
+ChunkPolicy validation regression, and the statistics registry's
+concurrency guarantee.
 """
 
 import threading
@@ -101,14 +102,16 @@ class TestChunkPolicyValidation:
         always one element, a parallel task always one source element, and
         no stopwatch switch exists.  A plan sets only the remote maximum
         (the local one is the caller's ``ChunkPolicy(max_chunk=...)``), and
-        a store keeps statistics without decay or a write interval."""
+        a store keeps statistics in one snapshot, without decay, a write
+        interval, compaction, a durability mode or a settable age."""
         with pytest.raises(TypeError):
             ChunkPolicy(**{knob: 1})
         with pytest.raises(TypeError):
             PhysicalPlan(**{knob: 1})
         with pytest.raises(TypeError):
             PhysicalPlan(max_chunk=4096)
-        for removed in ("half_life", "stats_interval"):
+        for removed in ("half_life", "stats_interval", "compact_bytes",
+                        "durability", "max_age"):
             with pytest.raises(TypeError):
                 PlanStore("never-created", **{removed: 1.0})
 

@@ -27,7 +27,7 @@ def _engine(store=None):
 
 
 def _store(path):
-    return PlanStore(os.fspath(path), compact_bytes=0)
+    return PlanStore(os.fspath(path))
 
 
 def _missing_store(tmp_path):
@@ -84,7 +84,6 @@ def test_every_store_condition_plans_bit_for_bit_default(label, expr, bindings,
         assert engine.last_plan == baseline_plan, tag
         assert engine.last_plan == PhysicalPlan.default(), tag
         assert engine.last_plan.is_default, tag
-        store.close()
 
 
 def test_corrupt_store_surfaces_books_but_loads_nothing(tmp_path):
@@ -95,7 +94,6 @@ def test_corrupt_store_surfaces_books_but_loads_nothing(tmp_path):
     assert books["records_skipped_corrupt"] >= 1
     assert engine.statistics_registry.snapshot() == \
         _engine().statistics_registry.snapshot()
-    engine.plan_store.close()
 
 
 def test_warm_store_changes_plans_only_when_it_has_knowledge(tmp_path):
@@ -110,9 +108,7 @@ def test_warm_store_changes_plans_only_when_it_has_knowledge(tmp_path):
     assert first.last_plan.is_default
     first.statistics_registry.record_latency_sample("ranges", 0.08)
     first.flush_plan_store()
-    first.plan_store.close()
 
     warm = _engine(_store(directory))
     list(warm.stream(expr, bindings, optimize=False, mode="compiled"))
     assert warm.last_plan.source == "statistics"
-    warm.plan_store.close()

@@ -998,7 +998,6 @@ class TestOneJoinPlan:
         # declare — no run-time ledger re-plans anything.
         from repro.core import planner
         from repro.core.nrc.compile import ChunkPolicy, _ChunkRamp
-        from repro.core.planner import CostModel
 
         clocked = {"adaptive_ramp", "parallel_chunk", "initial_chunk"}
         assert not clocked & set(ChunkPolicy.__slots__)
@@ -1006,7 +1005,10 @@ class TestOneJoinPlan:
         assert set(PhysicalPlan.default().describe()) == \
             {"source", "remote_max_chunk", "estimated_rows"}
         assert "adaptive" not in _ChunkRamp.__slots__
-        assert not hasattr(CostModel, "parallel_chunk_for")
+        # The remote cap is a closed form: no cost model ranks candidates.
+        import importlib.util
+        assert importlib.util.find_spec("repro.core.planner.cost") is None
+        assert not hasattr(planner, "CostModel")
         assert not hasattr(planner, "PlanFeedback")
         assert not hasattr(KleisliEngine(), "plan_feedback")
 

@@ -1,6 +1,6 @@
 """Property tests for the planner's invariants.
 
-Three contracts the planner subsystem rests on:
+Four contracts the planner subsystem rests on:
 
 * **Filter monotonicity** — wrapping any collection expression in a filter
   never *grows* its cardinality estimate (selectivities are <= 1), so plan
@@ -10,7 +10,10 @@ Three contracts the planner subsystem rests on:
   registry default, they never raise);
 * **Graceful degradation** — with zero statistics the chooser returns
   exactly the historical default knobs, whatever the query looks like (the
-  bit-for-bit contract the differential harness pins at the engine level).
+  bit-for-bit contract the differential harness pins at the engine level);
+* **A closed-form remote cap** — the batch cap of a slow source that
+  batches in one round trip is the choice a cost walk over the candidates
+  made, for any request count and latency.
 """
 
 import math
@@ -134,3 +137,37 @@ def test_chooser_degrades_to_default_knobs_with_zero_statistics(expr):
             assert workers == 0
         else:
             assert workers is None
+
+
+# -- the remote cap is a closed form ------------------------------------------
+
+def _cost_walk(requests, latency):
+    """The remote-cap chooser as a cost model once computed it, kept as the
+    oracle: the smallest candidate whose modeled cost (one latency and a
+    dispatch per batch, a CPU cost per item) is within 5% of the cheapest."""
+    def cost(batch):
+        batches = math.ceil(max(requests, 1.0) / batch)
+        return batches * latency + requests * 2e-6 + batches * 5e-6
+
+    costs = {size: cost(size) for size in QueryPlanner.REMOTE_CHUNK_CANDIDATES}
+    floor = min(costs.values())
+    return min(size for size, each in costs.items() if each <= floor * 1.05)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(requests=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 31.5, 32.0, 64.0,
+                                           128.0, 256.0, 256.5, 1e5]),
+                          st.integers(min_value=0, max_value=10 ** 5).map(float),
+                          st.floats(min_value=0.0, max_value=1e5)),
+       latency=st.floats(min_value=0.005, max_value=10.0))
+def test_the_remote_cap_is_the_cost_walks_choice(requests, latency):
+    """A slow source that batches in one round trip gets the smallest
+    candidate holding every request, else the largest — what ranking the
+    candidates by modeled cost picked."""
+    registry = SourceStatisticsRegistry()
+    registry.register_latency("far", latency)
+    planner = QueryPlanner(registry, batches_natively=lambda driver: True)
+    planner.cardinality.estimate = lambda expr: requests
+    plan = planner.plan_for(A.Scan("far", {"table": "t"}, kind=KIND))
+    assert plan.source == "statistics"
+    assert plan.remote_max_chunk == _cost_walk(requests, latency)
