@@ -538,10 +538,12 @@ class Cached(Expr):
 
     Introduced by the caching rule set around inner subqueries that do not
     depend on the outer loop variable.  ``key`` identifies the cache entry.
-    Left out, it is derived from the subquery's content (a digest of its
-    :func:`~repro.core.nrc.compile.term_fingerprint`, under
-    :data:`CONTENT_PREFIX`), so optimising one query twice gives one term and
-    one compiled form.  Such an entry belongs to the run that computed it,
+    Left out, it is derived from the subquery's content: the ``repr`` of its
+    :func:`~repro.core.nrc.compile.term_fingerprint` under
+    :data:`CONTENT_PREFIX`, with no digest, so two subqueries share a key
+    exactly when their fingerprints print alike (nothing truncated collides
+    them), and optimising one query twice gives one term and one compiled
+    form.  Such an entry belongs to the run that computed it,
     because its value depends on that run's bindings; a key the caller chose
     names an entry every run of the engine shares.
     """
@@ -554,11 +556,8 @@ class Cached(Expr):
     def __init__(self, expr: Expr, key: Optional[str] = None):
         self.expr = expr
         if key is None:
-            import hashlib  # here, not at the top: OpenSSL is 3.5 MB of resident memory
-
             from .compile import term_fingerprint  # compile imports this module
-            digest = hashlib.sha1(repr(term_fingerprint(expr)).encode())
-            key = self.CONTENT_PREFIX + digest.hexdigest()[:20]
+            key = self.CONTENT_PREFIX + repr(term_fingerprint(expr))
         self.key = key
 
     def children(self) -> Tuple[Expr, ...]:

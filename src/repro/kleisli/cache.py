@@ -9,10 +9,12 @@ creates the cache's directory, which :meth:`SubqueryCache.clear` removes, and
 so does collecting the cache.
 
 One cache serves every run of an engine, with two lifetimes.  A key the
-caching rule derived from a subquery's content says *which* subquery, not
-which bindings and source state it ran under, so its entry is private to one
-run (:meth:`SubqueryCache.for_run`) and dropped after it.  A key the caller
-named is shared by all runs.
+caching rule derived from a subquery's content (``Cached.CONTENT_PREFIX``
+followed by the ``repr`` of the subquery's term fingerprint: no digest, so
+two subqueries share it exactly when their fingerprints print alike) says
+*which* subquery, not which bindings and source state it ran under, so its
+entry is private to one run (:meth:`SubqueryCache.for_run`) and dropped after
+it.  A key the caller named is shared by all runs.
 """
 
 from __future__ import annotations
@@ -60,14 +62,14 @@ class SubqueryCache(MutableMapping):
     def __setitem__(self, key: str, value: object) -> None:
         import pickle
 
+        # Sized outside the lock: pickling a large result must not stall
+        # every other session's lookups on the shared engine.
+        try:
+            payload = pickle.dumps(value)
+        except Exception:
+            payload = None      # unpicklable (closures etc.): stays in memory
         with self._lock:
-            try:
-                payload = pickle.dumps(value)
-            except Exception:
-                # Unpicklable values (closures etc.) stay in memory.
-                self._memory[key] = value
-                return
-            if len(payload) > self.spill_threshold_bytes:
+            if payload is not None and len(payload) > self.spill_threshold_bytes:
                 path = self._spilled.get(key) or self._spill_path()
                 with open(path, "wb") as handle:
                     handle.write(payload)
@@ -155,19 +157,25 @@ class _RunView:
 
     Content-derived keys are filed under the run's own suffix, and the
     entries go after the view does (it lives on the run's ``EvalContext``).
+    Each key's entry string is built once per run: a cached index is probed
+    once per outer row, and a probe then hashes nothing new.
     """
 
-    __slots__ = ("_cache", "_suffix", "owned", "__weakref__")
+    __slots__ = ("_cache", "_suffix", "_entries", "owned", "__weakref__")
 
     def __init__(self, cache: SubqueryCache, suffix: str):
         self._cache = cache
         self._suffix = suffix
+        self._entries: Dict[str, str] = {}
         self.owned: List[str] = []
 
     def _entry(self, key: str) -> str:
-        if key.startswith(Cached.CONTENT_PREFIX):
-            return key + self._suffix
-        return key
+        entry = self._entries.get(key)
+        if entry is None:
+            if not key.startswith(Cached.CONTENT_PREFIX):
+                return key
+            entry = self._entries[key] = key + self._suffix
+        return entry
 
     def __contains__(self, key: str) -> bool:
         return self._entry(key) in self._cache

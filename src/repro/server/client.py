@@ -30,7 +30,12 @@ class KleisliClient:
     """One client session against a :class:`~repro.server.KleisliServer`."""
 
     def __init__(self, address: Tuple[str, int], timeout: float = 30.0):
-        self._sock = socket.create_connection(address, timeout=timeout)
+        host, port = address
+        if isinstance(host, str) and host.isascii():
+            # As bytes, ``getaddrinfo`` leaves the host alone; as ``str`` it
+            # loads the IDNA codec (and ``unicodedata``) to encode it.
+            host = host.encode()
+        self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._closed = False
         #: The ``admission`` field of the last admitted request

@@ -1,12 +1,17 @@
-"""What importing the serving path loads.
+"""What importing the serving path, and serving on it, loads.
 
 A CPL top level or a CGI front end imports the program on every start, and
 the benchmark's ``setup_s`` includes that import.  It loads only what answering
 a query needs: no optional substrate (ACE, flat files, BLAST, the view
 gateway, the spill machinery) and no stdlib module that only one rare path
 uses.  Those load on first use — and still work.
+
+Serving then maps no native library a query does not use: a content-derived
+subquery-cache key is a fingerprint, not a digest (no OpenSSL), and the
+client connects to an ASCII host without the IDNA codec.
 """
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -18,7 +23,8 @@ from repro.kleisli.drivers import EntrezDriver, RelationalDriver
 from repro.server import KleisliClient, KleisliServer
 from repro.views import ViewRegistry, build_mapsearch_view
 
-SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 
 #: What ``benchmarks/e2e/run.py`` times as "import of the program".
 SERVING_PATH = ("repro.server", "repro.kleisli.session", "repro.kleisli.drivers",
@@ -41,6 +47,46 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
+#: None of these is loaded by serving a query: OpenSSL (a subquery-cache key
+#: is no digest), TLS, and the IDNA codec with what it pulls in.
+NOT_ON_THE_REQUEST_PATH = ("hashlib", "_hashlib", "_ssl", "encodings.idna",
+                           "stringprep", "unicodedata")
+
+#: One operation of each shape the end-to-end benchmark serves, through a
+#: client in the server's process, with the DOE query's two drivers declared
+#: remote (so its loops run in parallel) but sleeping nothing; prints the
+#: answer sizes, the subquery-cache hits and every module loaded by then.
+_SERVE = """
+import json, sys
+given = json.load(sys.stdin)
+from repro.bio.chromosome22 import build_chromosome22
+from repro.kleisli.drivers import EntrezDriver, RelationalDriver
+from repro.kleisli.engine import KleisliEngine
+from repro.server import KleisliClient, KleisliServer
+
+data = build_chromosome22(locus_count=30)
+engine = KleisliEngine()
+engine.register_driver(RelationalDriver.with_latency(
+    "GDB", data.gdb, latency=0.0, max_concurrent_requests=4), latency=0.002)
+engine.register_driver(EntrezDriver.with_latency(
+    "GenBank", data.genbank, latency=0.0, max_concurrent_requests=4), latency=0.002)
+
+def set_up(session):
+    for name, (rows, list_as) in given["tables"].items():
+        session.bind(name, rows, list_as=list_as)
+    for definition in given["defines"]:
+        session.run(definition)
+
+with KleisliServer(engine, session_setup=set_up) as server, \\
+        KleisliClient(server.address) as client:
+    answers = [len(client.query(text)) for text in given["queries"]]
+    reply = client.fetch(client.open(given["cursor"]), 16)
+    answers.append(len(reply["values"]))
+print(json.dumps({"answers": answers, "cached": engine.cache.hits,
+                  "modules": sorted(sys.modules)}))
+"""
+
+
 def _modules_added_by(*names):
     """The modules a fresh interpreter loads to import ``names``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -49,12 +95,49 @@ def _modules_added_by(*names):
     return set(json.loads(done.stdout))
 
 
+def _served_operations():
+    """What :data:`_SERVE` binds, defines and sends: the benchmark's own
+    tables and texts (its three local relational shapes, an ad-hoc ``member``
+    query, the DOE query, and the wide cursor over fewer rows)."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_workloads", ROOT / "benchmarks" / "e2e" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up by name
+    spec.loader.exec_module(workloads)
+    local = workloads.build("local_relational", 22)
+    adhoc = workloads.build("adhoc_cold", 22, seconds=0)
+    # The ad-hoc ``member`` template, with constants that keep rows.
+    member = ('{g.sym | \\g <- G, g.score > 0,'
+              ' member(g.id, {h.gene | \\h <- H, h.len < 4000})}')
+    wide, list_as = workloads.build("wide_stream", 22).bindings["WIDE"]
+    return {"tables": dict(local.bindings, **adhoc.bindings,
+                           WIDE=(wide[:64], list_as)),
+            "defines": [workloads.LOCI22, workloads.ASN_IDS],
+            "queries": [text for _, text in local.ops[0].parts]
+            + [member, workloads.DOE_QUERY],
+            "cursor": workloads.WIDE_QUERY}
+
+
 def test_the_serving_path_loads_no_optional_substrate():
     added = _modules_added_by(*SERVING_PATH)
     assert set(SERVING_PATH) <= added
     stray = sorted(name for name in added for banned in NOT_ON_THE_SERVING_PATH
                    if name == banned or name.startswith(banned + "."))
     assert stray == []
+
+
+def test_serving_maps_no_native_library_a_query_does_not_use():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _SERVE], env=env,
+                          input=json.dumps(_served_operations()),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    served = json.loads(done.stdout)
+    assert all(served["answers"]), served["answers"]   # every shape found rows
+    assert served["cached"] > 0     # and the subquery cache was used
+    loaded = [name for name in NOT_ON_THE_REQUEST_PATH
+              if name in served["modules"]]
+    assert not loaded, f"loaded by serving: {loaded}"
 
 
 def test_the_optional_drivers_load_on_first_use():

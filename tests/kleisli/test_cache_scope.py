@@ -7,15 +7,29 @@ still belongs to one run: it goes through the engine's ``SubqueryCache``
 it, and it is dropped once its run is over.  A key the caller named is shared.
 """
 
+import copy
 import gc
+import importlib.util
 import os
+import pathlib
+
+from hypothesis import given, settings, strategies as st
 
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import term_fingerprint
 from repro.core.values import CSet, Record
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.session import Session
+
+# The differential harness's term generator (tests are not a package).
+_spec = importlib.util.spec_from_file_location(
+    "_differential_terms",
+    pathlib.Path(__file__).resolve().parents[1] / "nrc" / "test_compile_differential.py")
+_differential = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_differential)
+nrc_terms = _differential.nrc_terms
 
 
 class TableDriver(Driver):
@@ -51,6 +65,23 @@ def test_content_keys_are_stable_and_namespaced():
     other = A.Cached(A.Scan("T", {"table": "u"}, kind="set"))
     assert other.key != first.key
     assert A.Cached(first.expr, key="mine").key == "mine"
+
+
+def test_a_content_key_is_the_fingerprint_itself():
+    """No digest: the key spells the fingerprint out, and binders renamed
+    (the names the desugarer mints differ per parse) change neither."""
+    scan = A.Scan("T", {"table": "t"}, kind="set")
+    assert A.Cached(scan).key == A.Cached.CONTENT_PREFIX + repr(term_fingerprint(scan))
+    renamed = [A.Cached(B.ext(name, B.singleton(B.var(name)), scan)) for name in "xy"]
+    assert renamed[0].key == renamed[1].key
+
+
+@settings(max_examples=200, deadline=None)
+@given(nrc_terms, nrc_terms, st.booleans())
+def test_content_keys_are_equal_exactly_when_fingerprints_are(a, other, same):
+    b = copy.deepcopy(a) if same else other
+    assert (A.Cached(a).key == A.Cached(b).key) == \
+        (term_fingerprint(a) == term_fingerprint(b))
 
 
 def test_a_content_keyed_entry_lives_in_the_engine_cache_for_one_run():

@@ -117,6 +117,37 @@ class TestSubqueryCache:
         cache.clear()
         assert len(cache) == 0
 
+    def test_sizing_a_value_holds_up_no_other_lookup(self, monkeypatch):
+        """The spill-size probe (``pickle.dumps``) runs outside the lock: a
+        store stuck in it leaves every other key readable."""
+        import pickle
+
+        cache = SubqueryCache()
+        cache["other"] = CSet([1])
+        entered, release = threading.Event(), threading.Event()
+        dumps = pickle.dumps
+
+        def stuck(value, *args, **kwargs):
+            entered.set()
+            release.wait(10)
+            return dumps(value, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", stuck)
+        store = threading.Thread(target=cache.__setitem__, args=("big", CSet([2])))
+        store.start()
+        try:
+            assert entered.wait(10)
+            read = []
+            reader = threading.Thread(target=lambda: read.append(cache["other"]))
+            reader.start()
+            reader.join(2)
+            assert read == [CSet([1])]
+        finally:
+            release.set()
+            store.join(10)
+        assert not store.is_alive() and not reader.is_alive()
+        assert cache["big"] == CSet([2])
+
     def test_no_directory_until_the_first_spill(self, tmp_path, monkeypatch):
         import tempfile
 

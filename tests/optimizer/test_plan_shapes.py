@@ -336,6 +336,31 @@ def test_count_and_max_share_one_index(relational_session):
     assert (statistics.cache_misses, statistics.cache_hits) == (1, 2 * 160 - 1)
 
 
+#: Subquery-cache books of one operation: a miss builds an entry (one per
+#: distinct subquery), every later probe or membership test finds it.
+LOCAL_CACHE_PINS = [
+    ("3-way join", workloads.JOIN_QUERY, 2, 67 - 1 + 34 - 1),
+    ("correlated aggregate", workloads.AGGREGATE_QUERY, 1, 2 * 160 - 1),
+    ("semi-join", workloads.SEMIJOIN_QUERY, 1, 200 - 1),
+]
+
+
+@pytest.mark.parametrize("mode", ["compiled", "interpret"])
+@pytest.mark.parametrize("label,text,misses,hits", LOCAL_CACHE_PINS,
+                         ids=[pin[0] for pin in LOCAL_CACHE_PINS])
+def test_local_relational_cache_books_in_both_modes(mode, label, text, misses, hits):
+    session = _session_for(workloads.build("local_relational", seed=22))
+    for _ in range(2):  # a first send, then its prepared form again
+        session.query(text, mode=mode)
+        statistics = session.engine.last_eval_statistics
+        assert (statistics.cache_misses, statistics.cache_hits) == (misses, hits)
+        # The entries are this run's own (the last run's went when it
+        # started): one per distinct subquery, count and max sharing theirs.
+        entries = list(session.engine.cache)
+        assert len(entries) == misses
+        assert all(entry.startswith(A.Cached.CONTENT_PREFIX) for entry in entries)
+
+
 def _adhoc_text(workload, marker):
     return next(text for op in workload.warmup + workload.ops
                 for _, text in op.parts if marker in text)
