@@ -543,9 +543,11 @@ class Cached(Expr):
     :data:`CONTENT_PREFIX`, with no digest, so two subqueries share a key
     exactly when their fingerprints print alike (nothing truncated collides
     them), and optimising one query twice gives one term and one compiled
-    form.  Such an entry belongs to the run that computed it,
-    because its value depends on that run's bindings; a key the caller chose
-    names an entry every run of the engine shares.
+    form.  The fingerprint of a ``Cached`` node leaves such a key out (it
+    only repeats the subtree), so the keys of nested subqueries grow
+    linearly with their text.  Such an entry belongs to the run
+    that computed it, because its value depends on that run's bindings; a
+    key the caller chose names an entry every run of the engine shares.
     """
 
     __slots__ = ("expr", "key")

@@ -2380,7 +2380,7 @@ def term_fingerprint(expr: A.Expr) -> Tuple:
     needs:
 
     * **stricter** where closures bake detail in — literal *types*
-      (``True`` vs ``1``), ``Cached.key``;
+      (``True`` vs ``1``), a ``Cached.key`` the caller chose;
     * **looser** where compiled code is interchangeable — bound variables
       are de-Bruijn-indexed, so terms that differ only in the fresh binder
       names the desugarer mints share one compiled query.  Free names stay
@@ -2460,7 +2460,14 @@ def _fingerprint(expr: A.Expr, _scope: _Scope) -> Tuple:
                 _freeze_request_value(expr.request),
                 tuple((key, sub(arg)) for key, arg in expr.args.items()))
     if node_type is A.Cached:
-        return (name, expr.key, sub(expr.expr))
+        # A content-derived key spells out the fingerprint of ``expr`` (a
+        # hoisted subquery: no binder of the scope is free in it), so it adds
+        # nothing ``sub(expr.expr)`` does not say; printed here too, nested
+        # subqueries would repeat their content at every level above them.
+        key = expr.key
+        if key.startswith(A.Cached.CONTENT_PREFIX):
+            key = None
+        return (name, key, sub(expr.expr))
     # Unknown node type (no native compiler): structural equality is too
     # loose to key a compile cache (it conflates True/1 and may ignore
     # baked-in attributes), so key on object identity — always sound, at the

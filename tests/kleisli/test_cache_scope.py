@@ -84,6 +84,43 @@ def test_content_keys_are_equal_exactly_when_fingerprints_are(a, other, same):
         (term_fingerprint(a) == term_fingerprint(b))
 
 
+def _nested_members(depth):
+    """``{v0 | \\v0 <- T0, member(v0, {v1 | .. member(v1, .. {vk | \\vk <- Tk})})}``"""
+    text = f"{{v{depth} | \\v{depth} <- T{depth}}}"
+    for level in range(depth - 1, -1, -1):
+        text = f"{{v{level} | \\v{level} <- T{level}, member(v{level}, {text})}}"
+    return text
+
+
+def test_nested_subquery_keys_grow_linearly():
+    """Each level's subquery is hoisted inside the one above it; its key
+    holds the subtree once, not once more per content key below it."""
+    longest = []
+    for depth in range(2, 13):
+        for mode in ("compiled", "interpret"):
+            session = Session()
+            for level in range(depth + 1):   # T_i = {i .. 19}
+                session.bind(f"T{level}", list(range(level, 20)), list_as="set")
+            result = session.query(_nested_members(depth), mode=mode)
+            assert result.value == CSet(range(depth, 20))
+            statistics = session.engine.last_eval_statistics
+            # One entry per level, probed once per element of the loop above.
+            assert (statistics.cache_misses, statistics.cache_hits) == \
+                (depth, sum(19 - level for level in range(depth)))
+        keys = [node.key for node in _cached_nodes(result.optimized)]
+        assert len(keys) == depth
+        longest.append(max(map(len, keys)))
+    steps = [after - before for before, after in zip(longest, longest[1:])]
+    assert max(steps) - min(steps) <= 2     # the level's digits widen, nothing more
+
+
+def _cached_nodes(expr):
+    found = [expr] if isinstance(expr, A.Cached) else []
+    for child in expr.children():
+        found.extend(_cached_nodes(child))
+    return found
+
+
 def test_a_content_keyed_entry_lives_in_the_engine_cache_for_one_run():
     engine = KleisliEngine()
     driver = engine.register_driver(TableDriver([10, 20]))
