@@ -142,7 +142,7 @@ class EvalStatistics:
         #: and were evaluated eagerly inside a streaming run (compile-time
         #: names in ``CompiledChunkedStream.eager_nodes``).
         self.stream_fallbacks = 0
-        #: Always 0: benchmarks/e2e/tracing.py sums it; ROADMAP direction 3(b) removes it.
+        #: Always 0: benchmarks/e2e/tracing.py sums it; ROADMAP direction 2(b) removes it.
         self.scalar_stages = 0
         #: Engine compile-cache (LRU) accounting for this query's lowering.
         self.compile_cache_hits = 0

@@ -214,7 +214,7 @@ class _QueryRun:
         self.estimated_rows = None if plan is None else plan.estimated_rows
         spill_manager = engine._resolve_spill(spill, budget, plan)
         if hub is not None:
-            trace: Optional[QueryTrace] = hub.start_trace("query")
+            trace: Optional[QueryTrace] = hub.tracer.start("query")
         else:
             trace = QueryTrace("query") if profile else None
         self.context = engine._make_context(deadline, policy, cancellation,
@@ -263,15 +263,15 @@ class _QueryRun:
 
         The order is the point.  The **profile** first: it copies the spill
         books off the still-open manager, which the settlement two steps
-        down deletes.  Then the **outcome** for the governance ledger (and
-        the hub's counters): a typed budget rejection, else a cancellation
-        — the typed error, or any unfinished ending of a run whose token
-        was cancelled (the server's ``cancel`` op tears a cursor down
-        without draining into the error).  Then the **spill settlement**:
-        the books feed the row-width model (each spilled frame knows its
-        bytes *and* rows), the hub's spill metrics and the engine ledger,
-        and the files are deleted.  Last the **budget**: the run's child
-        closes and whatever it still holds flows back to its ancestors.
+        down deletes.  Then the **outcome** for the governance ledger: a
+        typed budget rejection, else a cancellation — the typed error, or
+        any unfinished ending of a run whose token was cancelled (the
+        server's ``cancel`` op tears a cursor down without draining into
+        the error).  Then the **spill settlement**: the books feed the
+        row-width model (each spilled frame knows its bytes *and* rows),
+        the hub's spilled-bytes histogram and the engine ledger, and the
+        files are deleted.  Last the **budget**: the run's child closes and
+        whatever it still holds flows back to its ancestors.
         """
         if self.finished:
             return
@@ -314,18 +314,17 @@ class _QueryRun:
                 outcome = "cancellations"
             if outcome is not None:
                 engine.governor.count(outcome)
-                if hub is not None:
-                    hub.note_governance(outcome)
         finally:
             # What the run holds goes back even if the bookkeeping above
             # fails: pool capacity and disk outlive no run.
             if spill_manager is not None:
                 books = spill_manager.books
                 rows = books.get("rows_spilled", 0)
+                nbytes = books.get("bytes_spilled", 0)
                 if rows:
-                    engine.row_width.observe(books.get("bytes_spilled", 0), rows)
-                if hub is not None:
-                    hub.record_spill_books(books)
+                    engine.row_width.observe(nbytes, rows)
+                if nbytes and hub is not None:
+                    hub.spilled_bytes.observe(nbytes)
                 engine.governor.merge(books)
                 spill_manager.close()
             if context.memory_budget is not None:
@@ -368,7 +367,6 @@ class KleisliEngine:
         self.resilience = ResilienceLayer()
         self.resilience.gates = self.driver_gates
         self.resilience.on_breaker_event = self._note_breaker_event
-        self.resilience.on_retry = self._note_retry_event
         #: The governance ledger (cancellations, spills, budget rejections,
         #: watchdog kills) plus the optional engine-wide memory pool that
         #: per-query budgets parent into.  With no ``memory_pool_limit`` and
@@ -563,13 +561,7 @@ class KleisliEngine:
             driver_name, state == CircuitBreaker.CLOSED)
         hub = self.observability
         if hub is not None:
-            hub.note_breaker(driver_name, state)
-
-    def _note_retry_event(self, driver_name: str, attempt: int) -> None:
-        """Resilience retry hook: feed the hub's retry counter, if attached."""
-        hub = self.observability
-        if hub is not None:
-            hub.note_retry(driver_name, attempt)
+            hub.breaker_transitions.inc()
 
     # -- observability wiring ---------------------------------------------------
 
@@ -643,13 +635,12 @@ class KleisliEngine:
             result = driver.execute(request)
         except Exception:
             if hub is not None:
-                hub.observe_request(driver_name,
-                                    time.perf_counter() - started, failed=True)
+                hub.observe_request(time.perf_counter() - started, failed=True)
             raise
         elapsed = time.perf_counter() - started
         self.statistics_registry.record_latency_sample(driver_name, elapsed)
         if hub is not None:
-            hub.observe_request(driver_name, elapsed)
+            hub.observe_request(elapsed)
         return result
 
     def driver_executor_batch(self, driver_name: str,

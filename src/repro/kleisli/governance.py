@@ -42,6 +42,7 @@ import threading
 from typing import Dict, Optional
 
 from ..core.errors import MemoryBudgetExceededError, QueryCancelledError
+from ..obs.metrics import Books
 
 __all__ = [
     "CancellationToken",
@@ -223,13 +224,13 @@ class MemoryBudget:
                 f"limit={cap})")
 
 
-class QueryGovernor:
+class QueryGovernor(Books):
     """The engine's governance ledger plus the optional engine-wide pool.
 
     One instance per :class:`~repro.kleisli.engine.KleisliEngine`.  Book
     increments come from everywhere governance acts — the engine's run
-    finalizer (cancellations), the spill manager (spills, bytes_spilled),
-    budget rejections, the server watchdog (watchdog_kills) — and are
+    finalizer (cancellations, budget rejections, and each spill manager's
+    books, merged in), the server watchdog (watchdog_kills) — and are
     surfaced as the ``governance`` section of ``engine.health()`` and the
     server ``stats`` op, so the differential/soak suites can assert the
     books balance.
@@ -238,31 +239,18 @@ class QueryGovernor:
     BOOK_KEYS = ("cancellations", "spills", "bytes_spilled", "rows_spilled",
                  "budget_rejections", "watchdog_kills")
 
-    __slots__ = ("_lock", "_books", "pool")
+    __slots__ = ("pool",)
 
     def __init__(self, pool_limit: Optional[int] = None):
-        self._lock = threading.Lock()
-        self._books: Dict[str, int] = {key: 0 for key in self.BOOK_KEYS}
+        super().__init__(self.BOOK_KEYS)
         #: The engine-wide memory pool per-query budgets parent into; ``None``
         #: when the engine runs without a pool cap.
         self.pool: Optional[MemoryBudget] = (
             MemoryBudget(pool_limit, label="engine")
             if pool_limit is not None else None)
 
-    def count(self, key: str, amount: int = 1) -> None:
-        with self._lock:
-            self._books[key] = self._books.get(key, 0) + amount
-
-    def merge(self, books: Dict[str, int]) -> None:
-        """Fold a run-local book dict (e.g. a spill manager's) into the ledger."""
-        with self._lock:
-            for key, amount in books.items():
-                if amount:
-                    self._books[key] = self._books.get(key, 0) + amount
-
     def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            books = dict(self._books)
+        books = super().snapshot()
         if self.pool is not None:
             books["pool_used_bytes"] = self.pool.used
             books["pool_limit_bytes"] = self.pool.limit

@@ -54,6 +54,7 @@ from ..core.errors import (
     is_retryable_fault,
 )
 from ..core.nrc.eval import EvalStatistics, _CountingStream
+from ..obs.metrics import Books
 
 __all__ = ["RetryPolicy", "CircuitBreakerPolicy", "CircuitBreaker",
            "ResilienceLayer", "RecoveringStream"]
@@ -222,23 +223,9 @@ class CircuitBreaker:
                     "consecutive_failures": self._consecutive_failures}
 
 
-class _DriverCounters:
-    """Lock-guarded per-driver resilience counters (for ``engine.health()``)."""
-
-    FIELDS = ("requests", "retries", "timeouts", "failures",
-              "midstream_faults", "recoveries", "degraded")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = {field: 0 for field in self.FIELDS}
-
-    def increment(self, field: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counts[field] += amount
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
+#: The per-driver resilience books (for ``engine.health()``).
+DRIVER_BOOKS = ("requests", "retries", "timeouts", "failures",
+                "midstream_faults", "recoveries", "degraded")
 
 
 class ResilienceLayer:
@@ -249,9 +236,6 @@ class ResilienceLayer:
     fake clock in tests.  ``on_breaker_event(driver, state)`` (settable
     post-construction) is fanned every breaker state change; the engine
     points it at the statistics registry's availability map.
-    ``on_retry(driver, attempt)`` (same shape) fires once per retry before
-    its backoff; the engine points it at the observability hub's retry
-    counter — ``None`` (the default) costs one attribute read per retry.
     ``gates`` maps a driver to the in-flight gate of a server that declared
     a concurrency cap (the engine hands in its own ``driver_gates``): every
     raw attempt holds one of its slots, the backoff between attempts none.
@@ -262,12 +246,11 @@ class ResilienceLayer:
         self.clock = clock
         self.sleeper = sleeper
         self.on_breaker_event: Optional[Callable[[str, str], None]] = None
-        self.on_retry: Optional[Callable[[str, int], None]] = None
         self.gates: Dict[str, object] = {}
         self._lock = threading.Lock()
         self._policies: Dict[str, RetryPolicy] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._counters: Dict[str, _DriverCounters] = {}
+        self._counters: Dict[str, Books] = {}
 
     # -- configuration -------------------------------------------------------
 
@@ -311,11 +294,11 @@ class ResilienceLayer:
         if callback is not None:
             callback(driver, state)
 
-    def counters(self, driver: str) -> _DriverCounters:
+    def counters(self, driver: str) -> Books:
         with self._lock:
             counters = self._counters.get(driver)
             if counters is None:
-                counters = self._counters[driver] = _DriverCounters()
+                counters = self._counters[driver] = Books(DRIVER_BOOKS)
             return counters
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
@@ -335,6 +318,15 @@ class ResilienceLayer:
                 else None
             result[driver] = entry
         return result
+
+    def totals(self) -> Dict[str, int]:
+        """Every driver's books summed (what the ``metrics`` scrape reads)."""
+        with self._lock:
+            counters = list(self._counters.values())
+        totals = Books()
+        for books in counters:
+            totals.merge(books.snapshot())
+        return totals.snapshot()
 
     # -- the dispatch path ---------------------------------------------------
 
@@ -361,15 +353,16 @@ class ResilienceLayer:
             finally:
                 gate.leave()
         counters = self.counters(driver)
-        counters.increment("requests")
+        counters.count("requests")
         try:
             result = self._attempt(driver, request, raw, policy, breaker,
                                    counters, context)
         except Exception as error:  # noqa: BLE001 - classified below
-            degraded = self._maybe_degrade(driver, error, context, counters)
-            if degraded is None:
+            if not self._degrade(driver, error, context, counters):
                 raise
-            return degraded
+            from ..core.values import CList
+
+            return CList([])
         if (policy is not None and policy.recover_midstream
                 and not _is_eager(result)):
             return RecoveringStream(self, driver, request, raw, policy,
@@ -379,7 +372,7 @@ class ResilienceLayer:
     def _attempt(self, driver: str, request, raw: Callable,
                  policy: Optional[RetryPolicy],
                  breaker: Optional[CircuitBreaker],
-                 counters: _DriverCounters, context) -> object:
+                 counters: Books, context) -> object:
         """The bounded attempt loop shared by first dispatch and re-issues.
 
         Each attempt holds one slot of the driver's gate (when its server
@@ -406,12 +399,12 @@ class ResilienceLayer:
                     gate.leave()
             if not retry:
                 return result
-            self._note_retry(driver, attempt, policy, counters, context)
+            self._book_retry(driver, attempt, policy, counters, context)
 
     def _attempt_once(self, driver: str, request, raw: Callable,
                       policy: Optional[RetryPolicy],
                       breaker: Optional[CircuitBreaker],
-                      counters: _DriverCounters, last: bool):
+                      counters: Books, last: bool):
         """One raw attempt: ``(result, False)``, or ``(None, True)`` for a
         retryable failure that is not the ``last`` attempt; raises
         otherwise."""
@@ -423,7 +416,7 @@ class ResilienceLayer:
         except Exception as error:  # noqa: BLE001 - classified below
             if breaker is not None:
                 breaker.record_failure()
-            counters.increment("failures")
+            counters.count("failures")
             if last or not is_retryable_fault(error):
                 raise
             return None, True
@@ -433,7 +426,7 @@ class ResilienceLayer:
                 _close_quietly(result)
                 if breaker is not None:
                     breaker.record_failure()
-                counters.increment("timeouts")
+                counters.count("timeouts")
                 if last:
                     raise DriverTimeoutError(driver, elapsed,
                                              policy.request_timeout)
@@ -442,19 +435,16 @@ class ResilienceLayer:
             breaker.record_success()
         return result, False
 
-    def _note_retry(self, driver: str, attempt: int,
+    def _book_retry(self, driver: str, attempt: int,
                     policy: Optional[RetryPolicy],
-                    counters: _DriverCounters, context) -> None:
+                    counters: Books, context) -> None:
         """Account one retry and serve its backoff (deadline-capped)."""
-        counters.increment("retries")
+        counters.count("retries")
         if context is not None:
             context.statistics.retries += 1
             trace = getattr(context, "trace", None)
             if trace is not None:
                 trace.event("retry", driver=driver, attempt=attempt)
-        callback = self.on_retry
-        if callback is not None:
-            callback(driver, attempt)
         if policy is None:
             return
         delay = policy.backoff_for(attempt)
@@ -475,9 +465,15 @@ class ResilienceLayer:
             if now > deadline:
                 raise DeadlineExceededError(driver, overrun=now - deadline)
 
-    def _maybe_degrade(self, driver: str, error: BaseException, context,
-                       counters: _DriverCounters):
-        """Empty-result degradation, or ``None`` to propagate the error.
+    #: Guards warning aggregation (parallel bodies may degrade concurrently).
+    _warnings_lock = threading.Lock()
+
+    def _degrade(self, driver: str, error: BaseException, context,
+                 counters: Books) -> bool:
+        """Does this failure degrade the run instead of propagating?  If
+        so, count it and append (or aggregate into) the run's typed
+        degradation warnings; the caller then returns an empty result, or
+        ends the stream.
 
         Only *unavailability* faults degrade — retryable classes whose
         budget ran out, and open breakers.  Malformed requests, spent
@@ -486,22 +482,11 @@ class ResilienceLayer:
         """
         if context is None or getattr(context, "on_source_failure", "fail") \
                 != "degrade":
-            return None
+            return False
         if not (is_retryable_fault(error)
                 or isinstance(error, CircuitOpenError)):
-            return None
-        counters.increment("degraded")
-        self.record_degradation(driver, error, context)
-        from ..core.values import CList
-
-        return CList([])
-
-    #: Guards warning aggregation (parallel bodies may degrade concurrently).
-    _warnings_lock = threading.Lock()
-
-    def record_degradation(self, driver: str, error: BaseException,
-                           context) -> None:
-        """Append (or aggregate into) the run's typed degradation warnings."""
+            return False
+        counters.count("degraded")
         statistics = context.statistics
         error_type = type(error).__name__
         with ResilienceLayer._warnings_lock:
@@ -509,8 +494,9 @@ class ResilienceLayer:
                 if warning.driver == driver \
                         and warning.error_type == error_type:
                     warning.requests_dropped += 1
-                    return
+                    return True
             statistics.warnings.append(SourceDegradedWarning(driver, error))
+        return True
 
 
 class RecoveringStream:
@@ -538,7 +524,7 @@ class RecoveringStream:
     def __init__(self, layer: ResilienceLayer, driver: str, request,
                  raw: Callable, policy: RetryPolicy,
                  breaker: Optional[CircuitBreaker],
-                 counters: _DriverCounters, context, first_result):
+                 counters: Books, context, first_result):
         self._layer = layer
         self._driver = driver
         self._request = request
@@ -561,7 +547,7 @@ class RecoveringStream:
         deadline passed.
         """
         layer = self._layer
-        self._counters.increment("midstream_faults")
+        self._counters.count("midstream_faults")
         if self._breaker is not None:
             self._breaker.record_failure()
         _close_quietly(self._source)
@@ -570,29 +556,18 @@ class RecoveringStream:
             if not is_retryable_fault(error) \
                     or self._consecutive_faults >= self._policy.max_attempts:
                 raise error
-            layer._note_retry(self._driver, self._consecutive_faults,
+            layer._book_retry(self._driver, self._consecutive_faults,
                               self._policy, self._counters, self._context)
             result = layer._attempt(self._driver, self._request, self._raw,
                                     self._policy, self._breaker,
                                     self._counters, self._context)
         except Exception as final:  # noqa: BLE001 - may degrade below
-            if self._maybe_degrade_stream(final):
+            if layer._degrade(self._driver, final, self._context,
+                              self._counters):
                 return False
             raise
         self._source = result
         self._iterator = iter(result)
-        return True
-
-    def _maybe_degrade_stream(self, error: BaseException) -> bool:
-        context = self._context
-        if context is None or getattr(context, "on_source_failure", "fail") \
-                != "degrade":
-            return False
-        if not (is_retryable_fault(error)
-                or isinstance(error, CircuitOpenError)):
-            return False
-        self._counters.increment("degraded")
-        self._layer.record_degradation(self._driver, error, context)
         return True
 
     def close(self) -> None:
@@ -678,7 +653,7 @@ class _RecoveringCountingStream(_CountingStream):
             except Exception as next_error:  # noqa: BLE001 - next cycle
                 error = next_error
                 continue
-            stream._counters.increment("recoveries")
+            stream._counters.count("recoveries")
             if stream._context is not None:
                 stream._context.statistics.recovered_faults += 1
             stream._consecutive_faults = 0

@@ -1,13 +1,15 @@
-"""Thread-safe metrics primitives: counters, gauges, exponential histograms.
+"""Thread-safe metrics primitives: books, counters, gauges, histograms.
 
-One registry absorbs the scattered per-subsystem books (engine statistics,
-resilience counters, governance books, server stats) behind a single
-interface.  The design constraints, in order:
+:class:`Books` is the one type of named integer counts a subsystem keeps
+(the server's service counts, each driver's resilience counts, the
+governance ledger); the hub's registry holds only what no book counts.  The
+design constraints, in order:
 
-* **Zero-recorder contract.**  Nothing in this module is consulted unless an
-  :class:`~repro.obs.Observability` hub has been attached to the engine.
-  Every hook site in the engine/server is ``None``-guarded, so an
-  unobserved run takes the exact pre-observability code path.
+* **Zero-recorder contract.**  Apart from the books, nothing in this module
+  is consulted unless an :class:`~repro.obs.Observability` hub has been
+  attached to the engine.  Every hook site in the engine/server is
+  ``None``-guarded, so an unobserved run takes the exact pre-observability
+  code path.
 
 * **`_CompileCache` lock pattern.**  The registry holds ONE lock guarding
   its name→metric map; each metric instance carries its own lock guarding
@@ -37,9 +39,10 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = [
+    "Books",
     "Counter",
     "Gauge",
     "Histogram",
@@ -67,6 +70,46 @@ def exponential_buckets(start: float, growth: float, count: int) -> Tuple[float,
         if not lo < hi:  # pragma: no cover - float overflow guard
             raise ValueError("bucket bounds must be strictly increasing")
     return bounds
+
+
+class Books:
+    """Named integer counts under one lock: one subsystem's ledger.
+
+    The names given at construction always appear in a snapshot (zero until
+    counted); another name appears once it is counted.  A count also reads
+    as an attribute (``books.rejections``).
+    """
+
+    __slots__ = ("_lock", "_counts")
+
+    def __init__(self, names: Iterable[str] = ()) -> None:
+        self._lock = threading.Lock()
+        self._counts: Dict[str, int] = dict.fromkeys(names, 0)
+
+    def count(self, name: str, amount: int = 1) -> None:
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + amount
+
+    def merge(self, books: Mapping[str, int]) -> None:
+        """Fold a run-local dict of counts (a spill manager's) in."""
+        with self._lock:
+            for name, amount in books.items():
+                if amount:
+                    self._counts[name] = self._counts.get(name, 0) + amount
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
+
+    def __getattr__(self, name: str) -> int:
+        # Reached only for a name that is not a slot.
+        if name.startswith("_"):
+            raise AttributeError(name)
+        with self._lock:
+            try:
+                return self._counts[name]
+            except KeyError:
+                raise AttributeError(name) from None
 
 
 class Counter:
@@ -238,22 +281,23 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._metrics)
 
-    def get(self, name: str) -> Optional[object]:
-        with self._lock:
-            return self._metrics.get(name)
-
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Plain-data snapshot of every metric, wire- and JSON-safe."""
         with self._lock:
             metrics = list(self._metrics.items())
         return {name: metric.snapshot() for name, metric in sorted(metrics)}
 
-    def render(self) -> str:
-        """Prometheus text exposition of every registered metric."""
+    def render(self, counters: Iterable[Tuple[str, str, float]] = ()) -> str:
+        """Prometheus text exposition of every registered metric, and of
+        ``counters``: ``(name, help, value)`` counts kept elsewhere, read
+        at scrape time and rendered as counters in the same name order."""
         with self._lock:
-            metrics = sorted(self._metrics.items())
+            metrics = dict(self._metrics)
+        for name, help, value in counters:
+            metrics[name] = reading = Counter(name, help)
+            reading.inc(value)
         lines: List[str] = []
-        for name, metric in metrics:
+        for name, metric in sorted(metrics.items()):
             if metric.help:
                 lines.append(f"# HELP {name} {metric.help}")
             lines.append(f"# TYPE {name} {metric.kind}")

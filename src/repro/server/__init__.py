@@ -74,14 +74,13 @@ concurrent connections; over-cap connects receive the same typed error as a
 one-frame reply.
 """
 
-from .service import PROTOCOL_VERSION, KleisliServer, ServerStats
+from .service import PROTOCOL_VERSION, KleisliServer
 from .client import KleisliClient
 from .wire import decode_value, encode_value
 
 __all__ = [
     "KleisliServer",
     "KleisliClient",
-    "ServerStats",
     "PROTOCOL_VERSION",
     "encode_value",
     "decode_value",

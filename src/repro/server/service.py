@@ -7,8 +7,8 @@ map.  This module implements it:
 * :class:`KleisliServer` — a TCP front-end (thread per connection, capped at
   ``max_sessions``) multiplexing CPL sessions onto **one** shared
   :class:`~repro.kleisli.engine.KleisliEngine`;
-* :class:`ServerStats` — lock-guarded service counters (sessions, queries,
-  cursors, rejections) the soak tests assert consistency on;
+* the service books — a :class:`~repro.obs.metrics.Books` of sessions,
+  queries, cursors and rejections the soak tests assert consistency on;
 * admission control — a bounded-semaphore pool of in-flight query slots with
   a queue-or-reject policy, surfaced in every response's ``admission`` field
   and, on rejection, as a typed
@@ -34,13 +34,14 @@ from ..kleisli.engine import KleisliEngine
 from ..kleisli.governance import CancellationToken
 from ..kleisli.session import Session
 from ..net.framing import MAX_FRAME_BYTES, encode_frame, recv_message, send_message
+from ..obs.metrics import Books
 from .wire import encode_value, encode_warnings
 
 if TYPE_CHECKING:
     from ..views.gateway import ViewGateway
     from ..views.registry import ViewRegistry
 
-__all__ = ["KleisliServer", "ServerStats", "PROTOCOL_VERSION"]
+__all__ = ["KleisliServer", "PROTOCOL_VERSION"]
 
 PROTOCOL_VERSION = 2
 
@@ -52,36 +53,32 @@ MAX_FETCH_BATCH = 1024
 _STATS_BYTE_BUDGET = MAX_FRAME_BYTES // 2
 
 
-class ServerStats:
-    """Lock-guarded counters for the whole service.
+#: The service books.  Invariants the concurrency tests assert: once every
+#: client has disconnected, ``sessions_opened == sessions_closed`` and
+#: ``cursors_opened == cursors_closed`` — a difference is a leaked session
+#: thread or a cursor whose admission slot was never returned.
+#: ``rejections`` counts every request admission control refused: a
+#: draining server, a full one under the reject policy, a queue timeout, and
+#: a session at its cursor quota.
+SERVER_BOOKS = ("sessions_opened", "sessions_closed", "sessions_refused",
+                "queries", "rejections", "queued", "failures",
+                "cursors_opened", "cursors_closed")
 
-    Invariants the concurrency tests assert: once every client has
-    disconnected, ``sessions_opened == sessions_closed`` and
-    ``cursors_opened == cursors_closed`` — a difference is a leaked session
-    thread or a cursor whose admission slot was never returned.
-    """
 
-    FIELDS = ("sessions_opened", "sessions_closed", "sessions_refused",
-              "queries", "rejections", "queued", "failures",
-              "cursors_opened", "cursors_closed")
+def _fits(message: dict) -> bool:
+    """Does ``message`` frame within the reply budget?  A message the
+    framing layer refuses outright does not."""
+    try:
+        return len(encode_frame(message)) <= _STATS_BYTE_BUDGET
+    except WireProtocolError:
+        return False
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = {field: 0 for field in self.FIELDS}
 
-    def increment(self, field: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counts[field] += amount
-
-    def __getattr__(self, field: str) -> int:
-        if field in ServerStats.FIELDS:
-            with self._lock:
-                return self._counts[field]
-        raise AttributeError(field)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
+def _offset(message: dict, op: str) -> int:
+    offset = message.get("offset", 0)
+    if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
+        raise WireProtocolError(f"{op} 'offset' must be a non-negative integer")
+    return offset
 
 
 class _AdmissionSlot:
@@ -121,7 +118,7 @@ class _Cursor:
                  "watchdog_killed", "_slot", "_stats", "_closed",
                  "_released")
 
-    def __init__(self, stream, slot: _AdmissionSlot, stats: ServerStats,
+    def __init__(self, stream, slot: _AdmissionSlot, stats: Books,
                  statistics=None, token: Optional[CancellationToken] = None):
         self.stream = stream
         #: The run's ``EvalStatistics`` — captured at open time so fetch
@@ -150,7 +147,7 @@ class _Cursor:
         try:
             self.stream.close()
         finally:
-            self._stats.increment("cursors_closed")
+            self._stats.count("cursors_closed")
 
     def release_slot(self) -> None:
         if self._released:
@@ -264,7 +261,7 @@ class KleisliServer:
         #: charge.  ``None`` = unlimited, exactly as before.
         self.session_cursor_quota = session_cursor_quota
         self.session_memory_limit = session_memory_limit
-        self.stats = ServerStats()
+        self.stats = Books(SERVER_BOOKS)
         self.address: Optional[Tuple[str, int]] = None
         self._slots = threading.BoundedSemaphore(max_concurrent_queries)
         self._closing = threading.Event()
@@ -325,7 +322,7 @@ class KleisliServer:
         """
         hub = self.engine.observability
         if hub is not None and not self._draining.is_set():
-            hub.note_drain()
+            hub.drains.inc()
         self._draining.set()
         self._watchdog_stop.set()
         if self._watchdog_thread is not None:
@@ -406,7 +403,7 @@ class KleisliServer:
                     self._active_sessions += 1
                     self._connections.add(conn)
             if not admit:
-                self.stats.increment("sessions_refused")
+                self.stats.count("sessions_refused")
                 try:
                     send_message(conn, {
                         "ok": False,
@@ -459,7 +456,7 @@ class KleisliServer:
                         self.engine.governor.count("watchdog_kills")
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        self.stats.increment("sessions_opened")
+        self.stats.count("sessions_opened")
         session = Session(engine=self.engine,
                           memory_limit=self.session_memory_limit)
         gateway = None
@@ -505,7 +502,7 @@ class KleisliServer:
                 self._connections.discard(conn)
                 self._states.discard(state)
                 self._active_sessions -= 1
-            self.stats.increment("sessions_closed")
+            self.stats.count("sessions_closed")
 
     # -- admission control ---------------------------------------------------
 
@@ -522,30 +519,25 @@ class KleisliServer:
             # A draining server admits nothing new; in-flight work (and
             # open cursors' fetches, which hold their slot already) keeps
             # being served until the drain deadline.
-            self.stats.increment("rejections")
-            if hub is not None:
-                hub.observe_admission("rejected")
+            self.stats.count("rejections")
             raise ServerOverloadedError("server is draining; retry elsewhere")
         if self._slots.acquire(blocking=False):
             if hub is not None:
-                hub.observe_admission("immediate")
+                hub.admissions_immediate.inc()
             return "immediate", self._make_slot()
         if self.admission == "reject":
-            self.stats.increment("rejections")
-            if hub is not None:
-                hub.observe_admission("rejected")
+            self.stats.count("rejections")
             raise ServerOverloadedError(
                 f"server at its {self.max_concurrent_queries} in-flight "
                 f"query cap (policy: reject)")
-        self.stats.increment("queued")
+        self.stats.count("queued")
         queued_at = time.monotonic()
-        if self._slots.acquire(timeout=self.queue_timeout):
-            if hub is not None:
-                hub.observe_admission("queued", time.monotonic() - queued_at)
-            return "queued", self._make_slot()
-        self.stats.increment("rejections")
+        admitted = self._slots.acquire(timeout=self.queue_timeout)
         if hub is not None:
-            hub.observe_admission("rejected", time.monotonic() - queued_at)
+            hub.observe_queue_wait(time.monotonic() - queued_at, admitted)
+        if admitted:
+            return "queued", self._make_slot()
+        self.stats.count("rejections")
         raise ServerOverloadedError(
             f"no in-flight query slot freed within {self.queue_timeout}s "
             f"(cap {self.max_concurrent_queries}, policy: queue)")
@@ -577,11 +569,11 @@ class KleisliServer:
             return {"ok": False, "error_type": "ServerOverloadedError",
                     "error": str(error), "admission": "rejected"}
         except ReproError as error:
-            self.stats.increment("failures")
+            self.stats.count("failures")
             return {"ok": False, "error_type": type(error).__name__,
                     "error": str(error)}
         except Exception as error:  # noqa: BLE001 - the server must survive
-            self.stats.increment("failures")
+            self.stats.count("failures")
             return {"ok": False, "error_type": "InternalError",
                     "error": f"{type(error).__name__}: {error}"}
 
@@ -625,44 +617,33 @@ class KleisliServer:
                 raise WireProtocolError(
                     "'memory_budget' must be a positive integer of bytes")
             options["memory_budget"] = budget
-        spill = message.get("spill")
-        if spill is not None:
-            if not isinstance(spill, bool):
-                raise WireProtocolError("'spill' must be a boolean")
-            options["spill"] = spill
-        profile = message.get("profile")
-        if profile is not None:
-            if not isinstance(profile, bool):
-                raise WireProtocolError("'profile' must be a boolean")
-            options["profile"] = profile
+        for flag in ("spill", "profile"):
+            value = message.get(flag)
+            if value is not None:
+                if not isinstance(value, bool):
+                    raise WireProtocolError(f"'{flag}' must be a boolean")
+                options[flag] = value
         return options
 
-    def _op_run(self, state: _Connection, message: dict) -> dict:
+    def _op_run(self, state: _Connection, message: dict,
+                query: bool = False) -> dict:
         source = self._required_str(message, "source")
         options = self._run_options(message)
         how, slot = self._admit()
         try:
-            value = state.session.run(source, **options)
+            if query:
+                value = state.session.query(source, **options).value
+            else:
+                value = state.session.run(source, **options)
         finally:
             slot.release()
-        self.stats.increment("queries")
+        self.stats.count("queries")
         return {"ok": True, "value": encode_value(value), "admission": how,
                 "warnings": encode_warnings(
                     self.engine.thread_eval_statistics())}
 
     def _op_query(self, state: _Connection, message: dict) -> dict:
-        source = self._required_str(message, "source")
-        options = self._run_options(message)
-        how, slot = self._admit()
-        try:
-            result = state.session.query(source, **options)
-        finally:
-            slot.release()
-        self.stats.increment("queries")
-        return {"ok": True, "value": encode_value(result.value),
-                "admission": how,
-                "warnings": encode_warnings(
-                    self.engine.thread_eval_statistics())}
+        return self._op_run(state, message, query=True)
 
     def _op_open(self, state: _Connection, message: dict) -> dict:
         source = self._required_str(message, "source")
@@ -672,7 +653,7 @@ class KleisliServer:
             # Admission control, not failure: the quota protects the shared
             # slot pool from one session holding every slot through idle
             # cursors; close (or drain) one and retry.
-            self.stats.increment("rejections")
+            self.stats.count("rejections")
             raise ServerOverloadedError(
                 f"session at its {quota}-cursor quota; close a cursor first")
         token = CancellationToken()
@@ -689,12 +670,12 @@ class KleisliServer:
         state.cursors[cursor_id] = _Cursor(
             stream, slot, self.stats,
             statistics=self.engine.thread_eval_statistics(), token=token)
-        self.stats.increment("cursors_opened")
-        self.stats.increment("queries")
+        self.stats.count("cursors_opened")
+        self.stats.count("queries")
         return {"ok": True, "cursor": cursor_id, "admission": how}
 
     def _op_fetch(self, state: _Connection, message: dict) -> dict:
-        cursor_id = message.get("cursor")
+        cursor_id = self._required_str(message, "cursor")
         cursor = state.cursors.get(cursor_id)
         if cursor is None:
             raise QueryServiceError(f"unknown cursor {cursor_id!r}")
@@ -723,7 +704,7 @@ class KleisliServer:
                 "warnings": encode_warnings(cursor.statistics)}
 
     def _op_close(self, state: _Connection, message: dict) -> dict:
-        cursor_id = message.get("cursor")
+        cursor_id = self._required_str(message, "cursor")
         cursor = state.cursors.pop(cursor_id, None)
         if cursor is not None:
             cursor.retire()
@@ -740,7 +721,7 @@ class KleisliServer:
         the wire.  Only the target query is touched; the session (and every
         other session on the shared engine) keeps working.
         """
-        cursor_id = message.get("cursor")
+        cursor_id = self._required_str(message, "cursor")
         cursor = state.cursors.pop(cursor_id, None)
         if cursor is not None:
             if cursor.token is not None:
@@ -759,16 +740,13 @@ class KleisliServer:
         section = message.get("section")
         if section is not None and section not in ("body", "value"):
             raise WireProtocolError("view 'section' must be 'body' or 'value'")
-        offset = message.get("offset", 0)
-        if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
-            raise WireProtocolError(
-                "view 'offset' must be a non-negative integer")
+        offset = _offset(message, "view")
         how, slot = self._admit()
         try:
             response = state.gateway.handle(path, form)
         finally:
             slot.release()
-        self.stats.increment("queries")
+        self.stats.count("queries")
         payload = response.as_payload()
         payload["ok"] = True
         payload["admission"] = how
@@ -795,31 +773,25 @@ class KleisliServer:
         ``section: "value"`` frame), then the body is cut and ``next_offset``
         tells the client where to resume (``section: "body", offset: n``).
         """
-        def size(message: dict) -> int:
-            try:
-                return len(encode_frame(message))
-            except WireProtocolError:
-                return MAX_FRAME_BYTES + 1
-
         body = payload.get("body")
         if offset and isinstance(body, str):
             payload["body"] = body[offset:]
-        if size(payload) <= _STATS_BYTE_BUDGET:
+        if _fits(payload):
             return payload
         dropped: List[str] = []
         if section != "value" and "value" in payload:
             del payload["value"]
             dropped.append("value")
         body = payload.get("body")
-        if size(payload) > _STATS_BYTE_BUDGET and isinstance(body, str):
+        if not _fits(payload) and isinstance(body, str):
             kept = body
-            while size(payload) > _STATS_BYTE_BUDGET and kept:
+            while not _fits(payload) and kept:
                 kept = kept[: len(kept) // 2]
                 payload["body"] = kept
             if len(kept) < len(body):
                 dropped.append("body")
                 payload["next_offset"] = offset + len(kept)
-        if size(payload) > _STATS_BYTE_BUDGET:
+        if not _fits(payload):
             # The one un-pageable case: a single encoded value larger than
             # a frame, explicitly requested.  Refuse it typed instead of
             # letting the framing layer kill the connection.
@@ -840,15 +812,15 @@ class KleisliServer:
         reply carries ``next_offset`` so the client pages through with
         ``{'op': 'metrics', 'offset': <next_offset>}``.
         """
-        offset = message.get("offset", 0)
-        if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
-            raise WireProtocolError(
-                "metrics 'offset' must be a non-negative integer")
+        offset = _offset(message, "metrics")
         hub = self.engine.observability
         if hub is None:
             return {"ok": True, "attached": False, "text": "",
                     "complete": True}
-        text = hub.metrics.render()
+        engine = self.engine
+        text = hub.render({"resilience": engine.resilience.totals(),
+                           "governance": engine.governor.snapshot(),
+                           "server": self.stats.snapshot()})
         reply = {"ok": True, "attached": True, "offset": offset,
                  "total_chars": len(text), "text": text[offset:],
                  "complete": True}
@@ -871,15 +843,8 @@ class KleisliServer:
         reply = {"ok": True, "attached": True,
                  "tracer": hub.tracer.snapshot(),
                  "traces": hub.tracer.recent(limit)}
-
-        def size(message_: dict) -> int:
-            try:
-                return len(encode_frame(message_))
-            except WireProtocolError:
-                return MAX_FRAME_BYTES + 1
-
         dropped = 0
-        while size(reply) > _STATS_BYTE_BUDGET and reply["traces"]:
+        while not _fits(reply) and reply["traces"]:
             reply["traces"] = reply["traces"][1:]
             dropped += 1
         if dropped:
@@ -901,14 +866,7 @@ class KleisliServer:
                     "hint": "run a query with {'profile': true} first"}
         reply = {"ok": True, "available": True, "render": profile.render(),
                  "profile": profile.as_dict()}
-
-        def size(message_: dict) -> int:
-            try:
-                return len(encode_frame(message_))
-            except WireProtocolError:
-                return MAX_FRAME_BYTES + 1
-
-        if size(reply) > _STATS_BYTE_BUDGET:
+        if not _fits(reply):
             # The span tree is the only unbounded part (bounded per query,
             # but up to max_spans nodes with attributes); the tabular
             # profile always fits.
@@ -918,15 +876,9 @@ class KleisliServer:
 
     def _cap_text(self, reply: dict, key: str, offset: int) -> dict:
         """Cut an oversized text field and advertise ``next_offset``."""
-        def size(message: dict) -> int:
-            try:
-                return len(encode_frame(message))
-            except WireProtocolError:
-                return MAX_FRAME_BYTES + 1
-
         full = reply.get(key, "")
         kept = full
-        while size(reply) > _STATS_BYTE_BUDGET and kept:
+        while not _fits(reply) and kept:
             kept = kept[: len(kept) // 2]
             reply[key] = kept
         if len(kept) < len(full):
@@ -951,7 +903,7 @@ class KleisliServer:
         }
         section = message.get("section")
         if section is not None:
-            if section not in sections:
+            if not isinstance(section, str) or section not in sections:
                 raise WireProtocolError(
                     f"unknown stats section {section!r}; "
                     f"one of {sorted(sections)}")
@@ -985,12 +937,7 @@ class KleisliServer:
         and listed in ``truncated``, so the client can re-request each as
         its own ``section`` frame.
         """
-        def size(message: dict) -> int:
-            try:
-                return len(encode_frame(message))
-            except WireProtocolError:
-                return MAX_FRAME_BYTES + 1
-        if size(reply) <= _STATS_BYTE_BUDGET:
+        if _fits(reply):
             return reply
         dropped: List[str] = []
         victims: List[Tuple[str, dict, str]] = []
@@ -1005,7 +952,7 @@ class KleisliServer:
                 continue
             container[key] = {"truncated": True}
             dropped.append(label)
-            if size(reply) <= _STATS_BYTE_BUDGET:
+            if _fits(reply):
                 break
         reply["truncated"] = dropped
         reply["hint"] = "re-request one section at a time: " \

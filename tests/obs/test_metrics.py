@@ -1,6 +1,6 @@
 """The metrics registry, one behaviour at a time.
 
-Counters/gauges/histograms (thread-safe, typed), the fixed-exponential
+Books, counters/gauges/histograms (thread-safe, typed), the fixed-exponential
 bucket ladder builder, Prometheus-style text exposition, and the sampled
 row-width estimator whose zero-sample behaviour reproduces the
 ``NOMINAL_ROW_BYTES`` constant bit-for-bit (the PR 9 budget gate's
@@ -13,6 +13,7 @@ import pytest
 
 from repro.kleisli.governance import NOMINAL_ROW_BYTES
 from repro.obs.metrics import (
+    Books,
     Counter,
     Gauge,
     Histogram,
@@ -88,6 +89,40 @@ class TestHistogram:
             a.merge(c)
 
 
+class TestBooks:
+    def test_named_counts_start_at_zero_and_grow(self):
+        books = Books(("a", "b"))
+        assert books.snapshot() == {"a": 0, "b": 0}
+        books.count("a")
+        books.count("c", 3)
+        books.merge({"a": 2, "b": 0, "d": 0})
+        assert books.snapshot() == {"a": 3, "b": 0, "c": 3}
+        assert books.a == 3 and books.c == 3
+        with pytest.raises(AttributeError):
+            books.d
+
+    def test_snapshot_is_a_copy(self):
+        books = Books(("a",))
+        snapshot = books.snapshot()
+        books.count("a")
+        assert snapshot == {"a": 0}
+
+    def test_counting_is_thread_safe(self):
+        books = Books()
+
+        def work():
+            for _ in range(1000):
+                books.count("n")
+                books.merge({"m": 2})
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert books.snapshot() == {"n": 8000, "m": 16000}
+
+
 class TestRegistry:
     def test_get_or_create_is_idempotent_and_kind_checked(self):
         registry = MetricsRegistry()
@@ -117,6 +152,16 @@ class TestRegistry:
         assert 'lat_seconds_bucket{le="+Inf"} 1' in text
         assert "lat_seconds_count 1" in text
         assert text.endswith("\n")
+
+    def test_counts_kept_elsewhere_render_in_name_order(self):
+        registry = MetricsRegistry()
+        registry.counter("b_total", "Kept here").inc(2)
+        text = registry.render([("c_total", "Read", 5), ("a_total", "", 1)])
+        assert text.splitlines() == [
+            "# TYPE a_total counter", "a_total 1",
+            "# HELP b_total Kept here", "# TYPE b_total counter", "b_total 2",
+            "# HELP c_total Read", "# TYPE c_total counter", "c_total 5"]
+        assert registry.names() == ["b_total"]
 
     def test_snapshot_lists_every_metric(self):
         registry = MetricsRegistry()

@@ -163,7 +163,7 @@ class TestStatsSections:
         section = client.server_stats("observability")["observability"]
         assert section["attached"] is True
         assert section["tracer"]["finished"] >= 1
-        assert section["metric_count"] == 16
+        assert section["metric_count"] == 9
 
     def test_slow_queries_section_lists_profiles(self, client):
         client.query(YEAR_QUERY)

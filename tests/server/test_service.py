@@ -251,6 +251,17 @@ class TestCursors:
                 "ok": True, "values": [0, 1, 2], "done": True,
                 "warnings": []}
 
+    @pytest.mark.parametrize("op", ["fetch", "close", "cancel"])
+    def test_a_cursor_id_that_is_not_a_string_is_a_wire_error(self, op):
+        server, _ = _cursor_server()
+        with server, KleisliClient(server.address) as client:
+            cursor = client.open('{x | \\x <- Faulty(3)}')
+            for bad in ([cursor], {"id": cursor}, 1, None):
+                with pytest.raises(RemoteQueryError) as info:
+                    client.request({"op": op, "cursor": bad})
+                assert info.value.error_type == "WireProtocolError"
+            assert client.fetch(cursor, batch=10)["values"] == [0, 1, 2]
+
     def test_a_batch_is_clamped_to_the_fetch_cap(self):
         server, _ = _cursor_server()
         with server, KleisliClient(server.address) as client:
@@ -452,6 +463,13 @@ class TestStats:
                 "drivers", "live_scopes"} <= set(health)
         assert "plan_feedback" not in health
         assert health["compile_cache"]["misses"] >= 1
+
+    def test_a_section_that_is_not_a_string_is_a_wire_error(self, client):
+        for bad in (["server"], {"name": "server"}, 1):
+            with pytest.raises(RemoteQueryError) as info:
+                client.request({"op": "stats", "section": bad})
+            assert info.value.error_type == "WireProtocolError"
+        assert client.server_stats("server")["server"]["failures"] == 3
 
     def test_fault_recovery_is_visible_in_failures_counter(self):
         engine = KleisliEngine()
