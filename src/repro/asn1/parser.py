@@ -16,6 +16,7 @@ Two entry points:
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Sequence, Tuple
 
 from ..core import types as T
@@ -28,12 +29,7 @@ __all__ = ["parse_value", "parse_value_with_path"]
 
 def parse_value(text: str, ty: T.Type) -> object:
     """Parse ASN.1 text of type ``ty`` into a CPL value."""
-    cursor = _Cursor(text)
-    value = _parse(cursor, ty, steps=None)
-    cursor.skip_whitespace()
-    if not cursor.at_end():
-        raise ASN1ParseError(f"trailing text after ASN.1 value: {cursor.rest()[:30]!r}")
-    return value
+    return _parse_text(text, ty, None)
 
 
 def parse_value_with_path(text: str, ty: T.Type, path: PathExpression) -> object:
@@ -42,21 +38,39 @@ def parse_value_with_path(text: str, ty: T.Type, path: PathExpression) -> object
     The result equals ``path.apply(parse_value(text, ty))`` but fields off the
     path are skipped textually instead of being parsed into values.
     """
+    return _parse_text(text, ty, tuple(path.steps))
+
+
+def _parse_text(text: str, ty: T.Type, steps: Optional[Tuple[PathStep, ...]]) -> object:
     cursor = _Cursor(text)
-    value = _parse(cursor, ty, steps=tuple(path.steps))
+    value = _parse(cursor, ty, steps)
     cursor.skip_whitespace()
     if not cursor.at_end():
-        raise ASN1ParseError(f"trailing text after ASN.1 value: {cursor.rest()[:30]!r}")
+        rest = cursor.text[cursor.pos:cursor.pos + 30]
+        raise ASN1ParseError(f"trailing text after ASN.1 value: {rest!r}")
     return value
 
 
 #: ASN.1's names for the REALs no numeral writes (the printer writes them).
-_SPECIAL_REALS = {"PLUS-INFINITY": "inf", "MINUS-INFINITY": "-inf",
-                  "NOT-A-NUMBER": "nan"}
+_SPECIAL_REALS = {"PLUS-INFINITY": "inf", "MINUS-INFINITY": "-inf", "NOT-A-NUMBER": "nan"}
+
+
+#: One ``match`` each, at the cursor: whitespace (``str.isspace``), then a
+#: name (``str.isalnum`` characters, ``_`` and ``-``), a numeral's text or
+#: one of the four characters the grammar accepts.
+_SPACE = re.compile(r"\s*").match
+_NAME = re.compile(r"\s*([\w-]+)").match
+_NUMERAL = re.compile(r"[\d.eE+-]*").match
+_TOKEN = {char: re.compile(r"\s*" + re.escape(char)).match for char in ',{}"'}
+#: What ends or nests a skipped value: the first of them from the cursor.
+_BRACE_OR_QUOTE = re.compile(r'[{}"]').search
+_SCALAR_END = re.compile(r'[,}"{]').search
 
 
 class _Cursor:
-    """A position in the input text with primitive scanning operations."""
+    """A position in the input text with primitive scanning operations,
+    each a precompiled ``re`` match or a ``str.find`` (never a walk one
+    character at a time): the pruning parse skips text at string speed."""
 
     __slots__ = ("text", "pos")
 
@@ -67,76 +81,57 @@ class _Cursor:
     def at_end(self) -> bool:
         return self.pos >= len(self.text)
 
-    def rest(self) -> str:
-        return self.text[self.pos:]
-
     def skip_whitespace(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE(self.text, self.pos).end()
 
     def peek(self) -> str:
-        self.skip_whitespace()
-        if self.at_end():
-            return ""
-        return self.text[self.pos]
+        self.pos = pos = _SPACE(self.text, self.pos).end()
+        return self.text[pos:pos + 1]
 
     def expect(self, char: str) -> None:
-        self.skip_whitespace()
-        if self.at_end() or self.text[self.pos] != char:
-            found = self.text[self.pos:self.pos + 10] if not self.at_end() else "<end>"
+        if not self.accept(char):
+            found = self.text[self.pos:self.pos + 10] or "<end>"
             raise ASN1ParseError(f"expected {char!r} at position {self.pos}, found {found!r}")
-        self.pos += 1
 
     def accept(self, char: str) -> bool:
-        self.skip_whitespace()
-        if not self.at_end() and self.text[self.pos] == char:
-            self.pos += 1
-            return True
-        return False
+        match = _TOKEN[char](self.text, self.pos)
+        if match is None:
+            self.skip_whitespace()
+            return False
+        self.pos = match.end()
+        return True
 
     def read_name(self) -> str:
-        self.skip_whitespace()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] in "_-"):
-            self.pos += 1
-        if start == self.pos:
-            raise ASN1ParseError(f"expected a name at position {start}")
-        return self.text[start:self.pos]
+        match = _NAME(self.text, self.pos)
+        if match is None:
+            self.skip_whitespace()
+            raise ASN1ParseError(f"expected a name at position {self.pos}")
+        self.pos = match.end()
+        return match.group(1)
 
     def read_string(self) -> str:
+        """A quoted string; ``""`` inside it is one ``"``."""
         self.expect('"')
-        parts = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ASN1ParseError("unterminated string in ASN.1 value")
-            char = self.text[self.pos]
-            if char == '"':
-                if self.pos + 1 < len(self.text) and self.text[self.pos + 1] == '"':
-                    parts.append('"')
-                    self.pos += 2
-                    continue
-                self.pos += 1
-                return "".join(parts)
-            parts.append(char)
-            self.pos += 1
+        text, start = self.text, self.pos
+        end = text.find('"', start)
+        while end >= 0 and text.startswith('"', end + 1):
+            end = text.find('"', end + 2)
+        if end < 0:
+            raise ASN1ParseError("unterminated string in ASN.1 value")
+        self.pos = end + 1
+        return text[start:end].replace('""', '"')
 
     def read_number(self, real: Optional[bool]) -> object:
         """An INTEGER (``real`` false: an integer literal, as an ``int``) or a
         REAL (``real`` true: a float or integer literal or one of the three
         special values, as a ``float``); ``None`` reads either, by its form."""
-        self.skip_whitespace()
-        start = self.pos
-        if not self.at_end() and self.text[self.pos].isalpha():
+        self.pos = start = _SPACE(self.text, self.pos).end()
+        if self.text[start:start + 1].isalpha():
             name = self.read_name()
             if real is not False and name in _SPECIAL_REALS:
                 return float(_SPECIAL_REALS[name])
             raise ASN1ParseError(f"expected a number at position {start}, found {name!r}")
-        if not self.at_end() and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and (self.text[self.pos].isdigit()
-                                             or self.text[self.pos] in ".eE+-"):
-            self.pos += 1
+        self.pos = _NUMERAL(self.text, start).end()
         literal = self.text[start:self.pos]
         if real is None:
             real = any(ch in literal for ch in ".eE")
@@ -148,39 +143,44 @@ class _Cursor:
                 f"at position {start}") from None
 
     def skip_value(self) -> None:
-        """Skip a complete value without building it (the pruning fast path)."""
-        self.skip_whitespace()
-        if self.at_end():
+        """Skip a complete value without building it (the pruning fast path):
+        a string, a braced value (counting braces outside strings), or a
+        scalar or variant up to the next ``,`` or ``}`` at this level."""
+        char = self.peek()
+        if not char:
             raise ASN1ParseError("unexpected end of input while skipping a value")
-        char = self.text[self.pos]
         if char == '"':
             self.read_string()
             return
+        text = self.text
         if char == "{":
             depth = 0
-            while self.pos < len(self.text):
-                char = self.text[self.pos]
-                if char == '"':
+            while True:
+                match = _BRACE_OR_QUOTE(text, self.pos)
+                if match is None:
+                    raise ASN1ParseError("unbalanced braces while skipping a value")
+                found = match.group()
+                self.pos = match.start()
+                if found == '"':
                     self.read_string()
                     continue
-                if char == "{":
-                    depth += 1
-                elif char == "}":
-                    depth -= 1
-                    if depth == 0:
-                        self.pos += 1
-                        return
                 self.pos += 1
-            raise ASN1ParseError("unbalanced braces while skipping a value")
-        # Scalar or variant: scan to the next ',' or '}' at this level.
-        while self.pos < len(self.text) and self.text[self.pos] not in ",}":
-            if self.text[self.pos] == '"':
+                depth += 1 if found == "{" else -1
+                if depth == 0:
+                    return
+        while True:
+            match = _SCALAR_END(text, self.pos)
+            if match is None:
+                self.pos = len(text)
+                return
+            self.pos = match.start()
+            found = match.group()
+            if found == '"':
                 self.read_string()
-                continue
-            if self.text[self.pos] == "{":
+            elif found == "{":
                 self.skip_value()
-                continue
-            self.pos += 1
+            else:
+                return
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ __all__ = [
     "Expr", "Const", "Var", "Lam", "Apply", "RecordExpr", "Project",
     "VariantExpr", "Case", "CaseBranch", "Empty", "Singleton", "Union", "Ext",
     "Fold", "IfThenElse", "PrimCall", "Let", "Deref", "Scan", "Cached",
+    "BindScan",
     "fresh_var", "free_variables", "substitute", "node_count",
     "filter_chain", "filtered", "keyed_rows", "keyed_rows_parts",
     "guarded_probe", "guarded_probe_parts",
@@ -572,6 +573,39 @@ class Cached(Expr):
         return (self.expr,)
 
 
+class BindScan(Ext):
+    """A bind join: ``U[| [|[item = x, result = scan]|] | \\x <- source |]``.
+
+    ``body`` is a :class:`Scan` whose arguments read the loop variable; the
+    value is one ``[item = x, result = scan(x)]`` record per source element,
+    in source order and multiplicity, as a collection of ``kind`` (the
+    optimizer gives the source's proven kind, else ``list``).  The compiled
+    lowerings send the requests in batches of the run's ``remote_max_chunk``
+    (one ``Driver.execute_batch`` round trip each), ``max_workers`` batches
+    in flight: pinned there, or, with ``adaptive`` set (the server declared
+    no cap), narrowing on a rejection as a parallel loop's window does.
+    """
+
+    __slots__ = ("max_workers", "adaptive")
+
+    def __init__(self, var: str, scan: "Scan", source: Expr, kind: str = "list",
+                 max_workers: int = 5, adaptive: bool = False):
+        super().__init__(var, scan, source, kind)
+        self.max_workers = max_workers
+        self.adaptive = adaptive
+
+    def rebuild(self, children: Sequence[Expr]) -> Expr:
+        return BindScan(self.var, children[0], children[1], self.kind,
+                        self.max_workers, self.adaptive)
+
+    def _key(self) -> Tuple:
+        return super()._key() + (self.max_workers, self.adaptive)
+
+    def fingerprint_extras(self) -> Tuple:
+        """The window the compiled loop bakes in (see ``term_fingerprint``)."""
+        return (self.max_workers, self.adaptive)
+
+
 # ---------------------------------------------------------------------------
 # Filter chains, and the keyed rows an on-the-fly index is built from
 # ---------------------------------------------------------------------------
@@ -688,10 +722,15 @@ def substitute(expr: Expr, name: str, replacement: Expr) -> Expr:
         return Let(var, new_value, substitute(body, name, replacement))
     if isinstance(expr, Ext):
         new_source = substitute(expr.source, name, replacement)
-        if expr.var == name:
-            return Ext(expr.var, expr.body, new_source, expr.kind)
-        var, body = _rename_if_captured(expr.var, expr.body, replacement)
-        return Ext(var, substitute(body, name, replacement), new_source, expr.kind)
+        var, body = expr.var, expr.body
+        if var != name:
+            var, body = _rename_if_captured(var, body, replacement)
+            body = substitute(body, name, replacement)
+        # rebuild keeps a subclass (ParallelExt, BindScan) and its settings;
+        # the copy is fresh, so renaming its binder mutates nothing shared.
+        copy = expr.rebuild((body, new_source))
+        copy.var = var
+        return copy
     if isinstance(expr, Case):
         new_subject = substitute(expr.subject, name, replacement)
         new_branches = []

@@ -149,7 +149,11 @@ An ``Ext`` whose body is a ``Scan`` depending on the loop variable
 additionally batches its driver fetches: one
 ``EvalContext.driver_executor_batch`` call (``Driver.execute_batch``) per
 batch — the source chunk, capped at the *scan* driver's policy maximum —
-instead of one request per element.
+instead of one request per element.  A bind join
+(:class:`~repro.core.nrc.ast.BindScan`, which the optimizer puts around a
+remote server that ships a batch in one round trip) runs through the same
+loop (:func:`_batched_scan_loop`) in batches of ``remote_max_chunk``, as
+many at once as its window; its eager form drains that loop.
 
 Cost-based planning
 -------------------
@@ -165,7 +169,8 @@ and a driver's declared batch economics.  The plan's
 key stays the bare term fingerprint and one cached pipeline serves every
 plan.  The ramp itself is one geometric path (:class:`_ChunkRamp`): a chunk
 is as big as its source declares or its rows say, and no clock sizes it.
-A streamed ``ParallelExt`` submits one scheduler task per source element.
+A streamed ``ParallelExt`` submits one scheduler task per source element,
+a bind join one per batch.
 Nothing a run drained re-plans the next one; per-chunk timing exists only
 for a profile (see "Observability semantics").
 
@@ -324,8 +329,10 @@ the pre-observability code paths (differential-pinned by the test suite).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
+import itertools
 import operator
 import time
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
@@ -353,6 +360,7 @@ from .eval import (
     EvalContext,
     Evaluator,
     _CountingStream,
+    bind_pair,
     is_lazy_stream,
     iterate_source,
     materialise,
@@ -1436,8 +1444,11 @@ def chunkable_node_types() -> Tuple[str, ...]:
 def _compile_chunk(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
     compiler = _CHUNK_COMPILERS.get(type(expr))
     if compiler is None:
-        if type(expr) is A.PrimCall and expr.name == "probe":
-            # The group an index already holds: a leaf, nothing eager to it.
+        if ((type(expr) is A.PrimCall and expr.name == "probe")
+                or (type(expr) is A.Project and type(expr.expr) is A.Var)):
+            # The group an index already holds, or a collection a bound
+            # record holds (a bind join's ``p.result``): a leaf, nothing
+            # eager to it.
             return _chunk_leaf(expr, scope, state)
         return _chunk_via_eager(expr, scope, state)
     return compiler(expr, scope, state)
@@ -1663,98 +1674,201 @@ def _chunk_scan(expr: A.Scan, scope, state):
     return chunks
 
 
-def _execute_scan_batch(driver: str, requests: List[dict],
-                        context: EvalContext) -> list:
-    """Issue a chunk's worth of scan requests, batched where possible.
-
-    Routes through ``EvalContext.driver_executor_batch`` (one
-    ``Driver.execute_batch`` call for the whole chunk) when the engine
-    provides it, else loops over the per-request executor.  Lazy results are
-    scope-registered immediately — not on first consumption — so abandoning
-    the pipeline mid-chunk releases cursors the batch opened but downstream
-    never reached; eager collections are counted here like a single scan's.
-    """
-    executor = context.driver_executor
+def _dispatch_scan_batch(driver: str, requests: List[dict],
+                         context: EvalContext) -> list:
+    """One batch of scan requests, through
+    ``EvalContext.driver_executor_batch`` (one ``Driver.execute_batch``
+    call) when the engine provides it, else one request at a time."""
     batch_executor = context.driver_executor_batch
-    if executor is None and batch_executor is None:
+    if batch_executor is not None:
+        return list(batch_executor(driver, requests))
+    executor = context.driver_executor
+    if executor is None:
         raise EvaluationError(
             f"no driver executor available to satisfy scan of driver {driver!r}"
         )
-    stats = context.statistics
-    stats.scan_requests += len(requests)
-    if batch_executor is not None:
-        results = list(batch_executor(driver, requests))
-    else:
-        results = [executor(driver, request) for request in requests]
-    prepared = []
-    for result in results:
-        if isinstance(result, _COLLECTIONS):
-            stats.scan_elements += len(result)
-            prepared.append(result)
-        else:
-            prepared.append(scan_stream(result, context))
-    return prepared
+    return [executor(driver, request) for request in requests]
 
 
-def _chunk_ext_scan_batch(expr: A.Ext, scope: _Scope, state: _CompileState) -> _ChunkFn:
-    """``Ext`` whose body is a ``Scan``: batch the chunk's driver fetches.
+def _scheduled(function, tasks, max_workers: int, adaptive: bool,
+               context: EvalContext):
+    """``function`` over ``tasks``, replies in task order, through a
+    :class:`~repro.kleisli.scheduler.Scheduler` window of ``max_workers``.
 
-    Instead of one request per source element, a whole batch of requests
-    is built first and dispatched in one ``execute_batch`` call, then each
-    result's elements are yielded in request order — the same element
-    sequence and the same drained-run statistics, at one driver round-trip
-    per batch.
+    A pinned window of one, or a loop of zero or one task, has nothing to
+    overlap: it runs on the caller's thread with no scheduler and no pool
+    (a pinned window of one pulls no task ahead).  Otherwise the scheduler
+    is registered with the run's evaluation scope (the backstop if the
+    generator is dropped without ``close()``) and closed when the loop
+    ends: a loop in the body of another runs once per outer element.
+    """
+    tasks = iter(tasks)
+    head: list = []
+    if max_workers > 1 or adaptive:
+        head = list(itertools.islice(tasks, 2))
+    if len(head) < 2:
+        yield from map(function, itertools.chain(head, tasks))
+        return
+    from ...kleisli.scheduler import Scheduler  # avoids a cycle
 
-    The batch size is bounded by the *scan driver's* policy maximum (not
-    just the source's chunk size): a remote scan driver keeps small batches,
-    so one ``execute_batch`` call never blocks on — or buffers the results
-    of — more than ``remote_max_chunk`` round-trips, however large the
-    (possibly local, fully ramped) source's chunks grow.
+    scheduler = Scheduler(max_workers, adaptive=adaptive)
+    scope = context.scope
+    if scope is not None:
+        scope.register(scheduler)
+    try:
+        yield from scheduler.prefetch(function, itertools.chain(head, tasks))
+    finally:
+        scheduler.close()
+        if scope is not None:
+            scope.unregister(scheduler)
+
+
+def _batched_scan_loop(expr: A.Ext, scope: _Scope, state: _CompileState,
+                       flatten: bool) -> _ChunkFn:
+    """The one batched-request loop: a scan per source element, sent in
+    batches of one ``execute_batch`` round trip each.
+
+    ``expr`` is an ``Ext`` whose body is a ``Scan`` (the unoptimized loop:
+    one batch per source chunk, capped at the scan driver's policy maximum,
+    sent one after another) or a :class:`~repro.core.nrc.ast.BindScan` (the
+    bind join: batches of exactly ``remote_max_chunk`` across source chunks,
+    ``max_workers`` of them in flight, moving if ``adaptive``).  Requests
+    are built on the consumer's thread, so a batch task only waits on the
+    server; each reply is a cancellation checkpoint.  ``flatten`` yields
+    each result's elements (the ``Ext`` over a scan, and an ``Ext`` reading
+    ``p.result`` of a bind join, which also counts its own iterations);
+    otherwise each batch's ``[item, result]`` pairs are one chunk.  The
+    caller dedups a set-kind loop.
     """
     source_fn = _compile_chunk(expr.source, scope, state)
     scan = expr.body
-    body_scope = scope + (expr.var,)
     driver = scan.driver
     base_request = dict(scan.request)
-    arg_fns = tuple((key, _compile(arg, body_scope, state))
+    arg_fns = tuple((key, _compile(arg, scope + (expr.var,), state))
                     for key, arg in scan.args.items())
     slot = len(scope)
+    bound = type(expr) is A.BindScan
+    loops = 2 if bound and flatten else 1
+    max_workers = expr.max_workers if bound else 1
+    adaptive = bound and expr.adaptive
 
     def chunks(frame, context):
         stats = context.statistics
+        token = context.cancellation
         loop_frame = _extended(frame, None)
-        maximum = _active_policy(context).max_chunk_for(driver)
+        policy = _active_policy(context)
+        maximum = policy.max_chunk_for(driver)
+        size = policy.remote_max_chunk if bound else maximum
         note = _chunk_timer(context)
         stage = "scan:" + driver
-        # ONE ramp for the whole stage: it starts at 1 for the first chunk
-        # (TTFR) and keeps its reached size across results, instead of
-        # re-paying the tiny-chunk dispatch overhead per scan result.
+
+        def batch(items):
+            stats.ext_iterations += loops * len(items)
+            stats.scan_requests += len(items)
+            requests = []
+            for item in items:
+                loop_frame[slot] = item
+                request = dict(base_request)
+                for key, fn in arg_fns:
+                    request[key] = fn(loop_frame, context)
+                requests.append(request)
+            return items, requests
+
+        def batches():
+            pending: list = []
+            for chunk in source_fn(frame, context):
+                if not bound:
+                    for start in range(0, len(chunk), size):
+                        yield batch(chunk[start:start + size])
+                    continue
+                pending.extend(chunk)
+                while len(pending) >= size:
+                    yield batch(pending[:size])
+                    del pending[:size]
+            if pending:
+                yield batch(pending)
+
+        def send(task):
+            items, requests = task
+            if note is None:
+                return items, _dispatch_scan_batch(driver, requests, context)
+            began = time.perf_counter()
+            results = _dispatch_scan_batch(driver, requests, context)
+            note(stage, len(requests), time.perf_counter() - began)
+            return items, results
+
+        # ONE ramp for a flattened stage: it starts at 1 for the first chunk
+        # (TTFR) and keeps its reached size across results.
         ramp = _ChunkRamp(maximum)
-        for chunk in source_fn(frame, context):
-            stats.ext_iterations += len(chunk)
-            for start in range(0, len(chunk), maximum):
-                requests = []
-                for item in chunk[start:start + maximum]:
-                    loop_frame[slot] = item
-                    request = dict(base_request)
-                    for key, fn in arg_fns:
-                        request[key] = fn(loop_frame, context)
-                    requests.append(request)
-                if note is None:
-                    results = _execute_scan_batch(driver, requests, context)
-                else:
-                    began = time.perf_counter()
-                    results = _execute_scan_batch(driver, requests, context)
-                    note(stage, len(requests), time.perf_counter() - began)
+        replies = _scheduled(send, batches(), max_workers, adaptive, context)
+        with contextlib.closing(replies):
+            for items, results in replies:
+                if token is not None:
+                    token.raise_if_cancelled()
+                for index, result in enumerate(results):
+                    if isinstance(result, _COLLECTIONS):
+                        stats.scan_elements += len(result)
+                    else:
+                        # A lazy cursor is scope-registered as soon as it
+                        # arrives, so an abandoned pipeline still closes it.
+                        result = results[index] = scan_stream(result, context)
+                if not flatten:
+                    yield [bind_pair(item, materialise(result))
+                           for item, result in zip(items, results)]
+                    continue
                 for result in results:
                     if isinstance(result, _COLLECTIONS):
                         yield from ramp.emit_sliced(result._elements)
                     else:
                         yield from ramp.emit_pulled(iter(result))
 
-    if expr.kind == "set":
-        return _dedup_set_chunks(chunks)
     return chunks
+
+
+def _flattened_bind(expr: A.Ext) -> bool:
+    """Is ``expr`` ``U{ p.result | \\p <- BindScan(..) }`` (the hoisted form
+    of a loop whose body was the scan)?"""
+    return (type(expr.source) is A.BindScan
+            and type(expr.body) is A.Project and expr.body.label == "result"
+            and type(expr.body.expr) is A.Var and expr.body.expr.name == expr.var)
+
+
+@register_chunk_compiler(A.BindScan)
+def _chunk_bind_scan(expr: A.BindScan, scope, state):
+    chunks = _batched_scan_loop(expr, scope, state, flatten=False)
+    return _dedup_set_chunks(chunks) if expr.kind == "set" else chunks
+
+
+@register_compiler(A.BindScan)
+def _compile_bind_scan(expr: A.BindScan, scope, state):
+    """The eager bind join drains its chunk lowering."""
+    chunk_fn = _chunk_bind_scan(expr, scope, state)
+    kind = expr.kind
+
+    def run(frame, context):
+        return _drained(chunk_fn(frame, context), kind, context)
+
+    return run
+
+
+def _drained(chunks, kind: str, context: EvalContext):
+    """``chunks`` (an iterator of lists) as one collection of ``kind``,
+    closed however the drain ends.  The buffer is a materialization point
+    like the eager ``Ext``'s: quantum-batched budget charges, the remainder
+    at the end."""
+    budget = context.memory_budget
+    elements: list = []
+    charged = 0
+    with contextlib.closing(chunks):
+        for chunk in chunks:
+            elements.extend(chunk)
+            if budget is not None and len(elements) - charged >= 256:
+                budget.charge_elements(len(elements) - charged)
+                charged = len(elements)
+    if budget is not None and len(elements) > charged:
+        budget.charge_elements(len(elements) - charged)
+    context.statistics.note_intermediate(len(elements))
+    return make_collection(kind, elements)
 
 
 def _ident(item):
@@ -2047,8 +2161,12 @@ def _chunk_ext(expr: A.Ext, scope, state):
 
     if not stages:
         if type(expr.body) is A.Scan:
-            return _chunk_ext_scan_batch(expr, scope, state)
-        return _chunk_ext_generic(expr, scope, state)
+            chunks = _batched_scan_loop(expr, scope, state, flatten=True)
+        elif _flattened_bind(expr):
+            chunks = _batched_scan_loop(expr.source, scope, state, flatten=True)
+        else:
+            return _chunk_ext_generic(expr, scope, state)
+        return _dedup_set_chunks(chunks) if expr.kind == "set" else chunks
 
     source_fn = _compile_chunk(node, scope, state)
     ops = tuple(op for stage in reversed(stages) for op in stage)  # innermost first

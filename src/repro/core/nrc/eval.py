@@ -25,7 +25,7 @@ from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import EvaluationError, TermTooDeepError, UnboundVariableError
-from ..records import Record
+from ..records import Record, RecordDirectory
 from ..values import (
     CBag,
     CList,
@@ -539,6 +539,24 @@ class Evaluator:
             budget.charge_elements(len(elements) - charged)
         return make_collection(expr.kind, elements)
 
+    def _eval_bind_scan(self, expr: A.BindScan, env: Environment) -> object:
+        """The oracle of the batched lowerings: one request per source
+        element, in order, each result a collection in its pair."""
+        source = self._eval(expr.source, env)
+        stats = self.context.statistics
+        token = self.context.cancellation
+        pairs: List[object] = []
+        for item in self._iterate_source(source):
+            if token is not None:
+                token.raise_if_cancelled()
+            stats.ext_iterations += 1
+            result = self._eval(expr.body, env.child(expr.var, item))
+            pairs.append(bind_pair(item, self._materialise(result)))
+        if self.context.memory_budget is not None:
+            self.context.memory_budget.charge_elements(len(pairs))
+        stats.note_intermediate(len(pairs))
+        return make_collection(expr.kind, pairs)
+
     def _iterate_source(self, source: object) -> Iterator[object]:
         """Iterate a collection or a lazy token stream."""
         return iterate_source(source)
@@ -638,7 +656,16 @@ Evaluator._DISPATCH = {
     A.Deref: Evaluator._eval_deref,
     A.Scan: Evaluator._eval_scan,
     A.Cached: Evaluator._eval_cached,
+    A.BindScan: Evaluator._eval_bind_scan,
 }
+
+#: The shape of a :class:`~repro.core.nrc.ast.BindScan` element.
+_BIND_PAIR = RecordDirectory.for_labels(("item", "result"))
+
+
+def bind_pair(item: object, result: object) -> Record:
+    """``[item = item, result = result]``, on one shared directory."""
+    return Record(_directory=_BIND_PAIR, _values=(item, result))
 
 
 def iterate_source(source: object) -> Iterator[object]:

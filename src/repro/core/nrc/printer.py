@@ -83,6 +83,10 @@ class _Printer:
     def _render_parallelext(self, expr) -> str:
         return f"par[{expr.max_workers}]-{self._render_ext(expr)}"
 
+    def _render_bindscan(self, expr: "A.BindScan") -> str:
+        return (f"bind[{expr.max_workers}](\\{expr.var} => {self.render(expr.body)}"
+                f" | {self.render(expr.source)})")
+
     def _render_fold(self, expr: "A.Fold") -> str:
         return (f"fold({self.render(expr.func)}, {self.render(expr.init)}, "
                 f"{self.render(expr.source)})")

@@ -312,6 +312,7 @@ def proven_collection_kind(expr: A.Expr) -> Optional[str]:
 @register_kind_prover(A.Empty)
 @register_kind_prover(A.Singleton)
 @register_kind_prover(A.Ext)
+@register_kind_prover(A.BindScan)
 def _prove_declared_kind(expr) -> Optional[str]:
     return expr.kind
 

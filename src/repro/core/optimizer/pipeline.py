@@ -22,7 +22,7 @@ from ..nrc.rules_monadic import monadic_rule_set
 from .caching import make_caching_rule_set
 from .introduction import ScanSpec, make_introduction_rule_set
 from .joins import make_join_rule_set
-from .parallel import make_parallel_rule_set
+from .parallel import make_bind_join_rule_set, make_parallel_rule_set
 from .pushdown_path import make_path_pushdown_rule_set
 from .pushdown_sql import make_sql_pushdown_rule_set
 
@@ -84,6 +84,10 @@ class OptimizerPipeline:
         #: decides whether a parallel loop is fixed or moving even with
         #: ``planning`` off.
         self.concurrency_of = getattr(planner, "concurrency_of", None)
+        #: Which drivers ship a batch in one round trip (the planner's
+        #: ``batches_natively``): a declaration too, so it decides whether a
+        #: remote loop becomes a bind join even with ``planning`` off.
+        self.batches_natively = getattr(planner, "batches_natively", None)
         self.engine = self._build_engine()
 
     def _build_engine(self) -> RewriteEngine:
@@ -102,6 +106,11 @@ class OptimizerPipeline:
             rule_sets.append(make_join_rule_set())
         if config.caching:
             rule_sets.append(make_caching_rule_set())
+        if config.parallelism and self.batches_natively is not None:
+            rule_sets.append(make_bind_join_rule_set(
+                self.is_remote_driver, self.batches_natively,
+                config.parallel_max_workers,
+                concurrency_of=self.concurrency_of))
         if config.parallelism:
             rule_sets.append(make_parallel_rule_set(
                 self.is_remote_driver,

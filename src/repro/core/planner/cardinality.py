@@ -122,6 +122,8 @@ class CardinalityEstimator:
                 return self.FILTER_SELECTIVITY * self.estimate(expr.then_branch)
             return max(self.estimate(expr.then_branch),
                        self.estimate(expr.else_branch))
+        if node_type is A.BindScan:  # one record per source element
+            return self.estimate(expr.source)
         if isinstance(expr, A.Ext):  # includes ParallelExt
             return self.estimate(expr.source) * self.estimate(expr.body)
         if node_type is A.Fold:

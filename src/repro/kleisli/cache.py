@@ -129,9 +129,14 @@ class SubqueryCache(MutableMapping):
         """One run's window on the cache (see the module docstring)."""
         # A finalizer can run inside any allocation, one made under ``_lock``
         # included, so it only hands the dead run's keys over; they are
-        # dropped here, when the next run starts.
-        while self._dead:
-            for key in self._dead.pop():
+        # dropped here, when the next run starts.  Runs starting on two
+        # threads may both find a list to drop: ``pop`` (atomic) decides.
+        while True:
+            try:
+                keys = self._dead.pop()
+            except IndexError:
+                break
+            for key in keys:
                 try:
                     del self[key]
                 except KeyError:    # cleared in the meantime

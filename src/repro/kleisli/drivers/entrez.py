@@ -34,6 +34,9 @@ class EntrezDriver(Driver):
     """Drives an :class:`repro.asn1.entrez.EntrezServer`, optionally through a remote wrapper."""
 
     capabilities = frozenset({"index-select", "path", "links"})
+    #: The native execute_batch ships the whole batch in one remote round
+    #: trip (see Driver.batch_single_round_trip).
+    batch_single_round_trip = True
 
     def __init__(self, name: str, server: EntrezServer,
                  remote: Optional[RemoteSource] = None, lazy: bool = False):
@@ -45,55 +48,77 @@ class EntrezDriver(Driver):
     @classmethod
     def with_latency(cls, name: str, server: EntrezServer, latency: float = 0.02,
                      max_concurrent_requests: int = 5, lazy: bool = False) -> "EntrezDriver":
-        """Build a driver whose server sits behind a simulated remote link."""
+        """Build a driver whose server sits behind a simulated remote link.
+
+        A request crosses the link as one ``(method, *args)`` payload, so a
+        batch of them is one :meth:`~repro.net.remote.RemoteSource.call_batch`.
+        """
         remote = RemoteSource(
-            name,
-            lambda method, *args, **kwargs: getattr(server, method)(*args, **kwargs),
+            name, lambda payload: getattr(server, payload[0])(*payload[1:]),
             latency=latency,
             max_concurrent_requests=max_concurrent_requests,
         )
         return cls(name, server, remote=remote, lazy=lazy)
 
-    def _call(self, method: str, *args, **kwargs):
-        if self.remote is not None:
-            return self.remote.call(method, *args, **kwargs)
-        return getattr(self.server, method)(*args, **kwargs)
-
     def _execute(self, request: Dict[str, object]):
+        payload, finish = self._plan(request)
+        if self.remote is not None:
+            return finish(self.remote.call(payload))
+        return finish(getattr(self.server, payload[0])(*payload[1:]))
+
+    def execute_batch(self, requests):
+        """Native batched fetch: one remote round trip for the whole batch.
+
+        Like :meth:`RelationalDriver.execute_batch
+        <repro.kleisli.drivers.relational.RelationalDriver.execute_batch>`:
+        every request is planned up front, the payloads ship together over
+        ``call_batch`` (one admission slot, one latency), and results come
+        back in request order, shaped as :meth:`execute` shapes them.
+        Without a remote link the server is local and looping is as good.
+        """
+        if self.remote is None:
+            return [self.execute(request) for request in requests]
+        plans = [self._plan(dict(request)) for request in requests]
+        self.request_count += len(plans)
+        raws = self.remote.call_batch([payload for payload, _ in plans])
+        return [finish(raw) for (_, finish), raw in zip(plans, raws)]
+
+    def _plan(self, request: Dict[str, object]):
+        """``(payload, finish)``: the server call a request makes, and what
+        turns the server's reply into the driver's value."""
         db = str(request.get("db", "na"))
         if request.get("links") is not None and request.get("links") is not False:
             uid = request["links"] if not isinstance(request.get("links"), bool) else request.get("uid")
             if uid is None:
                 raise DriverError("links request needs a 'links' or 'uid' value")
-            link_rows = self._call("links", db, int(uid))
-            return CSet(lift_elements(link_rows))
+            return ("links", db, int(uid)), _link_set
         if "fetch" in request:
-            value = self._call("fetch", db, int(request["fetch"]),
-                               request.get("path") or None)
-            return from_python(value) if not _is_cpl(value) else value
+            return (("fetch", db, int(request["fetch"]), request.get("path") or None),
+                    _lifted)
         if "select" in request:
             if request.get("uids"):
-                uids = self._call("query_uids", db, str(request["select"]))
-                return CSet(uids)
-            values = self._call("query", db, str(request["select"]),
-                                request.get("path") or None)
-            lifted = [value if _is_cpl(value) else from_python(value) for value in values]
-            # A path ending on a collection (e.g. ...id..giim) yields one set per
-            # entry; the driver returns their union so generators iterate the ids
-            # themselves, as in the paper's ASN-IDs example.
-            if lifted and all(isinstance(value, (CSet,)) or
-                              type(value).__name__ in ("CBag", "CList") for value in lifted):
-                flattened = []
-                for value in lifted:
-                    flattened.extend(value)
-                lifted = flattened
-            if self.lazy:
-                return TokenStream(iter(lifted), kind="set")
-            return CSet(lifted)
+                return ("query_uids", db, str(request["select"])), CSet
+            return (("query", db, str(request["select"]), request.get("path") or None),
+                    self._selected)
         raise DriverError(
             f"Entrez driver {self.name!r} needs a 'select', 'fetch' or 'links' request, "
             f"got {sorted(request)}"
         )
+
+    def _selected(self, values):
+        lifted = [_lifted(value) for value in values]
+        # A path ending on a collection (e.g. ...id..giim) yields one set per
+        # entry; the driver returns their union so generators iterate the ids
+        # themselves, as in the paper's ASN-IDs example.
+        if lifted and all(isinstance(value, (CSet,)) or
+                          type(value).__name__ in ("CBag", "CList") for value in lifted):
+            flattened = []
+            for value in lifted:
+                flattened.extend(value)
+            lifted = flattened
+        if self.lazy:
+            return TokenStream(iter(lifted), kind="set")
+        return CSet(lifted)
 
     # -- CPL integration ---------------------------------------------------------------
 
@@ -113,6 +138,14 @@ class EntrezDriver(Driver):
         if collection in self.server.divisions:
             return len(self.server.divisions[collection])
         return None
+
+
+def _link_set(link_rows) -> CSet:
+    return CSet(lift_elements(link_rows))
+
+
+def _lifted(value: object) -> object:
+    return value if _is_cpl(value) else from_python(value)
 
 
 def _is_cpl(value: object) -> bool:

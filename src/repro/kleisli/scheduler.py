@@ -7,8 +7,11 @@ replies must not pile up.  :class:`Scheduler` is that one mechanism: a
 sliding window of at most ``level`` tasks is in flight while the consumer
 processes earlier replies, results come back in submission order, and the
 source of tasks is pulled no further than one window ahead.  It serves
-every lowering of the parallel-loop operator the optimizer introduces
-around remote inner loops.
+every lowering of the two loops the optimizer introduces around remote
+requests: a parallel loop, whose task is one source element (one request
+for a server that takes one per round trip), and a bind join, whose task is
+one batch of ``remote_max_chunk`` requests (one round trip for a server
+that ships batches).
 
 The paper closes the section with its reference [43]: *"techniques to
 automatically adjust the level of concurrency based on the capability of
@@ -141,7 +144,8 @@ class Scheduler:
         """Apply ``function`` to every task through the window, yielding in order.
 
         A task is a list of work units (a parallel loop hands one source
-        element) and holds one window slot.  At most ``level`` tasks are in
+        element, a bind join one batch of requests) and holds one window
+        slot.  At most ``level`` tasks are in
         flight while the consumer processes earlier replies, so remote
         latency overlaps consumption end-to-end.  Each yielded reply frees
         a slot and the next task is issued immediately — and because

@@ -23,7 +23,8 @@ from repro.core.nrc.rules_monadic import MONADIC_RULES, monadic_rule_set
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "kleisli"))
 
-from test_plan_shapes import _doe_session, _session_for, example, workloads  # noqa: E402
+from test_plan_shapes import (  # noqa: E402
+    OneRequestPerTrip, _doe_session, _session_for, example, workloads)
 from test_stream_differential import _engine, _shapes  # noqa: E402
 
 
@@ -59,9 +60,11 @@ def _cpl_terms():
     union = _session_for(workloads.build("union_dedup", seed=22))
     adhoc_workload = workloads.build("adhoc_cold", seed=22, seconds=0.1)
     adhoc = _session_for(adhoc_workload)
-    doe = _doe_session(build_chromosome22(
+    doe_data = build_chromosome22(
         locus_count=40, homologues_per_entry=1, sequence_length=60,
-        publication_count=5, seed=22))
+        publication_count=5, seed=22)
+    doe = _doe_session(doe_data)
+    parallel_doe = _doe_session(doe_data, OneRequestPerTrip)
     cases = [("join", relational, workloads.JOIN_QUERY),
              # The key stands behind a filter on both rows: the join stage's rule.
              ("join behind a mixed filter", relational,
@@ -69,7 +72,8 @@ def _cpl_terms():
              ("aggregate", relational, workloads.AGGREGATE_QUERY),
              ("semi-join", relational, workloads.SEMIJOIN_QUERY),
              ("union_dedup", union, workloads.UNION_QUERY),
-             ("DOE", doe, example.DOE_QUERY)]
+             ("DOE", doe, example.DOE_QUERY),
+             ("DOE, one request per trip", parallel_doe, example.DOE_QUERY)]
     cases += [(f"adhoc {number}", adhoc, op.parts[0][1])
               for number, op in enumerate((adhoc_workload.warmup + adhoc_workload.ops)[:10])]
     return [(label, session.engine.optimizer,
@@ -96,7 +100,8 @@ def test_declared_and_undeclared_pipelines_agree_on_terms_and_firings(terms, mon
     assert {"R1-vertical-fusion", "R4-projection-reduction", "beta-reduction",
             "ext-union-source", "ext-singleton-body", "driver-introduction",
             "sql-join-pushdown", "local-join", "hoist-loop-invariant",
-            "index-correlated-loop", "parallel-remote-loop"} <= set(fired.firings)
+            "index-correlated-loop", "bind-join-hoist", "bind-join-unnest",
+            "parallel-remote-loop"} <= set(fired.firings)
     assert len(terms) >= 50
 
 
@@ -111,7 +116,8 @@ DECLARED = {
     "R1-vertical-fusion": A.Ext, "R3-filter-promotion": A.Ext,
     "R2-horizontal-fusion": A.Union,
     "driver-introduction": A.Apply, "sql-join-pushdown": A.Ext, "sql-select-pushdown": A.Ext,
-    "asn1-path-pushdown": A.Ext, "local-join": A.Ext, "parallel-remote-loop": A.Ext,
+    "asn1-path-pushdown": A.Ext, "local-join": A.Ext, "bind-join-hoist": A.Ext,
+    "bind-join-unnest": A.Ext, "parallel-remote-loop": A.Ext,
     # Documentation only: ``_ScopedCachingRuleSet`` applies them in its own walk.
     "hoist-loop-invariant": None, "index-correlated-loop": None,
 }
