@@ -131,12 +131,17 @@ value, at O(1)-per-element cost:
   homogeneous projection (:func:`_record_plan`): per chunk, one C-level pass
   finds the rows' directory, whose projected slots are resolved once per
   activation, and the fields fill column-wise into value tuples on the
-  head's static directory.  A set-kind stage or union chain whose operands
+  head's static directory.  A field ``x.f + c``, ``c - x.f`` or ``x.f * c``
+  (``c`` an ``int``/``float`` literal) is one typed pass over its gathered
+  column: a gate (every item an exact ``int`` or ``float``), then one C-level
+  ``map`` of the operator.  A set-kind stage or union chain whose operands
   all end in a head on one directory keys its seen-set on those tuples and
   builds a ``Record`` for first occurrences only (any other operand mix
   keeps the ``Record``-keyed set).  *Fallback*: a chunk that is not all
-  records of one directory carrying every projected label takes the
-  per-item form — values, typed errors and ``ext_iterations`` unchanged.
+  records of one directory carrying every projected label, or whose
+  arithmetic column fails its gate, takes the per-item form — values, typed
+  errors (``add expects a number, got bool`` at its row) and
+  ``ext_iterations`` unchanged.
 
 Eager sections remain exactly where the whole value is semantically
 required: ``Fold`` (the accumulator consumes every element), the build side
@@ -1946,24 +1951,29 @@ def _item_plan(expr: A.Expr, scope: _Scope, state: _CompileState,
 
             return ("call", build1)
         first, second = plans
-        if first == ("item",) and second[0] == "const":
+        if "const" in (first[0], second[0]):
+            const_is_second = second[0] == "const"
+            operand, const = (first, second) if const_is_second else (second, first)
             # Constant operand: its value checks run HERE, at compile time
-            # (fused_primitive_with_const), leaving one call per element.
-            fused = fused_primitive_with_const(expr.name, second[1],
-                                               const_is_second=True)
+            # (fused_primitive_with_const), leaving one check per element.
+            fused = fused_primitive_with_const(expr.name, const[1],
+                                               const_is_second)
             if fused is not None:
-                return ("call", lambda frame, context, _fn=fused: _fn)
-            value = second[1]
-            return ("call", lambda frame, context, _f=function, _v=value:
-                    (lambda item: _f(item, _v)))
-        if first[0] == "const" and second == ("item",):
-            fused = fused_primitive_with_const(expr.name, first[1],
-                                               const_is_second=False)
-            if fused is not None:
-                return ("call", lambda frame, context, _fn=fused: _fn)
-            value = first[1]
-            return ("call", lambda frame, context, _f=function, _v=value:
-                    (lambda item: _f(_v, item)))
+                if operand == ("item",):
+                    return ("call", lambda frame, context, _fn=fused: _fn)
+
+                def build_fused(frame, context, _plan=operand, _fn=fused):
+                    operand_fn = _realize(_plan, frame, context)
+                    return lambda item: _fn(operand_fn(item))
+
+                return ("call", build_fused)
+            if operand == ("item",):
+                value = const[1]
+                if const_is_second:
+                    return ("call", lambda frame, context, _f=function, _v=value:
+                            (lambda item: _f(item, _v)))
+                return ("call", lambda frame, context, _f=function, _v=value:
+                        (lambda item: _f(_v, item)))
 
         def build2(frame, context, _first=first, _second=second, _f=function):
             first_fn = _realize(_first, frame, context)
@@ -2012,6 +2022,28 @@ def _item_plan(expr: A.Expr, scope: _Scope, state: _CompileState,
 
 _ROW_DIRECTORY = operator.attrgetter("directory")
 _ROW_VALUES = operator.attrgetter("values")
+_NUMBERS = frozenset((int, float))
+_COLUMN_ARITHMETIC = {"add": operator.add, "sub": operator.sub,
+                      "mul": operator.mul}
+
+
+def _column_arithmetic(value: A.Expr, scope: _Scope, state: _CompileState,
+                       slot: int) -> Optional[tuple]:
+    """``(label, op, const, const_is_second)`` for a head field ``x.label op
+    const`` or ``const op x.label`` (``x`` the loop variable, ``op`` one of
+    ``+ - *``, ``const`` an ``int``/``float`` literal), else ``None``."""
+    if (type(value) is not A.PrimCall or len(value.args) != 2
+            or value.name not in _COLUMN_ARITHMETIC):
+        return None
+    left, right = value.args
+    for subject, const, const_is_second in ((left, right, True),
+                                            (right, left, False)):
+        if (type(const) is A.Const and type(const.value) in _NUMBERS
+                and type(subject) is A.Project
+                and _item_plan(subject.expr, scope, state, slot) == ("item",)):
+            return (subject.label, _COLUMN_ARITHMETIC[value.name], const.value,
+                    const_is_second)
+    return None
 
 
 def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
@@ -2023,20 +2055,29 @@ def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
     heads" in the module docstring): ``vrows`` realizes ``rows(chunk)``, the
     chunk's value tuples on the head's directory, and ``records`` builds on
     them.  Fields projecting the loop variable are gathered by one
-    ``itemgetter`` per source slot; the others run their item-plan beside
-    them; a chunk the gather cannot take — and the typed error at its
-    offending row — goes to the per-item form.
+    ``itemgetter`` per source slot; a field ``x.f op c`` is one typed pass
+    over its gathered column (:func:`_column_arithmetic`); the others run
+    their item-plan beside them; a chunk the gather or a column's type gate
+    cannot take — and the typed error at its offending row — goes to the
+    per-item form.
     """
     directory = RecordDirectory.for_labels(expr.fields)
     fields: List[Tuple[int, tuple]] = []  # (output slot, item-plan), in source order
-    gathered: Dict[int, str] = {}  # output slot -> label projected off the loop variable
+    projected: Dict[int, str] = {}  # output slot -> label read off the loop variable
+    arithmetic: Dict[int, tuple] = {}  # output slot -> (op, const, const_is_second)
     for label, value in expr.fields.items():
         plan = _item_plan(value, scope, state, slot)
         if plan is None:
             return None
-        fields.append((directory.slots[label], plan))
+        out = directory.slots[label]
+        fields.append((out, plan))
         if type(value) is A.Project and _item_plan(value.expr, scope, state, slot) == ("item",):
-            gathered[directory.slots[label]] = value.label
+            projected[out] = value.label
+        else:
+            column = _column_arithmetic(value, scope, state, slot)
+            if column is not None:
+                projected[out] = column[0]
+                arithmetic[out] = column[1:]
     width = len(directory)
 
     def build(frame, context):
@@ -2050,7 +2091,7 @@ def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
 
         return record
 
-    computed = [(out, plan) for out, plan in fields if out not in gathered]
+    computed = [(out, plan) for out, plan in fields if out not in projected]
     if computed != sorted(computed, key=operator.itemgetter(0)):
         # Columns fill in slot order; computed fields in another source order
         # could report another of two errors than the per-item form does.
@@ -2058,10 +2099,10 @@ def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
 
     def slot_getters(source) -> Optional[dict]:
         if type(source) is not RecordDirectory or any(
-                label not in source.slots for label in gathered.values()):
+                label not in source.slots for label in projected.values()):
             return None
         return {out: operator.itemgetter(source.slots[label])
-                for out, label in gathered.items()}
+                for out, label in projected.items()}
 
     def build_rows(frame, context):
         record = build(frame, context)
@@ -2070,7 +2111,8 @@ def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
 
         def rows(chunk):
             getter = values = None
-            if gathered:
+            filled = {}  # output slot -> its arithmetic column
+            if projected:
                 try:
                     shapes = set(map(_ROW_DIRECTORY, chunk))
                 except AttributeError:  # a row that is not a record
@@ -2083,9 +2125,24 @@ def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
                 if getter is None:
                     return [record(item).values for item in chunk]
                 values = list(map(_ROW_VALUES, chunk))
+                # Arithmetic columns first: past the type gate only an
+                # OverflowError can stop one, and any refusal hands the whole
+                # chunk to the per-item form before another field has run.
+                for out, (op, const, const_is_second) in arithmetic.items():
+                    column = list(map(getter[out], values))
+                    if not _NUMBERS.issuperset(map(type, column)):
+                        return [record(item).values for item in chunk]
+                    try:
+                        filled[out] = (
+                            list(map(op, column, itertools.repeat(const)))
+                            if const_is_second else
+                            list(map(op, itertools.repeat(const), column)))
+                    except OverflowError:  # an int too big for a float
+                        return [record(item).values for item in chunk]
             if not width:
                 return [()] * len(chunk)
-            return list(zip(*[map(getter[out], values) if out in gathered
+            return list(zip(*[filled[out] if out in filled
+                              else map(getter[out], values) if out in projected
                               else map(columns[out], chunk)
                               for out in range(width)]))
 

@@ -23,7 +23,8 @@ same-shape rows once at each of three boundaries:
   resolves a record head's source slots once per source directory and dedups a
   set of heads on their value tuples (:func:`distinct_records`) before any
   ``Record`` exists;
-* **wire** — ``server.wire`` ships a run's labels once, as a ``rows`` block.
+* **wire** — ``server.wire`` ships a run's labels once, as a column-major
+  ``rows`` block.
 
 This module provides:
 

@@ -34,13 +34,15 @@ CPL values cross the wire in the tagged, lossless, order-preserving JSON
 encoding of :mod:`repro.server.wire` — ``decode_value(encode_value(v)) == v``,
 which is what lets the harness assert bit-identical parity between served
 results and single-user execution.  Inside any collection a run of records
-that share a directory is one ``{"%": "rows", "labels": [...], "v": [[...],
-...]}`` block: the labels cross once, each row is a plain list.  A ``fetch``
-batch is itself one encoded CPL list (``values`` is ``{"%": "list", ...}``,
-not a JSON array of separately encoded rows), so cursors and
-``run``/``query``/``view`` replies share that path.  This is protocol
-version **2** (``hello`` reports it); version 1 encoded every record as its
-own ``record`` object and is not spoken any more.
+that share a directory is one column-major block, ``{"%": "rows", "labels":
+[...], "n": k, "c": [[...], ...]}``: the labels cross once, then one
+``k``-item list per label (``n`` is the row count, which a zero-field block
+has no column to carry).  A ``fetch`` batch is itself one encoded CPL list
+(``values`` is ``{"%": "list", ...}``, not a JSON array of separately
+encoded rows), so cursors and ``run``/``query``/``view`` replies share that
+path.  This is protocol version **3** (``hello`` reports it); version 2 sent
+a block row by row and version 1 every record as its own ``record`` object,
+and neither is spoken any more.
 
 Session lifecycle
 =================

@@ -43,7 +43,7 @@ if TYPE_CHECKING:
 
 __all__ = ["KleisliServer", "PROTOCOL_VERSION"]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Most elements one ``fetch`` reply may carry (keeps frames bounded).
 MAX_FETCH_BATCH = 1024

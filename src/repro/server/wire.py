@@ -13,35 +13,43 @@ which are plain strings in the ``v`` sub-object or the ``labels`` list).
 ``bytes`` are latin-1 strings under their own tag, since JSON has no byte
 type.
 
-Records inside a collection travel shape-once.  Section 4 of the paper
-represents a record as a shared *directory* plus a value array so that a
-homogeneous collection pays the per-shape work once
+Records inside a collection travel shape-once and column-major.  Section 4
+of the paper represents a record as a shared *directory* plus a value array so
+that a homogeneous collection pays the per-shape work once
 (:mod:`repro.core.records`); the ``rows`` block is that representation on the
 wire.  Among the elements of any encoded set, bag or list, a maximal run of
 records whose ``directory`` is the same object becomes one element ::
 
-    {"%": "rows", "labels": [l1, ..., lk], "v": [[f1, ..., fk], ...]}
+    {"%": "rows", "labels": [l1, ..., lk], "n": n, "c": [[c1...], ..., [ck...]]}
 
-— the labels once, each row a plain list in label order.  A field whose exact
-type is ``bool``/``int``/``float``/``str``/``None`` is the list item itself;
-any other field (a nested collection, a variant, ``bytes``) is encoded as a
-value of its own.  The decoder interns the directory once per block
-(permuting the rows once if the labels arrive unsorted) and builds each
-record straight onto it.  Non-record elements and a change of directory end
-a run and elements keep their order, so a mixed collection is a sequence of
-blocks and plain elements.  A record that is *not* a collection element — a
-query's scalar result, a record field, a variant's payload — still travels
-as ``{"%": "record", "v": {label: field}}``.
+— the labels once, then one ``n``-item list per label, in label order (``n``
+carries the row count of a zero-field block, which has no columns).  A
+column item whose exact type is ``bool``/``int``/``float``/``str``/``None``
+is the field itself; any other field (a nested collection, a variant,
+``bytes``) is encoded as a value of its own.  A collection whose elements are
+all records of one directory is recognised by two C-level passes and becomes
+one block; the encoder transposes the value tuples with ``zip(*values)``, the
+decoder zips the columns back into value tuples (permuting the columns once
+if the labels arrive unsorted) and builds each record straight onto the
+interned directory.  Non-record elements and a change of directory end a run
+and elements keep their order, so a mixed collection is a sequence of blocks
+and plain elements.  A record that is *not* a collection element — a query's
+scalar result, a record field, a variant's payload — still travels as
+``{"%": "record", "v": {label: field}}``.
 
 Structured values may nest at most :data:`MAX_DEPTH` deep, in both
 directions: the codec recurses, and a peer must get a typed
 :class:`~repro.core.errors.WireProtocolError`, not a ``RecursionError``.
+A zero-field block is the one place where ``n`` alone sizes what the decoder
+builds, so one decoded value holds at most :data:`MAX_EMPTY_ROWS` zero-field
+records.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import itemgetter
+from functools import partial
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, Iterable, List
 
 from ..core.errors import WireProtocolError
@@ -55,8 +63,10 @@ from ..core.values import (
     UNIT_VALUE,
     Variant,
 )
+from ..net.framing import MAX_FRAME_BYTES
 
-__all__ = ["MAX_DEPTH", "encode_value", "decode_value", "encode_warnings"]
+__all__ = ["MAX_DEPTH", "MAX_EMPTY_ROWS", "encode_value", "decode_value",
+           "encode_warnings"]
 
 #: Most structured values (collection, record, variant) one inside another.
 #: A level costs up to three JSON levels and three Python frames, so this
@@ -64,12 +74,20 @@ __all__ = ["MAX_DEPTH", "encode_value", "decode_value", "encode_warnings"]
 #: interpreter's recursion limit.
 MAX_DEPTH = 100
 
+#: Most zero-field records one decoded value may hold: as many as a frame
+#: could carry at three bytes (``[],``) a row, the bound before a block
+#: carried its row count.  Every other record costs its fields' bytes.
+MAX_EMPTY_ROWS = MAX_FRAME_BYTES // 3
+
 _COLLECTION_TAGS = {CSet: "set", CBag: "bag", CList: "list"}
 _COLLECTION_TYPES = {"set": CSet, "bag": CBag, "list": CList}
 
 #: Exact types that are their own wire form — in a ``rows`` block, and
 #: whatever ``json.loads`` produces for them.
 _PLAIN = frozenset((bool, int, float, str, type(None)))
+
+_DIRECTORY = attrgetter("directory")
+_VALUES = attrgetter("values")
 
 
 def encode_value(value: object) -> object:
@@ -108,32 +126,38 @@ def _encode(value: object, depth: int) -> object:
 def _encode_elements(elements: Iterable[object], depth: int) -> List[object]:
     """A collection's elements, each run of same-directory records as one
     ``rows`` block."""
+    if {Record}.issuperset(map(type, elements)):
+        directories = set(map(_DIRECTORY, elements))
+        if len(directories) == 1:  # the homogeneous case: no per-element loop
+            directory, = directories
+            return [_encode_block(directory, list(map(_VALUES, elements)),
+                                  depth)]
     encoded: List[object] = []
-    blocks: List[List[object]] = []
-    directory = None
-    for element in elements:
-        if type(element) is Record:
-            if element.directory is not directory:
-                _check_depth(depth)
-                directory = element.directory
-                rows: List[object] = []
-                blocks.append(rows)
-                encoded.append({"%": "rows", "labels": list(directory.labels),
-                                "v": rows})
-            rows.append(element.values)
+    for directory, run in groupby(elements, _run_key):
+        if directory is None:
+            encoded.extend(_encode(element, depth) for element in run)
         else:
-            directory = None
-            encoded.append(_encode(element, depth))
-    for rows in blocks:
-        # One pass over the whole block settles whether any field needs
-        # encoding; a flat relational run never enters the per-field loop.
-        if _PLAIN.issuperset(map(type, chain.from_iterable(rows))):
-            rows[:] = map(list, rows)
-        else:
-            rows[:] = [[field if type(field) in _PLAIN
-                        else _encode(field, depth + 1) for field in values]
-                       for values in rows]
+            encoded.append(_encode_block(directory, list(map(_VALUES, run)),
+                                         depth))
     return encoded
+
+
+def _run_key(element: object) -> object:
+    return element.directory if type(element) is Record else None
+
+
+def _encode_block(directory: RecordDirectory, rows: List[tuple],
+                  depth: int) -> dict:
+    """One ``rows`` block: the value tuples of ``rows``, column by column."""
+    _check_depth(depth)
+    columns = list(map(list, zip(*rows)))
+    for index, column in enumerate(columns):
+        if not _PLAIN.issuperset(map(type, column)):
+            columns[index] = [field if type(field) in _PLAIN
+                              else _encode(field, depth + 1)
+                              for field in column]
+    return {"%": "rows", "labels": list(directory.labels), "n": len(rows),
+            "c": columns}
 
 
 def encode_warnings(statistics: object) -> List[Dict[str, object]]:
@@ -152,10 +176,10 @@ def encode_warnings(statistics: object) -> List[Dict[str, object]]:
 
 def decode_value(payload: object) -> object:
     """Rebuild a CPL value from its wire encoding."""
-    return _decode(payload, 0)
+    return _decode(payload, 0, [MAX_EMPTY_ROWS])
 
 
-def _decode(payload: object, depth: int) -> object:
+def _decode(payload: object, depth: int, empty_left: List[int]) -> object:
     if payload is None or isinstance(payload, (bool, int, float, str)):
         return payload
     if isinstance(payload, dict):
@@ -165,18 +189,20 @@ def _decode(payload: object, depth: int) -> object:
             fields = payload.get("v")
             if not isinstance(fields, dict):
                 raise WireProtocolError("malformed record payload")
-            return Record({label: _decode(field, depth + 1)
+            return Record({label: _decode(field, depth + 1, empty_left)
                            for label, field in fields.items()})
         if isinstance(tag, str) and tag in _COLLECTION_TYPES:
             elements = payload.get("v")
             if not isinstance(elements, list):
                 raise WireProtocolError(f"malformed {tag} payload")
-            return _COLLECTION_TYPES[tag](_decode_elements(elements, depth + 1))
+            return _COLLECTION_TYPES[tag](
+                _decode_elements(elements, depth + 1, empty_left))
         if tag == "variant":
             variant_tag = payload.get("tag")
             if not isinstance(variant_tag, str):
                 raise WireProtocolError("variant tag must be a string")
-            return Variant(variant_tag, _decode(payload.get("v"), depth + 1))
+            return Variant(variant_tag,
+                           _decode(payload.get("v"), depth + 1, empty_left))
         if tag == "unit":
             return UNIT_VALUE
         if tag == "bytes":
@@ -192,39 +218,50 @@ def _decode(payload: object, depth: int) -> object:
         f"cannot decode {type(payload).__name__} from the wire")
 
 
-def _decode_elements(elements: List[object], depth: int) -> List[object]:
+def _decode_elements(elements: List[object], depth: int,
+                     empty_left: List[int]) -> List[object]:
     decoded: List[object] = []
     for element in elements:
         if type(element) is dict and element.get("%") == "rows":
-            decoded += _decode_rows(element, depth)
+            decoded += _decode_rows(element, depth, empty_left)
         else:
-            decoded.append(_decode(element, depth))
+            decoded.append(_decode(element, depth, empty_left))
     return decoded
 
 
-def _decode_rows(block: dict, depth: int) -> List[Record]:
+def _decode_rows(block: dict, depth: int,
+                 empty_left: List[int]) -> List[Record]:
     """The records of one ``rows`` block, all on one interned directory."""
     _check_depth(depth)
-    labels, rows = block.get("labels"), block.get("v")
+    labels, count, columns = block.get("labels"), block.get("n"), block.get("c")
     if (type(labels) is not list
-            or not all(type(label) is str for label in labels)
+            or not {str}.issuperset(map(type, labels))
             or len(set(labels)) != len(labels)):
         raise WireProtocolError(
             "rows block needs 'labels': a list of distinct strings")
-    if (type(rows) is not list
-            or not {list}.issuperset(map(type, rows))
-            or not {len(labels)}.issuperset(map(len, rows))):
+    if type(count) is not int or count < 0:
         raise WireProtocolError(
-            f"rows block needs 'v': a list of {len(labels)}-item lists")
+            "rows block needs 'n': a non-negative integer")
+    if (type(columns) is not list or len(columns) != len(labels)
+            or not {list}.issuperset(map(type, columns))
+            or not {count}.issuperset(map(len, columns))):
+        raise WireProtocolError(
+            f"rows block needs 'c': {len(labels)} lists of {count} items")
     directory = RecordDirectory.for_labels(labels)
+    if not columns:
+        # Only here does ``n`` alone set the size of what is built.
+        empty_left[0] -= count
+        if empty_left[0] < 0:
+            raise WireProtocolError(
+                f"more than {MAX_EMPTY_ROWS} zero-field records in one value")
+        return [Record(None, directory, ())] * count
     if tuple(labels) != directory.labels:
-        # Labels in the sender's order: one permutation serves every row.
-        in_directory_order = itemgetter(*map(labels.index, directory.labels))
-        rows = list(map(in_directory_order, rows))
-    if _PLAIN.issuperset(map(type, chain.from_iterable(rows))):
-        values = map(tuple, rows)
-    else:
-        values = (tuple(field if type(field) in _PLAIN
-                        else _decode(field, depth + 1) for field in row)
-                  for row in rows)
-    return [Record(_directory=directory, _values=row) for row in values]
+        # Labels in the sender's order: one permutation of the columns.
+        columns = list(map(dict(zip(labels, columns)).__getitem__,
+                           directory.labels))
+    columns = [column if _PLAIN.issuperset(map(type, column))
+               else [field if type(field) in _PLAIN
+                     else _decode(field, depth + 1, empty_left)
+                     for field in column]
+               for column in columns]
+    return list(map(partial(Record, None, directory), zip(*columns)))

@@ -339,3 +339,48 @@ class TestSessionModes:
         engine2 = KleisliEngine(execution_mode="interpret")
         Session(engine=engine2)  # no mode given: the engine's own is kept
         assert engine2.execution_mode is ExecutionMode.INTERPRET
+
+
+class TestConstantFusion:
+    """A literal operand is checked once, at compile time, whatever the other
+    operand is: a projection of the loop variable (``g.pos > 4000``,
+    ``h.len * 3``) takes the fused one-argument form, and its values and
+    typed errors are the interpreter's."""
+
+    OPS = ["add", "sub", "mul", "mod", "lt", "le", "gt", "ge", "eq", "neq"]
+    FIELDS = [7, 2.5, 0, -3, True, "s", None, 2 ** 1100]
+    LITERALS = [3, 0, 0.5, True, "s"]
+
+    @staticmethod
+    def _outcome(run):
+        try:
+            return ("value", list(run()))
+        except Exception as error:  # class and message are the observable
+            return ("raised", type(error).__name__, str(error))
+
+    def test_a_projection_beside_a_literal_takes_the_fused_form(self):
+        scope, state = ("g",), C._CompileState(0)
+        pos = B.project(B.var("g"), "pos")
+        for term in (B.prim("gt", pos, B.const(4000)),
+                     B.prim("mul", B.const(3), pos)):
+            kind, build = C._item_plan(term, scope, state, 0)
+            assert (kind, build.__name__) == ("call", "build_fused")
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_fused_operands_agree_with_the_interpreter(self, op):
+        field = B.project(B.var("g"), "f")
+        for literal in self.LITERALS:
+            for body in (B.prim(op, field, B.const(literal)),
+                         B.prim(op, B.const(literal), field)):
+                for value in self.FIELDS:
+                    term = B.ext("g", B.singleton(body, "list"), B.var("T"),
+                                 kind="list")
+                    bindings = {"T": CList([Record({"f": value})])}
+                    expected = self._outcome(lambda: KleisliEngine().execute(
+                        term, bindings, optimize=False, mode="interpret"))
+                    assert self._outcome(lambda: KleisliEngine().execute(
+                        term, bindings, optimize=False,
+                        mode="compiled")) == expected, (op, literal, value)
+                    assert self._outcome(lambda: KleisliEngine().stream(
+                        term, bindings, optimize=False)) == expected, \
+                        (op, literal, value)

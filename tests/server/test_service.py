@@ -125,7 +125,7 @@ class TestFraming:
 class TestProtocolBasics:
     def test_hello_reports_protocol_and_ops(self, client):
         reply = client.hello()
-        assert reply["protocol"] == 2
+        assert reply["protocol"] == 3
         assert {"run", "query", "open", "fetch", "close", "bye"} <= set(reply["ops"])
 
     def test_unknown_op_is_a_typed_protocol_error(self, client):

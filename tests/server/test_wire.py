@@ -1,4 +1,4 @@
-"""The value codec's ``rows`` block and its limits.
+"""The value codec's column-major ``rows`` block and its limits.
 
 Three contracts:
 
@@ -31,7 +31,8 @@ from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.session import Session
 from repro.net.framing import encode_frame, recv_message
 from repro.server import KleisliClient, KleisliServer
-from repro.server.wire import MAX_DEPTH, decode_value, encode_value
+from repro.server.wire import (MAX_DEPTH, MAX_EMPTY_ROWS, decode_value,
+                               encode_value)
 
 
 def exact(value):
@@ -148,7 +149,7 @@ def test_a_run_is_one_block_per_directory_change(rows):
         if not runs or runs[-1][0] is not row.directory:
             runs.append((row.directory, []))
         runs[-1][1].append(row)
-    assert [(block["%"], tuple(block["labels"]), len(block["v"]))
+    assert [(block["%"], tuple(block["labels"]), block["n"])
             for block in elements] == \
         [("rows", directory.labels, len(run)) for directory, run in runs]
 
@@ -160,13 +161,13 @@ def test_flat_fields_travel_as_themselves_and_others_encoded():
                           "none": None})])
     block, = encode_value(rows)["v"]
     assert block == {"%": "rows",
-                     "labels": ["acc", "gc", "id", "none", "ok"],
-                     "v": [["W1", 0.5, 1, None, True],
-                           ["W2", -0.0, 2, None, False]]}
+                     "labels": ["acc", "gc", "id", "none", "ok"], "n": 2,
+                     "c": [["W1", "W2"], [0.5, -0.0], [1, 2], [None, None],
+                           [True, False]]}
     nested = CList([Record({"k": CSet([1]), "raw": b"\xff", "id": 7})])
     block, = encode_value(nested)["v"]
-    assert block["v"] == [[7, {"%": "set", "v": [1]},
-                           {"%": "bytes", "v": "\xff"}]]
+    assert block["c"] == [[7], [{"%": "set", "v": [1]}],
+                          [{"%": "bytes", "v": "\xff"}]]
     assert exact(decode_value(encode_value(nested))) == exact(nested)
 
 
@@ -189,32 +190,55 @@ def test_decoded_rows_of_a_block_share_the_interned_directory():
 # malformed blocks, depth, variant tags
 # ---------------------------------------------------------------------------
 
-def block(labels, rows):
-    return {"%": "list", "v": [{"%": "rows", "labels": labels, "v": rows}]}
+def rows_block(labels, columns, n):
+    return {"%": "rows", "labels": labels, "n": n, "c": columns}
+
+
+def block(labels, columns, n):
+    return {"%": "list", "v": [rows_block(labels, columns, n)]}
 
 
 MALFORMED = {
-    "labels not a list": block("ab", [[1, 2]]),
-    "labels missing": {"%": "list", "v": [{"%": "rows", "v": []}]},
-    "labels an object": block({"a": 0}, [[1]]),
-    "duplicate labels": block(["a", "a"], [[1, 2]]),
-    "non-string label": block(["a", 1], [[1, 2]]),
-    "unhashable label": block(["a", []], [[1, 2]]),
-    "rows not a list": block(["a"], {"0": [1]}),
-    "rows missing": {"%": "list", "v": [{"%": "rows", "labels": ["a"]}]},
-    "short row": block(["a", "b"], [[1, 2], [1]]),
-    "long row": block(["a", "b"], [[1, 2, 3]]),
-    "row an object": block(["a"], [{"a": 1}]),
-    "row a string of the right width": block(["a", "b"], ["xy"]),
-    "row a number": block(["a"], [1]),
-    "bare list as a field": block(["a"], [[[1, 2]]]),
-    "unknown tag in a field": block(["a"], [[{"%": "frobnicate"}]]),
-    "block outside a collection": {"%": "rows", "labels": ["a"], "v": [[1]]},
+    "labels not a list": block("ab", [[1], [2]], 1),
+    "labels missing": {"%": "list", "v": [{"%": "rows", "n": 0, "c": []}]},
+    "labels an object": block({"a": 0}, [[1]], 1),
+    "duplicate labels": block(["a", "a"], [[1], [2]], 1),
+    "non-string label": block(["a", 1], [[1], [2]], 1),
+    "unhashable label": block(["a", []], [[1], [2]], 1),
+    "n missing": {"%": "list", "v": [{"%": "rows", "labels": ["a"],
+                                      "c": [[1]]}]},
+    "n negative": block(["a"], [[1]], -1),
+    "n negative, zero fields": block([], [], -1),
+    "n a bool": block(["a"], [[1]], True),
+    "n a float": block(["a"], [[1]], 1.0),
+    "n a string": block([], [], "2"),
+    "n too large": block(["a"], [[1]], 2),
+    "n too small": block(["a"], [[1]], 0),
+    "columns not a list": block(["a"], {"0": [1]}, 1),
+    "columns missing": {"%": "list", "v": [{"%": "rows", "labels": ["a"],
+                                            "n": 1}]},
+    "too few columns": block(["a", "b"], [[1]], 1),
+    "too many columns": block(["a"], [[1], [2]], 1),
+    "short column": block(["a", "b"], [[1, 2], [1]], 2),
+    "long column": block(["a"], [[1, 2, 3]], 2),
+    "column an object": block(["a"], [{"a": 1}], 1),
+    "column a string of the right length": block(["a"], ["x"], 1),
+    "column a number": block(["a"], [1], 1),
+    "bare list as a field": block(["a"], [[[1, 2]]], 1),
+    "unknown tag in a field": block(["a"], [[{"%": "frobnicate"}]], 1),
+    "block in a column": block(["a"], [[rows_block(["b"], [[1]], 1)]], 1),
+    "block outside a collection": rows_block(["a"], [[1]], 1),
     "block as a record field": {"%": "record", "v": {
-        "f": {"%": "rows", "labels": ["a"], "v": [[1]]}}},
-    "block as a variant payload": {"%": "variant", "tag": "t", "v": {
-        "%": "rows", "labels": ["a"], "v": [[1]]}},
+        "f": rows_block(["a"], [[1]], 1)}},
+    "block as a variant payload": {"%": "variant", "tag": "t",
+                                   "v": rows_block(["a"], [[1]], 1)},
     "unhashable tag": {"%": ["list"], "v": []},
+    "too many zero-field records": block([], [], MAX_EMPTY_ROWS + 1),
+    # The bound is per decoded value, not per block: the second block is
+    # refused before anything is built for it.
+    "too many zero-field records in two blocks": {"%": "list", "v": [
+        rows_block([], [], 1), {"%": "bag", "v": [
+            rows_block([], [], MAX_EMPTY_ROWS)]}]},
 }
 
 
@@ -225,19 +249,24 @@ def test_a_malformed_block_is_a_typed_error(payload):
 
 
 def test_unsorted_labels_are_accepted_and_permuted():
-    decoded = decode_value(block(["b", "c", "a"], [[1, 2, 3], [4, 5, 6]]))
+    decoded = decode_value(block(["b", "c", "a"], [[1, 4], [2, 5], [3, 6]],
+                                 2))
     assert exact(decoded) == exact(CList([Record({"a": 3, "b": 1, "c": 2}),
                                           Record({"a": 6, "b": 4, "c": 5})]))
-    nested = decode_value(block(["z", "a"], [[{"%": "set", "v": [1]}, True]]))
+    nested = decode_value(block(["z", "a"], [[{"%": "set", "v": [1]}], [True]],
+                                1))
     assert exact(nested) == exact(CList([Record({"a": True,
                                                  "z": CSet([1])})]))
 
 
 def test_zero_row_one_row_and_zero_field_blocks_decode():
-    assert decode_value(block(["a"], [])) == CList()
-    assert exact(decode_value(block(["a"], [[1.0]]))) == \
+    assert decode_value(block(["a"], [[]], 0)) == CList()
+    assert decode_value(block([], [], 0)) == CList()
+    assert exact(decode_value(block(["a"], [[1.0]], 1))) == \
         exact(CList([Record({"a": 1.0})]))
-    assert decode_value(block([], [[], []])) == CList([Record(), Record()])
+    assert decode_value(block([], [], 2)) == CList([Record(), Record()])
+    assert len(decode_value(block([], [], MAX_EMPTY_ROWS // 4))) == \
+        MAX_EMPTY_ROWS // 4
 
 
 def nest(levels, innermost, wrap):
@@ -277,7 +306,7 @@ class TestDepthLimit:
         def lists_around(levels, innermost):
             return nest(levels, innermost,
                         lambda inner: {"%": "list", "v": [inner]})
-        rows = {"%": "rows", "labels": ["a"], "v": [[1]]}
+        rows = rows_block(["a"], [[1]], 1)
         assert decode_value(lists_around(MAX_DEPTH, 1)) is not None
         assert decode_value(lists_around(MAX_DEPTH - 1, rows)) is not None
         for payload in (lists_around(MAX_DEPTH + 1, 1),
@@ -386,4 +415,4 @@ def test_query_replies_take_the_same_path(table_server, reference):
             "op": "query",
             "source": r"[| [id = r.id] | \r <- T, r.id < 3 |]"})
         assert reply["value"] == {"%": "list", "v": [
-            {"%": "rows", "labels": ["id"], "v": [[0], [1], [2]]}]}
+            {"%": "rows", "labels": ["id"], "n": 3, "c": [[0, 1, 2]]}]}
