@@ -1701,11 +1701,12 @@ def _scheduled(function, tasks, max_workers: int, adaptive: bool,
     :class:`~repro.kleisli.scheduler.Scheduler` window of ``max_workers``.
 
     A pinned window of one, or a loop of zero or one task, has nothing to
-    overlap: it runs on the caller's thread with no scheduler and no pool
-    (a pinned window of one pulls no task ahead).  Otherwise the scheduler
-    is registered with the run's evaluation scope (the backstop if the
-    generator is dropped without ``close()``) and closed when the loop
-    ends: a loop in the body of another runs once per outer element.
+    overlap: it runs on the caller's thread with no scheduler and touches
+    no worker thread (a pinned window of one pulls no task ahead).
+    Otherwise the window hands its tasks to the run's engine's one worker
+    set (a scheduler outside an engine has a set of its own); closing the
+    generator waits for the tasks in flight, so a loop in the body of
+    another, run once per outer element, leaves nothing running.
     """
     tasks = iter(tasks)
     head: list = []
@@ -1716,16 +1717,10 @@ def _scheduled(function, tasks, max_workers: int, adaptive: bool,
         return
     from ...kleisli.scheduler import Scheduler  # avoids a cycle
 
-    scheduler = Scheduler(max_workers, adaptive=adaptive)
-    scope = context.scope
-    if scope is not None:
-        scope.register(scheduler)
-    try:
-        yield from scheduler.prefetch(function, itertools.chain(head, tasks))
-    finally:
-        scheduler.close()
-        if scope is not None:
-            scope.unregister(scheduler)
+    engine = context.engine
+    scheduler = Scheduler(max_workers, adaptive=adaptive, workers=(
+        None if engine is None else engine._worker_set()))
+    yield from scheduler.prefetch(function, itertools.chain(head, tasks))
 
 
 def _batched_scan_loop(expr: A.Ext, scope: _Scope, state: _CompileState,

@@ -183,8 +183,8 @@ class EvalScope:
     """A deterministic-release registry for cursors opened during evaluation.
 
     Every stream/cursor opened while a scope is active on the
-    :class:`EvalContext` (driver token streams, ``_CountingStream`` wrappers,
-    scheduler pools) registers itself here; :meth:`close` releases them in
+    :class:`EvalContext` (driver token streams, ``_CountingStream`` wrappers)
+    registers itself here; :meth:`close` releases them in
     LIFO order.  Closing a drained stream is a no-op by contract, so the
     scope can close everything unconditionally — only *abandoned* cursors
     are actually affected.

@@ -12,6 +12,10 @@ of requests at a time, say five."
 * :class:`ParallelExt` is that primitive: an ``Ext`` whose body is evaluated
   for several source elements at once, bounded by ``max_workers`` (the
   window also bounds unconsumed replies, the second concern the paper raises).
+  The bodies run on the engine's one set of worker threads, shared by every
+  loop of every run; a loop nested in another's body runs its tasks on the
+  outer task's thread when the set is busy, so a nest never waits for a
+  thread (see :mod:`repro.kleisli.scheduler`).
 * "Say five" is a property of the *server*, not of one loop: nested parallel
   loops and concurrent sessions reach the same server, so the bound that
   protects it is the per-driver in-flight gate of
@@ -104,10 +108,11 @@ def _replies(expr: ParallelExt, tasks: Iterable[list], run_body, context
     ``tasks`` yields lists of source elements (every lowering hands
     one-element lists); each task's result elements come back as one list,
     in task order, through the window of
-    :func:`repro.core.nrc.compile._scheduled` (which owns the pool and its
-    release).  ``ext_iterations`` and the cancellation checkpoint (one per
+    :func:`repro.core.nrc.compile._scheduled`, whose tasks run on the
+    engine's one worker set (or on the consumer's thread when every worker
+    is busy).  ``ext_iterations`` and the cancellation checkpoint (one per
     reply: a body that never reaches a driver has no other) live here.
-    Close the generator to release the pool — both callers do.
+    Close the generator to wait for the tasks in flight — both callers do.
     """
     stats = context.statistics
     token = context.cancellation

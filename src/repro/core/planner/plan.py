@@ -89,7 +89,7 @@ class QueryPlanner:
     #: a batched scan, so the batch cap is sized to the requests.
     BATCH_LATENCY_THRESHOLD = 0.005
     #: Sources with fewer estimated elements than this gain nothing from a
-    #: parallel loop (the pool costs more than the overlap).
+    #: parallel loop (handing tasks to workers costs more than the overlap).
     MIN_PARALLEL_SOURCE = 2
 
     def __init__(self, statistics,

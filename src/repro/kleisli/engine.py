@@ -77,6 +77,9 @@ if TYPE_CHECKING:
 
 __all__ = ["KleisliEngine", "ExecutionMode"]
 
+#: Taken only to start an engine's worker set, once.
+_WORKER_SET_LOCK = threading.Lock()
+
 #: How many lowered queries (eager + streaming together) the engine keeps;
 #: the least recently used entry is evicted when the cache is full.
 _COMPILED_CACHE_LIMIT = 128
@@ -402,6 +405,10 @@ class KleisliEngine:
         # warnings on the wire) reads thread_eval_statistics() instead.
         self._thread_statistics = threading.local()
         self._compiled_queries = _CompileCache(_COMPILED_CACHE_LIMIT)
+        #: The one set of worker threads every remote loop of every run
+        #: hands its tasks to (:meth:`_worker_set`), or ``None`` until the
+        #: first loop that overlaps anything.
+        self._workers = None
         #: The crash-safe persistence layer for the statistics registry's
         #: learned state.  ``None`` (the default) means no persistence at
         #: all — the engine behaves exactly as before the store existed.
@@ -792,6 +799,23 @@ class KleisliEngine:
             plan = PhysicalPlan.default()
         self.last_plan = plan
         return plan
+
+    def _worker_set(self):
+        """The engine's worker threads (:mod:`repro.kleisli.scheduler`).
+
+        Started by the first remote loop, not before: a local query never
+        imports the scheduler.  It holds as many threads as the engine's
+        servers admit at once — each declared cap, plus one window of
+        ``parallel_max_workers`` for a server that declared none — read
+        again at every loop, so a driver registered later widens it.
+        """
+        with _WORKER_SET_LOCK:
+            if self._workers is None:
+                from .scheduler import _Workers
+                self._workers = _Workers(0)
+        self._workers.size = self.optimizer_config.parallel_max_workers + sum(
+            gate.cap for gate in list(self.driver_gates.values()))
+        return self._workers
 
     def _failure_policy(self, on_source_failure: Optional[str]) -> str:
         """The run's source-failure policy: the caller's, else the engine's.

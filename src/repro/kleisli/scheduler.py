@@ -3,166 +3,163 @@
 Section 4, "Laziness, Latency, and Concurrency": the system issues several
 requests to a remote server at once, but *"the server S may only be able to
 handle a limited number of requests at a time, say five"*, and unconsumed
-replies must not pile up.  :class:`Scheduler` is that one mechanism: a
-sliding window of at most ``level`` tasks is in flight while the consumer
-processes earlier replies, results come back in submission order, and the
-source of tasks is pulled no further than one window ahead.  It serves
-every lowering of the two loops the optimizer introduces around remote
-requests: a parallel loop, whose task is one source element (one request
-for a server that takes one per round trip), and a bind join, whose task is
-one batch of ``remote_max_chunk`` requests (one round trip for a server
-that ships batches).
+replies must not pile up.  :class:`Scheduler` is that one mechanism: at
+most ``level`` tasks in flight, replies in submission order, the source
+pulled no further than one window ahead.  A task is one element of a
+parallel loop (one request) or one batch of a bind join (one round trip).
 
 The paper closes the section with its reference [43]: *"techniques to
 automatically adjust the level of concurrency based on the capability of
 servers and on resource availability are being developed."*  A server that
-*declares* its capability is taken at its word: the loop is pinned at the
-declared cap and the engine's per-driver gate holds every request under it.
-A server that declares nothing gets a window that moves only when the
-server says no: on a rejection (a
-:class:`~repro.core.errors.RemoteSourceError`) the window settles, narrows
-to the number of its requests the server admitted, and re-issues the
+*declares* its capability is pinned at its cap (the engine's per-driver
+gate holds every request under it).  For one that declares nothing the
+window moves only when the server says no: on a rejection it settles,
+narrows to the number of requests the server admitted and re-issues the
 rejected task.  It never widens again and reads no clock.
 
-Measured before choosing (40 requests at 10 ms to a server that declared
-nothing, the median of 10-12 alternating runs): against a cap-3 server a
-pinned window of 5 fails, and with ``RetryPolicy(max_attempts=5)`` takes
-358 ms, while a moving window takes 160 ms.  An earlier moving window also
-*widened*, by sampling throughput and latency (AIMD); wherever nothing was
-rejected that cost time — 107 ms against a pinned window's 86 ms on a
-cap-16 server — and it was deleted.  The rejection-only window runs those
-shapes as fast as a pinned one and reaches a cap-3 server's width in one
-step.
+A window owns no threads.  Each task goes to its engine's one bounded set
+of daemon workers (:class:`_Workers`): an idle worker, else a new one below
+the set's size, else the submitting thread runs it (caller-runs), so a
+nested loop never waits for a worker and a nest holds at most the set's
+size plus its callers.  Nothing is cancelled: an abandoned window waits for
+its tasks.  A worker idle for :data:`_IDLE_SECONDS` exits (no ``close()``).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import wait as _wait_futures
-from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
+from queue import Empty, SimpleQueue
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..core.errors import RemoteSourceError
 
 __all__ = ["Scheduler"]
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 #: How many times a moving window re-issues one rejected task before the
 #: rejection reaches the caller.
 MAX_RETRIES = 3
 
+#: How long a worker waits for its next task before it exits, in seconds.
+_IDLE_SECONDS = 5.0
 
-def _drain_futures(futures: Iterable[Future]) -> None:
-    """Settle abandoned in-flight futures (early-close cleanup).
 
-    Cancels what has not started; awaits what has (a running request cannot
-    be cancelled, and its reply must not arrive with the pool still owed
-    work after the consumer is gone).
-    """
-    for future in futures:
-        future.cancel()
-        if not future.cancelled():
+class _Task:
+    """A submitted task's value or error; ``_done`` is held while a worker
+    owes its run."""
+
+    __slots__ = ("function", "argument", "value", "error", "_done")
+
+    def __init__(self, function: Callable, argument) -> None:
+        self.function, self.argument = function, argument
+        self.value = self.error = None
+        self._done = threading.Lock()
+
+    def run(self) -> None:
+        try:
+            self.value = self.function(self.argument)
+        except BaseException as error:
+            self.error = error
+            del self    # the error's traceback holds this frame: no cycle
+
+    def wait(self) -> "_Task":
+        with self._done:
+            return self
+
+    def result(self):
+        if self.wait().error is not None:
+            raise self.error
+        return self.value
+
+
+class _Workers:
+    """At most ``size`` daemon worker threads, shared by every window."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.live = 0   # threads started and not yet exited
+        self.idle = 0   # workers waiting for a task, less the tasks queued
+        self._queue: SimpleQueue = SimpleQueue()
+        self._lock = threading.Lock()
+
+    def submit(self, function: Callable, argument) -> _Task:
+        """``function(argument)`` on an idle worker, else on a new one while
+        the set is below its size, else on this thread (caller-runs)."""
+        task = _Task(function, argument)
+        with self._lock:
+            start = self.idle == 0 and self.live < self.size
+            queued = start or self.idle > 0
+            if queued:
+                self.live += start
+                self.idle -= not start
+                task._done.acquire()
+                self._queue.put(task)
+        if start:
+            threading.Thread(target=self._work, daemon=True,
+                             name="kleisli-worker").start()
+        elif not queued:
+            task.run()
+        return task
+
+    def _work(self) -> None:
+        while True:
             try:
-                future.result()
-            except Exception:
-                pass
+                task = self._queue.get(timeout=_IDLE_SECONDS)
+            except Empty:   # a task handed over as it expired is queued: take it
+                with self._lock:
+                    if self._queue.empty():
+                        self.idle, self.live = self.idle - 1, self.live - 1
+                        return
+                continue
+            task.run()
+            with self._lock:    # idle before the reply is read: a window
+                self.idle += 1  # sent right after it finds this worker
+            task._done.release()
+            task = None     # keep no run's closure alive while idle
 
 
 class Scheduler:
     """Runs tasks with at most ``level`` in flight, yielding replies in order.
 
     ``level`` starts at ``max_workers``.  Pinned (the default), it stays
-    there and an error from a task — a server rejection included — reaches
-    the caller as it is.  With ``adaptive`` set the window moves, but only
-    down: a task the server rejected (a
-    :class:`~repro.core.errors.RemoteSourceError`, what a
-    :class:`~repro.net.remote.RemoteSource` raises past its cap) narrows
-    ``level`` to what the server admitted of that window and is re-issued,
-    up to :data:`MAX_RETRIES` times, before its error propagates.
-
-    ``level_history`` records every level the window moved to, and
-    ``overload_events`` / ``retries`` count narrowings and re-issues, which
-    the tests and the adaptive concurrency benchmark assert on; all stay
-    empty / zero when pinned.
-
-    The worker pool is created by the first submission and joined by
-    :meth:`close` (or the context-manager protocol); a window of one runs
-    on the caller's thread and never builds a pool.  One consumer thread
-    drives a scheduler (every activation of a parallel loop builds its own);
-    only the pool hand-over in :meth:`close` is locked, because an
-    evaluation scope may close it from another thread.
+    there and a task's error, a rejection included, reaches the caller as
+    it is.  With ``adaptive`` set the window moves, only down: a task the
+    server rejected (what a :class:`~repro.net.remote.RemoteSource` raises
+    past its cap) narrows ``level`` to what the server admitted of that
+    window and is re-issued, up to :data:`MAX_RETRIES` times.
+    ``level_history``, ``overload_events`` and ``retries`` record the moves,
+    narrowings and re-issues.  Tasks run on ``workers`` (the engine's set;
+    without one, a set ``max_workers`` wide); a window of one runs them on
+    the caller's thread.  One consumer thread drives a scheduler.
     """
 
-    def __init__(self, max_workers: int = 5, adaptive: bool = False):
+    def __init__(self, max_workers: int = 5, adaptive: bool = False,
+                 workers: Optional[_Workers] = None):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self.max_workers = max_workers
         self.adaptive = adaptive
         self.level = max_workers
-        self.tasks_submitted = 0
-        self.retries = 0
-        self.overload_events = 0
+        self.tasks_submitted = self.retries = self.overload_events = 0
         self.level_history: List[int] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._lock = threading.Lock()
+        self._workers = (_Workers(0) if max_workers == 1   # all inline
+                         else workers or _Workers(max_workers))
 
-    def close(self) -> None:
-        """Shut down the worker pool (joins its threads); safe to call twice."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _submit(self, run: Callable[[T], R], task: T) -> Future:
-        if self.max_workers == 1:
-            # A window of one has nothing to overlap: run on the caller's
-            # thread (the dispatch loop awaits this future next), no pool.
-            future: Future = Future()
-            try:
-                future.set_result(run(task))
-            except Exception as error:
-                future.set_exception(error)
-            return future
-        with self._lock:
-            pool = self._pool
-            if pool is None:
-                pool = self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers)
-        return pool.submit(run, task)
-
-    def prefetch(self, function: Callable[[T], R],
-                 tasks: Iterable[T]) -> Iterator[R]:
+    def prefetch(self, function: Callable, tasks: Iterable) -> Iterator:
         """Apply ``function`` to every task through the window, yielding in order.
 
-        A task is a list of work units (a parallel loop hands one source
-        element, a bind join one batch of requests) and holds one window
-        slot.  At most ``level`` tasks are in
-        flight while the consumer processes earlier replies, so remote
-        latency overlaps consumption end-to-end.  Each yielded reply frees
-        a slot and the next task is issued immediately — and because
-        ``tasks`` is pulled lazily, the source itself is only consumed one
-        window ahead of the consumer (bounding unconsumed replies, the
-        paper's resource-control concern).
-
-        A moving window reacts to a rejection once per window: it lets the
-        window settle, counts the rejections among the tasks submitted at
-        that level, and narrows to the rest — what the server admitted.
-        The rejected task is re-issued whole, preserving result order.
-
-        Abandoning the iterator (``close()``) stops issuing new requests;
-        already in-flight ones are drained so the pool is left quiescent.
+        A task is a list of work units and holds one window slot.  Each
+        yielded reply frees a slot for the next task, and ``tasks`` is
+        pulled lazily, only one window ahead of the consumer.  A moving
+        window reacts to a rejection once per window: it lets the window
+        settle, counts the rejections among the tasks submitted at that
+        level, narrows to the rest and re-issues the rejected task whole.
+        Abandoning the iterator (``close()``) stops issuing tasks and waits
+        for the ones in flight.
         """
         iterator = iter(tasks)
-        # Entries: (task, future, attempts, level at submission).  The level
+        submit = self._workers.submit
+        # Entries: (task, handle, attempts, level at submission).  The level
         # rides along so a whole window rejected at one level narrows ONCE —
         # its later rejections are already counted in that one narrowing.
         in_flight: deque = deque()
@@ -175,15 +172,15 @@ class Scheduler:
                     except StopIteration:
                         break
                     self.tasks_submitted += 1
-                    in_flight.append((task, self._submit(function, task), 0, level))
+                    in_flight.append((task, submit(function, task), 0, level))
                 if not in_flight:
                     return
-                task, future, attempts, submitted_at = in_flight.popleft()
+                task, handle, attempts, submitted_at = in_flight.popleft()
                 if not self.adaptive:
-                    yield future.result()
+                    yield handle.result()
                     continue
                 try:
-                    result = future.result()
+                    result = handle.result()
                 except RemoteSourceError:
                     if attempts >= MAX_RETRIES:
                         raise
@@ -191,19 +188,21 @@ class Scheduler:
                     # Let the window that overloaded the server settle: the
                     # retry must not land on the same congestion, and its
                     # rejections must all be in before they are counted.
-                    _wait_futures([entry[1] for entry in in_flight])
+                    for entry in in_flight:
+                        entry[1].wait()
                     if self.level >= submitted_at:
                         rejected = 1 + sum(
                             1 for entry in in_flight if entry[3] == submitted_at
-                            and isinstance(entry[1].exception(), RemoteSourceError))
+                            and isinstance(entry[1].error, RemoteSourceError))
                         admitted = max(1, submitted_at - rejected)
                         self.overload_events += 1
                         if admitted != self.level:
                             self.level = admitted
                             self.level_history.append(admitted)
-                    in_flight.appendleft((task, self._submit(function, task),
+                    in_flight.appendleft((task, submit(function, task),
                                           attempts + 1, self.level))
                     continue
                 yield result
         finally:
-            _drain_futures(entry[1] for entry in in_flight)
+            for entry in in_flight:
+                entry[1].wait()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import List, NamedTuple
 
 from ...core.errors import SQLSyntaxError
@@ -23,6 +24,13 @@ SQL_KEYWORDS = {
 _SYMBOLS = ["<>", "!=", "<=", ">=", "=", "<", ">", "(", ")", ",", ".", "*"]
 
 _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+
+_DIGITS = frozenset("0123456789")
+
+#: The one numeral grammar: digits, at most one ``.``, an optional exponent.
+_NUMERAL = re.compile(r"-?[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
+#: What a numeral runs into when it is malformed (``7...``, ``1.2.3``, ``1e``).
+_NUMERAL_TAIL = re.compile(r"[0-9A-Za-z_.]+")
 
 
 def tokenize_sql(text: str) -> List[SQLToken]:
@@ -52,11 +60,13 @@ def tokenize_sql(text: str) -> List[SQLToken]:
             tokens.append(SQLToken("STRING", "".join(parts), pos))
             pos = end + 1
             continue
-        if char.isdigit() or (char == "-" and pos + 1 < length and text[pos + 1].isdigit()
-                              and _previous_is_operator(tokens)):
-            end = pos + 1
-            while end < length and (text[end].isdigit() or text[end] == "."):
-                end += 1
+        if char in _DIGITS or (char == "-" and pos + 1 < length and text[pos + 1] in _DIGITS
+                               and _previous_is_operator(tokens)):
+            end = _NUMERAL.match(text, pos).end()
+            tail = _NUMERAL_TAIL.match(text, end)
+            if tail is not None:
+                raise SQLSyntaxError(
+                    f"malformed number {text[pos:tail.end()]!r} at position {pos}")
             tokens.append(SQLToken("NUMBER", text[pos:end], pos))
             pos = end
             continue

@@ -27,6 +27,16 @@ def parse_sql(text: str) -> SelectStatement:
     return _SQLParser(tokenize_sql(text)).parse_select()
 
 
+def _number(token: SQLToken):
+    """A NUMBER token's value: an ``int`` unless it has a ``.`` or an exponent."""
+    try:
+        if token.value.lstrip("-").isdigit():
+            return int(token.value)
+        return float(token.value)
+    except ValueError:      # more digits than ``int`` converts
+        raise SQLSyntaxError(f"number too long at position {token.position}") from None
+
+
 class _SQLParser:
 
     def __init__(self, tokens: List[SQLToken]):
@@ -101,7 +111,11 @@ class _SQLParser:
             if token.kind != "NUMBER":
                 raise SQLSyntaxError(f"expected a number after LIMIT, found {token.value!r}")
             self._advance()
-            limit = int(float(token.value))
+            try:
+                limit = int(_number(token))
+            except OverflowError:
+                raise SQLSyntaxError(
+                    f"LIMIT out of range at position {token.position}") from None
         token = self._peek()
         if token.kind != "EOF":
             raise SQLSyntaxError(
@@ -221,9 +235,7 @@ class _SQLParser:
             return token.value
         if token.kind == "NUMBER":
             self._advance()
-            if "." in token.value:
-                return float(token.value)
-            return int(token.value)
+            return _number(token)
         if token.kind == "KEYWORD" and token.value == "null":
             self._advance()
             return None

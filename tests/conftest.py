@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import threading
 import weakref
 
 import pytest
@@ -78,6 +79,29 @@ def run_views(monkeypatch):
         yield views
     finally:
         gc.enable()
+
+
+@pytest.fixture()
+def threads_besides_workers():
+    """``count(*owners)``: the live threads that are no engine's worker.
+
+    An owner is a ``KleisliEngine`` or a ``Scheduler`` (its ``_workers``
+    set; ``None`` before its first remote loop).  Workers outlive a run on
+    purpose, so the thread contract counts them apart: ``count`` requires
+    each owner's workers to be idle (a worker is idle before its reply is
+    read, so a finished run leaves none busy) and no more than its set's
+    size, then counts every thread but workers.
+    """
+    def count(*owners) -> int:
+        for owner in owners:
+            workers = getattr(owner, "_workers", None)
+            if workers is not None:
+                assert workers.idle == workers.live, "a worker is busy after the run"
+                assert workers.live <= workers.size
+        return sum(1 for thread in threading.enumerate()
+                   if thread.name != "kleisli-worker")
+
+    return count
 
 
 @pytest.fixture()

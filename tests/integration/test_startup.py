@@ -48,13 +48,16 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 
 #: None of these is loaded by serving a query: OpenSSL (a subquery-cache key
-#: is no digest), TLS, and the IDNA codec with what it pulls in.
+#: is no digest), TLS, the IDNA codec with what it pulls in, and a thread
+#: pool with its logging (a remote loop's tasks go to the engine's workers).
 NOT_ON_THE_REQUEST_PATH = ("hashlib", "_hashlib", "_ssl", "encodings.idna",
-                           "stringprep", "unicodedata")
+                           "stringprep", "unicodedata", "concurrent.futures",
+                           "logging", "traceback")
 
 #: One operation of each shape the end-to-end benchmark serves, through a
 #: client in the server's process, with the DOE query's two drivers declared
-#: remote (so its loops run in parallel) but sleeping nothing; prints the
+#: remote but sleeping nothing: over 120 loci (the benchmark's count) each
+#: of its two bind joins sends two batches through a window.  Prints the
 #: answer sizes, the subquery-cache hits and every module loaded by then.
 _SERVE = """
 import json, sys
@@ -64,7 +67,8 @@ from repro.kleisli.drivers import EntrezDriver, RelationalDriver
 from repro.kleisli.engine import KleisliEngine
 from repro.server import KleisliClient, KleisliServer
 
-data = build_chromosome22(locus_count=30)
+data = build_chromosome22(locus_count=120, homologues_per_entry=1,
+                          sequence_length=60, publication_count=5, seed=22)
 engine = KleisliEngine()
 engine.register_driver(RelationalDriver.with_latency(
     "GDB", data.gdb, latency=0.0, max_concurrent_requests=4), latency=0.002)
@@ -135,6 +139,7 @@ def test_serving_maps_no_native_library_a_query_does_not_use():
     served = json.loads(done.stdout)
     assert all(served["answers"]), served["answers"]   # every shape found rows
     assert served["cached"] > 0     # and the subquery cache was used
+    assert "repro.kleisli.scheduler" in served["modules"]  # and a window
     loaded = [name for name in NOT_ON_THE_REQUEST_PATH
               if name in served["modules"]]
     assert not loaded, f"loaded by serving: {loaded}"

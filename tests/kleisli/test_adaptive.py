@@ -56,9 +56,8 @@ class FirstBurstServer:
 
 def drain(scheduler, function, items):
     """Run a per-item ``function`` over ``items`` as one-unit tasks (a task
-    is a list of work units); the replies, in order.  Joins the pool."""
-    with scheduler:
-        return list(scheduler.prefetch(each(function), units(items)))
+    is a list of work units); the replies, in order."""
+    return list(scheduler.prefetch(each(function), units(items)))
 
 
 class TestAdaptiveSchedulerPolicy:

@@ -48,9 +48,9 @@ class TestTokenStream:
 
 class TestPinnedScheduler:
     def test_results_preserve_order(self):
-        with Scheduler(max_workers=4) as scheduler:
-            assert list(scheduler.prefetch(lambda x: x * x, range(20))) == \
-                [x * x for x in range(20)]
+        scheduler = Scheduler(max_workers=4)
+        assert list(scheduler.prefetch(lambda x: x * x, range(20))) == \
+            [x * x for x in range(20)]
 
     def test_never_exceeds_worker_cap(self):
         active = []
@@ -66,8 +66,8 @@ class TestPinnedScheduler:
                 active.remove(x)
             return x
 
-        with Scheduler(max_workers=3) as scheduler:
-            list(scheduler.prefetch(task, range(12)))
+        scheduler = Scheduler(max_workers=3)
+        list(scheduler.prefetch(task, range(12)))
         assert max(peak) <= 3
 
     def test_single_worker_runs_sequentially(self):

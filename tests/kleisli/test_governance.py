@@ -260,12 +260,12 @@ def test_driver_side_cancellation_stops_eager_run(cancel_after=4):
 
 @pytest.mark.parametrize("mode", [ExecutionMode.COMPILED,
                                   ExecutionMode.INTERPRET])
-def test_body_side_cancellation_stops_eager_parallel_loop(mode):
+def test_body_side_cancellation_stops_eager_parallel_loop(mode, threads_besides_workers):
     """A parallel loop whose body never reaches a driver has no checkpoint
     but its own: one per reply, so a cancel lands within a window or two."""
     engine = _engine()
     token = CancellationToken()
-    baseline = threading.active_count()
+    baseline = threads_besides_workers()
     calls = []
 
     def slow(x):
@@ -281,7 +281,7 @@ def test_body_side_cancellation_stops_eager_parallel_loop(mode):
         engine.execute(loop, {"R": CList(range(400)), "slow": slow},
                        optimize=False, mode=mode, cancellation=token)
     assert 10 <= len(calls) < 40
-    assert threading.active_count() == baseline
+    assert threads_besides_workers(engine) == baseline
     assert EvalScope.live_count() == 0
 
 
@@ -376,10 +376,10 @@ def test_over_budget_execute_raises_typed_and_counts():
 
 @pytest.mark.parametrize("mode", [ExecutionMode.COMPILED,
                                   ExecutionMode.INTERPRET])
-def test_over_budget_eager_parallel_loop_raises_typed(mode):
+def test_over_budget_eager_parallel_loop_raises_typed(mode, threads_besides_workers):
     """The eager parallel loop's reply buffer is charged like ``Ext``'s."""
     engine = _engine()
-    baseline = threading.active_count()
+    baseline = threads_besides_workers()
     bindings = {"R": CList(range(5000))}
     for node in (A.Ext, ParallelExt):
         loop = node("x", B.singleton(B.var("x"), "list"), B.var("R"), "list")
@@ -391,7 +391,7 @@ def test_over_budget_eager_parallel_loop_raises_typed(mode):
             memory_budget=5000 * NOMINAL_ROW_BYTES, spill=False))) == \
             list(range(5000))
     assert engine.governor.snapshot()["budget_rejections"] == 2
-    assert threading.active_count() == baseline
+    assert threads_besides_workers(engine) == baseline
     assert EvalScope.live_count() == 0
 
 

@@ -4,8 +4,9 @@ Every way a ``ParallelExt`` run can end — drained, abandoned after one
 element, a body raising on the k-th request, a token cancelled mid-loop —
 on both entry points, with a pinned and a moving window, in both execution
 modes, flat and nested (``par-U{par-U{...}}``, whose inner loops run on the
-outer loop's workers), must leave the process as it found it: no worker
-thread, no request held at the server's gate, no open evaluation scope.
+outer loop's workers), must leave the process as it found it: no busy worker
+and no thread but the engine's idle workers, no request held at the server's
+gate, no open evaluation scope.
 While it runs, the server never sees more than its declared cap of requests
 at once — under loops wider than a narrow server, and under loops as wide as
 a wide one (the width the planner gives them), nested — and what a run drains
@@ -127,9 +128,10 @@ ENDINGS = ["execute", "stream drained", "stream closed after one",
 @pytest.mark.parametrize("adaptive", [False, True], ids=["pinned", "adaptive"])
 @pytest.mark.parametrize("ending", ENDINGS)
 def test_every_ending_leaves_the_process_quiescent(ending, adaptive, mode,
-                                                   nested, cap, width):
+                                                   nested, cap, width,
+                                                   threads_besides_workers):
     expected, expected_fetched = _sequential(nested, mode)
-    threads = threading.active_count()
+    threads = threads_besides_workers()
     scopes = EvalScope.live_count()
     token = None
 
@@ -164,7 +166,7 @@ def test_every_ending_leaves_the_process_quiescent(ending, adaptive, mode,
             assert engine.last_eval_statistics.elements_fetched == \
                 expected_fetched
 
-        assert threading.active_count() == threads
+        assert threads_besides_workers(engine) == threads
         assert all(gate.in_flight == 0
                    for gate in engine.driver_gates.values())
         assert engine.driver_gates["S"].cap == cap

@@ -18,7 +18,6 @@ same optimized term).
 """
 
 import gc
-import threading
 import types
 
 import pytest
@@ -160,11 +159,12 @@ CASES = [(ending, config)
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 @pytest.mark.parametrize("ending,config", CASES)
 def test_every_ending_settles_the_same_books(ending, config, mode,
-                                             spill_managers):
+                                             spill_managers,
+                                             threads_besides_workers):
     governed = config in ("governed", "both")
     compiled = mode is ExecutionMode.COMPILED
     runs, status, raised = ENDINGS[ending]
-    threads = threading.active_count()
+    threads = threads_besides_workers()
     scopes = EvalScope.live_count()
     for run in runs:
         del spill_managers[:]
@@ -200,7 +200,7 @@ def test_every_ending_settles_the_same_books(ending, config, mode,
                 assert drained == EXPECTED
 
         # Nothing is left running or open ...
-        assert threading.active_count() == threads
+        assert threads_besides_workers(engine) == threads
         assert EvalScope.live_count() == scopes
         # ... the outcome is counted once ...
         books = engine.governor.snapshot()

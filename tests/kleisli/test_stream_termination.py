@@ -5,13 +5,11 @@ a consumer that stops early (closes the iterator) must not
 
 * leave the driver's cursor open (the driver generator's ``finally`` must
   run), nor
-* leak ``Scheduler`` workers from a ``ParallelExt`` body, nor
+* leave a ``ParallelExt`` body's task running on a worker, nor
 * eagerly drain the source behind the consumer's back —
 
 in **both** execution modes.
 """
-
-import threading
 
 import pytest
 
@@ -444,21 +442,23 @@ class TestChunkedEarlyClose:
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 class TestSchedulerWorkerCleanup:
-    def test_no_scheduler_threads_survive_early_close(self, mode):
-        """A ParallelExt body spins workers per element; closing mid-stream
-        must leave none behind (the scheduler joins its pool per batch)."""
+    def test_no_scheduler_threads_survive_early_close(self, mode,
+                                                      threads_besides_workers):
+        """A ParallelExt body hands tasks to the engine's workers per element;
+        closing mid-stream must leave none busy and start no other thread
+        (a window waits for its tasks in flight)."""
         engine = KleisliEngine()
         inner = ParallelExt(
             "y", B.singleton(B.prim("add", B.var("y"), B.var("x"))),
             A.Const(from_python([10, 20, 30], list_as="set")),
             kind="set", max_workers=3)
         expr = B.ext("x", inner, A.Const(CSet(range(50))))
-        baseline = threading.active_count()
+        baseline = threads_besides_workers()
         stream = engine.stream(expr, optimize=False, mode=mode)
         for _ in range(4):
             next(stream)
         stream.close()
-        assert threading.active_count() == baseline, "scheduler workers leaked"
+        assert threads_besides_workers(engine) == baseline, "threads leaked"
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)

@@ -156,12 +156,13 @@ def test_doe_query_goes_to_genbank_in_batches(doe_session):
     assert all(gate.in_flight == 0 for gate in engine.driver_gates.values())
 
 
-def test_sessions_sharing_the_batched_doe_query_stay_under_the_cap(doe_data):
+def test_sessions_sharing_the_batched_doe_query_stay_under_the_cap(
+        doe_data, threads_besides_workers):
     """Four sessions on one engine run the batched DOE query at once, the
     interpreter switching threads every 10 microseconds: every run reads
     the serial answer and its 75 requests, GenBank sees at most 4 round
     trips a run and never more than its cap at once, and no slot or
-    thread outlives the runs."""
+    thread outlives the runs but the engine's idle workers."""
     first = _doe_session(doe_data)
     engine = first.engine
     sessions = [first]
@@ -170,7 +171,7 @@ def test_sessions_sharing_the_batched_doe_query_stay_under_the_cap(doe_data):
         for definition in (example.LOCI22, example.ASN_IDS):
             sessions[-1].run(definition)
     expected = first.query(example.DOE_QUERY).value
-    idle = threading.active_count()
+    idle = threads_besides_workers(engine)
     genbank = engine.drivers["GenBank"].remote
     trips = len(genbank.log)
     outcomes = []
@@ -195,7 +196,28 @@ def test_sessions_sharing_the_batched_doe_query_stay_under_the_cap(doe_data):
     assert len(genbank.log) - trips <= 4 * 12
     assert genbank.log.max_concurrency() <= CAP
     assert all(gate.in_flight == 0 for gate in engine.driver_gates.values())
-    assert threading.active_count() == idle
+    assert threads_besides_workers(engine) == idle
+
+
+def test_warm_doe_queries_start_no_thread(doe_data, threads_besides_workers,
+                                          monkeypatch):
+    """The engine's workers outlive a run: as many are live after 10 DOE
+    queries as after 100, and the 90 warm queries start no thread."""
+    session = _doe_session(doe_data)
+    engine = session.engine
+    for _ in range(10):
+        session.query(example.DOE_QUERY)
+    workers = engine._workers.live
+    others = threads_besides_workers(engine)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    for _ in range(90):
+        session.query(example.DOE_QUERY)
+    assert started == []
+    assert engine._workers.live == workers
+    assert threads_besides_workers(engine) == others
 
 
 @pytest.mark.parametrize("mode", ["execute", "stream"])
@@ -256,16 +278,19 @@ def test_the_doe_query_parses_its_path_once(doe_data):
     assert (info.misses, info.hits) == (1, LOCI - 1)
 
 
-def test_two_sessions_of_the_doe_query_stay_under_the_cap_and_leave_nothing(doe_data):
+def test_two_sessions_of_the_doe_query_stay_under_the_cap_and_leave_nothing(
+        doe_data, threads_besides_workers):
     """As wide as its servers, twice over: the gate (not the loop) bounds what
     either server sees, a run's threads stop at its outer window (the 37 inner
-    loops are one request each and build no pool), and nothing outlives it."""
+    loops are one request each and hand no task to a worker), and nothing
+    outlives it but the engine's idle workers."""
     first = _doe_session(doe_data, OneRequestPerTrip)
     engine = first.engine
     second = Session(engine=engine)
     for definition in (example.LOCI22, example.ASN_IDS, example.BAND_VIEW):
         second.run(definition)
     idle = threading.active_count()
+    others = threads_besides_workers(engine)
     genbank = engine.drivers["GenBank"].remote
     served, threads_seen = genbank.handler, []
 
@@ -291,7 +316,7 @@ def test_two_sessions_of_the_doe_query_stay_under_the_cap_and_leave_nothing(doe_
     for name in ("GDB", "GenBank"):
         assert engine.drivers[name].remote.log.max_concurrency() <= CAP
         assert engine.driver_gates[name].in_flight == 0
-    assert threading.active_count() == idle
+    assert threads_besides_workers(engine) == others
 
 
 def test_the_parallel_doe_query_leaves_no_cyclic_garbage(parallel_doe_session, run_views):

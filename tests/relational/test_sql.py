@@ -87,6 +87,70 @@ class TestParser:
             parse_sql("select a from t extra junk")
 
 
+#: Each malformed numeral, the SQL around it and where the numeral starts.
+MALFORMED_NUMERALS = {
+    "7...": ("select * from locus where locus_id = 7...", 37),
+    "1.2.3": ("select * from locus where locus_id = 1.2.3", 37),
+    "LIMIT 7..8": ("select * from locus limit 7..8", 26),
+    "1e": ("select * from locus where locus_id = 1e", 37),
+}
+
+#: The CPL query that reached ``float('7...')`` through a relational driver.
+CPL_WITH_A_MALFORMED_NUMERAL = \
+    '{x | \\x <- GDB([query = "select * from locus where locus_id = 7..."])}'
+
+
+class TestNumerals:
+    """One numeral grammar: digits, at most one ``.``, an optional exponent.
+    Anything else is a ``SQLSyntaxError`` with its position, in a constant
+    and in ``LIMIT`` alike."""
+
+    @pytest.mark.parametrize("text,position", MALFORMED_NUMERALS.values(),
+                             ids=MALFORMED_NUMERALS.keys())
+    def test_a_malformed_numeral_is_a_syntax_error_with_its_position(
+            self, text, position):
+        with pytest.raises(SQLSyntaxError, match=f"at position {position}$"):
+            parse_sql(text)
+
+    @pytest.mark.parametrize("numeral,value", [
+        ("7", 7), ("-7", -7), ("7.", 7.0), ("7.25", 7.25), ("-2.5", -2.5),
+        ("1e3", 1000.0), ("2.5E-1", 0.25), ("1e+2", 100.0)])
+    def test_the_numeral_grammar(self, numeral, value):
+        predicate = parse_sql(f"select * from locus where locus_id = {numeral}").predicates[0]
+        assert predicate.right == value and type(predicate.right) is type(value)
+
+    def test_limit_takes_the_same_numerals(self):
+        assert parse_sql("select * from locus limit 2.5").limit == 2
+        assert parse_sql("select * from locus limit 1e1").limit == 10
+        with pytest.raises(SQLSyntaxError, match="at position 26"):
+            parse_sql("select * from locus limit 1e999")
+
+    def test_a_numeral_too_long_to_convert_is_a_syntax_error(self):
+        with pytest.raises(SQLSyntaxError, match="at position 37"):
+            parse_sql("select * from locus where locus_id = " + "1" * 5000)
+
+    def test_through_a_cpl_query_locally_and_served(self, gdb):
+        from repro.kleisli.drivers import RelationalDriver
+        from repro.kleisli.engine import KleisliEngine
+        from repro.kleisli.session import Session
+        from repro.server import KleisliClient, KleisliServer
+        from repro.server.client import RemoteQueryError
+
+        session = Session()
+        session.register_driver(RelationalDriver("GDB", gdb))
+        with pytest.raises(SQLSyntaxError, match="at position 37"):
+            session.query(CPL_WITH_A_MALFORMED_NUMERAL)
+        engine = KleisliEngine()
+        engine.register_driver(RelationalDriver("GDB", gdb))
+        well_formed = CPL_WITH_A_MALFORMED_NUMERAL.replace("7...", "7")
+        with KleisliServer(engine) as server, KleisliClient(server.address) as client:
+            with pytest.raises(RemoteQueryError) as info:
+                client.query(CPL_WITH_A_MALFORMED_NUMERAL)
+            assert info.value.error_type == "SQLSyntaxError"
+            # The session goes on.
+            assert len(client.query(well_formed)) == 1
+
+
 class TestPlanner:
     def test_single_table_equality_uses_index(self, gdb):
         plan = plan_query(gdb, parse_sql("select * from locus where locus_id = 7"))
