@@ -10,16 +10,20 @@ same wiring:
 * an ACE database of clones/contigs referencing the loci (object identity),
 * the Publication set from the introduction,
 * a FASTA library of the human sequences (for the BLAST-style driver).
+
+Importing this module loads none of those substrates: the relational engine
+loads inside :func:`~repro.bio.gdb.build_gdb`, the ASN.1 machinery inside
+:func:`~repro.bio.genbank.build_genbank`, ACE and the flat-file formats
+inside :func:`build_chromosome22`; the dataset names their classes only in
+annotations.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from ..asn1.entrez import EntrezServer
 from ..core._fields import Fields
 from ..core.values import CSet
-from ..relational import Database
 from .gdb import build_gdb, accession_for_locus
 from .genbank import build_genbank
 from .publications import build_publications
@@ -27,7 +31,9 @@ from .sequences import SequenceGenerator
 
 if TYPE_CHECKING:
     from ..ace.database import AceDatabase
+    from ..asn1.entrez import EntrezServer
     from ..formats.fasta import FastaRecord
+    from ..relational import Database
 
 __all__ = ["Chromosome22Dataset", "build_chromosome22"]
 

@@ -16,10 +16,12 @@ chromosome 22 and carry GenBank accession references.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..relational import Database
 from .sequences import SequenceGenerator
+
+if TYPE_CHECKING:
+    from ..relational import Database
 
 __all__ = ["build_gdb", "GDB_BANDS"]
 
@@ -43,6 +45,8 @@ def build_gdb(locus_count: int = 500, chromosome22_fraction: float = 0.3,
     form ``M8xxxx`` (matching the accessions :func:`repro.bio.genbank.build_genbank`
     indexes).
     """
+    from ..relational import Database
+
     generator = generator or SequenceGenerator(seed=2201)
     database = Database("GDB")
 

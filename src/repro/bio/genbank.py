@@ -11,14 +11,16 @@ BLAST to precompute its links.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..asn1.entrez import EntrezServer
-from ..asn1.typespec import Asn1Schema, parse_asn1_schema
 from ..core.values import CList, CSet, Record, Variant
 from .gdb import accession_for_locus
 from .sequences import SequenceGenerator
 from .similarity import similarity_search
+
+if TYPE_CHECKING:
+    from ..asn1.entrez import EntrezServer
+    from ..asn1.typespec import Asn1Schema
 
 __all__ = ["SEQ_ENTRY_SPEC", "build_genbank", "seq_entry_schema"]
 
@@ -48,6 +50,8 @@ _GENE_WORDS = ["perforin", "immunoglobulin lambda", "myoglobin", "CYP2D6", "BCR"
 
 def seq_entry_schema() -> Asn1Schema:
     """Parse and return the Seq-entry schema."""
+    from ..asn1.typespec import parse_asn1_schema
+
     return parse_asn1_schema(SEQ_ENTRY_SPEC, name="ncbi-seq")
 
 
@@ -65,6 +69,8 @@ def build_genbank(locus_ids: List[int], homologues_per_entry: int = 2,
     similarity search of each human entry against the non-human entries —
     exactly the role BLAST plays for NCBI.
     """
+    from ..asn1.entrez import EntrezServer
+
     generator = generator or SequenceGenerator(seed=2202)
     schema = seq_entry_schema()
     entry_type = schema.cpl_type("Seq-entry")

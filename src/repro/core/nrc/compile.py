@@ -1,335 +1,78 @@
-"""Compile-to-closures backend for NRC: the Kleisli execution engine's fast path.
+"""Compile-to-closures backend for NRC: the Kleisli engine's fast path.
 
-The paper's Kleisli implementation gets its evaluation speed from *compiling*
-CPL/NRC into an executable form rather than interpreting the tree.  This
-module is that stage for the reproduction: a **staged compiler** that lowers
-an (already optimized) NRC term into nested Python closures.
+The paper's Kleisli gets its speed from compiling CPL/NRC rather than walking
+the tree.  This module lowers an (already optimized) NRC term two ways, each
+behind one registry of per-node compilers:
 
-Staging strategy
-----------------
+* :func:`compile_term` — the **eager** lowering (``KleisliEngine.execute``).
+  One bottom-up pass turns every node into a closure
+  ``fn(frame: list, context: EvalContext) -> value`` returning a whole
+  value.  Registry: ``_COMPILERS`` (:func:`register_compiler`, listed by
+  :func:`supported_node_types`), filled by the ``_compile_*`` functions.
+* :func:`compile_chunked` — the **chunked** lowering (``KleisliEngine.stream``).
+  A node becomes a generator stage passing lists of at most K elements, and
+  adjacent map/filter stages fuse into one loop per chunk.  Registry:
+  ``_CHUNK_COMPILERS`` (:func:`register_chunk_compiler`, listed by
+  :func:`chunkable_node_types`), filled by the ``_chunk_*`` functions;
+  :class:`CompiledChunkedStream` runs the pipeline.
 
-Compilation is a single bottom-up pass, ``compile_term(term)``, producing one
-Python callable per AST node with the uniform signature::
+The third lowering is the interpreter, :class:`repro.core.nrc.eval.Evaluator`
+(``mode="interpret"``).
 
-    fn(frame: list, context: EvalContext) -> value
+Decided once, at compile time: dispatch (a direct closure call per node),
+variables (each ``Var`` is a fixed slot of a flat frame list; a loop binder
+reuses its slot), primitives, constructors and scan request templates, and
+each ``Project``'s inline ``(directory, slot)`` cache — Section 4's
+homogeneous-collection fast path.  A ``Lam`` snapshots its frame when built.
 
-Everything that the tree-walking :class:`~repro.core.nrc.eval.Evaluator` must
-re-discover *per element of every collection* is decided **once, at compile
-time**, and burned into the closure:
+**Fallbacks.**  An eager node type with no compiler becomes a thunk handing
+its subtree to the interpreter (``CompiledQuery.fallback_nodes``,
+``EvalStatistics.compiled_fallbacks``).  A node with no chunk compiler runs
+its eager closure and the pipeline chunks the whole value
+(``CompiledChunkedStream.eager_nodes``, ``EvalStatistics.stream_fallbacks``):
+``Fold``, the ``index`` a local join probes, a ``Union`` whose operand kinds
+:func:`~repro.core.nrc.structural.proven_collection_kind` cannot prove, and
+scalar operators.  ``Cached`` is a deliberate materialization point and
+counts as no fallback.
 
-* **Dispatch** — the interpreter does a ``type(expr)`` dictionary lookup per
-  node per element; here each node becomes a direct closure call, so the AST
-  is never consulted again after compilation.
-* **Variable lookup** — the interpreter allocates a chained ``Environment``
-  dict per binding and walks the chain per lookup.  The compiler maintains a
-  compile-time *scope* (a tuple of binder names, innermost last) and resolves
-  every ``Var`` to a fixed integer slot; at run time the environment is a flat
-  Python list (the *frame*) and a lookup is a single ``frame[i]`` index.
-  Loop binders (``Ext``) reuse one frame slot across iterations, so the hot
-  path allocates no environment at all.
-* **Constant work** — primitive functions are looked up, collection
-  constructors selected, record labels fixed, and scan request templates
-  prepared at compile time.
-* **Projection** — each compiled ``Project`` node carries an inline
-  ``(directory, slot)`` cache, giving the Remy homogeneous-collection fast
-  path (Section 4 of the paper) without a per-record directory lookup.
+**Streaming rules.**  A drained stream yields exactly the eager value's
+elements in order, with the same ``elements_fetched``; chunk sizes never
+show in a value.
 
-Closure values (``Lam``) snapshot the current frame when they are created, so
-a function value escaping a loop observes the bindings that were live at its
-creation, exactly like the interpreter's chained environments.
+* A set-kind stage dedups as it goes (:func:`_dedup_set_chunks`), its
+  seen-set carried across chunks.
+* The ramp (:class:`_ChunkRamp`) starts at one element and doubles up to the
+  run's :class:`ChunkPolicy` maximum, read from ``EvalContext.chunk_policy``
+  at run time, so one pipeline cached by :func:`term_fingerprint` serves
+  every plan.  A chunk is as big as its source declares or its rows say; no
+  clock sizes it.
+* A record head runs column-wise (:func:`_record_plan`, the ``vrows`` op),
+  and a field ``x.f + c`` is one typed pass over its column
+  (:func:`_column_arithmetic`).  A chunk that does not fit takes the
+  per-item form, with the same values and errors.
+* A loop whose body scans a driver by the loop variable batches its fetches
+  (:func:`_batched_scan_loop`); a bind join (``BindScan``) runs the same
+  loop in batches of ``remote_max_chunk``.  A ``ParallelExt`` or a bind join
+  hands its tasks to the engine's scheduler through :func:`_scheduled`.
 
-Fallback
---------
+**Run-time layers.**  Compiled artifacts are immutable and shared by every
+thread and session (the ``Project`` cache is one atomically swapped tuple);
+what a run changes lives on its ``EvalContext``.  The layers around a run
+reach it only through context fields that default to ``None`` and through
+choke points every lowering already has:
 
-Node types without a registered compiler (see :func:`register_compiler`) are
-not errors: the compiler emits a *fallback thunk* that reconstructs an
-:class:`~repro.core.nrc.eval.Environment` from the frame and delegates the
-subtree to the interpreter.  ``CompiledQuery.fallback_nodes`` reports which
-node types fell back, and ``EvalStatistics.compiled_fallbacks`` counts how
-often the handoff happened at run time.  Both execution modes share the same
-:class:`~repro.core.nrc.eval.EvalContext` (driver executor, subquery cache,
-statistics), so compiled and interpreted fragments interoperate freely —
-including closures crossing the boundary in either direction.
+* resilience (:mod:`repro.kleisli.resilience`) behind
+  ``EvalContext.driver_executor`` / ``driver_executor_batch``, which every
+  scan goes through;
+* governance (:mod:`repro.kleisli.governance`): ``cancellation`` checked at
+  chunk boundaries, eager loop heads and driver dispatch; ``memory_budget``
+  charged at the unbounded materialization points; ``spill`` trading build
+  sides and seen-sets for disk-backed ones;
+* observability (:mod:`repro.obs`): ``trace`` spans at driver dispatch and
+  ``chunk_sink`` timing per chunk, for a profiled or observed run only.
 
-Eager vs chunked lowering
--------------------------
-
-The module offers **two lowering targets** over the same node registry
-discipline:
-
-* :func:`compile_term` — the eager backend: every closure returns a fully
-  materialized collection.  This is what ``KleisliEngine.execute`` uses; it
-  is the fastest way to produce a *whole* result, and the only correct way
-  to produce a value that outlives the evaluation (results are plain
-  collections, never half-consumed cursors).
-* :func:`compile_chunked` — the pull-based, morsel-at-a-time backend: nodes
-  with a registered chunk compiler (see :func:`register_chunk_compiler`)
-  become generator pipeline stages that exchange *lists* of at most K
-  elements, and adjacent map/filter stages fuse into tight per-chunk loops.
-  This is what ``KleisliEngine.stream`` uses in compiled mode: it minimizes
-  time-to-first-result and peak intermediate memory by overlapping remote
-  I/O with downstream consumption (Section 4's "laziness in strategic
-  places") — laziness, bounded buffering, scope-managed cursors — without
-  a generator frame per element on local in-memory pipelines.
-
-Selection is per *call site* (``execute`` vs ``stream``), then per *node*
-within a streamed pipeline: ``Ext`` chains, filters, ``Let``/``IfThenElse``,
-``Scan`` and the outer loop of a local join stream natively (set-kind stages
-dedup as they go); everything whose semantics require the whole value —
-``Fold``, the ``index`` a join probes, scalar operators — drops to the eager
-closure for that subtree and the pipeline chunks its materialized result.
-Those eager sections are reported in ``CompiledChunkedStream.eager_nodes``
-and counted by ``EvalStatistics.stream_fallbacks`` (**the fallback
-surface**: a node type without a chunk compiler is correct, just not
-streamed).  ``Cached`` is a special case: it is a *deliberate*
-materialization point (the subquery cache stores whole collections), so the
-pipeline chunks the cached value without reporting a fallback.
-
-Streaming semantics
--------------------
-
-These rules keep a streamed run element-for-element identical to the eager
-value, at O(1)-per-element cost:
-
-* **Parity** — a drained run yields exactly the element sequence of
-  ``execute``'s result and agrees on ``EvalStatistics.elements_fetched``.
-  Chunk sizes are value-invisible: dedup-as-you-go carries its seen-set
-  *across* chunk boundaries, and fused map/filter stages preserve per-stage
-  ``ext_iterations`` accounting.  Partial-progress counters on a *failing*
-  run may differ from the interpreter's (a chunk stage processes its chunk
-  through one stage before the next), just as the eager backend's already
-  do.
-* **Set dedup-as-you-go** — ``CSet`` iterates in first-occurrence insertion
-  order, so a set-kind stage that suppresses repeats incrementally
-  (:func:`_dedup_set_chunks`) yields exactly the eager set's element
-  sequence at O(distinct) memory.
-* **The kind proof** — ``Union`` streams as a chained pipeline (left
-  operand's elements, then the right's, under one shared set seen-filter)
-  only when :func:`~repro.core.nrc.structural.proven_collection_kind` proves
-  *statically* that both operands produce the union's collection class;
-  that proof is what makes skipping ``union_like``'s run-time operand class
-  check sound.  Terms whose operand kind cannot be proven (a bound ``Var``,
-  a ``Scan`` whose driver controls the result class, a ``Cached`` value, a
-  proven kind *mismatch*) fall back to the eager ``union_like`` section so
-  they keep raising exactly where ``execute`` raises.
-* **Join probing** — a local join is a loop (:mod:`repro.core.optimizer.caching`):
-  the outer side streams and each element probes ``Cached(index(..))`` or scans
-  a ``Cached`` inner subquery, computed on first need: never for an empty outer.
-* **The ramp** — chunk sizes start at 1 and double per chunk up to the
-  :class:`ChunkPolicy` maximum (read from ``EvalContext.chunk_policy`` at
-  run time, so compiled pipelines stay cacheable by term fingerprint).
-  The first chunk therefore costs one source element — the first result of
-  a remote-scan comprehension arrives after O(1) source elements — while
-  steady-state throughput gets full-size chunks; a maximum of 1 is the
-  element-at-a-time stream.  Remote drivers (``ChunkPolicy.max_chunk_for``)
-  keep a smaller maximum so a chunk never buffers more than a bounded slice
-  of a slow cursor; abandoning a pipeline mid-chunk still releases every
-  cursor — including those behind buffered-but-unconsumed chunk elements —
-  through the run's :class:`~repro.core.nrc.eval.EvalScope`.
-* **Record heads** — a fused stage whose body is a record constructor
-  (``[acc = a.acc, len = a.len + 1]``) runs as the ``vrows`` op, Section 4's
-  homogeneous projection (:func:`_record_plan`): per chunk, one C-level pass
-  finds the rows' directory, whose projected slots are resolved once per
-  activation, and the fields fill column-wise into value tuples on the
-  head's static directory.  A field ``x.f + c``, ``c - x.f`` or ``x.f * c``
-  (``c`` an ``int``/``float`` literal) is one typed pass over its gathered
-  column: a gate (every item an exact ``int`` or ``float``), then one C-level
-  ``map`` of the operator.  A set-kind stage or union chain whose operands
-  all end in a head on one directory keys its seen-set on those tuples and
-  builds a ``Record`` for first occurrences only (any other operand mix
-  keeps the ``Record``-keyed set).  *Fallback*: a chunk that is not all
-  records of one directory carrying every projected label, or whose
-  arithmetic column fails its gate, takes the per-item form — values, typed
-  errors (``add expects a number, got bool`` at its row) and
-  ``ext_iterations`` unchanged.
-
-Eager sections remain exactly where the whole value is semantically
-required: ``Fold`` (the accumulator consumes every element), the build side
-of a local join (the ``index`` its loop probes), unproven ``Union`` operands
-(the run-time class check needs the values), ``Cached`` (a deliberate
-materialization point), and scalar operators reached through a collection
-position.
-
-An ``Ext`` whose body is a ``Scan`` depending on the loop variable
-additionally batches its driver fetches: one
-``EvalContext.driver_executor_batch`` call (``Driver.execute_batch``) per
-batch — the source chunk, capped at the *scan* driver's policy maximum —
-instead of one request per element.  A bind join
-(:class:`~repro.core.nrc.ast.BindScan`, which the optimizer puts around a
-remote server that ships a batch in one round trip) runs through the same
-loop (:func:`_batched_scan_loop`) in batches of ``remote_max_chunk``, as
-many at once as its window; its eager form drains that loop.
-
-Cost-based planning
--------------------
-
-``KleisliEngine.stream`` asks its
-:class:`~repro.core.planner.plan.QueryPlanner` for a per-query
-:class:`~repro.core.planner.plan.PhysicalPlan`: the remote ramp maximum,
-``remote_max_chunk``, chosen from what the sources say — registered or
-observed cardinalities and driver latencies in the statistics registry,
-and a driver's declared batch economics.  The plan's
-:meth:`~repro.core.planner.plan.PhysicalPlan.chunk_policy` becomes
-``EvalContext.chunk_policy`` — a *run-time* parameter, so the compile-cache
-key stays the bare term fingerprint and one cached pipeline serves every
-plan.  The ramp itself is one geometric path (:class:`_ChunkRamp`): a chunk
-is as big as its source declares or its rows say, and no clock sizes it.
-A streamed ``ParallelExt`` submits one scheduler task per source element,
-a bind join one per batch.
-Nothing a run drained re-plans the next one; per-chunk timing exists only
-for a profile (see "Observability semantics").
-
-Thread-safety
--------------
-
-Compiled artifacts are **immutable once built** and safe to share across
-threads: closures carry no mutable compile-time state (the one exception,
-``Project``'s inline Remy cache, stores its ``(directory, slot)`` pair as a
-single atomically-swapped tuple), while all *run-time* mutability lives in
-the per-run frame and :class:`~repro.core.nrc.eval.EvalContext`.  This is
-what lets one engine's compile-cache entry serve scheduler worker threads
-and — since the query service (:mod:`repro.server`) multiplexes many
-concurrent client sessions onto a single shared engine — every session of a
-multi-user deployment at once.
-
-Failure semantics
------------------
-
-Compiled code contains **no fault handling**: every scan site — the eager
-closure, the chunked scan and the chunked batch fetch — routes
-through ``EvalContext.driver_executor`` / ``driver_executor_batch``, and
-the resilience layer (:mod:`repro.kleisli.resilience`) lives behind that
-one choke point, so both lowerings inherit identical failure
-behavior without any lowering-specific code:
-
-* **Pre-open faults** (the request itself fails): retried per the
-  driver's :class:`~repro.kleisli.resilience.RetryPolicy` with
-  exponential backoff, classified by
-  :func:`repro.core.errors.is_retryable_fault`; terminal faults (a
-  malformed request, a missing driver, a spent deadline) propagate
-  unretried.  A failed native ``execute_batch`` is decomposed and
-  re-dispatched per request, so one poisoned request no longer fails its
-  chunk siblings.
-* **Mid-stream faults** (a lazy cursor dies after yielding elements): the
-  scan is re-issued and resumed through a seen-prefix filter *below* the
-  scan-accounting wrapper (``scan_stream`` asks the resilience layer's
-  cursor for a merged wrapper), so a drained recovered run is
-  bit-identical to a fault-free run in values AND ``elements_fetched`` —
-  under every lowering.  A re-issue that ends inside the already-delivered
-  prefix is a terminal error, never a silent short stream.
-* **Deadlines** (``EvalContext.deadline``, set via
-  ``engine.execute/stream(deadline=...)``): checked before every attempt
-  and before every backoff sleep; always terminal.
-* **Degradation** (``EvalContext.on_source_failure == "degrade"``): a
-  source still down after retries — or behind an open circuit breaker —
-  contributes an empty result (eager) or ends its stream at the delivered
-  prefix (lazy), recorded as a typed
-  :class:`~repro.core.errors.SourceDegradedWarning` in
-  ``EvalStatistics.warnings``; partial results are always announced,
-  never silent.  Under the default ``"fail"`` policy the classified fault
-  propagates to the caller unchanged.
-
-A driver with no configured policy bypasses all of the above: zero-fault
-runs are bit-for-bit unchanged with the layer installed.
-
-Cancellation & memory semantics
--------------------------------
-
-Query-lifecycle governance (:mod:`repro.kleisli.governance`) threads through
-the lowerings the same way resilience does — behind run-time ``EvalContext``
-fields that default to ``None``, so the **zero-governance contract** holds: a
-run with no cancellation token, no memory budget and no spill manager takes
-exactly the pre-governance code paths (differential-pinned, like PR 5's
-zero-statistics and PR 8's zero-knowledge contracts).
-
-* **One lifecycle** (``KleisliEngine.execute`` / ``stream``, the engine's
-  ``_QueryRun``): the hooks below are installed in one place and taken down
-  in one place.  *Opening*, after the arguments are checked and on the term
-  that is evaluated (the optimized one, on both entry points): the run's own
-  budget child, the spill decision, the trace, the context.  *Settling*, one
-  idempotent ``finish`` in a fixed order: the profile (it copies the spill
-  books off the still-open manager, so it must precede the step that deletes
-  them), the outcome count (budget rejection, or cancellation — the typed
-  error, or any unfinished ending of a run whose token was cancelled), the
-  spill settlement (row-width sample, hub metrics, engine ledger, files
-  deleted), the budget child closed.  The endings that reach it: ``execute``
-  returning or raising; a stream drained, failed, closed early, closed
-  before its first ``next`` (the one wrapper is handed out already started,
-  because a generator that never ran has no ``finally``), or dropped and
-  collected.  A run with nothing to settle opens no run at all: ``stream``
-  returns this module's ``_pump`` generator itself.
-* **Checkpoint placement** (``EvalContext.cancellation``): cancellation is
-  *cooperative* — the token is checked at every natural scheduling point and
-  never interrupts mid-value.  The checkpoints are: the chunk boundaries
-  of ``CompiledChunkedStream``'s pump (one check per chunk), the loop heads
-  of the eager ``Ext``/``Fold`` closures (and their interpreter twins), and
-  pre-driver-dispatch in ``KleisliEngine.driver_executor`` /
-  ``driver_executor_batch``.  A tripped checkpoint raises the typed
-  :class:`~repro.core.errors.QueryCancelledError` from *inside* the run's
-  :class:`~repro.core.nrc.eval.EvalScope`, so every cursor the run opened is
-  released on the way out — a cancelled query never leaks and never yields a
-  partial value without the typed error.
-* **Memory accounting** (``EvalContext.memory_budget``): the known unbounded
-  materialization points charge the budget in nominal row units — the eager
-  ``Ext`` element buffer, the build sides of local joins (the rows an
-  ``index`` groups, the rows a ``Cached`` node drains from a lazy subquery),
-  set-kind dedup seen-sets (via :func:`_make_seen_set`), and the chunked
-  pump's transient chunk buffers (charged per chunk, released after).  An
-  over-budget charge raises the typed
-  :class:`~repro.core.errors.MemoryBudgetExceededError`.
-* **Spill triggers** (``EvalContext.spill``): the engine attaches a
-  :class:`~repro.kleisli.spill.SpillManager` *up front*, plan-gated by the
-  PR 5 cost model (estimated rows of the optimized term × sampled row bytes
-  vs. the budget; the estimate EXPLAIN ANALYZE prints is that same number)
-  — not reactively mid-run — and the two biggest offenders degrade to
-  disk-backed structures: the build sides become spill runs (a lazy
-  subquery behind a generator-source ``Cached``: a
-  :class:`~repro.kleisli.spill.SpilledList`; an ``index``: a
-  hash-partitioned :class:`~repro.kleisli.spill.SpilledIndex`) and dedup
-  seen-sets become :class:`~repro.kleisli.spill.GovernedSeenSet`.  Spilled
-  structures are bounded-memory by construction, so they do not charge the budget.
-* **Parity rules**: spilled execution is bit-for-bit the in-memory
-  execution — same values, same order, same ``elements_fetched`` — across
-  both lowerings (the spill backends preserve append order and exact
-  dedup under hash collisions), and governance never changes *what* a
-  query computes, only whether it is allowed to finish and where its
-  intermediates live.
-
-Observability semantics
------------------------
-
-Tracing, metrics, and EXPLAIN ANALYZE (:mod:`repro.obs`) observe the
-lowerings without touching a single compiled artifact: every signal comes
-from choke points that already exist on the run-time side of the
-``EvalContext`` seam.  The **zero-recorder contract** is the governance
-contract's twin — ``EvalContext.trace`` defaults to ``None``, every hook
-site is ``None``-guarded, and a run with no recorder attached takes exactly
-the pre-observability code paths (differential-pinned by the test suite).
-
-* **Span sources** (``EvalContext.trace``): ``driver_executor`` opens one
-  ``driver`` span per remote request and ``driver_executor_batch`` one
-  ``driver-batch`` span per native batch — the spans both lowerings
-  share, since every remote round trip funnels through those two methods.
-  ``EvalContext.evaluation_scope`` brackets the run in a ``scope`` span
-  (closed on success *and* on the fault path), and the resilience layer
-  records each retry as a zero-duration ``retry`` event.  Spans per query
-  are bounded: past the budget a shared dropped-span sentinel keeps
-  begin/end pairing balanced without growing the tree.
-* **Per-stage timings** (``EvalContext.chunk_sink``): a profiled or
-  hub-observed stream carries a :class:`~repro.obs.profile.ProbeTee`: the
-  pump times each chunk's production under ``"pipeline"`` and a batched
-  scan each batch under ``"scan:<driver>"``, for the profile's stage table
-  and the hub's chunk-size histogram.  A run with neither reads no clock
-  per chunk.  The eager lowering has no chunk boundaries; its per-stage
-  story is the per-driver fold of its trace spans.
-* **Cardinality**: EXPLAIN ANALYZE reports the physical plan's estimate
-  next to the actual row count; on the eager path (which builds no
-  physical plan) the estimate is recomputed observation-only from the
-  planner's cardinality model, never written back into the context.
-* **Parity rules**: profiling and metrics are *observation only* — a
-  profiled run's values, order, and ``elements_fetched`` are bit-identical
-  to the unprofiled run under every lowering, and an attached-hub engine's
-  fault-free overhead is CI-gated by ``benchmarks/bench_observability.py``.
+A run that sets none of them takes the plain code paths (the zero-governance
+and zero-recorder contracts), and one that sets them computes the same value.
 """
 
 from __future__ import annotations

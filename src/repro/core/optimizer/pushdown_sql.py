@@ -38,6 +38,7 @@ that class, which is what the paper's examples exercise.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..nrc import ast as A
@@ -220,14 +221,21 @@ def _render_operand(expr: A.Expr, tables: Mapping[str, Tuple[str, str]]) -> Opti
 
 
 def _render_literal(value: object) -> Optional[str]:
+    if not _pushable(value):
+        return None
     if isinstance(value, str):
         escaped = value.replace("'", "''")
         return f"'{escaped}'"
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return repr(value)
-    return None
+    return repr(value)
+
+
+def _pushable(value: object) -> bool:
+    """Whether SQL can spell ``value`` as a literal: a string or a finite
+    number.  SQL has no boolean, infinity or NaN literal (``repr`` of one
+    would read as a column name), so such a comparison stays in CPL."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +290,7 @@ def _constant_comparison(condition: A.Expr, var: str) -> Optional[Dict[str, obje
     for column_side, const_side, flip in ((left, right, False), (right, left, True)):
         if (isinstance(column_side, A.Project) and isinstance(column_side.expr, A.Var)
                 and column_side.expr.name == var and isinstance(const_side, A.Const)
-                and isinstance(const_side.value, (str, int, float))
-                and not isinstance(const_side.value, bool)):
+                and _pushable(const_side.value)):
             op = _COMPARISON_PRIMS[condition.name]
             if flip:
                 op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)

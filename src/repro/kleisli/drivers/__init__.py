@@ -14,10 +14,14 @@ driver here wraps one substrate:
 * :class:`BlastDriver` — the sequence-analysis "application program".
 
 The first two are what the paper's federated queries run on and are imported
-with the package.  ``AceDriver``, ``FlatFileDriver`` and ``BlastDriver`` (and
-the ACE, flat-file and sequence-analysis substrates behind them) load on
-first use: ``from repro.kleisli.drivers import AceDriver`` imports
-:mod:`.ace` then, and a program that never names them never pays for them.
+with the package, but not their substrates: each names its server only in
+annotations, so the relational engine loads when a ``Database`` is built and
+the ASN.1 parser and Entrez server when an ``EntrezServer`` is.  A program
+that serves only local queries loads neither.  ``AceDriver``,
+``FlatFileDriver`` and ``BlastDriver`` (and the ACE, flat-file and
+sequence-analysis substrates behind them) load on first use: ``from
+repro.kleisli.drivers import AceDriver`` imports :mod:`.ace` then, and a
+program that never names them never pays for them.
 """
 
 from .base import Driver, DriverFunction

@@ -14,18 +14,24 @@ Request vocabulary::
 Because Entrez has no server-side query language, the only things that can be
 "pushed" to this driver are the index query and the path — which is exactly
 what the paper's optimizer migrates (experiment E5).
+
+The driver only calls the :class:`~repro.asn1.entrez.EntrezServer` it is
+given, and names the class only in annotations: importing this module does
+not import the ASN.1 machinery, which loads when the server is built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ...asn1.entrez import EntrezServer
 from ...core.errors import DriverError
 from ...core.values import CSet, from_python, lift_elements
 from ...net.remote import RemoteSource
 from ..tokens import TokenStream
 from .base import Driver, DriverFunction
+
+if TYPE_CHECKING:
+    from ...asn1.entrez import EntrezServer
 
 __all__ = ["EntrezDriver"]
 

@@ -12,18 +12,26 @@ Request vocabulary (what :class:`~repro.core.nrc.ast.Scan` nodes carry):
 Results come back as a set of CPL records.  When ``lazy`` is enabled the
 driver returns a :class:`~repro.kleisli.tokens.TokenStream` so the evaluator
 can pipeline (fast first response); materialising consumers are unaffected.
+
+The driver only calls the :class:`~repro.relational.Database` it is given, and
+names the class only in annotations: importing this module does not import
+the relational engine, which loads when whoever builds the database imports
+it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+import math
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ...core.errors import DriverError
 from ...core.values import CSet, lift_elements
 from ...net.remote import RemoteSource
-from ...relational.database import Database
 from ..tokens import TokenStream
 from .base import Driver, DriverFunction
+
+if TYPE_CHECKING:
+    from ...relational.database import Database
 
 __all__ = ["RelationalDriver"]
 
@@ -134,6 +142,8 @@ class RelationalDriver(Driver):
             raise DriverError("boolean literals cannot be pushed into SQL")
         if value is None:
             return "null"
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DriverError(f"{value!r} cannot be pushed into SQL")
         return repr(value)
 
     # -- CPL integration ---------------------------------------------------------------

@@ -4,7 +4,9 @@ A CPL top level or a CGI front end imports the program on every start, and
 the benchmark's ``setup_s`` includes that import.  It loads only what answering
 a query needs: no optional substrate (ACE, flat files, BLAST, the view
 gateway, the spill machinery) and no stdlib module that only one rare path
-uses.  Those load on first use — and still work.
+uses.  Those load on first use — and still work.  A source's own substrate
+(the relational engine behind GDB, the ASN.1 machinery behind Entrez) loads
+when that source is built, so serving a local query loads neither.
 
 Serving then maps no native library a query does not use: a content-derived
 subquery-cache key is a fingerprint, not a digest (no OpenSSL), and the
@@ -34,6 +36,7 @@ SERVING_PATH = ("repro.server", "repro.kleisli.session", "repro.kleisli.drivers"
 NOT_ON_THE_SERVING_PATH = (
     "dataclasses", "inspect", "pickle", "uuid", "html", "hashlib",
     "repro.ace", "repro.formats", "repro.views", "repro.kleisli.spill",
+    "repro.relational", "repro.asn1",
     "repro.kleisli.drivers.ace", "repro.kleisli.drivers.flatfile",
     "repro.kleisli.drivers.blast",
 )
@@ -84,10 +87,61 @@ def set_up(session):
 with KleisliServer(engine, session_setup=set_up) as server, \\
         KleisliClient(server.address) as client:
     answers = [len(client.query(text)) for text in given["queries"]]
-    reply = client.fetch(client.open(given["cursor"]), 16)
-    answers.append(len(reply["values"]))
+    answers += [len(client.fetch(client.open(text), 16)["values"])
+                for text in given["cursors"]]
 print(json.dumps({"answers": answers, "cached": engine.cache.hits,
                   "modules": sorted(sys.modules)}))
+"""
+
+#: In a fresh interpreter: import the serving path, serve one operation of
+#: each local shape, then build GDB and GenBank and query each directly.
+#: Prints the answers and, after each step, which substrates are loaded.
+_SUBSTRATES = """
+import json, sys
+given = json.load(sys.stdin)
+loaded = {}
+
+def note(step):
+    loaded[step] = sorted(name for name in sys.modules
+                          if name.split(".")[:2] in (["repro", "relational"],
+                                                     ["repro", "asn1"]))
+
+for name in given["serving_path"]:
+    __import__(name)
+note("imported")
+
+from repro.kleisli.engine import KleisliEngine
+from repro.server import KleisliClient, KleisliServer
+
+def set_up(session):
+    for name, (rows, list_as) in given["tables"].items():
+        session.bind(name, rows, list_as=list_as)
+
+with KleisliServer(KleisliEngine(), session_setup=set_up) as server, \\
+        KleisliClient(server.address) as client:
+    answers = [len(client.query(text)) for text in given["queries"]]
+    answers += [len(client.fetch(client.open(text), 16)["values"])
+                for text in given["cursors"]]
+note("served")
+
+from repro.bio.gdb import build_gdb
+gdb = build_gdb(locus_count=20)
+note("gdb")
+answers.append(len(gdb.sql("select locus_id from locus where chromosome = '22'")))
+
+from repro.bio.genbank import build_genbank
+from repro.kleisli.drivers import EntrezDriver
+from repro.kleisli.session import Session
+
+genbank = build_genbank([1, 2, 3], homologues_per_entry=1, sequence_length=60,
+                        compute_links=False)
+note("genbank")
+session = Session()
+session.register_driver(EntrezDriver("GenBank", genbank))
+answers.append(len(session.query(
+    'GenBank([db = "na", select = "chromosome 22", path = "Seq-entry.seq.id..giim"])'
+).value))
+print(json.dumps({"answers": answers, "loaded": loaded}))
 """
 
 
@@ -99,27 +153,42 @@ def _modules_added_by(*names):
     return set(json.loads(done.stdout))
 
 
-def _served_operations():
-    """What :data:`_SERVE` binds, defines and sends: the benchmark's own
-    tables and texts (its three local relational shapes, an ad-hoc ``member``
-    query, the DOE query, and the wide cursor over fewer rows)."""
+def _workloads():
+    """The end-to-end benchmark's workload module."""
     spec = importlib.util.spec_from_file_location(
         "e2e_workloads", ROOT / "benchmarks" / "e2e" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look their module up by name
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _local_operations(workloads):
+    """One operation of each local shape the benchmark serves, over its own
+    tables (the cursors' over fewer rows): the three relational parts, an
+    ad-hoc ``member`` query, the union cursor and the wide cursor."""
     local = workloads.build("local_relational", 22)
     adhoc = workloads.build("adhoc_cold", 22, seconds=0)
     # The ad-hoc ``member`` template, with constants that keep rows.
     member = ('{g.sym | \\g <- G, g.score > 0,'
               ' member(g.id, {h.gene | \\h <- H, h.len < 4000})}')
-    wide, list_as = workloads.build("wide_stream", 22).bindings["WIDE"]
+    streamed = dict(workloads.build("union_dedup", 22).bindings,
+                    **workloads.build("wide_stream", 22).bindings)
     return {"tables": dict(local.bindings, **adhoc.bindings,
-                           WIDE=(wide[:64], list_as)),
-            "defines": [workloads.LOCI22, workloads.ASN_IDS],
-            "queries": [text for _, text in local.ops[0].parts]
-            + [member, workloads.DOE_QUERY],
-            "cursor": workloads.WIDE_QUERY}
+                           **{name: (rows[:64], list_as)
+                              for name, (rows, list_as) in streamed.items()}),
+            "queries": [text for _, text in local.ops[0].parts] + [member],
+            "cursors": [workloads.UNION_QUERY, workloads.WIDE_QUERY]}
+
+
+def _served_operations():
+    """What :data:`_SERVE` binds, defines and sends: the local operations
+    and the DOE query with its definitions."""
+    workloads = _workloads()
+    served = _local_operations(workloads)
+    served["defines"] = [workloads.LOCI22, workloads.ASN_IDS]
+    served["queries"].append(workloads.DOE_QUERY)
+    return served
 
 
 def test_the_serving_path_loads_no_optional_substrate():
@@ -162,6 +231,21 @@ def test_the_optional_drivers_load_on_first_use():
         assert "NoSuchDriver" in str(error)
     else:
         raise AssertionError("an unknown name must raise AttributeError")
+
+
+def test_a_source_loads_its_substrate_when_it_is_built():
+    given = dict(_local_operations(_workloads()), serving_path=SERVING_PATH)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", _SUBSTRATES], env=env,
+                          input=json.dumps(given), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    ran = json.loads(done.stdout)
+    assert all(ran["answers"]), ran["answers"]   # every step found rows
+    loaded = {step: {name.split(".")[1] for name in names}
+              for step, names in ran["loaded"].items()}
+    assert loaded == {"imported": set(), "served": set(),
+                      "gdb": {"relational"}, "genbank": {"relational", "asn1"}}
 
 
 def test_the_view_op_still_serves_the_map_search_view(chr22_dataset):

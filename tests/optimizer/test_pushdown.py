@@ -4,9 +4,12 @@ import pytest
 
 from repro.bio.gdb import build_gdb
 from repro.bio.genbank import build_genbank
+from repro.core.errors import DriverError
 from repro.core.nrc import ast as A
+from repro.core.optimizer.pushdown_sql import _constant_comparison, _render_literal
 from repro.kleisli.drivers import EntrezDriver, RelationalDriver
 from repro.kleisli.session import Session
+from repro.relational import Database
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +96,67 @@ class TestSQLJoinPushdown:
                  ' string_length(p.locus_symbol) > 5}')
         result = gdb_session.query(query)
         assert result.value == gdb_session.query(query, optimize=False).value
+
+
+@pytest.fixture(scope="module")
+def scores_session():
+    database = Database("D")
+    scores = database.create_table_from_spec("t", {"id": "int", "score": "float"})
+    scores.insert({"id": 1, "score": 0.5})
+    scores.insert({"id": 2, "score": 2.5})
+    weights = database.create_table_from_spec("u", {"id": "int", "w": "int"})
+    weights.insert({"id": 1, "w": 3})
+    weights.insert({"id": 2, "w": 4})
+    session = Session()
+    session.register_driver(RelationalDriver("D", database))
+    return session
+
+
+def _requests(expr):
+    """Every request of a scan in ``expr``, as text."""
+    if isinstance(expr, A.Scan):
+        return [repr(expr.request)]
+    return [text for child in expr.children() for text in _requests(child)]
+
+
+class TestNonFiniteLiterals:
+    """SQL has no infinity or NaN literal: a comparison with one stays in CPL."""
+
+    @pytest.mark.parametrize("condition", ["t.score < 1e999", "t.score = 1e999",
+                                           "1e999 > t.score", "t.score < -1e999"])
+    @pytest.mark.parametrize("shape", [
+        '{{t.id | \\t <- D-Tab("t"), {}}}',
+        '{{[a = t.id, b = v.w] | \\t <- D-Tab("t"), \\v <- D-Tab("u"),'
+        ' t.id = v.id, {}}}'])
+    def test_the_optimized_value_is_the_unoptimized_one(self, scores_session,
+                                                        condition, shape):
+        query = shape.format(condition)
+        result = scores_session.query(query)
+        assert result.value == scores_session.query(query, optimize=False).value
+        assert not any("inf" in text for text in _requests(result.optimized))
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_neither_rule_renders_one(self, value):
+        comparison = A.PrimCall("lt", (A.Project(A.Var("t"), "score"), A.Const(value)))
+        assert _constant_comparison(comparison, "t") is None
+        assert _render_literal(value) is None
+        assert _render_literal(2.5) == "2.5"
+
+    def test_the_join_still_ships_its_key(self, scores_session):
+        result = scores_session.query(
+            '{[a = t.id, b = v.w] | \\t <- D-Tab("t"), \\v <- D-Tab("u"),'
+            ' t.id = v.id, t.score < 1e999}')
+        assert _requests(result.optimized) == [repr({"query": (
+            "select t0.id c0, t0.score c1, t1.w c2 from t t0, u t1"
+            " where t0.id = t1.id")})]
+        assert len(result.value) == 2
+
+    def test_a_where_request_refuses_a_non_finite_value(self, scores_session):
+        driver = scores_session.engine.drivers["D"]
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(DriverError, match="cannot be pushed into SQL"):
+                driver.execute({"table": "t", "where": [
+                    {"column": "score", "op": "<", "value": value}]})
 
 
 class TestPathPushdown:
