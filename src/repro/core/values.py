@@ -22,6 +22,8 @@ the CPL type of a value — used when registering data sources and in tests.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -97,6 +99,16 @@ class CSet:
         #: Hashed view of the elements, built by the first membership test:
         #: most sets (a 12 000-row bound table) are only ever iterated.
         self._lookup: Optional[frozenset] = None
+
+    @classmethod
+    def _of_distinct(cls, elements: Tuple[object, ...]) -> "CSet":
+        """The set of ``elements``, already pairwise distinct, in their order:
+        no dedup pass, so no element is hashed."""
+        value = cls.__new__(cls)
+        value._elements = elements
+        value._hash = None
+        value._lookup = None
+        return value
 
     def __iter__(self) -> Iterator[object]:
         return iter(self._elements)
@@ -354,22 +366,36 @@ def collection_kind(value) -> str:
 def from_python(data: object, list_as: str = "list") -> object:
     """Convert plain Python data into CPL values.
 
-    * ``dict`` → :class:`Record`
+    * ``dict`` → :class:`Record` (its keys must be strings: they are the labels)
     * ``set`` / ``frozenset`` → :class:`CSet`
     * ``list`` / ``tuple`` → list (or the collection named by ``list_as``)
     * 2-tuple ``("<tag>", value)`` is *not* special-cased; build variants explicitly.
     * scalars pass through.
 
-    Drivers use this to lift the data they fetched into the Kleisli data model.
+    A ``list``/``tuple`` of flat rows — exact ``dict``s with one set of
+    string keys and exact scalar values — is a table and is lifted
+    column-wise: one key check, one ``itemgetter`` pass onto the interned
+    directory, one type check, and, for ``list_as="set"``, a dedup on the
+    value tuples before any :class:`Record` exists.  Anything else is lifted
+    element by element (:func:`lift_elements`); the two agree element for
+    element.  Drivers use this to lift the data they fetched into the
+    Kleisli data model.
     """
     if isinstance(data, (Record, CSet, CBag, CList, Variant, Ref, Unit)):
         return data
     if isinstance(data, Mapping):
-        return Record({key: from_python(value, list_as) for key, value in data.items()})
+        fields = {}
+        for key, value in data.items():
+            if not isinstance(key, str):
+                raise EvaluationError(
+                    f"cannot convert a dict with key {key!r} into a record: "
+                    "record labels are strings")
+            fields[key] = from_python(value, list_as)
+        return Record(fields)
     if isinstance(data, (set, frozenset)):
         return CSet(from_python(element, list_as) for element in data)
     if isinstance(data, (list, tuple)):
-        return make_collection(list_as, lift_elements(data, list_as))
+        return _lift_collection(list_as, data, list_as)
     if data is None:
         return UNIT_VALUE
     if isinstance(data, (bool, int, float, str, bytes)):
@@ -382,18 +408,71 @@ def from_python(data: object, list_as: str = "list") -> object:
 _FLAT_FIELD_TYPES = frozenset((bool, int, float, str, bytes))
 
 
+def _lift_collection(kind: str, rows: Iterable[object], list_as: str = "list"):
+    """``make_collection(kind, lift_elements(rows, list_as))``, column-wise
+    when ``rows`` is a flat table (:func:`from_python`).
+
+    A set keeps each value tuple's first occurrence: on one directory
+    tuple ``==`` *is* ``Record.__eq__`` (so ``True``, ``1`` and ``1.0``
+    group, and a NaN only with itself), so the distinct rows are exactly
+    the set's elements and no ``Record`` is hashed.  Drivers lift a fetched
+    table of rows as ``_lift_collection("set", rows)``.
+    """
+    table = _flat_table(rows)
+    if table is None:
+        return make_collection(kind, lift_elements(rows, list_as))
+    directory, values = table
+    if kind == "set":
+        values = dict.fromkeys(values)
+    # Records as a list, so the collection's tuple has a known length: it
+    # then reuses a freed tuple of that size, where ``tuple(map(...))``
+    # grows by resizing and leaves CPython's tuple free lists filling up.
+    records = list(map(partial(Record, None, directory), values))
+    if kind == "set":
+        return CSet._of_distinct(tuple(records))
+    return make_collection(kind, records)
+
+
+def _flat_table(rows: Iterable[object]
+                ) -> Optional[Tuple[RecordDirectory, List[Tuple[object, ...]]]]:
+    """``(directory, value tuples)`` of a non-empty run of exact ``dict``s
+    on one set of string keys whose values are all exact scalars, else
+    ``None``."""
+    if not isinstance(rows, (list, tuple)) or not rows \
+            or not {dict}.issuperset(map(type, rows)):
+        return None
+    keys = tuple(rows[0])
+    if not keys or not {str}.issuperset(map(type, keys)) \
+            or not {len(keys)}.issuperset(map(len, rows)):
+        return None
+    directory = RecordDirectory.for_labels(keys)
+    labels = directory.labels
+    try:
+        if len(labels) > 1:
+            values = list(map(itemgetter(*labels), rows))
+        else:
+            values = list(zip(map(itemgetter(labels[0]), rows)))
+    except KeyError:    # same width, other keys
+        return None
+    if not _FLAT_FIELD_TYPES.issuperset(map(type, chain.from_iterable(values))):
+        return None
+    return directory, values
+
+
 def lift_elements(elements: Iterable[object], list_as: str = "list") -> Iterator[object]:
     """:func:`from_python` of each element, shape-once over runs of rows.
 
-    Rows from a relational source are plain ``dict``s with one key tuple, so
-    the per-shape work — checking the keys, interning the directory, sorting
-    the labels — is done once per run of such dicts; a row whose values are
-    all exact scalars then becomes a :class:`Record` built directly on the
-    shared directory.  Every other element (``None`` or nested data among
-    the values, a ``dict`` subclass or other ``Mapping``, non-string keys, a
-    non-dict) takes the per-value path, so the result is element for element
-    what ``from_python`` returns.  Lazy: drivers hand the iterator to a
-    ``TokenStream``.
+    The per-element path, for data that is not one flat table and for a
+    lazily streamed result (drivers hand the iterator to a
+    ``TokenStream``).  Rows from a relational source are plain ``dict``s
+    with one key tuple, so the per-shape work — checking the keys, interning
+    the directory, sorting the labels — is done once per run of such dicts;
+    a row whose values are all exact scalars then becomes a :class:`Record`
+    built directly on the shared directory.  Every other element (``None``
+    or nested data among the values, a ``dict`` subclass or other
+    ``Mapping``, a key that is not a string, a non-dict) takes the
+    per-value path, which refuses such a key, so the result is element for
+    element what ``from_python`` returns.
     """
     keys = in_label_order = directory = None
     for element in elements:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ...core.errors import DriverError
-from ...core.values import CSet, from_python, lift_elements
+from ...core.values import CSet, _lift_collection, from_python
 from ...net.remote import RemoteSource
 from ..tokens import TokenStream
 from .base import Driver, DriverFunction
@@ -147,7 +147,7 @@ class EntrezDriver(Driver):
 
 
 def _link_set(link_rows) -> CSet:
-    return CSet(lift_elements(link_rows))
+    return _lift_collection("set", link_rows)
 
 
 def _lifted(value: object) -> object:

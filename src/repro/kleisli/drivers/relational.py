@@ -25,7 +25,7 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ...core.errors import DriverError
-from ...core.values import CSet, lift_elements
+from ...core.values import _lift_collection, lift_elements
 from ...net.remote import RemoteSource
 from ..tokens import TokenStream
 from .base import Driver, DriverFunction
@@ -107,10 +107,9 @@ class RelationalDriver(Driver):
                 for rows in self.remote.call_batch(statements)]
 
     def _rows_to_result(self, rows: List[Dict[str, object]]):
-        records = lift_elements(rows)
         if self.lazy:
-            return TokenStream(records, kind="set")
-        return CSet(records)
+            return TokenStream(lift_elements(rows), kind="set")
+        return _lift_collection("set", rows)
 
     def _run(self, sql: str) -> List[Dict[str, object]]:
         if self.remote is not None:

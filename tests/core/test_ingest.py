@@ -1,10 +1,11 @@
 """Shape-once ingest equals element-by-element ingest.
 
-``from_python`` resolves a record directory once per run of plain dicts that
-share a key tuple, and ``infer_type`` types a flat row shape once.  Both must
-give, value- and type-exactly, what lifting and typing every element on its
-own gives; the per-value recursion and the per-element merge below are the
-references.
+``from_python`` lifts a flat table column-wise and resolves a record
+directory once per run of plain dicts that share a key tuple, and
+``infer_type`` types a flat row shape once.  Both must give, value- and
+type-exactly, what lifting and typing every element on its own gives; the
+per-value recursion and the per-element merge below are the references.  A
+dict with a key that is not a string is refused on both sides.
 """
 
 import re
@@ -31,6 +32,7 @@ from repro.core.values import (
     lift_elements,
     make_collection,
 )
+from repro.kleisli.session import Session
 
 
 def lift_one_by_one(data, list_as="list"):
@@ -38,6 +40,8 @@ def lift_one_by_one(data, list_as="list"):
     if isinstance(data, (Record, CSet, CBag, CList, Variant)):
         return data
     if hasattr(data, "keys"):
+        if not all(isinstance(key, str) for key in data):
+            raise EvaluationError(f"a record key that is not a string: {data!r}")
         return Record({key: lift_one_by_one(value, list_as)
                        for key, value in data.items()})
     if isinstance(data, (set, frozenset)):
@@ -117,8 +121,15 @@ MIXED = {
 @pytest.mark.parametrize("list_as", ["list", "set", "bag"])
 @pytest.mark.parametrize("data", MIXED.values(), ids=MIXED.keys())
 def test_run_aware_ingest_equals_element_by_element(data, list_as):
+    try:
+        reference = lift_one_by_one(data, list_as)
+    except EvaluationError:
+        with pytest.raises(EvaluationError, match="record labels are strings"):
+            from_python(data, list_as=list_as)
+        with pytest.raises(EvaluationError, match="record labels are strings"):
+            list(lift_elements(data, list_as))
+        return
     lifted = from_python(data, list_as=list_as)
-    reference = lift_one_by_one(data, list_as)
     assert type(lifted) is type(reference)
     assert exact(lifted) == exact(reference)
     assert shape_of(infer_type(lifted)) == shape_of(type_one_by_one(reference))
@@ -152,6 +163,16 @@ def test_same_width_rows_with_other_labels_do_not_share_a_directory():
 def test_unconvertible_values_still_raise():
     with pytest.raises(EvaluationError):
         from_python([{"a": 1}, {"a": object()}])
+
+
+@pytest.mark.parametrize("data", [[{1: "a"}], [{1: "a", "b": 2}],
+                                  [{"a": {1: 2}}]],
+                         ids=["only key", "beside a label", "nested"])
+def test_a_record_key_that_is_not_a_string_is_refused_at_bind(data):
+    session = Session()
+    with pytest.raises(EvaluationError, match="with key 1 .*record labels are strings"):
+        session.bind("X", data, list_as="set")
+    assert "X" not in session.values
 
 
 def test_the_lifter_is_lazy():

@@ -1,0 +1,150 @@
+"""A table lifted column-wise equals the same rows lifted one by one.
+
+``from_python`` lifts a ``list``/``tuple`` of flat rows — exact ``dict``s on
+one set of string keys, exact scalar values — column-wise, and a set-kind
+table is deduped on its value tuples before any ``Record`` exists; anything
+else goes row by row.  Over row lists that mix flat rows in every key
+order, ragged and missing keys, ``None``, nested lists and dicts, ``bytes``,
+``True``/``1``/``1.0``, ``-0.0``/``0.0``, distinct NaN objects, ``dict``
+subclasses and non-dicts:
+
+* for ``list``, ``bag`` and ``set``, ``from_python(rows, kind)`` is
+  ``make_collection(kind, [from_python(row, kind) for row in rows])``
+  element for element, in order, with every field's exact type, and
+  ``infer_type`` agrees;
+* a relational and an Entrez driver result is ``CSet(lift_elements(rows))``.
+
+Cost: the two properties run 200 examples each in 0.7 s to 1.1 s on a 2-core
+box.
+"""
+
+import math
+import re
+from collections import OrderedDict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.records import RecordDirectory
+from repro.core.values import (
+    CBag,
+    CList,
+    CSet,
+    Record,
+    from_python,
+    infer_type,
+    lift_elements,
+    make_collection,
+)
+from repro.kleisli.drivers.entrez import _link_set
+from repro.kleisli.drivers.relational import RelationalDriver
+from repro.relational.database import Database
+
+
+def exact(value):
+    """A value as nested tuples naming every type (a NaN by identity)."""
+    kind = type(value)
+    if kind is Record:
+        assert value.directory is RecordDirectory.for_labels(value.labels)
+        return ("record", value.directory.labels,
+                tuple(exact(field) for field in value.values))
+    if kind in (CSet, CBag, CList):
+        return (kind.__name__, tuple(exact(element) for element in value))
+    if kind is float:
+        return ("float", id(value) if math.isnan(value) else repr(value))
+    return (kind.__name__, value)
+
+
+def shape_of(ty):
+    """A type as text with its variables numbered by first appearance."""
+    names = {}
+    return re.sub(r"'?\b[tr]\d+\b",
+                  lambda match: names.setdefault(match.group(),
+                                                 f"?{len(names)}"),
+                  str(ty))
+
+
+class Row(dict):
+    """A ``dict`` subclass: not a flat row, whatever it holds."""
+
+
+NAN_A, NAN_B = float("nan"), float("nan")
+#: Scalars that group or do not: ``True == 1 == 1.0``, ``-0.0 == 0.0``, two
+#: NaN objects that differ and one that is itself.
+scalars = st.one_of(st.sampled_from([True, False, 1, 1.0, 0, -0.0, 0.0,
+                                     NAN_A, NAN_B, "x", "", b"x", b""]),
+                    st.integers(-2, 2))
+oddities = st.one_of(st.none(), st.lists(st.integers(0, 2), max_size=2),
+                     st.dictionaries(st.sampled_from(["p", "q"]),
+                                     st.integers(0, 2), max_size=2))
+LABELS = ("a", "b", "c")
+
+
+@st.composite
+def tables(draw):
+    """Mostly one flat table (labels in any order per row); sometimes one
+    row with a ragged, missing or extra key, an odd value, or not a plain
+    dict."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3,
+                           unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        order = draw(st.permutations(labels))
+        rows.append({label: draw(scalars) for label in order})
+    if rows and draw(st.booleans()):
+        at = draw(st.integers(0, len(rows) - 1))
+        row = dict(rows[at])
+        how = draw(st.sampled_from(["missing", "extra", "ragged", "odd",
+                                    "subclass", "ordered", "non-dict"]))
+        if how == "missing":
+            row.pop(next(iter(row)))
+        elif how == "extra":
+            row["z"] = draw(scalars)
+        elif how == "ragged":
+            row = {("z" if label == labels[0] else label): value
+                   for label, value in row.items()}
+        elif how == "odd":
+            row[labels[0]] = draw(oddities)
+        elif how == "subclass":
+            row = Row(row)
+        elif how == "ordered":
+            row = OrderedDict(row)
+        else:
+            row = draw(st.one_of(scalars, st.none(), st.just([row])))
+        rows[at] = row
+    return draw(st.sampled_from([list, tuple]))(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=tables(), kind=st.sampled_from(["list", "bag", "set"]))
+def test_a_table_lifts_as_its_rows_one_by_one(rows, kind):
+    lifted = from_python(rows, kind)
+    reference = make_collection(kind, [from_python(row, kind) for row in rows])
+    assert exact(lifted) == exact(reference)
+    assert shape_of(infer_type(lifted)) == shape_of(infer_type(reference))
+
+
+DRIVER = RelationalDriver("DB", Database("empty"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=tables())
+def test_a_driver_result_is_the_set_of_its_lifted_rows(rows):
+    reference = exact(CSet(lift_elements(rows)))
+    assert exact(DRIVER._rows_to_result(list(rows))) == reference
+    assert exact(_link_set(list(rows))) == reference
+
+
+def test_true_1_and_1_0_are_one_element_of_a_bound_set():
+    rows = [{"a": True}, {"a": 1}, {"a": 1.0}]
+    for lifted in (from_python(rows, "set"), CSet(lift_elements(rows))):
+        assert exact(lifted) == ("CSet", (("record", ("a",),
+                                           (("bool", True),)),))
+
+
+def test_a_bound_set_hashes_no_record():
+    rows = [{"a": index % 3, "b": "x"} for index in range(10)]
+    lifted = from_python(rows, "set")
+    assert [record.values for record in lifted] == [(0, "x"), (1, "x"),
+                                                     (2, "x")]
+    assert all(record._hash is None for record in lifted)
