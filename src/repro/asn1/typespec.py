@@ -58,9 +58,6 @@ class Asn1Schema:
             raise ASN1ParseError(f"schema {self.name!r} does not define type {type_name!r}")
         return self._resolve(ty, seen=(type_name,))
 
-    def type_names(self) -> List[str]:
-        return sorted(self.definitions)
-
     def _resolve(self, ty: T.Type, seen: Tuple[str, ...]) -> T.Type:
         if isinstance(ty, _TypeReference):
             if ty.name in seen:

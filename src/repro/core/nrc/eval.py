@@ -205,7 +205,6 @@ class EvalScope:
 
     _accounting_lock = threading.Lock()
     _live = 0
-    _opened_total = 0
 
     def __init__(self) -> None:
         self._resources: List[object] = []
@@ -213,7 +212,6 @@ class EvalScope:
         self._closed = False
         with EvalScope._accounting_lock:
             EvalScope._live += 1
-            EvalScope._opened_total += 1
 
     def register(self, resource: object) -> object:
         """Track ``resource`` (anything with a ``close()``); returns it.
@@ -273,12 +271,6 @@ class EvalScope:
         """How many scopes are currently open, process-wide."""
         with cls._accounting_lock:
             return cls._live
-
-    @classmethod
-    def opened_total(cls) -> int:
-        """How many scopes have ever been opened, process-wide."""
-        with cls._accounting_lock:
-            return cls._opened_total
 
     def __enter__(self) -> "EvalScope":
         return self

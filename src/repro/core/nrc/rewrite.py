@@ -206,12 +206,6 @@ class RewriteEngine:
     def __init__(self, rule_sets: Sequence[RuleSet] = ()):
         self.rule_sets: List[RuleSet] = list(rule_sets)
 
-    def add_rule_set(self, rule_set: RuleSet, position: Optional[int] = None) -> None:
-        if position is None:
-            self.rule_sets.append(rule_set)
-        else:
-            self.rule_sets.insert(position, rule_set)
-
     def rewrite(self, expr: A.Expr, stats: Optional[RewriteStats] = None) -> A.Expr:
         stats = stats if stats is not None else RewriteStats()
         current = expr

@@ -138,6 +138,93 @@ def _child_positions(node: A.Expr, scope: frozenset, in_loop: bool) -> Sequence[
     return ((scope, in_loop),) * len(node.children())
 
 
+class _CachingPass:
+    """One scope-tracking pass of :class:`_ScopedCachingRuleSet` over ``root``.
+
+    A class, not nested functions: functions that call one another reach
+    each other through closure cells, and every pass would leave that cycle,
+    holding its terms and statistics, to the garbage collector.
+    """
+
+    __slots__ = ("root", "stats", "loops", "free", "fired")
+
+    def __init__(self, root: A.Expr, stats: RewriteStats):
+        self.root = root
+        self.stats = stats
+        self.loops: Set[int] = set()
+        _mark_loops(root, self.loops)
+        self.free: Dict[int, frozenset] = {}
+        self.fired = False
+
+    def note(self, rule: str) -> None:
+        self.fired = True
+        self.stats.note(rule)
+
+    def free_in(self, node: A.Expr) -> frozenset:
+        if not self.free:   # first asked for: most queries never nest a loop
+            A.free_variables(self.root, self.free)
+        return self.free[id(node)]
+
+    def walk(self, node: A.Expr, scope: frozenset, in_loop: bool) -> A.Expr:
+        if id(node) not in self.loops:
+            return node     # no loop in here: nothing to hoist, nothing to index
+        if in_loop:
+            if (not self.free_in(node) & scope
+                    and not isinstance(node, (A.Cached, A.Lam))):
+                self.note(_HOIST)
+                return A.Cached(self.walk(node, scope, False))
+            if type(node) is A.Ext:
+                probed = self.index_loop(node, scope)
+                if probed is not None:
+                    self.note(_INDEX)
+                    return probed
+        children = node.children()
+        positions = _child_positions(node, scope, in_loop)
+        new_children = [self.walk(child, *position)
+                        for child, position in zip(children, positions)]
+        if all(new is old for new, old in zip(new_children, children)):
+            return node
+        return node.rebuild(new_children)
+
+    def index_loop(self, loop: A.Ext, scope: frozenset) -> Optional[A.Expr]:
+        var = loop.var
+        if self.free_in(loop.source) & scope:
+            return None
+        outer = scope - {var}   # what a subterm of the body can see beyond ``var``
+        filters: List[A.Expr] = []
+        current = loop.body
+        while isinstance(current, A.IfThenElse) and isinstance(current.else_branch, A.Empty):
+            condition = current.cond
+            keys = self.key_pair(condition, var, outer)
+            if keys is not None:
+                break
+            if self.free_in(condition) & outer:
+                return None     # must run where it is: before the equality
+            filters.append(condition)
+            current = current.then_branch
+        else:
+            return None
+        inner_key, probe_key = keys
+        inside = scope | {var}
+        walk = self.walk
+        rows = A.keyed_rows(var, [walk(condition, inside, True) for condition in filters],
+                           walk(inner_key, inside, True), walk(loop.source, scope, False))
+        source = A.guarded_probe(A.Cached(A.PrimCall("index", [rows])),
+                                 walk(probe_key, scope, True), loop.kind)
+        return A.Ext(var, walk(current.then_branch, inside, True), source, loop.kind)
+
+    def key_pair(self, condition: A.Expr, var: str, outer: frozenset):
+        """``(key over var alone, key without var)`` of an equality, if it has them."""
+        if not (isinstance(condition, A.PrimCall) and condition.name == "eq"
+                and len(condition.args) == 2):
+            return None
+        for mine, other in (condition.args, reversed(condition.args)):
+            mine_free = self.free_in(mine)
+            if var in mine_free and not mine_free & outer and var not in self.free_in(other):
+                return mine, other
+        return None
+
+
 class _ScopedCachingRuleSet(RuleSet):
     """A rule set whose single pass tracks the binders in scope.
 
@@ -148,80 +235,8 @@ class _ScopedCachingRuleSet(RuleSet):
     """
 
     def _one_pass(self, expr: A.Expr, stats: RewriteStats) -> Tuple[A.Expr, bool]:
-        loops: Set[int] = set()
-        _mark_loops(expr, loops)
-        free: Dict[int, frozenset] = {}
-        fired = False
-
-        def note(rule: str) -> None:
-            nonlocal fired
-            fired = True
-            stats.note(rule)
-
-        def free_in(node: A.Expr) -> frozenset:
-            if not free:    # first asked for: most queries never nest a loop
-                A.free_variables(expr, free)
-            return free[id(node)]
-
-        def walk(node: A.Expr, scope: frozenset, in_loop: bool) -> A.Expr:
-            if id(node) not in loops:
-                return node     # no loop in here: nothing to hoist, nothing to index
-            if in_loop:
-                if (not free_in(node) & scope
-                        and not isinstance(node, (A.Cached, A.Lam))):
-                    note(_HOIST)
-                    return A.Cached(walk(node, scope, False))
-                if type(node) is A.Ext:
-                    probed = index_loop(node, scope)
-                    if probed is not None:
-                        note(_INDEX)
-                        return probed
-            children = node.children()
-            positions = _child_positions(node, scope, in_loop)
-            new_children = [walk(child, *position)
-                            for child, position in zip(children, positions)]
-            if all(new is old for new, old in zip(new_children, children)):
-                return node
-            return node.rebuild(new_children)
-
-        def index_loop(loop: A.Ext, scope: frozenset) -> Optional[A.Expr]:
-            var = loop.var
-            if free_in(loop.source) & scope:
-                return None
-            outer = scope - {var}   # what a subterm of the body can see beyond ``var``
-            filters: List[A.Expr] = []
-            current = loop.body
-            while isinstance(current, A.IfThenElse) and isinstance(current.else_branch, A.Empty):
-                condition = current.cond
-                keys = _key_pair(condition, var, outer)
-                if keys is not None:
-                    break
-                if free_in(condition) & outer:
-                    return None     # must run where it is: before the equality
-                filters.append(condition)
-                current = current.then_branch
-            else:
-                return None
-            inner_key, probe_key = keys
-            inside = scope | {var}
-            rows = A.keyed_rows(var, [walk(condition, inside, True) for condition in filters],
-                               walk(inner_key, inside, True), walk(loop.source, scope, False))
-            source = A.guarded_probe(A.Cached(A.PrimCall("index", [rows])),
-                                     walk(probe_key, scope, True), loop.kind)
-            return A.Ext(var, walk(current.then_branch, inside, True), source, loop.kind)
-
-        def _key_pair(condition: A.Expr, var: str, outer: frozenset):
-            """``(key over var alone, key without var)`` of an equality, if it has them."""
-            if not (isinstance(condition, A.PrimCall) and condition.name == "eq"
-                    and len(condition.args) == 2):
-                return None
-            for mine, other in (condition.args, reversed(condition.args)):
-                mine_free = free_in(mine)
-                if var in mine_free and not mine_free & outer and var not in free_in(other):
-                    return mine, other
-            return None
-
-        return walk(expr, frozenset(), False), fired
+        run = _CachingPass(expr, stats)
+        return run.walk(expr, frozenset(), False), run.fired
 
 
 def make_caching_rule_set() -> RuleSet:

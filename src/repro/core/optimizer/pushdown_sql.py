@@ -255,17 +255,7 @@ def _try_per_scan_pushdown(expr: A.Ext, sql_capable) -> Optional[A.Expr]:
     # (a) selection pushdown: constant comparisons on the loop variable in the
     # immediate filter chain under this generator.
     pushable: List[Dict[str, object]] = []
-    def strip_filters(node: A.Expr) -> A.Expr:
-        if (isinstance(node, A.IfThenElse) and isinstance(node.else_branch, A.Empty)
-                and node.else_branch.kind == expr.kind):
-            condition = _constant_comparison(node.cond, var)
-            if condition is not None:
-                pushable.append(condition)
-                return strip_filters(node.then_branch)
-            return A.IfThenElse(node.cond, strip_filters(node.then_branch), node.else_branch)
-        return node
-
-    new_body = strip_filters(body)
+    new_body = _strip_filters(body, var, expr.kind, pushable)
 
     # (b) projection pushdown: when every use of the variable is a field
     # projection, ask the server for just those columns.
@@ -279,6 +269,22 @@ def _try_per_scan_pushdown(expr: A.Ext, sql_capable) -> Optional[A.Expr]:
     if columns:
         request["columns"] = sorted(columns)
     return A.Ext(var, new_body, source.with_request(request), expr.kind)
+
+
+def _strip_filters(node: A.Expr, var: str, kind: str,
+                   pushable: List[Dict[str, object]]) -> A.Expr:
+    """``node`` without the constant comparisons on ``var`` in its filter
+    chain, which go to ``pushable``."""
+    if (isinstance(node, A.IfThenElse) and isinstance(node.else_branch, A.Empty)
+            and node.else_branch.kind == kind):
+        condition = _constant_comparison(node.cond, var)
+        if condition is not None:
+            pushable.append(condition)
+            return _strip_filters(node.then_branch, var, kind, pushable)
+        return A.IfThenElse(node.cond,
+                            _strip_filters(node.then_branch, var, kind, pushable),
+                            node.else_branch)
+    return node
 
 
 def _constant_comparison(condition: A.Expr, var: str) -> Optional[Dict[str, object]]:

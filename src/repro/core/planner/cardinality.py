@@ -22,7 +22,7 @@ monotonically with selectivity rather than oscillating.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from ..errors import TermTooDeepError
 from ..nrc import ast as A
@@ -47,23 +47,19 @@ def scan_collection(request: Mapping[str, object]) -> str:
 
 def collect_scans(expr: A.Expr) -> Tuple[Tuple[str, str], ...]:
     """Every ``(driver, collection)`` pair scanned anywhere in ``expr``."""
-    pairs: List[Tuple[str, str]] = []
-    seen = set()
-
-    def walk(node: A.Expr) -> None:
-        if isinstance(node, A.Scan):
-            pair = (node.driver, scan_collection(node.request))
-            if pair not in seen:
-                seen.add(pair)
-                pairs.append(pair)
-        for child in node.children():
-            walk(child)
-
+    pairs: Dict[Tuple[str, str], None] = {}     # insertion-ordered, distinct
     try:
-        walk(expr)
+        _collect_scans(expr, pairs)
     except RecursionError:
         raise TermTooDeepError("term nests too deeply to plan") from None
     return tuple(pairs)
+
+
+def _collect_scans(node: A.Expr, pairs: Dict[Tuple[str, str], None]) -> None:
+    if isinstance(node, A.Scan):
+        pairs[(node.driver, scan_collection(node.request))] = None
+    for child in node.children():
+        _collect_scans(child, pairs)
 
 
 class CardinalityEstimator:

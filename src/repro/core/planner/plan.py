@@ -132,29 +132,6 @@ class QueryPlanner:
 
     # -- compile-time hooks (wired into the optimizer rule sets) -------------
 
-    def _batched_scan_requests(self, expr: A.Expr, drivers) -> float:
-        """Estimated requests the batched-scan stages will issue.
-
-        The remote cap governs the ``Ext``-over-``Scan`` batching stage,
-        whose request count is the *source* cardinality of each such site
-        — NOT the query's output estimate (a selective downstream filter
-        shrinks the output without removing a single scan request).
-        Returns the largest such source estimate, 0.0 when no batching
-        site exists.
-        """
-        requests = 0.0
-
-        def walk(node: A.Expr) -> None:
-            nonlocal requests
-            if isinstance(node, A.Ext) and type(node.body) is A.Scan \
-                    and node.body.driver in drivers:
-                requests = max(requests, self.cardinality.estimate(node.source))
-            for child in node.children():
-                walk(child)
-
-        walk(expr)
-        return requests
-
     def _server_window(self, scans) -> Optional[int]:
         """How many requests the remote servers among ``scans`` take at once.
 
@@ -224,7 +201,8 @@ class QueryPlanner:
         # the bounded default: bigger batches would be the same round-trips.
         remote_max_chunk = ChunkPolicy.REMOTE_MAX_CHUNK
         if batching_drivers:
-            requests = self._batched_scan_requests(expr, batching_drivers)
+            requests = _batched_scan_requests(expr, batching_drivers,
+                                              self.cardinality.estimate)
             if requests <= 0.0:
                 # No Ext-over-Scan batching site: the cap would govern only
                 # plain scan-cursor chunking, where batching never fires.
@@ -236,3 +214,21 @@ class QueryPlanner:
 
         return PhysicalPlan(remote_max_chunk=remote_max_chunk,
                             source="statistics", estimated_rows=rows)
+
+
+def _batched_scan_requests(node: A.Expr, drivers, estimate) -> float:
+    """Estimated requests the batched-scan stages will issue.
+
+    The remote cap governs the ``Ext``-over-``Scan`` batching stage, whose
+    request count is the *source* cardinality of each such site — NOT the
+    query's output estimate (a selective downstream filter shrinks the
+    output without removing a single scan request).  Returns the largest
+    such source estimate, 0.0 when no batching site exists.
+    """
+    requests = 0.0
+    if isinstance(node, A.Ext) and type(node.body) is A.Scan \
+            and node.body.driver in drivers:
+        requests = max(requests, estimate(node.source))
+    for child in node.children():
+        requests = max(requests, _batched_scan_requests(child, drivers, estimate))
+    return requests

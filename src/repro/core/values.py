@@ -352,13 +352,6 @@ def iter_collection(value) -> Iterator[object]:
     raise EvaluationError(f"expected a collection value, got {type(value).__name__}")
 
 
-def collection_kind(value) -> str:
-    """Return 'set', 'bag' or 'list' for a collection value."""
-    if isinstance(value, (CSet, CBag, CList)):
-        return value.kind
-    raise EvaluationError(f"expected a collection value, got {type(value).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Conversion to and from plain Python data
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ remote and local data sources."  The engine is that middle layer:
 * the **evaluator context** — subquery cache, execution statistics;
 * ``execute`` / ``stream`` — eager evaluation and the pipelined variant that
   yields results as the outermost generator produces them (fast first
-  response).
+  response), both governed by the run options of :class:`QueryOptions`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from ..core._fields import Fields
 from ..core.errors import (
     DeadlineExceededError,
     DriverNotRegisteredError,
@@ -75,7 +76,7 @@ from .statistics import SourceStatisticsRegistry
 if TYPE_CHECKING:
     from .spill import SpillManager
 
-__all__ = ["KleisliEngine", "ExecutionMode"]
+__all__ = ["KleisliEngine", "ExecutionMode", "QueryOptions"]
 
 #: Taken only to start an engine's worker set, once.
 _WORKER_SET_LOCK = threading.Lock()
@@ -184,6 +185,67 @@ class _DriverGate:
             self._slots.notify()
 
 
+class QueryOptions(Fields, frozen=True):
+    """The eight run options, declared, documented and checked here only.
+
+    ``execute``, ``stream`` and the session's ``run``, ``query`` and
+    ``stream`` take all eight by keyword; the wire client's ``run``,
+    ``query``, ``open`` and ``stream`` take the five that cross the wire
+    (not ``mode``, ``cancellation`` or ``chunk_policy``).  The engine builds
+    one value per run, its own defaults filled in, and hands it along.
+
+    * ``mode`` — the :class:`ExecutionMode` (``"compiled"`` lowers the term
+      to closures first, ``"interpret"`` tree-walks it); ``None`` is the
+      engine's.
+    * ``deadline`` — seconds that bound the whole run's driver work.
+    * ``on_source_failure`` — ``"fail"`` propagates a source that stays
+      down after retries, ``"degrade"`` completes a federated run with
+      typed partial-result warnings; ``None`` is the session's, else the
+      engine's.
+    * ``cancellation`` — a
+      :class:`~repro.kleisli.governance.CancellationToken` checked at every
+      evaluation checkpoint and before every driver dispatch.
+    * ``memory_budget`` — caps the run's materialization: an ``int`` of
+      bytes, or a prebuilt (e.g. session-scoped)
+      :class:`~repro.kleisli.governance.MemoryBudget`.  A session's quota
+      applies when the call gives none.
+    * ``spill`` — the backend for the big materialization points: ``None``
+      lets the cost model decide (estimated rows vs. the budget), ``True``
+      forces disk, ``False`` forbids it (over budget then raises
+      :class:`~repro.core.errors.MemoryBudgetExceededError`).  Spill
+      applies to the compiled lowerings; the interpreter honours token and
+      budget only.
+    * ``profile`` — ``True`` attaches an EXPLAIN ANALYZE recorder: the value
+      is unchanged, and the :class:`~repro.obs.profile.QueryProfile` lands
+      on ``last_profile`` / :meth:`KleisliEngine.thread_profile`.  With a
+      hub attached every run is profiled anyway.
+    * ``chunk_policy`` — the :class:`ChunkPolicy` of the compiled
+      lowerings' chunks and remote batches; ``None`` is the run's physical
+      plan's (remote sources keep small chunks, local ones ramp to the
+      maximum).  ``ChunkPolicy(max_chunk=1)`` streams element at a time.
+
+    A bad ``on_source_failure`` raises ``ValueError``, then a bad ``mode``
+    :class:`~repro.core.errors.EvaluationError`, before a run opens.
+    """
+
+    mode: Optional[object] = None
+    deadline: Optional[float] = None
+    on_source_failure: Optional[str] = None
+    cancellation: Optional[CancellationToken] = None
+    memory_budget: object = None
+    spill: Optional[bool] = None
+    profile: bool = False
+    chunk_policy: Optional[ChunkPolicy] = None
+
+    def __post_init__(self):
+        policy = self.on_source_failure
+        if policy is not None and policy not in ("fail", "degrade"):
+            raise ValueError(
+                f"on_source_failure must be 'fail' or 'degrade', got {policy!r}")
+        if self.mode is not None:
+            object.__setattr__(self, "mode", ExecutionMode.coerce(self.mode))
+
+
 class _QueryRun:
     """One run that has something to settle: opened in one place (the
     constructor), settled in one place (:meth:`finish`), which every ending
@@ -194,9 +256,7 @@ class _QueryRun:
                  "started", "finished")
 
     def __init__(self, engine: "KleisliEngine", expr: A.Expr,
-                 plan: Optional[PhysicalPlan], deadline: Optional[float],
-                 policy: str, cancellation: Optional[CancellationToken],
-                 memory_budget, spill: Optional[bool], profile: bool):
+                 plan: Optional[PhysicalPlan], options: QueryOptions):
         """Open the run on ``expr``, the term that is evaluated (already
         optimized): its own budget child; the plan (``stream``'s physical
         plan, else — when something will read it — the planner's for this
@@ -206,22 +266,21 @@ class _QueryRun:
         self.finished = False
         #: The stream's per-stage sink (``stream`` installs it with the tee).
         self.collector: Optional[StageCollector] = None
-        budget = engine._resolve_budget(memory_budget)
+        budget = engine._resolve_budget(options.memory_budget)
         hub = engine.observability
         if (plan is None and engine.optimizer_config.planning
-                and (hub is not None or profile
-                     or (spill is None and budget is not None))):
+                and (hub is not None or options.profile
+                     or (options.spill is None and budget is not None))):
             plan = engine.planner.plan_for(expr)
         #: One term, one estimate (``None``: the planner knows nothing): the
         #: number that gates auto-spill is the one EXPLAIN ANALYZE prints.
         self.estimated_rows = None if plan is None else plan.estimated_rows
-        spill_manager = engine._resolve_spill(spill, budget, plan)
+        spill_manager = engine._resolve_spill(options.spill, budget, plan)
         if hub is not None:
             trace: Optional[QueryTrace] = hub.tracer.start("query")
         else:
-            trace = QueryTrace("query") if profile else None
-        self.context = engine._make_context(deadline, policy, cancellation,
-                                            budget, spill_manager)
+            trace = QueryTrace("query") if options.profile else None
+        self.context = engine._make_context(options, budget, spill_manager)
         self.context.trace = trace
         self.started = 0.0 if trace is None else time.perf_counter()
 
@@ -817,48 +876,49 @@ class KleisliEngine:
             gate.cap for gate in list(self.driver_gates.values()))
         return self._workers
 
-    def _failure_policy(self, on_source_failure: Optional[str]) -> str:
-        """The run's source-failure policy: the caller's, else the engine's.
+    def _options(self, options: Dict[str, object]) -> QueryOptions:
+        """A call's options with the engine's defaults filled in: its
+        ``on_source_failure`` and execution mode where the call (which
+        already carries a session's defaults) gives none.
 
-        The one place the value is checked — first thing on both entry
-        points, before a trace, a budget or a context exists, so a bad
-        value leaves nothing to settle.
+        First thing on both entry points, before a trace, a budget or a
+        context exists, so a bad value leaves nothing to settle.  An
+        unknown name is a ``TypeError``.
         """
-        policy = (on_source_failure if on_source_failure is not None
-                  else self.on_source_failure)
-        if policy not in ("fail", "degrade"):
-            raise ValueError(
-                f"on_source_failure must be 'fail' or 'degrade', got {policy!r}")
-        return policy
+        if options.get("on_source_failure") is None:
+            options["on_source_failure"] = self.on_source_failure
+        if options.get("mode") is None:
+            options["mode"] = self.execution_mode
+        return QueryOptions(**options)
 
-    def _make_context(self, deadline: Optional[float], policy: str,
-                      cancellation: Optional[CancellationToken] = None,
+    def _make_context(self, options: QueryOptions,
                       memory_budget: Optional[MemoryBudget] = None,
                       spill_manager: Optional[SpillManager] = None
                       ) -> EvalContext:
         """One run's ambient context, with its resilience parameters bound.
 
-        ``deadline`` is a *relative* budget in seconds, converted to an
+        The ``deadline`` is a *relative* budget in seconds, converted to an
         absolute deadline on the resilience layer's clock here, when the
-        run starts; ``policy`` comes checked from :meth:`_failure_policy`.
-        The context binds the Scan callbacks to itself at each dispatch (no
-        stored closure, so no cycle): the resilience layer sees the run's
-        deadline and failure policy, while the engine methods keep their
-        context-free signatures for direct callers.  ``cancellation``,
-        ``memory_budget`` and ``spill_manager`` (already resolved by the
-        run's :class:`_QueryRun`) land on the context's governance hooks; all
-        ``None`` reproduces the pre-governance context exactly.
+        run starts.  The context binds the Scan callbacks to itself at each
+        dispatch (no stored closure, so no cycle): the resilience layer sees
+        the run's deadline and failure policy, while the engine methods keep
+        their context-free signatures for direct callers.  The token,
+        ``memory_budget`` and ``spill_manager`` (the last two already
+        resolved by the run's :class:`_QueryRun`) land on the context's
+        governance hooks; all ``None`` reproduces the pre-governance context
+        exactly.
         """
         statistics = EvalStatistics()
         self.last_eval_statistics = statistics
         self._thread_statistics.value = statistics
         context = EvalContext(statistics=statistics, cache=self.cache.for_run())
-        context.on_source_failure = policy
-        if deadline is not None:
-            context.deadline = self.resilience.clock() + deadline
-        context.cancellation = cancellation
+        context.on_source_failure = options.on_source_failure
+        if options.deadline is not None:
+            context.deadline = self.resilience.clock() + options.deadline
+        context.cancellation = options.cancellation
         context.memory_budget = memory_budget
         context.spill = spill_manager
+        context.chunk_policy = options.chunk_policy
         context.engine = self
         return context
 
@@ -929,9 +989,6 @@ class KleisliEngine:
         """
         return getattr(self._thread_statistics, "value", None)
 
-    def _resolve_mode(self, mode: Optional[object]) -> ExecutionMode:
-        return self.execution_mode if mode is None else ExecutionMode.coerce(mode)
-
     def _lowered(self, target: str, expr: A.Expr, lower: Callable,
                  statistics: Optional[EvalStatistics]) -> object:
         """LRU lookup-or-compile for one lowering target; updates counters."""
@@ -981,37 +1038,10 @@ class KleisliEngine:
     compiled_stream = compiled_chunked
 
     def execute(self, expr: A.Expr, bindings: Optional[Dict[str, object]] = None,
-                optimize: bool = True, mode: Optional[object] = None,
-                deadline: Optional[float] = None,
-                on_source_failure: Optional[str] = None,
-                cancellation: Optional[CancellationToken] = None,
-                memory_budget=None,
-                spill: Optional[bool] = None,
-                profile: bool = False):
+                optimize: bool = True, **options):
         """Optimize (optionally) and evaluate an NRC expression.
 
-        ``mode`` overrides the engine's default :class:`ExecutionMode` for
-        this call (``"compiled"`` lowers the term to closures first;
-        ``"interpret"`` tree-walks it).  ``deadline`` (seconds) bounds the
-        whole run's driver work; ``on_source_failure`` overrides the
-        engine's failure policy (``"fail"`` | ``"degrade"``) for this call.
-
-        Governance (all optional): ``cancellation`` is a
-        :class:`~repro.kleisli.governance.CancellationToken` checked at every
-        evaluation checkpoint and before every driver dispatch;
-        ``memory_budget`` caps the run's materialization (an ``int`` of
-        bytes, or a prebuilt session-scoped
-        :class:`~repro.kleisli.governance.MemoryBudget`); ``spill`` picks the
-        backend for the big materialization points — ``None`` lets the cost
-        model decide (estimated rows vs. the budget), ``True`` forces
-        disk-backed execution, ``False`` forbids it (over-budget then raises
-        :class:`~repro.core.errors.MemoryBudgetExceededError`).  Spill
-        applies to the compiled lowerings; the interpreter honours token and
-        budget only.  ``profile=True`` attaches an EXPLAIN ANALYZE recorder:
-        the returned value is bit-identical (observation only), and the
-        :class:`~repro.obs.profile.QueryProfile` lands on ``last_profile``
-        / :meth:`thread_profile`; with a hub attached every run is profiled
-        for the slow-query log anyway.
+        ``options`` are the run options of :class:`QueryOptions`.
 
         **The lifecycle** (the same on :meth:`stream`): the arguments are
         checked and the term is optimized; on that term the run is *opened*
@@ -1024,15 +1054,12 @@ class KleisliEngine:
         evaluation, with no planner call, no trace and no books — the
         zero-governance and zero-recorder contracts, bit-for-bit.
         """
-        policy = self._failure_policy(on_source_failure)
-        mode = self._resolve_mode(mode)
+        options = self._options(options)
         if optimize:
             expr = self.compile(expr)
-        context, run = self._open_run(expr, None, deadline, policy,
-                                      cancellation, memory_budget, spill,
-                                      profile)
+        context, run = self._open_run(expr, None, options)
         try:
-            result = self._execute(expr, bindings, mode, context)
+            result = self._execute(expr, bindings, options.mode, context)
         except BaseException as error:
             if run is not None:
                 run.finish(error)
@@ -1043,18 +1070,15 @@ class KleisliEngine:
         return result
 
     def _open_run(self, expr: A.Expr, plan: Optional[PhysicalPlan],
-                  deadline: Optional[float], policy: str,
-                  cancellation: Optional[CancellationToken], memory_budget,
-                  spill: Optional[bool], profile: bool
+                  options: QueryOptions
                   ) -> Tuple[EvalContext, Optional["_QueryRun"]]:
         """A run's context, and its :class:`_QueryRun` when it has anything
         to settle — ``None`` is the bare run of the zero contracts."""
-        if (cancellation is None and memory_budget is None
-                and self.governor.pool is None and spill is not True
-                and self.observability is None and not profile):
-            return self._make_context(deadline, policy), None
-        run = _QueryRun(self, expr, plan, deadline, policy, cancellation,
-                        memory_budget, spill, profile)
+        if (options.cancellation is None and options.memory_budget is None
+                and self.governor.pool is None and options.spill is not True
+                and self.observability is None and not options.profile):
+            return self._make_context(options), None
+        run = _QueryRun(self, expr, plan, options)
         return run.context, run
 
     def _execute(self, expr: A.Expr, bindings: Optional[Dict[str, object]],
@@ -1072,24 +1096,15 @@ class KleisliEngine:
         return Evaluator(context).evaluate(expr, environment)
 
     def stream(self, expr: A.Expr, bindings: Optional[Dict[str, object]] = None,
-               optimize: bool = True, mode: Optional[object] = None,
-               chunk_policy: Optional[ChunkPolicy] = None,
-               deadline: Optional[float] = None,
-               on_source_failure: Optional[str] = None,
-               cancellation: Optional[CancellationToken] = None,
-               memory_budget=None,
-               spill: Optional[bool] = None,
-               profile: bool = False) -> Iterator[object]:
+               optimize: bool = True, **options) -> Iterator[object]:
         """Pipelined evaluation: yield elements as the pipeline produces them.
 
         In compiled mode the (optimized) term is lowered to a *chunked*
         pipeline (:meth:`compiled_chunked`): stages exchange ramping chunks
         — the first chunk is one element, so the first result arrives after
-        O(1) source elements — and fused per-chunk loops run the hot path.
-        ``chunk_policy`` overrides the chunk-size policy, which otherwise
-        comes from :meth:`chunk_policy` (remote sources keep small chunks,
-        local sources ramp to the full maximum);
-        ``ChunkPolicy(max_chunk=1)`` streams element at a time.  Sections
+        O(1) source elements — and fused per-chunk loops run the hot path;
+        the run's plan sizes the chunks unless the options' ``chunk_policy``
+        does.  Sections
         with no chunk-wise lowering run eagerly inside the pipeline
         (``EvalStatistics.stream_fallbacks``).  This is the "laziness in
         strategic places" of Section 4, used to get initial output to the
@@ -1101,8 +1116,8 @@ class KleisliEngine:
         stream holds no driver resources, even behind buffered-but-
         unconsumed chunk elements.  Both execution modes stream.
 
-        The keywords mean what they mean on :meth:`execute`, and the
-        lifecycle is the same one.  Checking, optimizing, planning, opening
+        ``options`` are those of :meth:`execute`, and the lifecycle is the
+        same one.  Checking, optimizing, planning, opening
         the run and lowering all happen here, at the call (a bad argument
         raises at the call site, and ``last_eval_statistics`` /
         ``last_plan`` refer to *this* run as soon as ``stream()`` returns);
@@ -1114,29 +1129,25 @@ class KleisliEngine:
         returned).  The bare run (see :meth:`execute`) has nothing to
         settle: what comes back is the pipeline generator itself.
         """
-        policy = self._failure_policy(on_source_failure)
-        mode = self._resolve_mode(mode)
+        options = self._options(options)
         if optimize:
             expr = self.compile(expr)
         plan = None
-        if mode is ExecutionMode.COMPILED:
+        if options.mode is ExecutionMode.COMPILED:
             # The per-query physical plan.  An uninformed planner returns
             # the historical defaults, so this changes nothing until
             # statistics exist.
             plan = self.plan_for(expr)
-        context, run = self._open_run(expr, plan, deadline, policy,
-                                      cancellation, memory_budget, spill,
-                                      profile)
+        context, run = self._open_run(expr, plan, options)
         try:
             environment = Environment(dict(bindings or {}))
             if plan is None:
                 inner = self._stream_interpreted(expr, environment, context)
             else:
                 context.physical_plan = plan
-                if chunk_policy is None:
-                    chunk_policy = plan.chunk_policy(
+                if context.chunk_policy is None:
+                    context.chunk_policy = plan.chunk_policy(
                         is_remote=self.statistics_registry.is_remote)
-                context.chunk_policy = chunk_policy
                 if context.trace is not None:
                     # The profile's per-chunk timings go to the collector
                     # and, with a hub, the chunk-size histogram.  Only this

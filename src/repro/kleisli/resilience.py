@@ -277,10 +277,6 @@ class ResilienceLayer:
             else:
                 self._breakers.pop(driver, None)
 
-    def policy_for(self, driver: str) -> Optional[RetryPolicy]:
-        with self._lock:
-            return self._policies.get(driver)
-
     def breaker_for(self, driver: str) -> Optional[CircuitBreaker]:
         with self._lock:
             return self._breakers.get(driver)

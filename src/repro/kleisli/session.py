@@ -7,7 +7,9 @@ evaluation, and formats results (CPL value syntax, HTML, tab-delimited).
 
 Optimizing at compile time pays only if compile time is not paid on every
 arrival: a session reuses a query text's *prepared form* until something it
-depends on changes (see :class:`Session`).
+depends on changes (see :class:`Session`).  ``run``, ``query`` and ``stream``
+take the run options of :class:`~repro.kleisli.engine.QueryOptions` and add
+the session's defaults.
 
 Typical use::
 
@@ -36,7 +38,7 @@ from ..core.optimizer import OptimizerConfig
 from ..core.values import from_python
 from .drivers.base import Driver
 from .engine import ExecutionMode, KleisliEngine, _CompileCache
-from .governance import CancellationToken, MemoryBudget
+from .governance import MemoryBudget
 
 __all__ = ["Session", "QueryResult"]
 
@@ -241,62 +243,32 @@ class Session:
 
     # -- running CPL ----------------------------------------------------------------
 
-    def run(self, source: str, optimize: bool = True,
-            deadline: Optional[float] = None,
-            on_source_failure: Optional[str] = None,
-            cancellation: Optional[CancellationToken] = None,
-            memory_budget=None, spill: Optional[bool] = None,
-            profile: bool = False):
+    def run(self, source: str, optimize: bool = True, **options):
         """Run a CPL program (one or more statements); return the last query's value.
 
-        ``deadline`` (seconds) bounds each statement's driver work;
-        ``on_source_failure`` overrides the session/engine failure policy
-        (``"fail"`` | ``"degrade"``) for this call.  ``cancellation``,
-        ``memory_budget`` and ``spill`` govern each statement's run as in
-        :meth:`~repro.kleisli.engine.KleisliEngine.execute`; the session
-        quota (:meth:`set_memory_limit`) applies when no per-call budget is
-        given.  A statement is governed and profiled on its *optimized* term,
-        so the auto-spill decision and ``last_profile.estimated_rows`` are
-        those of :meth:`query` and :meth:`stream` for the same text.
+        ``options`` are the run options of
+        :class:`~repro.kleisli.engine.QueryOptions`, applied to each
+        statement's run with the session's defaults: its failure policy and
+        its quota (:meth:`set_memory_limit`).
+        A statement is governed and profiled on its *optimized* term, so the
+        auto-spill decision and ``last_profile.estimated_rows`` are those of
+        :meth:`query` and :meth:`stream` for the same text.
         """
         program = parse(source)
         result = None
         for statement in program.statements:
-            result = self._run_statement(
-                statement, optimize, deadline,
-                self._failure_policy(on_source_failure),
-                cancellation, self._effective_budget(memory_budget), spill,
-                profile)
+            result = self._run_statement(statement, optimize,
+                                         self._with_defaults(options))
         return result
 
     def query(self, source: str, optimize: bool = True,
-              mode: Optional[object] = None,
-              deadline: Optional[float] = None,
-              on_source_failure: Optional[str] = None,
-              cancellation: Optional[CancellationToken] = None,
-              memory_budget=None, spill: Optional[bool] = None,
-              profile: bool = False) -> QueryResult:
-        """Run a single CPL expression and return the full :class:`QueryResult`.
-
-        ``mode`` overrides the engine's execution mode for this query
-        (``"compiled"`` | ``"interpret"``); ``deadline`` and
-        ``on_source_failure`` as in :meth:`run`; ``cancellation``,
-        ``memory_budget`` and ``spill`` as in
-        :meth:`~repro.kleisli.engine.KleisliEngine.execute`.
-        """
+              **options) -> QueryResult:
+        """Run a single CPL expression and return the full :class:`QueryResult`
+        (``options`` as in :meth:`run`)."""
         inferred, nrc, optimized = self._prepare(source, optimize)
-        value = self.engine.execute(
-            optimized, self.values, optimize=False, mode=mode,
-            deadline=deadline,
-            on_source_failure=self._failure_policy(on_source_failure),
-            cancellation=cancellation,
-            memory_budget=self._effective_budget(memory_budget), spill=spill,
-            profile=profile)
+        value = self.engine.execute(optimized, self.values, optimize=False,
+                                    **self._with_defaults(options))
         return QueryResult(value, nrc, optimized, inferred)
-
-    def _failure_policy(self, override: Optional[str]) -> Optional[str]:
-        """Per-call override, else the session default, else the engine's."""
-        return override if override is not None else self.on_source_failure
 
     # -- governance ---------------------------------------------------------------
 
@@ -314,29 +286,31 @@ class Session:
         self.memory_budget = MemoryBudget(
             limit, label="session", parent=self.engine.governor.pool)
 
-    def _effective_budget(self, memory_budget):
-        """Per-call budget composed with the session quota.
+    def _with_defaults(self, options: Dict[str, object]) -> Dict[str, object]:
+        """A call's run options with the session's defaults applied; the rest
+        go to the engine as given, and the engine checks them all.
 
-        No per-call budget → the session quota (or ``None``: ungoverned).
+        No ``on_source_failure`` → the session's (``None``: the engine's).
+        No ``memory_budget`` → the session quota (or ``None``: ungoverned).
         A per-call ``int`` under a session quota caps this one query *inside*
         the quota; a caller-built :class:`MemoryBudget` is trusted as-is.
         """
-        if memory_budget is None:
-            return self.memory_budget
-        if (self.memory_budget is not None
-                and not isinstance(memory_budget, MemoryBudget)):
-            return MemoryBudget(int(memory_budget), label="query",
-                                parent=self.memory_budget)
-        return memory_budget
+        options = dict(options)
+        if options.get("on_source_failure") is None:
+            options["on_source_failure"] = self.on_source_failure
+        budget = options.get("memory_budget")
+        if budget is None:
+            options["memory_budget"] = self.memory_budget
+        elif (self.memory_budget is not None
+                and not isinstance(budget, MemoryBudget)):
+            options["memory_budget"] = MemoryBudget(
+                int(budget), label="query", parent=self.memory_budget)
+        return options
 
     def stream(self, source: str, optimize: bool = True,
-               mode: Optional[object] = None,
-               deadline: Optional[float] = None,
-               on_source_failure: Optional[str] = None,
-               cancellation: Optional[CancellationToken] = None,
-               memory_budget=None, spill: Optional[bool] = None,
-               profile: bool = False) -> Iterator[object]:
-        """Run a query with pipelined (lazy) result delivery.
+               **options) -> Iterator[object]:
+        """Run a query with pipelined (lazy) result delivery (``options`` as
+        in :meth:`run`).
 
         In compiled mode the optimized term is lowered to a chunked
         generator pipeline, so *any* query shape — nested comprehensions,
@@ -349,13 +323,8 @@ class Session:
         """
         optimized = self._prepare(source, optimize)[2]
         stream = _TrackedStream(
-            self, self.engine.stream(
-                optimized, self.values, optimize=False, mode=mode,
-                deadline=deadline,
-                on_source_failure=self._failure_policy(on_source_failure),
-                cancellation=cancellation,
-                memory_budget=self._effective_budget(memory_budget),
-                spill=spill, profile=profile))
+            self, self.engine.stream(optimized, self.values, optimize=False,
+                                     **self._with_defaults(options)))
         with self._streams_lock:
             self._open_streams.append(stream)
         return stream
@@ -424,11 +393,7 @@ class Session:
         return optimized, traces
 
     def _run_statement(self, statement: S.Statement, optimize: bool,
-                       deadline: Optional[float] = None,
-                       on_source_failure: Optional[str] = None,
-                       cancellation: Optional[CancellationToken] = None,
-                       memory_budget=None, spill: Optional[bool] = None,
-                       profile: bool = False):
+                       options: Dict[str, object]):
         if isinstance(statement, S.Define):
             if self.typecheck:
                 try:
@@ -445,11 +410,7 @@ class Session:
             self._infer(statement.expr)
         _, _, nrc = desugar_statement(statement)
         return self.engine.execute(self._expand(nrc), self.values,
-                                   optimize=optimize, deadline=deadline,
-                                   on_source_failure=on_source_failure,
-                                   cancellation=cancellation,
-                                   memory_budget=memory_budget, spill=spill,
-                                   profile=profile)
+                                   optimize=optimize, **options)
 
     def _expand(self, nrc: A.Expr, depth: int = 20) -> A.Expr:
         """Substitute defined synonyms into ``nrc`` (non-recursive definitions only)."""

@@ -81,22 +81,23 @@ def aggregate_driver_spans(trace_dict: Dict[str, object]) -> Dict[str, Dict[str,
     request.
     """
     totals: Dict[str, Dict[str, float]] = {}
-
-    def walk(node: Dict[str, object]) -> None:
-        if node.get("kind") in ("driver", "driver-batch"):
-            name = str(node.get("name", ""))
-            cell = totals.setdefault(name, {"requests": 0, "seconds": 0.0})
-            cell["requests"] += 1
-            duration = node.get("duration")
-            if isinstance(duration, (int, float)):
-                cell["seconds"] += duration
-        for child in node.get("children", ()):
-            walk(child)
-
     root = trace_dict.get("trace")
     if isinstance(root, dict):
-        walk(root)
+        _add_driver_spans(root, totals)
     return totals
+
+
+def _add_driver_spans(node: Dict[str, object],
+                      totals: Dict[str, Dict[str, float]]) -> None:
+    if node.get("kind") in ("driver", "driver-batch"):
+        name = str(node.get("name", ""))
+        cell = totals.setdefault(name, {"requests": 0, "seconds": 0.0})
+        cell["requests"] += 1
+        duration = node.get("duration")
+        if isinstance(duration, (int, float)):
+            cell["seconds"] += duration
+    for child in node.get("children", ()):
+        _add_driver_spans(child, totals)
 
 
 # Statistics counters worth calling out when non-zero, in render order.

@@ -7,6 +7,10 @@ would return.  Typed errors travel: an overloaded server raises
 :class:`~repro.core.errors.ServerOverloadedError` client-side; any other
 server-side failure raises :class:`~repro.core.errors.RemoteQueryError`
 carrying the original ``error_type``.
+
+The ops that run a query take the run options of
+:class:`~repro.kleisli.engine.QueryOptions` that cross the wire
+(:data:`_WIRE_OPTIONS`); the server checks them again.
 """
 
 from __future__ import annotations
@@ -24,6 +28,10 @@ from ..net.framing import recv_message, send_message
 from .wire import decode_value
 
 __all__ = ["KleisliClient"]
+
+#: The run options a request carries, in the order it carries them.
+_WIRE_OPTIONS = ("deadline", "on_source_failure", "memory_budget", "spill",
+                 "profile")
 
 
 class KleisliClient:
@@ -78,66 +86,40 @@ class KleisliClient:
         return self.request({"op": "hello"})
 
     @staticmethod
-    def _with_options(message: dict, deadline: Optional[float],
-                      on_source_failure: Optional[str],
-                      memory_budget: Optional[int] = None,
-                      spill: Optional[bool] = None,
-                      profile: Optional[bool] = None) -> dict:
-        if deadline is not None:
-            message["deadline"] = deadline
-        if on_source_failure is not None:
-            message["on_source_failure"] = on_source_failure
-        if memory_budget is not None:
-            message["memory_budget"] = memory_budget
-        if spill is not None:
-            message["spill"] = spill
-        if profile is not None:
-            message["profile"] = profile
+    def _with_options(message: dict, options: dict) -> dict:
+        """``message`` with the given run options that are not ``None``;
+        a name the wire does not carry is a ``TypeError``, before anything
+        is sent."""
+        for name in options:
+            if name not in _WIRE_OPTIONS:
+                raise TypeError(f"{message['op']}() got an unexpected "
+                                f"run option {name!r}")
+        for name in _WIRE_OPTIONS:
+            if options.get(name) is not None:
+                message[name] = options[name]
         return message
 
-    def run(self, source: str, deadline: Optional[float] = None,
-            on_source_failure: Optional[str] = None,
-            memory_budget: Optional[int] = None,
-            spill: Optional[bool] = None,
-            profile: Optional[bool] = None) -> object:
+    def run(self, source: str, **options) -> object:
         """Run a CPL program (defines allowed); return the last query's value.
 
-        ``deadline`` (seconds) bounds the run's driver work server-side;
-        ``on_source_failure="degrade"`` completes federated runs with
-        partial results, announced in :attr:`last_warnings`.
-        ``memory_budget`` (bytes) caps the run's server-side
-        materialization; ``spill`` picks the over-budget backend (``True``
-        forces disk, ``False`` forbids it, omitted lets the cost model
-        decide).  ``profile=True`` records a server-side EXPLAIN ANALYZE
-        readable afterwards with :meth:`profile`.
+        With ``on_source_failure="degrade"`` a federated run's partial
+        results are announced in :attr:`last_warnings`; ``profile=True``
+        records a server-side EXPLAIN ANALYZE readable afterwards with
+        :meth:`profile`.
         """
         return decode_value(self.request(self._with_options(
-            {"op": "run", "source": source},
-            deadline, on_source_failure, memory_budget, spill,
-            profile))["value"])
+            {"op": "run", "source": source}, options))["value"])
 
-    def query(self, source: str, deadline: Optional[float] = None,
-              on_source_failure: Optional[str] = None,
-              memory_budget: Optional[int] = None,
-              spill: Optional[bool] = None,
-              profile: Optional[bool] = None) -> object:
+    def query(self, source: str, **options) -> object:
         """Run one CPL expression; return its value (options as in :meth:`run`)."""
         return decode_value(self.request(self._with_options(
-            {"op": "query", "source": source},
-            deadline, on_source_failure, memory_budget, spill,
-            profile))["value"])
+            {"op": "query", "source": source}, options))["value"])
 
-    def open(self, source: str, deadline: Optional[float] = None,
-             on_source_failure: Optional[str] = None,
-             memory_budget: Optional[int] = None,
-             spill: Optional[bool] = None,
-             profile: Optional[bool] = None) -> str:
+    def open(self, source: str, **options) -> str:
         """Open a server-side cursor; return its id (see :meth:`fetch`,
         :meth:`cancel`, :meth:`close_cursor`).  :meth:`stream` wraps this."""
         return self.request(self._with_options(
-            {"op": "open", "source": source},
-            deadline, on_source_failure, memory_budget, spill,
-            profile))["cursor"]
+            {"op": "open", "source": source}, options))["cursor"]
 
     def fetch(self, cursor: str, batch: int = 16) -> dict:
         """One fetch batch: ``{"values": [...], "done": bool}`` (decoded).
@@ -165,21 +147,15 @@ class KleisliClient:
                     .get("closed", False))
 
     def stream(self, source: str, batch: int = 16,
-               deadline: Optional[float] = None,
-               on_source_failure: Optional[str] = None,
-               memory_budget: Optional[int] = None,
-               spill: Optional[bool] = None,
-               profile: Optional[bool] = None) -> Iterator[object]:
+               **options) -> Iterator[object]:
         """Run a streamed query, yielding elements as fetch batches arrive.
 
         Closing the generator early (or abandoning it) sends a ``close`` op,
         releasing the server-side cursor and its admission slot.  Each fetch
         refreshes :attr:`last_warnings` with the degradation records the
-        stream has accumulated so far.  ``memory_budget``/``spill`` as in
-        :meth:`run`.
+        stream has accumulated so far.  Options as in :meth:`run`.
         """
-        cursor = self.open(source, deadline, on_source_failure,
-                           memory_budget, spill, profile)
+        cursor = self.open(source, **options)
         done = False
         try:
             while not done:

@@ -591,10 +591,12 @@ class KleisliServer:
 
     @staticmethod
     def _run_options(message: dict) -> Dict[str, object]:
-        """Per-request resilience options: deadline + failure policy.
+        """The run options a request carries: the five of
+        :class:`~repro.kleisli.engine.QueryOptions` that cross the wire.
 
-        Both are optional on every query-running op; validation errors are
-        wire errors (the request never reaches the engine).
+        All are optional on every query-running op.  They arrive as
+        untrusted input, so they are checked here and a bad one is a wire
+        error (the request never reaches the engine).
         """
         options: Dict[str, object] = {}
         deadline = message.get("deadline")

@@ -1,10 +1,10 @@
 """The plain value classes: what they kept of being dataclasses.
 
 ``OptimizerConfig``, ``ScanSpec``, ``PhysicalPlan``, ``RetryPolicy``,
-``CircuitBreakerPolicy`` and ``Chromosome22Dataset`` take their fields by
-keyword or position with the same defaults, validate in ``__post_init__``,
-compare by value and print readably; the three frozen ones hash and refuse
-assignment.
+``CircuitBreakerPolicy``, ``QueryOptions`` and ``Chromosome22Dataset`` take
+their fields by keyword or position with the same defaults, validate in
+``__post_init__``, compare by value and print readably; the four frozen ones
+hash and refuse assignment.
 """
 
 import pytest
@@ -13,10 +13,11 @@ from repro.bio.chromosome22 import Chromosome22Dataset
 from repro.core.optimizer import OptimizerConfig
 from repro.core.optimizer.introduction import ScanSpec
 from repro.core.planner import PhysicalPlan
-from repro.core.nrc.compile import ChunkPolicy
+from repro.core.nrc.compile import ChunkPolicy, ExecutionMode
+from repro.kleisli.engine import QueryOptions
 from repro.kleisli.resilience import CircuitBreakerPolicy, RetryPolicy
 
-FROZEN = [PhysicalPlan, RetryPolicy, CircuitBreakerPolicy]
+FROZEN = [PhysicalPlan, RetryPolicy, CircuitBreakerPolicy, QueryOptions]
 MUTABLE = [OptimizerConfig, ScanSpec, Chromosome22Dataset]
 
 
@@ -40,6 +41,12 @@ def test_fields_and_defaults_are_the_declared_ones():
     assert PhysicalPlan().remote_max_chunk == ChunkPolicy.REMOTE_MAX_CHUNK
     assert RetryPolicy().max_attempts == 3 and RetryPolicy().jitter is None
     assert CircuitBreakerPolicy().recovery_time == 30.0
+    assert QueryOptions._fields == (
+        "mode", "deadline", "on_source_failure", "cancellation",
+        "memory_budget", "spill", "profile", "chunk_policy")
+    assert QueryOptions._defaults == dict.fromkeys(QueryOptions._fields) | {
+        "profile": False}
+    assert QueryOptions(mode="interpret").mode is ExecutionMode.INTERPRET
     spec = ScanSpec("GDB", {"table": "locus"}, "table")
     assert (spec.driver, spec.request_template, spec.argument_key,
             spec.argument_is_record, spec.result_kind) == \
@@ -58,7 +65,9 @@ def test_a_list_or_dict_default_is_not_shared():
 @pytest.mark.parametrize("cls", FROZEN + MUTABLE, ids=lambda cls: cls.__name__)
 def test_equality_and_repr_are_by_value(cls):
     assert _instance(cls) == _instance(cls)
-    field = next(name for name in cls._fields if name in cls._defaults)
+    # 7 is no execution mode: QueryOptions takes it as a deadline.
+    field = next(name for name in cls._fields
+                 if name in cls._defaults and name != "mode")
     changed = _instance(cls, **{field: 7})
     assert changed != _instance(cls)
     assert _instance(cls) != object()
@@ -95,6 +104,7 @@ def test_mutable_classes_assign_and_do_not_hash(cls):
     lambda: RetryPolicy(backoff_cap=-1.0),
     lambda: CircuitBreakerPolicy(failure_threshold=0),
     lambda: CircuitBreakerPolicy(recovery_time=-1.0),
+    lambda: QueryOptions(on_source_failure="bogus"),
 ])
 def test_post_init_validates(policy):
     with pytest.raises(ValueError):

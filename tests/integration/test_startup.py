@@ -10,9 +10,12 @@ when that source is built, so serving a local query loads neither.
 
 Serving then maps no native library a query does not use: a content-derived
 subquery-cache key is a fingerprint, not a digest (no OpenSSL), and the
-client connects to an ASCII host without the IDNA codec.
+client connects to an ASCII host without the IDNA codec.  Nor does a query
+leave a reference cycle behind: what only the cyclic collector frees stays
+resident until a collection happens to run.
 """
 
+import gc
 import importlib.util
 import json
 import os
@@ -20,8 +23,10 @@ import pathlib
 import subprocess
 import sys
 
+from repro.bio.chromosome22 import build_chromosome22
 from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.drivers import EntrezDriver, RelationalDriver
+from repro.kleisli.session import Session
 from repro.server import KleisliClient, KleisliServer
 from repro.views import ViewRegistry, build_mapsearch_view
 
@@ -212,6 +217,48 @@ def test_serving_maps_no_native_library_a_query_does_not_use():
     loaded = [name for name in NOT_ON_THE_REQUEST_PATH
               if name in served["modules"]]
     assert not loaded, f"loaded by serving: {loaded}"
+
+
+def _serving_session(served, data):
+    """A fresh engine and session over ``data`` set up as :data:`_SERVE`
+    sets its sessions up."""
+    engine = KleisliEngine()
+    engine.register_driver(RelationalDriver.with_latency(
+        "GDB", data.gdb, latency=0.0, max_concurrent_requests=4), latency=0.002)
+    engine.register_driver(EntrezDriver.with_latency(
+        "GenBank", data.genbank, latency=0.0, max_concurrent_requests=4),
+        latency=0.002)
+    session = Session(engine)
+    for name, (rows, list_as) in served["tables"].items():
+        session.bind(name, rows, list_as=list_as)
+    for definition in served["defines"]:
+        session.run(definition)
+    return session
+
+
+def _serve_in_process(session, served):
+    for text in served["queries"] + served["cursors"]:
+        assert session.query(text).value
+        assert list(session.stream(text))
+    assert session.query(served["queries"][-1], profile=True).value
+    assert session.last_profile.drivers     # the DOE query, profiled
+
+
+def test_a_query_leaves_no_reference_cycle():
+    served = _served_operations()
+    data = build_chromosome22(locus_count=120, homologues_per_entry=1,
+                              sequence_length=60, publication_count=5, seed=22)
+    # A first import leaves garbage of its own (``pickle`` replaces its
+    # exception classes with ``_pickle``'s), so a first session imports.
+    _serve_in_process(_serving_session(served, data), served)
+    session = _serving_session(served, data)
+    gc.collect()
+    gc.disable()
+    try:
+        _serve_in_process(session, served)      # every text's first send
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_the_optional_drivers_load_on_first_use():

@@ -30,7 +30,7 @@ from repro.core.nrc.eval import EvalScope
 from repro.core.optimizer.parallel import ParallelExt
 from repro.core.values import CBag, CList, iter_collection
 from repro.kleisli.drivers.base import Driver
-from repro.kleisli.engine import ExecutionMode, KleisliEngine
+from repro.kleisli.engine import ExecutionMode, KleisliEngine, QueryOptions
 from repro.kleisli.governance import (
     NOMINAL_ROW_BYTES,
     CancellationToken,
@@ -453,8 +453,8 @@ def test_ungoverned_runs_keep_books_at_zero(chunk_policy):
 
 def test_ungoverned_context_has_no_hooks():
     engine = _engine()
-    context, run = engine._open_run(_comprehension(), None, None, "fail",
-                                    None, None, None, False)
+    context, run = engine._open_run(_comprehension(), None,
+                                    QueryOptions(on_source_failure="fail"))
     assert run is None                    # nothing to settle
     assert context.cancellation is None
     assert context.memory_budget is None

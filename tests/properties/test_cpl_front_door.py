@@ -27,6 +27,8 @@ import time
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from text_mutators import edit_characters, mutations, splice
+
 from repro.bio.publications import build_publications
 from repro.core.errors import ReproError
 from repro.core.nrc.eval import EvalScope
@@ -76,39 +78,8 @@ LEXEMES = {
 }
 
 
-def _replace_lexeme(text, kind, which, piece):
-    spans = [match.span() for match in LEXEMES[kind][0].finditer(text)]
-    if not spans:
-        return text
-    start, end = spans[min(int(len(spans) * which), len(spans) - 1)]
-    return text[:start] + piece + text[end:]
-
-
-def _edit_characters(text, edits):
-    for where, how, char in edits:
-        at = min(int(len(text) * where), len(text))
-        if how == "insert":
-            text = text[:at] + char + text[at:]
-        else:
-            text = text[:at] + (char if how == "replace" else "") + text[at + 1:]
-    return text
-
-
-def _splice(first, second, cut, rest):
-    return first[:int(len(first) * cut)] + second[int(len(second) * rest):]
-
-
-fractions = st.floats(min_value=0.0, max_value=1.0)
 seeds = st.sampled_from(SEEDS)
-texts = st.one_of(
-    seeds,
-    st.builds(lambda seed, cut: seed[:int(len(seed) * cut)], seeds, fractions),
-    st.builds(_edit_characters, seeds, st.lists(st.tuples(
-        fractions, st.sampled_from(["insert", "replace", "delete"]),
-        st.sampled_from(CHARACTERS)), min_size=1, max_size=3)),
-    st.sampled_from(sorted(LEXEMES)).flatmap(lambda kind: st.builds(
-        _replace_lexeme, seeds, st.just(kind), fractions, LEXEMES[kind][1])),
-    st.builds(_splice, seeds, seeds, fractions, fractions))
+texts = st.one_of(seeds, *mutations(seeds, CHARACTERS, LEXEMES))
 
 PUBLICATIONS = build_publications(5)
 
@@ -148,10 +119,10 @@ def _sample(count, seed=40):
     makers = [
         pick,
         lambda: (lambda text: text[:int(len(text) * rng.random())])(pick()),
-        lambda: _edit_characters(pick(), [
+        lambda: edit_characters(pick(), [
             (rng.random(), rng.choice(["insert", "replace", "delete"]),
              rng.choice(CHARACTERS)) for _ in range(rng.randint(1, 3))]),
-        lambda: _splice(pick(), pick(), rng.random(), rng.random()),
+        lambda: splice(pick(), pick(), rng.random(), rng.random()),
     ]
     return [rng.choice(makers)() for _ in range(count)]
 

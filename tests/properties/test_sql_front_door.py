@@ -24,6 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from text_mutators import mutations
+
 from repro.bio.gdb import build_gdb
 from repro.core.errors import ReproError
 from repro.core.values import CSet
@@ -74,36 +76,7 @@ LEXEMES = {
 }
 
 
-def _replace_lexeme(text, kind, which, piece):
-    spans = [match.span() for match in LEXEMES[kind][0].finditer(text)]
-    if not spans:
-        return text
-    start, end = spans[min(int(len(spans) * which), len(spans) - 1)]
-    return text[:start] + piece + text[end:]
-
-
-def _edit_characters(text, edits):
-    for where, how, char in edits:
-        at = min(int(len(text) * where), len(text))
-        if how == "insert":
-            text = text[:at] + char + text[at:]
-        else:
-            text = text[:at] + (char if how == "replace" else "") + text[at + 1:]
-    return text
-
-
-fractions = st.floats(min_value=0.0, max_value=1.0)
-seeds = st.sampled_from(SEEDS)
-texts = st.one_of(
-    st.builds(lambda seed, cut: seed[:int(len(seed) * cut)], seeds, fractions),
-    st.builds(_edit_characters, seeds, st.lists(st.tuples(
-        fractions, st.sampled_from(["insert", "replace", "delete"]),
-        st.sampled_from(CHARACTERS)), min_size=1, max_size=3)),
-    st.sampled_from(sorted(LEXEMES)).flatmap(lambda kind: st.builds(
-        _replace_lexeme, seeds, st.just(kind), fractions, LEXEMES[kind][1])),
-    st.builds(lambda first, second, cut, rest: (first[:int(len(first) * cut)]
-                                                + second[int(len(second) * rest):]),
-              seeds, seeds, fractions, fractions))
+texts = st.one_of(*mutations(st.sampled_from(SEEDS), CHARACTERS, LEXEMES))
 
 DRIVER = RelationalDriver("GDB", build_gdb(locus_count=30))
 
