@@ -10,8 +10,10 @@ reproduces that interface:
   pre-computed hash indexes (accession, organism, keyword, chromosome, ...);
 * precomputed **neighbour links** (the NA-Links of the paper) connect a UID to
   records describing similar entries;
-* the service hands back entry text; pruning happens client-side in the
-  Kleisli driver via :func:`repro.asn1.parser.parse_value_with_path`.
+* the service answers with CPL values: it parses each selected entry's text,
+  and with a path only what the path selects
+  (:func:`repro.asn1.parser.parse_value_with_path`, the paper's pruning at
+  the ASN.1 driver), so the Kleisli driver takes each reply as it is.
 
 The query syntax for :meth:`EntrezDivision.select`::
 

@@ -2,26 +2,39 @@
 
 Because ``{ ... }`` is used both for constructed types (SEQUENCE) and for
 collections (SET OF / SEQUENCE OF), parsing is driven by the expected type,
-exactly as in real ASN.1 value notation.
+as in ASN.1 value notation.  :func:`parse_value` parses the whole value;
+:func:`parse_value_with_path` parses only what a path needs: the paper's
+"pruning at the level of the ASN.1 driver ... to minimize the cost of
+parsing and copying ASN.1 values", which benchmark E5 measures against
+retrieve-then-prune.
 
-Two entry points:
+A ``.label`` step at a SEQUENCE and a ``..tag`` step at a SET OF CHOICE are
+one scan (:func:`_scan`).  It stops only at braces and where an item at the
+top level of the braced value starts with the wanted name, and skips the
+rest with one ``re`` match per run.  A ``..tag`` step at a collection of
+non-CHOICE values parses it whole and reads it as empty.  The contract:
 
-* :func:`parse_value` — parse the whole value.
-* :func:`parse_value_with_path` — parse only what a
-  :class:`~repro.asn1.path.PathExpression` needs, *skipping* the text of every
-  field that is not on the path.  This is the paper's "pruning at the level of
-  the ASN.1 driver ... to minimize the cost of parsing and copying ASN.1
-  values", and it is what benchmark E5 measures against retrieve-then-prune.
+* skipped text is checked only for balanced braces and closed strings.  Its
+  labels, tags and scalars are neither read nor type-checked (a widening:
+  the field-by-field skip this replaced read every label);
+* a wanted item is read by the full parse's descent and must be followed
+  by ``,`` or ``}``;
+* a repeated label keeps its last value, as the full parse does; every item
+  with the wanted tag is kept, in order.
+
+So wherever :func:`parse_value` reads a value, :func:`parse_value_with_path`
+reads ``path.apply`` of it, or raises ``PathApplicationError`` where it does.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Tuple
 
 from ..core import types as T
 from ..core.errors import ASN1ParseError, PathApplicationError
-from ..core.values import CBag, CList, CSet, Record, UNIT_VALUE, Variant, make_collection
+from ..core.values import Record, UNIT_VALUE, Variant, make_collection
 from .path import PathExpression, PathStep, ProjectStep, VariantStep
 
 __all__ = ["parse_value", "parse_value_with_path"]
@@ -33,11 +46,7 @@ def parse_value(text: str, ty: T.Type) -> object:
 
 
 def parse_value_with_path(text: str, ty: T.Type, path: PathExpression) -> object:
-    """Parse only the parts of the value that ``path`` selects.
-
-    The result equals ``path.apply(parse_value(text, ty))`` but fields off the
-    path are skipped textually instead of being parsed into values.
-    """
+    """``path.apply(parse_value(text, ty))``, skipping the text off the path."""
     return _parse_text(text, ty, tuple(path.steps))
 
 
@@ -45,7 +54,7 @@ def _parse_text(text: str, ty: T.Type, steps: Optional[Tuple[PathStep, ...]]) ->
     cursor = _Cursor(text)
     value = _parse(cursor, ty, steps)
     cursor.skip_whitespace()
-    if not cursor.at_end():
+    if cursor.pos < len(cursor.text):
         rest = cursor.text[cursor.pos:cursor.pos + 30]
         raise ASN1ParseError(f"trailing text after ASN.1 value: {rest!r}")
     return value
@@ -62,24 +71,18 @@ _SPACE = re.compile(r"\s*").match
 _NAME = re.compile(r"\s*([\w-]+)").match
 _NUMERAL = re.compile(r"[\d.eE+-]*").match
 _TOKEN = {char: re.compile(r"\s*" + re.escape(char)).match for char in ',{}"'}
-#: What ends or nests a skipped value: the first of them from the cursor.
-_BRACE_OR_QUOTE = re.compile(r'[{}"]').search
-_SCALAR_END = re.compile(r'[,}"{]').search
 
 
 class _Cursor:
     """A position in the input text with primitive scanning operations,
     each a precompiled ``re`` match or a ``str.find`` (never a walk one
-    character at a time): the pruning parse skips text at string speed."""
+    character at a time)."""
 
     __slots__ = ("text", "pos")
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
 
     def skip_whitespace(self) -> None:
         self.pos = _SPACE(self.text, self.pos).end()
@@ -142,49 +145,57 @@ class _Cursor:
                 f"malformed {'REAL' if real else 'INTEGER'} {literal!r} "
                 f"at position {start}") from None
 
-    def skip_value(self) -> None:
-        """Skip a complete value without building it (the pruning fast path):
-        a string, a braced value (counting braces outside strings), or a
-        scalar or variant up to the next ``,`` or ``}`` at this level."""
-        char = self.peek()
-        if not char:
-            raise ASN1ParseError("unexpected end of input while skipping a value")
-        if char == '"':
-            self.read_string()
-            return
-        text = self.text
+
+# ---------------------------------------------------------------------------
+# Pruning: one scan per path step
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=256)
+def _scanner(name: str):
+    """``at_name`` matches ``name`` as a whole name; ``skip``, the longest run
+    with no brace, no unclosed string and no ``,`` before ``name``.  Each of
+    its repetitions starts with a ``"`` or ``,`` the run before cannot take,
+    so a match backtracks at most one string's length."""
+    at_name = r"\s*" + re.escape(name) + r"(?![\w-])"
+    skip = r'[^{}",]*(?:(?:"[^"]*"|,(?!' + at_name + r'))[^{}",]*)*'
+    return re.compile(skip).match, re.compile(at_name).match
+
+
+def _scan(cursor: _Cursor, name: str, parse_item: Callable[[], object]) -> List[object]:
+    """Read the braced value at the cursor to its closing brace.  At each
+    item at its top level that starts with ``name``, step past the name and
+    call ``parse_item``; return what those calls read, in order."""
+    skip, at_name = _scanner(name)
+    cursor.expect("{")
+    text, pos, depth, items = cursor.text, cursor.pos, 1, []
+    match = at_name(text, pos)
+    while True:
+        if match:
+            cursor.pos = match.end()
+            items.append(parse_item())
+            if cursor.peek() not in (",", "}"):
+                raise ASN1ParseError(
+                    f"expected ',' or '}}' after {name!r} at position {cursor.pos}")
+            pos = cursor.pos
+        pos = skip(text, pos).end()
+        char = text[pos:pos + 1]
+        pos += 1
+        match = at_name(text, pos) if char == "," and depth == 1 else None
         if char == "{":
-            depth = 0
-            while True:
-                match = _BRACE_OR_QUOTE(text, self.pos)
-                if match is None:
-                    raise ASN1ParseError("unbalanced braces while skipping a value")
-                found = match.group()
-                self.pos = match.start()
-                if found == '"':
-                    self.read_string()
-                    continue
-                self.pos += 1
-                depth += 1 if found == "{" else -1
-                if depth == 0:
-                    return
-        while True:
-            match = _SCALAR_END(text, self.pos)
-            if match is None:
-                self.pos = len(text)
-                return
-            self.pos = match.start()
-            found = match.group()
-            if found == '"':
-                self.read_string()
-            elif found == "{":
-                self.skip_value()
-            else:
-                return
+            depth += 1
+        elif char == "}":
+            depth -= 1
+            if not depth:
+                cursor.pos = pos
+                return items
+        elif char == '"':
+            raise ASN1ParseError("unterminated string in ASN.1 value")
+        elif not char:
+            raise ASN1ParseError("unbalanced braces in ASN.1 value")
 
 
 # ---------------------------------------------------------------------------
-# Type-directed parsing with optional path pruning
+# Type-directed parsing
 # ---------------------------------------------------------------------------
 
 def _parse(cursor: _Cursor, ty: T.Type, steps: Optional[Tuple[PathStep, ...]]) -> object:
@@ -194,7 +205,8 @@ def _parse(cursor: _Cursor, ty: T.Type, steps: Optional[Tuple[PathStep, ...]]) -
         return _parse_collection(cursor, ty, steps)
     if isinstance(ty, T.VariantType):
         return _parse_variant(cursor, ty, steps)
-    return _parse_scalar(cursor, ty)
+    value = _parse_scalar(cursor, ty)
+    return PathExpression("", steps).apply(value) if steps else value
 
 
 def _parse_scalar(cursor: _Cursor, ty: T.Type) -> object:
@@ -223,56 +235,42 @@ def _parse_scalar(cursor: _Cursor, ty: T.Type) -> object:
 
 def _parse_record(cursor: _Cursor, ty: T.RecordType,
                   steps: Optional[Tuple[PathStep, ...]]) -> object:
-    wanted_field = None
-    rest_steps: Optional[Tuple[PathStep, ...]] = None
     if steps:
-        first = steps[0]
-        if isinstance(first, ProjectStep):
-            wanted_field = first.label
-            rest_steps = steps[1:]
-        else:
-            raise PathApplicationError(
-                f"path step {first!r} cannot apply to a SEQUENCE value"
-            )
-
+        step, rest = steps[0], steps[1:]
+        if not isinstance(step, ProjectStep):
+            raise PathApplicationError(f"path step {step!r} cannot apply to a SEQUENCE value")
+        field_type = ty.fields.get(step.label) or T.fresh_type_var()
+        found = _scan(cursor, step.label, lambda: _parse(cursor, field_type, rest))
+        if not found:
+            raise PathApplicationError(f"value has no field {step.label!r} on the path")
+        return found[-1]
     cursor.expect("{")
     fields = {}
-    selected = None
     if not cursor.accept("}"):
         while True:
             label = cursor.read_name()
-            field_type = ty.fields.get(label) or T.fresh_type_var()
-            if wanted_field is None:
-                fields[label] = _parse(cursor, field_type, None)
-            elif label == wanted_field:
-                selected = _parse(cursor, field_type, rest_steps)
-            else:
-                cursor.skip_value()
+            fields[label] = _parse(cursor, ty.fields.get(label) or T.fresh_type_var(), None)
             if cursor.accept(","):
                 continue
             cursor.expect("}")
             break
-    if wanted_field is not None:
-        if selected is None:
-            raise PathApplicationError(f"value has no field {wanted_field!r} on the path")
-        return selected
     return Record(fields)
 
 
 def _parse_collection(cursor: _Cursor, ty: T.Type,
                       steps: Optional[Tuple[PathStep, ...]]) -> object:
     kind = {T.SetType: "set", T.BagType: "bag", T.ListType: "list"}[type(ty)]
-    element_type = ty.element
+    if steps and isinstance(steps[0], VariantStep):
+        if not isinstance(ty.element, T.VariantType):  # no element carries a tag
+            return PathExpression("", steps).apply(_parse_collection(cursor, ty, None))
+        tag, rest = steps[0].tag, steps[1:]
+        case_type = ty.element.cases.get(tag) or T.fresh_type_var()
+        return make_collection(kind, _scan(cursor, tag, lambda: _payload(cursor, case_type, rest)))
     elements = []
     cursor.expect("{")
     if not cursor.accept("}"):
         while True:
-            if steps and isinstance(steps[0], VariantStep) and isinstance(element_type, T.VariantType):
-                element = _parse_variant_filtered(cursor, element_type, steps[0], steps[1:])
-                if element is not _SKIPPED:
-                    elements.append(element)
-            else:
-                elements.append(_parse(cursor, element_type, steps))
+            elements.append(_parse(cursor, ty.element, steps))
             if cursor.accept(","):
                 continue
             cursor.expect("}")
@@ -280,51 +278,22 @@ def _parse_collection(cursor: _Cursor, ty: T.Type,
     return make_collection(kind, elements)
 
 
-_SKIPPED = object()
-
-
-def _parse_variant_filtered(cursor: _Cursor, ty: T.VariantType, step: VariantStep,
-                            rest: Tuple[PathStep, ...]):
-    """Parse a CHOICE element under a ``..tag`` step: keep matching tags, skip others."""
-    tag = cursor.read_name()
-    case_type = ty.cases.get(tag) or T.fresh_type_var()
-    if isinstance(case_type, T.UnitType):
-        payload_needed = False
-    else:
-        payload_needed = cursor.peek() not in ",}"
-    if tag != step.tag:
-        if payload_needed:
-            cursor.skip_value()
-        return _SKIPPED
-    if not payload_needed:
-        return UNIT_VALUE if not rest else _SKIPPED
-    return _parse(cursor, case_type, rest or None)
-
-
 def _parse_variant(cursor: _Cursor, ty: T.VariantType,
                    steps: Optional[Tuple[PathStep, ...]]) -> object:
     tag = cursor.read_name()
     case_type = ty.cases.get(tag) or T.fresh_type_var()
-    if isinstance(case_type, T.UnitType):
-        payload: object = UNIT_VALUE
-    elif cursor.peek() in ",}" or cursor.at_end():
-        payload = UNIT_VALUE
-    else:
-        if steps and isinstance(steps[0], VariantStep):
-            if steps[0].tag != tag:
-                raise PathApplicationError(
-                    f"variant carries tag {tag!r}, not {steps[0].tag!r}"
-                )
-            return _parse(cursor, case_type, steps[1:] or None)
-        payload = _parse(cursor, case_type, None)
-    if steps:
-        first = steps[0]
-        if isinstance(first, VariantStep):
-            if first.tag != tag:
-                raise PathApplicationError(f"variant carries tag {tag!r}, not {first.tag!r}")
-            value = payload
-            for remaining in steps[1:]:
-                value = remaining.apply(value)
-            return value
-        raise PathApplicationError(f"path step {first!r} cannot apply to a CHOICE value")
-    return Variant(tag, payload)
+    if not steps:
+        return Variant(tag, _payload(cursor, case_type, None))
+    if not isinstance(steps[0], VariantStep):
+        raise PathApplicationError(f"path step {steps[0]!r} cannot apply to a CHOICE value")
+    if steps[0].tag != tag:
+        raise PathApplicationError(f"variant carries tag {tag!r}, not {steps[0].tag!r}")
+    return _payload(cursor, case_type, steps[1:])
+
+
+def _payload(cursor: _Cursor, case_type: T.Type,
+             steps: Optional[Tuple[PathStep, ...]]) -> object:
+    """What follows a CHOICE's tag: NULL for a NULL case and before ``,``, ``}`` or the end."""
+    if not isinstance(case_type, T.UnitType) and cursor.peek() not in ",}":
+        return _parse(cursor, case_type, steps)
+    return PathExpression("", steps).apply(UNIT_VALUE) if steps else UNIT_VALUE

@@ -86,7 +86,9 @@ class QueryPlanner:
     #: unbounded slice of a slow source, however good the latency math).
     REMOTE_CHUNK_CANDIDATES = (32, 64, 128, 256)
     #: Driver round-trip latency (seconds) from which round trips dominate
-    #: a batched scan, so the batch cap is sized to the requests.
+    #: a batched scan, so the batch cap is sized to the requests.  Only a
+    #: declared latency can fall between this and the registry's
+    #: ``REMOTE_LATENCY_THRESHOLD``: an observed one below that reads 0.0.
     BATCH_LATENCY_THRESHOLD = 0.005
     #: Sources with fewer estimated elements than this gain nothing from a
     #: parallel loop (handing tasks to workers costs more than the overlap).

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ...core.errors import DriverError
-from ...core.values import CSet, _lift_collection, from_python
+from ...core.values import CBag, CList, CSet, _lift_collection
 from ...net.remote import RemoteSource
 from ..tokens import TokenStream
 from .base import Driver, DriverFunction
@@ -100,7 +100,7 @@ class EntrezDriver(Driver):
             return ("links", db, int(uid)), _link_set
         if "fetch" in request:
             return (("fetch", db, int(request["fetch"]), request.get("path") or None),
-                    _lifted)
+                    _as_parsed)
         if "select" in request:
             if request.get("uids"):
                 return ("query_uids", db, str(request["select"])), CSet
@@ -112,19 +112,14 @@ class EntrezDriver(Driver):
         )
 
     def _selected(self, values):
-        lifted = [_lifted(value) for value in values]
         # A path ending on a collection (e.g. ...id..giim) yields one set per
         # entry; the driver returns their union so generators iterate the ids
         # themselves, as in the paper's ASN-IDs example.
-        if lifted and all(isinstance(value, (CSet,)) or
-                          type(value).__name__ in ("CBag", "CList") for value in lifted):
-            flattened = []
-            for value in lifted:
-                flattened.extend(value)
-            lifted = flattened
+        if values and all(isinstance(value, (CSet, CBag, CList)) for value in values):
+            values = [element for value in values for element in value]
         if self.lazy:
-            return TokenStream(iter(lifted), kind="set")
-        return CSet(lifted)
+            return TokenStream(iter(values), kind="set")
+        return CSet(values)
 
     # -- CPL integration ---------------------------------------------------------------
 
@@ -150,11 +145,6 @@ def _link_set(link_rows) -> CSet:
     return _lift_collection("set", link_rows)
 
 
-def _lifted(value: object) -> object:
-    return value if _is_cpl(value) else from_python(value)
-
-
-def _is_cpl(value: object) -> bool:
-    from ...core.values import CBag, CList, CSet, Record, Unit, Variant
-
-    return isinstance(value, (Record, Variant, CSet, CBag, CList, Unit, str, int, float, bool))
+def _as_parsed(value: object) -> object:
+    """The server parses entries into CPL values: a reply is the driver's value."""
+    return value

@@ -99,21 +99,26 @@ class SourceStatisticsRegistry:
         self._moved()
 
     def latency(self, driver: str) -> float:
-        """Best latency estimate: the registered value, else the observed EMA."""
+        """Best latency estimate: the registered value, else the observed EMA
+        once it is at or above :data:`REMOTE_LATENCY_THRESHOLD`, else 0.0.
+        Below the threshold an observation is not planning knowledge: its
+        samples move no epoch, so no plan may read them."""
         with self._lock:
             registered = self._remote_latency.get(driver)
             if registered is not None:
                 return registered
-            return self._observed_latency.get(driver, 0.0)
+            observed = self._observed_latency.get(driver, 0.0)
+            return observed if observed >= self.REMOTE_LATENCY_THRESHOLD else 0.0
 
     def has_latency(self, driver: str) -> bool:
-        """Is anything known about this driver's latency (declared or
-        observed)?  The planner treats either as source knowledge —
-        including an explicit ``0.0`` declaration, which is the operator
-        *pinning* the driver local, not an absence of information."""
+        """Is this driver's latency known: declared, or observed at or above
+        the remote threshold (see :meth:`latency`)?  The planner treats
+        either as source knowledge — including an explicit ``0.0``
+        declaration, which is the operator *pinning* the driver local, not
+        an absence of information."""
         with self._lock:
-            return driver in self._remote_latency \
-                or driver in self._observed_latency
+            return driver in self._remote_latency or self._observed_latency.get(
+                driver, 0.0) >= self.REMOTE_LATENCY_THRESHOLD
 
     def record_latency_sample(self, driver: str, seconds: float) -> None:
         """Fold one observed request round-trip into the driver's latency EMA.

@@ -1,6 +1,7 @@
 """Tests for the ASN.1 substrate: schemas, value text, paths, pruning parse, Entrez."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -15,11 +16,14 @@ from repro.asn1 import (
     print_value,
 )
 from repro.core import types as T
-from repro.core.errors import ASN1Error, ASN1ParseError, PathApplicationError, PathSyntaxError
+from repro.core.errors import (ASN1Error, ASN1ParseError, PathApplicationError,
+                               PathSyntaxError, RemoteQueryError)
 from repro.core.values import CList, CSet, Record, Variant
 from repro.asn1.values import conforms, validate_value
 from repro.kleisli.drivers import EntrezDriver
+from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.session import Session
+from repro.server import KleisliClient, KleisliServer
 
 SPEC = """
 Seq-entry ::= SEQUENCE {
@@ -145,17 +149,41 @@ class TestNumerals:
             assert type(value) is type(number)
             assert math.isnan(value) if math.isnan(number) else value == number
 
-    def test_a_malformed_entry_reaches_a_session_as_a_typed_error(self, seq_entry_type,
-                                                                  sample_entry):
+    @staticmethod
+    def _corrupt_server(seq_entry_type, sample_entry, old, new):
         server = EntrezServer("NCBI")
         division = server.create_division("na", seq_entry_type)
         uid = division.add_entry(sample_entry, {"accession": ["M81409"]})
-        division.entries[uid].text = division.entries[uid].text.replace(
-            "length 1234", "length 12-34")
+        division.entries[uid].text = division.entries[uid].text.replace(old, new)
+        return server
+
+    #: A malformed field off no path, and a wanted item followed by neither
+    #: ``,`` nor ``}``: each request's typed error.
+    MALFORMED = [
+        ("length 1234", "length 12-34", "", "INTEGER '12-34' at position"),
+        ("giim 5001", "giim 5001 x", ', path = "Seq-entry.seq.id..giim"',
+         "expected ',' or '}' after 'giim'"),
+    ]
+
+    @pytest.mark.parametrize("old, new, path, message", MALFORMED)
+    def test_a_malformed_entry_reaches_a_session_as_a_typed_error(
+            self, seq_entry_type, sample_entry, old, new, path, message):
         session = Session()
-        session.register_driver(EntrezDriver("GenBank", server))
-        with pytest.raises(ASN1ParseError, match="INTEGER '12-34' at position"):
-            session.query('GenBank([db = "na", select = "accession M81409"])')
+        session.register_driver(EntrezDriver(
+            "GenBank", self._corrupt_server(seq_entry_type, sample_entry, old, new)))
+        with pytest.raises(ASN1ParseError, match=re.escape(message)):
+            session.query('GenBank([db = "na", select = "accession M81409"%s])' % path)
+
+    @pytest.mark.parametrize("old, new, path, message", MALFORMED)
+    def test_a_malformed_entry_reaches_a_client_as_a_typed_error(
+            self, seq_entry_type, sample_entry, old, new, path, message):
+        server = self._corrupt_server(seq_entry_type, sample_entry, old, new)
+        engine = KleisliEngine()
+        engine.register_driver(EntrezDriver("GenBank", server))
+        with KleisliServer(engine) as service, KleisliClient(service.address) as client:
+            with pytest.raises(RemoteQueryError, match=re.escape(message)) as info:
+                client.query('GenBank([db = "na", select = "accession M81409"%s])' % path)
+        assert info.value.error_type == "ASN1ParseError"
 
 
 class TestPathLanguage:
@@ -234,6 +262,38 @@ class TestPruningParse:
         text = print_value(sample_entry)
         with pytest.raises(PathApplicationError):
             parse_value_with_path(text, seq_entry_type, parse_path("Seq-entry.nosuch"))
+
+    def test_the_pruning_contract(self, seq_entry_type):
+        """Skipped text is checked for braces and strings only; a name is
+        wanted at the value's top level only; a wanted item must be followed
+        by ``,`` or ``}``; a repeated label keeps its last value and a
+        repeated tag every payload, as the whole parse does."""
+        length, ids = parse_path("Seq-entry.seq.length"), parse_path("Seq-entry.seq.id..giim")
+        skipped = ('{ accession 7, seq { id { giim 1, genbank { a 0, giim 2 }, giim 3 }, '
+                   'length 9, x { y 0, length 8 } }, x {"}"} }')
+        assert parse_value_with_path(skipped, seq_entry_type, length) == 9
+        assert parse_value_with_path(skipped, seq_entry_type, ids) == CSet([1, 3])
+        with pytest.raises(ASN1ParseError):
+            parse_value(skipped, seq_entry_type)
+        for broken in ('{ seq { length 9 }, x "}', '{ seq { length 9 }, x { }',
+                       '{ seq { length 9 x } }', '{ seq { length 9 }; x 1 }'):
+            with pytest.raises(ASN1ParseError):
+                parse_value_with_path(broken, seq_entry_type, length)
+        repeated = "{ seq { length 1 }, seq { length 2, length 3 } }"
+        assert parse_value(repeated, seq_entry_type)["seq"]["length"] == 3
+        assert parse_value_with_path(repeated, seq_entry_type, length) == 3
+
+    @pytest.mark.parametrize("element, text, tag", [
+        (T.BOOL, "{ TRUE, FALSE }", "TRUE"),
+        (T.UNIT, "{ NULL }", "NULL"),
+        (T.FLOAT, "{ PLUS-INFINITY, 1.5 }", "PLUS-INFINITY"),
+    ], ids=["BOOLEAN", "NULL", "REAL"])
+    def test_a_tag_step_at_a_collection_of_bare_names_reads_nothing(self, element, text, tag):
+        """An element written as a bare name is no CHOICE value, so a
+        ``..tag`` step naming it reads the empty collection, as
+        ``path.apply`` of the whole parse does."""
+        ty, path = T.SetType(element), parse_path(f"X..{tag}")
+        assert parse_value_with_path(text, ty, path) == path.apply(parse_value(text, ty)) == CSet([])
 
 
 class TestEntrez:

@@ -306,6 +306,19 @@ class TestNoRunReplans:
             assert len(list(forced)) == 32
             assert engine.plan_for(expr) == before
 
+    @pytest.mark.parametrize("seconds, moves", [(0.002, False), (0.06, True)])
+    def test_an_observed_latency_plans_only_once_it_moves_the_epoch(self, seconds, moves):
+        """A sample below the remote threshold (a lazy cursor's dispatch
+        that took a loaded box 2 ms) changes neither the plan nor the
+        epoch; one that crosses the threshold changes both."""
+        engine = KleisliEngine()
+        engine.register_driver(RangeDriver())
+        expr = _chain(count=32)
+        before, epoch = engine.plan_for(expr), engine.epoch
+        engine.statistics_registry.record_latency_sample("ranges", seconds)
+        assert (engine.plan_for(expr) != before) is moves
+        assert (engine.epoch != epoch) is moves
+
 
 # ---------------------------------------------------------------------------
 # One chunk path: a chunk is as big as its source says, no clock sizes it

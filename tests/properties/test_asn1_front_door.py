@@ -8,11 +8,17 @@ the same descent):
 * on printed entries, their truncations and single-character mutations,
   both read the same value, or both refuse — the new one only with
   ``ASN1ParseError`` (or, pruning, ``PathApplicationError`` for a path the
-  text does not have), never another exception;
-* pruning during the parse reads what parsing whole and then pruning reads.
+  text does not have), never another exception.
+
+The reference shares the module's pruning scan, so pruning has an oracle of
+its own: the whole parse.  Wherever ``parse_value`` reads a value,
+``parse_value_with_path`` reads what ``path.apply`` makes of it (or refuses
+as it does); elsewhere it reads a value or refuses typed.  Malformed texts of
+~10^5 characters fail typed in linear time.
 """
 
 import pathlib
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +46,11 @@ ENTRY = parse_asn1_schema(SPEC).cpl_type("Seq-entry")
 PATHS = [parse_path(text) for text in (
     "Seq-entry.seq.id..giim", "Seq-entry.seq.id..genbank", "Seq-entry.keywd",
     "Seq-entry.seq.length", "Seq-entry.accession", "Seq-entry.seq.id..local")]
+#: Paths the entry type does not have, or has only in part: pruning must
+#: refuse (or read an empty set) exactly where ``path.apply`` does.
+ILL_TYPED = [parse_path(text) for text in (
+    "Seq-entry.seq.length.x", "Seq-entry.seq..giim", "Seq-entry.keywd..x",
+    "Seq-entry.seq.id.giim", "Seq-entry.seq.id..local.x", "Seq-entry.seq.id..giim.x")]
 TYPED = (ASN1ParseError, PathApplicationError)
 
 
@@ -120,39 +131,6 @@ class CharCursor:
         except ValueError:
             raise ASN1ParseError(f"malformed number at position {start}") from None
 
-    def skip_value(self):
-        self.skip_whitespace()
-        if self.at_end():
-            raise ASN1ParseError("unexpected end of input while skipping a value")
-        char = self.text[self.pos]
-        if char == '"':
-            self.read_string()
-            return
-        if char == "{":
-            depth = 0
-            while self.pos < len(self.text):
-                char = self.text[self.pos]
-                if char == '"':
-                    self.read_string()
-                    continue
-                if char == "{":
-                    depth += 1
-                elif char == "}":
-                    depth -= 1
-                    if depth == 0:
-                        self.pos += 1
-                        return
-                self.pos += 1
-            raise ASN1ParseError("unbalanced braces while skipping a value")
-        while self.pos < len(self.text) and self.text[self.pos] not in ",}":
-            if self.text[self.pos] == '"':
-                self.read_string()
-                continue
-            if self.text[self.pos] == "{":
-                self.skip_value()
-                continue
-            self.pos += 1
-
 
 def _reference(text, path=None):
     cursor = CharCursor(text)
@@ -207,22 +185,71 @@ def test_printed_entries_read_alike_and_pruning_reads_what_the_whole_parse_does(
     _agree(text)
 
 
-@settings(max_examples=300, deadline=None)
-@given(entry=entries, cut=st.floats(min_value=0.0, max_value=1.0),
-       edits=st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
-                                st.sampled_from(["replace", "insert", "delete"]),
-                                MUTANTS), max_size=3))
-def test_truncated_and_mutated_entries_read_alike_or_fail_typed(entry, cut, edits):
-    text = print_value(entry, width=40)
-    _agree(text[:int(len(text) * cut)])
+def _edited(text, edits):
     for where, how, char in edits:
         at = min(int(len(text) * where), max(len(text) - 1, 0))
         if how == "insert":
             text = text[:at] + char + text[at:]
         else:
             text = text[:at] + (char if how == "replace" else "") + text[at + 1:]
-    _agree(text)
+    return text
+
+
+cuts = st.floats(min_value=0.0, max_value=1.0)
+edit_lists = st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                                st.sampled_from(["replace", "insert", "delete"]),
+                                MUTANTS), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=entries, cut=cuts, edits=edit_lists)
+def test_truncated_and_mutated_entries_read_alike_or_fail_typed(entry, cut, edits):
+    text = print_value(entry, width=40)
+    _agree(text[:int(len(text) * cut)])
+    _agree(_edited(text, edits))
+
+
+def _prunes_as_the_whole_parse_reads(text):
+    try:
+        whole = parse_value(text, ENTRY)
+    except ASN1ParseError:
+        whole = None
+    for path in PATHS + ILL_TYPED:
+        found = _outcome(parse_value_with_path, text, ENTRY, path)
+        if whole is not None:
+            assert found == _outcome(path.apply, whole), (text, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=entries, cut=cuts, edits=edit_lists, width=st.sampled_from([30, 100]))
+def test_pruning_reads_what_the_whole_parse_then_the_path_reads(entry, cut, edits, width):
+    """The oracle is ``parse_value`` and ``path.apply``, which share no scan
+    with pruning: a printed entry, a truncation and a mutation of it
+    (~1.5 s for 300 examples on a 2-core box)."""
+    text = print_value(entry, width=width)
+    for candidate in (text, text[:int(len(text) * cut)], _edited(text, edits)):
+        _prunes_as_the_whole_parse_reads(candidate)
+
+
+N = 10 ** 5
+MALFORMED = ['{ accession "' + "A" * N] + [
+    prefix + run * (N // len(run))
+    for run in ('"', '""', "{", ",", ", ")
+    for prefix in ("", '{ accession "x", seq ', '{ seq { id { giim 1, genbank ')]
+
+
+def test_malformed_texts_fail_typed_in_linear_time():
+    """An unterminated string and runs of ``"``, ``""``, ``{`` and ``,``
+    of ~10^5 characters: every parse refuses typed within a second, where
+    a match that backtracks quadratically would take minutes."""
+    for text in MALFORMED:
+        for path in [None] + PATHS:
+            started = time.perf_counter()
+            outcome = (_outcome(parse_value, text, ENTRY) if path is None
+                       else _outcome(parse_value_with_path, text, ENTRY, path))
+            assert outcome[0] == "error", (text[:40], path)
+            assert time.perf_counter() - started < 1.0, (text[:40], path)
 
 
 def test_the_parser_stays_small():
-    assert len(pathlib.Path(P.__file__).read_text().splitlines()) <= 330
+    assert len(pathlib.Path(P.__file__).read_text().splitlines()) <= 299
