@@ -1094,20 +1094,6 @@ def _chunk_timer(context: EvalContext):
     return None if sink is None else sink.note_chunk
 
 
-def _timed_chunks(chunks, note):
-    """``chunks``, each one's *production* timed into ``note`` under the
-    ``"pipeline"`` stage: the stretch from resuming the pipeline to the
-    chunk being ready, so the consumer's time between pulls is excluded."""
-    while True:
-        began = time.perf_counter()
-        try:
-            chunk = next(chunks)
-        except StopIteration:
-            return
-        note("pipeline", len(chunk), time.perf_counter() - began)
-        yield chunk
-
-
 class _ChunkRamp:
     """The one chunk-size path: 1, 2, 4, ... up to ``maximum``, then flat.
 
@@ -2081,13 +2067,13 @@ class CompiledChunkedStream:
 
     Calling it returns an *iterator over elements* (chunks are an internal
     exchange format; the engine's ``stream`` contract is element-wise; a
-    non-collection value is yielded as a single element) — use
-    :meth:`chunks` to observe the chunk boundaries.  The whole run happens
+    non-collection value is yielded as a single element); a context's
+    ``chunk_sink`` observes the chunk boundaries.  The whole run happens
     inside a fresh :class:`~repro.core.nrc.eval.EvalScope` on the supplied
     context: every cursor the pipeline opens — source scans *and*
     body-level scans — is released when the iterator is exhausted, closed
     early or fails, including those behind buffered-but-unconsumed chunk
-    elements.
+    elements, and it settles a run's ``context.finish`` (:meth:`_pump`).
 
     ``eager_nodes`` names node types that had no chunk-wise lowering and ran
     eagerly inside the pipeline; ``fallback_nodes`` names node types (inside
@@ -2189,53 +2175,56 @@ class CompiledChunkedStream:
         context = context if context is not None else EvalContext()
         return self._pump(_build_frame(self.free_names, env), context)
 
-    def chunks(self, env: Optional[Environment] = None,
-               context: Optional[EvalContext] = None):
-        """Iterate the pipeline's chunks (lists) instead of its elements."""
-        context = context if context is not None else EvalContext()
-        return self._pump_chunks(_build_frame(self.free_names, env), context)
-
-    def _pump_chunks(self, frame, context):
-        with context.evaluation_scope():
-            token = context.cancellation
-            if token is None:
-                yield from self._fn(frame, context)
-                return
-            for chunk in self._fn(frame, context):
-                token.raise_if_cancelled()
-                yield chunk
-
     def _pump(self, frame, context):
-        # The scope spans the whole iteration: activated on first next(),
-        # closed when the pipeline is exhausted, abandoned (GeneratorExit)
-        # or fails — releasing cursors even when chunk elements were
-        # buffered but never consumed.
+        # The run's one generator.  The scope spans the whole iteration and
+        # closes however it ends, releasing cursors even behind buffered,
+        # unconsumed chunk elements.  A run to settle parks first at a
+        # valueless ``yield`` (the engine advances past it) and is settled
+        # after the scope; ``rows``: elements a traced run's consumer got.
+        finish = context.finish
         note = _chunk_timer(context)
         token = context.cancellation
         budget = context.memory_budget
-        with context.evaluation_scope():
-            if note is None and token is None and budget is None:
-                for chunk in self._fn(frame, context):
-                    yield from chunk
-                return
-            # Observed pump: a cancellation checkpoint at every chunk
-            # boundary, the chunk buffer charged transiently (the chunk is
-            # in memory from production until consumed), and each chunk's
-            # production timed for a profile.
-            chunks = self._fn(frame, context)
-            if note is not None:
-                chunks = _timed_chunks(chunks, note)
-            for chunk in chunks:
-                if token is not None:
-                    token.raise_if_cancelled()
-                if budget is None:
-                    yield from chunk
-                else:
-                    budget.charge_elements(len(chunk))
-                    try:
+        rows = None if context.trace is None else 0.0
+        try:
+            if finish is not None:
+                yield
+            with context.evaluation_scope():
+                if note is None and token is None and budget is None:
+                    for chunk in self._fn(frame, context):
                         yield from chunk
-                    finally:
-                        budget.release_elements(len(chunk))
+                else:
+                    # Observed pump: a cancellation checkpoint per chunk,
+                    # the chunk buffer charged until consumed, and each
+                    # chunk's production (resumed pipeline to chunk ready)
+                    # timed for a profile.
+                    began = 0.0 if note is None else time.perf_counter()
+                    for chunk in self._fn(frame, context):
+                        if note is not None:
+                            note("pipeline", len(chunk),
+                                 time.perf_counter() - began)
+                        if token is not None:
+                            token.raise_if_cancelled()
+                        if budget is not None:
+                            budget.charge_elements(len(chunk))
+                        try:
+                            if rows is None:
+                                yield from chunk
+                            else:
+                                for element in chunk:
+                                    rows += 1
+                                    yield element
+                        finally:
+                            if budget is not None:
+                                budget.release_elements(len(chunk))
+                        if note is not None:
+                            began = time.perf_counter()
+        except BaseException as error:
+            if finish is not None:
+                finish(error, rows)
+            raise
+        if finish is not None:
+            finish(None, rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         detail = "fully chunked" if self.fully_chunked else \

@@ -350,6 +350,9 @@ class EvalContext:
         #: hook sites (driver dispatch, scope open/close, retries) open
         #: spans on it, all ``None``-guarded.
         self.trace = None
+        #: The run's ``finish(error, rows)`` when it has something to settle
+        #: (the engine's ``_QueryRun``), else ``None``.
+        self.finish = None
 
     @property
     def driver_executor(self) -> Optional[Callable]:

@@ -40,6 +40,11 @@ This module provides:
 
 ``distinct_records``
     Dedup-before-construct for records on one known directory.
+
+Pickling contract: a directory pickles as its labels and comes back as the
+interned directory of those labels, so a record read back from a spill file
+(or ``copy``-ed) is on the same directory as its in-memory twins — record
+equality is directory identity plus equal values.
 """
 
 from __future__ import annotations
@@ -91,6 +96,9 @@ class RecordDirectory:
                 directory = cls(key, magic=len(cls._interned) + 1)
                 cls._interned[key] = directory
             return directory
+
+    def __reduce__(self):
+        return (RecordDirectory.for_labels, (self.labels,))
 
     def slot_of(self, label: str) -> int:
         """Return the array slot for ``label``.
@@ -204,9 +212,7 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Record):
             return NotImplemented
-        if self.directory is other.directory:
-            return self.values == other.values
-        return self.to_dict() == other.to_dict()
+        return self.directory is other.directory and self.values == other.values
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import partial
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import types as T
@@ -91,10 +91,8 @@ class CSet:
     kind = "set"
 
     def __init__(self, elements: Iterable[object] = ()):
-        unique: Dict[object, None] = {}
-        for element in elements:
-            unique.setdefault(element, None)
-        self._elements: Tuple[object, ...] = tuple(unique.keys())
+        # A dict keeps the first of equal keys, in first-occurrence order.
+        self._elements: Tuple[object, ...] = tuple(dict.fromkeys(elements))
         self._hash: Optional[int] = None
         #: Hashed view of the elements, built by the first membership test:
         #: most sets (a 12 000-row bound table) are only ever iterated.
@@ -399,6 +397,8 @@ def from_python(data: object, list_as: str = "list") -> object:
 #: Exact types :func:`from_python` passes through and :func:`infer_type`
 #: gives a constant type: a record of these needs no per-field work.
 _FLAT_FIELD_TYPES = frozenset((bool, int, float, str, bytes))
+_DIRECTORY = attrgetter("directory")
+_VALUES = attrgetter("values")
 
 
 def _lift_collection(kind: str, rows: Iterable[object], list_as: str = "list"):
@@ -551,7 +551,18 @@ def _distinct_element_types(elements: Iterable[object]) -> List[T.Type]:
     variable in it, and merging that type a second time learns nothing: the
     repeats are dropped, so a homogeneous table costs one ``RecordType``.
     ``[a = 1]`` and ``[a = "x"]`` share a directory but not a shape.
+
+    A table of one such shape is recognised first, by C-level column passes.
     """
+    first = next(iter(elements), None)
+    if type(first) is Record:
+        kinds = tuple(map(type, first.values))
+        if (_FLAT_FIELD_TYPES.issuperset(kinds)
+                and {Record}.issuperset(map(type, elements))
+                and {first.directory}.issuperset(map(_DIRECTORY, elements))
+                and all({kind}.issuperset(map(type, column)) for kind, column
+                        in zip(kinds, zip(*map(_VALUES, elements))))):
+            return [infer_type(first)]
     types: List[T.Type] = []
     flat_shapes = set()
     for element in elements:

@@ -249,11 +249,13 @@ class QueryOptions(Fields, frozen=True):
 class _QueryRun:
     """One run that has something to settle: opened in one place (the
     constructor), settled in one place (:meth:`finish`), which every ending
-    of ``execute`` and — through :meth:`stream`, the one wrapper a streamed
-    run's pipeline gets — of ``stream`` reaches exactly once."""
+    of the run reaches exactly once.  The constructor puts ``finish`` on the
+    run's context: ``execute`` calls it there, and a streamed run's one
+    generator calls it at its exit.  ``finish`` takes itself off the context,
+    so a settled run leaves no cycle behind."""
 
     __slots__ = ("engine", "context", "collector", "estimated_rows",
-                 "started", "finished")
+                 "started")
 
     def __init__(self, engine: "KleisliEngine", expr: A.Expr,
                  plan: Optional[PhysicalPlan], options: QueryOptions):
@@ -263,9 +265,6 @@ class _QueryRun:
         term); the spill decision; the trace (hub-recorded, profile-only, or
         none); the context.  Nothing that can raise follows the trace."""
         self.engine = engine
-        self.finished = False
-        #: The stream's per-stage sink (``stream`` installs it with the tee).
-        self.collector: Optional[StageCollector] = None
         budget = engine._resolve_budget(options.memory_budget)
         hub = engine.observability
         if (plan is None and engine.optimizer_config.planning
@@ -280,43 +279,18 @@ class _QueryRun:
             trace: Optional[QueryTrace] = hub.tracer.start("query")
         else:
             trace = QueryTrace("query") if options.profile else None
-        self.context = engine._make_context(options, budget, spill_manager)
-        self.context.trace = trace
+        self.context = context = engine._make_context(options, budget,
+                                                      spill_manager)
+        context.trace = trace
+        context.finish = self.finish
+        #: A traced run's per-stage sink: the chunked pump's timings go to it
+        #: and, with a hub, to the chunk-size histogram.  Only this sink
+        #: makes the pump read a clock per chunk.
+        self.collector = None if trace is None else StageCollector()
+        if trace is not None:
+            context.chunk_sink = ProbeTee(self.collector) if hub is None \
+                else ProbeTee(self.collector, hub.chunk_sink())
         self.started = 0.0 if trace is None else time.perf_counter()
-
-    def stream(self, inner: Iterator[object]) -> Iterator[object]:
-        """``inner`` behind this run's settlement.
-
-        A generator that was never started runs no ``finally``, so the
-        wrapper is handed out *started*: it is advanced here to a first,
-        valueless ``yield``, and from then on ``close()`` — the consumer's,
-        or the collector's on a dropped stream — raises ``GeneratorExit``
-        inside the ``try`` whether or not an element was ever asked for.
-        """
-        wrapper = self._settled(inner)
-        next(wrapper)
-        return wrapper
-
-    def _settled(self, inner: Iterator[object]) -> Iterator[object]:
-        rows = None if self.context.trace is None else 0.0
-        try:
-            yield None      # where stream() parks it; never seen by a consumer
-            if rows is None:
-                yield from inner
-            else:
-                for element in inner:
-                    rows += 1
-                    yield element
-        except BaseException as error:
-            try:
-                # The counting loop does not hand ``close()`` on as ``yield
-                # from`` does, and an unstarted wrapper never reached either:
-                # the pipeline's scope closes before the run is settled.
-                inner.close()
-            finally:
-                self.finish(error, rows)
-            raise
-        self.finish(None, rows)
 
     def finish(self, error: Optional[BaseException] = None,
                actual_rows: Optional[float] = None) -> None:
@@ -335,10 +309,10 @@ class _QueryRun:
         files are deleted.  Last the **budget**: the run's child closes and
         whatever it still holds flows back to its ancestors.
         """
-        if self.finished:
-            return
-        self.finished = True
         engine, context = self.engine, self.context
+        if context.finish is None:
+            return
+        context.finish = None
         hub = engine.observability
         spill_manager, trace = context.spill, context.trace
         try:
@@ -1057,29 +1031,29 @@ class KleisliEngine:
         options = self._options(options)
         if optimize:
             expr = self.compile(expr)
-        context, run = self._open_run(expr, None, options)
+        context = self._open_run(expr, None, options)
+        finish = context.finish
         try:
             result = self._execute(expr, bindings, options.mode, context)
         except BaseException as error:
-            if run is not None:
-                run.finish(error)
+            if finish is not None:
+                finish(error)
             raise
-        if run is not None:
-            run.finish(None, float(len(result))
-                       if isinstance(result, (CSet, CBag, CList)) else None)
+        if finish is not None:
+            finish(None, float(len(result))
+                   if isinstance(result, (CSet, CBag, CList)) else None)
         return result
 
     def _open_run(self, expr: A.Expr, plan: Optional[PhysicalPlan],
-                  options: QueryOptions
-                  ) -> Tuple[EvalContext, Optional["_QueryRun"]]:
-        """A run's context, and its :class:`_QueryRun` when it has anything
-        to settle — ``None`` is the bare run of the zero contracts."""
+                  options: QueryOptions) -> EvalContext:
+        """A run's context, whose ``finish`` is its :class:`_QueryRun`'s when
+        it has anything to settle — ``None`` is the bare run of the zero
+        contracts."""
         if (options.cancellation is None and options.memory_budget is None
                 and self.governor.pool is None and options.spill is not True
                 and self.observability is None and not options.profile):
-            return self._make_context(options), None
-        run = _QueryRun(self, expr, plan, options)
-        return run.context, run
+            return self._make_context(options)
+        return _QueryRun(self, expr, plan, options).context
 
     def _execute(self, expr: A.Expr, bindings: Optional[Dict[str, object]],
                  mode: ExecutionMode, context: EvalContext):
@@ -1121,13 +1095,17 @@ class KleisliEngine:
         the run and lowering all happen here, at the call (a bad argument
         raises at the call site, and ``last_eval_statistics`` /
         ``last_plan`` refer to *this* run as soon as ``stream()`` returns);
-        evaluation starts on the first ``next``.  A lazily delivered answer
-        has more endings than an eager one — drained, failed, closed after
-        k elements, closed before the first ``next``, dropped and garbage
-        collected — and every one of them reaches the run's one ``finish``
-        (profile published, outcome counted, spill files deleted, budget
-        returned).  The bare run (see :meth:`execute`) has nothing to
-        settle: what comes back is the pipeline generator itself.
+        evaluation starts on the first ``next``.  What comes back is the
+        run's one generator, the chunked pump or :meth:`_stream_interpreted`,
+        whatever the run carries.  A lazily delivered answer has more
+        endings than an eager one — drained, failed, closed after k
+        elements, closed before the first ``next``, dropped and garbage
+        collected — and the generator settles every one of them at its exit
+        through the run's one ``finish`` (profile published, outcome
+        counted, spill files deleted, budget returned).  A run with
+        something to settle is handed out advanced to the generator's
+        valueless first ``yield``, so even a ``close()`` before the first
+        ``next`` settles it; the bare run (see :meth:`execute`) is not.
         """
         options = self._options(options)
         if optimize:
@@ -1138,88 +1116,92 @@ class KleisliEngine:
             # the historical defaults, so this changes nothing until
             # statistics exist.
             plan = self.plan_for(expr)
-        context, run = self._open_run(expr, plan, options)
+        context = self._open_run(expr, plan, options)
         try:
             environment = Environment(dict(bindings or {}))
             if plan is None:
-                inner = self._stream_interpreted(expr, environment, context)
+                context.statistics.execution_mode = "interpreted"
+                stream = self._stream_interpreted(expr, environment, context)
             else:
                 context.physical_plan = plan
                 if context.chunk_policy is None:
                     context.chunk_policy = plan.chunk_policy(
                         is_remote=self.statistics_registry.is_remote)
-                if context.trace is not None:
-                    # The profile's per-chunk timings go to the collector
-                    # and, with a hub, the chunk-size histogram.  Only this
-                    # sink makes the pump read a clock per chunk.
-                    run.collector = StageCollector()
-                    sinks = [run.collector]
-                    hub = self.observability
-                    if hub is not None:
-                        sinks.append(hub.chunk_sink())
-                    context.chunk_sink = ProbeTee(*sinks)
                 query = self.compiled_chunked(expr, context.statistics)
                 context.statistics.execution_mode = (
                     "compiled" if query.fully_compiled else "compiled+fallback")
-                inner = query(environment, context)
+                stream = query(environment, context)
         except BaseException as error:
-            if run is not None:
-                run.finish(error)
+            if context.finish is not None:
+                context.finish(error)
             raise
-        return inner if run is None else run.stream(inner)
+        if context.finish is not None:
+            next(stream)        # to the first, valueless ``yield``
+        return stream
 
     def _stream_interpreted(self, expr: A.Expr, environment: Environment,
                             context: EvalContext) -> Iterator[object]:
-        """The interpreter's pipelined path (top-level ``Ext`` only).
+        """The interpreter's pipelined path (top-level ``Ext`` only), and
+        like the chunked pump the run's one generator (see :meth:`stream`).
 
         Kept for mode parity: the outer loop is pipelined, the body is
         evaluated eagerly per element.  The evaluation scope still releases
         any cursor the body opened if the consumer abandons the stream
         mid-element.
         """
-        context.statistics.execution_mode = "interpreted"
-        with context.evaluation_scope():
-            if type(expr) is A.Ext:
+        finish = context.finish
+        rows = 0.0      # what the consumer received, for a profile
+        try:
+            if finish is not None:
+                yield       # where stream() parks it; never seen by a consumer
+            with context.evaluation_scope():
                 evaluator = Evaluator(context)
-                source = evaluator.evaluate(expr.source, environment)
-
-                def evaluate_body(item):
-                    return evaluator.evaluate(expr.body, environment.child(expr.var, item))
-
-                iterator = iterate_source(source)
-                # Set semantics: suppress repeats incrementally (CSet order
-                # is first-occurrence order), so the stream matches the
-                # eagerly built value element-for-element — same policy as
-                # the compiled pipeline's set-kind stages.
-                seen = set() if expr.kind == "set" else None
-                token = context.cancellation
-                budget = context.memory_budget
-                try:
-                    for item in iterator:
-                        if token is not None:
-                            token.raise_if_cancelled()
-                        # Count the outer loop like the eager evaluator does,
-                        # so a drained stream and execute() agree on
-                        # elements_fetched (the differential harness pins it).
-                        context.statistics.ext_iterations += 1
-                        for element in iter_collection(materialise(evaluate_body(item))):
-                            if seen is not None:
-                                if element in seen:
-                                    continue
-                                seen.add(element)
-                                if budget is not None:
-                                    budget.charge_elements(1)
-                            yield element
-                finally:
-                    close_source(iterator, source)
-                return
-            # Evaluate on *this* context (not via execute(), which would
-            # rebind last_eval_statistics to a fresh object mid-stream and
-            # orphan the statistics published at stream() time).
-            result = Evaluator(context).evaluate(expr, environment)
-            try:
-                elements = iter_collection(result)
-            except Exception:
-                yield result
-                return
-            yield from elements
+                if type(expr) is not A.Ext:
+                    # Evaluate on *this* context (not via execute(), which
+                    # would rebind last_eval_statistics to a fresh object
+                    # mid-stream and orphan the one stream() published).
+                    result = evaluator.evaluate(expr, environment)
+                    try:
+                        elements = iter_collection(result)
+                    except Exception:
+                        elements = (result,)
+                    for element in elements:
+                        rows += 1
+                        yield element
+                else:
+                    source = evaluator.evaluate(expr.source, environment)
+                    iterator = iterate_source(source)
+                    # Set semantics: suppress repeats incrementally (CSet
+                    # order is first-occurrence order), so the stream matches
+                    # the eagerly built value element-for-element — same
+                    # policy as the compiled pipeline's set-kind stages.
+                    seen = set() if expr.kind == "set" else None
+                    token = context.cancellation
+                    budget = context.memory_budget
+                    try:
+                        for item in iterator:
+                            if token is not None:
+                                token.raise_if_cancelled()
+                            # Count the outer loop like the eager evaluator
+                            # does, so a drained stream and execute() agree
+                            # on elements_fetched.
+                            context.statistics.ext_iterations += 1
+                            body = evaluator.evaluate(
+                                expr.body, environment.child(expr.var, item))
+                            for element in iter_collection(materialise(body)):
+                                if seen is not None:
+                                    if element in seen:
+                                        continue
+                                    seen.add(element)
+                                    if budget is not None:
+                                        budget.charge_elements(1)
+                                rows += 1
+                                yield element
+                    finally:
+                        close_source(iterator, source)
+        except BaseException as error:
+            if finish is not None:
+                finish(error, rows)
+            raise
+        if finish is not None:
+            finish(None, rows)

@@ -23,6 +23,7 @@ Typical use::
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core import types as T
@@ -44,57 +45,6 @@ __all__ = ["Session", "QueryResult"]
 
 #: How many prepared query forms a session keeps (least recently used out).
 PREPARED_FORM_LIMIT = 64
-
-
-class _TrackedStream:
-    """A session-registered wrapper around a streamed query's iterator.
-
-    The session keeps every live stream it handed out in a registry so that
-    :meth:`Session.close` (what the query service calls when a client
-    disconnects mid-stream) can release *this* session's cursors — and only
-    this session's: the underlying cursors belong to the run's own
-    ``EvalScope``, so closing one session never touches another's pipelines
-    even though both run on the same shared engine.  A drained or closed
-    stream unregisters itself, so the registry holds only live streams.
-    """
-
-    __slots__ = ("_session", "_iterator", "_done")
-
-    def __init__(self, session: "Session", iterator: Iterator[object]):
-        self._session = session
-        self._iterator = iterator
-        self._done = False
-
-    def __iter__(self) -> "_TrackedStream":
-        return self
-
-    def __next__(self) -> object:
-        try:
-            return next(self._iterator)
-        except BaseException:
-            # Exhaustion and mid-stream failure both end the stream: the
-            # engine's evaluation scope has already released the cursors.
-            self._untrack()
-            raise
-
-    def close(self) -> None:
-        """Close the underlying pipeline (releases its cursors) and
-        unregister; closing twice, or after draining, is a no-op."""
-        self._untrack()
-        close = getattr(self._iterator, "close", None)
-        if close is not None:
-            close()
-
-    def _untrack(self) -> None:
-        if not self._done:
-            self._done = True
-            self._session._forget_stream(self)
-
-    def __enter__(self) -> "_TrackedStream":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 class QueryResult:
@@ -172,12 +122,11 @@ class Session:
         # reads the new epoch must also see the new state.
         self._epoch = 0
         self._forms = _CompileCache(PREPARED_FORM_LIMIT)
-        # Live streamed queries handed out by this session.  Guarded by a
-        # lock: the query service closes a disconnecting client's session
-        # from the serving thread while a stream wrapper may be
-        # unregistering itself.
+        # The streams this session handed out that something still holds,
+        # for close(); weak, so no stream unregisters.  The lock keeps
+        # close()'s snapshot from racing an add on another thread.
         self._streams_lock = threading.Lock()
-        self._open_streams: List[_TrackedStream] = []
+        self._streams = weakref.WeakSet()
         self._register_existing_driver_functions()
 
     # -- registration ------------------------------------------------------------
@@ -316,42 +265,34 @@ class Session:
         generator pipeline, so *any* query shape — nested comprehensions,
         filters, parallel remote loops, join probes — yields elements as
         they are produced; time-to-first-result does not wait for sources
-        to drain.  Closing the returned iterator early releases every
-        cursor the pipeline opened (``engine.last_eval_statistics`` /
-        :attr:`last_eval_statistics` reports the run, including
-        ``stream_fallbacks`` for sections that had to run eagerly).
+        to drain.  :attr:`last_eval_statistics` reports the run, including
+        ``stream_fallbacks`` for sections that had to run eagerly.
+
+        What comes back is :meth:`KleisliEngine.stream`'s generator, which
+        settles the run however it ends; closing it early releases every
+        cursor the pipeline opened.  The session remembers it weakly, for
+        :meth:`close`.
         """
         optimized = self._prepare(source, optimize)[2]
-        stream = _TrackedStream(
-            self, self.engine.stream(optimized, self.values, optimize=False,
-                                     **self._with_defaults(options)))
+        stream = self.engine.stream(optimized, self.values, optimize=False,
+                                    **self._with_defaults(options))
         with self._streams_lock:
-            self._open_streams.append(stream)
+            self._streams.add(stream)
         return stream
 
-    def _forget_stream(self, stream: "_TrackedStream") -> None:
-        with self._streams_lock:
-            try:
-                self._open_streams.remove(stream)
-            except ValueError:
-                pass
-
-    @property
-    def open_stream_count(self) -> int:
-        """How many streamed queries from this session are still live."""
-        with self._streams_lock:
-            return len(self._open_streams)
-
     def close(self) -> None:
-        """End the session: close every live stream this session handed out.
+        """End the session: close every stream it handed out that something
+        still holds (closing a drained one does nothing), then the quota.
 
         Only *this* session's cursors are released (each stream's cursors
         live in its own run's ``EvalScope``); the engine — and every other
-        session multiplexed onto it — is untouched.  The query service
-        calls this when a client disconnects, cleanly or not.
+        session multiplexed onto it — is untouched.  Each run returns its
+        charges through its own budget child before the quota closes, so
+        nothing is released into the pool twice.  The query service calls
+        this when a client disconnects, cleanly or not.
         """
         with self._streams_lock:
-            streams = list(self._open_streams)
+            streams = list(self._streams)
         for stream in streams:
             try:
                 stream.close()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional
 
 from ...core.errors import SQLSyntaxError
@@ -22,8 +23,13 @@ __all__ = ["parse_sql"]
 _COMPARISON_SYMBOLS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 
 
+@lru_cache(maxsize=256)
 def parse_sql(text: str) -> SelectStatement:
-    """Parse a SELECT statement of the supported subset."""
+    """Parse a SELECT statement of the supported subset.
+
+    Memoised: a driver sends the same few texts with every request, and no
+    caller mutates a parsed statement.  A bad text raises on every call.
+    """
     return _SQLParser(tokenize_sql(text)).parse_select()
 
 

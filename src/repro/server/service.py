@@ -110,7 +110,7 @@ class _AdmissionSlot:
 
 
 class _Cursor:
-    """A server-side streamed query: the session's tracked stream plus the
+    """A server-side streamed query: the session's stream plus the
     admission slot it holds for its whole lifetime (open cursors *are* the
     in-flight queries backpressure counts)."""
 

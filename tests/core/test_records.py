@@ -1,6 +1,9 @@
 """Tests for Remy records: directories, projection, and the homogeneous
 projection as the engine runs it (a record head in the chunk lowering)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.errors import EvaluationError
@@ -30,6 +33,19 @@ class TestRecordDirectory:
         assert "x" in directory
         with pytest.raises(EvaluationError):
             directory.slot_of("missing")
+
+
+    def test_a_pickled_record_is_on_the_interned_directory(self):
+        """A record read back from ``pickle`` (a spilled batch) or ``copy``
+        shares the in-memory directory, so it equals its twin by identity
+        plus values."""
+        record = Record({"title": "A", "year": 1989})
+        for twin in (pickle.loads(pickle.dumps(record)),
+                     copy.deepcopy(record)):
+            assert twin.directory is record.directory
+            assert twin == record and hash(twin) == hash(record)
+        assert pickle.loads(pickle.dumps(Record({"title": "B", "year": 1989}))) \
+            != record
 
 
 class TestRecord:

@@ -26,6 +26,16 @@ class TestCollections:
     def test_set_eliminates_duplicates(self):
         assert len(CSet([1, 2, 2, 3, 3, 3])) == 3
 
+    def test_set_keeps_each_first_occurrence_in_order(self):
+        """Equal elements collapse onto the first one seen, object and all
+        (``1 == 1.0 == True``), and the survivors keep their first order."""
+        first = Record({"x": 1})
+        twin = Record({"x": 1})
+        kept = tuple(CSet([2, 1.0, first, True, 1, 2.0, twin, "a"]))
+        assert kept == (2, 1.0, first, "a")
+        assert [type(element) for element in kept] == [int, float, Record, str]
+        assert kept[2] is first
+
     def test_set_equality_ignores_order(self):
         assert CSet([1, 2, 3]) == CSet([3, 2, 1])
         assert hash(CSet([1, 2, 3])) == hash(CSet([3, 1, 2]))

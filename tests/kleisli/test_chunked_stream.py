@@ -21,6 +21,27 @@ from repro.kleisli.engine import KleisliEngine
 from repro.relational.database import Database
 
 
+class PipelineChunks:
+    """A chunk sink, as a profile's: keeps the size of each chunk the pump
+    hands on (its ``pipeline`` stage)."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def note_chunk(self, stage, rows, seconds):
+        if stage == "pipeline":
+            self.sizes.append(rows)
+
+
+def chunk_sizes(query, context):
+    """The sizes of the chunks ``query`` pumps on ``context``, read through
+    the context's chunk sink while its element stream is drained."""
+    sink = context.chunk_sink = PipelineChunks()
+    elements = list(query(Environment(), context))
+    assert sum(sink.sizes) == len(elements)
+    return sink.sizes
+
+
 class RangeDriver(Driver):
     def __init__(self, name="ranges"):
         super().__init__(name)
@@ -83,13 +104,13 @@ class TestChunkPolicy:
 
 class TestRampingChunks:
     def test_chunk_sizes_double_from_one(self):
-        """Observed through CompiledChunkedStream.chunks: 1, 2, 4, ..."""
+        """Observed through the run's chunk sink: 1, 2, 4, ..."""
         engine = _engine()
         expr = B.ext("x", B.singleton(B.var("x"), "list"), _scan(count=40),
                      kind="list")
         query = engine.compiled_chunked(expr)
         context = EvalContext(driver_executor=engine.driver_executor)
-        sizes = [len(chunk) for chunk in query.chunks(Environment(), context)]
+        sizes = chunk_sizes(query, context)
         assert sizes == [1, 2, 4, 8, 16, 9]
         assert sum(sizes) == 40
 
@@ -101,7 +122,7 @@ class TestRampingChunks:
         context = EvalContext(driver_executor=engine.driver_executor)
         context.chunk_policy = ChunkPolicy(remote_max_chunk=4,
                                            is_remote=lambda name: True)
-        sizes = [len(chunk) for chunk in query.chunks(Environment(), context)]
+        sizes = chunk_sizes(query, context)
         assert max(sizes) == 4
         assert sum(sizes) == 40
 
@@ -131,8 +152,10 @@ class TestRampingChunks:
         assert {key[0] for key in engine._compiled_queries._entries} == {"chunked"}
         context = EvalContext(driver_executor=engine.driver_executor)
         context.chunk_policy = policy
-        chunks = engine.compiled_chunked(expr).chunks(Environment(), context)
-        assert list(chunks) == [[0], [1], [2]]
+        context.chunk_sink = sink = PipelineChunks()
+        stream = engine.compiled_chunked(expr)(Environment(), context)
+        assert list(stream) == [0, 1, 2]
+        assert sink.sizes == [1, 1, 1]
 
 
 class TestEagerSections:
@@ -403,7 +426,7 @@ class TestReviewRegressions:
         context.chunk_policy = ChunkPolicy(
             max_chunk=1024, remote_max_chunk=4,
             is_remote=lambda name: name == "ranges")
-        sizes = [len(chunk) for chunk in query.chunks(Environment(), context)]
+        sizes = chunk_sizes(query, context)
         assert sum(sizes) == 120
         assert max(sizes) <= 4, sizes
 
@@ -418,7 +441,7 @@ class TestReviewRegressions:
         context = EvalContext(
             driver_executor=engine.driver_executor,
             driver_executor_batch=engine.driver_executor_batch)
-        sizes = [len(chunk) for chunk in query.chunks(Environment(), context)]
+        sizes = chunk_sizes(query, context)
         assert sum(sizes) == 160
         assert sizes[0] == 1  # TTFR: the very first chunk is one element
         # A per-result restart would emit 20 x [1, 2, 4, 1] = 80 chunks;

@@ -453,9 +453,9 @@ def test_ungoverned_runs_keep_books_at_zero(chunk_policy):
 
 def test_ungoverned_context_has_no_hooks():
     engine = _engine()
-    context, run = engine._open_run(_comprehension(), None,
-                                    QueryOptions(on_source_failure="fail"))
-    assert run is None                    # nothing to settle
+    context = engine._open_run(_comprehension(), None,
+                               QueryOptions(on_source_failure="fail"))
+    assert context.finish is None         # nothing to settle
     assert context.cancellation is None
     assert context.memory_budget is None
     assert context.spill is None

@@ -16,7 +16,7 @@ import pytest
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.compile import ChunkPolicy, CompiledChunkedStream
-from repro.core.nrc.eval import Environment, EvalContext
+from repro.core.nrc.eval import EvalContext
 from repro.core.optimizer import OptimizerConfig
 from repro.core.optimizer.parallel import ParallelExt, make_parallel_rule_set
 from repro.core.planner import (
@@ -29,6 +29,8 @@ from repro.core.values import CList
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.statistics import SourceStatisticsRegistry
+
+from test_chunked_stream import chunk_sizes
 
 
 class RangeDriver(Driver):
@@ -440,8 +442,7 @@ class TestOneChunkPath:
             context.chunk_policy = ChunkPolicy(
                 remote_max_chunk=8,
                 is_remote=engine.statistics_registry.is_remote)
-            chunks = list(query.chunks(Environment(), context))
-            assert [len(chunk) for chunk in chunks] == sizes
+            assert chunk_sizes(query, context) == sizes
 
     def test_a_planned_bare_stream_takes_the_bare_pump(self):
         """A planned stream with no profile, hub, budget or token carries no

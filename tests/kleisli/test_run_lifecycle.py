@@ -19,6 +19,7 @@ same optimized term).
 
 import gc
 import types
+import weakref
 
 import pytest
 
@@ -287,6 +288,94 @@ def test_a_run_with_nothing_to_settle_is_the_bare_pipeline(label, expr,
     tracer = hub.tracer.snapshot()
     assert tracer["started"] == tracer["finished"] == 2
     assert full.governor.pool.used == 0
+
+
+CONFIGS = ["bare", "governed", "observed", "both"]
+
+
+def _run_kind(config):
+    """An engine over the ranges driver and the run options of ``config``,
+    and the hub (``None`` unless ``both``)."""
+    governed = config in ("governed", "both")
+    engine = KleisliEngine(memory_pool_limit=1 << 22 if governed else None)
+    engine.register_driver(HookedRanges(lambda i: None))
+    hub = (engine.attach_observability(Observability())
+           if config == "both" else None)
+    options = {"profile": True} if config == "observed" else {}
+    if governed:
+        options.update(cancellation=CancellationToken(),
+                       memory_budget=1 << 20, spill=True)
+    return engine, hub, options
+
+
+@pytest.mark.parametrize("entry", ["engine", "session"])
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("config", CONFIGS)
+def test_every_streamed_run_is_one_generator(config, mode, entry):
+    """Bare, governed, observed or both, in either mode, from the engine or
+    the session: what ``stream`` hands out is the pipeline's own generator,
+    so a served row crosses one generator frame.  It settles its own run."""
+    engine, hub, options = _run_kind(config)
+    if entry == "engine":
+        stream = engine.stream(_join(), optimize=False, mode=mode, **options)
+        expected = EXPECTED
+    else:
+        session = Session(engine=engine)
+        session.bind("N", list(range(5)))
+        stream = session.stream("[| x * 2 | \\x <- N |]", mode=mode,
+                                **options)
+        expected = [0, 2, 4, 6, 8]
+    assert type(stream) is types.GeneratorType
+    pipeline = (CompiledChunkedStream._pump
+                if mode is ExecutionMode.COMPILED
+                else KleisliEngine._stream_interpreted)
+    assert stream.gi_code is pipeline.__code__
+    assert list(stream) == expected
+    if hub is not None:
+        tracer = hub.tracer.snapshot()
+        assert tracer["started"] == tracer["finished"] == 1
+    if config in ("observed", "both"):
+        assert engine.last_profile.status == "ok"
+        assert engine.last_profile.actual_rows == len(expected)
+    if engine.governor.pool is not None:
+        assert engine.governor.pool.used == 0
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_closing_a_session_settles_its_open_streams(mode):
+    """``Session.close`` closes the streams it handed out that are still
+    held: the run settles (trace finished, scope closed, pool empty) before
+    the session quota closes.  A drained stream's close changes nothing, and
+    a dropped one is not kept alive by its session."""
+    engine = KleisliEngine(memory_pool_limit=1 << 22)
+    hub = engine.attach_observability(Observability())
+    session = Session(engine=engine, memory_limit=1 << 20)
+    session.bind("N", list(range(40)))
+    source = "{ x * 2 | \\x <- N }"
+    scopes = EvalScope.live_count()
+
+    drained = session.stream(source, mode=mode)
+    assert len(list(drained)) == 40
+    books, tracer = engine.governor.snapshot(), hub.tracer.snapshot()
+    profile = engine.last_profile
+    drained.close()
+    assert engine.governor.snapshot() == books
+    assert hub.tracer.snapshot() == tracer
+    assert engine.last_profile is profile
+
+    dropped = weakref.ref(session.stream(source, mode=mode))
+    assert dropped() is None
+
+    stream = session.stream(source, mode=mode)
+    assert next(stream) == 0
+    assert engine.governor.pool.used > 0
+    session.close()
+    tracer = hub.tracer.snapshot()
+    assert tracer["started"] == tracer["finished"] == 3
+    assert EvalScope.live_count() == scopes
+    assert engine.governor.pool.used == 0
+    assert engine.last_profile.status == "closed"
+    assert list(stream) == []
 
 
 class _CountingPlanner:

@@ -27,7 +27,8 @@ from repro.core.nrc.compile import ChunkPolicy
 from repro.core.nrc.eval import EvalScope
 from repro.core.optimizer.caching import make_caching_rule_set
 from repro.core.planner.plan import PhysicalPlan
-from repro.core.values import iter_collection
+from repro.core.records import Record, directory_for
+from repro.core.values import CSet, iter_collection
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.governance import NOMINAL_ROW_BYTES, MemoryBudget
@@ -38,6 +39,7 @@ from repro.kleisli.spill import (
     SpilledList,
     SpillManager,
 )
+from repro.server.wire import encode_value
 
 
 class RangeDriver(Driver):
@@ -420,6 +422,40 @@ def test_spilled_engine_run_settles_books_and_budget():
     assert engine.governor.pool.used == 0
     assert engine.governor.snapshot()["spills"] > 0
     assert EvalScope.live_count() == 0
+
+
+class RecordRanges(Driver):
+    """``[k = i, v = i mod 7]`` for ``i`` in ``0 .. count-1``, lazily: rows
+    on one directory."""
+
+    def __init__(self):
+        super().__init__("records")
+
+    def _execute(self, request):
+        return (Record({"k": i, "v": i % 7})
+                for i in range(int(request["count"])))
+
+
+def test_a_spilled_set_stream_of_one_shape_is_one_wire_block():
+    """The build side goes to disk and comes back through ``pickle``: its
+    records are still on the interned directory, so the streamed set is one
+    column-major ``rows`` block on the wire."""
+    engine = _engine()
+    engine.register_driver(RecordRanges())
+    inner = A.Cached(A.Scan("records", {"table": "t", "count": COUNT},
+                            args={}, kind="list"))
+    condition = B.prim("lt", B.project(B.var("i"), "k"), B.var("o"))
+    expr = B.ext("o", B.ext("i", B.if_then_else(
+        condition, B.singleton(B.var("i"), "set"), B.empty("set")),
+        inner, "set"), _scan(3, base=COUNT), "set")
+    values = list(engine.stream(expr, optimize=False,
+                                memory_budget=1 << 24, spill=True))
+    assert engine.governor.snapshot()["spills"] > 0
+    assert [value.values for value in values] == \
+        [(i, i % 7) for i in range(COUNT)]
+    assert {value.directory for value in values} == {directory_for("kv")}
+    encoded = encode_value(CSet(values))["v"]
+    assert [(block["%"], block["n"]) for block in encoded] == [("rows", COUNT)]
 
 
 def test_partitions_constant_is_sane():

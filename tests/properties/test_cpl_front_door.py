@@ -152,7 +152,10 @@ def test_a_served_query_answers_a_value_or_a_typed_error():
             while server._inflight and time.monotonic() < deadline:
                 time.sleep(0.005)   # a slot goes back once its reply is sent
             assert server._inflight == 0
-            assert [session.open_stream_count for session in sessions] == [0]
+            with server._lock:
+                connections = list(server._states)
+            assert [len(state.cursors) for state in connections] == [0]
+            assert [state.session for state in connections] == sessions
             assert EvalScope.live_count() == scopes
     finally:
         server.stop()

@@ -76,6 +76,14 @@ class TestParser:
         assert len(statement.tables) == 3
         assert len(statement.predicates) == 4
 
+    def test_one_text_is_one_parse(self):
+        """Memoised: a repeated text is the same statement object, and a
+        text that does not parse raises on every call."""
+        assert parse_sql(LOCI22_SQL) is parse_sql(LOCI22_SQL)
+        for _ in range(3):
+            with pytest.raises(SQLSyntaxError):
+                parse_sql("select a from t where")
+
     def test_syntax_errors(self):
         with pytest.raises(SQLSyntaxError):
             parse_sql("select from t")
@@ -177,7 +185,26 @@ class TestPlanner:
             plan_query(database, parse_sql("select k from a, b"))
 
 
+def _shape(statement):
+    return [repr(part) for part in (
+        statement.select_items, statement.tables, statement.predicates,
+        statement.order_by, statement.limit, statement.distinct)]
+
+
 class TestExecutor:
+    def test_planning_and_running_leave_the_shared_statement_alone(self, gdb):
+        """The memoised statement is shared by every request of one text, so
+        neither the planner nor the executor may change it."""
+        texts = [LOCI22_SQL,
+                 "select distinct locus_id from locus where locus_id > 90 "
+                 "and locus_symbol like 'D22S9%' order by locus_id desc limit 3"]
+        for text in texts:
+            statement = parse_sql(text)
+            before = _shape(statement)
+            first = gdb.sql(text)
+            assert gdb.sql(text) == first
+            assert _shape(statement) == before
+
     def test_projection_and_selection(self, gdb):
         rows = gdb.sql("select locus_symbol from locus where locus_id = 7")
         assert rows == [{"locus_symbol": "D22S7"}]

@@ -10,8 +10,9 @@ holds:
 
 * admission slots held == cursors open == traces started but not finished;
 * ``governance.cancellations`` == cancels the server acknowledged;
-* no request is held at a driver gate, and every session holds exactly the
-  streams behind its own open cursors — none once its connection is gone;
+* no request is held at a driver gate, and every connection's server-side
+  cursor table holds exactly the cursors its client has open — none once
+  its connection is gone;
 * with no cursor open: the engine pool holds nothing, no evaluation scope is
   live, and every spill manager any run built has deleted its files.
 
@@ -19,6 +20,7 @@ At teardown what is still open is drained to its last row and the same must
 hold with nothing open at all.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -30,6 +32,7 @@ from hypothesis.stateful import (
 
 from conftest import wait_until
 
+from repro.core.errors import ServerOverloadedError
 from repro.core.nrc.eval import EvalScope
 from repro.core.values import iter_collection
 from repro.kleisli import spill as spill_module
@@ -40,7 +43,8 @@ from repro.relational import Database
 from repro.server import KleisliClient, KleisliServer
 
 ROWS = 40
-SLOTS = 6           # in-flight cap; the machine never opens more cursors
+SLOTS = 6           # in-flight cap; the machine never opens more cursors,
+                    # and a query while all six are open is refused
 
 #: source -> the rows it yields, in order
 QUERIES = {
@@ -90,14 +94,22 @@ class ServedSessions(RuleBasedStateMachine):
         self.clients = [self._connect(), self._connect()]
         #: per client: cursor id -> the rows it has yet to yield
         self.cursors = [{}, {}]
-        self.session_of = [self.sessions[0], self.sessions[1]]
-        self.gone = []                  # sessions whose connection was dropped
+        self.connection_of = [self._connection(self.sessions[0]),
+                              self._connection(self.sessions[1])]
+        self.gone = []                  # connections that were dropped
         self.cancelled = 0
+        self.rejected = 0
 
     def _connect(self):
         client = KleisliClient(self.server.address)
         client.hello()                  # the session exists once this answers
         return client
+
+    def _connection(self, session):
+        """The server's per-connection state that serves ``session``."""
+        with self.server._lock:
+            return next(state for state in self.server._states
+                        if state.session is session)
 
     def _open_count(self):
         return sum(len(cursors) for cursors in self.cursors)
@@ -114,6 +126,12 @@ class ServedSessions(RuleBasedStateMachine):
     @rule(client=st.integers(0, 1), source=st.sampled_from(SOURCES),
           options=st.sampled_from(OPTIONS))
     def query(self, client, source, options):
+        if self._open_count() == SLOTS:
+            # Every slot is held by an open cursor: admission refuses.
+            with pytest.raises(ServerOverloadedError):
+                self.clients[client].query(source, **options)
+            self.rejected += 1
+            return
         value = self.clients[client].query(source, **options)
         assert list(iter_collection(value)) == QUERIES[source]
 
@@ -158,11 +176,11 @@ class ServedSessions(RuleBasedStateMachine):
         closed = self.server.stats.sessions_closed
         self.clients[client].kill()
         self.cursors[client] = {}
-        self.gone.append(self.session_of[client])
+        self.gone.append(self.connection_of[client])
         assert wait_until(
             lambda: self.server.stats.sessions_closed == closed + 1)
         self.clients[client] = self._connect()
-        self.session_of[client] = self.sessions[-1]
+        self.connection_of[client] = self._connection(self.sessions[-1])
 
     # -- conservation ---------------------------------------------------------
 
@@ -183,10 +201,11 @@ class ServedSessions(RuleBasedStateMachine):
         assert all(gate.in_flight == 0
                    for gate in self.engine.driver_gates.values())
         for client in (0, 1):
-            assert self.session_of[client].open_stream_count == \
-                len(self.cursors[client])
-        assert all(session.open_stream_count == 0 for session in self.gone)
+            assert set(self.connection_of[client].cursors) == \
+                set(self.cursors[client])
+        assert all(not connection.cursors for connection in self.gone)
         assert self.server.stats.failures == 0
+        assert self.server.stats.rejections == self.rejected
         live_managers = [manager for manager in self.spill_managers
                          if not manager._closed]
         assert len(live_managers) <= open_cursors
@@ -211,10 +230,9 @@ class ServedSessions(RuleBasedStateMachine):
             self.the_books_balance()
             for client in self.clients:
                 client.close()
-            self.gone.extend(self.session_of)
+            self.gone.extend(self.connection_of)
             assert wait_until(lambda: self.server.active_sessions == 0)
-            assert all(session.open_stream_count == 0
-                       for session in self.gone)
+            assert all(not connection.cursors for connection in self.gone)
         finally:
             self.server.stop()
             spill_module.SpillManager = self._spill_manager
