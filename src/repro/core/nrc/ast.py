@@ -28,6 +28,7 @@ import itertools
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import NRCError
+from ..records import Record
 
 __all__ = [
     "Expr", "Const", "Var", "Lam", "Apply", "RecordExpr", "Project",
@@ -527,7 +528,7 @@ def _freeze(value: object) -> object:
     """Make request payload values hashable for structural comparison."""
     if isinstance(value, dict):
         return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and not isinstance(value, Record):
         return tuple(_freeze(v) for v in value)
     if isinstance(value, set):
         return frozenset(_freeze(v) for v in value)

@@ -86,7 +86,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 from ..errors import EvaluationError, TermTooDeepError, UnboundVariableError
-from ..records import Record, RecordDirectory, distinct_records
+from ..records import Record, RecordDirectory, distinct_records, records_on
 from ..values import (
     CBag,
     CList,
@@ -382,38 +382,45 @@ def _compile_record(expr: A.RecordExpr, scope, state):
     # order (side-effect order matches the interpreter).
     directory = RecordDirectory.for_labels(labels)
     slot_fns = tuple(
-        (directory.slots[label], _compile(value, scope, state))
+        (directory.slots[label] + 1, _compile(value, scope, state))
         for label, value in expr.fields.items()
     )
-    width = len(directory)
+    size = len(directory) + 1
 
     def run(frame, context):
-        values = [None] * width
+        # The record's own layout: the directory at 0, every field slot
+        # overwritten below.
+        values = [directory] * size
         for slot, fn in slot_fns:
             values[slot] = fn(frame, context)
-        return Record(_directory=directory, _values=tuple(values))
+        return tuple.__new__(Record, values)
 
     return run
 
 
 @register_compiler(A.Project)
 def _compile_project(expr: A.Project, scope, state):
-    subject_fn = _compile(expr.expr, scope, state)
     label = expr.label
-    # Inline Remy fast path: cache (directory, slot) as one tuple so the
-    # closure stays safe when shared across scheduler threads.
-    cache: List[Optional[tuple]] = [None]
+    # The subject: a bound variable's frame slot, read inline with no call,
+    # or the compiled subject.  One cell for either keeps every compiled
+    # projection as small as a cached plan needs it.
+    source = _slot_of(scope, expr.expr.name) if type(expr.expr) is A.Var else None
+    if source is None or source < state.n_free:
+        source = _compile(expr.expr, scope, state)
+    # Inline Remy fast path: cache (directory, record index) as one tuple
+    # so the closure stays safe when shared across scheduler threads.
+    cache = [(None, 0)]
 
     def run(frame, context):
-        subject = subject_fn(frame, context)
-        if isinstance(subject, Record):
+        subject = frame[source] if type(source) is int else source(frame, context)
+        if type(subject) is Record:
             cached = cache[0]
-            directory = subject.directory
-            if cached is not None and cached[0] is directory:
-                return subject.values[cached[1]]
-            slot = directory.slot_of(label)
+            if cached[0] is subject[0]:
+                return subject[cached[1]]
+            directory = subject[0]
+            slot = directory.slot_of(label) + 1
             cache[0] = (directory, slot)
-            return subject.values[slot]
+            return subject[slot]
         if isinstance(subject, Ref):
             target = subject.deref()
             if isinstance(target, Record):
@@ -1714,18 +1721,18 @@ def _item_plan(expr: A.Expr, scope: _Scope, state: _CompileState,
         def build_project(frame, context, _plan=subject_plan, _label=label):
             subject_fn = _realize(_plan, frame, context)
             direct = subject_fn is _ident
-            cache: List[Optional[tuple]] = [None]
+            cache = [(None, 0)]  # as in _compile_project
 
             def project(item):
                 subject = item if direct else subject_fn(item)
-                if isinstance(subject, Record):
+                if type(subject) is Record:
                     cached = cache[0]
-                    directory = subject.directory
-                    if cached is not None and cached[0] is directory:
-                        return subject.values[cached[1]]
-                    value_slot = directory.slot_of(_label)
+                    if cached[0] is subject[0]:
+                        return subject[cached[1]]
+                    directory = subject[0]
+                    value_slot = directory.slot_of(_label) + 1
                     cache[0] = (directory, value_slot)
-                    return subject.values[value_slot]
+                    return subject[value_slot]
                 if isinstance(subject, Ref):
                     target = subject.deref()
                     if isinstance(target, Record):
@@ -1745,7 +1752,6 @@ def _item_plan(expr: A.Expr, scope: _Scope, state: _CompileState,
 
 
 _ROW_DIRECTORY = operator.attrgetter("directory")
-_ROW_VALUES = operator.attrgetter("values")
 _NUMBERS = frozenset((int, float))
 _COLUMN_ARITHMETIC = {"add": operator.add, "sub": operator.sub,
                       "mul": operator.mul}
@@ -1805,13 +1811,13 @@ def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
     width = len(directory)
 
     def build(frame, context):
-        slot_fns = [(out, _realize(plan, frame, context)) for out, plan in fields]
+        slot_fns = [(out + 1, _realize(plan, frame, context)) for out, plan in fields]
 
         def record(item):
-            values = [None] * width
+            values = [directory] * (width + 1)  # as in _compile_record
             for out, fn in slot_fns:
                 values[out] = fn(item)
-            return Record(None, directory, tuple(values))
+            return tuple.__new__(Record, values)
 
         return record
 
@@ -1825,7 +1831,7 @@ def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
         if type(source) is not RecordDirectory or any(
                 label not in source.slots for label in projected.values()):
             return None
-        return {out: operator.itemgetter(source.slots[label])
+        return {out: operator.itemgetter(source.slots[label] + 1)
                 for out, label in projected.items()}
 
     def build_rows(frame, context):
@@ -1834,7 +1840,7 @@ def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
         getters: Dict[object, Optional[dict]] = {}  # by source directory
 
         def rows(chunk):
-            getter = values = None
+            getter = None
             filled = {}  # output slot -> its arithmetic column
             if projected:
                 try:
@@ -1847,33 +1853,31 @@ def _record_plan(expr: A.RecordExpr, scope: _Scope, state: _CompileState,
                         getters[source] = slot_getters(source)
                     getter = getters[source]
                 if getter is None:
-                    return [record(item).values for item in chunk]
-                values = list(map(_ROW_VALUES, chunk))
+                    return [record(item)[1:] for item in chunk]
                 # Arithmetic columns first: past the type gate only an
                 # OverflowError can stop one, and any refusal hands the whole
                 # chunk to the per-item form before another field has run.
                 for out, (op, const, const_is_second) in arithmetic.items():
-                    column = list(map(getter[out], values))
+                    column = list(map(getter[out], chunk))
                     if not _NUMBERS.issuperset(map(type, column)):
-                        return [record(item).values for item in chunk]
+                        return [record(item)[1:] for item in chunk]
                     try:
                         filled[out] = (
                             list(map(op, column, itertools.repeat(const)))
                             if const_is_second else
                             list(map(op, itertools.repeat(const), column)))
                     except OverflowError:  # an int too big for a float
-                        return [record(item).values for item in chunk]
+                        return [record(item)[1:] for item in chunk]
             if not width:
                 return [()] * len(chunk)
             return list(zip(*[filled[out] if out in filled
-                              else map(getter[out], values) if out in projected
+                              else map(getter[out], chunk) if out in projected
                               else map(columns[out], chunk)
                               for out in range(width)]))
 
         return rows
 
-    return ("record", build, (("vrows", build_rows), (
-        "records", directory, functools.partial(Record, None, directory))))
+    return ("record", build, (("vrows", build_rows), ("records", directory)))
 
 
 def _realize(plan: tuple, frame: list, context: EvalContext):
@@ -1993,7 +1997,7 @@ def _chunk_ext(expr: A.Ext, scope, state):
                 elif tag == "vrows":  # a head's value tuples, chunk-wise
                     out = op[1](out)
                 elif tag == "records":
-                    out = list(map(op[2], out))
+                    out = list(records_on(op[1], out))
                 elif tag == "map":
                     value_fn = op[1]
                     stats.ext_iterations += len(out)
@@ -2268,7 +2272,7 @@ def _freeze_request_value(value: object) -> object:
     if isinstance(value, dict):
         return ("dict", tuple(sorted(
             (key, _freeze_request_value(item)) for key, item in value.items())))
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and not isinstance(value, Record):
         return ("seq", tuple(_freeze_request_value(item) for item in value))
     if isinstance(value, (set, frozenset)):
         return ("set", frozenset(_freeze_request_value(item) for item in value))

@@ -660,7 +660,7 @@ _BIND_PAIR = RecordDirectory.for_labels(("item", "result"))
 
 def bind_pair(item: object, result: object) -> Record:
     """``[item = item, result = result]``, on one shared directory."""
-    return Record(_directory=_BIND_PAIR, _values=(item, result))
+    return tuple.__new__(Record, (_BIND_PAIR, item, result))
 
 
 def iterate_source(source: object) -> Iterator[object]:

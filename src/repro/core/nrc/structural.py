@@ -177,7 +177,7 @@ def _relation_pairs(relation: object) -> Tuple[List[Tuple[object, object]], Tupl
                     f"got fields {element.labels!r}"
                 )
             labels = element.labels
-            pairs.append((element.values[0], element.values[1]))
+            pairs.append(element.values)
         elif isinstance(element, CList) and len(element) == 2:
             pairs.append((element[0], element[1]))
         else:

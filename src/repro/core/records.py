@@ -29,6 +29,20 @@ same-shape rows once at each of three boundaries:
 * **wire** — ``server.wire`` ships a run's labels once, as a column-major
   ``rows`` block.
 
+**Layout.**  The pair is one object: a ``Record`` is a ``tuple`` subclass
+with no slots of its own, laid out as ``(directory, v1, ..., vn)`` — field
+``label`` at index ``directory.slots[label] + 1``.  Hash and equality are
+the tuple's, so they run in C with no Python frame: two records are equal
+exactly when their directory is the same object and their values are equal
+pairwise, identity first and then ``==`` (so ``True``, ``1`` and ``1.0``
+group, and a NaN object equals only itself).  The hot paths read the flat
+tuple directly (``record[slot + 1]``, ``tuple.__iter__``), and a run of
+rows on a settled directory becomes records in C through
+:func:`records_on`.  Because indexing is the tuple's, labels go through
+:meth:`Record.project` / :meth:`Record.get` only.  What a tuple does and a
+record must not is refused: a record has no order and is not iterable,
+and its ``len`` is its field count.
+
 This module provides:
 
 ``RecordDirectory``
@@ -38,18 +52,25 @@ This module provides:
 ``Record``
     The immutable record value used throughout the evaluator.
 
+``records_on`` / ``value_columns``
+    The bulk builder (records from value tuples on one known directory)
+    and its inverse (the field columns of such records).
+
 ``distinct_records``
     Dedup-before-construct for records on one known directory.
 
 Pickling contract: a directory pickles as its labels and comes back as the
-interned directory of those labels, so a record read back from a spill file
-(or ``copy``-ed) is on the same directory as its in-memory twins — record
-equality is directory identity plus equal values.
+interned directory of those labels, and a record pickles as its directory
+and values, so a record read back from a spill file (or ``copy``-ed) is a
+``Record`` on the same directory as its in-memory twins, equal to them and
+hashing alike.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import islice, repeat
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import EvaluationError
@@ -59,6 +80,8 @@ __all__ = [
     "Record",
     "directory_for",
     "distinct_records",
+    "records_on",
+    "value_columns",
 ]
 
 
@@ -127,65 +150,66 @@ def directory_for(labels: Iterable[str]) -> RecordDirectory:
     return RecordDirectory.for_labels(labels)
 
 
-class Record:
-    """An immutable record value: a shared directory plus a value array.
+class Record(tuple):
+    """An immutable record value: one tuple, ``(directory, v1, ..., vn)``.
 
-    Records are hashable when their field values are hashable, compare by
-    field content, and can be used as set elements (CPL sets of records are
-    the common case).
+    Hash and equality are the tuple's, computed in C: the same directory
+    object, then equal values.  Records are hashable when their field
+    values are, and can be used as set elements (CPL sets of records are
+    the common case).  A record has no order, is not iterable, and is
+    indexed by label only through :meth:`project` / :meth:`get`; ``len``
+    is its field count.
     """
 
-    __slots__ = ("directory", "values", "_hash")
+    __slots__ = ()
 
-    def __init__(self, fields: Mapping[str, object] = None, _directory: RecordDirectory = None,
-                 _values: Tuple[object, ...] = None):
-        if _directory is not None:
-            self.directory = _directory
-            self.values = _values
-        else:
-            fields = fields or {}
-            self.directory = RecordDirectory.for_labels(fields.keys())
-            self.values = tuple(fields[label] for label in self.directory.labels)
-        self._hash = None
+    def __new__(cls, fields: Mapping[str, object] = None) -> "Record":
+        fields = fields or {}
+        directory = RecordDirectory.for_labels(fields)
+        return tuple.__new__(cls, (directory, *map(fields.__getitem__, directory.labels)))
 
     @classmethod
     def from_directory(cls, directory: RecordDirectory, values: Sequence[object]) -> "Record":
         """Build a record on an existing directory, checking the width.
 
         The three shape-once boundaries (module docstring) settle the width
-        for a whole run and use the constructor's ``_directory``/``_values``
-        form directly.
+        for a whole run and build through :func:`records_on`.
         """
         values = tuple(values)
         if len(values) != len(directory):
             raise EvaluationError(
                 f"directory has {len(directory)} slots but {len(values)} values supplied"
             )
-        return cls(_directory=directory, _values=values)
+        return tuple.__new__(cls, (directory, *values))
+
+    def __reduce__(self):
+        return (Record.from_directory, (self[0], self[1:]))
 
     # -- access ------------------------------------------------------------
 
+    directory = property(itemgetter(0), doc="The shared :class:`RecordDirectory`.")
+    values = property(itemgetter(slice(1, None)),
+                      doc="The field values, in directory (label) order.")
+
     def project(self, label: str) -> object:
         """Plain Remy projection: directory lookup then array index."""
-        return self.values[self.directory.slot_of(label)]
-
-    __getitem__ = project
+        return self[self[0].slot_of(label) + 1]
 
     def get(self, label: str, default: object = None) -> object:
-        slot = self.directory.slots.get(label)
+        slot = self[0].slots.get(label)
         if slot is None:
             return default
-        return self.values[slot]
+        return self[slot + 1]
 
     def has_field(self, label: str) -> bool:
-        return label in self.directory
+        return label in self[0]
 
     @property
     def labels(self) -> Tuple[str, ...]:
-        return self.directory.labels
+        return self[0].labels
 
     def items(self) -> Iterator[Tuple[str, object]]:
-        return zip(self.directory.labels, self.values)
+        return zip(self[0].labels, self[1:])
 
     def to_dict(self) -> Dict[str, object]:
         return dict(self.items())
@@ -207,24 +231,35 @@ class Record:
         """Return a record keeping only ``labels`` (projection onto several fields)."""
         return Record({label: self.project(label) for label in labels})
 
-    # -- value semantics -----------------------------------------------------
+    # -- what a record is not -----------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Record):
-            return NotImplemented
-        return self.directory is other.directory and self.values == other.values
+    def _refuse(self, *other: object):
+        raise TypeError("a record has no order and is not iterable: "
+                        "read its fields by label (project, get, items)")
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.directory.labels, self.values))
-        return self._hash
+    __lt__ = __le__ = __gt__ = __ge__ = __iter__ = __contains__ = _refuse
 
     def __len__(self) -> int:
-        return len(self.values)
+        return tuple.__len__(self) - 1
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{label}={value!r}" for label, value in self.items())
         return f"[{inner}]"
+
+
+def records_on(directory: RecordDirectory,
+               rows: Iterable[Tuple[object, ...]]) -> Iterator[Record]:
+    """The records of ``rows`` (value tuples in ``directory``'s label
+    order), each built in C with no Python frame and no width check: the
+    caller has settled the run's shape."""
+    return map(tuple.__new__, repeat(Record), map((directory,).__add__, rows))
+
+
+def value_columns(records: Iterable[Record]) -> Iterator[Tuple[object, ...]]:
+    """The field columns of ``records`` (all on one directory), in label
+    order: the record tuples transposed in C, the directory column
+    dropped."""
+    return islice(zip(*map(tuple.__iter__, records)), 1, None)
 
 
 def distinct_records(directory: RecordDirectory, rows: Iterable[Tuple[object, ...]],
@@ -232,15 +267,15 @@ def distinct_records(directory: RecordDirectory, rows: Iterable[Tuple[object, ..
     """The records of ``rows`` (value tuples on ``directory``) new to ``seen``.
 
     The seen-set key of a record on a known directory is its value tuple:
-    ``Record.__eq__`` on one directory *is* ``values == values``, so the key
+    record equality on one directory *is* ``values == values``, so the key
     groups exactly what a set of the records would, hashed and compared in C,
     and a ``Record`` is built for first occurrences only.  ``seen`` is any of
     the ``in``/``add`` seen-sets and must hold keys of this one directory.
     """
-    out = []
+    fresh = []
     add = seen.add
     for values in rows:
         if values not in seen:
             add(values)
-            out.append(Record(None, directory, values))
-    return out
+            fresh.append(values)
+    return list(records_on(directory, fresh))

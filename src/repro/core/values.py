@@ -22,14 +22,13 @@ the CPL type of a value — used when registering data sources and in tests.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from functools import partial
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import types as T
 from .errors import EvaluationError
-from .records import Record, RecordDirectory
+from .records import Record, RecordDirectory, records_on, value_columns
 
 __all__ = [
     "CSet",
@@ -397,8 +396,7 @@ def from_python(data: object, list_as: str = "list") -> object:
 #: Exact types :func:`from_python` passes through and :func:`infer_type`
 #: gives a constant type: a record of these needs no per-field work.
 _FLAT_FIELD_TYPES = frozenset((bool, int, float, str, bytes))
-_DIRECTORY = attrgetter("directory")
-_VALUES = attrgetter("values")
+_DIRECTORY = itemgetter(0)  # of a record: its directory
 
 
 def _lift_collection(kind: str, rows: Iterable[object], list_as: str = "list"):
@@ -406,7 +404,7 @@ def _lift_collection(kind: str, rows: Iterable[object], list_as: str = "list"):
     when ``rows`` is a flat table (:func:`from_python`).
 
     A set keeps each value tuple's first occurrence: on one directory
-    tuple ``==`` *is* ``Record.__eq__`` (so ``True``, ``1`` and ``1.0``
+    tuple ``==`` *is* record equality (so ``True``, ``1`` and ``1.0``
     group, and a NaN only with itself), so the distinct rows are exactly
     the set's elements and no ``Record`` is hashed.  Drivers lift a fetched
     table of rows as ``_lift_collection("set", rows)``.
@@ -420,7 +418,7 @@ def _lift_collection(kind: str, rows: Iterable[object], list_as: str = "list"):
     # Records as a list, so the collection's tuple has a known length: it
     # then reuses a freed tuple of that size, where ``tuple(map(...))``
     # grows by resizing and leaves CPython's tuple free lists filling up.
-    records = list(map(partial(Record, None, directory), values))
+    records = list(records_on(directory, values))
     if kind == "set":
         return CSet._of_distinct(tuple(records))
     return make_collection(kind, records)
@@ -479,7 +477,7 @@ def lift_elements(elements: Iterable[object], list_as: str = "list") -> Iterator
             if directory is not None:
                 values = in_label_order(element)
                 if _FLAT_FIELD_TYPES.issuperset(map(type, values)):
-                    yield Record(_directory=directory, _values=values)
+                    yield tuple.__new__(Record, (directory, *values))
                     continue
         yield from_python(element, list_as)
 
@@ -561,7 +559,7 @@ def _distinct_element_types(elements: Iterable[object]) -> List[T.Type]:
                 and {Record}.issuperset(map(type, elements))
                 and {first.directory}.issuperset(map(_DIRECTORY, elements))
                 and all({kind}.issuperset(map(type, column)) for kind, column
-                        in zip(kinds, zip(*map(_VALUES, elements))))):
+                        in zip(kinds, value_columns(elements)))):
             return [infer_type(first)]
     types: List[T.Type] = []
     flat_shapes = set()

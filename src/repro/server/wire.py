@@ -28,13 +28,15 @@ column item whose exact type is ``bool``/``int``/``float``/``str``/``None``
 is the field itself; any other field (a nested collection, a variant,
 ``bytes``) is encoded as a value of its own.  A collection whose elements are
 all records of one directory is recognised by two C-level passes and becomes
-one block; the encoder transposes the value tuples with ``zip(*values)``, the
+one block; the encoder transposes the record tuples themselves and drops
+the directory column (:func:`~repro.core.records.value_columns`), the
 decoder zips the columns back into value tuples (permuting the columns once
 if the labels arrive unsorted) and builds each record straight onto the
-interned directory.  Non-record elements and a change of directory end a run
-and elements keep their order, so a mixed collection is a sequence of blocks
-and plain elements.  A record that is *not* a collection element — a query's
-scalar result, a record field, a variant's payload — still travels as
+interned directory (:func:`~repro.core.records.records_on`).  Non-record
+elements and a change of directory end a run and elements keep their order,
+so a mixed collection is a sequence of blocks and plain elements.  A record
+that is *not* a collection element — a query's scalar result, a record field,
+a variant's payload — still travels as
 ``{"%": "record", "v": {label: field}}``.
 
 Structured values may nest at most :data:`MAX_DEPTH` deep, in both
@@ -47,13 +49,12 @@ records.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import groupby
-from operator import attrgetter
-from typing import Dict, Iterable, List
+from operator import itemgetter
+from typing import Collection, Dict, Iterable, List
 
 from ..core.errors import WireProtocolError
-from ..core.records import RecordDirectory
+from ..core.records import RecordDirectory, records_on, value_columns
 from ..core.values import (
     CBag,
     CList,
@@ -86,8 +87,7 @@ _COLLECTION_TYPES = {"set": CSet, "bag": CBag, "list": CList}
 #: whatever ``json.loads`` produces for them.
 _PLAIN = frozenset((bool, int, float, str, type(None)))
 
-_DIRECTORY = attrgetter("directory")
-_VALUES = attrgetter("values")
+_DIRECTORY = itemgetter(0)  # of a record: its directory
 
 
 def encode_value(value: object) -> object:
@@ -130,33 +130,32 @@ def _encode_elements(elements: Iterable[object], depth: int) -> List[object]:
         directories = set(map(_DIRECTORY, elements))
         if len(directories) == 1:  # the homogeneous case: no per-element loop
             directory, = directories
-            return [_encode_block(directory, list(map(_VALUES, elements)),
-                                  depth)]
+            return [_encode_block(directory, elements, depth)]
     encoded: List[object] = []
     for directory, run in groupby(elements, _run_key):
         if directory is None:
             encoded.extend(_encode(element, depth) for element in run)
         else:
-            encoded.append(_encode_block(directory, list(map(_VALUES, run)),
-                                         depth))
+            encoded.append(_encode_block(directory, list(run), depth))
     return encoded
 
 
 def _run_key(element: object) -> object:
-    return element.directory if type(element) is Record else None
+    return element[0] if type(element) is Record else None
 
 
-def _encode_block(directory: RecordDirectory, rows: List[tuple],
+def _encode_block(directory: RecordDirectory, records: Collection[Record],
                   depth: int) -> dict:
-    """One ``rows`` block: the value tuples of ``rows``, column by column."""
+    """One ``rows`` block: ``records`` (all on ``directory``), column by
+    column."""
     _check_depth(depth)
-    columns = list(map(list, zip(*rows)))
+    columns = list(map(list, value_columns(records)))
     for index, column in enumerate(columns):
         if not _PLAIN.issuperset(map(type, column)):
             columns[index] = [field if type(field) in _PLAIN
                               else _encode(field, depth + 1)
                               for field in column]
-    return {"%": "rows", "labels": list(directory.labels), "n": len(rows),
+    return {"%": "rows", "labels": list(directory.labels), "n": len(records),
             "c": columns}
 
 
@@ -254,7 +253,7 @@ def _decode_rows(block: dict, depth: int,
         if empty_left[0] < 0:
             raise WireProtocolError(
                 f"more than {MAX_EMPTY_ROWS} zero-field records in one value")
-        return [Record(None, directory, ())] * count
+        return [Record.from_directory(directory, ())] * count
     if tuple(labels) != directory.labels:
         # Labels in the sender's order: one permutation of the columns.
         columns = list(map(dict(zip(labels, columns)).__getitem__,
@@ -264,4 +263,4 @@ def _decode_rows(block: dict, depth: int,
                      else _decode(field, depth + 1, empty_left)
                      for field in column]
                for column in columns]
-    return list(map(partial(Record, None, directory), zip(*columns)))
+    return list(records_on(directory, zip(*columns)))

@@ -129,23 +129,23 @@ class TestNumerals:
             parse_value("{ n %s }" % literal, self.REAL)
 
     def test_each_type_reads_its_own_kind(self):
-        assert type(parse_value("{ n -12 }", self.INTEGER)["n"]) is int
+        assert type(parse_value("{ n -12 }", self.INTEGER).project("n")) is int
         for literal, expected in (("5", 5.0), ("-1.5", -1.5), ("2e3", 2000.0)):
-            value = parse_value("{ n %s }" % literal, self.REAL)["n"]
+            value = parse_value("{ n %s }" % literal, self.REAL).project("n")
             assert type(value) is float and value == expected
 
     def test_non_finite_reals_print_as_asn1_names(self):
         assert print_value(float("inf")) == "PLUS-INFINITY"
         assert print_value(float("-inf")) == "MINUS-INFINITY"
         assert print_value(float("nan")) == "NOT-A-NUMBER"
-        value = parse_value("{ n MINUS-INFINITY }", self.REAL)["n"]
+        value = parse_value("{ n MINUS-INFINITY }", self.REAL).project("n")
         assert value == float("-inf")
 
     @given(st.integers() | st.floats(allow_nan=True, allow_infinity=True))
     def test_print_parse_round_trip(self, number):
         ty = self.REAL if isinstance(number, float) else self.INTEGER
         for field_type in (ty, T.RecordType({})):      # typed, and an untyped hole
-            value = parse_value(print_value(Record({"n": number})), field_type)["n"]
+            value = parse_value(print_value(Record({"n": number})), field_type).project("n")
             assert type(value) is type(number)
             assert math.isnan(value) if math.isnan(number) else value == number
 
@@ -280,7 +280,7 @@ class TestPruningParse:
             with pytest.raises(ASN1ParseError):
                 parse_value_with_path(broken, seq_entry_type, length)
         repeated = "{ seq { length 1 }, seq { length 2, length 3 } }"
-        assert parse_value(repeated, seq_entry_type)["seq"]["length"] == 3
+        assert parse_value(repeated, seq_entry_type).project("seq").project("length") == 3
         assert parse_value_with_path(repeated, seq_entry_type, length) == 3
 
     @pytest.mark.parametrize("element, text, tag", [

@@ -2,20 +2,27 @@
 projection as the engine runs it (a record head in the chunk lowering)."""
 
 import copy
+import gc
+import operator
 import pickle
+import sys
+import tracemalloc
 
 import pytest
 
-from repro.core.errors import EvaluationError
+from repro.core.errors import EvaluationError, WireProtocolError
+from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import _freeze_request_value, term_fingerprint
 from repro.core.records import (
     Record,
     RecordDirectory,
     directory_for,
     distinct_records,
 )
-from repro.core.values import CList
+from repro.core.values import CList, from_python
 from repro.kleisli.engine import KleisliEngine
+from repro.net.framing import encode_frame
 
 
 class TestRecordDirectory:
@@ -57,7 +64,7 @@ class TestRecord:
     def test_projection(self):
         record = Record({"title": "A", "year": 1989})
         assert record.project("title") == "A"
-        assert record["year"] == 1989
+        assert record.project("year") == 1989
         with pytest.raises(EvaluationError):
             record.project("missing")
 
@@ -87,6 +94,107 @@ class TestRecord:
     def test_records_are_hashable_set_elements(self):
         records = {Record({"a": 1}), Record({"a": 1}), Record({"a": 2})}
         assert len(records) == 2
+
+
+class TestRecordContract:
+    """What a record is, and what it refuses to be, whatever its layout."""
+
+    def test_equal_exactly_on_one_directory_with_equal_values(self):
+        record = Record({"a": 1, "b": "x"})
+        assert record == Record({"b": "x", "a": 1})
+        assert hash(record) == hash(Record({"b": "x", "a": 1}))
+        assert record != Record({"a": 2, "b": "x"})
+        assert Record({"a": 1}) != Record({"b": 1})
+        assert Record({"a": 1}) != Record({"a": 1, "b": 1})
+        assert Record({}) == Record({}) and Record({}) != Record({"a": 1})
+        for other in ((1, "x"), [1, "x"], CList([1, "x"]), 1, None):
+            assert record != other and other != record
+
+    def test_true_1_and_1_0_group_and_a_nan_equals_only_itself(self):
+        grouped = dict.fromkeys([Record({"a": True}), Record({"a": 1}),
+                                 Record({"a": 1.0})])
+        assert [type(record.project("a")) for record in grouped] == [bool]
+        nan = float("nan")
+        assert Record({"a": nan}) == Record({"a": nan})
+        assert Record({"a": nan}) != Record({"a": float("nan")})
+        assert len({Record({"a": nan}), Record({"a": nan}),
+                    Record({"a": float("nan")})}) == 2
+
+    def test_records_have_no_order(self):
+        a, b = Record({"a": 1}), Record({"a": 2})
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(a, b)
+            with pytest.raises(TypeError):
+                compare(a, (1,))
+            with pytest.raises(TypeError):
+                compare((1,), a)
+        with pytest.raises(TypeError):
+            sorted([b, a])
+
+    def test_a_record_is_not_iterable(self):
+        record = Record({"a": 1, "b": 2})
+        for attempt in (list, tuple, lambda r: [*r], lambda r: 1 in r):
+            with pytest.raises((TypeError, EvaluationError)):
+                attempt(record)
+
+    def test_len_is_the_field_count(self):
+        assert len(Record({"a": 1, "b": 2, "c": 3})) == 3
+        assert len(Record({})) == 0
+        assert not Record({}) and Record({"a": 0})
+
+    def test_pickle_and_copies_re_intern_the_directory(self):
+        inner = Record({"p": 1})
+        record = Record({"r": inner, "s": CList([inner]), "t": ""})
+        for twin in (pickle.loads(pickle.dumps(record)),
+                     copy.copy(record), copy.deepcopy(record)):
+            assert type(twin) is Record and twin == record
+            assert twin.directory is record.directory
+            assert twin.project("r").directory is inner.directory
+        empty = pickle.loads(pickle.dumps(Record({})))
+        assert empty == Record({}) and len(empty) == 0
+
+    def test_a_raw_record_in_a_frame_is_a_wire_protocol_error(self):
+        with pytest.raises(WireProtocolError):
+            encode_frame({"value": Record({"a": 1})})
+        with pytest.raises(WireProtocolError):
+            encode_frame({"value": [Record({})]})
+
+    def test_a_record_constant_is_not_a_tuple_constant(self):
+        record = Record({"a": 1})
+        items = (record.directory, *record.values)
+        assert term_fingerprint(B.const(record)) != term_fingerprint(B.const(items))
+
+    def test_tuple_dispatches_see_a_record_first(self):
+        """A record is a ``tuple`` now; the dispatches that take a tuple as
+        a sequence still take a record as a value."""
+        record = Record({"a": 1})
+        assert A._freeze(record) is record
+        assert _freeze_request_value(record) == ("Record", record)
+        for list_as in ("list", "set"):
+            assert from_python(record, list_as) is record
+
+    def test_a_bound_table_holds_under_100_bytes_per_record(self):
+        """Beyond its field values and the collection's own array, a
+        4 000-row, 5-field list holds one record object per row: 96 bytes
+        (a record object beside a values tuple would hold 136).  A full
+        collection empties the interpreter's free lists, which keep freed
+        tuples of the lift's own work and belong to no value."""
+        labels = ("a", "b", "c", "d", "e")
+        rows = [dict(zip(labels, (index, str(index), index % 7, "x", 0.5)))
+                for index in range(4000)]
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            lifted = from_python(rows, "list")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(lifted) == 4000 and lifted[7].project("b") == "7"
+        held -= sys.getsizeof(tuple(lifted))  # the collection's own array
+        assert held / 4000 <= 100, held / 4000
 
 
 def _project(rows, *labels):

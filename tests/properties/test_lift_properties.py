@@ -32,7 +32,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import types as T
-from repro.core.records import RecordDirectory
+from repro.core import values as values_module
+from repro.core.records import RecordDirectory, records_on
 from repro.core.values import (
     CBag,
     CList,
@@ -150,12 +151,24 @@ def test_true_1_and_1_0_are_one_element_of_a_bound_set():
                                            (("bool", True),)),))
 
 
-def test_a_bound_set_hashes_no_record():
+def test_a_bound_set_hashes_no_record(monkeypatch):
+    """The set is deduped on its value tuples: ``records_on`` is handed the
+    three distinct rows only, so no ``Record`` exists to be hashed before
+    the set does."""
+    built = []
+
+    def spy(directory, rows):
+        rows = list(rows)
+        built.append((directory, rows))
+        return records_on(directory, rows)
+
+    monkeypatch.setattr(values_module, "records_on", spy)
     rows = [{"a": index % 3, "b": "x"} for index in range(10)]
     lifted = from_python(rows, "set")
     assert [record.values for record in lifted] == [(0, "x"), (1, "x"),
                                                      (2, "x")]
-    assert all(record._hash is None for record in lifted)
+    assert built == [(RecordDirectory.for_labels(("a", "b")),
+                      [(0, "x"), (1, "x"), (2, "x")])]
 
 
 #: One strategy per exact scalar type a flat column can hold.

@@ -169,7 +169,7 @@ class TestProtocolBasics:
         for _ in range(30):
             if isinstance(value, CSet):
                 (value,) = value
-            value = value["a"] if isinstance(value, Record) else value.value
+            value = value.project("a") if isinstance(value, Record) else value.value
         assert value == 1
         assert client.query("{1}") == CSet([1])
 
