@@ -8,7 +8,7 @@ The package is organised as the paper's system is:
 * :mod:`repro.core` — CPL (the Collection Programming Language), the NRC monad
   algebra it is compiled to, and the rewrite-rule optimizer.
 * :mod:`repro.kleisli` — the extensible query engine: sessions, drivers, token
-  streams, the scheduler and the subquery cache.
+  streams and the scheduler.
 * :mod:`repro.relational`, :mod:`repro.asn1`, :mod:`repro.ace`,
   :mod:`repro.formats` — the external data-source substrates (a small
   relational engine standing in for Sybase/GDB, an ASN.1 + Entrez model

@@ -547,9 +547,14 @@ class Cached(Expr):
     them), and optimising one query twice gives one term and one compiled
     form.  The fingerprint of a ``Cached`` node leaves such a key out (it
     only repeats the subtree), so the keys of nested subqueries grow
-    linearly with their text.  Such an entry belongs to the run
-    that computed it, because its value depends on that run's bindings; a
-    key the caller chose names an entry every run of the engine shares.
+    linearly with their text.
+
+    The paper keeps the cached result "on disk".  Here an entry, under
+    either kind of key, belongs to the run that computed it (its value
+    depends on that run's bindings and sources): it lives in the run's
+    ``EvalContext.cache`` dict and goes with the run.  Equal keys in one run
+    share the entry.  Under a memory budget a large build side goes to disk
+    through the run's governed spill (``SpillManager.spilled_list``).
     """
 
     __slots__ = ("expr", "key")

@@ -103,6 +103,7 @@ from ..values import (
 from . import ast as A
 from .ast import free_variables
 from .eval import (
+    _MISSING,
     Closure,
     Environment,
     EvalContext,
@@ -171,10 +172,10 @@ class CompiledClosure:
     Like an interpreter :class:`~repro.core.nrc.eval.Closure`, the *bindings*
     are fixed at creation but the ambient context (driver executor, cache,
     statistics) is the one of whoever applies it: :meth:`apply_in` takes the
-    applying context, so a closure that outlives its run — stored in the
-    subquery cache, returned to user code — charges statistics to, and
-    resolves drivers through, the run that calls it.  ``__call__`` (the bare
-    Python-callable protocol) falls back to the creation context.
+    applying context, so a closure that outlives its run — returned to user
+    code — charges statistics to, and resolves drivers through, the run that
+    calls it.  ``__call__`` (the bare Python-callable protocol) falls back to
+    the creation context.
     """
 
     __slots__ = ("body_fn", "frame", "context")
@@ -202,7 +203,7 @@ def _apply_value(func: object, arg: object, context: EvalContext) -> object:
         return func.apply_in(arg, context)
     if isinstance(func, Closure):
         # An interpreter closure leaked across the boundary (e.g. out of a
-        # fallback subtree or the subquery cache): evaluate it there.
+        # fallback subtree or the run's cache): evaluate it there.
         return Evaluator(context).apply_function(func, arg)
     if callable(func):
         return func(arg)
@@ -823,33 +824,32 @@ def _compile_source(expr: A.Expr, scope: _Scope, state: _CompileState) -> _Compi
 
 @register_compiler(A.Cached)
 def _compile_cached(expr: A.Cached, scope, state, build_side: bool = False):
-    """``Cached``: computed on the first miss; a lazy stream is drained into a
-    list charged to the budget (ungoverned, this is ``cache_payload``).
+    """``Cached``: computed on its key's first use in the run and kept in the
+    run's ``context.cache``; a lazy stream is drained into a list charged to
+    the budget (ungoverned, this is ``cache_payload``).
 
     A ``build_side`` node is a generator source (the blocked join's inner
     side): it is only iterated, so under a spill manager its rows go to a
-    :class:`~repro.kleisli.spill.SpilledList` instead.  The spill files are
-    the run's, so only an entry private to the run (a content-derived key) may
-    hold them, and a reader of that entry that needs a collection (``count``,
+    :class:`~repro.kleisli.spill.SpilledList` instead, whose files go with
+    the run.  A reader of that entry that needs a collection (``count``,
     ``member``) turns them back into one.
     """
     inner_fn = _compile(expr.expr, scope, state)
     key = expr.key
-    spillable = build_side and key.startswith(A.Cached.CONTENT_PREFIX)
 
     def run(frame, context):
         cache = context.cache
         stats = context.statistics
-        if key in cache:
+        value = cache.get(key, _MISSING)
+        if value is not _MISSING:
             stats.cache_hits += 1
-            value = cache[key]
             if build_side or context.spill is None or not is_lazy_stream(value):
                 return value    # (else: spilled rows, wanted as a collection)
         else:
             stats.cache_misses += 1
             value = inner_fn(frame, context)
         if is_lazy_stream(value):
-            if spillable and context.spill is not None:
+            if build_side and context.spill is not None:
                 rows = context.spill.spilled_list()
                 rows.extend(iterate_source(value))
             else:
@@ -1258,7 +1258,7 @@ def _chunk_leaf(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
 
 register_chunk_compiler(A.Var)(_chunk_leaf)
 register_chunk_compiler(A.Const)(_chunk_leaf)
-# A Cached node is a deliberate materialization point: the subquery cache
+# A Cached node is a deliberate materialization point: the run's cache
 # stores whole collections, so the pipeline evaluates it eagerly (hitting the
 # cache) and chunks the cached value — exactly the leaf treatment, and
 # likewise not counted as a fallback.  The pipeline only iterates it, so it

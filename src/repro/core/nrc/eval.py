@@ -12,7 +12,8 @@ Evaluation needs three pieces of ambient context, bundled in
 * ``driver_executor`` — how to satisfy a :class:`~repro.core.nrc.ast.Scan`
   (the Kleisli engine supplies this; stand-alone evaluation of driver-free
   terms needs none),
-* ``cache`` — storage for :class:`~repro.core.nrc.ast.Cached` nodes,
+* ``cache`` — the run's own dict of :class:`~repro.core.nrc.ast.Cached`
+  values, filled on a key's first use and gone with the run,
 * ``statistics`` — counters (elements fetched, loop iterations) that the
   benchmarks report.
 """
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 
-#: Sentinel distinguishing "no binding" from a binding whose value is ``None``.
+#: Sentinel distinguishing "no binding" (or no cached value) from ``None``.
 _MISSING = object()
 
 
@@ -284,7 +285,6 @@ class EvalContext:
 
     def __init__(self, driver_executor: Optional[Callable] = None,
                  statistics: Optional[EvalStatistics] = None,
-                 cache: Optional[Dict[str, object]] = None,
                  driver_executor_batch: Optional[Callable] = None):
         self._driver_executor = driver_executor
         self._driver_executor_batch = driver_executor_batch
@@ -292,7 +292,9 @@ class EvalContext:
         #: batch twin) serves this run's scans, or ``None``: the two above do.
         self.engine = None
         self.statistics = statistics or EvalStatistics()
-        self.cache = cache if cache is not None else {}
+        #: The run's ``Cached`` values by key.  Worker tasks of the run store
+        #: here too: a ``get`` and a store are each atomic.
+        self.cache: Dict[str, object] = {}
         #: The :class:`~repro.core.nrc.compile.ChunkPolicy` governing chunk
         #: sizes for a chunked-pipeline run, or ``None`` for the default
         #: policy.  Set by ``KleisliEngine.stream`` (a run-time parameter, so
@@ -620,12 +622,12 @@ class Evaluator:
     def _eval_cached(self, expr: A.Cached, env: Environment) -> object:
         cache = self.context.cache
         stats = self.context.statistics
-        if expr.key in cache:
+        value = cache.get(expr.key, _MISSING)
+        if value is not _MISSING:
             stats.cache_hits += 1
-            return cache[expr.key]
+            return value
         stats.cache_misses += 1
-        value = cache_payload(self._eval(expr.expr, env))
-        cache[expr.key] = value
+        value = cache[expr.key] = cache_payload(self._eval(expr.expr, env))
         return value
 
     _DISPATCH = {}
@@ -701,11 +703,12 @@ def is_lazy_stream(value: object) -> bool:
 
 
 def cache_payload(value: object) -> object:
-    """What a ``Cached`` node stores: streams forced, everything else as-is.
+    """What a ``Cached`` node stores in its run's dict: streams forced,
+    everything else as-is.
 
-    Shared by both execution modes — compiled and interpreted runs write into
-    the same subquery cache, so what they store must be decided in one place
-    (the compiled ``Cached`` adds governance to the forcing and nothing else).
+    Shared by both execution modes, so a term stores the same value whichever
+    mode runs it (the compiled ``Cached`` adds governance to the forcing and
+    nothing else).
     """
     return materialise(value) if is_lazy_stream(value) else value
 

@@ -530,12 +530,6 @@ class KeyIndex:
         self.groups = groups
         self.rows = rows
 
-    def __reduce__(self):
-        # The subquery cache spills what it can pickle, and a spilled entry
-        # is read back whole on every access: once per probe.  An index is
-        # derived data, accounted for (and spilled) by the loop that built it.
-        raise TypeError("a KeyIndex is never pickled")
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<index: {self.rows} rows>"
 

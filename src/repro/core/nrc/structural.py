@@ -268,8 +268,9 @@ def unnest(collection: object, group_label: str) -> CSet:
 #   run time, and a fallback keeps that behavior);
 # * everything whose value is supplied from outside the term — ``Var``,
 #   ``Const``, ``Scan`` (a driver may answer with any class, or a lazy
-#   cursor), ``Cached`` (the shared subquery cache is not under this term's
-#   control), function application, primitives — is unproven.
+#   cursor), ``Cached`` (its entry may be a build side's spilled rows, or
+#   another subquery's under the same caller-named key), function
+#   application, primitives — is unproven.
 #
 # Soundness matters more than completeness here: a false "proven" would let
 # the streaming backend chain a union without ``union_like``'s operand class

@@ -10,7 +10,6 @@
 * :mod:`repro.kleisli.scheduler` — the one scheduler for remote requests: a
   bounded, order-preserving window, pinned at a declared server cap or
   narrowed by an undeclared server's rejections.
-* :mod:`repro.kleisli.cache` — the inner-subquery result cache.
 * :mod:`repro.kleisli.statistics` — statically registered statistics about
   remote sources (the paper found on-the-fly statistics impractical).
 """

@@ -13,7 +13,7 @@ remote and local data sources."  The engine is that middle layer:
   from registered/observed source statistics instead of a constant
   (:meth:`KleisliEngine.plan_for`; zero knowledge reproduces the historical
   defaults exactly);
-* the **evaluator context** — subquery cache, execution statistics;
+* the **evaluator context** — the run's cached subqueries and statistics;
 * ``execute`` / ``stream`` — eager evaluation and the pipelined variant that
   yields results as the outermost generator produces them (fast first
   response), both governed by the run options of :class:`QueryOptions`.
@@ -62,7 +62,6 @@ from ..obs import Observability
 from ..obs.metrics import RowWidthEstimator
 from ..obs.profile import ProbeTee, QueryProfile, StageCollector, aggregate_driver_spans
 from ..obs.trace import QueryTrace
-from .cache import SubqueryCache
 from .drivers.base import Driver, DriverFunction
 from .governance import (
     NOMINAL_ROW_BYTES,
@@ -101,8 +100,7 @@ class _CompileCache:
     the one engine (a ``ParallelExt`` body's subqueries, cross-session
     reuse), and an unlocked ``OrderedDict`` being reordered by ``get`` while
     another thread inserts can corrupt the linked list — and the hit/miss
-    counters' read-modify-writes would under-count (``SubqueryCache`` has
-    locked for the same reason all along).
+    counters' read-modify-writes would under-count.
     """
 
     __slots__ = ("limit", "hits", "misses", "evictions", "_entries", "_lock")
@@ -381,7 +379,6 @@ class KleisliEngine:
         self.driver_gates: Dict[str, _DriverGate] = {}
         self.driver_functions: Dict[str, Tuple[Driver, DriverFunction]] = {}
         self.statistics_registry = SourceStatisticsRegistry()
-        self.cache = SubqueryCache()
         self.optimizer_config = optimizer_config or OptimizerConfig()
         #: The cost-based planner.  Its compile-time hook gates parallel
         #: introduction inside the optimizer; :meth:`plan_for` asks it for
@@ -759,8 +756,7 @@ class KleisliEngine:
         This is what the query service's ``stats`` op reports, and what the
         multi-session soak tests assert consistency on: every counter here
         belongs to state that concurrent sessions share (the compile-cache
-        LRU, the subquery cache, per-driver request counts) or to
-        process-wide resource accounting
+        LRU, per-driver request counts) or to process-wide resource accounting
         (:meth:`~repro.core.nrc.eval.EvalScope.live_count` — open pipelined
         runs; zero when every cursor has been released).  Per-session state
         (CPL definitions, type environments, ``EvalScope`` contents) never
@@ -774,10 +770,6 @@ class KleisliEngine:
                 "hits": cache.hits, "misses": cache.misses,
                 "evictions": cache.evictions, "size": len(cache),
                 "limit": cache.limit,
-            },
-            "subquery_cache": {
-                "hits": self.cache.hits, "misses": self.cache.misses,
-                "size": len(self.cache),
             },
             "drivers": {name: driver.request_count
                         for name, driver in self.drivers.items()},
@@ -885,7 +877,7 @@ class KleisliEngine:
         statistics = EvalStatistics()
         self.last_eval_statistics = statistics
         self._thread_statistics.value = statistics
-        context = EvalContext(statistics=statistics, cache=self.cache.for_run())
+        context = EvalContext(statistics=statistics)
         context.on_source_failure = options.on_source_failure
         if options.deadline is not None:
             context.deadline = self.resilience.clock() + options.deadline

@@ -57,28 +57,44 @@ def integrated_session(chr22_dataset):
     return session
 
 
+def _record_run_contexts(monkeypatch, keep):
+    """Call ``keep(context)`` on each ``EvalContext`` an engine makes."""
+    from repro.kleisli.engine import KleisliEngine
+
+    make_context = KleisliEngine._make_context
+
+    def recording(self, *args, **kwargs):
+        context = make_context(self, *args, **kwargs)
+        keep(context)
+        return context
+
+    monkeypatch.setattr(KleisliEngine, "_make_context", recording)
+
+
 @pytest.fixture()
 def run_views(monkeypatch):
-    """Weak references to every run's subquery-cache view, taken with the
-    cyclic collector off: a view still alive once its run is over is one
-    that only a cyclic collection would free."""
-    from repro.kleisli.cache import SubqueryCache
-
+    """Weak references to every run's ``EvalContext`` (and so to its cached
+    subqueries), taken with the cyclic collector off: a context still alive
+    once its run is over is one that only a cyclic collection would free."""
     views = []
-    for_run = SubqueryCache.for_run
-
-    def recording(self):
-        view = for_run(self)
-        views.append(weakref.ref(view))
-        return view
-
-    monkeypatch.setattr(SubqueryCache, "for_run", recording)
+    _record_run_contexts(monkeypatch,
+                         lambda context: views.append(weakref.ref(context)))
     gc.collect()
     gc.disable()
     try:
         yield views
     finally:
         gc.enable()
+
+
+@pytest.fixture()
+def run_caches(monkeypatch):
+    """Each run's own dict of ``Cached`` values, in the order the runs
+    started.  Holding a dict keeps its values, not its run's context."""
+    caches = []
+    _record_run_contexts(monkeypatch,
+                         lambda context: caches.append(context.cache))
+    return caches
 
 
 @pytest.fixture()

@@ -1,9 +1,9 @@
-"""SubqueryCache accounting when one ``Cached`` node crosses execution modes.
+"""One ``Cached`` node run in both execution modes on one engine.
 
-The subquery cache lives on the engine (one per session), so a ``Cached``
-node evaluated first in compiled mode must be a cache *hit* when the same
-query later runs interpreted (and vice versa) — with the hit/miss counters
-on both the cache and the per-run ``EvalStatistics`` agreeing.
+A run's cached values live in that run's own dict, so a ``Cached`` node
+evaluated first in compiled mode is computed again when the same query later
+runs interpreted (and vice versa): each run counts one miss and a hit per
+further lookup, and both modes store the same materialised value.
 """
 
 import pytest
@@ -43,37 +43,25 @@ class TestCacheAcrossModes:
         (ExecutionMode.COMPILED, ExecutionMode.INTERPRET),
         (ExecutionMode.INTERPRET, ExecutionMode.COMPILED),
     ], ids=["compiled-then-interpreted", "interpreted-then-compiled"])
-    def test_second_mode_hits_the_first_modes_entry(self, session, first, second):
-        cache = session.engine.cache
+    def test_each_modes_run_fills_its_own_entry(self, session, first, second,
+                                                run_caches):
         value_first, stats_first = _run(session, first)
-
-        # First run: one miss populates the entry, the remaining |DB|-1
-        # lookups hit it.  SubqueryCache.misses stays 0 because the evaluator
-        # probes membership before reading.
-        assert stats_first.cache_misses == 1
-        assert stats_first.cache_hits == 4
-        assert cache.misses == 0
-        assert cache.hits == 4
-        assert "%shared-subquery" in cache
-
         value_second, stats_second = _run(session, second)
 
-        # Second run, other mode: the very first lookup is already a hit.
-        assert stats_second.cache_misses == 0
-        assert stats_second.cache_hits == 5
-        assert cache.hits == 9
-        assert cache.misses == 0
+        # Each run: one miss populates the entry, the remaining |DB|-1
+        # lookups hit it.  The second run does not see the first's entry.
+        for stats in (stats_first, stats_second):
+            assert (stats.cache_misses, stats.cache_hits) == (1, 4)
+        assert [list(cache) for cache in run_caches] == [["%shared-subquery"]] * 2
 
         assert value_first == value_second == CSet([121, 122, 123, 124, 125])
         assert stats_first.execution_mode != stats_second.execution_mode
 
-    def test_cached_value_is_materialised_identically(self, session):
+    def test_cached_value_is_materialised_identically(self, session, run_caches):
         """The cached payload written by either mode is a plain collection
-        (not a lazy stream), so the *other* mode can consume it directly."""
+        (not a lazy stream), and the same one."""
         _run(session, ExecutionMode.COMPILED)
-        payload = session.engine.cache["%shared-subquery"]
-        assert payload == CSet([20, 40, 60])
-        session.engine.cache.clear()
-        session.engine.cache.hits = 0
         _run(session, ExecutionMode.INTERPRET)
-        assert session.engine.cache["%shared-subquery"] == payload
+        compiled, interpreted = (cache["%shared-subquery"] for cache in run_caches)
+        assert type(compiled) is type(interpreted) is CSet
+        assert compiled == interpreted == CSet([20, 40, 60])

@@ -1,16 +1,15 @@
-"""The two lifetimes of a subquery-cache entry.
+"""Where a ``Cached`` node's value lives: in its run's own dict.
 
 A ``Cached`` node the optimizer introduces carries a key derived from the
 subquery's content, so re-optimising a query re-mints the same key.  Its value
-still belongs to one run: it goes through the engine's ``SubqueryCache``
-(counters, spill to disk) but a later run, or a concurrent one, never reads
-it, and it is dropped once its run is over.  A key the caller named is shared.
+still belongs to one run: it is kept in the run's ``EvalContext.cache``, a
+later run or a concurrent one never reads it, and it goes with its run.  A key
+the caller named is no different.  Equal keys in one run share one entry.
 """
 
 import copy
 import gc
 import importlib.util
-import os
 import pathlib
 
 from hypothesis import given, settings, strategies as st
@@ -18,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.compile import term_fingerprint
+from repro.core.nrc.prims import KeyIndex
 from repro.core.values import CSet, Record
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
@@ -50,12 +50,6 @@ def _query():
     inner = B.ext("y", B.singleton(B.prim("add", B.var("x"), B.var("y"))),
                   A.Cached(A.Scan("T", {"table": "t"}, kind="set")))
     return B.ext("x", inner, A.Const(CSet([1, 2, 3])))
-
-
-def _start_another_run(engine):
-    """Entries of finished (collected) runs go when the next run starts."""
-    gc.collect()
-    assert engine.execute(B.const(1), optimize=False) == 1
 
 
 def test_content_keys_are_stable_and_namespaced():
@@ -121,9 +115,10 @@ def _cached_nodes(expr):
     return found
 
 
-def test_a_content_keyed_entry_lives_in_the_engine_cache_for_one_run():
+def test_a_content_keyed_entry_lives_in_its_run(run_caches):
     engine = KleisliEngine()
     driver = engine.register_driver(TableDriver([10, 20]))
+    key = _query().body.source.key
     for mode in ("compiled", "interpret"):
         driver.requests = 0
         driver.rows = [10, 20]
@@ -132,33 +127,21 @@ def test_a_content_keyed_entry_lives_in_the_engine_cache_for_one_run():
         assert driver.requests == 1
         statistics = engine.last_eval_statistics
         assert (statistics.cache_misses, statistics.cache_hits) == (1, 2)
+        assert run_caches[-1] == {key: CSet([10, 20])}
 
         # The source changed: the same term, run again, must see it.
         driver.rows = [100]
         assert engine.execute(_query(), optimize=False, mode=mode) == CSet([101, 102, 103])
         assert driver.requests == 2
-    assert engine.health()["subquery_cache"]["hits"] == 8
-    _start_another_run(engine)
-    assert len(engine.cache) == 0
+        statistics = engine.last_eval_statistics
+        assert (statistics.cache_misses, statistics.cache_hits) == (1, 2)
+        assert run_caches[-1] == {key: CSet([100])}
 
 
-def test_a_large_content_keyed_entry_spills_and_its_file_goes_with_the_run():
+def test_an_index_entry_stays_in_memory_and_goes_with_the_run(run_caches, run_views):
+    """A cached index is probed once per outer row: it is kept as it was
+    built, in the run's dict, and nothing but the run holds it."""
     engine = KleisliEngine()
-    engine.cache.spill_threshold_bytes = 64
-    engine.register_driver(TableDriver(list(range(200))))
-    engine.execute(_query(), optimize=False)
-    assert engine.cache.spills == 1
-    assert len(os.listdir(engine.cache._directory)) == 1
-    _start_another_run(engine)
-    assert len(engine.cache) == 0
-    assert os.listdir(engine.cache._directory) == []
-
-
-def test_an_index_entry_stays_in_memory_and_goes_with_the_run():
-    """A spilled entry is read back whole on every access, and an index is
-    accessed once per probe: it is never written out, however large."""
-    engine = KleisliEngine()
-    engine.cache.spill_threshold_bytes = 64
     rows = CSet(Record({"k": i % 5, "v": i}) for i in range(200))
     query = B.ext("x", B.singleton(B.prim("count", B.ext(
         "y", A.IfThenElse(B.eq(B.project(B.var("y"), "k"), B.var("x")),
@@ -168,15 +151,16 @@ def test_an_index_entry_stays_in_memory_and_goes_with_the_run():
     assert engine.execute(query, {"ROWS": rows}) == CSet([40])
     statistics = engine.last_eval_statistics
     assert (statistics.cache_misses, statistics.cache_hits) == (1, 4)
-    assert engine.cache.spills == 0 and engine.cache._directory is None
-    assert len(engine.cache) == 1
-    _start_another_run(engine)
-    assert len(engine.cache) == 0
+    [index] = run_caches[0].values()
+    assert type(index) is KeyIndex and type(index.groups) is dict
+    assert index.rows == 200
+    assert len(run_views) == 1 and run_views[0]() is None
+    assert gc.get_referrers(run_caches[0]) == [run_caches]
 
 
 def test_a_run_context_is_not_cyclic_garbage(run_views):
-    """The view (and the values it owns) goes when its run does, not at the
-    next cyclic collection: on ``execute``, on a drained stream and on a
+    """The context (and the values it caches) goes when its run does, not at
+    the next cyclic collection: on ``execute``, on a drained stream and on a
     stream closed after one element."""
     session = Session()
     session.bind("OBS", [{"k": i % 4, "v": i} for i in range(40)], list_as="set")
@@ -190,12 +174,71 @@ def test_a_run_context_is_not_cyclic_garbage(run_views):
     assert [view() for view in run_views] == [None] * 3
 
 
-def test_a_named_entry_outlives_its_run():
+def test_a_named_entry_is_its_runs():
+    """A caller-named key names an entry of its run: within the run, equal
+    keys share it (``count`` and the value: one miss, one hit); the second
+    run asks the driver again."""
     engine = KleisliEngine()
     driver = engine.register_driver(TableDriver([1]))
     named = A.Cached(A.Scan("T", {"table": "t"}, kind="set"), key="named")
-    assert engine.execute(named, optimize=False) == CSet([1])
-    _start_another_run(engine)
-    assert engine.cache["named"] == CSet([1])
-    assert engine.execute(named, optimize=False) == CSet([1])
-    assert driver.requests == 1
+    term = B.record(n=B.prim("count", named), value=named)
+    for mode in ("compiled", "interpret"):
+        driver.requests = 0
+        for run in (1, 2):
+            assert engine.execute(term, optimize=False, mode=mode) == \
+                Record({"n": 1, "value": CSet([1])})
+            statistics = engine.last_eval_statistics
+            assert (statistics.cache_misses, statistics.cache_hits) == (1, 1)
+            assert driver.requests == run
+
+
+#: A semi-join whose set of keys is a cached subquery over ``T``.
+_ISOLATION_TEXT = "{o | \\o <- OUT, member(o, {t.k | \\t <- T})}"
+
+
+def _isolated_sessions(engine):
+    """Two sessions on ``engine`` that bind ``T`` to disjoint key sets."""
+    sessions = []
+    for keys in (range(0, 5), range(5, 10)):
+        session = Session(engine)
+        session.bind("OUT", list(range(10)), list_as="list")
+        session.bind("T", [{"k": k} for k in keys], list_as="set")
+        sessions.append(session)
+    return sessions
+
+
+def _interleave(first, second):
+    """Drain two streams of one length, one element of each in turn."""
+    pairs = list(zip(first, second))
+    assert next(second, None) is None
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def test_interleaved_runs_read_only_their_own_content_keyed_entry(run_caches):
+    engine = KleisliEngine()
+    left, right = _isolated_sessions(engine)
+    assert "cached(" in left.query(_ISOLATION_TEXT).optimized.pretty()
+    for mode in ("compiled", "interpret"):
+        del run_caches[:]
+        drained = _interleave(left.stream(_ISOLATION_TEXT, mode=mode),
+                              right.stream(_ISOLATION_TEXT, mode=mode))
+        assert drained == ([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])
+        assert [list(cache.values()) for cache in run_caches] == \
+            [[CSet(range(0, 5))], [CSet(range(5, 10))]]
+        assert all(key.startswith(A.Cached.CONTENT_PREFIX)
+                   for cache in run_caches for key in cache)
+
+
+def test_interleaved_runs_read_only_their_own_named_entry():
+    engine = KleisliEngine()
+    sessions = _isolated_sessions(engine)
+    keys = A.Cached(B.ext("t", B.singleton(B.project(B.var("t"), "k")),
+                          B.var("T")), key="named")
+    term = B.ext("o", B.if_then_else(B.prim("member", B.var("o"), keys),
+                                     B.singleton(B.var("o"), "list"),
+                                     B.empty("list")),
+                 B.var("OUT"), "list")
+    for mode in ("compiled", "interpret"):
+        left, right = (engine.stream(term, session.values, optimize=False,
+                                     mode=mode) for session in sessions)
+        assert _interleave(left, right) == ([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])

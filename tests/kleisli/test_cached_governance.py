@@ -89,14 +89,16 @@ def test_spilled_build_side_is_read_at_two_loop_levels_at_once(drain, kwargs):
     assert spilled.governor.snapshot()["spills"] == 1  # one entry, two readers
 
 
-def test_a_named_cache_entry_never_holds_spill_files():
-    """An entry under a caller's key outlives the run, its spill files do
-    not: the second run must find a value it can read."""
+def test_a_named_build_side_spills_like_any_other():
+    """A caller-named entry is its run's too: its build side goes to the
+    run's spill files, and each run computes and reads its own."""
     expr = _join_loop(_scan(2), A.Cached(_scan(COUNT), key="shared"),
                       B.eq(B.var("i"), B.var("o")), B.var("i"))
     engine = _engine()
-    for _ in range(2):
+    for run in (1, 2):
         assert _drain_eager(engine, expr, spill=True)[0] == [0, 1]
+        assert engine.last_eval_statistics.cache_misses == 1
+        assert engine.governor.snapshot()["spills"] == run
 
 
 def test_ungoverned_cached_stores_what_cache_payload_returns():

@@ -104,8 +104,7 @@ class TestThreadSafety:
     def test_concurrent_get_put_is_consistent(self):
         """Scheduler worker threads compile through one engine: concurrent
         get/put on the LRU must neither corrupt the OrderedDict nor lose
-        counter increments (regression: the cache had no lock, unlike
-        SubqueryCache)."""
+        counter increments (regression: the cache had no lock)."""
         import threading
 
         from repro.kleisli.engine import _CompileCache

@@ -1,15 +1,12 @@
-"""Tests for Kleisli components: token streams, scheduler, cache, statistics registry."""
+"""Tests for Kleisli components: token streams, scheduler, statistics registry."""
 
-import gc
 import itertools
-import os
 import threading
 import time
 
 import pytest
 
 from repro.core.values import CSet
-from repro.kleisli.cache import SubqueryCache
 from repro.kleisli.scheduler import Scheduler
 from repro.kleisli.statistics import SourceStatisticsRegistry
 from repro.kleisli.tokens import TokenStream
@@ -81,114 +78,6 @@ class TestPinnedScheduler:
     def test_rejects_invalid_worker_count(self):
         with pytest.raises(ValueError):
             Scheduler(max_workers=0)
-
-
-class TestSubqueryCache:
-    def test_basic_mapping_behaviour(self):
-        cache = SubqueryCache()
-        cache["k"] = CSet([1, 2])
-        assert "k" in cache
-        assert cache["k"] == CSet([1, 2])
-        assert len(cache) == 1
-        del cache["k"]
-        assert "k" not in cache
-
-    def test_miss_raises_and_counts(self):
-        cache = SubqueryCache()
-        with pytest.raises(KeyError):
-            cache["missing"]
-        assert cache.misses == 1
-
-    def test_large_values_spill_to_disk(self):
-        cache = SubqueryCache(spill_threshold_bytes=128)
-        cache["big"] = list(range(10000))
-        assert cache.spills == 1
-        assert cache["big"] == list(range(10000))
-
-    def test_unpicklable_values_stay_in_memory(self):
-        cache = SubqueryCache(spill_threshold_bytes=1)
-        cache["fn"] = lambda x: x
-        assert cache["fn"](3) == 3
-
-    def test_clear(self):
-        cache = SubqueryCache(spill_threshold_bytes=16)
-        cache["a"] = 1
-        cache["b"] = list(range(1000))
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_sizing_a_value_holds_up_no_other_lookup(self, monkeypatch):
-        """The spill-size probe (``pickle.dumps``) runs outside the lock: a
-        store stuck in it leaves every other key readable."""
-        import pickle
-
-        cache = SubqueryCache()
-        cache["other"] = CSet([1])
-        entered, release = threading.Event(), threading.Event()
-        dumps = pickle.dumps
-
-        def stuck(value, *args, **kwargs):
-            entered.set()
-            release.wait(10)
-            return dumps(value, *args, **kwargs)
-
-        monkeypatch.setattr(pickle, "dumps", stuck)
-        store = threading.Thread(target=cache.__setitem__, args=("big", CSet([2])))
-        store.start()
-        try:
-            assert entered.wait(10)
-            read = []
-            reader = threading.Thread(target=lambda: read.append(cache["other"]))
-            reader.start()
-            reader.join(2)
-            assert read == [CSet([1])]
-        finally:
-            release.set()
-            store.join(10)
-        assert not store.is_alive() and not reader.is_alive()
-        assert cache["big"] == CSet([2])
-
-    def test_no_directory_until_the_first_spill(self, tmp_path, monkeypatch):
-        import tempfile
-
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        from repro.kleisli.engine import KleisliEngine
-
-        engine = KleisliEngine()
-        engine.cache["small"] = CSet([1, 2])
-        assert engine.cache["small"] == CSet([1, 2])
-        assert engine.cache._directory is None and os.listdir(tmp_path) == []
-
-    def test_clear_removes_the_spill_directory(self):
-        cache = SubqueryCache(spill_threshold_bytes=16)
-        cache["big"] = list(range(1000))
-        directory = cache._directory
-        assert os.listdir(directory) != []
-        cache.clear()
-        assert not os.path.exists(directory) and cache._directory is None
-        cache["again"] = list(range(1000))   # a later spill makes a new one
-        assert cache["again"] == list(range(1000))
-        cache.clear()
-
-    def test_collecting_the_cache_removes_the_spill_directory(self):
-        cache = SubqueryCache(spill_threshold_bytes=16)
-        cache["big"] = list(range(1000))
-        directory = cache._directory
-        del cache
-        gc.collect()
-        assert not os.path.exists(directory)
-
-    def test_keys_with_colliding_hashes_keep_their_own_values(self):
-        # hash(-1) == hash(-2), and 7 and -7 hash to opposite numbers.
-        cache = SubqueryCache(spill_threshold_bytes=16)
-        keys = [-1, -2, 7, -7]
-        for key in keys:
-            cache[key] = [key] * 100
-        assert cache.spills == 4
-        assert [cache[key] for key in keys] == [[key] * 100 for key in keys]
-        del cache[-1]
-        assert cache[-2] == [-2] * 100
-        cache.clear()
 
 
 class TestStatisticsRegistry:

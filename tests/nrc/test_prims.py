@@ -149,12 +149,6 @@ class TestIndexAndProbe:
         with pytest.raises(EvaluationError):
             prim("probe", CList(), 1)
 
-    def test_an_index_never_goes_through_pickle(self):
-        import pickle
-
-        with pytest.raises(TypeError):
-            pickle.dumps(prim("index", self._pairs((1, "a"))))
-
 
 class TestMember:
     def test_member_of_a_set_is_hashed_and_means_eq(self):

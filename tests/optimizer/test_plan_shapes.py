@@ -450,16 +450,16 @@ LOCAL_PINS = [
     pytest.param(mode, *pin, id=pin[0] + ("" if mode == "compiled" else " interpreted"))
     for mode in ("compiled", "interpret") for pin in LOCAL_PINS])
 def test_local_relational_reads_each_inner_relation_once(
-        mode, label, text, iterations, misses, hits):
+        mode, label, text, iterations, misses, hits, run_caches):
     session = _session_for(workloads.build("local_relational", seed=22))
     for _ in range(2):  # a first send, then its prepared form again
         result = session.query(text, mode=mode)
         statistics = session.engine.last_eval_statistics
         assert (statistics.scan_requests, statistics.ext_iterations) == (0, iterations)
         assert (statistics.cache_misses, statistics.cache_hits) == (misses, hits)
-        # The entries are this run's own (the last run's went when it
-        # started): one per distinct subquery, count and max sharing theirs.
-        entries = list(session.engine.cache)
+        # The entries are this run's own: one per distinct subquery, count
+        # and max sharing theirs.
+        entries = list(run_caches[-1])
         assert len(entries) == misses
         assert all(entry.startswith(A.Cached.CONTENT_PREFIX) for entry in entries)
     assert result.value == session.query(text, optimize=False).value

@@ -37,11 +37,9 @@ STATS_KEYS = {
     "governance": {"cancellations", "spills", "bytes_spilled",
                    "rows_spilled", "budget_rejections", "watchdog_kills"},
     "observability": {"attached", "tracer", "slow_queries", "metric_count"},
-    "engine": {"compile_cache", "subquery_cache", "drivers", "live_scopes",
-               "resilience", "persistence", "governance", "observability",
-               "row_width"},
+    "engine": {"compile_cache", "drivers", "live_scopes", "resilience",
+               "persistence", "governance", "observability", "row_width"},
     "engine.compile_cache": {"hits", "misses", "evictions", "size", "limit"},
-    "engine.subquery_cache": {"hits", "misses", "size"},
     "engine.persistence": {"attached"},
     "engine.row_width": {"default", "sampled_rows", "sampled_bytes",
                          "row_bytes"},
@@ -125,8 +123,7 @@ def _stats_keys(client):
     for section in ("governance", "observability"):
         keys[section] = set(client.server_stats(section)[section])
     engine = full["engine"]
-    for name in ("compile_cache", "subquery_cache", "persistence",
-                 "row_width"):
+    for name in ("compile_cache", "persistence", "row_width"):
         keys["engine." + name] = set(engine[name])
     keys["engine.resilience.Faulty"] = set(engine["resilience"]["Faulty"])
     return keys

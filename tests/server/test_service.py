@@ -459,8 +459,7 @@ class TestStats:
         assert reply["server"]["queries"] >= 1
         assert reply["admission"]["policy"] == "queue"
         health = reply["engine"]
-        assert {"compile_cache", "subquery_cache",
-                "drivers", "live_scopes"} <= set(health)
+        assert {"compile_cache", "drivers", "live_scopes"} <= set(health)
         assert "plan_feedback" not in health
         assert health["compile_cache"]["misses"] >= 1
 
