@@ -11,12 +11,15 @@ import copy
 import gc
 import importlib.util
 import pathlib
+import threading
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.compile import term_fingerprint
+from repro.core.nrc.eval import is_lazy_stream
 from repro.core.nrc.prims import KeyIndex
 from repro.core.values import CSet, Record
 from repro.kleisli.drivers.base import Driver
@@ -242,3 +245,161 @@ def test_interleaved_runs_read_only_their_own_named_entry():
         left, right = (engine.stream(term, session.values, optimize=False,
                                      mode=mode) for session in sessions)
         assert _interleave(left, right) == ([0, 1, 2, 3, 4], [5, 6, 7, 8, 9])
+
+
+# ---------------------------------------------------------------------------
+# One run's dict, read the same way by both modes
+# ---------------------------------------------------------------------------
+
+MODES = pytest.mark.parametrize("mode", ["compiled", "interpret"])
+
+
+class TablesDriver(Driver):
+    """Serves each table of ``tables`` (a list or a factory of an iterable),
+    counting requests per table; a table in ``failing`` raises once."""
+
+    def __init__(self, tables, failing=()):
+        super().__init__("T")
+        self.tables = tables
+        self.failing = set(failing)
+        self.requests = {}
+
+    def _execute(self, request):
+        table = request["table"]
+        self.requests[table] = self.requests.get(table, 0) + 1
+        if table in self.failing:
+            self.failing.discard(table)
+            raise RuntimeError(f"{table} is down")
+        rows = self.tables[table]
+        return rows() if callable(rows) else CSet(rows)
+
+
+def _scan(table, key=None):
+    return A.Cached(A.Scan("T", {"table": table}, kind="set"), key=key)
+
+
+def _counted(cached):
+    """``[n = count(C), value = C]``: one miss, then one hit of one key."""
+    return B.record(n=B.prim("count", cached), value=cached)
+
+
+@MODES
+def test_an_empty_entry_is_still_a_hit(mode, run_caches):
+    """An empty result is a value like any other: the second use reads it
+    and does not ask the driver again."""
+    engine = KleisliEngine()
+    driver = engine.register_driver(TablesDriver({"t": []}))
+    cached = _scan("t")
+    assert engine.execute(_counted(cached), optimize=False, mode=mode) == \
+        Record({"n": 0, "value": CSet([])})
+    statistics = engine.last_eval_statistics
+    assert (statistics.cache_misses, statistics.cache_hits) == (1, 1)
+    assert driver.requests == {"t": 1}
+    assert run_caches == [{cached.key: CSet([])}]
+
+
+@MODES
+def test_distinct_keys_in_one_run_keep_their_own_entries(mode, run_caches):
+    """Two content keys and a named key over the same scan as one of them:
+    three entries, each filled once, each holding its own value."""
+    engine = KleisliEngine()
+    driver = engine.register_driver(TablesDriver({"t": [1, 2], "u": [7]}))
+    t, u, named = _scan("t"), _scan("u"), _scan("u", key="named")
+    term = B.record(t=t, u=u, named=named,
+                    again=B.record(t=t, u=u, named=named))
+    assert engine.execute(term, optimize=False, mode=mode) == Record({
+        "t": CSet([1, 2]), "u": CSet([7]), "named": CSet([7]),
+        "again": Record({"t": CSet([1, 2]), "u": CSet([7]), "named": CSet([7])})})
+    statistics = engine.last_eval_statistics
+    assert (statistics.cache_misses, statistics.cache_hits) == (3, 3)
+    assert driver.requests == {"t": 1, "u": 2}
+    assert run_caches == [{t.key: CSet([1, 2]), u.key: CSet([7]),
+                           "named": CSet([7])}]
+
+
+@MODES
+def test_a_failed_fill_leaves_no_entry(mode, run_caches):
+    """A subquery that raises stores nothing; the next run fills the key."""
+    engine = KleisliEngine()
+    driver = engine.register_driver(TablesDriver({"t": [1]}, failing={"t"}))
+    cached = _scan("t")
+    with pytest.raises(RuntimeError, match="t is down"):
+        engine.execute(_counted(cached), optimize=False, mode=mode)
+    assert run_caches == [{}]
+    assert engine.execute(_counted(cached), optimize=False, mode=mode) == \
+        Record({"n": 1, "value": CSet([1])})
+    assert driver.requests == {"t": 2}
+    assert run_caches[1] == {cached.key: CSet([1])}
+
+
+@MODES
+def test_a_drained_stream_is_the_entry_every_use_reads(mode, run_caches):
+    """A driver's lazy rows are drained once into the entry; the later use
+    reads that entry, not a second (exhausted) stream."""
+    engine = KleisliEngine()
+    driver = engine.register_driver(TablesDriver({"t": lambda: iter([3, 1, 2])}))
+    result = engine.execute(_counted(_scan("t")), optimize=False, mode=mode)
+    [entry] = run_caches[0].values()
+    assert not is_lazy_stream(entry) and list(entry) == [3, 1, 2]
+    assert result.project("n") == 3 and result.project("value") == entry
+    assert driver.requests == {"t": 1}
+
+
+@MODES
+def test_an_index_entry_is_built_once_per_run(mode, run_caches):
+    """The optimizer's cached index is built on the first outer row and
+    probed from the run's dict on every later one, in either mode."""
+    engine = KleisliEngine()
+    rows = CSet(Record({"k": i % 5, "v": i}) for i in range(200))
+    query = B.ext("x", B.singleton(B.prim("count", B.ext(
+        "y", A.IfThenElse(B.eq(B.project(B.var("y"), "k"), B.var("x")),
+                          B.singleton(B.project(B.var("y"), "v")), A.Empty("set")),
+        B.var("ROWS")))), A.Const(CSet(range(5))))
+    for run in (1, 2):
+        assert engine.execute(query, {"ROWS": rows}, mode=mode) == CSet([40])
+        statistics = engine.last_eval_statistics
+        assert (statistics.cache_misses, statistics.cache_hits) == (1, 4)
+    assert len(run_caches) == 2
+    for cache in run_caches:
+        [index] = cache.values()
+        assert type(index) is KeyIndex and index.rows == 200
+    first, second = (next(iter(cache.values())) for cache in run_caches)
+    assert first is not second
+
+
+@MODES
+def test_a_run_filling_its_entry_holds_up_no_other_run(mode, run_caches):
+    """No lock spans runs: while one run waits on its driver inside a
+    ``Cached`` fill, another run on the same engine fills and reads its own
+    entry and finishes."""
+    entered, release = threading.Event(), threading.Event()
+
+    def slow():
+        entered.set()
+        assert release.wait(10)
+        return iter([1, 2])
+
+    engine = KleisliEngine()
+    engine.register_driver(TablesDriver({"slow": slow, "fast": [5]}))
+    results = {}
+    stuck = threading.Thread(target=lambda: results.update(slow=engine.execute(
+        _counted(_scan("slow")), optimize=False, mode=mode)))
+    stuck.start()
+    try:
+        assert entered.wait(10)
+        fast = threading.Thread(target=lambda: results.update(fast=engine.execute(
+            _counted(_scan("fast")), optimize=False, mode=mode)))
+        fast.start()
+        fast.join(10)
+        assert not fast.is_alive()
+        assert results == {"fast": Record({"n": 1, "value": CSet([5])})}
+    finally:
+        release.set()
+        stuck.join(10)
+    assert not stuck.is_alive()
+    slow_result = results["slow"]
+    assert slow_result.project("n") == 2
+    assert list(slow_result.project("value")) == [1, 2]
+    slow_cache, fast_cache = run_caches
+    assert list(fast_cache.values()) == [CSet([5])]
+    assert [list(entry) for entry in slow_cache.values()] == [[1, 2]]
