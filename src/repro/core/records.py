@@ -17,11 +17,12 @@ paper reports a greater than two-fold speed-up.  The system settles a run of
 same-shape rows once at each of three boundaries:
 
 * **bind** — ``core.values.from_python`` lifts a flat table entering through
-  ``Session.bind`` and the relational and Entrez drivers column-wise: the
-  directory is resolved once, the values are taken with one ``itemgetter``
-  pass, and a set is deduped on its value tuples before any ``Record``
-  exists, so no bound record is hashed (any other data goes row by row
-  through ``lift_elements``, which resolves the directory once per run);
+  ``Session.bind`` and the Entrez driver column-wise, and the relational
+  driver lifts its ``(labels, value tuples)`` result the same way
+  (``values._lift_table``): the directory is resolved once, the values are
+  taken with one ``itemgetter`` pass, and a set is deduped on its value
+  tuples before any ``Record`` exists, so no bound record is hashed (any
+  other data goes element by element through ``lift_elements``);
 * **engine head** — the chunk lowering (``core.nrc.compile._record_plan``)
   resolves a record head's source slots once per source directory and dedups a
   set of heads on their value tuples (:func:`distinct_records`) before any

@@ -41,6 +41,7 @@ __all__ = [
     "Unit",
     "from_python",
     "lift_elements",
+    "lift_rows",
     "to_python",
     "infer_type",
     "empty_like",
@@ -362,14 +363,13 @@ def from_python(data: object, list_as: str = "list") -> object:
     * 2-tuple ``("<tag>", value)`` is *not* special-cased; build variants explicitly.
     * scalars pass through.
 
-    A ``list``/``tuple`` of flat rows — exact ``dict``s with one set of
-    string keys and exact scalar values — is a table and is lifted
-    column-wise: one key check, one ``itemgetter`` pass onto the interned
-    directory, one type check, and, for ``list_as="set"``, a dedup on the
-    value tuples before any :class:`Record` exists.  Anything else is lifted
-    element by element (:func:`lift_elements`); the two agree element for
-    element.  Drivers use this to lift the data they fetched into the
-    Kleisli data model.
+    A ``list``/``tuple`` of exact ``dict``s with one set of string keys is a
+    table: one key check, one ``itemgetter`` pass onto the interned
+    directory and one type check; when every value is an exact scalar it is
+    lifted column-wise, with, for ``list_as="set"``, a dedup on the value
+    tuples before any :class:`Record` exists, and otherwise row by row
+    (:func:`lift_rows`).  Anything else is lifted element by element
+    (:func:`lift_elements`); all three agree element for element.
     """
     if isinstance(data, (Record, CSet, CBag, CList, Variant, Ref, Unit)):
         return data
@@ -400,19 +400,32 @@ _DIRECTORY = itemgetter(0)  # of a record: its directory
 
 
 def _lift_collection(kind: str, rows: Iterable[object], list_as: str = "list"):
-    """``make_collection(kind, lift_elements(rows, list_as))``, column-wise
-    when ``rows`` is a flat table (:func:`from_python`).
+    """``make_collection(kind, lift_elements(rows, list_as))``, through
+    :func:`_lift_table` when ``rows`` are exact ``dict``s on one set of
+    string keys (:func:`from_python`).  The Entrez driver lifts its link
+    rows as ``_lift_collection("set", rows)``."""
+    table = _flat_table(rows)
+    if table is None:
+        return make_collection(kind, lift_elements(rows, list_as))
+    return _lift_table(kind, *table, list_as)
+
+
+def _lift_table(kind: str, labels: Tuple[str, ...], rows: Sequence[Tuple[object, ...]],
+                list_as: str = "list"):
+    """``make_collection(kind, lift_rows(labels, rows, list_as))``,
+    column-wise when every value is an exact scalar.  The relational driver
+    lifts a result, its unique output names and one value tuple per row,
+    this way.
 
     A set keeps each value tuple's first occurrence: on one directory
     tuple ``==`` *is* record equality (so ``True``, ``1`` and ``1.0``
     group, and a NaN only with itself), so the distinct rows are exactly
-    the set's elements and no ``Record`` is hashed.  Drivers lift a fetched
-    table of rows as ``_lift_collection("set", rows)``.
+    the set's elements and no ``Record`` is hashed.
     """
-    table = _flat_table(rows)
-    if table is None:
-        return make_collection(kind, lift_elements(rows, list_as))
-    directory, values = table
+    directory, in_label_order = _directory_of(labels)
+    values = list(map(in_label_order, rows)) if in_label_order else rows
+    if not _FLAT_FIELD_TYPES.issuperset(map(type, chain.from_iterable(values))):
+        return make_collection(kind, lift_rows(labels, rows, list_as))
     if kind == "set":
         values = dict.fromkeys(values)
     # Records as a list, so the collection's tuple has a known length: it
@@ -425,10 +438,9 @@ def _lift_collection(kind: str, rows: Iterable[object], list_as: str = "list"):
 
 
 def _flat_table(rows: Iterable[object]
-                ) -> Optional[Tuple[RecordDirectory, List[Tuple[object, ...]]]]:
-    """``(directory, value tuples)`` of a non-empty run of exact ``dict``s
-    on one set of string keys whose values are all exact scalars, else
-    ``None``."""
+                ) -> Optional[Tuple[Tuple[str, ...], List[Tuple[object, ...]]]]:
+    """``(labels, value tuples)``, the labels sorted, of a non-empty run of
+    exact ``dict``s on one set of string keys, else ``None``."""
     if not isinstance(rows, (list, tuple)) or not rows \
             or not {dict}.issuperset(map(type, rows)):
         return None
@@ -436,58 +448,44 @@ def _flat_table(rows: Iterable[object]
     if not keys or not {str}.issuperset(map(type, keys)) \
             or not {len(keys)}.issuperset(map(len, rows)):
         return None
-    directory = RecordDirectory.for_labels(keys)
-    labels = directory.labels
+    labels = tuple(sorted(keys))
     try:
         if len(labels) > 1:
-            values = list(map(itemgetter(*labels), rows))
-        else:
-            values = list(zip(map(itemgetter(labels[0]), rows)))
+            return labels, list(map(itemgetter(*labels), rows))
+        return labels, list(zip(map(itemgetter(labels[0]), rows)))
     except KeyError:    # same width, other keys
         return None
-    if not _FLAT_FIELD_TYPES.issuperset(map(type, chain.from_iterable(values))):
-        return None
-    return directory, values
 
 
 def lift_elements(elements: Iterable[object], list_as: str = "list") -> Iterator[object]:
-    """:func:`from_python` of each element, shape-once over runs of rows.
-
-    The per-element path, for data that is not one flat table and for a
-    lazily streamed result (drivers hand the iterator to a
-    ``TokenStream``).  Rows from a relational source are plain ``dict``s
-    with one key tuple, so the per-shape work — checking the keys, interning
-    the directory, sorting the labels — is done once per run of such dicts;
-    a row whose values are all exact scalars then becomes a :class:`Record`
-    built directly on the shared directory.  Every other element (``None``
-    or nested data among the values, a ``dict`` subclass or other
-    ``Mapping``, a key that is not a string, a non-dict) takes the
-    per-value path, which refuses such a key, so the result is element for
-    element what ``from_python`` returns.
-    """
-    keys = in_label_order = directory = None
-    for element in elements:
-        if type(element) is dict:
-            element_keys = tuple(element)
-            if element_keys != keys:
-                keys, directory = element_keys, None
-                if {str}.issuperset(map(type, keys)):
-                    directory = RecordDirectory.for_labels(keys)
-                    in_label_order = _values_getter(directory.labels)
-            if directory is not None:
-                values = in_label_order(element)
-                if _FLAT_FIELD_TYPES.issuperset(map(type, values)):
-                    yield tuple.__new__(Record, (directory, *values))
-                    continue
-        yield from_python(element, list_as)
+    """:func:`from_python` of each element, one at a time: the path for data
+    that is not one table of ``dict``s on one set of string keys."""
+    return (from_python(element, list_as) for element in elements)
 
 
-def _values_getter(labels: Tuple[str, ...]) -> Callable[[dict], Tuple[object, ...]]:
-    """``dict -> tuple`` of its values at ``labels`` (``itemgetter`` returns
-    a bare value, not a 1-tuple, for one label, and refuses none)."""
-    if len(labels) > 1:
-        return itemgetter(*labels)
-    return lambda row: tuple(row[label] for label in labels)
+def lift_rows(labels: Tuple[str, ...], rows: Iterable[Tuple[object, ...]],
+              list_as: str = "list") -> Iterator[Record]:
+    """The records of ``rows``, value tuples under the unique ``labels``, one
+    at a time on one interned directory: a row of exact scalars as it is,
+    any other row through :func:`from_python` value by value (a ``None``
+    becomes the unit value), as its ``dict`` would lift."""
+    directory, in_label_order = _directory_of(labels)
+    for values in map(in_label_order, rows) if in_label_order else rows:
+        if not _FLAT_FIELD_TYPES.issuperset(map(type, values)):
+            values = [from_python(value, list_as) for value in values]
+        yield tuple.__new__(Record, (directory, *values))
+
+
+def _directory_of(labels: Tuple[str, ...]
+                  ) -> Tuple[RecordDirectory, Optional[Callable[[tuple], tuple]]]:
+    """The directory of the unique ``labels``, and the ``tuple -> tuple``
+    that puts a row under ``labels`` in its label order (``None`` when the
+    row already is)."""
+    directory = RecordDirectory.for_labels(labels)
+    order = tuple(map(labels.index, directory.labels))
+    if order == tuple(range(len(order))):
+        return directory, None
+    return directory, itemgetter(*order)
 
 
 def to_python(value: object) -> object:

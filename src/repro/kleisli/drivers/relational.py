@@ -9,9 +9,14 @@ Request vocabulary (what :class:`~repro.core.nrc.ast.Scan` nodes carry):
 ``{"table": "<name>", "columns": [...], "where": [{"column", "op", "value"}...]}``
     Scan with server-side projection and selection (the partial pushdown form).
 
-Results come back as a set of CPL records.  When ``lazy`` is enabled the
-driver returns a :class:`~repro.kleisli.tokens.TokenStream` so the evaluator
-can pipeline (fast first response); materialising consumers are unaffected.
+The database answers ``(labels, rows)`` (:meth:`Database.rows`), locally or
+over the simulated link: its output names and one value tuple per row.  The
+driver builds the records on the labels' interned directory, so no row is a
+``dict`` on the way.  Results come back as a set of CPL records.  When
+``lazy`` is enabled the driver returns a
+:class:`~repro.kleisli.tokens.TokenStream` of the records one at a time so
+the evaluator can pipeline (fast first response); materialising consumers
+are unaffected.
 
 The driver only calls the :class:`~repro.relational.Database` it is given, and
 names the class only in annotations: importing this module does not import
@@ -22,10 +27,10 @@ it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ...core.errors import DriverError
-from ...core.values import _lift_collection, lift_elements
+from ...core.values import _lift_table, lift_rows
 from ...net.remote import RemoteSource
 from ..tokens import TokenStream
 from .base import Driver, DriverFunction
@@ -59,7 +64,7 @@ class RelationalDriver(Driver):
     def with_latency(cls, name: str, database: Database, latency: float = 0.02,
                      max_concurrent_requests: int = 5, lazy: bool = False) -> "RelationalDriver":
         """Build a driver whose database sits behind a simulated remote link."""
-        remote = RemoteSource(name, database.sql, latency=latency,
+        remote = RemoteSource(name, database.rows, latency=latency,
                               max_concurrent_requests=max_concurrent_requests)
         return cls(name, database, remote=remote, lazy=lazy)
 
@@ -106,15 +111,16 @@ class RelationalDriver(Driver):
         return [self._rows_to_result(rows)
                 for rows in self.remote.call_batch(statements)]
 
-    def _rows_to_result(self, rows: List[Dict[str, object]]):
+    def _rows_to_result(self, result: Tuple[Tuple[str, ...], Sequence[tuple]]):
+        labels, rows = result
         if self.lazy:
-            return TokenStream(lift_elements(rows), kind="set")
-        return _lift_collection("set", rows)
+            return TokenStream(lift_rows(labels, rows), kind="set")
+        return _lift_table("set", labels, rows)
 
-    def _run(self, sql: str) -> List[Dict[str, object]]:
+    def _run(self, sql: str) -> Tuple[Tuple[str, ...], List[tuple]]:
         if self.remote is not None:
             return self.remote.call(sql)
-        return self.database.sql(sql)
+        return self.database.rows(sql)
 
     def _build_sql(self, request: Dict[str, object]) -> str:
         table = str(request["table"])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import SQLExecutionError, SchemaError
 from .schema import Column, TableSchema
@@ -15,7 +15,7 @@ class Database:
     """A named collection of tables with a tiny catalog.
 
     The Kleisli relational driver holds one of these per "server" it is
-    connected to, and sends it SQL text through :meth:`sql`.
+    connected to, and sends it SQL text through :meth:`rows`.
     """
 
     def __init__(self, name: str = "db"):
@@ -60,11 +60,17 @@ class Database:
 
     # -- querying ---------------------------------------------------------------------
 
-    def sql(self, text: str) -> List[Dict[str, object]]:
-        """Parse and execute a SQL statement, returning rows as mappings."""
+    def rows(self, text: str) -> Tuple[Tuple[str, ...], List[Tuple[object, ...]]]:
+        """Parse and execute a SQL statement: ``(labels, rows)``, the output
+        names (unique) and one value tuple per row, in their order."""
         from .sql.executor import execute_sql
 
         return execute_sql(self, text)
+
+    def sql(self, text: str) -> List[Dict[str, object]]:
+        """:meth:`rows` with each row as a mapping from output name to value."""
+        labels, rows = self.rows(text)
+        return [dict(zip(labels, row)) for row in rows]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Database({self.name}, tables={self.table_names()})"

@@ -9,7 +9,7 @@ Grammar (roughly)::
     [LIMIT n]
 
 with predicates ``column op constant``, ``column op column``, ``column IN
-(constants)`` and ``column LIKE pattern`` (``%`` wildcards).  This covers the
+(constants)`` and ``column LIKE pattern`` (``%`` and ``_`` wildcards).  This covers the
 SQL the paper's optimizer generates when pushing CPL selections, projections
 and joins to the server (the Loci22 example), with a planner that uses indexes
 and statistics the way a real server would.

@@ -89,7 +89,7 @@ class InList:
 
 
 class Like:
-    """``column LIKE pattern`` with ``%`` wildcards."""
+    """``column LIKE pattern`` with ``%`` and ``_`` wildcards."""
 
     __slots__ = ("column", "pattern")
 

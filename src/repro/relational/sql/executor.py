@@ -1,268 +1,237 @@
 """Executor for SQL plans.
 
-Rows flow through the plan as dictionaries keyed ``alias.column``; the final
-projection renames them to the select-list names.  The executor is where index
-lookups, hash joins and residual filters actually run.
+Every node yields tuples.  A node's *layout* is the ``(alias, column)`` at
+each position of its rows: a scan's rows are the table's own
+``Table.rows`` entries, in schema order, and a join's are its left input's
+row followed by its right input's.  Every column a predicate, join key,
+select item or ORDER BY key names is resolved to a position before the
+first row is read, and each predicate becomes a closure over positions.
+The projection is one ``itemgetter``; the result is ``(labels, rows)``,
+the unique output names and one value tuple per row.  The executor is
+where index lookups, hash joins and residual filters actually run.
 """
 
 from __future__ import annotations
 
-import fnmatch
-from typing import Dict, Iterator, List, Optional, Tuple
+import operator
+import re
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Iterable, List, Tuple
 
 from ...core.errors import SQLExecutionError
 from ..database import Database
-from .ast import ColumnRef, Comparison, InList, Like, SelectStatement
+from .ast import ColumnRef, Comparison, InList, Like
 from .parser import parse_sql
 from .planner import (
     DistinctNode,
     HashJoinNode,
     LimitNode,
-    NestedLoopJoinNode,
     OrderNode,
     PlanNode,
-    ProjectNode,
     ScanNode,
     plan_query,
 )
 
 __all__ = ["execute_sql", "execute_plan"]
 
-Row = Dict[str, object]
+Row = Tuple[object, ...]
+Layout = List[Tuple[str, str]]
+Result = Tuple[Tuple[str, ...], List[Row]]
+
+_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def execute_sql(database: Database, text: str) -> List[Row]:
+def execute_sql(database: Database, text: str) -> Result:
     """Parse, plan and execute ``text`` against ``database``."""
-    statement = parse_sql(text)
-    plan = plan_query(database, statement)
-    return execute_plan(plan)
+    return execute_plan(plan_query(database, parse_sql(text)))
 
 
-def execute_plan(plan: PlanNode) -> List[Row]:
-    """Execute a plan tree and return the result rows."""
-    return list(_run(plan))
+def execute_plan(plan: PlanNode) -> Result:
+    """Execute a plan tree: ``(labels, rows)``.
+
+    The planner puts LIMIT over ORDER BY over DISTINCT over the projection
+    of the join tree, each but the projection optional.
+    """
+    limit = plan.limit if isinstance(plan, LimitNode) else None
+    node = plan.child if limit is not None else plan
+    keys = node.keys if isinstance(node, OrderNode) else ()
+    node = node.child if keys else node
+    distinct = isinstance(node, DistinctNode)
+    project = node.child if distinct else node
+    layout, rows = _rows(project.child)
+    labels, positions = _projection(project.columns, layout)
+    order = [(_order_position(ref, labels, positions, layout), descending)
+             for ref, descending in keys]
+    if positions != tuple(range(len(layout))):
+        rows = map(_getter(positions), rows)
+    if distinct:
+        rows = dict.fromkeys(rows)
+    if order:
+        rows = list(rows)
+        for position, descending in reversed(order):
+            rows.sort(key=lambda row, at=position: _rank(row[at]), reverse=descending)
+    if limit is not None:
+        rows = islice(rows, limit)
+    return labels, list(rows)
 
 
-def _run(node: PlanNode) -> Iterator[Row]:
+# ---------------------------------------------------------------------------
+# The join tree
+# ---------------------------------------------------------------------------
+
+def _rows(node: PlanNode) -> Tuple[Layout, Iterable[Row]]:
     if isinstance(node, ScanNode):
-        return _run_scan(node)
+        layout = [(node.alias, column) for column in node.table.schema.column_names]
+        return layout, _filtered(_scan(node), node.predicates, layout)
+    left_layout, left = _rows(node.left)
+    right_layout, right = _rows(node.right)
+    layout = left_layout + right_layout
     if isinstance(node, HashJoinNode):
-        return _run_hash_join(node)
-    if isinstance(node, NestedLoopJoinNode):
-        return _run_nested_loop(node)
-    if isinstance(node, ProjectNode):
-        return _run_project(node)
-    if isinstance(node, DistinctNode):
-        return _run_distinct(node)
-    if isinstance(node, OrderNode):
-        return _run_order(node)
-    if isinstance(node, LimitNode):
-        return _run_limit(node)
-    raise SQLExecutionError(f"cannot execute plan node {type(node).__name__}")
+        rows = _hash_join(left, right, itemgetter(_position(left_layout, node.left_key)),
+                          itemgetter(_position(right_layout, node.right_key)))
+        return layout, _filtered(rows, node.residual, layout)
+    return layout, _filtered(_product(left, right), node.predicates, layout)
 
 
-# ---------------------------------------------------------------------------
-# Scans
-# ---------------------------------------------------------------------------
-
-def _run_scan(node: ScanNode) -> Iterator[Row]:
+def _scan(node: ScanNode) -> Iterable[Row]:
+    table = node.table
     if node.index_column is not None:
-        source = node.table.lookup(node.index_column, node.index_value)
-    elif node.range_column is not None and node.range_bounds is not None:
-        low, high, include_low, include_high = node.range_bounds
-        source = node.table.range_lookup(node.range_column, low, high, include_low, include_high)
+        return table.lookup(node.index_column, node.index_value)
+    if node.range_column is not None and node.range_bounds is not None:
+        return table.range_lookup(node.range_column, *node.range_bounds)
+    return table.rows
+
+
+def _hash_join(left: Iterable[Row], right: Iterable[Row],
+               left_key: Callable, right_key: Callable) -> Iterable[Row]:
+    index = {}
+    for row in right:
+        index.setdefault(right_key(row), []).append(row)
+    for left_row in left:
+        for right_row in index.get(left_key(left_row), ()):
+            yield left_row + right_row
+
+
+def _product(left: Iterable[Row], right: Iterable[Row]) -> Iterable[Row]:
+    right = list(right)
+    for left_row in left:
+        for right_row in right:
+            yield left_row + right_row
+
+
+def _position(layout: Layout, ref: ColumnRef) -> int:
+    if ref.table is not None:
+        if (ref.table, ref.column) in layout:
+            return layout.index((ref.table, ref.column))
     else:
-        source = node.table.scan()
-    for raw in source:
-        row = {f"{node.alias}.{column}": value for column, value in raw.items()}
-        if all(_evaluate_predicate(predicate, row) for predicate in node.predicates):
-            yield row
+        matches = [at for at, (_, column) in enumerate(layout) if column == ref.column]
+        if len(matches) == 1:
+            return matches[0]
+    raise SQLExecutionError(f"cannot resolve column {ref!r}")
 
 
 # ---------------------------------------------------------------------------
-# Joins
+# Predicates: closures over positions
 # ---------------------------------------------------------------------------
 
-def _run_hash_join(node: HashJoinNode) -> Iterator[Row]:
-    build_rows = list(_run(node.right))
-    index: Dict[object, List[Row]] = {}
-    right_key = _qualified_name(node.right_key)
-    for row in build_rows:
-        index.setdefault(_row_value(row, right_key), []).append(row)
-    left_key = _qualified_name(node.left_key)
-    for left_row in _run(node.left):
-        key = _row_value(left_row, left_key)
-        for right_row in index.get(key, ()):
-            combined = dict(left_row)
-            combined.update(right_row)
-            if all(_evaluate_predicate(p, combined) for p in node.residual):
-                yield combined
+def _filtered(rows: Iterable[Row], predicates: List[object], layout: Layout) -> Iterable[Row]:
+    for predicate in predicates:
+        rows = filter(_predicate(predicate, layout), rows)
+    return rows
 
 
-def _run_nested_loop(node: NestedLoopJoinNode) -> Iterator[Row]:
-    right_rows = list(_run(node.right))
-    for left_row in _run(node.left):
-        for right_row in right_rows:
-            combined = dict(left_row)
-            combined.update(right_row)
-            if all(_evaluate_predicate(p, combined) for p in node.predicates):
-                yield combined
-
-
-# ---------------------------------------------------------------------------
-# Projection and friends
-# ---------------------------------------------------------------------------
-
-def _run_project(node: ProjectNode) -> Iterator[Row]:
-    for row in _run(node.child):
-        yield _project_row(node, row)
-
-
-def _project_row(node: ProjectNode, row: Row) -> Row:
-    result: Row = {}
-    for name, ref in node.columns:
-        if ref is None and name == "*":
-            for key, value in row.items():
-                result[key.split(".", 1)[1]] = value
-            continue
-        if ref is not None and ref.column == "*":
-            prefix = f"{ref.table}."
-            for key, value in row.items():
-                if key.startswith(prefix):
-                    result[key.split(".", 1)[1]] = value
-            continue
-        result[name] = _row_value(row, _qualified_name(ref))
-    return result
-
-
-def _run_distinct(node: DistinctNode) -> Iterator[Row]:
-    seen = set()
-    for row in _run(node.child):
-        key = tuple(sorted(row.items()))
-        if key not in seen:
-            seen.add(key)
-            yield row
-
-
-def _run_order(node: OrderNode) -> Iterator[Row]:
-    rows = list(_run(node.child))
-
-    def sort_key(row: Row):
-        key = []
-        for name, descending in node.keys:
-            value = row.get(name)
-            key.append(_Reversed(value) if descending else _Forward(value))
-        return key
-
-    rows.sort(key=sort_key)
-    return iter(rows)
-
-
-class _Forward:
-    """Total-order wrapper tolerating None and mixed types."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def _rank(self):
-        value = self.value
-        if value is None:
-            return (0, "")
-        if isinstance(value, bool):
-            return (1, value)
-        if isinstance(value, (int, float)):
-            return (2, value)
-        return (3, str(value))
-
-    def __lt__(self, other: "_Forward") -> bool:
-        return self._rank() < other._rank()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Forward) and self._rank() == other._rank()
-
-
-class _Reversed(_Forward):
-    def __lt__(self, other: "_Forward") -> bool:
-        return other._rank() < self._rank()
-
-
-def _run_limit(node: LimitNode) -> Iterator[Row]:
-    count = 0
-    for row in _run(node.child):
-        if count >= node.limit:
-            return
-        count += 1
-        yield row
-
-
-# ---------------------------------------------------------------------------
-# Predicate evaluation
-# ---------------------------------------------------------------------------
-
-def _qualified_name(ref: ColumnRef) -> str:
-    return f"{ref.table}.{ref.column}" if ref.table else ref.column
-
-
-def _row_value(row: Row, name: str) -> object:
-    if name in row:
-        return row[name]
-    # Unqualified lookup: match a unique `alias.column` suffix.
-    suffix = "." + name
-    matches = [key for key in row if key.endswith(suffix)]
-    if len(matches) == 1:
-        return row[matches[0]]
-    if not matches:
-        raise SQLExecutionError(f"row has no column {name!r}")
-    raise SQLExecutionError(f"ambiguous column {name!r} in row")
-
-
-def _evaluate_predicate(predicate: object, row: Row) -> bool:
-    if isinstance(predicate, Comparison):
-        return _evaluate_comparison(predicate, row)
-    if isinstance(predicate, InList):
-        value = _operand_value(predicate.column, row)
-        return value in predicate.values
-    if isinstance(predicate, Like):
-        value = _operand_value(predicate.column, row)
-        if not isinstance(value, str):
-            return False
-        pattern = predicate.pattern.replace("%", "*").replace("_", "?")
-        return fnmatch.fnmatch(value, pattern)
-    raise SQLExecutionError(f"cannot evaluate predicate {predicate!r}")
-
-
-def _operand_value(operand: object, row: Row) -> object:
+def _operand(operand: object, layout: Layout) -> Callable[[Row], object]:
     if isinstance(operand, ColumnRef):
-        return _row_value(row, _qualified_name(operand))
-    return operand
+        return itemgetter(_position(layout, operand))
+    return lambda row: operand
 
 
-def _evaluate_comparison(predicate: Comparison, row: Row) -> bool:
-    left = _operand_value(predicate.left, row)
-    if predicate.op == "is null":
-        return left is None
-    if predicate.op == "is not null":
-        return left is not None
-    right = _operand_value(predicate.right, row)
-    if predicate.op == "=":
-        return left == right
-    if predicate.op == "<>":
-        return left != right
-    if left is None or right is None:
-        return False
+def _predicate(predicate: object, layout: Layout) -> Callable[[Row], bool]:
+    if isinstance(predicate, InList):
+        value, values = _operand(predicate.column, layout), predicate.values
+        return lambda row: value(row) in values
+    if isinstance(predicate, Like):
+        value, match = _operand(predicate.column, layout), _like(predicate.pattern)
+        return lambda row: isinstance(text := value(row), str) and match(text) is not None
+    if not isinstance(predicate, Comparison):
+        raise SQLExecutionError(f"cannot evaluate predicate {predicate!r}")
+    left, op = _operand(predicate.left, layout), predicate.op
+    if op == "is null":
+        return lambda row: left(row) is None
+    if op == "is not null":
+        return lambda row: left(row) is not None
+    right = _operand(predicate.right, layout)
+    if op == "=":
+        return lambda row: left(row) == right(row)
+    if op == "<>":
+        return lambda row: left(row) != right(row)
+    compare = _ORDERED.get(op)
+    if compare is None:
+        raise SQLExecutionError(f"unknown comparison operator {op!r}")
+
+    def ordered(row: Row) -> bool:
+        a, b = left(row), right(row)
+        if a is None or b is None:
+            return False
+        try:
+            return compare(a, b)
+        except TypeError:
+            raise SQLExecutionError(f"cannot compare {a!r} and {b!r} with {op}")
+    return ordered
+
+
+def _like(pattern: str) -> Callable[[str], object]:
+    """The matcher of a LIKE pattern: ``%`` and ``_`` are its only wildcards."""
+    regex = "".join(".*" if char == "%" else "." if char == "_" else re.escape(char)
+                    for char in pattern)
+    return re.compile(regex, re.DOTALL).fullmatch
+
+
+# ---------------------------------------------------------------------------
+# Projection and ORDER BY
+# ---------------------------------------------------------------------------
+
+def _projection(columns, layout: Layout) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+    """The output names and the position each reads.  A name given twice
+    keeps its first place and its last column, as a dict row would."""
+    slots = {}
+    for name, ref in columns:
+        if ref is None or ref.column == "*":
+            for at, (alias, column) in enumerate(layout):
+                if ref is None or alias == ref.table:
+                    slots[column] = at
+        else:
+            slots[name] = _position(layout, ref)
+    return tuple(slots), tuple(slots.values())
+
+
+def _getter(positions: Tuple[int, ...]) -> Callable[[Row], Row]:
+    """A tuple of the values at ``positions`` (a slice when they run on)."""
+    first = positions[0] if positions else 0
+    if positions == tuple(range(first, first + len(positions))):
+        return itemgetter(slice(first, first + len(positions)))
+    return itemgetter(*positions)
+
+
+def _order_position(ref: ColumnRef, labels: Tuple[str, ...], positions: Tuple[int, ...],
+                    layout: Layout) -> int:
+    """The output position an ORDER BY key sorts on: the output name it
+    spells, else the output column it names."""
+    if ref.table is None and ref.column in labels:
+        return labels.index(ref.column)
     try:
-        if predicate.op == "<":
-            return left < right
-        if predicate.op == "<=":
-            return left <= right
-        if predicate.op == ">":
-            return left > right
-        if predicate.op == ">=":
-            return left >= right
-    except TypeError:
-        raise SQLExecutionError(
-            f"cannot compare {left!r} and {right!r} with {predicate.op}"
-        )
-    raise SQLExecutionError(f"unknown comparison operator {predicate.op!r}")
+        return positions.index(_position(layout, ref))
+    except (SQLExecutionError, ValueError):
+        raise SQLExecutionError(f"ORDER BY {ref!r} names no output column") from None
+
+
+def _rank(value: object) -> Tuple[int, object]:
+    """A sort key over mixed types: None < bool < number < str."""
+    if value is None:
+        return (0, "")
+    if isinstance(value, bool):
+        return (1, value)
+    if isinstance(value, (int, float)):
+        return (2, value)
+    return (3, str(value))

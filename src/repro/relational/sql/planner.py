@@ -7,7 +7,8 @@ The planner turns a parsed :class:`SelectStatement` into a small plan tree:
   filtered full scan otherwise;
 * a join order chosen greedily by estimated cardinality (statistics-driven,
   as the paper expects of the server Kleisli pushes joins to);
-* hash joins for equi-join predicates, nested-loop joins otherwise;
+* hash joins for equi-join predicates, nested-loop joins (filtered by the
+  predicates they cover) otherwise;
 * projection, DISTINCT, ORDER BY and LIMIT on top.
 
 :func:`explain_query` renders the chosen plan as text; tests use it to verify
@@ -143,12 +144,14 @@ class DistinctNode(PlanNode):
 
 
 class OrderNode(PlanNode):
-    def __init__(self, child: PlanNode, keys: List[Tuple[str, bool]]):
+    def __init__(self, child: PlanNode, keys: List[Tuple[ColumnRef, bool]]):
         self.child = child
+        # Each key is (column ref, descending); the executor resolves the ref
+        # to an output column.
         self.keys = keys
 
     def explain(self, indent: int = 0) -> str:
-        rendered = ", ".join(f"{name} {'DESC' if desc else 'ASC'}" for name, desc in self.keys)
+        rendered = ", ".join(f"{ref!r} {'DESC' if desc else 'ASC'}" for ref, desc in self.keys)
         return "  " * indent + f"Order [{rendered}]\n" + self.child.explain(indent + 1)
 
 
@@ -223,9 +226,6 @@ def plan_query(database: Database, statement: SelectStatement) -> PlanNode:
         if len(distinct_aliases) <= 1:
             alias = distinct_aliases[0] if distinct_aliases else next(iter(resolver.aliases))
             single_table[alias].append(predicate)
-        elif (isinstance(predicate, Comparison) and predicate.op == "="
-              and isinstance(predicate.left, ColumnRef) and isinstance(predicate.right, ColumnRef)):
-            join_predicates.append(predicate)
         else:
             join_predicates.append(predicate)
 
@@ -239,12 +239,7 @@ def plan_query(database: Database, statement: SelectStatement) -> PlanNode:
     if statement.distinct:
         plan = DistinctNode(plan)
     if statement.order_by:
-        keys = []
-        for item in statement.order_by:
-            name = item.column.column if item.column.table is None else \
-                f"{item.column.table}.{item.column.column}"
-            keys.append((name, item.descending))
-        plan = OrderNode(plan, keys)
+        plan = OrderNode(plan, [(item.column, item.descending) for item in statement.order_by])
     if statement.limit is not None:
         plan = LimitNode(plan, statement.limit)
     return plan
@@ -302,9 +297,11 @@ def _build_join_tree(scans: Dict[str, ScanNode], join_predicates: List[Compariso
     while remaining_aliases:
         chosen = _choose_next_join(joined, remaining_aliases, remaining_predicates, resolver)
         if chosen is None:
-            # No connecting predicate: fall back to a cross join with the smallest input.
+            # No connecting equality: a nested loop with the smallest input,
+            # filtered by the predicates it covers.
             alias = min(remaining_aliases, key=lambda a: remaining_aliases[a].estimated_rows())
-            plan = NestedLoopJoinNode(plan, remaining_aliases.pop(alias), [])
+            residual = _take_residual_predicates(joined | {alias}, remaining_predicates, resolver)
+            plan = NestedLoopJoinNode(plan, remaining_aliases.pop(alias), residual)
             joined.add(alias)
             continue
         alias, predicate, left_key, right_key = chosen
@@ -313,14 +310,7 @@ def _build_join_tree(scans: Dict[str, ScanNode], join_predicates: List[Compariso
         residual = _take_residual_predicates(joined | {alias}, remaining_predicates, resolver)
         plan = HashJoinNode(plan, right_scan, left_key, right_key, residual)
         joined.add(alias)
-    if remaining_predicates:
-        plan = NestedLoopJoinNode(plan, _EmptyNode(), remaining_predicates)  # pragma: no cover
     return plan
-
-
-class _EmptyNode(PlanNode):  # pragma: no cover - defensive only
-    def explain(self, indent: int = 0) -> str:
-        return "  " * indent + "Empty"
 
 
 def _choose_next_join(joined: set, remaining: Dict[str, ScanNode],
@@ -329,7 +319,9 @@ def _choose_next_join(joined: set, remaining: Dict[str, ScanNode],
     best = None
     best_rows = None
     for predicate in predicates:
-        if not (isinstance(predicate.left, ColumnRef) and isinstance(predicate.right, ColumnRef)):
+        if not (isinstance(predicate, Comparison) and predicate.op == "="
+                and isinstance(predicate.left, ColumnRef)
+                and isinstance(predicate.right, ColumnRef)):
             continue
         left_alias, _ = resolver.resolve(predicate.left)
         right_alias, _ = resolver.resolve(predicate.right)
@@ -366,10 +358,10 @@ def _resolve_select_list(statement: SelectStatement,
             columns.append(("*", None))
             continue
         ref = item.column
+        resolver.resolve(ref)
         if ref.column == "*":
             columns.append((f"{ref.table}.*", ref))
             continue
-        resolver.resolve(ref)
         name = item.alias or ref.column
         columns.append((name, ref))
     return columns

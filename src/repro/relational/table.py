@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import SchemaError
 from .indexes import HashIndex, SortedIndex
@@ -15,10 +15,11 @@ __all__ = ["Table"]
 class Table:
     """A heap of rows with a schema, optional indexes and statistics.
 
-    Rows are stored as tuples in schema column order.  Primary-key uniqueness
-    is enforced on insert.  Secondary indexes are created explicitly (the GDB
-    stand-in creates them on join columns, mirroring "pre-computed indexes" on
-    the server) and maintained incrementally.
+    Rows are stored as tuples in schema column order, and lookups return
+    those tuples.  Primary-key uniqueness is enforced on insert.  Secondary
+    indexes are created explicitly (the GDB stand-in creates them on join
+    columns, mirroring "pre-computed indexes" on the server) and maintained
+    incrementally.
     """
 
     def __init__(self, schema: TableSchema):
@@ -94,36 +95,25 @@ class Table:
 
     # -- access ------------------------------------------------------------------------
 
-    def scan(self) -> Iterator[Dict[str, object]]:
-        """Yield every row as a mapping (a full table scan)."""
-        names = self.schema.column_names
-        for row in self.rows:
-            yield dict(zip(names, row))
-
-    def row_at(self, position: int) -> Dict[str, object]:
-        return dict(zip(self.schema.column_names, self.rows[position]))
-
-    def lookup(self, column: str, value: object) -> List[Dict[str, object]]:
-        """Exact-match lookup, via an index when one exists."""
+    def lookup(self, column: str, value: object) -> List[Tuple[object, ...]]:
+        """Exact-match lookup, via an index when one exists: the matching rows."""
         if column in self.hash_indexes:
-            positions = self.hash_indexes[column].lookup(value)
-            return [self.row_at(position) for position in positions]
+            return list(map(self.rows.__getitem__, self.hash_indexes[column].lookup(value)))
         if column in self.sorted_indexes:
-            positions = self.sorted_indexes[column].lookup(value)
-            return [self.row_at(position) for position in positions]
+            return list(map(self.rows.__getitem__, self.sorted_indexes[column].lookup(value)))
         position = self.schema.position(column)
-        return [self.row_at(i) for i, row in enumerate(self.rows) if row[position] == value]
+        return [row for row in self.rows if row[position] == value]
 
     def range_lookup(self, column: str, low: Optional[object] = None,
                      high: Optional[object] = None, include_low: bool = True,
-                     include_high: bool = True) -> List[Dict[str, object]]:
-        """Range lookup, via a sorted index when one exists."""
+                     include_high: bool = True) -> List[Tuple[object, ...]]:
+        """Range lookup, via a sorted index when one exists: the matching rows."""
         if column in self.sorted_indexes:
             positions = self.sorted_indexes[column].range(low, high, include_low, include_high)
-            return [self.row_at(position) for position in positions]
+            return list(map(self.rows.__getitem__, positions))
         position = self.schema.position(column)
         result = []
-        for i, row in enumerate(self.rows):
+        for row in self.rows:
             value = row[position]
             if value is None:
                 continue
@@ -131,7 +121,7 @@ class Table:
                 continue
             if high is not None and (value > high or (value == high and not include_high)):
                 continue
-            result.append(self.row_at(i))
+            result.append(row)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

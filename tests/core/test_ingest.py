@@ -1,7 +1,7 @@
 """Shape-once ingest equals element-by-element ingest.
 
 ``from_python`` lifts a flat table column-wise and resolves a record
-directory once per run of plain dicts that share a key tuple, and
+directory once for a list of plain dicts that share a key set, and
 ``infer_type`` types a flat row shape once.  Both must give, value- and
 type-exactly, what lifting and typing every element on its own gives; the
 per-value recursion and the per-element merge below are the references.  A

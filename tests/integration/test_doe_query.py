@@ -110,3 +110,49 @@ class TestParameterisedView:
         rows = doe_session.run(f'loci-in-band("{band}")')
         assert len(rows) >= 1
         assert all(row.project("band") == band for row in rows)
+
+
+class TestTupleRows:
+    """GDB's answer crosses from ``Table.rows`` to the records as value
+    tuples, locally and over the simulated link: the dict view
+    ``Database.sql`` is never called, and no row carrying a GDB column
+    reaches ``values._flat_table``, the dict-row lift (the Entrez link rows
+    still take it)."""
+
+    @pytest.mark.parametrize("remote", [False, True], ids=["local", "with_latency"])
+    def test_the_doe_query_lifts_no_dict_row(self, chr22_dataset, monkeypatch, remote):
+        from repro.core import values
+        from repro.kleisli.drivers import EntrezDriver, RelationalDriver
+        from repro.kleisli.session import Session
+        from repro.relational import Database
+
+        def session(gdb_driver):
+            session = Session()
+            session.register_driver(gdb_driver)
+            session.register_driver(EntrezDriver("GenBank", chr22_dataset.genbank))
+            session.run(LOCI22)
+            session.run(ASN_IDS)
+            return session
+
+        gdb = chr22_dataset.gdb
+        expected = session(RelationalDriver("GDB", gdb)).run(DOE_QUERY)
+        gdb_columns = {column for table in gdb.tables.values()
+                       for column in table.schema.column_names}
+        flat_table = values._flat_table
+
+        def no_gdb_dict_rows(rows):
+            assert not any(gdb_columns & set(row) for row in rows
+                           if isinstance(row, dict)), rows
+            return flat_table(rows)
+
+        def no_dict_view(self, text):
+            raise AssertionError(f"Database.sql({text!r})")
+
+        monkeypatch.setattr(values, "_flat_table", no_gdb_dict_rows)
+        monkeypatch.setattr(Database, "sql", no_dict_view)
+        driver = (RelationalDriver.with_latency("GDB", gdb, latency=0.001) if remote
+                  else RelationalDriver("GDB", gdb))
+        answer = session(driver).run(DOE_QUERY)
+        assert answer == expected
+        assert len(answer) > 5
+        assert any(len(row.project("homologs")) for row in answer)

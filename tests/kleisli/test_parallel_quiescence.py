@@ -61,7 +61,7 @@ def _fixture(hook=None, cap=3):
             ordinal = len(served)
         if hook is not None:
             hook(ordinal)
-        return database.sql(sql)
+        return database.rows(sql)
 
     driver.remote.handler = handler
     engine = KleisliEngine()

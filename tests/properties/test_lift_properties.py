@@ -12,7 +12,9 @@ subclasses and non-dicts:
   ``make_collection(kind, [from_python(row, kind) for row in rows])``
   element for element, in order, with every field's exact type, and
   ``infer_type`` agrees;
-* a relational and an Entrez driver result is ``CSet(lift_elements(rows))``.
+* an Entrez driver result is ``CSet(lift_elements(rows))``, and so is a
+  relational driver result, eager or lazy, handed the same rows as
+  ``(labels, value tuples)`` when they are ``dict``s on one set of keys.
 
 ``infer_type`` types a collection of records of one flat shape column-wise;
 over tables of records that are one shape or mix in another directory, a
@@ -136,12 +138,22 @@ def test_a_table_lifts_as_its_rows_one_by_one(rows, kind):
 DRIVER = RelationalDriver("DB", Database("empty"))
 
 
+LAZY_DRIVER = RelationalDriver("DB", Database("empty"), lazy=True)
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=tables())
 def test_a_driver_result_is_the_set_of_its_lifted_rows(rows):
+    """A relational result is ``(labels, value tuples)``: over the rows on
+    one set of string keys, in the first row's key order, it lifts eagerly
+    and lazily as the ``dict`` rows do."""
     reference = exact(CSet(lift_elements(rows)))
-    assert exact(DRIVER._rows_to_result(list(rows))) == reference
     assert exact(_link_set(list(rows))) == reference
+    if all(type(row) is dict for row in rows) and len({frozenset(row) for row in rows}) < 2:
+        labels = tuple(rows[0]) if rows else ()
+        result = (labels, [tuple(row[label] for label in labels) for row in rows])
+        assert exact(DRIVER._rows_to_result(result)) == reference
+        assert exact(CSet(LAZY_DRIVER._rows_to_result(result))) == reference
 
 
 def test_true_1_and_1_0_are_one_element_of_a_bound_set():

@@ -55,8 +55,8 @@ class TestTable:
     def test_insert_and_scan(self, loci_table):
         _, table = loci_table
         assert len(table) == 50
-        rows = list(table.scan())
-        assert rows[0]["locus_symbol"] == "D22S1"
+        symbol = table.schema.position("locus_symbol")
+        assert table.rows[0][symbol] == "D22S1"
 
     def test_primary_key_uniqueness(self, loci_table):
         _, table = loci_table
@@ -68,7 +68,8 @@ class TestTable:
         table.create_hash_index("chromosome")
         rows = table.lookup("chromosome", "22")
         assert len(rows) == 25
-        assert all(row["chromosome"] == "22" for row in rows)
+        chromosome = table.schema.position("chromosome")
+        assert all(row[chromosome] == "22" for row in rows)
 
     def test_lookup_without_index_scans(self, loci_table):
         _, table = loci_table
@@ -77,10 +78,11 @@ class TestTable:
     def test_sorted_index_range(self, loci_table):
         _, table = loci_table
         table.create_sorted_index("locus_id")
+        locus_id = table.schema.position("locus_id")
         rows = table.range_lookup("locus_id", low=10, high=12)
-        assert sorted(row["locus_id"] for row in rows) == [10, 11, 12]
+        assert sorted(row[locus_id] for row in rows) == [10, 11, 12]
         rows = table.range_lookup("locus_id", low=48, include_low=False)
-        assert sorted(row["locus_id"] for row in rows) == [49, 50]
+        assert sorted(row[locus_id] for row in rows) == [49, 50]
 
     def test_index_maintained_on_insert(self, loci_table):
         _, table = loci_table

@@ -185,6 +185,107 @@ class TestPlanner:
             plan_query(database, parse_sql("select k from a, b"))
 
 
+class TestOrderBy:
+    """An ORDER BY key is resolved before any row is read: to an output
+    name, else to the output column it names; anything else is an error."""
+
+    def test_a_qualified_key_sorts_on_its_projected_column(self, gdb):
+        rows = gdb.sql("select locus_id from locus where locus_id <= 3 "
+                       "order by locus.locus_id desc")
+        assert [row["locus_id"] for row in rows] == [3, 2, 1]
+
+    def test_a_column_sorts_under_its_output_alias(self, gdb):
+        rows = gdb.sql("select locus_id ident from locus where locus_id <= 3 "
+                       "order by locus_id desc")
+        assert [row["ident"] for row in rows] == [3, 2, 1]
+        rows = gdb.sql("select locus_symbol sym from locus where locus_id in (1, 2, 3) "
+                       "order by sym desc")
+        assert [row["sym"] for row in rows] == ["D22S3", "D22S2", "D22S1"]
+
+    @pytest.mark.parametrize("key", ["locus_symbol", "nosuch", "locus.nosuch", "nosuch.locus_id"])
+    def test_a_key_naming_no_output_column_is_an_error(self, gdb, key):
+        with pytest.raises(SQLExecutionError):
+            gdb.sql(f"select locus_id from locus order by {key}")
+
+    def test_the_error_comes_before_any_row(self):
+        database = Database("e")
+        database.create_table_from_spec("t", {"id": "int", "name": "string"})
+        assert database.sql("select id from t order by id") == []
+        with pytest.raises(SQLExecutionError):
+            database.sql("select id from t order by name")
+
+    def test_mixed_types_and_nulls_sort_by_rank(self):
+        database = Database("m")
+        table = database.create_table_from_spec("t", {"id": "int", "v": "int"})
+        table.insert_many([{"id": 1, "v": 5}, {"id": 2, "v": None},
+                           {"id": 3, "v": -1}, {"id": 4, "v": None}])
+        rows = database.sql("select id, v from t order by v, id desc")
+        assert [row["id"] for row in rows] == [4, 2, 3, 1]
+
+
+class TestLike:
+    """``%`` and ``_`` are LIKE's only wildcards; everything else, ``*``,
+    ``?`` and brackets among it, matches itself."""
+
+    @pytest.fixture()
+    def words(self):
+        database = Database("w")
+        table = database.create_table_from_spec("t", {"w": "string", "n": "int"})
+        for word in ["abc", "a*", "?", "x", "[x]", "a\nb", "a.c"]:
+            table.insert({"w": word, "n": 1})
+        table.insert({"w": None, "n": 2})
+        return database
+
+    @pytest.mark.parametrize("pattern,matches", [
+        ("a*", {"a*"}),
+        ("?", {"?"}),
+        ("[x]", {"[x]"}),
+        ("a%", {"abc", "a*", "a\nb", "a.c"}),
+        ("_", {"?", "x"}),
+        ("a_c", {"abc", "a.c"}),
+        ("a.c", {"a.c"}),
+        ("%", {"abc", "a*", "?", "x", "[x]", "a\nb", "a.c"}),
+    ])
+    def test_only_percent_and_underscore_are_wildcards(self, words, pattern, matches):
+        rows = words.sql(f"select w from t where w like '{pattern}'")
+        assert {row["w"] for row in rows} == matches
+
+    def test_a_value_that_is_not_a_string_fails_the_predicate(self, words):
+        assert words.sql("select n from t where n like '%'") == []
+
+
+class TestTupleResults:
+    def test_rows_are_labels_and_value_tuples(self, gdb):
+        labels, rows = gdb.rows("select locus_symbol, locus_id from locus "
+                                "where locus_id in (1, 2) order by locus_id")
+        assert labels == ("locus_symbol", "locus_id")
+        assert rows == [("D22S1", 1), ("D22S2", 2)]
+
+    def test_a_name_given_twice_keeps_its_first_place_and_last_value(self):
+        database = Database("d")
+        database.create_table_from_spec("a", {"k": "string", "x": "int"}).insert(
+            {"k": "left", "x": 1})
+        database.create_table_from_spec("b", {"k": "string", "y": "int"}).insert(
+            {"k": "right", "y": 2})
+        assert database.rows("select b.k, x, a.k from a, b") == (("k", "x"), [("left", 1)])
+        assert database.sql("select a.k, b.k from a, b") == [{"k": "right"}]
+
+    def test_a_star_of_an_unknown_table_is_an_error(self, gdb):
+        with pytest.raises(SQLExecutionError):
+            gdb.sql("select nosuch.* from locus")
+
+    def test_an_inequality_between_two_tables_is_not_an_equi_join(self):
+        database = Database("j")
+        database.create_table_from_spec("a", {"x": "int"}).insert_many(
+            {"x": x} for x in (1, 2, 3))
+        database.create_table_from_spec("b", {"y": "int"}).insert_many(
+            {"y": y} for y in (1, 3))
+        rows = database.sql("select x, y from a, b where a.x < b.y and x <> 2")
+        assert sorted((row["x"], row["y"]) for row in rows) == [(1, 3)]
+        rows = database.sql("select x, y from a, b where a.x < b.y")
+        assert sorted((row["x"], row["y"]) for row in rows) == [(1, 3), (2, 3)]
+
+
 def _shape(statement):
     return [repr(part) for part in (
         statement.select_items, statement.tables, statement.predicates,
