@@ -541,13 +541,13 @@ class Cached(Expr):
     Introduced by the caching rule set around inner subqueries that do not
     depend on the outer loop variable.  ``key`` identifies the cache entry.
     Left out, it is derived from the subquery's content: the ``repr`` of its
-    :func:`~repro.core.nrc.compile.term_fingerprint` under
-    :data:`CONTENT_PREFIX`, with no digest, so two subqueries share a key
-    exactly when their fingerprints print alike (nothing truncated collides
-    them), and optimising one query twice gives one term and one compiled
-    form.  The fingerprint of a ``Cached`` node leaves such a key out (it
-    only repeats the subtree), so the keys of nested subqueries grow
-    linearly with their text.
+    :func:`~repro.core.nrc.compile.term_fingerprint` (one flat tuple of
+    tokens) under :data:`CONTENT_PREFIX`, with no digest, so two subqueries
+    share a key exactly when their fingerprints print alike (nothing
+    truncated collides them), and optimising one query twice gives one term
+    and one compiled form.  The fingerprint of a ``Cached`` node leaves such
+    a key out (it only repeats the subtree), so the keys of nested
+    subqueries grow linearly with their text.
 
     The paper keeps the cached result "on disk".  Here an entry, under
     either kind of key, belongs to the run that computed it (its value

@@ -2291,92 +2291,96 @@ def term_fingerprint(expr: A.Expr) -> Tuple:
       are de-Bruijn-indexed, so terms that differ only in the fresh binder
       names the desugarer mints share one compiled query.  Free names stay
       literal (they select top-level frame slots by name).
+
+    It is one flat tuple, written in one preorder pass: each node gives its
+    class name, its fixed fields, then its children in place.  A
+    variable-length part (record fields, primitive or scan arguments,
+    ``Case`` branches, ``fingerprint_extras``) is preceded by its length and
+    a ``Case`` default by a marker, so a node's name and counts fix where it
+    ends.  The tuple decodes one way only: two terms get equal fingerprints
+    exactly when trees of the same tokens, a tuple per node, are equal.
     """
+    tokens: List[object] = []
     try:
-        return _fingerprint(expr, ())
+        _fingerprint(expr, (), tokens)
     except RecursionError:
         raise TermTooDeepError(
             "term nests too deeply to fingerprint") from None
+    return tuple(tokens)
 
 
-def _fingerprint(expr: A.Expr, _scope: _Scope) -> Tuple:
+#: The fixed fields of a node with no binder and a fixed number of
+#: children; the children follow in ``children()`` order.
+_FIELDS: Dict[Type[A.Expr], Tuple[str, ...]] = {
+    A.Apply: (), A.Fold: (), A.IfThenElse: (), A.Deref: (),
+    A.Empty: ("kind",), A.Singleton: ("kind",), A.Union: ("kind",),
+    A.Project: ("label",), A.VariantExpr: ("tag",),
+}
+
+
+def _fingerprint(expr: A.Expr, scope: _Scope, out: List[object]) -> None:
+    """Append the preorder tokens of ``expr`` (see :func:`term_fingerprint`)."""
     node_type = type(expr)
-    name = node_type.__name__
-
-    def sub(child: A.Expr, scope: _Scope = _scope) -> Tuple:
-        return _fingerprint(child, scope)
-
-    if node_type is A.Const:
-        return (name, _const_token(expr.value))
-    if node_type is A.Var:
-        for index in range(len(_scope) - 1, -1, -1):
-            if _scope[index] == expr.name:
-                return (name, len(_scope) - 1 - index)
-        return (name, "free", expr.name)
-    if node_type is A.Lam:
-        return (name, sub(expr.body, _scope + (expr.param,)))
-    if node_type is A.Apply:
-        return (name, sub(expr.func), sub(expr.arg))
-    if node_type is A.RecordExpr:
-        return (name, tuple((label, sub(value))
-                            for label, value in expr.fields.items()))
-    if node_type is A.Project:
-        return (name, expr.label, sub(expr.expr))
-    if node_type is A.VariantExpr:
-        return (name, expr.tag, sub(expr.expr))
-    if node_type is A.Case:
-        branches = tuple((branch.tag, sub(branch.body, _scope + (branch.var,)))
-                         for branch in expr.branches)
-        default = None
+    out.append(node_type.__name__)
+    fields = _FIELDS.get(node_type)
+    if fields is not None:
+        for field in fields:
+            out.append(getattr(expr, field))
+        for child in expr.children():
+            _fingerprint(child, scope, out)
+    elif node_type is A.PrimCall:
+        out += (expr.name, len(expr.args))
+        for arg in expr.args:
+            _fingerprint(arg, scope, out)
+    elif node_type is A.Var:
+        name = expr.name
+        out += (scope[::-1].index(name),) if name in scope else ("free", name)
+    elif node_type is A.Const:
+        out += _const_token(expr.value)
+    elif node_type is A.RecordExpr:
+        out.append(len(expr.fields))
+        for label, value in expr.fields.items():
+            out.append(label)
+            _fingerprint(value, scope, out)
+    elif node_type is A.Ext or (isinstance(expr, A.Ext)
+                                and hasattr(expr, "fingerprint_extras")):
+        # An Ext subclass declares what its compiled loop bakes in beyond
+        # the Ext structure in ``fingerprint_extras()`` (ParallelExt,
+        # BindScan: the window); one without it takes the identity key.
+        extras = () if node_type is A.Ext else tuple(expr.fingerprint_extras())
+        out += (expr.kind, len(extras), *extras)
+        _fingerprint(expr.source, scope, out)
+        _fingerprint(expr.body, scope + (expr.var,), out)
+    elif node_type is A.Let:
+        _fingerprint(expr.value, scope, out)
+        _fingerprint(expr.body, scope + (expr.var,), out)
+    elif node_type is A.Lam:
+        _fingerprint(expr.body, scope + (expr.param,), out)
+    elif node_type is A.Case:
+        _fingerprint(expr.subject, scope, out)
+        out.append(len(expr.branches))
+        for branch in expr.branches:
+            out.append(branch.tag)
+            _fingerprint(branch.body, scope + (branch.var,), out)
+        out.append(expr.default is not None)
         if expr.default is not None:
-            default = sub(expr.default[1], _scope + (expr.default[0],))
-        return (name, sub(expr.subject), branches, default)
-    if node_type is A.Empty:
-        return (name, expr.kind)
-    if node_type is A.Singleton:
-        return (name, expr.kind, sub(expr.expr))
-    if node_type is A.Union:
-        return (name, expr.kind, sub(expr.left), sub(expr.right))
-    if node_type is A.Ext:
-        return (name, expr.kind, sub(expr.source),
-                sub(expr.body, _scope + (expr.var,)))
-    if isinstance(expr, A.Ext):
-        # An Ext subclass: its compiled loop may bake in parameters this
-        # function cannot know about.  Subclasses declare them via a
-        # ``fingerprint_extras()`` method (ParallelExt: scheduler settings);
-        # without one, fall through to the sound identity key below.
-        extras = getattr(expr, "fingerprint_extras", None)
-        if extras is not None:
-            return (name, expr.kind, sub(expr.source),
-                    sub(expr.body, _scope + (expr.var,)), tuple(extras()))
-    if node_type is A.Fold:
-        return (name, sub(expr.func), sub(expr.init), sub(expr.source))
-    if node_type is A.IfThenElse:
-        return (name, sub(expr.cond), sub(expr.then_branch), sub(expr.else_branch))
-    if node_type is A.PrimCall:
-        return (name, expr.name, tuple(sub(arg) for arg in expr.args))
-    if node_type is A.Let:
-        return (name, sub(expr.value), sub(expr.body, _scope + (expr.var,)))
-    if node_type is A.Deref:
-        return (name, sub(expr.expr))
-    if node_type is A.Scan:
+            _fingerprint(expr.default[1], scope + (expr.default[0],), out)
+    elif node_type is A.Scan:
         # args stay in insertion order: the compiled closure evaluates them
         # in that order, so it is part of the baked-in behavior.
-        return (name, expr.driver, expr.kind,
-                _freeze_request_value(expr.request),
-                tuple((key, sub(arg)) for key, arg in expr.args.items()))
-    if node_type is A.Cached:
-        # A content-derived key spells out the fingerprint of ``expr`` (a
-        # hoisted subquery: no binder of the scope is free in it), so it adds
-        # nothing ``sub(expr.expr)`` does not say; printed here too, nested
-        # subqueries would repeat their content at every level above them.
-        key = expr.key
-        if key.startswith(A.Cached.CONTENT_PREFIX):
-            key = None
-        return (name, key, sub(expr.expr))
-    # Unknown node type (no native compiler): structural equality is too
-    # loose to key a compile cache (it conflates True/1 and may ignore
-    # baked-in attributes), so key on object identity — always sound, at the
-    # price of never sharing across rebuilt terms.  The id stays valid
-    # because the memoized CompiledQuery keeps its term alive.
-    return (name, "identity", id(expr))
+        out += (expr.driver, expr.kind, _freeze_request_value(expr.request),
+                len(expr.args))
+        for key, arg in expr.args.items():
+            out.append(key)
+            _fingerprint(arg, scope, out)
+    elif node_type is A.Cached:
+        # A content-derived key spells out the tokens of ``expr`` (a hoisted
+        # subquery: no binder of the scope is free in it), so it is left out;
+        # kept, nested subqueries would repeat their content at every level.
+        out.append(None if expr.key.startswith(A.Cached.CONTENT_PREFIX) else expr.key)
+        _fingerprint(expr.expr, scope, out)
+    else:
+        # Unknown node type (no native compiler): key on object identity —
+        # sound whatever it bakes in, never shared across rebuilt terms.  The
+        # id stays valid because the memoized CompiledQuery keeps its term.
+        out += ("identity", id(expr))

@@ -91,10 +91,11 @@ class _CompileCache:
     Keys are ``(target, term_fingerprint(expr))`` where ``target`` is
     ``"eager"`` (:class:`CompiledQuery`) or ``"chunked"``
     (:class:`CompiledChunkedStream`), so the two lowerings of one term
-    coexist without conflation.  A hit moves the entry to the
-    most-recently-used position; insertion past ``limit`` evicts only the
-    least recently used entry — not the whole cache, as the pre-LRU memo
-    did.
+    coexist without conflation.  A fingerprint is one flat tuple of tokens,
+    not a tuple per node, so a key grows by a pointer per token.  A hit
+    moves the entry to the most-recently-used position; insertion past
+    ``limit`` evicts only the least recently used entry — not the whole
+    cache, as the pre-LRU memo did.
 
     All operations hold a lock: scheduler worker threads compile through
     the one engine (a ``ParallelExt`` body's subqueries, cross-session
@@ -974,15 +975,10 @@ class KleisliEngine:
                        statistics: Optional[EvalStatistics] = None) -> CompiledQuery:
         """Return (and LRU-cache) the eager closure-compiled form of ``expr``.
 
-        The cache key is :func:`~repro.core.nrc.compile.term_fingerprint`, not
-        structural equality: equality is too loose for a compile cache (it
-        conflates ``Const(True)``/``Const(1)`` and ignores ``Cached.key``,
-        both of which compiled closures bake in) and too
-        strict across runs (each parse of the same query mints fresh binder
-        names; the fingerprint de-Bruijn-indexes them away, so the common
-        session pattern — the same query executed repeatedly — compiles
-        once).  ``statistics`` (when given) receives the hit/miss accounting
-        for this lookup.
+        The cache key is :func:`~repro.core.nrc.compile.term_fingerprint`
+        (which says where it differs from structural equality, and why), so
+        the same query sent again compiles once.  ``statistics`` (when given)
+        receives the hit/miss accounting for this lookup.
         """
         return self._lowered("eager", expr, compile_term, statistics)
 

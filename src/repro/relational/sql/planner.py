@@ -266,7 +266,8 @@ def _build_scan(alias: str, table: Table, predicates: List[object],
                 and isinstance(predicate, Comparison)
                 and predicate.op in ("<", "<=", ">", ">=")
                 and isinstance(predicate.left, ColumnRef)
-                and not isinstance(predicate.right, ColumnRef)):
+                and not isinstance(predicate.right, ColumnRef)
+                and predicate.right is not None):  # NULL: no row, not an open end
             column = resolver.resolve(predicate.left)[1]
             if column in table.sorted_indexes:
                 range_column = column

@@ -107,22 +107,9 @@ class Table:
     def range_lookup(self, column: str, low: Optional[object] = None,
                      high: Optional[object] = None, include_low: bool = True,
                      include_high: bool = True) -> List[Tuple[object, ...]]:
-        """Range lookup, via a sorted index when one exists: the matching rows."""
-        if column in self.sorted_indexes:
-            positions = self.sorted_indexes[column].range(low, high, include_low, include_high)
-            return list(map(self.rows.__getitem__, positions))
-        position = self.schema.position(column)
-        result = []
-        for row in self.rows:
-            value = row[position]
-            if value is None:
-                continue
-            if low is not None and (value < low or (value == low and not include_low)):
-                continue
-            if high is not None and (value > high or (value == high and not include_high)):
-                continue
-            result.append(row)
-        return result
+        """Range lookup through the column's sorted index: the matching rows."""
+        positions = self.sorted_indexes[column].range(low, high, include_low, include_high)
+        return list(map(self.rows.__getitem__, positions))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Table({self.schema.name}, {len(self.rows)} rows)"

@@ -61,10 +61,10 @@ def databases(draw):
             max_size=5))
         table.insert_many(rows)
         tables[name] = [tuple(row[column] for column in NAMES[name]) for row in rows]
-    # A sorted index only on the column without NULLs: a range scan over a
-    # sorted index compares its keys.
-    if draw(st.booleans()):
-        database.table("a").create_sorted_index("id")
+    # A sorted index on the column without NULLs, or on one with them.
+    sorted_column = draw(st.sampled_from([None, "id", "n", "k"]))
+    if sorted_column is not None:
+        database.table("a").create_sorted_index(sorted_column)
     for table, column in (("a", "k"), ("b", "k"), ("b", "m")):
         if draw(st.booleans()):
             database.table(table).create_hash_index(column)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import SQLExecutionError, SQLSyntaxError
-from repro.relational import Database
+from repro.relational import Column, Database, TableSchema
 from repro.relational.sql.ast import Comparison, SelectStatement
 from repro.relational.sql.parser import parse_sql
 from repro.relational.sql.planner import HashJoinNode, ScanNode, explain_query, plan_query
@@ -360,3 +360,32 @@ class TestExecutor:
         table.insert({"a": 1, "b": None})
         assert database.sql("select * from t where b > 0") == []
         assert len(database.sql("select * from t where b is null")) == 1
+
+
+class TestSortedIndex:
+    """A sorted index answers what the scan of its column answers, NULLs and
+    values of another type included."""
+
+    @staticmethod
+    def _database(indexed):
+        database = Database("s")
+        table = database.create_table(TableSchema("t", [Column("v", "int", nullable=True)]))
+        table.insert_many({"v": v} for v in (3, None, 1))
+        if indexed:
+            table.create_sorted_index("v")
+        return database
+
+    @pytest.mark.parametrize("condition, expected", [
+        ("v > 1", [3]), ("v = 3", [3]), ("v = 'x'", []), ("v >= 1", [1, 3]),
+        ("v < 3", [1]), ("v > null", []), ("v = null", [None]),
+    ])
+    def test_the_index_answers_what_the_scan_answers(self, condition, expected):
+        text = f"select v from t where {condition}"
+        for indexed in (False, True):
+            rows = self._database(indexed).sql(text)
+            assert sorted((row["v"] for row in rows), key=str) == expected, indexed
+
+    def test_a_range_bound_of_another_type_is_an_execution_error(self):
+        for indexed in (False, True):
+            with pytest.raises(SQLExecutionError):
+                self._database(indexed).sql("select v from t where v > 'x'")
