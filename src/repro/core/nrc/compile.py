@@ -25,10 +25,11 @@ reuses its slot), primitives, constructors and scan request templates, and
 each ``Project``'s inline ``(directory, slot)`` cache — Section 4's
 homogeneous-collection fast path.  A ``Lam`` snapshots its frame when built.
 
-**Fallbacks.**  An eager node type with no compiler becomes a thunk handing
-its subtree to the interpreter (``CompiledQuery.fallback_nodes``,
-``EvalStatistics.compiled_fallbacks``).  A node with no chunk compiler runs
-its eager closure and the pipeline chunks the whole value
+**Eager sections.**  Every node type the program defines has an eager
+compiler (``ParallelExt`` registers its own); lowering a node of any other
+type raises :class:`~repro.core.errors.EvaluationError` naming it, before a
+driver is asked anything.  A node with no chunk compiler runs its eager
+closure and the pipeline chunks the whole value
 (``CompiledChunkedStream.eager_nodes``, ``EvalStatistics.stream_fallbacks``):
 ``Fold``, the ``index`` a local join probes, a ``Union`` whose operand kinds
 :func:`~repro.core.nrc.structural.proven_collection_kind` cannot prove, and
@@ -202,8 +203,8 @@ def _apply_value(func: object, arg: object, context: EvalContext) -> object:
     if type(func) is CompiledClosure:
         return func.apply_in(arg, context)
     if isinstance(func, Closure):
-        # An interpreter closure leaked across the boundary (e.g. out of a
-        # fallback subtree or the run's cache): evaluate it there.
+        # An interpreter closure bound into the run (e.g. a value an
+        # interpreted run returned): evaluate it there.
         return Evaluator(context).apply_function(func, arg)
     if callable(func):
         return func(arg)
@@ -213,16 +214,14 @@ def _apply_value(func: object, arg: object, context: EvalContext) -> object:
 class _CompileState:
     """Per-``compile_term`` bookkeeping shared by the node compilers.
 
-    ``fallbacks`` names subtrees delegated to the tree-walking interpreter
-    (no eager compiler); ``eager`` names subtrees of a *streaming* lowering
-    that had no chunk-wise form and were lowered eagerly instead.
+    ``eager`` names subtrees of a *streaming* lowering that had no
+    chunk-wise form and were lowered eagerly instead.
     """
 
-    __slots__ = ("n_free", "fallbacks", "eager")
+    __slots__ = ("n_free", "eager")
 
     def __init__(self, n_free: int):
         self.n_free = n_free
-        self.fallbacks: List[str] = []
         self.eager: List[str] = []
 
 
@@ -232,12 +231,12 @@ _COMPILERS: Dict[Type[A.Expr], Callable[[A.Expr, _Scope, _CompileState], _Compil
 
 
 def register_compiler(node_type: Type[A.Expr]):
-    """Register a closure compiler for an AST node type (extension hook).
+    """Register a closure compiler for an AST node type.
 
     Dispatch is by *exact* type, so subclasses with different semantics (for
     example :class:`~repro.core.optimizer.parallel.ParallelExt`) are not
-    silently compiled as their base class — they either register their own
-    compiler with this decorator or fall back to the interpreter.
+    silently compiled as their base class: each registers its own compiler
+    with this decorator, and lowering an unregistered type is an error.
 
     A registered node type whose compiled form bakes in parameters beyond
     its structural children should also define ``fingerprint_extras()``
@@ -261,24 +260,9 @@ def supported_node_types() -> Tuple[str, ...]:
 def _compile(expr: A.Expr, scope: _Scope, state: _CompileState) -> _CompiledFn:
     compiler = _COMPILERS.get(type(expr))
     if compiler is None:
-        return _compile_fallback(expr, scope, state)
+        raise EvaluationError(
+            f"no compiler for node type {type(expr).__name__}")
     return compiler(expr, scope, state)
-
-
-def _compile_fallback(expr: A.Expr, scope: _Scope, state: _CompileState) -> _CompiledFn:
-    """Delegate an unsupported subtree to the tree-walking interpreter."""
-    state.fallbacks.append(type(expr).__name__)
-    names = tuple(scope)
-
-    def run(frame, context):
-        context.statistics.compiled_fallbacks += 1
-        bindings = {}
-        for name, value in zip(names, frame):
-            if type(value) is not _Unbound:
-                bindings[name] = value
-        return Evaluator(context)._eval(expr, Environment(bindings))
-
-    return run
 
 
 def _require_bool(cond: object) -> bool:
@@ -889,32 +873,21 @@ class CompiledQuery:
 
     ``free_names`` lists the term's free variables in slot order; calling the
     query reads them out of the supplied :class:`Environment` into the flat
-    top-level frame.  ``fallback_nodes`` names the node types (if any) that
-    had no native compiler and were delegated to the interpreter.
+    top-level frame.
     """
 
-    __slots__ = ("expr", "free_names", "fallback_nodes", "_fn")
+    __slots__ = ("expr", "free_names", "_fn")
 
     def __init__(self, expr: A.Expr):
         self.expr = expr
         self.free_names: Tuple[str, ...] = tuple(sorted(free_variables(expr)))
-        state = _CompileState(n_free=len(self.free_names))
-        self._fn = _compile(expr, self.free_names, state)
-        self.fallback_nodes: Tuple[str, ...] = tuple(sorted(set(state.fallbacks)))
-
-    @property
-    def fully_compiled(self) -> bool:
-        return not self.fallback_nodes
+        self._fn = _compile(expr, self.free_names,
+                            _CompileState(n_free=len(self.free_names)))
 
     def __call__(self, env: Optional[Environment] = None,
                  context: Optional[EvalContext] = None) -> object:
         context = context if context is not None else EvalContext()
         return self._fn(_build_frame(self.free_names, env), context)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        status = "full" if self.fully_compiled else \
-            "fallback: " + ", ".join(self.fallback_nodes)
-        return f"<CompiledQuery ({status})>"
 
 
 def compile_term(term: A.Expr) -> CompiledQuery:
@@ -2080,18 +2053,16 @@ class CompiledChunkedStream:
     elements, and it settles a run's ``context.finish`` (:meth:`_pump`).
 
     ``eager_nodes`` names node types that had no chunk-wise lowering and ran
-    eagerly inside the pipeline; ``fallback_nodes`` names node types (inside
-    those eager sections) delegated all the way back to the interpreter.
+    eagerly inside the pipeline.
     """
 
-    __slots__ = ("expr", "free_names", "fallback_nodes", "eager_nodes", "_fn")
+    __slots__ = ("expr", "free_names", "eager_nodes", "_fn")
 
     def __init__(self, expr: A.Expr):
         self.expr = expr
         self.free_names: Tuple[str, ...] = tuple(sorted(free_variables(expr)))
         state = _CompileState(n_free=len(self.free_names))
         self._fn = self._lower_toplevel(expr, self.free_names, state)
-        self.fallback_nodes: Tuple[str, ...] = tuple(sorted(set(state.fallbacks)))
         self.eager_nodes: Tuple[str, ...] = tuple(sorted(set(state.eager)))
 
     @classmethod
@@ -2163,11 +2134,6 @@ class CompiledChunkedStream:
                 yield [value]
 
         return chunks
-
-    @property
-    def fully_compiled(self) -> bool:
-        """No interpreter fallback anywhere in the pipeline."""
-        return not self.fallback_nodes
 
     @property
     def fully_chunked(self) -> bool:

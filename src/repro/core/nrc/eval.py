@@ -133,11 +133,9 @@ class EvalStatistics:
         self.cache_hits = 0
         self.cache_misses = 0
         self.peak_intermediate = 0
-        #: How the query was executed: "interpreted", "compiled", or
-        #: "compiled+fallback" when the closure compiler had to hand
-        #: unsupported nodes back to the interpreter.
+        #: How the query was executed: "interpreted" or "compiled".
         self.execution_mode = "interpreted"
-        #: Run-time count of fallback evaluations (compiled mode only).
+        #: Always 0: benchmarks/e2e/tracing.py sums it (the Seam's name).
         self.compiled_fallbacks = 0
         #: Run-time count of pipeline sections that had no chunk lowering
         #: and were evaluated eagerly inside a streaming run (compile-time

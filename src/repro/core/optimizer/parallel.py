@@ -155,9 +155,8 @@ Evaluator._DISPATCH[ParallelExt] = _evaluate_parallel_ext
 
 # -- closure-compiler support -------------------------------------------------
 #
-# The compiler dispatches on exact node type, so without this registration a
-# ParallelExt would fall back to the interpreter (correct but slower).  The
-# compiled forms keep the scheduler semantics: a pinned (or moving) window,
+# The compiler dispatches on exact node type, so without this registration
+# lowering a ParallelExt would be an error.  The compiled forms keep the scheduler semantics: a pinned (or moving) window,
 # one frame copy per in-flight element so concurrent bodies never share
 # mutable slots.
 

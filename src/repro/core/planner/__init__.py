@@ -29,9 +29,9 @@ file, ``fsync`` it, ``os.replace`` it and ``fsync`` the directory.  So no
 writer loses another's entries, and a failed or killed write leaves the
 old snapshot intact.  A torn or bit-flipped file, a wrong version or an
 implausible number is skipped and counted in the store's books, an entry
-past ``MAX_AGE`` drops, and a stamp ahead of the clock counts as now.  A
-store an earlier build wrote (journals beside the snapshot) loads once and
-is folded into the one file by the next write.
+past ``MAX_AGE`` drops, and a stamp ahead of the clock counts as now.  The
+store reads and replaces ``snapshot.kjs`` only; any other file in the
+directory is left as it is.
 
 The **zero-knowledge contract** carries over from the planner itself: an
 engine attached to a missing, empty, or arbitrarily corrupted store loads

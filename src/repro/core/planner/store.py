@@ -21,15 +21,14 @@ nothing else, and is counted, never raised.  Writers serialise on the lock
 and each merges what the others wrote, so no writer's entry is lost.
 
 **Loading** never raises on bad data and never invents: a frame loads only
-if its length is plausible and its CRC matches.  A negative cardinality, a
-non-finite or negative latency or a record of an unknown kind is skipped
-and counted; an entry older than :data:`PlanStore.MAX_AGE` drops; a stamp
-ahead of the clock counts as *now*.  A store an earlier build wrote
-(per-process ``journal-*.kjl`` files of ``statistics`` records behind a
-version-checked header, and a snapshot of one ``statistics`` record) still
-loads, and the first write folds its journals in and removes them.  So an
-engine attached to a missing, empty or corrupt store plans exactly as a
-storeless one does.
+if its length is plausible and its CRC matches.  A negative cardinality
+or a non-finite or negative latency is skipped and counted, and a snapshot
+of another kind or schema version is skipped whole; an entry older than
+:data:`PlanStore.MAX_AGE` drops; a stamp ahead of the clock counts as
+*now*.  The loader reads ``snapshot.kjs`` and nothing else in the
+directory, and a write removes nothing but a killed writer's temporary.
+So an engine attached to a missing, empty or corrupt store plans exactly
+as a storeless one does.
 """
 
 from __future__ import annotations
@@ -42,12 +41,13 @@ import threading
 import time
 import zlib
 from contextlib import suppress
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from ...obs.metrics import Books
 from ..errors import PlanStoreError
 
 __all__ = ["PlanStore", "MAX_RECORD_BYTES", "SCHEMA_VERSION", "decode_record",
-           "encode_record", "frame_payload", "read_journal", "unframe_payload"]
+           "encode_record", "frame_payload", "unframe_payload"]
 
 #: On-disk schema version; bump on incompatible record/layout changes.
 SCHEMA_VERSION = 1
@@ -129,26 +129,6 @@ def decode_record(data: bytes, offset: int = 0) -> Tuple[Optional[dict], int]:
     return record, next_offset
 
 
-def read_journal(data: bytes) -> Tuple[List[dict], int]:
-    """Decode every verifiable record from the head of ``data``.
-
-    Returns ``(records, skipped_bytes)``.  Reading stops at the first
-    anomaly: after a bad length or flipped bit the frame boundaries can no
-    longer be trusted, and resynchronising heuristically could *invent*
-    records — skipping the tail can only lose statistics, which the
-    planner tolerates by design.
-    """
-    records: List[dict] = []
-    offset = 0
-    while offset < len(data):
-        record, next_offset = decode_record(data, offset)
-        if record is None:
-            break
-        records.append(record)
-        offset = next_offset
-    return records, len(data) - offset
-
-
 def _finite(value: object) -> bool:
     """A number a plan may use: ``json`` also reads ``Infinity``, ``NaN``
     and integers past the float range."""
@@ -218,11 +198,10 @@ class PlanStore:
         self.clock = clock
         self.opener = opener
         self._lock = threading.RLock()
-        self._books: Dict[str, float] = dict.fromkeys((
-            "records_loaded", "entries_loaded", "records_skipped_corrupt",
-            "records_expired", "skipped_bytes", "journals_merged",
-            "journals_skipped_version", "snapshot_loaded", "io_errors",
-            "writes", "write_failures", "unpersistable"), 0)
+        self._books = Books((
+            "entries_loaded", "records_skipped_corrupt", "records_expired",
+            "snapshot_skipped_version", "snapshot_loaded", "io_errors",
+            "writes", "write_failures", "unpersistable"))
         self._snapshot_ts: Optional[float] = None
 
     @property
@@ -232,8 +211,8 @@ class PlanStore:
     def books(self) -> Dict[str, object]:
         """The persistence account: what loaded, what was refused, what
         was written — the ``persistence`` section of ``engine.health()``."""
+        books: Dict[str, object] = self._books.snapshot()
         with self._lock:
-            books: Dict[str, object] = dict(self._books)
             written = self._snapshot_ts
         books["attached"] = True
         try:
@@ -244,91 +223,50 @@ class PlanStore:
             else max(0.0, self.clock() - written)
         return books
 
-    def _count(self, key: str, amount: float = 1) -> None:
-        with self._lock:
-            self._books[key] += amount
-
     # -- loading ---------------------------------------------------------------
 
     def load(self) -> Dict[str, object]:
         """Every surviving entry, in the shape
         :meth:`~repro.kleisli.statistics.SourceStatisticsRegistry.restore`
         takes.  Never raises on bad storage."""
-        entries, _journals = self._read(self.clock(), self._count)
-        self._count("entries_loaded", len(entries))
+        entries = self._read(self.clock(), self._books.count)
+        self._books.count("entries_loaded", len(entries))
         return _state(entries)
 
-    def _read(self, now: float, count: Callable[..., None]
-              ) -> Tuple[_Entries, List[str]]:
-        """The snapshot and any journals an earlier build left, merged and
-        expired — with the journals a write folds in (all but those of
-        another schema version)."""
+    def _read(self, now: float, count: Callable[..., None]) -> _Entries:
+        """The snapshot's entries, merged and expired; ``count`` books what
+        was skipped."""
         entries: _Entries = {}
-
-        def merge(record: dict, ts: float) -> None:
-            _merge(entries, record, min(ts, now),
-                   lambda: count("records_skipped_corrupt"))
-
         try:
             with open(self.snapshot_path, "rb") as handle:
                 snapshot, _end = decode_record(handle.read())
-            if snapshot is None:
-                count("records_skipped_corrupt")
-            elif snapshot.get("kind") != "snapshot" \
-                    or snapshot.get("version") != SCHEMA_VERSION:
-                count("journals_skipped_version")
-                snapshot = None
         except OSError as error:
             if not isinstance(error, FileNotFoundError):
                 count("io_errors")
-            snapshot = None
-        if snapshot is not None:
-            count("snapshot_loaded")
-            stamp = min(float(snapshot["ts"]), now) \
-                if _finite(snapshot.get("ts")) else 0.0
-            with self._lock:
-                self._snapshot_ts = stamp
-            records = snapshot.get("records")
-            if not isinstance(records, list):   # an earlier build's snapshot
-                records = [snapshot.get("statistics")]
-            for record in records:
-                if isinstance(record, dict):
-                    ts = record.get("ts")
-                    merge(record, float(ts) if _finite(ts) else stamp)
-        try:
-            names = sorted(os.listdir(self.path))
-        except OSError:
-            names = []
-        journals = []
-        for path in [os.path.join(self.path, name) for name in names
-                     if name.startswith("journal-") and name.endswith(".kjl")]:
-            try:
-                with open(path, "rb") as handle:
-                    records, skipped = read_journal(handle.read())
-            except OSError:
-                count("io_errors")
-                continue
-            if skipped:
-                count("skipped_bytes", skipped)
-                count("records_skipped_corrupt")
-            if records and (records[0].get("kind") != "header"
-                            or records[0].get("version") != SCHEMA_VERSION):
-                count("journals_skipped_version")
-                continue
-            journals.append(path)
-            count("journals_merged", bool(records))
-            for record in records[1:]:
-                ts = record.get("ts")
-                if record.get("kind") != "statistics" or not _finite(ts):
-                    count("records_skipped_corrupt")
-                    continue
-                count("records_loaded")
-                merge(record, float(ts))
+            return entries
+        if snapshot is not None and (
+                snapshot.get("kind") != "snapshot"
+                or snapshot.get("version") != SCHEMA_VERSION):
+            count("snapshot_skipped_version")
+            return entries
+        if snapshot is None or not isinstance(snapshot.get("records"), list):
+            count("records_skipped_corrupt")
+            return entries
+        count("snapshot_loaded")
+        stamp = min(float(snapshot["ts"]), now) \
+            if _finite(snapshot.get("ts")) else 0.0
+        with self._lock:
+            self._snapshot_ts = stamp
+        for record in snapshot["records"]:
+            if isinstance(record, dict):
+                ts = float(record["ts"]) if _finite(record.get("ts")) else stamp
+                _merge(entries, record, min(ts, now),
+                       lambda: count("records_skipped_corrupt"))
         for key in [key for key, (ts, _value) in entries.items()
                     if now - ts > self.MAX_AGE]:
             del entries[key]
             count("records_expired")
-        return entries, journals
+        return entries
 
     # -- writing ---------------------------------------------------------------
 
@@ -345,9 +283,9 @@ class PlanStore:
                     fcntl.flock(lock.fileno(), fcntl.LOCK_EX)  # close unlocks
                     written = self._replace_locked(state)
             except (ImportError, OSError):
-                self._books["io_errors"] += 1
+                self._books.count("io_errors")
                 written = False
-            self._books["writes" if written else "write_failures"] += 1
+            self._books.count("writes" if written else "write_failures")
             return written
 
     def _replace_locked(self, state: dict) -> bool:
@@ -356,8 +294,8 @@ class PlanStore:
                 with suppress(OSError):
                     os.unlink(os.path.join(self.path, name))
         now = self.clock()
-        entries, journals = self._read(now, lambda key, amount=1: None)
-        _merge(entries, state, now, lambda: self._count("unpersistable"))
+        entries = self._read(now, lambda key, amount=1: None)
+        _merge(entries, state, now, lambda: self._books.count("unpersistable"))
         by_stamp: Dict[float, _Entries] = {}
         for key, (ts, value) in entries.items():
             by_stamp.setdefault(ts, {})[key] = (ts, value)
@@ -367,7 +305,7 @@ class PlanStore:
                 "records": [dict(_state(group), ts=ts)
                             for ts, group in sorted(by_stamp.items())]})
         except PlanStoreError:
-            self._books["unpersistable"] += 1
+            self._books.count("unpersistable")
             return False
         tmp_path = os.path.join(
             self.path, f"{_TMP_PREFIX}{os.getpid()}-{os.urandom(3).hex()}")
@@ -389,8 +327,5 @@ class PlanStore:
             os.fsync(directory)
         finally:
             os.close(directory)
-        for path in journals:                   # now folded into the snapshot
-            with suppress(OSError):
-                os.unlink(path)
         self._snapshot_ts = now
         return True

@@ -1051,8 +1051,7 @@ class KleisliEngine:
         environment = Environment(dict(bindings or {}))
         if mode is ExecutionMode.COMPILED:
             query = self.compiled_query(expr, context.statistics)
-            context.statistics.execution_mode = (
-                "compiled" if query.fully_compiled else "compiled+fallback")
+            context.statistics.execution_mode = "compiled"
             return query(environment, context)
         context.statistics.execution_mode = "interpreted"
         return Evaluator(context).evaluate(expr, environment)
@@ -1116,8 +1115,7 @@ class KleisliEngine:
                     context.chunk_policy = plan.chunk_policy(
                         is_remote=self.statistics_registry.is_remote)
                 query = self.compiled_chunked(expr, context.statistics)
-                context.statistics.execution_mode = (
-                    "compiled" if query.fully_compiled else "compiled+fallback")
+                context.statistics.execution_mode = "compiled"
                 stream = query(environment, context)
         except BaseException as error:
             if context.finish is not None:

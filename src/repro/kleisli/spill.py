@@ -215,16 +215,14 @@ class GovernedSeenSet(_SpillBacked):
         self._handles: List[Any] = [None] * PARTITIONS
         self._cached_partition: int = -1
         self._cached_values: Optional[set] = None
-        self._overflow: set = set()   # unhashable never lands here; this is
-        self._overflow_list: list = []  # for unpicklable values (list keeps
-        # unpicklable-and-unhashable hypotheticals from crashing dedup).
+        self._overflow: set = set()   # values pickle refused to write
 
     # -- set protocol -------------------------------------------------------
 
     def __contains__(self, value: Any) -> bool:
         if not self._spilled:
             return value in self._front
-        if value in self._overflow or any(value == v for v in self._overflow_list):
+        if value in self._overflow:
             return True
         key = hash(value)
         if key not in self._hashes:
@@ -244,7 +242,7 @@ class GovernedSeenSet(_SpillBacked):
     def __len__(self) -> int:
         if not self._spilled:
             return len(self._front)
-        return self._count + len(self._overflow) + len(self._overflow_list)
+        return self._count + len(self._overflow)
 
     # -- spill mechanics ----------------------------------------------------
 
@@ -262,10 +260,7 @@ class GovernedSeenSet(_SpillBacked):
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             self._manager._record_fallback()
-            try:
-                self._overflow.add(value)
-            except TypeError:
-                self._overflow_list.append(value)
+            self._overflow.add(value)
             return
         key = hash(value)
         partition = key % PARTITIONS

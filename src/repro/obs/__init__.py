@@ -6,9 +6,8 @@ The package is three orthogonal layers plus a hub that bundles them:
   → driver-request spans) with an injectable clock and a bounded per-query
   span budget.
 * :mod:`repro.obs.metrics` — :class:`Books` (a subsystem's named counts)
-  and a thread-safe registry of counters, gauges, and
-  fixed-exponential-bucket histograms with a Prometheus-style text
-  renderer.
+  and a thread-safe registry of counters and fixed-exponential-bucket
+  histograms with a Prometheus-style text renderer.
 * :mod:`repro.obs.profile` — EXPLAIN ANALYZE profiles (per-stage wall
   time, actual vs. planner-estimated cardinality, fallback/spill/retry
   annotations) and the slow-query log.
@@ -37,13 +36,13 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Mapping
 
-from .metrics import (Books, Counter, Gauge, Histogram, MetricsRegistry,
+from .metrics import (Books, Counter, Histogram, MetricsRegistry,
                       RowWidthEstimator, exponential_buckets)
 from .profile import ProbeTee, QueryProfile, SlowQueryLog, StageCollector
 from .trace import QueryTrace, Span, Tracer
 
 __all__ = [
-    "Books", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Books", "Counter", "Histogram", "MetricsRegistry",
     "RowWidthEstimator", "exponential_buckets", "ProbeTee", "QueryProfile",
     "SlowQueryLog", "StageCollector", "QueryTrace", "Span", "Tracer",
     "Observability",

@@ -1,4 +1,4 @@
-"""Thread-safe metrics primitives: books, counters, gauges, histograms.
+"""Thread-safe metrics primitives: books, counters, histograms.
 
 :class:`Books` is the one type of named integer counts a subsystem keeps
 (the server's service counts, each driver's resilience counts, the
@@ -44,7 +44,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 __all__ = [
     "Books",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "RowWidthEstimator",
@@ -133,37 +132,6 @@ class Counter:
     def value(self) -> float:
         with self._lock:
             return self._value
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"kind": self.kind, "value": self.value}
-
-
-class Gauge:
-    """A value that can go up and down.  ``set``/``add`` are thread-safe."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = "") -> None:
-        self.name = name
-        self.help = help
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"kind": self.kind, "value": self.value}
 
 
 class Histogram:
@@ -265,9 +233,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(name, lambda: Counter(name, help), "counter")
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name, help), "gauge")
-
     def histogram(self, name: str, bounds: Sequence[float],
                   help: str = "") -> Histogram:
         metric = self._get_or_create(
@@ -280,12 +245,6 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         with self._lock:
             return sorted(self._metrics)
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Plain-data snapshot of every metric, wire- and JSON-safe."""
-        with self._lock:
-            metrics = list(self._metrics.items())
-        return {name: metric.snapshot() for name, metric in sorted(metrics)}
 
     def render(self, counters: Iterable[Tuple[str, str, float]] = ()) -> str:
         """Prometheus text exposition of every registered metric, and of

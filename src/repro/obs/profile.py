@@ -4,7 +4,7 @@ A :class:`QueryProfile` is the post-hoc record of one engine run: the
 physical plan the planner chose, per-stage wall time and row counts, the
 actual result cardinality next to the planner's estimate, and annotations
 for everything that deviated from the happy path (retries, recovered
-faults, compiled fallbacks, spills, cancellation).
+faults, eager sections in a stream, spills, cancellation).
 
 Profiles are *observation only*.  ``engine.stream(..., profile=True)``
 collects one through a timing probe (chunked lowering) and the trace
@@ -102,8 +102,7 @@ def _add_driver_spans(node: Dict[str, object],
 
 # Statistics counters worth calling out when non-zero, in render order.
 _ANNOTATION_KEYS = (
-    "retries", "recovered_faults", "compiled_fallbacks", "stream_fallbacks",
-    "warnings",
+    "retries", "recovered_faults", "stream_fallbacks", "warnings",
 )
 _BOOK_KEYS = ("spills", "bytes_spilled", "rows_spilled", "spill_fallbacks",
               "cancellations", "budget_rejections")

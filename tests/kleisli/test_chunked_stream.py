@@ -464,29 +464,27 @@ class TestOneStreamingLowering:
         assert producers <= set(chunkable_node_types())
         assert "Join" not in supported_node_types() + chunkable_node_types()
 
-    def test_an_unregistered_node_type_is_named_and_counted(self, monkeypatch):
-        """Dispatch is by exact type: an ``Ext`` subclass nobody registered
-        runs as an eager section (here all the way back in the interpreter),
-        named at compile time and counted at run time — never silently."""
-        from repro.core.nrc.eval import Evaluator
+    def test_an_unregistered_node_type_is_refused_at_lowering(self):
+        """Dispatch is by exact type and there is no interpreter hand-off:
+        an ``Ext`` subclass nobody registered is an error naming it on
+        every compiled entry point, before any driver is asked."""
+        from repro.core.errors import EvaluationError
+        from repro.core.nrc.compile import compile_chunked, compile_term
 
         class Mystery(A.Ext):
             pass
 
-        monkeypatch.setitem(Evaluator._DISPATCH, Mystery,
-                            Evaluator._DISPATCH[A.Ext])
         source = Mystery("y", B.singleton(B.var("y"), "list"), _scan(count=3),
                          kind="list")
         expr = B.ext("x", B.singleton(B.prim("mul", B.var("x"), B.const(2)), "list"),
                      source, kind="list")
         engine = _engine()
-        query = engine.compiled_chunked(expr)
-        assert query.eager_nodes == ("Mystery",)
-        assert query.fallback_nodes == ("Mystery",)
-        assert list(engine.stream(expr, optimize=False)) == [0, 2, 4]
-        stats = engine.last_eval_statistics
-        assert stats.stream_fallbacks == 1 and stats.compiled_fallbacks == 1
-        assert stats.execution_mode == "compiled+fallback"
+        for lower in (compile_term, compile_chunked, engine.compiled_chunked,
+                      lambda e: engine.execute(e, optimize=False),
+                      lambda e: engine.stream(e, optimize=False)):
+            with pytest.raises(EvaluationError, match="Mystery"):
+                lower(expr)
+        assert engine.drivers["ranges"].request_count == 0
 
     def test_the_switches_and_the_second_lowering_are_gone(self):
         import inspect

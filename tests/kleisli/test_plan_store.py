@@ -26,7 +26,6 @@ from repro.core.planner.store import (
     PlanStore,
     decode_record,
     encode_record,
-    read_journal,
 )
 from repro.core.values import CList
 from repro.kleisli.drivers.base import Driver
@@ -89,10 +88,6 @@ def test_record_roundtrip_and_header_framing():
     decoded, offset = decode_record(frame)
     assert decoded == record
     assert offset == len(frame)
-    # Trailing partial frame: one good record, torn tail skipped.
-    records, skipped = read_journal(frame + frame[:5])
-    assert records == [record]
-    assert skipped == 5
 
 
 def test_oversized_record_is_refused_not_written():
@@ -167,18 +162,6 @@ def test_garbage_empty_and_missing_stores_load_clean(tmp_path):
 
 # -- implausible numbers and the books ----------------------------------------
 
-def _write_raw_journal(path, header, *records):
-    with open(path, "wb") as handle:
-        handle.write(encode_record(header))
-        for record in records:
-            handle.write(encode_record(record))
-
-
-def _header(**fields):
-    return dict({"kind": "header", "version": SCHEMA_VERSION, "ts": 1.0},
-                **fields)
-
-
 def _write_snapshot(directory, *records, **fields):
     snapshot = dict({"kind": "snapshot", "version": SCHEMA_VERSION,
                      "ts": _NOW, "records": list(records)}, **fields)
@@ -221,54 +204,24 @@ def test_implausible_statistics_are_skipped_and_counted(tmp_path):
     (None, "0.08"),
 ], ids=["negative", "bool, nan", "float, past float range", "text, negative",
         "none, text"])
-def test_an_implausible_number_is_skipped_in_journal_and_snapshot(
+def test_an_implausible_number_is_skipped_in_the_snapshot(
         tmp_path, cardinality, ema):
     directory = tmp_path / "store"
     os.makedirs(directory)
-    bad = {"cardinalities": [["d", "t", cardinality]],
-           "observed_latency": {"slow": ema}}
-    _write_snapshot(directory, dict(bad, ts=_NOW))
-    _write_raw_journal(directory / "journal-1-aaaa.kjl", _header(),
-                       dict(bad, kind="statistics", ts=_NOW))
+    _write_snapshot(directory, {"ts": _NOW,
+                                "cardinalities": [["d", "t", cardinality]],
+                                "observed_latency": {"slow": ema}})
     store = _store(directory)
     assert _empty(store.load())                 # never raises
     books = store.books()
-    assert (books["snapshot_loaded"], books["records_loaded"]) == (1, 1)
-    assert books["records_skipped_corrupt"] == 4
+    assert books["snapshot_loaded"] == 1
+    assert books["records_skipped_corrupt"] == 2
     # A write carries none of it forward.
     assert store.write({})
     assert _empty(_store(directory).load())
 
 
-def test_records_are_counted_loaded_only_once_absorbed(tmp_path):
-    directory = tmp_path / "store"
-    os.makedirs(directory)
-    _write_raw_journal(directory / "journal-1-aaaa.kjl", _header(),
-                       dict(_stats(0), kind="statistics", ts=_NOW),
-                       dict(_stats(1), kind="statistics", ts="x"))
-    store = _store(directory)
-    assert _recovered(store.load()) == [0]
-    books = store.books()
-    assert books["records_loaded"] == 1
-    assert books["records_skipped_corrupt"] == 1
-
-
 # -- version guards ----------------------------------------------------------
-
-def test_wrong_schema_version_journal_skipped_wholesale(tmp_path):
-    directory = tmp_path / "store"
-    os.makedirs(directory)
-    journal = directory / "journal-1-aaaa.kjl"
-    _write_raw_journal(journal, _header(version=SCHEMA_VERSION + 1),
-                       dict(_stats(), kind="statistics", ts=2.0))
-    store = _store(directory)
-    assert _empty(store.load())
-    assert store.books()["journals_skipped_version"] == 1
-    # Another version's journal is not ours to fold in or remove.
-    assert store.write(_stats(1))
-    assert os.path.exists(journal)
-    assert _recovered(_store(directory).load()) == [1]
-
 
 def test_wrong_version_snapshot_skipped(tmp_path):
     directory = tmp_path / "store"
@@ -277,59 +230,74 @@ def test_wrong_version_snapshot_skipped(tmp_path):
                     version=SCHEMA_VERSION + 1)
     store = _store(directory)
     assert _empty(store.load())
-    assert store.books()["journals_skipped_version"] == 1
+    assert store.books()["snapshot_skipped_version"] == 1
 
 
-#: The fingerprint-algorithm hash a store written before the feedback ledger
-#: was removed carries in its headers and snapshot.
-_OLD_FPV = "7ce7c841bc9e"
-
-
-def test_a_store_written_with_feedback_records_still_loads_its_statistics(
-        tmp_path):
-    """The format of earlier builds: per-process journals behind an ``fpv``
-    header holding ``feedback`` and ``statistics`` records, beside a
-    snapshot carrying one ``statistics`` record and a ``feedback`` list.
-    Its statistics load into a new engine, its feedback is skipped, and the
-    first write leaves one snapshot."""
+def test_a_snapshot_of_another_kind_is_skipped(tmp_path):
     directory = tmp_path / "store"
     os.makedirs(directory)
-    observation = [["t", "Ext", ["t", "Var", 0]],
-                   {"cardinality": 12.0, "runs": 1}, _NOW]
-    snapshot = {"kind": "snapshot", "version": 1, "fpv": _OLD_FPV,
-                "pid": 1, "ts": _NOW, "feedback": [observation],
-                "statistics": {"ts": _NOW,
-                               "cardinalities": [["d", "t", 40]],
-                               "observed_latency": {"slow": 0.08}}}
-    with open(directory / "snapshot.kjs", "wb") as handle:
-        handle.write(encode_record(snapshot))
-    _write_raw_journal(directory / "journal-1-aaaa.kjl",
-                       _header(fpv=_OLD_FPV, pid=1),
-                       {"kind": "feedback", "ts": _NOW + 1,
-                        "key": observation[0], "obs": observation[1]},
-                       {"kind": "statistics", "ts": _NOW + 2,
-                        "cardinalities": [],
-                        "observed_latency": {"far": 0.09}})
-    _write_raw_journal(directory / "journal-2-bbbb.kjl", _header(pid=2),
-                       {"kind": "statistics", "ts": _NOW - 5,
-                        "cardinalities": [["d", "u", 3]],
-                        "observed_latency": {}})
-    engine = KleisliEngine(plan_store=_store(directory))
-    registry = engine.statistics_registry
-    assert registry.cardinality("d", "t") == 40
-    assert registry.cardinality("d", "u") == 3
-    assert registry.observed_latency("slow") == pytest.approx(0.08)
-    assert registry.is_remote("slow") and registry.is_remote("far")
-    books = engine.health()["persistence"]
-    assert (books["snapshot_loaded"], books["journals_merged"],
-            books["records_loaded"], books["records_skipped_corrupt"]) == \
-        (1, 2, 2, 1)
+    _write_snapshot(directory, dict(_stats(), ts=_NOW), kind="statistics")
+    store = _store(directory)
+    assert _empty(store.load())
+    books = store.books()
+    assert (books["snapshot_skipped_version"], books["snapshot_loaded"]) == \
+        (1, 0)
 
-    engine.flush_plan_store()
-    assert _files(directory) == ["lock", "snapshot.kjs"]
-    assert _store(directory).load() == {
-        "cardinalities": [["d", "t", 40], ["d", "u", 3]],
-        "observed_latency": {"far": 0.09, "slow": 0.08}}
+
+def test_the_books_count_one_snapshot_and_no_journals(tmp_path):
+    store = _store(tmp_path / "store")
+    assert store.write(_stats(0))
+    assert _recovered(store.load()) == [0]
+    books = store.books()
+    assert set(books) == {
+        "attached", "entries_loaded", "io_errors", "records_expired",
+        "records_skipped_corrupt", "snapshot_age_seconds", "snapshot_bytes",
+        "snapshot_loaded", "snapshot_skipped_version", "unpersistable",
+        "write_failures", "writes"}
+    assert (books["writes"], books["snapshot_loaded"],
+            books["entries_loaded"]) == (1, 1, 2)
+
+
+def test_a_record_without_a_usable_stamp_takes_the_snapshots(tmp_path):
+    """A record whose ``ts`` is not a finite number is stamped with the
+    snapshot's own ``ts``: here one past ``MAX_AGE``, so its entries
+    expire or lose to a newer stamp, and only survivors count loaded."""
+    directory = tmp_path / "store"
+    os.makedirs(directory)
+    _write_snapshot(directory, dict(_stats(0), ts="x"),
+                    dict(_stats(1), ts=float("nan")),
+                    dict(_stats(1, rows=7), ts=_NOW - 1),
+                    ts=_NOW - 2 * PlanStore.MAX_AGE)
+    store = _store(directory)
+    assert store.load() == {"cardinalities": [["d", "t1", 7]],
+                            "observed_latency": {"d1": 0.02}}
+    books = store.books()
+    assert books["records_skipped_corrupt"] == 0
+    assert (books["records_expired"], books["entries_loaded"]) == (2, 2)
+
+
+def test_a_journal_beside_the_snapshot_is_neither_loaded_nor_removed(
+        tmp_path):
+    """A ``journal-*.kjl`` (the per-process log an earlier layout kept) is
+    an unknown file: a load does not read it and a write leaves it be."""
+    directory = tmp_path / "store"
+    assert _store(directory).write(_stats(0))
+    journal = directory / "journal-1-aaaa.kjl"
+    with open(journal, "wb") as handle:
+        handle.write(encode_record({"kind": "header",
+                                    "version": SCHEMA_VERSION, "ts": _NOW}))
+        handle.write(encode_record(dict(_stats(1), kind="statistics",
+                                        ts=_NOW)))
+    with open(journal, "rb") as handle:
+        before = handle.read()
+    store = _store(directory)
+    assert _recovered(store.load()) == [0]
+    assert store.books()["records_skipped_corrupt"] == 0
+    assert store.write(_stats(2))
+    assert _files(directory) == ["journal-1-aaaa.kjl", "lock", "snapshot.kjs"]
+    with open(journal, "rb") as handle:
+        assert handle.read() == before
+    assert _recovered(_store(directory).load()) == [0, 2]
 
 
 # -- kill mid-write / full disk / no lock --------------------------------------
@@ -451,10 +419,8 @@ def test_a_future_stamp_counts_as_now(tmp_path):
     os.makedirs(directory)
     future = {"ts": 1e12, "cardinalities": [["d", "t", 5], ["d", "u", 6]],
               "observed_latency": {}}
-    _write_snapshot(directory, future, ts=1e12)
-    _write_raw_journal(directory / "journal-1-aaaa.kjl", _header(),
-                       dict(future, kind="statistics",
-                            cardinalities=[["d", "v", 8]]))
+    _write_snapshot(directory, future,
+                    dict(future, cardinalities=[["d", "v", 8]]), ts=1e12)
     reader = _store(directory, clock=lambda: now[0])
     assert reader.load()["cardinalities"] == [
         ["d", "t", 5], ["d", "u", 6], ["d", "v", 8]]

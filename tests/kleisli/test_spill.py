@@ -182,6 +182,22 @@ class TestGovernedSeenSet:
         assert manager.books["spill_fallbacks"] >= 1
         manager.close()
 
+    def test_an_unhashable_value_is_a_type_error_spilled_or_not(self):
+        """As with a set: an unhashable value never reaches the unpicklable
+        residue, which therefore needs no list beside it."""
+        manager = SpillManager(memory_elements=2)
+        seen = manager.seen_set()
+        with pytest.raises(TypeError):
+            seen.add([1])
+        for i in range(4):
+            seen.add(("v", i))
+        with pytest.raises(TypeError):
+            seen.add([1])
+        with pytest.raises(TypeError):
+            [1] in seen
+        assert len(seen) == 4
+        manager.close()
+
 
 # -- SpilledIndex -------------------------------------------------------------
 

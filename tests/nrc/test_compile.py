@@ -53,42 +53,31 @@ class TestCompileBasics:
         assert context.statistics.ext_iterations == 7
         assert context.statistics.elements_fetched == 7
 
-
-class TestFallback:
-    def test_unsupported_node_falls_back_to_the_interpreter(self, monkeypatch):
-        monkeypatch.delitem(C._COMPILERS, A.Fold)
-        plus = B.lam("a", B.lam("b", B.prim("add", B.var("a"), B.var("b"))))
-        term = B.prim("mul", B.const(2),
-                      B.fold(plus, B.const(0), A.Const(CSet([1, 2, 3]))))
-        query = compile_term(term)
-        assert query.fallback_nodes == ("Fold",)
-        assert not query.fully_compiled
-        context = EvalContext()
-        assert query(context=context) == 12
-        assert context.statistics.compiled_fallbacks == 1
-        assert context.statistics.fold_iterations == 3
-
-    def test_fallback_sees_compiled_bindings(self, monkeypatch):
-        """A fallback subtree must observe Let/Ext bindings made by compiled
-        frames (the frame is reconstructed into an Environment)."""
-        monkeypatch.delitem(C._COMPILERS, A.Fold)
+    def test_fold_sees_let_bindings_of_the_compiled_frame(self):
         plus = B.lam("a", B.lam("b", B.prim("add", B.var("a"), B.var("b"))))
         term = B.let("base", B.const(100),
                      B.fold(plus, B.var("base"), A.Const(CSet([1, 2, 3]))))
-        assert compile_term(term)() == 106
+        context = EvalContext()
+        assert compile_term(term)(context=context) == 106
+        assert context.statistics.fold_iterations == 3
 
-    def test_unknown_node_memo_does_not_conflate_equal_terms(self, monkeypatch):
-        """Terms containing nodes without a native compiler are memo-keyed by
-        identity, so structurally-equal fallback terms (True == 1!) never
-        share a burned-in compiled query."""
-        monkeypatch.delitem(C._COMPILERS, A.Singleton)
-        engine = KleisliEngine()
-        first = B.singleton(B.const(1))
-        second = B.singleton(B.const(True))
-        assert first == second  # the equality trap, now through fallback
-        assert engine.execute(first, optimize=False) == CSet([1])
-        value = engine.execute(second, optimize=False)
-        assert next(iter(value)) is True
+
+class TestEveryNodeTypeIsLowered:
+    def test_every_expr_subclass_the_program_defines_has_a_compiler(self):
+        """The lowering has no interpreter hand-off, so every node type in
+        ``repro`` must be registered (test-defined subclasses aside)."""
+        import repro.core.optimizer  # noqa: F401 - registers ParallelExt
+
+        def subclasses(cls):
+            for subclass in cls.__subclasses__():
+                yield subclass
+                yield from subclasses(subclass)
+
+        defined = [cls for cls in subclasses(A.Expr)
+                   if cls.__module__.startswith("repro.")]
+        assert {A.Fold, A.BindScan, ParallelExt} <= set(defined)
+        missing = [cls.__name__ for cls in defined if cls not in C._COMPILERS]
+        assert missing == []
 
     def test_interpreter_closures_cross_into_compiled_apply(self):
         interpreted_closure = Evaluator().evaluate(
@@ -158,7 +147,6 @@ class TestParallelExtCompiled:
         term = ParallelExt("x", B.singleton(B.prim("mul", B.var("x"), B.const(3))),
                            A.Const(CSet([1, 2, 3, 4])), kind="set", max_workers=2)
         query = compile_term(term)
-        assert query.fully_compiled
         context = EvalContext()
         assert query(context=context) == CSet([3, 6, 9, 12])
         assert context.statistics.ext_iterations == 4
@@ -230,15 +218,17 @@ class TestEngineModes:
         engine.execute(B.const(1))
         assert engine.last_eval_statistics.execution_mode == "compiled"
 
-    def test_fallback_is_surfaced_in_statistics(self, monkeypatch):
-        monkeypatch.delitem(C._COMPILERS, A.Fold)
+    def test_a_fold_runs_compiled_and_counts_no_fallback(self):
+        """``compiled_fallbacks`` is kept for the trace's sum and reads 0:
+        every node type has a lowering."""
         engine = KleisliEngine()
         plus = B.lam("a", B.lam("b", B.prim("add", B.var("a"), B.var("b"))))
         term = B.fold(plus, B.const(0), A.Const(CSet([1, 2, 3])))
-        engine.execute(term, optimize=False)
+        assert engine.execute(term, optimize=False) == 6
         stats = engine.last_eval_statistics
-        assert stats.execution_mode == "compiled+fallback"
-        assert stats.compiled_fallbacks == 1
+        assert stats.execution_mode == "compiled"
+        assert stats.compiled_fallbacks == 0
+        assert stats.fold_iterations == 3
 
     def test_compiled_queries_are_memoized(self):
         engine = KleisliEngine()
@@ -272,6 +262,17 @@ class TestEngineModes:
         assert value is True
         assert engine.execute(A.Const(1.0), optimize=False) == 1.0
         assert isinstance(engine.execute(A.Const(1.0), optimize=False), float)
+
+    def test_memo_distinguishes_literal_types_inside_a_collection(self):
+        """The True == 1 trap one node down: equal ``Singleton`` terms
+        around ``Const(1)`` and ``Const(True)`` keep their own queries."""
+        engine = KleisliEngine()
+        first = B.singleton(B.const(1))
+        second = B.singleton(B.const(True))
+        assert first == second  # the equality trap
+        assert engine.execute(first, optimize=False) == CSet([1])
+        value = engine.execute(second, optimize=False)
+        assert next(iter(value)) is True
 
     def test_memo_hits_across_fresh_binder_names(self):
         """Re-desugaring the same query mints fresh variable names; the

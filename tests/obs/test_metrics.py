@@ -1,6 +1,6 @@
 """The metrics registry, one behaviour at a time.
 
-Books, counters/gauges/histograms (thread-safe, typed), the fixed-exponential
+Books, counters/histograms (thread-safe, typed), the fixed-exponential
 bucket ladder builder, Prometheus-style text exposition, and the sampled
 row-width estimator whose zero-sample behaviour reproduces the
 ``NOMINAL_ROW_BYTES`` constant bit-for-bit (the PR 9 budget gate's
@@ -15,7 +15,6 @@ from repro.kleisli.governance import NOMINAL_ROW_BYTES
 from repro.obs.metrics import (
     Books,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     RowWidthEstimator,
@@ -36,7 +35,7 @@ class TestBucketLadder:
             exponential_buckets(1.0, 2.0, 0)
 
 
-class TestCounterAndGauge:
+class TestCounter:
     def test_counter_accumulates_and_rejects_negative(self):
         counter = Counter("c")
         counter.inc()
@@ -44,12 +43,6 @@ class TestCounterAndGauge:
         assert counter.value == 5
         with pytest.raises(ValueError):
             counter.inc(-1)
-
-    def test_gauge_sets_and_adds(self):
-        gauge = Gauge("g")
-        gauge.set(10)
-        gauge.add(-3)
-        assert gauge.value == 7
 
     def test_counter_is_thread_safe(self):
         counter = Counter("c")
@@ -129,8 +122,6 @@ class TestRegistry:
         counter = registry.counter("requests", "help")
         assert registry.counter("requests") is counter
         with pytest.raises(ValueError):
-            registry.gauge("requests")
-        with pytest.raises(ValueError):
             registry.histogram("requests", (1.0,))
 
     def test_histogram_bounds_mismatch_raises(self):
@@ -166,11 +157,8 @@ class TestRegistry:
     def test_snapshot_lists_every_metric(self):
         registry = MetricsRegistry()
         registry.counter("a")
-        registry.gauge("b")
         registry.histogram("c", (1.0,))
-        snap = registry.snapshot()
-        assert set(snap) == {"a", "b", "c"}
-        assert snap["c"]["kind"] == "histogram"
+        assert registry.names() == ["a", "c"]
 
 
 class TestRowWidthEstimator:

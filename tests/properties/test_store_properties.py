@@ -1,14 +1,14 @@
-"""Property tests for the plan-store journal codec.
+"""Property tests for the plan-store record codec.
 
 Two contracts the durability layer rests on:
 
 * **Round-trip identity** — a statistics record (cardinality triples and
   an observed-latency map) framed and read back is the record written,
   exactly;
-* **Framing paranoia** — for an arbitrary journal of records arbitrarily
-  truncated, the reader never raises and every record it returns is a
-  *prefix* of what was written, byte-for-byte: corruption can lose
-  records, never mint them.
+* **Framing paranoia** — for an arbitrary run of framed records
+  arbitrarily truncated, :func:`decode_record` never raises and the
+  records it decodes frame by frame are a *prefix* of what was written,
+  byte-for-byte: corruption can lose records, never mint them.
 """
 
 import json
@@ -16,7 +16,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.planner.store import encode_record, read_journal
+from repro.core.planner.store import decode_record, encode_record
 
 names = st.text(max_size=12)
 
@@ -36,9 +36,9 @@ statistics_states = st.fixed_dictionaries({
 def test_statistics_record_roundtrip(state, ts):
     record = dict(state, kind="statistics", ts=ts)
     frame = encode_record(record)
-    records, skipped = read_journal(frame)
-    assert skipped == 0
-    assert records == [json.loads(json.dumps(record))] == [record]
+    decoded, end = decode_record(frame)
+    assert end == len(frame)
+    assert decoded == json.loads(json.dumps(record)) == record
 
 
 @given(
@@ -46,12 +46,17 @@ def test_statistics_record_roundtrip(state, ts):
     cut=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=100, deadline=None)
-def test_truncated_journal_yields_byte_exact_prefix(states, cut):
+def test_truncated_frames_yield_byte_exact_prefix(states, cut):
     frames = [encode_record(dict(state, kind="statistics", ts=float(i)))
               for i, state in enumerate(states)]
     data = b"".join(frames)
     truncated = data[:min(cut, len(data))]
-    records, skipped = read_journal(truncated)  # must never raise
+    records, offset = [], 0
+    while True:
+        record, offset = decode_record(truncated, offset)  # never raises
+        if record is None:
+            break
+        records.append(record)
     # Prefix property: the recovered records are exactly the fully-
     # contained frames, in order — nothing invented, nothing reordered.
     whole, used = [], 0
@@ -62,4 +67,4 @@ def test_truncated_journal_yields_byte_exact_prefix(states, cut):
         else:
             break
     assert [int(record["ts"]) for record in records] == whole
-    assert skipped == len(truncated) - used
+    assert offset == used
