@@ -15,7 +15,8 @@ them:
   rewriting comprehensions *around* a ``Scan`` into a richer request *inside*
   it.
 * :class:`Cached` — marks a subexpression whose value should be computed once
-  and reused (the inner-subquery cache).
+  and reused (the inner-subquery cache), and :class:`Memo` — one computed
+  once per key (a correlated aggregate).
 * :class:`Deref` — dereferencing for sources with object identity.
 
 All nodes are immutable; structural equality and hashing are provided so the
@@ -577,6 +578,43 @@ class Cached(Expr):
 
     def _key(self) -> Tuple:
         return (self.expr,)
+
+
+class Memo(Expr):
+    """Evaluate ``expr`` once per distinct value of ``keys`` in a run.
+
+    Introduced by the caching rule set around a correlated aggregate whose
+    loop binders appear only as the projections ``keys`` (``x.l``), so the
+    values of ``keys`` determine its value.  An entry of the run's
+    ``EvalContext.cache`` is keyed by ``key`` (the ``repr`` of the node's own
+    fingerprint, aggregate and key projections, under
+    :data:`Cached.CONTENT_PREFIX`: one aggregate text keyed by other
+    projections elsewhere in a query is another memo) and by each key value
+    with its exact type (``eval._memo_entry``): only when every value is an
+    exact ``int``, ``str``, ``bool`` or ``bytes`` is the memo consulted, and
+    only such a value or a float that is not NaN is stored
+    (``eval._memoized``).  Otherwise, or when a key raises, ``expr`` runs as
+    written.  The fingerprint leaves ``key`` out, as a ``Cached`` node's does.
+    """
+
+    __slots__ = ("expr", "keys", "key")
+
+    def __init__(self, expr: Expr, keys: Sequence[Expr], key: Optional[str] = None):
+        self.expr = expr
+        self.keys = tuple(keys)
+        if key is None:
+            from .compile import term_fingerprint  # compile imports this module
+            key = Cached.CONTENT_PREFIX + repr(term_fingerprint(self))  # reads no key
+        self.key = key
+
+    def children(self) -> Tuple[Expr, ...]:
+        return (self.expr,) + self.keys
+
+    def rebuild(self, children: Sequence[Expr]) -> Expr:
+        return Memo(children[0], children[1:], self.key)
+
+    def _key(self) -> Tuple:
+        return (self.expr, self.keys)
 
 
 class BindScan(Ext):

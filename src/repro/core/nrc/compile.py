@@ -34,7 +34,8 @@ closure and the pipeline chunks the whole value
 ``Fold``, the ``index`` a local join probes, a ``Union`` whose operand kinds
 :func:`~repro.core.nrc.structural.proven_collection_kind` cannot prove, and
 scalar operators.  ``Cached`` is a deliberate materialization point and
-counts as no fallback.
+counts as no fallback; nor does a ``Memo``, whose eager closure the pipeline
+borrows as it does a ``Cached`` node's.
 
 **Streaming rules.**  A drained stream yields exactly the eager value's
 elements in order, with the same ``elements_fetched``; chunk sizes never
@@ -105,6 +106,8 @@ from . import ast as A
 from .ast import free_variables
 from .eval import (
     _MISSING,
+    _memo_entry,
+    _memoized,
     Closure,
     Environment,
     EvalContext,
@@ -847,6 +850,24 @@ def _compile_cached(expr: A.Cached, scope, state, build_side: bool = False):
     return run
 
 
+@register_compiler(A.Memo)
+def _compile_memo(expr: A.Memo, scope, state):
+    """``Memo``: the aggregate once per exact key value in the run's
+    ``context.cache``, by the interpreter's rule (``eval._memoized``)."""
+    inner_fn = _compile(expr.expr, scope, state)
+    key_fns = [_compile(key, scope, state) for key in expr.keys]
+    tag = expr.key
+
+    def run(frame, context):
+        try:
+            entry = _memo_entry(tag, [key_fn(frame, context) for key_fn in key_fns])
+        except Exception:
+            entry = None    # the aggregate raises it, if it reaches that key
+        return _memoized(context, entry, inner_fn, frame, context)
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # The public entry point
 # ---------------------------------------------------------------------------
@@ -1237,6 +1258,9 @@ register_chunk_compiler(A.Const)(_chunk_leaf)
 # likewise not counted as a fallback.  The pipeline only iterates it, so it
 # is a build side (_compile_source).
 register_chunk_compiler(A.Cached)(_chunk_leaf)
+# A Memo is scalar wherever the caching stage puts it (an aggregate): the
+# pipeline borrows its eager closure, as it does a Cached node's.
+register_chunk_compiler(A.Memo)(_chunk_leaf)
 
 
 @register_chunk_compiler(A.Empty)
@@ -1258,7 +1282,7 @@ def _chunk_singleton(expr: A.Singleton, scope, state):
     return chunks
 
 
-def _dedup_set_chunks(chunk_fn: _ChunkFn) -> _ChunkFn:
+def _dedup_set_chunks(chunk_fn: _ChunkFn, rows: Optional[tuple] = None) -> _ChunkFn:
     """Chunk-wise dedup-as-you-go for set-kind pipelines.
 
     ``CSet`` iterates in first-occurrence insertion order, so suppressing
@@ -1272,11 +1296,16 @@ def _dedup_set_chunks(chunk_fn: _ChunkFn) -> _ChunkFn:
     filtering the raw concatenation yields the same first-occurrence
     sequence as filtering pre-deduped operands, at one hash probe and one
     live seen-set per element instead of one per pipeline layer.
+
+    ``rows`` is the stage's row form, ``(directory, row_fn)``: ``row_fn``
+    yields the value tuples of record heads on one static directory, so the
+    stage dedups before construct and only survivors become Records.  The
+    wrapper keeps it as ``rows`` for an enclosing union; the stage itself
+    does not, so no stage refers to itself (a dropped pipeline is freed by
+    reference counting, never left to the cycle collector).
     """
 
-    # A stage with a row form (value tuples of record heads on one static
-    # directory) dedups before construct: only survivors become Records.
-    directory, source_fn = getattr(chunk_fn, "rows", (None, chunk_fn))
+    directory, source_fn = rows or (None, chunk_fn)
 
     def chunks(frame, context):
         seen = _make_seen_set(context)
@@ -1295,6 +1324,7 @@ def _dedup_set_chunks(chunk_fn: _ChunkFn) -> _ChunkFn:
                 yield out
 
     chunks.undeduped = chunk_fn
+    chunks.rows = rows
     return chunks
 
 
@@ -1323,6 +1353,8 @@ def _chunk_union(expr: A.Union, scope, state):
     left_fn = _compile_chunk(expr.left, scope, state)
     right_fn = _compile_chunk(expr.right, scope, state)
     if kind == "set":
+        left_rows = getattr(left_fn, "rows", None)
+        right_rows = getattr(right_fn, "rows", None)
         # The union's own seen-filter below provides all the dedup the
         # chain needs, so operands that dedup on their own (set-kind
         # Ext/ParallelExt, nested unions) are unwrapped to their raw
@@ -1336,14 +1368,13 @@ def _chunk_union(expr: A.Union, scope, state):
         yield from right_fn(frame, context)
 
     if kind == "set":
-        left_rows = getattr(left_fn, "rows", None)
-        right_rows = getattr(right_fn, "rows", None)
+        rows = None
         if left_rows and right_rows and left_rows[0] is right_rows[0]:
             # Every operand ends in a record head on one directory: the
             # chain has a row form too, and the seen-set keys on its tuples.
-            chunks.rows = (left_rows[0], functools.partial(
+            rows = (left_rows[0], functools.partial(
                 chunks, left_fn=left_rows[1], right_fn=right_rows[1]))
-        return _dedup_set_chunks(chunks)
+        return _dedup_set_chunks(chunks, rows)
     return chunks
 
 
@@ -2006,10 +2037,11 @@ def _chunk_ext(expr: A.Ext, scope, state):
                 yield out
 
     if expr.kind == "set":
+        rows = None
         if ops[-1][0] == "records":
             # The row form stops short of building records: the dedup does it.
-            chunks.rows = (ops[-1][1], functools.partial(chunks, ops=ops[:-1]))
-        return _dedup_set_chunks(chunks)
+            rows = (ops[-1][1], functools.partial(chunks, ops=ops[:-1]))
+        return _dedup_set_chunks(chunks, rows)
     return chunks
 
 
@@ -2099,8 +2131,9 @@ class CompiledChunkedStream:
                     yield from else_fn(frame, context)
 
             return chunk_if
-        if node_type in (A.Var, A.Const, A.Cached):
-            # Value leaves (and Cached, a materialization point): evaluate,
+        if node_type in (A.Var, A.Const, A.Cached, A.Memo):
+            # Value leaves (and Cached, a materialization point, or a
+            # Memo, a scalar): evaluate,
             # then chunk elements — or the value itself when it is scalar.
             return cls._tolerant_chunks(_compile(expr, scope, state),
                                         count_fallback=False)
@@ -2345,6 +2378,11 @@ def _fingerprint(expr: A.Expr, scope: _Scope, out: List[object]) -> None:
         # kept, nested subqueries would repeat their content at every level.
         out.append(None if expr.key.startswith(A.Cached.CONTENT_PREFIX) else expr.key)
         _fingerprint(expr.expr, scope, out)
+    elif node_type is A.Memo:
+        # Its key is always its own content's: these tokens.
+        out.append(len(expr.keys))
+        for child in expr.children():
+            _fingerprint(child, scope, out)
     else:
         # Unknown node type (no native compiler): key on object identity —
         # sound whatever it bakes in, never shared across rebuilt terms.  The

@@ -13,7 +13,8 @@ Evaluation needs three pieces of ambient context, bundled in
   (the Kleisli engine supplies this; stand-alone evaluation of driver-free
   terms needs none),
 * ``cache`` — the run's own dict of :class:`~repro.core.nrc.ast.Cached`
-  values, filled on a key's first use and gone with the run,
+  values (and of :class:`~repro.core.nrc.ast.Memo` values, one per key),
+  filled on a key's first use and gone with the run,
 * ``statistics`` — counters (elements fetched, loop iterations) that the
   benchmarks report.
 """
@@ -617,6 +618,13 @@ class Evaluator:
         # Lazy token stream: count as it is consumed.
         return scan_stream(result, self.context)
 
+    def _eval_memo(self, expr: A.Memo, env: Environment) -> object:
+        try:
+            entry = _memo_entry(expr.key, [self._eval(key, env) for key in expr.keys])
+        except Exception:
+            entry = None    # the aggregate raises it, if it reaches that key
+        return _memoized(self.context, entry, self._eval, expr.expr, env)
+
     def _eval_cached(self, expr: A.Cached, env: Environment) -> object:
         cache = self.context.cache
         stats = self.context.statistics
@@ -651,6 +659,7 @@ Evaluator._DISPATCH = {
     A.Deref: Evaluator._eval_deref,
     A.Scan: Evaluator._eval_scan,
     A.Cached: Evaluator._eval_cached,
+    A.Memo: Evaluator._eval_memo,
     A.BindScan: Evaluator._eval_bind_scan,
 }
 
@@ -709,6 +718,54 @@ def cache_payload(value: object) -> object:
     nothing else).
     """
     return materialise(value) if is_lazy_stream(value) else value
+
+
+#: The classes of a value that a memo key or a stored memo value may hold:
+#: two equal values of one of them cannot be told apart.  A float can (NaN
+#: is not equal to itself, ``-0.0`` equals ``0.0``), and so can a structured
+#: value, through the floats it holds or its identity.
+_EXACT = frozenset((int, str, bool, bytes))
+
+
+def _memo_entry(key: str, values: List[object]) -> Optional[tuple]:
+    """The run-cache key of a :class:`~repro.core.nrc.ast.Memo` whose keys
+    evaluated to ``values``: each value beside its exact class (so ``True``
+    and ``1`` are two keys), or ``None`` when one is not of an
+    :data:`_EXACT` class (``1.0`` is not) and the aggregate must run as
+    written."""
+    entry = [key]
+    for value in values:
+        kind = type(value)
+        if kind not in _EXACT:
+            return None
+        entry += (kind, value)
+    return tuple(entry)
+
+
+def _memoized(context: "EvalContext", entry: Optional[tuple],
+              compute: Callable, *args) -> object:
+    """``compute(*args)``, looked up in and stored to the run's cache under
+    ``entry`` (see :func:`_memo_entry`).  Shared by both execution modes.
+
+    A value is stored only when it cannot be told apart from the one a
+    second evaluation would build: an :data:`_EXACT` value or a float that
+    is not NaN (a fresh NaN per row is a distinct set element).  An
+    evaluation that raises stores nothing, so the next row with that key
+    evaluates, and raises, again.
+    """
+    if entry is None:
+        return compute(*args)
+    cache = context.cache
+    value = cache.get(entry, _MISSING)
+    if value is not _MISSING:
+        context.statistics.cache_hits += 1
+        return value
+    context.statistics.cache_misses += 1
+    value = compute(*args)
+    kind = type(value)
+    if kind in _EXACT or (kind is float and value == value):
+        cache[entry] = value
+    return value
 
 
 def close_source(iterator: object, source: object) -> None:

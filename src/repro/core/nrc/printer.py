@@ -133,3 +133,7 @@ class _Printer:
 
     def _render_cached(self, expr: "A.Cached") -> str:
         return f"cached({self.render(expr.expr)})"
+
+    def _render_memo(self, expr: "A.Memo") -> str:
+        keys = ", ".join(self.render(key) for key in expr.keys)
+        return f"memo[{keys}]({self.render(expr.expr)})"

@@ -48,7 +48,38 @@ iteration count, cancellation checkpoint and budget charge — straight into
 the index without a ``[key, row]`` record per row, on disk when the run has a
 spill manager (:func:`~repro.core.nrc.compile._compile_index`).
 
-Local joins.  These two rewrites are the paper's two join operators.  The
+**Memoize** (``memoize-correlated-aggregate``).  An aggregate — ``count``,
+``sum``, ``avg``, ``max`` or ``min`` — in such a position that contains a
+loop outside any ``Cached`` and reads the binders in scope only as
+projections ``x.l`` is wrapped in :class:`~repro.core.nrc.ast.Memo`, keyed
+by those projections.  The correlated aggregate ``{[k = o.k, n =
+count({x.v | \\x <- OBS, x.k = o.k})] | \\o <- OBS}`` then probes its
+index once per distinct ``o.k``, not once per row.  Its value depends on
+nothing but the values it reads: a top-level name has one value per run, a
+``Cached`` subterm keeps its first value for the run wherever it sits, and a
+binder is read only through the projections.  So rows whose projections
+hold *indistinguishable* values share one value:
+
+* Key exactness.  An entry is keyed by each value beside its exact class, and
+  only when every value is an exact ``int``, ``str``, ``bool`` or ``bytes``;
+  otherwise the aggregate runs as written.  ``True`` and ``1`` are one value
+  to ``==`` and two keys here.  A float is left out: NaN is not
+  equal to itself, and ``-0.0 == 0.0`` while the two print and divide
+  apart; a unit or a structured value holds such things or an identity.  A
+  stored value obeys the same rule, with floats that are not NaN allowed: a
+  NaN or a structured value is built anew per row, as the loop built it, so
+  a set of heads sees as many elements as it did.
+* Error parity.  The aggregate is evaluated where and when the loop
+  evaluated it, for every row whose key has no stored value; an evaluation
+  that raises stores nothing, so the rewritten term raises exactly when the
+  original did, with the same error.  A key projection that raises (a row
+  without that field) leaves the aggregate to run as written, which raises
+  only if it reaches the projection.
+
+The walk applies it once: a ``Memo``'s aggregate is walked as a position
+evaluated once per key, so a later pass does not wrap it again.
+
+Local joins.  The first two rewrites are the paper's two join operators.  The
 indexed join of ``\\x <- R, \\y <- S, ky = kx`` is the probe above; the
 blocked join of ``\\x <- R, \\y <- SUBQUERY, x.a < y.b`` is the hoist: the
 inner side is computed once, on first need (never for an empty outer), and a
@@ -83,8 +114,8 @@ all subterms are computed bottom-up in one more
 (:func:`~repro.core.nrc.ast.free_variables` with a memo), the first time a
 loop is met inside a loop — for most queries, never.  Because the independence
 check needs every binder in scope, the rule set overrides the generic
-node-at-a-time pass with this one scope-tracking walk; both rules sit behind
-the ``caching`` switch of
+node-at-a-time pass with this one scope-tracking walk; the three rules sit
+behind the ``caching`` switch of
 :class:`~repro.core.optimizer.pipeline.OptimizerConfig`.
 """
 
@@ -99,8 +130,11 @@ __all__ = ["make_caching_rule_set"]
 
 _HOIST = "hoist-loop-invariant"
 _INDEX = "index-correlated-loop"
+_MEMO = "memoize-correlated-aggregate"
 
 _LOOPS = (A.Ext, A.Scan, A.Fold)
+_AGGREGATES = frozenset(("count", "sum", "avg", "max", "min"))
+_NOTHING: frozenset = frozenset()
 
 #: ``(binders in scope, can be evaluated more than once)`` of a position.
 _Position = Tuple[frozenset, bool]
@@ -135,7 +169,31 @@ def _child_positions(node: A.Expr, scope: frozenset, in_loop: bool) -> Sequence[
         return positions
     if isinstance(node, A.Cached):
         return ((scope, False),)    # evaluated once per run, wherever it sits
+    if isinstance(node, A.Memo):
+        # Evaluated once per key, so its aggregate is not memoized again.
+        return ((scope, False),) + ((scope, in_loop),) * len(node.keys)
     return ((scope, in_loop),) * len(node.children())
+
+
+def _read_by_projection(node: A.Expr, outer: frozenset, keys: Dict[tuple, A.Expr],
+                        loops: List[A.Expr]) -> bool:
+    """Whether ``node`` reads the binders ``outer`` only as projections
+    ``x.l``, filed in ``keys``; each loop met is filed in ``loops``.  A
+    ``Cached`` subterm is not entered: its value is the first row's for the
+    whole run, with a memo or without."""
+    node_type = type(node)
+    if node_type is A.Cached:
+        return True
+    if node_type is A.Project and type(node.expr) is A.Var and node.expr.name in outer:
+        keys.setdefault((node.expr.name, node.label), node)
+        return True
+    if node_type is A.Var:
+        return node.name not in outer
+    if isinstance(node, _LOOPS):
+        loops.append(node)
+    return all(_read_by_projection(child, outer - bound, keys, loops)
+               for child, (bound, _) in zip(node.children(),
+                                            _child_positions(node, _NOTHING, False)))
 
 
 class _CachingPass:
@@ -182,9 +240,15 @@ class _CachingPass:
         positions = _child_positions(node, scope, in_loop)
         new_children = [self.walk(child, *position)
                         for child, position in zip(children, positions)]
-        if all(new is old for new, old in zip(new_children, children)):
-            return node
-        return node.rebuild(new_children)
+        if not all(new is old for new, old in zip(new_children, children)):
+            node = node.rebuild(new_children)
+        if in_loop and type(node) is A.PrimCall and node.name in _AGGREGATES:
+            keys: Dict[tuple, A.Expr] = {}
+            loops: List[A.Expr] = []
+            if _read_by_projection(node, scope, keys, loops) and loops:
+                self.note(_MEMO)
+                return A.Memo(node, list(keys.values()))
+        return node
 
     def index_loop(self, loop: A.Ext, scope: frozenset) -> Optional[A.Expr]:
         var = loop.var
@@ -248,5 +312,7 @@ def make_caching_rule_set() -> RuleSet:
              "cache a loop-body subquery that mentions no enclosing binder"),
         Rule(_INDEX, lambda expr: None,
              "probe an index built once instead of scanning a loop-invariant inner relation"),
+        Rule(_MEMO, lambda expr: None,
+             "compute a correlated aggregate once per value of the projections it reads"),
     ]
     return _ScopedCachingRuleSet("caching", rules, direction="top-down", max_iterations=3)

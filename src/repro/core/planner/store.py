@@ -23,7 +23,10 @@ and each merges what the others wrote, so no writer's entry is lost.
 **Loading** never raises on bad data and never invents: a frame loads only
 if its length is plausible and its CRC matches.  A negative cardinality
 or a non-finite or negative latency is skipped and counted, and a snapshot
-of another kind or schema version is skipped whole; an entry older than
+of another kind or schema version is skipped whole, by a load and by a
+write alike: a write leaves such a file byte for byte (another build's
+statistics are not this build's to drop) and is counted a failure; an
+entry older than
 :data:`PlanStore.MAX_AGE` drops; a stamp ahead of the clock counts as
 *now*.  The loader reads ``snapshot.kjs`` and nothing else in the
 directory, and a write removes nothing but a killed writer's temporary.
@@ -229,12 +232,13 @@ class PlanStore:
         """Every surviving entry, in the shape
         :meth:`~repro.kleisli.statistics.SourceStatisticsRegistry.restore`
         takes.  Never raises on bad storage."""
-        entries = self._read(self.clock(), self._books.count)
+        entries = self._read(self.clock(), self._books.count) or {}
         self._books.count("entries_loaded", len(entries))
         return _state(entries)
 
-    def _read(self, now: float, count: Callable[..., None]) -> _Entries:
-        """The snapshot's entries, merged and expired; ``count`` books what
+    def _read(self, now: float, count: Callable[..., None]) -> Optional[_Entries]:
+        """The snapshot's entries, merged and expired, or ``None`` for a
+        snapshot of another kind or schema version; ``count`` books what
         was skipped."""
         entries: _Entries = {}
         try:
@@ -248,7 +252,7 @@ class PlanStore:
                 snapshot.get("kind") != "snapshot"
                 or snapshot.get("version") != SCHEMA_VERSION):
             count("snapshot_skipped_version")
-            return entries
+            return None
         if snapshot is None or not isinstance(snapshot.get("records"), list):
             count("records_skipped_corrupt")
             return entries
@@ -272,8 +276,9 @@ class PlanStore:
 
     def write(self, state: dict) -> bool:
         """Merge one registry snapshot into the file; whether it was
-        replaced.  A failing disk, a platform without ``fcntl`` or a state
-        too big to frame is ``False`` and a book entry, never an exception;
+        replaced.  A failing disk, a platform without ``fcntl``, a state
+        too big to frame or a snapshot of another kind or version on disk
+        (left as it is) is ``False`` and a book entry, never an exception;
         an implausible entry is left out, counted ``unpersistable``."""
         with self._lock:
             try:
@@ -295,6 +300,9 @@ class PlanStore:
                     os.unlink(os.path.join(self.path, name))
         now = self.clock()
         entries = self._read(now, lambda key, amount=1: None)
+        if entries is None:     # another build's: left as it is
+            self._books.count("snapshot_skipped_version")
+            return False
         _merge(entries, state, now, lambda: self._books.count("unpersistable"))
         by_stamp: Dict[float, _Entries] = {}
         for key, (ts, value) in entries.items():

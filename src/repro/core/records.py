@@ -48,7 +48,7 @@ This module provides:
 
 ``RecordDirectory``
     The shared field-name → slot map, interned so identical field sets share
-    one object.
+    one object while it is in use.
 
 ``Record``
     The immutable record value used throughout the evaluator.
@@ -70,6 +70,7 @@ hashing alike.
 from __future__ import annotations
 
 import threading
+import weakref
 from itertools import islice, repeat
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -89,37 +90,51 @@ __all__ = [
 class RecordDirectory:
     """A shared, interned mapping from field labels to array slots.
 
-    Directories are interned by field set: requesting a directory for the same
-    labels (in any order) returns the same object, which is what lets the
-    homogeneity fast path recognise that two records have the same layout by a
-    single identity comparison.
+    Directories are interned by field set while they are in use: requesting
+    a directory for the same labels (in any order) returns the same object
+    as long as anything holds it — a record, a compiled query, a decoded
+    block — which is what lets the homogeneity fast path recognise that two
+    records have the same layout by a single identity comparison.  The
+    intern table holds each directory by a weak reference, so one that
+    nothing uses any more is freed, and its entry with it: the label sets
+    that arbitrary client texts name do not accumulate for the life of the
+    process.
     """
 
-    _intern_lock = threading.Lock()
-    _interned: Dict[Tuple[str, ...], "RecordDirectory"] = {}
+    _intern_lock = threading.RLock()
+    _interned: Dict[Tuple[str, ...], "weakref.KeyedRef"] = {}
 
-    __slots__ = ("labels", "slots", "magic")
+    __slots__ = ("labels", "slots", "__weakref__")
 
-    def __init__(self, labels: Tuple[str, ...], magic: int):
+    def __init__(self, labels: Tuple[str, ...]):
         self.labels = labels
         self.slots = {label: index for index, label in enumerate(labels)}
-        # The "magic number" of the paper: a per-directory token mixed into
-        # offset computation.  Here it doubles as a stable identity for caches.
-        self.magic = magic
 
     @classmethod
     def for_labels(cls, labels: Iterable[str]) -> "RecordDirectory":
         """Return the interned directory for ``labels`` (order-insensitive)."""
         key = tuple(sorted(labels))
-        directory = cls._interned.get(key)
-        if directory is not None:
-            return directory
+        ref = cls._interned.get(key)
+        if ref is not None:
+            directory = ref()
+            if directory is not None:
+                return directory
         with cls._intern_lock:
-            directory = cls._interned.get(key)
+            ref = cls._interned.get(key)
+            directory = None if ref is None else ref()
             if directory is None:
-                directory = cls(key, magic=len(cls._interned) + 1)
-                cls._interned[key] = directory
+                directory = cls(key)
+                cls._interned[key] = weakref.KeyedRef(directory, cls._forget, key)
             return directory
+
+    @classmethod
+    def _forget(cls, ref: "weakref.KeyedRef") -> None:
+        """Drop a freed directory's entry, unless a new directory of its
+        labels took the entry over first.  The lock is reentrant: a
+        directory may be freed on a thread inside :meth:`for_labels`."""
+        with cls._intern_lock:
+            if cls._interned.get(ref.key) is ref:
+                del cls._interned[ref.key]
 
     def __reduce__(self):
         return (RecordDirectory.for_labels, (self.labels,))

@@ -97,6 +97,14 @@ class _CompileCache:
     ``limit`` evicts only the least recently used entry — not the whole
     cache, as the pre-LRU memo did.
 
+    **Admission.**  The engine keeps a lowered query from its second
+    lowering on (:meth:`admit`): the first leaves only the ``hash`` of its
+    key in a doorkeeper, an LRU of at most ``limit`` ints, and the second
+    finds it there and is kept.  A query sent once (an ad-hoc text) leaves
+    one int behind instead of its closures and its fingerprint; one sent
+    again is lowered twice and hits from its third run.  A session's
+    prepared forms go in with :meth:`put` and never pass the doorkeeper.
+
     All operations hold a lock: scheduler worker threads compile through
     the one engine (a ``ParallelExt`` body's subqueries, cross-session
     reuse), and an unlocked ``OrderedDict`` being reordered by ``get`` while
@@ -104,7 +112,8 @@ class _CompileCache:
     counters' read-modify-writes would under-count.
     """
 
-    __slots__ = ("limit", "hits", "misses", "evictions", "_entries", "_lock")
+    __slots__ = ("limit", "hits", "misses", "evictions", "_entries", "_seen",
+                 "_lock")
 
     def __init__(self, limit: int = _COMPILED_CACHE_LIMIT):
         self.limit = limit
@@ -112,6 +121,8 @@ class _CompileCache:
         self.misses = 0
         self.evictions = 0
         self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
+        #: The doorkeeper: hashes of keys lowered once and not kept.
+        self._seen: "OrderedDict[int, None]" = OrderedDict()
         self._lock = threading.Lock()
 
     def get(self, key: Tuple) -> Optional[object]:
@@ -126,11 +137,27 @@ class _CompileCache:
 
     def put(self, key: Tuple, value: object) -> None:
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.limit:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self._put_locked(key, value)
+
+    def admit(self, key: Tuple, value: object) -> None:
+        """Keep ``value`` under ``key`` if the key was offered before (see
+        Admission above); else remember only the key's hash."""
+        seen = hash(key)
+        with self._lock:
+            if seen in self._seen:
+                del self._seen[seen]
+                self._put_locked(key, value)
+                return
+            self._seen[seen] = None
+            if len(self._seen) > self.limit:
+                self._seen.popitem(last=False)
+
+    def _put_locked(self, key: Tuple, value: object) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.limit:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
     def __len__(self) -> int:
         with self._lock:
@@ -143,6 +170,7 @@ class _CompileCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._seen.clear()
 
 
 class _DriverGate:
@@ -958,13 +986,18 @@ class KleisliEngine:
 
     def _lowered(self, target: str, expr: A.Expr, lower: Callable,
                  statistics: Optional[EvalStatistics]) -> object:
-        """LRU lookup-or-compile for one lowering target; updates counters."""
+        """LRU lookup-or-compile for one lowering target; updates counters.
+
+        A lowering is kept from the second time its key is lowered
+        (:meth:`_CompileCache.admit`): a query sent once is not kept, one
+        sent again hits from its third run.
+        """
         cache = self._compiled_queries
         memo_key = (target, term_fingerprint(expr))
         query = cache.get(memo_key)
         if query is None:
             query = lower(expr)
-            cache.put(memo_key, query)
+            cache.admit(memo_key, query)
             if statistics is not None:
                 statistics.compile_cache_misses += 1
         elif statistics is not None:
@@ -977,7 +1010,8 @@ class KleisliEngine:
 
         The cache key is :func:`~repro.core.nrc.compile.term_fingerprint`
         (which says where it differs from structural equality, and why), so
-        the same query sent again compiles once.  ``statistics`` (when given)
+        the same query sent again compiles twice at most, and is kept from
+        its second lowering.  ``statistics`` (when given)
         receives the hit/miss accounting for this lookup.
         """
         return self._lowered("eager", expr, compile_term, statistics)

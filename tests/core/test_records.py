@@ -7,6 +7,7 @@ import operator
 import pickle
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -53,6 +54,45 @@ class TestRecordDirectory:
             assert twin == record and hash(twin) == hash(record)
         assert pickle.loads(pickle.dumps(Record({"title": "B", "year": 1989}))) \
             != record
+
+
+class TestDirectoryLifetime:
+    """A directory is interned while something uses it, and no longer."""
+
+    LABELS = ("lifetime_only_a", "lifetime_only_b")
+
+    def test_a_directory_is_freed_with_its_records_and_compiled_query(self):
+        engine = KleisliEngine()
+        head = B.record(**{label: B.const(1) for label in self.LABELS})
+        term = B.ext("x", B.singleton(head, "list"), B.var("XS"), kind="list")
+        for _ in range(2):  # lowered twice: the engine keeps the compiled form
+            value = engine.execute(term, {"XS": CList([1, 2])}, optimize=False)
+        record = next(iter(value))
+        directory = weakref.ref(record.directory)
+        assert tuple(sorted(self.LABELS)) in RecordDirectory._interned
+        del record, value
+        gc.collect()
+        assert directory() is not None   # the compiled head still holds it
+        engine._compiled_queries.clear()
+        gc.collect()
+        assert directory() is None
+        assert tuple(sorted(self.LABELS)) not in RecordDirectory._interned
+
+    def test_a_live_directory_is_the_one_for_its_labels(self):
+        record = Record(dict.fromkeys(self.LABELS, 0))
+        for _ in range(3):
+            gc.collect()
+            assert RecordDirectory.for_labels(reversed(self.LABELS)) is record.directory
+            twin = pickle.loads(pickle.dumps(record))
+            assert twin.directory is record.directory and twin == record
+
+    def test_a_freed_directorys_labels_get_a_new_one(self):
+        first = weakref.ref(RecordDirectory.for_labels(self.LABELS))
+        gc.collect()
+        assert first() is None
+        again = RecordDirectory.for_labels(self.LABELS)
+        assert again.labels == tuple(sorted(self.LABELS))
+        assert RecordDirectory.for_labels(self.LABELS) is again
 
 
 class TestRecord:

@@ -134,10 +134,13 @@ class TestRampingChunks:
                      kind="list")
         small = list(engine.stream(expr, optimize=False,
                                    chunk_policy=ChunkPolicy(max_chunk=2)))
+        # Another policy lowers the same key a second time, which keeps it.
+        middle = list(engine.stream(expr, optimize=False,
+                                    chunk_policy=ChunkPolicy(max_chunk=7)))
         hits_before = engine._compiled_queries.hits
         large = list(engine.stream(expr, optimize=False,
                                    chunk_policy=ChunkPolicy(max_chunk=512)))
-        assert small == large == list(range(20))
+        assert small == middle == large == list(range(20))
         assert engine._compiled_queries.hits == hits_before + 1
 
     def test_max_chunk_one_is_the_element_at_a_time_stream(self):
@@ -147,8 +150,9 @@ class TestRampingChunks:
         expr = B.ext("x", B.singleton(B.var("x"), "list"), _scan(count=3),
                      kind="list")
         policy = ChunkPolicy(max_chunk=1)
-        assert list(engine.stream(expr, optimize=False,
-                                  chunk_policy=policy)) == [0, 1, 2]
+        for _ in range(2):  # the second lowering is kept
+            assert list(engine.stream(expr, optimize=False,
+                                      chunk_policy=policy)) == [0, 1, 2]
         assert {key[0] for key in engine._compiled_queries._entries} == {"chunked"}
         context = EvalContext(driver_executor=engine.driver_executor)
         context.chunk_policy = policy

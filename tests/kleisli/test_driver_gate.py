@@ -215,11 +215,12 @@ class TestLoopWidth:
 
     def test_another_cap_is_another_plan_and_another_compiled_form(self):
         """The width is baked into the term: re-registering the driver with
-        another cap misses the compile LRU once, and only once."""
+        another cap misses the compile LRU, and the new form is kept from its
+        second lowering on, as any form is."""
         engine = KleisliEngine()
         lowered = engine._compiled_queries
         seen = []
-        for cap in (4, 16, 16):
+        for cap in (4, 16, 16, 16):
             engine.register_driver(CappedDriver(cap=cap))
             plan = engine.compile(self._loop("S"))
             misses = lowered.misses
@@ -227,8 +228,8 @@ class TestLoopWidth:
             seen.append((plan.max_workers, lowered.misses - misses,
                          term_fingerprint(plan)))
         assert [(width, missed) for width, missed, _ in seen] == \
-            [(4, 1), (16, 1), (16, 0)]
-        assert seen[0][2] != seen[1][2] == seen[2][2]
+            [(4, 1), (16, 1), (16, 1), (16, 0)]
+        assert seen[0][2] != seen[1][2] == seen[2][2] == seen[3][2]
 
 
 class FlakyCursorDriver(CappedDriver):

@@ -244,6 +244,42 @@ def test_a_snapshot_of_another_kind_is_skipped(tmp_path):
         (1, 0)
 
 
+def test_a_write_leaves_a_newer_builds_snapshot_byte_for_byte(tmp_path):
+    """A store an older and a newer build share: the older build's epoch
+    move must not replace the newer build's statistics with its own."""
+    directory = tmp_path / "store"
+    os.makedirs(directory)
+    _write_snapshot(directory, {"ts": _NOW, "cardinalities": [["d", "t", 7]]},
+                    version=SCHEMA_VERSION + 1)
+    before = (directory / "snapshot.kjs").read_bytes()
+    store = _store(directory)
+    assert store.write({"cardinalities": [["d", "u", 1]]}) is False
+    assert (directory / "snapshot.kjs").read_bytes() == before
+    assert _files(directory) == ["lock", "snapshot.kjs"]
+    books = store.books()
+    assert (books["snapshot_skipped_version"], books["write_failures"],
+            books["writes"]) == (1, 1, 0)
+
+
+def test_a_write_leaves_a_snapshot_of_another_kind(tmp_path):
+    directory = tmp_path / "store"
+    os.makedirs(directory)
+    _write_snapshot(directory, dict(_stats(), ts=_NOW), kind="statistics")
+    before = (directory / "snapshot.kjs").read_bytes()
+    assert _store(directory).write(_stats(1)) is False
+    assert (directory / "snapshot.kjs").read_bytes() == before
+
+
+def test_a_write_replaces_a_corrupt_snapshot(tmp_path):
+    directory = tmp_path / "store"
+    os.makedirs(directory)
+    (directory / "snapshot.kjs").write_bytes(b"\x00\x00\x00\x05garbage")
+    store = _store(directory)
+    assert store.write(_stats(1))
+    assert _recovered(store.load()) == [1]
+    assert store.books()["snapshot_skipped_version"] == 0
+
+
 def test_the_books_count_one_snapshot_and_no_journals(tmp_path):
     store = _store(tmp_path / "store")
     assert store.write(_stats(0))

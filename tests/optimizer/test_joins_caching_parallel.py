@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import term_fingerprint
 from repro.core.nrc.eval import EvalContext, Evaluator, evaluate
 from repro.core.nrc.rewrite import RewriteStats
 from repro.core.optimizer.caching import make_caching_rule_set
@@ -221,6 +222,93 @@ class TestCachingRuleSet:
             stats = RewriteStats()
             make_caching_rule_set().apply(self._correlated(*conditions), stats)
             assert stats.fired("index-correlated-loop") == 0
+
+    def _aggregate_loop(self, aggregate, key, *more, inner=None):
+        """``{[n = aggregate({y.v | \\y <- S, key, more..}), ..] | \\x <- OUTER}``"""
+        body = B.singleton(B.project(B.var("y"), "v"))
+        for condition in reversed((key,) + more):
+            body = A.IfThenElse(condition, body, A.Empty("set"))
+        subquery = B.ext("y", body, B.var("S") if inner is None else inner)
+        return B.ext("x", B.singleton(B.record(n=B.prim(aggregate, subquery))),
+                     B.var("OUTER"))
+
+    def test_a_correlated_aggregate_is_memoized_by_the_projections_it_reads(self):
+        key = B.eq(B.project(B.var("y"), "k"), B.project(B.var("x"), "k"))
+        second = B.eq(B.project(B.var("y"), "j"), B.project(B.var("x"), "j"))
+        data = {"OUTER": CBag([Record({"k": k, "j": k % 2}) for k in (1, 2, 3, 3, 1)]),
+                "S": CBag([Record({"k": i % 4, "j": i % 2, "v": i}) for i in range(12)])}
+        for name in ("count", "sum", "max"):
+            expr = self._aggregate_loop(name, key, second)
+            stats = RewriteStats()
+            rewritten = make_caching_rule_set().apply(expr, stats)
+            assert stats.firings == {"index-correlated-loop": 1,
+                                     "memoize-correlated-aggregate": 1}
+            memo = rewritten.body.expr.fields["n"]
+            assert type(memo) is A.Memo and memo.expr.name == name
+            # In the order the rewritten aggregate reads them (a loop's body
+            # comes before its source, the probe).
+            assert memo.keys == (B.project(B.var("x"), "j"), B.project(B.var("x"), "k"))
+            assert memo.pretty().startswith(f"memo[x.j, x.k]({name}(")
+            # Applied once: optimizing the plan again finds nothing to do.
+            again = RewriteStats()
+            assert make_caching_rule_set().apply(rewritten, again) == rewritten
+            assert again.firings == {}
+            context = EvalContext()
+            assert Evaluator(context).evaluate(rewritten, _env(data)) == \
+                evaluate(expr, data)
+            # Three distinct (j, k) keys among five rows: the memo misses
+            # three times and hits twice; the index is built by the first
+            # miss and found by the other two.
+            statistics = context.statistics
+            assert (statistics.cache_misses, statistics.cache_hits) == (3 + 1, 2 + 2)
+
+    def test_one_aggregate_keyed_by_other_projections_is_another_memo(self):
+        """The same aggregate text under ``\\p <- PS`` (``o`` a bound name)
+        and under ``\\o <- OS`` (``p`` a bound name) is keyed by ``p.j`` in one
+        place and by ``o.k`` in the other: equal key values must not share."""
+        def aggregate():
+            body = B.singleton(B.var("y"), "bag")
+            for condition in reversed([
+                    B.eq(B.project(B.var("y"), "k"), B.project(B.var("o"), "k")),
+                    B.eq(B.project(B.var("y"), "j"), B.project(B.var("p"), "j"))]):
+                body = A.IfThenElse(condition, body, A.Empty("bag"))
+            return B.prim("count", B.ext("y", body, B.var("S"), "bag"))
+
+        expr = A.Union(
+            B.ext("p", B.singleton(B.record(n=aggregate()), "bag"), B.var("PS"), "bag"),
+            B.ext("o", B.singleton(B.record(n=aggregate()), "bag"), B.var("OS"), "bag"),
+            "bag")
+        plan = make_caching_rule_set().apply(expr)
+        first, second = [node for node in _subterms(plan) if type(node) is A.Memo]
+        assert term_fingerprint(first.expr) == term_fingerprint(second.expr)
+        assert first.keys != second.keys
+        assert first.key != second.key
+        data = {"o": Record({"k": 1}), "p": Record({"j": 2}),
+                "PS": CBag([Record({"j": 1})]), "OS": CBag([Record({"k": 1})]),
+                "S": CBag([Record({"k": 1, "j": 1})])}
+        assert evaluate(plan, data) == evaluate(expr, data) == \
+            CBag([Record({"n": 1}), Record({"n": 0})])
+
+    def test_a_binder_read_whole_is_not_memoized(self):
+        """``probe(i, x)``: the aggregate reads ``x`` itself, not a field."""
+        stats = RewriteStats()
+        expr = self._aggregate_loop("count", B.eq(B.project(B.var("y"), "k"), B.var("x")))
+        rewritten = make_caching_rule_set().apply(expr, stats)
+        assert stats.firings == {"index-correlated-loop": 1}
+        assert "probe(" in rewritten.pretty() and "memo[" not in rewritten.pretty()
+
+    def test_an_aggregate_whose_only_loop_is_cached_is_not_memoized(self):
+        """``member(x.k, cached(...))``: nothing per row is worth a memo."""
+        keys = B.ext("y", B.singleton(B.project(B.var("y"), "k")), B.var("S"))
+        guard = B.prim("member", B.project(B.var("x"), "k"), keys)
+        aggregate = B.prim("count", A.IfThenElse(guard, B.singleton(B.const(1)),
+                                                 A.Empty("set")))
+        expr = B.ext("x", B.singleton(B.record(n=aggregate)), B.var("OUTER"))
+        stats = RewriteStats()
+        rewritten = make_caching_rule_set().apply(expr, stats)
+        assert stats.firings == {"hoist-loop-invariant": 1}
+        assert "member(x.k, cached(" in rewritten.pretty()
+        assert "memo[" not in rewritten.pretty()
 
     def test_cached_scan_is_fetched_once(self):
         calls = []

@@ -368,8 +368,8 @@ def test_doe_query_agrees_under_a_pinned_and_a_moving_window(parallel_doe_sessio
 
 def test_reoptimising_a_query_finds_its_compiled_form(doe_session):
     """A second send of one CPL text reuses its prepared form — the same
-    optimized term, ``Cached`` nodes included — and the second run still
-    looks it up in the compile LRU, and hits."""
+    optimized term, ``Cached`` nodes included — and every run still looks it
+    up in the compile LRU: the second lowering is kept, the third run hits."""
     # No pushdown for this one: the aggregate over the *other* driver stays
     # local, and — mentioning no binder of the loop it sits in — gets cached.
     text = ('{[s = l.locus_symbol, n = count({u | \\u <- GenBank([db = "na",'
@@ -378,15 +378,17 @@ def test_reoptimising_a_query_finds_its_compiled_form(doe_session):
     first = doe_session.query(text)
     first_statistics = doe_session.engine.last_eval_statistics
     second = doe_session.query(text)
-    second_statistics = doe_session.engine.last_eval_statistics
+    assert doe_session.engine.last_eval_statistics.compile_cache_misses == 1
+    third = doe_session.query(text)
+    third_statistics = doe_session.engine.last_eval_statistics
 
     assert _nodes(first.optimized, A.Cached), "the pin needs a plan with a Cached node"
-    assert second.optimized is first.optimized
-    assert second_statistics.compile_cache_hits == 1
-    assert second_statistics.compile_cache_misses == 0
-    # The cached value lives for one run: the second run fetches it again.
-    assert first_statistics.cache_misses == second_statistics.cache_misses >= 1
-    assert first.value == second.value
+    assert second.optimized is first.optimized and third.optimized is first.optimized
+    assert third_statistics.compile_cache_hits == 1
+    assert third_statistics.compile_cache_misses == 0
+    # The cached value lives for one run: the third run fetches it again.
+    assert first_statistics.cache_misses == third_statistics.cache_misses >= 1
+    assert first.value == second.value == third.value
 
 
 def test_doe_reoptimisation_hits_the_compile_cache(doe_session):
@@ -431,26 +433,29 @@ def _run(session, text):
 #: 200 loci, 200 references, 100 bands, 160 observations in 40 groups
 #: (``workloads.RELATIONAL_ROWS`` ...): each inner relation is read once.
 LOCAL_PINS = [
-    # label, query, ext_iterations, cache misses (= subqueries computed), hits
+    # label, query, ext_iterations, cache misses (= subqueries and memo
+    # entries computed), hits, memo entries
     # The loop over LOCI (200); one index on REFS (200), probed by the 67
     # loci on chromosome 22, one reference each; one index on CYTO (100),
     # probed by the 34 class-1 pairs.
-    ("3-way join", workloads.JOIN_QUERY, 200 + 200 + 67 + 100 + 34, 2, 67 - 1 + 34 - 1),
-    # One index on OBS (160) serves count and max: 160 rows, two probes
-    # each, four observations per group.  Built by whichever probe comes
-    # first, found by the other 319.
-    ("correlated aggregate", workloads.AGGREGATE_QUERY, 160 + 160 + 160 * 2 * 4,
-     1, 2 * 160 - 1),
+    ("3-way join", workloads.JOIN_QUERY, 200 + 200 + 67 + 100 + 34, 2, 67 - 1 + 34 - 1, 0),
+    # One index on OBS (160) serves count and max: 160 rows, and each of
+    # count and max computed once per each of the 40 keys, by two probes of
+    # four observations each.  The index is built by whichever probe comes
+    # first and found by the other 79; each memo misses its 40 keys and
+    # finds them for the other 120 rows.
+    ("correlated aggregate", workloads.AGGREGATE_QUERY, 160 + 160 + 40 * 2 * 4,
+     1 + 2 * 40, 2 * 40 - 1 + 2 * 120, 2 * 40),
     # The set of class-2 loci is computed once (200), then 200 memberships.
-    ("semi-join", workloads.SEMIJOIN_QUERY, 200 + 200, 1, 200 - 1),
+    ("semi-join", workloads.SEMIJOIN_QUERY, 200 + 200, 1, 200 - 1, 0),
 ]
 
 
-@pytest.mark.parametrize("mode,label,text,iterations,misses,hits", [
+@pytest.mark.parametrize("mode,label,text,iterations,misses,hits,memos", [
     pytest.param(mode, *pin, id=pin[0] + ("" if mode == "compiled" else " interpreted"))
     for mode in ("compiled", "interpret") for pin in LOCAL_PINS])
 def test_local_relational_reads_each_inner_relation_once(
-        mode, label, text, iterations, misses, hits, run_caches):
+        mode, label, text, iterations, misses, hits, memos, run_caches):
     session = _session_for(workloads.build("local_relational", seed=22))
     for _ in range(2):  # a first send, then its prepared form again
         result = session.query(text, mode=mode)
@@ -458,10 +463,15 @@ def test_local_relational_reads_each_inner_relation_once(
         assert (statistics.scan_requests, statistics.ext_iterations) == (0, iterations)
         assert (statistics.cache_misses, statistics.cache_hits) == (misses, hits)
         # The entries are this run's own: one per distinct subquery, count
-        # and max sharing theirs.
+        # and max sharing theirs, and one per memo and key (the memo's
+        # content key, then the key's class and value).
         entries = list(run_caches[-1])
         assert len(entries) == misses
-        assert all(entry.startswith(A.Cached.CONTENT_PREFIX) for entry in entries)
+        keyed = [entry for entry in entries if type(entry) is tuple]
+        assert len(keyed) == memos
+        assert all(entry[1] is int and len(entry) == 3 for entry in keyed)
+        assert all((entry[0] if type(entry) is tuple else entry)
+                   .startswith(A.Cached.CONTENT_PREFIX) for entry in entries)
     assert result.value == session.query(text, optimize=False).value
 
 

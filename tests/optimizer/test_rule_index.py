@@ -120,6 +120,7 @@ DECLARED = {
     "bind-join-unnest": A.Ext, "parallel-remote-loop": A.Ext,
     # Documentation only: ``_ScopedCachingRuleSet`` applies them in its own walk.
     "hoist-loop-invariant": None, "index-correlated-loop": None,
+    "memoize-correlated-aggregate": None,
 }
 
 
