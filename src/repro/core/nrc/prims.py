@@ -376,20 +376,33 @@ def _avg(collection):
     return sum(values) / len(values)
 
 
-@register_primitive("max", arity=1)
-def _max(collection):
+def _extreme(name: str, collection, better) -> object:
+    """Python's ``max``/``min`` of the elements (the first one no later one
+    is ``better`` than), but two values that do not compare are an
+    :class:`EvaluationError` naming their classes, as in :func:`_comparable`."""
     values = list(iter_collection(collection))
     if not values:
-        raise EvaluationError("max of an empty collection")
-    return max(values)
+        raise EvaluationError(f"{name} of an empty collection")
+    best = values[0]
+    for value in values[1:]:
+        try:
+            if better(value, best):
+                best = value
+        except TypeError:
+            raise EvaluationError(
+                f"{name} expects comparable values, got "
+                f"{type(best).__name__} and {type(value).__name__}") from None
+    return best
+
+
+@register_primitive("max", arity=1)
+def _max(collection):
+    return _extreme("max", collection, _operator.gt)
 
 
 @register_primitive("min", arity=1)
 def _min(collection):
-    values = list(iter_collection(collection))
-    if not values:
-        raise EvaluationError("min of an empty collection")
-    return min(values)
+    return _extreme("min", collection, _operator.lt)
 
 
 @register_primitive("isempty", arity=1)

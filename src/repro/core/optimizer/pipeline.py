@@ -16,7 +16,6 @@ from typing import Callable, FrozenSet, Mapping, Optional, Tuple
 from .._fields import Fields
 from ..errors import TermTooDeepError
 from ..nrc import ast as A
-from ..nrc.compile import CompiledQuery, compile_term
 from ..nrc.rewrite import RewriteEngine, RewriteStats, RuleSet
 from ..nrc.rules_monadic import monadic_rule_set
 from .caching import make_caching_rule_set
@@ -133,19 +132,6 @@ class OptimizerPipeline:
         except RecursionError:
             raise TermTooDeepError(
                 "term nests too deeply to optimize") from None
-
-    def prepare(self, expr: A.Expr, stats: Optional[RewriteStats] = None,
-                ) -> Tuple[A.Expr, CompiledQuery]:
-        """The full compile-time path: rewrite, then lower to closures.
-
-        The closure compiler runs strictly *after* every rewrite stage, so it
-        sees the Scan/Cached/ParallelExt nodes and the ``index``/``probe``
-        calls the rule sets introduced and lowers them natively instead of
-        the surface forms.  (The Kleisli engine does the same two steps
-        itself, the second through its fingerprint-keyed cache.)
-        """
-        optimized = self.optimize(expr, stats)
-        return optimized, compile_term(optimized)
 
     def explain(self, expr: A.Expr):
         """Optimize and also return per-stage before/after traces."""

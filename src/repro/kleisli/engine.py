@@ -828,17 +828,6 @@ class KleisliEngine:
             "row_width": self.row_width.snapshot(),
         }
 
-    def chunk_policy(self) -> ChunkPolicy:
-        """The *uninformed* chunk-size policy (historical default knobs).
-
-        Remote drivers (declared or observed through the registry's latency
-        EMA) keep small chunks so one chunk never buffers more than a
-        bounded slice of a slow cursor; local sources ramp to the full
-        maximum.  ``stream`` prefers :meth:`plan_for`'s per-query policy;
-        this is what the planner also returns when it knows nothing.
-        """
-        return ChunkPolicy(is_remote=self.statistics_registry.is_remote)
-
     def plan_for(self, expr: A.Expr) -> PhysicalPlan:
         """The cost-based physical plan for one (optimized) query.
 

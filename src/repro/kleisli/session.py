@@ -87,17 +87,13 @@ class Session:
                  execution_mode: Optional[object] = None,
                  on_source_failure: Optional[str] = None,
                  memory_limit: Optional[int] = None):
-        if engine is None:
-            engine = KleisliEngine(
-                optimizer_config,
-                execution_mode=(ExecutionMode.COMPILED if execution_mode is None
-                                else execution_mode))
-        elif execution_mode is not None:
-            # An explicit mode must not be silently dropped when the caller
-            # supplies their own engine.
-            engine.execution_mode = ExecutionMode.coerce(execution_mode)
-        self.engine = engine
+        self.engine = engine if engine is not None else KleisliEngine(optimizer_config)
         self.typecheck = typecheck
+        #: Session default for how a run executes: ``None`` defers to the
+        #: engine's mode.  The engine, and every other session on it, keeps
+        #: its own.  Per-call overrides win.
+        self._execution_mode = (None if execution_mode is None
+                                else ExecutionMode.coerce(execution_mode))
         #: Session default for what a federated run does when a source stays
         #: down after retries: ``None`` defers to the engine's policy,
         #: ``"fail"`` propagates, ``"degrade"`` completes with typed
@@ -239,7 +235,8 @@ class Session:
         """A call's run options with the session's defaults applied; the rest
         go to the engine as given, and the engine checks them all.
 
-        No ``on_source_failure`` → the session's (``None``: the engine's).
+        No ``on_source_failure`` or ``mode`` → the session's (``None``: the
+        engine's).
         No ``memory_budget`` → the session quota (or ``None``: ungoverned).
         A per-call ``int`` under a session quota caps this one query *inside*
         the quota; a caller-built :class:`MemoryBudget` is trusted as-is.
@@ -247,6 +244,8 @@ class Session:
         options = dict(options)
         if options.get("on_source_failure") is None:
             options["on_source_failure"] = self.on_source_failure
+        if options.get("mode") is None:
+            options["mode"] = self._execution_mode
         budget = options.get("memory_budget")
         if budget is None:
             options["memory_budget"] = self.memory_budget

@@ -28,8 +28,10 @@ dying with a budget rejection:
     partition dict at a time with a single-partition cache, so probe
     locality in the outer stream costs one partition load per key cluster.
 
-All three retain unpicklable values in memory (counted in the manager's
-``spill_fallbacks`` book) — spilling degrades capacity, never correctness.
+All three retain in memory a value with no faithful disk copy (counted in
+the manager's ``spill_fallbacks`` book): one pickle refuses, or one its copy
+does not equal — a NaN inside equals only itself, and a set finds a value by
+identity first.  Spilling degrades capacity, never correctness.
 Spill files are process-private ``tempfile.TemporaryFile`` handles, deleted
 by the OS on close; :meth:`SpillManager.close` runs in the engine's run
 finalizer, and the manager's books (spills, bytes_spilled) fold into the
@@ -63,6 +65,15 @@ PARTITIONS = 16
 SPILL_FRAME_MAX = 64 * 1024 * 1024
 
 _HEADER_BYTES = 8  # the codec's ">II" length + CRC32 prefix
+
+
+def _faithful_payload(value: Any) -> Optional[bytes]:
+    """``value`` pickled, or ``None`` when it has no faithful disk copy."""
+    try:
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        return payload if pickle.loads(payload) == value else None
+    except Exception:
+        return None
 
 
 def _read_frame(handle) -> Optional[bytes]:
@@ -131,9 +142,9 @@ class SpilledList(_SpillBacked):
     """A multi-pass, append-only sequence with a bounded in-memory tail.
 
     Exact iteration order is preserved: file runs replay in append order,
-    then the unflushed tail.  Unpicklable batches are retained in memory
-    (order intact — retained runs remember their position in the sequence
-    of runs) so spilling never changes the values produced.
+    then the unflushed tail.  A batch with no faithful disk copy is retained
+    in memory (order intact — retained runs remember their position in the
+    sequence of runs) so spilling never changes the values produced.
     """
 
     def __init__(self, manager: "SpillManager", buffer_elements: int):
@@ -161,9 +172,8 @@ class SpilledList(_SpillBacked):
         if not self._buffer:
             return
         batch, self._buffer = self._buffer, []
-        try:
-            payload = pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
+        payload = _faithful_payload(batch)
+        if payload is None:
             self._manager._record_fallback()
             self._runs.append(("memory", batch))
             return
@@ -215,7 +225,7 @@ class GovernedSeenSet(_SpillBacked):
         self._handles: List[Any] = [None] * PARTITIONS
         self._cached_partition: int = -1
         self._cached_values: Optional[set] = None
-        self._overflow: set = set()   # values pickle refused to write
+        self._overflow: set = set()   # values with no faithful disk copy
 
     # -- set protocol -------------------------------------------------------
 
@@ -256,9 +266,8 @@ class GovernedSeenSet(_SpillBacked):
             self._insert_spilled(value)
 
     def _insert_spilled(self, value: Any) -> None:
-        try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
+        payload = _faithful_payload(value)
+        if payload is None:
             self._manager._record_fallback()
             self._overflow.add(value)
             return
@@ -290,8 +299,10 @@ class SpilledIndex(_SpillBacked):
 
     Build appends framed (key, row) pairs to the key-hash partition; probes
     load one partition at a time into a dict with a single-partition cache.
-    Unpicklable pairs stay in an in-memory residue dict consulted on every
-    probe, so degraded storage never drops build rows.
+    A pair with no faithful disk copy stays in an in-memory residue dict
+    consulted on every probe, and so do its key's later rows: a probe reads a
+    key's disk rows, then its residue, in the order they were added, so
+    degraded storage never drops or reorders build rows.
     """
 
     def __init__(self, manager: "SpillManager"):
@@ -305,10 +316,8 @@ class SpilledIndex(_SpillBacked):
 
     def add(self, key: Any, row: Any) -> None:
         self._length += 1
-        try:
-            payload = pickle.dumps((key, row),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
+        payload = None if key in self._residue else _faithful_payload((key, row))
+        if payload is None:
             self._manager._record_fallback()
             self._residue.setdefault(key, []).append(row)
             return

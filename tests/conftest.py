@@ -147,3 +147,13 @@ def tiny_publications():
             "keywd": CSet(["Exons"]),
         }),
     ])
+
+
+@pytest.fixture(scope="module")
+def served():
+    """One query server for a module's served paths (``tests/paths.py``)."""
+    from paths import Served
+
+    served = Served()
+    yield served
+    served.server.stop()

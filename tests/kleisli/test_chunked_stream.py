@@ -91,9 +91,11 @@ class TestChunkPolicy:
         assert policy.max_chunk_for("fast") == 1024
 
     def test_engine_policy_follows_the_statistics_registry(self):
+        """The policy ``stream`` builds from the run's plan."""
         engine = _engine()
         engine.statistics_registry.register_latency("ranges", 0.08)
-        policy = engine.chunk_policy()
+        policy = engine.plan_for(_scan(count=1)).chunk_policy(
+            is_remote=engine.statistics_registry.is_remote)
         assert policy.max_chunk_for("ranges") == ChunkPolicy.REMOTE_MAX_CHUNK
         assert policy.max_chunk_for("other") == ChunkPolicy.DEFAULT_MAX_CHUNK
 

@@ -1,10 +1,12 @@
-"""Differential streaming harness: ``stream`` must agree with ``execute``.
+"""Differential streaming harness: every path agrees with the interpreter.
 
 For every query shape the streaming backend pipelines — nested ``Ext``
-chains, filtered comprehensions, unions, ``ParallelExt``, both local join plans —
-and in both execution modes, ``engine.stream`` must yield exactly the element
-sequence of ``engine.execute``'s result, and consume exactly as many source
-elements (``EvalStatistics.elements_fetched``) once drained.
+chains, filtered comprehensions, unions, ``ParallelExt``, both local join
+plans — each path of the matrix in ``tests/paths.py`` (``execute``, the
+chunked stream, chunks of one, a spilling stream) and the streams below must
+give exactly the element sequence of the interpreter's ``execute`` and, once
+drained, consume exactly as many source elements
+(``EvalStatistics.elements_fetched``).
 
 Set-kind shapes hold with *duplicate-producing* data too: set stages dedup
 as they go, and ``CSet`` iterates in first-occurrence order, so the streamed
@@ -26,9 +28,11 @@ from repro.core.optimizer.joins import make_join_rule_set
 from repro.core.optimizer.parallel import ParallelExt
 from repro.core.errors import EvaluationError
 from repro.core.nrc.compile import ChunkPolicy
-from repro.core.values import CBag, CList, CSet, Record, Ref, iter_collection
+from repro.core.values import CList, CSet, Record, Ref, iter_collection
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import ExecutionMode, KleisliEngine
+
+from paths import LOCAL_PATHS, assert_agree, outcomes
 
 MODES = [ExecutionMode.INTERPRET, ExecutionMode.COMPILED]
 
@@ -356,24 +360,43 @@ def _shapes():
     return shapes + _record_head_shapes()
 
 
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+#: The streams this suite runs beside the matrix's paths: the interpreter's
+#: own, one under a budget it never spills under, and two spilling at the
+#: default threshold.
+STREAMS = {
+    "interpreted stream": {"mode": "interpret"},
+    "budgeted": {"memory_budget": 1 << 26, "spill": False},
+    "spilled at the default threshold": {"spill": True},
+    "spilled chunks of one": {"chunk_policy": ChunkPolicy(max_chunk=1), "spill": True},
+}
+PATHS = LOCAL_PATHS[1:] + tuple(STREAMS)
+
+
+def _outcomes(expr, bindings, path):
+    """The interpreter's outcome and ``path``'s, each on a fresh engine."""
+    extra = {} if path not in STREAMS else {path: lambda engine: list(engine.stream(
+        expr, bindings, optimize=False, **STREAMS[path]))}
+    return outcomes(expr, bindings, on=_engine, optimize=False, paths=[path],
+                    extra=extra)
+
+
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("label,expr,bindings",
                          _shapes(), ids=lambda v: v if isinstance(v, str) else "")
-def test_stream_matches_execute(mode, label, expr, bindings):
-    engine = _engine()
-    streamed = list(engine.stream(expr, bindings, optimize=False, mode=mode))
-    stream_stats = engine.last_eval_statistics
-
-    engine2 = _engine()
-    result = engine2.execute(expr, bindings, optimize=False, mode=mode)
-    execute_stats = engine2.last_eval_statistics
-    try:
-        executed = list(iter_collection(result))
-    except Exception:
-        executed = [result]
-
-    assert streamed == executed, label
-    assert stream_stats.elements_fetched == execute_stats.elements_fetched, label
+def test_every_path_agrees_with_the_interpreter(label, expr, bindings, path):
+    """Values in order, and once drained ``elements_fetched``,
+    ``ext_iterations`` and ``scan_requests``: chunk sizes, the row kernel,
+    its fallbacks and the seen-set's backends are value- and
+    accounting-invisible."""
+    results = _outcomes(expr, bindings, path)
+    assert_agree(results)
+    expected, got = results["interpret"].statistics, results[path].statistics
+    for counter in ("elements_fetched", "ext_iterations", "scan_requests"):
+        assert getattr(got, counter) == getattr(expected, counter), counter
+    if label.startswith("heads"):
+        assert got.stream_fallbacks == 0
+        if "spilled" in path and "homogeneous" in label:
+            assert results[path].on.governor.snapshot()["spills"] > 0
 
 
 def _moving_window(expr):
@@ -390,108 +413,17 @@ def _moving_window(expr):
                          [shape for shape in _shapes() if "parallel" in shape[0]],
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_pinned_and_moving_windows_agree(mode, label, expr, bindings):
-    outcomes = []
-    for term in (expr, _moving_window(expr)):
-        engine = _engine()
-        value = list(iter_collection(
-            engine.execute(term, bindings, optimize=False, mode=mode)))
-        fetched = engine.last_eval_statistics.elements_fetched
-        streamed = list(engine.stream(term, bindings, optimize=False, mode=mode))
-        assert engine.last_eval_statistics.elements_fetched == fetched
-        outcomes.append((value, fetched, streamed))
-    assert _moving_window(expr) != expr
-    assert outcomes[0] == outcomes[1]
-
-
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-@pytest.mark.parametrize("label,expr,bindings",
-                         _shapes(), ids=lambda v: v if isinstance(v, str) else "")
-def test_chunked_stream_matches_execute(mode, label, expr, bindings):
-    """The chunked lowering against ``execute`` in BOTH execution modes:
-    exact element sequence and exact ``elements_fetched``, ``ext_iterations``
-    and ``scan_requests`` once drained — chunk sizes must be value- and
-    accounting-invisible."""
-    engine = _engine()
-    chunked = list(engine.stream(expr, bindings, optimize=False,
-                                 mode="compiled"))
-    chunked_stats = engine.last_eval_statistics
-
-    engine2 = _engine()
-    result = engine2.execute(expr, bindings, optimize=False, mode=mode)
-    execute_stats = engine2.last_eval_statistics
-    try:
-        executed = list(iter_collection(result))
-    except Exception:
-        executed = [result]
-
-    assert chunked == executed, label
-    for counter in ("elements_fetched", "ext_iterations", "scan_requests"):
-        assert getattr(chunked_stats, counter) == getattr(execute_stats, counter), \
-            (label, counter)
-
-
-@pytest.mark.parametrize("label,expr,bindings",
-                         _shapes(), ids=lambda v: v if isinstance(v, str) else "")
-def test_ramped_stream_matches_chunks_of_one(label, expr, bindings):
-    """The default ramp and the element-at-a-time policy: one element
-    sequence and one drained-run accounting."""
-    engine = _engine()
-    ramped = list(engine.stream(expr, bindings, optimize=False,
-                                mode="compiled"))
-    ramped_stats = engine.last_eval_statistics
-    engine2 = _engine()
-    element = list(engine2.stream(expr, bindings, optimize=False,
-                                  mode="compiled",
-                                  chunk_policy=ChunkPolicy(max_chunk=1)))
-    element_stats = engine2.last_eval_statistics
-    assert ramped == element, label
-    for counter in ("elements_fetched", "ext_iterations", "scan_requests"):
-        assert getattr(ramped_stats, counter) == getattr(element_stats, counter), \
-            (label, counter)
-
-
-#: The streamed paths a record head must agree on with the interpreter,
-#: the seen-set's three backends among them.
-HEAD_PATHS = [
-    ("chunked", {}),
-    ("chunks of one", {"chunk_policy": ChunkPolicy(max_chunk=1)}),
-    ("budgeted", {"memory_budget": 1 << 26, "spill": False}),
-    ("spilled", {"spill": True}),
-    ("spilled chunks of one", {"chunk_policy": ChunkPolicy(max_chunk=1),
-                               "spill": True}),
-]
-
-
-def _exact(value):
-    """Tells apart what ``==`` does not: a record's directory and the classes
-    of its field values (``1``, ``1.0`` and ``True`` are equal)."""
-    if type(value) is Record:
-        return (value.directory.labels, len(value.values),
-                tuple(map(type, value.values)))
-    return type(value)
-
-
-@pytest.mark.parametrize("path,options", HEAD_PATHS, ids=[p for p, _ in HEAD_PATHS])
-@pytest.mark.parametrize("label,expr,bindings", _record_head_shapes(),
-                         ids=lambda v: v if isinstance(v, str) else "")
-def test_record_heads_agree_with_the_interpreter(label, expr, bindings,
-                                                 path, options):
-    """Values, order, ``elements_fetched`` and ``ext_iterations``: the row
-    kernel, its fallbacks and the tuple-keyed seen-set are invisible."""
-    reference = _engine()
-    expected = list(iter_collection(reference.execute(
-        expr, bindings, optimize=False, mode="interpret")))
-    expected_stats = reference.last_eval_statistics
-    engine = _engine()
-    got = list(engine.stream(expr, bindings, optimize=False, **options))
-    stats = engine.last_eval_statistics
-    assert got == expected
-    assert [_exact(value) for value in got] == [_exact(value) for value in expected]
-    assert stats.elements_fetched == expected_stats.elements_fetched
-    assert stats.ext_iterations == expected_stats.ext_iterations
-    assert stats.stream_fallbacks == 0
-    if path.startswith("spilled") and "homogeneous" in label:
-        assert engine.governor.snapshot()["spills"] > 0
+    moving = _moving_window(expr)
+    assert moving != expr
+    extra = {}
+    for window, term in (("pinned", expr), ("moving", moving)):
+        extra[f"{window}, executed"] = lambda engine, term=term: engine.execute(
+            term, bindings, optimize=False, mode=mode)
+        extra[f"{window}, streamed"] = lambda engine, term=term: list(engine.stream(
+            term, bindings, optimize=False, mode=mode))
+    results = outcomes(expr, bindings, on=_engine, optimize=False, paths=(), extra=extra)
+    assert_agree(results)
+    assert len({outcome.statistics.elements_fetched for outcome in results.values()}) == 1
 
 
 def test_a_head_inside_a_join_body_is_chunk_native():
@@ -520,20 +452,17 @@ RAISING_HEADS = [
 ]
 
 
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("label,expr,message", RAISING_HEADS,
                          ids=[label for label, _, _ in RAISING_HEADS])
-def test_record_head_errors_are_the_same_on_every_path(label, expr, message):
+def test_record_head_errors_are_the_same_on_every_path(label, expr, message, path):
     bindings = dict(_record_head_shapes()[0][2])
     bindings["X"] = CList([bindings["O"][0], bindings["O"][1], 7, bindings["O"][2]])
-    runs = [lambda e, m=mode: e.execute(expr, bindings, optimize=False, mode=m)
-            for mode in MODES]
-    runs += [lambda e, o=options: list(e.stream(expr, bindings, optimize=False, **o))
-             for _, options in HEAD_PATHS]
-    for run in runs:
-        with pytest.raises(EvaluationError) as raised:
-            run(_engine())
-        assert type(raised.value) is EvaluationError
-        assert str(raised.value) == message
+    results = _outcomes(expr, bindings, path)
+    assert_agree(results)
+    for outcome in results.values():
+        assert type(outcome.error) is EvaluationError
+        assert str(outcome.error) == message
 
 
 def test_record_head_stream_closed_early_reads_no_further():
@@ -597,18 +526,6 @@ def test_chunked_pipelines_without_eager_sections_on_optimizer_shapes():
         list(engine.stream(expr, bindings, optimize=False))
         stats = engine.last_eval_statistics
         assert stats.stream_fallbacks == 0, stats.as_dict()
-
-
-@pytest.mark.parametrize("label,expr,bindings",
-                         _shapes(), ids=lambda v: v if isinstance(v, str) else "")
-def test_stream_agrees_across_modes(label, expr, bindings):
-    """Compiled-streamed, interpreted-streamed: one element sequence."""
-    per_mode = {}
-    for mode in MODES:
-        engine = _engine()
-        per_mode[mode.value] = list(engine.stream(expr, bindings,
-                                                  optimize=False, mode=mode))
-    assert per_mode["interpret"] == per_mode["compiled"], label
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
@@ -903,9 +820,7 @@ def test_engine_stream_plans_unit_block_joins():
         "OUTER": CSet([Record({"id": i, "name": f"n{i}"}) for i in range(12)]),
         "INNER": CSet([Record({"ref": i, "data": f"d{i}"}) for i in range(12)]),
     }
-    streamed = CSet(engine.stream(expr, bindings, optimize=True, mode="compiled"))
-    executed = engine.execute(expr, bindings, optimize=True, mode="compiled")
-    assert streamed == executed
+    assert_agree(outcomes(expr, bindings, on=engine, paths=("query", "stream")))
 
 
 class TestOneJoinPlan:
@@ -961,7 +876,7 @@ class TestOneJoinPlan:
         del driver.requests[:]
         streamed = CSet(engine.stream(query))
         assert sorted(driver.requests) == requests
-        assert streamed == executed
+        assert streamed == executed == engine.execute(query, optimize=False, mode="interpret")
         assert len(executed) == sum(range(20))
 
     def test_an_empty_outer_never_evaluates_the_inner(self):
@@ -1028,9 +943,10 @@ class TestOneJoinPlan:
 
 def test_optimized_stream_matches_optimized_execute_when_set_order_is_visible():
     """Blocked-join emission is outer-major in the eager closure and in the
-    chunked lowering alike, so stream() and execute() must return the same
-    value even when the set-kind join's first-occurrence order becomes
-    value-visible downstream (a list comprehension over the join result)."""
+    chunked lowering alike, so stream() and execute() must return the
+    interpreter's value even when the set-kind join's first-occurrence order
+    becomes value-visible downstream (a list comprehension over the join
+    result)."""
     engine = _engine()
     condition = B.prim("lt", B.project(B.var("o"), "id"),
                        B.project(B.var("i"), "ref"))
@@ -1045,10 +961,7 @@ def test_optimized_stream_matches_optimized_execute_when_set_order_is_visible():
         "OUTER": CSet([Record({"id": i, "name": f"n{i}"}) for i in range(9)]),
         "INNER": CSet([Record({"ref": i, "data": f"d{i}"}) for i in range(12)]),
     }
-    streamed = list(engine.stream(expr, bindings, optimize=True, mode="compiled"))
-    executed = list(iter_collection(
-        engine.execute(expr, bindings, optimize=True, mode="compiled")))
-    assert streamed == executed
+    assert_agree(outcomes(expr, bindings, on=engine, paths=("query", "stream")))
 
 
 def test_failed_requests_do_not_pollute_the_latency_ema():

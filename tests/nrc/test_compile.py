@@ -335,9 +335,20 @@ class TestSessionModes:
         assert session.engine.last_eval_statistics.execution_mode == "interpreted"
 
     def test_explicit_engine_honours_session_execution_mode(self):
+        """The mode is the session's default: its runs are interpreted, while
+        the engine and a second session on it keep compiling."""
         engine = KleisliEngine()
         session = Session(engine=engine, execution_mode="interpret")
-        assert engine.execution_mode is ExecutionMode.INTERPRET
+        other = Session(engine=engine)
+        for each in (session, other):
+            each.bind("DB", [1, 2], list_as="set")
+        session.query(r"{x | \x <- DB}")
+        assert engine.last_eval_statistics.execution_mode == "interpreted"
+        list(session.stream(r"{x | \x <- DB}"))
+        assert engine.last_eval_statistics.execution_mode == "interpreted"
+        other.query(r"{x | \x <- DB}")
+        assert engine.last_eval_statistics.execution_mode == "compiled"
+        assert engine.execution_mode is ExecutionMode.COMPILED
         engine2 = KleisliEngine(execution_mode="interpret")
         Session(engine=engine2)  # no mode given: the engine's own is kept
         assert engine2.execution_mode is ExecutionMode.INTERPRET

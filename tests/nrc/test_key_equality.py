@@ -18,8 +18,8 @@ from repro.core.nrc.compile import ChunkPolicy
 from repro.core.optimizer.caching import make_caching_rule_set
 from repro.core.optimizer.joins import make_join_rule_set
 from repro.core.values import CBag, CSet, Record, make_collection
-from repro.kleisli.engine import KleisliEngine
-from repro.kleisli.session import Session
+
+from paths import assert_agree, exact, outcomes
 
 NAN = float("nan")
 
@@ -47,7 +47,7 @@ CASES = [
 ]
 
 
-def _paths(kind):
+def _terms(kind):
     """The self-join as written and as a probe."""
     nested = _self_join(kind)
     probed = make_caching_rule_set().apply(nested)
@@ -58,48 +58,51 @@ def _paths(kind):
 
 @pytest.mark.parametrize("label,keys,expected", CASES, ids=[case[0] for case in CASES])
 def test_every_path_pairs_the_same_rows(label, keys, expected):
-    engine = KleisliEngine()
     for kind in ("set", "bag"):
         table = make_collection(kind, [Record({"k": key, "v": position})
                                        for position, key in enumerate(keys)])
-        nested, probed = _paths(kind)
+        nested, probed = _terms(kind)
         bindings = {"T": table}
-        results = {
-            "nested loop, interpreted": engine.execute(nested, bindings, optimize=False,
-                                                       mode="interpret"),
-            "nested loop, compiled": engine.execute(nested, bindings, optimize=False),
-            "probe, compiled": engine.execute(probed, bindings, optimize=False),
-            "probe, interpreted": engine.execute(probed, bindings, optimize=False,
-                                                 mode="interpret"),
-            "probe, chunked": list(engine.stream(probed, bindings, optimize=False)),
-            "probe, chunks of one": list(engine.stream(
-                probed, bindings, optimize=False, chunk_policy=ChunkPolicy(max_chunk=1))),
-            "probe, spilled": engine.execute(probed, bindings, optimize=False, spill=True),
-            "default optimizer": engine.execute(nested, bindings),
-        }
-        for path, value in results.items():
-            assert _pairs(value) == expected, (kind, path)
+
+        def run(term, **options):
+            return lambda engine: engine.execute(term, bindings, optimize=False, **options)
+
+        def stream(term, **options):
+            return lambda engine: list(engine.stream(term, bindings, optimize=False, **options))
+
+        results = outcomes(nested, bindings, ordered=False, extra={
+            "nested loop, compiled": run(nested),
+            "probe, compiled": run(probed),
+            "probe, interpreted": run(probed, mode="interpret"),
+            "probe, chunked": stream(probed),
+            "probe, chunks of one": stream(probed, chunk_policy=ChunkPolicy(max_chunk=1)),
+            "probe, spilled": run(probed, spill=True),
+        })
+        pairs = [Record({"a": a, "b": b}) for a, b in expected]
+        assert results["interpret"].form == ("value", exact(make_collection(kind, pairs), False))
+        assert_agree(results)
 
 
-def test_the_reported_self_join_on_a_shared_nan():
+def test_the_reported_self_join_on_a_shared_nan(served):
     """Ten rows sharing one NaN object and one row with key 1.0: the
     optimized query used to return 101 pairs, the unoptimized one 1."""
-    session = Session()
     rows = [Record({"k": NAN, "v": i}) for i in range(10)] + [Record({"k": 1.0, "v": 99})]
-    session.bind("T", CSet(rows))
     text = r"{[a = x.v, b = y.v] | \x <- T, \y <- T, x.k = y.k}"
-    for optimize in (True, False):
-        for mode in ("compiled", "interpret"):
-            value = session.query(text, optimize=optimize, mode=mode).value
-            assert _pairs(value) == [(99, 99)], (optimize, mode)
+    results = outcomes(text, {"T": CSet(rows)}, served=served, extra={
+        "optimized, interpreted": lambda session: session.query(text, mode="interpret").value,
+        "unoptimized, compiled": lambda session: session.query(text, optimize=False).value,
+    })
+    assert_agree(results)
+    assert _pairs(results["interpret"].on.query(text, optimize=False).value) == [(99, 99)]
 
 
-def test_member_of_a_hoisted_set_is_eq_too():
-    session = Session()
-    session.bind("T", CBag([Record({"k": NAN}), Record({"k": 0.0}), Record({"k": 2})]))
-    session.bind("U", CBag([Record({"k": NAN}), Record({"k": -0.0}), Record({"k": 2.0})]))
+def test_member_of_a_hoisted_set_is_eq_too(served):
+    tables = {"T": CBag([Record({"k": NAN}), Record({"k": 0.0}), Record({"k": 2})]),
+              "U": CBag([Record({"k": NAN}), Record({"k": -0.0}), Record({"k": 2.0})])}
     text = r"{| x.k | \x <- T, member(x.k, {y.k | \y <- U}) |}"
+    results = outcomes(text, tables, served=served, extra={
+        "unoptimized, compiled": lambda session: session.query(text, optimize=False).value})
+    assert_agree(results)
+    session = results["query"].on
     assert "cached(" in session.query(text).optimized.pretty()
-    for optimize in (True, False):
-        value = session.query(text, optimize=optimize).value
-        assert sorted(value) == [0.0, 2]
+    assert sorted(session.query(text).value) == [0.0, 2]

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.errors import EvaluationError
 from repro.core.nrc.prims import lookup_primitive, primitive_names, register_primitive
-from repro.core.values import CBag, CList, CSet, Record, Variant
+from repro.core.values import CBag, CList, CSet, Record, Variant, from_python
+from repro.kleisli.session import Session
+
+from paths import assert_agree, outcomes
 
 
 def prim(name, *args):
@@ -80,6 +83,25 @@ class TestCollectionPrimitives:
             prim("avg", CSet())
         with pytest.raises(EvaluationError):
             prim("max", CList())
+
+    def test_max_and_min_of_values_that_do_not_compare_raise_typed(self, served):
+        """What compares gives Python's answer (the first of equal extremes, a
+        leading NaN); what does not is an ``EvaluationError`` naming both
+        classes on every path, in a memoized correlated aggregate too."""
+        nan = float("nan")
+        for values in ([True, 1, 1.0], [1.0, True], [nan, 1], [2, 1.5, 2.0]):
+            for name, builtin in (("max", max), ("min", min)):
+                assert prim(name, CList(values)) is builtin(values)
+        tables = {"T": from_python([{"k": 1, "v": 1}, {"k": 1, "v": "s"}], "list")}
+        numbers = "max expects comparable values, got int and str"
+        for text, message in (
+                (r"max({x.v | \x <- T})", numbers),
+                (r"min([| x | \x <- T |])", "min expects comparable values, got Record and Record"),
+                (r"{[k = o.k, m = max({| x.v | \x <- T, x.k = o.k |})] | \o <- T}", numbers)):
+            results = outcomes(text, tables, on=Session(typecheck=False), served=served)
+            assert_agree(results)
+            assert {str(outcome.error) for outcome in results.values()} == {message}
+        assert "memo[" in results["query"].on.explain(text)[0].pretty()
 
     def test_membership_and_emptiness(self):
         assert prim("isempty", CSet()) is True

@@ -67,13 +67,16 @@ class TestPipeline:
 
 
 class TestPrepare:
-    def test_prepare_rewrites_then_lowers_to_closures(self, pipeline):
+    def test_compile_rewrites_then_lowers_to_closures(self):
         from repro.core.nrc.compile import CompiledQuery
         from repro.core.nrc.eval import EvalContext, Environment
+        from repro.kleisli.engine import KleisliEngine
 
+        engine = KleisliEngine()
         expr = B.ext("x", B.singleton(B.prim("add", B.var("x"), B.const(1))),
                      B.ext("y", B.singleton(B.var("y")), B.var("S")))
-        optimized, compiled = pipeline.prepare(expr)
+        optimized = engine.compile(expr)
+        compiled = engine.compiled_query(optimized)
         assert isinstance(compiled, CompiledQuery)
         # The compiler saw the post-rewrite term (fused: one loop, not two).
         assert compiled.expr is optimized

@@ -5,8 +5,9 @@ the form ``{f(x, S(g(x))) | \\x <- T}`` and the two-level nest
 ``{f(x, y, S2(y)) | \\x <- T, \\y <- S1(x)}``, in set, bag and list kinds,
 over sources with duplicate elements and requests with empty results:
 
-* the optimized plan (a bind join), the unoptimized plan and the
-  interpreter return the same value, eager and streamed;
+* the optimized plan (a bind join), on every local path of
+  ``tests/paths.py``, the unoptimized plan and the interpreter return the
+  same value;
 * the server sees the same multiset of request dicts;
 * each bind join takes ``ceil(n / remote_max_chunk)`` round trips for its
   ``n`` requests;
@@ -18,17 +19,18 @@ import math
 import threading
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import DriverError
 from repro.core.nrc import ast as A
 from repro.core.optimizer.parallel import make_bind_join_rule_set
-from repro.core.values import CBag, CList, CSet, iter_collection, make_collection
+from repro.core.values import CBag, CList, CSet, iter_collection
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
 from repro.net.remote import RemoteSource
+
+from paths import assert_agree, outcomes
 
 CAP = 4
 BAD_KEY = 13
@@ -68,8 +70,8 @@ class BatchServer(Driver):
 
 def _engine():
     engine = KleisliEngine()
-    server = engine.register_driver(BatchServer(), latency=0.05)
-    return engine, server
+    engine.register_driver(BatchServer(), latency=0.05)
+    return engine
 
 
 def _scan(op, key):
@@ -97,33 +99,18 @@ def _terms(kind, source, modulus):
     return {"counted": counted, "inner source": inner, "nest": nest}
 
 
-def _run(term, **options):
-    """(value, request multiset, batches per stage) on a fresh engine, or
-    the error class."""
-    engine, server = _engine()
-    try:
-        value = engine.execute(term, **options)
-    except Exception as error:      # the class is the observable
-        assert all(gate.in_flight == 0 for gate in engine.driver_gates.values())
-        return type(error)
-    assert all(gate.in_flight == 0 for gate in engine.driver_gates.values())
-    return value, Counter(server.requests), Counter(server.batches)
-
-
-def _streamed(term, kind):
-    engine, server = _engine()
-    elements = list(engine.stream(term))
-    assert all(gate.in_flight == 0 for gate in engine.driver_gates.values())
-    return (make_collection(kind, elements), Counter(server.requests),
-            Counter(server.batches), engine.last_plan.remote_max_chunk)
-
-
-def _stage_sizes(term):
-    """Requests per bind-join stage of the optimized ``term``, from its
-    per-request run: the stage of a request is its ``op``."""
-    engine, server = _engine()
-    engine.execute(term, optimize=False)
-    return Counter(dict(request)["op"] for request in server.requests)
+def _outcomes(term):
+    """Every local path's outcome on a fresh engine and server, with the
+    unoptimized plan compiled and the optimized one interpreted; no gate
+    slot is left taken."""
+    results = outcomes(term, on=_engine, ordered=False, extra={
+        "unoptimized": lambda engine: engine.execute(term, optimize=False),
+        "interpreted": lambda engine: engine.execute(term, mode="interpret"),
+    })
+    for outcome in results.values():
+        assert all(gate.in_flight == 0 for gate in outcome.on.driver_gates.values())
+    assert_agree(results)
+    return results
 
 
 sources = st.lists(st.integers(min_value=0, max_value=40), max_size=70)
@@ -136,18 +123,18 @@ sources = st.lists(st.integers(min_value=0, max_value=40), max_size=70)
 def test_a_bind_join_agrees_with_per_request_dispatch(kind, items, container, modulus):
     source = A.Const(container(items))
     for label, term in _terms(kind, source, modulus).items():
-        engine, _ = _engine()
-        assert A.BindScan in {type(node) for node in _walk(engine.compile(term))}, label
-        oracle = _run(term, optimize=False, mode="interpret")
-        unoptimized = _run(term, optimize=False)
-        optimized = _run(term)
-        interpreted = _run(term, mode="interpret")
-        assert oracle[:2] == unoptimized[:2] == optimized[:2] == interpreted[:2], label
-        sizes = _stage_sizes(term)
-        assert optimized[2] == {op: math.ceil(n / 32) for op, n in sizes.items() if n}, label
-        value, requests, batches, cap = _streamed(term, kind)
-        assert (value, requests) == oracle[:2], label
-        assert batches == {op: math.ceil(n / cap) for op, n in sizes.items() if n}, label
+        assert A.BindScan in {type(node) for node in _walk(_engine().compile(term))}, label
+        results = _outcomes(term)
+        servers = {path: outcome.on.drivers["far"] for path, outcome in results.items()}
+        for path, server in servers.items():
+            assert Counter(server.requests) == Counter(servers["interpret"].requests), path
+        # Requests per bind-join stage, from the per-request run: the stage of
+        # a request is its ``op``.
+        sizes = Counter(dict(request)["op"] for request in servers["unoptimized"].requests)
+        for path, cap in (("query", 32),
+                          ("stream", results["stream"].on.last_plan.remote_max_chunk)):
+            assert Counter(servers[path].batches) == \
+                {op: math.ceil(n / cap) for op, n in sizes.items() if n}, (label, path)
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,14 +145,7 @@ def test_a_bad_request_raises_what_per_request_dispatch_raises(kind, items, posi
     items.insert(min(position, len(items)), BAD_KEY)
     source = A.Const(CList(items))
     for label, term in _terms(kind, source, 41).items():
-        expected = _run(term, optimize=False)
-        assert expected is DriverError, label
-        assert _run(term) is expected, label
-        assert _run(term, mode="interpret") is expected, label
-        engine, _ = _engine()
-        with pytest.raises(DriverError):
-            list(engine.stream(term))
-        assert all(gate.in_flight == 0 for gate in engine.driver_gates.values())
+        assert _outcomes(term)["interpret"].form == ("error", "DriverError"), label
 
 
 def _walk(expr):
@@ -184,7 +164,7 @@ def test_a_set_source_gives_a_set_of_pairs():
                      source, "bag")
         bound = rules.apply(term)
         assert [node.kind for node in _walk(bound) if type(node) is A.BindScan] == [kind]
-        engine, _ = _engine()
+        engine = _engine()
         value = engine.execute(bound, optimize=False)
         assert list(iter_collection(value)) == [1, 2]
         assert value == engine.execute(term, optimize=False, mode="interpret")

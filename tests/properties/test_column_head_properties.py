@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from repro.core.nrc import builder as B
 from repro.core.nrc.compile import ChunkPolicy
 from repro.core.values import CBag, CList, CSet, Record
-from repro.kleisli.engine import KleisliEngine
+
+from paths import assert_agree, outcomes
 
 KINDS = {"list": CList, "bag": CBag, "set": CSet}
 
@@ -77,23 +78,6 @@ def heads(draw):
     return B.record(**head)
 
 
-def outcome(run):
-    """The elements in order with their field types, or the error."""
-    try:
-        elements = list(run())
-    except Exception as error:  # class and message are the observable
-        return ("raised", type(error).__name__, str(error))
-    return ("value", [exact(element) for element in elements])
-
-
-def exact(value):
-    if type(value) is Record:
-        return (value.directory.labels, tuple(exact(f) for f in value.values))
-    if type(value) is float:
-        return ("float", repr(value))
-    return (type(value).__name__, value)
-
-
 @given(table=tables(), head=heads(),
        kind=st.sampled_from(sorted(KINDS)),
        max_chunk=st.sampled_from([None, 1, 3]))
@@ -103,20 +87,11 @@ def test_column_heads_agree_on_every_path(table, head, kind, max_chunk):
     bindings = {"T": KINDS[kind](table)}
     policy = {} if max_chunk is None else {
         "chunk_policy": ChunkPolicy(max_chunk=max_chunk)}
-    runs = {}
-    iterations = {}
-    for path, run in {
-        "interpret": lambda engine: engine.execute(
-            expr, bindings, optimize=False, mode="interpret"),
-        "eager": lambda engine: engine.execute(
-            expr, bindings, optimize=False, mode="compiled"),
-        "chunked": lambda engine: engine.stream(
-            expr, bindings, optimize=False, **policy),
-    }.items():
-        engine = KleisliEngine()
-        runs[path] = outcome(lambda: run(engine))
-        iterations[path] = engine.last_eval_statistics.ext_iterations
-    assert runs["chunked"] == runs["interpret"]
-    assert runs["eager"] == runs["interpret"]
-    if runs["interpret"][0] == "value":
-        assert set(iterations.values()) == {len(bindings["T"])}
+    results = outcomes(expr, bindings, optimize=False, paths=("query",), extra={
+        "chunked": lambda engine: list(engine.stream(
+            expr, bindings, optimize=False, **policy))})
+    assert_agree(results)
+    assert len({str(outcome.error) for outcome in results.values()}) == 1
+    if results["interpret"].error is None:
+        assert {outcome.statistics.ext_iterations
+                for outcome in results.values()} == {len(bindings["T"])}

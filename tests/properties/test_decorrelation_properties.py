@@ -6,10 +6,10 @@ loop over a loop-invariant relation into a probe of an index built once
 equality in front of the filters that hide it from that walk.  The
 oracle is the tree-walking interpreter on the **unoptimized** term — the
 end-to-end benchmark's own oracle optimizes too, so it cannot see a wrong
-rewrite.  The subjects are the default optimizer's plan under the eager
-closure compiler, the interpreter, and both streamed lowerings — and the
-caching stage applied alone to the term as written, where the binders the
-normaliser would inline are still there.
+rewrite.  The subjects are the default optimizer's plan on every local path
+of ``tests/paths.py`` and under the interpreter — and the caching stage
+applied alone to the term as written, where the binders the normaliser would
+inline are still there.
 
 Generated: an outer loop over ``R`` (possibly empty) whose body holds a
 subquery over ``S`` as a nested field, as the flat inner generator, or as the
@@ -42,7 +42,6 @@ from hypothesis import strategies as st
 from repro.core.errors import EvaluationError, QueryCancelledError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
-from repro.core.nrc.compile import ChunkPolicy
 from repro.core.nrc.eval import EvalScope
 from repro.core.nrc.rewrite import RewriteStats
 from repro.core.optimizer.caching import make_caching_rule_set
@@ -50,6 +49,8 @@ from repro.core.values import CBag, CList, CSet, Record, make_collection
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.governance import NOMINAL_ROW_BYTES, CancellationToken
+
+from paths import assert_agree, outcomes
 
 
 def _col(var, column):
@@ -127,54 +128,26 @@ def _bind(binder, value, body):
     return body
 
 
-def _typed(value):
-    """A value with every scalar's and collection's class made explicit."""
-    if isinstance(value, Record):
-        return ("record", tuple(sorted((label, _typed(value.project(label)))
-                                       for label in value.labels)))
-    if isinstance(value, CSet):
-        return ("set", frozenset(_typed(element) for element in value))
-    if isinstance(value, CBag):
-        return ("bag", tuple(sorted((_typed(element) for element in value), key=repr)))
-    if isinstance(value, CList):
-        return ("list", tuple(_typed(element) for element in value))
-    return (type(value).__name__, value)
-
-
-def _outcome(run):
-    try:
-        return ("value", _typed(run()))
-    except EvaluationError as error:
-        return ("error", error)
-
-
 ENGINE = KleisliEngine()
 
 
-def _check(expr, bindings, kind, note=""):
-    """Every subject agrees with the interpreter on the unoptimized term."""
-    expected = _outcome(lambda: ENGINE.execute(expr, bindings, optimize=False, mode="interpret"))
+def _check(expr, bindings):
+    """Every path, and the caching stage alone, agree with the interpreter
+    on the unoptimized term; an error is a typed one."""
     plan = ENGINE.compile(expr)
     cached = make_caching_rule_set().apply(expr)
-    subjects = {
-        "compiled": lambda: ENGINE.execute(plan, bindings, optimize=False),
-        "interpreted plan": lambda: ENGINE.execute(plan, bindings, optimize=False,
-                                                   mode="interpret"),
-        "caching alone, compiled": lambda: ENGINE.execute(cached, bindings, optimize=False),
-        "caching alone, interpreted": lambda: ENGINE.execute(cached, bindings, optimize=False,
-                                                             mode="interpret"),
-        "chunked stream": lambda: make_collection(
-            kind, ENGINE.stream(expr, bindings)),
-        "stream in chunks of one": lambda: make_collection(
-            kind, ENGINE.stream(expr, bindings,
-                                chunk_policy=ChunkPolicy(max_chunk=1))),
-    }
-    for label, run in subjects.items():
-        status, payload = _outcome(run)
-        shown = (cached if label.startswith("caching") else plan).pretty()
-        assert status == expected[0], (label, note, expected, payload, shown)
-        if status == "value":
-            assert payload == expected[1], (label, note, shown)
+
+    def run(term, **options):
+        return lambda engine: engine.execute(term, bindings, optimize=False, **options)
+
+    results = outcomes(expr, bindings, on=ENGINE, ordered=False, extra={
+        "interpreted plan": run(plan, mode="interpret"),
+        "caching alone, compiled": run(cached),
+        "caching alone, interpreted": run(cached, mode="interpret"),
+    })
+    assert_agree(results)
+    assert all(outcome.error is None or isinstance(outcome.error, EvaluationError)
+               for outcome in results.values())
     assert EvalScope.live_count() == 0
     return plan
 
@@ -273,7 +246,7 @@ def test_decorrelated_plans_agree_with_the_interpreter(seed):
         "R": make_collection(outer_kind, [Record({"a": a, "k": k}) for a, k in outer_rows]),
         "S": make_collection(inner_kind, [Record({"k": k, "v": v}) for k, v in inner_rows]),
     }
-    _check(expr, bindings, outer_kind, (placement, binder, picks, prefix))
+    _check(expr, bindings)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -301,7 +274,7 @@ def test_join_then_probe_chain_agrees_with_the_interpreter(seed):
         "S": make_collection(kind, [Record({"k": k, "v": v}) for k, v in middle_rows]),
         "T": make_collection(kind, [Record({"k": k, "v": v}) for k, v in inner_rows]),
     }
-    plan = _check(expr, bindings, kind)
+    plan = _check(expr, bindings)
     assert plan.pretty().count("probe(") == 2
 
 

@@ -4,9 +4,11 @@ The caching stage computes a ``count``/``sum``/``avg``/``max``/``min`` in a
 loop body once per distinct value of the projections ``x.l`` it reads of the
 enclosing binders (``memoize-correlated-aggregate`` in
 :mod:`repro.core.optimizer.caching`).  The oracle is the tree-walking
-interpreter on the **unoptimized** text; the subjects are ``Session.query``
-(compiled and interpreted), a drained ``Session.stream`` and a stream in
-chunks of one, all on the optimized plan.
+interpreter on the **unoptimized** text; the subjects are the local paths
+of ``tests/paths.py`` and ``Session.query`` interpreted, all on the
+optimized plan.  The served paths are left out: the keys draw distinct NaN
+objects, and a NaN inside a set does not survive the wire (ROADMAP
+direction 1).
 
 Generated: two small bound tables of any kind, ``OUT`` and ``IN``, whose key
 columns draw ``True``, ``1``, ``1.0``, ``2``, two distinct NaN objects,
@@ -23,16 +25,15 @@ equal the oracle's.  Typechecking is off: the tables mix classes on purpose.
 Cost: 500 examples in about 3 s on a 2-core box.
 """
 
-import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.nrc.compile import ChunkPolicy
-from repro.core.records import Record
-from repro.core.values import CBag, CList, CSet, iter_collection
+from repro.core.values import from_python
 from repro.kleisli.session import Session
+
+from paths import assert_agree, outcomes
 
 NAN_A = float("nan")
 NAN_B = float("nan")
@@ -40,29 +41,6 @@ KEYS = [True, 1, 1.0, 2, NAN_A, NAN_B, -0.0, 0.0, "s", "t"]
 VALUES = [0, 1, 2, 3, 2.5, NAN_A]
 AGGREGATES = ["count", "sum", "avg", "max", "min"]
 BRACES = {"set": ("{", "}"), "bag": ("{|", "|}"), "list": ("[|", "|]")}
-
-
-def _typed(value):
-    """A value with every scalar's class and every collection's multiplicity
-    explicit; a NaN is named, so that two runs' NaNs compare equal while a
-    set holding two of them still shows both."""
-    if isinstance(value, Record):
-        return ("record", tuple(sorted((label, _typed(value.project(label)))
-                                       for label in value.labels)))
-    if isinstance(value, (CSet, CBag)):
-        return (type(value).__name__, tuple(sorted(map(_typed, value), key=repr)))
-    if isinstance(value, CList):
-        return ("list", tuple(map(_typed, value)))
-    if isinstance(value, float) and math.isnan(value):
-        return ("float", "nan")
-    return (type(value).__name__, repr(value))
-
-
-def _outcome(run):
-    try:
-        return ("value", run())
-    except Exception as error:  # the class is the outcome (a bare one too)
-        return ("error", type(error).__name__)
 
 
 def _text(rng):
@@ -77,8 +55,8 @@ def _text(rng):
     call = f"{aggregate}({left}{head} | \\x <- IN, {keys}{right})"
     left, right = BRACES[outer]
     if rng.random() < 0.7:
-        return outer, f"{left}[a = o.a, n = {call}] | \\o <- OUT{right}"
-    return outer, f"{left}o.a | \\o <- OUT, {call} >= 1{right}"
+        return f"{left}[a = o.a, n = {call}] | \\o <- OUT{right}"
+    return f"{left}o.a | \\o <- OUT, {call} >= 1{right}"
 
 
 def _table(rng, size, columns):
@@ -90,10 +68,11 @@ def _table(rng, size, columns):
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32))
+@example(seed=46)    # a spilled index gave each row its own NaN: count 4, not 2
+@example(seed=865)   # ... and a key's rows out of order: max 3, not nan
 def test_memoized_aggregates_agree_with_the_interpreter(seed):
     rng = random.Random(seed)
-    kind, text = _text(rng)
-    session = Session(typecheck=False)
+    text = _text(rng)
     # A few keys and values per example, so that rows share them.
     keys = rng.sample(KEYS, rng.randrange(2, 5))
     values = rng.sample(VALUES, 2)
@@ -103,29 +82,16 @@ def test_memoized_aggregates_agree_with_the_interpreter(seed):
             # A key the aggregate reads only for a matching row: reading it
             # for the memo first must not raise where the text does not.
             del row["b"]
-    session.bind("OUT", outer_rows, list_as=rng.choice(list(BRACES)))
-    session.bind("IN", _table(rng, rng.randrange(10),
-                              [("k", keys), ("j", keys), ("v", values)]),
-                 list_as=rng.choice(list(BRACES)))
-
-    def elements(values):
-        typed = [_typed(value) for value in values]
-        return typed if kind == "list" else sorted(typed, key=repr)
-
-    expected = _outcome(lambda: elements(iter_collection(
-        session.query(text, optimize=False, mode="interpret").value)))
-    subjects = {
-        "query": lambda: elements(iter_collection(session.query(text).value)),
-        "query, interpreted": lambda: elements(iter_collection(
-            session.query(text, mode="interpret").value)),
-        "stream": lambda: elements(list(session.stream(text))),
-        "stream in chunks of one": lambda: elements(list(session.stream(
-            text, chunk_policy=ChunkPolicy(max_chunk=1)))),
-    }
-    for label, run in subjects.items():
-        assert _outcome(run) == expected, (label, text)
+    tables = {"OUT": from_python(outer_rows, rng.choice(list(BRACES))),
+              "IN": from_python(_table(rng, rng.randrange(10),
+                                       [("k", keys), ("j", keys), ("v", values)]),
+                                rng.choice(list(BRACES)))}
+    results = outcomes(text, tables, on=Session(typecheck=False), ordered=False,
+                       extra={"query, interpreted": lambda session: session.query(
+                           text, mode="interpret").value})
+    assert_agree(results)
     # The subjects ran the memo: the text's prepared plan holds one.
-    plan = session._prepare(text, True)[2]
+    plan = results["query"].on._prepare(text, True)[2]
     assert "memo[" in plan.pretty(), plan.pretty()
 
 

@@ -26,7 +26,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import SQLExecutionError
@@ -46,31 +46,36 @@ def _values(kind):
     return INTS if kind == "int" else STRINGS
 
 
-@st.composite
-def databases(draw):
+def _database(rows, sorted_column=None, hashed=(), analyze=False):
+    """``(database, {table: value tuples})`` over ``rows``, a list of dicts
+    per table, with the given indexes and statistics."""
     database = Database("ref")
-    tables = {}
     for name, columns in COLUMNS.items():
         schema = TableSchema(name, [Column(column, kind, nullable=(column != "id"))
                                     for column, kind in columns])
-        table = database.create_table(schema)
-        rows = draw(st.lists(st.fixed_dictionaries(
-            {column: (_values(kind) if column == "id"
-                      else st.one_of(st.none(), _values(kind)))
-             for column, kind in columns}), min_size=draw(st.sampled_from([0, 1, 2])),
-            max_size=5))
-        table.insert_many(rows)
-        tables[name] = [tuple(row[column] for column in NAMES[name]) for row in rows]
-    # A sorted index on the column without NULLs, or on one with them.
-    sorted_column = draw(st.sampled_from([None, "id", "n", "k"]))
+        database.create_table(schema).insert_many(rows[name])
     if sorted_column is not None:
         database.table("a").create_sorted_index(sorted_column)
-    for table, column in (("a", "k"), ("b", "k"), ("b", "m")):
-        if draw(st.booleans()):
-            database.table(table).create_hash_index(column)
-    if draw(st.booleans()):
+    for table, column in hashed:
+        database.table(table).create_hash_index(column)
+    if analyze:
         database.analyze()
-    return database, tables
+    return database, {name: [tuple(row[column] for column in NAMES[name])
+                             for row in rows[name]] for name in COLUMNS}
+
+
+@st.composite
+def databases(draw):
+    rows = {name: draw(st.lists(st.fixed_dictionaries(
+        {column: (_values(kind) if column == "id"
+                  else st.one_of(st.none(), _values(kind)))
+         for column, kind in columns}), min_size=draw(st.sampled_from([0, 1, 2])),
+        max_size=5)) for name, columns in COLUMNS.items()}
+    # A sorted index on the column without NULLs, or on one with them.
+    sorted_column = draw(st.sampled_from([None, "id", "n", "k"]))
+    hashed = [index for index in (("a", "k"), ("b", "k"), ("b", "m"))
+              if draw(st.booleans())]
+    return _database(rows, sorted_column, hashed, draw(st.booleans()))
 
 
 def _refs(draw, tables):
@@ -297,8 +302,22 @@ def _bag(rows):
     return Counter(tuple(row.items()) for row in rows)
 
 
+#: Range predicates over a sorted index on a column holding a NULL, which
+#: drawn examples seldom reach: ``a.n`` and ``a.k`` each hold one.
+WITH_NULLS = {"a": [{"id": 0, "k": "ab", "n": 2}, {"id": 1, "k": None, "n": None},
+                    {"id": 2, "k": "b", "n": -1}], "b": []}
+
+
+def _range(column, op, constant):
+    return ["a"], [("*",)], [("compare", op, (None, column), constant)], False, [], None
+
+
 @settings(max_examples=300, deadline=None)
 @given(database=databases(), statement=statements())
+@example(database=_database(WITH_NULLS, "n"), statement=_range("n", "<", 3))
+@example(database=_database(WITH_NULLS, "n"), statement=_range("n", ">=", 0))
+@example(database=_database(WITH_NULLS, "k"), statement=_range("k", "<", "ba"))
+@example(database=_database(WITH_NULLS, "k", analyze=True), statement=_range("k", ">=", "a"))
 def test_the_executor_answers_what_a_nested_loop_answers(database, statement):
     database, rows = database
     sql = render(statement)

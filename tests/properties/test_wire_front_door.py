@@ -30,6 +30,8 @@ from repro.core.values import CBag, CList, CSet, Record, UNIT_VALUE, Variant
 from repro.net.framing import encode_frame, recv_message
 from repro.server.wire import decode_value, encode_value
 
+from paths import exact
+
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(min_value=-2**70, max_value=2**70),
     st.floats(), st.text(max_size=6), st.binary(max_size=4),
@@ -61,22 +63,6 @@ values = st.recursive(
         collections(st.one_of(records(children), children)),
         st.builds(Variant, st.text(max_size=3), children)),
     max_leaves=24)
-
-
-def exact(value):
-    """Equal exactly when two CPL values are the same value (see
-    ``tests/server/test_wire.py``)."""
-    kind = type(value)
-    if kind is Record:
-        return ("record", value.directory.labels,
-                tuple(exact(field) for field in value.values))
-    if kind in (CSet, CBag, CList):
-        return (kind.__name__, tuple(exact(element) for element in value))
-    if kind is Variant:
-        return ("variant", exact(value.tag), exact(value.value))
-    if kind is float:
-        return ("float", repr(value))
-    return (kind.__name__, value)
 
 
 def nan_inside_a_set(value, inside=False):

@@ -11,7 +11,7 @@ Three contracts:
   :class:`WireProtocolError`, and so does anything nested past the codec's
   depth limit (never a ``RecursionError``);
 * **Served parity** — a set, a bag and a list cursor fetched at batch sizes
-  1, 7 and 256 deliver exactly ``execute``'s elements, and a cursor with
+  1, 7 and 256 deliver exactly the interpreter's elements, and a cursor with
   exactly ``n`` rows left reports ``done`` on the next, empty fetch.
 """
 
@@ -27,30 +27,13 @@ from hypothesis import strategies as st
 from repro.core.errors import WireProtocolError
 from repro.core.records import RecordDirectory
 from repro.core.values import CBag, CList, CSet, Record, UNIT_VALUE, Variant
-from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.session import Session
 from repro.net.framing import encode_frame, recv_message
 from repro.server import KleisliClient, KleisliServer
 from repro.server.wire import (MAX_DEPTH, MAX_EMPTY_ROWS, decode_value,
                                encode_value)
 
-
-def exact(value):
-    """A form equal exactly when two CPL values are the same value: scalar
-    types told apart (``True`` is not ``1`` is not ``1.0``), floats by
-    ``repr`` (NaN equals NaN, ``-0.0`` is not ``0.0``), every collection in
-    its iteration order (a set's first-occurrence order included)."""
-    kind = type(value)
-    if kind is Record:
-        return ("record", value.directory.labels,
-                tuple(exact(field) for field in value.values))
-    if kind in (CSet, CBag, CList):
-        return (kind.__name__, tuple(exact(element) for element in value))
-    if kind is Variant:
-        return ("variant", exact(value.tag), exact(value.value))
-    if kind is float:
-        return ("float", repr(value))
-    return (kind.__name__, value)
+from paths import exact
 
 
 def through_a_frame(encoded):
@@ -341,7 +324,7 @@ def test_a_variant_tag_must_be_a_string():
 
 
 # ---------------------------------------------------------------------------
-# served vs execute
+# served vs the interpreter
 # ---------------------------------------------------------------------------
 
 #: 14 rows: two shapes (a nested set and a variant among the fields of the
@@ -372,7 +355,8 @@ def table_server():
 
 @pytest.fixture(scope="module")
 def reference():
-    session = Session(engine=KleisliEngine())
+    """The oracle: the interpreter, on unoptimized texts."""
+    session = Session(execution_mode="interpret")
     _bind_table(session)
     return session
 
@@ -382,7 +366,7 @@ def reference():
 def test_a_served_cursor_is_bit_identical_to_execute(table_server, reference,
                                                      kind, batch):
     query = CURSOR_QUERIES[kind]
-    expected = reference.query(query).value
+    expected = reference.query(query, optimize=False).value
     assert len(expected) == len(TABLE)
     with KleisliClient(table_server.address) as client:
         cursor = client.open(query)
@@ -410,7 +394,7 @@ def test_query_replies_take_the_same_path(table_server, reference):
         for query in (r"{[id = r.id, n = r.id + 1] | \r <- T, r.id < 9}",
                       "V", "[a = 1, b = {[c = 2], [c = 3]}]"):
             assert exact(client.query(query)) == \
-                exact(reference.query(query).value)
+                exact(reference.query(query, optimize=False).value)
         reply = client.request({
             "op": "query",
             "source": r"[| [id = r.id] | \r <- T, r.id < 3 |]"})
