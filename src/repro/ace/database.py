@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, List
 
 from ..core.errors import ACEError
 from ..core.values import CSet, Record, Ref
-from .model import AceClass, AceObject, AceObjectRef
+from .model import AceClass, AceObject
 
 __all__ = ["AceDatabase"]
 

@@ -9,10 +9,10 @@ reference type something real to point at.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from ..core.errors import ACEError
-from ..core.values import CList, CSet, Record, Ref
+from ..core.values import CList, Record, Ref
 
 __all__ = ["AceClass", "AceObject", "AceValue"]
 

@@ -28,7 +28,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from ..core import types as T
 from ..core.errors import ASN1Error
-from ..core.values import CSet, Record
 from .parser import parse_value, parse_value_with_path
 from .path import PathExpression, parse_path
 from .printer import print_value

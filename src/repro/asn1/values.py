@@ -7,11 +7,9 @@ type-directed validation and a few construction conveniences.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..core import types as T
 from ..core.errors import ASN1Error
-from ..core.values import CBag, CList, CSet, Record, UNIT_VALUE, Unit, Variant
+from ..core.values import CBag, CList, CSet, Record, Unit, Variant
 
 __all__ = ["validate_value", "conforms"]
 

@@ -16,7 +16,7 @@ chromosome 22 and carry GenBank accession references.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from .sequences import SequenceGenerator
 

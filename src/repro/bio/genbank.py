@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..core.values import CList, CSet, Record, Variant
+from ..core.values import CSet, Record, Variant
 from .gdb import accession_for_locus
 from .sequences import SequenceGenerator
 from .similarity import similarity_search

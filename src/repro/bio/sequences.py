@@ -7,7 +7,7 @@ sees the same data — which is what lets EXPERIMENTS.md quote stable numbers.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List
 
 __all__ = ["SequenceGenerator", "reverse_complement", "gc_content"]
 

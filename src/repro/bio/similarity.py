@@ -14,7 +14,7 @@ the same roles are filled by:
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 __all__ = ["AlignmentResult", "align_local", "kmer_prefilter", "similarity_search", "SimilarityHit"]
 

@@ -19,7 +19,7 @@ Comments run from ``--`` to the end of the line.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Iterator, List, NamedTuple
 
 from ..errors import CPLSyntaxError
 

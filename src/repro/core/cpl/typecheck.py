@@ -24,7 +24,7 @@ on one checker share nothing they write to.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .. import types as T
 from ..errors import CPLTypeError

@@ -26,7 +26,7 @@ rewrite engine can detect fixpoints.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import NRCError
 from ..records import Record

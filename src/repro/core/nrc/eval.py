@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..errors import EvaluationError, TermTooDeepError, UnboundVariableError
 from ..records import Record, RecordDirectory

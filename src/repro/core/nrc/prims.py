@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import functools
 import operator as _operator
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, Dict, List
 
 from ..errors import EvaluationError
 from ..records import RecordDirectory
-from ..values import CBag, CList, CSet, Record, UNIT_VALUE, Variant, iter_collection, make_collection
+from ..values import CBag, CList, CSet, Record, Variant, iter_collection, make_collection
 
 __all__ = ["PRIMITIVES", "register_primitive", "lookup_primitive",
            "lookup_primitive_raw", "fused_primitive_with_const",

@@ -20,7 +20,7 @@ This module implements exactly that machinery:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import NRCError
 from . import ast as A

@@ -16,7 +16,7 @@ so does this rule set:
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Mapping, Optional, Tuple
+from typing import FrozenSet, List, Mapping, Optional
 
 from ..nrc import ast as A
 from ..nrc.rewrite import Rule, RuleSet

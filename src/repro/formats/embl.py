@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Union
 
-from ..core.errors import FormatError
 from ..core.values import CList, CSet, Record
 
 __all__ = ["EmblRecord", "read_embl", "write_embl", "embl_to_cpl"]

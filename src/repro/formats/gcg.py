@@ -12,7 +12,7 @@ that carries the name, length and checksum, then numbered sequence lines::
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
 
 from ..core.errors import FormatError
 

@@ -18,7 +18,7 @@ A driver has:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
 
 from ...core.errors import DriverError
 from ...core.values import Record, to_python

@@ -13,7 +13,7 @@ import os
 from typing import Dict, List, Optional
 
 from ...core.errors import DriverError
-from ...core.values import CList, CSet, Record
+from ...core.values import Record
 from ...formats.embl import embl_to_cpl, read_embl
 from ...formats.fasta import fasta_to_cpl, read_fasta
 from ...formats.gcg import read_gcg

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..core._fields import Fields
 from ..core.errors import (

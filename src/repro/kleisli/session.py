@@ -24,17 +24,16 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core import types as T
 from ..core.cpl import ast as S
 from ..core.cpl.desugar import desugar_expression, desugar_statement
 from ..core.cpl.parser import parse, parse_expression
 from ..core.cpl.printer import render_html, render_tabular, render_value
-from ..core.cpl.typecheck import TypeChecker, TypeEnvironment, TypeScheme
+from ..core.cpl.typecheck import TypeChecker
 from ..core.errors import CPLTypeError, ReproError
 from ..core.nrc import ast as A
-from ..core.nrc.eval import Environment
 from ..core.optimizer import OptimizerConfig
 from ..core.values import from_python
 from .drivers.base import Driver

@@ -14,7 +14,7 @@ import threading
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..core.errors import EvaluationError
-from ..core.values import CList, CSet, make_collection
+from ..core.values import make_collection
 
 __all__ = ["TokenStream"]
 

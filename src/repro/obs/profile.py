@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = ["StageCollector", "ProbeTee", "QueryProfile", "SlowQueryLog",
            "aggregate_driver_spans"]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import SQLExecutionError, SchemaError
-from .schema import Column, TableSchema
+from .schema import TableSchema
 from .table import Table
 
 __all__ = ["Database"]

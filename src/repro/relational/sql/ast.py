@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 __all__ = [
     "ColumnRef", "SelectItem", "TableRef", "Comparison", "InList", "Like",

@@ -39,7 +39,8 @@ Row = Tuple[object, ...]
 Layout = List[Tuple[str, str]]
 Result = Tuple[Tuple[str, ...], List[Row]]
 
-_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def execute_sql(database: Database, text: str) -> Result:
@@ -97,6 +98,8 @@ def _rows(node: PlanNode) -> Tuple[Layout, Iterable[Row]]:
 def _scan(node: ScanNode) -> Iterable[Row]:
     table = node.table
     if node.index_column is not None:
+        if node.index_value is None:  # ``= NULL`` holds for no row
+            return ()
         return table.lookup(node.index_column, node.index_value)
     if node.range_column is not None and node.range_bounds is not None:
         return table.range_lookup(node.range_column, *node.range_bounds)
@@ -107,7 +110,9 @@ def _hash_join(left: Iterable[Row], right: Iterable[Row],
                left_key: Callable, right_key: Callable) -> Iterable[Row]:
     index = {}
     for row in right:
-        index.setdefault(right_key(row), []).append(row)
+        key = right_key(row)
+        if key is not None:  # a NULL key matches nothing, a NULL included
+            index.setdefault(key, []).append(row)
     for left_row in left:
         for right_row in index.get(left_key(left_row), ()):
             yield left_row + right_row
@@ -150,7 +155,7 @@ def _operand(operand: object, layout: Layout) -> Callable[[Row], object]:
 def _predicate(predicate: object, layout: Layout) -> Callable[[Row], bool]:
     if isinstance(predicate, InList):
         value, values = _operand(predicate.column, layout), predicate.values
-        return lambda row: value(row) in values
+        return lambda row: (item := value(row)) is not None and item in values
     if isinstance(predicate, Like):
         value, match = _operand(predicate.column, layout), _like(predicate.pattern)
         return lambda row: isinstance(text := value(row), str) and match(text) is not None
@@ -162,23 +167,19 @@ def _predicate(predicate: object, layout: Layout) -> Callable[[Row], bool]:
     if op == "is not null":
         return lambda row: left(row) is not None
     right = _operand(predicate.right, layout)
-    if op == "=":
-        return lambda row: left(row) == right(row)
-    if op == "<>":
-        return lambda row: left(row) != right(row)
-    compare = _ORDERED.get(op)
+    compare = _COMPARISONS.get(op)
     if compare is None:
         raise SQLExecutionError(f"unknown comparison operator {op!r}")
 
-    def ordered(row: Row) -> bool:
+    def compared(row: Row) -> bool:
         a, b = left(row), right(row)
-        if a is None or b is None:
+        if a is None or b is None:  # a comparison with NULL is never true
             return False
         try:
             return compare(a, b)
         except TypeError:
             raise SQLExecutionError(f"cannot compare {a!r} and {b!r} with {op}")
-    return ordered
+    return compared
 
 
 def _like(pattern: str) -> Callable[[str], object]:

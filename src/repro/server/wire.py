@@ -30,9 +30,9 @@ is the field itself; any other field (a nested collection, a variant,
 all records of one directory is recognised by two C-level passes and becomes
 one block; the encoder transposes the record tuples themselves and drops
 the directory column (:func:`~repro.core.records.value_columns`), the
-decoder zips the columns back into value tuples (permuting the columns once
-if the labels arrive unsorted) and builds each record straight onto the
-interned directory (:func:`~repro.core.records.records_on`).  Non-record
+decoder zips the interned directory and the columns back together (permuting
+the columns once if the labels arrive unsorted) and builds each record
+straight from ``zip``'s tuple, so a row allocates only its record.  Non-record
 elements and a change of directory end a run and elements keep their order,
 so a mixed collection is a sequence of blocks and plain elements.  A record
 that is *not* a collection element — a query's scalar result, a record field,
@@ -45,16 +45,24 @@ directions: the codec recurses, and a peer must get a typed
 A zero-field block is the one place where ``n`` alone sizes what the decoder
 builds, so one decoded value holds at most :data:`MAX_EMPTY_ROWS` zero-field
 records.
+
+One decoded value holds one object per distinct exact ``str`` in its
+all-``str`` block columns, the way ``json`` shares repeated object keys: a
+value repeated down a column (an organism name, say) costs one string, not
+one per row.  Only ``str`` is shared, because only there does "equal" mean
+"interchangeable" (``-0.0 == 0.0``, ``True == 1``, NaN); a column that
+mixes ``str`` with anything else keeps the objects ``json`` made.  Nothing
+is kept across :func:`decode_value` calls.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Collection, Dict, Iterable, List
 
 from ..core.errors import WireProtocolError
-from ..core.records import RecordDirectory, records_on, value_columns
+from ..core.records import RecordDirectory, value_columns
 from ..core.values import (
     CBag,
     CList,
@@ -86,6 +94,9 @@ _COLLECTION_TYPES = {"set": CSet, "bag": CBag, "list": CList}
 #: Exact types that are their own wire form — in a ``rows`` block, and
 #: whatever ``json.loads`` produces for them.
 _PLAIN = frozenset((bool, int, float, str, type(None)))
+
+#: The type set of a column whose items the decoder shares.
+_STR = frozenset((str,))
 
 _DIRECTORY = itemgetter(0)  # of a record: its directory
 
@@ -175,10 +186,11 @@ def encode_warnings(statistics: object) -> List[Dict[str, object]]:
 
 def decode_value(payload: object) -> object:
     """Rebuild a CPL value from its wire encoding."""
-    return _decode(payload, 0, [MAX_EMPTY_ROWS])
+    return _decode(payload, 0, [MAX_EMPTY_ROWS], {})
 
 
-def _decode(payload: object, depth: int, empty_left: List[int]) -> object:
+def _decode(payload: object, depth: int, empty_left: List[int],
+            strings: Dict[str, str]) -> object:
     if payload is None or isinstance(payload, (bool, int, float, str)):
         return payload
     if isinstance(payload, dict):
@@ -188,20 +200,21 @@ def _decode(payload: object, depth: int, empty_left: List[int]) -> object:
             fields = payload.get("v")
             if not isinstance(fields, dict):
                 raise WireProtocolError("malformed record payload")
-            return Record({label: _decode(field, depth + 1, empty_left)
+            return Record({label: _decode(field, depth + 1, empty_left,
+                                          strings)
                            for label, field in fields.items()})
         if isinstance(tag, str) and tag in _COLLECTION_TYPES:
             elements = payload.get("v")
             if not isinstance(elements, list):
                 raise WireProtocolError(f"malformed {tag} payload")
             return _COLLECTION_TYPES[tag](
-                _decode_elements(elements, depth + 1, empty_left))
+                _decode_elements(elements, depth + 1, empty_left, strings))
         if tag == "variant":
             variant_tag = payload.get("tag")
             if not isinstance(variant_tag, str):
                 raise WireProtocolError("variant tag must be a string")
-            return Variant(variant_tag,
-                           _decode(payload.get("v"), depth + 1, empty_left))
+            return Variant(variant_tag, _decode(payload.get("v"), depth + 1,
+                                                empty_left, strings))
         if tag == "unit":
             return UNIT_VALUE
         if tag == "bytes":
@@ -218,19 +231,21 @@ def _decode(payload: object, depth: int, empty_left: List[int]) -> object:
 
 
 def _decode_elements(elements: List[object], depth: int,
-                     empty_left: List[int]) -> List[object]:
+                     empty_left: List[int],
+                     strings: Dict[str, str]) -> List[object]:
     decoded: List[object] = []
     for element in elements:
         if type(element) is dict and element.get("%") == "rows":
-            decoded += _decode_rows(element, depth, empty_left)
+            decoded += _decode_rows(element, depth, empty_left, strings)
         else:
-            decoded.append(_decode(element, depth, empty_left))
+            decoded.append(_decode(element, depth, empty_left, strings))
     return decoded
 
 
-def _decode_rows(block: dict, depth: int,
-                 empty_left: List[int]) -> List[Record]:
-    """The records of one ``rows`` block, all on one interned directory."""
+def _decode_rows(block: dict, depth: int, empty_left: List[int],
+                 strings: Dict[str, str]) -> List[Record]:
+    """The records of one ``rows`` block, all on one interned directory;
+    ``strings`` maps each ``str`` the value has met to its one object."""
     _check_depth(depth)
     labels, count, columns = block.get("labels"), block.get("n"), block.get("c")
     if (type(labels) is not list
@@ -258,9 +273,21 @@ def _decode_rows(block: dict, depth: int,
         # Labels in the sender's order: one permutation of the columns.
         columns = list(map(dict(zip(labels, columns)).__getitem__,
                            directory.labels))
-    columns = [column if _PLAIN.issuperset(map(type, column))
-               else [field if type(field) in _PLAIN
-                     else _decode(field, depth + 1, empty_left)
-                     for field in column]
+    columns = [_decode_column(column, depth, empty_left, strings)
                for column in columns]
-    return list(records_on(directory, zip(*columns)))
+    # ``zip`` hands back its one result tuple whenever the record built from
+    # it has let go, so a row allocates its record and nothing else.
+    return list(map(tuple.__new__, repeat(Record),
+                    zip(repeat(directory, count), *columns)))
+
+
+def _decode_column(column: List[object], depth: int, empty_left: List[int],
+                   strings: Dict[str, str]) -> List[object]:
+    kinds = set(map(type, column))
+    if kinds == _STR:
+        return list(map(strings.setdefault, column, column))
+    if _PLAIN.issuperset(kinds):
+        return column
+    return [field if type(field) in _PLAIN
+            else _decode(field, depth + 1, empty_left, strings)
+            for field in column]

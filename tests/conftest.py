@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import gc
+import importlib.util
+import pathlib
+import sys
 import threading
 import weakref
 
@@ -29,6 +32,19 @@ def chr22_dataset():
     return build_chromosome22(locus_count=60, chromosome22_fraction=0.35,
                               homologues_per_entry=1, sequence_length=120,
                               publication_count=40, seed=22)
+
+
+@pytest.fixture(scope="session")
+def e2e_workloads():
+    """The end-to-end benchmark's generator (``benchmarks/e2e/workloads.py``),
+    for its query texts and tables."""
+    name = "e2e_workloads"
+    if name not in sys.modules:
+        path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 @pytest.fixture(scope="session")

@@ -34,6 +34,8 @@ from repro.core.values import (
 )
 from repro.kleisli.session import Session
 
+from paths import exact
+
 
 def lift_one_by_one(data, list_as="list"):
     """``from_python`` as the plain per-value recursion."""
@@ -62,17 +64,19 @@ def type_one_by_one(value):
             "list": T.ListType}[value.kind](element)
 
 
-def exact(value):
+def assert_interned(value):
+    """Every record in ``value``, at any depth, sits on the interned
+    directory of its labels: the lifter resolves directories itself."""
     kind = type(value)
     if kind is Record:
         assert value.directory is RecordDirectory.for_labels(value.labels)
-        return ("record", value.directory.labels,
-                tuple(exact(field) for field in value.values))
-    if kind in (CSet, CBag, CList):
-        return (kind.__name__, tuple(exact(element) for element in value))
-    if kind is float:
-        return ("float", repr(value))
-    return (kind.__name__, value)
+        for field in value.values:
+            assert_interned(field)
+    elif kind in (CSet, CBag, CList):
+        for element in value:
+            assert_interned(element)
+    elif kind is Variant:
+        assert_interned(value.value)
 
 
 def shape_of(ty):
@@ -133,8 +137,11 @@ def test_run_aware_ingest_equals_element_by_element(data, list_as):
     assert type(lifted) is type(reference)
     assert exact(lifted) == exact(reference)
     assert shape_of(infer_type(lifted)) == shape_of(type_one_by_one(reference))
-    assert exact(CList(lift_elements(data, list_as))) == \
-        exact(CList(lift_one_by_one(element, list_as) for element in data))
+    elements = CList(lift_elements(data, list_as))
+    one_by_one = CList(lift_one_by_one(element, list_as) for element in data)
+    assert exact(elements) == exact(one_by_one)
+    for value in (lifted, reference, elements, one_by_one):
+        assert_interned(value)
 
 
 def test_none_is_lifted_to_unit_inside_a_run():
@@ -204,4 +211,6 @@ def test_generated_tables_lift_and_type_as_element_by_element(data, list_as):
     lifted = from_python(data, list_as=list_as)
     reference = lift_one_by_one(data, list_as)
     assert exact(lifted) == exact(reference)
+    assert_interned(lifted)
+    assert_interned(reference)
     assert shape_of(infer_type(lifted)) == shape_of(type_one_by_one(reference))

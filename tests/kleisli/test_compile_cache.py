@@ -10,9 +10,6 @@ how a test gets a query kept).
 """
 
 import gc
-import importlib.util
-import pathlib
-import sys
 import tracemalloc
 
 from repro.core.nrc import builder as B
@@ -102,17 +99,6 @@ class TestAdmission:
         assert len(session.engine._compiled_queries) == 0
 
 
-def _workloads():
-    """The end-to-end benchmark's generator, for its ad-hoc query texts."""
-    name = "e2e_workloads"
-    if name not in sys.modules:
-        path = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "e2e" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
-
-
 #: Traced bytes an engine may keep after 200 distinct ad-hoc texts.  Measured
 #: 21 940 on Python 3.11 (the doorkeeper's 128 ints in their ordered dict);
 #: the bound leaves 1.8x of that.  Keeping every lowering, the LRU held
@@ -121,8 +107,8 @@ AD_HOC_RESIDUE_BYTES = 40_000
 
 
 class TestAdHocResidue:
-    def test_distinct_texts_leave_no_lowered_query(self):
-        workload = _workloads().build("adhoc_cold", seed=22, seconds=1)
+    def test_distinct_texts_leave_no_lowered_query(self, e2e_workloads):
+        workload = e2e_workloads.build("adhoc_cold", seed=22, seconds=1)
         texts = [text for op in workload.warmup + workload.ops
                  for _, text in op.parts][:200]
         assert len(set(texts)) == 200

@@ -14,8 +14,9 @@ read each relation a bounded number of times, never once per outer row.
 import pytest
 
 from repro.core.nrc.compile import ChunkPolicy, supported_node_types
-from repro.core.values import CBag, CList, CSet, Record
 from repro.kleisli.session import Session
+
+from paths import exact
 
 R_ROWS, S_ROWS, T_ROWS = 200, 200, 100
 
@@ -69,15 +70,6 @@ def _query(kind, generators):
     return f"{opening}{HEAD} | {generators}{closing}"
 
 
-def _typed(value):
-    """A value with every scalar's and collection's class made explicit."""
-    if isinstance(value, Record):
-        return ("record", tuple((label, _typed(value.project(label))) for label in value.labels))
-    if isinstance(value, (CSet, CBag, CList)):
-        return (type(value).__name__, tuple(_typed(element) for element in value))
-    return (type(value).__name__, value)
-
-
 def _nodes(expr):
     yield expr
     for child in expr.children():
@@ -89,13 +81,13 @@ def test_every_way_of_writing_a_join(session, label, generators, matches, fires)
     text = _query(session.kind, generators)
     engine = session.engine
     oracle = session.query(text, optimize=False, mode="interpret")
-    expected = _typed(oracle.value)
+    expected = exact(oracle.value)
     collection = type(oracle.value)
 
     result = session.query(text)
     statistics = engine.last_eval_statistics
     plan = result.optimized
-    assert _typed(result.value) == expected
+    assert exact(result.value) == expected
     # The join stage matches set loops; every other kind is planned by the
     # decorrelation walk alone.
     assert engine.last_rewrite_stats.fired("local-join") == \
@@ -116,4 +108,4 @@ def test_every_way_of_writing_a_join(session, label, generators, matches, fires)
             oracle.nrc, session.values, chunk_policy=ChunkPolicy(max_chunk=1))),
     }
     for subject, run in subjects.items():
-        assert _typed(run()) == expected, subject
+        assert exact(run()) == expected, subject

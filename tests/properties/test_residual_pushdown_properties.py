@@ -24,10 +24,12 @@ from hypothesis import strategies as st
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.optimizer import OptimizerConfig
-from repro.core.values import CBag, CList, CSet, Record
+from repro.core.values import CSet, Record
 from repro.kleisli.drivers import RelationalDriver
 from repro.kleisli.engine import KleisliEngine
 from repro.relational import Database
+
+from paths import exact
 
 TABLES = {
     "ta": ("x", ("id", "k", "v")),
@@ -100,20 +102,6 @@ def _comprehension(kind, table_count, filter_picks, head):
     return body
 
 
-def _typed(value):
-    """A value with every scalar's and collection's class made explicit."""
-    if isinstance(value, Record):
-        return ("record", tuple(sorted((label, _typed(value.project(label)))
-                                       for label in value.labels)))
-    if isinstance(value, CSet):
-        return ("set", frozenset(_typed(element) for element in value))
-    if isinstance(value, CBag):
-        return ("bag", tuple(sorted((_typed(element) for element in value), key=repr)))
-    if isinstance(value, CList):
-        return ("list", tuple(_typed(element) for element in value))
-    return (type(value).__name__, value)
-
-
 def _scans(expr):
     found = [expr] if isinstance(expr, A.Scan) else []
     for child in expr.children():
@@ -147,8 +135,10 @@ def test_residual_pushdown_agrees_with_the_interpreter(rows, kind, table_count,
     plan = PUSHING.compile(expr)
     actual = PUSHING.execute(plan, optimize=False)
     pushed_requests = PUSHING.last_eval_statistics.scan_requests
-    assert _typed(actual) == _typed(expected), (label, kind, plan.pretty())
-    assert _typed(PUSHING.execute(plan, optimize=False, mode="interpret")) == _typed(expected)
+    oracle = exact(expected, ordered=False)
+    assert exact(actual, ordered=False) == oracle, (label, kind, plan.pretty())
+    assert exact(PUSHING.execute(plan, optimize=False, mode="interpret"),
+                 ordered=False) == oracle
 
     # Never more requests than one scan per table, which is what the plan
     # without the SQL rules issues once every loop is entered.  (It can issue
@@ -186,4 +176,5 @@ def test_deferred_filter_is_not_captured_by_a_later_generator():
     bindings = {"y": Record({"w": 0})}
     expected = PUSHING.execute(expr, bindings, optimize=False, mode="interpret")
     assert expected == CSet([8, 4])  # only x.v = 3 passes the outer-y filter
-    assert _typed(PUSHING.execute(expr, bindings)) == _typed(expected)
+    assert exact(PUSHING.execute(expr, bindings), ordered=False) == \
+        exact(expected, ordered=False)

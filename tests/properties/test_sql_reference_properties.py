@@ -5,7 +5,9 @@ string columns, NULLs, the column name ``k`` in both, indexes or not,
 statistics or not), a random ``select`` — ``*``, ``t.*``, plain, qualified
 and aliased items, duplicate output names, a conjunction of ``=``, ``<>``,
 ``<``, ``>=``, ``IN``, ``is [not] null``, column = column and ``LIKE`` with
-``%`` / ``_``, ``DISTINCT``, ``ORDER BY`` an output name and ``LIMIT`` —
+``%`` / ``_`` (a constant is NULL now and then, and a comparison or ``IN``
+with a NULL operand holds for no row), ``DISTINCT``, ``ORDER BY`` an output
+name and ``LIMIT`` —
 answers through :meth:`Database.sql` what a comprehension over the product
 of the tables answers, and raises :class:`SQLExecutionError` exactly when
 the reference finds a column it cannot resolve.
@@ -44,6 +46,12 @@ STRINGS = st.sampled_from(["", "a", "b", "ab", "ba", "aab"])
 
 def _values(kind):
     return INTS if kind == "int" else STRINGS
+
+
+def _constants(kind):
+    """A literal for a column of ``kind``; one in four is NULL."""
+    return st.integers(0, 3).flatmap(lambda pick: st.none() if pick == 0
+                                     else _values(kind))
 
 
 def _database(rows, sorted_column=None, hashed=(), analyze=False):
@@ -107,9 +115,9 @@ def statements(draw):
         what = draw(st.sampled_from(["compare", "in", "null", "columns", "like"]))
         if what == "compare":
             op = draw(st.sampled_from(["=", "<>", "<", ">="]))
-            predicates.append(("compare", op, ref, draw(_values(kind))))
+            predicates.append(("compare", op, ref, draw(_constants(kind))))
         elif what == "in":
-            predicates.append(("in", ref, draw(st.lists(_values(kind), min_size=1,
+            predicates.append(("in", ref, draw(st.lists(_constants(kind), min_size=1,
                                                         max_size=3))))
         elif what == "null":
             predicates.append(("null", ref, draw(st.booleans())))
@@ -150,6 +158,8 @@ def _render_ref(ref):
 
 
 def _literal(value):
+    if value is None:
+        return "null"
     return f"'{value}'" if isinstance(value, str) else str(value)
 
 
@@ -222,24 +232,29 @@ def _like(value, pattern):
 
 
 def _holds(predicate, env, tables):
+    """SQL's answer: a comparison or ``IN`` with a NULL operand is never
+    true; ``is [not] null`` is the only way to reach a NULL."""
     kind = predicate[0]
     if kind == "compare":
         _, op, ref, constant = predicate
         value = env[_resolve(ref, tables)]
+        if value is None or constant is None:
+            return False
         if op == "=":
             return value == constant
         if op == "<>":
             return value != constant
-        if value is None:
-            return False
         return value < constant if op == "<" else value >= constant
     value = env[_resolve(predicate[1], tables)]
-    if kind == "in":
-        return value in predicate[2]
     if kind == "null":
         return (value is not None) if predicate[2] else (value is None)
+    if value is None:
+        return False
+    if kind == "in":
+        return value in predicate[2]
     if kind == "columns":
-        return value == env[_resolve(predicate[2], tables)]
+        other = env[_resolve(predicate[2], tables)]
+        return other is not None and value == other
     return _like(value, predicate[2])
 
 
@@ -308,8 +323,16 @@ WITH_NULLS = {"a": [{"id": 0, "k": "ab", "n": 2}, {"id": 1, "k": None, "n": None
                     {"id": 2, "k": "b", "n": -1}], "b": []}
 
 
+#: A NULL join key on each side, for the hash join and the product.
+JOIN_NULLS = {"a": WITH_NULLS["a"], "b": [{"k": None, "m": 1}, {"k": "ab", "m": 2}]}
+
+
 def _range(column, op, constant):
     return ["a"], [("*",)], [("compare", op, (None, column), constant)], False, [], None
+
+
+def _join(*predicates):
+    return ["a", "b"], [("*",)], list(predicates), False, [], None
 
 
 @settings(max_examples=300, deadline=None)
@@ -318,6 +341,12 @@ def _range(column, op, constant):
 @example(database=_database(WITH_NULLS, "n"), statement=_range("n", ">=", 0))
 @example(database=_database(WITH_NULLS, "k"), statement=_range("k", "<", "ba"))
 @example(database=_database(WITH_NULLS, "k", analyze=True), statement=_range("k", ">=", "a"))
+@example(database=_database(WITH_NULLS, "n"), statement=_range("n", "=", None))
+@example(database=_database(WITH_NULLS), statement=_range("n", "<>", None))
+@example(database=_database(JOIN_NULLS, hashed=[("b", "k")]),
+         statement=_join(("columns", ("a", "k"), ("b", "k"))))
+@example(database=_database(JOIN_NULLS),
+         statement=_join(("in", ("a", "k"), ["ab", None])))
 def test_the_executor_answers_what_a_nested_loop_answers(database, statement):
     database, rows = database
     sql = render(statement)

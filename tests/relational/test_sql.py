@@ -361,6 +361,21 @@ class TestExecutor:
         assert database.sql("select * from t where b > 0") == []
         assert len(database.sql("select * from t where b is null")) == 1
 
+    def test_a_null_join_key_matches_no_key(self):
+        database = Database("n")
+        for name in ("l", "r"):
+            table = database.create_table(TableSchema(name, [
+                Column("k", "int", nullable=True), Column(name + "v", "int")]))
+            table.insert_many({"k": k, name + "v": v}
+                              for v, k in enumerate((1, None, 2)))
+        for text in ("select lv, rv from l, r where l.k = r.k",
+                     "select lv, rv from l, r where r.k = l.k",
+                     "select lv, rv from l, r where l.k <> r.k"):
+            rows = database.sql(text)
+            assert all(row["lv"] != 1 and row["rv"] != 1 for row in rows), text
+        assert sorted((row["lv"], row["rv"]) for row in database.sql(
+            "select lv, rv from l, r where l.k = r.k")) == [(0, 0), (2, 2)]
+
 
 class TestSortedIndex:
     """A sorted index answers what the scan of its column answers, NULLs and
@@ -377,7 +392,9 @@ class TestSortedIndex:
 
     @pytest.mark.parametrize("condition, expected", [
         ("v > 1", [3]), ("v = 3", [3]), ("v = 'x'", []), ("v >= 1", [1, 3]),
-        ("v < 3", [1]), ("v > null", []), ("v = null", [None]),
+        ("v < 3", [1]), ("v > null", []), ("v = null", []), ("v <> null", []),
+        ("v in (null)", []), ("v in (1, null)", [1]), ("v <> 3", [1]),
+        ("v is null", [None]),
     ])
     def test_the_index_answers_what_the_scan_answers(self, condition, expected):
         text = f"select v from t where {condition}"
