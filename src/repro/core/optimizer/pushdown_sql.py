@@ -47,7 +47,14 @@ from ..nrc.rules_monadic import rule_projection_reduction
 
 __all__ = ["make_sql_pushdown_rule_set", "generate_sql"]
 
-_COMPARISON_PRIMS = {"eq": "=", "neq": "<>", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+#: CPL's ``=`` and ``<>`` are Python's, under which a NULL (lifted as ``()``)
+#: equals NULL and nothing else: SQL's ``IS [NOT] DISTINCT FROM``.  SQL's
+#: ``=`` and ``<>`` never hold for a NULL; ``= literal`` is the same test as
+#: CPL's (a literal is never NULL) and keeps the index lookup, see
+#: :func:`_sql_operator`.  Under ``<`` and the rest SQL drops a NULL row,
+#: where CPL raises.
+_COMPARISON_PRIMS = {"eq": "is not distinct from", "neq": "is distinct from",
+                     "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
 def make_sql_pushdown_rule_set(capabilities: Mapping[str, FrozenSet[str]]) -> RuleSet:
@@ -208,7 +215,14 @@ def _render_condition(condition: A.Expr, tables: Mapping[str, Tuple[str, str]]) 
     right = _render_operand(condition.args[1], tables)
     if left is None or right is None:
         return None
-    return f"{left} {_COMPARISON_PRIMS[condition.name]} {right}"
+    literal = any(isinstance(arg, A.Const) for arg in condition.args)
+    return f"{left} {_sql_operator(condition.name, literal)} {right}"
+
+
+def _sql_operator(prim: str, literal: bool) -> str:
+    """The SQL spelling of comparison ``prim``; ``literal``: one side is a
+    literal, under which CPL's ``=`` is SQL's ``=``."""
+    return "=" if prim == "eq" and literal else _COMPARISON_PRIMS[prim]
 
 
 def _render_operand(expr: A.Expr, tables: Mapping[str, Tuple[str, str]]) -> Optional[str]:
@@ -297,7 +311,7 @@ def _constant_comparison(condition: A.Expr, var: str) -> Optional[Dict[str, obje
         if (isinstance(column_side, A.Project) and isinstance(column_side.expr, A.Var)
                 and column_side.expr.name == var and isinstance(const_side, A.Const)
                 and _pushable(const_side.value)):
-            op = _COMPARISON_PRIMS[condition.name]
+            op = _sql_operator(condition.name, True)
             if flip:
                 op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
             return {"column": column_side.label, "op": op, "value": const_side.value}

@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 __all__ = ["RelationalDriver"]
 
 _WHERE_OPS = {"=": "=", "eq": "=", "<>": "<>", "neq": "<>", "<": "<", "<=": "<=",
-              ">": ">", ">=": ">="}
+              ">": ">", ">=": ">=", "is distinct from": "is distinct from"}
 
 
 class RelationalDriver(Driver):

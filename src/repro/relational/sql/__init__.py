@@ -9,7 +9,10 @@ Grammar (roughly)::
     [LIMIT n]
 
 with predicates ``column op constant``, ``column op column``, ``column IN
-(constants)`` and ``column LIKE pattern`` (``%`` and ``_`` wildcards).  This covers the
+(constants)``, ``column LIKE pattern`` (``%`` and ``_`` wildcards), ``column
+IS [NOT] NULL`` and ``column IS [NOT] DISTINCT FROM operand``.  A comparison,
+IN or join key with a NULL operand never holds; ``IS [NOT] DISTINCT FROM``
+treats NULL as a value equal only to NULL.  This covers the
 SQL the paper's optimizer generates when pushing CPL selections, projections
 and joins to the server (the Loci22 example), with a planner that uses indexes
 and statistics the way a real server would.

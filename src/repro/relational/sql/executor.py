@@ -41,6 +41,8 @@ Result = Tuple[Tuple[str, ...], List[Row]]
 
 _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+#: NULL is a value here, equal to itself only: Python's ``==`` and ``!=``.
+_NULL_SAFE = {"is not distinct from": operator.eq, "is distinct from": operator.ne}
 
 
 def execute_sql(database: Database, text: str) -> Result:
@@ -90,7 +92,8 @@ def _rows(node: PlanNode) -> Tuple[Layout, Iterable[Row]]:
     layout = left_layout + right_layout
     if isinstance(node, HashJoinNode):
         rows = _hash_join(left, right, itemgetter(_position(left_layout, node.left_key)),
-                          itemgetter(_position(right_layout, node.right_key)))
+                          itemgetter(_position(right_layout, node.right_key)),
+                          node.op != "=")
         return layout, _filtered(rows, node.residual, layout)
     return layout, _filtered(_product(left, right), node.predicates, layout)
 
@@ -107,11 +110,13 @@ def _scan(node: ScanNode) -> Iterable[Row]:
 
 
 def _hash_join(left: Iterable[Row], right: Iterable[Row],
-               left_key: Callable, right_key: Callable) -> Iterable[Row]:
+               left_key: Callable, right_key: Callable, null_matches: bool) -> Iterable[Row]:
+    """``null_matches``: a NULL key meets a NULL key (``IS NOT DISTINCT
+    FROM``); under ``=`` a NULL key matches nothing, a NULL included."""
     index = {}
     for row in right:
         key = right_key(row)
-        if key is not None:  # a NULL key matches nothing, a NULL included
+        if key is not None or null_matches:
             index.setdefault(key, []).append(row)
     for left_row in left:
         for right_row in index.get(left_key(left_row), ()):
@@ -167,6 +172,9 @@ def _predicate(predicate: object, layout: Layout) -> Callable[[Row], bool]:
     if op == "is not null":
         return lambda row: left(row) is not None
     right = _operand(predicate.right, layout)
+    null_safe = _NULL_SAFE.get(op)
+    if null_safe is not None:
+        return lambda row: null_safe(left(row), right(row))
     compare = _COMPARISONS.get(op)
     if compare is None:
         raise SQLExecutionError(f"unknown comparison operator {op!r}")

@@ -95,8 +95,11 @@ def tokenize_sql(text: str) -> List[SQLToken]:
 
 
 def _previous_is_operator(tokens: List[SQLToken]) -> bool:
-    """A leading '-' is a negative-number sign only after an operator or '('."""
+    """A leading '-' is a negative-number sign only after an operator, '(',
+    or the ``from`` of ``is [not] distinct from``."""
     if not tokens:
         return True
     last = tokens[-1]
+    if last.kind == "KEYWORD":
+        return last.value == "from"
     return last.kind == "SYMBOL" and last.value in ("=", "<>", "!=", "<", "<=", ">", ">=", "(", ",")

@@ -219,6 +219,10 @@ class _SQLParser:
         if token.kind == "KEYWORD" and token.value == "is":
             self._advance()
             negated = self._accept_keyword("not")
+            if self._accept_keyword("distinct"):
+                self._expect_keyword("from")
+                op = "is not distinct from" if negated else "is distinct from"
+                return Comparison(op, left, self._parse_operand())
             self._expect_keyword("null")
             return Comparison("is not null" if negated else "is null", left, None)
         if token.kind == "SYMBOL" and token.value in _COMPARISON_SYMBOLS:

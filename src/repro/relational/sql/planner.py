@@ -7,8 +7,9 @@ The planner turns a parsed :class:`SelectStatement` into a small plan tree:
   filtered full scan otherwise;
 * a join order chosen greedily by estimated cardinality (statistics-driven,
   as the paper expects of the server Kleisli pushes joins to);
-* hash joins for equi-join predicates, nested-loop joins (filtered by the
-  predicates they cover) otherwise;
+* hash joins for equi-join predicates (``=``, or ``IS NOT DISTINCT FROM``,
+  under which NULL keys meet), nested-loop joins (filtered by the predicates
+  they cover) otherwise;
 * projection, DISTINCT, ORDER BY and LIMIT on top.
 
 :func:`explain_query` renders the chosen plan as text; tests use it to verify
@@ -30,6 +31,9 @@ __all__ = [
     "ScanNode", "HashJoinNode", "NestedLoopJoinNode",
     "ProjectNode", "DistinctNode", "OrderNode", "LimitNode", "PlanNode",
 ]
+
+
+_EQUI_JOIN_OPS = ("=", "is not distinct from")
 
 
 class PlanNode:
@@ -87,19 +91,21 @@ class ScanNode(PlanNode):
 
 
 class HashJoinNode(PlanNode):
-    """Equi-join: build a hash table on the right input's key, probe with the left."""
+    """Equi-join: build a hash table on the right input's key, probe with the
+    left.  ``op`` is the join predicate's: ``=`` or ``is not distinct from``."""
 
     def __init__(self, left: PlanNode, right: PlanNode, left_key: ColumnRef,
-                 right_key: ColumnRef, residual: Sequence[object] = ()):
+                 right_key: ColumnRef, op: str, residual: Sequence[object] = ()):
         self.left = left
         self.right = right
         self.left_key = left_key
         self.right_key = right_key
         self.residual = list(residual)
+        self.op = op
 
     def explain(self, indent: int = 0) -> str:
         pad = "  " * indent
-        lines = [f"{pad}HashJoin {self.left_key!r} = {self.right_key!r}"]
+        lines = [f"{pad}HashJoin {self.left_key!r} {self.op} {self.right_key!r}"]
         lines.append(self.left.explain(indent + 1))
         lines.append(self.right.explain(indent + 1))
         return "\n".join(lines)
@@ -309,7 +315,7 @@ def _build_join_tree(scans: Dict[str, ScanNode], join_predicates: List[Compariso
         right_scan = remaining_aliases.pop(alias)
         remaining_predicates.remove(predicate)
         residual = _take_residual_predicates(joined | {alias}, remaining_predicates, resolver)
-        plan = HashJoinNode(plan, right_scan, left_key, right_key, residual)
+        plan = HashJoinNode(plan, right_scan, left_key, right_key, predicate.op, residual)
         joined.add(alias)
     return plan
 
@@ -320,7 +326,7 @@ def _choose_next_join(joined: set, remaining: Dict[str, ScanNode],
     best = None
     best_rows = None
     for predicate in predicates:
-        if not (isinstance(predicate, Comparison) and predicate.op == "="
+        if not (isinstance(predicate, Comparison) and predicate.op in _EQUI_JOIN_OPS
                 and isinstance(predicate.left, ColumnRef)
                 and isinstance(predicate.right, ColumnRef)):
             continue

@@ -11,16 +11,20 @@ whose values collide on purpose, so that
 * some heads use a generator variable whole (that table must not be pushed),
 * bag and list comprehensions occur (nothing may be pushed: the shipped
   result is a set of rows and would lose multiplicities),
-* filters SQL cannot express sit between ones it can.
+* filters SQL cannot express sit between ones it can,
+* a ``k`` is NULL now and then, which CPL lifts as ``()``: equal to ``()``
+  and to nothing else, under ``=`` and ``<>`` alike.
 
 Values must agree type-exactly, and the optimized plan may never issue more
 scan requests than the plan optimized without the SQL rule set does when it
 enters every loop.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import EvaluationError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.optimizer import OptimizerConfig
@@ -40,8 +44,10 @@ TABLES = {
 _value = st.integers(min_value=0, max_value=3)
 
 
-def _rows(width):
-    return st.lists(st.tuples(*[_value] * width), max_size=5)
+def _rows(table):
+    """Up to five rows of ``table``; its ``k`` may be NULL."""
+    return st.lists(st.tuples(*[st.one_of(st.none(), _value) if column == "k" else _value
+                                for column in TABLES[table][1]]), max_size=5)
 
 
 def _database(rows_by_table):
@@ -65,10 +71,12 @@ FILTERS = [
     (2, True, lambda c: B.prim("eq", _col("x", "k"), _col("y", "k"))),
     (2, True, lambda c: B.prim("eq", _col("x", "id"), _col("y", "id"))),
     (2, True, lambda c: B.prim("neq", _col("y", "w"), B.const(c))),
+    (2, True, lambda c: B.prim("neq", _col("y", "k"), B.const(c))),
     (2, False, lambda c: B.prim("gt", B.prim("add", _col("x", "v"), _col("y", "w")), B.const(c))),
     (2, False, lambda c: B.prim("le", B.prim("mul", _col("y", "w"), B.const(2)), _col("x", "v"))),
     (3, True, lambda c: B.prim("eq", _col("z", "k"), _col("x", "k"))),
     (3, True, lambda c: B.prim("lt", _col("z", "z"), B.const(c))),
+    (3, True, lambda c: B.prim("neq", _col("z", "k"), _col("y", "k"))),
     (3, False, lambda c: B.prim("ge", B.prim("sub", _col("z", "z"), _col("y", "w")), B.const(0))),
 ]
 
@@ -109,19 +117,25 @@ def _scans(expr):
     return found
 
 
+#: One NULL ``k`` in each table.
+NULL_KEYED = {"ta": [(0, 1, 10), (1, None, 20), (2, 2, 30)],
+              "tb": [(0, 1, 1), (1, None, 2), (2, 3, 3)], "tc": []}
+
+
 PUSHING = KleisliEngine()
 UNPUSHED = KleisliEngine(optimizer_config=OptimizerConfig(sql_pushdown=False))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    rows=st.fixed_dictionaries({"ta": _rows(3), "tb": _rows(3), "tc": _rows(2)}),
+    rows=st.fixed_dictionaries({name: _rows(name) for name in TABLES}),
     kind=st.sampled_from(["set", "set", "bag", "list"]),
     table_count=st.integers(min_value=2, max_value=3),
     filter_picks=st.lists(st.tuples(st.integers(0, len(FILTERS) - 1), _value),
                           max_size=5, unique_by=lambda pick: pick[0]),
     head_index=st.integers(min_value=0, max_value=4),
 )
+@example(rows=NULL_KEYED, kind="set", table_count=2, filter_picks=[(3, 0)], head_index=0)
 def test_residual_pushdown_agrees_with_the_interpreter(rows, kind, table_count,
                                                        filter_picks, head_index):
     filter_picks = [pick for pick in filter_picks if FILTERS[pick[0]][0] <= table_count]
@@ -131,8 +145,14 @@ def test_residual_pushdown_agrees_with_the_interpreter(rows, kind, table_count,
     for engine in (PUSHING, UNPUSHED):
         engine.register_driver(RelationalDriver("DB", database))
 
-    expected = PUSHING.execute(expr, optimize=False, mode="interpret")
     plan = PUSHING.compile(expr)
+    try:
+        expected = PUSHING.execute(expr, optimize=False, mode="interpret")
+    except EvaluationError:
+        # ``x.k * 1`` met a NULL ``k``: the plan meets the same row.
+        with pytest.raises(EvaluationError):
+            PUSHING.execute(plan, optimize=False)
+        return
     actual = PUSHING.execute(plan, optimize=False)
     pushed_requests = PUSHING.last_eval_statistics.scan_requests
     oracle = exact(expected, ordered=False)
@@ -177,4 +197,35 @@ def test_deferred_filter_is_not_captured_by_a_later_generator():
     expected = PUSHING.execute(expr, bindings, optimize=False, mode="interpret")
     assert expected == CSet([8, 4])  # only x.v = 3 passes the outer-y filter
     assert exact(PUSHING.execute(expr, bindings), ordered=False) == \
+        exact(expected, ordered=False)
+
+
+def _filtered(condition, head, *tables):
+    """``{head | \\x <- ta[, \\y <- tb], condition}``."""
+    body = A.IfThenElse(condition, B.singleton(head), A.Empty("set"))
+    for name in reversed(tables):
+        body = B.ext(TABLES[name][0], body, A.Scan("DB", {"table": name}))
+    return body
+
+
+@pytest.mark.parametrize("expr, expected", [
+    (_filtered(B.prim("neq", _col("x", "k"), B.const(1)), _col("x", "v"), "ta"),
+     CSet([20, 30])),
+    (_filtered(B.prim("neq", B.const(1), _col("x", "k")), B.record(v=_col("x", "v")), "ta"),
+     CSet([Record({"v": 20}), Record({"v": 30})])),
+    (_filtered(B.prim("eq", _col("x", "k"), _col("y", "k")),
+               B.prim("add", _col("x", "v"), _col("y", "w")), "ta", "tb"),
+     CSet([11, 22])),
+    (_filtered(B.prim("neq", _col("x", "k"), _col("y", "k")),
+               B.prim("add", _col("x", "v"), _col("y", "w")), "ta", "tb"),
+     CSet([12, 13, 21, 23, 31, 32, 33])),
+], ids=["<> a literal", "literal <> as a whole query", "= a column", "<> a column"])
+def test_a_shipped_comparison_treats_null_as_cpl_does(expr, expected):
+    """A shipped ``=`` or ``<>`` keeps the NULL rows CPL keeps."""
+    PUSHING.register_driver(RelationalDriver("DB", _database(NULL_KEYED)))
+    assert PUSHING.execute(expr, optimize=False, mode="interpret") == expected
+    plan = PUSHING.compile(expr)
+    assert any({"query", "where"} & scan.request.keys() for scan in _scans(plan)), \
+        plan.pretty()
+    assert exact(PUSHING.execute(plan, optimize=False), ordered=False) == \
         exact(expected, ordered=False)

@@ -4,10 +4,11 @@ Over two small random tables, ``a(id, k, n)`` and ``b(k, m)`` (int and
 string columns, NULLs, the column name ``k`` in both, indexes or not,
 statistics or not), a random ``select`` — ``*``, ``t.*``, plain, qualified
 and aliased items, duplicate output names, a conjunction of ``=``, ``<>``,
-``<``, ``>=``, ``IN``, ``is [not] null``, column = column and ``LIKE`` with
+``<``, ``>=``, ``is [not] distinct from``, ``IN``, ``is [not] null``, column
+against column (``=`` or ``is [not] distinct from``) and ``LIKE`` with
 ``%`` / ``_`` (a constant is NULL now and then, and a comparison or ``IN``
-with a NULL operand holds for no row), ``DISTINCT``, ``ORDER BY`` an output
-name and ``LIMIT`` —
+with a NULL operand holds for no row; under ``is [not] distinct from`` NULL
+equals NULL only), ``DISTINCT``, ``ORDER BY`` an output name and ``LIMIT`` —
 answers through :meth:`Database.sql` what a comprehension over the product
 of the tables answers, and raises :class:`SQLExecutionError` exactly when
 the reference finds a column it cannot resolve.
@@ -94,6 +95,11 @@ def _refs(draw, tables):
     return (table if draw(st.booleans()) else None, column), TYPES[table][column]
 
 
+#: NULL is a value under these, equal to NULL only.
+_NULL_SAFE = {"is not distinct from": lambda a, b: a == b,
+              "is distinct from": lambda a, b: a != b}
+
+
 @st.composite
 def statements(draw):
     tables = draw(st.sampled_from([["a"], ["a", "b"], ["b", "a"]]))
@@ -114,7 +120,7 @@ def statements(draw):
         ref, kind = _refs(draw, tables)
         what = draw(st.sampled_from(["compare", "in", "null", "columns", "like"]))
         if what == "compare":
-            op = draw(st.sampled_from(["=", "<>", "<", ">="]))
+            op = draw(st.sampled_from(["=", "<>", "<", ">="] + list(_NULL_SAFE)))
             predicates.append(("compare", op, ref, draw(_constants(kind))))
         elif what == "in":
             predicates.append(("in", ref, draw(st.lists(_constants(kind), min_size=1,
@@ -122,7 +128,8 @@ def statements(draw):
         elif what == "null":
             predicates.append(("null", ref, draw(st.booleans())))
         elif what == "columns":
-            predicates.append(("columns", ref, _refs(draw, tables)[0]))
+            op = draw(st.sampled_from(["="] + list(_NULL_SAFE)))
+            predicates.append(("columns", ref, _refs(draw, tables)[0], op))
         elif kind == "string":
             pattern = "".join(draw(st.lists(st.sampled_from("ab%_"), max_size=4)))
             predicates.append(("like", ref, pattern))
@@ -186,7 +193,7 @@ def render(statement):
         elif kind == "null":
             conditions.append(f"{ref} is {'not ' if predicate[2] else ''}null")
         elif kind == "columns":
-            conditions.append(f"{ref} = {_render_ref(predicate[2])}")
+            conditions.append(f"{ref} {predicate[3]} {_render_ref(predicate[2])}")
         else:
             conditions.append(f"{ref} like '{predicate[2]}'")
     if conditions:
@@ -233,11 +240,14 @@ def _like(value, pattern):
 
 def _holds(predicate, env, tables):
     """SQL's answer: a comparison or ``IN`` with a NULL operand is never
-    true; ``is [not] null`` is the only way to reach a NULL."""
+    true; ``is [not] null`` and ``is [not] distinct from`` are the only ways
+    to reach a NULL."""
     kind = predicate[0]
     if kind == "compare":
         _, op, ref, constant = predicate
         value = env[_resolve(ref, tables)]
+        if op in _NULL_SAFE:
+            return _NULL_SAFE[op](value, constant)
         if value is None or constant is None:
             return False
         if op == "=":
@@ -246,6 +256,8 @@ def _holds(predicate, env, tables):
             return value != constant
         return value < constant if op == "<" else value >= constant
     value = env[_resolve(predicate[1], tables)]
+    if kind == "columns" and predicate[3] in _NULL_SAFE:
+        return _NULL_SAFE[predicate[3]](value, env[_resolve(predicate[2], tables)])
     if kind == "null":
         return (value is not None) if predicate[2] else (value is None)
     if value is None:
@@ -344,7 +356,11 @@ def _join(*predicates):
 @example(database=_database(WITH_NULLS, "n"), statement=_range("n", "=", None))
 @example(database=_database(WITH_NULLS), statement=_range("n", "<>", None))
 @example(database=_database(JOIN_NULLS, hashed=[("b", "k")]),
-         statement=_join(("columns", ("a", "k"), ("b", "k"))))
+         statement=_join(("columns", ("a", "k"), ("b", "k"), "=")))
+@example(database=_database(JOIN_NULLS),
+         statement=_join(("columns", ("a", "k"), ("b", "k"), "is not distinct from")))
+@example(database=_database(WITH_NULLS), statement=_range("n", "is distinct from", 2))
+@example(database=_database(WITH_NULLS), statement=_range("n", "is not distinct from", -1))
 @example(database=_database(JOIN_NULLS),
          statement=_join(("in", ("a", "k"), ["ab", None])))
 def test_the_executor_answers_what_a_nested_loop_answers(database, statement):

@@ -361,13 +361,19 @@ class TestExecutor:
         assert database.sql("select * from t where b > 0") == []
         assert len(database.sql("select * from t where b is null")) == 1
 
-    def test_a_null_join_key_matches_no_key(self):
+    @staticmethod
+    def _null_keyed():
+        """``l(k, lv)`` and ``r(k, rv)``, each keyed 1, NULL, 2 at v 0, 1, 2."""
         database = Database("n")
         for name in ("l", "r"):
             table = database.create_table(TableSchema(name, [
                 Column("k", "int", nullable=True), Column(name + "v", "int")]))
             table.insert_many({"k": k, name + "v": v}
                               for v, k in enumerate((1, None, 2)))
+        return database
+
+    def test_a_null_join_key_matches_no_key(self):
+        database = self._null_keyed()
         for text in ("select lv, rv from l, r where l.k = r.k",
                      "select lv, rv from l, r where r.k = l.k",
                      "select lv, rv from l, r where l.k <> r.k"):
@@ -375,6 +381,16 @@ class TestExecutor:
             assert all(row["lv"] != 1 and row["rv"] != 1 for row in rows), text
         assert sorted((row["lv"], row["rv"]) for row in database.sql(
             "select lv, rv from l, r where l.k = r.k")) == [(0, 0), (2, 2)]
+
+    def test_is_not_distinct_from_joins_null_keys(self):
+        database = self._null_keyed()
+        null_safe = "select lv, rv from l, r where l.k is not distinct from r.k"
+        assert "HashJoin l.k is not distinct from r.k" in explain_query(database, null_safe)
+        assert sorted((row["lv"], row["rv"]) for row in database.sql(null_safe)) == \
+            [(0, 0), (1, 1), (2, 2)]
+        assert sorted((row["lv"], row["rv"]) for row in database.sql(
+            "select lv, rv from l, r where l.k is distinct from r.k")) == \
+            [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
 
 class TestSortedIndex:
@@ -394,7 +410,9 @@ class TestSortedIndex:
         ("v > 1", [3]), ("v = 3", [3]), ("v = 'x'", []), ("v >= 1", [1, 3]),
         ("v < 3", [1]), ("v > null", []), ("v = null", []), ("v <> null", []),
         ("v in (null)", []), ("v in (1, null)", [1]), ("v <> 3", [1]),
-        ("v is null", [None]),
+        ("v is null", [None]), ("v is not distinct from null", [None]),
+        ("v is distinct from null", [1, 3]), ("v is distinct from 3", [1, None]),
+        ("v is not distinct from 3", [3]), ("v is not distinct from -1", []),
     ])
     def test_the_index_answers_what_the_scan_answers(self, condition, expected):
         text = f"select v from t where {condition}"

@@ -21,12 +21,10 @@ Three contracts:
   exactly ``n`` rows left reports ``done`` on the next, empty fetch.
 """
 
-import gc
 import json
 import socket
 import struct
 import threading
-import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -41,6 +39,7 @@ from repro.server import KleisliClient, KleisliServer
 from repro.server.wire import (MAX_DEPTH, MAX_EMPTY_ROWS, decode_value,
                                encode_value)
 
+from footprint import decoded_wide_replies
 from paths import exact
 
 
@@ -355,32 +354,8 @@ WIDE_ROW_BYTES = 250
 
 def test_wide_stream_replies_hold_one_org_string_per_distinct_value(
         e2e_workloads):
-    workload = e2e_workloads.build("wide_stream", seed=22, seconds=1)
-
-    def bind(session):
-        for name, (rows, list_as) in workload.bindings.items():
-            session.bind(name, rows, list_as=list_as)
-
-    with KleisliServer(session_setup=bind) as server, \
-            KleisliClient(server.address) as client:
-        cursor = client.open(e2e_workloads.WIDE_QUERY)
-        frames, done = [], False
-        while not done:
-            reply = client.request({"op": "fetch", "cursor": cursor,
-                                    "n": workload.fetch_batch})
-            frames.append(encode_frame({"values": reply["values"]}))
-            done = reply["done"]
-    assert len(frames) == 16
-    tracemalloc.start()
-    try:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        replies = [decode_value(json.loads(frame[4:].decode("utf-8"))["values"])
-                   for frame in frames]
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    held, replies = decoded_wide_replies(e2e_workloads)
+    assert len(replies) == 16
     rows = [row for reply in replies for row in reply]
     assert len(rows) == 4000
     assert held / len(rows) <= WIDE_ROW_BYTES, held / len(rows)
