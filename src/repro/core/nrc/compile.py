@@ -83,6 +83,7 @@ import contextlib
 import enum
 import functools
 import itertools
+import math
 import operator
 import time
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
@@ -2253,8 +2254,19 @@ def compile_chunked(term: A.Expr) -> CompiledChunkedStream:
 # Term fingerprints (compile-cache identity)
 # ---------------------------------------------------------------------------
 
+#: One name per literal type: a builtin type's ``__name__`` is a new string
+#: on every read, which every fingerprint would keep.  Keyed by the type, so
+#: a literal's token hashes no fresh string; no query text adds a type.
+_TYPE_NAMES: Dict[type, str] = {}
+
+#: Literals whose parts compare with ``==`` (``1 == 1.0 == True``, ``0.0 ==
+#: -0.0``): their token spells each part out.
+_STRUCTURED = frozenset((Record, CSet, CBag, CList, Variant, tuple, frozenset))
+
+
 def _const_token(value: object) -> Tuple:
-    """A type-exact token for a literal.
+    """A type-exact token for a literal, down to a record's or a
+    collection's parts.
 
     Structural ``Expr`` equality uses Python ``==``, under which
     ``Const(True) == Const(1) == Const(1.0)`` — fine for rewrite fixpoints,
@@ -2264,17 +2276,30 @@ def _const_token(value: object) -> Tuple:
         hash(value)
     except TypeError:
         return ("unhashable", id(value))
-    return (type(value).__name__, value)
+    kind = type(value)
+    if kind is float and value == 0.0 and math.copysign(1.0, value) < 0.0:
+        return ("-float", value)  # -0.0 == 0.0, and both hash alike
+    name = _TYPE_NAMES.get(kind) or _TYPE_NAMES.setdefault(kind, kind.__name__)
+    if kind in _STRUCTURED:
+        return (name, _freeze_request_value(value))
+    return (name, value)
 
 
 def _freeze_request_value(value: object) -> object:
+    if isinstance(value, Record):
+        return ("record", tuple(
+            (label, _freeze_request_value(item)) for label, item in value.items()))
     if isinstance(value, dict):
         return ("dict", tuple(sorted(
             (key, _freeze_request_value(item)) for key, item in value.items())))
-    if isinstance(value, (list, tuple)) and not isinstance(value, Record):
+    if isinstance(value, (list, tuple)):
         return ("seq", tuple(_freeze_request_value(item) for item in value))
     if isinstance(value, (set, frozenset)):
         return ("set", frozenset(_freeze_request_value(item) for item in value))
+    if isinstance(value, (CSet, CBag, CList)):  # in order: stricter than a set's ==
+        return (type(value).__name__, tuple(_freeze_request_value(item) for item in value))
+    if isinstance(value, Variant):
+        return ("variant", value.tag, _freeze_request_value(value.value))
     return _const_token(value)
 
 

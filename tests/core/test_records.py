@@ -207,10 +207,11 @@ class TestRecordContract:
 
     def test_tuple_dispatches_see_a_record_first(self):
         """A record is a ``tuple`` now; the dispatches that take a tuple as
-        a sequence still take a record as a value."""
+        a sequence still take a record as a value (a request value freezes
+        it by label, each field type-exact)."""
         record = Record({"a": 1})
         assert A._freeze(record) is record
-        assert _freeze_request_value(record) == ("Record", record)
+        assert _freeze_request_value(record) == ("record", (("a", ("int", 1)),))
         for list_as in ("list", "set"):
             assert from_python(record, list_as) is record
 

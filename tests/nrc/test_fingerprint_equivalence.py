@@ -12,29 +12,39 @@ deep copies of them, the same terms with their binders renamed, and
 hand-built corners: ``Const(True)`` / ``Const(1)`` / ``Const(1.0)``,
 ``ParallelExt`` windows, named and content ``Cached`` keys and a ``Case``
 with and without a default.  A ``tracemalloc`` bound keeps the flat form
-flat: one 113-character query's fingerprint holds at most 1 000 bytes (the
+flat: one 113-character query's fingerprint holds at most 800 bytes (the
 nested one held about 3 200).
 
-Cost: under 2 s on a 2-core box, the 200 generated pairs most of it.
+Below the partition checks: a literal's type name is one object per type
+(``adhoc_cold``'s 2 405 fingerprints are bounded through
+``tests/footprint.py``), and a literal's token is type-exact down to a
+record's or a collection's parts and carries a float zero's sign (``1 ==
+1.0`` and ``0.0 == -0.0``, and each pair hashes alike, so a compile cache
+keyed on the value alone served one for the other).
+
+Cost: about 7 s on a 2-core box, building ``adhoc_cold``'s pool twice
+(generator and measurement) most of it.
 """
 
 import copy
-import gc
 import importlib.util
 import itertools
 import pathlib
-import tracemalloc
 from typing import Tuple
 
 from hypothesis import given, settings, strategies as st
 
+from footprint import adhoc_fingerprints, traced
 from repro.core.cpl.desugar import desugar_expression
 from repro.core.cpl.parser import parse_expression
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.compile import _const_token, _freeze_request_value, term_fingerprint
 from repro.core.optimizer.parallel import ParallelExt
-from repro.core.values import CSet
+from repro.core.records import Record
+from repro.core.values import CBag, CList, CSet, Variant
+from repro.kleisli.drivers.base import Driver
+from repro.kleisli.engine import KleisliEngine
 
 # The differential harness's term generator (tests are not a package).
 _spec = importlib.util.spec_from_file_location(
@@ -188,6 +198,15 @@ def test_renamed_binders_partition_alike(term):
 def test_literals_keep_their_types():
     assert_same_partition(A.Const(True), A.Const(1), A.Const(1.0),
                           A.Const(1), A.Const("1"), A.Const(CSet([1])))
+    # ``1 == 1.0 == True`` inside a record, a collection, a variant or a
+    # tuple too, so each part's token is type-exact.
+    values = [Record({"a": 1}), Record({"a": 1.0}), Record({"a": True}),
+              CSet([1]), CSet([1.0]), CList([1]), CList([1.0]), CBag([1]), CBag([True]),
+              Variant("t", 1), Variant("t", 1.0), (1,), (1.0,), frozenset([1]),
+              frozenset([1.0])]
+    assert len({term_fingerprint(A.Const(value)) for value in values}) == len(values)
+    assert len({term_fingerprint(A.Scan("D", {"v": value})) for value in values}) == \
+        len(values)
 
 
 def test_parallel_windows_are_part_of_the_fingerprint():
@@ -241,21 +260,73 @@ def test_counted_parts_end_where_they_end():
 
 
 def test_a_query_fingerprint_is_one_small_tuple():
-    """The 113-character query's fingerprint holds at most 1 000 bytes; the
-    nested one held 3 188.  A full collection before and after empties the
-    interpreter's free lists, which would hide or keep the pass's own
-    garbage."""
+    """The 113-character query's fingerprint holds at most 800 bytes: its
+    87-token tuple, 736 on Python 3.11; 892 while each literal's type name
+    was a string of its own, 3 188 nested.  (The first fingerprint of a
+    process also fills the table of type names.)"""
     term = desugar_expression(parse_expression(
         r"{[chrom = g.chrom, near = {x.sym | \x <- G, x.chrom = g.chrom, x.pos > 400}]"
         r" | \g <- G, g.cls = 2, g.score > 100}"))
-    tracemalloc.start()
-    try:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        fingerprint = term_fingerprint(term)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert fingerprint == term_fingerprint(copy.deepcopy(term))
-    assert held <= 1000, held
+    first = term_fingerprint(term)
+    held, fingerprint = traced(lambda: term_fingerprint(term))
+    assert fingerprint == first == term_fingerprint(copy.deepcopy(term))
+    assert held <= 800, held
+
+
+# -- shared type names -----------------------------------------------------------
+
+def test_literals_of_one_type_share_their_type_token():
+    for one, other in ((1000, 2000), (1.5, 2.5), ("a b", "c d"), (True, False)):
+        assert _const_token(one)[0] is _const_token(other)[0], (one, other)
+    fingerprint = term_fingerprint(desugar_expression(parse_expression("{1000, 2000}")))
+    first, second = [token for token in fingerprint if token == "int"]
+    assert first is second
+
+
+#: Traced bytes ``adhoc_cold``'s 2 405 fingerprints at seed 22 may hold,
+#: their terms dropped: 1 979 779 on Python 3.11 (1 133 184 of it the
+#: tuples); 2 254 807 while every literal's type name was a string of its
+#: own.  The rest is mostly names: each fingerprint keeps its term's.
+ADHOC_HELD = 2_050_000
+
+
+def test_adhoc_cold_fingerprints_share_their_type_names(e2e_workloads):
+    held, fingerprints = adhoc_fingerprints(e2e_workloads)
+    assert len(fingerprints) == 2405
+    assert held <= ADHOC_HELD, held
+
+
+# -- a literal's token is type-exact all the way down ----------------------------
+
+class EchoDriver(Driver):
+    """Returns ``[[a = v]]`` for its request's ``v``."""
+
+    def _execute(self, request):
+        return CList([Record({"a": request["v"]})])
+
+
+def test_a_float_zero_keeps_its_sign():
+    assert term_fingerprint(A.Const(0.0)) != term_fingerprint(A.Const(-0.0))
+    assert term_fingerprint(A.Const(Record({"w": 0.0}))) != \
+        term_fingerprint(A.Const(Record({"w": -0.0})))
+    for negative, positive in ((-0.0, 0.0), ([-0.0], [0.0]), ({-0.0}, {0.0}),
+                               ({"w": -0.0}, {"w": 0.0}),
+                               (Record({"w": -0.0}), Record({"w": 0.0}))):
+        assert term_fingerprint(A.Scan("D", {"v": negative})) != \
+            term_fingerprint(A.Scan("D", {"v": positive})), negative
+    # Every other float, and 0.0, keeps its token.
+    assert [repr(_const_token(value)) for value in (0.0, 1.5, -1.5)] == [
+        "('float', 0.0)", "('float', 1.5)", "('float', -1.5)"]
+
+
+def test_a_compiled_literal_is_not_served_an_equal_one_of_another_type():
+    engine = KleisliEngine()
+    engine.register_driver(EchoDriver("Echo"))
+    literal = lambda z: A.Singleton(A.RecordExpr({"a": A.Const(z)}), "list")
+    record = lambda z: A.Singleton(A.Const(Record({"a": z})), "list")
+    scan = lambda z: A.Scan("Echo", {"v": z}, kind="list")
+    for make in (literal, record, scan):
+        for last in (-0.0, 0, True):
+            for z in (0.0, 0.0, 0.0, last):  # admitted from the second lowering on
+                (row,) = engine.execute(make(z), {})
+                assert repr(row.project("a")) == repr(z), (make, z)
